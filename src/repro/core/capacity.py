@@ -60,7 +60,13 @@ class NodeCapacity:
         Geometric mean of log-scaled resources, discounted by current load.
         The geometric mean keeps any single huge resource from dominating
         (a fat pipe on a loaded CPU should not win every election).
+        Computed once per instance: the fields are frozen, and ``replace()``
+        / ``with_load()`` build a new instance that computes its own.
         """
+        try:
+            return self._score  # type: ignore[attr-defined]
+        except AttributeError:
+            pass
         resources = np.array(
             [
                 np.log1p(self.cpu),
@@ -72,7 +78,11 @@ class NodeCapacity:
         )
         gmean = float(np.exp(np.mean(np.log(resources + 1e-9))))
         load_penalty = (1.0 - 0.5 * self.cpu_load) * (1.0 - 0.5 * self.net_load)
-        return gmean * load_penalty
+        # Not via ``self.__dict__``: that would materialise a dict per
+        # instance (+64 B each); this keeps CPython's inline attribute storage.
+        score = gmean * load_penalty
+        object.__setattr__(self, "_score", score)
+        return score
 
     def with_load(self, cpu_load: float | None = None, net_load: float | None = None) -> "NodeCapacity":
         """Copy with updated load figures."""

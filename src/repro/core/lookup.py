@@ -309,27 +309,24 @@ def _full_candidates(
         return [e for e in _ordered_entries(view) if e.ident not in exclude]
 
     t = view.table
-    space = view.config.space
-
-    def by_target(ids) -> List[int]:
-        ids = [i for i in ids if i not in exclude]
-        return sorted(ids, key=lambda i: (space.distance(i, target), i))
-
+    distance = view.config.space.distance
+    # ``(distance, id)`` is a total order, so dropping ids already taken by
+    # an earlier group *before* sorting yields the same sequence as sorting
+    # first and deduplicating afterwards.
     ordered: List[int] = []
-    seen: set[int] = set()
+    seen = set(exclude)
     for group in (
-        by_target(t.children),
-        by_target(t.neighbour_children),
-        *(by_target(t.level_tables.get(l, ())) for l in sorted(t.level_tables, reverse=True)),
-        by_target(set(t.parents.values())),
-        by_target(t.superiors),
-        by_target(t.level0),
+        t.children,
+        t.neighbour_children,
+        *(t.level_tables[l] for l in sorted(t.level_tables, reverse=True)),
+        set(t.parents.values()),
+        t.superiors,
+        t.level0,
     ):
-        for i in group:
-            if i not in seen:
-                seen.add(i)
-                ordered.append(i)
-    return [t.get(i) for i in ordered if t.get(i) is not None]  # type: ignore[misc]
+        ranked = [i for _, i in sorted((distance(i, target), i) for i in group if i not in seen)]
+        seen.update(ranked)
+        ordered += ranked
+    return [e for e in map(t.get, ordered) if e is not None]
 
 
 # --------------------------------------------------------------------------

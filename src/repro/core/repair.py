@@ -33,10 +33,11 @@ flip individual knobs (e.g. parent re-adoption) to quantify each mechanism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.node import TreePNode
+    from repro.core.routing_table import RoutingTable
     from repro.core.treep import TreePNetwork
 
 
@@ -110,36 +111,33 @@ def relink_node(node: "TreePNode", policy: RepairPolicy = FULL_POLICY) -> None:
     TTL before this runs).
     """
     t = node.table
-    now = node.sim.now
-
-    known = [(e.ident, e.max_level) for e in t.candidates()]
+    ident = node.ident
 
     if policy.relink_level0:
-        level0_ids = [i for i, _ in known]
-        left, right = _nearest_sides(level0_ids, node.ident)
+        left, right = _nearest_sides(t.all_known(), ident)
         t.level0 = {i for i in (left, right) if i is not None}
         # Keep the paper's minimum-two-connections rule at bus endpoints.
         if len(t.level0) < 2:
             same_side = sorted(
-                (i for i in level0_ids if i not in t.level0),
-                key=lambda i: abs(i - node.ident),
+                (i for i in t.all_known() if i not in t.level0),
+                key=lambda i: abs(i - ident),
             )
             for i in same_side[: 2 - len(t.level0)]:
                 t.level0.add(i)
 
     if policy.relink_buses:
         for lvl in range(1, node.max_level + 1):
-            bus_ids = [i for i, m in known if m >= lvl and i != node.ident]
-            l, r = _nearest_sides(bus_ids, node.ident)
+            l, r = _nearest_sides(
+                (e.ident for e in t.candidates() if e.max_level >= lvl), ident)
             t.level_tables[lvl] = {i for i in (l, r) if i is not None}
 
     if policy.adopt_parents:
         want_level = node.max_level + 1
         if t.parents.get(want_level) is None:
-            ups = [i for i, m in known if m >= want_level]
+            ups = [e.ident for e in t.candidates() if e.max_level >= want_level]
             if ups:
-                new_parent = min(ups, key=lambda i: abs(i - node.ident))
-                t.set_parent(want_level, new_parent, now)
+                new_parent = min(ups, key=lambda i: abs(i - ident))
+                t.set_parent(want_level, new_parent, node.sim.now)
 
 
 def _prune_children(node: "TreePNode") -> None:
@@ -171,12 +169,24 @@ def purge_dead(net: "TreePNetwork", newly_dead: Optional[Iterable[int]] = None) 
     for ident, node in net.nodes.items():
         if ident in dead:
             continue
-        for d in dead:
-            if node.table.get(d) is not None:
+        hits = dead.intersection(node.table.all_known())
+        if hits:
+            for d in hits:
                 node.table.forget(d)
-                removed += 1
-        _prune_children(node)
+            removed += len(hits)
+            _prune_children(node)
     return removed
+
+
+def _learn(t: "RoutingTable", now: float, ids: Iterable[int], src_meta: dict,
+           role: set) -> None:
+    """Import *ids* into *t* with the sender's metadata for them, collecting
+    them in *role* — a fresh set the caller installs wholesale, so the role
+    set it replaces is never touched."""
+    for i in ids:
+        if i != t.owner:
+            t.upsert(i, now, *src_meta.get(i, ()))
+            role.add(i)
 
 
 def gossip_round(net: "TreePNetwork", policy: RepairPolicy = FULL_POLICY) -> None:
@@ -203,10 +213,6 @@ def gossip_round(net: "TreePNetwork", policy: RepairPolicy = FULL_POLICY) -> Non
         if not net.network.is_up(ident):
             continue
         t = node.table
-        meta = {}
-        for i in t.all_known():
-            e = t.get(i)
-            meta[i] = (e.max_level, e.score, e.nc)  # type: ignore[union-attr]
         snapshot[ident] = (
             set(t.level0),
             {lvl: set(ids) for lvl, ids in t.level_tables.items()},
@@ -214,22 +220,13 @@ def gossip_round(net: "TreePNetwork", policy: RepairPolicy = FULL_POLICY) -> Non
             dict(t.parents),
             set(t.superiors),
             (node.max_level, node.score, node.nc),
-            meta,
+            {e.ident: (e.max_level, e.score, e.nc) for e in t.candidates()},
         )
 
     for ident, snap in snapshot.items():
         node = net.nodes[ident]
         t = node.table
         my_level0, my_buses, _, my_parents, _, _, _ = snap
-
-        def import_entry(i: int, src_meta: dict, adder: Callable) -> None:
-            if i == ident:
-                return
-            m = src_meta.get(i)
-            if m is None:
-                adder(i, now)
-            else:
-                adder(i, now, max_level=m[0], score=m[1], nc=m[2])
 
         # Level-0 exchange: refresh the link, learn the peer's links.
         new_indirect: set[int] = set()
@@ -238,11 +235,8 @@ def gossip_round(net: "TreePNetwork", policy: RepairPolicy = FULL_POLICY) -> Non
             if ps is None:
                 continue
             p_level0, _, _, _, _, pme, pmeta = ps
-            t.add_level0(peer, now, max_level=pme[0], score=pme[1], nc=pme[2])
-            for i in p_level0:
-                if i != ident:
-                    import_entry(i, pmeta, t.add_level0_indirect)
-                    new_indirect.add(i)
+            t.upsert(peer, now, *pme)
+            _learn(t, now, p_level0, pmeta, new_indirect)
         if new_indirect:
             t.level0_indirect = new_indirect - t.level0
 
@@ -259,26 +253,18 @@ def gossip_round(net: "TreePNetwork", policy: RepairPolicy = FULL_POLICY) -> Non
             l, r = _nearest_sides(bus_entries, ident)
             bus_links = {i for i in (l, r) if i is not None}
             fresh_level: set[int] = set()
-            exchanged_here = False
             for peer in bus_links:
                 ps = snapshot.get(peer)
                 if ps is None:
                     continue
-                exchanged_here = True
-                any_bus_exchange = True
                 _, p_buses, p_children, _, _, pme, pmeta = ps
-                t.add_level(lvl, peer, now, max_level=pme[0], score=pme[1], nc=pme[2])
+                t.upsert(peer, now, *pme)
                 fresh_level.add(peer)
-                for i in p_buses.get(lvl, ()):
-                    if i != ident:
-                        import_entry(i, pmeta, lambda j, n, **m: t.add_level(lvl, j, n, **m))
-                        fresh_level.add(i)
+                _learn(t, now, p_buses.get(lvl, ()), pmeta, fresh_level)
                 if policy.refresh_neighbour_children:
-                    for k in p_children.get(lvl, ()):
-                        if k != ident:
-                            import_entry(k, pmeta, t.add_neighbour_child)
-                            fresh_nc.add(k)
-            if exchanged_here:
+                    _learn(t, now, p_children.get(lvl, ()), pmeta, fresh_nc)
+            if fresh_level:
+                any_bus_exchange = True
                 t.level_tables[lvl] = fresh_level
         if policy.refresh_neighbour_children and any_bus_exchange:
             t.neighbour_children = fresh_nc
@@ -290,10 +276,7 @@ def gossip_round(net: "TreePNetwork", policy: RepairPolicy = FULL_POLICY) -> Non
             _, p_buses, _, p_parents, p_superiors, pme, pmeta = ps
             new_sup: set[int] = set()
             for group in (p_parents.values(), p_superiors, p_buses.get(pme[0], ())):
-                for i in group:
-                    if i != ident:
-                        import_entry(i, pmeta, t.add_superior)
-                        new_sup.add(i)
+                _learn(t, now, group, pmeta, new_sup)
             t.superiors = new_sup
 
         t.trim_to_roles()
@@ -337,17 +320,16 @@ def _symmetrize_links(net: "TreePNetwork") -> None:
     for ident, node in net.nodes.items():
         if not up(ident):
             continue
+        meta = (node.max_level, node.score, node.nc)
         for peer in list(node.table.level0):
             pn = net.nodes.get(peer)
             if pn is not None and up(peer):
-                pn.table.add_level0_indirect(ident, now, max_level=node.max_level,
-                                             score=node.score, nc=node.nc)
+                pn.table.add_level0_indirect(ident, now, *meta)
         for lvl, ids in node.table.level_tables.items():
             for peer in list(ids):
                 pn = net.nodes.get(peer)
                 if pn is not None and up(peer) and pn.max_level >= lvl:
-                    pn.table.add_level(lvl, ident, now, max_level=node.max_level,
-                                       score=node.score, nc=node.nc)
+                    pn.table.add_level(lvl, ident, now, *meta)
 
 
 def apply_failure_step(

@@ -328,37 +328,46 @@ class RoutingTable:
             del self.parents[lvl]
 
     # ------------------------------------------------------------ role sets
-    def add_level0(self, ident: int, now: float, **meta: float) -> None:
-        self.upsert(ident, now, **meta)  # type: ignore[arg-type]
+    def add_level0(self, ident: int, now: float, max_level: Optional[int] = None,
+                   score: Optional[float] = None, nc: Optional[int] = None) -> None:
+        self.upsert(ident, now, max_level, score, nc)
         self.level0.add(ident)
 
-    def add_level0_indirect(self, ident: int, now: float, **meta: float) -> None:
-        self.upsert(ident, now, **meta)  # type: ignore[arg-type]
+    def add_level0_indirect(self, ident: int, now: float, max_level: Optional[int] = None,
+                            score: Optional[float] = None, nc: Optional[int] = None) -> None:
+        self.upsert(ident, now, max_level, score, nc)
         self.level0_indirect.add(ident)
 
-    def add_level(self, level: int, ident: int, now: float, **meta: float) -> None:
+    def add_level(self, level: int, ident: int, now: float,
+                  max_level: Optional[int] = None, score: Optional[float] = None,
+                  nc: Optional[int] = None) -> None:
         if level <= 0:
             raise ValueError("use add_level0 for level 0")
-        self.upsert(ident, now, **meta)  # type: ignore[arg-type]
+        self.upsert(ident, now, max_level, score, nc)
         self.level_tables.setdefault(level, set()).add(ident)
 
-    def add_child(self, ident: int, now: float, **meta: float) -> None:
-        self.upsert(ident, now, **meta)  # type: ignore[arg-type]
+    def add_child(self, ident: int, now: float, max_level: Optional[int] = None,
+                  score: Optional[float] = None, nc: Optional[int] = None) -> None:
+        self.upsert(ident, now, max_level, score, nc)
         self.children.add(ident)
 
-    def add_neighbour_child(self, ident: int, now: float, **meta: float) -> None:
-        self.upsert(ident, now, **meta)  # type: ignore[arg-type]
+    def add_neighbour_child(self, ident: int, now: float, max_level: Optional[int] = None,
+                            score: Optional[float] = None, nc: Optional[int] = None) -> None:
+        self.upsert(ident, now, max_level, score, nc)
         self.neighbour_children.add(ident)
 
-    def set_parent(self, level: int, ident: int, now: float, **meta: float) -> None:
+    def set_parent(self, level: int, ident: int, now: float,
+                   max_level: Optional[int] = None, score: Optional[float] = None,
+                   nc: Optional[int] = None) -> None:
         """Record *ident* as the parent seen from level ``level - 1``."""
         if level <= 0:
             raise ValueError("parents exist at level >= 1")
-        self.upsert(ident, now, **meta)  # type: ignore[arg-type]
+        self.upsert(ident, now, max_level, score, nc)
         self.parents[level] = ident
 
-    def add_superior(self, ident: int, now: float, **meta: float) -> None:
-        self.upsert(ident, now, **meta)  # type: ignore[arg-type]
+    def add_superior(self, ident: int, now: float, max_level: Optional[int] = None,
+                     score: Optional[float] = None, nc: Optional[int] = None) -> None:
+        self.upsert(ident, now, max_level, score, nc)
         self.superiors.add(ident)
 
     # --------------------------------------------------------------- expiry

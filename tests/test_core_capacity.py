@@ -1,5 +1,8 @@
 """Unit + property tests for the capacity model."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +49,46 @@ def test_with_load_copies():
     c2 = c.with_load(cpu_load=0.5)
     assert c.cpu_load == 0.0 and c2.cpu_load == 0.5
     assert c2.cpu == 4
+
+
+def reference_score(c):
+    """The scoring formula, evaluated afresh (what ``score()`` memoises)."""
+    resources = np.array([np.log1p(c.cpu), np.log1p(c.memory_gb),
+                          np.log1p(c.bandwidth_mbps), np.log1p(c.storage_gb),
+                          np.log1p(c.uptime_hours)])
+    gmean = float(np.exp(np.mean(np.log(resources + 1e-9))))
+    return gmean * ((1.0 - 0.5 * c.cpu_load) * (1.0 - 0.5 * c.net_load))
+
+
+class TestScoreMemo:
+    def test_repeat_calls_return_the_identical_float(self):
+        c = NodeCapacity(cpu=4, memory_gb=8, bandwidth_mbps=120, cpu_load=0.3)
+        first = c.score()
+        assert c.score() == first == reference_score(c)  # bit-for-bit, no approx
+        assert c.score() is first
+
+    def test_copies_score_for_themselves(self):
+        c = NodeCapacity(cpu=4)
+        base = c.score()
+        for copy in (c.with_load(cpu_load=0.5),
+                     dataclasses.replace(c, bandwidth_mbps=500.0)):
+            assert copy.score() == reference_score(copy) != base
+        assert c.score() == base
+
+    def test_memo_is_invisible_to_value_semantics(self):
+        scored, fresh = NodeCapacity(cpu=4, net_load=0.2), NodeCapacity(cpu=4, net_load=0.2)
+        scored.score()
+        assert scored == fresh and hash(scored) == hash(fresh)
+        assert repr(scored) == repr(fresh)
+        assert dataclasses.asdict(scored) == dataclasses.asdict(fresh)
+        back = pickle.loads(pickle.dumps(scored))
+        assert back == fresh and back.score() == fresh.score()
+
+    def test_instances_stay_frozen(self):
+        c = NodeCapacity(cpu=4)
+        c.score()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.cpu = 8  # type: ignore[misc]
 
 
 class TestMaxChildren:

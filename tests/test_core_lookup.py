@@ -1,15 +1,19 @@
 """Unit tests for the G / NG / NGSA routers (pure decision logic)."""
 
+import numpy as np
 import pytest
 
+from repro import TreePNetwork
 from repro.core.config import TreePConfig
 from repro.core.ids import IdSpace
 from repro.core.lookup import (
     Decision,
     DecisionKind,
     LookupAlgorithm,
+    _full_candidates,
     route,
 )
+from repro.core.repair import PAPER_POLICY, apply_failure_step
 from repro.core.messages import LookupRequest
 from repro.core.routing_table import RoutingTable
 
@@ -194,3 +198,52 @@ def test_decision_constructors():
     assert Decision.forward(7).next_hop == 7
     assert Decision.not_found().kind is DecisionKind.NOT_FOUND
     assert Decision.discard().kind is DecisionKind.DISCARD
+
+
+def reference_full_candidates(view, exclude, target):
+    """``Search_level_A()``'s targeted enumeration as first written: filter
+    and sort every role group on its own, then keep first occurrences."""
+    t = view.table
+    space = view.config.space
+
+    def by_target(ids):
+        return sorted((i for i in ids if i not in exclude),
+                      key=lambda i: (space.distance(i, target), i))
+
+    ordered, seen = [], set()
+    for group in (
+        by_target(t.children),
+        by_target(t.neighbour_children),
+        *(by_target(t.level_tables.get(l, ())) for l in sorted(t.level_tables, reverse=True)),
+        by_target(set(t.parents.values())),
+        by_target(t.superiors),
+        by_target(t.level0),
+    ):
+        for i in group:
+            if i not in seen:
+                seen.add(i)
+                ordered.append(i)
+    return [t.get(i) for i in ordered if t.get(i) is not None]
+
+
+def test_targeted_candidate_order_matches_reference_on_churned_overlay():
+    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=7)
+    net.build(200)
+    rng = np.random.default_rng(11)
+    victims = [int(v) for v in rng.choice(net.ids, 60, replace=False)]
+    net.fail_nodes(victims)
+    apply_failure_step(net, victims, PAPER_POLICY)
+    alive = net.alive_ids()
+    compared = 0
+    for ident in alive:
+        node = net.nodes[ident]
+        known = node.table.all_known()
+        for target in (int(x) for x in rng.choice(alive, 3)):
+            visited = rng.choice(known, min(3, len(known)), replace=False)
+            exclude = frozenset(int(v) for v in visited) | {ident}
+            got = _full_candidates(node, exclude, target=target)
+            want = reference_full_candidates(node, exclude, target)
+            assert [e.ident for e in got] == [e.ident for e in want]
+            assert all(a is b for a, b in zip(got, want))
+            compared += len(got)
+    assert compared > 1000
