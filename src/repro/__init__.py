@@ -28,9 +28,10 @@ Public surface:
   dependencies and sibling work stealing.
 * :mod:`repro.baselines` — Chord and flooding comparators on the same
   simulated substrate.
-* :mod:`repro.experiments` — one runner per figure of the paper's §IV.
+* :mod:`repro.experiments` — the failure-sweep and ablation drivers the
+  bench scenarios share.
 * :mod:`repro.bench` — the unified benchmark harness:
-  ``python -m repro.bench run|list|compare|report|campaign`` over 23
+  ``python -m repro.bench run|list|compare|report|campaign`` over 28
   declarative scenarios — including the ``scale_*`` 10k-node sweeps
   behind ``docs/performance.md`` — writing versioned ``BenchResult``
   JSON to ``benchmarks/out/`` (the repo's perf trajectory); ``campaign``
@@ -49,8 +50,8 @@ Public surface:
 
 See README.md for the module map ("Module map") and the per-subsystem
 overviews, and ``docs/`` for the architecture, API, benchmark and performance guides;
-each ``benchmarks/bench_*.py`` is a thin pytest binding onto the harness
-and still prints the measured-vs-paper record it regenerates.
+``benchmarks/bench_scenarios.py`` is the pytest binding onto the harness
+and still prints the measured-vs-paper record each scenario regenerates.
 """
 
 from repro.cluster import Cluster, Service, ServiceContext, ServiceError
@@ -63,7 +64,7 @@ from repro.core.treep import TreePNetwork
 from repro.obs import MetricsRegistry, ObsHub, TraceReader
 from repro.storage import AntiEntropy, QuorumConfig, ReplicatedStore
 
-__version__ = "1.9.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "AntiEntropy",

@@ -1,8 +1,7 @@
 """repro.bench — the unified benchmark harness and perf trajectory.
 
 Layer contract: this package *owns* how the repo measures itself — the
-declarative :class:`Scenario` registry wrapping every legacy
-``benchmarks/bench_*.py``, the ``python -m repro.bench`` CLI
+declarative :class:`Scenario` registry, the ``python -m repro.bench`` CLI
 (``run | list | compare | report``), and the versioned
 :class:`BenchResult` JSON envelope written to ``benchmarks/out/`` so
 successive PRs accumulate a comparable perf trajectory.  It may import

@@ -42,6 +42,7 @@ import multiprocessing
 import os
 import sys
 import time
+import tomllib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -138,78 +139,6 @@ class CampaignSpec:
 
 
 # ---------------------------------------------------------------- spec loading
-def _parse_array(text: str, lineno: int) -> List[Any]:
-    body = text[1:-1].strip()
-    if not body:
-        return []
-    return [_parse_scalar(part.strip(), lineno)
-            for part in body.split(",") if part.strip()]
-
-
-def _parse_scalar(text: str, lineno: int) -> Any:
-    if text.startswith('"'):
-        end = text.find('"', 1)
-        if end < 0:
-            raise ValueError(f"line {lineno}: unterminated string {text!r}")
-        return text[1:end]
-    text = text.split("#", 1)[0].strip()
-    if text in ("true", "false"):
-        return text == "true"
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    raise ValueError(f"line {lineno}: unsupported TOML value {text!r}")
-
-
-def _parse_minimal_toml(text: str) -> Dict[str, Any]:
-    """Parse the TOML subset campaign specs use: ``[dotted]`` table
-    headers, ``key = scalar`` pairs and inline ``[v1, v2]`` scalar arrays.
-
-    Only reached on Python < 3.11 (no :mod:`tomllib`); output agrees with
-    tomllib on every valid spec (pinned by ``tests/test_bench_campaign.py``).
-    """
-    root: Dict[str, Any] = {}
-    current = root
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ValueError(
-                    f"line {lineno}: malformed table header {line!r}")
-            current = root
-            for part in line[1:-1].strip().split("."):
-                part = part.strip()
-                if not part:
-                    raise ValueError(
-                        f"line {lineno}: malformed table header {line!r}")
-                nxt = current.setdefault(part, {})
-                if not isinstance(nxt, dict):
-                    raise ValueError(
-                        f"line {lineno}: {part!r} is both a value and a table")
-                current = nxt
-        else:
-            if "=" not in line:
-                raise ValueError(
-                    f"line {lineno}: expected key = value, got {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not key:
-                raise ValueError(f"line {lineno}: empty key")
-            if value.startswith("["):
-                if not value.split("#", 1)[0].strip().endswith("]"):
-                    raise ValueError(
-                        f"line {lineno}: unterminated array {value!r}")
-                current[key] = _parse_array(
-                    value.split("#", 1)[0].strip(), lineno)
-            else:
-                current[key] = _parse_scalar(value, lineno)
-    return root
-
-
 def load_campaign(path: str) -> CampaignSpec:
     """Load a campaign spec from a ``.toml`` or ``.json`` file."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -217,12 +146,7 @@ def load_campaign(path: str) -> CampaignSpec:
     if path.endswith(".json"):
         data = json.loads(text)
     else:
-        try:
-            import tomllib
-        except ModuleNotFoundError:  # Python < 3.11
-            data = _parse_minimal_toml(text)
-        else:
-            data = tomllib.loads(text)
+        data = tomllib.loads(text)
     return parse_campaign(data, source=path)
 
 

@@ -1,6 +1,6 @@
 """Scenario definitions — importing this package populates the registry.
 
-One module per family, mirroring the old ``benchmarks/`` taxonomy:
+One module per family:
 
 * :mod:`repro.bench.scenarios.figures` — the nine §IV figure sweeps;
 * :mod:`repro.bench.scenarios.ablation` — the four §VI design probes;

@@ -1,10 +1,9 @@
 """Ablation scenarios — the §VI design-space probes as registry entries.
 
-Ports of the four ``benchmarks/bench_ablation_*.py`` files: ID assignment,
-demotion policy, the TTL-triggered Euclidean fallback, and maintenance
-cost (keep-alive interval sweep + repair-mechanism value), with their
-asserted expectations recorded as :class:`~repro.bench.scenario.Check`
-verdicts.
+Four probes: ID assignment, demotion policy, the TTL-triggered Euclidean
+fallback, and maintenance cost (keep-alive interval sweep +
+repair-mechanism value), with their expectations recorded as
+:class:`~repro.bench.scenario.Check` verdicts.
 """
 
 from __future__ import annotations

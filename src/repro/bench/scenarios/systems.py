@@ -1,13 +1,13 @@
 """System scenarios — engineering benches as registry entries.
 
-Ports of ``bench_core.py`` (build/lookup/table micro-benches),
-``bench_table_sizes.py`` (§III.e bounds), ``bench_ngsa_cost.py`` (§IV.a
-bandwidth verdict), ``bench_baselines.py`` (TreeP vs Chord vs flooding),
-``bench_storage.py`` (quorum throughput, anti-entropy cost, durability
-under 30% churn) and ``bench_compute.py`` (scheduling under burst churn,
-checkpointing vs restart).  Wall-clock throughput numbers are measured
-here with ``time.perf_counter`` so the CLI needs no pytest-benchmark;
-the pytest glue still wraps each scenario for timing parity.
+``core`` (build/lookup/table micro-benches), ``table_sizes`` (§III.e
+bounds), ``ngsa_cost`` (§IV.a bandwidth verdict), ``baselines`` (TreeP vs
+Chord vs flooding), ``storage`` (quorum throughput, anti-entropy cost,
+durability under 30% churn) and ``compute`` (scheduling under burst
+churn, checkpointing vs restart).  Wall-clock throughput numbers are
+measured here with ``time.perf_counter`` so the CLI needs no
+pytest-benchmark; the pytest glue still wraps each scenario for timing
+parity.
 """
 
 from __future__ import annotations

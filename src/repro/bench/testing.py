@@ -1,51 +1,30 @@
-"""pytest-benchmark glue: one thin wrapper per ``benchmarks/bench_*.py``.
+"""pytest-benchmark glue behind ``benchmarks/bench_scenarios.py``.
 
-Each legacy bench file is now a single line binding a registered scenario
-to pytest-benchmark, via the ``scenario_bench`` helper in
-``benchmarks/conftest.py`` (which partially applies this module's
-:func:`pytest_scenario` with the shared out dir)::
-
-    from conftest import scenario_bench
-    test_figure_a = scenario_bench("figure_a")
-
-The wrapper runs the scenario through :func:`repro.bench.runner.run_scenario`
-(so a pytest bench run writes the same ``benchmarks/out/bench_<name>.json``
-trajectory file as the CLI), prints the rendered figure/table the old bench
-printed, and asserts every check the old bench asserted.
+That module parametrises one test over the scenario registry and hands
+each name to :func:`pytest_scenario`, which runs it through
+:func:`repro.bench.runner.run_scenario` (so a pytest bench run writes the
+same ``benchmarks/out/bench_<name>.json`` trajectory file as the CLI),
+prints the rendered figure/table, and asserts every scenario check.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import repro.bench.scenarios  # noqa: F401  (populates the registry)
 from repro.bench.runner import run_scenario
-from repro.bench.scenario import registry
 
 
-def pytest_scenario(name: str, out_dir: Optional[str] = None,
-                    smoke: bool = False) -> Callable:
-    """Build a pytest-benchmark test function for scenario *name*."""
-    scenario = registry.get(name)  # fail at collection, not at run time
-
-    def test(benchmark):
-        holder = {}
-
-        def execute():
-            holder["result"] = run_scenario(name, smoke=smoke,
-                                            out_dir=out_dir)
-            return holder["result"]
-
-        benchmark.pedantic(execute, rounds=1, iterations=1)
-        result = holder["result"]
-        print()
-        if result.rendered:
-            print(result.rendered)
-        failed = result.failed_checks()
-        assert not failed, (
-            f"scenario {name!r} failed checks: "
-            + "; ".join(f"{c['name']} ({c.get('detail', '')})" for c in failed))
-
-    test.__name__ = f"test_{name}"
-    test.__doc__ = scenario.description
-    return test
+def pytest_scenario(benchmark, name: str, out_dir: Optional[str] = None) -> None:
+    """Run scenario *name* once under the pytest-benchmark *benchmark*
+    fixture and fail the test on any failed check."""
+    result = benchmark.pedantic(run_scenario, args=(name,),
+                                kwargs={"out_dir": out_dir},
+                                rounds=1, iterations=1)
+    print()
+    if result.rendered:
+        print(result.rendered)
+    failed = result.failed_checks()
+    assert not failed, (
+        f"scenario {name!r} failed checks: "
+        + "; ".join(f"{c['name']} ({c.get('detail', '')})" for c in failed))

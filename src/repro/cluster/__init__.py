@@ -24,7 +24,7 @@ repro.lint`` (RPR201/RPR202) against ``repro/lint/layers.toml``.  See
 """
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.registry import ClusterState, ServiceRegistry, attach_service
+from repro.cluster.registry import ClusterState, ServiceRegistry
 from repro.cluster.service import Service, ServiceContext, ServiceError
 
 __all__ = [
@@ -34,5 +34,4 @@ __all__ = [
     "ServiceContext",
     "ServiceError",
     "ServiceRegistry",
-    "attach_service",
 ]

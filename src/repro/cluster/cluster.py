@@ -33,7 +33,6 @@ from repro.cluster.registry import ClusterState
 from repro.cluster.service import Service, ServiceError
 from repro.core.config import TreePConfig
 from repro.core.treep import TreePNetwork
-from repro.sim.trace import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.compute.job import ComputeConfig
@@ -70,21 +69,20 @@ class Cluster:
         *,
         latency: Optional["LatencyModel"] = None,
         loss: float = 0.0,
-        tracer: Tracer = NULL_TRACER,
         net: Optional[TreePNetwork] = None,
     ) -> None:
         if net is not None:
             if (config is not None or seed != 0 or latency is not None
-                    or loss != 0.0 or tracer is not NULL_TRACER):
+                    or loss != 0.0):
                 raise ValueError(
                     "Cluster(net=...) wraps an existing network: config, "
-                    "seed, latency, loss and tracer are that network's own "
-                    "and cannot be overridden here"
+                    "seed, latency and loss are that network's own and "
+                    "cannot be overridden here"
                 )
             self.net = net
         else:
             self.net = TreePNetwork(
-                config=config, seed=seed, latency=latency, loss=loss, tracer=tracer
+                config=config, seed=seed, latency=latency, loss=loss
             )
 
     # ------------------------------------------------------------- building
@@ -122,7 +120,7 @@ class Cluster:
     # ------------------------------------------------------------- services
     @property
     def state(self) -> ClusterState:
-        """The network's service plane (shared with legacy-attached facades)."""
+        """The network's service plane (shared by every facade wrapping this network)."""
         return ClusterState.of(self.net)
 
     @property

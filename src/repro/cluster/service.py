@@ -30,14 +30,12 @@ and unregister its handlers, revivals re-install them, and
 facades had is structurally impossible.
 
 Construction goes through :class:`~repro.cluster.cluster.Cluster`
-(``Cluster(...).build(n).with_storage(...)``); the old direct-wire
-constructors (``ReplicatedStore(net, ...)``) still work as thin deprecation
-shims that attach through the same registry.
+(``Cluster(...).build(n).with_storage(...)``); service constructors take
+configuration only.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional
 
 from repro.sim.engine import PeriodicTimer, TimerGroup
@@ -49,7 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.treep import TreePNetwork
     from repro.sim.engine import Simulator
 
-__all__ = ["Service", "ServiceContext", "ServiceError", "warn_direct_wire"]
+__all__ = ["Service", "ServiceContext", "ServiceError"]
 
 #: Handler signature services declare: ``handler(src, payload)``.
 Handler = Callable[[int, Any], None]
@@ -57,17 +55,6 @@ Handler = Callable[[int, Any], None]
 
 class ServiceError(RuntimeError):
     """Misuse of the service lifecycle (double attach, missing dependency…)."""
-
-
-def warn_direct_wire(old: str, new: str) -> None:
-    """Deprecation warning for the pre-1.3 direct-wire constructors."""
-    warnings.warn(
-        f"{old} is deprecated since 1.3.0: construct services through the "
-        f"Cluster facade instead ({new}); the direct constructor keeps "
-        "working as a shim that attaches through the service registry.",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class Service:
@@ -196,12 +183,6 @@ class ServiceContext:
         # dependent still points at is refused by the registry.
         self.state.add_dependency(self.service.name, name)
         return svc
-
-    def depends_on(self, service: Service) -> None:
-        """Record a dependency edge on an *injected* service (one handed to
-        the constructor rather than resolved via :meth:`require`), so the
-        registry refuses to replace it out from under this service."""
-        self.state.add_dependency(self.service.name, service.name)
 
     # -------------------------------------------------------- periodic tasks
     def every(

@@ -37,7 +37,6 @@ from repro.sim.engine import SimulationError, Simulator
 from repro.sim.latency import LatencyModel, UniformLatency
 from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import NULL_TRACER, Tracer
 
 
 @dataclass(slots=True)
@@ -66,8 +65,6 @@ class TreePNetwork:
         Datagram latency model; defaults to ``UniformLatency(5..50 ms)``.
     loss:
         Independent datagram loss probability.
-    tracer:
-        Optional structured tracer shared by all nodes.
     """
 
     def __init__(
@@ -76,7 +73,6 @@ class TreePNetwork:
         seed: int = 0,
         latency: Optional[LatencyModel] = None,
         loss: float = 0.0,
-        tracer: Tracer = NULL_TRACER,
     ) -> None:
         self.config = config if config is not None else TreePConfig.paper_case1()
         self.rng = RngRegistry(seed)
@@ -87,7 +83,6 @@ class TreePNetwork:
             loss=loss,
             rng=self.rng.get("loss"),
         )
-        self.tracer = tracer
         #: Observability hub (``None`` unless an ambient capture is active
         #: or an ``Observability`` service sets it); instrumentation sites
         #: guard every record behind one ``is not None`` check.
@@ -202,7 +197,7 @@ class TreePNetwork:
 
     def _instantiate_nodes(self) -> None:
         for ident in self.ids:
-            node = TreePNode(ident, self.capacities[ident], self.config, tracer=self.tracer)
+            node = TreePNode(ident, self.capacities[ident], self.config)
             self.network.register(node)
             self.nodes[ident] = node
             node.hop_observer = self._observe_hop
@@ -469,7 +464,7 @@ class TreePNetwork:
             raise ValueError(f"id {ident} already in the network")
         self.config.space.validate(ident)
         cap = capacity if capacity is not None else NodeCapacity()
-        node = TreePNode(ident, cap, self.config, tracer=self.tracer)
+        node = TreePNode(ident, cap, self.config)
         self.network.register(node)
         self.nodes[ident] = node
         self.capacities[ident] = cap

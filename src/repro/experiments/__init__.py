@@ -1,12 +1,13 @@
-"""Experiment drivers — one module per figure of the paper's §IV.
+"""Experiment drivers shared by more than one bench scenario.
 
-All figures derive from the same protocol (build a TreeP network, reach
-steady state, disconnect 5% of the initial population per step with no
-repopulation, measure a lookup batch per step), so everything funnels
-through :func:`repro.experiments.common.run_failure_sweep`.  Results are
-memoised per configuration (see :mod:`repro.experiments.cache`) so the nine
-figure benches share the two underlying sweeps (case 1 fixed ``nc``, case 2
-variable ``nc``).
+Every §IV figure derives from the same protocol (build a TreeP network,
+reach steady state, disconnect 5% of the initial population per step with
+no repopulation, measure a lookup batch per step), so they all funnel
+through the memoised :func:`repro.experiments.common.run_failure_sweep`;
+the figures themselves are defined in :mod:`repro.bench.scenarios.figures`.
+:mod:`~repro.experiments.ablations`, :mod:`~repro.experiments.ngsa_cost`
+and :mod:`~repro.experiments.table_sizes` are the drivers behind the
+ablation and systems scenarios.
 """
 
 from repro.experiments.common import (
@@ -15,12 +16,10 @@ from repro.experiments.common import (
     SweepResult,
     run_failure_sweep,
 )
-from repro.experiments.cache import sweep_cached
 
 __all__ = [
     "StepRecord",
     "SweepConfig",
     "SweepResult",
     "run_failure_sweep",
-    "sweep_cached",
 ]

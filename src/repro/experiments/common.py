@@ -15,6 +15,7 @@ Both experimental cases are supported:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Literal, Sequence, Tuple
 
@@ -144,8 +145,15 @@ def _failed_hop_counts(net: TreePNetwork, failed: Sequence[LookupResult]) -> Lis
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def run_failure_sweep(config: SweepConfig) -> SweepResult:
-    """Execute one full sweep (the engine behind Figures A-I)."""
+    """Execute one full sweep (the engine behind Figures A-I).
+
+    Memoised per process: nine figure scenarios derive from two sweeps
+    (case 1 and case 2), and the key is the whole frozen
+    :class:`SweepConfig`, so any parameter change re-runs honestly.
+    Callers share the returned object and must treat it as read-only.
+    """
     cluster = Cluster(config=config.treep_config(), seed=config.seed).build(config.n)
     net = cluster.net
     layout = cluster.layout

@@ -7,16 +7,12 @@ owns/may-import layer contracts in the ``__init__.py`` docstrings of
 :func:`contract_drift` cross-validates the two, so the map and the prose
 cannot drift apart (``tests/test_lint_repo.py`` pins this, and RPR202
 re-checks it on every lint run).
-
-Python < 3.11 has no :mod:`tomllib`; :func:`parse_toml` falls back to a
-minimal parser covering exactly the subset ``layers.toml`` uses (tables
-with optionally quoted segments, string values, single- or multi-line
-string arrays, comments).
 """
 
 from __future__ import annotations
 
 import re
+import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import FrozenSet, List, Mapping, Optional, Tuple
@@ -29,95 +25,12 @@ __all__ = [
     "default_layers_path",
     "load_layer_map",
     "parse_contract",
-    "parse_toml",
 ]
 
 
 # ------------------------------------------------------------ toml loading
 def default_layers_path() -> Path:
     return Path(__file__).resolve().parent / "layers.toml"
-
-
-def parse_toml(text: str) -> dict:
-    try:
-        import tomllib
-    except ModuleNotFoundError:  # Python < 3.11
-        return _parse_toml_fallback(text)
-    return tomllib.loads(text)
-
-
-_SEG_RE = re.compile(r'"([^"]*)"|([A-Za-z0-9_-]+)')
-
-
-def _table_path(header: str) -> List[str]:
-    """Split ``package.core`` / ``overrides."repro/obs/cli.py"`` into segments."""
-    out: List[str] = []
-    pos = 0
-    while pos < len(header):
-        if header[pos] == ".":
-            pos += 1
-            continue
-        m = _SEG_RE.match(header, pos)
-        if m is None:
-            raise ValueError(f"bad table header: [{header}]")
-        out.append(m.group(1) if m.group(1) is not None else m.group(2))
-        pos = m.end()
-    return out
-
-
-def _strip_comment(line: str) -> str:
-    out = []
-    in_str = False
-    for ch in line:
-        if ch == '"':
-            in_str = not in_str
-        if ch == "#" and not in_str:
-            break
-        out.append(ch)
-    return "".join(out).strip()
-
-
-def _parse_value(raw: str):
-    raw = raw.strip()
-    if raw.startswith("["):
-        inner = raw[1:-1]
-        items = [s.strip() for s in inner.split(",")]
-        return [_parse_value(s) for s in items if s]
-    if raw.startswith('"') and raw.endswith('"') and len(raw) >= 2:
-        return raw[1:-1]
-    if raw in ("true", "false"):
-        return raw == "true"
-    raise ValueError(f"unsupported TOML value: {raw!r}")
-
-
-def _parse_toml_fallback(text: str) -> dict:
-    root: dict = {}
-    table = root
-    lines = text.splitlines()
-    i = 0
-    while i < len(lines):
-        line = _strip_comment(lines[i])
-        i += 1
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            table = root
-            for seg in _table_path(line[1:-1]):
-                table = table.setdefault(seg, {})
-            continue
-        if "=" not in line:
-            raise ValueError(f"unparseable TOML line: {line!r}")
-        key, _, raw = line.partition("=")
-        raw = raw.strip()
-        # multi-line array: accumulate until brackets balance
-        while raw.count("[") > raw.count("]"):
-            if i >= len(lines):
-                raise ValueError("unterminated TOML array")
-            raw += " " + _strip_comment(lines[i])
-            i += 1
-        key = key.strip().strip('"')
-        table[key] = _parse_value(raw)
-    return root
 
 
 # -------------------------------------------------------------- the layer map
@@ -187,7 +100,7 @@ def _policy_from(table: dict, where: str) -> LayerPolicy:
 
 def load_layer_map(path: Optional[Path] = None) -> LayerMap:
     path = path or default_layers_path()
-    data = parse_toml(path.read_text())
+    data = tomllib.loads(path.read_text())
     packages = {
         name: _policy_from(tbl, f"[package.{name}]")
         for name, tbl in (data.get("package") or {}).items()

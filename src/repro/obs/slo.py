@@ -24,13 +24,13 @@ same spec evaluates two ways:
   evaluation stays bit-identical to the same run without it.
 
 This module is core-tier (stdlib + NumPy only; see the package layering
-contract) — the TOML reader falls back to a minimal parser covering the
-spec subset above when :mod:`tomllib` is unavailable (Python < 3.11).
+contract).
 """
 
 from __future__ import annotations
 
 import json
+import tomllib
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Set,
                     Tuple)
@@ -99,79 +99,6 @@ class SloSpec:
 
 
 # ------------------------------------------------------------------ loading
-def _split_table_path(text: str, lineno: int) -> List[str]:
-    """Split ``slo."storage.put"`` into path segments (quotes guard dots)."""
-    parts: List[str] = []
-    buf = ""
-    quoted = False
-    for ch in text:
-        if ch == '"':
-            quoted = not quoted
-        elif ch == "." and not quoted:
-            parts.append(buf.strip())
-            buf = ""
-        else:
-            buf += ch
-    parts.append(buf.strip())
-    if quoted or any(not p for p in parts):
-        raise ValueError(f"line {lineno}: malformed table header [{text}]")
-    return parts
-
-
-def _parse_scalar(text: str, lineno: int) -> Any:
-    if text.startswith('"'):
-        end = text.find('"', 1)
-        if end < 0:
-            raise ValueError(f"line {lineno}: unterminated string {text!r}")
-        return text[1:end]
-    text = text.split("#", 1)[0].strip()
-    if text in ("true", "false"):
-        return text == "true"
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    raise ValueError(f"line {lineno}: unsupported TOML value {text!r}")
-
-
-def _parse_minimal_toml(text: str) -> Dict[str, Any]:
-    """Parse the TOML subset SLO specs use: ``[dotted."quoted"]`` table
-    headers and ``key = scalar`` pairs (str/int/float/bool, ``#`` comments).
-
-    Only reached on Python < 3.11, where :mod:`tomllib` does not exist;
-    its output agrees with tomllib on every valid spec (pinned by
-    ``tests/test_obs_slo.py``).
-    """
-    root: Dict[str, Any] = {}
-    current = root
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ValueError(f"line {lineno}: malformed table header {line!r}")
-            current = root
-            for part in _split_table_path(line[1:-1].strip(), lineno):
-                nxt = current.setdefault(part, {})
-                if not isinstance(nxt, dict):
-                    raise ValueError(
-                        f"line {lineno}: {part!r} is both a value and a table")
-                current = nxt
-        else:
-            if "=" not in line:
-                raise ValueError(f"line {lineno}: expected key = value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key.startswith('"') and key.endswith('"') and len(key) >= 2:
-                key = key[1:-1]
-            if not key:
-                raise ValueError(f"line {lineno}: empty key")
-            current[key] = _parse_scalar(value.strip(), lineno)
-    return root
-
-
 def load_slo(path: str) -> SloSpec:
     """Load an SLO spec from a ``.toml`` or ``.json`` file."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -179,12 +106,7 @@ def load_slo(path: str) -> SloSpec:
     if path.endswith(".json"):
         data = json.loads(text)
     else:
-        try:
-            import tomllib
-        except ModuleNotFoundError:  # Python < 3.11
-            data = _parse_minimal_toml(text)
-        else:
-            data = tomllib.loads(text)
+        data = tomllib.loads(text)
     return parse_slo(data, source=path)
 
 

@@ -24,8 +24,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cluster.registry import attach_service
-from repro.cluster.service import Service, ServiceContext, warn_direct_wire
+from repro.cluster.service import Service, ServiceContext
 from repro.core.treep import TreePNetwork
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -54,13 +53,12 @@ class Placement:
 class LoadBalancer(Service):
     """Hierarchical least-loaded placement over a built TreeP network.
 
-    Construct through :meth:`repro.cluster.Cluster.with_loadbalance`;
-    ``LoadBalancer(net)`` remains as a deprecation shim.
+    Construct through :meth:`repro.cluster.Cluster.with_loadbalance`.
     """
 
     name = "loadbalance"
 
-    def __init__(self, net: Optional[TreePNetwork] = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
         self.net: Optional[TreePNetwork] = None
         #: CPU-share units currently assigned per node.
@@ -72,11 +70,6 @@ class LoadBalancer(Service):
         #: Per-node ancestor chain whose cached totals contain the node.
         self._chains: Dict[int, Tuple[int, ...]] = {}
         self._liveness_key: Tuple[int, int] = (-1, -1)
-        if net is not None:
-            if net.layout is None:
-                raise RuntimeError("network must be built first")
-            warn_direct_wire("LoadBalancer(net)", "Cluster.with_loadbalance()")
-            attach_service(net, self)
 
     # ------------------------------------------------------------ lifecycle
     def on_attach(self, ctx: ServiceContext) -> None:

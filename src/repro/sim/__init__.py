@@ -16,7 +16,6 @@ the paper's evaluation uses):
   plus generic Poisson churn processes.
 * :mod:`repro.sim.conditions` — adversarial conditions: geographic latency,
   Gilbert-Elliott burst loss, healing partitions, straggler slowdowns.
-* :mod:`repro.sim.trace` — structured, filterable event tracing.
 """
 
 from repro.sim.engine import Simulator
@@ -37,7 +36,6 @@ from repro.sim.conditions import (
     Partition,
     StragglerLatency,
 )
-from repro.sim.trace import TraceEvent, Tracer
 
 __all__ = [
     "ConstantLatency",
@@ -57,7 +55,5 @@ __all__ = [
     "RngRegistry",
     "Simulator",
     "StragglerLatency",
-    "TraceEvent",
-    "Tracer",
     "UniformLatency",
 ]

@@ -17,7 +17,6 @@ from repro.bench import registry
 from repro.bench.campaign import (
     CAMPAIGN_SCHEMA,
     CampaignResult,
-    _parse_minimal_toml,
     compare_campaigns,
     deterministic_view,
     is_wallclock_metric,
@@ -71,9 +70,7 @@ def test_scalar_params_are_fixed_overrides():
                              {"lookups": 60, "n": 128}]
 
 
-def test_toml_json_and_fallback_parser_agree(tmp_path):
-    tomllib = pytest.importorskip("tomllib")  # stdlib on 3.11+
-    assert _parse_minimal_toml(SPEC_TOML) == tomllib.loads(SPEC_TOML)
+def test_toml_and_json_specs_agree(tmp_path):
     toml_path, json_path = tmp_path / "c.toml", tmp_path / "c.json"
     toml_path.write_text(SPEC_TOML)
     json_path.write_text(json.dumps(SPEC_DICT))
@@ -82,12 +79,9 @@ def test_toml_json_and_fallback_parser_agree(tmp_path):
            (b.name, b.scenario, b.seeds, b.axes, b.fixed)
 
 
-def test_fallback_parser_handles_committed_ci_spec():
-    """The spec CI actually runs must parse identically on Python < 3.11."""
-    tomllib = pytest.importorskip("tomllib")
-    with open("benchmarks/campaigns/smoke.toml") as fh:
-        text = fh.read()
-    assert _parse_minimal_toml(text) == tomllib.loads(text)
+def test_committed_ci_spec_loads():
+    spec = load_campaign("benchmarks/campaigns/smoke.toml")
+    assert spec.scenario in registry.names() and len(spec) > 0
 
 
 def test_parse_campaign_rejects_malformed_specs():

@@ -20,15 +20,19 @@ from collections import Counter
 import pytest
 
 from repro import (
+    AntiEntropy,
     Cluster,
     ComputeConfig,
+    JobScheduler,
     JobSpec,
     QuorumConfig,
+    ReplicatedStore,
     Service,
     ServiceError,
     TreePConfig,
 )
 from repro.core.messages import DhtGet, DhtPut, JobSubmit, StoreGet, StorePut
+from repro.services import LoadBalancer, ResourceDirectory, TreePDht
 
 
 def make_cluster(n=64, seed=11):
@@ -257,17 +261,31 @@ def test_cluster_context_manager_shuts_down():
     assert not store.attached
 
 
-def test_shared_state_with_legacy_constructors():
-    """Old direct-wire constructors attach through the same registry, so
-    the two styles compose instead of colliding."""
-    from repro.storage.quorum import ReplicatedStore
+def test_shared_state_across_cluster_wrappers():
+    """Every facade wrapping one network shares its service plane, so a
+    service attached through one wrapper is visible (and reused as a
+    dependency) through another."""
 
     cluster = make_cluster()
-    with pytest.deprecated_call():
-        store = ReplicatedStore(cluster.net, QuorumConfig(n=2, w=1, r=1))
+    store = ReplicatedStore(quorum=QuorumConfig(n=2, w=1, r=1))
+    Cluster(net=cluster.net).add_service(store)
     assert cluster.storage is store
     cluster.with_compute()
     assert cluster.compute.store is store
+
+
+@pytest.mark.parametrize(
+    "cls", [TreePDht, ResourceDirectory, LoadBalancer, ReplicatedStore,
+            AntiEntropy, JobScheduler], ids=lambda cls: cls.__name__)
+def test_service_constructors_take_configuration_only(cls):
+    """The pre-1.3 direct-wire form (``TreePDht(net)``, ``AntiEntropy(store)``)
+    is gone for good: handing a constructor a network (or a store)
+    positionally is a TypeError, never a silent self-attach."""
+    cluster = make_cluster(n=8)
+    with pytest.raises(TypeError):
+        cls(cluster.net)
+    assert cluster.services == ()
+    assert not cls().attached  # configuration-only construction wires nothing
 
 
 # ------------------------------------------------------ review regressions
@@ -308,26 +326,26 @@ def test_failed_attach_rolls_back_spawned_dependencies():
         assert node.handler_types() == set()
 
 
-def test_anti_entropy_attaches_injected_detached_store():
-    """Regression: the generic add_service path with a new-style (detached)
-    store must wire the store too, not sweep over zero agents."""
-    from repro.storage.antientropy import AntiEntropy
-    from repro.storage.quorum import ReplicatedStore
+def test_anti_entropy_without_storage_raises():
+    """Dependencies resolve through ``ctx.require`` only: anti-entropy has
+    no factory for its store, so attaching it first fails loudly and
+    leaves nothing wired."""
 
     cluster = make_cluster()
-    store = ReplicatedStore(quorum=QuorumConfig(n=2, w=1, r=1))
-    cluster.add_service(AntiEntropy(store, interval=5.0))
-    assert store.attached and cluster.storage is store
-    assert store.put("k", 1).ok
-    report = cluster.anti_entropy.sweep()
-    assert report.keys >= 1
+    with pytest.raises(ServiceError, match="requires 'storage'"):
+        cluster.add_service(AntiEntropy(interval=5.0))
+    assert cluster.services == ()
+    cluster.with_storage(QuorumConfig(n=2, w=1, r=1))
+    cluster.add_service(AntiEntropy(interval=5.0))
+    assert cluster.anti_entropy.store is cluster.storage
+    assert cluster.storage.put("k", 1).ok
+    assert cluster.anti_entropy.sweep().keys >= 1
     cluster.shutdown()
 
 
 def test_detach_cascade_spares_shared_dependencies():
     """Regression: compute detaching must not tear down the storage service
     it spawned while anti-entropy (another attached service) depends on it."""
-    from repro.storage.antientropy import AntiEntropy
 
     cluster = make_cluster().with_compute()  # spawns storage + discovery
     store = cluster.storage
@@ -341,27 +359,12 @@ def test_detach_cascade_spares_shared_dependencies():
 
 
 def test_unattached_anti_entropy_fails_loud():
-    from repro.storage.antientropy import AntiEntropy
-    from repro.storage.quorum import ReplicatedStore
 
     ae = AntiEntropy(interval=5.0)
-    with pytest.raises(ServiceError, match="no attached store"):
+    with pytest.raises(ServiceError, match="not attached"):
         ae.start()
     with pytest.raises(ServiceError, match="no attached store"):
         ae.sweep()
-    with pytest.raises(ServiceError, match="no attached store"):
-        AntiEntropy(ReplicatedStore(), interval=5.0).sweep()
-
-
-def test_legacy_anti_entropy_constructor_warns():
-    from repro.storage.antientropy import AntiEntropy
-    from repro.storage.quorum import ReplicatedStore
-
-    cluster = make_cluster(n=8)
-    with pytest.deprecated_call():
-        store = ReplicatedStore(cluster.net)
-    with pytest.deprecated_call():
-        AntiEntropy(store, interval=5.0)
 
 
 def test_replacement_refused_while_dependents_attached():

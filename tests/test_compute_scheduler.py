@@ -5,8 +5,8 @@ stealing, and scheduler failover."""
 import pytest
 
 from repro import (
+    Cluster,
     ComputeConfig,
-    JobScheduler,
     JobSpec,
     TreePConfig,
     TreePNetwork,
@@ -19,7 +19,7 @@ from repro.services.discovery import Constraint
 def make_grid(n=48, seed=7, **cfg_kwargs):
     net = TreePNetwork(config=TreePConfig.paper_case1(), seed=seed)
     net.build(n)
-    grid = JobScheduler(net, config=ComputeConfig(**cfg_kwargs))
+    grid = Cluster(net=net).with_compute(ComputeConfig(**cfg_kwargs)).compute
     return net, grid
 
 
@@ -251,7 +251,7 @@ def test_lossy_network_still_completes_every_job():
     client retry + monitor re-place machinery must still land every job."""
     net = TreePNetwork(config=TreePConfig.paper_case1(), seed=7, loss=0.15)
     net.build(48)
-    grid = JobScheduler(net, config=ComputeConfig())
+    grid = Cluster(net=net).with_compute(ComputeConfig()).compute
     for i in range(6):
         grid.submit(JobSpec(job_id=i + 1, work=10.0))
     assert grid.run_until_done(timeout=800.0)

@@ -1,4 +1,4 @@
-"""Tests for the sweep driver, the cache, and every figure runner.
+"""Tests for the sweep driver, its memo, and every figure scenario.
 
 These run small (n=96-128) sweeps — enough to exercise every code path and
 check the *shape* constraints the paper reports, while keeping the suite
@@ -8,17 +8,9 @@ fast.  The benches run the full-size versions.
 import numpy as np
 import pytest
 
-from repro.experiments import SweepConfig, run_failure_sweep, sweep_cached
-from repro.experiments.cache import cache_clear, cache_size
-from repro.experiments import (
-    figure_a,
-    figure_b,
-    figure_c,
-    figure_d,
-    figure_e,
-    figure_fg,
-    figure_hi,
-)
+import repro.bench.scenarios  # noqa: F401  (populates the registry)
+from repro.bench.runner import run_scenario
+from repro.experiments import SweepConfig, run_failure_sweep
 
 N = 128
 LPS = 60
@@ -26,12 +18,12 @@ LPS = 60
 
 @pytest.fixture(scope="module")
 def sweep1():
-    return sweep_cached(SweepConfig(n=N, seed=3, case="case1", lookups_per_step=LPS))
+    return run_failure_sweep(SweepConfig(n=N, seed=3, case="case1", lookups_per_step=LPS))
 
 
 @pytest.fixture(scope="module")
 def sweep2():
-    return sweep_cached(SweepConfig(n=N, seed=3, case="case2", lookups_per_step=LPS))
+    return run_failure_sweep(SweepConfig(n=N, seed=3, case="case2", lookups_per_step=LPS))
 
 
 class TestSweepDriver:
@@ -54,7 +46,9 @@ class TestSweepDriver:
     def test_deterministic(self):
         cfg = SweepConfig(n=64, seed=9, lookups_per_step=30)
         a = run_failure_sweep(cfg)
+        run_failure_sweep.cache_clear()  # or the second call is the memo
         b = run_failure_sweep(cfg)
+        assert a is not b
         for ra, rb in zip(a.records, b.records):
             for algo in ("G", "NG", "NGSA"):
                 assert ra.per_algo[algo].failure_rate == rb.per_algo[algo].failure_rate
@@ -65,16 +59,16 @@ class TestSweepDriver:
 
 class TestCache:
     def test_cache_hits(self):
-        cache_clear()
+        run_failure_sweep.cache_clear()
         cfg = SweepConfig(n=64, seed=1, lookups_per_step=20)
-        a = sweep_cached(cfg)
-        b = sweep_cached(cfg)
+        a = run_failure_sweep(cfg)
+        b = run_failure_sweep(cfg)
         assert a is b
-        assert cache_size() == 1
-        sweep_cached(SweepConfig(n=64, seed=2, lookups_per_step=20))
-        assert cache_size() == 2
-        cache_clear()
-        assert cache_size() == 0
+        assert run_failure_sweep.cache_info().currsize == 1
+        run_failure_sweep(SweepConfig(n=64, seed=2, lookups_per_step=20))
+        assert run_failure_sweep.cache_info().currsize == 2
+        run_failure_sweep.cache_clear()
+        assert run_failure_sweep.cache_info().currsize == 0
 
 
 class TestPaperShapes:
@@ -146,42 +140,53 @@ class TestPaperShapes:
 
 
 class TestFigureRunners:
+    """The figure scenarios at test size: the legend carries one entry per
+    series the figure derives, the title names the figure."""
+
+    @staticmethod
+    def rendered(name):
+        result = run_scenario(
+            name, seed=3, overrides={"n": N, "lookups_per_step": LPS})
+        return result.rendered
+
     def test_figure_a(self):
-        series = figure_a.run(n=N, seed=3, lookups_per_step=LPS)
-        assert set(series) == {"G", "NG", "NGSA"}
-        out = figure_a.render(n=N, seed=3, lookups_per_step=LPS)
+        out = self.rendered("figure_a")
+        for algo in ("G", "NG", "NGSA"):
+            assert f"{algo} failed lookups %" in out
         assert "Figure A" in out
 
-    def test_figure_b(self):
-        series = figure_b.run(n=N, seed=3, lookups_per_step=LPS)
-        assert all(len(s) > 10 for s in series.values())
-        assert "Figure B" in figure_b.render(n=N, seed=3, lookups_per_step=LPS)
+    def test_figure_b(self, sweep1):
+        assert all(len(sweep1.hops_series(a)) > 10 for a in ("G", "NG", "NGSA"))
+        out = self.rendered("figure_b")
+        for algo in ("G", "NG", "NGSA"):
+            assert f"{algo} avg hops" in out
+        assert "Figure B" in out
 
     def test_figure_c(self):
-        series = figure_c.run(n=N, seed=3, lookups_per_step=LPS)
-        assert set(series) == {"G", "NG", "NGSA"}
-        assert "Figure C" in figure_c.render(n=N, seed=3, lookups_per_step=LPS)
+        out = self.rendered("figure_c")
+        for algo in ("G", "NG", "NGSA"):
+            assert f"{algo} failed lookups %" in out
+        assert "Figure C" in out
 
     def test_figure_d(self):
-        series = figure_d.run(n=N, seed=3, lookups_per_step=LPS)
-        assert set(series) == {"fixed nc=4", "variable nc"}
-        assert "Figure D" in figure_d.render(n=N, seed=3, lookups_per_step=LPS)
+        out = self.rendered("figure_d")
+        assert "fixed nc=4 (G)" in out and "variable nc (G)" in out
+        assert "Figure D" in out
 
     def test_figure_e(self):
-        series = figure_e.run(n=N, seed=3, lookups_per_step=LPS)
-        assert set(series) == {"max", "min"}
-        assert "Figure E" in figure_e.render(n=N, seed=3, lookups_per_step=LPS)
+        out = self.rendered("figure_e")
+        assert "G max failed hops" in out and "G min failed hops" in out
+        assert "Figure E" in out
 
-    def test_figure_fg(self):
-        surfaces = figure_fg.run(n=N, seed=3, lookups_per_step=LPS)
-        assert surfaces["F"].algo == "G" and surfaces["G"].algo == "NG"
-        arr = surfaces["F"].as_array()
-        assert arr.shape[1] == 31
-        out = figure_fg.render(n=N, seed=3, lookups_per_step=LPS)
-        assert "Figure F" in out and "Figure G" in out
+    def test_figure_fg(self, sweep1):
+        assert sweep1.surface("G").as_array().shape[1] == 31
+        for name in ("figure_f", "figure_g"):
+            out = self.rendered(name)
+            assert "Figure F" in out and "algorithm G," in out
+            assert "Figure G" in out and "algorithm NG," in out
 
     def test_figure_hi(self):
-        surfaces = figure_hi.run(n=N, seed=3, lookups_per_step=LPS)
-        assert surfaces["H"].algo == "G" and surfaces["I"].algo == "NG"
-        out = figure_hi.render(n=N, seed=3, lookups_per_step=LPS)
-        assert "Figure H" in out and "Figure I" in out
+        for name in ("figure_h", "figure_i"):
+            out = self.rendered(name)
+            assert "Figure H" in out and "algorithm G," in out
+            assert "Figure I" in out and "algorithm NG," in out

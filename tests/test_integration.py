@@ -7,7 +7,7 @@ holds together end to end; services survive on a stressed overlay.
 
 import numpy as np
 
-from repro import TreePConfig, TreePNetwork
+from repro import Cluster, TreePConfig, TreePNetwork
 from repro.core.repair import (
     FULL_POLICY,
     PAPER_POLICY,
@@ -118,12 +118,11 @@ class TestEndToEndSweep:
 
 class TestServicesUnderStress:
     def test_dht_and_discovery_after_sweep(self):
-        from repro.services import ResourceDirectory, TreePDht
         from repro.services.discovery import Constraint
 
         net = TreePNetwork(config=TreePConfig.paper_case1(), seed=31)
         net.build(96)
-        dht = TreePDht(net, replicas=3)
+        dht = Cluster(net=net).with_dht(replicas=3).dht
         for i in range(20):
             assert dht.put(f"key{i}", i).found
         rng = np.random.default_rng(3)
@@ -134,7 +133,7 @@ class TestServicesUnderStress:
         hits = sum(dht.get(f"key{i}", via=alive[i % len(alive)]).found
                    for i in range(20))
         assert hits >= 14
-        directory = ResourceDirectory(net)
+        directory = Cluster(net=net).with_discovery().directory
         res = directory.query(Constraint(min_cpu=2), max_results=3)
         for m in res.matches:
             assert net.network.is_up(m)

@@ -15,9 +15,7 @@ import pytest
 
 from repro.lint.engine import LintEngine
 from repro.lint.layers import (
-    _parse_toml_fallback,
     contract_drift,
-    default_layers_path,
     load_layer_map,
     parse_contract,
 )
@@ -143,24 +141,6 @@ class TestIssueInvariantsPinned:
             p.parent.name for p in SRC.glob("repro/*/__init__.py")
         }
         assert on_disk <= set(layer_map.packages)
-
-
-class TestTomlParserEquivalence:
-    """The 3.10 CI leg has no tomllib; the fallback must read the real
-    layer map identically."""
-
-    def test_fallback_matches_tomllib_on_layers_toml(self):
-        tomllib = pytest.importorskip("tomllib")
-        text = default_layers_path().read_text()
-        assert _parse_toml_fallback(text) == tomllib.loads(text)
-
-    def test_fallback_alone_yields_a_valid_map(self, monkeypatch):
-        import repro.lint.layers as layers_mod
-
-        monkeypatch.setattr(layers_mod, "parse_toml", _parse_toml_fallback)
-        layer_map = layers_mod.load_layer_map()
-        assert "core" in layer_map.packages
-        assert layer_map.packages["core"].via["obs"] == ("repro.obs.runtime",)
 
 
 class TestDocsCoverRules:

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import TreePConfig, TreePNetwork
+from repro import Cluster, TreePConfig, TreePNetwork
 from repro.core.repair import FULL_POLICY, apply_failure_step
-from repro.services import TreePDht
 from repro.services.dht import hash_key
 
 
@@ -13,7 +12,7 @@ from repro.services.dht import hash_key
 def dht_net():
     net = TreePNetwork(config=TreePConfig.paper_case1(), seed=21)
     net.build(96)
-    return net, TreePDht(net, replicas=2)
+    return net, Cluster(net=net).with_dht(replicas=2).dht
 
 
 def test_hash_key_stable_and_in_space():
@@ -82,13 +81,13 @@ def test_replicas_validation():
     net = TreePNetwork(seed=1)
     net.build(8)
     with pytest.raises(ValueError):
-        TreePDht(net, replicas=0)
+        Cluster(net=net).with_dht(replicas=0)
 
 
 def test_survives_failures():
     net = TreePNetwork(config=TreePConfig.paper_case1(), seed=33)
     net.build(96)
-    dht = TreePDht(net, replicas=3)
+    dht = Cluster(net=net).with_dht(replicas=3).dht
     keys = [f"k{i}" for i in range(40)]
     for k in keys:
         assert dht.put(k, k.upper()).found
@@ -107,7 +106,7 @@ def test_client_ops_return_while_maintenance_runs():
     keep-alive timers."""
     net = TreePNetwork(config=TreePConfig.paper_case1(), seed=13)
     net.build(32)
-    dht = TreePDht(net, replicas=2)
+    dht = Cluster(net=net).with_dht(replicas=2).dht
     net.start_maintenance()
     net.sim.max_events = 500_000  # fail loudly instead of hanging
     try:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import TreePConfig, TreePNetwork
-from repro.services.discovery import Aggregate, Constraint, ResourceDirectory
+from repro import Cluster, TreePConfig, TreePNetwork
+from repro.services.discovery import Aggregate, Constraint
 from repro.workloads import grid_cluster_mix
 
 
@@ -13,12 +13,12 @@ def grid():
     net = TreePNetwork(config=TreePConfig.paper_case2(), seed=13)
     rng = np.random.default_rng(13)
     net.build(256, capacities=grid_cluster_mix(256, rng, server_fraction=0.15))
-    return net, ResourceDirectory(net)
+    return net, Cluster(net=net).with_discovery().directory
 
 
 def test_requires_built_network():
     with pytest.raises(RuntimeError):
-        ResourceDirectory(TreePNetwork(seed=0))
+        Cluster(net=TreePNetwork(seed=0)).with_discovery()
 
 
 def test_constraint_admits():
@@ -86,7 +86,7 @@ def test_refresh_after_failures(grid):
     net = TreePNetwork(config=TreePConfig.paper_case2(), seed=14)
     rng = np.random.default_rng(14)
     net.build(128, capacities=grid_cluster_mix(128, rng, server_fraction=0.2))
-    directory = ResourceDirectory(net)
+    directory = Cluster(net=net).with_discovery().directory
     c = Constraint(min_cpu=16)
     before = directory.query(c, max_results=32).matches
     net.fail_nodes(before)  # kill every matching server

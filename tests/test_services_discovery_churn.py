@@ -3,9 +3,10 @@ peers, and must find rejoined capacity again."""
 
 import numpy as np
 
-from repro import CapacityDistribution, NodeCapacity, TreePConfig, TreePNetwork
+from repro import (CapacityDistribution, Cluster, NodeCapacity, TreePConfig,
+                   TreePNetwork)
 from repro.core.repair import FULL_POLICY, apply_failure_step
-from repro.services.discovery import Constraint, ResourceDirectory
+from repro.services.discovery import Constraint
 from repro.workloads import ChurnSchedule
 from repro.workloads.churn import ChurnEvent
 
@@ -41,7 +42,7 @@ def replay(net, directory, events):
 
 def test_queries_never_return_dead_peers_across_sampled_churn():
     net, _ = build_net()
-    directory = ResourceDirectory(net)
+    directory = Cluster(net=net).with_discovery().directory
     schedule = ChurnSchedule.sampled(
         net.ids, net.rng.get("discovery-churn"), duration=300.0,
         mean_uptime=150.0, mean_downtime=60.0)
@@ -68,7 +69,7 @@ def test_queries_never_return_dead_peers_across_sampled_churn():
 
 def test_rejoined_capacity_is_found_again():
     net, super_id = build_net()
-    directory = ResourceDirectory(net)
+    directory = Cluster(net=net).with_discovery().directory
     origin = next(i for i in net.ids if i != super_id)
 
     res = directory.query(SUPER_CONSTRAINT, origin=origin)
@@ -100,7 +101,7 @@ def test_stale_directory_is_the_hazard_refresh_removes():
     """Without refresh() a post-churn query can return dead peers — the
     regression the refresh contract exists to prevent."""
     net, super_id = build_net()
-    directory = ResourceDirectory(net)
+    directory = Cluster(net=net).with_discovery().directory
     net.fail_nodes([super_id])
     apply_failure_step(net, [super_id], FULL_POLICY)
     # No refresh: the aggregate still admits, and the walk may surface the

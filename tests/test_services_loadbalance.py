@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import TreePConfig, TreePNetwork
+from repro import Cluster, TreePConfig, TreePNetwork
 from repro.services.loadbalance import LoadBalancer, Task
 from repro.workloads import grid_cluster_mix, homogeneous_mix
 
@@ -13,7 +13,7 @@ def lb_net():
     net = TreePNetwork(config=TreePConfig.paper_case2(), seed=17)
     rng = np.random.default_rng(17)
     net.build(128, capacities=grid_cluster_mix(128, rng, server_fraction=0.2))
-    return net, LoadBalancer(net)
+    return net, Cluster(net=net).with_loadbalance().balancer
 
 
 def test_task_validation():
@@ -23,7 +23,7 @@ def test_task_validation():
 
 def test_requires_built_network():
     with pytest.raises(RuntimeError):
-        LoadBalancer(TreePNetwork(seed=0))
+        Cluster(net=TreePNetwork(seed=0)).with_loadbalance()
 
 
 def test_place_lands_on_live_node_with_headroom(lb_net):
@@ -62,7 +62,7 @@ def test_placements_prefer_strong_nodes(lb_net):
 def test_saturation_returns_none():
     net = TreePNetwork(config=TreePConfig.paper_case1(), seed=3)
     net.build(16, capacities=homogeneous_mix(16, cpu=1.0))
-    lb = LoadBalancer(net)
+    lb = Cluster(net=net).with_loadbalance().balancer
     results = lb.place_many([Task(i, 1.0) for i in range(40)])
     placed = [p for p in results if p.node is not None]
     unplaced = [p for p in results if p.node is None]
@@ -166,7 +166,8 @@ def _calls_per_place(n, seed=23, tasks=20):
     net = TreePNetwork(config=TreePConfig.paper_case1(), seed=seed)
     rng = np.random.default_rng(seed)
     net.build(n, capacities=grid_cluster_mix(n, rng, server_fraction=0.2))
-    lb = _CountingBalancer(net)
+    lb = _CountingBalancer()
+    Cluster(net=net).add_service(lb)
     lb.counting = True
     lb.place_many([Task(i, 0.5) for i in range(tasks)])
     return lb.calls / tasks

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro import TreePConfig, TreePNetwork
+from repro import Cluster, TreePConfig, TreePNetwork
 from repro.core.repair import FULL_POLICY, apply_failure_step
-from repro.storage import AntiEntropy, QuorumConfig, ReplicatedStore
+from repro.storage import AntiEntropy, QuorumConfig
 from repro.storage.store import VersionedValue
 
 
@@ -12,7 +12,7 @@ from repro.storage.store import VersionedValue
 def loaded():
     net = TreePNetwork(config=TreePConfig.paper_case1(), seed=21)
     net.build(96)
-    store = ReplicatedStore(net, QuorumConfig(n=3, w=2, r=2))
+    store = Cluster(net=net).with_storage(QuorumConfig(n=3, w=2, r=2)).storage
     keys = [f"k{i}" for i in range(20)]
     for k in keys:
         assert store.put(k, k.upper()).ok
@@ -21,7 +21,7 @@ def loaded():
 
 def test_clean_sweep_on_healthy_store(loaded):
     net, store, keys = loaded
-    ae = AntiEntropy(store, interval=10.0)
+    ae = Cluster(net=net).add_service(AntiEntropy(interval=10.0)).anti_entropy
     # The first passes may relocate copies onto the global placement ideal;
     # once aligned, sweeps are clean.
     ae.converge()
@@ -35,7 +35,7 @@ def test_relocates_replicas_onto_new_closer_nodes(loaded):
     """Regression: the sweep follows the placement ideal as the topology
     grows, so routed reads keep landing on holders after joins."""
     net, store, keys = loaded
-    ae = AntiEntropy(store, interval=10.0)
+    ae = Cluster(net=net).add_service(AntiEntropy(interval=10.0)).anti_entropy
     ae.converge()
     key_id = store.key_id(keys[0])
     # Three new nodes join right next to the key: they become the ideal
@@ -56,7 +56,7 @@ def test_relocates_replicas_onto_new_closer_nodes(loaded):
 
 def test_detects_and_repairs_under_replication(loaded):
     net, store, keys = loaded
-    ae = AntiEntropy(store, interval=10.0)
+    ae = Cluster(net=net).add_service(AntiEntropy(interval=10.0)).anti_entropy
     # Kill one replica of a specific key.
     key_id = store.key_id(keys[0])
     victim = store.replica_map()[key_id][-1]
@@ -72,7 +72,7 @@ def test_detects_and_repairs_under_replication(loaded):
 
 def test_converge_restores_full_replication_after_mass_failure(loaded):
     net, store, keys = loaded
-    ae = AntiEntropy(store, interval=10.0)
+    ae = Cluster(net=net).add_service(AntiEntropy(interval=10.0)).anti_entropy
     victims = net.ids[::7]  # ~14%, deterministic
     net.fail_nodes(victims)
     apply_failure_step(net, victims, FULL_POLICY)
@@ -85,7 +85,7 @@ def test_converge_restores_full_replication_after_mass_failure(loaded):
 
 def test_stale_rejoiner_overwritten(loaded):
     net, store, keys = loaded
-    ae = AntiEntropy(store, interval=10.0)
+    ae = Cluster(net=net).add_service(AntiEntropy(interval=10.0)).anti_entropy
     key_id = store.key_id(keys[3])
     victim = store.replica_map()[key_id][-1]
     # The victim goes down, misses an overwrite, then rejoins stale.
@@ -103,7 +103,7 @@ def test_stale_rejoiner_overwritten(loaded):
 
 def test_periodic_scheduling_with_simulator(loaded):
     net, store, keys = loaded
-    ae = AntiEntropy(store, interval=10.0)
+    ae = Cluster(net=net).add_service(AntiEntropy(interval=10.0)).anti_entropy
     ae.start()
     assert ae.running
     # A replica dies; the timer-driven sweeps repair it as sim time passes.
@@ -124,12 +124,12 @@ def test_periodic_scheduling_with_simulator(loaded):
 def test_interval_validation(loaded):
     net, store, _ = loaded
     with pytest.raises(ValueError):
-        AntiEntropy(store, interval=0)
+        AntiEntropy(interval=0)
 
 
 def test_lost_key_reported(loaded):
     net, store, keys = loaded
-    ae = AntiEntropy(store, interval=10.0)
+    ae = Cluster(net=net).add_service(AntiEntropy(interval=10.0)).anti_entropy
     key_id = store.key_id(keys[5])
     for holder in store.replica_map()[key_id]:
         net.network.set_down(holder)
@@ -143,7 +143,7 @@ def test_stale_copy_outside_target_set_reconciled(loaded):
     still overwritten — otherwise a later failure burst could route reads
     onto it and resurrect the old value."""
     net, store, keys = loaded
-    ae = AntiEntropy(store, interval=10.0)
+    ae = Cluster(net=net).add_service(AntiEntropy(interval=10.0)).anti_entropy
     ae.converge()
     key_id = store.key_id(keys[4])
     fresh = max(

@@ -12,9 +12,9 @@ heals its tables and the anti-entropy task re-replicates.  The invariants:
 import numpy as np
 import pytest
 
-from repro import TreePConfig, TreePNetwork
+from repro import Cluster, TreePConfig, TreePNetwork
 from repro.core.repair import FULL_POLICY, apply_failure_step
-from repro.storage import AntiEntropy, QuorumConfig, ReplicatedStore
+from repro.storage import AntiEntropy, QuorumConfig
 from repro.workloads import ChurnSchedule, StorageWorkload, run_storage_ops
 from repro.workloads.churn import ChurnEvent
 
@@ -40,11 +40,11 @@ def churned():
     """Build, load, churn 30% away with AE between bursts; keep the history."""
     net = TreePNetwork(config=TreePConfig.paper_case1(), seed=21)
     net.build(N_NODES)
-    store = ReplicatedStore(net, QuorumConfig(n=3, w=2, r=2))
+    store = Cluster(net=net).with_storage(QuorumConfig(n=3, w=2, r=2)).storage
     keys = [f"key/{i:03d}" for i in range(N_KEYS)]
     for k in keys:
         assert store.put(k, f"value-{k}").ok
-    ae = AntiEntropy(store, interval=10.0)
+    ae = Cluster(net=net).add_service(AntiEntropy(interval=10.0)).anti_entropy
     # First passes may relocate copies from write-time (node-local)
     # placement onto the global ideal; after that the store is clean.
     ae.converge()
@@ -121,10 +121,10 @@ def test_rejoin_after_churn_is_reconciled():
     """Nodes that come back stale are overwritten by the next sweeps."""
     net = TreePNetwork(config=TreePConfig.paper_case1(), seed=5)
     net.build(64)
-    store = ReplicatedStore(net, QuorumConfig(n=3, w=2, r=2))
+    store = Cluster(net=net).with_storage(QuorumConfig(n=3, w=2, r=2)).storage
     for i in range(12):
         assert store.put(f"r{i}", i).ok
-    ae = AntiEntropy(store, interval=10.0)
+    ae = Cluster(net=net).add_service(AntiEntropy(interval=10.0)).anti_entropy
     rng = net.rng.get("rejoin-test")
     down = [int(v) for v in rng.choice(net.ids, 12, replace=False)]
     net.fail_nodes(down)

@@ -4,8 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from repro import TreePConfig, TreePNetwork
-from repro.storage import QuorumConfig, ReplicatedStore
+from repro import Cluster, TreePConfig, TreePNetwork
+from repro.storage import QuorumConfig
 from repro.storage.store import VersionedValue
 
 
@@ -13,7 +13,7 @@ from repro.storage.store import VersionedValue
 def store_net():
     net = TreePNetwork(config=TreePConfig.paper_case1(), seed=21)
     net.build(96)
-    return net, ReplicatedStore(net, QuorumConfig(n=3, w=2, r=2))
+    return net, Cluster(net=net).with_storage(QuorumConfig(n=3, w=2, r=2)).storage
 
 
 # ------------------------------------------------------------- quorum math
@@ -125,7 +125,7 @@ def test_read_sees_latest_acknowledged_write_with_overlap(store_net):
 def test_write_times_out_sloppily_when_replicas_dead():
     net = TreePNetwork(config=TreePConfig.paper_case1(), seed=9)
     net.build(32)
-    store = ReplicatedStore(net, QuorumConfig(n=3, w=3, r=1))
+    store = Cluster(net=net).with_storage(QuorumConfig(n=3, w=3, r=1)).storage
     r0 = store.put("seed-key", 0)  # discover the placement
     assert r0.ok
     holders = store.replica_map()[r0.key_id]
@@ -146,7 +146,7 @@ def test_write_times_out_sloppily_when_replicas_dead():
 def test_read_fallback_zero_disables_exploration():
     net = TreePNetwork(config=TreePConfig.paper_case1(), seed=9)
     net.build(32)
-    store = ReplicatedStore(net, QuorumConfig(n=2, w=1, r=1, read_fallback=0))
+    store = Cluster(net=net).with_storage(QuorumConfig(n=2, w=1, r=1, read_fallback=0)).storage
     assert store.put("k", "v").ok
     assert store.get("k").found
 
@@ -158,8 +158,8 @@ def test_client_ops_return_while_periodic_antientropy_runs():
 
     net = TreePNetwork(config=TreePConfig.paper_case1(), seed=11)
     net.build(48)
-    store = ReplicatedStore(net, QuorumConfig(n=3, w=2, r=2))
-    ae = AntiEntropy(store, interval=5.0)
+    store = Cluster(net=net).with_storage(QuorumConfig(n=3, w=2, r=2)).storage
+    ae = Cluster(net=net).add_service(AntiEntropy(interval=5.0)).anti_entropy
     ae.start()
     net.sim.max_events = 500_000  # fail loudly instead of hanging
     try:
@@ -180,7 +180,7 @@ def test_acknowledged_write_survives_version_restart():
 
     net = TreePNetwork(config=TreePConfig.paper_case1(), seed=21)
     net.build(96)
-    store = ReplicatedStore(net, QuorumConfig(n=3, w=2, r=2))
+    store = Cluster(net=net).with_storage(QuorumConfig(n=3, w=2, r=2)).storage
     for v in range(5):  # drive the version counter to 5
         assert store.put("restart", f"old-{v}").ok
     holders = store.replica_map()[store.key_id("restart")]
@@ -192,7 +192,7 @@ def test_acknowledged_write_survives_version_restart():
     back = holders[0]
     net.network.set_up(back)
     assert store.agents[back].store.get(store.key_id("restart")).version == 5
-    AntiEntropy(store, interval=10.0).converge()
+    Cluster(net=net).add_service(AntiEntropy(interval=10.0)).anti_entropy.converge()
     g = store.get("restart")
     assert g.found and g.value == "NEW"  # no resurrection
     # The stale copy was overwritten everywhere, timestamps deciding LWW.
@@ -205,7 +205,7 @@ def test_later_write_dominates_regressed_replica():
     higher-looking version counter."""
     net = TreePNetwork(config=TreePConfig.paper_case1(), seed=9)
     net.build(32)
-    store = ReplicatedStore(net, QuorumConfig(n=3, w=2, r=2))
+    store = Cluster(net=net).with_storage(QuorumConfig(n=3, w=2, r=2)).storage
     r0 = store.put("bump", "a")
     key_id = r0.key_id
     holders = store.replica_map()[key_id]
@@ -223,7 +223,7 @@ def test_later_write_dominates_regressed_replica():
 def test_close_detaches_node_hook():
     net = TreePNetwork(config=TreePConfig.paper_case1(), seed=9)
     net.build(32)
-    store = ReplicatedStore(net, QuorumConfig(n=2, w=1, r=1))
+    store = Cluster(net=net).with_storage(QuorumConfig(n=2, w=1, r=1)).storage
     before = len(net.node_hooks)
     store.close()
     assert len(net.node_hooks) == before - 1
@@ -238,7 +238,7 @@ def test_write_finishes_immediately_when_targets_below_w():
     quorum timeout waiting for acks that can never arrive."""
     net = TreePNetwork(config=TreePConfig.paper_case1(), seed=9)
     net.build(2)  # placement can name at most 2 targets
-    store = ReplicatedStore(net, QuorumConfig(n=4, w=4, r=1, timeout=5.0))
+    store = Cluster(net=net).with_storage(QuorumConfig(n=4, w=4, r=1, timeout=5.0)).storage
     t0 = net.sim.now
     r = store.put("thin", 1)
     assert not r.ok  # w=4 unattainable with 2 nodes...
@@ -269,7 +269,7 @@ def test_pump_honours_max_events():
 def test_live_origin_rejects_down_via():
     net = TreePNetwork(config=TreePConfig.paper_case1(), seed=9)
     net.build(16)
-    store = ReplicatedStore(net, QuorumConfig(n=2, w=1, r=1))
+    store = Cluster(net=net).with_storage(QuorumConfig(n=2, w=1, r=1)).storage
     net.network.set_down(net.ids[3])
     with pytest.raises(ValueError):
         store.put("x", 1, via=net.ids[3])
@@ -282,7 +282,7 @@ def test_r1_read_waits_for_real_holders_not_self_miss():
     its own instantaneous miss while the holders' replies are in flight."""
     net = TreePNetwork(config=TreePConfig.paper_case1(), seed=21)
     net.build(96)
-    store = ReplicatedStore(net, QuorumConfig(n=3, w=2, r=1, read_fallback=0))
+    store = Cluster(net=net).with_storage(QuorumConfig(n=3, w=2, r=1, read_fallback=0)).storage
     r = store.put("selfmiss", "v")
     assert r.ok
     key_id = r.key_id
@@ -305,7 +305,7 @@ def test_equal_stamp_replicate_counts_as_ack():
 
     net = TreePNetwork(config=TreePConfig.paper_case1(), seed=9)
     net.build(32)
-    store = ReplicatedStore(net, QuorumConfig(n=2, w=2, r=1))
+    store = Cluster(net=net).with_storage(QuorumConfig(n=2, w=2, r=1)).storage
     c, x = net.ids[0], net.ids[1]
     key_id, stamp = 12345, (7.0, 3, 9)
     # The replica already holds the exact stamp the fanout will carry.
