@@ -28,8 +28,6 @@ Public surface:
   dependencies and sibling work stealing.
 * :mod:`repro.baselines` — Chord and flooding comparators on the same
   simulated substrate.
-* :mod:`repro.experiments` — the failure-sweep and ablation drivers the
-  bench scenarios share.
 * :mod:`repro.bench` — the unified benchmark harness:
   ``python -m repro.bench run|list|compare|report|campaign`` over 28
   declarative scenarios — including the ``scale_*`` 10k-node sweeps
@@ -64,7 +62,7 @@ from repro.core.treep import TreePNetwork
 from repro.obs import MetricsRegistry, ObsHub, TraceReader
 from repro.storage import AntiEntropy, QuorumConfig, ReplicatedStore
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 __all__ = [
     "AntiEntropy",

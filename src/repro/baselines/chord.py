@@ -72,7 +72,6 @@ class ChordNode(Process):
         self.predecessor: Optional[int] = None
         self.succ_count = succ_count
         self.pending: Dict[int, ChordPending] = {}
-        self.results: List[LookupResult] = []
         self._rid = itertools.count(1)
         self.lookup_timeout = 30.0
 
@@ -114,11 +113,9 @@ class ChordNode(Process):
         pend = self.pending.pop(rid, None)
         if pend is None:
             return
-        res = LookupResult(request_id=rid, origin=self.ident, target=pend.target,
-                           algo=LookupAlgorithm.GREEDY, found=False, hops=0,
-                           timed_out=True)
-        pend.result = res
-        self.results.append(res)
+        pend.result = LookupResult(
+            request_id=rid, origin=self.ident, target=pend.target,
+            algo=LookupAlgorithm.GREEDY, found=False, hops=0, timed_out=True)
 
     def on_datagram(self, dgram: Datagram) -> None:
         payload = dgram.payload
@@ -157,11 +154,9 @@ class ChordNode(Process):
             return
         if pend.timeout_event is not None:
             pend.timeout_event.cancel()  # type: ignore[attr-defined]
-        res = LookupResult(request_id=reply.request_id, origin=self.ident,
-                           target=pend.target, algo=LookupAlgorithm.GREEDY,
-                           found=reply.found, hops=reply.hops)
-        pend.result = res
-        self.results.append(res)
+        pend.result = LookupResult(
+            request_id=reply.request_id, origin=self.ident, target=pend.target,
+            algo=LookupAlgorithm.GREEDY, found=reply.found, hops=reply.hops)
 
 
 class ChordNetwork:

@@ -63,7 +63,6 @@ class FloodNode(Process):
         self.neighbours: List[int] = []
         self.seen: Set[int] = set()
         self.pending: Dict[int, FloodPending] = {}
-        self.results: List[LookupResult] = []
         self._rid = itertools.count(1)
         self.lookup_timeout = 30.0
 
@@ -86,11 +85,9 @@ class FloodNode(Process):
         pend = self.pending.pop(rid, None)
         if pend is None:
             return
-        res = LookupResult(request_id=rid, origin=self.ident, target=pend.target,
-                           algo=LookupAlgorithm.GREEDY, found=False, hops=0,
-                           timed_out=True)
-        pend.result = res
-        self.results.append(res)
+        pend.result = LookupResult(
+            request_id=rid, origin=self.ident, target=pend.target,
+            algo=LookupAlgorithm.GREEDY, found=False, hops=0, timed_out=True)
 
     def on_datagram(self, dgram: Datagram) -> None:
         payload = dgram.payload
@@ -119,11 +116,9 @@ class FloodNode(Process):
             return  # duplicate hit; first answer wins
         if pend.timeout_event is not None:
             pend.timeout_event.cancel()  # type: ignore[attr-defined]
-        res = LookupResult(request_id=hit.request_id, origin=self.ident,
-                           target=pend.target, algo=LookupAlgorithm.GREEDY,
-                           found=True, hops=hit.hops)
-        pend.result = res
-        self.results.append(res)
+        pend.result = LookupResult(
+            request_id=hit.request_id, origin=self.ident, target=pend.target,
+            algo=LookupAlgorithm.GREEDY, found=True, hops=hit.hops)
 
 
 class FloodNetwork:

@@ -5,7 +5,7 @@ declarative :class:`Scenario` registry, the ``python -m repro.bench`` CLI
 (``run | list | compare | report``), and the versioned
 :class:`BenchResult` JSON envelope written to ``benchmarks/out/`` so
 successive PRs accumulate a comparable perf trajectory.  It may import
-anything below it (experiments, cluster, subsystems, core, sim); nothing
+anything below it (cluster, subsystems, core, sim); nothing
 in ``src/repro`` outside this package may import it.
 
 Entry points:

@@ -39,14 +39,12 @@ from __future__ import annotations
 import itertools
 import json
 import multiprocessing
-import os
-import sys
 import time
 import tomllib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.bench.result import validate_result_dict
+from repro.bench.result import Envelope, validate_result_dict
 from repro.bench.runner import run_scenario
 from repro.bench.scenario import registry
 from repro.metrics.stats import CI_METHODS, SampleSummary, summarize_samples
@@ -234,8 +232,11 @@ def _run_repetition(payload: Tuple[str, int, bool, Dict[str, Any]],
 
 
 @dataclass
-class CampaignResult:
+class CampaignResult(Envelope):
     """One campaign execution: per-point aggregates + embedded repetitions."""
+
+    file_prefix: ClassVar[str] = "campaign"
+    name_field: ClassVar[str] = "campaign"
 
     campaign: str
     scenario: str
@@ -276,25 +277,6 @@ class CampaignResult:
         validate_campaign_dict(data)
         kwargs = {k: data[k] for k in CAMPAIGN_REQUIRED_FIELDS}
         return cls(**kwargs)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def write(self, out_dir: str) -> str:
-        """Write under *out_dir* as ``campaign_<name>.json``
-        (``.smoke.json`` for smoke runs — same never-clobber discipline
-        as :meth:`repro.bench.result.BenchResult.write`)."""
-        os.makedirs(out_dir, exist_ok=True)
-        suffix = ".smoke.json" if self.smoke else ".json"
-        path = os.path.join(out_dir, f"campaign_{self.campaign}{suffix}")
-        with open(path, "w") as fh:
-            fh.write(self.to_json() + "\n")
-        return path
-
-    @classmethod
-    def read(cls, path: str) -> "CampaignResult":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
     # -------------------------------------------------------------- queries
     def failed_checks(self) -> List[Dict[str, Any]]:
@@ -439,29 +421,8 @@ def run_campaign(spec: CampaignSpec, *, smoke: bool = False,
 
 def load_campaigns(path: str) -> Dict[str, CampaignResult]:
     """Load one campaign file or every ``campaign_*.json`` in a directory,
-    keyed by campaign name (a full-params point outranks its smoke twin,
-    mirroring :func:`repro.bench.result.load_results`)."""
-    if os.path.isdir(path):
-        out: Dict[str, CampaignResult] = {}
-        for name in sorted(os.listdir(path)):
-            if name.startswith("campaign_") and name.endswith(".json"):
-                full = os.path.join(path, name)
-                try:
-                    result = CampaignResult.read(full)
-                except (ValueError, KeyError, json.JSONDecodeError) as exc:
-                    print(f"load_campaigns: skipping invalid {full}: {exc}",
-                          file=sys.stderr)
-                    continue
-                existing = out.get(result.campaign)
-                if existing is not None and existing.smoke != result.smoke:
-                    if result.smoke:
-                        continue
-                out[result.campaign] = result
-        if not out:
-            raise ValueError(f"no valid campaign_*.json results under {path!r}")
-        return out
-    result = CampaignResult.read(path)
-    return {result.campaign: result}
+    keyed by campaign name."""
+    return CampaignResult.load(path)
 
 
 # ---------------------------------------------------------------- comparison

@@ -144,6 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "compare", help="CI-overlap gate between two campaign aggregates")
     ccmp.add_argument("old", help="baseline campaign_*.json file or directory")
     ccmp.add_argument("new", help="candidate campaign_*.json file or directory")
+    ccmp.set_defaults(threshold=DEFAULT_THRESHOLD, scenario=None)
     return parser
 
 
@@ -261,20 +262,6 @@ def _load_both_kinds(path: str) -> Tuple[Optional[Dict[str, Any]],
     return results, campaigns
 
 
-def _compare_campaign_sets(old: Dict[str, CampaignResult],
-                           new: Dict[str, CampaignResult]) -> Tuple[int, int]:
-    """Print the CI-overlap diff; return (metrics compared, regressions)."""
-    comparison = compare_campaigns(old, new)
-    print(campaign_comparison_table(comparison))
-    regressions = comparison.regressions()
-    print(f"\n{len(comparison.deltas)} aggregated metrics compared by CI "
-          f"overlap: {len(regressions)} regression(s), "
-          f"{len(comparison.improvements())} improvement(s)")
-    for d in regressions:
-        print(f"  REGRESSION {d.describe()}")
-    return len(comparison.deltas), len(regressions)
-
-
 def _cmd_compare(args: argparse.Namespace) -> int:
     old_results, old_campaigns = _load_both_kinds(args.old)
     new_results, new_campaigns = _load_both_kinds(args.new)
@@ -305,9 +292,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         # Campaign aggregates carry distributions, not points: the pair is
         # gated on CI overlap per param point, so differing seed lists
         # compare like-for-like instead of being skipped.
-        n_deltas, n_reg = _compare_campaign_sets(old_campaigns, new_campaigns)
-        compared += n_deltas
-        regressions_n += n_reg
+        campaign_cmp = compare_campaigns(old_campaigns, new_campaigns)
+        print(campaign_comparison_table(campaign_cmp))
+        regressions = campaign_cmp.regressions()
+        print(f"\n{len(campaign_cmp.deltas)} aggregated metrics compared by "
+              f"CI overlap: {len(regressions)} regression(s), "
+              f"{len(campaign_cmp.improvements())} improvement(s)")
+        for d in regressions:
+            print(f"  REGRESSION {d.describe()}")
+        compared += len(campaign_cmp.deltas)
+        regressions_n += len(regressions)
     if not compared:
         # A gate that measured nothing must not report a pass: typo'd
         # --scenario, disjoint result sets, or all pairs mismatched.
@@ -377,15 +371,6 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_campaign_compare(args: argparse.Namespace) -> int:
-    compared, regressions = _compare_campaign_sets(
-        load_campaigns(args.old), load_campaigns(args.new))
-    if not compared:
-        print("ERROR: zero metrics were compared — nothing was gated")
-        return 2
-    return 1 if regressions else 0
-
-
 def _normalize_argv(argv: List[str]) -> List[str]:
     """``campaign SPEC …`` is sugar for ``campaign run SPEC …`` — the
     acceptance-path spelling ``python -m repro.bench campaign spec.toml
@@ -414,7 +399,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_campaign_run(args)
         if args.action == "report":
             return _cmd_campaign_report(args)
-        return _cmd_campaign_compare(args)
+        return _cmd_compare(args)  # same routing: aggregates gate on CI overlap
     raise SystemExit(f"unknown command {args.command!r}")  # pragma: no cover
 
 

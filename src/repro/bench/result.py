@@ -17,7 +17,7 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, ClassVar, Dict, List, Mapping, Optional
 
 from repro.bench.scenario import Check, Scenario, ScenarioOutput
 
@@ -43,9 +43,74 @@ def git_sha(cwd: Optional[str] = None) -> str:
     return sha if out.returncode == 0 and sha else "unknown"
 
 
+class Envelope:
+    """JSON persistence shared by both envelope kinds: subclasses provide
+    ``to_dict``/``from_dict``, a ``smoke`` flag, and name their file as
+    ``<file_prefix>_<getattr(self, name_field)>[.smoke].json``."""
+
+    file_prefix: ClassVar[str]
+    name_field: ClassVar[str]
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+
+    def write(self, out_dir: str) -> str:
+        """Write this envelope under *out_dir*; return the path.
+
+        Smoke runs get their own ``.smoke.json`` name so a CI smoke pass
+        and a local full run never clobber each other's trajectory point
+        in a shared out dir.
+        """
+        os.makedirs(out_dir, exist_ok=True)
+        suffix = ".smoke.json" if self.smoke else ".json"
+        name = getattr(self, self.name_field)
+        path = os.path.join(out_dir, f"{self.file_prefix}_{name}{suffix}")
+        with open(path, "w") as fh:
+            fh.write(self.to_json() + "\n")
+        return path
+
+    @classmethod
+    def read(cls, path: str):
+        with open(path) as fh:
+            return cls.from_dict(json.load(fh))
+
+    @classmethod
+    def load(cls, path: str) -> Dict[str, Any]:
+        """Load one envelope file, or every ``<file_prefix>_*.json`` in a
+        directory, keyed by name (a full-params point outranks its smoke
+        twin)."""
+        if not os.path.isdir(path):
+            result = cls.read(path)
+            return {getattr(result, cls.name_field): result}
+        out: Dict[str, Any] = {}
+        for name in sorted(os.listdir(path)):
+            if name.startswith(cls.file_prefix + "_") and name.endswith(".json"):
+                full = os.path.join(path, name)
+                try:
+                    result = cls.read(full)
+                except (ValueError, KeyError, json.JSONDecodeError) as exc:
+                    # Foreign/legacy json is tolerated, but loudly: a
+                    # corrupt baseline must not look like a clean compare.
+                    print(f"skipping invalid {full}: {exc}", file=sys.stderr)
+                    continue
+                key = getattr(result, cls.name_field)
+                existing = out.get(key)
+                if (existing is not None and result.smoke
+                        and not existing.smoke):
+                    continue
+                out[key] = result
+        if not out:
+            raise ValueError(
+                f"no valid {cls.file_prefix}_*.json results under {path!r}")
+        return out
+
+
 @dataclass
-class BenchResult:
+class BenchResult(Envelope):
     """One scenario execution, fully described."""
+
+    file_prefix: ClassVar[str] = "bench"
+    name_field: ClassVar[str] = "scenario"
 
     scenario: str
     group: str
@@ -120,28 +185,6 @@ class BenchResult:
         kwargs["slo"] = dict(data.get("slo", {}))
         return cls(**kwargs)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def write(self, out_dir: str) -> str:
-        """Write this envelope under *out_dir*; return the path.
-
-        Smoke runs get their own ``bench_<scenario>.smoke.json`` name so a
-        CI smoke pass and a local full run never clobber each other's
-        trajectory point in a shared out dir.
-        """
-        os.makedirs(out_dir, exist_ok=True)
-        suffix = ".smoke.json" if self.smoke else ".json"
-        path = os.path.join(out_dir, f"bench_{self.scenario}{suffix}")
-        with open(path, "w") as fh:
-            fh.write(self.to_json() + "\n")
-        return path
-
-    @classmethod
-    def read(cls, path: str) -> "BenchResult":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
     # -------------------------------------------------------------- queries
     def failed_checks(self) -> List[Dict[str, Any]]:
         return [c for c in self.checks if not c.get("passed")]
@@ -180,26 +223,4 @@ def validate_result_dict(data: Mapping[str, Any]) -> None:
 
 def load_results(path: str) -> Dict[str, BenchResult]:
     """Load one result file or every ``bench_*.json`` in a directory."""
-    if os.path.isdir(path):
-        out: Dict[str, BenchResult] = {}
-        for name in sorted(os.listdir(path)):
-            if name.startswith("bench_") and name.endswith(".json"):
-                full = os.path.join(path, name)
-                try:
-                    result = BenchResult.read(full)
-                except (ValueError, KeyError, json.JSONDecodeError) as exc:
-                    # Foreign/legacy json is tolerated, but loudly: a
-                    # corrupt baseline must not look like a clean compare.
-                    print(f"load_results: skipping invalid {full}: {exc}",
-                          file=sys.stderr)
-                    continue
-                existing = out.get(result.scenario)
-                if existing is not None and existing.smoke != result.smoke:
-                    if result.smoke:
-                        continue  # a full-params point outranks its smoke twin
-                out[result.scenario] = result
-        if not out:
-            raise ValueError(f"no valid bench_*.json results under {path!r}")
-        return out
-    result = BenchResult.read(path)
-    return {result.scenario: result}
+    return BenchResult.load(path)

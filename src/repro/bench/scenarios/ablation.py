@@ -1,32 +1,69 @@
 """Ablation scenarios — the §VI design-space probes as registry entries.
 
-Four probes: ID assignment, demotion policy, the TTL-triggered Euclidean
-fallback, and maintenance cost (keep-alive interval sweep +
-repair-mechanism value), with their expectations recorded as
-:class:`~repro.bench.scenario.Check` verdicts.
+Each scenario isolates one mechanism, measures it once and renders from
+what it measured, with its expectation recorded as
+:class:`~repro.bench.scenario.Check` verdicts:
+
+* ``ablation_ids`` — random vs hash vs balanced IDs (§III + §VI): effect
+  on tree balance and hop counts;
+* ``ablation_demotion`` — strict demotion vs the §VI "keep stable nodes in
+  the upper layers" variant under protocol-mode child starvation;
+* ``ablation_fallback`` — §III.f's TTL-triggered Euclidean fallback on/off
+  at 50% dead;
+* ``ablation_maintenance`` — protocol-mode keep-alive period vs control
+  traffic, and which healing mechanism buys how much resilience
+  (purge-only vs lateral relink vs full adoption) at 30% dead.
 """
 
 from __future__ import annotations
 
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
+
 from repro.bench.scenario import Check, Metric, Scenario, ScenarioOutput, registry
-from repro.experiments.ablations import (
-    demotion_policy,
-    euclidean_fallback,
-    id_assignment,
-    maintenance_interval,
-    repair_mechanisms,
-)
+from repro.bench.sweep import fail_until
+from repro.core.config import TreePConfig
+from repro.core.lookup import LookupResult
+from repro.core.repair import FULL_POLICY, PAPER_POLICY, PURGE_ONLY_POLICY
+from repro.core.treep import TreePNetwork
 from repro.viz.ascii import table
+from repro.workloads.lookups import LookupWorkload
+
+
+def _greedy_batch(net: TreePNetwork, population: Sequence[int],
+                  lookups: int) -> Tuple[float, float]:
+    """(success rate, mean hops of the found) of one greedy batch drawn
+    from the network's ``"ablation"`` stream."""
+    workload = LookupWorkload(rng=net.rng.get("ablation"))
+    results: List[LookupResult] = net.run_lookup_batch(
+        workload.pairs(population, lookups), "G")
+    found = [r for r in results if r.found]
+    return (len(found) / len(results),
+            float(np.mean([r.hops for r in found])) if found else 0.0)
 
 
 def _ablation_ids(params, seed, smoke):
-    out = id_assignment(n=params["n"], seed=seed, lookups=params["lookups"])
+    n = params["n"]
+    out: Dict[str, Dict[str, float]] = {}
+    for strategy in ("random", "hash", "balanced"):
+        net = TreePNetwork(config=TreePConfig.paper_case1(), seed=seed)
+        layout = net.build(n, strategy=strategy)  # type: ignore[arg-type]
+        cell_sizes = [len(v) for v in layout.children.values()]
+        success, hops = _greedy_batch(net, net.ids, params["lookups"])
+        out[strategy] = {
+            "height": float(layout.height),
+            "avg_children": layout.average_children(),
+            "cell_size_std": float(np.std(cell_sizes)) if cell_sizes else 0.0,
+            "avg_hops": hops,
+            "success_rate": success,
+        }
     rendered = table(
         ["strategy", "height", "avg children", "cell-size std", "avg hops",
          "success"],
         [[k, v["height"], v["avg_children"], v["cell_size_std"],
           v["avg_hops"], v["success_rate"]] for k, v in out.items()],
-        title=f"ID assignment ablation (n={params['n']}, case 1)",
+        title=f"ID assignment ablation (n={n}, case 1)",
     )
     metrics = {
         "balanced_cell_size_std": out["balanced"]["cell_size_std"],
@@ -53,12 +90,44 @@ def _ablation_ids(params, seed, smoke):
 
 
 def _ablation_demotion(params, seed, smoke):
-    out = demotion_policy(n=params["n"], seed=seed)
+    """Kills every level-2 parent's children except one, runs the
+    maintenance loop, and counts how many parents abdicated per policy."""
+    n = params["n"]
+    out: Dict[str, Dict[str, float]] = {}
+    for policy in ("strict", "keep-upper"):
+        cfg = TreePConfig.paper_case1(
+            demotion_policy=policy, keepalive_interval=1.0, entry_ttl=3.0,
+            demotion_base=2.0,
+        )
+        net = TreePNetwork(config=cfg, seed=seed)
+        layout = net.build(n)
+        # Starve parents: kill all but one child of every level-2 parent's
+        # children (level-1 nodes keep their own children intact).
+        victims: List[int] = []
+        for (p, lvl), kids in layout.children.items():
+            if lvl == 2 and len(kids) > 1:
+                victims.extend(kids[1:])
+        for v in victims:
+            net.network.set_down(v)
+        before = sum(1 for node in net.nodes.values() if node.max_level >= 2)
+        net.start_maintenance()
+        net.sim.run_for(30.0)
+        net.stop_maintenance()
+        after = sum(
+            1
+            for i, node in net.nodes.items()
+            if net.network.is_up(i) and node.max_level >= 2
+        )
+        out[policy] = {
+            "upper_nodes_before": float(before),
+            "upper_nodes_after": float(after),
+            "victims": float(len(victims)),
+        }
     rendered = table(
         ["policy", "upper nodes before", "after starvation", "victims"],
         [[k, v["upper_nodes_before"], v["upper_nodes_after"], v["victims"]]
          for k, v in out.items()],
-        title=f"Demotion policy ablation (protocol mode, n={params['n']})",
+        title=f"Demotion policy ablation (protocol mode, n={n})",
     )
     metrics = {
         "strict_upper_after": out["strict"]["upper_nodes_after"],
@@ -76,13 +145,21 @@ def _ablation_demotion(params, seed, smoke):
 
 
 def _ablation_fallback(params, seed, smoke):
-    out = euclidean_fallback(n=params["n"], seed=seed,
-                             lookups=params["lookups"])
+    n = params["n"]
+    out: Dict[str, Dict[str, float]] = {}
+    for enabled in (True, False):
+        cfg = TreePConfig.paper_case1(euclidean_fallback=enabled)
+        net = TreePNetwork(config=cfg, seed=seed)
+        net.build(n)
+        surviving = fail_until(net, 0.5)
+        success, hops = _greedy_batch(net, surviving, params["lookups"])
+        out["fallback-on" if enabled else "fallback-off"] = {
+            "success_rate": success, "avg_hops": hops}
     rendered = table(
         ["mode", "success rate", "avg hops"],
         [[k, v["success_rate"], v["avg_hops"]] for k, v in out.items()],
         title=(f"Euclidean-fallback ablation at 50% dead "
-               f"(n={params['n']}, case 1)"),
+               f"(n={n}, case 1)"),
     )
     metrics = {
         "fallback_on_success": out["fallback-on"]["success_rate"],
@@ -100,10 +177,32 @@ def _ablation_fallback(params, seed, smoke):
 
 
 def _ablation_maintenance(params, seed, smoke):
-    cost = maintenance_interval(n=params["n_maintenance"], seed=seed,
-                                horizon=params["horizon"])
-    repair = repair_mechanisms(n=params["n_repair"], seed=seed,
-                               lookups=params["lookups"])
+    n_m, horizon = params["n_maintenance"], params["horizon"]
+    cost: Dict[float, Dict[str, float]] = {}
+    for interval in (2.0, 5.0, 10.0, 20.0):
+        cfg = TreePConfig.paper_case1(
+            keepalive_interval=interval, entry_ttl=interval * 4
+        )
+        net = TreePNetwork(config=cfg, seed=seed)
+        net.build(n_m)
+        net.network.reset_stats()
+        net.start_maintenance()
+        net.sim.run_for(horizon)
+        net.stop_maintenance()
+        stats = net.network.stats
+        cost[interval] = {
+            "messages_per_node_per_s": stats.sent / n_m / horizon,
+            "bytes_per_node_per_s": stats.bytes_sent / n_m / horizon,
+        }
+    repair: Dict[str, Dict[str, float]] = {}
+    for name, policy in (("purge-only", PURGE_ONLY_POLICY),
+                         ("lateral (paper)", PAPER_POLICY),
+                         ("full adoption", FULL_POLICY)):
+        net = TreePNetwork(config=TreePConfig.paper_case1(), seed=seed)
+        net.build(params["n_repair"])
+        surviving = fail_until(net, 0.3, policy)
+        success, hops = _greedy_batch(net, surviving, params["lookups"])
+        repair[name] = {"success_rate": success, "avg_hops": hops}
     rendered = "\n\n".join([
         table(
             ["keepalive interval (s)", "msgs/node/s", "bytes/node/s"],

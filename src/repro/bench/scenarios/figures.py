@@ -1,11 +1,11 @@
 """Figure scenarios — the nine §IV figure regenerations, defined here.
 
 Each scenario derives its series/surfaces from the views of a
-:class:`~repro.experiments.common.SweepResult`, renders them with
+:class:`~repro.bench.sweep.SweepResult`, renders them with
 :mod:`repro.viz.ascii`, and reports the paper's qualitative claims as
 :class:`~repro.bench.scenario.Check` verdicts.  All nine derive from the
 two failure sweeps (case 1 fixed ``nc`` / case 2 variable ``nc``), and
-:func:`~repro.experiments.common.run_failure_sweep` is memoised per
+:func:`~repro.bench.sweep.run_failure_sweep` is memoised per
 configuration, so ``python -m repro.bench run`` pays for each sweep once
 per process regardless of how many figures it renders.
 
@@ -21,7 +21,7 @@ from typing import Any, Dict, Iterable, Mapping, Tuple
 import numpy as np
 
 from repro.bench.scenario import Check, Metric, Scenario, ScenarioOutput, registry
-from repro.experiments.common import (
+from repro.bench.sweep import (
     ALGORITHMS,
     HopSurface,
     SweepConfig,

@@ -43,9 +43,18 @@ def _mmm(sizes: Tuple[int, ...]) -> Tuple[int, int, int]:
     return 0, len(sizes) // 2, len(sizes) - 1
 
 
+class _Measurement:
+    """What one measured phase cost: wall seconds, simulator events fired,
+    and their ratio (0.0 for a zero-length phase)."""
+
+    wall = 0.0
+    events = 0
+    rate = 0.0
+
+
 @contextmanager
-def _gc_paused():
-    """Benchmark hygiene: defer garbage collection during a measured phase.
+def _measured(sim):
+    """Time one measured phase of *sim* with garbage collection deferred.
 
     The same discipline pytest-benchmark applies by default — at 10k nodes
     a generational collection walks millions of live simulator objects, so
@@ -55,13 +64,19 @@ def _gc_paused():
     before/after events/sec numbers are like-for-like (see
     ``docs/performance.md``).
     """
+    m = _Measurement()
+    e0 = sim.events_processed
     was_enabled = gc.isenabled()
     gc.disable()
+    t0 = time.perf_counter()
     try:
-        yield
+        yield m
     finally:
+        m.wall = time.perf_counter() - t0
         if was_enabled:
             gc.enable()
+        m.events = sim.events_processed - e0
+        m.rate = m.events / m.wall if m.wall > 0 else 0.0
 
 
 def _pairs(rng, population, count) -> List[Tuple[int, int]]:
@@ -93,22 +108,18 @@ def _scale_lookup(params, seed, smoke):
         build_s = time.perf_counter() - t0
         rng = np.random.default_rng(0)
         pairs = _pairs(rng, net.ids, lookups)
-        e0 = net.sim.events_processed
-        with _gc_paused():
-            t0 = time.perf_counter()
+        with _measured(net.sim) as m:
             results = net.run_lookup_batch(pairs, "G")
-            wall = time.perf_counter() - t0
-        events = net.sim.events_processed - e0
         found = [r for r in results if r.found]
         success = len(found) / lookups
         hops = float(np.mean([r.hops for r in found])) if found else 0.0
-        rate = events / wall if wall > 0 else 0.0
-        evps.append(rate)
+        evps.append(m.rate)
         hops_by_n.append(hops)
         success_by_n.append(success)
         if n == sizes[-1]:
-            build_max, lookup_wall_max = build_s, wall
-        rows.append([n, f"{build_s:.2f}", f"{wall:.2f}", events, f"{rate:.0f}",
+            build_max, lookup_wall_max = build_s, m.wall
+        rows.append([n, f"{build_s:.2f}", f"{m.wall:.2f}", m.events,
+                     f"{m.rate:.0f}",
                      f"{hops:.2f}", f"{hops / math.log2(n):.2f}",
                      f"{100 * success:.1f}"])
     rendered = table(
@@ -160,9 +171,7 @@ def _scale_churn(params, seed, smoke):
         order = [int(v) for v in rng.permutation(net.ids)]
         total = int(dead_fraction * n)
         per_burst = max(total // bursts, 1)
-        e0 = net.sim.events_processed
-        with _gc_paused():
-            t0 = time.perf_counter()
+        with _measured(net.sim) as m:
             killed = 0
             while killed < total:
                 step = order[killed:killed + min(per_burst, total - killed)]
@@ -171,15 +180,13 @@ def _scale_churn(params, seed, smoke):
                 apply_failure_step(net, step, PAPER_POLICY)
             results = net.run_lookup_batch(
                 _pairs(rng, net.alive_ids(), lookups), "G")
-            wall = time.perf_counter() - t0
-        events = net.sim.events_processed - e0
         success = sum(r.found for r in results) / lookups
-        rate = events / wall if wall > 0 else 0.0
-        evps.append(rate)
+        evps.append(m.rate)
         success_by_n.append(success)
         if n == sizes[-1]:
-            churn_wall_max = wall
-        rows.append([n, total, events, f"{rate:.0f}", f"{100 * success:.1f}"])
+            churn_wall_max = m.wall
+        rows.append([n, total, m.events, f"{m.rate:.0f}",
+                     f"{100 * success:.1f}"])
     rendered = table(
         ["n", "killed", "events", "ev/s", "success%@churn"],
         rows,
@@ -219,23 +226,18 @@ def _scale_quorum_rw(params, seed, smoke):
         cluster = (Cluster(config=TreePConfig.paper_case1(), seed=seed)
                    .build(n).with_storage(quorum))
         store, sim = cluster.storage, cluster.net.sim
-        e0 = sim.events_processed
-        with _gc_paused():
-            t0 = time.perf_counter()
+        with _measured(sim) as puts:
             acked = sum(store.put(f"scale/{i:05d}", {"i": i}).ok
                         for i in range(ops))
-            put_wall = time.perf_counter() - t0
-            rng = np.random.default_rng(0)
-            t0 = time.perf_counter()
+        rng = np.random.default_rng(0)
+        with _measured(sim) as gets:
             hits = sum(store.get(f"scale/{int(i):05d}").found
                        for i in rng.integers(0, ops, size=ops))
-            get_wall = time.perf_counter() - t0
-        events = sim.events_processed - e0
-        wall = put_wall + get_wall
-        rate = events / wall if wall > 0 else 0.0
+        wall = puts.wall + gets.wall
+        rate = (puts.events + gets.events) / wall if wall > 0 else 0.0
         evps.append(rate)
-        put_rates.append(ops / put_wall if put_wall > 0 else 0.0)
-        get_rates.append(ops / get_wall if get_wall > 0 else 0.0)
+        put_rates.append(ops / puts.wall if puts.wall > 0 else 0.0)
+        get_rates.append(ops / gets.wall if gets.wall > 0 else 0.0)
         acked_by_n.append(acked / ops)
         hit_by_n.append(hits / ops)
         rows.append([n, f"{put_rates[-1]:.0f}", f"{get_rates[-1]:.0f}",
@@ -275,21 +277,16 @@ def _scale_jobs(params, seed, smoke):
         wl = JobWorkload(rng=net.rng.get("scale-jobs"), arrival_rate=2.0,
                          work_mean=15.0, constrained_fraction=0.25)
         grid.schedule_submissions(wl.jobs(jobs, start=net.sim.now))
-        e0 = net.sim.events_processed
-        with _gc_paused():
-            t0 = time.perf_counter()
+        with _measured(net.sim) as m:
             done = grid.run_until_done(timeout=deadline)
-            wall = time.perf_counter() - t0
-        events = net.sim.events_processed - e0
         stats = grid.stats()
-        rate = events / wall if wall > 0 else 0.0
-        evps.append(rate)
+        evps.append(m.rate)
         dones.append(bool(done))
         completion_by_n.append(stats.completion_rate)
         goodput_by_n.append(stats.goodput)
         if n == sizes[-1]:
             makespan_max = stats.makespan
-        rows.append([n, jobs, events, f"{rate:.0f}",
+        rows.append([n, jobs, m.events, f"{m.rate:.0f}",
                      f"{100 * stats.completion_rate:.0f}",
                      f"{stats.goodput:.3f}", f"{stats.makespan:.0f}"])
         cluster.shutdown()

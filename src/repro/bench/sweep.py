@@ -1,4 +1,5 @@
-"""The shared failure-sweep driver behind every figure.
+"""The failure-sweep model behind every figure, and the §IV failure
+protocol as a helper for scenarios that only need one operating point.
 
 Protocol (§IV): the TreeP network is built and taken to steady state; nodes
 are then randomly disconnected at a rate of 5% of the initial topology per
@@ -23,7 +24,7 @@ import numpy as np
 
 from repro.cluster import Cluster
 from repro.core.config import TreePConfig
-from repro.core.lookup import LookupResult
+from repro.core.messages import LookupRequest
 from repro.core.repair import PAPER_POLICY, RepairPolicy, apply_failure_step
 from repro.core.treep import TreePNetwork
 from repro.metrics.series import Series
@@ -102,7 +103,11 @@ class SweepResult:
     def surface(self, algo: str, max_hops: int = 30) -> "HopSurface":
         """The 3-D data of Figures F-I for one algorithm."""
         fracs = [100.0 * r.failed_fraction for r in self.records]
-        rows = [r.per_algo[algo].hops_histogram.row(max_hops) for r in self.records]
+        width = max_hops + 1
+        rows = []
+        for r in self.records:
+            row = list(r.per_algo[algo].hops_percent[:width])
+            rows.append(row + [0.0] * (width - len(row)))
         return HopSurface(algo=algo, failed_percent=fracs, max_hops=max_hops,
                           percent_rows=rows)
 
@@ -133,16 +138,23 @@ class HopSurface:
         return [int(np.argmax(np.array(row))) for row in self.percent_rows]
 
 
-def _failed_hop_counts(net: TreePNetwork, failed: Sequence[LookupResult]) -> List[int]:
-    """Hops travelled by failed lookups, via the harness request trails."""
-    out: List[int] = []
-    for r in failed:
-        if r.timed_out:
-            trail = net.trails.get(r.request_id)
-            out.append(trail.max_ttl if trail is not None else 0)
-        else:
-            out.append(r.hops)
-    return out
+def fail_until(
+    net: TreePNetwork, dead_fraction: float, policy: RepairPolicy = PAPER_POLICY
+) -> Sequence[int]:
+    """Take *net* to one operating point of the §IV protocol: crash 5% of
+    the initial population per step (the ``"sweep"`` stream picks the
+    victims, no repopulation), healing under *policy* after each step,
+    until at least *dead_fraction* is dead.  Returns the survivors."""
+    surviving: Sequence[int] = tuple(net.ids)
+    if dead_fraction > 0:
+        schedule = FailureSchedule(net.ids, net.rng.get("sweep"))
+        for step in schedule.steps():
+            schedule.apply_step(net.network, step)
+            apply_failure_step(net, step.newly_failed, policy)
+            surviving = step.surviving
+            if step.cumulative_failed_fraction >= dead_fraction:
+                break
+    return surviving
 
 
 @functools.lru_cache(maxsize=None)
@@ -158,6 +170,18 @@ def run_failure_sweep(config: SweepConfig) -> SweepResult:
     net = cluster.net
     layout = cluster.layout
     result = SweepResult(config=config, height=layout.height, initial_n=config.n)
+
+    # Figure E needs the hops travelled by lookups that died by
+    # black-holing into a failed node — no reply ever reports them, so
+    # the sweep watches every hop through the nodes' harness seam.
+    max_ttl: Dict[int, int] = {}
+
+    def observe(req: LookupRequest) -> None:
+        if req.ttl > max_ttl.get(req.request_id, 0):
+            max_ttl[req.request_id] = req.ttl
+
+    for node in net.nodes.values():
+        node.hop_observer = observe
 
     rng = net.rng.get("sweep")
     schedule = FailureSchedule(
@@ -176,11 +200,10 @@ def run_failure_sweep(config: SweepConfig) -> SweepResult:
         for algo in config.algorithms:
             pairs = workload.pairs(step.surviving, config.lookups_per_step)
             results = net.run_lookup_batch(pairs, algo)
-            failed = [r for r in results if not r.found]
-            per_algo[algo] = summarize_batch(
-                results, failed_hop_counts=_failed_hop_counts(net, failed)
-            )
-            net.trails.clear()
+            per_algo[algo] = summarize_batch(results, failed_hop_counts=[
+                max_ttl.get(r.request_id, 0) if r.timed_out else r.hops
+                for r in results if not r.found])
+            max_ttl.clear()
         result.records.append(
             StepRecord(
                 failed_fraction=step.cumulative_failed_fraction,

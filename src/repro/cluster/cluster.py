@@ -284,21 +284,10 @@ class Cluster:
         self.net.sim.run_for(duration)
 
     def lookup_sync(self, origin: int, target: int, algo="G"):
-        """Resolve one lookup, stepping the sim only until it completes.
-
-        Unlike ``TreePNetwork.lookup_sync`` (which drains the event queue
-        and therefore never returns while a service's periodic timers keep
-        re-arming), this stops at the lookup's own resolution or timeout —
-        safe with any combination of services attached.
-        """
-        pend = self.net.lookup(origin, target, algo)
-        sim = self.net.sim
-        # The lookup's timeout event guarantees a result lands; stepping
-        # can only stop early if the queue empties (no services attached).
-        while pend.result is None and sim.step():
-            pass
-        assert pend.result is not None, "lookup left unresolved by an empty queue"
-        return pend.result
+        """Resolve one lookup, stepping the sim only until it completes
+        (see :meth:`TreePNetwork.lookup_sync`) — safe with any combination
+        of services attached."""
+        return self.net.lookup_sync(origin, target, algo)
 
     def join_node(
         self,

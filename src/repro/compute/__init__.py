@@ -8,7 +8,8 @@ substrate:
 
 * :mod:`repro.compute.job` — the job model: :class:`JobSpec` (demand,
   work, constraint, DAG deps), scheduler-side :class:`JobRecord`,
-  client-side :class:`JobResult`, and :class:`ComputeConfig`.
+  client-side :class:`JobResult`, :class:`ComputeConfig`, and the
+  run-level :class:`SchedulingStats`.
 * :mod:`repro.compute.worker` — :class:`ComputeAgent`, the per-node
   worker: capacity-bounded execution, progress heartbeats, periodic
   quorum-stored checkpoints, and level-0 sibling work stealing.
@@ -28,8 +29,8 @@ ordering and scheduler failover.  It sits at the top of the subsystem
 stack and may import ``repro.cluster`` (the ``Service`` protocol),
 ``repro.storage`` (checkpoints ride the quorum path),
 ``repro.services`` (discovery aggregates for matchmaking),
-``repro.obs`` (the scheduler's metrics registry), ``repro.core``,
-``repro.sim`` and ``repro.metrics``; nothing in ``src/repro`` imports
+``repro.obs`` (the scheduler's metrics registry), ``repro.core`` and
+``repro.sim``; nothing in ``src/repro`` imports
 compute except the package root ``repro``, the ``repro.workloads`` job
 generators, the ``repro.cluster`` facade (lazily, inside
 ``with_compute``) and the measurement layer ``repro.bench``.  Checked by
@@ -43,6 +44,7 @@ from repro.compute.job import (
     JobResult,
     JobSpec,
     JobState,
+    SchedulingStats,
     checkpoint_key,
 )
 from repro.compute.scheduler import JobScheduler, SchedulerCore
@@ -58,5 +60,6 @@ __all__ = [
     "JobSpec",
     "JobState",
     "SchedulerCore",
+    "SchedulingStats",
     "checkpoint_key",
 ]

@@ -10,14 +10,15 @@ dependencies on other job ids.
 :class:`JobRecord` is the scheduler-side life-cycle state;
 :class:`JobResult` the client-visible outcome; :class:`ComputeConfig` the
 subsystem's tunables (heartbeat cadence, checkpoint interval, work-stealing
-dial).
+dial); :class:`SchedulingStats` the run-level outcome
+:meth:`~repro.compute.scheduler.JobScheduler.stats` scrapes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.services.discovery import Constraint
 
@@ -172,6 +173,103 @@ class JobResult:
     def turnaround(self) -> float:
         """Virtual seconds from submission to the terminal report."""
         return max(0.0, self.completed_at - self.submitted_at)
+
+
+@dataclass(frozen=True)
+class SchedulingStats:
+    """Ground-truth outcome of one scheduling run — the one shape every
+    compute bench, test and example asserts on.
+
+    The counts are scraped from ground truth (worker-side executed-work
+    accounting plus the client's terminal results), so the
+    checkpointing-vs-restart comparison the subsystem exists for is
+    measured, not inferred:
+
+    * **useful work** — the work of every completed job, counted once;
+    * **executed work** — virtual compute seconds workers actually burned,
+      including every doomed attempt;
+    * **wasted work** — their difference: re-executed prefixes, duplicate
+      attempts, partial runs killed by churn.
+    """
+
+    submitted: int
+    completed: int
+    failed: int = 0
+    makespan: float = 0.0
+    useful_work: float = 0.0
+    executed_work: float = 0.0
+    reexecutions: int = 0
+    checkpoints_written: int = 0
+    steals: int = 0
+    steal_reassignments: int = 0
+    leases_expired: int = 0
+    placement_hops: int = 0
+    placements: int = 0
+    failovers: int = 0
+    mean_turnaround: float = 0.0
+
+    @property
+    def completion_rate(self) -> float:
+        """Fraction of submitted jobs that completed (1.0 == all)."""
+        return self.completed / self.submitted if self.submitted else 0.0
+
+    @property
+    def wasted_work(self) -> float:
+        """Executed compute that produced nothing: re-run prefixes,
+        duplicate attempts, partial runs killed by churn."""
+        return max(0.0, self.executed_work - self.useful_work)
+
+    @property
+    def goodput(self) -> float:
+        """Useful / executed work — 1.0 means nothing was ever re-run."""
+        if self.executed_work <= 0:
+            return 1.0 if self.completed == self.submitted else 0.0
+        return min(1.0, self.useful_work / self.executed_work)
+
+    @property
+    def mean_placement_hops(self) -> float:
+        """Average tree-edge traversals per matchmaking decision."""
+        return self.placement_hops / self.placements if self.placements else 0.0
+
+    def to_dict(self) -> Dict[str, float]:
+        """JSON-serialisable snapshot (benchmark artifact format)."""
+        return {
+            "submitted": self.submitted,
+            "completed": self.completed,
+            "failed": self.failed,
+            "completion_rate": self.completion_rate,
+            "makespan": self.makespan,
+            "useful_work": self.useful_work,
+            "executed_work": self.executed_work,
+            "wasted_work": self.wasted_work,
+            "goodput": self.goodput,
+            "reexecutions": self.reexecutions,
+            "checkpoints_written": self.checkpoints_written,
+            "steals": self.steals,
+            "steal_reassignments": self.steal_reassignments,
+            "leases_expired": self.leases_expired,
+            "mean_placement_hops": self.mean_placement_hops,
+            "failovers": self.failovers,
+            "mean_turnaround": self.mean_turnaround,
+        }
+
+    def summary_rows(self) -> List[List[str]]:
+        """Rows for :func:`repro.viz.ascii.table`."""
+        return [
+            ["jobs completed", f"{self.completed}/{self.submitted}"],
+            ["makespan (virtual s)", f"{self.makespan:.1f}"],
+            ["useful work (s)", f"{self.useful_work:.1f}"],
+            ["executed work (s)", f"{self.executed_work:.1f}"],
+            ["wasted work (s)", f"{self.wasted_work:.1f}"],
+            ["goodput", f"{self.goodput:.3f}"],
+            ["re-executions", str(self.reexecutions)],
+            ["checkpoints written", str(self.checkpoints_written)],
+            ["jobs stolen", str(self.steals)],
+            ["leases expired", str(self.leases_expired)],
+            ["mean placement hops", f"{self.mean_placement_hops:.2f}"],
+            ["scheduler failovers", str(self.failovers)],
+            ["mean turnaround (s)", f"{self.mean_turnaround:.1f}"],
+        ]
 
 
 def checkpoint_key(job_id: int) -> str:

@@ -36,6 +36,7 @@ from repro.compute.job import (
     JobResult,
     JobSpec,
     JobState,
+    SchedulingStats,
 )
 from repro.compute.worker import ComputeAgent
 from repro.core.messages import (
@@ -49,7 +50,6 @@ from repro.core.messages import (
     JobReport,
     JobSubmit,
 )
-from repro.metrics.scheduling import SchedulingStats
 from repro.obs.metrics import MetricsRegistry
 from repro.services.discovery import Constraint, ResourceDirectory
 from repro.storage.quorum import QuorumConfig, ReplicatedStore
@@ -369,9 +369,8 @@ class JobScheduler(Service):
         self.results: Dict[int, JobResult] = {}
         self.scheduler_ident: Optional[int] = None
         # ---- service-wide counters surviving scheduler failover ----
-        # Kept in a metrics registry (the reference migration of an ad-hoc
-        # accounting path); the read-only properties below preserve the
-        # pre-1.6 attribute API and exact integer semantics.
+        # Kept in a metrics registry (adopted by the obs hub when one is
+        # attached); :meth:`stats` reads them back as exact integers.
         self.metrics = MetricsRegistry()
         self._m_reexecutions = self.metrics.counter("scheduler.reexecutions")
         self._m_steal_reassignments = self.metrics.counter(
@@ -380,27 +379,6 @@ class JobScheduler(Service):
         self._m_placement_hops = self.metrics.counter(
             "scheduler.placement_hops")
         self._m_placements = self.metrics.counter("scheduler.placements")
-
-    # Pre-1.6 counter attribute API, now registry-backed.
-    @property
-    def reexecutions(self) -> int:
-        return int(self._m_reexecutions.value)
-
-    @property
-    def steal_reassignments(self) -> int:
-        return int(self._m_steal_reassignments.value)
-
-    @property
-    def failovers(self) -> int:
-        return int(self._m_failovers.value)
-
-    @property
-    def placement_hops_total(self) -> int:
-        return int(self._m_placement_hops.value)
-
-    @property
-    def placements_total(self) -> int:
-        return int(self._m_placements.value)
 
     # ------------------------------------------------------------ lifecycle
     def on_attach(self, ctx: ServiceContext) -> None:
@@ -700,15 +678,15 @@ class JobScheduler(Service):
             makespan=max(0.0, last_done - first_submit),
             useful_work=useful,
             executed_work=executed,
-            reexecutions=self.reexecutions,
+            reexecutions=int(self._m_reexecutions.value),
             checkpoints_written=sum(a.checkpoints_written
                                     for a in self.agents.values()),
             steals=sum(a.steals_done for a in self.agents.values()),
-            steal_reassignments=self.steal_reassignments,
+            steal_reassignments=int(self._m_steal_reassignments.value),
             leases_expired=sum(a.leases_expired for a in self.agents.values()),
-            placement_hops=self.placement_hops_total,
-            placements=self.placements_total,
-            failovers=self.failovers,
+            placement_hops=int(self._m_placement_hops.value),
+            placements=int(self._m_placements.value),
+            failovers=int(self._m_failovers.value),
             mean_turnaround=(sum(r.turnaround for r in ok) / len(ok))
             if ok else 0.0,
         )

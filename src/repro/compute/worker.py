@@ -105,7 +105,6 @@ class ComputeAgent:
         self.executed_work: float = 0.0
         self.checkpoints_written: int = 0
         self.steals_done: int = 0
-        self.stolen_from: int = 0
         self.leases_expired: int = 0
         self._hb_timer = None
         self._ckpt_timer = None
@@ -484,7 +483,6 @@ class ComputeAgent:
                     or msg.bandwidth_mbps < held.min_bandwidth_mbps):
                 continue
             self.queue.pop(i)
-            self.stolen_from += 1
             self.node.send(msg.thief, JobStealGrant(
                 held.job_id, self.node.ident, held.scheduler, held.attempt,
                 cpu_demand=held.cpu_demand, work=held.work,

@@ -19,6 +19,9 @@ DemotionPolicy = Literal["strict", "keep-upper"]
 class TreePConfig:
     """Everything tunable about a TreeP overlay.
 
+    Not tunable: each node maintains a minimum of two level-0 connections
+    (the paper's constant; build and relinking hard-code it).
+
     Attributes
     ----------
     space:
@@ -33,8 +36,6 @@ class TreePConfig:
         Bounds for the variable mode.
     max_height:
         Safety bound on hierarchy height (levels above 0).
-    min_level0_connections:
-        Paper: each node maintains a minimum of two level-0 connections.
     ttl_max:
         Lookup TTL cap (paper: 255).
     keepalive_interval:
@@ -64,7 +65,6 @@ class TreePConfig:
     nc_floor: int = 2
     nc_ceiling: int = 8
     max_height: int = 12
-    min_level0_connections: int = 2
     ttl_max: int = 255
     keepalive_interval: float = 5.0
     entry_ttl: float = 30.0
@@ -83,8 +83,6 @@ class TreePConfig:
             )
         if self.max_height < 1:
             raise ValueError(f"max_height must be >= 1, got {self.max_height}")
-        if self.min_level0_connections < 2:
-            raise ValueError("paper requires a minimum of two level-0 connections")
         if not 1 <= self.ttl_max <= 255:
             raise ValueError(f"ttl_max must be in [1, 255], got {self.ttl_max}")
         for name in ("keepalive_interval", "entry_ttl", "election_base",

@@ -38,7 +38,6 @@ import numpy as np
 
 from repro.core.config import TreePConfig
 from repro.core.distance import halving_criterion, treep_distance
-from repro.core.ids import IdSpace
 from repro.core.messages import LookupRequest
 from repro.core.routing_table import Entry, RoutingTable
 
@@ -204,17 +203,6 @@ def _ordered_triples(view: NodeView) -> List[Tuple[int, int, Entry]]:
     return triples
 
 
-def _ordered_entries(view: NodeView) -> List[Entry]:
-    """Entry view of :func:`_ordered_triples` (the NG/NGSA scan input)."""
-    t = view.table
-    cached = t.cache.get("lookup_order")
-    if cached is not None and cached[0] == t._version:
-        return cached[1]
-    entries = [e for _, _, e in _ordered_triples(view)]
-    t.cache["lookup_order"] = (t._version, entries)
-    return entries
-
-
 def _level_zero_triples(view: NodeView) -> List[Tuple[int, int, Entry]]:
     """``Search_Level_Zero()`` candidates, memoised like :func:`_ordered_triples`."""
     t = view.table
@@ -228,10 +216,6 @@ def _level_zero_triples(view: NodeView) -> List[Tuple[int, int, Entry]]:
                for e in map(get, sorted(ids)) if e is not None]
     t.cache["lookup_l0_t"] = (version, triples)
     return triples
-
-
-def _level_zero_entries(view: NodeView) -> List[Entry]:
-    return [e for _, _, e in _level_zero_triples(view)]
 
 
 #: Below this many candidates the plain Python argmin loop beats NumPy's
@@ -286,13 +270,8 @@ def _np_candidates(view: NodeView, l0: bool):
     return payload
 
 
-def _level_zero_candidates(view: NodeView, exclude: frozenset[int]) -> List[Entry]:
-    """``Search_Level_Zero()``: children and level-0 neighbourhood only."""
-    return [e for e in _level_zero_entries(view) if e.ident not in exclude]
-
-
 def _full_candidates(
-    view: NodeView, exclude: frozenset[int], target: Optional[int] = None
+    view: NodeView, exclude: frozenset[int], target: int
 ) -> List[Entry]:
     """``Search_level_A()``: the node's whole routing table.
 
@@ -300,14 +279,11 @@ def _full_candidates(
     first (descending the tree resolves fastest), then the same-level buses
     from the highest level down, parents, superiors, and the level-0
     neighbours last (they are the smallest possible steps along the line).
-    Within a group, candidates are ordered by distance to *target* when
-    given — this is what lets NG's "first improving candidate" rule achieve
-    the logarithmic hop counts the paper reports: the scan meets the big
+    Within a group, candidates are ordered by distance to *target* — this
+    is what lets NG's "first improving candidate" rule achieve the
+    logarithmic hop counts the paper reports: the scan meets the big
     tessellation jumps before the single-neighbour shuffles.
     """
-    if target is None:
-        return [e for e in _ordered_entries(view) if e.ident not in exclude]
-
     t = view.table
     distance = view.config.space.distance
     # ``(distance, id)`` is a total order, so dropping ids already taken by
@@ -356,103 +332,87 @@ def route(view: NodeView, req: LookupRequest) -> Decision:
     if algo is None:
         algo = LookupAlgorithm.parse(req.algo)
     if algo is LookupAlgorithm.GREEDY:
-        # The greedy path materialises its exclusion set lazily — the
-        # vectorised argmin works straight off ``req.path``.
-        return _route_greedy(view, req, None, euclid)
+        return _route_greedy(view, req, euclid)
     exclude = frozenset(req.path + (view.ident,))
     return _route_non_greedy(view, req, exclude, euclid,
                              with_fallback=algo is LookupAlgorithm.NON_GREEDY_FALLBACK)
 
 
-def _route_greedy(
-    view: NodeView, req: LookupRequest,
-    exclude: Optional[frozenset[int]], euclid: bool,
-) -> Decision:
-    cfg = view.config
-    space = cfg.space
+def _route_greedy(view: NodeView, req: LookupRequest, euclid: bool) -> Decision:
+    space = view.config.space
     from_level1_parent = req.from_parent_level == 1 and view.max_level == 0
+    # Materialised lazily — the vectorised argmin works straight off
+    # ``req.path``.
+    exclude: Optional[frozenset[int]] = None
 
     target = req.target
     best: Optional[Entry] = None
     best_d = float("inf")
-    if type(space) is IdSpace:
-        # Inlined ``_metric`` for the stock 1-D space: |a - b| minus the
-        # cached tessellation radius.  Exact ints compare exactly against
-        # the float radii (ids are < 2**53), so every comparison — and
-        # therefore every Decision — is identical to the generic path;
-        # only the per-candidate function calls and float boxing are gone.
-        # This loop is the single hottest code path of a 10k-node run.
-        height = view.height
-        radii = None if euclid else _radii(space.extent, height)
-        t = view.table
-        payload = None
-        if not euclid and space.extent <= _NP_MAX_EXTENT:
-            cached = t.cache.get(
-                "lookup_np_l0" if from_level1_parent else "lookup_np")
-            if (cached is not None and cached[0] == t._version
-                    and cached[1] == height):
-                payload = cached[2]
-            else:
-                payload = _np_candidates(view, from_level1_parent)
-        if payload is not None:
-            # Vectorised argmin over the cached candidate columns — the
-            # ufunc pipeline computes the identical metric values (see
-            # _np_candidates) with constant Python-side cost.
-            ids, np_entries, ibuf, fbuf, radius_col = payload
-            np.subtract(ids, target, out=ibuf)
-            np.absolute(ibuf, out=ibuf)
-            np.subtract(ibuf, radius_col, out=fbuf)
-            np.maximum(fbuf, 0.0, out=fbuf)
-            # Optimistic exclusion: an already-visited candidate rarely
-            # wins the argmin, so re-run it only on a collision instead of
-            # masking every path element up front (each NumPy scalar store
-            # costs more than a whole argmin at these sizes).  Yields the
-            # first non-excluded minimum — exactly the scan loop's pick.
-            path = req.path
-            while True:
-                j = int(fbuf.argmin())
-                d = fbuf.item(j)  # plain Python float, no ndarray scalar box
-                if d == _INF:
-                    break
-                winner = np_entries[j]
-                if path and winner.ident in path:
-                    fbuf[j] = _INF
-                    continue
-                best, best_d = winner, d
-                break
+    # Inlined ``_metric``: |a - b| minus the cached tessellation radius.
+    # Exact ints compare exactly against the float radii, so every
+    # comparison — and therefore every Decision — is what ``_metric``
+    # would give; only the per-candidate function calls and float boxing
+    # are gone.  This loop is the single hottest code path of a 10k-node
+    # run.
+    height = view.height
+    radii = None if euclid else _radii(space.extent, height)
+    t = view.table
+    payload = None
+    if not euclid and space.extent <= _NP_MAX_EXTENT:
+        cached = t.cache.get(
+            "lookup_np_l0" if from_level1_parent else "lookup_np")
+        if (cached is not None and cached[0] == t._version
+                and cached[1] == height):
+            payload = cached[2]
         else:
-            triples = (_level_zero_triples(view) if from_level1_parent
-                       else _ordered_triples(view))
-            if exclude is None:
-                exclude = frozenset(req.path + (view.ident,))
-            for ident, lvl, e in triples:
-                if ident in exclude:
-                    continue
-                d = ident - target if ident >= target else target - ident
-                if radii is not None and lvl > 0:
-                    radius = radii[lvl if lvl <= height else height]
-                    d = 0.0 if d <= radius else d - radius
-                if d < best_d:
-                    best, best_d = e, d
-        own = view.ident
-        d_here = own - target if own >= target else target - own
-        if radii is not None:
-            lvl = view.max_level
-            if lvl > 0:
-                radius = radii[lvl if lvl <= height else height]
-                d_here = 0.0 if d_here <= radius else d_here - radius
-    else:  # pragma: no cover - custom spaces keep the generic path
+            payload = _np_candidates(view, from_level1_parent)
+    if payload is not None:
+        # Vectorised argmin over the cached candidate columns — the
+        # ufunc pipeline computes the identical metric values (see
+        # _np_candidates) with constant Python-side cost.
+        ids, np_entries, ibuf, fbuf, radius_col = payload
+        np.subtract(ids, target, out=ibuf)
+        np.absolute(ibuf, out=ibuf)
+        np.subtract(ibuf, radius_col, out=fbuf)
+        np.maximum(fbuf, 0.0, out=fbuf)
+        # Optimistic exclusion: an already-visited candidate rarely
+        # wins the argmin, so re-run it only on a collision instead of
+        # masking every path element up front (each NumPy scalar store
+        # costs more than a whole argmin at these sizes).  Yields the
+        # first non-excluded minimum — exactly the scan loop's pick.
+        path = req.path
+        while True:
+            j = int(fbuf.argmin())
+            d = fbuf.item(j)  # plain Python float, no ndarray scalar box
+            if d == _INF:
+                break
+            winner = np_entries[j]
+            if path and winner.ident in path:
+                fbuf[j] = _INF
+                continue
+            best, best_d = winner, d
+            break
+    else:
+        triples = (_level_zero_triples(view) if from_level1_parent
+                   else _ordered_triples(view))
         if exclude is None:
             exclude = frozenset(req.path + (view.ident,))
-        entries = (_level_zero_entries(view) if from_level1_parent
-                   else _ordered_entries(view))
-        for e in entries:
-            if e.ident in exclude:
+        for ident, lvl, e in triples:
+            if ident in exclude:
                 continue
-            d = _metric(view, e.ident, e.max_level, target, euclid)
+            d = ident - target if ident >= target else target - ident
+            if radii is not None and lvl > 0:
+                radius = radii[lvl if lvl <= height else height]
+                d = 0.0 if d <= radius else d - radius
             if d < best_d:
                 best, best_d = e, d
-        d_here = _metric(view, view.ident, view.max_level, req.target, euclid)
+    own = view.ident
+    d_here = own - target if own >= target else target - own
+    if radii is not None:
+        lvl = view.max_level
+        if lvl > 0:
+            radius = radii[lvl if lvl <= height else height]
+            d_here = 0.0 if d_here <= radius else d_here - radius
 
     if best is not None:
         # Fig. 3's forwarding cascade.
@@ -594,22 +554,12 @@ def greedy_key_next_hop(
     best non-excluded candidate is returned even when it does not improve
     (the storage layer's sloppy-read fallback hop).
     """
-    space = view.config.space
     best: Optional[int] = None
-    if type(space) is IdSpace:  # stock 1-D space: inline |a - b|
-        best_d = abs(view.ident - key_id) if improving_only else None
-        for ident in view.table._entries:
-            if ident in exclude:
-                continue
-            d = abs(ident - key_id)
-            if best_d is None or d < best_d:
-                best, best_d = ident, d
-        return best
-    best_d = space.distance(view.ident, key_id) if improving_only else None
-    for e in view.table.candidates():
-        if e.ident in exclude:
+    best_d = abs(view.ident - key_id) if improving_only else None
+    for ident in view.table._entries:
+        if ident in exclude:
             continue
-        d = space.distance(e.ident, key_id)
+        d = abs(ident - key_id)
         if best_d is None or d < best_d:
-            best, best_d = e.ident, d
+            best, best_d = ident, d
     return best

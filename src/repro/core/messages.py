@@ -18,8 +18,8 @@ Message families:
   :class:`ParentAnnounce`, :class:`PromoteGrant`, :class:`Demote`.
 * **Lookup** — :class:`LookupRequest`, :class:`LookupReply`.
 * **Services** — :class:`DhtPut`, :class:`DhtGet`, :class:`DhtValue`,
-  :class:`DhtPutAck` (key/value layer), :class:`ResourceQuery`,
-  :class:`ResourceHit` (discovery layer).
+  :class:`DhtPutAck` (key/value layer; discovery walks the hierarchy
+  aggregates directly and has no wire format).
 * **Replicated storage** — :class:`StorePut` / :class:`StoreGet` (client
   requests routed to the key's responsible node), :class:`StoreReplicate` /
   :class:`StoreAck` (coordinator ↔ replica write traffic, also used by
@@ -329,36 +329,6 @@ class DhtPutAck:
         return _HEADER_BYTES + 16 + 8 * len(self.stored_on)
 
 
-@dataclass(frozen=True, slots=True)
-class ResourceQuery:
-    """Attribute-constrained resource discovery (DGET substrate).
-
-    ``min_cpu``/``min_memory_gb``/``min_bandwidth_mbps`` express the grid
-    job's requirements; the query walks the hierarchy aggregates.
-    """
-
-    request_id: int
-    origin: int
-    min_cpu: float = 0.0
-    min_memory_gb: float = 0.0
-    min_bandwidth_mbps: float = 0.0
-    max_results: int = 4
-    ttl: int = 0
-
-    wire_size: int = _HEADER_BYTES + 28
-
-
-@dataclass(frozen=True, slots=True)
-class ResourceHit:
-    request_id: int
-    nodes: Tuple[int, ...] = ()
-    hops: int = 0
-
-    @property
-    def wire_size(self) -> int:
-        return _HEADER_BYTES + 8 * len(self.nodes)
-
-
 # -------------------------------------------------------- replicated storage
 @dataclass(frozen=True, slots=True)
 class StorePut:
@@ -492,8 +462,7 @@ class StoreGetResult:
 class JobSubmit:
     """Submitter → scheduler: routed greedily towards the scheduler's ID.
 
-    Carries the job's demand vector like :class:`ResourceQuery` carries a
-    query's: ``cpu_demand`` in CPU-share units, ``work`` in virtual seconds
+    Carries the job's demand vector: ``cpu_demand`` in CPU-share units, ``work`` in virtual seconds
     of unit-rate compute, plus the minimum-capability constraint the
     matchmaker must honour.  ``deps`` lists job ids that must complete
     first (DAG edges); ``resume`` marks a failover re-submission whose

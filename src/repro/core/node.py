@@ -104,8 +104,7 @@ class TreePNode(Process):
         self.demotions = DemotionManager(ident, capacity, config)
         self._req_counter = itertools.count(1)
         self.pending: Dict[int, PendingLookup] = {}
-        self.results: List[LookupResult] = []
-        #: Per-request hop observation hook installed by the harness
+        #: Per-request hop observation hook a harness may install
         #: (measurement only, never read by routing).
         self.hop_observer: Optional[Callable[[LookupRequest], None]] = None
         #: Observability hub (see :mod:`repro.obs`); ``None`` keeps every
@@ -250,7 +249,6 @@ class TreePNode(Process):
             algo=pend.algo, found=False, hops=0, timed_out=True,
         )
         pend.result = res
-        self.results.append(res)
         obs = self.obs
         if obs is not None:
             obs.lookup_end(rid, self.sim.now, found=False, hops=0,
@@ -261,6 +259,9 @@ class TreePNode(Process):
     def _on_LookupRequest(self, src: int, req: LookupRequest) -> None:
         if self.hop_observer is not None:
             self.hop_observer(req)
+        obs = self.obs
+        if obs is not None:
+            obs.lookup_hop(req.request_id, src, self.sim.now, req.ttl)
         self._route_and_act(req)
 
     def _route_and_act(self, req: LookupRequest) -> None:
@@ -324,7 +325,6 @@ class TreePNode(Process):
             timed_out=False, path=reply.path,
         )
         pend.result = res
-        self.results.append(res)
         obs = self.obs
         if obs is not None:
             obs.lookup_end(reply.request_id, self.sim.now, reply.found,
@@ -346,7 +346,7 @@ class TreePNode(Process):
         """A join displaced one of our level-0 links: adopt the joiner."""
         now = self.sim.now
         self.table.add_level0(msg.joiner, now)
-        # Keep at most min_level0_connections + joiner; drop the link the
+        # Keep the two level-0 connections + joiner; drop the link the
         # joiner replaced (it is now reachable through the joiner).
         if msg.left == self.ident and msg.right is not None:
             self.table.level0.discard(msg.right)

@@ -19,7 +19,6 @@ that state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
@@ -29,7 +28,6 @@ from repro.core.hierarchy import HierarchyLayout, build_layout
 from repro.core.ids import AssignStrategy, assign_ids
 from repro.core.lookup import LookupAlgorithm, LookupResult
 from repro.core.maintenance import MaintenanceManager
-from repro.core.messages import LookupRequest
 from repro.core.node import PendingLookup, TreePNode
 from repro.core.tessellation import bus_neighbours, cell_owner
 from repro.obs.runtime import ambient_hub
@@ -37,19 +35,6 @@ from repro.sim.engine import SimulationError, Simulator
 from repro.sim.latency import LatencyModel, UniformLatency
 from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
-
-
-@dataclass(slots=True)
-class RequestTrail:
-    """Measurement-only record of one request's progress through the overlay.
-
-    Populated by a hop observer the harness installs on every node; routing
-    never reads it.  Needed for Figure E (hop counts of *failed* lookups,
-    including ones that died by black-holing into a failed node).
-    """
-
-    max_ttl: int = 0
-    last_node: int = -1
 
 
 class TreePNetwork:
@@ -95,7 +80,6 @@ class TreePNetwork:
         self.ids: List[int] = []
         self.capacities: Dict[int, NodeCapacity] = {}
         self.layout: Optional[HierarchyLayout] = None
-        self.trails: Dict[int, RequestTrail] = {}
         self._maintenance: List[MaintenanceManager] = []
         #: Callbacks invoked for every node the network creates (at build and
         #: on protocol joins); services use this to attach per-node state and
@@ -175,12 +159,7 @@ class TreePNetwork:
             capacities = dist.sample_many(n)
         elif len(capacities) != n:
             raise ValueError(f"need {n} capacities, got {len(capacities)}")
-        self.ids = ids
-        self.capacities = dict(zip(ids, capacities))
-        self.layout = build_layout(ids, self.capacities, self.config)
-        self._instantiate_nodes()
-        self._install_tables(self.layout)
-        return self.layout
+        return self.build_from(ids, dict(zip(ids, capacities)))
 
     def build_from(
         self, ids: Sequence[int], capacities: Dict[int, NodeCapacity]
@@ -191,19 +170,19 @@ class TreePNetwork:
         self.ids = list(ids)
         self.capacities = dict(capacities)
         self.layout = build_layout(self.ids, self.capacities, self.config)
-        self._instantiate_nodes()
+        for ident in self.ids:
+            self._create_node(ident)
         self._install_tables(self.layout)
         return self.layout
 
-    def _instantiate_nodes(self) -> None:
-        for ident in self.ids:
-            node = TreePNode(ident, self.capacities[ident], self.config)
-            self.network.register(node)
-            self.nodes[ident] = node
-            node.hop_observer = self._observe_hop
-            node.obs = self.obs
-            for hook in self.node_hooks:
-                hook(node)
+    def _create_node(self, ident: int) -> TreePNode:
+        node = TreePNode(ident, self.capacities[ident], self.config)
+        self.network.register(node)
+        self.nodes[ident] = node
+        node.obs = self.obs
+        for hook in self.node_hooks:
+            hook(node)
+        return node
 
     def topology_snapshot(self) -> Dict[int, int]:
         """The current tree overlay as ``{node: parent}`` (parent ``-1``
@@ -219,18 +198,6 @@ class TreePNetwork:
             parent = node.table.parents.get(node.max_level + 1)
             snapshot[ident] = parent if parent is not None else -1
         return snapshot
-
-    def _observe_hop(self, req: LookupRequest) -> None:
-        trail = self.trails.get(req.request_id)
-        if trail is None:
-            trail = RequestTrail()
-            self.trails[req.request_id] = trail
-        if req.ttl > trail.max_ttl:
-            trail.max_ttl = req.ttl
-        trail.last_node = req.path[-1] if req.path else req.origin
-        obs = self.obs
-        if obs is not None:
-            obs.lookup_hop(req.request_id, trail.last_node, self.sim.now, req.ttl)
 
     # ------------------------------------------------------- table install
     def _install_tables(self, layout: HierarchyLayout) -> None:
@@ -335,47 +302,33 @@ class TreePNetwork:
                 return self.nodes[i]
         raise RuntimeError("no live node to issue the request from")
 
-    #: Abandoned request ids remembered per reply sink (oldest dropped).
-    ABANDONED_CAP = 4096
+    def pump(self, slot: List, timeout: float, settle: float = 0.2) -> bool:
+        """Run the sim until something lands in *slot*, the event queue
+        empties, or *timeout* virtual seconds pass; True when it landed.
 
-    def pump_until_reply(
-        self,
-        replies: Dict[int, object],
-        abandoned: Dict[int, None],
-        rid: int,
-        timeout: float,
-        settle: float = 0.2,
-    ):
-        """Run the sim until *rid*'s reply lands in *replies*, the event
-        queue empties, or *timeout* virtual seconds pass.
-
-        The synchronous-client pump shared by the service facades.  A plain
-        ``drain()`` would never return while any periodic timer (keep-
-        alives, anti-entropy) keeps re-arming itself; the deadline bounds a
-        black-holed request instead.  On success the sim runs *settle*
-        further virtual seconds so the request's trailing datagrams (extra
-        replicas, read repair) land; on timeout the rid is remembered in
-        *abandoned* (insertion-ordered, capped) so a straggler reply is
-        discarded instead of accreting in the sink.
+        The one blocking-client pump: a synchronous call is the async call
+        with ``on_done=slot.append`` plus this.  A plain ``drain()`` would
+        never return while any periodic timer (keep-alives, anti-entropy)
+        keeps re-arming itself; the deadline bounds a black-holed request
+        instead.  On success the sim runs *settle* further virtual seconds
+        so the request's trailing datagrams (extra replicas, read repair)
+        land; on timeout the caller drops its completion callback, so a
+        straggler result finds none and is discarded.
         """
         sim = self.sim
         deadline = sim.now + timeout
-        while rid not in replies and sim.now < deadline:
+        while not slot and sim.now < deadline:
             if sim.max_events is not None and sim.events_processed >= sim.max_events:
                 raise SimulationError(
-                    f"pump for request {rid} exceeded max_events={sim.max_events}; "
+                    f"client pump exceeded max_events={sim.max_events}; "
                     "runaway same-time event cycle?"
                 )
             if not sim.step():
                 break
-        reply = replies.pop(rid, None)
-        if reply is None:
-            abandoned[rid] = None
-            while len(abandoned) > self.ABANDONED_CAP:
-                abandoned.pop(next(iter(abandoned)))
-        else:
-            sim.run(until=sim.now + settle)
-        return reply
+        if not slot:
+            return False
+        sim.run(until=sim.now + settle)
+        return True
 
     # ------------------------------------------------------------- lookups
     def lookup(
@@ -384,7 +337,7 @@ class TreePNetwork:
         target: int,
         algo: LookupAlgorithm | str = LookupAlgorithm.GREEDY,
     ) -> PendingLookup:
-        """Issue an asynchronous lookup; drain the sim to complete it."""
+        """Issue an asynchronous lookup; run the sim to complete it."""
         if origin not in self.nodes:
             raise KeyError(f"unknown origin {origin}")
         return self.nodes[origin].issue_lookup(target, algo)
@@ -395,10 +348,19 @@ class TreePNetwork:
         target: int,
         algo: LookupAlgorithm | str = LookupAlgorithm.GREEDY,
     ) -> LookupResult:
-        """Issue one lookup and run the simulation until it completes."""
+        """Issue one lookup and step the simulation to its own resolution.
+
+        Stops at the lookup's reply or timeout rather than draining the
+        queue, so it returns with periodic timers (keep-alives, services)
+        armed.
+        """
         pend = self.lookup(origin, target, algo)
-        self.sim.drain()
-        assert pend.result is not None
+        sim = self.sim
+        # The lookup's timeout event guarantees a result lands; stepping
+        # can only stop early if the queue empties first.
+        while pend.result is None and sim.step():
+            pass
+        assert pend.result is not None, "lookup left unresolved by an empty queue"
         return pend.result
 
     def run_lookup_batch(
@@ -463,16 +425,9 @@ class TreePNetwork:
         if ident in self.nodes:
             raise ValueError(f"id {ident} already in the network")
         self.config.space.validate(ident)
-        cap = capacity if capacity is not None else NodeCapacity()
-        node = TreePNode(ident, cap, self.config)
-        self.network.register(node)
-        self.nodes[ident] = node
-        self.capacities[ident] = cap
+        self.capacities[ident] = capacity if capacity is not None else NodeCapacity()
         self.ids.append(ident)
-        node.hop_observer = self._observe_hop
-        node.obs = self.obs
-        for hook in self.node_hooks:
-            hook(node)
+        node = self._create_node(ident)
         bootstrap = via if via is not None else next(
             i for i in self.ids if i != ident and self.network.is_up(i)
         )

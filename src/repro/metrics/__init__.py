@@ -1,12 +1,12 @@
-"""Measurement: series, histograms and summary statistics.
+"""Measurement: series and summary statistics.
 
-Everything the experiment drivers record flows through these containers so
-benches and tests can assert on one consistent shape.
+Pure statistics only — :mod:`~repro.metrics.series` and
+:mod:`~repro.metrics.stats`; counters and latency sketches are the
+``MetricsRegistry`` of :mod:`repro.obs.metrics`, and result shapes live
+next to their producers (``SchedulingStats`` in :mod:`repro.compute.job`,
+``DurabilityTracker`` in :mod:`repro.storage.antientropy`).
 """
 
-from repro.metrics.durability import DurabilityTracker, ReplicationSample
-from repro.metrics.histogram import HopHistogram
-from repro.metrics.scheduling import SchedulingStats
 from repro.metrics.series import Series
 from repro.metrics.stats import (
     LookupBatchStats,
@@ -19,12 +19,8 @@ from repro.metrics.stats import (
 )
 
 __all__ = [
-    "DurabilityTracker",
-    "HopHistogram",
     "LookupBatchStats",
-    "ReplicationSample",
     "SampleSummary",
-    "SchedulingStats",
     "Series",
     "bootstrap_interval",
     "student_t_ppf",

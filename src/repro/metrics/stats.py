@@ -23,7 +23,6 @@ from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.lookup import LookupResult
-from repro.metrics.histogram import HopHistogram
 
 
 @dataclass(frozen=True)
@@ -32,8 +31,8 @@ class LookupBatchStats:
 
     ``failed_hops_max`` / ``failed_hops_min`` cover *failed* lookups only —
     the quantity of Figure E; failed hop counts come from NotFound replies
-    and, for black-holed/timed-out requests, from the harness's request
-    trail (measurement infrastructure, not protocol knowledge).
+    and, for black-holed/timed-out requests, from the sweep's hop observer
+    (measurement infrastructure, not protocol knowledge).
     """
 
     issued: int
@@ -42,7 +41,10 @@ class LookupBatchStats:
     timed_out: int
     failure_rate: float
     hops_mean: float
-    hops_histogram: HopHistogram
+    #: ``hops_percent[k]`` — % of *found* lookups resolved in exactly *k*
+    #: hops (the z-axis of Figures F-I), dense up to the largest hop count
+    #: seen; empty when nothing was found.
+    hops_percent: Tuple[float, ...]
     failed_hops_max: int
     failed_hops_min: int
 
@@ -62,15 +64,14 @@ def summarize_batch(
     results:
         Origin-side outcomes.
     failed_hop_counts:
-        Optional hop counts for the failed lookups (from the request
-        trails); defaults to the hops recorded in NotFound replies.
+        Optional hop counts for the failed lookups (from a hop
+        observer); defaults to the hops recorded in NotFound replies.
     """
     if not results:
         raise ValueError("empty batch")
     found = [r for r in results if r.found]
     failed = [r for r in results if not r.found]
-    hist = HopHistogram()
-    hist.add_many(r.hops for r in found)
+    hops = [r.hops for r in found]
 
     if failed_hop_counts is not None:
         fh = [int(h) for h in failed_hop_counts]
@@ -83,8 +84,9 @@ def summarize_batch(
         failed=len(failed),
         timed_out=sum(1 for r in failed if r.timed_out),
         failure_rate=len(failed) / len(results),
-        hops_mean=float(np.mean([r.hops for r in found])) if found else 0.0,
-        hops_histogram=hist,
+        hops_mean=float(np.mean(hops)) if found else 0.0,
+        hops_percent=tuple(
+            ((100.0 * np.bincount(hops)) / len(hops)).tolist()) if found else (),
         failed_hops_max=max(fh) if fh else 0,
         failed_hops_min=min(fh) if fh else 0,
     )

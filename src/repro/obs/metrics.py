@@ -64,6 +64,10 @@ class Gauge:
 class QuantileHistogram:
     """Streaming quantile sketch over log-spaced buckets.
 
+    An estimate, not a census: it cannot stand in for an exact integer
+    distribution, which is why the hop counts behind Figures F-I stay an
+    exact ``np.bincount`` row (``LookupBatchStats.hops_percent``).
+
     Parameters
     ----------
     min_value:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.cluster.service import Handler, Service, ServiceContext
 from repro.core.lookup import greedy_key_next_hop
@@ -73,8 +73,9 @@ class TreePDht(Service):
         #: Per-node key/value partitions (was an ad-hoc dict on the node).
         self.stores: Dict[int, KVStore] = {}
         self._placement = Level0Placement()
-        self._replies: Dict[int, object] = {}
-        self._abandoned: Dict[int, None] = {}
+        #: rid -> completion callback of a request still being waited on;
+        #: a reply whose rid is absent (the client timed out) is dropped.
+        self._callbacks: Dict[int, Callable[[Any], None]] = {}
         self._rid = itertools.count(1)
 
     # ------------------------------------------------------------ lifecycle
@@ -138,24 +139,28 @@ class TreePDht(Service):
         node.send(msg.origin, DhtValue(msg.request_id, msg.key_id, False, None, msg.ttl))
 
     def _on_reply(self, src: int, msg) -> None:
-        if self._abandoned.pop(msg.request_id, 0) is None:
-            return  # the client gave up on this request long ago
-        self._replies[msg.request_id] = msg
+        cb = self._callbacks.pop(msg.request_id, None)
+        if cb is not None:
+            cb(msg)
 
     # ---------------------------------------------------------- client side
-    def _await_reply(self, rid: int):
-        return self.net.pump_until_reply(
-            self._replies, self._abandoned, rid,
-            timeout=2 * self.net.config.lookup_timeout)
+    def _call(self, handler, node: TreePNode, msg):
+        """Inject *msg* at *node* and pump the sim to its reply (``None``
+        when none arrives within twice the lookup timeout)."""
+        slot: List[Any] = []
+        self._callbacks[msg.request_id] = slot.append
+        handler(node, node.ident, msg)
+        if not self.net.pump(slot, 2 * self.net.config.lookup_timeout):
+            self._callbacks.pop(msg.request_id, None)
+            return None
+        return slot[0]
 
     def put(self, key: str, value: Any, via: Optional[int] = None) -> DhtResult:
         """Store *value* under *key*; blocks (runs the sim) until done."""
         node = self.net.live_origin(via)
         key_id = hash_key(key, self.net.config.space.extent)
-        rid = next(self._rid)
-        self._on_put(node, node.ident,
-                     DhtPut(rid, node.ident, key_id, value, 0, self.replicas))
-        reply = self._await_reply(rid)
+        reply = self._call(self._on_put, node, DhtPut(
+            next(self._rid), node.ident, key_id, value, 0, self.replicas))
         if reply is None:
             return DhtResult(key=key, key_id=key_id, found=False)
         return DhtResult(key=key, key_id=key_id, found=reply.ok,
@@ -165,9 +170,8 @@ class TreePDht(Service):
         """Fetch the value under *key*; blocks until resolved or failed."""
         node = self.net.live_origin(via)
         key_id = hash_key(key, self.net.config.space.extent)
-        rid = next(self._rid)
-        self._on_get(node, node.ident, DhtGet(rid, node.ident, key_id, 0))
-        reply = self._await_reply(rid)
+        reply = self._call(self._on_get, node,
+                           DhtGet(next(self._rid), node.ident, key_id, 0))
         if reply is None or not reply.found:
             return DhtResult(key=key, key_id=key_id, found=False,
                              hops=reply.hops if reply else 0)

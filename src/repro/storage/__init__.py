@@ -20,12 +20,17 @@ replica placement, quorum semantics (N/W/R), write stamps and read
 repair, and anti-entropy convergence.  As a service it may import
 ``repro.cluster`` (the ``Service`` protocol it implements),
 ``repro.core`` (key routing, node types), ``repro.sim`` (time, delivery)
-and ``repro.metrics`` (durability accounting); it must not import
+and ``repro.metrics`` (the durability series); it must not import
 ``repro.services`` or ``repro.compute`` — compute depends on storage for
 checkpoints, never the reverse.  See ``docs/architecture.md``.
 """
 
-from repro.storage.antientropy import AntiEntropy, SweepReport
+from repro.storage.antientropy import (
+    AntiEntropy,
+    DurabilityTracker,
+    ReplicationSample,
+    SweepReport,
+)
 from repro.storage.quorum import (
     QuorumConfig,
     ReplicatedStore,
@@ -42,11 +47,13 @@ from repro.storage.store import KVStore, VersionedValue, hash_key
 
 __all__ = [
     "AntiEntropy",
+    "DurabilityTracker",
     "KVStore",
     "Level0Placement",
     "PlacementStrategy",
     "QuorumConfig",
     "ReplicatedStore",
+    "ReplicationSample",
     "StorageAgent",
     "StoreResult",
     "SuccessorPlacement",

@@ -19,21 +19,91 @@ The sweep itself is the *converged-view* half (mirroring
 repair happens with protocol messages.  Rejoined nodes holding stale
 versions are overwritten the same way (the sweep pushes to any target whose
 stamp is dominated), complementing per-read repair.
+
+Each sweep also records one :class:`ReplicationSample` into the task's
+:class:`DurabilityTracker` — min/mean replication factor over time, keys
+lost, under-replicated count — as :class:`~repro.metrics.series.Series`,
+the shapes the figure pipeline uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.cluster.service import Service, ServiceContext, ServiceError
 from repro.core.messages import StoreReplicate
-from repro.metrics.durability import DurabilityTracker
+from repro.metrics.series import Series
 from repro.storage.quorum import REPAIR_RID, ReplicatedStore
 from repro.storage.store import VersionedValue
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import PeriodicTimer
+
+
+@dataclass(frozen=True)
+class ReplicationSample:
+    """Replication health of the whole store at one instant."""
+
+    time: float
+    keys: int
+    min_rf: int
+    mean_rf: float
+    under_replicated: int
+    lost: int
+
+    @property
+    def durable(self) -> bool:
+        """No tracked key has lost its last live replica."""
+        return self.lost == 0
+
+
+@dataclass
+class DurabilityTracker:
+    """Accumulates replication-health samples into labelled series."""
+
+    n_target: int
+    min_rf: Series = field(default_factory=lambda: Series("min replication factor"))
+    mean_rf: Series = field(default_factory=lambda: Series("mean replication factor"))
+    under_replicated: Series = field(default_factory=lambda: Series("under-replicated keys"))
+    lost: Series = field(default_factory=lambda: Series("lost keys"))
+    samples: List[ReplicationSample] = field(default_factory=list)
+
+    def record(
+        self, time: float, rf_by_key: Dict[int, int], lost: int = 0
+    ) -> ReplicationSample:
+        """Fold one snapshot of per-key live replica counts into the series.
+
+        *rf_by_key* maps key id → live replicas; keys at zero may instead be
+        passed via *lost* when the caller has already separated them out.
+        """
+        counts = list(rf_by_key.values())
+        zero = sum(1 for c in counts if c == 0)
+        present = [c for c in counts if c > 0]
+        sample = ReplicationSample(
+            time=time,
+            keys=len(counts),
+            min_rf=min(present) if present else 0,
+            mean_rf=sum(present) / len(present) if present else 0.0,
+            under_replicated=sum(1 for c in present if c < self.n_target),
+            lost=lost + zero,
+        )
+        self.samples.append(sample)
+        self.min_rf.add(time, sample.min_rf)
+        self.mean_rf.add(time, sample.mean_rf)
+        self.under_replicated.add(time, sample.under_replicated)
+        self.lost.add(time, sample.lost)
+        return sample
+
+    @property
+    def always_durable(self) -> bool:
+        """True when no sample ever observed a lost key."""
+        return all(s.lost == 0 for s in self.samples)
+
+    def latest(self) -> ReplicationSample:
+        if not self.samples:
+            raise ValueError("no samples recorded")
+        return self.samples[-1]
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,9 @@ REPAIR_RID = 0
 #: datagrams land (a few times the default per-hop latency ceiling).
 _SETTLE = 0.2
 
+#: Completion callbacks remembered per agent (oldest dropped).
+_CALLBACK_CAP = 4096
+
 
 @dataclass(frozen=True)
 class QuorumConfig:
@@ -165,16 +168,13 @@ class StorageAgent:
         self.store = KVStore(node.ident)
         self._writes: Dict[int, _PendingWrite] = {}
         self._reads: Dict[int, _PendingRead] = {}
-        #: Client-side sink: results for requests this node originated.
-        self.replies: Dict[int, object] = {}
-        #: Request ids the client stopped waiting for (late results dropped;
-        #: insertion-ordered so the network pump can cap it).
-        self.abandoned: Dict[int, None] = {}
-        #: In-sim async clients: ``callbacks[rid]`` is invoked (once) with
-        #: the :class:`StorePutResult` / :class:`StoreGetResult` instead of
-        #: parking it in :attr:`replies`.  This is how services layered on
-        #: the storage (the compute subsystem's checkpointing) issue quorum
-        #: ops without pumping the simulator.
+        #: The one completion map: ``callbacks[rid]`` is invoked (once)
+        #: with the :class:`StorePutResult` / :class:`StoreGetResult` of a
+        #: request this node originated.  In-sim clients (the compute
+        #: subsystem's checkpointing) register their own callback; the
+        #: blocking client registers a slot and pumps the simulator.  A
+        #: result whose rid has no callback (fire-and-forget, or the
+        #: client timed out and dropped it) is discarded.
         self.callbacks: Dict[int, Callable[[Any], None]] = {}
 
     def handlers(self) -> Dict[type, Callable[[int, Any], None]]:
@@ -384,15 +384,11 @@ class StorageAgent:
                                     None, 0, quorum_met, pend.hops)
         self.node.send(pend.origin, result)
 
-    # ----------------------------------------------------------- client sink
+    # ----------------------------------------------------------- client side
     def _on_result(self, src: int, msg) -> None:
         cb = self.callbacks.pop(msg.request_id, None)
         if cb is not None:
             cb(msg)
-            return
-        if self.abandoned.pop(msg.request_id, 0) is None:
-            return  # the client gave up on this request long ago
-        self.replies[msg.request_id] = msg
 
 
 class ReplicatedStore(Service):
@@ -443,11 +439,6 @@ class ReplicatedStore(Service):
     def key_id(self, key: str) -> int:
         return hash_key(key, self.net.config.space.extent)
 
-    def _await_reply(self, agent: StorageAgent, rid: int, timeout: float):
-        return self.net.pump_until_reply(
-            agent.replies, agent.abandoned, rid,
-            timeout=timeout, settle=_SETTLE)
-
     def _put_deadline(self) -> float:
         """One coordination (plus routing slack)."""
         return 4 * self.quorum.timeout
@@ -455,80 +446,29 @@ class ReplicatedStore(Service):
     def _get_deadline(self) -> float:
         """Reads must outlive the worst sloppy-fallback chain: every
         fallback hop can burn a full read timeout on dead targets, and a
-        genuine late result must not be discarded as abandoned."""
+        genuine late result must not be dropped with its callback."""
         return (self.quorum.read_fallback + 2) * self.quorum.timeout
 
-    # ------------------------------------------------------------------ API
-    def put(self, key: str, value: Any, via: Optional[int] = None) -> StoreResult:
-        """Quorum write; blocks (runs the sim) until resolved or timed out."""
-        node = self.net.live_origin(via)
-        key_id = self.key_id(key)
-        rid = next(self._rid)  # facade-unique; safe across origins
-        agent = self.agents[node.ident]
-        hub = self.net.obs
-        if hub is not None:
-            hub.storage_begin("put", rid, node.ident, self.net.sim.now)
-        agent.handle_put(node.ident, StorePut(rid, node.ident, key_id, value, 0))
-        reply = self._await_reply(agent, rid, self._put_deadline())
-        if hub is not None:
-            if reply is None:
-                hub.storage_end("put", rid, self.net.sim.now, ok=False,
-                                hops=0, replicas=0, timed_out=True)
-            else:
-                hub.storage_end("put", rid, self.net.sim.now, ok=reply.ok,
-                                hops=reply.hops,
-                                replicas=len(reply.replicas),
-                                timed_out=False)
-        if reply is None:
-            return StoreResult(key=key, key_id=key_id, ok=False)
-        if reply.ok:
-            self.tracked_keys[key_id] = key
-        return StoreResult(key=key, key_id=key_id, ok=reply.ok,
-                           version=reply.version, replicas=reply.replicas,
-                           quorum_met=reply.ok, hops=reply.hops)
-
-    def get(self, key: str, via: Optional[int] = None) -> StoreResult:
-        """Quorum read; blocks until the coordinator answers or times out."""
-        node = self.net.live_origin(via)
-        key_id = self.key_id(key)
-        rid = next(self._rid)
-        agent = self.agents[node.ident]
-        hub = self.net.obs
-        if hub is not None:
-            hub.storage_begin("get", rid, node.ident, self.net.sim.now)
-        agent.handle_get(node.ident, StoreGet(rid, node.ident, key_id, 0))
-        reply = self._await_reply(agent, rid, self._get_deadline())
-        if hub is not None:
-            if reply is None:
-                hub.storage_end("get", rid, self.net.sim.now, ok=False,
-                                hops=0, replicas=0, timed_out=True)
-            else:
-                hub.storage_end("get", rid, self.net.sim.now, ok=reply.found,
-                                hops=reply.hops, replicas=0,
-                                timed_out=False)
-        if reply is None:
-            return StoreResult(key=key, key_id=key_id, ok=False)
-        return StoreResult(key=key, key_id=key_id, ok=reply.found,
-                           value=reply.value, version=reply.version,
-                           quorum_met=reply.quorum_met, hops=reply.hops)
-
     # ------------------------------------------------------------ async API
-    def _async_rid(self, agent: StorageAgent, on_done) -> int:
-        """Allocate a request id wired for asynchronous completion."""
-        rid = next(self._rid)
+    def _issue(self, op: str, key_id: int, value: Any, via: Optional[int],
+               on_done: Optional[Callable[[Any], None]]):
+        """Inject one client request at a live node; ``(rid, agent)``."""
+        node = self.net.live_origin(via)
+        agent = self.agents[node.ident]
+        rid = next(self._rid)  # facade-unique; safe across origins
         if on_done is not None:
-            agent.callbacks[rid] = on_done
-            # Same cap as the abandoned sink: a result that never arrives
-            # (its coordinator died) must not pin its closure forever.
-            while len(agent.callbacks) > self.net.ABANDONED_CAP:
-                agent.callbacks.pop(next(iter(agent.callbacks)))
+            callbacks = agent.callbacks
+            callbacks[rid] = on_done
+            # A result that never arrives (its coordinator died) must not
+            # pin its closure forever: oldest registrations are dropped.
+            while len(callbacks) > _CALLBACK_CAP:
+                callbacks.pop(next(iter(callbacks)))
+        if op == "put":
+            agent.handle_put(node.ident,
+                             StorePut(rid, node.ident, key_id, value, 0))
         else:
-            # Fire-and-forget: pre-abandon so the eventual result is
-            # discarded instead of accreting in the reply sink.
-            agent.abandoned[rid] = None
-            while len(agent.abandoned) > self.net.ABANDONED_CAP:
-                agent.abandoned.pop(next(iter(agent.abandoned)))
-        return rid
+            agent.handle_get(node.ident, StoreGet(rid, node.ident, key_id, 0))
+        return rid, agent
 
     def put_async(
         self,
@@ -542,15 +482,13 @@ class ReplicatedStore(Service):
         For protocol code running *inside* the sim (timers, handlers): the
         write proceeds as real datagram traffic and *on_done*, when given,
         is invoked with the :class:`~repro.core.messages.StorePutResult`
-        when the coordinator answers.  Returns the request id.  Unlike
-        :meth:`put`, the key is not added to the durability-tracked set —
-        callers that want anti-entropy accounting should use :meth:`put`.
+        when the coordinator answers; without it the write is
+        fire-and-forget (nothing is registered, the result is discarded).
+        Returns the request id.  Unlike :meth:`put`, the key is not added
+        to the durability-tracked set — callers that want anti-entropy
+        accounting should use :meth:`put`.
         """
-        node = self.net.live_origin(via)
-        agent = self.agents[node.ident]
-        rid = self._async_rid(agent, on_done)
-        agent.handle_put(node.ident, StorePut(rid, node.ident, self.key_id(key), value, 0))
-        return rid
+        return self._issue("put", self.key_id(key), value, via, on_done)[0]
 
     def get_async(
         self,
@@ -561,11 +499,58 @@ class ReplicatedStore(Service):
         """Issue a quorum read without pumping the simulator (see
         :meth:`put_async`); *on_done* receives the
         :class:`~repro.core.messages.StoreGetResult`."""
-        node = self.net.live_origin(via)
-        agent = self.agents[node.ident]
-        rid = self._async_rid(agent, on_done)
-        agent.handle_get(node.ident, StoreGet(rid, node.ident, self.key_id(key), 0))
-        return rid
+        return self._issue("get", self.key_id(key), None, via, on_done)[0]
+
+    # --------------------------------------------------------- blocking API
+    def _call(self, op: str, key_id: int, value: Any, via: Optional[int],
+              deadline: float):
+        """The async op plus one pump: returns the coordinator's result,
+        or ``None`` when *deadline* virtual seconds pass without one."""
+        net = self.net
+        slot: List[Any] = []
+        rid, agent = self._issue(op, key_id, value, via, slot.append)
+        hub = net.obs
+        if hub is not None:
+            hub.storage_begin(op, rid, agent.node.ident, net.sim.now)
+        if not net.pump(slot, deadline, _SETTLE):
+            agent.callbacks.pop(rid, None)  # a late result is dropped
+        reply = slot[0] if slot else None
+        if hub is not None:
+            if reply is None:
+                hub.storage_end(op, rid, net.sim.now, ok=False,
+                                hops=0, replicas=0, timed_out=True)
+            elif op == "put":
+                hub.storage_end(op, rid, net.sim.now, ok=reply.ok,
+                                hops=reply.hops,
+                                replicas=len(reply.replicas),
+                                timed_out=False)
+            else:
+                hub.storage_end(op, rid, net.sim.now, ok=reply.found,
+                                hops=reply.hops, replicas=0,
+                                timed_out=False)
+        return reply
+
+    def put(self, key: str, value: Any, via: Optional[int] = None) -> StoreResult:
+        """Quorum write; blocks (runs the sim) until resolved or timed out."""
+        key_id = self.key_id(key)
+        reply = self._call("put", key_id, value, via, self._put_deadline())
+        if reply is None:
+            return StoreResult(key=key, key_id=key_id, ok=False)
+        if reply.ok:
+            self.tracked_keys[key_id] = key
+        return StoreResult(key=key, key_id=key_id, ok=reply.ok,
+                           version=reply.version, replicas=reply.replicas,
+                           quorum_met=reply.ok, hops=reply.hops)
+
+    def get(self, key: str, via: Optional[int] = None) -> StoreResult:
+        """Quorum read; blocks until the coordinator answers or times out."""
+        key_id = self.key_id(key)
+        reply = self._call("get", key_id, None, via, self._get_deadline())
+        if reply is None:
+            return StoreResult(key=key, key_id=key_id, ok=False)
+        return StoreResult(key=key, key_id=key_id, ok=reply.found,
+                           value=reply.value, version=reply.version,
+                           quorum_met=reply.quorum_met, hops=reply.hops)
 
     # ---------------------------------------------------------- diagnostics
     def replica_map(self, live_only: bool = True) -> Dict[int, List[int]]:

@@ -280,3 +280,47 @@ def test_docs_catalogue_matches_generated_table():
     assert scenario_table() in doc, (
         "docs/benchmarks.md catalogue is stale — regenerate with "
         "`python -m repro.bench report --scenarios-only` and paste it in")
+
+
+@pytest.mark.parametrize("name, builds", [("table_sizes", 2), ("ngsa_cost", 1)])
+def test_scenario_measures_each_network_once(monkeypatch, name, builds):
+    """A scenario renders from what it computed: one network per result,
+    not a second build-and-measure pass for the printed table."""
+    from repro.core.treep import TreePNetwork
+
+    built = []
+    build = TreePNetwork.build
+    monkeypatch.setattr(
+        TreePNetwork, "build",
+        lambda self, *a, **kw: built.append(self) or build(self, *a, **kw))
+    result = run_scenario(name, smoke=True)
+    assert len(built) == builds
+    assert result.rendered
+
+
+def test_diff_envelopes_tool_names_the_moved_metric(tmp_path):
+    """CI's hash-seed gate: identical views exit 0 (wall-clock fields are
+    ignored), a moved deterministic metric is named and exits 1."""
+    import os
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    result = run_scenario("core", smoke=True)
+    old, new = tmp_path / "old", tmp_path / "new"
+    result.write(str(old))
+    result.wall_time_s += 1.0
+    result.write(str(new))
+
+    def diff():
+        return subprocess.run(
+            [sys.executable, os.path.join(root, "tools", "diff_envelopes.py"),
+             str(old), str(new)], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.path.join(root, "src")})
+
+    assert diff().returncode == 0
+    result.metrics["lookup_success_rate"] -= 0.5
+    result.write(str(new))
+    proc = diff()
+    assert proc.returncode == 1
+    assert "metrics.lookup_success_rate" in proc.stdout

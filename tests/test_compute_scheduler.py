@@ -200,7 +200,7 @@ def test_scheduler_failover_resumes_jobs():
 def test_ensure_scheduler_is_noop_while_alive():
     net, grid = make_grid()
     assert not grid.ensure_scheduler()
-    assert grid.failovers == 0
+    assert grid.stats().failovers == 0
 
 
 def test_orphaned_attempt_fences_itself_off():

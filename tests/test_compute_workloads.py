@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.compute.job import ComputeConfig, JobSpec, checkpoint_key
-from repro.metrics.scheduling import SchedulingStats
+from repro.compute import SchedulingStats
 from repro.services.discovery import Constraint
 from repro.workloads import JobWorkload
 

@@ -9,7 +9,6 @@ def test_defaults_are_paper_case1():
     c = TreePConfig.paper_case1()
     assert c.nc_mode == "fixed" and c.nc_fixed == 4
     assert c.ttl_max == 255
-    assert c.min_level0_connections == 2
 
 
 def test_case2_is_variable():
@@ -40,7 +39,7 @@ def test_frozen():
         dict(nc_floor=1),
         dict(nc_floor=6, nc_ceiling=4),
         dict(max_height=0),
-        dict(min_level0_connections=1),
+        dict(nc_ceiling=1),
         dict(ttl_max=0),
         dict(ttl_max=300),
         dict(keepalive_interval=0),

@@ -23,8 +23,6 @@ from repro.core.messages import (
     ParentAnnounce,
     ParentClaim,
     PromoteGrant,
-    ResourceHit,
-    ResourceQuery,
     Splice,
 )
 
@@ -57,7 +55,6 @@ def test_all_messages_frozen():
         PromoteGrant(1, 2), Demote(1, 2),
         LookupRequest(1, 2, 3, "G"), LookupReply(1, 3, True, 3, 5),
         DhtPut(1, 2, 3), DhtGet(1, 2, 3), DhtValue(1, 3, True),
-        ResourceQuery(1, 2), ResourceHit(1),
     ]
     for m in msgs:
         _assert_frozen_and_slotted(m)
@@ -86,10 +83,6 @@ def test_lookup_request_defaults():
     r = LookupRequest(1, 2, 3, "NG")
     assert r.ttl == 0 and r.path == () and r.alternates == ()
     assert r.from_parent_level == 0
-
-
-def test_resource_hit_size():
-    assert ResourceHit(1, nodes=(1, 2)).wire_size == ResourceHit(1).wire_size + 16
 
 
 def test_storage_messages_frozen_and_sized():

@@ -81,11 +81,13 @@ class TestLookupProtocol:
         assert len(got) == 1 and got[0].found
 
     def test_results_accumulate(self, fresh_net):
+        """Results live on the handles the caller holds; the node keeps no
+        log of them."""
         node = fresh_net.nodes[fresh_net.ids[0]]
-        for t in fresh_net.ids[1:5]:
-            node.issue_lookup(t, "G")
+        pending = [node.issue_lookup(t, "G") for t in fresh_net.ids[1:5]]
         fresh_net.sim.drain()
-        assert len(node.results) == 4
+        assert all(p.result is not None for p in pending)
+        assert not node.pending and not hasattr(node, "results")
 
     def test_all_algorithms_resolve(self, fresh_net):
         rng = np.random.default_rng(0)

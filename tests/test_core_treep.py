@@ -52,7 +52,7 @@ class TestTableInstallation:
         net.build(128)
         return net
 
-    def test_every_node_has_min_level0_connections(self, net):
+    def test_every_node_has_two_level0_connections(self, net):
         for i, node in net.nodes.items():
             assert len(node.table.level0) >= 2, f"node {i} under-connected"
 
@@ -131,9 +131,37 @@ class TestLookups:
     def test_hop_trails_recorded(self, fresh_net):
         known = set(fresh_net.nodes[fresh_net.ids[0]].table.all_known())
         target = next(i for i in fresh_net.ids[1:] if i not in known)
+        hops = []
+        for node in fresh_net.nodes.values():
+            node.hop_observer = lambda req: hops.append(req.ttl)
         fresh_net.lookup_sync(fresh_net.ids[0], target, "G")
-        assert fresh_net.trails, "no trails recorded"
-        assert max(t.max_ttl for t in fresh_net.trails.values()) >= 1
+        assert hops and max(hops) >= 1
+
+    def test_lookup_sync_resolves_with_timers_armed(self, fresh_net):
+        """Stepped to its own resolution: keep-alive timers re-arm forever,
+        so a drain-based lookup_sync would run to drain's event cap."""
+        fresh_net.start_maintenance()
+        before = fresh_net.sim.events_processed
+        r = fresh_net.lookup_sync(fresh_net.ids[0], fresh_net.ids[40])
+        assert r.found
+        assert fresh_net.sim.events_processed - before < 5000
+        fresh_net.stop_maintenance()
+
+    def test_lookups_leave_no_per_request_state(self, fresh_net):
+        """The leak oracle in miniature: with no harness installed, a batch
+        of lookups grows no container on the network or on any node."""
+        def sizes(obj):
+            return {k: len(v) for k, v in vars(obj).items()
+                    if isinstance(v, (dict, list, set))}
+
+        objs = [fresh_net, *fresh_net.nodes.values()]
+        before = [sizes(o) for o in objs]
+        ids = fresh_net.ids
+        pairs = [(ids[i], ids[-1 - i]) for i in range(30)]
+        assert all(r.found for r in fresh_net.run_lookup_batch(pairs, "G"))
+        assert [sizes(o) for o in objs] == before
+        assert all(n.hop_observer is None and not n.pending
+                   for n in fresh_net.nodes.values())
 
 
 class TestFailureHelpers:

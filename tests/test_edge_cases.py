@@ -185,7 +185,7 @@ class TestExtremeConfigs:
 class TestDeterminismAcrossComponents:
     def test_identical_sweep_results(self):
         """Two complete pipelines from the same seed agree exactly."""
-        from repro.experiments import SweepConfig, run_failure_sweep
+        from repro.bench.sweep import SweepConfig, run_failure_sweep
         cfg = SweepConfig(n=48, seed=77, lookups_per_step=20)
         a = run_failure_sweep(cfg)
         run_failure_sweep.cache_clear()  # or the second call is the memo

@@ -10,7 +10,7 @@ import pytest
 
 import repro.bench.scenarios  # noqa: F401  (populates the registry)
 from repro.bench.runner import run_scenario
-from repro.experiments import SweepConfig, run_failure_sweep
+from repro.bench.sweep import SweepConfig, run_failure_sweep
 
 N = 128
 LPS = 60

@@ -6,6 +6,7 @@ holds together end to end; services survive on a stressed overlay.
 """
 
 import numpy as np
+import pytest
 
 from repro import Cluster, TreePConfig, TreePNetwork
 from repro.core.repair import (
@@ -14,12 +15,7 @@ from repro.core.repair import (
     apply_failure_step,
     purge_dead,
 )
-from repro.experiments.ablations import (
-    euclidean_fallback,
-    id_assignment,
-    maintenance_interval,
-    repair_mechanisms,
-)
+from repro.bench import run_scenario
 from repro.sim.failures import FailureSchedule
 from repro.workloads import LookupWorkload
 
@@ -141,22 +137,27 @@ class TestServicesUnderStress:
 
 class TestAblations:
     def test_id_assignment_shapes(self):
-        out = id_assignment(n=96, seed=1, lookups=40)
-        assert set(out) == {"random", "hash", "balanced"}
+        m = run_scenario("ablation_ids", seed=1,
+                         overrides={"n": 96, "lookups": 40}).metrics
         # Balanced IDs give the most even cells.
-        assert out["balanced"]["cell_size_std"] <= out["random"]["cell_size_std"] + 0.5
-        for row in out.values():
-            assert row["success_rate"] >= 0.9
+        assert m["balanced_cell_size_std"] <= m["random_cell_size_std"] + 0.5
+        assert m["min_success_rate"] >= 0.9
 
     def test_euclidean_fallback_helps_or_neutral(self):
-        out = euclidean_fallback(n=96, seed=1, lookups=60)
-        assert out["fallback-on"]["success_rate"] >= out["fallback-off"]["success_rate"] - 0.15
+        m = run_scenario("ablation_fallback", seed=1,
+                         overrides={"n": 96, "lookups": 60}).metrics
+        assert m["fallback_on_success"] >= m["fallback_off_success"] - 0.15
 
-    def test_repair_mechanisms_ordering(self):
-        out = repair_mechanisms(n=96, seed=1, lookups=40)
-        assert out["purge-only"]["success_rate"] <= out["full adoption"]["success_rate"] + 0.1
+    @pytest.fixture(scope="class")
+    def maintenance(self):
+        return run_scenario("ablation_maintenance", seed=1, overrides={
+            "n_maintenance": 32, "horizon": 30.0, "n_repair": 96,
+            "lookups": 40})
 
-    def test_maintenance_interval_monotone_cost(self):
-        out = maintenance_interval(n=32, seed=1, horizon=30.0)
-        costs = [out[i]["messages_per_node_per_s"] for i in sorted(out)]
-        assert costs == sorted(costs, reverse=True)  # shorter period = more traffic
+    def test_repair_mechanisms_ordering(self, maintenance):
+        m = maintenance.metrics
+        assert m["purge_only_success"] <= m["full_adoption_success"] + 0.1
+
+    def test_maintenance_interval_monotone_cost(self, maintenance):
+        checks = {c["name"]: c["passed"] for c in maintenance.checks}
+        assert checks["cost_monotone_in_interval"]  # shorter period = more traffic

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.lookup import LookupAlgorithm, LookupResult
-from repro.metrics import HopHistogram, Series, summarize_batch
+from repro.metrics import Series, summarize_batch
 
 
 class TestSeries:
@@ -51,56 +51,38 @@ class TestSeries:
             Series("t").interp(1.0)
 
 
-class TestHopHistogram:
+def _result(found, hops, timed_out=False):
+    return LookupResult(request_id=1, origin=1, target=2,
+                        algo=LookupAlgorithm.GREEDY, found=found, hops=hops,
+                        timed_out=timed_out)
+
+
+class TestHopPercentRow:
+    """``LookupBatchStats.hops_percent`` — the exact per-hop-count % row
+    behind Figures F-I."""
+
+    @staticmethod
+    def row(hops):
+        return summarize_batch([_result(True, h) for h in hops]).hops_percent
+
     def test_percentages(self):
-        h = HopHistogram()
-        h.add_many([1, 1, 2, 3])
-        assert h.percentage(1) == 50.0
-        assert h.cumulative_percentage(2) == 75.0
-        assert h.total == 4
-
-    def test_mode_and_peak(self):
-        h = HopHistogram()
-        h.add_many([5, 5, 5, 3, 3, 8])
-        assert h.mode() == 5
-        assert h.peak_percentage() == pytest.approx(50.0)
-
-    def test_mean(self):
-        h = HopHistogram()
-        h.add_many([2, 4])
-        assert h.mean() == 3.0
+        row = self.row([1, 1, 2, 3])
+        assert row == (0.0, 50.0, 25.0, 25.0)
 
     def test_empty(self):
-        h = HopHistogram()
-        assert h.percentage(1) == 0.0
-        assert h.mode() == 0
-        assert h.mean() == 0.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            HopHistogram().add(-1)
+        assert summarize_batch([_result(False, 2)]).hops_percent == ()
 
     def test_row_shape(self):
-        h = HopHistogram()
-        h.add_many([0, 1, 35])
-        row = h.row(max_hops=30)
-        assert len(row) == 31
+        row = self.row([0, 1, 35])
+        assert len(row) == 36  # dense up to the largest hop count seen
         assert row[0] == pytest.approx(100 / 3)
 
     @given(hops=st.lists(st.integers(0, 40), min_size=1, max_size=300))
     @settings(max_examples=50, deadline=None)
     def test_property_percentages_sum_to_100(self, hops):
-        h = HopHistogram()
-        h.add_many(hops)
-        total = sum(h.percentage(k) for k in h.counts)
-        assert total == pytest.approx(100.0)
-        assert h.cumulative_percentage(max(hops)) == pytest.approx(100.0)
-
-
-def _result(found, hops, timed_out=False):
-    return LookupResult(request_id=1, origin=1, target=2,
-                        algo=LookupAlgorithm.GREEDY, found=found, hops=hops,
-                        timed_out=timed_out)
+        row = self.row(hops)
+        assert sum(row) == pytest.approx(100.0)
+        assert all(row[h] > 0 for h in hops)
 
 
 class TestSummarizeBatch:
@@ -130,5 +112,4 @@ class TestSummarizeBatch:
     def test_histogram_contains_successes_only(self):
         results = [_result(True, 2), _result(True, 2), _result(False, 9)]
         s = summarize_batch(results)
-        assert s.hops_histogram.total == 2
-        assert s.hops_histogram.percentage(2) == 100.0
+        assert s.hops_percent == (0.0, 0.0, 100.0)

@@ -1,0 +1,79 @@
+#!/usr/bin/env python3
+"""Bit-identity check between two directories of bench envelopes.
+
+Usage::
+
+    PYTHONPATH=src python tools/diff_envelopes.py OLD_DIR NEW_DIR
+
+Compares every ``bench_*.json`` the two directories hold on
+:func:`repro.bench.deterministic_view` — the envelope minus wall-clock
+fields and wall-clock-derived metrics — and prints, per scenario that
+differs, the metric names (or other fields) that moved.  A scenario
+present on one side only counts as a difference.  Exit code 1 when
+anything differs, 0 when every pair is bit-identical.
+
+Two uses: a refactor's own verification (parent commit vs change, full
+and smoke params), and CI's ``PYTHONHASHSEED`` gate — the smoke suite run
+under two hash seeds must produce identical views, which is what makes
+the repo's one justified RPR102 suppression (int-set iteration order in
+``core/lookup.py``) a test instead of an argument.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+from typing import Any, Dict, List
+
+from repro.bench import deterministic_view
+
+
+def load_views(directory: str) -> Dict[str, Dict[str, Any]]:
+    """``{file name: deterministic view}`` of every envelope in *directory*."""
+    views = {}
+    for name in sorted(os.listdir(directory)):
+        if name.startswith("bench_") and name.endswith(".json"):
+            with open(os.path.join(directory, name)) as fh:
+                views[name] = deterministic_view(json.load(fh))
+    return views
+
+
+def differing_fields(old: Dict[str, Any], new: Dict[str, Any]) -> List[str]:
+    """Names of the metrics (``metrics.<name>``) and top-level fields whose
+    values differ between two views."""
+    out = []
+    for field in sorted(set(old) | set(new)):
+        a, b = old.get(field), new.get(field)
+        if a == b:
+            continue
+        if field == "metrics":
+            out += [f"metrics.{k}" for k in sorted(set(a) | set(b))
+                    if a.get(k) != b.get(k)]
+        else:
+            out.append(field)
+    return out
+
+
+def main(argv: List[str]) -> int:
+    if len(argv) != 2:
+        print("usage: PYTHONPATH=src python tools/diff_envelopes.py "
+              "OLD_DIR NEW_DIR", file=sys.stderr)
+        return 2
+    old, new = load_views(argv[0]), load_views(argv[1])
+    differing = 0
+    for name in sorted(set(old) | set(new)):
+        if name not in old or name not in new:
+            print(f"{name}: only in {argv[1] if name in new else argv[0]}")
+            differing += 1
+        elif old[name] != new[name]:
+            print(f"{name}: {', '.join(differing_fields(old[name], new[name]))}")
+            differing += 1
+    total = len(set(old) | set(new))
+    print(f"{total - differing}/{total} envelopes bit-identical on "
+          f"deterministic_view")
+    return 1 if differing or not total else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
