@@ -44,8 +44,8 @@ class ComputeConfig:
         How long a resuming worker waits for the checkpoint read before
         starting from zero anyway.
     steal_interval:
-        Cadence at which an idle worker probes its level-0 siblings for
-        queued work; ``None`` disables work stealing.
+        Cadence at which a *loaded* worker re-advertises its queue to its
+        cell (idle workers send nothing); ``None`` disables work stealing.
     lease_timeout:
         A worker abandons a held job (after a final checkpoint) when its
         heartbeats have gone unacknowledged this long — fencing that

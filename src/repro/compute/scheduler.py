@@ -361,6 +361,8 @@ class JobScheduler(Service):
         self._quorum = quorum
         self.directory: Optional[ResourceDirectory] = None
         self._rng = None
+        #: ``(net.liveness_key, net.alive_ids())`` memo of :meth:`random_origin`.
+        self._alive: tuple = (None, [])
         self.agents: Dict[int, ComputeAgent] = {}
         self._rid = itertools.count(1)
         #: Every job this client has (or will have) submitted: id -> spec.
@@ -416,7 +418,6 @@ class JobScheduler(Service):
 
     def on_node_revive(self, node) -> None:
         agent = self.agents[node.ident]
-        agent.revive()
         if agent.scheduler is not None:
             # The scheduler host came back before anyone called
             # ensure_scheduler: its job table is intact (same process), but
@@ -454,7 +455,9 @@ class JobScheduler(Service):
 
     def random_origin(self) -> int:
         """A seeded random live peer (matchmaking entry-point diversity)."""
-        alive = self.net.alive_ids()
+        if self._alive[0] != self.net.liveness_key:
+            self._alive = (self.net.liveness_key, self.net.alive_ids())
+        alive = self._alive[1]
         if not alive:
             raise RuntimeError("no live node left")
         return alive[int(self._rng.integers(0, len(alive)))]
@@ -629,9 +632,6 @@ class JobScheduler(Service):
 
     def pending_jobs(self) -> List[int]:
         return [jid for jid in self.expected if jid not in self.results]
-
-    def has_active_jobs(self) -> bool:
-        return len(self.results) < len(self.expected)
 
     def _retry_unacked(self) -> None:
         """Re-send submissions the scheduler never acknowledged.

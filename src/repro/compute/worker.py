@@ -18,8 +18,10 @@ unit rate: remaining work == remaining virtual seconds.  Heterogeneity
 therefore shows up as *concurrency* — a 16-core peer runs sixteen
 unit-demand jobs at once where a laptop runs one — which keeps progress
 linear in time and checkpoints exact.  Jobs beyond the free capacity are
-queued; queues drain on completion and are the pool sibling workers steal
-from.
+queued; queues drain on completion, and while one is non-empty its worker
+advertises it (:class:`~repro.core.messages.JobStealOffer`, on enqueue and
+every ``steal_interval``) to its cell, whose idle members answer with a
+steal request.  A worker with no queue sends no stealing traffic at all.
 
 Fault tolerance
 ---------------
@@ -50,6 +52,7 @@ from repro.core.messages import (
     JobRejected,
     JobReport,
     JobStealGrant,
+    JobStealOffer,
     JobStealRequest,
     JobSubmit,
 )
@@ -109,7 +112,6 @@ class ComputeAgent:
         self._hb_timer = None
         self._ckpt_timer = None
         self._steal_timer = None
-        self._arm_steal_timer()
 
     def handlers(self) -> Dict[type, object]:
         """Declarative handler mapping installed by the service registry."""
@@ -123,28 +125,10 @@ class ComputeAgent:
             JobComplete: self._to_scheduler("on_complete"),
             JobLease: self._on_lease,
             JobReport: self._on_report,
+            JobStealOffer: self._on_steal_offer,
             JobStealRequest: self._on_steal_request,
             JobStealGrant: self._on_steal_grant,
         }
-
-    def _arm_steal_timer(self) -> None:
-        if not self.service.config.stealing:
-            return
-        if self._steal_timer is not None and self._steal_timer.running:
-            return
-        # Deterministic per-node phase de-synchronises probe storms.  The
-        # timer is node-scoped in the registry: a departure cancels it.
-        phase = (self.node.ident % 97) / 97.0
-        self._steal_timer = self.service.node_timer(
-            self.node.ident, self.service.config.steal_interval,
-            self._steal_tick, jitter=lambda: phase,
-            label=f"steal:{self.node.ident}",
-        )
-
-    def revive(self) -> None:
-        """The process came back up (handlers already re-installed by the
-        registry): re-arm the node-scoped probe loop."""
-        self._arm_steal_timer()
 
     # ------------------------------------------------------------- plumbing
     def _to_scheduler(self, method: str):
@@ -161,9 +145,7 @@ class ComputeAgent:
 
     def close(self) -> None:
         """Stop this agent's timers (facade shutdown)."""
-        for t in (self._hb_timer, self._ckpt_timer, self._steal_timer):
-            if t is not None:
-                t.stop()
+        self._stop_job_timers()
         self._hb_timer = self._ckpt_timer = self._steal_timer = None
 
     def shutdown(self) -> None:
@@ -236,8 +218,7 @@ class ComputeAgent:
         self.node.send(msg.scheduler, JobAccepted(
             msg.job_id, self.node.ident, msg.attempt, queued=queued))
         if queued:
-            self.queue.append(held)
-            self._ensure_timers()
+            self._enqueue(held)
         else:
             self._start(held)
 
@@ -360,7 +341,7 @@ class ComputeAgent:
                 label=f"job-ckpt:{me}")
 
     def _stop_job_timers(self) -> None:
-        for t in (self._hb_timer, self._ckpt_timer):
+        for t in (self._hb_timer, self._ckpt_timer, self._steal_timer):
             if t is not None:
                 t.stop()
 
@@ -450,28 +431,41 @@ class ComputeAgent:
                                    progress)
 
     # -------------------------------------------------------- work stealing
-    def _steal_tick(self) -> None:
+    def _enqueue(self, held: HeldJob) -> None:
+        """Queue *held*; a worker not already advertising offers its queue
+        now and every ``steal_interval`` until a tick finds it empty."""
+        self.queue.append(held)
+        self._ensure_timers()
+        if not self.service.config.stealing:
+            return
+        if self._steal_timer is None or not self._steal_timer.running:
+            self._steal_timer = self.service.node_timer(
+                self.node.ident, self.service.config.steal_interval,
+                self._offer_tick, label=f"steal:{self.node.ident}")
+            self._offer_tick()
+
+    def _offer_tick(self) -> None:
         if not self._up():
             self._crash_cleanup()
-            return
-        if not self.service.has_active_jobs():
-            return
-        if self.queue:
-            return  # we are loaded ourselves
+        elif not self.queue:
+            self._steal_timer.stop()
+        else:
+            offer = JobStealOffer(self.node.ident,
+                                  min(h.cpu_demand for h in self.queue))
+            # The cell seen from the loaded side: level-0 siblings plus our
+            # children — exactly the peers that count us among their own
+            # level-0 siblings and parents.
+            table = self.node.table
+            for peer in sorted((table.level0 | table.children) - {self.node.ident}):
+                self.node.send(peer, offer)
+
+    def _on_steal_offer(self, src: int, msg: JobStealOffer) -> None:
         free = self.free_cpu()
-        if free <= 0:
-            return
+        if self.queue or free < msg.cpu_demand:
+            return  # loaded ourselves, or no room for even the smallest job
         cap = self.node.capacity
-        probe = JobStealRequest(self.node.ident, free, cap.cpu,
-                                cap.memory_gb, cap.bandwidth_mbps)
-        # Probe the cell: ID-adjacent siblings on the level-0 bus plus our
-        # parents — the high-capacity peers placement packs first, whose
-        # queues the under-loaded cell members drain.
-        targets = set(self.node.table.level0)
-        targets.update(self.node.table.parents.values())
-        targets.discard(self.node.ident)
-        for peer in targets:
-            self.node.send(peer, probe)
+        self.node.send(msg.victim, JobStealRequest(
+            self.node.ident, free, cap.cpu, cap.memory_gb, cap.bandwidth_mbps))
 
     def _on_steal_request(self, src: int, msg: JobStealRequest) -> None:
         if not self.queue:
@@ -509,7 +503,6 @@ class ComputeAgent:
             held.job_id, self.node.ident, held.attempt,
             progress=0.0, queued=self.free_cpu() < held.cpu_demand))
         if self.free_cpu() < held.cpu_demand:
-            self.queue.append(held)
-            self._ensure_timers()
+            self._enqueue(held)
         else:
             self._start(held)

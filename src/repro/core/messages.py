@@ -31,8 +31,8 @@ Message families:
   :class:`JobRejected` (scheduler ↔ worker placement),
   :class:`JobHeartbeat` / :class:`JobComplete` (worker → scheduler
   liveness and outcome), :class:`JobReport` (scheduler → submitter),
-  :class:`JobStealRequest` / :class:`JobStealGrant` (sibling work
-  stealing).
+  :class:`JobStealOffer` / :class:`JobStealRequest` /
+  :class:`JobStealGrant` (sibling work stealing).
 """
 
 from __future__ import annotations
@@ -606,8 +606,19 @@ class JobReport:
 
 
 @dataclass(frozen=True, slots=True)
+class JobStealOffer:
+    """Loaded worker → its cell (level-0 siblings and children): "I hold
+    queued work, the smallest job needs ``cpu_demand``"."""
+
+    victim: int
+    cpu_demand: float
+
+    wire_size: int = _HEADER_BYTES + 12
+
+
+@dataclass(frozen=True, slots=True)
 class JobStealRequest:
-    """Idle worker → level-0 sibling: offer spare capacity.
+    """Idle worker → the victim whose :class:`JobStealOffer` it can fit.
 
     Carries the thief's static capabilities so the victim can check a
     queued job's constraint before granting it away.

@@ -401,6 +401,13 @@ class TreePNetwork:
     def alive_ids(self) -> List[int]:
         return [i for i in self.ids if self.network.is_up(i)]
 
+    @property
+    def liveness_key(self) -> Tuple[int, int]:
+        """Exact invalidation key for anything derived from the live
+        population: joins grow ``nodes``; the fabric's epoch counts every
+        single crash/revival, so equal numbers of both cannot alias."""
+        return (len(self.nodes), self.network.liveness_epoch)
+
     # --------------------------------------------------------- maintenance
     def start_maintenance(self) -> None:
         """Arm keep-alive loops on every live node."""

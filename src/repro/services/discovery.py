@@ -129,8 +129,7 @@ class ResourceDirectory(Service):
         (re)computation — detected via the explicit churn callbacks or the
         fabric's liveness epoch (covers direct ``set_down``/``set_up``)."""
         assert self.net is not None
-        key = (len(self.net.nodes), self.net.network.liveness_epoch)
-        if self._stale or key != self._liveness_key:
+        if self._stale or self.net.liveness_key != self._liveness_key:
             self.refresh()
 
     # ------------------------------------------------------------ aggregates
@@ -158,7 +157,7 @@ class ResourceDirectory(Service):
                             agg.fold_aggregate(sub)
                 self._agg[(p, lvl)] = agg
         self._stale = False
-        self._liveness_key = (len(net.nodes), net.network.liveness_epoch)
+        self._liveness_key = net.liveness_key
 
     def aggregate_of(self, parent: int, level: int) -> Optional[Aggregate]:
         self._sync()

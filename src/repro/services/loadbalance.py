@@ -99,11 +99,6 @@ class LoadBalancer(Service):
             total += self._recompute_subtree(c, lvl - 1 if lvl > 1 else 0)
         return total
 
-    def _current_liveness_key(self) -> Tuple[int, int]:
-        # The epoch counts every individual crash/revival, so an equal
-        # number of failures and rejoins between placements cannot alias.
-        return (len(self.net.nodes), self.net.network.liveness_epoch)
-
     def refresh(self) -> None:
         """Rebuild the cached subtree totals (after failures or joins).
 
@@ -139,10 +134,10 @@ class LoadBalancer(Service):
                 chain.append(p)
                 cur = p
             self._chains[i] = tuple(chain)
-        self._liveness_key = self._current_liveness_key()
+        self._liveness_key = self.net.liveness_key
 
     def _sync_cache(self) -> None:
-        if self._current_liveness_key() != self._liveness_key:
+        if self.net.liveness_key != self._liveness_key:
             self.refresh()
 
     def _shift(self, node: int, old_headroom: float) -> None:

@@ -137,6 +137,7 @@ class EventQueue:
             if ev.cancelled:
                 continue
             self._live -= 1
+            ev._queue = None  # fired: a late cancel() must not touch _live
             return ev
         return None
 

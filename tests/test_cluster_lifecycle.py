@@ -133,21 +133,31 @@ def test_leave_unregisters_handlers_and_cancels_node_tasks():
                .with_storage(QuorumConfig(n=3, w=2, r=2))
                .with_compute(ComputeConfig()))
     state = cluster.state
-    victim = next(i for i in cluster.ids if i != cluster.compute.scheduler_ident)
+    grid = cluster.compute
+    # An idle worker owns no timer at all; give the victim a running job so
+    # it holds node-scoped tasks (heartbeat + checkpoint loops) to cancel.
+    grid.submit(JobSpec(job_id=1, work=200.0))
+    cluster.run_for(5.0)
+    victim = grid.scheduler_core().records[1].worker
+    assert victim is not None and victim != grid.scheduler_ident
+    assert 1 in grid.agents[victim].running
     node = cluster.net.nodes[victim]
     assert StorePut in node.handler_types()
     assert JobSubmit in node.handler_types()
-    assert state.registry_for(node).active_timers("compute") > 0  # steal probe
+    assert state.registry_for(node).active_timers("compute") >= 2
 
     cluster.fail_nodes([victim])
     assert node.handler_types() == set(), "departure must sweep all handlers"
     assert state.registry_for(node).active_timers("compute") == 0
     assert state.registry_for(node).active_timers("storage") == 0
+    assert not grid.agents[victim].running, "a crash wipes in-memory jobs"
 
     cluster.revive_nodes([victim])
     assert StorePut in node.handler_types(), "revival must re-install handlers"
     assert JobSubmit in node.handler_types()
-    assert state.registry_for(node).active_timers("compute") > 0
+    # A restarted process has no memory and nothing queued: no timer comes
+    # back until the scheduler hands it work again.
+    assert state.registry_for(node).active_timers("compute") == 0
     cluster.shutdown()
 
 

@@ -224,7 +224,30 @@ def test_orphaned_attempt_fences_itself_off():
         assert grid.agents[worker].leases_expired >= 1
 
 
+def test_random_origin_memo_follows_churn_and_keeps_the_seeded_pick():
+    net, grid = make_grid(n=48, seed=7)
+    _, twin = make_grid(n=48, seed=7)
+    alive = net.alive_ids()
+    # Memoised list, same order: the seeded draw is the unmemoised one.
+    picks = [grid.random_origin() for _ in range(20)]
+    assert picks == [alive[int(twin._rng.integers(0, len(alive)))]
+                     for _ in range(20)]
+    assert grid._alive[1] == alive and grid._alive[1] is not alive
+    victims = [i for i in alive if i != grid.scheduler_ident][:40]
+    kill(net, grid, victims)
+    assert all(grid.random_origin() not in victims for _ in range(50))
+    net.revive_nodes(victims[:1])
+    assert grid._alive[0] != net.liveness_key  # stale until the next pick
+    grid.random_origin()
+    assert victims[0] in grid._alive[1]
+
+
 # ----------------------------------------------------------- work stealing
+def _steal_datagrams(net):
+    return {k: v for k, v in net.network.stats.by_type.items()
+            if k.startswith("JobSteal")}
+
+
 def test_work_stealing_drains_saturated_queues():
     net, grid = make_grid(n=64, seed=5, steal_interval=4.0)
     # Oversubscribe the grid so placement must queue jobs on busy peers.
@@ -235,6 +258,28 @@ def test_work_stealing_drains_saturated_queues():
     stats = grid.stats()
     assert stats.steals >= 1, "saturation never triggered a steal"
     assert stats.steal_reassignments >= 1  # the scheduler re-owned them
+    # Offers go out only while a queue exists (idle polling: 10 569 here).
+    traffic = _steal_datagrams(net)
+    assert traffic["JobStealOffer"] >= traffic["JobStealRequest"] >= stats.steals
+    assert sum(traffic.values()) <= 1500
+    # Every queue drained: one more interval lets each offer loop notice.
+    net.sim.run_for(4.5)
+    for agent in grid.agents.values():
+        assert not agent.queue
+        assert agent._steal_timer is None or not agent._steal_timer.running
+
+
+def test_idle_grid_is_silent():
+    """No job, no compute traffic: only the scheduler's monitor ticks."""
+    cluster = (Cluster(config=TreePConfig.paper_case1(), seed=7).build(200)
+               .with_storage().with_compute(ComputeConfig()))
+    cluster.run_for(120.0)
+    assert not _steal_datagrams(cluster.net)
+    sched = cluster.compute.scheduler_ident
+    for ident, node in cluster.net.nodes.items():
+        timers = cluster.state.registry_for(node).active_timers("compute")
+        assert timers == (1 if ident == sched else 0)
+    cluster.shutdown()
 
 
 def test_stealing_disabled_still_completes():

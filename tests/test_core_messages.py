@@ -119,6 +119,7 @@ def test_compute_messages_frozen_and_sized():
         JobRejected,
         JobReport,
         JobStealGrant,
+        JobStealOffer,
         JobStealRequest,
         JobSubmit,
     )
@@ -127,7 +128,8 @@ def test_compute_messages_frozen_and_sized():
               JobDispatch(3, 4, 1), JobAccepted(3, 5, 1),
               JobRejected(3, 5, 1), JobHeartbeat(3, 5, 1, 2.5),
               JobComplete(3, 5, 1, 10.0), JobLease(3, 1),
-              JobStealRequest(5, 2.0), JobStealGrant(3, 5, 4, 1)]:
+              JobStealOffer(5, 2.0), JobStealRequest(5, 2.0),
+              JobStealGrant(3, 5, 4, 1)]:
         _assert_frozen_and_slotted(m)
 
 

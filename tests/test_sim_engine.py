@@ -129,6 +129,21 @@ def test_pending_counts_live():
     assert sim.pending == 0
 
 
+def test_cancel_after_fire_is_a_noop():
+    sim = Simulator()
+    fired = [sim.schedule(float(i + 1), lambda: None) for i in range(3)]
+    sim.schedule(5.0, lambda: None)
+    sim.run(until=3.5)
+    for e in fired:  # already fired: must not be accounted a second time
+        e.cancel()
+        e.cancel()
+        assert sim.pending == 1
+    sim.run()
+    for e in fired:
+        e.cancel()
+    assert sim.pending == 0 and len(sim._queue) == 0 and not sim._queue
+
+
 class TestPeriodicTimer:
     def test_fires_repeatedly(self):
         sim = Simulator()
@@ -152,6 +167,20 @@ class TestPeriodicTimer:
         timer.start()
         sim.run(until=10.0)
         assert fired == [1.0]
+
+    def test_stop_from_callback_keeps_pending_exact(self):
+        # The fired event used to be decremented a second time by the
+        # stop() -> cancel() issued from inside its own callback.
+        sim = Simulator()
+        timers = []
+        timers.append(sim.every(1.0, lambda: timers[0].stop()))
+        sim.schedule(5.0, lambda: None)
+        assert sim.pending == 2
+        sim.run(until=2.0)
+        assert not timers[0].running
+        assert sim.pending == 1
+        sim.run()
+        assert sim.pending == 0
 
     def test_jitter_applied(self):
         sim = Simulator()
