@@ -62,7 +62,7 @@ from repro.core.treep import TreePNetwork
 from repro.obs import MetricsRegistry, ObsHub, TraceReader
 from repro.storage import AntiEntropy, QuorumConfig, ReplicatedStore
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 __all__ = [
     "AntiEntropy",

@@ -19,8 +19,9 @@ Three assignment strategies from §III (and §VI future work):
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import List, Literal, Optional, Sequence
+from typing import Iterator, List, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,6 +62,25 @@ class IdSpace:
         if not self.contains(ident):
             raise ValueError(f"id {ident} outside [0, {self.extent})")
         return ident
+
+
+def closest_first(sorted_ids: Sequence[int], key: int) -> Iterator[Tuple[int, int]]:
+    """Walk ascending *sorted_ids* outward from *key*, nearest first.
+
+    Yields ``(|id - key|, id)`` in ascending ``(distance, id)`` order — what
+    ``sorted(ids, key=lambda i: (abs(i - key), i))`` gives — lazily: one
+    bisect, then O(1) per id consumed (placement wants the first few).
+    """
+    hi = bisect_left(sorted_ids, key)
+    lo, n = hi - 1, len(sorted_ids)
+    while lo >= 0 or hi < n:
+        # Below the key while that side is nearer; a tie goes to the smaller id.
+        if hi == n or (lo >= 0 and key - sorted_ids[lo] <= sorted_ids[hi] - key):
+            yield key - sorted_ids[lo], sorted_ids[lo]
+            lo -= 1
+        else:
+            yield sorted_ids[hi] - key, sorted_ids[hi]
+            hi += 1
 
 
 def _hash_id(space: IdSpace, host: str, port: int) -> int:

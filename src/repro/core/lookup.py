@@ -31,7 +31,9 @@ unstable and/or disrupted".
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
+from math import inf
 from typing import List, NamedTuple, Optional, Protocol, Tuple
 
 import numpy as np
@@ -553,13 +555,28 @@ def greedy_key_next_hop(
     node is locally closest, i.e. responsible for the key; without it the
     best non-excluded candidate is returned even when it does not improve
     (the storage layer's sloppy-read fallback hop).
+
+    One bisect into :meth:`RoutingTable.sorted_ids`, then outward past the
+    excluded ids on each side; the nearer side wins: O(log table).
     """
-    best: Optional[int] = None
-    best_d = abs(view.ident - key_id) if improving_only else None
-    for ident in view.table._entries:
-        if ident in exclude:
-            continue
-        d = abs(ident - key_id)
-        if best_d is None or d < best_d:
-            best, best_d = ident, d
+    ids = view.table.sorted_ids()
+    n = len(ids)
+    hi = bisect_left(ids, key_id)
+    lo = hi - 1
+    while lo >= 0 and ids[lo] in exclude:  # nearest admissible id below the key
+        lo -= 1
+    while hi < n and ids[hi] in exclude:  # ... and at or above it
+        hi += 1
+    d_below = key_id - ids[lo] if lo >= 0 else inf
+    d_above = ids[hi] - key_id if hi < n else inf
+    if d_below == d_above:
+        if lo < 0:
+            return None  # nothing admissible on either side
+        # Equidistant pair straddling the key: the entry the table learnt
+        # first wins, as when this was a strict-< scan of `_entries`.
+        best = next(i for i in view.table._entries if i == ids[lo] or i == ids[hi])
+    else:
+        best = ids[lo] if d_below < d_above else ids[hi]
+    if improving_only and min(d_below, d_above) >= abs(view.ident - key_id):
+        return None
     return best

@@ -2,10 +2,15 @@
 
 Every message is a small frozen, ``slots=True`` dataclass (messages are
 allocated once per datagram on the simulator's hottest path — slots cut
-both per-instance memory and attribute-access cost at 10k nodes) with an
-approximate ``wire_size`` (bytes) so the network layer can account
-control-plane overhead.  Sizes follow the paper's entry format — an entry
-is ``(ID, IP, Port)`` plus metadata, ~16 bytes on the wire.
+both per-instance memory and attribute-access cost at 10k nodes), except
+the messages rebuilt on every hop or several times per request — the
+lookup pair and the ``Store*`` family — which are ``NamedTuple`` classes
+(same fields, defaults, immutability; no per-field ``object.__setattr__``).
+Each has an approximate ``wire_size`` (bytes) so the network layer can
+account control-plane overhead: a class-level constant, or a property where
+the size depends on a variable-length field — never a constructor argument.
+Sizes follow the paper's entry format — an entry is ``(ID, IP, Port)`` plus
+metadata, ~16 bytes on the wire.
 
 Message families:
 
@@ -38,7 +43,7 @@ Message families:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, NamedTuple, Optional, Tuple
+from typing import Any, ClassVar, NamedTuple, Optional, Tuple
 
 EntryTuple = Tuple[int, int, float, int, float]  # (id, max_level, score, nc, last_seen)
 
@@ -59,7 +64,7 @@ class Hello:
     score: float
     nc: int
 
-    wire_size: int = _HEADER_BYTES + 12
+    wire_size: ClassVar[int] = _HEADER_BYTES + 12
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,7 +73,7 @@ class HelloAck:
     score: float
     nc: int
 
-    wire_size: int = _HEADER_BYTES + 12
+    wire_size: ClassVar[int] = _HEADER_BYTES + 12
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,7 +84,7 @@ class JoinRequest:
     score: float
     nc: int
 
-    wire_size: int = _HEADER_BYTES + 12
+    wire_size: ClassVar[int] = _HEADER_BYTES + 12
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,7 +94,7 @@ class JoinRedirect:
     joiner: int
     closer: int
 
-    wire_size: int = _HEADER_BYTES + 8
+    wire_size: ClassVar[int] = _HEADER_BYTES + 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,7 +105,7 @@ class JoinAccept:
     right: Optional[int]
     parent: Optional[int]
 
-    wire_size: int = _HEADER_BYTES + 12
+    wire_size: ClassVar[int] = _HEADER_BYTES + 12
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,7 +120,7 @@ class Splice:
     left: Optional[int]
     right: Optional[int]
 
-    wire_size: int = _HEADER_BYTES + 12
+    wire_size: ClassVar[int] = _HEADER_BYTES + 12
 
 
 # -------------------------------------------------------------- maintenance
@@ -148,7 +153,7 @@ class ChildReport:
     score: float
     max_level: int
 
-    wire_size: int = _HEADER_BYTES + 12
+    wire_size: ClassVar[int] = _HEADER_BYTES + 12
 
 
 # ---------------------------------------------------------------- hierarchy
@@ -159,7 +164,7 @@ class ElectionStart:
     level: int
     initiator: int
 
-    wire_size: int = _HEADER_BYTES + 8
+    wire_size: ClassVar[int] = _HEADER_BYTES + 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,7 +175,7 @@ class ParentClaim:
     winner: int
     score: float
 
-    wire_size: int = _HEADER_BYTES + 12
+    wire_size: ClassVar[int] = _HEADER_BYTES + 12
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,7 +201,7 @@ class PromoteGrant:
     child: int
     to_level: int
 
-    wire_size: int = _HEADER_BYTES + 8
+    wire_size: ClassVar[int] = _HEADER_BYTES + 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,7 +211,7 @@ class Demote:
     node: int
     level: int
 
-    wire_size: int = _HEADER_BYTES + 8
+    wire_size: ClassVar[int] = _HEADER_BYTES + 8
 
 
 # ------------------------------------------------------------------- lookup
@@ -286,7 +291,7 @@ class DhtPut:
     replicas: int = 1
     direct: bool = False
 
-    wire_size: int = _HEADER_BYTES + 64
+    wire_size: ClassVar[int] = _HEADER_BYTES + 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -296,7 +301,7 @@ class DhtGet:
     key_id: int
     ttl: int = 0
 
-    wire_size: int = _HEADER_BYTES + 16
+    wire_size: ClassVar[int] = _HEADER_BYTES + 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -309,7 +314,7 @@ class DhtValue:
     value: Any = None
     hops: int = 0
 
-    wire_size: int = _HEADER_BYTES + 64
+    wire_size: ClassVar[int] = _HEADER_BYTES + 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -330,8 +335,7 @@ class DhtPutAck:
 
 
 # -------------------------------------------------------- replicated storage
-@dataclass(frozen=True, slots=True)
-class StorePut:
+class StorePut(NamedTuple):
     """Client write, routed greedily towards the key's responsible node."""
 
     request_id: int
@@ -340,11 +344,10 @@ class StorePut:
     value: Any = None
     ttl: int = 0
 
-    wire_size: int = _HEADER_BYTES + 72
+    wire_size = _HEADER_BYTES + 72
 
 
-@dataclass(frozen=True, slots=True)
-class StoreGet:
+class StoreGet(NamedTuple):
     """Client read, routed like :class:`StorePut`.
 
     ``path`` records the nodes visited so the sloppy-read fallback (an
@@ -365,8 +368,7 @@ class StoreGet:
         return _HEADER_BYTES + 16 + 8 * len(self.path)
 
 
-@dataclass(frozen=True, slots=True)
-class StoreReplicate:
+class StoreReplicate(NamedTuple):
     """Coordinator → replica: adopt this version of the key.
 
     Carries the full ``(timestamp, version, writer)`` stamp so the receiver
@@ -383,11 +385,10 @@ class StoreReplicate:
     writer: int
     timestamp: float = 0.0
 
-    wire_size: int = _HEADER_BYTES + 88
+    wire_size = _HEADER_BYTES + 88
 
 
-@dataclass(frozen=True, slots=True)
-class StoreAck:
+class StoreAck(NamedTuple):
     """Replica → coordinator write acknowledgement (the dedicated ack type)."""
 
     request_id: int
@@ -396,22 +397,20 @@ class StoreAck:
     version: int
     ok: bool = True
 
-    wire_size: int = _HEADER_BYTES + 24
+    wire_size = _HEADER_BYTES + 24
 
 
-@dataclass(frozen=True, slots=True)
-class StoreRead:
+class StoreRead(NamedTuple):
     """Coordinator → replica: report your version of the key."""
 
     request_id: int
     coordinator: int
     key_id: int
 
-    wire_size: int = _HEADER_BYTES + 16
+    wire_size = _HEADER_BYTES + 16
 
 
-@dataclass(frozen=True, slots=True)
-class StoreReadReply:
+class StoreReadReply(NamedTuple):
     """Replica → coordinator: the replica's versioned copy (or a miss)."""
 
     request_id: int
@@ -423,11 +422,10 @@ class StoreReadReply:
     writer: int = -1
     timestamp: float = 0.0
 
-    wire_size: int = _HEADER_BYTES + 88
+    wire_size = _HEADER_BYTES + 88
 
 
-@dataclass(frozen=True, slots=True)
-class StorePutResult:
+class StorePutResult(NamedTuple):
     """Coordinator → client: quorum write outcome."""
 
     request_id: int
@@ -442,8 +440,7 @@ class StorePutResult:
         return _HEADER_BYTES + 24 + 8 * len(self.replicas)
 
 
-@dataclass(frozen=True, slots=True)
-class StoreGetResult:
+class StoreGetResult(NamedTuple):
     """Coordinator → client: quorum read outcome (freshest version wins)."""
 
     request_id: int
@@ -454,7 +451,7 @@ class StoreGetResult:
     quorum_met: bool = True
     hops: int = 0
 
-    wire_size: int = _HEADER_BYTES + 80
+    wire_size = _HEADER_BYTES + 80
 
 
 # ------------------------------------------------------------- grid compute
@@ -497,7 +494,7 @@ class JobAck:
     accepted: bool = True
     hops: int = 0
 
-    wire_size: int = _HEADER_BYTES + 20
+    wire_size: ClassVar[int] = _HEADER_BYTES + 20
 
 
 @dataclass(frozen=True, slots=True)
@@ -519,7 +516,7 @@ class JobDispatch:
     min_bandwidth_mbps: float = 0.0
     resume: bool = False
 
-    wire_size: int = _HEADER_BYTES + 48
+    wire_size: ClassVar[int] = _HEADER_BYTES + 48
 
 
 @dataclass(frozen=True, slots=True)
@@ -531,7 +528,7 @@ class JobAccepted:
     attempt: int
     queued: bool = False
 
-    wire_size: int = _HEADER_BYTES + 16
+    wire_size: ClassVar[int] = _HEADER_BYTES + 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -542,7 +539,7 @@ class JobRejected:
     worker: int
     attempt: int
 
-    wire_size: int = _HEADER_BYTES + 12
+    wire_size: ClassVar[int] = _HEADER_BYTES + 12
 
 
 @dataclass(frozen=True, slots=True)
@@ -560,7 +557,7 @@ class JobHeartbeat:
     progress: float = 0.0
     queued: bool = False
 
-    wire_size: int = _HEADER_BYTES + 24
+    wire_size: ClassVar[int] = _HEADER_BYTES + 24
 
 
 @dataclass(frozen=True, slots=True)
@@ -576,7 +573,7 @@ class JobLease:
     job_id: int
     attempt: int
 
-    wire_size: int = _HEADER_BYTES + 12
+    wire_size: ClassVar[int] = _HEADER_BYTES + 12
 
 
 @dataclass(frozen=True, slots=True)
@@ -589,7 +586,7 @@ class JobComplete:
     attempt: int
     executed: float = 0.0
 
-    wire_size: int = _HEADER_BYTES + 20
+    wire_size: ClassVar[int] = _HEADER_BYTES + 20
 
 
 @dataclass(frozen=True, slots=True)
@@ -602,7 +599,7 @@ class JobReport:
     worker: int = -1
     attempts: int = 1
 
-    wire_size: int = _HEADER_BYTES + 20
+    wire_size: ClassVar[int] = _HEADER_BYTES + 20
 
 
 @dataclass(frozen=True, slots=True)
@@ -613,7 +610,7 @@ class JobStealOffer:
     victim: int
     cpu_demand: float
 
-    wire_size: int = _HEADER_BYTES + 12
+    wire_size: ClassVar[int] = _HEADER_BYTES + 12
 
 
 @dataclass(frozen=True, slots=True)
@@ -630,7 +627,7 @@ class JobStealRequest:
     memory_gb: float = 1.0
     bandwidth_mbps: float = 10.0
 
-    wire_size: int = _HEADER_BYTES + 24
+    wire_size: ClassVar[int] = _HEADER_BYTES + 24
 
 
 @dataclass(frozen=True, slots=True)
@@ -652,4 +649,4 @@ class JobStealGrant:
     min_bandwidth_mbps: float = 0.0
     resume: bool = False
 
-    wire_size: int = _HEADER_BYTES + 48
+    wire_size: ClassVar[int] = _HEADER_BYTES + 48

@@ -28,7 +28,7 @@ refreshes every role it appears under at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 
 @dataclass(slots=True)
@@ -218,6 +218,12 @@ class RoutingTable:
     The table never stores the owning node itself.  Mutators are idempotent;
     `expire` is the only method that removes entries besides explicit
     `forget`.
+
+    Two change counters for two kinds of derived view: :attr:`version` moves
+    when a *role* set or a peer's level changes (the router's candidate
+    orders key on it), not when a role-less entry comes or goes; the
+    membership epoch ``_membership`` moves exactly when the set of known
+    ids does (:meth:`sorted_ids` keys on it), whatever their roles.
     """
 
     def __init__(self, owner: int) -> None:
@@ -227,6 +233,8 @@ class RoutingTable:
         #: router's per-node candidate-order caches key on it (any hit at
         #: an unchanged version is guaranteed to see the same role sets).
         self._version: int = 0
+        self._membership: int = 0
+        self._sorted_ids: Tuple[int, Sequence[int]] = (-1, ())
         #: Version-keyed memo space for derived views of this table
         #: (see :mod:`repro.core.lookup`): name -> (version, value).
         self.cache: Dict[str, Tuple[int, Any]] = {}
@@ -250,6 +258,16 @@ class RoutingTable:
     def version(self) -> int:
         """Role-membership version (bumps on any add/remove in any table)."""
         return self._version
+
+    def sorted_ids(self) -> Sequence[int]:
+        """Every known id, ascending — the table as the 1-D space sees it.
+        Memoised per membership epoch and rebuilt lazily (tables nobody
+        key-routes through never pay); callers must not mutate it."""
+        epoch, ids = self._sorted_ids
+        if epoch != self._membership:
+            ids = sorted(self._entries)
+            self._sorted_ids = (self._membership, ids)
+        return ids
 
     #: Role attributes whose rebinding must stay versioned (the repair
     #: policies rebuild whole roles by assignment: ``t.superiors = fresh``).
@@ -289,6 +307,7 @@ class RoutingTable:
         if e is None:
             e = Entry(ident=ident, last_seen=now)
             self._entries[ident] = e
+            self._membership += 1
         e.touch(now)
         if max_level is not None and max_level != e.max_level:
             # The router's candidate caches key on the version and memoise
@@ -316,7 +335,8 @@ class RoutingTable:
 
     def forget(self, ident: int) -> None:
         """Drop *ident* from every table (e.g. a detected-dead peer)."""
-        self._entries.pop(ident, None)
+        if self._entries.pop(ident, None) is not None:
+            self._membership += 1
         self.level0.discard(ident)
         self.level0_indirect.discard(ident)
         for ids in self.level_tables.values():
@@ -449,6 +469,8 @@ class RoutingTable:
         drop = [i for i in self._entries if i not in keep]
         for i in drop:
             del self._entries[i]
+        if drop:
+            self._membership += 1
         return len(drop)
 
     # ---------------------------------------------------------------- delta

@@ -70,9 +70,15 @@ class Simulator:
     # -------------------------------------------------------------- schedule
     def schedule(self, delay: float, callback: Callback, label: str = "") -> Event:
         """Schedule *callback* to fire ``delay`` time units from now."""
+        return self.schedule_event(delay, Event(0.0, 0, callback, label=label))
+
+    def schedule_event(self, delay: float, ev: Event) -> Event:
+        """Schedule the ready-made record *ev* (see
+        :meth:`EventQueue.push_event`) to fire ``delay`` time units from now."""
         if delay < 0:
-            raise SimulationError(f"negative delay {delay!r} for event {label!r}")
-        return self._queue.push(self._now + delay, callback, label=label)
+            raise SimulationError(f"negative delay {delay!r} for event {ev.label!r}")
+        ev.time = self._now + delay
+        return self._queue.push_event(ev)
 
     def schedule_at(self, time: float, callback: Callback, label: str = "") -> Event:
         """Schedule *callback* at absolute virtual *time* (>= now)."""
@@ -111,7 +117,7 @@ class Simulator:
         self._event_count += 1
         if self._event_hook is not None:
             self._event_hook(ev)
-        ev.callback()
+        ev.fire()
         return True
 
     def run(self, until: Optional[float] = None) -> None:
@@ -169,7 +175,7 @@ class Simulator:
             self._event_count += 1
             if hook is not None:
                 hook(ev)
-            ev.callback()
+            ev.fire()
             fired += 1
         raise SimulationError(f"drain exceeded {max_events} events")
 

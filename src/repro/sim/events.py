@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 #: Type of an event callback.  Callbacks receive no arguments; bind state via
-#: closures or ``functools.partial``.
+#: closures or ``functools.partial`` — or subclass :class:`Event`.
 Callback = Callable[[], None]
 
 #: Compaction never bothers with heaps smaller than this (the rebuild
@@ -49,11 +49,15 @@ class Event:
         skipped when popped (lazy deletion — O(1) cancel).
     label:
         Optional human-readable tag used by traces and error messages.
+
+    A subclass is the record of something that *is* its own event (a
+    :class:`~repro.sim.network.Datagram` in flight): it overrides
+    :meth:`fire` and enters the queue through :meth:`EventQueue.push_event`.
     """
 
     time: float
     seq: int
-    callback: Callback
+    callback: Callable[..., None]
     cancelled: bool = False
     label: str = ""
     _queue: Optional["EventQueue"] = field(default=None, repr=False)
@@ -66,6 +70,10 @@ class Event:
         if t != o:
             return t < o
         return self.seq < other.seq
+
+    def fire(self) -> None:
+        """Run the event (the kernel calls this once, when it pops)."""
+        self.callback()
 
     def cancel(self) -> None:
         """Mark the event so the queue skips it.  Idempotent, amortised O(1)."""
@@ -115,11 +123,17 @@ class EventQueue:
 
     def push(self, time: float, callback: Callback, label: str = "") -> Event:
         """Schedule *callback* at absolute simulated *time*."""
+        return self.push_event(Event(time, 0, callback, label=label))
+
+    def push_event(self, ev: Event) -> Event:
+        """Schedule the ready-made record *ev* at its own ``ev.time`` — an
+        :class:`Event` subclass carrying its own state (a datagram) is one
+        object in flight, not record + bound callback + event."""
+        time = ev.time
         if time != time:  # NaN guard: a NaN timestamp would corrupt the heap
             raise ValueError("event time must not be NaN")
-        seq = self._next_seq
+        ev.seq = seq = self._next_seq
         self._next_seq = seq + 1
-        ev = Event(time=time, seq=seq, callback=callback, label=label)
         ev._queue = self
         heapq.heappush(self._heap, (time, seq, ev))
         self._live += 1
@@ -172,12 +186,3 @@ class EventQueue:
         if len(heap) > _COMPACT_MIN and len(heap) - self._live > self._live:
             self._heap = [item for item in heap if not item[2].cancelled]
             heapq.heapify(self._heap)
-
-
-def make_callback(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Callback:
-    """Bind arguments into a zero-argument callback without ``lambda`` noise."""
-
-    def _cb() -> None:
-        fn(*args, **kwargs)
-
-    return _cb

@@ -16,24 +16,37 @@ overhead benches read to compare control traffic between configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable, Dict, Optional, Set
 
 import numpy as np
 
 from repro.sim.engine import Simulator
+from repro.sim.events import Event
 from repro.sim.latency import ConstantLatency, LatencyModel
 
 
-@dataclass(slots=True)
-class Datagram:
-    """One simulated UDP packet."""
+class Datagram(Event):
+    """One simulated UDP packet — and the event record of its own delivery:
+    ``time`` is its arrival, ``label`` its ``dgram:<Type>`` tag, and firing
+    it calls ``callback`` (the fabric's delivery routine) with the datagram,
+    so a packet in flight is one object on the simulator's heap."""
 
-    src: int
-    dst: int
-    payload: Any
-    send_time: float
-    size: int = 0  # approximate wire size in bytes, for overhead accounting
+    __slots__ = ("src", "dst", "payload", "send_time", "size")
+
+    def __init__(self, deliver: Callable[["Datagram"], None], label: str,
+                 src: int, dst: int, payload: Any, send_time: float,
+                 size: int = 0) -> None:
+        self.callback = deliver
+        self.cancelled = False
+        self.label = label
+        self.src = src
+        self.dst = dst
+        self.payload = payload
+        self.send_time = send_time
+        self.size = size  # approximate wire size in bytes, for overhead accounting
+
+    def fire(self) -> None:
+        self.callback(self)
 
 
 #: type -> (type name, event label) — computed once per payload type so the
@@ -158,6 +171,9 @@ class Network:  # repro-lint: disable=RPR401 one instance per simulation; slotti
         #: a :class:`~repro.sim.failures.FailureSchedule`, or a direct call).
         self.down_hooks: list[Callable[[int], None]] = []
         self.up_hooks: list[Callable[[int], None]] = []
+        #: Every datagram's ``callback``, bound once (a fresh bound method
+        #: per packet would be a second allocation per datagram).
+        self._arrive = self._deliver
 
     # ---------------------------------------------------------- membership
     def register(self, proc: Process) -> None:
@@ -238,9 +254,9 @@ class Network:  # repro-lint: disable=RPR401 one instance per simulation; slotti
             return
 
         sim = self.sim
-        dgram = Datagram(src=src, dst=dst, payload=payload, send_time=sim.now, size=size)
-        sim.schedule(self.latency.sample(src, dst),
-                     partial(self._deliver, dgram), label=label)
+        sim.schedule_event(
+            self.latency.sample(src, dst),
+            Datagram(self._arrive, label, src, dst, payload, sim.now, size))
 
     def _deliver(self, dgram: Datagram) -> None:
         # Destination may have died or left while the packet was in flight.

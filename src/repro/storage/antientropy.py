@@ -206,7 +206,7 @@ class AntiEntropy(Service):
         net = store.net
         n = store.quorum.n
         catalog = self._catalogue()
-        live = [i for i in net.ids if net.network.is_up(i)]  # hoisted per sweep
+        live = sorted(net.alive_ids())  # hoisted per sweep
 
         repairs = 0
         under = 0

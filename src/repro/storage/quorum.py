@@ -30,7 +30,7 @@ Construct through :meth:`repro.cluster.Cluster.with_storage`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.cluster.service import Handler, Service, ServiceContext
@@ -191,20 +191,14 @@ class StorageAgent:
             StoreGetResult: self._on_result,
         }
 
-    # ------------------------------------------------------------- routing
-    def _route(self, msg) -> bool:
-        """Forward towards the key if a closer peer exists; True when sent."""
-        if msg.ttl > self.node.config.ttl_max:
-            return True  # drop: the client's drain ends with no reply
-        nxt = greedy_key_next_hop(self.node, msg.key_id)
-        if nxt is None:
-            return False
-        self.node.send(nxt, replace(msg, ttl=msg.ttl + 1))
-        return True
-
     # -------------------------------------------------------------- writes
     def handle_put(self, src: int, msg: StorePut) -> None:
-        if self._route(msg):
+        if msg.ttl > self.node.config.ttl_max:
+            return  # drop: the client's pump ends with no reply
+        nxt = greedy_key_next_hop(self.node, msg.key_id)
+        if nxt is not None:
+            self.node.send(nxt, StorePut(msg.request_id, msg.origin, msg.key_id,
+                                         msg.value, msg.ttl + 1))
             return
         # We are the responsible node: coordinate the quorum write.  The
         # stamp leads with coordination time so this write dominates any
@@ -282,8 +276,9 @@ class StorageAgent:
         exclude = frozenset(msg.path) | {self.node.ident}
         nxt = greedy_key_next_hop(self.node, msg.key_id, exclude)
         if nxt is not None:
-            self.node.send(nxt, replace(msg, ttl=msg.ttl + 1,
-                                        path=msg.path + (self.node.ident,)))
+            self.node.send(nxt, StoreGet(msg.request_id, msg.origin, msg.key_id,
+                                         msg.ttl + 1, msg.fallbacks,
+                                         msg.path + (self.node.ident,)))
             return
         targets = tuple(self.placement.replicas(self.node, msg.key_id, self.quorum.n))
         pend = _PendingRead(

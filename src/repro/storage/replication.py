@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence, Type
 
+from repro.core.ids import closest_first
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.node import TreePNode
     from repro.core.treep import TreePNetwork
@@ -51,23 +53,23 @@ class PlacementStrategy(Protocol):
     ) -> List[int]:
         """The ideal live replica set for *key_id* given current liveness.
 
-        *live* lets a sweep pass the precomputed live population instead of
-        re-scanning it per key.
+        *live* lets a sweep pass the precomputed live population — in
+        **ascending** id order — instead of re-scanning (and re-sorting) it
+        per key.
         """
         ...
 
 
 def _pad_with_closest(
-    out: List[int], pool: Sequence[int], key_id: int, n: int, space
+    out: List[int], sorted_pool: Sequence[int], key_id: int, n: int
 ) -> List[int]:
-    """Extend *out* to *n* entries with the pool members closest to the key."""
-    seen = set(out)
-    for ident in sorted(pool, key=lambda i: (space.distance(i, key_id), i)):
+    """Extend *out* to *n* entries with the members of the ascending
+    *sorted_pool* closest to the key (ties to the smaller id)."""
+    for _, ident in closest_first(sorted_pool, key_id):
         if len(out) >= n:
             break
-        if ident not in seen:
+        if ident not in out:
             out.append(ident)
-            seen.add(ident)
     return out
 
 
@@ -77,12 +79,10 @@ class Level0Placement:
     name = "level0"
 
     def replicas(self, node: "TreePNode", key_id: int, n: int) -> List[int]:
-        space = node.config.space
-        out = [node.ident]
-        _pad_with_closest(out, node.table.level0, key_id, n, space)
+        out = _pad_with_closest([node.ident], sorted(node.table.level0), key_id, n)
         if len(out) < n:
             # Thin neighbourhood (bus endpoint): widen to indirect knowledge.
-            _pad_with_closest(out, node.table.level0_indirect, key_id, n, space)
+            _pad_with_closest(out, sorted(node.table.level0_indirect), key_id, n)
         return out[:n]
 
     def repair_targets(
@@ -92,21 +92,15 @@ class Level0Placement:
         n: int,
         live: Optional[Sequence[int]] = None,
     ) -> List[int]:
-        space = net.config.space
         if live is None:
-            live = [i for i in net.ids if net.network.is_up(i)]
+            live = sorted(net.alive_ids())
         if not live:
             return []
-        responsible = min(live, key=lambda i: (space.distance(i, key_id), i))
-        out = [responsible]
-        neighbours = [
-            i for i in net.nodes[responsible].table.level0
-            if net.network.is_up(i)
-        ]
-        _pad_with_closest(out, neighbours, key_id, n, space)
-        if len(out) < n:
-            _pad_with_closest(out, live, key_id, n, space)
-        return out[:n]
+        out = _pad_with_closest([], live, key_id, 1)  # the responsible node
+        up = net.network.is_up
+        neighbours = sorted(i for i in net.nodes[out[0]].table.level0 if up(i))
+        _pad_with_closest(out, neighbours, key_id, n)
+        return _pad_with_closest(out, live, key_id, n)[:n]
 
 
 class SuccessorPlacement:
@@ -115,10 +109,8 @@ class SuccessorPlacement:
     name = "successor"
 
     def replicas(self, node: "TreePNode", key_id: int, n: int) -> List[int]:
-        space = node.config.space
-        out = [node.ident]
-        pool = [e.ident for e in node.table.candidates()]
-        return _pad_with_closest(out, pool, key_id, n, space)[:n]
+        return _pad_with_closest(
+            [node.ident], node.table.sorted_ids(), key_id, n)[:n]
 
     def repair_targets(
         self,
@@ -127,10 +119,9 @@ class SuccessorPlacement:
         n: int,
         live: Optional[Sequence[int]] = None,
     ) -> List[int]:
-        space = net.config.space
         if live is None:
-            live = [i for i in net.ids if net.network.is_up(i)]
-        return _pad_with_closest([], live, key_id, n, space)[:n]
+            live = sorted(net.alive_ids())
+        return _pad_with_closest([], live, key_id, n)
 
 
 _STRATEGIES: Dict[str, Type] = {

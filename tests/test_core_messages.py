@@ -160,3 +160,33 @@ def test_storage_message_sizes_scale():
         StoreGet(1, 2, 3).wire_size + 16
     assert StorePutResult(1, 3, True, replicas=(1,)).wire_size == \
         StorePutResult(1, 3, True).wire_size + 8
+
+
+def test_wire_size_is_not_a_constructor_argument():
+    """``wire_size`` is class-level: it cannot be passed positionally or by
+    keyword (so no 999-byte Hello), and it is not part of ``repr``/``==``."""
+    from repro.core.messages import JobAck, StorePut
+
+    one_per_family = [
+        (Hello, (0, 1.0, 4)),            # bootstrap / join
+        (ChildReport, (1, 1.0, 0)),      # maintenance
+        (ElectionStart, (0, 1)),         # hierarchy
+        (DhtGet, (1, 2, 3, 0)),          # services
+        (StorePut, (1, 2, 3, "v", 0)),   # replicated storage (NamedTuple)
+        (JobAck, (1, 3, 4, True, 0)),    # grid compute
+    ]
+    for cls, args in one_per_family:
+        msg = cls(*args)
+        with pytest.raises(TypeError):
+            cls(*args, 999)
+        with pytest.raises(TypeError):
+            cls(*args, wire_size=999)
+        assert "wire_size" not in repr(msg), cls.__name__
+        assert isinstance(cls.wire_size, int) and msg.wire_size == cls.wire_size
+
+
+def test_wire_sizes_read_what_they_always_read():
+    assert Hello(0, 1.0, 4).wire_size == 40
+    entries = tuple((i, 0, 1.0, 4, 0.0) for i in range(3))
+    assert KeepAlive(entries=entries).wire_size == 28 + 3 * 16
+    assert KeepAliveAck(entries=entries).wire_size == 28 + 3 * 16

@@ -182,3 +182,68 @@ def test_property_size_equals_distinct_known(ops):
     assert t.size() == len(known)
     assert set(t.all_known()) == known
     assert 999 not in t.all_known()
+
+
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("upsert"), st.integers(0, 40), st.integers(0, 3)),
+    st.tuples(st.just("add_level0"), st.integers(0, 40), st.just(0)),
+    st.tuples(st.just("add_child"), st.integers(0, 40), st.just(0)),
+    st.tuples(st.just("set_parent"), st.integers(0, 40), st.integers(1, 3)),
+    st.tuples(st.just("touch"), st.integers(0, 40), st.just(0)),
+    st.tuples(st.just("forget"), st.integers(0, 40), st.just(0)),
+    st.tuples(st.just("expire"), st.just(0), st.integers(0, 30)),
+    st.tuples(st.just("trim_to_roles"), st.just(0), st.just(0)),
+    st.tuples(st.just("merge_delta"), st.integers(0, 40), st.integers(0, 3)),
+    st.tuples(st.just("discard_role"), st.integers(0, 40), st.just(0)),
+)
+
+
+@given(ops=st.lists(_MUTATIONS, max_size=80))
+@settings(max_examples=150, deadline=None)
+def test_property_membership_epoch_moves_iff_known_ids_change(ops):
+    """The membership epoch moves iff ``set(_entries)`` changed — whatever
+    mutator did it — and ``sorted_ids()`` is never stale.  ``version``
+    cannot play this part: a role-less upsert and a trim leave it alone."""
+    t = RoutingTable(owner=999)
+    now = 0.0
+    for op, ident, arg in ops:
+        now += 1.0
+        before_ids, before_epoch = set(t._entries), t._membership
+        before_view = t.sorted_ids()
+        if op == "upsert":
+            t.upsert(ident, now, max_level=arg)
+        elif op == "add_level0":
+            t.add_level0(ident, now)
+        elif op == "add_child":
+            t.add_child(ident, now)
+        elif op == "set_parent":
+            t.set_parent(arg, ident, now)
+        elif op == "touch":
+            t.touch(ident, now)
+        elif op == "forget":
+            t.forget(ident)
+        elif op == "expire":
+            t.expire(now, entry_ttl=float(arg))
+        elif op == "trim_to_roles":
+            t.trim_to_roles()
+        elif op == "merge_delta":
+            t.merge_delta([(ident, arg, 1.0, 4, now), (999, 0, 1.0, 4, now)], now)
+        elif op == "discard_role":
+            t.level0.discard(ident)
+            t.children.discard(ident)
+        changed = set(t._entries) != before_ids
+        assert (t._membership != before_epoch) == changed, (op, ident, arg)
+        assert list(t.sorted_ids()) == sorted(t._entries)
+        if not changed:
+            assert t.sorted_ids() is before_view  # memo hit, no re-sort
+
+
+def test_role_less_upsert_and_trim_move_the_epoch_but_not_the_version(table):
+    table.add_level0(7, 0.0)
+    version, epoch = table.version, table._membership
+    table.upsert(8, 0.0)                    # gossip-learnt, no role
+    assert table.version == version and table._membership == epoch + 1
+    assert list(table.sorted_ids()) == [7, 8]
+    assert table.trim_to_roles() == 1       # drops 8 again
+    assert table.version == version and table._membership == epoch + 2
+    assert list(table.sorted_ids()) == [7]

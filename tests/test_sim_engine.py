@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.engine import PeriodicTimer, SimulationError, Simulator
+from repro.sim.events import Event
 
 
 def test_clock_starts_at_zero():
@@ -215,3 +216,48 @@ def test_not_reentrant():
     sim.schedule(1.0, nested)
     sim.run()
     assert err and "reentrant" in err[0]
+
+
+class _Record(Event):
+    """An event that is its own state: fires by appending itself."""
+
+    __slots__ = ("sink",)
+
+    def __init__(self, sink, label="rec"):
+        super().__init__(0.0, 0, None, False, label)
+        self.sink = sink
+
+    def fire(self):
+        self.sink.append((self.label, self.time, self.seq))
+
+
+def test_schedule_event_fires_the_record_itself_from_step_and_drain():
+    sim = Simulator()
+    out = []
+    sim.schedule(1.0, lambda: out.append("cb"))
+    first = sim.schedule_event(1.0, _Record(out, "a"))
+    sim.schedule_event(2.0, _Record(out, "b"))
+    assert sim.pending == 3 and first.seq == 1 and first.time == 1.0
+    assert sim.step() and sim.step()          # step() path
+    assert out == ["cb", ("a", 1.0, 1)]
+    assert sim.drain() == 1                   # drain() path
+    assert out[-1] == ("b", 2.0, 2) and sim.now == 2.0
+
+
+def test_schedule_event_keeps_the_guards():
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="negative delay.*'rec'"):
+        sim.schedule_event(-1.0, _Record([]))
+    with pytest.raises(ValueError, match="NaN"):
+        sim.schedule_event(float("nan"), _Record([]))
+    assert sim.pending == 0
+
+
+def test_scheduled_record_can_be_cancelled():
+    sim = Simulator()
+    out = []
+    rec = sim.schedule_event(1.0, _Record(out))
+    rec.cancel()
+    assert sim.pending == 0
+    sim.run()
+    assert out == []

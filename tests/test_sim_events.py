@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.events import Event, EventQueue, make_callback
+from repro.sim.events import Event, EventQueue
 
 
 def test_push_pop_orders_by_time():
@@ -20,7 +20,7 @@ def test_same_time_fifo_order():
     q = EventQueue()
     fired = []
     for i in range(10):
-        q.push(5.0, make_callback(fired.append, i))
+        q.push(5.0, lambda i=i: fired.append(i))
     while (ev := q.pop()) is not None:
         ev.callback()
     assert fired == list(range(10))
@@ -90,10 +90,3 @@ def test_event_ordering_dataclass():
     b = Event(time=1.0, seq=1, callback=lambda: None)
     c = Event(time=0.5, seq=2, callback=lambda: None)
     assert c < a < b
-
-
-def test_make_callback_binds_arguments():
-    out = []
-    cb = make_callback(out.append, 42)
-    cb()
-    assert out == [42]

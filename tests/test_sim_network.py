@@ -223,3 +223,113 @@ def test_drop_total():
     a.send(99, "x")
     sim.run()
     assert net.stats.drop_total() == 1
+
+
+# ------------------------------------------ a datagram is its own event record
+
+class _FixedLatency(ConstantLatency):
+    """A latency model that returns whatever it is told to (even nonsense)."""
+
+    def __init__(self, value):
+        self.value = value
+
+
+def _pair(latency=None):
+    sim, net = make_net()
+    if latency is not None:
+        net.latency = latency
+    a, b = Echo(1), Echo(2)
+    net.register(a)
+    net.register(b)
+    return sim, net, a, b
+
+
+def test_negative_latency_still_raises_from_send():
+    from repro.sim.engine import SimulationError
+
+    sim, net, a, b = _pair(_FixedLatency(-0.5))
+    with pytest.raises(SimulationError, match="negative delay.*dgram:str"):
+        a.send(2, "x")
+    assert sim.pending == 0
+
+
+def test_nan_latency_still_raises_from_send():
+    sim, net, a, b = _pair(_FixedLatency(float("nan")))
+    with pytest.raises(ValueError, match="NaN"):
+        a.send(2, "x")
+    assert sim.pending == 0
+
+
+def test_pending_counts_datagrams_in_flight_and_clear_drops_them():
+    sim, net, a, b = _pair()
+    for i in range(5):
+        a.send(2, i)
+    timer = sim.schedule(1.0, lambda: None)
+    assert sim.pending == 6
+    assert all(type(ev).__name__ in ("Datagram", "Event")
+               for _, _, ev in sim._queue._heap)
+    sim._queue.clear()
+    assert sim.pending == 0 and not sim.step()
+    timer.cancel()  # detached by clear(): must not corrupt the live count
+    assert sim.pending == 0 and b.inbox == []
+
+
+def test_compaction_keeps_datagrams_in_flight():
+    """Tombstone compaction rebuilds the heap around live records — timers
+    and datagrams alike — without changing their pop order."""
+    sim, net, a, b = _pair()
+    for i in range(10):
+        a.send(2, i)
+    timers = [sim.schedule(50.0 + i, lambda: None) for i in range(200)]
+    for t in timers:
+        t.cancel()
+    assert sim.pending == 10
+    assert sim._queue.heap_size <= 64  # compacted: tombstones gone
+    sim.run()
+    assert [p for _, p in b.inbox] == list(range(10))
+    assert net.stats.delivered == 10
+
+
+def test_hooks_observe_the_datagram_record():
+    """``delivery_hook`` and the engine's event hook see one and the same
+    object, with the packet fields and the event fields both readable."""
+    sim, net, a, b = _pair()
+    delivered, events = [], []
+    net.delivery_hook = delivered.append
+    sim.set_event_hook(events.append)
+    sim.schedule(0.004, lambda: None, label="tick")
+    sim.run_for(0.002)
+    a.send(2, ("payload", 7))
+    sim.run()
+    assert [ev.label for ev in events] == ["tick", "dgram:tuple"]
+    (dgram,) = delivered
+    assert dgram is events[1] and isinstance(dgram, Datagram)
+    assert (dgram.src, dgram.dst, dgram.payload) == (1, 2, ("payload", 7))
+    assert dgram.send_time == pytest.approx(0.002)
+    assert dgram.time == pytest.approx(0.012) == sim.now
+    assert dgram.size == 64 and dgram.label == "dgram:tuple"
+    assert not dgram.cancelled
+
+
+def test_unregistered_mid_flight_counts_dropped_unknown():
+    sim, net, a, b = _pair()
+    a.send(2, "x")
+    sim.schedule(0.005, lambda: net.unregister(2))
+    sim.run()
+    assert b.inbox == []
+    assert net.stats.dropped_unknown == 1 and net.stats.dropped_down == 0
+    assert net.stats.delivered == 0 and net.stats.sent == 1
+
+
+def test_datagrams_and_timers_interleave_in_schedule_order():
+    """``seq`` is drawn at push for both kinds of record, so same-instant
+    events fire in the order they were scheduled."""
+    sim, net, a, b = _pair()
+    order = []
+    net.delivery_hook = lambda d: order.append(d.payload)
+    a.send(2, "d1")
+    sim.schedule(0.01, lambda: order.append("t1"))
+    a.send(2, "d2")
+    sim.schedule(0.01, lambda: order.append("t2"))
+    sim.run()
+    assert order == ["d1", "t1", "d2", "t2"]

@@ -157,3 +157,46 @@ def test_stale_copy_outside_target_set_reconciled(loaded):
     store.agents[far].store._data[key_id] = VersionedValue("STALE", 99, -1, 0.0)
     ae.converge()
     assert store.agents[far].store.get(key_id).value == fresh.value
+
+
+@pytest.mark.parametrize("placement,keys,under,repairs,lost,mean_rf,digest", [
+    ("successor", 197, 87, 136, 3, 2.451776649746193, "25865e23df0dee63"),
+    ("level0", 192, 84, 101, 8, 2.4895833333333335, "0a48126c94b89f1f"),
+])
+def test_one_sweep_is_pinned(placement, keys, under, repairs, lost, mean_rf, digest):
+    """N=500, 200 keys, 20 % crashed, one ``sweep()``: the repairs sent (each
+    ``(source, target, key)``, in order) and the recorded durability sample
+    are those of the commit before ``repair_targets`` stopped sorting the
+    live population per key (numbers recorded there)."""
+    import hashlib
+
+    import numpy as np
+
+    cluster = Cluster(config=TreePConfig.paper_case1(), seed=33).build(500)
+    cluster.with_storage(QuorumConfig(n=3, w=2, r=2), placement=placement,
+                         anti_entropy=10.0)
+    net, store, ae = cluster.net, cluster.storage, cluster.anti_entropy
+    for i in range(200):
+        assert store.put(f"pin/{i:03d}", i).ok
+    rng = np.random.default_rng(33)
+    net.fail_nodes(int(i) for i in rng.choice(sorted(net.ids), size=100, replace=False))
+
+    sent = []
+    real_send = net.network.send
+
+    def spy(src, dst, payload):
+        sent.append((src, dst, type(payload).__name__, payload.key_id))
+        real_send(src, dst, payload)
+
+    net.network.send = spy
+    report = ae.sweep()
+    net.network.send = real_send
+
+    assert (report.keys, report.under_replicated, report.repairs_sent,
+            report.lost) == (keys, under, repairs, lost)
+    sample = ae.tracker.latest()
+    assert (sample.keys, sample.min_rf, sample.mean_rf, sample.under_replicated,
+            sample.lost) == (200, 1, mean_rf, under, lost)
+    assert len(sent) == repairs
+    assert {kind for _, _, kind, _ in sent} == {"StoreReplicate"}
+    assert hashlib.sha256(repr(sent).encode()).hexdigest()[:16] == digest
