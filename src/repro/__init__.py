@@ -30,9 +30,9 @@ Public surface:
   simulated substrate.
 * :mod:`repro.bench` — the unified benchmark harness:
   ``python -m repro.bench run|list|compare|report|campaign`` over 28
-  declarative scenarios — including the ``scale_*`` 10k-node sweeps
-  behind ``docs/performance.md`` — writing versioned ``BenchResult``
-  JSON to ``benchmarks/out/`` (the repo's perf trajectory); ``campaign``
+  declarative scenarios — including the ``scale_*`` 10k-node sweeps —
+  writing versioned, clock-free ``BenchResult`` JSON to
+  ``benchmarks/out/`` (the committed golden); ``campaign``
   fans a scenario × params × seeds matrix across worker processes and
   aggregates mean/std/confidence-interval per metric, gated on CI
   overlap by ``compare``.
@@ -47,9 +47,7 @@ Public surface:
   export-perfetto|export`` to query it — see ``docs/observability.md``.
 
 See README.md for the module map ("Module map") and the per-subsystem
-overviews, and ``docs/`` for the architecture, API, benchmark and performance guides;
-``benchmarks/bench_scenarios.py`` is the pytest binding onto the harness
-and still prints the measured-vs-paper record each scenario regenerates.
+overviews, and ``docs/`` for the architecture, API, benchmark and performance guides.
 """
 
 from repro.cluster import Cluster, Service, ServiceContext, ServiceError
@@ -62,7 +60,7 @@ from repro.core.treep import TreePNetwork
 from repro.obs import MetricsRegistry, ObsHub, TraceReader
 from repro.storage import AntiEntropy, QuorumConfig, ReplicatedStore
 
-__version__ = "1.13.0"
+__version__ = "1.14.0"
 
 __all__ = [
     "AntiEntropy",

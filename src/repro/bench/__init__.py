@@ -1,10 +1,12 @@
-"""repro.bench — the unified benchmark harness and perf trajectory.
+"""repro.bench — the unified benchmark harness and the golden.
 
-Layer contract: this package *owns* how the repo measures itself — the
-declarative :class:`Scenario` registry, the ``python -m repro.bench`` CLI
-(``run | list | compare | report``), and the versioned
-:class:`BenchResult` JSON envelope written to ``benchmarks/out/`` so
-successive PRs accumulate a comparable perf trajectory.  It may import
+Layer contract: this package *owns* how the repo measures its behaviour —
+the declarative :class:`Scenario` registry, the ``python -m repro.bench``
+CLI (``run | list | compare | report``), and the versioned
+:class:`BenchResult` JSON envelope, a pure function of (scenario, seed,
+params, smoke) whose committed copies under ``benchmarks/out/`` are the
+golden every PR is diffed against.  Wall-clock speed is not measured
+here (``benchmarks/perf`` owns the stopwatch).  It may import
 anything below it (cluster, subsystems, core, sim); nothing
 in ``src/repro`` outside this package may import it.
 
@@ -13,11 +15,12 @@ Entry points:
 * ``python -m repro.bench list`` — the catalogue (28 scenarios,
   including the ``scale_*`` 10k-node sweeps and the ``adv_*`` chaos
   suite).
-* ``python -m repro.bench run --smoke`` — CI's smoke pass: every
-  scenario at reduced parameters, schema-valid JSON out.
-* ``python -m repro.bench compare benchmarks/out old/`` — regression
-  gate between two trajectory points (campaign aggregates are gated on
-  CI overlap).
+* ``python -m repro.bench run --smoke`` — every scenario at reduced
+  parameters; with ``--out benchmarks/out`` it re-records the smoke half
+  of the golden.
+* ``python -m repro.bench compare benchmarks/out old/`` — directional
+  regression gate between runs at different commits (campaign aggregates
+  are gated on CI overlap).
 * ``python -m repro.bench report`` — the markdown ``docs/benchmarks.md``
   embeds.
 * ``python -m repro.bench campaign SPEC --workers N`` — a
@@ -27,18 +30,17 @@ Entry points:
   compare`` render and gate the aggregates).
 
 Scenario definitions live in :mod:`repro.bench.scenarios`; importing
-that package (done lazily by the CLI and the pytest glue, eagerly by
-``import repro.bench.scenarios``) populates :data:`registry`.
+that package (done by the CLI and by campaign workers, or explicitly
+with ``import repro.bench.scenarios``) populates :data:`registry`.
 """
 
 from repro.bench.compare import Comparison, MetricDelta, compare_results
-from repro.bench.result import SCHEMA, BenchResult, git_sha, load_results
+from repro.bench.result import SCHEMA, BenchResult, load_results
 from repro.bench.campaign import (
     CAMPAIGN_SCHEMA,
     CampaignResult,
     CampaignSpec,
     compare_campaigns,
-    deterministic_view,
     load_campaign,
     load_campaigns,
     parse_campaign,
@@ -53,7 +55,6 @@ from repro.bench.scenario import (
     ScenarioRegistry,
     registry,
 )
-from repro.bench.testing import pytest_scenario
 
 __all__ = [
     "BenchResult",
@@ -70,13 +71,10 @@ __all__ = [
     "ScenarioRegistry",
     "compare_campaigns",
     "compare_results",
-    "deterministic_view",
-    "git_sha",
     "load_campaign",
     "load_campaigns",
     "load_results",
     "parse_campaign",
-    "pytest_scenario",
     "registry",
     "run_campaign",
     "run_scenario",

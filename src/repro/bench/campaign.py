@@ -22,11 +22,12 @@ The spec::
     lookups = [150, 300]
 
 Every repetition runs through the single :func:`repro.bench.runner.run_scenario`
-seam — the same entry point the CLI ``run`` subcommand and the pytest
-glue use — so a campaign repetition at seed *s* is **bit-identical** on
-its deterministic fields to ``python -m repro.bench run <scenario>
---seed s`` in one process (``tests/test_campaign_determinism.py`` pins
-this across a spawned worker).  The aggregate envelope
+seam — the same entry point the CLI ``run`` subcommand uses — so a
+campaign repetition at seed *s* is **identical** to ``python -m
+repro.bench run <scenario> --seed s`` in one process, and the aggregate
+does not depend on how many workers computed it
+(``tests/test_campaign_determinism.py`` pins both across spawned
+workers).  The aggregate envelope
 (:data:`CAMPAIGN_SCHEMA`) embeds the full per-repetition
 :class:`~repro.bench.result.BenchResult` dicts, and is written to
 ``benchmarks/out/campaign_<name>.json`` (``.smoke.json`` for smoke
@@ -39,7 +40,6 @@ from __future__ import annotations
 import itertools
 import json
 import multiprocessing
-import time
 import tomllib
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -50,57 +50,13 @@ from repro.bench.scenario import registry
 from repro.metrics.stats import CI_METHODS, SampleSummary, summarize_samples
 
 #: Aggregate envelope schema identifier; bump on breaking field changes.
-CAMPAIGN_SCHEMA = "repro.bench/campaign-1"
+CAMPAIGN_SCHEMA = "repro.bench/campaign-2"
 
 #: Fields every campaign envelope must carry.
 CAMPAIGN_REQUIRED_FIELDS = (
-    "schema", "campaign", "scenario", "group", "git_sha", "seeds", "smoke",
-    "workers", "confidence", "ci_method", "wall_time_s", "metrics_aggregated",
-    "unix_time", "points",
+    "schema", "campaign", "scenario", "group", "seeds", "smoke", "confidence",
+    "ci_method", "metrics_aggregated", "points",
 )
-
-#: Envelope fields that record *when/where* a run happened, not *what* it
-#: computed — stripped by :func:`deterministic_view`.
-WALLCLOCK_ENVELOPE_FIELDS = ("wall_time_s", "unix_time", "git_sha")
-
-#: Substrings marking a metric as wall-clock-derived (events/sec, build
-#: seconds, …) — such metrics legitimately move between identical-seed
-#: runs and are excluded from determinism comparisons (the same taxonomy
-#: ``tests/test_sim_scale.py`` uses for its pinned smoke metrics).
-WALLCLOCK_METRIC_MARKERS = ("_per_second", "_seconds", "per_sec", "wall")
-
-
-def is_wallclock_metric(name: str) -> bool:
-    """True when metric *name* measures wall-clock speed, not simulation
-    semantics (``events_per_second_mid_n``, ``build_seconds``, …)."""
-    return any(marker in name for marker in WALLCLOCK_METRIC_MARKERS)
-
-
-def deterministic_view(data: Mapping[str, Any]) -> Dict[str, Any]:
-    """A copy of a result envelope with every wall-clock field removed.
-
-    Works on both envelope kinds — a :class:`~repro.bench.result.BenchResult`
-    dict (``repro.bench/1``) and a campaign aggregate
-    (:data:`CAMPAIGN_SCHEMA`), recursing into the aggregate's embedded
-    repetitions.  Two runs of the same (scenario, seed, params) must
-    produce equal views; anything that differs is a determinism bug.
-    """
-    out = {k: v for k, v in data.items()
-           if k not in WALLCLOCK_ENVELOPE_FIELDS}
-    if out.get("schema") == CAMPAIGN_SCHEMA:
-        points = []
-        for point in out.get("points", []):
-            p = dict(point)
-            p["metrics"] = {k: v for k, v in p.get("metrics", {}).items()
-                            if not is_wallclock_metric(k)}
-            p["repetitions"] = [deterministic_view(rep)
-                                for rep in p.get("repetitions", [])]
-            points.append(p)
-        out["points"] = points
-    else:
-        out["metrics"] = {k: v for k, v in out.get("metrics", {}).items()
-                          if not is_wallclock_metric(k)}
-    return out
 
 
 # ------------------------------------------------------------------ the spec
@@ -241,16 +197,12 @@ class CampaignResult(Envelope):
     campaign: str
     scenario: str
     group: str
-    git_sha: str
     seeds: List[int]
     smoke: bool
-    workers: int
     confidence: float
     ci_method: str
-    wall_time_s: float
     metrics_aggregated: int
     points: List[Dict[str, Any]]
-    unix_time: float = 0.0
     schema: str = CAMPAIGN_SCHEMA
 
     # -------------------------------------------------------- serialisation
@@ -260,15 +212,11 @@ class CampaignResult(Envelope):
             "campaign": self.campaign,
             "scenario": self.scenario,
             "group": self.group,
-            "git_sha": self.git_sha,
             "seeds": list(self.seeds),
             "smoke": self.smoke,
-            "workers": self.workers,
             "confidence": self.confidence,
             "ci_method": self.ci_method,
-            "wall_time_s": self.wall_time_s,
             "metrics_aggregated": self.metrics_aggregated,
-            "unix_time": self.unix_time,
             "points": self.points,
         }
 
@@ -380,7 +328,6 @@ def run_campaign(spec: CampaignSpec, *, smoke: bool = False,
         scenario.effective_params(smoke=smoke, overrides=point or None)
     payloads = [(spec.scenario, seed, smoke, point)
                 for point in points for seed in spec.seeds]
-    t0 = time.perf_counter()
     reps: List[Dict[str, Any]] = []
     if workers <= 1:
         for i, payload in enumerate(payloads):
@@ -396,7 +343,6 @@ def run_campaign(spec: CampaignSpec, *, smoke: bool = False,
                 reps.append(rep)
                 if progress is not None:
                     progress(i + 1, len(payloads), rep)
-    wall = time.perf_counter() - t0
     n_seeds = len(spec.seeds)
     out_points = [
         _aggregate_point(reps[i * n_seeds:(i + 1) * n_seeds], spec.seeds, spec)
@@ -406,15 +352,11 @@ def run_campaign(spec: CampaignSpec, *, smoke: bool = False,
         campaign=spec.name,
         scenario=spec.scenario,
         group=scenario.group,
-        git_sha=reps[0]["git_sha"],
         seeds=list(spec.seeds),
         smoke=smoke,
-        workers=workers,
         confidence=spec.confidence,
         ci_method=spec.ci_method,
-        wall_time_s=round(wall, 6),
         metrics_aggregated=sum(len(p["metrics"]) for p in out_points),
-        unix_time=time.time(),
         points=out_points,
     )
 

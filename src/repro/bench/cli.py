@@ -66,8 +66,8 @@ def _parse_override(text: str) -> Any:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="Unified benchmark harness: run scenarios, track the "
-                    "perf trajectory, compare runs, render reports.")
+        description="Unified benchmark harness: run scenarios, record the "
+                    "golden, compare runs, render reports.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="show the scenario catalogue")
@@ -334,8 +334,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     def progress(done: int, total: int, rep: Dict[str, Any]) -> None:
         failed = sum(1 for c in rep["checks"] if not c.get("passed"))
         status = "ok" if not failed else f"{failed} CHECK(S) FAILED"
-        print(f"  [{done}/{total}] seed={rep['seed']} {status} "
-              f"({rep['wall_time_s']:.2f}s)")
+        print(f"  [{done}/{total}] seed={rep['seed']} {status}")
 
     try:
         result = run_campaign(spec, smoke=args.smoke, workers=args.workers,

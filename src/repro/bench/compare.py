@@ -1,4 +1,4 @@
-"""Result comparison: diff two trajectory points, flag regressions.
+"""Result comparison: diff two runs, flag regressions.
 
 ``python -m repro.bench compare OLD NEW`` loads two results (single
 ``bench_*.json`` files or whole ``benchmarks/out/`` directories), pairs

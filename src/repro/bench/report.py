@@ -3,7 +3,7 @@
 ``python -m repro.bench report`` prints GitHub-flavoured markdown —
 ``docs/benchmarks.md`` embeds the catalogue table this module generates,
 and the results table turns a ``benchmarks/out/`` directory into a
-human-readable trajectory point.  ``python -m repro.bench campaign
+human-readable page.  ``python -m repro.bench campaign
 report`` renders the per-point mean ± CI tables (and, behind a soft
 matplotlib import, error-bar plots) for a campaign aggregate.
 """
@@ -62,7 +62,7 @@ def results_table(results: Dict[str, BenchResult]) -> str:
         parts.append(f"### `{name}`\n")
         parts.append(
             f"seed {r.seed} · {'smoke' if r.smoke else 'full'} params · "
-            f"{r.wall_time_s:.2f}s wall · git `{r.git_sha[:12]}` · {verdict}\n")
+            f"{verdict}\n")
         parts.append(_md_table(
             ["metric", "value"],
             [[f"`{k}`", f"{v:.6g}"] for k, v in sorted(r.metrics.items())]))
@@ -84,8 +84,7 @@ def campaign_table(result: CampaignResult) -> str:
     parts: List[str] = [
         f"### campaign `{result.campaign}` — scenario `{result.scenario}`\n",
         f"seeds {result.seeds} · {'smoke' if result.smoke else 'full'} params "
-        f"· {result.workers} worker(s) · {result.ci_method} CIs at {pct:g}% · "
-        f"{result.wall_time_s:.2f}s wall · git `{result.git_sha[:12]}`\n",
+        f"· {result.ci_method} CIs at {pct:g}%\n",
     ]
     for i, point in enumerate(result.points):
         params = ", ".join(f"{k}={v}"

@@ -1,46 +1,34 @@
-"""The ``BenchResult`` JSON envelope — the unit of the perf trajectory.
+"""The ``BenchResult`` JSON envelope — the unit of the golden.
 
-Every harness execution of a scenario (CLI ``run`` or the pytest-benchmark
-glue) produces one :class:`BenchResult` and writes it to
-``benchmarks/out/bench_<scenario>.json`` (``.smoke.json`` for ``--smoke``
-runs, so the two parameterisations never clobber each other).  The envelope is deliberately
-flat and versioned (:data:`SCHEMA`): successive PRs emit files that
-``python -m repro.bench compare`` can diff, so "did this hot-path change
-move the needle" has a machine-checkable answer instead of a bench log.
+Every harness execution of a scenario produces one :class:`BenchResult`
+and writes it to ``benchmarks/out/bench_<scenario>.json`` (``.smoke.json``
+for ``--smoke`` runs, so the two parameterisations never clobber each
+other).  The envelope is flat, versioned (:data:`SCHEMA`) and a pure
+function of (scenario, seed, params, smoke): it carries no clock reading
+and no commit stamp, so the committed files under ``benchmarks/out/`` are
+the golden — a re-run at the same commit reproduces them byte for byte,
+and a PR that moves a metric shows it as a JSON diff.  How fast the
+simulator runs is measured by ``benchmarks/perf``, not here.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import subprocess
 import sys
-import time
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, List, Mapping, Optional
+from typing import Any, ClassVar, Dict, List, Mapping
 
 from repro.bench.scenario import Check, Scenario, ScenarioOutput
 
 #: Envelope schema identifier; bump on breaking field changes.
-SCHEMA = "repro.bench/1"
+SCHEMA = "repro.bench/2"
 
 #: Fields every envelope must carry (validation + forward-compat contract).
 REQUIRED_FIELDS = (
-    "schema", "scenario", "group", "git_sha", "seed", "smoke", "params",
-    "wall_time_s", "metrics", "checks", "unix_time",
+    "schema", "scenario", "group", "seed", "smoke", "params", "metrics",
+    "checks",
 )
-
-
-def git_sha(cwd: Optional[str] = None) -> str:
-    """Current commit sha, or ``"unknown"`` outside a git checkout."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=cwd, capture_output=True,
-            text=True, timeout=10)
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else "unknown"
 
 
 class Envelope:
@@ -57,9 +45,8 @@ class Envelope:
     def write(self, out_dir: str) -> str:
         """Write this envelope under *out_dir*; return the path.
 
-        Smoke runs get their own ``.smoke.json`` name so a CI smoke pass
-        and a local full run never clobber each other's trajectory point
-        in a shared out dir.
+        Smoke runs get their own ``.smoke.json`` name so a smoke pass and
+        a full run never clobber each other in a shared out dir.
         """
         os.makedirs(out_dir, exist_ok=True)
         suffix = ".smoke.json" if self.smoke else ".json"
@@ -114,46 +101,40 @@ class BenchResult(Envelope):
 
     scenario: str
     group: str
-    git_sha: str
     seed: int
     smoke: bool
     params: Dict[str, Any]
-    wall_time_s: float
     metrics: Dict[str, float]
     checks: List[Dict[str, Any]] = field(default_factory=list)
-    unix_time: float = 0.0
     schema: str = SCHEMA
     rendered: str = ""  # not serialised; kept for the caller
+    wall_time_s: float = 0.0  # not serialised; the CLI's progress line
     #: Observability sidecar (``--trace-out`` runs only): trace-file path,
     #: span/event counts, per-category totals, metrics snapshot.  Optional —
-    #: absent from untraced envelopes, so trajectories stay diffable.
+    #: absent from untraced envelopes, so the golden never carries it.
     obs: Dict[str, Any] = field(default_factory=dict)
     #: SLO evaluation report (``--slo`` runs only): the serialised
     #: :class:`~repro.obs.slo.SloReport` — spec source, per-run rule
-    #: results, pass/fail verdict.  Optional — absent without ``--slo``,
-    #: so pre-1.7 envelopes stay byte-identical.
+    #: results, pass/fail verdict.  Optional — absent without ``--slo``.
     slo: Dict[str, Any] = field(default_factory=dict)
 
     # --------------------------------------------------------- construction
     @classmethod
     def from_output(cls, scenario: Scenario, output: ScenarioOutput, *,
                     seed: int, smoke: bool, params: Mapping[str, Any],
-                    wall_time_s: float, sha: Optional[str] = None,
-                    ) -> "BenchResult":
+                    wall_time_s: float) -> "BenchResult":
         return cls(
             scenario=scenario.name,
             group=scenario.group,
-            git_sha=git_sha() if sha is None else sha,
             seed=seed,
             smoke=smoke,
             params=dict(params),
-            wall_time_s=round(wall_time_s, 6),
             metrics={k: float(v) for k, v in output.metrics.items()},
             # bool()/str() strip numpy scalar types that break json.dumps
             checks=[{"name": c.name, "passed": bool(c.passed),
                      "detail": str(c.detail)} for c in output.checks],
-            unix_time=time.time(),
             rendered=output.rendered,
+            wall_time_s=wall_time_s,
         )
 
     # -------------------------------------------------------- serialisation
@@ -162,14 +143,11 @@ class BenchResult(Envelope):
             "schema": self.schema,
             "scenario": self.scenario,
             "group": self.group,
-            "git_sha": self.git_sha,
             "seed": self.seed,
             "smoke": self.smoke,
             "params": self.params,
-            "wall_time_s": self.wall_time_s,
             "metrics": self.metrics,
             "checks": self.checks,
-            "unix_time": self.unix_time,
         }
         if self.obs:
             out["obs"] = self.obs

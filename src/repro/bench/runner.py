@@ -1,10 +1,10 @@
 """Scenario execution: run one registered scenario, envelope the result.
 
-This is the seam everything shares — the CLI's ``run`` subcommand, the
-pytest-benchmark glue in :mod:`repro.bench.testing`, and the harness
-tests all call :func:`run_scenario`, so every execution path emits the
-same :class:`~repro.bench.result.BenchResult` and (optionally) writes the
-same ``benchmarks/out/bench_<name>.json`` trajectory file.
+This is the seam everything shares — the CLI's ``run`` subcommand,
+campaign repetitions and the tests (the tier-1 golden among them) all
+call :func:`run_scenario`, so every execution path emits the same
+:class:`~repro.bench.result.BenchResult` and (optionally) writes the same
+``benchmarks/out/bench_<name>.json`` file.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ def run_scenario(name: str, *, seed: Optional[int] = None, smoke: bool = False,
 
     When *out_dir* is given the envelope is also written there as
     ``bench_<name>.json`` — ``bench_<name>.smoke.json`` for smoke runs —
-    the perf-trajectory file ``compare`` diffs.
+    the file the committed golden holds and ``compare`` diffs.  The only
+    clock read here feeds ``wall_time_s``, which is not serialised.
 
     When *trace_out* is given the scenario executes under an ambient
     observability capture (:func:`repro.obs.runtime.capture`): every
@@ -41,8 +42,7 @@ def run_scenario(name: str, *, seed: Optional[int] = None, smoke: bool = False,
     the scenario also runs under capture (no store is written unless
     *trace_out* asks for one), objectives are monitored live and
     evaluated exactly post-run, and the report lands in the envelope's
-    optional ``slo`` field — absent without ``--slo``, so existing
-    trajectories stay byte-identical.
+    optional ``slo`` field — absent without ``--slo``.
     """
     scenario = registry.get(name)
     effective_seed = scenario.seed if seed is None else seed

@@ -8,7 +8,7 @@ One module per family:
   overlay core, table-size bounds, NGSA cost, baselines, storage and
   compute subsystems;
 * :mod:`repro.bench.scenarios.scale` — the 10k-node scalability sweeps
-  (events/sec, hops vs log N) behind ``docs/performance.md``;
+  (hops vs log N, success, events per measured phase);
 * :mod:`repro.bench.scenarios.adversarial` — chaos benches (partitions,
   rack failures, stragglers, loss bursts) with survival-invariant
   checks.

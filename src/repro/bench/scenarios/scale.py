@@ -1,17 +1,16 @@
 """Scale scenarios — the 10k-node proof of TreeP's hierarchical scalability.
 
-Every pre-existing scenario tops out at ~1k nodes; this family sweeps the
-same workloads across N ∈ {1 000, 5 000, 10 000} (``--smoke``: {200, 500})
-and reports **simulator throughput** (events/sec) alongside the overlay
-metrics, so the perf trajectory in ``benchmarks/out/`` records how fast the
-simulation itself runs — the quantity the sim/core hot-path work optimises.
-``docs/performance.md`` documents the methodology and the before/after.
+Every other scenario tops out at ~1k nodes; this family sweeps the same
+workloads across N ∈ {1 000, 5 000, 10 000} (``--smoke``: {200, 500}) and
+reports the overlay metrics next to the **simulator events the measured
+phase cost** — an exact count (``Simulator.events_processed`` delta), so
+the work a workload does as N grows is part of the golden.  How long those
+events take on a host clock is ``benchmarks/perf``'s question
+(``docs/performance.md``).
 
 Metric naming: a sweep emits ``*_min_n`` / ``*_mid_n`` / ``*_max_n`` values
 for the smallest, middle and largest N (the schema must not depend on the
 sweep's length — on the two-point smoke sweep, *mid* coincides with *max*).
-On the full sweep ``events_per_second_mid_n`` is the N=5 000 number the
-PR-5 acceptance criterion gates on.
 
 Checks are scale-relaxed where physics demands it (a 200-node overlay
 fragments harder under 30% churn than a 10k one), mirroring the smoke
@@ -20,10 +19,7 @@ thresholds of :mod:`repro.bench.scenarios.systems`.
 
 from __future__ import annotations
 
-import gc
 import math
-import time
-from contextlib import contextmanager
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -43,54 +39,19 @@ def _mmm(sizes: Tuple[int, ...]) -> Tuple[int, int, int]:
     return 0, len(sizes) // 2, len(sizes) - 1
 
 
-class _Measurement:
-    """What one measured phase cost: wall seconds, simulator events fired,
-    and their ratio (0.0 for a zero-length phase)."""
-
-    wall = 0.0
-    events = 0
-    rate = 0.0
-
-
-@contextmanager
-def _measured(sim):
-    """Time one measured phase of *sim* with garbage collection deferred.
-
-    The same discipline pytest-benchmark applies by default — at 10k nodes
-    a generational collection walks millions of live simulator objects, so
-    leaving GC enabled measures arbitrary pause placement, not the
-    simulator.  Both the pre- and post-optimization trajectory points in
-    ``benchmarks/out/`` were recorded through this scenario code, so the
-    before/after events/sec numbers are like-for-like (see
-    ``docs/performance.md``).
-    """
-    m = _Measurement()
-    e0 = sim.events_processed
-    was_enabled = gc.isenabled()
-    gc.disable()
-    t0 = time.perf_counter()
-    try:
-        yield m
-    finally:
-        m.wall = time.perf_counter() - t0
-        if was_enabled:
-            gc.enable()
-        m.events = sim.events_processed - e0
-        m.rate = m.events / m.wall if m.wall > 0 else 0.0
-
-
 def _pairs(rng, population, count) -> List[Tuple[int, int]]:
     pop = list(population)
     return [tuple(int(x) for x in rng.choice(pop, 2, replace=False))
             for _ in range(count)]
 
 
-def _sweep_metrics(prefix: str, sizes, values) -> Dict[str, float]:
+def _event_metrics(sizes, events_by_n) -> Dict[str, float]:
+    """Simulator events the measured phase fired, by sweep position."""
     i_min, i_mid, i_max = _mmm(tuple(sizes))
     return {
-        f"{prefix}_min_n": float(values[i_min]),
-        f"{prefix}_mid_n": float(values[i_mid]),
-        f"{prefix}_max_n": float(values[i_max]),
+        "events_min_n": float(events_by_n[i_min]),
+        "events_mid_n": float(events_by_n[i_mid]),
+        "events_max_n": float(events_by_n[i_max]),
     }
 
 
@@ -99,41 +60,32 @@ def _sweep_metrics(prefix: str, sizes, values) -> Dict[str, float]:
 def _scale_lookup(params, seed, smoke):
     sizes = tuple(params["sizes"])
     lookups = params["lookups"]
-    rows, evps, hops_by_n, success_by_n = [], [], [], []
-    build_max = lookup_wall_max = 0.0
+    rows, events_by_n, hops_by_n, success_by_n = [], [], [], []
     for n in sizes:
-        t0 = time.perf_counter()
         net = TreePNetwork(config=TreePConfig.paper_case1(), seed=seed)
         net.build(n)
-        build_s = time.perf_counter() - t0
         rng = np.random.default_rng(0)
         pairs = _pairs(rng, net.ids, lookups)
-        with _measured(net.sim) as m:
-            results = net.run_lookup_batch(pairs, "G")
+        e0 = net.sim.events_processed
+        results = net.run_lookup_batch(pairs, "G")
+        events = net.sim.events_processed - e0
         found = [r for r in results if r.found]
         success = len(found) / lookups
         hops = float(np.mean([r.hops for r in found])) if found else 0.0
-        evps.append(m.rate)
+        events_by_n.append(events)
         hops_by_n.append(hops)
         success_by_n.append(success)
-        if n == sizes[-1]:
-            build_max, lookup_wall_max = build_s, m.wall
-        rows.append([n, f"{build_s:.2f}", f"{m.wall:.2f}", m.events,
-                     f"{m.rate:.0f}",
-                     f"{hops:.2f}", f"{hops / math.log2(n):.2f}",
+        rows.append([n, events, f"{hops:.2f}", f"{hops / math.log2(n):.2f}",
                      f"{100 * success:.1f}"])
     rendered = table(
-        ["n", "build s", "lookup s", "events", "ev/s", "hops", "hops/log2n",
-         "success%"],
+        ["n", "events", "hops", "hops/log2n", "success%"],
         rows, title=f"scale_lookup: greedy lookups at N={sizes}")
     i_min, _, i_max = _mmm(sizes)
     hops_ratio = (hops_by_n[i_max] / hops_by_n[i_min]
                   if hops_by_n[i_min] > 0 else 0.0)
     logn_ratio = math.log2(sizes[i_max]) / math.log2(sizes[i_min])
     metrics = {
-        **_sweep_metrics("events_per_second", sizes, evps),
-        "build_seconds_max_n": build_max,
-        "lookup_wall_s_max_n": lookup_wall_max,
+        **_event_metrics(sizes, events_by_n),
         "mean_hops_max_n": hops_by_n[i_max],
         "hops_over_log2n_max_n": hops_by_n[i_max] / math.log2(sizes[i_max]),
         "success_rate_min": min(success_by_n),
@@ -162,8 +114,7 @@ def _scale_churn(params, seed, smoke):
     lookups, dead_fraction, bursts = (params["lookups"],
                                       params["dead_fraction"],
                                       params["bursts"])
-    rows, evps, success_by_n = [], [], []
-    churn_wall_max = 0.0
+    rows, events_by_n, success_by_n = [], [], []
     for n in sizes:
         net = TreePNetwork(config=TreePConfig.paper_case1(), seed=seed)
         net.build(n)
@@ -171,31 +122,28 @@ def _scale_churn(params, seed, smoke):
         order = [int(v) for v in rng.permutation(net.ids)]
         total = int(dead_fraction * n)
         per_burst = max(total // bursts, 1)
-        with _measured(net.sim) as m:
-            killed = 0
-            while killed < total:
-                step = order[killed:killed + min(per_burst, total - killed)]
-                killed += len(step)
-                net.fail_nodes(step)
-                apply_failure_step(net, step, PAPER_POLICY)
-            results = net.run_lookup_batch(
-                _pairs(rng, net.alive_ids(), lookups), "G")
+        e0 = net.sim.events_processed
+        killed = 0
+        while killed < total:
+            step = order[killed:killed + min(per_burst, total - killed)]
+            killed += len(step)
+            net.fail_nodes(step)
+            apply_failure_step(net, step, PAPER_POLICY)
+        results = net.run_lookup_batch(
+            _pairs(rng, net.alive_ids(), lookups), "G")
+        events = net.sim.events_processed - e0
         success = sum(r.found for r in results) / lookups
-        evps.append(m.rate)
+        events_by_n.append(events)
         success_by_n.append(success)
-        if n == sizes[-1]:
-            churn_wall_max = m.wall
-        rows.append([n, total, m.events, f"{m.rate:.0f}",
-                     f"{100 * success:.1f}"])
+        rows.append([n, total, events, f"{100 * success:.1f}"])
     rendered = table(
-        ["n", "killed", "events", "ev/s", "success%@churn"],
+        ["n", "killed", "events", "success%@churn"],
         rows,
         title=f"scale_churn: {100 * dead_fraction:.0f}% burst churn + repair "
               f"at N={sizes}")
     i_min, _, i_max = _mmm(sizes)
     metrics = {
-        **_sweep_metrics("events_per_second", sizes, evps),
-        "churn_wall_s_max_n": churn_wall_max,
+        **_event_metrics(sizes, events_by_n),
         "success_after_churn_max_n": success_by_n[i_max],
         "success_after_churn_min": min(success_by_n),
     }
@@ -220,36 +168,28 @@ def _scale_quorum_rw(params, seed, smoke):
     sizes = tuple(params["sizes"])
     ops = params["ops"]
     quorum = QuorumConfig(n=3, w=2, r=2)
-    rows, evps, put_rates, get_rates = [], [], [], []
-    acked_by_n, hit_by_n = [], []
+    rows, events_by_n, acked_by_n, hit_by_n = [], [], [], []
     for n in sizes:
         cluster = (Cluster(config=TreePConfig.paper_case1(), seed=seed)
                    .build(n).with_storage(quorum))
         store, sim = cluster.storage, cluster.net.sim
-        with _measured(sim) as puts:
-            acked = sum(store.put(f"scale/{i:05d}", {"i": i}).ok
-                        for i in range(ops))
+        e0 = sim.events_processed
+        acked = sum(store.put(f"scale/{i:05d}", {"i": i}).ok
+                    for i in range(ops))
         rng = np.random.default_rng(0)
-        with _measured(sim) as gets:
-            hits = sum(store.get(f"scale/{int(i):05d}").found
-                       for i in rng.integers(0, ops, size=ops))
-        wall = puts.wall + gets.wall
-        rate = (puts.events + gets.events) / wall if wall > 0 else 0.0
-        evps.append(rate)
-        put_rates.append(ops / puts.wall if puts.wall > 0 else 0.0)
-        get_rates.append(ops / gets.wall if gets.wall > 0 else 0.0)
+        hits = sum(store.get(f"scale/{int(i):05d}").found
+                   for i in rng.integers(0, ops, size=ops))
+        events = sim.events_processed - e0
+        events_by_n.append(events)
         acked_by_n.append(acked / ops)
         hit_by_n.append(hits / ops)
-        rows.append([n, f"{put_rates[-1]:.0f}", f"{get_rates[-1]:.0f}",
-                     f"{rate:.0f}", f"{acked}/{ops}", f"{hits}/{ops}"])
+        rows.append([n, events, f"{acked}/{ops}", f"{hits}/{ops}"])
         cluster.shutdown()
     rendered = table(
-        ["n", "put/s", "get/s", "ev/s", "acked", "hits"],
+        ["n", "events", "acked", "hits"],
         rows, title=f"scale_quorum_rw: N=3 W=2 R=2 at N={sizes}")
     metrics = {
-        **_sweep_metrics("events_per_second", sizes, evps),
-        "put_ops_per_second_max_n": put_rates[-1],
-        "get_ops_per_second_max_n": get_rates[-1],
+        **_event_metrics(sizes, events_by_n),
         "put_ack_rate_min": min(acked_by_n),
         "get_hit_rate_min": min(hit_by_n),
     }
@@ -267,7 +207,7 @@ def _scale_quorum_rw(params, seed, smoke):
 def _scale_jobs(params, seed, smoke):
     sizes = tuple(params["sizes"])
     jobs, deadline = params["jobs"], params["deadline"]
-    rows, evps, completion_by_n, goodput_by_n = [], [], [], []
+    rows, events_by_n, completion_by_n, goodput_by_n = [], [], [], []
     dones = []
     makespan_max = 0.0
     for n in sizes:
@@ -277,24 +217,24 @@ def _scale_jobs(params, seed, smoke):
         wl = JobWorkload(rng=net.rng.get("scale-jobs"), arrival_rate=2.0,
                          work_mean=15.0, constrained_fraction=0.25)
         grid.schedule_submissions(wl.jobs(jobs, start=net.sim.now))
-        with _measured(net.sim) as m:
-            done = grid.run_until_done(timeout=deadline)
+        e0 = net.sim.events_processed
+        done = grid.run_until_done(timeout=deadline)
+        events = net.sim.events_processed - e0
         stats = grid.stats()
-        evps.append(m.rate)
+        events_by_n.append(events)
         dones.append(bool(done))
         completion_by_n.append(stats.completion_rate)
         goodput_by_n.append(stats.goodput)
         if n == sizes[-1]:
             makespan_max = stats.makespan
-        rows.append([n, jobs, m.events, f"{m.rate:.0f}",
-                     f"{100 * stats.completion_rate:.0f}",
+        rows.append([n, jobs, events, f"{100 * stats.completion_rate:.0f}",
                      f"{stats.goodput:.3f}", f"{stats.makespan:.0f}"])
         cluster.shutdown()
     rendered = table(
-        ["n", "jobs", "events", "ev/s", "done%", "goodput", "makespan"],
+        ["n", "jobs", "events", "done%", "goodput", "makespan"],
         rows, title=f"scale_jobs: steady-state grid scheduling at N={sizes}")
     metrics = {
-        **_sweep_metrics("events_per_second", sizes, evps),
+        **_event_metrics(sizes, events_by_n),
         "completion_rate_min": min(completion_by_n),
         "goodput_min": min(goodput_by_n),
         "makespan_max_n": makespan_max,
@@ -312,29 +252,23 @@ def _scale_jobs(params, seed, smoke):
 
 # ------------------------------------------------------------- registration
 
-def _SWEEP_METRICS(desc_mid: str) -> Tuple[Metric, ...]:
-    """The events/sec metric triple every scale sweep emits."""
-    return (
-        Metric("events_per_second_min_n", "ev/s", "higher",
-               "simulator throughput at the smallest N"),
-        Metric("events_per_second_mid_n", "ev/s", "higher", desc_mid),
-        Metric("events_per_second_max_n", "ev/s", "higher",
-               "simulator throughput at the largest N"),
-    )
+#: The measured phase's simulator-event count at the smallest, middle and
+#: largest N — every scale sweep emits this triple.
+_SWEEP_METRICS = (
+    Metric("events_min_n", "events", "lower"),
+    Metric("events_mid_n", "events", "lower"),
+    Metric("events_max_n", "events", "lower"),
+)
 
 registry.register(Scenario(
     name="scale_lookup", group="scale",
-    description=("greedy lookups at N up to 10k: events/sec, wall time, "
-                 "hops vs log N (the PR-5 hot-path acceptance gate)"),
+    description=("greedy lookups at N up to 10k: hops vs log N, success, "
+                 "events per batch"),
     runner=_scale_lookup,
     params={"sizes": (1000, 5000, 10000), "lookups": 1500},
     smoke_params={"sizes": (200, 500), "lookups": 300},
     metrics=(
-        *_SWEEP_METRICS("simulator throughput at the middle N "
-                        "(N=5k on the full sweep — the ≥3x gate)"),
-        Metric("build_seconds_max_n", "s", "lower",
-               "steady-state assembly at the largest N"),
-        Metric("lookup_wall_s_max_n", "s", "lower"),
+        *_SWEEP_METRICS,
         Metric("mean_hops_max_n", "hops", "lower"),
         Metric("hops_over_log2n_max_n", "ratio", "lower",
                "hierarchical-scalability headline: hops / log2 N"),
@@ -344,14 +278,13 @@ registry.register(Scenario(
 registry.register(Scenario(
     name="scale_churn", group="scale",
     description=("30% burst churn + converged repair at N up to 10k: "
-                 "events/sec and post-churn lookup success"),
+                 "post-churn lookup success, events"),
     runner=_scale_churn,
     params={"sizes": (1000, 5000, 10000), "lookups": 800,
             "dead_fraction": 0.30, "bursts": 5},
     smoke_params={"sizes": (200, 500), "lookups": 200},
     metrics=(
-        *_SWEEP_METRICS("simulator throughput at the middle N"),
-        Metric("churn_wall_s_max_n", "s", "lower"),
+        *_SWEEP_METRICS,
         Metric("success_after_churn_max_n", "fraction", "higher"),
         Metric("success_after_churn_min", "fraction", "higher"),
     )))
@@ -359,14 +292,12 @@ registry.register(Scenario(
 registry.register(Scenario(
     name="scale_quorum_rw", group="scale",
     description=("replicated-store quorum PUT/GET at N up to 10k: "
-                 "ops/sec, events/sec, zero quorum misses"),
+                 "zero quorum misses, events"),
     runner=_scale_quorum_rw,
     params={"sizes": (1000, 5000, 10000), "ops": 60},
     smoke_params={"sizes": (200, 500), "ops": 30},
     metrics=(
-        *_SWEEP_METRICS("simulator throughput at the middle N"),
-        Metric("put_ops_per_second_max_n", "ops/s", "higher"),
-        Metric("get_ops_per_second_max_n", "ops/s", "higher"),
+        *_SWEEP_METRICS,
         Metric("put_ack_rate_min", "fraction", "higher"),
         Metric("get_hit_rate_min", "fraction", "higher"),
     )))
@@ -374,12 +305,12 @@ registry.register(Scenario(
 registry.register(Scenario(
     name="scale_jobs", group="scale",
     description=("steady-state grid scheduling at N up to 10k: "
-                 "100% completion, events/sec, makespan"),
+                 "100% completion, makespan, events"),
     runner=_scale_jobs,
     params={"sizes": (1000, 5000, 10000), "jobs": 24, "deadline": 600.0},
     smoke_params={"sizes": (200, 500), "jobs": 12},
     metrics=(
-        *_SWEEP_METRICS("simulator throughput at the middle N"),
+        *_SWEEP_METRICS,
         Metric("completion_rate_min", "fraction", "higher"),
         Metric("goodput_min", "fraction", "higher"),
         Metric("makespan_max_n", "sim s", "lower"),

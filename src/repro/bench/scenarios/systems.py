@@ -1,18 +1,14 @@
 """System scenarios — engineering benches as registry entries.
 
-``core`` (build/lookup/table micro-benches), ``table_sizes`` (§III.e
+``core`` (lookup success and §III.e table sizes), ``table_sizes`` (§III.e
 bounds), ``ngsa_cost`` (§IV.a bandwidth verdict), ``baselines`` (TreeP vs
-Chord vs flooding), ``storage`` (quorum throughput, anti-entropy cost,
+Chord vs flooding), ``storage`` (quorum acks, anti-entropy cost,
 durability under 30% churn) and ``compute`` (scheduling under burst
-churn, checkpointing vs restart).  Wall-clock throughput numbers are
-measured here with ``time.perf_counter`` so the CLI needs no
-pytest-benchmark; the pytest glue still wraps each scenario for timing
-parity.
+churn, checkpointing vs restart).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Tuple
 
@@ -37,25 +33,19 @@ from repro.workloads.lookups import LookupWorkload
 
 def _core(params, seed, smoke):
     n, lookups = params["n"], params["lookups"]
-    t0 = time.perf_counter()
     net = TreePNetwork(config=TreePConfig.paper_case1(), seed=seed)
     net.build(n)
-    build_s = time.perf_counter() - t0
 
     rng = np.random.default_rng(0)
     pairs = [tuple(int(x) for x in rng.choice(net.ids, 2, replace=False))
              for _ in range(lookups)]
-    t0 = time.perf_counter()
     results = net.run_lookup_batch(pairs, "G")
-    lookup_s = time.perf_counter() - t0
     found = sum(r.found for r in results)
 
     sizes = net.routing_table_sizes()
     conns = net.active_connection_counts()
     leaf_sizes = [sizes[i] for i, nd in net.nodes.items() if nd.max_level == 0]
     metrics = {
-        "build_seconds": build_s,
-        "lookups_per_second": lookups / lookup_s if lookup_s > 0 else 0.0,
         "lookup_success_rate": found / lookups,
         "table_entries_mean": float(np.mean(list(sizes.values()))),
         "table_entries_max": float(max(sizes.values())),
@@ -391,17 +381,13 @@ def _storage(params, seed, smoke):
                 raise RuntimeError(f"seed load failed at bench/{i:04d}")
         return cluster
 
-    # -- quorum throughput ------------------------------------------------
+    # -- quorum PUT/GET on a healthy cluster ------------------------------
     cluster = loaded_cluster(seed)
     store = cluster.storage
-    t0 = time.perf_counter()
     put_acks = sum(store.put(f"put/{i:06d}", i).ok for i in range(50))
-    put_s = time.perf_counter() - t0
     rng = np.random.default_rng(0)
-    t0 = time.perf_counter()
     hits = sum(store.get(f"bench/{int(i):04d}").found
                for i in rng.integers(0, n_keys, size=50))
-    get_s = time.perf_counter() - t0
 
     # -- anti-entropy sweep cost after 20% mass failure -------------------
     net, ae = cluster.net, cluster.anti_entropy
@@ -431,8 +417,6 @@ def _storage(params, seed, smoke):
     min_rf_after_churn = min(store2.replication_factors().values())
 
     metrics = {
-        "put_ops_per_second": 50 / put_s if put_s > 0 else 0.0,
-        "get_ops_per_second": 50 / get_s if get_s > 0 else 0.0,
         "ae_under_replicated_first_sweep": float(report.under_replicated),
         "ae_repairs_first_sweep": float(report.repairs_sent),
         "min_rf_after_sweep": float(min_rf_after_sweep),
@@ -585,13 +569,11 @@ def _compute(params, seed, smoke):
 
 registry.register(Scenario(
     name="core", group="core",
-    description="overlay micro-benches: build throughput, lookup rate, §III.e tables",
+    description="overlay micro-benches: healthy lookup success, §III.e tables",
     runner=_core,
     params={"n": 1024, "lookups": 100},
     smoke_params={"n": 256, "lookups": 60},
     metrics=(
-        Metric("build_seconds", "s", "lower", "steady-state overlay assembly"),
-        Metric("lookups_per_second", "ops/s", "higher"),
         Metric("lookup_success_rate", "fraction", "higher"),
         Metric("table_entries_mean", "entries", "lower"),
         Metric("table_entries_max", "entries", "lower"),
@@ -645,14 +627,12 @@ registry.register(Scenario(
 
 registry.register(Scenario(
     name="storage", group="storage",
-    description=("replicated storage: quorum throughput, anti-entropy cost, "
+    description=("replicated storage: quorum acks, anti-entropy cost, "
                  "100% durability under 30% burst churn"),
     runner=_storage,
     params={"n": 256, "keys": 120},
     smoke_params={"n": 96, "keys": 40},
     metrics=(
-        Metric("put_ops_per_second", "ops/s", "higher"),
-        Metric("get_ops_per_second", "ops/s", "higher"),
         Metric("ae_under_replicated_first_sweep", "keys", "neutral"),
         Metric("ae_repairs_first_sweep", "msgs", "lower",
                "repair datagrams to heal a 20% mass failure"),

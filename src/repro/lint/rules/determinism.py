@@ -1,7 +1,7 @@
 """RPR1xx — fixed-seed determinism.
 
-The whole perf trajectory rests on bit-identical metrics at a fixed seed
-(see ``docs/performance.md``): one wall-clock read or global-RNG draw in a
+The committed golden rests on bit-identical metrics at a fixed seed
+(see ``docs/benchmarks.md``): one wall-clock read or global-RNG draw in a
 simulation package and every "identical run" comparison silently rots.
 """
 

@@ -12,8 +12,7 @@ the paper's evaluation uses):
 * :mod:`repro.sim.latency` — pluggable per-link latency models.
 * :mod:`repro.sim.rng` — named, seeded random substreams so every experiment
   is reproducible bit-for-bit.
-* :mod:`repro.sim.failures` — the paper's 5%-step random-disconnect schedule
-  plus generic Poisson churn processes.
+* :mod:`repro.sim.failures` — the paper's 5%-step random-disconnect schedule.
 * :mod:`repro.sim.conditions` — adversarial conditions: geographic latency,
   Gilbert-Elliott burst loss, healing partitions, straggler slowdowns.
 """
@@ -28,7 +27,7 @@ from repro.sim.latency import (
 )
 from repro.sim.network import Datagram, Network, Process
 from repro.sim.rng import RngRegistry
-from repro.sim.failures import FailureSchedule, PoissonChurn
+from repro.sim.failures import FailureSchedule
 from repro.sim.conditions import (
     GeoLatency,
     GilbertElliott,
@@ -50,7 +49,6 @@ __all__ = [
     "Network",
     "NetworkConditions",
     "Partition",
-    "PoissonChurn",
     "Process",
     "RngRegistry",
     "Simulator",

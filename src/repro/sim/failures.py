@@ -1,22 +1,19 @@
-"""Failure and churn injection.
+"""Failure injection.
 
-Two generators:
-
-* :class:`FailureSchedule` — the paper's evaluation protocol: repeatedly
-  disconnect a fixed fraction (default 5%) of the *initial* population at
-  random, with no repair, until only a small remnant survives.
-* :class:`PoissonChurn` — continuous join/leave churn for the future-work
-  style experiments (Grid-5000 churn stress in §VI).
+:class:`FailureSchedule` is the paper's evaluation protocol: repeatedly
+disconnect a fixed fraction (default 5%) of the *initial* population at
+random, with no repair, until only a small remnant survives.  Continuous
+join/leave churn is a workload, not a substrate feature: see
+:class:`repro.workloads.churn.ChurnSchedule`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Sequence
 
 import numpy as np
 
-from repro.sim.engine import Simulator
 from repro.sim.network import Network
 
 
@@ -95,71 +92,3 @@ class FailureSchedule:
         """Crash-stop the step's victims on *network*."""
         for addr in step.newly_failed:
             network.set_down(addr)
-
-
-class PoissonChurn:
-    """Continuous churn: exponential session and downtime durations.
-
-    Each managed address alternates up/down; transitions call the supplied
-    hooks so the overlay can run its join/leave protocol.  Used by the churn
-    example and the ablation benches, not by the paper's main sweep.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        addresses: Sequence[int],
-        rng: np.random.Generator,
-        mean_uptime: float = 300.0,
-        mean_downtime: float = 60.0,
-        on_leave: Optional[Callable[[int], None]] = None,
-        on_rejoin: Optional[Callable[[int], None]] = None,
-    ) -> None:
-        if mean_uptime <= 0 or mean_downtime <= 0:
-            raise ValueError("mean_uptime and mean_downtime must be > 0")
-        self.sim = sim
-        self.network = network
-        self.addresses = list(addresses)
-        self.rng = rng
-        self.mean_uptime = mean_uptime
-        self.mean_downtime = mean_downtime
-        self.on_leave = on_leave
-        self.on_rejoin = on_rejoin
-        self.leave_count = 0
-        self.rejoin_count = 0
-        self._stopped = False
-
-    def start(self) -> None:
-        """Arm the first leave for every managed address."""
-        for addr in self.addresses:
-            self._arm_leave(addr)
-
-    def stop(self) -> None:
-        self._stopped = True
-
-    def _arm_leave(self, addr: int) -> None:
-        delay = float(self.rng.exponential(self.mean_uptime))
-        self.sim.schedule(delay, lambda: self._leave(addr), label=f"churn-leave:{addr}")
-
-    def _arm_rejoin(self, addr: int) -> None:
-        delay = float(self.rng.exponential(self.mean_downtime))
-        self.sim.schedule(delay, lambda: self._rejoin(addr), label=f"churn-rejoin:{addr}")
-
-    def _leave(self, addr: int) -> None:
-        if self._stopped or not self.network.is_up(addr):
-            return
-        self.network.set_down(addr)
-        self.leave_count += 1
-        if self.on_leave is not None:
-            self.on_leave(addr)
-        self._arm_rejoin(addr)
-
-    def _rejoin(self, addr: int) -> None:
-        if self._stopped:
-            return
-        self.network.set_up(addr)
-        self.rejoin_count += 1
-        if self.on_rejoin is not None:
-            self.on_rejoin(addr)
-        self._arm_leave(addr)

@@ -111,7 +111,10 @@ def test_smoke_scenario_roundtrips_through_benchresult_json(tmp_path):
     assert raw["scenario"] == "core"
     assert raw["smoke"] is True
     assert raw["params"]["n"] == 256
-    assert raw["wall_time_s"] > 0
+    # a pure function of (scenario, seed, params, smoke): no clock, no stamp
+    assert set(raw) == {"schema", "scenario", "group", "seed", "smoke",
+                        "params", "metrics", "checks"}
+    assert result.wall_time_s > 0  # the CLI's progress line, not serialised
 
     loaded = BenchResult.read(str(path))
     assert loaded.to_dict() == result.to_dict()
@@ -125,7 +128,7 @@ def test_validate_rejects_malformed_envelopes():
     result = run_scenario("core", smoke=True)
     good = result.to_dict()
     for mutate in (
-        lambda d: d.pop("git_sha"),
+        lambda d: d.pop("seed"),
         lambda d: d.update(schema="repro.bench/999"),
         lambda d: d.update(metrics={}),
         lambda d: d.update(metrics={"x": "fast"}),
@@ -137,14 +140,28 @@ def test_validate_rejects_malformed_envelopes():
             validate_result_dict(bad)
 
 
+def test_v1_envelope_is_refused_by_schema(tmp_path):
+    """A pre-golden ``repro.bench/1`` file (it carried clock readings and
+    a commit stamp) is rejected outright rather than half-read."""
+    v1 = run_scenario("core", smoke=True).to_dict()
+    v1["schema"] = "repro.bench/1"
+    with pytest.raises(ValueError, match="unsupported BenchResult schema "
+                                         "'repro.bench/1'"):
+        validate_result_dict(v1)
+    path = tmp_path / "bench_core.json"
+    path.write_text(json.dumps(v1))
+    with pytest.raises(ValueError, match="no valid bench_"):
+        load_results(str(tmp_path))
+
+
 # ------------------------------------------------------------------ compare
 
 def _result(metrics, scenario="compute", **kwargs):
     s = registry.get(scenario)
     fields = dict(
-        scenario=s.name, group=s.group, git_sha="deadbeef", seed=42,
+        scenario=s.name, group=s.group, seed=42,
         smoke=True, params=dict(s.effective_params(smoke=True)),
-        wall_time_s=1.0, metrics=metrics, checks=[], unix_time=0.0,
+        metrics=metrics, checks=[],
     )
     fields.update(kwargs)
     return BenchResult(**fields)
@@ -299,26 +316,27 @@ def test_scenario_measures_each_network_once(monkeypatch, name, builds):
 
 
 def test_diff_envelopes_tool_names_the_moved_metric(tmp_path):
-    """CI's hash-seed gate: identical views exit 0 (wall-clock fields are
-    ignored), a moved deterministic metric is named and exits 1."""
+    """CI's golden and hash-seed gates: two runs of the same tree exit 0,
+    a moved metric is named and exits 1.  The tool is stdlib-only — it
+    runs without ``PYTHONPATH``."""
     import os
     import subprocess
     import sys
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    result = run_scenario("core", smoke=True)
     old, new = tmp_path / "old", tmp_path / "new"
-    result.write(str(old))
-    result.wall_time_s += 1.0
-    result.write(str(new))
+    run_scenario("core", smoke=True, out_dir=str(old))
+    result = run_scenario("core", smoke=True, out_dir=str(new))
 
     def diff():
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
         return subprocess.run(
             [sys.executable, os.path.join(root, "tools", "diff_envelopes.py"),
-             str(old), str(new)], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": os.path.join(root, "src")})
+             str(old), str(new)], capture_output=True, text=True, env=env)
 
-    assert diff().returncode == 0
+    proc = diff()
+    assert proc.returncode == 0
+    assert "1/1 envelopes identical" in proc.stdout
     result.metrics["lookup_success_rate"] -= 0.5
     result.write(str(new))
     proc = diff()

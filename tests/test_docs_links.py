@@ -42,14 +42,17 @@ def test_benchmarks_catalogue_covers_scale_scenarios():
 
 
 def test_performance_doc_records_the_before_after_pair():
-    """docs/performance.md must keep pointing at the committed PR-5
-    trajectory pair, and the pair must exist."""
+    """docs/performance.md must keep pointing at the PR-5 before/after
+    pair where it still is (git history), and at today's golden, which
+    must exist."""
     with open(os.path.join(REPO_ROOT, "docs", "performance.md")) as fh:
         doc = fh.read()
-    for rel in ("benchmarks/out/pre_pr5/bench_scale_lookup.json",
-                "benchmarks/out/bench_scale_lookup.json"):
-        assert rel in doc, f"{rel} no longer referenced"
-        assert os.path.exists(os.path.join(REPO_ROOT, rel)), rel
+    for ref in ("980145d:benchmarks/out/pre_pr5/bench_scale_lookup.json",
+                "980145d:benchmarks/out/bench_scale_lookup.json"):
+        assert f"git show {ref}" in doc, f"{ref} no longer referenced"
+    golden = "benchmarks/out/bench_scale_lookup.json"
+    assert f"`{golden}`" in doc
+    assert os.path.exists(os.path.join(REPO_ROOT, golden))
 
 
 def test_checker_catches_a_broken_link(tmp_path):

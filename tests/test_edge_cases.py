@@ -12,9 +12,9 @@ from repro.core.messages import JoinRedirect, KeepAliveAck, LookupRequest, Splic
 from repro.core.node import TreePNode
 from repro.core.routing_table import RoutingTable
 from repro.sim.engine import Simulator
-from repro.sim.failures import PoissonChurn
 from repro.sim.latency import ConstantLatency
 from repro.sim.network import Network
+from repro.workloads import ChurnSchedule
 
 
 class _View:
@@ -131,17 +131,19 @@ class TestChurnWithOverlay:
         cfg = TreePConfig.paper_case1(keepalive_interval=1.0, entry_ttl=3.0)
         net = TreePNetwork(config=cfg, seed=41)
         net.build(32)
-        churn = PoissonChurn(
-            net.sim, net.network, net.ids[:16], net.rng.get("churn"),
+        churn = ChurnSchedule.sampled(
+            net.ids[:16], net.rng.get("churn"), duration=30.0,
             mean_uptime=5.0, mean_downtime=50.0,  # leave and mostly stay down
         )
+        for e in churn:
+            flip = (net.network.set_down if e.kind == "leave"
+                    else net.network.set_up)
+            net.sim.schedule(e.time, lambda flip=flip, node=e.node: flip(node))
         net.start_maintenance()
-        churn.start()
         net.sim.run_for(30.0)
-        churn.stop()
         net.stop_maintenance()
         long_dead = [i for i in net.ids[:16] if not net.network.is_up(i)]
-        assert churn.leave_count > 0
+        assert long_dead
         for i in net.alive_ids():
             node = net.nodes[i]
             for d in long_dead:

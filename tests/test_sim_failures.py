@@ -1,10 +1,10 @@
-"""Unit tests for failure schedules and churn."""
+"""Unit tests for the failure schedule."""
 
 import numpy as np
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.failures import FailureSchedule, PoissonChurn
+from repro.sim.failures import FailureSchedule
 from repro.sim.latency import ConstantLatency
 from repro.sim.network import Network, Process
 
@@ -85,51 +85,6 @@ def test_bad_fractions_rejected():
         FailureSchedule([1, 2], rng, stop_fraction=1.0)
 
 
-class TestPoissonChurn:
-    def _setup(self, mean_uptime=5.0, mean_downtime=2.0):
-        sim = Simulator()
-        net = Network(sim, latency=ConstantLatency(0.01))
-        for i in range(30):
-            net.register(Dummy(i))
-        churn = PoissonChurn(sim, net, list(range(30)),
-                             np.random.default_rng(3),
-                             mean_uptime=mean_uptime,
-                             mean_downtime=mean_downtime)
-        return sim, net, churn
-
-    def test_nodes_cycle_up_and_down(self):
-        sim, net, churn = self._setup()
-        churn.start()
-        sim.run(until=50.0)
-        assert churn.leave_count > 0
-        assert churn.rejoin_count > 0
-
-    def test_hooks_called(self):
-        sim, net, churn = self._setup()
-        left, back = [], []
-        churn.on_leave = left.append
-        churn.on_rejoin = back.append
-        churn.start()
-        sim.run(until=30.0)
-        assert len(left) == churn.leave_count
-        assert len(back) == churn.rejoin_count
-
-    def test_stop_halts_transitions(self):
-        sim, net, churn = self._setup()
-        churn.start()
-        sim.run(until=10.0)
-        churn.stop()
-        count = churn.leave_count + churn.rejoin_count
-        sim.run(until=100.0)
-        assert churn.leave_count + churn.rejoin_count == count
-
-    def test_invalid_params_rejected(self):
-        sim = Simulator()
-        net = Network(sim)
-        with pytest.raises(ValueError):
-            PoissonChurn(sim, net, [1], np.random.default_rng(0), mean_uptime=0.0)
-
-
 # ------------------------------------------------ property/edge coverage
 
 class TestFailureScheduleProperties:
@@ -194,75 +149,11 @@ class TestFailureScheduleProperties:
             net.register(Dummy(i))
         sched = FailureSchedule(list(range(10)), np.random.default_rng(3))
         step = next(iter(sched.steps()))
+        downs = []
+        net.down_hooks.append(downs.append)
         sched.apply_step(net, step)
         epoch = net.liveness_epoch
         sched.apply_step(net, step)  # re-applying changes nothing
         assert net.liveness_epoch == epoch
-
-
-class TestPoissonChurnProperties:
-    def _network(self, n=25):
-        sim = Simulator()
-        net = Network(sim, latency=ConstantLatency(0.01))
-        for i in range(n):
-            net.register(Dummy(i))
-        return sim, net
-
-    def test_never_double_kills_or_double_revives(self):
-        """Every leave hits an up node and every rejoin a down node: the
-        network's exactly-once liveness hooks see one transition per
-        churn event, with no double-kill/double-revive in between."""
-        sim, net = self._network()
-        transitions = {i: [] for i in range(25)}
-        net.down_hooks.append(lambda a: transitions[a].append("down"))
-        net.up_hooks.append(lambda a: transitions[a].append("up"))
-        churn = PoissonChurn(sim, net, list(range(25)),
-                             np.random.default_rng(8),
-                             mean_uptime=4.0, mean_downtime=2.0)
-        churn.start()
-        sim.run(until=60.0)
-        for addr, seq in transitions.items():
-            for prev, nxt in zip(seq, seq[1:]):
-                assert prev != nxt, f"node {addr}: consecutive {prev}"
-        total = sum(len(s) for s in transitions.values())
-        assert total == churn.leave_count + churn.rejoin_count
-
-    def test_leave_counts_match_down_transitions_exactly(self):
-        sim, net = self._network()
-        downs, ups = [], []
-        net.down_hooks.append(downs.append)
-        net.up_hooks.append(ups.append)
-        churn = PoissonChurn(sim, net, list(range(25)),
-                             np.random.default_rng(9),
-                             mean_uptime=3.0, mean_downtime=3.0)
-        churn.start()
-        sim.run(until=40.0)
-        assert len(downs) == churn.leave_count > 0
-        assert len(ups) == churn.rejoin_count > 0
-
-    def test_externally_downed_node_not_double_killed(self):
-        """A node someone else crashed first: the churn leave is skipped
-        (is_up guard), so no second down transition fires."""
-        sim, net = self._network(n=1)
-        downs = []
-        net.down_hooks.append(downs.append)
-        churn = PoissonChurn(sim, net, [0], np.random.default_rng(10),
-                             mean_uptime=1.0, mean_downtime=1000.0)
-        churn.start()
-        net.set_down(0)  # external crash before the churn leave fires
-        sim.run(until=20.0)
-        assert churn.leave_count == 0
-        assert downs == [0]
-
-    def test_empty_address_list_is_inert(self):
-        sim, net = self._network()
-        churn = PoissonChurn(sim, net, [], np.random.default_rng(0))
-        churn.start()
-        sim.run(until=50.0)
-        assert churn.leave_count == churn.rejoin_count == 0
-
-    def test_mean_downtime_validation(self):
-        sim, net = self._network()
-        with pytest.raises(ValueError):
-            PoissonChurn(sim, net, [0], np.random.default_rng(0),
-                         mean_downtime=0.0)
+        # ...and the liveness hook saw one down transition per victim
+        assert sorted(downs) == sorted(step.newly_failed)

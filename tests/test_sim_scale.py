@@ -13,16 +13,21 @@ Four contracts the 10k-node optimization work must never break:
    vectorised argmin, blocked latency sampling, heap compaction) must not
    change simulation semantics: a fixed-seed workload reproduces a digest
    pinned from the *pre-optimization* tree, byte for byte.
-4. **Seed-pinned scenario metrics** — three representative bench
-   scenarios reproduce the exact deterministic metric values recorded on
-   the pre-optimization tree (wall-clock throughput metrics excluded).
+4. **Seed-pinned scenario envelopes** — every bench scenario, at smoke
+   params, reproduces the envelope committed under ``benchmarks/out/``
+   (the golden) exactly: metrics, check verdicts and detail strings.
 """
 
 import hashlib
+import json
+import os
+import sys
 
 import numpy as np
 import pytest
 
+import repro.bench.scenarios  # noqa: F401  (populates the registry)
+from repro.bench import registry, run_scenario
 from repro.core.config import TreePConfig
 from repro.core.repair import PAPER_POLICY, apply_failure_step
 from repro.core.treep import TreePNetwork
@@ -192,51 +197,40 @@ def test_trace_digest_is_run_to_run_deterministic():
         trace_digest(n=64, seed=11, lookups=30)
 
 
-# ------------------------------------------------- seed-pinned scenario metrics
+# ------------------------------------------------------- the committed golden
 
-#: Deterministic smoke metrics of three representative scenarios, captured
-#: on the PRE-optimization tree.  Wall-clock metrics (ops/sec, build
-#: seconds) are excluded — they are *supposed* to move; everything else is
-#: simulation semantics and must not.
-WALLCLOCK_METRICS = {
-    "build_seconds", "lookups_per_second",
-    "put_ops_per_second", "get_ops_per_second",
-}
-
-PINNED_SMOKE_METRICS = {
-    "core": {
-        "connections_mean": 4.12109375,
-        "leaf_entries_mean": 6.087912087912088,
-        "lookup_success_rate": 1.0,
-        "table_entries_max": 30.0,
-        "table_entries_mean": 8.94921875,
-    },
-    "storage": {
-        "ae_repairs_first_sweep": 61.0,
-        "ae_under_replicated_first_sweep": 31.0,
-        "churn_readable_fraction": 1.0,
-        "min_rf_after_churn": 3.0,
-        "min_rf_after_sweep": 3.0,
-    },
-    "ablation_fallback": {
-        "fallback_off_success": 0.9125,
-        "fallback_on_hops": 2.8493150684931505,
-        "fallback_on_success": 0.9125,
-    },
-}
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "benchmarks", "out")
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_SMOKE_METRICS))
+# The goldens are recorded on CPython 3.11 (the supported floor).  3.12's
+# compensated built-in sum() may legitimately differ in the last ulp of a
+# float metric; that is unverified, so other interpreters skip rather than
+# compare under an invented tolerance.
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="benchmarks/out goldens are recorded on CPython 3.11; float "
+           "summation may differ in the last ulp elsewhere (unverified)")
+@pytest.mark.parametrize("name", registry.names())
 def test_scenario_metrics_bit_identical_at_fixed_seed(name):
-    from repro.bench import run_scenario
-    import repro.bench.scenarios  # noqa: F401  (populates the registry)
+    """A smoke run equals its committed envelope, byte for byte.  A PR that
+    moves a metric on purpose re-records the golden (``python -m
+    repro.bench run [--smoke] --out benchmarks/out``) in the same diff."""
+    produced = run_scenario(name, smoke=True).to_json() + "\n"
+    with open(os.path.join(GOLDEN_DIR, f"bench_{name}.smoke.json")) as fh:
+        committed = fh.read()
+    # parsed first: on a mismatch pytest's dict diff names the metric
+    assert json.loads(produced) == json.loads(committed)
+    assert produced == committed
 
-    result = run_scenario(name, smoke=True)
-    produced = {k: v for k, v in result.metrics.items()
-                if k not in WALLCLOCK_METRICS}
-    assert produced == PINNED_SMOKE_METRICS[name], (
-        f"{name}: deterministic metrics moved — the optimization changed "
-        "simulation semantics")
+
+def test_golden_files_match_the_registry_exactly():
+    """No committed envelope without a registered scenario, and every
+    scenario has both its full and its smoke envelope committed."""
+    committed = {f for f in os.listdir(GOLDEN_DIR) if f.startswith("bench_")}
+    expected = {f"bench_{name}{suffix}" for name in registry.names()
+                for suffix in (".json", ".smoke.json")}
+    assert committed == expected
 
 
 # ------------------------------------------------------------ huge ID spaces

@@ -1,21 +1,22 @@
 #!/usr/bin/env python3
-"""Bit-identity check between two directories of bench envelopes.
+"""Identity check between two directories of bench envelopes.
 
 Usage::
 
-    PYTHONPATH=src python tools/diff_envelopes.py OLD_DIR NEW_DIR
+    python tools/diff_envelopes.py OLD_DIR NEW_DIR
 
-Compares every ``bench_*.json`` the two directories hold on
-:func:`repro.bench.deterministic_view` — the envelope minus wall-clock
-fields and wall-clock-derived metrics — and prints, per scenario that
-differs, the metric names (or other fields) that moved.  A scenario
+A ``repro.bench`` envelope is a pure function of (scenario, seed, params,
+smoke), so two runs of the same tree must write the same JSON.  This
+compares every ``bench_*.json`` the two directories hold and prints, per
+file that differs, the metric names (or other fields) that moved.  A file
 present on one side only counts as a difference.  Exit code 1 when
-anything differs, 0 when every pair is bit-identical.
+anything differs, 0 when every pair is identical.  Stdlib only — no
+``PYTHONPATH`` needed.
 
-Two uses: a refactor's own verification (parent commit vs change, full
-and smoke params), and CI's ``PYTHONHASHSEED`` gate — the smoke suite run
-under two hash seeds must produce identical views, which is what makes
-the repo's one justified RPR102 suppression (int-set iteration order in
+Two uses in CI: the golden gate (a fresh full + smoke run against the
+committed ``benchmarks/out/``), and the ``PYTHONHASHSEED`` gate — the
+smoke suite run under two hash seeds must agree, which is what makes the
+repo's one justified RPR102 suppression (int-set iteration order in
 ``core/lookup.py``) a test instead of an argument.
 """
 
@@ -26,28 +27,26 @@ import os
 import sys
 from typing import Any, Dict, List
 
-from repro.bench import deterministic_view
 
-
-def load_views(directory: str) -> Dict[str, Dict[str, Any]]:
-    """``{file name: deterministic view}`` of every envelope in *directory*."""
-    views = {}
+def load_envelopes(directory: str) -> Dict[str, Dict[str, Any]]:
+    """``{file name: parsed JSON}`` of every envelope in *directory*."""
+    envelopes = {}
     for name in sorted(os.listdir(directory)):
         if name.startswith("bench_") and name.endswith(".json"):
             with open(os.path.join(directory, name)) as fh:
-                views[name] = deterministic_view(json.load(fh))
-    return views
+                envelopes[name] = json.load(fh)
+    return envelopes
 
 
 def differing_fields(old: Dict[str, Any], new: Dict[str, Any]) -> List[str]:
     """Names of the metrics (``metrics.<name>``) and top-level fields whose
-    values differ between two views."""
+    values differ between two envelopes."""
     out = []
     for field in sorted(set(old) | set(new)):
         a, b = old.get(field), new.get(field)
         if a == b:
             continue
-        if field == "metrics":
+        if field == "metrics" and isinstance(a, dict) and isinstance(b, dict):
             out += [f"metrics.{k}" for k in sorted(set(a) | set(b))
                     if a.get(k) != b.get(k)]
         else:
@@ -57,10 +56,10 @@ def differing_fields(old: Dict[str, Any], new: Dict[str, Any]) -> List[str]:
 
 def main(argv: List[str]) -> int:
     if len(argv) != 2:
-        print("usage: PYTHONPATH=src python tools/diff_envelopes.py "
-              "OLD_DIR NEW_DIR", file=sys.stderr)
+        print("usage: python tools/diff_envelopes.py OLD_DIR NEW_DIR",
+              file=sys.stderr)
         return 2
-    old, new = load_views(argv[0]), load_views(argv[1])
+    old, new = load_envelopes(argv[0]), load_envelopes(argv[1])
     differing = 0
     for name in sorted(set(old) | set(new)):
         if name not in old or name not in new:
@@ -70,8 +69,7 @@ def main(argv: List[str]) -> int:
             print(f"{name}: {', '.join(differing_fields(old[name], new[name]))}")
             differing += 1
     total = len(set(old) | set(new))
-    print(f"{total - differing}/{total} envelopes bit-identical on "
-          f"deterministic_view")
+    print(f"{total - differing}/{total} envelopes identical")
     return 1 if differing or not total else 0
 
 
