@@ -20,11 +20,19 @@ def main() -> None:
     store, ae = cluster.storage, cluster.anti_entropy
 
     keys = [f"job/{i:04d}" for i in range(200)]
+    first_hops = 0
     for i, key in enumerate(keys):
         result = store.put(key, {"job": i, "state": "queued"})
         assert result.ok, f"quorum write failed for {key}"
+        first_hops += result.hops
     print(f"stored {len(keys)} keys x{store.quorum.n} replicas "
           f"(W={store.quorum.w}, R={store.quorum.r})")
+    # The client's node now remembers which peer coordinated each key, so
+    # the second access skips the greedy walk and goes there directly.
+    second_hops = sum(store.get(key).hops for key in keys)
+    print(f"mean hops to the coordinator: first access "
+          f"{first_hops / len(keys):.2f} (routed), second "
+          f"{second_hops / len(keys):.2f} (remembered)")
 
     print(f"{'dead%':>6} {'alive':>6} {'readable':>9} {'min rf':>7} "
           f"{'repairs':>8}")

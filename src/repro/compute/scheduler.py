@@ -204,7 +204,10 @@ class SchedulerCore:
             cpu_demand=rec.cpu_demand, work=rec.work,
             min_cpu=c.min_cpu, min_memory_gb=c.min_memory_gb,
             min_bandwidth_mbps=c.min_bandwidth_mbps,
-            resume=rec.resume or rec.attempt > 1,
+            # Only an attempt that ran can have checkpointed: a re-dispatch
+            # after JobRejected must not send the next worker on a quorum
+            # read (and its whole sloppy fallback) for a key nobody wrote.
+            resume=rec.resume or rec.reexecutions > 0,
         ))
 
     def _fail(self, rec: JobRecord) -> None:

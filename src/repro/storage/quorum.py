@@ -6,7 +6,10 @@ The write/read path is Dynamo-shaped, grafted onto TreeP routing:
    :class:`~repro.core.messages.StoreGet` at any live node; the request is
    routed greedily towards the key (``greedy_key_next_hop``) until it
    reaches the **responsible node** — the live peer locally closest to the
-   key in the ID space.
+   key in the ID space.  A node that has been answered for a key before
+   skips the walk: it remembers which peer answered and sends its next
+   request for that key there directly (see
+   :attr:`StorageAgent.coordinators`).
 2. The responsible node **coordinates**: it picks the replica set from its
    placement strategy, stamps writes with the per-key version counter
    (last-write-wins, writer id as tie-break), fans out
@@ -61,6 +64,9 @@ _SETTLE = 0.2
 
 #: Completion callbacks remembered per agent (oldest dropped).
 _CALLBACK_CAP = 4096
+
+#: Coordinator hints remembered per agent (oldest dropped).
+_HINT_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -150,6 +156,9 @@ class _PendingRead:
     fallbacks: int = 0
     path: Tuple[int, ...] = ()
     timeout_event: object = None
+    #: The version the origin was answered with; set once the read is
+    #: answered, after which replies still outstanding are only repaired.
+    winner: Optional[VersionedValue] = None
 
 
 class StorageAgent:
@@ -176,6 +185,11 @@ class StorageAgent:
         #: result whose rid has no callback (fire-and-forget, or the
         #: client timed out and dropped it) is discarded.
         self.callbacks: Dict[int, Callable[[Any], None]] = {}
+        #: ``key id -> node that last coordinated it for us``: learnt from
+        #: the ``src`` of every result this node receives, popped by the
+        #: next request for that key (:meth:`ReplicatedStore._issue`), so a
+        #: hint is used at most once before a fresh result re-teaches it.
+        self.coordinators: Dict[int, int] = {}
 
     def handlers(self) -> Dict[type, Callable[[int, Any], None]]:
         """Declarative handler mapping; the owning service's registry
@@ -292,7 +306,8 @@ class StorageAgent:
                 self.node.send(t, StoreRead(msg.request_id, self.node.ident, msg.key_id))
         if self._read_complete(pend):
             self._finish_read(pend)
-            return
+            if len(pend.replies) >= len(targets):
+                return
         self._reads[msg.request_id] = pend
         pend.timeout_event = self.node.sim.schedule(
             self.quorum.timeout,
@@ -314,15 +329,22 @@ class StorageAgent:
         pend = self._reads.get(msg.request_id)
         if pend is None:
             return
-        pend.replies[msg.holder] = (
-            VersionedValue(msg.value, msg.version, msg.writer, msg.timestamp)
-            if msg.found else None
-        )
-        if self._read_complete(pend):
+        vv = (VersionedValue(msg.value, msg.version, msg.writer, msg.timestamp)
+              if msg.found else None)
+        pend.replies[msg.holder] = vv
+        if pend.winner is not None:
+            # Answered already (R found replies were in): a replica that
+            # replies after that is still owed its read repair.
+            if pend.winner.dominates(vv):
+                self._repair(msg.holder, pend.key_id, pend.winner)
+        elif self._read_complete(pend):
+            self._finish_read(pend)
+        else:
+            return
+        if len(pend.replies) >= len(pend.targets):
             del self._reads[msg.request_id]
             if pend.timeout_event is not None:
                 pend.timeout_event.cancel()  # type: ignore[attr-defined]
-            self._finish_read(pend)
 
     def _read_complete(self, pend: _PendingRead) -> bool:
         """R *found* replies satisfy the quorum early; otherwise wait for
@@ -334,7 +356,7 @@ class StorageAgent:
 
     def _read_timeout(self, rid: int) -> None:
         pend = self._reads.pop(rid, None)
-        if pend is not None:
+        if pend is not None and pend.winner is None:
             self._finish_read(pend)  # sloppy: answer from the replies we got
 
     def _fallback_read(self, pend: _PendingRead) -> bool:
@@ -362,13 +384,12 @@ class StorageAgent:
         if freshest is None and self._fallback_read(pend):
             return  # a downstream coordinator will answer the origin
         if freshest is not None:
-            # Read repair: push the winning version to stale/missing holders.
+            # Read repair: push the winning version to stale/missing holders
+            # (those yet to reply are repaired as their replies land).
+            pend.winner = freshest
             for holder, vv in pend.replies.items():
                 if holder != self.node.ident and freshest.dominates(vv):
-                    self.node.send(holder, StoreReplicate(
-                        REPAIR_RID, self.node.ident, pend.key_id,
-                        freshest.value, freshest.version, freshest.writer,
-                        freshest.timestamp))
+                    self._repair(holder, pend.key_id, freshest)
             self.store.apply(pend.key_id, freshest.value, freshest.version,
                              freshest.writer, freshest.timestamp)
             result = StoreGetResult(pend.request_id, pend.key_id, True,
@@ -379,8 +400,17 @@ class StorageAgent:
                                     None, 0, quorum_met, pend.hops)
         self.node.send(pend.origin, result)
 
+    def _repair(self, holder: int, key_id: int, vv: VersionedValue) -> None:
+        self.node.send(holder, StoreReplicate(
+            REPAIR_RID, self.node.ident, key_id,
+            vv.value, vv.version, vv.writer, vv.timestamp))
+
     # ----------------------------------------------------------- client side
     def _on_result(self, src: int, msg) -> None:
+        hints = self.coordinators
+        hints[msg.key_id] = src
+        if len(hints) > _HINT_CAP:
+            del hints[next(iter(hints))]
         cb = self.callbacks.pop(msg.request_id, None)
         if cb is not None:
             cb(msg)
@@ -425,6 +455,14 @@ class ReplicatedStore(Service):
     def node_handlers(self, node: "TreePNode") -> Mapping[type, Handler]:
         return self.agents[node.ident].handlers()
 
+    def on_node_leave(self, ident: int) -> None:
+        """A crashed process forgets what it learnt (its store is disk)."""
+        self.agents[ident].coordinators.clear()
+
+    def on_detach(self) -> None:
+        for agent in self.agents.values():
+            agent.coordinators.clear()
+
     def close(self) -> None:
         """Tear the service down: the registry unregisters every agent's
         handlers (on current *and* rebuilt nodes — the pre-1.3 facade left
@@ -447,7 +485,15 @@ class ReplicatedStore(Service):
     # ------------------------------------------------------------ async API
     def _issue(self, op: str, key_id: int, value: Any, via: Optional[int],
                on_done: Optional[Callable[[Any], None]]):
-        """Inject one client request at a live node; ``(rid, agent)``."""
+        """Inject one client request at a live node; ``(rid, agent,
+        hinted)``.
+
+        A key this origin was answered for before goes straight to the
+        node that answered (``ttl=1``, no greedy walk); the hint is
+        consumed, so a coordinator that died costs one unanswered request
+        and the next one routes.  The receiver runs the ordinary handler:
+        a hinted node that is no longer closest to the key just forwards.
+        """
         node = self.net.live_origin(via)
         agent = self.agents[node.ident]
         rid = next(self._rid)  # facade-unique; safe across origins
@@ -458,12 +504,20 @@ class ReplicatedStore(Service):
             # pin its closure forever: oldest registrations are dropped.
             while len(callbacks) > _CALLBACK_CAP:
                 callbacks.pop(next(iter(callbacks)))
+        coordinator = agent.coordinators.pop(key_id, node.ident)
+        hinted = coordinator != node.ident
+        ttl = 1 if hinted else 0  # the direct send is the request's one hop
         if op == "put":
-            agent.handle_put(node.ident,
-                             StorePut(rid, node.ident, key_id, value, 0))
+            msg = StorePut(rid, node.ident, key_id, value, ttl)
         else:
-            agent.handle_get(node.ident, StoreGet(rid, node.ident, key_id, 0))
-        return rid, agent
+            msg = StoreGet(rid, node.ident, key_id, ttl)
+        if hinted:
+            node.send(coordinator, msg)
+        elif op == "put":
+            agent.handle_put(node.ident, msg)
+        else:
+            agent.handle_get(node.ident, msg)
+        return rid, agent, hinted
 
     def put_async(
         self,
@@ -500,15 +554,24 @@ class ReplicatedStore(Service):
     def _call(self, op: str, key_id: int, value: Any, via: Optional[int],
               deadline: float):
         """The async op plus one pump: returns the coordinator's result,
-        or ``None`` when *deadline* virtual seconds pass without one."""
+        or ``None`` when *deadline* virtual seconds pass without one.  A
+        hinted request nobody answered (the remembered coordinator died)
+        is re-issued once; the hint is gone, so the retry routes."""
         net = self.net
         slot: List[Any] = []
-        rid, agent = self._issue(op, key_id, value, via, slot.append)
+        rid, agent, hinted = self._issue(op, key_id, value, via, slot.append)
         hub = net.obs
         if hub is not None:
             hub.storage_begin(op, rid, agent.node.ident, net.sim.now)
-        if not net.pump(slot, deadline, _SETTLE):
-            agent.callbacks.pop(rid, None)  # a late result is dropped
+        attempt = rid
+        if (not net.pump(slot, deadline, _SETTLE) and hinted
+                and net.network.is_up(agent.node.ident)):
+            agent.callbacks.pop(attempt, None)
+            attempt, agent, _ = self._issue(op, key_id, value, via,
+                                            slot.append)
+            net.pump(slot, deadline, _SETTLE)
+        if not slot:
+            agent.callbacks.pop(attempt, None)  # a late result is dropped
         reply = slot[0] if slot else None
         if hub is not None:
             if reply is None:

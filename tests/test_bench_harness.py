@@ -317,8 +317,8 @@ def test_scenario_measures_each_network_once(monkeypatch, name, builds):
 
 def test_diff_envelopes_tool_names_the_moved_metric(tmp_path):
     """CI's golden and hash-seed gates: two runs of the same tree exit 0,
-    a moved metric is named and exits 1.  The tool is stdlib-only — it
-    runs without ``PYTHONPATH``."""
+    a moved metric or check detail is printed ``old -> new`` and exits 1.
+    The tool is stdlib-only — it runs without ``PYTHONPATH``."""
     import os
     import subprocess
     import sys
@@ -337,8 +337,15 @@ def test_diff_envelopes_tool_names_the_moved_metric(tmp_path):
     proc = diff()
     assert proc.returncode == 0
     assert "1/1 envelopes identical" in proc.stdout
-    result.metrics["lookup_success_rate"] -= 0.5
+    was = result.metrics["lookup_success_rate"]
+    result.metrics["lookup_success_rate"] = was - 0.5
+    check = result.checks[0]
+    detail = check["detail"]
+    check["detail"] = detail + " (moved)"
     result.write(str(new))
     proc = diff()
     assert proc.returncode == 1
-    assert "metrics.lookup_success_rate" in proc.stdout
+    assert f"metrics.lookup_success_rate: {was} -> {was - 0.5}" in proc.stdout
+    assert (f"checks.{check['name']}: ok ({detail}) -> "
+            f"ok ({detail} (moved))") in proc.stdout
+    assert "0/1 envelopes identical" in proc.stdout

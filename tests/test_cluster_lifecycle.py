@@ -161,6 +161,32 @@ def test_leave_unregisters_handlers_and_cancels_node_tasks():
     cluster.shutdown()
 
 
+def test_coordinator_hints_do_not_outlive_the_process():
+    """A storage agent's learnt key -> coordinator hints are process
+    memory: gone when the node crashes, still empty when it is revived,
+    and swept everywhere at shutdown (the store itself is disk and stays)."""
+    cluster = make_cluster().with_storage(QuorumConfig(n=3, w=2, r=2))
+    store = cluster.storage
+    a, b = cluster.ids[0], cluster.ids[1]
+    for via in (a, b):
+        assert store.put("hinted", via, via=via).ok
+    key_id = store.key_id("hinted")
+    assert key_id in store.agents[a].coordinators
+    assert key_id in store.agents[b].coordinators
+
+    cluster.fail_nodes([b])
+    assert not store.agents[b].coordinators
+    assert key_id in store.agents[a].coordinators  # only the crashed node's
+    cluster.revive_nodes([b])
+    assert not store.agents[b].coordinators
+    assert store.get("hinted", via=b).value == b  # routes, then re-learns
+    assert key_id in store.agents[b].coordinators
+
+    cluster.shutdown()
+    assert all(not agent.coordinators for agent in store.agents.values())
+    assert all(not agent.callbacks for agent in store.agents.values())
+
+
 def test_detach_sweeps_handlers_everywhere_and_spares_other_services():
     cluster = make_cluster().with_dht().with_storage()
     store = cluster.storage

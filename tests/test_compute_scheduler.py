@@ -163,6 +163,42 @@ def test_checkpoint_resume_after_worker_death():
     assert grid.stats().executed_work < 80.0 + resumed_from + 1.0
 
 
+def test_rejected_dispatch_is_not_a_resume():
+    """An attempt the worker refused never ran, so it never checkpointed:
+    the re-dispatch must not send the next worker on a quorum read (and
+    its whole sloppy-read fallback) for a key nobody wrote.  A later
+    heartbeat-loss re-placement of the same job still resumes."""
+    from dataclasses import replace
+
+    net, probe = make_grid(seed=5, checkpoint_interval=4.0)
+    probe.submit(JobSpec(job_id=1, cpu_demand=1.0, work=80.0))
+    net.sim.run_for(5.0)
+    first_choice = probe.scheduler_core().records[1].worker
+
+    # Same seed, but the first-choice worker has shrunk behind the
+    # directory's back: it rejects, and the job is placed elsewhere.
+    net, grid = make_grid(seed=5, checkpoint_interval=4.0)
+    node = net.nodes[first_choice]
+    node.capacity = replace(node.capacity, cpu=0.5)
+    grid.submit(JobSpec(job_id=1, cpu_demand=1.0, work=80.0))
+    net.sim.run_for(20.0)
+    by_type = net.network.stats.by_type
+    rec = grid.scheduler_core().records[1]
+    assert by_type["JobRejected"] == 1 and rec.attempt == 2
+    assert rec.worker not in (None, first_choice)
+    assert by_type.get("StoreGet", 0) == 0, "read a checkpoint nobody wrote"
+    assert by_type["StorePut"] > 0  # the accepted attempt does checkpoint
+
+    second = rec.worker
+    if second == grid.scheduler_ident:  # pragma: no cover - seed guard
+        pytest.skip("job landed on the scheduler host for this seed")
+    kill(net, grid, [second])
+    assert grid.run_until_done(timeout=800.0)
+    assert grid.results[1].ok and grid.stats().reexecutions >= 1
+    assert by_type["StoreGet"] >= 1  # the re-placement read it back
+    assert grid.stats().executed_work < 80.0 + 20.0  # and resumed from it
+
+
 def test_checkpoint_ablation_wastes_more_work():
     """Same seed, checkpointing on vs off: both complete, restart wastes
     strictly more executed work."""

@@ -138,3 +138,40 @@ def test_rejoin_after_churn_is_reconciled():
     for i in range(12):
         g = store.get(f"r{i}", via=down[i % len(down)])
         assert g.found and g.value == i + 100
+
+
+def test_stale_coordinator_hints_survive_30_percent_churn():
+    """One origin wrote every key, so it holds a coordinator hint per key;
+    then 30% of the other peers crash in healed bursts.  A hint to a dead
+    coordinator costs the blocking client one re-issue, after which every
+    key is readable with its value and every hint names a live peer."""
+    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=21)
+    net.build(N_NODES)
+    store = Cluster(net=net).with_storage(QuorumConfig(n=3, w=2, r=2)).storage
+    ae = Cluster(net=net).add_service(AntiEntropy(interval=10.0)).anti_entropy
+    writer = net.ids[0]
+    hints = store.agents[writer].coordinators
+    keys = [f"key/{i:03d}" for i in range(N_KEYS)]
+    for k in keys:
+        assert store.put(k, f"value-{k}", via=writer).ok
+    assert len(hints) == N_KEYS
+
+    rng = net.rng.get("hint-churn-test")
+    order = [int(v) for v in rng.permutation(net.ids) if int(v) != writer]
+    total = int(round(KILL_FRACTION * N_NODES))
+    for i in range(0, total, BURST):
+        victims = order[i:min(i + BURST, total)]
+        net.fail_nodes(victims)
+        apply_failure_step(net, victims, FULL_POLICY)
+        ae.converge()
+
+    up = net.network.is_up
+    learnt = dict(hints)
+    assert sum(not up(c) for c in learnt.values()) >= 5, "churn too mild"
+    results = [store.get(k, via=writer) for k in keys]
+    assert all(r.found and r.value == f"value-{k}"
+               for r, k in zip(results, keys))
+    # A surviving coordinator is still the closest live peer: one hop.
+    assert all(r.hops == 1 for r in results if up(learnt[r.key_id]))
+    assert len(hints) == N_KEYS and all(up(c) for c in hints.values())
+    assert not store.agents[writer].callbacks

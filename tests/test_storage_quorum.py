@@ -16,6 +16,13 @@ def store_net():
     return net, Cluster(net=net).with_storage(QuorumConfig(n=3, w=2, r=2)).storage
 
 
+def _coordinator_of(net, store, key_id):
+    """The holder closest to the key: the node that coordinates it."""
+    space = net.config.space
+    return min(store.replica_map()[key_id],
+               key=lambda i: space.distance(i, key_id))
+
+
 # ------------------------------------------------------------- quorum math
 def test_quorum_validation():
     with pytest.raises(ValueError):
@@ -109,6 +116,52 @@ def test_stale_replica_repaired_on_read(store_net):
     net.sim.drain()  # let the repair replicate land
     repaired = store.agents[victim].store.get(key_id)
     assert repaired.value == "fresh" and repaired.version == g.version
+
+
+def test_stale_replica_repaired_when_it_replies_last(store_net):
+    """Read repair must not depend on reply order: the read is answered at
+    the R-th found reply, and a stale replica answering *after* that is
+    still repaired — without burning the read timeout once all are in."""
+    from repro.sim.latency import ConstantLatency
+
+    net, store = store_net
+    r = store.put("repair-late", "fresh")
+    key_id = r.key_id
+    coordinator = _coordinator_of(net, store, key_id)
+    victim = next(h for h in store.replica_map()[key_id] if h != coordinator)
+    store.agents[victim].store._data[key_id] = VersionedValue("stale", 0, -1)
+
+    class SlowVictim(ConstantLatency):
+        def sample(self, src, dst):
+            return 10 * self.value if src == victim else self.value
+
+    net.network.latency = SlowVictim(0.01)
+    t0 = net.sim.now
+    g = store.get("repair-late")
+    assert g.found and g.value == "fresh"
+    net.sim.drain()
+    repaired = store.agents[victim].store.get(key_id)
+    assert repaired.value == "fresh" and repaired.version == g.version
+    assert not any(a._reads for a in store.agents.values())
+    assert net.sim.now - t0 < store.quorum.timeout  # timeout was cancelled
+
+
+def test_unanswered_replica_releases_the_read_at_timeout(store_net):
+    """A target that never replies must not pin the answered read: the
+    read timeout drops it (and answers nobody twice)."""
+    net, store = store_net
+    r = store.put("repair-dead", "v")
+    coordinator = _coordinator_of(net, store, r.key_id)
+    net.network.set_down(next(h for h in store.replica_map()[r.key_id]
+                              if h != coordinator))
+    seen = []
+    store.get_async("repair-dead", on_done=seen.append)
+    net.sim.run_for(1.0)
+    assert len(seen) == 1 and seen[0].found  # R=2 of the 2 live holders
+    assert store.agents[coordinator]._reads  # still owed the third reply
+    net.sim.run_for(store.quorum.timeout)
+    assert len(seen) == 1
+    assert not any(a._reads for a in store.agents.values())
 
 
 def test_read_sees_latest_acknowledged_write_with_overlap(store_net):
@@ -379,3 +432,160 @@ def test_blocking_ops_leave_no_completion_state(store_net):
     late = StorePutResult(before + 1, r.key_id, True, 2, (coordinator,), 1)
     store.agents[origin]._on_result(coordinator, late)  # dropped, no error
     assert idle()
+
+
+# ------------------------------------------------------- coordinator hints
+def _datagrams(net):
+    return dict(net.network.stats.by_type)
+
+
+def _sent_since(net, before):
+    now = net.network.stats.by_type
+    return {k: v - before.get(k, 0) for k, v in now.items()
+            if v != before.get(k, 0)}
+
+
+def _far_key(store, origin, prefix="hint"):
+    """A key the cold walk from *origin* needs >= 2 hops for (written)."""
+    for i in range(64):
+        key = f"{prefix}/{i}"
+        if store.put(key, i, via=origin).hops >= 2:
+            return key, i
+    raise AssertionError("no multi-hop key found")  # pragma: no cover
+
+
+def test_hint_learnt_from_result_src_and_consumed_on_use(store_net):
+    """Route once, then go direct: the origin remembers who answered for
+    a key; the next request pops the hint, costs one request datagram and
+    reports one hop; its result teaches the hint again."""
+    net, store = store_net
+    origin = net.live_origin().ident
+    hints = store.agents[origin].coordinators
+    key, value = _far_key(store, origin)
+    key_id = store.key_id(key)
+    coordinator = _coordinator_of(net, store, key_id)
+    assert hints[key_id] == coordinator
+
+    before = _datagrams(net)
+    seen = []
+    store.get_async(key, via=origin, on_done=seen.append)
+    assert key_id not in hints  # consumed on use
+    net.sim.run_for(1.0)
+    assert seen[0].found and seen[0].value == value and seen[0].hops == 1
+    assert _sent_since(net, before)["StoreGet"] == 1
+    assert hints[key_id] == coordinator  # re-taught by the result
+
+    before = _datagrams(net)
+    r = store.put(key, "again", via=origin)
+    assert r.ok and r.hops == 1
+    assert _sent_since(net, before)["StorePut"] == 1
+    assert store.get(key, via=origin).value == "again"
+    # Another origin knows nothing yet and walks.
+    other = next(i for i in reversed(net.ids) if i not in (origin, coordinator))
+    assert key_id not in store.agents[other].coordinators
+    assert store.get(key, via=other).value == "again"
+    assert store.agents[other].coordinators[key_id] == coordinator
+
+
+def test_hint_learnt_without_a_callback(store_net):
+    """Fire-and-forget results teach too (the checkpoint path registers no
+    callback), and a node coordinating its own key sends nothing extra."""
+    net, store = store_net
+    origin = net.live_origin().ident
+    agent = store.agents[origin]
+    key, _ = _far_key(store, origin)
+    key_id = store.key_id(key)
+    coordinator = agent.coordinators.pop(key_id)
+    store.put_async(key, "faf", via=origin)  # cold again: hint was removed
+    net.sim.run_for(1.0)
+    assert not agent.callbacks
+    assert agent.coordinators[key_id] == coordinator
+    before = _datagrams(net)
+    store.put_async(key, "faf2", via=origin)
+    net.sim.run_for(1.0)
+    assert _sent_since(net, before)["StorePut"] == 1
+    # Issued at the coordinator itself the request never leaves the node.
+    assert store.put(key, "local", via=coordinator).hops == 0
+    assert store.agents[coordinator].coordinators[key_id] == coordinator
+    before = _datagrams(net)
+    assert store.get(key, via=coordinator).hops == 0
+    assert "StoreGet" not in _sent_since(net, before)
+
+
+def test_hints_are_bounded(store_net, monkeypatch):
+    net, store = store_net
+    monkeypatch.setattr("repro.storage.quorum._HINT_CAP", 4)
+    origin = net.live_origin().ident
+    for i in range(7):
+        assert store.put(f"cap/{i}", i).ok
+    hints = store.agents[origin].coordinators
+    assert list(hints) == [store.key_id(f"cap/{i}") for i in range(3, 7)]
+
+
+def test_hinted_node_no_longer_closest_forwards_and_hint_is_corrected(store_net):
+    """A closer peer joined after the hint was learnt: the hinted node is
+    alive but no longer responsible, so it forwards like any other hop, the
+    value is right, and the result re-points the hint."""
+    net, store = store_net
+    origin = net.live_origin().ident
+    hints = store.agents[origin].coordinators
+    key, value = _far_key(store, origin)
+    key_id = store.key_id(key)
+    old = hints[key_id]
+    new_id = key_id + 1 if key_id + 1 not in net.nodes else key_id - 1
+    net.join_new_node(new_id)
+    net.sim.run_for(5.0)
+    assert hints[key_id] == old  # nothing told the origin
+    g = store.get(key, via=origin)
+    assert g.found and g.value == value and g.hops == 2  # old -> new
+    assert hints[key_id] == new_id
+    assert store.get(key, via=origin).hops == 1
+
+
+def test_hinted_coordinator_crash_blocking_ops_reissue(store_net):
+    """The remembered coordinator died: the hinted request is never
+    answered, and the blocking client routes it again."""
+    from repro.core.repair import FULL_POLICY, apply_failure_step
+
+    net, store = store_net
+    origin = net.live_origin().ident
+    hints = store.agents[origin].coordinators
+    for op in ("get", "put"):
+        key, value = _far_key(store, origin, prefix=f"crash-{op}")
+        key_id = store.key_id(key)
+        dead = hints[key_id]
+        net.fail_nodes([dead])
+        apply_failure_step(net, [dead], FULL_POLICY)
+        before = _datagrams(net)
+        if op == "get":
+            r = store.get(key, via=origin)
+            assert r.found and r.value == value
+        else:
+            r = store.put(key, "after", via=origin)
+            assert r.ok and store.get(key, via=origin).value == "after"
+        assert r.hops >= 2  # answered by the routed re-issue
+        assert hints[key_id] != dead
+        assert not store.agents[origin].callbacks
+        sent = _sent_since(net, before)
+        assert sent["StoreGet" if op == "get" else "StorePut"] == 1 + r.hops
+
+
+def test_hinted_coordinator_crash_costs_async_clients_one_op(store_net):
+    from repro.core.repair import FULL_POLICY, apply_failure_step
+
+    net, store = store_net
+    origin = net.live_origin().ident
+    hints = store.agents[origin].coordinators
+    key, value = _far_key(store, origin)
+    key_id = store.key_id(key)
+    dead = hints[key_id]
+    net.fail_nodes([dead])
+    apply_failure_step(net, [dead], FULL_POLICY)
+    seen = []
+    store.get_async(key, via=origin, on_done=seen.append)
+    net.sim.run_for(2 * store.quorum.timeout)
+    assert not seen and key_id not in hints  # that one op is lost
+    store.get_async(key, via=origin, on_done=seen.append)
+    net.sim.run_for(2 * store.quorum.timeout)
+    assert len(seen) == 1 and seen[0].found and seen[0].value == value
+    assert seen[0].hops >= 2 and hints[key_id] != dead

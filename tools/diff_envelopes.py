@@ -8,10 +8,10 @@ Usage::
 A ``repro.bench`` envelope is a pure function of (scenario, seed, params,
 smoke), so two runs of the same tree must write the same JSON.  This
 compares every ``bench_*.json`` the two directories hold and prints, per
-file that differs, the metric names (or other fields) that moved.  A file
-present on one side only counts as a difference.  Exit code 1 when
-anything differs, 0 when every pair is identical.  Stdlib only — no
-``PYTHONPATH`` needed.
+file that differs, each metric, check or other field that moved as
+``name: old -> new``.  A file present on one side only counts as a
+difference.  Exit code 1 when anything differs, 0 when every pair is
+identical.  Stdlib only — no ``PYTHONPATH`` needed.
 
 Two uses in CI: the golden gate (a fresh full + smoke run against the
 committed ``benchmarks/out/``), and the ``PYTHONHASHSEED`` gate — the
@@ -38,19 +38,30 @@ def load_envelopes(directory: str) -> Dict[str, Dict[str, Any]]:
     return envelopes
 
 
+def _by_name(value: Any) -> Any:
+    """An envelope's ``checks`` list as ``{name: "ok|FAIL (detail)"}`` so it
+    diffs per check like ``metrics`` does; anything else unchanged."""
+    if isinstance(value, list) and all(
+            isinstance(c, dict) and "name" in c for c in value):
+        return {c["name"]: f"{'ok' if c.get('passed') else 'FAIL'} "
+                           f"({c.get('detail')})" for c in value}
+    return value
+
+
 def differing_fields(old: Dict[str, Any], new: Dict[str, Any]) -> List[str]:
-    """Names of the metrics (``metrics.<name>``) and top-level fields whose
-    values differ between two envelopes."""
+    """``name: old -> new`` for every metric (``metrics.<name>``), check
+    (``checks.<name>``, verdict and detail) and other top-level field whose
+    value differs between two envelopes."""
     out = []
     for field in sorted(set(old) | set(new)):
-        a, b = old.get(field), new.get(field)
+        a, b = _by_name(old.get(field)), _by_name(new.get(field))
         if a == b:
             continue
-        if field == "metrics" and isinstance(a, dict) and isinstance(b, dict):
-            out += [f"metrics.{k}" for k in sorted(set(a) | set(b))
-                    if a.get(k) != b.get(k)]
+        if isinstance(a, dict) and isinstance(b, dict):
+            out += [f"{field}.{k}: {a.get(k)} -> {b.get(k)}"
+                    for k in sorted(set(a) | set(b)) if a.get(k) != b.get(k)]
         else:
-            out.append(field)
+            out.append(f"{field}: {a} -> {b}")
     return out
 
 
@@ -66,7 +77,9 @@ def main(argv: List[str]) -> int:
             print(f"{name}: only in {argv[1] if name in new else argv[0]}")
             differing += 1
         elif old[name] != new[name]:
-            print(f"{name}: {', '.join(differing_fields(old[name], new[name]))}")
+            print(f"{name}:")
+            for line in differing_fields(old[name], new[name]):
+                print(f"  {line}")
             differing += 1
     total = len(set(old) | set(new))
     print(f"{total - differing}/{total} envelopes identical")
