@@ -22,7 +22,7 @@ def main() -> None:
 
     # 2. Build 512 peers with the default heterogeneous capacity mix.
     #    `Cluster` is the unified entry point; services (storage, compute,
-    #    dht, …) would chain on with `.with_storage(...)` etc. — here we
+    #    …) would chain on with `.with_storage(...)` etc. — here we
     #    only need the raw overlay underneath (`cluster.net`).
     cluster = Cluster(config=config, seed=2005).build(n=512)
     net, layout = cluster.net, cluster.layout

@@ -4,8 +4,9 @@
 Builds a 256-node overlay, loads a N=3/W=2/R=2 replicated store, then kills
 30% of the population in 5% bursts.  Between bursts the overlay heals its
 routing tables and the anti-entropy task re-replicates under-replicated
-keys — so unlike the plain DHT example (``dht_keyvalue.py``), *every* key
-stays readable the whole way down.
+keys — so unlike the plain DHT example (``dht_keyvalue.py``: the same store
+at N=3/W=1/R=1 with no anti-entropy), *every* key stays readable the whole
+way down.
 
 Run:  python examples/replicated_store.py
 """

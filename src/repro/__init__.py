@@ -16,7 +16,7 @@ Public surface:
 * :class:`~repro.core.config.TreePConfig` — all tunables; presets for the
   paper's two experimental cases.
 * :class:`~repro.core.lookup.LookupAlgorithm` — G / NG / NGSA.
-* :mod:`repro.services` — DHT, resource discovery and load balancing on top
+* :mod:`repro.services` — resource discovery and load balancing on top
   of the overlay.
 * :mod:`repro.storage` — the replicated key/value subsystem: quorum
   reads/writes (:class:`~repro.storage.quorum.ReplicatedStore`), versioned
@@ -29,13 +29,13 @@ Public surface:
 * :mod:`repro.baselines` — Chord and flooding comparators on the same
   simulated substrate.
 * :mod:`repro.bench` — the unified benchmark harness:
-  ``python -m repro.bench run|list|compare|report|campaign`` over 28
+  ``python -m repro.bench run|list|report|campaign`` over 28
   declarative scenarios — including the ``scale_*`` 10k-node sweeps —
   writing versioned, clock-free ``BenchResult`` JSON to
   ``benchmarks/out/`` (the committed golden); ``campaign``
   fans a scenario × params × seeds matrix across worker processes and
-  aggregates mean/std/confidence-interval per metric, gated on CI
-  overlap by ``compare``.
+  aggregates mean/std/confidence-interval per metric; two runs are
+  compared exactly by ``tools/diff_envelopes.py``.
 * :mod:`repro.obs` — the unified observability layer: span/event tracing
   across lookups, quorum RW, anti-entropy and job lifecycles
   (``Cluster(...).with_observability()`` or ``--trace-out`` on the bench
@@ -60,7 +60,7 @@ from repro.core.treep import TreePNetwork
 from repro.obs import MetricsRegistry, ObsHub, TraceReader
 from repro.storage import AntiEntropy, QuorumConfig, ReplicatedStore
 
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
 __all__ = [
     "AntiEntropy",

@@ -2,7 +2,7 @@
 
 Layer contract: this package *owns* how the repo measures its behaviour —
 the declarative :class:`Scenario` registry, the ``python -m repro.bench``
-CLI (``run | list | compare | report``), and the versioned
+CLI (``run | list | report | campaign``), and the versioned
 :class:`BenchResult` JSON envelope, a pure function of (scenario, seed,
 params, smoke) whose committed copies under ``benchmarks/out/`` are the
 golden every PR is diffed against.  Wall-clock speed is not measured
@@ -18,29 +18,27 @@ Entry points:
 * ``python -m repro.bench run --smoke`` — every scenario at reduced
   parameters; with ``--out benchmarks/out`` it re-records the smoke half
   of the golden.
-* ``python -m repro.bench compare benchmarks/out old/`` — directional
-  regression gate between runs at different commits (campaign aggregates
-  are gated on CI overlap).
+* ``python tools/diff_envelopes.py benchmarks/out DIR`` — the one run
+  comparer: an exact diff naming every metric and check that moved
+  (a scenario's ``Check`` verdicts are the directional gates).
 * ``python -m repro.bench report`` — the markdown ``docs/benchmarks.md``
   embeds.
 * ``python -m repro.bench campaign SPEC --workers N`` — a
   scenario × params × seeds matrix fanned across spawn workers,
   aggregated to mean/std/confidence-interval per metric
-  (:mod:`repro.bench.campaign`; ``campaign report`` and ``campaign
-  compare`` render and gate the aggregates).
+  (:mod:`repro.bench.campaign`; ``campaign report`` renders the
+  aggregate).
 
 Scenario definitions live in :mod:`repro.bench.scenarios`; importing
 that package (done by the CLI and by campaign workers, or explicitly
 with ``import repro.bench.scenarios``) populates :data:`registry`.
 """
 
-from repro.bench.compare import Comparison, MetricDelta, compare_results
 from repro.bench.result import SCHEMA, BenchResult, load_results
 from repro.bench.campaign import (
     CAMPAIGN_SCHEMA,
     CampaignResult,
     CampaignSpec,
-    compare_campaigns,
     load_campaign,
     load_campaigns,
     parse_campaign,
@@ -62,15 +60,11 @@ __all__ = [
     "CampaignResult",
     "CampaignSpec",
     "Check",
-    "Comparison",
     "Metric",
-    "MetricDelta",
     "SCHEMA",
     "Scenario",
     "ScenarioOutput",
     "ScenarioRegistry",
-    "compare_campaigns",
-    "compare_results",
     "load_campaign",
     "load_campaigns",
     "load_results",

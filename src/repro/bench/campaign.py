@@ -5,9 +5,8 @@ spec (TOML or JSON, the same loading discipline as :mod:`repro.obs.slo`)
 names a registered scenario, a seed list, and a parameter grid; the
 runner executes exactly one repetition per (param point, seed) — fanned
 across ``multiprocessing`` *spawn* workers — and aggregates each metric
-across seeds into mean / sample stddev / confidence interval
-(Student-t by default, percentile bootstrap on request; the math lives
-in :mod:`repro.metrics.stats`).
+across seeds into mean / sample stddev / Student-t confidence interval
+(the math lives in :mod:`repro.metrics.stats`).
 
 The spec::
 
@@ -16,7 +15,6 @@ The spec::
     scenario = "scale_lookup"
     seeds = [101, 202, 303]
     confidence = 0.95        # optional (default 0.95)
-    ci = "t"                 # optional: "t" | "bootstrap"
 
     [campaign.params]        # list => swept axis, scalar => fixed override
     lookups = [150, 300]
@@ -31,8 +29,7 @@ workers).  The aggregate envelope
 (:data:`CAMPAIGN_SCHEMA`) embeds the full per-repetition
 :class:`~repro.bench.result.BenchResult` dicts, and is written to
 ``benchmarks/out/campaign_<name>.json`` (``.smoke.json`` for smoke
-runs), where ``python -m repro.bench compare`` recognises it and gates
-on **CI overlap** instead of point deltas.
+runs); ``tools/diff_envelopes.py`` diffs two of them exactly.
 """
 
 from __future__ import annotations
@@ -47,15 +44,15 @@ from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.bench.result import Envelope, validate_result_dict
 from repro.bench.runner import run_scenario
 from repro.bench.scenario import registry
-from repro.metrics.stats import CI_METHODS, SampleSummary, summarize_samples
+from repro.metrics.stats import SampleSummary, summarize_samples
 
 #: Aggregate envelope schema identifier; bump on breaking field changes.
-CAMPAIGN_SCHEMA = "repro.bench/campaign-2"
+CAMPAIGN_SCHEMA = "repro.bench/campaign-3"
 
 #: Fields every campaign envelope must carry.
 CAMPAIGN_REQUIRED_FIELDS = (
     "schema", "campaign", "scenario", "group", "seeds", "smoke", "confidence",
-    "ci_method", "metrics_aggregated", "points",
+    "metrics_aggregated", "points",
 )
 
 
@@ -70,8 +67,6 @@ class CampaignSpec:
     axes: Tuple[Tuple[str, Tuple[Any, ...]], ...] = ()  # sorted by axis name
     fixed: Mapping[str, Any] = field(default_factory=dict)
     confidence: float = 0.95
-    ci_method: str = "t"
-    resamples: int = 2000
     source: str = "<dict>"
 
     def points(self) -> List[Dict[str, Any]]:
@@ -111,8 +106,7 @@ def parse_campaign(data: Mapping[str, Any],
     raw = data.get("campaign")
     if not isinstance(raw, Mapping) or not raw:
         raise ValueError(f"{source}: spec needs a non-empty [campaign] table")
-    known = {"name", "scenario", "seeds", "confidence", "ci", "resamples",
-             "params"}
+    known = {"name", "scenario", "seeds", "confidence", "params"}
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ValueError(
@@ -141,15 +135,6 @@ def parse_campaign(data: Mapping[str, Any],
             or not 0.0 < confidence < 1.0):
         raise ValueError(
             f"{source}: confidence must be in (0, 1), got {confidence!r}")
-    ci_method = raw.get("ci", "t")
-    if ci_method not in CI_METHODS:
-        raise ValueError(
-            f"{source}: ci must be one of {CI_METHODS}, got {ci_method!r}")
-    resamples = raw.get("resamples", 2000)
-    if not isinstance(resamples, int) or isinstance(resamples, bool) \
-            or resamples < 1:
-        raise ValueError(
-            f"{source}: resamples must be an int >= 1, got {resamples!r}")
     params = raw.get("params", {})
     if not isinstance(params, Mapping):
         raise ValueError(f"{source}: [campaign.params] must be a table")
@@ -166,8 +151,7 @@ def parse_campaign(data: Mapping[str, Any],
             fixed[key] = value
     return CampaignSpec(
         name=name, scenario=scenario, seeds=tuple(seeds), axes=tuple(axes),
-        fixed=fixed, confidence=float(confidence), ci_method=ci_method,
-        resamples=resamples, source=source)
+        fixed=fixed, confidence=float(confidence), source=source)
 
 
 # ----------------------------------------------------------------- execution
@@ -200,7 +184,6 @@ class CampaignResult(Envelope):
     seeds: List[int]
     smoke: bool
     confidence: float
-    ci_method: str
     metrics_aggregated: int
     points: List[Dict[str, Any]]
     schema: str = CAMPAIGN_SCHEMA
@@ -215,7 +198,6 @@ class CampaignResult(Envelope):
             "seeds": list(self.seeds),
             "smoke": self.smoke,
             "confidence": self.confidence,
-            "ci_method": self.ci_method,
             "metrics_aggregated": self.metrics_aggregated,
             "points": self.points,
         }
@@ -289,8 +271,7 @@ def _aggregate_point(reps: List[Dict[str, Any]], seeds: Sequence[int],
     for name in sorted(metric_names):
         samples = [rep["metrics"][name] for rep in reps]
         metrics[name] = summarize_samples(
-            samples, confidence=spec.confidence, method=spec.ci_method,
-            resamples=spec.resamples).to_dict()
+            samples, confidence=spec.confidence).to_dict()
     checks = []
     for j, check in enumerate(reps[0]["checks"]):
         failed_seeds = [seed for seed, rep in zip(seeds, reps)
@@ -355,7 +336,6 @@ def run_campaign(spec: CampaignSpec, *, smoke: bool = False,
         seeds=list(spec.seeds),
         smoke=smoke,
         confidence=spec.confidence,
-        ci_method=spec.ci_method,
         metrics_aggregated=sum(len(p["metrics"]) for p in out_points),
         points=out_points,
     )
@@ -365,123 +345,3 @@ def load_campaigns(path: str) -> Dict[str, CampaignResult]:
     """Load one campaign file or every ``campaign_*.json`` in a directory,
     keyed by campaign name."""
     return CampaignResult.load(path)
-
-
-# ---------------------------------------------------------------- comparison
-@dataclass(frozen=True)
-class CampaignDelta:
-    """One aggregated metric's movement between two campaigns, at one
-    param point, judged by CI overlap rather than a point threshold."""
-
-    campaign: str
-    metric: str
-    direction: str
-    params: Dict[str, Any]
-    old: SampleSummary
-    new: SampleSummary
-    status: str  # "ok" | "regression" | "improvement" | "neutral"
-
-    def describe(self) -> str:
-        point = ", ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        return (f"{self.campaign}[{point}].{self.metric}: "
-                f"{_ci_str(self.old)} -> {_ci_str(self.new)} "
-                f"({self.direction} is better)")
-
-
-def _ci_str(s: SampleSummary) -> str:
-    if s.ci_lo is None:
-        return f"{s.mean:.6g} (n={s.n}, no CI)"
-    return f"{s.mean:.6g} [{s.ci_lo:.6g}, {s.ci_hi:.6g}]"
-
-
-@dataclass
-class CampaignComparison:
-    """Full CI-overlap diff of two campaign-result sets."""
-
-    deltas: List[CampaignDelta]
-    only_old: List[str]
-    only_new: List[str]
-    mismatched: List[str] = field(default_factory=list)  # scenario/smoke drift
-    unpaired_points: List[str] = field(default_factory=list)
-
-    def regressions(self) -> List[CampaignDelta]:
-        return [d for d in self.deltas if d.status == "regression"]
-
-    def improvements(self) -> List[CampaignDelta]:
-        return [d for d in self.deltas if d.status == "improvement"]
-
-    @property
-    def ok(self) -> bool:
-        return not self.regressions()
-
-
-def _interval(summary: SampleSummary) -> Tuple[float, float]:
-    """The gating interval: the CI, or the zero-width point at the mean
-    for n=1 aggregates (no spread information — gate on the mean)."""
-    if summary.ci_lo is None or summary.ci_hi is None:
-        return (summary.mean, summary.mean)
-    return (summary.ci_lo, summary.ci_hi)
-
-
-def _params_key(params: Mapping[str, Any]) -> str:
-    return json.dumps({k: params[k] for k in sorted(params)}, sort_keys=True,
-                      default=str)
-
-
-def compare_campaigns(old: Mapping[str, CampaignResult],
-                      new: Mapping[str, CampaignResult]) -> CampaignComparison:
-    """Diff two campaign-result sets keyed by campaign name.
-
-    Points are paired by their **effective params**; differing *seed
-    lists* are deliberately comparable — each side is a distribution, and
-    the whole point of the aggregate is that mean ± CI of the same param
-    point compares across seed choices.  A directional metric regresses
-    only when its intervals are disjoint **and** the mean moved in the
-    bad direction; overlapping intervals are statistically
-    indistinguishable and report ``ok``.
-    """
-    from repro.bench.compare import _metric_direction
-
-    deltas: List[CampaignDelta] = []
-    mismatched: List[str] = []
-    unpaired: List[str] = []
-    for name in sorted(set(old) & set(new)):
-        before, after = old[name], new[name]
-        if (before.scenario != after.scenario
-                or before.smoke != after.smoke):
-            mismatched.append(name)
-            continue
-        old_points = {_params_key(p["params"]): p for p in before.points}
-        new_points = {_params_key(p["params"]): p for p in after.points}
-        for key in sorted(set(old_points) ^ set(new_points)):
-            side = "OLD" if key in old_points else "NEW"
-            unpaired.append(f"{name}: point {key} only in {side}")
-        for key in sorted(set(old_points) & set(new_points)):
-            op, np_ = old_points[key], new_points[key]
-            shared = sorted(set(op["metrics"]) & set(np_["metrics"]))
-            for metric in shared:
-                o = SampleSummary.from_dict(op["metrics"][metric])
-                n = SampleSummary.from_dict(np_["metrics"][metric])
-                direction = _metric_direction(before.scenario, metric)
-                if direction == "neutral":
-                    status = "neutral"
-                else:
-                    o_lo, o_hi = _interval(o)
-                    n_lo, n_hi = _interval(n)
-                    overlap = n_lo <= o_hi and o_lo <= n_hi
-                    if overlap:
-                        status = "ok"
-                    else:
-                        worse = (n.mean > o.mean if direction == "lower"
-                                 else n.mean < o.mean)
-                        status = "regression" if worse else "improvement"
-                deltas.append(CampaignDelta(
-                    campaign=name, metric=metric, direction=direction,
-                    params=dict(op["params"]), old=o, new=n, status=status))
-    return CampaignComparison(
-        deltas=deltas,
-        only_old=sorted(set(old) - set(new)),
-        only_new=sorted(set(new) - set(old)),
-        mismatched=mismatched,
-        unpaired_points=unpaired,
-    )

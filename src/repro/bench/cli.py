@@ -1,4 +1,4 @@
-"""The harness CLI: ``python -m repro.bench run|list|compare|report|campaign``.
+"""The harness CLI: ``python -m repro.bench run|list|report|campaign``.
 
 * ``list`` — the scenario catalogue (name, group, params, metric count).
 * ``run [NAMES] [--group G] [--smoke] [--seed S] [--set k=v] [--out DIR]``
@@ -6,43 +6,26 @@
   each rendered figure/table, write one ``bench_<name>.json``
   :class:`~repro.bench.result.BenchResult` per scenario.  Exit 1 if any
   scenario check fails (``--no-checks`` downgrades that to a report).
-* ``compare OLD NEW [--threshold T] [--scenario NAME]`` — diff two result
-  files/directories; exit 1 on any regression beyond the threshold.
-  Campaign aggregates (``campaign_*.json``) are recognised and gated on
-  **CI overlap** of each param point instead of point deltas.
 * ``report [--results DIR] [--scenarios-only]`` — markdown for the docs.
 * ``campaign SPEC [--workers N] [--smoke] [--out DIR]`` — run a
   scenario × params × seeds matrix across processes and aggregate
-  mean/std/CI per metric (``campaign report`` / ``campaign compare``
-  render and gate the aggregates; see :mod:`repro.bench.campaign`).
+  mean/std/CI per metric (``campaign report`` renders the aggregate;
+  see :mod:`repro.bench.campaign`).
+
+Two result directories are compared by ``python tools/diff_envelopes.py
+OLD NEW`` — envelopes are pure functions of their inputs, so the exact
+diff is the comparison.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 import repro.bench.scenarios  # noqa: F401  (populates the registry)
-from repro.bench.campaign import (
-    CAMPAIGN_SCHEMA,
-    CampaignResult,
-    compare_campaigns,
-    load_campaign,
-    load_campaigns,
-    run_campaign,
-)
-from repro.bench.compare import DEFAULT_THRESHOLD, compare_results
-from repro.bench.report import (
-    campaign_comparison_table,
-    campaign_plots,
-    campaign_table,
-    comparison_table,
-    results_table,
-    scenario_table,
-)
+from repro.bench.campaign import load_campaign, load_campaigns, run_campaign
+from repro.bench.report import campaign_table, results_table, scenario_table
 from repro.bench.result import load_results
 from repro.bench.runner import run_scenario
 from repro.bench.scenario import GROUPS, registry
@@ -51,7 +34,7 @@ from repro.viz.ascii import table
 DEFAULT_OUT = "benchmarks/out"
 
 #: ``campaign`` sub-actions; a bare spec path implies ``run``.
-CAMPAIGN_ACTIONS = ("run", "report", "compare")
+CAMPAIGN_ACTIONS = ("run", "report")
 
 
 def _parse_override(text: str) -> Any:
@@ -67,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Unified benchmark harness: run scenarios, record the "
-                    "golden, compare runs, render reports.")
+                    "golden, render reports.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="show the scenario catalogue")
@@ -101,14 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "name the violated rules when any objective "
                             "breaks")
 
-    cmp_p = sub.add_parser("compare", help="diff two results, flag regressions")
-    cmp_p.add_argument("old", help="baseline: a bench_*.json file or directory")
-    cmp_p.add_argument("new", help="candidate: a bench_*.json file or directory")
-    cmp_p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
-                       help="relative regression gate (default 0.10 = 10%%)")
-    cmp_p.add_argument("--scenario", default=None,
-                       help="restrict the diff to one scenario")
-
     rep_p = sub.add_parser("report", help="render markdown for the docs")
     rep_p.add_argument("--results", default=None,
                        help="also render results from this file/directory")
@@ -135,16 +110,8 @@ def _build_parser() -> argparse.ArgumentParser:
     crun.add_argument("--quiet", action="store_true",
                       help="suppress the per-point markdown tables")
     crep = camp_sub.add_parser(
-        "report", help="render a campaign aggregate as markdown (+ plots)")
+        "report", help="render a campaign aggregate as markdown")
     crep.add_argument("result", help="a campaign_*.json file or directory")
-    crep.add_argument("--plots", default=None, metavar="DIR",
-                      help="also write per-metric error-bar PNGs to DIR "
-                           "(soft matplotlib dependency)")
-    ccmp = camp_sub.add_parser(
-        "compare", help="CI-overlap gate between two campaign aggregates")
-    ccmp.add_argument("old", help="baseline campaign_*.json file or directory")
-    ccmp.add_argument("new", help="candidate campaign_*.json file or directory")
-    ccmp.set_defaults(threshold=DEFAULT_THRESHOLD, scenario=None)
     return parser
 
 
@@ -237,77 +204,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def _load_both_kinds(path: str) -> Tuple[Optional[Dict[str, Any]],
-                                         Optional[Dict[str, CampaignResult]]]:
-    """Load whatever *path* holds: plain ``bench_*.json`` results,
-    ``campaign_*.json`` aggregates, or (for a directory) both."""
-    if os.path.isfile(path):
-        with open(path) as fh:
-            schema = json.load(fh).get("schema")
-        if schema == CAMPAIGN_SCHEMA:
-            return None, load_campaigns(path)
-        return load_results(path), None
-    results = campaigns = None
+def _load_or_exit(loader: Callable[[str], Dict[str, Any]],
+                  path: str) -> Dict[str, Any]:
+    """``loader(path)``, with a missing, unreadable or empty *path* turned
+    into a one-line exit instead of a traceback."""
     try:
-        results = load_results(path)
-    except ValueError:
-        pass
-    try:
-        campaigns = load_campaigns(path)
-    except ValueError:
-        pass
-    if results is None and campaigns is None:
-        raise SystemExit(
-            f"no bench_*.json or campaign_*.json results under {path!r}")
-    return results, campaigns
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    old_results, old_campaigns = _load_both_kinds(args.old)
-    new_results, new_campaigns = _load_both_kinds(args.new)
-    compared = regressions_n = 0
-    if old_results is not None and new_results is not None:
-        comparison = compare_results(
-            old_results, new_results,
-            threshold=args.threshold, scenario=args.scenario)
-        print(comparison_table(comparison))
-        for name in comparison.mismatched:
-            print(f"  WARNING {name}: seed/params/smoke differ between the "
-                  f"two runs — not compared (measure like with like; for "
-                  f"cross-seed comparisons record a campaign aggregate "
-                  f"instead — `python -m repro.bench campaign`)")
-        for drift in comparison.metric_drift:
-            print(f"  WARNING metric drift: {drift}")
-        regressions = comparison.regressions()
-        improvements = comparison.improvements()
-        print(f"\n{len(comparison.deltas)} metrics compared at "
-              f"±{100 * comparison.threshold:.0f}%: "
-              f"{len(regressions)} regression(s), "
-              f"{len(improvements)} improvement(s)")
-        for d in regressions:
-            print(f"  REGRESSION {d.describe()}")
-        compared += len(comparison.deltas)
-        regressions_n += len(regressions)
-    if old_campaigns is not None and new_campaigns is not None:
-        # Campaign aggregates carry distributions, not points: the pair is
-        # gated on CI overlap per param point, so differing seed lists
-        # compare like-for-like instead of being skipped.
-        campaign_cmp = compare_campaigns(old_campaigns, new_campaigns)
-        print(campaign_comparison_table(campaign_cmp))
-        regressions = campaign_cmp.regressions()
-        print(f"\n{len(campaign_cmp.deltas)} aggregated metrics compared by "
-              f"CI overlap: {len(regressions)} regression(s), "
-              f"{len(campaign_cmp.improvements())} improvement(s)")
-        for d in regressions:
-            print(f"  REGRESSION {d.describe()}")
-        compared += len(campaign_cmp.deltas)
-        regressions_n += len(regressions)
-    if not compared:
-        # A gate that measured nothing must not report a pass: typo'd
-        # --scenario, disjoint result sets, or all pairs mismatched.
-        print("ERROR: zero metrics were compared — nothing was gated")
-        return 2
-    return 1 if regressions_n else 0
+        return loader(path)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"cannot load results: {exc}")
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -315,7 +219,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     print(scenario_table())
     if not args.scenarios_only and args.results:
         print("\n## Results\n")
-        print(results_table(load_results(args.results)))
+        print(results_table(_load_or_exit(load_results, args.results)))
     return 0
 
 
@@ -357,16 +261,9 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_report(args: argparse.Namespace) -> int:
-    campaigns = load_campaigns(args.result)
+    campaigns = _load_or_exit(load_campaigns, args.result)
     for name in sorted(campaigns):
-        result = campaigns[name]
-        print(campaign_table(result))
-        if args.plots:
-            written, skipped = campaign_plots(result, args.plots)
-            if skipped:
-                print(f"plots skipped: {skipped}")
-            for path in written:
-                print(f"plot: {path}")
+        print(campaign_table(campaigns[name]))
     return 0
 
 
@@ -389,16 +286,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_list()
     if args.command == "run":
         return _cmd_run(args)
-    if args.command == "compare":
-        return _cmd_compare(args)
     if args.command == "report":
         return _cmd_report(args)
     if args.command == "campaign":
         if args.action == "run":
             return _cmd_campaign_run(args)
-        if args.action == "report":
-            return _cmd_campaign_report(args)
-        return _cmd_compare(args)  # same routing: aggregates gate on CI overlap
+        return _cmd_campaign_report(args)
     raise SystemExit(f"unknown command {args.command!r}")  # pragma: no cover
 
 

@@ -26,8 +26,9 @@ def run_scenario(name: str, *, seed: Optional[int] = None, smoke: bool = False,
 
     When *out_dir* is given the envelope is also written there as
     ``bench_<name>.json`` — ``bench_<name>.smoke.json`` for smoke runs —
-    the file the committed golden holds and ``compare`` diffs.  The only
-    clock read here feeds ``wall_time_s``, which is not serialised.
+    the file the committed golden holds and ``tools/diff_envelopes.py``
+    diffs.  The only clock read here feeds ``wall_time_s``, which is not
+    serialised.
 
     When *trace_out* is given the scenario executes under an ambient
     observability capture (:func:`repro.obs.runtime.capture`): every

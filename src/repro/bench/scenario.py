@@ -3,8 +3,8 @@
 A :class:`Scenario` is what a ``benchmarks/bench_*.py`` file used to be,
 made machine-readable: a name, a parameter grid (full and ``--smoke``
 variants), a seed policy, a declared metrics schema
-(:class:`Metric` with a regression *direction* so ``compare`` knows which
-way is worse), and a runner returning a :class:`ScenarioOutput` — scalar
+(:class:`Metric` with a *direction* — which way is better — that the
+catalogue prints), and a runner returning a :class:`ScenarioOutput` — scalar
 metrics plus pass/fail :class:`Check` verdicts (the invariants the old
 bench files ``assert``-ed) plus the rendered ASCII figure/table.
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-#: Regression directions a metric may declare.
+#: Directions a metric may declare.
 DIRECTIONS = ("higher", "lower", "neutral")
 
 #: Scenario groups, in catalogue order.
@@ -32,7 +32,9 @@ class Metric:
 
     ``direction`` declares which way is *better*: ``"higher"`` (e.g.
     success rate), ``"lower"`` (e.g. wasted work), or ``"neutral"`` for
-    informational values ``compare`` must not flag (e.g. tree height).
+    informational values (e.g. tree height).  It is declared schema: the
+    catalogue counts and prints it, and the scenario's :class:`Check`
+    verdicts — not a tolerance on this field — are what gate a run.
     """
 
     name: str

@@ -14,11 +14,12 @@ seed with this module loaded.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
 from repro.bench.scenario import Check, Metric, Scenario, ScenarioOutput, registry
+from repro.bench.scenarios.systems import lookup_pairs, play_leave_bursts
 from repro.cluster import Cluster
 from repro.compute.job import ComputeConfig
 from repro.core.config import TreePConfig
@@ -163,7 +164,7 @@ def _rack_failure_jobs(params, seed, smoke):
                .with_storage(QuorumConfig(n=3, w=2, r=2), anti_entropy=10.0)
                .with_compute(ComputeConfig(
                    checkpoint_interval=params["checkpoint_interval"])))
-    net, grid, ae = cluster.net, cluster.compute, cluster.anti_entropy
+    net, grid = cluster.net, cluster.compute
     hub = _ensure_hub(net)
 
     wl = JobWorkload(rng=net.rng.get("adv-rack-jobs"), arrival_rate=1.0,
@@ -174,17 +175,8 @@ def _rack_failure_jobs(params, seed, smoke):
     plan = rack_failure_plan(net.topology_snapshot(),
                              net.rng.get("adv-racks"),
                              params["kill_fraction"])
-    pending = list(plan.as_schedule(start=params["first_failure"],
-                                    spacing=params["rack_spacing"]))
-    while pending:
-        t = pending[0].time
-        burst = [e for e in pending if e.time == t]
-        pending = pending[len(burst):]
-        if net.sim.now < t:
-            net.sim.run(until=t)
-        cluster.fail_nodes([e.node for e in burst], heal=True)
-        ae.converge()
-        grid.ensure_scheduler()
+    play_leave_bursts(cluster, plan.as_schedule(
+        start=params["first_failure"], spacing=params["rack_spacing"]))
 
     done = grid.run_until_done(timeout=params["deadline"])
     stats = grid.stats()
@@ -234,12 +226,6 @@ def _rack_failure_jobs(params, seed, smoke):
 
 # -------------------------------------------------------- straggler tail
 
-def _lookup_pairs(ids, count) -> List[Tuple[int, int]]:
-    rng = np.random.default_rng(0)
-    return [tuple(int(x) for x in rng.choice(ids, 2, replace=False))
-            for _ in range(count)]
-
-
 def _straggler_tail(params, seed, smoke):
     n, lookups = params["n"], params["lookups"]
     fraction, factor = params["straggler_fraction"], params["slow_factor"]
@@ -254,7 +240,8 @@ def _straggler_tail(params, seed, smoke):
             plan = straggler_plan(net.ids, net.rng.get("adv-stragglers"),
                                   fraction, factor)
             wrapped = cond.set_stragglers(plan.victim_set, plan.factor)
-        results = net.run_lookup_batch(_lookup_pairs(net.ids, lookups), "G")
+        results = net.run_lookup_batch(
+            lookup_pairs(np.random.default_rng(0), net.ids, lookups), "G")
         return hub, wrapped, results
 
     healthy_hub, _, healthy = one_run(inject=False)
@@ -326,7 +313,8 @@ def _loss_burst_lookup(params, seed, smoke):
                         p_exit_bad=params["p_exit_bad"])
     cond.set_loss_model(ge)
 
-    results = net.run_lookup_batch(_lookup_pairs(net.ids, lookups), "G")
+    results = net.run_lookup_batch(
+        lookup_pairs(np.random.default_rng(0), net.ids, lookups), "G")
     found = sum(r.found for r in results)
     success = found / lookups
     hist = _span_hist(hub, "lookup")

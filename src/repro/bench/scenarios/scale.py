@@ -20,11 +20,12 @@ thresholds of :mod:`repro.bench.scenarios.systems`.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.bench.scenario import Check, Metric, Scenario, ScenarioOutput, registry
+from repro.bench.scenarios.systems import lookup_pairs
 from repro.cluster import Cluster
 from repro.core.config import TreePConfig
 from repro.core.repair import PAPER_POLICY, apply_failure_step
@@ -37,12 +38,6 @@ from repro.workloads.jobs import JobWorkload
 def _mmm(sizes: Tuple[int, ...]) -> Tuple[int, int, int]:
     """(min, mid, max) indices of a sweep; mid == max on two-point sweeps."""
     return 0, len(sizes) // 2, len(sizes) - 1
-
-
-def _pairs(rng, population, count) -> List[Tuple[int, int]]:
-    pop = list(population)
-    return [tuple(int(x) for x in rng.choice(pop, 2, replace=False))
-            for _ in range(count)]
 
 
 def _event_metrics(sizes, events_by_n) -> Dict[str, float]:
@@ -65,7 +60,7 @@ def _scale_lookup(params, seed, smoke):
         net = TreePNetwork(config=TreePConfig.paper_case1(), seed=seed)
         net.build(n)
         rng = np.random.default_rng(0)
-        pairs = _pairs(rng, net.ids, lookups)
+        pairs = lookup_pairs(rng, net.ids, lookups)
         e0 = net.sim.events_processed
         results = net.run_lookup_batch(pairs, "G")
         events = net.sim.events_processed - e0
@@ -130,7 +125,7 @@ def _scale_churn(params, seed, smoke):
             net.fail_nodes(step)
             apply_failure_step(net, step, PAPER_POLICY)
         results = net.run_lookup_batch(
-            _pairs(rng, net.alive_ids(), lookups), "G")
+            lookup_pairs(rng, net.alive_ids(), lookups), "G")
         events = net.sim.events_processed - e0
         success = sum(r.found for r in results) / lookups
         events_by_n.append(events)

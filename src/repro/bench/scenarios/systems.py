@@ -5,6 +5,11 @@ bounds), ``ngsa_cost`` (§IV.a bandwidth verdict), ``baselines`` (TreeP vs
 Chord vs flooding), ``storage`` (quorum acks, anti-entropy cost,
 durability under 30% churn) and ``compute`` (scheduling under burst
 churn, checkpointing vs restart).
+
+Two pieces of plumbing the ``scale_*`` and ``adv_*`` families share live
+here, once: :func:`lookup_pairs` (the per-pair origin/target draw) and
+:func:`play_leave_bursts` (timed crash bursts against a storage + compute
+cluster).
 """
 
 from __future__ import annotations
@@ -29,6 +34,34 @@ from repro.workloads.jobs import JobWorkload
 from repro.workloads.lookups import LookupWorkload
 
 
+# ----------------------------------------------------------------- plumbing
+
+def lookup_pairs(rng, population, count) -> List[Tuple[int, int]]:
+    """*count* (origin, target) pairs of distinct ids, one
+    ``rng.choice(population, 2, replace=False)`` draw per pair."""
+    pop = list(population)
+    return [tuple(int(x) for x in rng.choice(pop, 2, replace=False))
+            for _ in range(count)]
+
+
+def play_leave_bursts(cluster, events) -> None:
+    """Play time-sorted leave *events* against a cluster running storage
+    (with anti-entropy) and compute: run the sim to each burst's instant,
+    crash its nodes with a converged table heal, re-replicate, and fail
+    the scheduler over if the burst took its host."""
+    net, grid, ae = cluster.net, cluster.compute, cluster.anti_entropy
+    pending = list(events)
+    while pending:
+        t = pending[0].time
+        burst = [e for e in pending if e.time == t]
+        pending = pending[len(burst):]
+        if net.sim.now < t:
+            net.sim.run(until=t)
+        cluster.fail_nodes([e.node for e in burst], heal=True)
+        ae.converge()
+        grid.ensure_scheduler()
+
+
 # --------------------------------------------------------------------- core
 
 def _core(params, seed, smoke):
@@ -36,10 +69,8 @@ def _core(params, seed, smoke):
     net = TreePNetwork(config=TreePConfig.paper_case1(), seed=seed)
     net.build(n)
 
-    rng = np.random.default_rng(0)
-    pairs = [tuple(int(x) for x in rng.choice(net.ids, 2, replace=False))
-             for _ in range(lookups)]
-    results = net.run_lookup_batch(pairs, "G")
+    results = net.run_lookup_batch(
+        lookup_pairs(np.random.default_rng(0), net.ids, lookups), "G")
     found = sum(r.found for r in results)
 
     sizes = net.routing_table_sizes()
@@ -266,15 +297,6 @@ def _ngsa_cost(params, seed, smoke):
 
 # ---------------------------------------------------------------- baselines
 
-def _pairs(rng, population, count) -> List[Tuple[int, int]]:
-    pop = list(population)
-    out = []
-    while len(out) < count:
-        o, t = (int(x) for x in rng.choice(pop, 2, replace=False))
-        out.append((o, t))
-    return out
-
-
 def _baselines(params, seed, smoke):
     n, lookups = params["n"], params["lookups"]
     flood_lookups = max(lookups // 4, 20)
@@ -287,35 +309,38 @@ def _baselines(params, seed, smoke):
     treep = TreePNetwork(config=TreePConfig.paper_case1(), seed=seed)
     treep.build(n)
     m0 = treep.network.stats.sent
-    healthy = treep.run_lookup_batch(_pairs(rng, treep.ids, lookups), "G")
+    healthy = treep.run_lookup_batch(lookup_pairs(rng, treep.ids, lookups), "G")
     msgs = (treep.network.stats.sent - m0) / lookups
     victims = [int(v) for v in rng.choice(treep.ids, int(0.3 * n), replace=False)]
     treep.fail_nodes(victims)
     apply_failure_step(treep, victims, PAPER_POLICY)
-    failed = treep.run_lookup_batch(_pairs(rng, treep.alive_ids(), lookups), "G")
+    failed = treep.run_lookup_batch(
+        lookup_pairs(rng, treep.alive_ids(), lookups), "G")
     rows.append(("TreeP (G)", healthy, failed, msgs))
 
     chord = ChordNetwork(seed=seed)
     chord.build(n)
     m0 = chord.network.stats.sent
-    healthy = chord.run_lookup_batch(_pairs(rng, chord.ids, lookups))
+    healthy = chord.run_lookup_batch(lookup_pairs(rng, chord.ids, lookups))
     msgs = (chord.network.stats.sent - m0) / lookups
     victims = [int(v) for v in rng.choice(chord.ids, int(0.3 * n), replace=False)]
     chord.fail_nodes(victims)
     chord.repair_step()
-    failed = chord.run_lookup_batch(_pairs(rng, chord.alive_ids(), lookups))
+    failed = chord.run_lookup_batch(
+        lookup_pairs(rng, chord.alive_ids(), lookups))
     rows.append(("Chord", healthy, failed, msgs))
 
     flood = FloodNetwork(seed=seed, degree=4, default_ttl=7)
     flood.build(n)
     m0 = flood.network.stats.sent
-    healthy = flood.run_lookup_batch(_pairs(rng, flood.ids, flood_lookups))
+    healthy = flood.run_lookup_batch(
+        lookup_pairs(rng, flood.ids, flood_lookups))
     msgs = (flood.network.stats.sent - m0) / flood_lookups
     victims = [int(v) for v in rng.choice(flood.ids, int(0.3 * n), replace=False)]
     flood.fail_nodes(victims)
     flood.repair_step()
     failed = flood.run_lookup_batch(
-        _pairs(rng, flood.alive_ids(), flood_lookups))
+        lookup_pairs(rng, flood.alive_ids(), flood_lookups))
     rows.append(("Flooding", healthy, failed, msgs))
 
     out: Dict[str, Dict[str, float]] = {}
@@ -475,7 +500,7 @@ def _compute_run(params, seed, checkpointing):
                .with_compute(ComputeConfig(
                    checkpoint_interval=params["checkpoint_interval"]
                    if checkpointing else None)))
-    net, grid, ae = cluster.net, cluster.compute, cluster.anti_entropy
+    net, grid = cluster.net, cluster.compute
 
     wl = JobWorkload(rng=net.rng.get("bench-compute-jobs"),
                      arrival_rate=1.0, work_mean=150.0, work_sigma=0.4,
@@ -484,19 +509,9 @@ def _compute_run(params, seed, checkpointing):
              + wl.dag_batch(tuple(params["dag_layers"]), work=60.0))
     grid.schedule_submissions(specs)
 
-    pending = list(_burst_churn_schedule(
+    play_leave_bursts(cluster, _burst_churn_schedule(
         net, params["kill_fraction"], params["burst"],
         params["burst_spacing"]))
-    while pending:
-        t = pending[0].time
-        burst = [e for e in pending if e.time == t]
-        pending = pending[len(burst):]
-        if net.sim.now < t:
-            net.sim.run(until=t)
-        victims = [e.node for e in burst if e.kind == "leave"]
-        cluster.fail_nodes(victims, heal=True)
-        ae.converge()
-        grid.ensure_scheduler()
 
     done = grid.run_until_done(timeout=params["deadline"])
     stats = grid.stats()

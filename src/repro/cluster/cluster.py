@@ -43,7 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.hierarchy import HierarchyLayout
     from repro.core.ids import AssignStrategy
     from repro.core.node import TreePNode
-    from repro.services.dht import TreePDht
     from repro.services.discovery import ResourceDirectory
     from repro.services.loadbalance import LoadBalancer
     from repro.sim.latency import LatencyModel
@@ -145,14 +144,6 @@ class Cluster:
         return svc
 
     # ------------------------------------------------- the five subsystems
-    def with_dht(self, replicas: int = 2) -> "Cluster":
-        """Attach the simple single-coordinator DHT."""
-        from repro.services.dht import TreePDht
-
-        self._require_built("with_dht")
-        self.state.attach(TreePDht(replicas=replicas))
-        return self
-
     def with_discovery(self) -> "Cluster":
         """Attach hierarchy-walking grid resource discovery."""
         from repro.services.discovery import ResourceDirectory
@@ -231,10 +222,6 @@ class Cluster:
         return self
 
     # ------------------------------------------------------ typed accessors
-    @property
-    def dht(self) -> "TreePDht":
-        return self._get("dht", "with_dht()")  # type: ignore[return-value]
-
     @property
     def directory(self) -> "ResourceDirectory":
         return self._get("discovery", "with_discovery() or with_compute()")  # type: ignore[return-value]

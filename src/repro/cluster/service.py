@@ -1,8 +1,8 @@
 """The `Service` lifecycle protocol: one contract for every overlay service.
 
 Before this layer existed each subsystem invented its own wiring —
-:class:`~repro.services.dht.TreePDht`, :class:`~repro.storage.quorum.ReplicatedStore`
-and :class:`~repro.compute.scheduler.JobScheduler` all took a network and
+:class:`~repro.storage.quorum.ReplicatedStore` and
+:class:`~repro.compute.scheduler.JobScheduler` both took a network and
 independently spliced handlers, node hooks and periodic timers onto nodes,
 leaving the caller to compose them in a fragile, order-sensitive way.  A
 :class:`Service` instead *declares* what it needs and a

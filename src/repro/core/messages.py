@@ -22,9 +22,6 @@ Message families:
 * **Hierarchy** — :class:`ElectionStart`, :class:`ParentClaim`,
   :class:`ParentAnnounce`, :class:`PromoteGrant`, :class:`Demote`.
 * **Lookup** — :class:`LookupRequest`, :class:`LookupReply`.
-* **Services** — :class:`DhtPut`, :class:`DhtGet`, :class:`DhtValue`,
-  :class:`DhtPutAck` (key/value layer; discovery walks the hierarchy
-  aggregates directly and has no wire format).
 * **Replicated storage** — :class:`StorePut` / :class:`StoreGet` (client
   requests routed to the key's responsible node), :class:`StoreReplicate` /
   :class:`StoreAck` (coordinator ↔ replica write traffic, also used by
@@ -275,63 +272,6 @@ class LookupReply(NamedTuple):
     @property
     def wire_size(self) -> int:
         return _HEADER_BYTES + 16 + 8 * len(self.path)
-
-
-# ----------------------------------------------------------------- services
-@dataclass(frozen=True, slots=True)
-class DhtPut:
-    """Routed store request; ``direct`` marks a replica copy that must be
-    stored by the receiver without further routing."""
-
-    request_id: int
-    origin: int
-    key_id: int
-    value: Any = None
-    ttl: int = 0
-    replicas: int = 1
-    direct: bool = False
-
-    wire_size: ClassVar[int] = _HEADER_BYTES + 64
-
-
-@dataclass(frozen=True, slots=True)
-class DhtGet:
-    request_id: int
-    origin: int
-    key_id: int
-    ttl: int = 0
-
-    wire_size: ClassVar[int] = _HEADER_BYTES + 16
-
-
-@dataclass(frozen=True, slots=True)
-class DhtValue:
-    """GET reply: the stored value (or a miss)."""
-
-    request_id: int
-    key_id: int
-    found: bool
-    value: Any = None
-    hops: int = 0
-
-    wire_size: ClassVar[int] = _HEADER_BYTES + 64
-
-
-@dataclass(frozen=True, slots=True)
-class DhtPutAck:
-    """PUT acknowledgement — distinct from :class:`DhtValue` so a store
-    confirmation can never be mistaken for a GET hit, and the replica set
-    travels in its own field instead of hijacking ``value``."""
-
-    request_id: int
-    key_id: int
-    ok: bool
-    stored_on: Tuple[int, ...] = ()
-    hops: int = 0
-
-    @property
-    def wire_size(self) -> int:
-        return _HEADER_BYTES + 16 + 8 * len(self.stored_on)
 
 
 # -------------------------------------------------------- replicated storage

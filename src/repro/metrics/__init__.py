@@ -11,7 +11,6 @@ from repro.metrics.series import Series
 from repro.metrics.stats import (
     LookupBatchStats,
     SampleSummary,
-    bootstrap_interval,
     student_t_ppf,
     summarize_batch,
     summarize_samples,
@@ -22,7 +21,6 @@ __all__ = [
     "LookupBatchStats",
     "SampleSummary",
     "Series",
-    "bootstrap_interval",
     "student_t_ppf",
     "summarize_batch",
     "summarize_samples",

@@ -4,14 +4,12 @@ Two families live here:
 
 * :func:`summarize_batch` / :class:`LookupBatchStats` — the per-batch
   folds the figure experiments consume;
-* :func:`t_interval` / :func:`bootstrap_interval` /
-  :func:`summarize_samples` — confidence intervals over repeated
-  measurements (one value per seed), the math behind
-  ``python -m repro.bench campaign`` aggregation.  The Student-t
+* :func:`t_interval` / :func:`summarize_samples` — Student-t confidence
+  intervals over repeated measurements (one value per seed), the math
+  behind ``python -m repro.bench campaign`` aggregation.  The Student-t
   quantile is computed in-repo (regularised incomplete beta + bisection,
   no SciPy dependency) and pinned against closed-form table values in
-  ``tests/test_metrics_stats.py``; the bootstrap path draws from a
-  dedicated seeded generator so aggregation is reproducible.
+  ``tests/test_metrics_stats.py``.
 """
 
 from __future__ import annotations
@@ -95,10 +93,6 @@ def summarize_batch(
 # ---------------------------------------------------------------------------
 # Confidence intervals over repeated measurements (one sample per seed).
 # ---------------------------------------------------------------------------
-
-#: CI methods :func:`summarize_samples` accepts.
-CI_METHODS = ("t", "bootstrap")
-
 
 def _betacf(a: float, b: float, x: float) -> float:
     """Continued fraction for the regularised incomplete beta (modified
@@ -225,37 +219,6 @@ def t_interval(samples: Sequence[float], confidence: float = 0.95,
     return (mean - half, mean + half)
 
 
-def bootstrap_interval(samples: Sequence[float], confidence: float = 0.95,
-                       resamples: int = 2000, seed: int = 0,
-                       ) -> Optional[Tuple[float, float]]:
-    """Percentile-bootstrap confidence interval for the mean.
-
-    Resampling draws from a dedicated ``default_rng(seed)`` so repeated
-    aggregation of the same samples is bit-identical.  Same degenerate
-    contract as :func:`t_interval`: ``None`` at n=1, zero width at zero
-    variance.
-    """
-    xs = [float(v) for v in samples]
-    if not xs:
-        raise ValueError("bootstrap_interval needs at least one sample")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    if resamples < 1:
-        raise ValueError(f"resamples must be >= 1, got {resamples}")
-    if len(xs) == 1:
-        return None
-    arr = np.asarray(xs, dtype=float)
-    if float(np.ptp(arr)) == 0.0:
-        mean = float(arr[0])
-        return (mean, mean)
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(arr), size=(resamples, len(arr)))
-    means = arr[idx].mean(axis=1)
-    alpha = (1.0 - confidence) / 2.0
-    lo, hi = np.quantile(means, [alpha, 1.0 - alpha])
-    return (float(lo), float(hi))
-
-
 @dataclass(frozen=True)
 class SampleSummary:
     """Mean/spread/interval of one metric across repetitions (seeds)."""
@@ -266,7 +229,6 @@ class SampleSummary:
     ci_lo: Optional[float]          # None when n == 1 (no interval)
     ci_hi: Optional[float]
     confidence: float = 0.95
-    method: str = "t"
 
     @property
     def half_width(self) -> Optional[float]:
@@ -282,7 +244,6 @@ class SampleSummary:
             "ci_lo": self.ci_lo,
             "ci_hi": self.ci_hi,
             "confidence": self.confidence,
-            "method": self.method,
         }
 
     @classmethod
@@ -294,26 +255,17 @@ class SampleSummary:
             ci_lo=None if data.get("ci_lo") is None else float(data["ci_lo"]),
             ci_hi=None if data.get("ci_hi") is None else float(data["ci_hi"]),
             confidence=float(data.get("confidence", 0.95)),
-            method=str(data.get("method", "t")),
         )
 
 
-def summarize_samples(samples: Sequence[float], confidence: float = 0.95,
-                      method: str = "t", resamples: int = 2000,
-                      seed: int = 0) -> SampleSummary:
+def summarize_samples(samples: Sequence[float],
+                      confidence: float = 0.95) -> SampleSummary:
     """Fold repeated measurements into a :class:`SampleSummary`."""
-    if method not in CI_METHODS:
-        raise ValueError(
-            f"unknown CI method {method!r} (known: {CI_METHODS})")
     xs = [float(v) for v in samples]
     if not xs:
         raise ValueError("summarize_samples needs at least one sample")
     mean, std = _mean_std(xs)
-    if method == "t":
-        ci = t_interval(xs, confidence)
-    else:
-        ci = bootstrap_interval(xs, confidence, resamples=resamples,
-                                seed=seed)
+    ci = t_interval(xs, confidence)
     lo, hi = (None, None) if ci is None else ci
     return SampleSummary(n=len(xs), mean=mean, std=std, ci_lo=lo, ci_hi=hi,
-                         confidence=confidence, method=method)
+                         confidence=confidence)

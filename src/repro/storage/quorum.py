@@ -456,8 +456,12 @@ class ReplicatedStore(Service):
         return self.agents[node.ident].handlers()
 
     def on_node_leave(self, ident: int) -> None:
-        """A crashed process forgets what it learnt (its store is disk)."""
-        self.agents[ident].coordinators.clear()
+        """A crashed process forgets what it learnt and what it was waiting
+        for (its store is disk): results addressed to it are never
+        delivered, so a completion left registered would stay for good."""
+        agent = self.agents[ident]
+        agent.coordinators.clear()
+        agent.callbacks.clear()
 
     def on_detach(self) -> None:
         for agent in self.agents.values():

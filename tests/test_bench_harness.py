@@ -2,9 +2,9 @@
 
 Covers the acceptance surface: the registry lists all 19 legacy
 scenarios plus the four ``scale_*`` sweeps, a smoke scenario round-trips
-through the BenchResult JSON envelope, and ``compare`` flags an injected
-regression while passing identical runs.  CLI subcommands are exercised
-through ``main`` so the exit-code contract CI relies on is pinned.
+through the BenchResult JSON envelope, and ``tools/diff_envelopes.py``
+names an injected move while passing identical runs.  CLI subcommands are
+exercised through ``main`` so the exit-code contract CI relies on is pinned.
 """
 
 import json
@@ -18,7 +18,6 @@ from repro.bench import (
     Metric,
     Scenario,
     ScenarioOutput,
-    compare_results,
     load_results,
     registry,
     run_scenario,
@@ -154,7 +153,7 @@ def test_v1_envelope_is_refused_by_schema(tmp_path):
         load_results(str(tmp_path))
 
 
-# ------------------------------------------------------------------ compare
+# ------------------------------------------------------ synthetic envelope
 
 def _result(metrics, scenario="compute", **kwargs):
     s = registry.get(scenario)
@@ -165,67 +164,6 @@ def _result(metrics, scenario="compute", **kwargs):
     )
     fields.update(kwargs)
     return BenchResult(**fields)
-
-
-def test_compare_passes_identical_runs():
-    base = _result({"checkpoint_wasted_work": 100.0,
-                    "checkpoint_goodput": 0.9})
-    comparison = compare_results({"compute": base}, {"compute": base})
-    assert comparison.ok
-    assert not comparison.regressions()
-
-
-def test_compare_flags_injected_20pct_regression():
-    # checkpoint_wasted_work is declared lower-is-better: +20% regresses.
-    old = _result({"checkpoint_wasted_work": 100.0})
-    new = _result({"checkpoint_wasted_work": 120.0})
-    comparison = compare_results({"compute": old}, {"compute": new},
-                                 threshold=0.10)
-    assert not comparison.ok
-    (reg,) = comparison.regressions()
-    assert reg.metric == "checkpoint_wasted_work"
-    assert reg.rel_change == pytest.approx(0.20)
-
-
-def test_compare_direction_and_threshold_semantics():
-    # higher-is-better metric dropping 20% regresses...
-    old = _result({"checkpoint_goodput": 1.0})
-    new = _result({"checkpoint_goodput": 0.8})
-    assert not compare_results({"compute": old}, {"compute": new}).ok
-    # ...the same drop within a 30% threshold passes...
-    assert compare_results({"compute": old}, {"compute": new},
-                           threshold=0.3).ok
-    # ...moving the good way is an improvement, not a regression.
-    comparison = compare_results({"compute": new}, {"compute": old})
-    assert comparison.ok
-    assert len(comparison.improvements()) == 1
-    # neutral metrics are reported but never flagged.
-    old_n = _result({"restart_wasted_work": 100.0})
-    new_n = _result({"restart_wasted_work": 500.0})
-    assert compare_results({"compute": old_n}, {"compute": new_n}).ok
-
-
-def test_compare_reports_scenario_set_drift():
-    a = _result({"checkpoint_goodput": 1.0})
-    comparison = compare_results({"compute": a}, {})
-    assert comparison.only_old == ["compute"]
-    assert comparison.ok  # missing scenarios inform, they don't gate
-
-
-def test_compare_refuses_mismatched_experiments():
-    """A smoke run vs a full run is a different experiment — reported as
-    mismatched, never gated (would otherwise manufacture regressions)."""
-    smoke = _result({"checkpoint_goodput": 1.0})
-    full = _result({"checkpoint_goodput": 0.5}, smoke=False,
-                   params=dict(registry.get("compute").params))
-    comparison = compare_results({"compute": smoke}, {"compute": full})
-    assert comparison.mismatched == ["compute"]
-    assert not comparison.deltas
-    assert comparison.ok
-    # differing seeds are equally incomparable
-    reseeded = _result({"checkpoint_goodput": 0.5}, seed=7)
-    assert compare_results({"compute": smoke},
-                           {"compute": reseeded}).mismatched == ["compute"]
 
 
 # ---------------------------------------------------------------------- CLI
@@ -245,20 +183,15 @@ def test_cli_run_writes_envelope_and_exits_zero(tmp_path, capsys):
     assert "[core] ok" in capsys.readouterr().out
 
 
-def test_cli_compare_exit_codes(tmp_path, capsys):
-    old = _result({"checkpoint_wasted_work": 100.0})
-    new = _result({"checkpoint_wasted_work": 130.0})
-    old_dir, new_dir = tmp_path / "old", tmp_path / "new"
-    for d, r in ((old_dir, old), (new_dir, new)):
-        d.mkdir()
-        r.write(str(d))
-    assert main(["compare", str(old_dir), str(old_dir)]) == 0
-    assert main(["compare", str(old_dir), str(new_dir)]) == 1
-    assert "REGRESSION" in capsys.readouterr().out
-    # a gate that compared nothing must not exit 0 (e.g. typo'd --scenario)
-    rc = main(["compare", str(old_dir), str(new_dir), "--scenario", "storge"])
-    assert rc == 2
-    assert "zero metrics" in capsys.readouterr().out
+def test_cli_compare_exit_codes(capsys):
+    """There is no ``compare`` subcommand: envelopes are pure functions of
+    their inputs, so two runs are diffed exactly by
+    ``tools/diff_envelopes.py`` — the old spelling is an argparse error,
+    never a silent pass."""
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "old", "new"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'compare'" in capsys.readouterr().err
 
 
 def test_load_results_prefers_full_over_smoke_twin(tmp_path):
@@ -277,6 +210,14 @@ def test_cli_report_renders_catalogue(capsys):
     assert "| scenario |" in out
     for name in EXPECTED_SCENARIOS:
         assert f"`{name}`" in out
+
+
+def test_cli_report_names_a_missing_or_empty_results_path(tmp_path):
+    """A path with nothing to render is a one-line exit, not a traceback."""
+    with pytest.raises(SystemExit, match="cannot load results"):
+        main(["report", "--results", str(tmp_path / "nowhere")])
+    with pytest.raises(SystemExit, match="no valid bench_"):
+        main(["report", "--results", str(tmp_path)])
 
 
 def test_cli_run_rejects_inapplicable_overrides():
@@ -316,17 +257,25 @@ def test_scenario_measures_each_network_once(monkeypatch, name, builds):
 
 
 def test_diff_envelopes_tool_names_the_moved_metric(tmp_path):
-    """CI's golden and hash-seed gates: two runs of the same tree exit 0,
-    a moved metric or check detail is printed ``old -> new`` and exits 1.
-    The tool is stdlib-only — it runs without ``PYTHONPATH``."""
+    """CI's golden, hash-seed and campaign gates: two runs of the same tree
+    exit 0, a moved metric, check detail or campaign aggregate is printed
+    ``old -> new`` and exits 1.  The tool is stdlib-only — it runs without
+    ``PYTHONPATH``."""
     import os
     import subprocess
     import sys
+
+    from repro.bench import parse_campaign, run_campaign
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     old, new = tmp_path / "old", tmp_path / "new"
     run_scenario("core", smoke=True, out_dir=str(old))
     result = run_scenario("core", smoke=True, out_dir=str(new))
+    campaign = run_campaign(parse_campaign({"campaign": {
+        "name": "unit", "scenario": "core", "seeds": [42, 43],
+        "params": {"lookups": [40]}}}), smoke=True)
+    campaign.write(str(old))
+    campaign.write(str(new))
 
     def diff():
         env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -336,7 +285,7 @@ def test_diff_envelopes_tool_names_the_moved_metric(tmp_path):
 
     proc = diff()
     assert proc.returncode == 0
-    assert "1/1 envelopes identical" in proc.stdout
+    assert "2/2 envelopes identical" in proc.stdout
     was = result.metrics["lookup_success_rate"]
     result.metrics["lookup_success_rate"] = was - 0.5
     check = result.checks[0]
@@ -348,4 +297,26 @@ def test_diff_envelopes_tool_names_the_moved_metric(tmp_path):
     assert f"metrics.lookup_success_rate: {was} -> {was - 0.5}" in proc.stdout
     assert (f"checks.{check['name']}: ok ({detail}) -> "
             f"ok ({detail} (moved))") in proc.stdout
-    assert "0/1 envelopes identical" in proc.stdout
+    assert "1/2 envelopes identical" in proc.stdout
+
+    # A campaign's moved aggregate is named by point, metric and statistic;
+    # the repetitions it embeds are diffed like the envelopes they are.
+    point = campaign.points[0]
+    at = "points[" + ", ".join(
+        f"{k}={v}" for k, v in sorted(point["params"].items())) + "]"
+    mean = point["metrics"]["table_entries_mean"]["mean"]
+    point["metrics"]["table_entries_mean"]["mean"] = mean + 1.0
+    rep = point["repetitions"][1]
+    value = rep["metrics"]["table_entries_mean"]
+    rep["metrics"]["table_entries_mean"] = value + 2.0
+    campaign.write(str(new))
+    proc = diff()
+    assert proc.returncode == 1
+    lines = proc.stdout.splitlines()
+    moved = lines[lines.index("campaign_unit.smoke.json:") + 1:-1]
+    assert moved == [  # the two leaves, named — no repetition dumped
+        f"  {at}.metrics.table_entries_mean.mean: {mean} -> {mean + 1.0}",
+        f"  {at}.repetitions[seed={rep['seed']}].metrics.table_entries_mean: "
+        f"{value} -> {value + 2.0}",
+    ]
+    assert "0/2 envelopes identical" in proc.stdout

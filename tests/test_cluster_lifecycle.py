@@ -31,16 +31,21 @@ from repro import (
     ServiceError,
     TreePConfig,
 )
-from repro.core.messages import DhtGet, DhtPut, JobSubmit, StoreGet, StorePut
-from repro.services import LoadBalancer, ResourceDirectory, TreePDht
+from repro.core.messages import JobSubmit, StoreGet, StorePut
+from repro.services import LoadBalancer, ResourceDirectory
 
 
 def make_cluster(n=64, seed=11):
     return Cluster(config=TreePConfig.paper_case1(), seed=seed).build(n)
 
 
+class ProbePing:
+    """A message type only :class:`ProbeService` handles."""
+
+
 class ProbeService(Service):
-    """Counts every lifecycle callback (the exactly-once regression)."""
+    """Counts every lifecycle callback (the exactly-once regression) and
+    declares one handler of its own."""
 
     name = "probe"
 
@@ -62,6 +67,9 @@ class ProbeService(Service):
     def setup_node(self, node) -> None:
         self.setups[node.ident] += 1
 
+    def node_handlers(self, node):
+        return {ProbePing: lambda src, msg: None}
+
     def on_node_join(self, node) -> None:
         self.joins[node.ident] += 1
 
@@ -78,7 +86,6 @@ class ProbeService(Service):
 # ------------------------------------------------------------ churn counts
 def test_callbacks_fire_exactly_once_per_event_under_30pct_churn():
     cluster = (make_cluster(n=96)
-               .with_dht()
                .with_loadbalance()
                .with_storage(QuorumConfig(n=3, w=2, r=2), anti_entropy=10.0)
                .with_compute(ComputeConfig()))
@@ -182,20 +189,32 @@ def test_coordinator_hints_do_not_outlive_the_process():
     assert store.get("hinted", via=b).value == b  # routes, then re-learns
     assert key_id in store.agents[b].coordinators
 
+    # Nor does a completion it was waiting on: the result of a request in
+    # flight when the origin crashes is never delivered, so the callback
+    # would otherwise stay registered for good.
+    store.get_async("hinted", via=a, on_done=lambda result: None)
+    assert len(store.agents[a].callbacks) == 1
+    cluster.fail_nodes([a], heal=True)
+    assert not store.agents[a].callbacks
+    cluster.run_for(60.0)
+    cluster.revive_nodes([a])
+    cluster.run_for(60.0)
+    assert not store.agents[a].callbacks
+
     cluster.shutdown()
     assert all(not agent.coordinators for agent in store.agents.values())
     assert all(not agent.callbacks for agent in store.agents.values())
 
 
 def test_detach_sweeps_handlers_everywhere_and_spares_other_services():
-    cluster = make_cluster().with_dht().with_storage()
+    cluster = make_cluster().add_service(ProbeService()).with_storage()
     store = cluster.storage
     store.close()
     assert not store.attached
     for node in cluster.net.nodes.values():
         types = node.handler_types()
         assert StorePut not in types and StoreGet not in types
-        assert DhtPut in types and DhtGet in types  # dht untouched
+        assert ProbePing in types  # the other service is untouched
     cluster.shutdown()
     for node in cluster.net.nodes.values():
         assert node.handler_types() == set()
@@ -311,10 +330,11 @@ def test_shared_state_across_cluster_wrappers():
 
 
 @pytest.mark.parametrize(
-    "cls", [TreePDht, ResourceDirectory, LoadBalancer, ReplicatedStore,
+    "cls", [ResourceDirectory, LoadBalancer, ReplicatedStore,
             AntiEntropy, JobScheduler], ids=lambda cls: cls.__name__)
 def test_service_constructors_take_configuration_only(cls):
-    """The pre-1.3 direct-wire form (``TreePDht(net)``, ``AntiEntropy(store)``)
+    """The pre-1.3 direct-wire form (``ReplicatedStore(net)``,
+    ``AntiEntropy(store)``)
     is gone for good: handing a constructor a network (or a store)
     positionally is a TypeError, never a silent self-attach."""
     cluster = make_cluster(n=8)

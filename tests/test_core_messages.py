@@ -6,9 +6,6 @@ import pytest
 
 from repro.core.messages import (
     ChildReport,
-    DhtGet,
-    DhtPut,
-    DhtValue,
     Demote,
     ElectionStart,
     Hello,
@@ -54,7 +51,6 @@ def test_all_messages_frozen():
         ElectionStart(0, 1), ParentClaim(1, 2, 1.0), ParentAnnounce(1, 2),
         PromoteGrant(1, 2), Demote(1, 2),
         LookupRequest(1, 2, 3, "G"), LookupReply(1, 3, True, 3, 5),
-        DhtPut(1, 2, 3), DhtGet(1, 2, 3), DhtValue(1, 3, True),
     ]
     for m in msgs:
         _assert_frozen_and_slotted(m)
@@ -87,7 +83,6 @@ def test_lookup_request_defaults():
 
 def test_storage_messages_frozen_and_sized():
     from repro.core.messages import (
-        DhtPutAck,
         StoreAck,
         StoreGet,
         StoreGetResult,
@@ -99,7 +94,7 @@ def test_storage_messages_frozen_and_sized():
     )
 
     msgs = [
-        DhtPutAck(1, 2, True), StorePut(1, 2, 3), StoreGet(1, 2, 3),
+        StorePut(1, 2, 3), StoreGet(1, 2, 3),
         StoreReplicate(1, 2, 3, "v", 1, 2), StoreAck(1, 3, 2, 1),
         StoreRead(1, 2, 3), StoreReadReply(1, 3, 2, True),
         StorePutResult(1, 3, True), StoreGetResult(1, 3, True),
@@ -143,19 +138,17 @@ def test_job_submit_size_scales_with_deps():
 
 def test_put_ack_distinct_from_get_reply():
     """The PUT-ack/GET-reply conflation fix: separate types, separate fields."""
-    from repro.core.messages import DhtPutAck, DhtValue
+    from repro.core.messages import StoreGetResult, StorePutResult
 
-    ack = DhtPutAck(1, 2, True, stored_on=(3, 4))
-    hit = DhtValue(1, 2, True, value=(3, 4))
+    ack = StorePutResult(1, 2, True, replicas=(3, 4))
+    hit = StoreGetResult(1, 2, True, value=(3, 4))
     assert type(ack) is not type(hit)
-    assert ack.stored_on == (3, 4) and ack.wire_size != hit.wire_size
+    assert ack.replicas == (3, 4) and ack.wire_size != hit.wire_size
 
 
 def test_storage_message_sizes_scale():
-    from repro.core.messages import DhtPutAck, StoreGet, StorePutResult
+    from repro.core.messages import StoreGet, StorePutResult
 
-    assert DhtPutAck(1, 2, True, stored_on=(1, 2, 3)).wire_size == \
-        DhtPutAck(1, 2, True).wire_size + 24
     assert StoreGet(1, 2, 3, path=(1, 2)).wire_size == \
         StoreGet(1, 2, 3).wire_size + 16
     assert StorePutResult(1, 3, True, replicas=(1,)).wire_size == \
@@ -171,7 +164,6 @@ def test_wire_size_is_not_a_constructor_argument():
         (Hello, (0, 1.0, 4)),            # bootstrap / join
         (ChildReport, (1, 1.0, 0)),      # maintenance
         (ElectionStart, (0, 1)),         # hierarchy
-        (DhtGet, (1, 2, 3, 0)),          # services
         (StorePut, (1, 2, 3, "v", 0)),   # replicated storage (NamedTuple)
         (JobAck, (1, 3, 4, True, 0)),    # grid compute
     ]

@@ -8,7 +8,7 @@ holds together end to end; services survive on a stressed overlay.
 import numpy as np
 import pytest
 
-from repro import Cluster, TreePConfig, TreePNetwork
+from repro import Cluster, QuorumConfig, TreePConfig, TreePNetwork
 from repro.core.repair import (
     FULL_POLICY,
     PAPER_POLICY,
@@ -118,9 +118,11 @@ class TestServicesUnderStress:
 
         net = TreePNetwork(config=TreePConfig.paper_case1(), seed=31)
         net.build(96)
-        dht = Cluster(net=net).with_dht(replicas=3).dht
+        # The paper's DHT: k level-0 copies, first answer wins.
+        dht = Cluster(net=net).with_storage(
+            QuorumConfig(n=3, w=1, r=1), placement="level0").storage
         for i in range(20):
-            assert dht.put(f"key{i}", i).found
+            assert dht.put(f"key{i}", i).ok
         rng = np.random.default_rng(3)
         victims = [int(v) for v in rng.choice(net.ids, 28, replace=False)]
         net.fail_nodes(victims)

@@ -4,9 +4,8 @@ The Student-t quantile is computed in-repo (incomplete beta + bisection,
 no SciPy) — these tests pin it against closed-form table values, and
 against scipy when it happens to be installed.  The degenerate-sample
 contract (n=1 → no CI, zero variance → zero-width CI) is what the
-campaign aggregator and the CI-overlap compare gate rely on, so it is
-pinned explicitly, as is the SampleSummary JSON round-trip the campaign
-envelope embeds.
+campaign aggregator relies on, so it is pinned explicitly, as is the
+SampleSummary JSON round-trip the campaign envelope embeds.
 """
 
 import json
@@ -15,9 +14,7 @@ import math
 import pytest
 
 from repro.metrics.stats import (
-    CI_METHODS,
     SampleSummary,
-    bootstrap_interval,
     student_t_cdf,
     student_t_ppf,
     summarize_samples,
@@ -106,34 +103,6 @@ def test_t_interval_narrows_with_lower_confidence():
     assert lo95 < lo80 < hi80 < hi95
 
 
-# ------------------------------------------------------------- bootstrap
-
-def test_bootstrap_interval_is_deterministic_given_seed():
-    xs = [1.0, 2.0, 3.0, 4.0, 5.0]
-    assert bootstrap_interval(xs, seed=1) == bootstrap_interval(xs, seed=1)
-    assert bootstrap_interval(xs, seed=1) == pytest.approx((1.8, 4.2))
-    # the generator seed really drives the resampling (visible at low
-    # resample counts; at 2000 the percentile estimates converge)
-    assert (bootstrap_interval(xs, resamples=50, seed=1)
-            != bootstrap_interval(xs, resamples=50, seed=2))
-
-
-def test_bootstrap_interval_brackets_the_mean():
-    xs = [10.0, 12.0, 9.0, 11.0, 13.0, 10.5]
-    lo, hi = bootstrap_interval(xs, resamples=4000, seed=0)
-    mean = sum(xs) / len(xs)
-    assert lo < mean < hi
-
-
-def test_bootstrap_interval_degenerate_contract():
-    assert bootstrap_interval([3.0]) is None
-    assert bootstrap_interval([3.0, 3.0, 3.0]) == (3.0, 3.0)
-    with pytest.raises(ValueError, match="resamples"):
-        bootstrap_interval([1.0, 2.0], resamples=0)
-    with pytest.raises(ValueError, match="at least one sample"):
-        bootstrap_interval([])
-
-
 # --------------------------------------------------------- SampleSummary
 
 def test_summarize_samples_t_method():
@@ -142,7 +111,6 @@ def test_summarize_samples_t_method():
     assert s.mean == pytest.approx(3.0)
     assert s.std == pytest.approx(1.5811388300841898)
     assert (s.ci_lo, s.ci_hi) == pytest.approx(t_interval([1, 2, 3, 4, 5]))
-    assert s.method == "t"
     assert s.half_width == pytest.approx(0.5 * (s.ci_hi - s.ci_lo))
 
 
@@ -151,20 +119,6 @@ def test_summarize_samples_n1_has_no_interval():
     assert (s.n, s.mean, s.std) == (1, 7.25, 0.0)
     assert s.ci_lo is None and s.ci_hi is None
     assert s.half_width is None
-
-
-def test_summarize_samples_bootstrap_method_uses_seed():
-    a = summarize_samples([1.0, 2.0, 3.0], method="bootstrap", seed=9)
-    b = summarize_samples([1.0, 2.0, 3.0], method="bootstrap", seed=9)
-    assert a == b
-    assert a.method == "bootstrap"
-    assert (a.ci_lo, a.ci_hi) == bootstrap_interval([1.0, 2.0, 3.0], seed=9)
-
-
-def test_summarize_samples_rejects_unknown_method():
-    with pytest.raises(ValueError, match="unknown CI method"):
-        summarize_samples([1.0, 2.0], method="magic")
-    assert CI_METHODS == ("t", "bootstrap")
 
 
 def test_sample_summary_json_roundtrip():
