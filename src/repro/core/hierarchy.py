@@ -31,7 +31,7 @@ from repro.core.config import TreePConfig
 from repro.core.tessellation import cell_owner, children_of
 
 
-@dataclass
+@dataclass(slots=True)
 class HierarchyLayout:
     """The complete steady-state structure of a TreeP overlay.
 
@@ -247,7 +247,7 @@ def theoretical_height(n: int, c: float) -> float:
 # dynamic countdown protocols (§III.b)
 # --------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class Election:
     """State of one running parent election on a level-0 neighbourhood."""
 
@@ -265,6 +265,8 @@ class ElectionManager:
     stronger nodes); the protocol engine schedules the expiry event and
     calls :meth:`on_countdown_expired`.
     """
+
+    __slots__ = ("ident", "capacity", "config", "active")
 
     def __init__(self, ident: int, capacity: NodeCapacity, config: TreePConfig) -> None:
         self.ident = ident
@@ -302,6 +304,8 @@ class DemotionManager:
     Higher capacity → *longer* countdown; on expiry with still < 2 children
     the node abdicates, unless the ``keep-upper`` future-work policy applies.
     """
+
+    __slots__ = ("ident", "capacity", "config", "pending")
 
     def __init__(self, ident: int, capacity: NodeCapacity, config: TreePConfig) -> None:
         self.ident = ident

@@ -34,7 +34,7 @@ import enum
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import inf
-from typing import List, NamedTuple, Optional, Protocol, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -162,28 +162,18 @@ def _radii(extent: int, height: int) -> Tuple[float, ...]:
     return radii
 
 
-def _ordered_triples(view: NodeView) -> List[Tuple[int, int, Entry]]:
-    """Fig. 3's full candidate order as ``(ident, max_level, entry)``
-    triples, memoised per routing-table version.
+def _ordered_triples(t: RoutingTable) -> List[Tuple[int, int, Entry]]:
+    """Fig. 3's full candidate order as ``(ident, max_level, entry)`` triples.
 
     The order (children, neighbour-children, buses top-down, parents,
     superiors, level-0; each group sorted by id; first occurrence wins) is
     a pure function of role membership, and ``max_level`` metadata changes
-    bump the version too (see ``RoutingTable.upsert``), so the built list
-    stays valid until the table's
+    bump the version too (see ``RoutingTable.upsert``), so anything built
+    from it stays valid until the table's
     :attr:`~repro.core.routing_table.RoutingTable.version` bumps.
     Per-request ``exclude`` filtering happens at iteration time —
-    filtering before or after the sort/dedupe yields the same sequence, so
-    cached and uncached enumeration are step-for-step identical.  This is
-    the "avoid per-hop list rebuilds" half of the 10k-node hot-path work:
-    at scale, interior nodes are visited by thousands of lookups between
-    table changes.
+    filtering before or after the sort/dedupe yields the same sequence.
     """
-    t = view.table
-    version = t._version
-    cached = t.cache.get("lookup_order_t")
-    if cached is not None and cached[0] == version:
-        return cached[1]
     ordered: List[int] = []
     seen: set[int] = set()
     for group in (
@@ -198,30 +188,30 @@ def _ordered_triples(view: NodeView) -> List[Tuple[int, int, Entry]]:
             if i not in seen:
                 seen.add(i)
                 ordered.append(i)
-    get = t.get
-    triples = [(e.ident, e.max_level, e)
-               for e in map(get, ordered) if e is not None]
-    t.cache["lookup_order_t"] = (version, triples)
-    return triples
+    return [(e.ident, e.max_level, e)
+            for e in map(t.get, ordered) if e is not None]
 
 
-def _level_zero_triples(view: NodeView) -> List[Tuple[int, int, Entry]]:
-    """``Search_Level_Zero()`` candidates, memoised like :func:`_ordered_triples`."""
-    t = view.table
-    version = t._version
-    cached = t.cache.get("lookup_l0_t")
-    if cached is not None and cached[0] == version:
-        return cached[1]
+def _level_zero_triples(t: RoutingTable) -> List[Tuple[int, int, Entry]]:
+    """``Search_Level_Zero()`` candidates, in id order."""
     ids = set(t.level0) | set(t.children) | set(t.neighbour_children)
-    get = t.get
-    triples = [(e.ident, e.max_level, e)
-               for e in map(get, sorted(ids)) if e is not None]
-    t.cache["lookup_l0_t"] = (version, triples)
-    return triples
+    return [(e.ident, e.max_level, e)
+            for e in map(t.get, sorted(ids)) if e is not None]
 
 
-#: Below this many candidates the plain Python argmin loop beats NumPy's
-#: fixed per-ufunc dispatch overhead (measured crossover ≈ 8–10).
+#: From this many candidates up a table is scanned by the NumPy pipeline
+#: instead of the Python argmin loop.  Two measurements (CPython 3.11.7,
+#: NumPy 2.4), neither a reason to move it.  *In isolation* the ufunc
+#: pipeline is flat at 2.3–2.6 µs while the scalar scan costs 0.9–1.5 /
+#: 1.2–2.2 / 2.4–4.2 / 5.5–9.9 µs at 8 / 12 / 24 / 56 candidates (all at
+#: level 0 – two thirds above it), a crossover of ≈ 12–24 rather than the
+#: "8–10" this comment used to claim.  *In situ* a threshold of 40 bought
+#: nothing: on the parent it moved ``lookup_steady``'s ``ops_per_s`` by less
+#: than pair noise, and with one view per table it cost 6–10 % ``ops_per_s``
+#: and 3.3 MiB (3/3 pairs) — triples are the heavier form to keep, and the
+#: tables a lookup spends its hops in are leaf-sized or far larger.  The
+#: value also decides which form a view is kept in (:class:`CandidateView`),
+#: so it is not a knob to tune casually.
 _NP_MIN_CANDIDATES = 8
 
 #: The vectorised path requires ids (and id differences) to be exact in
@@ -234,48 +224,82 @@ _NP_MAX_EXTENT = 2 ** 53
 _INF = float("inf")
 
 
-def _np_candidates(view: NodeView, l0: bool):
-    """Vectorised view of the candidate order: ``(ids int64 array, entries,
-    int64 scratch, float64 scratch, per-candidate radius)`` — or ``None``
-    for tables below :data:`_NP_MIN_CANDIDATES` (cached verdict either way).
+class CandidateView(NamedTuple):
+    """The greedy router's derived view of one routing table, in exactly
+    one of two forms: *scalar* (``triples`` set, every later field
+    ``None``) below :data:`_NP_MIN_CANDIDATES` candidates or beyond
+    :data:`_NP_MAX_EXTENT`, *vectorised* (``triples`` ``None``) otherwise —
+    a table's content is never held in both.
 
-    Keyed on ``(table version, height)`` — the radius column depends on the
-    node's current height estimate.  The float pipeline reproduces the
-    scalar metric exactly: ids are < 2**53 so the int64→float64 conversions
-    are exact, ``|id - target| - radius`` is the same IEEE subtraction, and
-    the 0-clamp equals the ``d <= radius → 0`` branch.  ``argmin`` returns
-    the *first* minimum, matching the scan loop's strict ``<`` tie-break.
+    Valid while ``(version, height)`` match the table and the node: the
+    radius column depends on the node's current height estimate.  The
+    float pipeline reproduces the scalar metric exactly: ids are < 2**53 so
+    the int64→float64 conversions are exact, ``|id - target| - radius`` is
+    the same IEEE subtraction, and the 0-clamp equals the ``d <= radius →
+    0`` branch.  ``argmin`` returns the *first* minimum, matching the scan
+    loop's strict ``<`` tie-break.
     """
+
+    version: int
+    height: int
+    triples: Optional[List[Tuple[int, int, Entry]]]
+    ids: Optional[np.ndarray] = None       # int64, candidate order
+    radius: Optional[np.ndarray] = None    # float64 tessellation radius per candidate
+    entries: Optional[List[Entry]] = None
+    ibuf: Optional[np.ndarray] = None      # scratch, shared — see _scratch
+    fbuf: Optional[np.ndarray] = None
+
+
+#: ``candidate count -> (int64, float64)`` scratch pair for the vectorised
+#: argmin, shared by every view of that size in the process.  Safe because
+#: the simulator is single-threaded and :func:`_route_greedy` fully rewrites
+#: both buffers before reading them and is done with them before it returns
+#: (``_escalate``/``_closest_child`` never touch them).  Counts are table
+#: sizes, so the memo stays a few dozen entries.
+_SCRATCH: dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _scratch(count: int) -> Tuple[np.ndarray, np.ndarray]:
+    pair = _SCRATCH.get(count)
+    if pair is None:
+        pair = _SCRATCH[count] = (np.empty(count, dtype=np.int64),
+                                  np.empty(count, dtype=np.float64))
+    return pair
+
+
+def _candidate_view(view: NodeView, l0: bool) -> CandidateView:
+    """(Re)build and store the table's view for one variant (``l0``:
+    ``Search_Level_Zero``); the triples are a temporary of the vectorised
+    form.  This is the "avoid per-hop list rebuilds" half of the 10k-node
+    hot-path work: at scale, interior nodes are visited by thousands of
+    lookups between table changes."""
     t = view.table
-    key = "lookup_np_l0" if l0 else "lookup_np"
     height = view.height
-    cached = t.cache.get(key)
-    if cached is not None and cached[0] == t._version and cached[1] == height:
-        return cached[2]
-    triples = _level_zero_triples(view) if l0 else _ordered_triples(view)
-    if len(triples) < _NP_MIN_CANDIDATES:
-        # Leaf-sized tables stay on the scalar loop; cache the verdict so
-        # warm hops skip straight to it.
-        t.cache[key] = (t._version, height, None)
-        return None
-    radii = _radii(view.config.space.extent, height)
-    ids = np.fromiter((i for i, _, _ in triples), dtype=np.int64,
-                      count=len(triples))
-    radius = np.fromiter(
-        (0.0 if lvl <= 0 else radii[lvl if lvl <= height else height]
-         for _, lvl, _ in triples),
-        dtype=np.float64, count=len(triples))
-    entries = [e for _, _, e in triples]
-    payload = (ids, entries, np.empty_like(ids),
-               np.empty(len(triples), dtype=np.float64), radius)
-    t.cache[key] = (t._version, height, payload)
-    return payload
+    extent = view.config.space.extent
+    triples = _level_zero_triples(t) if l0 else _ordered_triples(t)
+    count = len(triples)
+    if count < _NP_MIN_CANDIDATES or extent > _NP_MAX_EXTENT:
+        built = CandidateView(t.version, height, triples)
+    else:
+        radii = _radii(extent, height)
+        ids = np.fromiter((i for i, _, _ in triples), dtype=np.int64, count=count)
+        radius = np.fromiter(
+            (0.0 if lvl <= 0 else radii[lvl if lvl <= height else height]
+             for _, lvl, _ in triples),
+            dtype=np.float64, count=count)
+        built = CandidateView(t.version, height, None, ids, radius,
+                              [e for _, _, e in triples], *_scratch(count))
+    if l0:
+        t._view_l0 = built
+    else:
+        t._view_full = built
+    return built
 
 
 def _full_candidates(
     view: NodeView, exclude: frozenset[int], target: int
-) -> List[Entry]:
-    """``Search_level_A()``: the node's whole routing table.
+) -> Iterator[Entry]:
+    """``Search_level_A()``: the node's whole routing table, lazily.
 
     Deterministic order, table priority as implicit in Fig. 3: children
     first (descending the tree resolves fastest), then the same-level buses
@@ -285,13 +309,16 @@ def _full_candidates(
     is what lets NG's "first improving candidate" rule achieve the
     logarithmic hop counts the paper reports: the scan meets the big
     tessellation jumps before the single-neighbour shuffles.
+
+    One group is ranked per step, so a caller that stops after the first
+    improving entries (NG takes 1, NGSA at most 4) never sorts the rest.
     """
     t = view.table
     distance = view.config.space.distance
+    get = t.get
     # ``(distance, id)`` is a total order, so dropping ids already taken by
     # an earlier group *before* sorting yields the same sequence as sorting
     # first and deduplicating afterwards.
-    ordered: List[int] = []
     seen = set(exclude)
     for group in (
         t.children,
@@ -301,10 +328,11 @@ def _full_candidates(
         t.superiors,
         t.level0,
     ):
-        ranked = [i for _, i in sorted((distance(i, target), i) for i in group if i not in seen)]
-        seen.update(ranked)
-        ordered += ranked
-    return [e for e in map(t.get, ordered) if e is not None]
+        for _, i in sorted((distance(i, target), i) for i in group if i not in seen):
+            seen.add(i)
+            e = get(i)
+            if e is not None:
+                yield e
 
 
 # --------------------------------------------------------------------------
@@ -359,24 +387,22 @@ def _route_greedy(view: NodeView, req: LookupRequest, euclid: bool) -> Decision:
     height = view.height
     radii = None if euclid else _radii(space.extent, height)
     t = view.table
-    payload = None
-    if not euclid and space.extent <= _NP_MAX_EXTENT:
-        cached = t.cache.get(
-            "lookup_np_l0" if from_level1_parent else "lookup_np")
-        if (cached is not None and cached[0] == t._version
-                and cached[1] == height):
-            payload = cached[2]
-        else:
-            payload = _np_candidates(view, from_level1_parent)
-    if payload is not None:
-        # Vectorised argmin over the cached candidate columns — the
-        # ufunc pipeline computes the identical metric values (see
-        # _np_candidates) with constant Python-side cost.
-        ids, np_entries, ibuf, fbuf, radius_col = payload
+    cv = t._view_l0 if from_level1_parent else t._view_full
+    if cv is None or cv[0] != t._epochs.version or cv[1] != height:
+        cv = _candidate_view(view, from_level1_parent)
+    _, _, triples, ids, radius_col, np_entries, ibuf, fbuf = cv
+    if triples is None:
+        # Vectorised argmin over the view's candidate columns — the ufunc
+        # pipeline computes the identical metric values (see CandidateView)
+        # with constant Python-side cost.  In disruption mode the metric is
+        # the plain |id - target|, exact in float64 below _NP_MAX_EXTENT.
         np.subtract(ids, target, out=ibuf)
         np.absolute(ibuf, out=ibuf)
-        np.subtract(ibuf, radius_col, out=fbuf)
-        np.maximum(fbuf, 0.0, out=fbuf)
+        if euclid:
+            np.copyto(fbuf, ibuf)
+        else:
+            np.subtract(ibuf, radius_col, out=fbuf)
+            np.maximum(fbuf, 0.0, out=fbuf)
         # Optimistic exclusion: an already-visited candidate rarely
         # wins the argmin, so re-run it only on a collision instead of
         # masking every path element up front (each NumPy scalar store
@@ -395,10 +421,7 @@ def _route_greedy(view: NodeView, req: LookupRequest, euclid: bool) -> Decision:
             best, best_d = winner, d
             break
     else:
-        triples = (_level_zero_triples(view) if from_level1_parent
-                   else _ordered_triples(view))
-        if exclude is None:
-            exclude = frozenset(req.path + (view.ident,))
+        exclude = frozenset(req.path + (view.ident,))
         for ident, lvl, e in triples:
             if ident in exclude:
                 continue

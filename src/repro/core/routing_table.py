@@ -49,6 +49,19 @@ class Entry:
         return (self.ident, self.max_level, self.score, self.nc, self.last_seen)
 
 
+class _Epochs:
+    """One table's two change counters, shared by the table and its role
+    containers so that a bump is a plain slot store — not a trip through
+    ``RoutingTable.__setattr__``, whose job is guarding role *rebinding*.
+    """
+
+    __slots__ = ("version", "membership")
+
+    def __init__(self) -> None:
+        self.version = 0
+        self.membership = 0
+
+
 class _RoleSet(set):
     """A ``set`` that bumps its owning table's :attr:`RoutingTable.version`
     on every *effective* mutation.
@@ -57,71 +70,71 @@ class _RoleSet(set):
     (``table.level0.discard(...)``, ``table.children.discard(...)`` …), so
     versioning must live in the container rather than in ``RoutingTable``
     methods — otherwise any direct mutation would silently invalidate the
-    candidate-order caches the router keeps per version (see
-    :func:`repro.core.lookup._ordered_candidates`).
+    candidate views the router keeps per version (see
+    :func:`repro.core.lookup._candidate_view`).
     """
 
-    __slots__ = ("_owner",)
+    __slots__ = ("_epochs",)
 
-    def __init__(self, owner: "RoutingTable", iterable: Iterable[int] = ()) -> None:
+    def __init__(self, epochs: _Epochs, iterable: Iterable[int] = ()) -> None:
         super().__init__(iterable)
-        self._owner = owner
+        self._epochs = epochs
 
     # -- effective mutations bump; no-op mutations don't --------------------
     def add(self, item: int) -> None:
         if item not in self:
-            self._owner._version += 1
+            self._epochs.version += 1
             set.add(self, item)
 
     def discard(self, item: int) -> None:
         if item in self:
-            self._owner._version += 1
+            self._epochs.version += 1
             set.discard(self, item)
 
     def remove(self, item: int) -> None:
-        self._owner._version += 1
+        self._epochs.version += 1
         set.remove(self, item)
 
     def pop(self) -> int:
-        self._owner._version += 1
+        self._epochs.version += 1
         return set.pop(self)
 
     def clear(self) -> None:
         if self:
-            self._owner._version += 1
+            self._epochs.version += 1
         set.clear(self)
 
     # -- bulk mutations bump unconditionally (over-invalidation is safe) ----
     def update(self, *others) -> None:
-        self._owner._version += 1
+        self._epochs.version += 1
         set.update(self, *others)
 
     def __ior__(self, other):
-        self._owner._version += 1
+        self._epochs.version += 1
         return set.__ior__(self, other)
 
     def difference_update(self, *others) -> None:
-        self._owner._version += 1
+        self._epochs.version += 1
         set.difference_update(self, *others)
 
     def __isub__(self, other):
-        self._owner._version += 1
+        self._epochs.version += 1
         return set.__isub__(self, other)
 
     def intersection_update(self, *others) -> None:
-        self._owner._version += 1
+        self._epochs.version += 1
         set.intersection_update(self, *others)
 
     def __iand__(self, other):
-        self._owner._version += 1
+        self._epochs.version += 1
         return set.__iand__(self, other)
 
     def symmetric_difference_update(self, other) -> None:
-        self._owner._version += 1
+        self._epochs.version += 1
         set.symmetric_difference_update(self, other)
 
     def __ixor__(self, other):
-        self._owner._version += 1
+        self._epochs.version += 1
         return set.__ixor__(self, other)
 
 
@@ -133,37 +146,37 @@ class _LevelTables(dict):
     later in-place mutations versioned too.
     """
 
-    __slots__ = ("_owner",)
+    __slots__ = ("_epochs",)
 
-    def __init__(self, owner: "RoutingTable") -> None:
+    def __init__(self, epochs: _Epochs) -> None:
         super().__init__()
-        self._owner = owner
+        self._epochs = epochs
 
     def __setitem__(self, level: int, ids: Iterable[int]) -> None:
-        self._owner._version += 1
-        dict.__setitem__(self, level, _RoleSet(self._owner, ids))
+        self._epochs.version += 1
+        dict.__setitem__(self, level, _RoleSet(self._epochs, ids))
 
     def setdefault(self, level: int, default: Iterable[int] = ()) -> "_RoleSet":
         got = dict.get(self, level)
         if got is None:
-            got = _RoleSet(self._owner, default)
-            self._owner._version += 1
+            got = _RoleSet(self._epochs, default)
+            self._epochs.version += 1
             dict.__setitem__(self, level, got)
         return got
 
     def __delitem__(self, level: int) -> None:
         if level in self:
-            self._owner._version += 1
+            self._epochs.version += 1
         dict.__delitem__(self, level)
 
     def pop(self, level: int, *default):
         if level in self:
-            self._owner._version += 1
+            self._epochs.version += 1
         return dict.pop(self, level, *default)
 
     def clear(self) -> None:
         if self:
-            self._owner._version += 1
+            self._epochs.version += 1
         dict.clear(self)
 
     def update(self, *args, **kwargs) -> None:
@@ -176,39 +189,39 @@ class _LevelTables(dict):
 class _ParentMap(dict):
     """``level -> parent id`` mapping with versioned writes."""
 
-    __slots__ = ("_owner",)
+    __slots__ = ("_epochs",)
 
-    def __init__(self, owner: "RoutingTable") -> None:
+    def __init__(self, epochs: _Epochs) -> None:
         super().__init__()
-        self._owner = owner
+        self._epochs = epochs
 
     def __setitem__(self, level: int, ident: int) -> None:
         if dict.get(self, level) != ident:
-            self._owner._version += 1
+            self._epochs.version += 1
         dict.__setitem__(self, level, ident)
 
     def __delitem__(self, level: int) -> None:
         if level in self:
-            self._owner._version += 1
+            self._epochs.version += 1
         dict.__delitem__(self, level)
 
     def pop(self, level: int, *default):
         if level in self:
-            self._owner._version += 1
+            self._epochs.version += 1
         return dict.pop(self, level, *default)
 
     def clear(self) -> None:
         if self:
-            self._owner._version += 1
+            self._epochs.version += 1
         dict.clear(self)
 
     def update(self, *args, **kwargs) -> None:
-        self._owner._version += 1
+        self._epochs.version += 1
         dict.update(self, *args, **kwargs)
 
     def setdefault(self, level: int, default: int = None):  # pragma: no cover
         if level not in self:
-            self._owner._version += 1
+            self._epochs.version += 1
         return dict.setdefault(self, level, default)
 
 
@@ -221,52 +234,63 @@ class RoutingTable:
 
     Two change counters for two kinds of derived view: :attr:`version` moves
     when a *role* set or a peer's level changes (the router's candidate
-    orders key on it), not when a role-less entry comes or goes; the
-    membership epoch ``_membership`` moves exactly when the set of known
-    ids does (:meth:`sorted_ids` keys on it), whatever their roles.
+    views key on it), not when a role-less entry comes or goes;
+    :attr:`membership` moves exactly when the set of known ids does
+    (:meth:`sorted_ids` keys on it), whatever their roles.
     """
+
+    __slots__ = (
+        "owner", "_entries", "_epochs", "_sorted_ids", "_view_full", "_view_l0",
+        "level0", "level0_indirect", "level_tables", "children",
+        "neighbour_children", "parents", "superiors",
+    )
 
     def __init__(self, owner: int) -> None:
         self.owner = owner
         self._entries: Dict[int, Entry] = {}
-        #: Monotonic counter bumped by every role-membership change; the
-        #: router's per-node candidate-order caches key on it (any hit at
-        #: an unchanged version is guaranteed to see the same role sets).
-        self._version: int = 0
-        self._membership: int = 0
+        epochs = self._epochs = _Epochs()
         self._sorted_ids: Tuple[int, Sequence[int]] = (-1, ())
-        #: Version-keyed memo space for derived views of this table
-        #: (see :mod:`repro.core.lookup`): name -> (version, value).
-        self.cache: Dict[str, Tuple[int, Any]] = {}
+        #: The router's candidate view of this table, one per variant (whole
+        #: table / ``Search_Level_Zero``), stamped with the version it was
+        #: built at — owned by :func:`repro.core.lookup._candidate_view`.
+        self._view_full = None
+        self._view_l0 = None
         #: level-0 neighbours (table 1).
-        self.level0: Set[int] = _RoleSet(self)
+        self.level0: Set[int] = _RoleSet(epochs)
         #: indirect level-0 knowledge — neighbours of neighbours, the
         #: replication that lets a node relink when a direct link dies.
-        self.level0_indirect: Set[int] = _RoleSet(self)
+        self.level0_indirect: Set[int] = _RoleSet(epochs)
         #: per-level bus neighbourhood (table 2): level -> ids.
-        self.level_tables: Dict[int, Set[int]] = _LevelTables(self)
+        self.level_tables: Dict[int, Set[int]] = _LevelTables(epochs)
         #: own children (table 3, first half).
-        self.children: Set[int] = _RoleSet(self)
+        self.children: Set[int] = _RoleSet(epochs)
         #: children of direct bus neighbours (table 3, second half).
-        self.neighbour_children: Set[int] = _RoleSet(self)
+        self.neighbour_children: Set[int] = _RoleSet(epochs)
         #: parent at each level this node belongs to (tables 4 + per-level).
-        self.parents: Dict[int, int] = _ParentMap(self)
+        self.parents: Dict[int, int] = _ParentMap(epochs)
         #: ancestors + parent's direct neighbours (table 5).
-        self.superiors: Set[int] = _RoleSet(self)
+        self.superiors: Set[int] = _RoleSet(epochs)
 
     @property
     def version(self) -> int:
-        """Role-membership version (bumps on any add/remove in any table)."""
-        return self._version
+        """Role-membership version (bumps on any add/remove in any table):
+        any two reads that agree saw the same role sets and peer levels."""
+        return self._epochs.version
+
+    @property
+    def membership(self) -> int:
+        """Membership epoch: moves exactly when the set of known ids does."""
+        return self._epochs.membership
 
     def sorted_ids(self) -> Sequence[int]:
         """Every known id, ascending — the table as the 1-D space sees it.
-        Memoised per membership epoch and rebuilt lazily (tables nobody
-        key-routes through never pay); callers must not mutate it."""
+        Memoised per :attr:`membership` epoch and rebuilt lazily (tables
+        nobody key-routes through never pay); callers must not mutate it."""
         epoch, ids = self._sorted_ids
-        if epoch != self._membership:
+        membership = self._epochs.membership
+        if epoch != membership:
             ids = sorted(self._entries)
-            self._sorted_ids = (self._membership, ids)
+            self._sorted_ids = (membership, ids)
         return ids
 
     #: Role attributes whose rebinding must stay versioned (the repair
@@ -277,17 +301,17 @@ class RoutingTable:
 
     def __setattr__(self, name: str, value: Any) -> None:
         if name in RoutingTable._WRAPPED_ROLES and not isinstance(value, _RoleSet):
-            self._version += 1
-            value = _RoleSet(self, value)
+            self._epochs.version += 1
+            value = _RoleSet(self._epochs, value)
         elif name == "level_tables" and not isinstance(value, _LevelTables):
-            wrapped = _LevelTables(self)
+            wrapped = _LevelTables(self._epochs)
             wrapped.update(value)
-            self._version += 1
+            self._epochs.version += 1
             value = wrapped
         elif name == "parents" and not isinstance(value, _ParentMap):
-            wrapped = _ParentMap(self)
+            wrapped = _ParentMap(self._epochs)
             dict.update(wrapped, value)
-            self._version += 1
+            self._epochs.version += 1
             value = wrapped
         object.__setattr__(self, name, value)
 
@@ -307,13 +331,13 @@ class RoutingTable:
         if e is None:
             e = Entry(ident=ident, last_seen=now)
             self._entries[ident] = e
-            self._membership += 1
+            self._epochs.membership += 1
         e.touch(now)
         if max_level is not None and max_level != e.max_level:
-            # The router's candidate caches key on the version and memoise
-            # (ident, max_level) pairs — a level change via gossip/keep-alive
+            # The router's candidate views key on the version and memoise
+            # each peer's level — a level change via gossip/keep-alive
             # metadata must invalidate them exactly like a role change.
-            self._version += 1
+            self._epochs.version += 1
             e.max_level = max_level
         if score is not None:
             e.score = score
@@ -336,7 +360,7 @@ class RoutingTable:
     def forget(self, ident: int) -> None:
         """Drop *ident* from every table (e.g. a detected-dead peer)."""
         if self._entries.pop(ident, None) is not None:
-            self._membership += 1
+            self._epochs.membership += 1
         self.level0.discard(ident)
         self.level0_indirect.discard(ident)
         for ids in self.level_tables.values():
@@ -470,7 +494,7 @@ class RoutingTable:
         for i in drop:
             del self._entries[i]
         if drop:
-            self._membership += 1
+            self._epochs.membership += 1
         return len(drop)
 
     # ---------------------------------------------------------------- delta

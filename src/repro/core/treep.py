@@ -19,6 +19,7 @@ that state.
 
 from __future__ import annotations
 
+import gc
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
@@ -169,10 +170,19 @@ class TreePNetwork:
             raise RuntimeError("network already built")
         self.ids = list(ids)
         self.capacities = dict(capacities)
-        self.layout = build_layout(self.ids, self.capacities, self.config)
-        for ident in self.ids:
-            self._create_node(ident)
-        self._install_tables(self.layout)
+        # Nothing under construction is garbage, so the cyclic collector's
+        # passes over a million fresh, reachable objects free nothing:
+        # pause it for the build and hand the caller's setting back.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self.layout = build_layout(self.ids, self.capacities, self.config)
+            for ident in self.ids:
+                self._create_node(ident)
+            self._install_tables(self.layout)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
         return self.layout
 
     def _create_node(self, ident: int) -> TreePNode:
@@ -207,9 +217,9 @@ class TreePNetwork:
         h = layout.height
         level_sets = [set(b) for b in layout.levels]
 
-        def meta_of(i: int) -> dict:
-            return dict(max_level=layout.max_level[i], score=layout.scores[i],
-                        nc=layout.nc[i])
+        # The add_* calls' trailing (max_level, score, nc), built once per peer.
+        scores, nc = layout.scores, layout.nc
+        meta = {i: (lvl, scores[i], nc[i]) for i, lvl in layout.max_level.items()}
 
         for ident, node in self.nodes.items():
             node.max_level = layout.max_level[ident]
@@ -220,16 +230,16 @@ class TreePNetwork:
             left, right = bus_neighbours(layout.levels[0], ident)
             for n in (left, right):
                 if n is not None:
-                    t.add_level0(n, now, **meta_of(n))
+                    t.add_level0(n, now, *meta[n])
             # Endpoints get a second-hop link so everyone keeps degree >= 2.
             if left is None and right is not None:
                 _, rr = bus_neighbours(layout.levels[0], right)
                 if rr is not None:
-                    t.add_level0(rr, now, **meta_of(rr))
+                    t.add_level0(rr, now, *meta[rr])
             if right is None and left is not None:
                 ll, _ = bus_neighbours(layout.levels[0], left)
                 if ll is not None:
-                    t.add_level0(ll, now, **meta_of(ll))
+                    t.add_level0(ll, now, *meta[ll])
 
             # Table 2: per-level bus neighbourhood, direct + indirect.
             for lvl in range(1, node.max_level + 1):
@@ -237,53 +247,53 @@ class TreePNetwork:
                 l1, r1 = bus_neighbours(bus, ident)
                 for n in (l1, r1):
                     if n is not None:
-                        t.add_level(lvl, n, now, **meta_of(n))
+                        t.add_level(lvl, n, now, *meta[n])
                 if l1 is not None:
                     l2, _ = bus_neighbours(bus, l1)
                     if l2 is not None:
-                        t.add_level(lvl, l2, now, **meta_of(l2))
+                        t.add_level(lvl, l2, now, *meta[l2])
                 if r1 is not None:
                     _, r2 = bus_neighbours(bus, r1)
                     if r2 is not None:
-                        t.add_level(lvl, r2, now, **meta_of(r2))
+                        t.add_level(lvl, r2, now, *meta[r2])
                 # "parents of level i of its direct neighbours at level 0"
                 for n0 in (left, right):
                     if n0 is not None:
                         p = cell_owner(space, bus, n0)
                         if p != ident:
-                            t.add_level(lvl, p, now, **meta_of(p))
+                            t.add_level(lvl, p, now, *meta[p])
                 # "direct neighbours of level 0 that belong to the same level i"
                 for n0 in (left, right):
                     if n0 is not None and n0 in level_sets[lvl]:
-                        t.add_level(lvl, n0, now, **meta_of(n0))
+                        t.add_level(lvl, n0, now, *meta[n0])
 
             # Table 3: own children + children of direct bus neighbours.
             for lvl in range(1, node.max_level + 1):
                 kids = layout.children.get((ident, lvl), [])
                 node.children_by_level[lvl] = list(kids)
                 for k in kids:
-                    t.add_child(k, now, **meta_of(k))
+                    t.add_child(k, now, *meta[k])
                 bus = layout.levels[lvl]
                 for nb in bus_neighbours(bus, ident):
                     if nb is not None:
                         for k in layout.children.get((nb, lvl), []):
-                            t.add_neighbour_child(k, now, **meta_of(k))
+                            t.add_neighbour_child(k, now, *meta[k])
 
             # Tables 4/6: parents. A node at max level m has its real parent
             # at level m+1; below that it covers itself.
             p = layout.parent.get(ident)
             if p is not None and p != ident:
-                t.set_parent(node.max_level + 1, p, now, **meta_of(p))
+                t.set_parent(node.max_level + 1, p, now, *meta[p])
 
             # Table 5: superior-node list — ancestors + parent's neighbours.
             for anc in layout.ancestors(ident):
                 if anc != ident:
-                    t.add_superior(anc, now, **meta_of(anc))
+                    t.add_superior(anc, now, *meta[anc])
             if p is not None and p != ident and layout.max_level.get(p, 0) > 0:
                 pbus = layout.levels[layout.max_level[p]]
                 for pn in bus_neighbours(pbus, p):
                     if pn is not None and pn != ident:
-                        t.add_superior(pn, now, **meta_of(pn))
+                        t.add_superior(pn, now, *meta[pn])
 
     def live_origin(self, via: Optional[int] = None) -> TreePNode:
         """The node client requests should enter through.

@@ -1,9 +1,14 @@
 """Unit tests for the G / NG / NGSA routers (pure decision logic)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import TreePNetwork
+from repro.core import lookup
 from repro.core.config import TreePConfig
 from repro.core.ids import IdSpace
 from repro.core.lookup import (
@@ -241,9 +246,121 @@ def test_targeted_candidate_order_matches_reference_on_churned_overlay():
         for target in (int(x) for x in rng.choice(alive, 3)):
             visited = rng.choice(known, min(3, len(known)), replace=False)
             exclude = frozenset(int(v) for v in visited) | {ident}
-            got = _full_candidates(node, exclude, target=target)
+            got = list(_full_candidates(node, exclude, target=target))
             want = reference_full_candidates(node, exclude, target)
             assert [e.ident for e in got] == [e.ident for e in want]
             assert all(a is b for a, b in zip(got, want))
             compared += len(got)
     assert compared > 1000
+
+
+# ------------------------------------- one derived view per table (PR 22)
+_OWNER = 30000
+_PEER_IDS = st.integers(0, 2**16 - 1).filter(lambda i: i != _OWNER)
+_ROLE_ADDERS = {
+    "level0": lambda t, i, lvl: t.add_level0(i, 0.0, max_level=lvl),
+    "child": lambda t, i, lvl: t.add_child(i, 0.0, max_level=lvl),
+    "neighbour_child": lambda t, i, lvl: t.add_neighbour_child(i, 0.0, max_level=lvl),
+    "superior": lambda t, i, lvl: t.add_superior(i, 0.0, max_level=lvl),
+    "bus1": lambda t, i, lvl: t.add_level(1, i, 0.0, max_level=lvl),
+    "bus2": lambda t, i, lvl: t.add_level(2, i, 0.0, max_level=lvl),
+    "parent": lambda t, i, lvl: t.set_parent(1 + lvl % 2, i, 0.0, max_level=lvl),
+}
+_PEERS = st.tuples(st.sampled_from(sorted(_ROLE_ADDERS)), _PEER_IDS, st.integers(0, 4))
+#: (target, ttl, from_parent_level, how many known peers are already on the
+#: path): ttl beyond the height switches to the Euclidean metric, and
+#: from_parent_level 1 at a leaf selects the ``Search_Level_Zero`` variant.
+_REQUESTS = st.tuples(st.integers(0, 2**16 - 1), st.integers(0, 12),
+                      st.integers(0, 3), st.integers(0, 4))
+
+
+def fresh_view(peers, max_level, height):
+    """A never-routed-through table with this content: no views yet."""
+    v = View(_OWNER, max_level=max_level, height=height)
+    for role, ident, lvl in peers:
+        _ROLE_ADDERS[role](v.table, ident, lvl)
+    assert v.table._view_full is None and v.table._view_l0 is None
+    return v
+
+
+def request_for(view, spec):
+    target, ttl, from_parent_level, visited = spec
+    return req(target, ttl=ttl, from_parent_level=from_parent_level,
+               path=view.table.all_known()[:visited])
+
+
+def assert_one_form_per_variant(table):
+    for cv in (table._view_full, table._view_l0):
+        if cv is None:
+            continue
+        if cv.triples is None:
+            assert len(cv.ids) == len(cv.radius) == len(cv.entries) == len(cv.fbuf)
+            assert len(cv.ids) >= lookup._NP_MIN_CANDIDATES
+        else:
+            assert (cv.ids, cv.radius, cv.entries, cv.ibuf, cv.fbuf) == (None,) * 5
+            assert len(cv.triples) < lookup._NP_MIN_CANDIDATES
+
+
+@given(peers=st.lists(_PEERS, max_size=40), bump=_PEERS,
+       requests=st.lists(_REQUESTS, min_size=1, max_size=6),
+       max_level=st.integers(0, 2), height=st.integers(1, 5))
+@settings(max_examples=200, deadline=None)
+def test_property_warm_views_route_like_a_fresh_table(
+        peers, bump, requests, max_level, height):
+    """``route()`` through a table's kept views — cold, warm, and rebuilt
+    after a version bump — equals ``route()`` on a fresh table with the same
+    content, for both variants; and the vectorised form agrees with the
+    scalar scan (threshold patched above any table size)."""
+    warm = fresh_view(peers, max_level, height)
+    for round_ in range(2):                 # second round hits the views
+        for spec in requests:
+            r = request_for(warm, spec)
+            assert route(warm, r) == route(fresh_view(peers, max_level, height), r)
+        assert_one_form_per_variant(warm.table)
+    stamps = (warm.table._view_full, warm.table._view_l0)
+
+    _ROLE_ADDERS[bump[0]](warm.table, bump[1], bump[2])
+    bumped = peers + [bump]
+    for spec in requests:
+        r = request_for(warm, spec)
+        assert route(warm, r) == route(fresh_view(bumped, max_level, height), r)
+    assert_one_form_per_variant(warm.table)
+    for old, new in zip(stamps, (warm.table._view_full, warm.table._view_l0)):
+        if new is not None and old is not None and new is not old:
+            assert new.version > old.version    # rebuilt, not patched
+
+    with mock.patch.object(lookup, "_NP_MIN_CANDIDATES", 10**9):
+        for spec in requests:
+            r = request_for(warm, spec)
+            scalar = fresh_view(bumped, max_level, height)
+            assert route(warm, r) == route(scalar, r)
+            for cv in (scalar.table._view_full, scalar.table._view_l0):
+                assert cv is None or cv.ids is None
+
+
+@given(n=st.integers(8, 24), data=st.data(),
+       requests=st.lists(_REQUESTS, min_size=2, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_property_tables_sharing_scratch_buffers_do_not_interfere(n, data, requests):
+    """Views with equal candidate counts share one scratch pair
+    process-wide; routing through two such tables alternately gives what
+    the scalar scan gives on each."""
+    def table_of_n():
+        ids = data.draw(st.lists(_PEER_IDS, min_size=n, max_size=n, unique=True))
+        roles = data.draw(st.lists(
+            st.tuples(st.sampled_from(["level0", "child", "superior", "bus1"]),
+                      st.integers(0, 4)), min_size=n, max_size=n))
+        return [(role, i, lvl) for i, (role, lvl) in zip(ids, roles)]
+
+    specs = (table_of_n(), table_of_n())
+    views = [fresh_view(peers, 1, 4) for peers in specs]
+    for k, spec in enumerate(requests):
+        which = k % 2
+        r = request_for(views[which], spec)
+        got = route(views[which], r)
+        with mock.patch.object(lookup, "_NP_MIN_CANDIDATES", 10**9):
+            assert got == route(fresh_view(specs[which], 1, 4), r)
+    a, b = (v.table._view_full for v in views)
+    if a is not None and b is not None:
+        assert a.fbuf is b.fbuf and a.ibuf is b.ibuf
+        assert a.ids is not b.ids

@@ -1,0 +1,85 @@
+"""A per-node memory budget, so PR 22's "lighter nodes" cannot leak away.
+
+``tracemalloc`` around the two phases that decide a run's footprint —
+``Cluster(seed=9).build(N)`` and 1.2 greedy lookups per node on it — divided
+by N.  Figures (CPython 3.11.7, NumPy 2.4, this file run as a script)::
+
+    PYTHONPATH=src python tests/test_core_memory_budget.py 2000 10000
+
+                     built B/node    lookups +B/node
+    parent 02803cf   5 535 / 5 257   1 625 / 1 771      (N = 2 000 / 10 000)
+    PR 22            5 383 / 5 112     767 /   756
+
+The built drop is the ``RoutingTable`` instance ``__dict__`` and the two
+un-slotted per-node managers; the lookup drop is the greedy router keeping
+one derived view per table variant instead of a triples list *and* a NumPy
+payload with private scratch arrays inside a per-table ``cache`` dict.  The
+budgets are the N = 2 000 figures + 5 %.  Allocation sizes are interpreter-
+specific, hence the same 3.11-only gate as the golden diff in
+``tests/test_sim_scale.py``.
+"""
+
+import gc
+import sys
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro import Cluster
+
+NODES = 2000
+BUILT_BYTES_PER_NODE = 5383 * 1.05
+LOOKUP_BYTES_PER_NODE = 767 * 1.05
+
+
+def measure(n):
+    """``(cluster, built bytes/node, lookup-phase bytes/node)``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cluster = Cluster(seed=9).build(n)
+        gc.collect()
+        built = tracemalloc.get_traced_memory()[0] - base
+        net = cluster.net
+        picks = np.random.default_rng(9).integers(0, n, size=(int(1.2 * n), 2))
+        pairs = [(net.ids[a], net.ids[b]) for a, b in picks if a != b]
+        for k in range(0, len(pairs), 240):
+            net.run_lookup_batch(pairs[k:k + 240], "G")
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    return cluster, built / n, (after - built) / n
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="allocation sizes are interpreter-specific; the budget is "
+           "recorded on CPython 3.11")
+def test_per_node_bytes_stay_within_budget():
+    cluster, built, lookups = measure(NODES)
+    assert built <= BUILT_BYTES_PER_NODE, f"{built:.0f} B/node after build"
+    assert lookups <= LOOKUP_BYTES_PER_NODE, f"+{lookups:.0f} B/node after lookups"
+
+    # One structure per variant: a view is the triples list or the NumPy
+    # columns, never both — and nothing else hangs derived state on a table.
+    visited = 0
+    for node in cluster.net.nodes.values():
+        table = node.table
+        assert not hasattr(table, "__dict__")
+        for view in (table._view_full, table._view_l0):
+            if view is None:
+                continue
+            visited += 1
+            assert (view.triples is None) != (view.ids is None)
+            assert (view.entries is None) == (view.ids is None)
+    assert visited > NODES // 2
+
+
+if __name__ == "__main__":
+    for size in (int(a) for a in sys.argv[1:] or [NODES]):
+        _, built_bytes, lookup_bytes = measure(size)
+        print(f"N={size}: built {built_bytes:.0f} B/node, "
+              f"lookups +{lookup_bytes:.0f} B/node")

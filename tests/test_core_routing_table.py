@@ -208,7 +208,7 @@ def test_property_membership_epoch_moves_iff_known_ids_change(ops):
     now = 0.0
     for op, ident, arg in ops:
         now += 1.0
-        before_ids, before_epoch = set(t._entries), t._membership
+        before_ids, before_epoch = set(t._entries), t.membership
         before_view = t.sorted_ids()
         if op == "upsert":
             t.upsert(ident, now, max_level=arg)
@@ -232,7 +232,7 @@ def test_property_membership_epoch_moves_iff_known_ids_change(ops):
             t.level0.discard(ident)
             t.children.discard(ident)
         changed = set(t._entries) != before_ids
-        assert (t._membership != before_epoch) == changed, (op, ident, arg)
+        assert (t.membership != before_epoch) == changed, (op, ident, arg)
         assert list(t.sorted_ids()) == sorted(t._entries)
         if not changed:
             assert t.sorted_ids() is before_view  # memo hit, no re-sort
@@ -240,10 +240,113 @@ def test_property_membership_epoch_moves_iff_known_ids_change(ops):
 
 def test_role_less_upsert_and_trim_move_the_epoch_but_not_the_version(table):
     table.add_level0(7, 0.0)
-    version, epoch = table.version, table._membership
+    version, epoch = table.version, table.membership
     table.upsert(8, 0.0)                    # gossip-learnt, no role
-    assert table.version == version and table._membership == epoch + 1
+    assert table.version == version and table.membership == epoch + 1
     assert list(table.sorted_ids()) == [7, 8]
     assert table.trim_to_roles() == 1       # drops 8 again
-    assert table.version == version and table._membership == epoch + 2
+    assert table.version == version and table.membership == epoch + 2
     assert list(table.sorted_ids()) == [7]
+
+
+# ------------------------------------------------- epochs record (PR 22)
+# The two counters live on a record the role containers bump directly;
+# ``RoutingTable.__setattr__`` only guards role *rebinding*.
+
+_ROLE_SETS = ("level0", "level0_indirect", "children", "neighbour_children",
+              "superiors")
+
+
+@pytest.mark.parametrize("role", _ROLE_SETS)
+def test_rebinding_a_role_set_bumps_version_once_and_wraps(table, role):
+    table.add_level0(1, 0.0)
+    before = table.version
+    setattr(table, role, {5, 6})
+    assert table.version == before + 1
+    rebound = getattr(table, role)
+    assert rebound == {5, 6} and type(rebound) is not set
+    rebound.add(7)                          # the wrapped value stays versioned
+    assert table.version == before + 2
+    rebound.add(7)                          # ... and no-ops stay free
+    assert table.version == before + 2
+    setattr(table, role, rebound)           # re-assigning the wrapper itself
+    assert table.version == before + 2
+
+
+def test_rebinding_level_tables_and_parents_stays_versioned(table):
+    before = table.version
+    table.level_tables = {}
+    assert table.version == before + 1
+    table.level_tables = {2: {8, 9}}        # one bump per installed bus + one
+    assert table.version == before + 3
+    table.level_tables[2].discard(8)
+    assert table.version == before + 4
+    table.level_tables[3] = {4}
+    assert table.version == before + 5 and type(table.level_tables[3]) is not set
+
+    before = table.version
+    table.parents = {1: 50}
+    assert table.version == before + 1 and table.level1_parent() == 50
+    table.parents[1] = 50                   # same parent: no bump
+    assert table.version == before + 1
+    table.parents[1] = 51
+    assert table.version == before + 2
+
+
+def test_epochs_are_read_only_and_the_table_has_no_instance_dict(table):
+    assert not hasattr(table, "__dict__")
+    for name in ("version", "membership"):
+        with pytest.raises(AttributeError):
+            setattr(table, name, 3)
+    with pytest.raises(AttributeError):
+        table.cache = {}
+
+
+def _role_pairs(t):
+    return {("level0", i) for i in t.level0} | {("child", i) for i in t.children}
+
+
+@given(ops=st.lists(_MUTATIONS, max_size=80))
+@settings(max_examples=150, deadline=None)
+def test_property_version_counts_effective_role_and_level_changes(ops):
+    """Under the membership test's op stream every mutator is an
+    *effective-only* one, so ``version`` moves by exactly the number of
+    (role, id) memberships that appeared or vanished, parent slots whose
+    holder changed and peers whose level changed — and ``membership`` by at least one iff the
+    known ids did.  Recorded against the parent's ``__setattr__``-routed
+    counters before they became plain stores."""
+    t = RoutingTable(owner=999)
+    now = 0.0
+    for op, ident, arg in ops:
+        now += 1.0
+        roles, version, epoch = _role_pairs(t), t.version, t.membership
+        parents = dict(t.parents)
+        levels = {i: e.max_level for i, e in t._entries.items()}
+        if op == "upsert":
+            t.upsert(ident, now, max_level=arg)
+        elif op == "add_level0":
+            t.add_level0(ident, now)
+        elif op == "add_child":
+            t.add_child(ident, now)
+        elif op == "set_parent":
+            t.set_parent(arg, ident, now)
+        elif op == "touch":
+            t.touch(ident, now)
+        elif op == "forget":
+            t.forget(ident)
+        elif op == "expire":
+            t.expire(now, entry_ttl=float(arg))
+        elif op == "trim_to_roles":
+            t.trim_to_roles()
+        elif op == "merge_delta":
+            t.merge_delta([(ident, arg, 1.0, 4, now), (999, 0, 1.0, 4, now)], now)
+        elif op == "discard_role":
+            t.level0.discard(ident)
+            t.children.discard(ident)
+        relevelled = sum(1 for i, e in t._entries.items()
+                         if e.max_level != levels.get(i, 0))
+        reparented = sum(1 for lvl in parents.keys() | t.parents.keys()
+                         if parents.get(lvl) != t.parents.get(lvl))
+        assert t.version - version == (
+            len(roles ^ _role_pairs(t)) + reparented + relevelled), (op, ident, arg)
+        assert (t.membership > epoch) == (set(levels) != set(t._entries))
