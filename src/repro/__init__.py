@@ -60,7 +60,7 @@ from repro.core.treep import TreePNetwork
 from repro.obs import MetricsRegistry, ObsHub, TraceReader
 from repro.storage import AntiEntropy, QuorumConfig, ReplicatedStore
 
-__version__ = "1.16.0"
+__version__ = "1.17.0"
 
 __all__ = [
     "AntiEntropy",

@@ -53,13 +53,13 @@ class LookupAlgorithm(str, enum.Enum):
 
     @classmethod
     def parse(cls, name: str) -> "LookupAlgorithm":
-        for algo in cls:
-            if algo.value == name or algo.name == name:
-                return algo
-        raise ValueError(f"unknown lookup algorithm {name!r}")
+        algo = _ALGO_BY_TOKEN.get(name)
+        if algo is None:
+            raise ValueError(f"unknown lookup algorithm {name!r}")
+        return algo
 
 
-#: value/name -> member, so the per-hop parse is one dict hit.
+#: value/name -> member, so a parse (one per hop and per issue) is one dict hit.
 _ALGO_BY_TOKEN = {a.value: a for a in LookupAlgorithm}
 _ALGO_BY_TOKEN.update({a.name: a for a in LookupAlgorithm})
 

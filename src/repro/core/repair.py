@@ -22,7 +22,10 @@ Two ways to run the healing between failure bursts:
   healing mechanisms the maintenance window is long enough to complete.
   The experiment harness uses this so sweeps over thousands of nodes stay
   fast; an integration test asserts protocol mode converges to an
-  equivalent table state on small networks.
+  equivalent table state on small networks.  It and :func:`converge`
+  expire the peers named in *newly_failed* (``()`` = nobody new died,
+  heal only); ``None``, the default, scans for every down peer.  A step
+  makes no cyclic garbage and runs with the cyclic collector paused.
 
 The paper's sweep deliberately stresses the overlay: failures accumulate
 with no repopulation and *no new promotions* — the surviving hierarchy only
@@ -35,9 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
+from repro.core.treep import paused_collector
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.node import TreePNode
-    from repro.core.routing_table import RoutingTable
     from repro.core.treep import TreePNetwork
 
 
@@ -178,17 +182,6 @@ def purge_dead(net: "TreePNetwork", newly_dead: Optional[Iterable[int]] = None) 
     return removed
 
 
-def _learn(t: "RoutingTable", now: float, ids: Iterable[int], src_meta: dict,
-           role: set) -> None:
-    """Import *ids* into *t* with the sender's metadata for them, collecting
-    them in *role* — a fresh set the caller installs wholesale, so the role
-    set it replaces is never touched."""
-    for i in ids:
-        if i != t.owner:
-            t.upsert(i, now, *src_meta.get(i, ()))
-            role.add(i)
-
-
 def gossip_round(net: "TreePNetwork", policy: RepairPolicy = FULL_POLICY) -> None:
     """One §III.d exchange round along surviving maintained links.
 
@@ -213,14 +206,17 @@ def gossip_round(net: "TreePNetwork", policy: RepairPolicy = FULL_POLICY) -> Non
         if not net.network.is_up(ident):
             continue
         t = node.table
+        # ``parents`` / ``children_by_level`` are never mutated by a round,
+        # so they are shared; the sets are, and a copy may iterate in another
+        # order than a set that has seen discards — the digests pin the copy's.
         snapshot[ident] = (
             set(t.level0),
             {lvl: set(ids) for lvl, ids in t.level_tables.items()},
-            {lvl: list(kids) for lvl, kids in node.children_by_level.items()},
-            dict(t.parents),
+            node.children_by_level,
+            t.parents,
             set(t.superiors),
             (node.max_level, node.score, node.nc),
-            {e.ident: (e.max_level, e.score, e.nc) for e in t.candidates()},
+            t.peer_meta(),
         )
 
     for ident, snap in snapshot.items():
@@ -236,7 +232,7 @@ def gossip_round(net: "TreePNetwork", policy: RepairPolicy = FULL_POLICY) -> Non
                 continue
             p_level0, _, _, _, _, pme, pmeta = ps
             t.upsert(peer, now, *pme)
-            _learn(t, now, p_level0, pmeta, new_indirect)
+            t.import_role(p_level0, now, pmeta, new_indirect)
         if new_indirect:
             t.level0_indirect = new_indirect - t.level0
 
@@ -260,9 +256,9 @@ def gossip_round(net: "TreePNetwork", policy: RepairPolicy = FULL_POLICY) -> Non
                 _, p_buses, p_children, _, _, pme, pmeta = ps
                 t.upsert(peer, now, *pme)
                 fresh_level.add(peer)
-                _learn(t, now, p_buses.get(lvl, ()), pmeta, fresh_level)
+                t.import_role(p_buses.get(lvl, ()), now, pmeta, fresh_level)
                 if policy.refresh_neighbour_children:
-                    _learn(t, now, p_children.get(lvl, ()), pmeta, fresh_nc)
+                    t.import_role(p_children.get(lvl, ()), now, pmeta, fresh_nc)
             if fresh_level:
                 any_bus_exchange = True
                 t.level_tables[lvl] = fresh_level
@@ -276,7 +272,7 @@ def gossip_round(net: "TreePNetwork", policy: RepairPolicy = FULL_POLICY) -> Non
             _, p_buses, _, p_parents, p_superiors, pme, pmeta = ps
             new_sup: set[int] = set()
             for group in (p_parents.values(), p_superiors, p_buses.get(pme[0], ())):
-                _learn(t, now, group, pmeta, new_sup)
+                t.import_role(group, now, pmeta, new_sup)
             t.superiors = new_sup
 
         t.trim_to_roles()
@@ -334,24 +330,26 @@ def _symmetrize_links(net: "TreePNetwork") -> None:
 
 def apply_failure_step(
     net: "TreePNetwork",
-    newly_failed: Iterable[int] = (),
+    newly_failed: Optional[Iterable[int]] = None,
     policy: RepairPolicy = PAPER_POLICY,
 ) -> None:
-    """One step of the paper's sweep: expire the victims, heal per *policy*."""
-    purge_dead(net, newly_failed)
-    up = net.network.is_up
-    live_nodes = [n for i, n in net.nodes.items() if up(i)]
-    for node in live_nodes:
-        relink_node(node, policy)
-    _symmetrize_links(net)
-    for node in live_nodes:
-        relink_node(node, policy)
-    for _ in range(max(0, policy.gossip_rounds)):
-        gossip_round(net, policy)
+    """One step of the paper's sweep: expire *newly_failed* (``None`` =
+    every down peer, as :func:`purge_dead` reads it), heal per *policy*."""
+    with paused_collector():
+        purge_dead(net, newly_failed)
+        up = net.network.is_up
+        live_nodes = [n for i, n in net.nodes.items() if up(i)]
         for node in live_nodes:
             relink_node(node, policy)
-    if policy.adopt_parents:
-        _sync_children(net)
+        _symmetrize_links(net)
+        for node in live_nodes:
+            relink_node(node, policy)
+        for _ in range(max(0, policy.gossip_rounds)):
+            gossip_round(net, policy)
+            for node in live_nodes:
+                relink_node(node, policy)
+        if policy.adopt_parents:
+            _sync_children(net)
 
 
 def converge(
@@ -360,8 +358,9 @@ def converge(
     newly_failed: Optional[Iterable[int]] = None,
     policy: Optional[RepairPolicy] = None,
 ) -> None:
-    """Full healing to the maintenance fixed point (everything enabled)."""
+    """Full healing to the maintenance fixed point (everything enabled);
+    *newly_failed* as for :func:`apply_failure_step`."""
     pol = policy if policy is not None else RepairPolicy(
         adopt_parents=True, gossip_rounds=gossip_rounds
     )
-    apply_failure_step(net, newly_failed if newly_failed is not None else (), pol)
+    apply_failure_step(net, newly_failed, pol)

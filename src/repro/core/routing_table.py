@@ -345,6 +345,34 @@ class RoutingTable:
             e.nc = nc
         return e
 
+    def import_role(self, ids: Iterable[int], now: float,
+                    meta: Dict[int, Tuple[int, float, int]], role: Set[int]) -> None:
+        """Bulk gossip import: ``upsert(i, now, *meta.get(i, ()))`` then
+        ``role.add(i)`` for every id but the owner, in iteration order.
+        *meta* is the sender's :meth:`peer_meta`; *role* a fresh set the
+        caller installs wholesale (the set it replaces is never touched)."""
+        entries, epochs, owner = self._entries, self._epochs, self.owner
+        for i in ids:
+            if i == owner:
+                continue
+            e = entries.get(i)
+            if e is None:
+                e = entries[i] = Entry(i, last_seen=now)
+                epochs.membership += 1
+            elif now > e.last_seen:
+                e.last_seen = now
+            m = meta.get(i)
+            if m is not None:
+                if m[0] != e.max_level:
+                    epochs.version += 1  # as in upsert: views memoise levels
+                e.max_level, e.score, e.nc = m
+            role.add(i)
+
+    def peer_meta(self) -> Dict[int, Tuple[int, float, int]]:
+        """``{id: (max_level, score, nc)}`` for every entry, in entry order —
+        what a gossip exchange tells the receiver about the peers it names."""
+        return {i: (e.max_level, e.score, e.nc) for i, e in self._entries.items()}
+
     def get(self, ident: int) -> Optional[Entry]:
         return self._entries.get(ident)
 

@@ -20,7 +20,8 @@ that state.
 from __future__ import annotations
 
 import gc
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 from repro.core.capacity import CapacityDistribution, NodeCapacity
@@ -36,6 +37,21 @@ from repro.sim.engine import SimulationError, Simulator
 from repro.sim.latency import LatencyModel, UniformLatency
 from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
+
+
+@contextmanager
+def paused_collector() -> Iterator[None]:
+    """Pause the cyclic collector for a whole-overlay sweep (build, repair
+    step), then hand the caller's ``gc.isenabled()`` back: what a sweep
+    allocates stays reachable or dies by refcount, so the collector's
+    passes over the overlay free nothing.  The only ``gc`` use in ``src/``."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class TreePNetwork:
@@ -170,19 +186,11 @@ class TreePNetwork:
             raise RuntimeError("network already built")
         self.ids = list(ids)
         self.capacities = dict(capacities)
-        # Nothing under construction is garbage, so the cyclic collector's
-        # passes over a million fresh, reachable objects free nothing:
-        # pause it for the build and hand the caller's setting back.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
+        with paused_collector():  # nothing under construction is garbage
             self.layout = build_layout(self.ids, self.capacities, self.config)
             for ident in self.ids:
                 self._create_node(ident)
             self._install_tables(self.layout)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
         return self.layout
 
     def _create_node(self, ident: int) -> TreePNode:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -27,3 +29,11 @@ def fresh_net() -> TreePNetwork:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def collector_state():
+    """Hand the test runner's collector setting back whatever the test did."""
+    was = gc.isenabled()
+    yield
+    (gc.enable if was else gc.disable)()

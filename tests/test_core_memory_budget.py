@@ -17,6 +17,18 @@ payload with private scratch arrays inside a per-table ``cache`` dict.  The
 budgets are the N = 2 000 figures + 5 %.  Allocation sizes are interpreter-
 specific, hence the same 3.11-only gate as the golden diff in
 ``tests/test_sim_scale.py``.
+
+A third figure keeps converged-mode repair honest: everything traced since
+before the build, per *live* node, after one 6 % crash burst and
+``apply_failure_step`` — so the round-long gossip snapshot cannot outlive
+the step — and the number of unreachable objects the step left for the
+cyclic collector, which must be 0 for pausing it to cost nothing (same
+command; a 64-node build + step first pays the one-off imports and caches,
+≈ 1 MB, so the figure does not depend on what ran before it)::
+
+                     after repair B/live node    unreachable
+    parent 9e8b36e   5 374 / 5 408               0 / 0      (N = 2 000 / 5 000)
+    PR 23            5 373 / 5 409               0 / 0
 """
 
 import gc
@@ -27,10 +39,12 @@ import numpy as np
 import pytest
 
 from repro import Cluster
+from repro.core.repair import apply_failure_step
 
 NODES = 2000
 BUILT_BYTES_PER_NODE = 5383 * 1.05
 LOOKUP_BYTES_PER_NODE = 767 * 1.05
+REPAIRED_BYTES_PER_LIVE_NODE = 5373 * 1.05
 
 
 def measure(n):
@@ -54,10 +68,36 @@ def measure(n):
     return cluster, built / n, (after - built) / n
 
 
-@pytest.mark.skipif(
+def measure_repair(n):
+    """``(bytes per live node after a 6 % burst + one repair step, objects
+    that step left unreachable)``."""
+    warm = Cluster(seed=9).build(64).net  # one-off imports and caches
+    apply_failure_step(warm, ())
+    del warm
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        net = Cluster(seed=9).build(n).net
+        victims = [int(v) for v in np.random.default_rng(9).choice(
+            net.ids, int(0.06 * n), replace=False)]
+        net.fail_nodes(victims)
+        gc.collect()
+        apply_failure_step(net, victims)
+        unreachable = gc.collect()
+        after = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    return after / (n - len(victims)), unreachable
+
+
+_ONLY_311 = pytest.mark.skipif(
     sys.version_info[:2] != (3, 11),
     reason="allocation sizes are interpreter-specific; the budget is "
            "recorded on CPython 3.11")
+
+
+@_ONLY_311
 def test_per_node_bytes_stay_within_budget():
     cluster, built, lookups = measure(NODES)
     assert built <= BUILT_BYTES_PER_NODE, f"{built:.0f} B/node after build"
@@ -78,8 +118,19 @@ def test_per_node_bytes_stay_within_budget():
     assert visited > NODES // 2
 
 
+@_ONLY_311
+def test_a_repair_step_leaves_no_snapshot_and_no_cyclic_garbage():
+    repaired, unreachable = measure_repair(NODES)
+    assert repaired <= REPAIRED_BYTES_PER_LIVE_NODE, f"{repaired:.0f} B/live node"
+    # The step runs with the collector paused; that is free only while
+    # repair makes nothing the collector alone could free.
+    assert unreachable == 0
+
+
 if __name__ == "__main__":
     for size in (int(a) for a in sys.argv[1:] or [NODES]):
         _, built_bytes, lookup_bytes = measure(size)
+        repaired_bytes, left = measure_repair(size)
         print(f"N={size}: built {built_bytes:.0f} B/node, "
-              f"lookups +{lookup_bytes:.0f} B/node")
+              f"lookups +{lookup_bytes:.0f} B/node, after repair "
+              f"{repaired_bytes:.0f} B/live node ({left} unreachable)")

@@ -1,6 +1,8 @@
 """Unit tests for the self-healing machinery (purge / relink / gossip)."""
 
+import gc
 import hashlib
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from repro.core.repair import (
     purge_dead,
     relink_node,
 )
+from repro.core.treep import paused_collector
 
 
 def built(n=64, seed=7):
@@ -259,6 +262,85 @@ class TestApplyFailureStep:
             if net.network.is_up(i):
                 assert set(victims).isdisjoint(node.table.all_known())
 
+    @pytest.mark.parametrize("heal", [converge, apply_failure_step])
+    def test_no_victim_list_means_scan_for_every_dead_peer(self, heal):
+        """``None`` (the default) is a full scan, as in ``purge_dead``."""
+        scanned, told = built(n=200), built(n=200)
+        victims = kill(scanned, 20)
+        kill(told, 20)
+        assert known_dead(scanned) > 0
+        heal(scanned)
+        heal(told, newly_failed=victims)
+        assert known_dead(scanned) == 0
+        assert table_state(scanned) == table_state(told)
+
+    def test_an_empty_victim_list_means_nobody_new_died(self):
+        net = built(n=200)
+        kill(net, 20)
+        dead_before = known_dead(net)
+        apply_failure_step(net, (), PURGE_ONLY_POLICY)
+        assert known_dead(net) == dead_before > 0
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_step_pauses_the_collector_and_restores_the_callers_setting(
+            self, enabled, collector_state, monkeypatch):
+        net = built()
+        victims = kill(net, 6)
+        (gc.enable if enabled else gc.disable)()
+        during = []
+
+        def spying_gossip(net, policy):
+            during.append(gc.isenabled())
+            gossip_round(net, policy)
+
+        monkeypatch.setattr("repro.core.repair.gossip_round", spying_gossip)
+        apply_failure_step(net, victims)
+        assert during == [False]
+        assert gc.isenabled() == enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_a_failed_step_still_restores_the_collector(
+            self, enabled, collector_state, monkeypatch):
+        net = built()
+        victims = kill(net, 6)
+        (gc.enable if enabled else gc.disable)()
+
+        def failing_gossip(net, policy):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("repro.core.repair.gossip_round", failing_gossip)
+        with pytest.raises(RuntimeError, match="boom"):
+            apply_failure_step(net, victims)
+        assert gc.isenabled() == enabled
+
+    def test_no_collector_pass_starts_inside_a_step(self, collector_state, monkeypatch):
+        net = built(n=500)
+        victims = kill(net, 30)
+        gc.enable()
+        starts, inside = [], []
+
+        def watch(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        @contextmanager
+        def marking_pause():
+            with paused_collector():
+                yield
+                inside.append(len(starts))  # the step's last act, still paused
+
+        monkeypatch.setattr("repro.core.repair.paused_collector", marking_pause)
+        gc.callbacks.append(watch)
+        try:
+            apply_failure_step(net, victims)
+            [[] for _ in range(5000)]  # the watch does see passes
+        finally:
+            gc.callbacks.remove(watch)
+        assert inside == [0]
+        assert starts
+
 
 #: sha256 over :func:`table_state`, the post-burst lookups (found, hops,
 #: path) and the datagram count after each of three bursts of 20 crashes on
@@ -269,6 +351,23 @@ PINNED_BURST_DIGESTS = {
     "paper": ("0f437d0889241b93", "152ee5dfda90276a", "1bc58760faff7fec"),
     "full": ("f5007507d247677b", "b665701d13b19b94", "c72c97b3fd241d50"),
     "purge_only": ("60e454fba19ecb36", "6bcfb196daa3e357", "d2a24fb55c42a3da"),
+}
+
+
+#: The same digest **plus** ``sum(table.version)`` at benchmark size (seed 9;
+#: five bursts of 300 on N = 5 000 under the paper policy, four of 120 on
+#: N = 2 000 under the other two) — recorded on the commit before
+#: ``gossip_round`` imported role sets in bulk and shared ``parents`` /
+#: ``children_by_level`` with its snapshot.  The version sum pins what the
+#: digest cannot see: how many times each table told its views to rebuild.
+PINNED_LARGE_BURSTS = {
+    "paper": (("c8d759d8c3ec3ad4", 162619), ("a81461dcca54d8d4", 209087),
+              ("66c7e38e57f154be", 252047), ("ea21e01d0732ce6f", 291141),
+              ("83d0c03938a8d336", 326669)),
+    "full": (("2b614c99cbafddb0", 72708), ("ff7f7ef5175caa5b", 98870),
+             ("b261ec416aa8dacc", 123686), ("5f1286a4d1eb9c5f", 147408)),
+    "purge_only": (("2b149940ff9185f8", 47258), ("0ad389ec96b51e9b", 48655),
+                   ("2aa9c75258114af5", 50338), ("b89b5df5cf5f9ecf", 52497)),
 }
 
 
@@ -295,6 +394,31 @@ class TestPinnedSemantics:
             state = (table_state(net), lookups, net.network.stats.sent)
             digests.append(hashlib.sha256(repr(state).encode()).hexdigest()[:16])
         assert tuple(digests) == PINNED_BURST_DIGESTS[name]
+
+    @pytest.mark.parametrize("name,policy,n,size", [
+        ("paper", PAPER_POLICY, 5000, 300),
+        ("full", FULL_POLICY, 2000, 120),
+        ("purge_only", PURGE_ONLY_POLICY, 2000, 120)])
+    def test_large_bursts_reproduce_recorded_state_and_versions(self, name, policy, n, size):
+        net = built(n=n, seed=9)
+        order = [int(v) for v in np.random.default_rng(3).permutation(net.ids)]
+        probes = np.random.default_rng(5)
+        got = []
+        for burst in range(len(PINNED_LARGE_BURSTS[name])):
+            step = order[burst * size:(burst + 1) * size]
+            net.fail_nodes(step)
+            apply_failure_step(net, step, policy)
+            assert known_dead(net) == 0
+            alive = net.alive_ids()
+            lookups = []
+            for k in range(12):
+                o, t = (int(x) for x in probes.choice(alive, 2, replace=False))
+                r = net.lookup_sync(o, t, "G" if k % 2 else "NGSA")
+                lookups.append((r.found, r.hops, r.path))
+            state = (table_state(net), lookups, net.network.stats.sent)
+            got.append((hashlib.sha256(repr(state).encode()).hexdigest()[:16],
+                        sum(node.table.version for node in net.nodes.values())))
+        assert tuple(got) == PINNED_LARGE_BURSTS[name]
 
     @pytest.mark.parametrize("incremental", [False, True])
     def test_purge_returns_entries_removed(self, incremental):

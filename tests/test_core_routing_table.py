@@ -350,3 +350,52 @@ def test_property_version_counts_effective_role_and_level_changes(ops):
         assert t.version - version == (
             len(roles ^ _role_pairs(t)) + reparented + relevelled), (op, ident, arg)
         assert (t.membership > epoch) == (set(levels) != set(t._entries))
+
+
+_IDS = st.integers(0, 40)  # the owner (7) included
+_META = st.tuples(st.integers(0, 3), st.sampled_from([0.5, 1.0, 2.5]), st.integers(2, 6))
+
+
+@given(
+    stored=st.lists(st.tuples(_IDS, _META, st.integers(0, 20)), max_size=25),
+    stream=st.lists(_IDS, max_size=40),
+    meta=st.dictionaries(_IDS, _META, max_size=25),
+    now=st.integers(0, 20),
+    preset=st.lists(_IDS, max_size=5),
+)
+@settings(max_examples=200, deadline=None)
+def test_property_import_role_equals_the_upsert_and_add_loop(stored, stream, meta, now, preset):
+    """``import_role`` is the per-id ``upsert(i, now, *meta.get(i, ()))`` +
+    ``role.add(i)`` loop it replaced: same entries (order and every field),
+    same ``version`` and ``membership``, same role-set iteration order —
+    whether an id is new or known, has metadata or not, changes level or
+    not, and whether *now* is older or newer than the stored ``last_seen``.
+    (Two tables built alike, since ``deepcopy`` drops the role sets.)"""
+    tables = []
+    for _ in range(2):
+        t = RoutingTable(owner=7)
+        for ident, (lvl, score, nc), seen in stored:
+            if ident != 7:
+                t.add_superior(ident, float(seen), lvl, score, nc)
+        tables.append(t)
+    loop, bulk = tables
+    loop_role, bulk_role = set(preset), set(preset)
+
+    for i in stream:
+        if i != loop.owner:
+            loop.upsert(i, float(now), *meta.get(i, ()))
+            loop_role.add(i)
+    bulk.import_role(stream, float(now), meta, bulk_role)
+
+    assert ([e.as_tuple() for e in bulk._entries.values()]
+            == [e.as_tuple() for e in loop._entries.values()])
+    assert (bulk.version, bulk.membership) == (loop.version, loop.membership)
+    assert list(bulk_role) == list(loop_role)
+    assert list(bulk.superiors) == list(loop.superiors)
+
+
+def test_peer_meta_lists_every_entry_in_entry_order():
+    t = RoutingTable(owner=1)
+    t.add_level0(5, 0.0, max_level=2, score=1.5, nc=3)
+    t.upsert(2, 0.0)
+    assert list(t.peer_meta().items()) == [(5, (2, 1.5, 3)), (2, (0, 1.0, 4))]

@@ -231,14 +231,6 @@ def test_built_overlay_reproduces_recorded_state(n):
     assert (digest, versions) == PINNED_BUILDS[n]
 
 
-@pytest.fixture()
-def collector_state():
-    """Hand the test runner's collector setting back whatever the test did."""
-    was = gc.isenabled()
-    yield
-    (gc.enable if was else gc.disable)()
-
-
 @pytest.mark.parametrize("enabled", [True, False])
 def test_build_pauses_the_collector_and_restores_the_callers_setting(
         enabled, collector_state, monkeypatch):
