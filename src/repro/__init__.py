@@ -40,11 +40,10 @@ Public surface:
   across lookups, quorum RW, anti-entropy and job lifecycles
   (``Cluster(...).with_observability()`` or ``--trace-out`` on the bench
   CLI), a metrics registry with streaming quantile histograms, a columnar
-  on-disk trace store, a cluster health engine (declarative SLO rules
-  with streaming + offline evaluation, per-node/subtree health scores,
-  causal critical-path analytics, Perfetto export), and ``python -m
-  repro.obs summary|runs|timeline|slowest|health|slo|critpath|
-  export-perfetto|export`` to query it — see ``docs/observability.md``.
+  on-disk trace store, declarative SLO rules judged exactly over the
+  recorded spans, critical-path analytics over span parent links, and
+  ``python -m repro.obs summary|runs|timeline|slowest|slo|critpath|export``
+  to query it — see ``docs/observability.md``.
 
 See README.md for the module map ("Module map") and the per-subsystem
 overviews, and ``docs/`` for the architecture, API, benchmark and performance guides.
@@ -60,7 +59,7 @@ from repro.core.treep import TreePNetwork
 from repro.obs import MetricsRegistry, ObsHub, TraceReader
 from repro.storage import AntiEntropy, QuorumConfig, ReplicatedStore
 
-__version__ = "1.17.0"
+__version__ = "1.18.0"
 
 __all__ = [
     "AntiEntropy",

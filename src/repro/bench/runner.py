@@ -41,9 +41,11 @@ def run_scenario(name: str, *, seed: Optional[int] = None, smoke: bool = False,
 
     When *slo* names a spec file (TOML/JSON, see :mod:`repro.obs.slo`)
     the scenario also runs under capture (no store is written unless
-    *trace_out* asks for one), objectives are monitored live and
-    evaluated exactly post-run, and the report lands in the envelope's
-    optional ``slo`` field — absent without ``--slo``.
+    *trace_out* asks for one), each run's hub is judged post-run by the
+    exact evaluator (:func:`repro.obs.slo.evaluate_hub`), and the report
+    lands in the envelope's optional ``slo`` field — absent without
+    ``--slo``.  Judging only reads the recorded spans, so the trace
+    written with ``--slo`` is the trace written without it.
     """
     scenario = registry.get(name)
     effective_seed = scenario.seed if seed is None else seed
@@ -62,7 +64,7 @@ def run_scenario(name: str, *, seed: Optional[int] = None, smoke: bool = False,
     else:
         from repro.obs.runtime import capture
 
-        with capture(slo=slo_spec) as cap:
+        with capture() as cap:
             t0 = time.perf_counter()
             output = scenario.execute(seed=effective_seed, smoke=smoke,
                                       overrides=overrides)

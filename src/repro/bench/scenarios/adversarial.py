@@ -46,7 +46,6 @@ def _ensure_hub(net: TreePNetwork) -> ObsHub:
     if hub is None:
         hub = ObsHub()
         net.obs = hub
-        hub.topology_source = net.topology_snapshot
         for node in net.nodes.values():
             node.obs = hub
     return hub

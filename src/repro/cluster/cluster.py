@@ -202,23 +202,20 @@ class Cluster:
         self,
         categories: Optional[Iterable[str]] = None,
         hub: Optional["ObsHub"] = None,
-        slo=None,
     ) -> "Cluster":
         """Attach the observability layer (span tracing + metrics).
 
         Records into its own :class:`~repro.obs.hub.ObsHub` (or *hub* when
         given); read it back via :attr:`obs`, or write a trace store with
-        ``cluster.observability.write(path)``.  *slo* (a spec path or
-        :class:`~repro.obs.slo.SloSpec`) additionally monitors service
-        objectives live during the run.  Instrumentation draws no
-        randomness and schedules no events, so enabling it never changes a
-        seeded run's outcome.
+        ``cluster.observability.write(path)``; judge it against an SLO spec
+        with ``evaluate_hub(load_slo(path), cluster.obs)``.  Instrumentation
+        draws no randomness and schedules no events, so enabling it never
+        changes a seeded run's outcome.
         """
         from repro.obs.service import Observability
 
         self._require_built("with_observability")
-        self.state.attach(Observability(categories=categories, hub=hub,
-                                        slo=slo))
+        self.state.attach(Observability(categories=categories, hub=hub))
         return self
 
     # ------------------------------------------------------ typed accessors

@@ -92,7 +92,6 @@ class TreePNetwork:
         obs = self.obs
         if obs is not None:
             self.sim.set_event_hook(obs.on_sim_event)
-            obs.topology_source = self.topology_snapshot
         self.nodes: Dict[int, TreePNode] = {}
         self.ids: List[int] = []
         self.capacities: Dict[int, NodeCapacity] = {}
@@ -208,8 +207,8 @@ class TreePNetwork:
 
         A node at max level *m* has its real parent at level *m*\\ +1 in
         its routing table; nodes without one (the root, or nodes mid-join)
-        report ``-1``.  The observability hub samples this at finalize so
-        offline analytics (sick-subtree rollups) can walk the overlay.
+        report ``-1``.  The adversarial plans
+        (:mod:`repro.workloads.adversarial`) cut whole subtrees out of it.
         """
         snapshot: Dict[int, int] = {}
         for ident, node in self.nodes.items():

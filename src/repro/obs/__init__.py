@@ -1,7 +1,10 @@
 """Unified observability: span tracing, metrics, and the columnar trace store.
 
+One recording path (the hub, into the store) and one judging path (the
+exact SLO evaluator over recorded spans).
+
 Layering contract: the core modules of this package (metrics, columnar,
-hub, store, runtime, query and the analytics tier) must not import
+hub, store, runtime, query, slo and critpath) must not import
 ``repro.core`` or ``repro.cluster``, so the simulation core can import
 :func:`~repro.obs.runtime.ambient_hub` without a cycle.  Their only look
 *down* is the hub's lazily imported ``repro.sim`` event type; everything
@@ -19,27 +22,24 @@ Typical entry points:
 * ``python -m repro.bench run <scenario> --trace-out DIR`` — ambient capture
   around a bench scenario; writes ``trace_<scenario>.npz``.
 * ``python -m repro.obs summary <file.npz>`` — query a written store.
-* ``python -m repro.obs health|slo|critpath|export-perfetto`` — the
-  analytics tier (:mod:`~repro.obs.health`, :mod:`~repro.obs.slo`,
-  :mod:`~repro.obs.critpath`, :mod:`~repro.obs.perfetto` — all core-tier).
+* ``evaluate_hub(load_slo(path), cluster.obs)`` / ``python -m repro.obs
+  slo`` — judge a run against an SLO spec (:mod:`~repro.obs.slo`).
+* ``python -m repro.obs critpath`` — self-time attribution and critical
+  paths over the recorded parent links (:mod:`~repro.obs.critpath`).
 """
 
 from repro.obs.columnar import StreamBuffer, StringTable
 from repro.obs.critpath import (SpanTree, build_forest, critical_path,
                                 self_time_by_category, span_attribution)
-from repro.obs.health import (NodeHealth, SubtreeHealth, health_from_reader,
-                              node_health, robust_z, subtree_health)
 from repro.obs.hub import (EVENT_SCHEMA, SPAN_SCHEMA, STATUS_FAIL,
                            STATUS_NAMES, STATUS_OK, STATUS_OPEN,
                            STATUS_TIMEOUT, ObsHub)
 from repro.obs.metrics import (Counter, Gauge, MetricsRegistry,
                                QuantileHistogram)
-from repro.obs.perfetto import export_perfetto, trace_events
 from repro.obs.runtime import (TraceCapture, active_capture, ambient_hub,
                                capture)
 from repro.obs.slo import (RuleResult, SloReport, SloRule, SloSpec,
-                           StreamingSloMonitor, evaluate_hub, evaluate_store,
-                           load_slo, parse_slo)
+                           evaluate_hub, evaluate_store, load_slo, parse_slo)
 from repro.obs.store import SCHEMA, StreamView, TraceReader, write_store
 
 __all__ = [
@@ -74,21 +74,10 @@ __all__ = [
     "parse_slo",
     "evaluate_hub",
     "evaluate_store",
-    "StreamingSloMonitor",
-    # health scoring
-    "NodeHealth",
-    "SubtreeHealth",
-    "robust_z",
-    "node_health",
-    "subtree_health",
-    "health_from_reader",
     # causal analytics
     "SpanTree",
     "build_forest",
     "critical_path",
     "self_time_by_category",
     "span_attribution",
-    # perfetto export
-    "trace_events",
-    "export_perfetto",
 ]

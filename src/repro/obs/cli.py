@@ -4,20 +4,15 @@
   status mix (ok/fail/timeout/open), duration quantiles, the per-hop
   latency breakdown of lookup trails, event counts, adopted metrics, and
   the simulator event-label top list.
-* ``runs FILE`` — one line per run: span/event counts and meta extras
+* ``runs FILE`` — one line per run: span/event/simulator-event counts
   (the way to discover run names in a multi-run store).
 * ``timeline FILE [--run R] [--category C] [--limit N]`` — chronological
   span-end/event listing.
 * ``slowest FILE [--run R] [--category C] [--limit N]`` — longest spans.
-* ``health FILE [--run R] [--category C] [--limit N]`` — per-node health
-  scores (stragglers, hot replicas, error rates) and, when the store
-  carries an overlay topology, the sick-subtree rollup.
 * ``slo FILE --spec SPEC [--run R]`` — evaluate a TOML/JSON SLO spec
   against the stored spans; exits 1 on any violation.
 * ``critpath FILE [--run R] [--category C] [--limit N]`` — per-category
   self-time attribution and the critical path of the longest root spans.
-* ``export-perfetto FILE [-o OUT] [--run R]`` — Chrome trace-event JSON
-  for https://ui.perfetto.dev.
 * ``export FILE --stream spans|events [--run R] [--format jsonl|csv]``
   — dump raw rows for external tooling.
 
@@ -71,8 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            "span latency quantiles, per-hop breakdown")
     common(sum_p)
 
-    runs_p = sub.add_parser("runs", help="list runs: names, row counts, "
-                            "meta extras")
+    runs_p = sub.add_parser("runs", help="list runs: names and row counts")
     runs_p.add_argument("file", help="trace store (.npz)")
 
     tl_p = sub.add_parser("timeline", help="chronological span-end/event "
@@ -85,16 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(slow_p)
     slow_p.add_argument("--category", default=None)
     slow_p.add_argument("--limit", type=int, default=10)
-
-    health_p = sub.add_parser("health", help="per-node health scores + "
-                              "subtree rollup")
-    common(health_p)
-    health_p.add_argument("--category", default=None,
-                          help="score one span category in isolation")
-    health_p.add_argument("--limit", type=int, default=15,
-                          help="rows per table (sickest first)")
-    health_p.add_argument("--min-spans", type=int, default=1,
-                          help="skip nodes with fewer recorded spans")
 
     slo_p = sub.add_parser("slo", help="evaluate an SLO spec against the "
                            "stored spans (exit 1 on violation)")
@@ -110,13 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "roots of any category)")
     crit_p.add_argument("--limit", type=int, default=3,
                         help="root spans to walk")
-
-    perf_p = sub.add_parser("export-perfetto", help="Chrome trace-event "
-                            "JSON for ui.perfetto.dev")
-    common(perf_p)
-    perf_p.add_argument("--category", default=None)
-    perf_p.add_argument("-o", "--output", default=None,
-                        help="output path (default: <store>.perfetto.json)")
 
     exp_p = sub.add_parser("export", help="dump raw rows (jsonl/csv)")
     common(exp_p)
@@ -185,20 +162,9 @@ def _cmd_runs(reader: TraceReader, args: argparse.Namespace) -> int:
     for run in reader.runs:
         meta = reader.run_meta(run)
         streams = meta.get("streams", {})
-        extras = meta.get("extras", {})
-        notes = []
-        for key in sorted(extras):
-            value = extras[key]
-            if key == "topology":
-                notes.append(f"topology({len(value)} nodes)")
-            elif isinstance(value, list):
-                notes.append(f"{key}({len(value)})")
-            else:
-                notes.append(f"{key}={value}")
         rows.append([run, streams.get("spans", 0), streams.get("events", 0),
-                     sum(meta.get("sim_events", {}).values()),
-                     " ".join(notes) or "-"])
-    print(_table(["run", "spans", "events", "sim events", "extras"], rows,
+                     sum(meta.get("sim_events", {}).values())])
+    print(_table(["run", "spans", "events", "sim events"], rows,
                  title=f"{reader.path}: {len(reader.runs)} run(s)"))
     extra = reader.meta.get("extra", {})
     if extra:
@@ -239,38 +205,6 @@ def _cmd_slowest(reader: TraceReader, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_health(reader: TraceReader, args: argparse.Namespace) -> int:
-    from repro.obs.health import health_from_reader
-
-    for run in _runs(reader, args.run):
-        nodes, subtrees = health_from_reader(
-            reader, run, category=args.category, min_spans=args.min_spans)
-        sick = sum(1 for h in nodes if h.sick)
-        print(f"== run {run}: {len(nodes)} node(s) scored, {sick} sick ==")
-        if nodes:
-            print(_table(
-                ["node", "score", "spans", "ok", "fail", "timeout",
-                 "err rate", "mean lat", "lat z", "load z", "flags"],
-                [[h.node, f"{h.score:.1f}", h.spans, h.ok, h.fail, h.timeout,
-                  f"{h.error_rate:.3f}", f"{h.mean_latency:.4f}",
-                  f"{h.latency_z:+.2f}", f"{h.load_z:+.2f}",
-                  ",".join(h.flags) or "-"]
-                 for h in nodes[:args.limit]],
-                title=f"node health (sickest first, top {args.limit})"))
-        if subtrees:
-            print(_table(
-                ["subtree root", "score", "members", "spans", "worst node",
-                 "worst score"],
-                [[s.root, f"{s.score:.1f}", s.members, s.spans, s.worst_node,
-                  f"{s.worst_score:.1f}"] for s in subtrees[:args.limit]],
-                title="subtree rollup (span-weighted, sickest first)"))
-        elif nodes:
-            print("(no overlay topology in this store — subtree rollup "
-                  "skipped; re-record with repro.obs >= 1.7)")
-        print()
-    return 0
-
-
 def _cmd_slo(reader: TraceReader, args: argparse.Namespace) -> int:
     from repro.obs.slo import evaluate_store, load_slo
 
@@ -284,10 +218,6 @@ def _cmd_slo(reader: TraceReader, args: argparse.Namespace) -> int:
               "ok" if r.ok else "VIOLATED", r.detail or "-"]
              for r in results],
             title=f"run {run}: {len(spec)} objective(s) from {spec.source}"))
-        recorded = reader.run_extras(run).get("slo_violations", [])
-        if recorded:
-            print(f"  {len(recorded)} live violation event(s) recorded "
-                  "during the run (category slo.violation)")
         print()
     violations = report.violations()
     if violations:
@@ -332,21 +262,6 @@ def _cmd_critpath(reader: TraceReader, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_export_perfetto(reader: TraceReader, args: argparse.Namespace) -> int:
-    from repro.obs.perfetto import export_perfetto
-
-    out = args.output
-    if out is None:
-        base = args.file[:-4] if args.file.endswith(".npz") else args.file
-        out = base + ".perfetto.json"
-    path = export_perfetto(reader, out, run=args.run, category=args.category)
-    with open(path, encoding="utf-8") as fh:
-        n = len(json.load(fh)["traceEvents"])
-    print(f"wrote {n} trace events -> {path}")
-    print("open in https://ui.perfetto.dev (Trace -> Open trace file)")
-    return 0
-
-
 def _cmd_export(reader: TraceReader, args: argparse.Namespace) -> int:
     out = open(args.output, "w", newline="") if args.output else sys.stdout
     try:
@@ -372,10 +287,8 @@ _COMMANDS = {
     "runs": _cmd_runs,
     "timeline": _cmd_timeline,
     "slowest": _cmd_slowest,
-    "health": _cmd_health,
     "slo": _cmd_slo,
     "critpath": _cmd_critpath,
-    "export-perfetto": _cmd_export_perfetto,
     "export": _cmd_export,
 }
 

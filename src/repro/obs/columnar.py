@@ -16,6 +16,10 @@ import numpy as np
 
 __all__ = ["StringTable", "StreamBuffer"]
 
+#: Rows per preallocated chunk: memory grows in ``CHUNK_ROWS``-row steps,
+#: and a full chunk is retired to a list and never touched again.
+CHUNK_ROWS = 4096
+
 #: (column name, numpy dtype string) pairs; the schema of one stream.
 ColumnSchema = Sequence[Tuple[str, str]]
 
@@ -60,21 +64,15 @@ class StreamBuffer:
     schema:
         ``[(column name, dtype), ...]``; appends must supply one value per
         column, in schema order.
-    chunk:
-        Rows per preallocated chunk.  Memory grows in ``chunk``-row steps;
-        a full chunk is retired to a list and never touched again.
     """
 
-    __slots__ = ("schema", "names", "chunk", "_chunks", "_cur", "_fill", "rows")
+    __slots__ = ("schema", "names", "_chunks", "_cur", "_fill", "rows")
 
-    def __init__(self, schema: ColumnSchema, chunk: int = 4096) -> None:
-        if chunk <= 0:
-            raise ValueError(f"chunk must be > 0, got {chunk}")
+    def __init__(self, schema: ColumnSchema) -> None:
         self.schema = tuple((str(n), str(d)) for n, d in schema)
         if not self.schema:
             raise ValueError("a stream needs at least one column")
         self.names = tuple(n for n, _ in self.schema)
-        self.chunk = chunk
         self._chunks: List[Dict[str, np.ndarray]] = []
         self._cur: Dict[str, np.ndarray] | None = None
         self._fill = 0
@@ -83,7 +81,7 @@ class StreamBuffer:
     def _new_chunk(self) -> Dict[str, np.ndarray]:
         if self._cur is not None:
             self._chunks.append(self._cur)
-        self._cur = {name: np.empty(self.chunk, dtype=dtype)
+        self._cur = {name: np.empty(CHUNK_ROWS, dtype=dtype)
                      for name, dtype in self.schema}
         self._fill = 0
         return self._cur
@@ -91,7 +89,7 @@ class StreamBuffer:
     def append(self, *values) -> None:
         """Append one row; *values* in schema order."""
         cur = self._cur
-        if cur is None or self._fill == self.chunk:
+        if cur is None or self._fill == CHUNK_ROWS:
             cur = self._new_chunk()
         i = self._fill
         for name, value in zip(self.names, values):

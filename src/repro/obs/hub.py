@@ -72,16 +72,13 @@ class ObsHub:
         enables every category **except** the opt-in firehose
         ``sim.event`` stream (per-simulator-event rows; its per-label
         *counts* are always kept — they are one dict add).
-    chunk:
-        Rows per column-buffer chunk (see :class:`StreamBuffer`).
     """
 
-    def __init__(self, categories: Optional[Iterable[str]] = None,
-                 chunk: int = 4096) -> None:
+    def __init__(self, categories: Optional[Iterable[str]] = None) -> None:
         self.categories = frozenset(categories) if categories is not None else None
         self.strings = StringTable()
-        self.spans = StreamBuffer(SPAN_SCHEMA, chunk=chunk)
-        self.events = StreamBuffer(EVENT_SCHEMA, chunk=chunk)
+        self.spans = StreamBuffer(SPAN_SCHEMA)
+        self.events = StreamBuffer(EVENT_SCHEMA)
         #: category name -> recorded span+event rows (the in-memory totals
         #: ``python -m repro.obs summary`` must reproduce from the store).
         self.counts: Dict[str, int] = {}
@@ -97,18 +94,6 @@ class ObsHub:
         self._span_hists: Dict[int, QuantileHistogram] = {}
         self._record_sim_events = (self.categories is not None
                                    and "sim.event" in self.categories)
-        #: Live SLO evaluator (:class:`repro.obs.slo.StreamingSloMonitor`);
-        #: ``None`` (the default) costs one identity check per span end.
-        self.slo_monitor = None
-        #: Free-form JSON-safe annotations written into this hub's run
-        #: metadata (``extras``) by :func:`repro.obs.store.write_store` —
-        #: the SLO monitor logs violations here, :meth:`finalize` stamps
-        #: the overlay topology.
-        self.extras: Dict[str, Any] = {}
-        #: Optional zero-arg callable returning ``{node: parent}`` (set by
-        #: the owning network); sampled once at :meth:`finalize` so offline
-        #: health analysis can roll scores up the tree overlay.
-        self.topology_source = None
 
     # ------------------------------------------------------------ gating
     def enabled_for(self, category: str) -> bool:
@@ -141,9 +126,6 @@ class ObsHub:
             hist = self._span_hists[cat] = self.metrics.histogram(
                 f"span.{self.strings.lookup(cat)}.latency")
         hist.observe(t - t0)
-        monitor = self.slo_monitor
-        if monitor is not None:
-            monitor.on_span(cat, node, t0, t, status)
 
     # keyed spans: the hub owns the request-key -> span-id map ------------
     def begin_keyed(self, category: str, key: Any, node: int, t: float,
@@ -243,21 +225,6 @@ class ObsHub:
                        status=STATUS_OK if ok else STATUS_FAIL,
                        v0=float(attempts))
 
-    def slo_violation(self, node: int, t: float, rid: int,
-                      value: float) -> None:
-        """Record one ``slo.violation`` alert event.  Alerts bypass the
-        category filter — a spec was explicitly attached, so its
-        violations are always recorded; ``rid`` indexes the violation's
-        detail dict in ``extras["slo_violations"]``."""
-        self.events.append(self.strings.code("slo.violation"), node, t, rid,
-                           value)
-        self.counts["slo.violation"] = self.counts.get("slo.violation", 0) + 1
-
-    def latency_histogram(self, cat_code: int) -> Optional[QuantileHistogram]:
-        """The streaming latency sketch of one interned category (or
-        ``None`` before its first closed span)."""
-        return self._span_hists.get(cat_code)
-
     # ------------------------------------------------------ engine wiring
     def on_sim_event(self, ev: "Event") -> None:
         """Per-simulator-event hook (installed via
@@ -291,21 +258,7 @@ class ObsHub:
         """Flush still-open spans (crashed workers, timed-out-but-pending
         requests at run end) into the stream with ``STATUS_OPEN`` and
         ``t1 = t0`` — their begin was already counted, so per-category
-        counts match row counts exactly.  Also runs the SLO monitor's
-        final check and stamps the overlay topology into :attr:`extras`
-        (both idempotent, so repeated finalize stays safe)."""
-        monitor = self.slo_monitor
-        if monitor is not None:
-            monitor.final_check()
-        source = self.topology_source
-        if source is not None and "topology" not in self.extras:
-            try:
-                topology = source()
-            except Exception:  # a half-torn-down network beats a lost trace
-                topology = None
-            if topology:
-                self.extras["topology"] = {
-                    str(k): int(v) for k, v in topology.items()}
+        counts match row counts exactly.  Idempotent."""
         for sid in sorted(self._open):
             cat, node, t0, parent = self._open[sid]
             self.spans.append(sid, parent, cat, node, t0, t0, STATUS_OPEN,

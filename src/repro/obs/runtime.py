@@ -29,25 +29,14 @@ _ACTIVE: Optional["TraceCapture"] = None
 
 
 class TraceCapture:
-    """Collects one hub per network constructed while active.
+    """Collects one hub per network constructed while active."""
 
-    With an ``slo`` spec every new hub gets its own
-    :class:`~repro.obs.slo.StreamingSloMonitor`, so violations are
-    detected live (and recorded as ``slo.violation`` events) in each run.
-    """
-
-    def __init__(self, categories=None, chunk: int = 4096,
-                 slo=None) -> None:
+    def __init__(self, categories=None) -> None:
         self.categories = categories
-        self.chunk = chunk
-        self.slo = slo
         self.hubs: List[ObsHub] = []
 
     def new_hub(self) -> ObsHub:
-        hub = ObsHub(categories=self.categories, chunk=self.chunk)
-        if self.slo is not None:
-            from repro.obs.slo import StreamingSloMonitor
-            StreamingSloMonitor(self.slo, hub)
+        hub = ObsHub(categories=self.categories)
         self.hubs.append(hub)
         return hub
 
@@ -87,13 +76,12 @@ class TraceCapture:
 
 
 @contextmanager
-def capture(categories=None, chunk: int = 4096,
-            slo=None) -> Iterator[TraceCapture]:
+def capture(categories=None) -> Iterator[TraceCapture]:
     """Activate an ambient capture for the ``with`` body (re-entrant: an
     inner capture shadows, then restores, the outer one)."""
     global _ACTIVE
     prev = _ACTIVE
-    cap = TraceCapture(categories=categories, chunk=chunk, slo=slo)
+    cap = TraceCapture(categories=categories)
     _ACTIVE = cap
     try:
         yield cap

@@ -38,31 +38,23 @@ class Observability(Service):
     hub:
         An externally owned hub to record into (e.g. shared with a test's
         assertions); one is created when omitted.
-    slo:
-        Optional SLO spec — a path to a ``.toml``/``.json`` file or an
-        already-parsed :class:`~repro.obs.slo.SloSpec`.  Attaches a
-        :class:`~repro.obs.slo.StreamingSloMonitor` to the hub so
-        violations surface *during* the run as ``slo.violation`` events.
+
+    To gate a run on an SLO spec, judge the hub after it:
+    ``evaluate_hub(load_slo(path), cluster.obs)`` (:mod:`repro.obs.slo`).
     """
 
     name = "observability"
 
     def __init__(self, categories: Optional[Iterable[str]] = None,
-                 hub: Optional[ObsHub] = None, slo=None) -> None:
+                 hub: Optional[ObsHub] = None) -> None:
         super().__init__()
         self.hub = hub if hub is not None else ObsHub(categories=categories)
-        self.slo_monitor = None
-        if slo is not None:
-            from repro.obs.slo import SloSpec, StreamingSloMonitor, load_slo
-            spec = slo if isinstance(slo, SloSpec) else load_slo(slo)
-            self.slo_monitor = StreamingSloMonitor(spec, self.hub)
 
     # ------------------------------------------------------------ lifecycle
     def on_attach(self, ctx: ServiceContext) -> None:
         self._net = ctx.net
         ctx.net.obs = self.hub
         ctx.net.sim.set_event_hook(self.hub.on_sim_event)
-        self.hub.topology_source = ctx.net.topology_snapshot
         # Adopt the metrics registries of already-attached subsystems;
         # ones attached later adopt themselves when they see net.obs.
         for svc in ctx.state.services.values():

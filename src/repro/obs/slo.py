@@ -9,19 +9,12 @@ A spec is a set of per-category objectives loaded from TOML or JSON::
     node_error_budget = 10    # fail+timeout spans charged to any one node
     min_samples = 20          # below this, every rule is "skipped", not ok/fail
 
-The category ``"*"`` applies a rule to every span category present.  The
-same spec evaluates two ways:
-
-* **offline** — :func:`evaluate_store` / :func:`evaluate_hub` compute
-  exact percentiles over the stored span rows (ground truth);
-* **streaming** — :class:`StreamingSloMonitor` rides the hub's span-end
-  path, re-checking rate rules and the streaming latency sketch
-  (:class:`~repro.obs.metrics.QuantileHistogram`, ~2.5% relative error)
-  every :attr:`~StreamingSloMonitor.check_every` spans, and emits an
-  ``slo.violation`` alert event into the trace the first time a rule
-  trips.  The monitor only reads values and appends rows — it draws no
-  RNG and schedules no simulator event, so a run with live SLO
-  evaluation stays bit-identical to the same run without it.
+The category ``"*"`` applies a rule to every span category present.
+:func:`evaluate_hub` (an in-memory hub) and :func:`evaluate_store` (a
+written trace store) judge a spec the one way there is: exact
+percentiles and rates over the recorded span rows.  Judging adds no row
+to the trace it judges (:func:`evaluate_hub` only finalizes the hub, as
+writing the store does anyway).
 
 This module is core-tier (stdlib + NumPy only; see the package layering
 contract).
@@ -32,8 +25,7 @@ from __future__ import annotations
 import json
 import tomllib
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Set,
-                    Tuple)
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -43,8 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.store import TraceReader
 
 __all__ = ["SloRule", "SloSpec", "RuleResult", "SloReport", "load_slo",
-           "parse_slo", "evaluate_hub", "evaluate_store",
-           "StreamingSloMonitor"]
+           "parse_slo", "evaluate_hub", "evaluate_store"]
 
 #: Latency-rule spec keys and the quantile each gates.
 LATENCY_QUANTILES = {"p50": 0.50, "p99": 0.99, "p999": 0.999}
@@ -93,10 +84,6 @@ class SloSpec:
     def __len__(self) -> int:
         return len(self.rules)
 
-    def monitor(self, hub: ObsHub, check_every: int = 64) -> "StreamingSloMonitor":
-        """Attach a live :class:`StreamingSloMonitor` for this spec to *hub*."""
-        return StreamingSloMonitor(self, hub, check_every=check_every)
-
 
 # ------------------------------------------------------------------ loading
 def load_slo(path: str) -> SloSpec:
@@ -140,9 +127,11 @@ def parse_slo(data: Mapping[str, Any], source: str = "<dict>") -> SloSpec:
     for category in sorted(table):
         body = table[category]
         min_samples = body.get("min_samples", 1)
-        if not isinstance(min_samples, int) or min_samples < 0:
+        if (not isinstance(min_samples, int) or isinstance(min_samples, bool)
+                or min_samples < 0):
             raise ValueError(
-                f"{source}: [slo.{category}] min_samples must be an int >= 0")
+                f"{source}: [slo.{category}] min_samples must be an int >= 0, "
+                f"got {min_samples!r}")
         for key in sorted(body):
             if key == "min_samples":
                 continue
@@ -290,127 +279,3 @@ class SloReport:
             "violations": [dict(res.to_dict(), run=run)
                            for run, res in self.violations()],
         }
-
-
-# ---------------------------------------------------------------- streaming
-class StreamingSloMonitor:
-    """Live SLO evaluation riding the hub's span-end path.
-
-    Rate and error-budget rules are tracked exactly; latency rules read
-    the hub's per-category streaming quantile sketch.  Checks run on
-    every error and every :attr:`check_every`-th span of a gated
-    category (plus once at finalize), so detection lags bursts by at
-    most one window.  The first time a rule trips, one ``slo.violation``
-    alert event is appended to the trace (``rid`` indexes the
-    ``slo_violations`` list in the run's meta extras) and the rule
-    latches — operators gate on *which* objectives broke, not how often.
-    """
-
-    def __init__(self, spec: SloSpec, hub: ObsHub, check_every: int = 64) -> None:
-        if check_every <= 0:
-            raise ValueError(f"check_every must be > 0, got {check_every}")
-        self.spec = spec
-        self.hub = hub
-        self.check_every = int(check_every)
-        self.violations: List[Dict[str, Any]] = []
-        self._rules_by_code: Dict[int, List[Tuple[int, SloRule]]] = {}
-        self._stats: Dict[int, List[int]] = {}  # code -> [n, fails, timeouts, since]
-        self._node_errors: Dict[Tuple[int, int], int] = {}
-        self._worst_node: Dict[int, Tuple[int, int]] = {}  # code -> (count, node)
-        self._fired: Set[Tuple[int, int]] = set()
-        self._last_t = 0.0
-        self._finalized = False
-        hub.slo_monitor = self
-
-    # ------------------------------------------------------------ hot path
-    def on_span(self, code: int, node: int, t0: float, t1: float,
-                status: int) -> None:
-        rules = self._rules_by_code.get(code)
-        if rules is None:
-            rules = self._resolve(code)
-        if not rules:
-            return
-        stats = self._stats.get(code)
-        if stats is None:
-            stats = self._stats[code] = [0, 0, 0, 0]
-        stats[0] += 1
-        stats[3] += 1
-        error = status == STATUS_FAIL or status == STATUS_TIMEOUT
-        if status == STATUS_FAIL:
-            stats[1] += 1
-        elif status == STATUS_TIMEOUT:
-            stats[2] += 1
-        self._last_t = t1
-        if error:
-            key = (code, node)
-            count = self._node_errors.get(key, 0) + 1
-            self._node_errors[key] = count
-            worst = self._worst_node.get(code)
-            if worst is None or count > worst[0]:
-                self._worst_node[code] = (count, node)
-        if error or stats[3] >= self.check_every:
-            stats[3] = 0
-            self._check(code, rules, stats, t1)
-
-    def _resolve(self, code: int) -> List[Tuple[int, SloRule]]:
-        name = self.hub.strings.lookup(code)
-        rules = [(i, r) for i, r in enumerate(self.spec.rules)
-                 if r.category == name or r.category == "*"]
-        self._rules_by_code[code] = rules
-        return rules
-
-    def _check(self, code: int, rules: List[Tuple[int, SloRule]],
-               stats: List[int], t: float) -> None:
-        n, fails, timeouts = stats[0], stats[1], stats[2]
-        for idx, rule in rules:
-            if (idx, code) in self._fired or n < max(rule.min_samples, 1):
-                continue
-            worst_node = -1
-            if rule.kind == "latency":
-                hist = self.hub.latency_histogram(code)
-                if hist is None or hist.count == 0:
-                    continue
-                observed = hist.quantile(rule.quantile)
-            elif rule.kind == "failure_rate":
-                observed = fails / n
-            elif rule.kind == "timeout_rate":
-                observed = timeouts / n
-            else:  # node_error_budget
-                count, worst_node = self._worst_node.get(code, (0, -1))
-                observed = float(count)
-            if observed > rule.limit:
-                self._fire(idx, rule, code, worst_node, t, observed)
-
-    def _fire(self, idx: int, rule: SloRule, code: int, node: int,
-              t: float, observed: float) -> None:
-        self._fired.add((idx, code))
-        category = self.hub.strings.lookup(code)
-        violation = {
-            "rule": rule.name_for(category),
-            "kind": rule.kind,
-            "category": category,
-            "observed": float(observed),
-            "limit": float(rule.limit),
-            "t": float(t),
-            "node": int(node),
-        }
-        rid = len(self.violations)
-        self.violations.append(violation)
-        self.hub.extras.setdefault("slo_violations", []).append(violation)
-        self.hub.slo_violation(node, t, rid, observed)
-
-    # ----------------------------------------------------------- run close
-    def final_check(self) -> None:
-        """One last evaluation over the full streams (hub finalize calls
-        this, so tail-of-run violations are not lost to the window)."""
-        if self._finalized:
-            return
-        self._finalized = True
-        for code, stats in self._stats.items():
-            self._check(code, self._rules_by_code.get(code, []), stats,
-                        self._last_t)
-
-    def report(self) -> SloReport:
-        """Exact post-run evaluation of the same spec over the same hub."""
-        return SloReport(source=self.spec.source,
-                         runs={"live": evaluate_hub(self.spec, self.hub)})

@@ -69,10 +69,6 @@ def write_store(path: str, runs: Mapping[str, ObsHub],
             "sim_events": dict(hub.sim_event_counts),
             "metrics": hub.metrics_snapshot(),
         }
-        # Hub annotations (overlay topology, SLO violations, …): JSON-safe
-        # by contract; omitted when empty so pre-1.7 stores stay minimal.
-        if hub.extras:
-            meta_runs[run]["extras"] = dict(hub.extras)
     meta = {
         "schema": SCHEMA,
         "strings": strings.strings,
@@ -207,19 +203,6 @@ class TraceReader:
             for cat, n in self.run_meta(r)["counts"].items():
                 out[cat] = out.get(cat, 0) + int(n)
         return out
-
-    def run_extras(self, run: str) -> Dict[str, Any]:
-        """Hub annotations recorded with *run* (topology, SLO violations);
-        empty for pre-1.7 stores."""
-        return self.run_meta(run).get("extras", {})
-
-    def run_topology(self, run: str) -> Optional[Dict[int, int]]:
-        """The ``{node: parent}`` overlay snapshot of *run* (parent ``-1``
-        = root), or ``None`` when the hub was never bound to a network."""
-        topology = self.run_extras(run).get("topology")
-        if not topology:
-            return None
-        return {int(k): int(v) for k, v in topology.items()}
 
     def sim_event_counts(self, run: Optional[str] = None) -> Dict[str, int]:
         out: Dict[str, int] = {}

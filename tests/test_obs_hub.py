@@ -4,27 +4,26 @@ category gating, and the counts == rows invariant."""
 import numpy as np
 import pytest
 
-from repro.obs.columnar import StreamBuffer, StringTable
+from repro.obs.columnar import CHUNK_ROWS, StreamBuffer, StringTable
 from repro.obs.hub import (STATUS_FAIL, STATUS_OK, STATUS_OPEN,
                            STATUS_TIMEOUT, ObsHub)
 
 
 # ------------------------------------------------------------- columnar base
 def test_stream_buffer_chunk_boundaries():
-    buf = StreamBuffer((("a", "i8"), ("b", "f8")), chunk=3)
-    for i in range(8):  # crosses two chunk boundaries
+    buf = StreamBuffer((("a", "i8"), ("b", "f8")))
+    n = 2 * CHUNK_ROWS + 3  # crosses two chunk boundaries
+    for i in range(n):
         buf.append(i, i / 2)
     cols = buf.columns()
-    assert list(cols["a"]) == list(range(8))
-    np.testing.assert_allclose(cols["b"], np.arange(8) / 2)
+    assert list(cols["a"]) == list(range(n))
+    np.testing.assert_allclose(cols["b"], np.arange(n) / 2)
     assert cols["a"].dtype == np.dtype("i8")
 
 
 def test_stream_buffer_validation():
     with pytest.raises(ValueError):
-        StreamBuffer((), chunk=4)
-    with pytest.raises(ValueError):
-        StreamBuffer((("a", "i8"),), chunk=0)
+        StreamBuffer(())
 
 
 def test_string_table_interning():

@@ -118,10 +118,9 @@ def test_open_spans_are_excluded_from_slowest():
     assert len(rows) == 1 and rows[0]["status"] == "ok"
 
 
-def test_runs_subcommand_lists_counts_and_extras(tmp_path, capsys):
+def test_runs_subcommand_lists_counts(tmp_path, capsys):
     h1, h2 = ObsHub(), ObsHub()
     h1.span("lookup", 1, 0.0, 1.0)
-    h1.extras["topology"] = {"1": -1, "2": 1}
     h2.event("lookup.hop", 1, 0.5, rid=1, value=1.0)
     path = str(tmp_path / "runs.npz")
     write_store(path, {"run-000": h1, "run-001": h2},
@@ -129,10 +128,11 @@ def test_runs_subcommand_lists_counts_and_extras(tmp_path, capsys):
     assert obs_cli(["runs", path]) == 0
     out = capsys.readouterr().out
     assert "2 run(s)" in out
-    assert "topology(2 nodes)" in out
     assert "scenario=unit" in out
     lines = [l for l in out.splitlines() if l.strip().startswith("run-")]
-    assert len(lines) == 2
+    # run, spans, events, sim events
+    assert [l.split() for l in lines] == [["run-000", "1", "0", "0"],
+                                          ["run-001", "0", "1", "0"]]
 
 
 def test_summary_table_shows_fail_and_timeout_columns(tmp_path, capsys):

@@ -1,19 +1,18 @@
-"""SLO tier: spec parsing (TOML/JSON), offline evaluation of every rule
-kind, the streaming monitor's live violation events,
-schedule-neutrality, and the bench ``--slo`` gate."""
+"""SLO tier: spec parsing (TOML/JSON), exact evaluation of every rule
+kind, the bench ``--slo`` gate, and that judging a run never writes into
+its trace."""
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.bench.cli import main as bench_cli
 from repro.bench.result import BenchResult
 from repro.bench.runner import run_scenario
-from repro.cluster import Cluster
 from repro.obs import (STATUS_FAIL, STATUS_OK, STATUS_TIMEOUT, ObsHub,
                        SloSpec, TraceReader, evaluate_hub, evaluate_store,
                        load_slo, parse_slo, write_store)
-from repro.obs.slo import StreamingSloMonitor
 
 SPEC_TOML = """
 # latency + rates on one category, wildcard error budget
@@ -63,6 +62,9 @@ def test_parse_json_spec(tmp_path):
     ({"slo": {"lookup": {"p99": "fast"}}}, "must be numeric"),
     ({"slo": {"p99": 1.0}}, "directly under"),
     ({"slo": {"lookup": {"p99": 1.0, "min_samples": -1}}}, "min_samples"),
+    # bool is an int subclass; objective values already refuse it
+    ({"slo": {"lookup": {"p99": 1.0, "min_samples": True}}},
+     r"\[slo\.lookup\] min_samples"),
 ])
 def test_parse_rejects_malformed_specs(data, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -112,6 +114,17 @@ def test_wildcard_expands_over_present_categories():
     assert names == ["a.failure_rate", "b.failure_rate"]
 
 
+def test_cluster_run_is_gated_by_evaluate_hub():
+    from repro.cluster import Cluster
+
+    c = Cluster(seed=321).build(24).with_observability().with_storage()
+    for i in range(12):
+        c.storage.put(f"k{i}", i)
+    spec = parse_slo({"slo": {"storage.put": {"p99": 0.001}}})
+    (res,) = evaluate_hub(spec, c.obs)
+    assert not res.ok and res.samples == 12
+
+
 def test_evaluate_store_roundtrip(tmp_path):
     path = str(tmp_path / "t.npz")
     write_store(path, {"run-000": _hub_with_mixed_spans()})
@@ -125,75 +138,6 @@ def test_evaluate_store_roundtrip(tmp_path):
     d = report.to_dict()
     assert d["passed"] is False and len(d["violations"]) == 1
     assert d["violations"][0]["rule"] == "lookup.failure_rate"
-
-
-# ---------------------------------------------------------------- streaming
-def test_streaming_monitor_emits_one_latched_violation():
-    hub = ObsHub()
-    spec = parse_slo({"slo": {"lookup": {"max_failure_rate": 0.1}}})
-    monitor = StreamingSloMonitor(spec, hub, check_every=4)
-    for i in range(20):
-        hub.span("lookup", 7, float(i), float(i) + 0.1, status=STATUS_FAIL)
-    assert len(monitor.violations) == 1  # latched after the first trip
-    assert hub.category_counts()["slo.violation"] == 1
-    (v,) = hub.extras["slo_violations"]
-    assert v["rule"] == "lookup.failure_rate" and v["observed"] > 0.1
-
-
-def test_streaming_final_check_catches_tail_violations():
-    hub = ObsHub()
-    spec = parse_slo({"slo": {"lookup": {"p99": 0.2}}})
-    monitor = StreamingSloMonitor(spec, hub, check_every=1000)
-    for i in range(3):  # too few spans to hit a window before run end
-        hub.span("lookup", 1, float(i), float(i) + 1.0)
-    assert not monitor.violations  # ok spans never force an early check
-    hub.finalize()  # hub finalize drives final_check()
-    assert len(monitor.violations) == 1
-    assert monitor.violations[0]["rule"] == "lookup.p99"
-
-
-def test_streaming_latency_rule_uses_hub_sketch():
-    hub = ObsHub()
-    spec = parse_slo({"slo": {"lookup": {"p99": 0.2}}})
-    StreamingSloMonitor(spec, hub, check_every=8)
-    for i in range(64):
-        hub.span("lookup", 1, float(i), float(i) + 1.0)
-    assert hub.extras["slo_violations"][0]["rule"] == "lookup.p99"
-
-
-def test_streaming_violations_survive_into_the_store(tmp_path):
-    hub = ObsHub()
-    spec = parse_slo({"slo": {"lookup": {"max_failure_rate": 0.01}}})
-    StreamingSloMonitor(spec, hub)
-    hub.span("lookup", 3, 0.0, 0.5, status=STATUS_FAIL)
-    path = str(tmp_path / "v.npz")
-    write_store(path, {"run-000": hub})
-    with TraceReader(path) as reader:
-        extras = reader.run_extras("run-000")
-        assert extras["slo_violations"][0]["rule"] == "lookup.failure_rate"
-        events = reader.events("run-000", category="slo.violation")
-        assert len(events) == 1
-
-
-def test_live_slo_monitoring_is_schedule_neutral():
-    """A run with live SLO evaluation must stay bit-identical (in virtual
-    time) to the same seeded run without observability at all."""
-    spec = parse_slo({"slo": {"storage.put": {"p99": 0.001}}})  # fires a lot
-
-    def workload(slo):
-        c = Cluster(seed=321).build(24)
-        if slo is not None:
-            c.with_observability(slo=slo)
-        c.with_storage()
-        for i in range(12):
-            c.storage.put(f"k{i}", i)
-        return (c.sim.now, c.sim.events_processed), c
-
-    base, _ = workload(None)
-    monitored, cluster = workload(spec)
-    assert monitored == base
-    cluster.obs.finalize()  # run close drives the monitor's final check
-    assert cluster.obs.extras["slo_violations"]  # the tight limit tripped
 
 
 # ------------------------------------------------------------ bench plumbing
@@ -225,6 +169,32 @@ def test_bench_cli_slo_exit_codes(tmp_path, capsys):
                       "--slo", str(bad)]) == 1
     out = capsys.readouterr().out
     assert "SLO VIOLATION" in out and "storage.put.p99" in out
+
+
+def test_slo_gating_never_writes_into_the_trace(tmp_path):
+    plain_dir, gated_dir = tmp_path / "plain", tmp_path / "gated"
+    run_scenario("storage", smoke=True, trace_out=str(plain_dir))
+    bad = tmp_path / "bad.toml"
+    bad.write_text("[slo.storage.put]\np99 = 0.0001\n")
+    gated = run_scenario("storage", smoke=True, trace_out=str(gated_dir),
+                         slo=str(bad))
+    assert gated.slo["passed"] is False
+    assert {v["rule"] for v in gated.slo["violations"]} == {"storage.put.p99"}
+
+    name = "trace_storage.smoke.npz"
+    with TraceReader(str(plain_dir / name)) as plain, \
+            TraceReader(str(gated_dir / name)) as judged:
+        assert judged.runs == plain.runs
+        assert judged.strings == plain.strings
+        for run in plain.runs:
+            assert judged.category_counts(run) == plain.category_counts(run)
+            assert "slo.violation" not in judged.category_counts(run)
+            for stream in ("spans", "events"):
+                a = plain.stream(run, stream).columns
+                b = judged.stream(run, stream).columns
+                assert list(b) == list(a)
+                for col in a:
+                    np.testing.assert_array_equal(b[col], a[col])
 
 
 def test_obs_cli_slo_subcommand(tmp_path, capsys):

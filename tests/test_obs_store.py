@@ -1,15 +1,18 @@
 """Trace-store roundtrip tests: chunk boundaries, empty runs, multi-run
 string remapping, and the filter/query API."""
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.obs.columnar import CHUNK_ROWS
 from repro.obs.hub import STATUS_OK, STATUS_TIMEOUT, ObsHub
 from repro.obs.store import SCHEMA, TraceReader, write_store
 
 
-def _hub_with_traffic(chunk=4096, n=10, offset=0):
-    hub = ObsHub(chunk=chunk)
+def _hub_with_traffic(n=10, offset=0):
+    hub = ObsHub()
     for i in range(n):
         rid = offset + i
         hub.lookup_begin(rid, i, float(i))
@@ -20,17 +23,19 @@ def _hub_with_traffic(chunk=4096, n=10, offset=0):
 
 
 def test_roundtrip_across_chunk_boundaries(tmp_path):
-    # chunk=3 forces several chunk retirements for 10 spans / 20 events.
-    hub = _hub_with_traffic(chunk=3, n=10)
+    # Two events per span: the spans fill one chunk and spill into a
+    # second, the events retire three chunks and start a fourth.
+    n = CHUNK_ROWS + 10
+    hub = _hub_with_traffic(n=n)
     path = str(tmp_path / "t.npz")
     write_store(path, {"run-000": hub})
     with TraceReader(path) as reader:
         assert reader.runs == ["run-000"]
         spans = reader.stream("run-000", "spans")
         events = reader.stream("run-000", "events")
-        assert len(spans) == 10 and len(events) == 20
+        assert len(spans) == n and len(events) == 2 * n
         np.testing.assert_array_equal(
-            np.sort(spans.column("t0")), np.arange(10, dtype=float))
+            np.sort(spans.column("t0")), np.arange(n, dtype=float))
         assert reader.category_counts() == hub.category_counts()
         assert reader.meta["schema"] == SCHEMA
 
@@ -135,6 +140,23 @@ def test_run_meta_and_metrics_snapshot(tmp_path):
             reader.run_meta("nope")
         with pytest.raises(KeyError):
             reader.stream("run-000", "nope")
+
+
+def test_reader_ignores_per_run_extras_of_older_stores(tmp_path):
+    # Earlier writers of schema repro.obs/1 stored hub annotations under
+    # runs/<run>/extras; the reader must still open such a store.
+    path = str(tmp_path / "t.npz")
+    write_store(path, {"run-000": _hub_with_traffic(n=3)})
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
+    meta["runs"]["run-000"]["extras"] = {"topology": {"1": -1}}
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
+                                       dtype=np.uint8)
+    np.savez_compressed(path, **arrays)
+    with TraceReader(path) as reader:
+        assert len(reader.stream("run-000", "spans")) == 3
+        assert reader.category_counts() == {"lookup": 3, "lookup.hop": 6}
 
 
 def test_write_rejects_slash_in_run_name(tmp_path):
