@@ -6,9 +6,9 @@ CLI (``run | list | report | campaign``), and the versioned
 :class:`BenchResult` JSON envelope, a pure function of (scenario, seed,
 params, smoke) whose committed copies under ``benchmarks/out/`` are the
 golden every PR is diffed against.  Wall-clock speed is not measured
-here (``benchmarks/perf`` owns the stopwatch).  It may import
-anything below it (cluster, subsystems, core, sim); nothing
-in ``src/repro`` outside this package may import it.
+here (``benchmarks/perf`` owns the stopwatch).  Its imports are
+declared by ``[package.bench]`` in ``repro/lint/layers.toml`` and checked
+by ``python -m repro.lint`` (RPR201).
 
 Entry points:
 

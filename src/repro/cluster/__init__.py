@@ -13,14 +13,9 @@
 
 Layer contract: this package *owns composition* — service construction
 order, cross-service dependency wiring, per-node handler/timer ownership,
-and exactly-once churn callback dispatch.  At module scope it may import
-only ``repro.core`` (the overlay it composes over) and ``repro.sim``
-(timers, liveness hooks); the ``with_*`` factories lazily import
-``repro.services``, ``repro.storage``, ``repro.compute`` and
-``repro.obs`` at composition time, so at import time subsystems depend on
-this layer's protocol and not the reverse.  Checked by ``python -m
-repro.lint`` (RPR201/RPR202) against ``repro/lint/layers.toml``.  See
-``docs/architecture.md``.
+and exactly-once churn callback dispatch.  Its imports are declared by
+``[package.cluster]`` in ``repro/lint/layers.toml`` and checked by
+``python -m repro.lint`` (RPR201).  See ``docs/architecture.md``.
 """
 
 from repro.cluster.cluster import Cluster

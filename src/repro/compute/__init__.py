@@ -25,17 +25,9 @@ its last checkpoint instead of restarting.
 
 Layer contract: this package *owns job execution* — matchmaking,
 dispatch, heartbeat failure detection, checkpointed re-execution, DAG
-ordering and scheduler failover.  It sits at the top of the subsystem
-stack and may import ``repro.cluster`` (the ``Service`` protocol),
-``repro.storage`` (checkpoints ride the quorum path),
-``repro.services`` (discovery aggregates for matchmaking),
-``repro.obs`` (the scheduler's metrics registry), ``repro.core`` and
-``repro.sim``; nothing in ``src/repro`` imports
-compute except the package root ``repro``, the ``repro.workloads`` job
-generators, the ``repro.cluster`` facade (lazily, inside
-``with_compute``) and the measurement layer ``repro.bench``.  Checked by
-``python -m repro.lint`` (RPR201/RPR202) against
-``repro/lint/layers.toml``.  See ``docs/architecture.md``.
+ordering and scheduler failover.  Its imports are declared by
+``[package.compute]`` in ``repro/lint/layers.toml`` and checked by
+``python -m repro.lint`` (RPR201).  See ``docs/architecture.md``.
 """
 
 from repro.compute.job import (

@@ -16,13 +16,10 @@ The overlay is built from the bottom up:
 * :mod:`repro.core.treep` — :class:`~repro.core.treep.TreePNetwork`, the
   public orchestration API.
 
-Layer contract: the overlay core may import only ``repro.sim`` (the
-event kernel it runs on) and — for instrumentation reached only via
-nil-guarded hooks — the ambient ``repro.obs.runtime`` hub, no other
-``repro.obs`` module; it must not import ``repro.cluster``,
-``repro.services``, ``repro.storage`` or ``repro.compute`` — subsystems
-build on the core, never the reverse.  Checked by ``python -m
-repro.lint`` (RPR201/RPR202) against ``repro/lint/layers.toml``.
+Layer contract: this package *owns the TreeP protocol* — the ID space,
+topology, routing, elections and repair.  Its imports are declared by
+``[package.core]`` in ``repro/lint/layers.toml`` and checked by
+``python -m repro.lint`` (RPR201).
 """
 
 from repro.core.capacity import CapacityDistribution, NodeCapacity

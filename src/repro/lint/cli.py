@@ -1,22 +1,21 @@
 """``python -m repro.lint`` — the invariant analyzer's command line.
 
-Exit codes: 0 clean (or everything baselined/suppressed), 1 violations,
-2 usage or internal error.
+Exit codes: 0 clean (or everything suppressed), 1 violations, 2 usage
+error (a path that does not exist, a malformed layer map).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.lint.engine import LintEngine, LintReport, load_baseline, write_baseline
+from repro.lint.engine import LintEngine, LintReport
 from repro.lint.layers import default_layers_path, load_layer_map
 from repro.lint.rules import all_rules
 
-FORMATS = ("text", "json", "github")
+FORMATS = ("text", "github")
 
 
 def find_project_root(start: Optional[Path] = None) -> Path:
@@ -34,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="AST-based invariant analyzer: determinism (RPR1xx), "
-        "layer contracts (RPR2xx), lifecycle hygiene (RPR3xx), "
+        "layering vs layers.toml (RPR2xx), lifecycle hygiene (RPR3xx), "
         "perf/obs hygiene (RPR4xx).",
     )
     p.add_argument(
@@ -42,24 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to analyze (default: src)",
     )
     p.add_argument(
-        "--select", metavar="CODES",
-        help="comma-separated rule codes to run (default: all)",
-    )
-    p.add_argument(
-        "--ignore", metavar="CODES",
-        help="comma-separated rule codes to skip",
-    )
-    p.add_argument(
         "--format", choices=FORMATS, default="text", dest="fmt",
         help="output format (github emits workflow annotations)",
-    )
-    p.add_argument(
-        "--baseline", metavar="FILE", type=Path,
-        help="gate only on violations not recorded in FILE",
-    )
-    p.add_argument(
-        "--update-baseline", action="store_true",
-        help="record the current violations into --baseline FILE and exit 0",
     )
     p.add_argument(
         "--layers", metavar="FILE", type=Path,
@@ -77,32 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _codes(arg: Optional[str]) -> Optional[List[str]]:
-    if arg is None:
-        return None
-    return [c.strip() for c in arg.split(",") if c.strip()]
-
-
 def render(report: LintReport, fmt: str, stream) -> None:
-    if fmt == "json":
-        payload = {
-            "violations": [
-                {
-                    "code": v.code, "path": v.path, "line": v.line,
-                    "col": v.col, "message": v.message,
-                }
-                for v in report.violations
-            ],
-            "summary": {
-                "files": report.files,
-                "violations": len(report.violations),
-                "suppressed": report.suppressed,
-                "baselined": report.baselined,
-            },
-        }
-        json.dump(payload, stream, indent=2)
-        stream.write("\n")
-        return
     for v in report.violations:
         if fmt == "github":
             stream.write(
@@ -112,12 +70,7 @@ def render(report: LintReport, fmt: str, stream) -> None:
         else:
             stream.write(f"{v.path}:{v.line}:{v.col} {v.code} {v.message}\n")
     if fmt == "text":
-        tail = []
-        if report.suppressed:
-            tail.append(f"{report.suppressed} suppressed")
-        if report.baselined:
-            tail.append(f"{report.baselined} baselined")
-        extra = f" ({', '.join(tail)})" if tail else ""
+        extra = f" ({report.suppressed} suppressed)" if report.suppressed else ""
         stream.write(
             f"{len(report.violations)} violation(s) in {report.files} "
             f"file(s){extra}\n"
@@ -134,38 +87,12 @@ def main(argv: Optional[Sequence[str]] = None, stream=None) -> int:
             stream.write(f"{code}  {r.name}: {r.summary}\n")
         return 0
     try:
-        root = (args.project_root or find_project_root()).resolve()
-        layers = load_layer_map(args.layers)
         engine = LintEngine(
-            root=root,
+            root=(args.project_root or find_project_root()).resolve(),
             rules={c: r.check for c, r in rules.items()},
-            layers=layers,
-            select=_codes(args.select),
-            ignore=_codes(args.ignore),
+            layers=load_layer_map(args.layers),
         )
-    except (KeyError, ValueError, OSError) as exc:
-        sys.stderr.write(f"repro.lint: {exc}\n")
-        return 2
-    if args.update_baseline:
-        if args.baseline is None:
-            sys.stderr.write("repro.lint: --update-baseline requires --baseline FILE\n")
-            return 2
         report = engine.run(args.paths)
-        write_baseline(args.baseline, report.violations)
-        stream.write(
-            f"baseline: recorded {len(report.violations)} violation(s) "
-            f"to {args.baseline}\n"
-        )
-        return 0
-    baseline = None
-    if args.baseline is not None:
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            sys.stderr.write(f"repro.lint: cannot read baseline: {exc}\n")
-            return 2
-    try:
-        report = engine.run(args.paths, baseline=baseline)
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"repro.lint: {exc}\n")
         return 2

@@ -1,8 +1,8 @@
 """Core of the ``repro.lint`` analyzer.
 
 One :class:`FileContext` per file — a single ``ast.parse`` and a single
-``tokenize`` pass shared by every rule — plus the suppression protocol,
-the baseline store and the :class:`LintEngine` driver.
+``tokenize`` pass shared by every rule — plus the suppression protocol
+and the :class:`LintEngine` driver.
 
 The analyzer is deliberately **stdlib-only and self-contained**: it never
 imports the code it analyzes, so a layering bug in ``src/repro`` can never
@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import ast
 import io
-import json
 import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Mapping, Sequence
+
+from repro.lint.layers import LayerMap
 
 __all__ = [
     "FileContext",
@@ -27,8 +28,6 @@ __all__ = [
     "ProjectContext",
     "Suppression",
     "Violation",
-    "load_baseline",
-    "write_baseline",
 ]
 
 # Engine-owned diagnostics (not in the rule registry: they guard the
@@ -47,16 +46,6 @@ class Violation:
     line: int
     col: int
     message: str
-
-    @property
-    def fingerprint(self) -> str:
-        """Line-number-free identity used by the baseline store.
-
-        Excluding the line number keeps recorded violations pinned to
-        *what* is wrong rather than *where*, so unrelated edits above a
-        baselined site do not resurface it.
-        """
-        return f"{self.code}::{self.path}::{self.message}"
 
     def sort_key(self) -> tuple:
         return (self.path, self.line, self.col, self.code)
@@ -167,27 +156,7 @@ class ProjectContext:
     """Shared, immutable-per-run state handed to every rule."""
 
     root: Path
-    layers: Optional["LayerMap"] = None  # noqa: F821 - see repro.lint.layers
-
-
-# ----------------------------------------------------------------- baseline
-def load_baseline(path: Path) -> Dict[str, int]:
-    """Fingerprint -> budget counter recorded by ``--update-baseline``."""
-    data = json.loads(path.read_text())
-    if not isinstance(data, dict) or data.get("version") != 1:
-        raise ValueError(f"{path}: not a repro.lint baseline (version 1)")
-    fps = data.get("fingerprints", {})
-    if not isinstance(fps, dict):
-        raise ValueError(f"{path}: malformed 'fingerprints' table")
-    return {str(k): int(v) for k, v in fps.items()}
-
-
-def write_baseline(path: Path, violations: Sequence[Violation]) -> None:
-    counts: Dict[str, int] = {}
-    for v in violations:
-        counts[v.fingerprint] = counts.get(v.fingerprint, 0) + 1
-    payload = {"version": 1, "fingerprints": dict(sorted(counts.items()))}
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    layers: LayerMap
 
 
 # ------------------------------------------------------------------- report
@@ -195,7 +164,6 @@ def write_baseline(path: Path, violations: Sequence[Violation]) -> None:
 class LintReport:
     violations: List[Violation] = field(default_factory=list)
     suppressed: int = 0
-    baselined: int = 0
     files: int = 0
 
     @property
@@ -208,31 +176,14 @@ RuleFn = Callable[[FileContext, ProjectContext], Iterator[Violation]]
 
 
 class LintEngine:
-    """Walk files, run rules, apply suppressions and the baseline."""
+    """Walk files, run rules and apply suppressions."""
 
     def __init__(
-        self,
-        root: Path,
-        rules: Mapping[str, RuleFn],
-        layers: Optional["LayerMap"] = None,  # noqa: F821
-        select: Optional[Iterable[str]] = None,
-        ignore: Optional[Iterable[str]] = None,
+        self, root: Path, rules: Mapping[str, RuleFn], layers: LayerMap
     ) -> None:
         self.root = Path(root)
         self.project = ProjectContext(root=self.root, layers=layers)
-        enabled = dict(rules)
-        if select is not None:
-            wanted = set(select)
-            unknown = wanted - set(rules)
-            if unknown:
-                raise KeyError(f"unknown rule code(s): {', '.join(sorted(unknown))}")
-            enabled = {c: r for c, r in enabled.items() if c in wanted}
-        if ignore is not None:
-            unknown = set(ignore) - set(rules)
-            if unknown:
-                raise KeyError(f"unknown rule code(s): {', '.join(sorted(unknown))}")
-            enabled = {c: r for c, r in enabled.items() if c not in set(ignore)}
-        self.rules = enabled
+        self.rules = dict(rules)
 
     # ----------------------------------------------------------- discovery
     def iter_files(self, paths: Sequence[Path]) -> Iterator[Path]:
@@ -241,6 +192,8 @@ class LintEngine:
             p = Path(p)
             if not p.is_absolute():
                 p = self.root / p
+            if not p.exists():
+                raise FileNotFoundError(f"no such file or directory: {p}")
             candidates = [p] if p.is_file() else sorted(p.rglob("*.py"))
             for f in candidates:
                 if "__pycache__" in f.parts or f.suffix != ".py":
@@ -290,17 +243,11 @@ class LintEngine:
             kept.append(v)
         return kept
 
-    def run(self, paths: Sequence[Path], baseline: Optional[Dict[str, int]] = None) -> LintReport:
+    def run(self, paths: Sequence[Path]) -> LintReport:
         report = LintReport()
-        budget = dict(baseline) if baseline else {}
         for path in self.iter_files(paths):
             report.files += 1
-            for v in self.lint_file(path, report):
-                if budget.get(v.fingerprint, 0) > 0:
-                    budget[v.fingerprint] -= 1
-                    report.baselined += 1
-                    continue
-                report.violations.append(v)
+            report.violations.extend(self.lint_file(path, report))
         report.violations.sort(key=Violation.sort_key)
         return report
 

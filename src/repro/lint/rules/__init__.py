@@ -1,8 +1,8 @@
 """The rule registry: stable ``RPRxxx`` codes -> checker functions.
 
 Code families
-  RPR1xx  determinism (wall clock, global RNG, set-order decisions)
-  RPR2xx  layering (import-graph conformance, contract drift)
+  RPR1xx  determinism (wall clock, global or unseeded RNG, set-order decisions)
+  RPR2xx  layering (import edges vs the layer map)
   RPR3xx  lifecycle hygiene (handler/timer pairing)
   RPR4xx  performance / observability hygiene (__slots__, nil-guarded obs)
 

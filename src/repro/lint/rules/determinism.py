@@ -8,15 +8,10 @@ simulation package and every "identical run" comparison silently rots.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator
+from typing import Dict, Iterator, Optional
 
 from repro.lint.engine import FileContext, ProjectContext, Violation
 from repro.lint.rules import rule
-
-#: fallback when no layer map / [determinism] table is available
-DEFAULT_PACKAGES = frozenset(
-    {"compute", "core", "obs", "services", "sim", "storage"}
-)
 
 #: module attribute -> why it is nondeterministic (or wall-clock)
 _BANNED_CALLS = {
@@ -37,22 +32,46 @@ _BANNED_CALLS = {
     "random.SystemRandom": "OS entropy",
 }
 
-#: attributes of the *module-level* ``random`` / ``numpy.random`` global
-#: state that are allowed (seeded-instance constructors only)
-_RANDOM_OK = frozenset({"Random"})
-_NP_RANDOM_OK = frozenset(
-    {"default_rng", "Generator", "SeedSequence", "BitGenerator",
-     "PCG64", "PCG64DXSM", "Philox", "MT19937", "SFC64"}
-)
+#: seeded-instance constructors -> their seed parameter: the only
+#: ``random`` / ``numpy.random`` attributes allowed, and only with a seed
+#: (no seed, or a literal ``None``, seeds from OS entropy)
+_SEEDED_CTORS = {
+    "random.Random": "x",
+    "numpy.random.default_rng": "seed",
+    "numpy.random.SeedSequence": "entropy",
+    **{
+        f"numpy.random.{name}": "seed"
+        for name in ("BitGenerator", "PCG64", "PCG64DXSM", "Philox", "MT19937", "SFC64")
+    },
+}
 
 
-def _flagged_packages(project: ProjectContext) -> frozenset:
-    layers = project.layers
-    if layers is not None:
-        cfg = layers.config.get("determinism", {})
-        if "packages" in cfg:
-            return frozenset(cfg["packages"])
-    return DEFAULT_PACKAGES
+def _unseeded(call: ast.Call, param: str) -> bool:
+    if call.args:
+        seed = call.args[0]
+    else:
+        # a ``**kwargs`` splat (arg None) may carry the seed: trust it
+        seed = next(
+            (kw.value for kw in call.keywords if kw.arg in (param, None)), None
+        )
+        if seed is None:
+            return True
+    return isinstance(seed, ast.Constant) and seed.value is None
+
+
+def _reason(call: ast.Call, dotted: str) -> Optional[str]:
+    """Why calling ``dotted`` is nondeterministic, or None if it is not."""
+    if dotted in _BANNED_CALLS:
+        return _BANNED_CALLS[dotted]
+    if dotted.startswith("secrets."):
+        return "OS entropy"
+    if dotted in _SEEDED_CTORS:
+        return "unseeded, so OS entropy" if _unseeded(call, _SEEDED_CTORS[dotted]) else None
+    if dotted.startswith("random.") and "." not in dotted[len("random."):]:
+        return "global random module state"
+    if dotted.startswith("numpy.random.") and dotted != "numpy.random.Generator":
+        return "global numpy.random state"
+    return None
 
 
 def _alias_map(tree: ast.AST) -> Dict[str, str]:
@@ -92,7 +111,7 @@ def _dotted(node: ast.AST, aliases: Dict[str, str]) -> str:
 def check_nondeterministic_sources(
     ctx: FileContext, project: ProjectContext
 ) -> Iterator[Violation]:
-    if ctx.package not in _flagged_packages(project):
+    if ctx.package not in project.layers.scopes["determinism"]:
         return
     aliases = _alias_map(ctx.tree)
     for node in ast.walk(ctx.tree):
@@ -101,17 +120,7 @@ def check_nondeterministic_sources(
         dotted = _dotted(node.func, aliases)
         if not dotted:
             continue
-        reason = _BANNED_CALLS.get(dotted)
-        if reason is None and dotted.startswith("secrets."):
-            reason = "OS entropy"
-        if reason is None and dotted.startswith("random."):
-            attr = dotted.split(".", 1)[1]
-            if "." not in attr and attr not in _RANDOM_OK:
-                reason = "global random module state"
-        if reason is None and dotted.startswith("numpy.random."):
-            attr = dotted.split(".", 2)[2]
-            if attr not in _NP_RANDOM_OK:
-                reason = "global numpy.random state"
+        reason = _reason(node, dotted)
         if reason is not None:
             yield ctx.violation(
                 "RPR101",
@@ -151,7 +160,7 @@ def check_set_iteration(
     """Set iteration order depends on ``PYTHONHASHSEED`` for str/object
     elements; in the flagged packages every such loop feeds a scheduling
     or routing decision, so it must go through ``sorted(...)``."""
-    if ctx.package not in _flagged_packages(project):
+    if ctx.package not in project.layers.scopes["determinism"]:
         return
     iters = []
     for node in ast.walk(ctx.tree):

@@ -25,25 +25,9 @@ from typing import Iterator
 from repro.lint.engine import FileContext, ProjectContext, Violation
 from repro.lint.rules import rule
 
-DEFAULT_SLOTS_MODULES = frozenset(
-    {"repro/core/messages.py", "repro/sim/events.py", "repro/sim/network.py"}
-)
-DEFAULT_OBS_PACKAGES = frozenset(
-    {"cluster", "compute", "core", "services", "sim", "storage"}
-)
-
 _EXEMPT_BASES = frozenset(
     {"NamedTuple", "Exception", "BaseException", "Protocol", "Enum", "IntEnum"}
 )
-
-
-def _cfg(project: ProjectContext, table: str, key: str, default: frozenset) -> frozenset:
-    layers = project.layers
-    if layers is not None:
-        cfg = layers.config.get(table, {})
-        if key in cfg:
-            return frozenset(cfg[key])
-    return default
 
 
 def _base_names(klass: ast.ClassDef):
@@ -90,8 +74,8 @@ def _is_slotted_dataclass(klass: ast.ClassDef) -> bool:
 def check_hot_path_slots(
     ctx: FileContext, project: ProjectContext
 ) -> Iterator[Violation]:
-    key = ctx.relpath[len("src/"):] if ctx.relpath.startswith("src/") else ctx.relpath
-    if key not in _cfg(project, "slots", "modules", DEFAULT_SLOTS_MODULES):
+    key = ctx.relpath.removeprefix("src/")
+    if key not in project.layers.scopes["slots"]:
         return
     for klass in ctx.tree.body:
         if not isinstance(klass, ast.ClassDef):
@@ -123,7 +107,7 @@ def _obs_attr(node: ast.AST) -> bool:
 def check_obs_guard(
     ctx: FileContext, project: ProjectContext
 ) -> Iterator[Violation]:
-    if ctx.package not in _cfg(project, "obs_guard", "packages", DEFAULT_OBS_PACKAGES):
+    if ctx.package not in project.layers.scopes["obs_guard"]:
         return
     for node in ast.walk(ctx.tree):
         # chained use: <expr>.obs.<attr> / <expr>.obs(...) / <expr>.obs[...]

@@ -1,18 +1,15 @@
-"""RPR2xx — layer contracts.
+"""RPR2xx — layering.
 
-RPR201 checks every ``repro.*`` import edge against the machine-readable
-layer map (``repro/lint/layers.toml``); RPR202 cross-validates that map
-against the prose owns/may-import contracts in the package ``__init__``
-docstrings, so code, map and prose are pinned to each other.
+RPR201 checks every ``repro.*`` import edge against the layer map
+(``repro/lint/layers.toml``), the one statement of the import graph.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.lint.engine import FileContext, ProjectContext, Violation, walk_with_depth
-from repro.lint.layers import contract_drift, parse_contract
 from repro.lint.rules import rule
 
 
@@ -62,10 +59,9 @@ def _target_package(module: str) -> str:
 def check_layer_imports(
     ctx: FileContext, project: ProjectContext
 ) -> Iterator[Violation]:
-    layers = project.layers
-    if layers is None or ctx.package is None:
+    if ctx.package is None:
         return
-    policy = layers.policy_for(ctx.relpath, ctx.package)
+    policy = project.layers.policy_for(ctx.relpath, ctx.package)
     if policy is None:
         yield ctx.violation(
             "RPR201",
@@ -107,24 +103,3 @@ def check_layer_imports(
                 f"`{ctx.package}` may reach `{target}` only via "
                 f"{', '.join(allowed_via)} (imported {module})",
             )
-
-
-@rule(
-    "RPR202",
-    "layer-contract-drift",
-    "layers.toml must agree with the prose layer contracts in __init__ docstrings",
-)
-def check_contract_drift(
-    ctx: FileContext, project: ProjectContext
-) -> Iterator[Violation]:
-    layers = project.layers
-    if layers is None or ctx.package is None or not ctx.is_package:
-        return
-    doc = ast.get_docstring(ctx.tree, clean=False)
-    contract = parse_contract(doc, set(layers.packages))
-    if contract.empty:
-        return
-    anchor = ctx.tree.body[0] if ctx.tree.body else ctx.tree
-    drift: List[str] = contract_drift(layers, ctx.package, contract)
-    for message in drift:
-        yield ctx.violation("RPR202", anchor, message)

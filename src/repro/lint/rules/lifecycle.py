@@ -16,20 +16,7 @@ from typing import Iterator, List
 from repro.lint.engine import FileContext, ProjectContext, Violation
 from repro.lint.rules import rule
 
-DEFAULT_REGISTRY_FILES = frozenset(
-    {"repro/cluster/registry.py", "repro/cluster/service.py"}
-)
-
 _STOP_ATTRS = frozenset({"stop", "stop_all", "cancel"})
-
-
-def _registry_files(project: ProjectContext) -> frozenset:
-    layers = project.layers
-    if layers is not None:
-        cfg = layers.config.get("lifecycle", {})
-        if "registry_files" in cfg:
-            return frozenset(cfg["registry_files"])
-    return DEFAULT_REGISTRY_FILES
 
 
 def _receiver_chain(node: ast.AST) -> List[str]:
@@ -64,8 +51,7 @@ def _attr_calls(tree: ast.AST, attr: str) -> List[ast.Call]:
 def check_lifecycle_pairing(
     ctx: FileContext, project: ProjectContext
 ) -> Iterator[Violation]:
-    key = ctx.relpath[len("src/"):] if ctx.relpath.startswith("src/") else ctx.relpath
-    if key in _registry_files(project):
+    if ctx.relpath.removeprefix("src/") in project.layers.scopes["lifecycle"]:
         return  # the registry path itself owns cleanup by construction
     for klass in ast.walk(ctx.tree):
         if not isinstance(klass, ast.ClassDef):

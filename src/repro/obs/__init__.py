@@ -3,17 +3,14 @@
 One recording path (the hub, into the store) and one judging path (the
 exact SLO evaluator over recorded spans).
 
-Layering contract: the core modules of this package (metrics, columnar,
-hub, store, runtime, query, slo and critpath) must not import
-``repro.core`` or ``repro.cluster``, so the simulation core can import
-:func:`~repro.obs.runtime.ambient_hub` without a cycle.  Their only look
-*down* is the hub's lazily imported ``repro.sim`` event type; everything
-else is NumPy, the stdlib and each other.  The two modules that *do* look
-upward are therefore not imported here and carry per-module overrides in
-``repro/lint/layers.toml``: :mod:`repro.obs.service` (the attachable
-``Observability`` service; ``Cluster.with_observability`` imports it
-lazily) and :mod:`repro.obs.cli` (the ``python -m repro.obs`` query CLI).
-Checked by ``python -m repro.lint`` (RPR201/RPR202).
+Layer contract: this package *owns observability* — span tracing, the
+metrics registry, the columnar trace store and the SLO evaluator.  Its
+imports are declared by ``[package.obs]`` in ``repro/lint/layers.toml``
+and checked by ``python -m repro.lint`` (RPR201).  The two modules with
+their own ``[overrides]`` entry there are not imported here:
+:mod:`repro.obs.service` (the attachable ``Observability`` service;
+``Cluster.with_observability`` imports it lazily) and :mod:`repro.obs.cli`
+(the ``python -m repro.obs`` query CLI).
 
 Typical entry points:
 

@@ -17,12 +17,9 @@ storage subsystem rather than a demo:
 
 Layer contract: this package *owns the durability of key/value data* —
 replica placement, quorum semantics (N/W/R), write stamps and read
-repair, and anti-entropy convergence.  As a service it may import
-``repro.cluster`` (the ``Service`` protocol it implements),
-``repro.core`` (key routing, node types), ``repro.sim`` (time, delivery)
-and ``repro.metrics`` (the durability series); it must not import
-``repro.services`` or ``repro.compute`` — compute depends on storage for
-checkpoints, never the reverse.  See ``docs/architecture.md``.
+repair, and anti-entropy convergence.  Its imports are declared by
+``[package.storage]`` in ``repro/lint/layers.toml`` and checked by
+``python -m repro.lint`` (RPR201).  See ``docs/architecture.md``.
 """
 
 from repro.storage.antientropy import (

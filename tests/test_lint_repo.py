@@ -1,7 +1,7 @@
-"""The analyzer against the real tree: ``src/repro`` must be clean and
-the three views of the layer architecture — import graph, layers.toml,
-and the prose contracts in package ``__init__`` docstrings — must agree,
-so none of them can drift without a test failing.
+"""The analyzer against the real tree: ``src/repro`` must be clean, the
+import graph must agree with ``layers.toml``, and every rule scope there
+must name something that exists, so neither can drift without a test
+failing.
 """
 
 from __future__ import annotations
@@ -14,11 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.lint.engine import LintEngine
-from repro.lint.layers import (
-    contract_drift,
-    load_layer_map,
-    parse_contract,
-)
+from repro.lint.layers import default_layers_path, load_layer_map
 from repro.lint.rules import all_rules
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -76,31 +72,48 @@ class TestRepoIsClean:
         assert "::error" not in proc.stdout
 
 
-class TestContractsMatchLayerMap:
-    """RPR202 in test form: the prose contracts cannot drift from the map."""
+class TestScopesNameRealCode:
+    """A rename must not silently drop a file or package out of a rule."""
 
-    def _contract_packages(self, layer_map):
-        import ast
+    @pytest.mark.parametrize("table", ["slots", "lifecycle"])
+    def test_scoped_modules_exist(self, layer_map, table):
+        for module in sorted(layer_map.scopes[table]):
+            assert (SRC / module).is_file(), f"[{table}] names missing {module}"
 
-        out = []
-        for init in sorted(SRC.glob("repro/*/__init__.py")):
-            package = init.parent.name
-            doc = ast.get_docstring(ast.parse(init.read_text()), clean=False)
-            contract = parse_contract(doc, set(layer_map.packages))
-            if not contract.empty:
-                out.append((package, contract))
-        return out
+    @pytest.mark.parametrize("table", ["determinism", "obs_guard"])
+    def test_scoped_packages_exist(self, layer_map, table):
+        for package in sorted(layer_map.scopes[table]):
+            assert (SRC / "repro" / package / "__init__.py").is_file(), (
+                f"[{table}] names missing package {package}"
+            )
 
-    def test_documented_contracts_exist(self, layer_map):
-        packages = {p for p, _ in self._contract_packages(layer_map)}
-        # The load-bearing contracts named by the issue must be present
-        # as parseable prose, not just as TOML.
-        assert {"core", "obs", "cluster", "compute", "bench", "storage"} <= packages
+    @pytest.mark.parametrize(
+        "typo, named",
+        [("\n[determinism]", "\n[determinsm]"), ("\nmodules = [", "\nmodule = [")],
+    )
+    def test_misspelled_scope_is_rejected(self, tmp_path, typo, named):
+        text = default_layers_path().read_text()
+        assert text.count(typo) == 1
+        bad = tmp_path / "layers.toml"
+        bad.write_text(text.replace(typo, named))
+        with pytest.raises(ValueError, match=r"determinsm|\[slots\]"):
+            load_layer_map(bad)
 
-    def test_no_drift_between_prose_and_toml(self, layer_map):
-        for package, contract in self._contract_packages(layer_map):
-            drift = contract_drift(layer_map, package, contract)
-            assert drift == [], f"{package}: " + "; ".join(drift)
+
+def importers(layer_map, package):
+    """Every ``[package.*]`` policy or override outside ``package`` that
+    may import it."""
+    out = [
+        f"[package.{name}]"
+        for name, pol in layer_map.packages.items()
+        if name != package and package in pol.reachable
+    ]
+    out += [
+        f'[overrides."{relpath}"]'
+        for relpath, pol in layer_map.overrides.items()
+        if not relpath.startswith(f"repro/{package}/") and package in pol.reachable
+    ]
+    return out
 
 
 class TestIssueInvariantsPinned:
@@ -119,12 +132,10 @@ class TestIssueInvariantsPinned:
         assert layer_map.packages["sim"].reachable == frozenset()
 
     def test_nothing_below_cluster_imports_bench(self, layer_map):
-        assert layer_map.consumers["bench"] == frozenset()
-        assert layer_map.actual_consumers("bench") == frozenset()
+        assert importers(layer_map, "bench") == []
 
     def test_nothing_imports_the_linter(self, layer_map):
-        assert layer_map.consumers["lint"] == frozenset()
-        assert layer_map.actual_consumers("lint") == frozenset()
+        assert importers(layer_map, "lint") == []
 
     def test_cluster_composes_subsystems_lazily(self, layer_map):
         cluster = layer_map.packages["cluster"]
@@ -132,7 +143,7 @@ class TestIssueInvariantsPinned:
         assert {"compute", "obs", "services", "storage"} <= cluster.lazy
 
     def test_determinism_scope_covers_simulation_tiers(self, layer_map):
-        assert set(layer_map.config["determinism"]["packages"]) == {
+        assert layer_map.scopes["determinism"] == {
             "compute", "core", "obs", "services", "sim", "storage",
         }
 
