@@ -39,9 +39,9 @@ Public surface:
 * :mod:`repro.obs` — the unified observability layer: span/event tracing
   across lookups, quorum RW, anti-entropy and job lifecycles
   (``Cluster(...).with_observability()`` or ``--trace-out`` on the bench
-  CLI), a metrics registry with streaming quantile histograms, a columnar
-  on-disk trace store, declarative SLO rules judged exactly over the
-  recorded spans, critical-path analytics over span parent links, and
+  CLI), a columnar on-disk trace store, declarative SLO rules and latency
+  quantiles computed exactly over the recorded spans, critical-path
+  analytics over span parent links, and
   ``python -m repro.obs summary|runs|timeline|slowest|slo|critpath|export``
   to query it — see ``docs/observability.md``.
 
@@ -56,10 +56,10 @@ from repro.core.config import TreePConfig
 from repro.core.ids import IdSpace
 from repro.core.lookup import LookupAlgorithm, LookupResult
 from repro.core.treep import TreePNetwork
-from repro.obs import MetricsRegistry, ObsHub, TraceReader
+from repro.obs import ObsHub, TraceReader
 from repro.storage import AntiEntropy, QuorumConfig, ReplicatedStore
 
-__version__ = "1.19.0"
+__version__ = "1.20.0"
 
 __all__ = [
     "AntiEntropy",
@@ -72,7 +72,6 @@ __all__ = [
     "JobSpec",
     "LookupAlgorithm",
     "LookupResult",
-    "MetricsRegistry",
     "NodeCapacity",
     "ObsHub",
     "QuorumConfig",

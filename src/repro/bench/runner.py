@@ -81,7 +81,6 @@ def run_scenario(name: str, *, seed: Optional[int] = None, smoke: bool = False,
                 "spans": cap.span_count(),
                 "events": cap.event_count(),
                 "categories": cap.category_counts(),
-                "metrics": cap.metrics_snapshot(),
             }
         slo_info = {}
         if slo_spec is not None:

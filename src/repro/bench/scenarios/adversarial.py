@@ -24,7 +24,7 @@ from repro.cluster import Cluster
 from repro.compute.job import ComputeConfig
 from repro.core.config import TreePConfig
 from repro.core.treep import TreePNetwork
-from repro.obs.hub import ObsHub
+from repro.obs.hub import STATUS_OPEN, ObsHub
 from repro.obs.slo import evaluate_hub, parse_slo
 from repro.sim.conditions import GilbertElliott, NetworkConditions
 from repro.storage import QuorumConfig
@@ -51,9 +51,13 @@ def _ensure_hub(net: TreePNetwork) -> ObsHub:
     return hub
 
 
-def _span_hist(hub: ObsHub, category: str):
-    """The hub's latency sketch for one span category (empty if none)."""
-    return hub.metrics.histogram(f"span.{category}.latency")
+def _span_durations(hub: ObsHub, category: str) -> np.ndarray:
+    """Durations of one category's closed spans (empty if none) — the
+    rows :func:`~repro.obs.slo.evaluate_hub` judges."""
+    spans = hub.export_streams()["spans"]
+    mask = ((spans["cat"] == hub.strings.get_code(category))
+            & (spans["status"] != STATUS_OPEN))
+    return (spans["t1"] - spans["t0"])[mask]
 
 
 def _hook_counters(cond: NetworkConditions) -> dict:
@@ -107,7 +111,7 @@ def _partition_quorum(params, seed, smoke):
         store.get(f"adv/{i:04d}", via=outside_s[i % len(outside_s)]).found
         for i in range(n_keys))
     min_rf = min(store.replication_factors().values())
-    put_hist = _span_hist(hub, "storage.put")
+    put_dur = _span_durations(hub, "storage.put")
 
     metrics = {
         "writes_acked_fraction": len(acked) / writes,
@@ -115,7 +119,7 @@ def _partition_quorum(params, seed, smoke):
         "preload_readable_fraction": pre_readable / n_keys,
         "blocked_datagrams": float(blocked),
         "min_rf_after_heal": float(min_rf),
-        "put_p99_virtual_s": put_hist.quantile(0.99),
+        "put_p99_virtual_s": np.percentile(put_dur, 99),
     }
     rendered = table(
         ["metric", "value"],
@@ -146,8 +150,8 @@ def _partition_quorum(params, seed, smoke):
         Check("heal_restores_full_rf", min_rf == quorum.n,
               f"min rf after converge = {min_rf} (== N)"),
         Check("obs_put_spans_complete",
-              put_hist.count == n_keys + writes,
-              f"{put_hist.count} put spans recorded "
+              len(put_dur) == n_keys + writes,
+              f"{len(put_dur)} put spans recorded "
               f"(== {n_keys + writes} issued)"),
     ]
     cluster.shutdown()
@@ -181,7 +185,7 @@ def _rack_failure_jobs(params, seed, smoke):
     stats = grid.stats()
     alive = len(net.alive_ids())
     largest_rack = max(len(r) for r in plan.racks)
-    job_hist = _span_hist(hub, "job")
+    job_spans = len(_span_durations(hub, "job"))
 
     metrics = {
         "completion_rate": stats.completion_rate,
@@ -216,8 +220,8 @@ def _rack_failure_jobs(params, seed, smoke):
               f"killed {plan.fraction:.2f} >= {params['kill_fraction']:.2f}"),
         Check("rack_failures_bit", stats.reexecutions > 0,
               f"{stats.reexecutions} re-executions (chaos not too mild)"),
-        Check("obs_job_spans_complete", job_hist.count == jobs,
-              f"{job_hist.count} job spans recorded (== {jobs} submitted)"),
+        Check("obs_job_spans_complete", job_spans == jobs,
+              f"{job_spans} job spans recorded (== {jobs} submitted)"),
     ]
     cluster.shutdown()
     return ScenarioOutput(metrics, checks, rendered)
@@ -245,11 +249,12 @@ def _straggler_tail(params, seed, smoke):
 
     healthy_hub, _, healthy = one_run(inject=False)
     slow_hub, wrapped, slowed = one_run(inject=True)
-    h_hist = _span_hist(healthy_hub, "lookup")
-    s_hist = _span_hist(slow_hub, "lookup")
+    h_dur = _span_durations(healthy_hub, "lookup")
+    s_dur = _span_durations(slow_hub, "lookup")
     h_found = sum(r.found for r in healthy)
     s_found = sum(r.found for r in slowed)
-    h_p999, s_p999 = h_hist.quantile(0.999), s_hist.quantile(0.999)
+    h_p50, h_p999 = np.percentile(h_dur, [50, 99.9])
+    s_p50, s_p999 = np.percentile(s_dur, [50, 99.9])
 
     # The p999 bound, enforced through the SLO layer itself: an inline
     # spec evaluated against the straggler run's hub.
@@ -261,7 +266,7 @@ def _straggler_tail(params, seed, smoke):
     slo_ok = bool(slo_results) and all(r.ok for r in slo_results)
 
     metrics = {
-        "healthy_p50_virtual_s": h_hist.quantile(0.5),
+        "healthy_p50_virtual_s": h_p50,
         "healthy_p999_virtual_s": h_p999,
         "straggler_p999_virtual_s": s_p999,
         "tail_amplification": s_p999 / h_p999 if h_p999 > 0 else 0.0,
@@ -272,10 +277,9 @@ def _straggler_tail(params, seed, smoke):
     rendered = table(
         ["run", "p50 (s)", "p999 (s)", "success"],
         [
-            ["healthy", h_hist.quantile(0.5), h_p999,
-             f"{h_found}/{lookups}"],
+            ["healthy", h_p50, h_p999, f"{h_found}/{lookups}"],
             [f"{len(wrapped.victims)} stragglers x{factor:g}",
-             s_hist.quantile(0.5), s_p999, f"{s_found}/{lookups}"],
+             s_p50, s_p999, f"{s_found}/{lookups}"],
         ],
         title=f"lookup tail under stragglers (n={n})",
     )
@@ -292,8 +296,8 @@ def _straggler_tail(params, seed, smoke):
         Check("victim_links_slowed", wrapped.slowed > 0,
               f"{wrapped.slowed} datagrams paid the x{factor:g} slowdown"),
         Check("obs_lookup_spans_complete",
-              h_hist.count == lookups and s_hist.count == lookups,
-              f"{h_hist.count}/{s_hist.count} lookup spans (== {lookups})"),
+              len(h_dur) == lookups and len(s_dur) == lookups,
+              f"{len(h_dur)}/{len(s_dur)} lookup spans (== {lookups})"),
     ]
     return ScenarioOutput(metrics, checks, rendered)
 
@@ -316,7 +320,7 @@ def _loss_burst_lookup(params, seed, smoke):
         lookup_pairs(np.random.default_rng(0), net.ids, lookups), "G")
     found = sum(r.found for r in results)
     success = found / lookups
-    hist = _span_hist(hub, "lookup")
+    spans = len(_span_durations(hub, "lookup"))
 
     metrics = {
         "lookup_success_rate": success,
@@ -348,8 +352,8 @@ def _loss_burst_lookup(params, seed, smoke):
               abs(ge.observed_loss() - expected) <= 0.5 * expected + 0.01,
               f"observed {ge.observed_loss():.3f} vs stationary "
               f"{expected:.3f}"),
-        Check("obs_lookup_spans_complete", hist.count == lookups,
-              f"{hist.count} lookup spans recorded (== {lookups}; "
+        Check("obs_lookup_spans_complete", spans == lookups,
+              f"{spans} lookup spans recorded (== {lookups}; "
               "timeouts resolve, nothing hangs)"),
     ]
     return ScenarioOutput(metrics, checks, rendered)

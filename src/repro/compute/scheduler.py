@@ -50,7 +50,6 @@ from repro.core.messages import (
     JobReport,
     JobSubmit,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.services.discovery import Constraint, ResourceDirectory
 from repro.storage.quorum import QuorumConfig, ReplicatedStore
 
@@ -170,8 +169,8 @@ class SchedulerCore:
         )
         rec.placement_hops += res.hops
         rec.placements += 1
-        self.service._m_placement_hops.inc(res.hops)
-        self.service._m_placements.inc()
+        self.service.placement_hops += res.hops
+        self.service.placements += 1
         candidates = [c for c in res.matches if self._up(c) and c not in exclude]
         if not candidates:
             rec.no_candidate_rounds += 1
@@ -254,7 +253,7 @@ class SchedulerCore:
             rec.worker = msg.worker
             self.assigned[msg.worker] = (
                 self.assigned.get(msg.worker, 0.0) + rec.cpu_demand)
-            self.service._m_steal_reassignments.inc()
+            self.service.steal_reassignments += 1
 
     def on_complete(self, src: int, msg: JobComplete) -> None:
         rec = self.records.get(msg.job_id)
@@ -300,7 +299,7 @@ class SchedulerCore:
                     old = rec.worker
                     self._release(rec)
                     rec.reexecutions += 1
-                    self.service._m_reexecutions.inc()
+                    self.service.reexecutions += 1
                     rec.last_heard = now
                     self._dispatch(
                         rec,
@@ -374,16 +373,12 @@ class JobScheduler(Service):
         self.results: Dict[int, JobResult] = {}
         self.scheduler_ident: Optional[int] = None
         # ---- service-wide counters surviving scheduler failover ----
-        # Kept in a metrics registry (adopted by the obs hub when one is
-        # attached); :meth:`stats` reads them back as exact integers.
-        self.metrics = MetricsRegistry()
-        self._m_reexecutions = self.metrics.counter("scheduler.reexecutions")
-        self._m_steal_reassignments = self.metrics.counter(
-            "scheduler.steal_reassignments")
-        self._m_failovers = self.metrics.counter("scheduler.failovers")
-        self._m_placement_hops = self.metrics.counter(
-            "scheduler.placement_hops")
-        self._m_placements = self.metrics.counter("scheduler.placements")
+        # On the facade, not the SchedulerCore, so a failover keeps them.
+        self.reexecutions = 0
+        self.steal_reassignments = 0
+        self.failovers = 0
+        self.placement_hops = 0
+        self.placements = 0
 
     # ------------------------------------------------------------ lifecycle
     def on_attach(self, ctx: ServiceContext) -> None:
@@ -398,9 +393,6 @@ class JobScheduler(Service):
         self.directory = ctx.require(
             "discovery", factory=ResourceDirectory
         )  # type: ignore[assignment]
-        obs = ctx.net.obs
-        if obs is not None:
-            obs.adopt_registry(self.name, self.metrics)
 
     def setup_node(self, node) -> None:
         self.agents[node.ident] = ComputeAgent(node, self)
@@ -513,7 +505,7 @@ class JobScheduler(Service):
                 and self.scheduler_core() is not None):
             return False
         self._harvest()
-        self._m_failovers.inc()
+        self.failovers += 1
         self.activate_scheduler()
         for job_id, spec in self.expected.items():
             if job_id in self.results or job_id not in self.client:
@@ -681,15 +673,15 @@ class JobScheduler(Service):
             makespan=max(0.0, last_done - first_submit),
             useful_work=useful,
             executed_work=executed,
-            reexecutions=int(self._m_reexecutions.value),
+            reexecutions=self.reexecutions,
             checkpoints_written=sum(a.checkpoints_written
                                     for a in self.agents.values()),
             steals=sum(a.steals_done for a in self.agents.values()),
-            steal_reassignments=int(self._m_steal_reassignments.value),
+            steal_reassignments=self.steal_reassignments,
             leases_expired=sum(a.leases_expired for a in self.agents.values()),
-            placement_hops=int(self._m_placement_hops.value),
-            placements=int(self._m_placements.value),
-            failovers=int(self._m_failovers.value),
+            placement_hops=self.placement_hops,
+            placements=self.placements,
+            failovers=self.failovers,
             mean_turnaround=(sum(r.turnaround for r in ok) / len(ok))
             if ok else 0.0,
         )

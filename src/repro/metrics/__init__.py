@@ -1,9 +1,10 @@
 """Measurement: series and summary statistics.
 
 Pure statistics only — :mod:`~repro.metrics.series` and
-:mod:`~repro.metrics.stats`; counters and latency sketches are the
-``MetricsRegistry`` of :mod:`repro.obs.metrics`, and result shapes live
-next to their producers (``SchedulingStats`` in :mod:`repro.compute.job`,
+:mod:`~repro.metrics.stats`.  Span latency quantiles are computed exactly
+from recorded spans in :mod:`repro.obs`, subsystem counters are plain
+attributes of their owners, and result shapes live next to their
+producers (``SchedulingStats`` in :mod:`repro.compute.job`,
 ``DurabilityTracker`` in :mod:`repro.storage.antientropy`).
 """
 

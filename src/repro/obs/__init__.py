@@ -1,13 +1,14 @@
-"""Unified observability: span tracing, metrics, and the columnar trace store.
+"""Unified observability: span tracing and the columnar trace store.
 
 One recording path (the hub, into the store) and one judging path (the
-exact SLO evaluator over recorded spans).
+exact SLO evaluator over recorded spans).  Latency quantiles have one
+definition: ``np.percentile`` over closed-span durations.
 
 Layer contract: this package *owns observability* — span tracing, the
-metrics registry, the columnar trace store and the SLO evaluator.  Its
-imports are declared by ``[package.obs]`` in ``repro/lint/layers.toml``
-and checked by ``python -m repro.lint`` (RPR201).  The two modules with
-their own ``[overrides]`` entry there are not imported here:
+columnar trace store and the SLO evaluator.  Its imports are declared by
+``[package.obs]`` in ``repro/lint/layers.toml`` and checked by
+``python -m repro.lint`` (RPR201).  The two modules with their own
+``[overrides]`` entry there are not imported here:
 :mod:`repro.obs.service` (the attachable ``Observability`` service;
 ``Cluster.with_observability`` imports it lazily) and :mod:`repro.obs.cli`
 (the ``python -m repro.obs`` query CLI).
@@ -31,8 +32,6 @@ from repro.obs.critpath import (SpanTree, build_forest, critical_path,
 from repro.obs.hub import (EVENT_SCHEMA, SPAN_SCHEMA, STATUS_FAIL,
                            STATUS_NAMES, STATUS_OK, STATUS_OPEN,
                            STATUS_TIMEOUT, ObsHub)
-from repro.obs.metrics import (Counter, Gauge, MetricsRegistry,
-                               QuantileHistogram)
 from repro.obs.runtime import (TraceCapture, active_capture, ambient_hub,
                                capture)
 from repro.obs.slo import (RuleResult, SloReport, SloRule, SloSpec,
@@ -48,10 +47,6 @@ __all__ = [
     "STATUS_FAIL",
     "STATUS_TIMEOUT",
     "STATUS_NAMES",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "QuantileHistogram",
     "StreamBuffer",
     "StringTable",
     "SCHEMA",

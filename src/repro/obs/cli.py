@@ -2,8 +2,8 @@
 
 * ``summary FILE [--run R]`` — per-category span counts with the full
   status mix (ok/fail/timeout/open), duration quantiles, the per-hop
-  latency breakdown of lookup trails, event counts, adopted metrics, and
-  the simulator event-label top list.
+  latency breakdown of lookup trails, event counts, and the simulator
+  event-label top list.
 * ``runs FILE`` — one line per run: span/event/simulator-event counts
   (the way to discover run names in a multi-run store).
 * ``timeline FILE [--run R] [--category C] [--limit N]`` — chronological
@@ -141,12 +141,6 @@ def _cmd_summary(reader: TraceReader, args: argparse.Namespace) -> int:
         if counts:
             print(_table(["category", "recorded"], sorted(counts.items()),
                          title="per-category totals (spans + events)"))
-        metrics = reader.run_meta(run).get("metrics", {})
-        if metrics:
-            print(_table(
-                ["metric", "value"],
-                [[k, f"{v:.6g}"] for k, v in sorted(metrics.items())],
-                title="metrics registry snapshot"))
         sim_counts = reader.sim_event_counts(run)
         if sim_counts:
             top = sorted(sim_counts.items(), key=lambda kv: -kv[1])[:12]

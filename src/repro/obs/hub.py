@@ -17,10 +17,9 @@ scenario metrics at a fixed seed (the determinism gate in
 
 Spans are explicit begin/end records with parent links.  Request-scoped
 spans (lookups by rid, jobs by job id) are *keyed*: the hub owns the
-``key -> open span`` map so call sites carry no span ids around.  Span
-durations additionally feed per-category streaming quantile histograms
-(``span.<category>.latency`` in :attr:`metrics`), giving p50/p99/p999
-without post-processing the trace.
+``key -> open span`` map so call sites carry no span ids around.  The
+hub only records: latency quantiles are computed exactly from the span
+rows by their readers (:mod:`repro.obs.slo`, :mod:`repro.obs.query`).
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from repro.obs.columnar import StreamBuffer, StringTable
-from repro.obs.metrics import MetricsRegistry, QuantileHistogram
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.events import Event
@@ -62,7 +60,7 @@ EVENT_SCHEMA = (
 
 
 class ObsHub:
-    """Span/event recorder + metrics-registry anchor for one network.
+    """Span/event recorder for one network.
 
     Parameters
     ----------
@@ -84,20 +82,11 @@ class ObsHub:
         self.counts: Dict[str, int] = {}
         #: simulator event label -> fired count (fed by the engine hook).
         self.sim_event_counts: Dict[str, int] = {}
-        self.metrics = MetricsRegistry()
-        #: Registries adopted from subsystems (name -> registry); snapshot
-        #: together with the hub's own metrics.
-        self._adopted: Dict[str, MetricsRegistry] = {}
         self._open: Dict[int, Tuple[int, int, float, int]] = {}  # id -> (cat, node, t0, parent)
         self._keyed: Dict[Tuple[str, Any], int] = {}             # (category, key) -> id
         self._next_id = 1
-        self._span_hists: Dict[int, QuantileHistogram] = {}
         self._record_sim_events = (self.categories is not None
                                    and "sim.event" in self.categories)
-
-    # ------------------------------------------------------------ gating
-    def enabled_for(self, category: str) -> bool:
-        return self.categories is None or category in self.categories
 
     # ------------------------------------------------------------- spans
     def begin(self, category: str, node: int, t: float, parent: int = 0) -> int:
@@ -121,11 +110,6 @@ class ObsHub:
             return  # already ended (double-end is a call-site race, not fatal)
         cat, node, t0, parent = opened
         self.spans.append(span_id, parent, cat, node, t0, t, status, v0, v1)
-        hist = self._span_hists.get(cat)
-        if hist is None:
-            hist = self._span_hists[cat] = self.metrics.histogram(
-                f"span.{self.strings.lookup(cat)}.latency")
-        hist.observe(t - t0)
 
     # keyed spans: the hub owns the request-key -> span-id map ------------
     def begin_keyed(self, category: str, key: Any, node: int, t: float,
@@ -237,18 +221,6 @@ class ObsHub:
         if self._record_sim_events:
             self.events.append(self.strings.code("sim.event"), -1, ev.time, 0, 0.0)
             self.counts["sim.event"] = self.counts.get("sim.event", 0) + 1
-
-    # -------------------------------------------------- registry adoption
-    def adopt_registry(self, name: str, registry: MetricsRegistry) -> None:
-        """Snapshot *registry* (a subsystem's metrics) with this hub's."""
-        self._adopted[name] = registry
-
-    def metrics_snapshot(self) -> Dict[str, float]:
-        """The hub's own metrics plus every adopted registry, flat."""
-        out = self.metrics.snapshot()
-        for name in sorted(self._adopted):
-            out.update(self._adopted[name].snapshot(prefix=f"{name}."))
-        return out
 
     # ------------------------------------------------------------- export
     def open_span_count(self) -> int:

@@ -1,9 +1,9 @@
 """Store-side analysis shared by the ``repro.obs`` CLI and the tests.
 
 Everything here operates on :class:`~repro.obs.store.StreamView` column
-arrays with vectorised NumPy — the trace store's exact row data, not the
-streaming sketches — so the CLI's numbers are ground truth the in-memory
-histograms can be validated against.
+arrays with vectorised NumPy over the trace store's exact row data:
+latency quantiles are ``np.percentile`` over closed-span durations, the
+same definition the SLO evaluator (:mod:`repro.obs.slo`) judges by.
 """
 
 from __future__ import annotations

@@ -29,7 +29,11 @@ _ACTIVE: Optional["TraceCapture"] = None
 
 
 class TraceCapture:
-    """Collects one hub per network constructed while active."""
+    """Collects one hub per network constructed while active.
+
+    Its row totals (spans, events, per-category counts) are what the
+    bench runner reports in a traced envelope's ``obs`` field; anything
+    finer is read from the written store."""
 
     def __init__(self, categories=None) -> None:
         self.categories = categories
@@ -63,16 +67,6 @@ class TraceCapture:
 
     def event_count(self) -> int:
         return sum(hub.events.rows for hub in self.hubs)
-
-    def metrics_snapshot(self) -> Dict[str, float]:
-        """Merged metrics across runs, prefixed per run when several."""
-        if len(self.hubs) == 1:
-            return self.hubs[0].metrics_snapshot()
-        out: Dict[str, float] = {}
-        for i, hub in enumerate(self.hubs):
-            for key, value in hub.metrics_snapshot().items():
-                out[f"run-{i:03d}.{key}"] = value
-        return out
 
 
 @contextmanager

@@ -1,12 +1,10 @@
 """`Observability` — the hub as an attachable cluster service.
 
 ``Cluster(...).build(n).with_observability(...)`` attaches this service;
-it owns (or adopts) one :class:`~repro.obs.hub.ObsHub`, publishes it at
-``net.obs`` / ``node.obs`` (the plain attributes every instrumentation
-site checks), installs the simulator event hook, and adopts the metrics
-registry of every subsystem that exposes one — currently the compute
-scheduler's (:attr:`~repro.compute.scheduler.JobScheduler.metrics`), the
-reference pattern for migrating ad-hoc counters.
+it owns (or is handed) one :class:`~repro.obs.hub.ObsHub`, publishes it
+at ``net.obs`` / ``node.obs`` (the plain attributes every instrumentation
+site checks) and installs the simulator event hook.  The hub records
+spans and events only; subsystems keep their own counters.
 
 Detach (or ``cluster.shutdown()``) reverses all of it: the hub keeps its
 recorded data for post-run queries, but the network records nothing more.
@@ -18,7 +16,6 @@ from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.cluster.service import Service, ServiceContext
 from repro.obs.hub import ObsHub
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.store import write_store
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -28,7 +25,7 @@ __all__ = ["Observability"]
 
 
 class Observability(Service):
-    """Span tracing + metrics collection for one cluster.
+    """Span/event tracing for one cluster.
 
     Parameters
     ----------
@@ -55,12 +52,6 @@ class Observability(Service):
         self._net = ctx.net
         ctx.net.obs = self.hub
         ctx.net.sim.set_event_hook(self.hub.on_sim_event)
-        # Adopt the metrics registries of already-attached subsystems;
-        # ones attached later adopt themselves when they see net.obs.
-        for svc in ctx.state.services.values():
-            registry = getattr(svc, "metrics", None)
-            if isinstance(registry, MetricsRegistry):
-                self.hub.adopt_registry(svc.name, registry)
 
     def setup_node(self, node: "TreePNode") -> None:
         node.obs = self.hub

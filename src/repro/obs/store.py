@@ -67,7 +67,6 @@ def write_store(path: str, runs: Mapping[str, ObsHub],
             "streams": stream_meta,
             "counts": hub.category_counts(),
             "sim_events": dict(hub.sim_event_counts),
-            "metrics": hub.metrics_snapshot(),
         }
     meta = {
         "schema": SCHEMA,

@@ -17,6 +17,7 @@ import repro.bench.scenarios  # noqa: F401  (populates the registry)
 from repro.bench import registry
 from repro.cluster import Cluster
 from repro.core.config import TreePConfig
+from repro.obs import capture, evaluate_hub, parse_slo
 from repro.sim.conditions import NetworkConditions
 from repro.storage import QuorumConfig
 from repro.workloads.adversarial import (
@@ -224,6 +225,24 @@ def test_straggler_tail_amplifies_but_keeps_results():
     assert m["tail_amplification"] > 1.0
     assert m["straggler_p999_virtual_s"] > m["healthy_p999_virtual_s"]
     assert m["lookup_success_rate"] == 1.0
+
+
+def test_straggler_p999_is_the_value_the_slo_judged():
+    """The reported p999s, the check details and the ``p999_bounded_slo``
+    verdict read one statistic: the exact quantile of the recorded spans."""
+    with capture() as cap:
+        out = registry.get("adv_straggler_tail").execute(smoke=True)
+    healthy_hub, slow_hub = cap.hubs
+    spec = parse_slo({"slo": {"lookup": {"p999": 4.0, "min_samples": 20}}})
+    (healthy,) = evaluate_hub(spec, healthy_hub)
+    (slow,) = evaluate_hub(spec, slow_hub)
+    assert out.metrics["straggler_p999_virtual_s"] == slow.observed
+    assert out.metrics["healthy_p999_virtual_s"] == healthy.observed
+    details = {c.name: c.detail for c in out.checks}
+    assert details["p999_bounded_slo"].startswith(
+        f"straggler p999 {slow.observed:.3f}s ")
+    assert details["stragglers_stretch_tail"] == (
+        f"p999 {slow.observed:.3f}s > healthy {healthy.observed:.3f}s")
 
 
 def test_rack_failure_full_completion():

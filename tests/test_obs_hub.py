@@ -163,23 +163,3 @@ def test_finalize_flushes_open_spans_and_counts_match_rows():
     open_mask = cols["status"] == STATUS_OPEN
     assert open_mask.sum() == 2
     np.testing.assert_array_equal(cols["t0"][open_mask], cols["t1"][open_mask])
-
-
-def test_span_durations_feed_latency_histograms():
-    hub = ObsHub()
-    for i in range(5):
-        sid = hub.begin("lookup", 0, float(i))
-        hub.end(sid, float(i) + 0.5)
-    snap = hub.metrics_snapshot()
-    assert snap["span.lookup.latency.count"] == 5.0
-    assert snap["span.lookup.latency.p50"] == pytest.approx(0.5, rel=0.05)
-
-
-def test_adopted_registry_snapshot_prefixed():
-    from repro.obs.metrics import MetricsRegistry
-
-    hub = ObsHub()
-    reg = MetricsRegistry()
-    reg.counter("placements").inc(3)
-    hub.adopt_registry("compute", reg)
-    assert hub.metrics_snapshot()["compute.placements"] == 3.0

@@ -127,14 +127,15 @@ def test_iteration_decodes_categories(tmp_path):
             assert isinstance(row["t"], float)
 
 
-def test_run_meta_and_metrics_snapshot(tmp_path):
+def test_run_meta_roundtrip(tmp_path):
     hub = _hub_with_traffic(n=4)
     path = str(tmp_path / "t.npz")
     write_store(path, {"run-000": hub}, meta_extra={"scenario": "unit"})
     with TraceReader(path) as reader:
         meta = reader.run_meta("run-000")
         assert meta["streams"] == {"spans": 4, "events": 8}
-        assert meta["metrics"]["span.lookup.latency.count"] == 4.0
+        assert meta["counts"] == {"lookup": 4, "lookup.hop": 8}
+        assert len(reader.spans("run-000", category="lookup")) == 4
         assert reader.meta["extra"] == {"scenario": "unit"}
         with pytest.raises(KeyError):
             reader.run_meta("nope")
@@ -142,15 +143,21 @@ def test_run_meta_and_metrics_snapshot(tmp_path):
             reader.stream("run-000", "nope")
 
 
-def test_reader_ignores_per_run_extras_of_older_stores(tmp_path):
+@pytest.mark.parametrize("key, value", [
+    ("extras", {"topology": {"1": -1}}),
+    ("metrics", {"span.lookup.latency.p99": 0.5}),
+], ids=["extras", "metrics"])
+def test_reader_ignores_per_run_extras_of_older_stores(tmp_path, key, value):
     # Earlier writers of schema repro.obs/1 stored hub annotations under
-    # runs/<run>/extras; the reader must still open such a store.
+    # runs/<run>/extras and a metrics snapshot under runs/<run>/metrics;
+    # the reader must still open such a store.
     path = str(tmp_path / "t.npz")
     write_store(path, {"run-000": _hub_with_traffic(n=3)})
     with np.load(path) as npz:
         arrays = dict(npz)
     meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
-    meta["runs"]["run-000"]["extras"] = {"topology": {"1": -1}}
+    assert key not in meta["runs"]["run-000"]
+    meta["runs"]["run-000"][key] = value
     arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
                                        dtype=np.uint8)
     np.savez_compressed(path, **arrays)
