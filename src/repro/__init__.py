@@ -29,13 +29,11 @@ Public surface:
 * :mod:`repro.baselines` — Chord and flooding comparators on the same
   simulated substrate.
 * :mod:`repro.bench` — the unified benchmark harness:
-  ``python -m repro.bench run|list|report|campaign`` over 28
+  ``python -m repro.bench run|list|report`` over 28
   declarative scenarios — including the ``scale_*`` 10k-node sweeps —
   writing versioned, clock-free ``BenchResult`` JSON to
-  ``benchmarks/out/`` (the committed golden); ``campaign``
-  fans a scenario × params × seeds matrix across worker processes and
-  aggregates mean/std/confidence-interval per metric; two runs are
-  compared exactly by ``tools/diff_envelopes.py``.
+  ``benchmarks/out/`` (the committed golden); two runs are compared
+  exactly by ``tools/diff_envelopes.py``.
 * :mod:`repro.obs` — the unified observability layer: span/event tracing
   across lookups, quorum RW, anti-entropy and job lifecycles
   (``Cluster(...).with_observability()`` or ``--trace-out`` on the bench
@@ -59,7 +57,7 @@ from repro.core.treep import TreePNetwork
 from repro.obs import ObsHub, TraceReader
 from repro.storage import AntiEntropy, QuorumConfig, ReplicatedStore
 
-__version__ = "1.20.0"
+__version__ = "1.21.0"
 
 __all__ = [
     "AntiEntropy",

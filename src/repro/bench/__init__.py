@@ -2,7 +2,7 @@
 
 Layer contract: this package *owns* how the repo measures its behaviour —
 the declarative :class:`Scenario` registry, the ``python -m repro.bench``
-CLI (``run | list | report | campaign``), and the versioned
+CLI (``run | list | report``), and the versioned
 :class:`BenchResult` JSON envelope, a pure function of (scenario, seed,
 params, smoke) whose committed copies under ``benchmarks/out/`` are the
 golden every PR is diffed against.  Wall-clock speed is not measured
@@ -21,29 +21,17 @@ Entry points:
 * ``python tools/diff_envelopes.py benchmarks/out DIR`` — the one run
   comparer: an exact diff naming every metric and check that moved
   (a scenario's ``Check`` verdicts are the directional gates).
-* ``python -m repro.bench report`` — the markdown ``docs/benchmarks.md``
-  embeds.
-* ``python -m repro.bench campaign SPEC --workers N`` — a
-  scenario × params × seeds matrix fanned across spawn workers,
-  aggregated to mean/std/confidence-interval per metric
-  (:mod:`repro.bench.campaign`; ``campaign report`` renders the
-  aggregate).
+* ``python -m repro.bench report`` — the scenario catalogue
+  ``docs/benchmarks.md`` embeds.
+
+Another seed is one ``run NAME --seed S --out DIR`` away.
 
 Scenario definitions live in :mod:`repro.bench.scenarios`; importing
-that package (done by the CLI and by campaign workers, or explicitly
-with ``import repro.bench.scenarios``) populates :data:`registry`.
+that package (done by the CLI, or explicitly with ``import
+repro.bench.scenarios``) populates :data:`registry`.
 """
 
-from repro.bench.result import SCHEMA, BenchResult, load_results
-from repro.bench.campaign import (
-    CAMPAIGN_SCHEMA,
-    CampaignResult,
-    CampaignSpec,
-    load_campaign,
-    load_campaigns,
-    parse_campaign,
-    run_campaign,
-)
+from repro.bench.result import SCHEMA, BenchResult
 from repro.bench.runner import run_scenario
 from repro.bench.scenario import (
     Check,
@@ -56,20 +44,12 @@ from repro.bench.scenario import (
 
 __all__ = [
     "BenchResult",
-    "CAMPAIGN_SCHEMA",
-    "CampaignResult",
-    "CampaignSpec",
     "Check",
     "Metric",
     "SCHEMA",
     "Scenario",
     "ScenarioOutput",
     "ScenarioRegistry",
-    "load_campaign",
-    "load_campaigns",
-    "load_results",
-    "parse_campaign",
     "registry",
-    "run_campaign",
     "run_scenario",
 ]

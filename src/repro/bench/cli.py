@@ -1,4 +1,4 @@
-"""The harness CLI: ``python -m repro.bench run|list|report|campaign``.
+"""The harness CLI: ``python -m repro.bench run|list|report``.
 
 * ``list`` — the scenario catalogue (name, group, params, metric count).
 * ``run [NAMES] [--group G] [--smoke] [--seed S] [--set k=v] [--out DIR]``
@@ -6,11 +6,7 @@
   each rendered figure/table, write one ``bench_<name>.json``
   :class:`~repro.bench.result.BenchResult` per scenario.  Exit 1 if any
   scenario check fails (``--no-checks`` downgrades that to a report).
-* ``report [--results DIR] [--scenarios-only]`` — markdown for the docs.
-* ``campaign SPEC [--workers N] [--smoke] [--out DIR]`` — run a
-  scenario × params × seeds matrix across processes and aggregate
-  mean/std/CI per metric (``campaign report`` renders the aggregate;
-  see :mod:`repro.bench.campaign`).
+* ``report`` — the scenario catalogue as markdown, for the docs.
 
 Two result directories are compared by ``python tools/diff_envelopes.py
 OLD NEW`` — envelopes are pure functions of their inputs, so the exact
@@ -21,20 +17,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 import repro.bench.scenarios  # noqa: F401  (populates the registry)
-from repro.bench.campaign import load_campaign, load_campaigns, run_campaign
-from repro.bench.report import campaign_table, results_table, scenario_table
-from repro.bench.result import load_results
+from repro.bench.report import scenario_table
 from repro.bench.runner import run_scenario
 from repro.bench.scenario import GROUPS, registry
 from repro.viz.ascii import table
 
 DEFAULT_OUT = "benchmarks/out"
-
-#: ``campaign`` sub-actions; a bare spec path implies ``run``.
-CAMPAIGN_ACTIONS = ("run", "report")
 
 
 def _parse_override(text: str) -> Any:
@@ -50,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Unified benchmark harness: run scenarios, record the "
-                    "golden, render reports.")
+                    "golden, render the catalogue.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="show the scenario catalogue")
@@ -84,34 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "name the violated rules when any objective "
                             "breaks")
 
-    rep_p = sub.add_parser("report", help="render markdown for the docs")
-    rep_p.add_argument("--results", default=None,
-                       help="also render results from this file/directory")
-    rep_p.add_argument("--scenarios-only", action="store_true",
-                       help="only the scenario catalogue table")
-
-    camp_p = sub.add_parser(
-        "campaign",
-        help="scenario × params × seeds matrix across processes, with CIs")
-    camp_sub = camp_p.add_subparsers(dest="action", required=True)
-    crun = camp_sub.add_parser(
-        "run", help="execute a campaign spec (a bare SPEC path implies run)")
-    crun.add_argument("spec", help="campaign spec file (.toml or .json)")
-    crun.add_argument("--workers", type=int, default=1, metavar="N",
-                      help="spawn N worker processes (default 1 = in-process)")
-    crun.add_argument("--smoke", action="store_true",
-                      help="reduced parameters (CI-speed, same code paths)")
-    crun.add_argument("--out", default=DEFAULT_OUT,
-                      help=f"result directory (default: {DEFAULT_OUT})")
-    crun.add_argument("--no-write", action="store_true",
-                      help="do not write the aggregate envelope")
-    crun.add_argument("--no-checks", action="store_true",
-                      help="report failed checks without failing the run")
-    crun.add_argument("--quiet", action="store_true",
-                      help="suppress the per-point markdown tables")
-    crep = camp_sub.add_parser(
-        "report", help="render a campaign aggregate as markdown")
-    crep.add_argument("result", help="a campaign_*.json file or directory")
+    sub.add_parser("report", help="render the scenario catalogue as markdown")
     return parser
 
 
@@ -204,94 +168,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def _load_or_exit(loader: Callable[[str], Dict[str, Any]],
-                  path: str) -> Dict[str, Any]:
-    """``loader(path)``, with a missing, unreadable or empty *path* turned
-    into a one-line exit instead of a traceback."""
-    try:
-        return loader(path)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"cannot load results: {exc}")
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
+def _cmd_report() -> int:
     print("## Scenario catalogue\n")
     print(scenario_table())
-    if not args.scenarios_only and args.results:
-        print("\n## Results\n")
-        print(results_table(_load_or_exit(load_results, args.results)))
     return 0
-
-
-def _cmd_campaign_run(args: argparse.Namespace) -> int:
-    try:
-        spec = load_campaign(args.spec)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"cannot load campaign spec: {exc}")
-    if args.workers < 1:
-        raise SystemExit(f"--workers must be >= 1, got {args.workers}")
-    points = len(spec.points())
-    print(f"[campaign {spec.name}] {spec.scenario}: {points} param point(s) "
-          f"× {len(spec.seeds)} seed(s) = {len(spec)} repetition(s), "
-          f"{args.workers} worker(s)")
-
-    def progress(done: int, total: int, rep: Dict[str, Any]) -> None:
-        failed = sum(1 for c in rep["checks"] if not c.get("passed"))
-        status = "ok" if not failed else f"{failed} CHECK(S) FAILED"
-        print(f"  [{done}/{total}] seed={rep['seed']} {status}")
-
-    try:
-        result = run_campaign(spec, smoke=args.smoke, workers=args.workers,
-                              progress=progress)
-    except KeyError as exc:
-        raise SystemExit(exc.args[0])
-    if not args.no_write:
-        path = result.write(args.out)
-        print(f"[campaign {spec.name}] aggregate -> {path}")
-    if not args.quiet:
-        print()
-        print(campaign_table(result))
-    failed = result.failed_checks()
-    if failed:
-        for check in failed:
-            print(f"  FAILED {check['name']} at seeds {check['failed_seeds']}")
-        if not args.no_checks:
-            return 1
-    return 0
-
-
-def _cmd_campaign_report(args: argparse.Namespace) -> int:
-    campaigns = _load_or_exit(load_campaigns, args.result)
-    for name in sorted(campaigns):
-        print(campaign_table(campaigns[name]))
-    return 0
-
-
-def _normalize_argv(argv: List[str]) -> List[str]:
-    """``campaign SPEC …`` is sugar for ``campaign run SPEC …`` — the
-    acceptance-path spelling ``python -m repro.bench campaign spec.toml
-    --workers 2`` works without naming the action."""
-    if not argv or argv[0] != "campaign":
-        return argv
-    rest = argv[1:]
-    if rest and rest[0] not in (*CAMPAIGN_ACTIONS, "-h", "--help"):
-        return ["campaign", "run", *rest]
-    return argv
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = _normalize_argv(sys.argv[1:] if argv is None else list(argv))
     args = _build_parser().parse_args(argv)
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "campaign":
-        if args.action == "run":
-            return _cmd_campaign_run(args)
-        return _cmd_campaign_report(args)
+        return _cmd_report()
     raise SystemExit(f"unknown command {args.command!r}")  # pragma: no cover
 
 

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, List, Mapping
+from typing import Any, Dict, List, Mapping
 
-from repro.bench.scenario import Check, Scenario, ScenarioOutput
+from repro.bench.scenario import Scenario, ScenarioOutput
 
 #: Envelope schema identifier; bump on breaking field changes.
 SCHEMA = "repro.bench/2"
@@ -31,73 +30,9 @@ REQUIRED_FIELDS = (
 )
 
 
-class Envelope:
-    """JSON persistence shared by both envelope kinds: subclasses provide
-    ``to_dict``/``from_dict``, a ``smoke`` flag, and name their file as
-    ``<file_prefix>_<getattr(self, name_field)>[.smoke].json``."""
-
-    file_prefix: ClassVar[str]
-    name_field: ClassVar[str]
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def write(self, out_dir: str) -> str:
-        """Write this envelope under *out_dir*; return the path.
-
-        Smoke runs get their own ``.smoke.json`` name so a smoke pass and
-        a full run never clobber each other in a shared out dir.
-        """
-        os.makedirs(out_dir, exist_ok=True)
-        suffix = ".smoke.json" if self.smoke else ".json"
-        name = getattr(self, self.name_field)
-        path = os.path.join(out_dir, f"{self.file_prefix}_{name}{suffix}")
-        with open(path, "w") as fh:
-            fh.write(self.to_json() + "\n")
-        return path
-
-    @classmethod
-    def read(cls, path: str):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
-    @classmethod
-    def load(cls, path: str) -> Dict[str, Any]:
-        """Load one envelope file, or every ``<file_prefix>_*.json`` in a
-        directory, keyed by name (a full-params point outranks its smoke
-        twin)."""
-        if not os.path.isdir(path):
-            result = cls.read(path)
-            return {getattr(result, cls.name_field): result}
-        out: Dict[str, Any] = {}
-        for name in sorted(os.listdir(path)):
-            if name.startswith(cls.file_prefix + "_") and name.endswith(".json"):
-                full = os.path.join(path, name)
-                try:
-                    result = cls.read(full)
-                except (ValueError, KeyError, json.JSONDecodeError) as exc:
-                    # Foreign/legacy json is tolerated, but loudly: a
-                    # corrupt baseline must not look like a clean compare.
-                    print(f"skipping invalid {full}: {exc}", file=sys.stderr)
-                    continue
-                key = getattr(result, cls.name_field)
-                existing = out.get(key)
-                if (existing is not None and result.smoke
-                        and not existing.smoke):
-                    continue
-                out[key] = result
-        if not out:
-            raise ValueError(
-                f"no valid {cls.file_prefix}_*.json results under {path!r}")
-        return out
-
-
 @dataclass
-class BenchResult(Envelope):
+class BenchResult:
     """One scenario execution, fully described."""
-
-    file_prefix: ClassVar[str] = "bench"
-    name_field: ClassVar[str] = "scenario"
 
     scenario: str
     group: str
@@ -110,7 +45,7 @@ class BenchResult(Envelope):
     rendered: str = ""  # not serialised; kept for the caller
     wall_time_s: float = 0.0  # not serialised; the CLI's progress line
     #: Observability sidecar (``--trace-out`` runs only): trace-file path,
-    #: span/event counts, per-category totals, metrics snapshot.  Optional —
+    #: run count, span/event totals, per-category span counts.  Optional —
     #: absent from untraced envelopes, so the golden never carries it.
     obs: Dict[str, Any] = field(default_factory=dict)
     #: SLO evaluation report (``--slo`` runs only): the serialised
@@ -163,13 +98,30 @@ class BenchResult(Envelope):
         kwargs["slo"] = dict(data.get("slo", {}))
         return cls(**kwargs)
 
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+
+    def write(self, out_dir: str) -> str:
+        """Write this envelope under *out_dir*; return the path.
+
+        Smoke runs get their own ``.smoke.json`` name so a smoke pass and
+        a full run never clobber each other in a shared out dir.
+        """
+        os.makedirs(out_dir, exist_ok=True)
+        suffix = ".smoke.json" if self.smoke else ".json"
+        path = os.path.join(out_dir, f"bench_{self.scenario}{suffix}")
+        with open(path, "w") as fh:
+            fh.write(self.to_json() + "\n")
+        return path
+
+    @classmethod
+    def read(cls, path: str) -> "BenchResult":
+        with open(path) as fh:
+            return cls.from_dict(json.load(fh))
+
     # -------------------------------------------------------------- queries
     def failed_checks(self) -> List[Dict[str, Any]]:
         return [c for c in self.checks if not c.get("passed")]
-
-    def check_objects(self) -> List[Check]:
-        return [Check(name=c["name"], passed=bool(c["passed"]),
-                      detail=c.get("detail", "")) for c in self.checks]
 
 
 def validate_result_dict(data: Mapping[str, Any]) -> None:
@@ -198,7 +150,3 @@ def validate_result_dict(data: Mapping[str, Any]) -> None:
     if "slo" in data and not isinstance(data["slo"], dict):
         raise ValueError("BenchResult.slo must be an object when present")
 
-
-def load_results(path: str) -> Dict[str, BenchResult]:
-    """Load one result file or every ``bench_*.json`` in a directory."""
-    return BenchResult.load(path)

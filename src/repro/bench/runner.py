@@ -1,8 +1,8 @@
 """Scenario execution: run one registered scenario, envelope the result.
 
-This is the seam everything shares — the CLI's ``run`` subcommand,
-campaign repetitions and the tests (the tier-1 golden among them) all
-call :func:`run_scenario`, so every execution path emits the same
+This is the seam everything shares — the CLI's ``run`` subcommand and
+the tests (the tier-1 golden among them) both call
+:func:`run_scenario`, so every execution path emits the same
 :class:`~repro.bench.result.BenchResult` and (optionally) writes the same
 ``benchmarks/out/bench_<name>.json`` file.
 """

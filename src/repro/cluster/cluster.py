@@ -203,7 +203,7 @@ class Cluster:
         categories: Optional[Iterable[str]] = None,
         hub: Optional["ObsHub"] = None,
     ) -> "Cluster":
-        """Attach the observability layer (span tracing + metrics).
+        """Attach the observability layer (span and event tracing).
 
         Records into its own :class:`~repro.obs.hub.ObsHub` (or *hub* when
         given); read it back via :attr:`obs`, or write a trace store with
@@ -245,7 +245,7 @@ class Cluster:
 
     @property
     def obs(self) -> "ObsHub":
-        """The attached observability hub (spans, events, metrics)."""
+        """The attached observability hub (spans and events)."""
         return self.observability.hub
 
     # ------------------------------------------------------- overlay driving

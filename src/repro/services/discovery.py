@@ -188,7 +188,6 @@ class ResourceDirectory(Service):
         if origin is None:
             origin = next(i for i in net.ids if net.network.is_up(i))
         start: Optional[int] = None
-        cur = origin
         chain = [origin] + layout.ancestors(origin)
         for anc in chain[1:]:
             hops += 1

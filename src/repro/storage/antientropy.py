@@ -52,11 +52,6 @@ class ReplicationSample:
     under_replicated: int
     lost: int
 
-    @property
-    def durable(self) -> bool:
-        """No tracked key has lost its last live replica."""
-        return self.lost == 0
-
 
 @dataclass
 class DurabilityTracker:

@@ -7,7 +7,7 @@ address sets end up on each side of a cut, who runs slow — from nothing
 but a ``topology_snapshot()`` mapping (``{node: parent, root: -1}``) and
 a dedicated RNG stream.  Like :mod:`repro.workloads.churn` it is purely
 declarative (no sim import): plans are values a driver replays onto a
-cluster, so the same plan can feed a scenario, a test, or a campaign.
+cluster, so the same plan can feed a scenario or a test.
 """
 
 from __future__ import annotations

@@ -8,6 +8,9 @@ exercised through ``main`` so the exit-code contract CI relies on is pinned.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -18,7 +21,6 @@ from repro.bench import (
     Metric,
     Scenario,
     ScenarioOutput,
-    load_results,
     registry,
     run_scenario,
 )
@@ -54,7 +56,7 @@ def test_every_scenario_declares_a_metrics_schema():
         assert scenario.description
         directional = [m for m in scenario.metrics if m.direction != "neutral"]
         assert directional, (
-            f"{scenario.name} has no directional metric for compare to gate")
+            f"{scenario.name} has no directional metric")
 
 
 def test_every_scenario_has_reduced_smoke_params():
@@ -119,8 +121,6 @@ def test_smoke_scenario_roundtrips_through_benchresult_json(tmp_path):
     assert loaded.to_dict() == result.to_dict()
     assert loaded.metrics == result.metrics
     assert all(c["passed"] for c in loaded.checks)
-    # and the directory loader finds it under its scenario name
-    assert set(load_results(str(tmp_path))) == {"core"}
 
 
 def test_validate_rejects_malformed_envelopes():
@@ -149,21 +149,9 @@ def test_v1_envelope_is_refused_by_schema(tmp_path):
         validate_result_dict(v1)
     path = tmp_path / "bench_core.json"
     path.write_text(json.dumps(v1))
-    with pytest.raises(ValueError, match="no valid bench_"):
-        load_results(str(tmp_path))
-
-
-# ------------------------------------------------------ synthetic envelope
-
-def _result(metrics, scenario="compute", **kwargs):
-    s = registry.get(scenario)
-    fields = dict(
-        scenario=s.name, group=s.group, seed=42,
-        smoke=True, params=dict(s.effective_params(smoke=True)),
-        metrics=metrics, checks=[],
-    )
-    fields.update(kwargs)
-    return BenchResult(**fields)
+    with pytest.raises(ValueError, match="unsupported BenchResult schema "
+                                         "'repro.bench/1'"):
+        BenchResult.read(str(path))
 
 
 # ---------------------------------------------------------------------- CLI
@@ -183,41 +171,50 @@ def test_cli_run_writes_envelope_and_exits_zero(tmp_path, capsys):
     assert "[core] ok" in capsys.readouterr().out
 
 
-def test_cli_compare_exit_codes(capsys):
+def _diff_envelopes(old, new):
+    """Run ``tools/diff_envelopes.py OLD NEW`` as CI does: stdlib-only, so
+    without ``PYTHONPATH``."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    return subprocess.run(
+        [sys.executable, os.path.join(root, "tools", "diff_envelopes.py"),
+         str(old), str(new)], capture_output=True, text=True, env=env)
+
+
+def test_cli_run_seed_is_the_multi_seed_path(tmp_path):
+    """Another seed is ``run NAME --seed S``: two such runs write the same
+    envelope, stamped with that seed, carrying the in-process metrics."""
+    dirs = [tmp_path / "a", tmp_path / "b"]
+    for d in dirs:
+        assert main(["run", "core", "--smoke", "--seed", "43", "--quiet",
+                     "--out", str(d)]) == 0
+    envelopes = [json.loads((d / "bench_core.smoke.json").read_text())
+                 for d in dirs]
+    assert [e["seed"] for e in envelopes] == [43, 43]
+    proc = _diff_envelopes(*dirs)
+    assert proc.returncode == 0, proc.stdout
+    assert envelopes[0]["metrics"] == run_scenario(
+        "core", smoke=True, seed=43).metrics
+
+
+@pytest.mark.parametrize("command", ["compare", "campaign"])
+def test_cli_compare_exit_codes(capsys, command):
     """There is no ``compare`` subcommand: envelopes are pure functions of
     their inputs, so two runs are diffed exactly by
-    ``tools/diff_envelopes.py`` — the old spelling is an argparse error,
-    never a silent pass."""
+    ``tools/diff_envelopes.py`` — and another seed is ``run --seed``.  A
+    removed spelling is an argparse error, never a silent pass."""
     with pytest.raises(SystemExit) as exc:
-        main(["compare", "old", "new"])
+        main([command, "old", "new"])
     assert exc.value.code == 2
-    assert "invalid choice: 'compare'" in capsys.readouterr().err
-
-
-def test_load_results_prefers_full_over_smoke_twin(tmp_path):
-    smoke = _result({"checkpoint_goodput": 0.5})
-    full = _result({"checkpoint_goodput": 1.0}, smoke=False,
-                   params=dict(registry.get("compute").params))
-    assert smoke.write(str(tmp_path)).endswith(".smoke.json")
-    assert full.write(str(tmp_path)).endswith("bench_compute.json")
-    loaded = load_results(str(tmp_path))
-    assert loaded["compute"].smoke is False  # the full point wins
+    assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
 
 def test_cli_report_renders_catalogue(capsys):
-    assert main(["report", "--scenarios-only"]) == 0
+    assert main(["report"]) == 0
     out = capsys.readouterr().out
     assert "| scenario |" in out
     for name in EXPECTED_SCENARIOS:
         assert f"`{name}`" in out
-
-
-def test_cli_report_names_a_missing_or_empty_results_path(tmp_path):
-    """A path with nothing to render is a one-line exit, not a traceback."""
-    with pytest.raises(SystemExit, match="cannot load results"):
-        main(["report", "--results", str(tmp_path / "nowhere")])
-    with pytest.raises(SystemExit, match="no valid bench_"):
-        main(["report", "--results", str(tmp_path)])
 
 
 def test_cli_run_rejects_inapplicable_overrides():
@@ -229,15 +226,13 @@ def test_cli_run_rejects_inapplicable_overrides():
 def test_docs_catalogue_matches_generated_table():
     """docs/benchmarks.md embeds the generated catalogue verbatim; this
     pins it against drift when scenarios change."""
-    import os
-
     from repro.bench.report import scenario_table
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(repo, "docs", "benchmarks.md")) as fh:
         doc = fh.read()
     assert scenario_table() in doc, (
         "docs/benchmarks.md catalogue is stale — regenerate with "
-        "`python -m repro.bench report --scenarios-only` and paste it in")
+        "`python -m repro.bench report` and paste it in")
 
 
 @pytest.mark.parametrize("name, builds", [("table_sizes", 2), ("ngsa_cost", 1)])
@@ -257,66 +252,24 @@ def test_scenario_measures_each_network_once(monkeypatch, name, builds):
 
 
 def test_diff_envelopes_tool_names_the_moved_metric(tmp_path):
-    """CI's golden, hash-seed and campaign gates: two runs of the same tree
-    exit 0, a moved metric, check detail or campaign aggregate is printed
-    ``old -> new`` and exits 1.  The tool is stdlib-only — it runs without
-    ``PYTHONPATH``."""
-    import os
-    import subprocess
-    import sys
-
-    from repro.bench import parse_campaign, run_campaign
-
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    """CI's golden and hash-seed gates: two runs of the same tree exit 0, a
+    moved metric or check detail is printed ``old -> new`` and exits 1."""
     old, new = tmp_path / "old", tmp_path / "new"
     run_scenario("core", smoke=True, out_dir=str(old))
     result = run_scenario("core", smoke=True, out_dir=str(new))
-    campaign = run_campaign(parse_campaign({"campaign": {
-        "name": "unit", "scenario": "core", "seeds": [42, 43],
-        "params": {"lookups": [40]}}}), smoke=True)
-    campaign.write(str(old))
-    campaign.write(str(new))
 
-    def diff():
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-        return subprocess.run(
-            [sys.executable, os.path.join(root, "tools", "diff_envelopes.py"),
-             str(old), str(new)], capture_output=True, text=True, env=env)
-
-    proc = diff()
+    proc = _diff_envelopes(old, new)
     assert proc.returncode == 0
-    assert "2/2 envelopes identical" in proc.stdout
+    assert "1/1 envelopes identical" in proc.stdout
     was = result.metrics["lookup_success_rate"]
     result.metrics["lookup_success_rate"] = was - 0.5
     check = result.checks[0]
     detail = check["detail"]
     check["detail"] = detail + " (moved)"
     result.write(str(new))
-    proc = diff()
+    proc = _diff_envelopes(old, new)
     assert proc.returncode == 1
     assert f"metrics.lookup_success_rate: {was} -> {was - 0.5}" in proc.stdout
     assert (f"checks.{check['name']}: ok ({detail}) -> "
             f"ok ({detail} (moved))") in proc.stdout
-    assert "1/2 envelopes identical" in proc.stdout
-
-    # A campaign's moved aggregate is named by point, metric and statistic;
-    # the repetitions it embeds are diffed like the envelopes they are.
-    point = campaign.points[0]
-    at = "points[" + ", ".join(
-        f"{k}={v}" for k, v in sorted(point["params"].items())) + "]"
-    mean = point["metrics"]["table_entries_mean"]["mean"]
-    point["metrics"]["table_entries_mean"]["mean"] = mean + 1.0
-    rep = point["repetitions"][1]
-    value = rep["metrics"]["table_entries_mean"]
-    rep["metrics"]["table_entries_mean"] = value + 2.0
-    campaign.write(str(new))
-    proc = diff()
-    assert proc.returncode == 1
-    lines = proc.stdout.splitlines()
-    moved = lines[lines.index("campaign_unit.smoke.json:") + 1:-1]
-    assert moved == [  # the two leaves, named — no repetition dumped
-        f"  {at}.metrics.table_entries_mean.mean: {mean} -> {mean + 1.0}",
-        f"  {at}.repetitions[seed={rep['seed']}].metrics.table_entries_mean: "
-        f"{value} -> {value + 2.0}",
-    ]
-    assert "0/2 envelopes identical" in proc.stdout
+    assert "0/1 envelopes identical" in proc.stdout

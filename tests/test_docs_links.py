@@ -32,7 +32,7 @@ def test_docs_pages_exist():
 def test_benchmarks_catalogue_covers_scale_scenarios():
     """Drift pin: the generated catalogue embedded in docs/benchmarks.md
     must list the scale_* sweeps (regenerate with
-    `python -m repro.bench report --scenarios-only` after changes)."""
+    `python -m repro.bench report` after changes)."""
     with open(os.path.join(REPO_ROOT, "docs", "benchmarks.md")) as fh:
         doc = fh.read()
     for name in ("scale_lookup", "scale_churn", "scale_quorum_rw",
