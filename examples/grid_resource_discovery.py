@@ -6,19 +6,22 @@ Builds a TreeP overlay over a DGET-style population (10% beefy servers,
 
 1. answers capability-constrained queries by walking the hierarchy's
    capacity aggregates (pruning subtrees that can't match), and
-2. places a burst of compute tasks with the hierarchical load balancer.
+2. runs a burst of compute jobs through the grid scheduler, whose
+   placement is the load balancing: each job goes to the admitted
+   candidate with the most free CPU the same aggregate walk finds, and
+   idle siblings steal from saturated queues.
 
 The point of the demo: the capacity-aware promotion puts the servers in
-the upper layers, so both services get their answers in O(log n) steps.
+the upper layers, so discovery and placement both find them in O(log n)
+steps, and the heavy jobs land on them.
 
 Run:  python examples/grid_resource_discovery.py
 """
 
 import numpy as np
 
-from repro import Cluster, TreePConfig
+from repro import Cluster, JobSpec, TreePConfig
 from repro.services.discovery import Constraint
-from repro.services.loadbalance import Task
 from repro.workloads import grid_cluster_mix
 
 
@@ -27,8 +30,7 @@ def main() -> None:
     caps = grid_cluster_mix(512, rng, server_fraction=0.1)
     cluster = (Cluster(config=TreePConfig.paper_case2(), seed=77)
                .build(n=512, capacities=caps)
-               .with_discovery()
-               .with_loadbalance())
+               .with_compute())
     net, layout = cluster.net, cluster.layout
     print(f"built 512-peer grid, height={layout.height} (variable nc)")
 
@@ -53,20 +55,23 @@ def main() -> None:
             cap = net.capacities[m]
             assert cap.cpu >= c.min_cpu and cap.memory_gb >= c.min_memory_gb
 
-    # Task placement.
-    lb = cluster.balancer
-    tasks = [Task(i, cpu_demand=float(rng.choice([0.5, 1.0, 2.0]))) for i in range(400)]
-    placements = lb.place_many(tasks)
-    placed = [p for p in placements if p.node is not None]
-    print(f"\nplaced {len(placed)}/400 tasks, "
-          f"mean {np.mean([p.hops for p in placed]):.1f} hops to placement, "
-          f"utilisation imbalance (CV) {lb.imbalance():.2f}")
+    # Job placement.
+    grid = cluster.compute
+    for i in range(400):
+        grid.submit(JobSpec(job_id=i, cpu_demand=float(rng.choice([0.5, 1.0, 2.0])),
+                            work=10.0))
+    grid.run_until_done(timeout=600.0)
+    stats = grid.stats()
+    print(f"\ncompleted {stats.completed}/{stats.submitted} jobs, "
+          f"mean {stats.mean_placement_hops:.2f} hops to placement")
+    assert stats.completed == stats.submitted == 400, "jobs left unfinished"
     # The heavy lifting should land on the strong nodes.
-    heavy = [p.node for p in placed if p.task.cpu_demand >= 2.0]
-    if heavy:
-        print(f"heavy tasks went to nodes with mean "
-              f"{np.mean([net.capacities[n].cpu for n in heavy]):.1f} cores "
-              f"(population mean {np.mean([c.cpu for c in caps]):.1f})")
+    heavy = [r.worker for r in grid.results.values()
+             if grid.expected[r.job_id].cpu_demand >= 2.0]
+    print(f"heavy jobs ran on nodes with mean "
+          f"{np.mean([net.capacities[n].cpu for n in heavy]):.1f} cores "
+          f"(population mean {np.mean([c.cpu for c in caps]):.1f})")
+    cluster.shutdown()
 
 
 if __name__ == "__main__":

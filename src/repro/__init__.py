@@ -16,8 +16,8 @@ Public surface:
 * :class:`~repro.core.config.TreePConfig` — all tunables; presets for the
   paper's two experimental cases.
 * :class:`~repro.core.lookup.LookupAlgorithm` — G / NG / NGSA.
-* :mod:`repro.services` — resource discovery and load balancing on top
-  of the overlay.
+* :mod:`repro.services` — resource discovery on top of the overlay (load
+  balancing is :mod:`repro.compute` placement over the same aggregates).
 * :mod:`repro.storage` — the replicated key/value subsystem: quorum
   reads/writes (:class:`~repro.storage.quorum.ReplicatedStore`), versioned
   per-node stores, and churn-driven anti-entropy re-replication.
@@ -57,7 +57,7 @@ from repro.core.treep import TreePNetwork
 from repro.obs import ObsHub, TraceReader
 from repro.storage import AntiEntropy, QuorumConfig, ReplicatedStore
 
-__version__ = "1.21.0"
+__version__ = "1.22.0"
 
 __all__ = [
     "AntiEntropy",

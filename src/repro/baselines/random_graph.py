@@ -51,7 +51,3 @@ def random_overlay(
             adj[b].add(a)
             edges += 1
     return {i: sorted(neigh) for i, neigh in adj.items()}
-
-
-def average_degree(adj: Dict[int, List[int]]) -> float:
-    return float(np.mean([len(v) for v in adj.values()])) if adj else 0.0

@@ -4,7 +4,7 @@
   the overlay and composing services with owned construction order,
   cross-service dependencies and clean shutdown.
 * :class:`~repro.cluster.service.Service` — the lifecycle contract every
-  subsystem (discovery, loadbalance, storage, anti-entropy, compute)
+  subsystem (discovery, storage, anti-entropy, compute, observability)
   implements: attach/detach, ``on_node_join`` / ``on_node_leave`` /
   ``on_node_revive`` churn callbacks, declarative typed-message handler
   registration, and periodic tasks with automatic cancellation.

@@ -44,7 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.ids import AssignStrategy
     from repro.core.node import TreePNode
     from repro.services.discovery import ResourceDirectory
-    from repro.services.loadbalance import LoadBalancer
     from repro.sim.latency import LatencyModel
     from repro.storage.antientropy import AntiEntropy
     from repro.storage.quorum import QuorumConfig, ReplicatedStore
@@ -143,21 +142,13 @@ class Cluster:
             raise ServiceError(f"no {name!r} service attached: call {hint} first")
         return svc
 
-    # ------------------------------------------------- the five subsystems
+    # ------------------------------------------------- the four subsystems
     def with_discovery(self) -> "Cluster":
         """Attach hierarchy-walking grid resource discovery."""
         from repro.services.discovery import ResourceDirectory
 
         self._require_built("with_discovery")
         self.state.attach(ResourceDirectory())
-        return self
-
-    def with_loadbalance(self) -> "Cluster":
-        """Attach capacity-aware hierarchical load balancing."""
-        from repro.services.loadbalance import LoadBalancer
-
-        self._require_built("with_loadbalance")
-        self.state.attach(LoadBalancer())
         return self
 
     def with_storage(
@@ -222,10 +213,6 @@ class Cluster:
     @property
     def directory(self) -> "ResourceDirectory":
         return self._get("discovery", "with_discovery() or with_compute()")  # type: ignore[return-value]
-
-    @property
-    def balancer(self) -> "LoadBalancer":
-        return self._get("loadbalance", "with_loadbalance()")  # type: ignore[return-value]
 
     @property
     def storage(self) -> "ReplicatedStore":

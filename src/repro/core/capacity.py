@@ -49,8 +49,8 @@ class NodeCapacity:
     def effective_cpu(self) -> float:
         """CPU shares actually available: capacity minus current load.
 
-        The one definition the load balancer, scheduler matchmaker and
-        workers all size assignments against.
+        The one definition the scheduler matchmaker and the workers both
+        size assignments against.
         """
         return self.cpu * (1.0 - self.cpu_load)
 
@@ -165,8 +165,3 @@ class CapacityDistribution:
         if count <= 0:
             raise ValueError(f"count must be > 0, got {count}")
         return [self.sample() for _ in range(count)]
-
-
-def uniform_capacity() -> NodeCapacity:
-    """A homogeneous default, handy in unit tests."""
-    return NodeCapacity()

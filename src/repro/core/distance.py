@@ -16,8 +16,9 @@ look *close* to everything, which is what lets the greedy rule
 "forward when ``D(n, x) <= D(a, x) / 2``" (Fig. 3) escalate through parents
 in logarithmically many steps.
 
-The greedy router's halving criterion and the TTL-triggered Euclidean
-fallback live here too so every algorithm shares one implementation.
+The greedy router's halving criterion lives here too.  NG/NGSA's progress
+test — the Euclidean distance to the target strictly decreases — and the
+TTL-triggered Euclidean fallback are inline in :mod:`repro.core.lookup`.
 """
 
 from __future__ import annotations
@@ -71,13 +72,3 @@ def treep_distance(
 def halving_criterion(d_next: float, d_here: float) -> bool:
     """Fig. 3's forwarding test: ``D(n, x) <= D(a, x) / 2``."""
     return d_next <= 0.5 * d_here
-
-
-def improves(space: IdSpace, candidate: int, here: int, target: int) -> bool:
-    """NG/NGSA's progress test: candidate strictly closer to the target.
-
-    §III.f: "returns a node n that verifies the condition
-    d(a, n) - d(a, x) < 0" — i.e. the Euclidean distance to the target
-    strictly decreases.
-    """
-    return space.distance(candidate, target) < space.distance(here, target)

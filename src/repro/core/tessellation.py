@@ -109,10 +109,3 @@ def children_of(space: IdSpace, bus: Sequence[int], lower_level: Sequence[int]) 
             ci += 1
         out[cells[ci].owner].append(ident)
     return out
-
-
-def split_point(children: Sequence[int]) -> int:
-    """Index at which an over-full cell is split (B-tree style median)."""
-    if len(children) < 2:
-        raise ValueError("cannot split fewer than 2 children")
-    return len(children) // 2

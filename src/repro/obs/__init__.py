@@ -32,8 +32,7 @@ from repro.obs.critpath import (SpanTree, build_forest, critical_path,
 from repro.obs.hub import (EVENT_SCHEMA, SPAN_SCHEMA, STATUS_FAIL,
                            STATUS_NAMES, STATUS_OK, STATUS_OPEN,
                            STATUS_TIMEOUT, ObsHub)
-from repro.obs.runtime import (TraceCapture, active_capture, ambient_hub,
-                               capture)
+from repro.obs.runtime import TraceCapture, ambient_hub, capture
 from repro.obs.slo import (RuleResult, SloReport, SloRule, SloSpec,
                            evaluate_hub, evaluate_store, load_slo, parse_slo)
 from repro.obs.store import SCHEMA, StreamView, TraceReader, write_store
@@ -56,7 +55,6 @@ __all__ = [
     "TraceCapture",
     "capture",
     "ambient_hub",
-    "active_capture",
     # SLO tier
     "SloRule",
     "SloSpec",

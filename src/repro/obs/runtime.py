@@ -23,7 +23,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional
 from repro.obs.hub import ObsHub
 from repro.obs.store import write_store
 
-__all__ = ["TraceCapture", "capture", "ambient_hub", "active_capture"]
+__all__ = ["TraceCapture", "capture", "ambient_hub"]
 
 _ACTIVE: Optional["TraceCapture"] = None
 
@@ -87,7 +87,3 @@ def ambient_hub() -> Optional[ObsHub]:
     """A fresh hub from the active capture, or ``None`` (the usual case).
     Called once per :class:`~repro.core.treep.TreePNetwork` construction."""
     return _ACTIVE.new_hub() if _ACTIVE is not None else None
-
-
-def active_capture() -> Optional[TraceCapture]:
-    return _ACTIVE

@@ -13,23 +13,17 @@ the paper's evaluation uses):
 * :mod:`repro.sim.rng` — named, seeded random substreams so every experiment
   is reproducible bit-for-bit.
 * :mod:`repro.sim.failures` — the paper's 5%-step random-disconnect schedule.
-* :mod:`repro.sim.conditions` — adversarial conditions: geographic latency,
-  Gilbert-Elliott burst loss, healing partitions, straggler slowdowns.
+* :mod:`repro.sim.conditions` — adversarial conditions: Gilbert-Elliott
+  burst loss, healing partitions, straggler slowdowns.
 """
 
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, EventQueue
-from repro.sim.latency import (
-    ConstantLatency,
-    LatencyModel,
-    LogNormalLatency,
-    UniformLatency,
-)
+from repro.sim.latency import ConstantLatency, LatencyModel, UniformLatency
 from repro.sim.network import Datagram, Network, Process
 from repro.sim.rng import RngRegistry
 from repro.sim.failures import FailureSchedule
 from repro.sim.conditions import (
-    GeoLatency,
     GilbertElliott,
     NetworkConditions,
     Partition,
@@ -42,10 +36,8 @@ __all__ = [
     "Event",
     "EventQueue",
     "FailureSchedule",
-    "GeoLatency",
     "GilbertElliott",
     "LatencyModel",
-    "LogNormalLatency",
     "Network",
     "NetworkConditions",
     "Partition",

@@ -1,23 +1,22 @@
-"""Adversarial network conditions: geography, loss bursts, partitions,
-stragglers.
+"""Adversarial network conditions: loss bursts, partitions, stragglers.
 
 The seed network models an *ideal* fabric: one latency distribution for
 every pair and independent per-datagram loss.  Real overlays — the
 Grid-5000 deployments the paper evaluates on — fail in correlated ways:
-latency depends on where two nodes sit, losses arrive in bursts on
-specific links, whole address sets get cut off and later reconnected,
-and individual machines run slow without being down.  This module
-supplies each of those as a pluggable model composing with the existing
-seams (:class:`~repro.sim.latency.LatencyModel`,
-``Network.partition_filter``, ``Network.loss_model``) so the default
-fabric — and therefore every pre-existing scenario — is bit-identical
-until a condition is explicitly installed.
+losses arrive in bursts on specific links, whole address sets get cut
+off and later reconnected, and individual machines run slow without
+being down.  This module supplies each of those as a pluggable model
+composing with the existing seams
+(:class:`~repro.sim.latency.LatencyModel`, ``Network.partition_filter``,
+``Network.loss_model``) so the default fabric — and therefore every
+pre-existing scenario — is bit-identical until a condition is explicitly
+installed.
 
 Split of responsibilities (the SPE topology/propagation split):
 
 * *Propagation* models live here and answer per-datagram questions —
-  :class:`GeoLatency` (coordinate-derived delay), :class:`GilbertElliott`
-  (two-state burst loss), :class:`StragglerLatency` (victim slowdown).
+  :class:`GilbertElliott` (two-state burst loss) and
+  :class:`StragglerLatency` (victim slowdown).
 * *Topology* decisions — which subtree is a rack, who becomes a victim —
   live in :mod:`repro.workloads.adversarial`, which never imports sim.
 * :class:`NetworkConditions` is the composition root: it owns the
@@ -43,114 +42,11 @@ from repro.sim.latency import LatencyModel
 from repro.sim.network import Network
 
 __all__ = [
-    "GeoLatency",
     "StragglerLatency",
     "GilbertElliott",
     "Partition",
     "NetworkConditions",
 ]
-
-#: Mean distance between two uniform points in the unit square — the
-#: fallback pairwise-distance estimate before any address is known.
-_UNIT_SQUARE_MEAN_DIST = 0.5214
-
-
-class GeoLatency(LatencyModel):
-    """Coordinate-derived latency: ``base + per_unit * distance``.
-
-    Every address gets a deterministic position in the unit square,
-    derived by hashing ``(entropy, address)`` — *not* by drawing from a
-    shared stream — so positions are independent of the order in which
-    pairs are first sampled.  Addresses cluster around ``sites`` centers
-    (machine-room racks / Grid-5000 sites): an address's site is part of
-    the same hash, and ``spread`` controls how tightly members hug their
-    center.  Intra-site pairs therefore see near-``base`` delay while
-    cross-site pairs pay the center-to-center distance.
-
-    Parameters
-    ----------
-    rng:
-        Stream for entropy (one draw at construction) and per-datagram
-        jitter.  Pass a dedicated registry stream (PR-5 discipline).
-    base / per_unit:
-        Affine map from euclidean distance to seconds.
-    sites / spread:
-        Number of cluster centers and the normal scatter around them.
-    jitter:
-        Per-datagram multiplicative noise: delay is scaled by
-        ``1 + jitter * U[0, 1)``.  ``0.0`` samples nothing.
-    """
-
-    def __init__(
-        self,
-        rng: Optional[np.random.Generator] = None,
-        *,
-        base: float = 0.002,
-        per_unit: float = 0.08,
-        sites: int = 4,
-        spread: float = 0.04,
-        jitter: float = 0.1,
-    ) -> None:
-        if base < 0 or per_unit < 0:
-            raise ValueError(f"base/per_unit must be >= 0, got {base}/{per_unit}")
-        if sites < 1:
-            raise ValueError(f"sites must be >= 1, got {sites}")
-        if not 0.0 <= jitter:
-            raise ValueError(f"jitter must be >= 0, got {jitter}")
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.base = float(base)
-        self.per_unit = float(per_unit)
-        self.sites = int(sites)
-        self.spread = float(spread)
-        self.jitter = float(jitter)
-        # One draw fixes the whole geography; coordinates then come from
-        # per-address hashes so sampling order cannot perturb them.
-        self._entropy = int(self.rng.integers(0, 2**63))
-        centers_rng = np.random.default_rng((self._entropy, 0))
-        self._centers = centers_rng.random((self.sites, 2))
-        self._coords: Dict[int, np.ndarray] = {}
-        self._dist: Dict[Tuple[int, int], float] = {}
-
-    # ---------------------------------------------------------- geography
-    def coordinate(self, address: int) -> np.ndarray:
-        """The (cached) unit-square position of *address*."""
-        coord = self._coords.get(address)
-        if coord is None:
-            g = np.random.default_rng((self._entropy, 1, int(address)))
-            center = self._centers[int(g.integers(0, self.sites))]
-            coord = np.clip(center + g.normal(0.0, self.spread, 2), 0.0, 1.0)
-            self._coords[address] = coord
-        return coord
-
-    def site_of(self, address: int) -> int:
-        """The site (cluster-center index) *address* hashes to."""
-        g = np.random.default_rng((self._entropy, 1, int(address)))
-        return int(g.integers(0, self.sites))
-
-    def distance(self, src: int, dst: int) -> float:
-        key = (src, dst) if src <= dst else (dst, src)
-        d = self._dist.get(key)
-        if d is None:
-            delta = self.coordinate(src) - self.coordinate(dst)
-            d = self._dist[key] = float(np.hypot(delta[0], delta[1]))
-        return d
-
-    # ------------------------------------------------------------ sampling
-    def sample(self, src: int, dst: int) -> float:
-        delay = self.base + self.per_unit * self.distance(src, dst)
-        if self.jitter > 0.0:
-            delay *= 1.0 + self.jitter * float(self.rng.random())
-        return delay
-
-    def expected(self) -> float:
-        if len(self._coords) >= 2:
-            addrs = sorted(self._coords)[:64]
-            dists = [self.distance(a, b)
-                     for i, a in enumerate(addrs) for b in addrs[i + 1:]]
-            mean_dist = float(np.mean(dists))
-        else:
-            mean_dist = _UNIT_SQUARE_MEAN_DIST
-        return (self.base + self.per_unit * mean_dist) * (1.0 + self.jitter / 2.0)
 
 
 class StragglerLatency(LatencyModel):

@@ -88,36 +88,3 @@ class UniformLatency(LatencyModel):
 
     def __repr__(self) -> str:
         return f"UniformLatency([{self.low}, {self.high}])"
-
-
-class LogNormalLatency(LatencyModel):
-    """Heavy-tailed latency — the classical internet RTT shape.
-
-    Parameters are the underlying normal's ``mu``/``sigma``; the sample is
-    ``base + lognormal(mu, sigma)`` so there is a hard propagation floor.
-    """
-
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        mu: float = -4.0,
-        sigma: float = 0.5,
-        base: float = 0.002,
-    ) -> None:
-        if sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {sigma}")
-        if base < 0:
-            raise ValueError(f"base must be >= 0, got {base}")
-        self.rng = rng
-        self.mu = float(mu)
-        self.sigma = float(sigma)
-        self.base = float(base)
-
-    def sample(self, src: int, dst: int) -> float:
-        return self.base + float(self.rng.lognormal(self.mu, self.sigma))
-
-    def expected(self) -> float:
-        return self.base + float(np.exp(self.mu + self.sigma**2 / 2))
-
-    def __repr__(self) -> str:
-        return f"LogNormalLatency(mu={self.mu}, sigma={self.sigma}, base={self.base})"

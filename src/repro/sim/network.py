@@ -150,7 +150,8 @@ class Network:  # repro-lint: disable=RPR401 one instance per simulation; slotti
         self._down: Set[int] = set()
         #: Monotonic count of liveness transitions (registrations, crashes,
         #: revivals) — a cheap exact invalidation key for caches derived
-        #: from the live population (see LoadBalancer).
+        #: from the live population (``ResourceDirectory._sync``,
+        #: ``JobScheduler.random_origin``, both via ``TreePNetwork.liveness_key``).
         self.liveness_epoch: int = 0
         self.stats = NetworkStats()
         #: Optional predicate; return True to block delivery (partitions).

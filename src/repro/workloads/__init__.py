@@ -12,11 +12,7 @@ from repro.workloads.adversarial import (
     subtree_members,
     subtree_partition_plan,
 )
-from repro.workloads.capacities import (
-    grid_cluster_mix,
-    homogeneous_mix,
-    measured_p2p_mix,
-)
+from repro.workloads.capacities import grid_cluster_mix
 from repro.workloads.jobs import JobWorkload
 from repro.workloads.lookups import LookupWorkload
 from repro.workloads.churn import ChurnSchedule
@@ -39,8 +35,6 @@ __all__ = [
     "StragglerPlan",
     "children_map",
     "grid_cluster_mix",
-    "homogeneous_mix",
-    "measured_p2p_mix",
     "rack_failure_plan",
     "run_storage_ops",
     "straggler_plan",

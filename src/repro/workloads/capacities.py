@@ -1,7 +1,8 @@
 """Named capacity mixes for experiment populations.
 
 The paper's variable-``nc`` case keys everything on node heterogeneity;
-these presets give experiments reproducible, recognisable mixes.
+this preset gives experiments a reproducible, recognisable mix (the
+default heterogeneous population is :class:`CapacityDistribution` itself).
 """
 
 from __future__ import annotations
@@ -11,19 +12,6 @@ from typing import List
 import numpy as np
 
 from repro.core.capacity import CapacityDistribution, NodeCapacity
-
-
-def homogeneous_mix(n: int, cpu: float = 2.0) -> List[NodeCapacity]:
-    """Identical peers — isolates topology effects from heterogeneity."""
-    if n <= 0:
-        raise ValueError(f"n must be > 0, got {n}")
-    return [NodeCapacity(cpu=cpu, memory_gb=4.0, bandwidth_mbps=20.0,
-                         storage_gb=100.0, uptime_hours=24.0)] * n
-
-
-def measured_p2p_mix(n: int, rng: np.random.Generator) -> List[NodeCapacity]:
-    """The default heterogeneous population (see CapacityDistribution)."""
-    return CapacityDistribution(rng).sample_many(n)
 
 
 def grid_cluster_mix(

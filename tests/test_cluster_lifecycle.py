@@ -32,7 +32,7 @@ from repro import (
     TreePConfig,
 )
 from repro.core.messages import JobSubmit, StoreGet, StorePut
-from repro.services import LoadBalancer, ResourceDirectory
+from repro.services import ResourceDirectory
 
 
 def make_cluster(n=64, seed=11):
@@ -86,7 +86,6 @@ class ProbeService(Service):
 # ------------------------------------------------------------ churn counts
 def test_callbacks_fire_exactly_once_per_event_under_30pct_churn():
     cluster = (make_cluster(n=96)
-               .with_loadbalance()
                .with_storage(QuorumConfig(n=3, w=2, r=2), anti_entropy=10.0)
                .with_compute(ComputeConfig()))
     probe = ProbeService()
@@ -330,8 +329,8 @@ def test_shared_state_across_cluster_wrappers():
 
 
 @pytest.mark.parametrize(
-    "cls", [ResourceDirectory, LoadBalancer, ReplicatedStore,
-            AntiEntropy, JobScheduler], ids=lambda cls: cls.__name__)
+    "cls", [ResourceDirectory, ReplicatedStore, AntiEntropy, JobScheduler],
+    ids=lambda cls: cls.__name__)
 def test_service_constructors_take_configuration_only(cls):
     """The pre-1.3 direct-wire form (``ReplicatedStore(net)``,
     ``AntiEntropy(store)``)

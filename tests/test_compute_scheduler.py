@@ -1,6 +1,9 @@
-"""End-to-end tests of the grid job-execution subsystem: dispatch,
-heartbeat-loss re-placement, checkpoint resume, DAG ordering, work
-stealing, and scheduler failover."""
+"""End-to-end tests of the grid job-execution subsystem: dispatch, the
+placement rule, heartbeat-loss re-placement, checkpoint resume, DAG
+ordering, work stealing, and scheduler failover."""
+
+from dataclasses import replace
+from typing import Dict, NamedTuple, Tuple
 
 import pytest
 
@@ -8,10 +11,12 @@ from repro import (
     Cluster,
     ComputeConfig,
     JobSpec,
+    NodeCapacity,
     TreePConfig,
     TreePNetwork,
 )
 from repro.compute.job import JobState, checkpoint_key
+from repro.core.messages import JobDispatch
 from repro.core.repair import FULL_POLICY, apply_failure_step
 from repro.services.discovery import Constraint
 
@@ -70,6 +75,127 @@ def test_constraint_matchmaking_respects_capabilities():
     worker = grid.results[1].worker
     assert grid.results[1].ok
     assert c.admits(net.capacities[worker])
+
+
+# ---------------------------------------------------------- placement rule
+def make_mixed_grid(n=48, seed=7):
+    """Unloaded peers of 2, 4 or 8 cores: every job of <= 2 CPUs is
+    admitted (so no rejection re-dispatch excludes a live peer), and
+    equal-core peers tie on free CPU."""
+    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=seed)
+    net.build(n, capacities=[NodeCapacity(cpu=(2.0, 4.0, 8.0)[i % 3])
+                             for i in range(n)])
+    grid = Cluster(net=net).with_compute(ComputeConfig()).compute
+    return net, grid
+
+
+class Placement(NamedTuple):
+    demand: float
+    live: Tuple[int, ...]  # offered candidates that were up at decision time
+    free: Dict[int, float]  # the scheduler's free-CPU book per candidate
+    worker: int
+
+
+def record_placements(net, grid, stale=()):
+    """Pair each matchmaking query with the JobDispatch it led to.
+
+    Every id in *stale* is appended to each query's matches: a directory
+    view that still offers peers which died since it was computed.
+    """
+    core = grid.scheduler_core()
+    placements, last = [], []
+    query, send = grid.directory.query, core.node.send
+
+    def recording_query(*args, **kwargs):
+        res = query(*args, **kwargs)
+        res = replace(res, matches=res.matches + tuple(stale))
+        last[:] = [(tuple(c for c in res.matches if net.network.is_up(c)),
+                    {c: core._free(c) for c in res.matches})]
+        return res
+
+    def recording_send(dst, payload):
+        if isinstance(payload, JobDispatch):
+            live, free = last.pop()
+            placements.append(Placement(payload.cpu_demand, live, free, dst))
+        send(dst, payload)
+
+    grid.directory.query = recording_query
+    core.node.send = recording_send
+    return placements
+
+
+def assert_placement_rule(net, placements):
+    """The live candidate with the most free CPU that fits the job (ties to
+    the larger id); when none fits, the live candidate with the most
+    effective CPU (ties to the larger id)."""
+    cap = net.capacities
+    for p in placements:
+        assert p.worker in p.live
+        fits = [c for c in p.live if p.free[c] >= p.demand]
+        if fits:
+            assert p.worker in fits
+            assert all((p.free[c], c) <= (p.free[p.worker], p.worker)
+                       for c in fits)
+        else:
+            assert all((cap[c].effective_cpu, c)
+                       <= (cap[p.worker].effective_cpu, p.worker)
+                       for c in p.live)
+
+
+def test_dispatch_picks_the_live_candidate_with_most_free_cpu():
+    net, grid = make_mixed_grid()
+    placements = record_placements(net, grid)
+    for i in range(60):
+        grid.submit(JobSpec(job_id=i + 1, cpu_demand=(0.5, 1.0, 2.0)[i % 3],
+                            work=10.0))
+    assert grid.run_until_done(timeout=1000.0)
+    assert all(r.ok for r in grid.results.values())
+    assert len(placements) >= 60
+    assert_placement_rule(net, placements)
+    ties = [p for p in placements
+            if sum(p.free[c] == p.free[p.worker] for c in p.live) > 1]
+    assert ties, "no decision exercised the larger-id tie-break"
+
+
+def test_saturated_candidates_queue_the_job_at_the_strongest_peer():
+    net, grid = make_mixed_grid(n=64, seed=5)
+    placements = record_placements(net, grid)
+    for i in range(80):
+        grid.submit(JobSpec(job_id=i + 1, cpu_demand=2.0, work=30.0))
+    assert grid.run_until_done(timeout=3000.0)
+    assert all(r.ok for r in grid.results.values())
+    assert_placement_rule(net, placements)
+    saturated = [p for p in placements
+                 if all(p.free[c] < p.demand for c in p.live)]
+    assert saturated, "the candidate pools never saturated"
+    cap = net.capacities
+    assert len({cap[c].effective_cpu for p in saturated for c in p.live}) > 1
+
+
+def test_down_candidates_are_never_chosen():
+    net, grid = make_mixed_grid()
+    stale = []
+    placements = record_placements(net, grid, stale)
+    for i in range(20):
+        grid.submit(JobSpec(job_id=i + 1, cpu_demand=1.0, work=40.0))
+    net.sim.run_for(10.0)
+    # Kill the strongest peers the directory has offered so far, and let
+    # it keep offering them: without the liveness check they would win.
+    cap = net.capacities
+    offered = {c for p in placements for c in p.live
+               if c != grid.scheduler_ident}
+    victims = sorted(offered, key=lambda c: (cap[c].effective_cpu, c))[-4:]
+    kill(net, grid, victims)
+    stale.extend(victims)
+    before = len(placements)
+    for i in range(20, 40):
+        grid.submit(JobSpec(job_id=i + 1, cpu_demand=1.0, work=10.0))
+    assert grid.run_until_done(timeout=1500.0)
+    assert all(r.ok for r in grid.results.values())
+    after = placements[before:]
+    assert len(after) >= 20
+    assert all(p.worker not in victims for p in after)
+    assert_placement_rule(net, placements)  # every worker was up when chosen
 
 
 def test_unsatisfiable_constraint_fails_cleanly():

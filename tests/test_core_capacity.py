@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.capacity import CapacityDistribution, NodeCapacity, uniform_capacity
+from repro.core.capacity import CapacityDistribution, NodeCapacity
 
 
 def test_defaults_valid():
-    c = uniform_capacity()
+    c = NodeCapacity()
     assert c.score() > 0
 
 
@@ -102,7 +102,7 @@ class TestMaxChildren:
         assert strong.max_children(2, 8) > weak.max_children(2, 8)
 
     def test_invalid_bounds(self):
-        c = uniform_capacity()
+        c = NodeCapacity()
         with pytest.raises(ValueError):
             c.max_children(floor=1)
         with pytest.raises(ValueError):
@@ -121,14 +121,14 @@ class TestCountdowns:
         assert strong.demotion_countdown() > weak.demotion_countdown()
 
     def test_jitter_bounded(self):
-        c = uniform_capacity()
+        c = NodeCapacity()
         rng = np.random.default_rng(0)
         base = c.promotion_countdown()
         jittered = [c.promotion_countdown(rng=rng) for _ in range(100)]
         assert all(base <= j <= base * 1.1 + 1e-12 for j in jittered)
 
     def test_scaling_with_base(self):
-        c = uniform_capacity()
+        c = NodeCapacity()
         assert c.promotion_countdown(base=2.0) == pytest.approx(
             2 * c.promotion_countdown(base=1.0)
         )

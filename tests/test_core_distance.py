@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.distance import cell_radius, halving_criterion, improves, treep_distance
+from repro.core.distance import cell_radius, halving_criterion, treep_distance
 from repro.core.ids import IdSpace
 
 SPACE = IdSpace(extent=2**20)
@@ -55,12 +55,6 @@ def test_halving_criterion():
     assert halving_criterion(5.0, 10.0)
     assert not halving_criterion(5.1, 10.0)
     assert halving_criterion(0.0, 0.0)  # degenerate: only zero halves zero
-
-
-def test_improves_is_strict():
-    assert improves(SPACE, candidate=90, here=80, target=100)
-    assert not improves(SPACE, candidate=80, here=90, target=100)
-    assert not improves(SPACE, candidate=110, here=90, target=100)  # same d
 
 
 @given(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.capacity import CapacityDistribution, NodeCapacity, uniform_capacity
+from repro.core.capacity import CapacityDistribution, NodeCapacity
 from repro.core.config import TreePConfig
 from repro.core.hierarchy import (
     DemotionManager,
@@ -20,7 +20,7 @@ def make_population(n, seed=0, homogeneous=False):
     rng = np.random.default_rng(seed)
     ids = assign_ids(IdSpace(), n, rng)
     if homogeneous:
-        caps = {i: uniform_capacity() for i in ids}
+        caps = {i: NodeCapacity() for i in ids}
     else:
         dist = CapacityDistribution(rng)
         caps = {i: dist.sample() for i in ids}
@@ -126,7 +126,7 @@ class TestBuildLayout:
         with pytest.raises(ValueError):
             build_layout([ids[0]], caps, TreePConfig.paper_case1())
         with pytest.raises(ValueError):
-            build_layout([1, 1, 2], {1: uniform_capacity(), 2: uniform_capacity()},
+            build_layout([1, 1, 2], {1: NodeCapacity(), 2: NodeCapacity()},
                          TreePConfig.paper_case1())
 
     def test_max_height_bound(self):
@@ -183,7 +183,7 @@ class TestElectionManager:
 
 class TestDemotionManager:
     def _mgr(self, policy="strict"):
-        return DemotionManager(1, uniform_capacity(),
+        return DemotionManager(1, NodeCapacity(),
                                TreePConfig.paper_case1(demotion_policy=policy))
 
     def test_demote_when_underfilled(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro import TreePConfig, TreePNetwork
-from repro.core.capacity import NodeCapacity, uniform_capacity
+from repro.core.capacity import NodeCapacity
 from repro.core.messages import Hello
 from repro.core.node import TreePNode
 from repro.sim.engine import Simulator
@@ -20,7 +20,7 @@ def tiny_net(n=3, **cfg_overrides):
     net = Network(sim, latency=ConstantLatency(0.01))
     nodes = []
     for i in range(n):
-        node = TreePNode(1000 * (i + 1), uniform_capacity(), cfg)
+        node = TreePNode(1000 * (i + 1), NodeCapacity(), cfg)
         net.register(node)
         nodes.append(node)
     return sim, net, nodes
@@ -183,8 +183,8 @@ class TestDemotionProtocol:
         cfg = TreePConfig.paper_case1(demotion_base=1.0)
         sim = Simulator()
         net = Network(sim, latency=ConstantLatency(0.01))
-        parent = TreePNode(5000, uniform_capacity(), cfg)
-        child = TreePNode(4000, uniform_capacity(), cfg)
+        parent = TreePNode(5000, NodeCapacity(), cfg)
+        child = TreePNode(4000, NodeCapacity(), cfg)
         net.register(parent)
         net.register(child)
         parent.max_level = 1
@@ -200,7 +200,7 @@ class TestDemotionProtocol:
         cfg = TreePConfig.paper_case1(demotion_base=5.0)
         sim = Simulator()
         net = Network(sim, latency=ConstantLatency(0.01))
-        parent = TreePNode(5000, uniform_capacity(), cfg)
+        parent = TreePNode(5000, NodeCapacity(), cfg)
         net.register(parent)
         parent.max_level = 1
         parent.children_by_level[1] = [4000]
@@ -217,7 +217,7 @@ class TestDemotionProtocol:
                                       demotion_base=1.0)
         sim = Simulator()
         net = Network(sim, latency=ConstantLatency(0.01))
-        node = TreePNode(5000, uniform_capacity(), cfg)
+        node = TreePNode(5000, NodeCapacity(), cfg)
         net.register(node)
         node.max_level = 2
         node.children_by_level[2] = []
@@ -235,7 +235,7 @@ class TestPromotionOnOverflow:
         cfg = TreePConfig.paper_case1(nc_fixed=2)
         sim = Simulator()
         net = Network(sim, latency=ConstantLatency(0.01))
-        parent = TreePNode(50_000, uniform_capacity(), cfg)
+        parent = TreePNode(50_000, NodeCapacity(), cfg)
         parent.max_level = 1
         net.register(parent)
         kids = []
@@ -262,7 +262,7 @@ class TestPromotionOnOverflow:
         cfg = TreePConfig.paper_case1()
         sim = Simulator()
         net = Network(sim, latency=ConstantLatency(0.01))
-        node = TreePNode(1000, uniform_capacity(), cfg)
+        node = TreePNode(1000, NodeCapacity(), cfg)
         net.register(node)
         node.max_level = 2
         node._on_PromoteGrant(99, PromoteGrant(child=1000, to_level=1))

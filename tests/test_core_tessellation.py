@@ -11,7 +11,6 @@ from repro.core.tessellation import (
     cell_owner,
     cells_of_bus,
     children_of,
-    split_point,
 )
 
 SPACE = IdSpace(extent=1000)
@@ -100,13 +99,6 @@ def test_children_of_respects_cells():
 def test_children_of_requires_sorted_lower():
     with pytest.raises(ValueError, match="sorted"):
         children_of(SPACE, [100], [5, 3])
-
-
-def test_split_point():
-    assert split_point([1, 2, 3, 4]) == 2
-    assert split_point([1, 2, 3]) == 1
-    with pytest.raises(ValueError):
-        split_point([1])
 
 
 def test_cell_width():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro import TreePConfig, TreePNetwork
-from repro.core.capacity import uniform_capacity
+from repro.core.capacity import NodeCapacity
 from repro.core.ids import IdSpace
 
 
@@ -36,7 +36,7 @@ def test_build_deterministic():
 
 def test_build_from_explicit_ids():
     ids = [100, 200, 300, 400, 500, 600, 700, 800]
-    caps = {i: uniform_capacity() for i in ids}
+    caps = {i: NodeCapacity() for i in ids}
     net = TreePNetwork(config=TreePConfig.paper_case1(space=IdSpace(extent=1000)))
     layout = net.build_from(ids, caps)
     assert layout.levels[0] == ids
@@ -45,7 +45,7 @@ def test_build_from_explicit_ids():
 def test_capacities_length_checked():
     net = TreePNetwork(seed=1)
     with pytest.raises(ValueError):
-        net.build(8, capacities=[uniform_capacity()] * 3)
+        net.build(8, capacities=[NodeCapacity()] * 3)
 
 
 class TestTableInstallation:

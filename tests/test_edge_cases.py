@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import TreePConfig, TreePNetwork
-from repro.core.capacity import uniform_capacity
+from repro.core.capacity import NodeCapacity
 from repro.core.config import TreePConfig as Cfg
 from repro.core.ids import IdSpace
 from repro.core.lookup import DecisionKind, route
@@ -75,8 +75,8 @@ class TestJoinEdgeCases:
         cfg = TreePConfig.paper_case1()
         sim = Simulator()
         netw = Network(sim, latency=ConstantLatency(0.01))
-        joiner = TreePNode(5000, uniform_capacity(), cfg)
-        other = TreePNode(9000, uniform_capacity(), cfg)
+        joiner = TreePNode(5000, NodeCapacity(), cfg)
+        other = TreePNode(9000, NodeCapacity(), cfg)
         netw.register(joiner)
         netw.register(other)
         joiner._on_JoinRedirect(123, JoinRedirect(joiner=5000, closer=9000))
@@ -97,9 +97,9 @@ class TestJoinEdgeCases:
         cfg = TreePConfig.paper_case1()
         sim = Simulator()
         netw = Network(sim, latency=ConstantLatency(0.01))
-        a = TreePNode(1000, uniform_capacity(), cfg)
-        c = TreePNode(3000, uniform_capacity(), cfg)
-        joiner = TreePNode(2000, uniform_capacity(), cfg)
+        a = TreePNode(1000, NodeCapacity(), cfg)
+        c = TreePNode(3000, NodeCapacity(), cfg)
+        joiner = TreePNode(2000, NodeCapacity(), cfg)
         for n in (a, c, joiner):
             netw.register(n)
         a.table.add_level0(3000, 0.0)
@@ -117,7 +117,7 @@ class TestKeepAliveAck:
         cfg = TreePConfig.paper_case1()
         sim = Simulator()
         netw = Network(sim, latency=ConstantLatency(0.01))
-        node = TreePNode(1000, uniform_capacity(), cfg)
+        node = TreePNode(1000, NodeCapacity(), cfg)
         netw.register(node)
         node._on_KeepAliveAck(2000, KeepAliveAck(entries=((3000, 1, 2.0, 4, 1.0),)))
         assert node.table.knows(3000)

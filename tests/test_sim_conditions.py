@@ -1,12 +1,11 @@
 """Chaos tests for adversarial network conditions (sim layer).
 
-Covers the four condition models and the ``NetworkConditions``
+Covers the three condition models and the ``NetworkConditions``
 composition root: exactly-once cut/heal hooks under overlapping
 partitions, asymmetric cut semantics, scheduled partitions through the
 sim engine, the ``Network.loss_model`` seam, straggler stream hygiene
-(control runs stay bit-identical), geography order-independence, and
-seed-pinned digests so a refactor cannot silently change what any model
-emits at a fixed seed.
+(control runs stay bit-identical), and seed-pinned digests so a refactor
+cannot silently change what any model emits at a fixed seed.
 """
 
 import hashlib
@@ -15,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.sim.conditions import (
-    GeoLatency,
     GilbertElliott,
     NetworkConditions,
     Partition,
@@ -42,13 +40,6 @@ def make_net(n=10, latency=None, loss=0.0, seed=0):
     for i in range(n):
         net.register(Sink(i))
     return sim, net
-
-
-def digest(values, places=9):
-    h = hashlib.sha256()
-    for v in values:
-        h.update(f"{v:.{places}f}".encode())
-    return h.hexdigest()[:16]
 
 
 # ----------------------------------------------------------- partitions
@@ -323,65 +314,6 @@ class TestGilbertElliott:
         bits = "".join(str(int(ge(0, 1))) for _ in range(256))
         assert hashlib.sha256(bits.encode()).hexdigest()[:16] == \
             "1ef78966a85ea732"
-
-
-# ------------------------------------------------------------ GeoLatency
-
-class TestGeoLatency:
-    def test_coordinates_are_visit_order_independent(self):
-        g1 = GeoLatency(np.random.default_rng(11), jitter=0.0)
-        g2 = GeoLatency(np.random.default_rng(11), jitter=0.0)
-        order1 = [5, 9, 2, 7]
-        for a in order1:
-            g1.coordinate(a)
-        for a in reversed(order1):
-            g2.coordinate(a)
-        for a in order1:
-            assert np.allclose(g1.coordinate(a), g2.coordinate(a))
-        assert g1.sample(5, 9) == g2.sample(5, 9)
-
-    def test_intra_site_closer_than_cross_site(self):
-        g = GeoLatency(np.random.default_rng(13), sites=3, spread=0.02,
-                       jitter=0.0)
-        by_site = {}
-        for a in range(120):
-            by_site.setdefault(g.site_of(a), []).append(a)
-        sites = [v for v in by_site.values() if len(v) >= 2]
-        assert len(sites) >= 2
-        intra = np.mean([g.distance(s[0], s[1]) for s in sites])
-        cross = np.mean([g.distance(sites[0][0], other[0])
-                         for other in sites[1:]])
-        assert intra < cross
-
-    def test_sample_is_symmetric_without_jitter(self):
-        g = GeoLatency(np.random.default_rng(17), jitter=0.0)
-        assert g.sample(3, 8) == g.sample(8, 3)
-        assert g.sample(3, 8) >= g.base
-
-    def test_expected_tracks_cached_population(self):
-        g = GeoLatency(np.random.default_rng(19), jitter=0.0)
-        prior = g.expected()
-        for a in range(20):
-            g.coordinate(a)
-        posterior = g.expected()
-        assert prior > 0 and posterior > 0
-        # The prior uses the analytic unit-square mean distance.
-        assert prior == pytest.approx(
-            g.base + g.per_unit * 0.5214)
-
-    def test_rejects_bad_params(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            GeoLatency(rng, base=-0.1)
-        with pytest.raises(ValueError):
-            GeoLatency(rng, sites=0)
-        with pytest.raises(ValueError):
-            GeoLatency(rng, jitter=-0.5)
-
-    def test_seed_pinned_sample_digest(self):
-        g = GeoLatency(np.random.default_rng(42))
-        samples = [g.sample(i % 7, (i * 3) % 11) for i in range(64)]
-        assert digest(samples) == "98e0cf89a9ebeda2"
 
 
 # ------------------------------------------------------- StragglerLatency

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim.latency import ConstantLatency, LogNormalLatency, UniformLatency
+from repro.sim.latency import ConstantLatency, UniformLatency
 
 
 def test_constant_returns_value():
@@ -32,42 +32,20 @@ def test_uniform_rejects_bad_bounds():
         UniformLatency(rng, low=0.05, high=0.01)
 
 
-def test_lognormal_above_base():
-    m = LogNormalLatency(np.random.default_rng(0), base=0.002)
-    assert all(m.sample(0, 1) > 0.002 for _ in range(200))
-
-
-def test_lognormal_mean_close_to_expected():
-    m = LogNormalLatency(np.random.default_rng(0), mu=-4.0, sigma=0.5, base=0.0)
-    samples = np.array([m.sample(0, 1) for _ in range(20000)])
-    assert float(samples.mean()) == pytest.approx(m.expected(), rel=0.05)
-
-
-def test_lognormal_rejects_bad_params():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        LogNormalLatency(rng, sigma=0.0)
-    with pytest.raises(ValueError):
-        LogNormalLatency(rng, base=-1.0)
-
-
 def test_reprs_are_informative():
     rng = np.random.default_rng(0)
     assert "0.01" in repr(ConstantLatency(0.01))
     assert "Uniform" in repr(UniformLatency(rng))
-    assert "LogNormal" in repr(LogNormalLatency(rng))
 
 
 # ------------------------------------------- expected() contract (abstract)
 
 def _latency_models():
     """Every shipped concrete LatencyModel, constructed with defaults."""
-    from repro.sim.conditions import GeoLatency, StragglerLatency
+    from repro.sim.conditions import StragglerLatency
     return [
         ConstantLatency(0.01),
         UniformLatency(np.random.default_rng(0)),
-        LogNormalLatency(np.random.default_rng(0)),
-        GeoLatency(np.random.default_rng(0)),
         StragglerLatency(ConstantLatency(0.01), {1}, 2.0),
     ]
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.workloads import ChurnSchedule, LookupWorkload
-from repro.workloads.capacities import grid_cluster_mix, homogeneous_mix, measured_p2p_mix
+from repro.workloads.capacities import grid_cluster_mix
 
 
 class TestLookupWorkload:
@@ -78,17 +78,6 @@ class TestChurnSchedule:
 
 
 class TestCapacityMixes:
-    def test_homogeneous_identical(self):
-        caps = homogeneous_mix(10)
-        assert len(set(caps)) == 1
-        with pytest.raises(ValueError):
-            homogeneous_mix(0)
-
-    def test_measured_mix_heterogeneous(self):
-        caps = measured_p2p_mix(100, np.random.default_rng(0))
-        scores = [c.score() for c in caps]
-        assert np.std(scores) > 0.1
-
     def test_grid_mix_bimodal(self):
         caps = grid_cluster_mix(200, np.random.default_rng(0), server_fraction=0.2)
         big = [c for c in caps if c.cpu >= 16]
