@@ -37,10 +37,10 @@ Public surface:
 * :mod:`repro.obs` — the unified observability layer: span/event tracing
   across lookups, quorum RW, anti-entropy and job lifecycles
   (``Cluster(...).with_observability()`` or ``--trace-out`` on the bench
-  CLI), a columnar on-disk trace store, declarative SLO rules and latency
-  quantiles computed exactly over the recorded spans, critical-path
-  analytics over span parent links, and
-  ``python -m repro.obs summary|runs|timeline|slowest|slo|critpath|export``
+  CLI), a columnar on-disk trace store, latency quantiles computed
+  exactly over the recorded spans, critical-path analytics over span
+  parent links, and
+  ``python -m repro.obs summary|runs|timeline|slowest|critpath|export``
   to query it — see ``docs/observability.md``.
 
 See README.md for the module map ("Module map") and the per-subsystem
@@ -57,7 +57,7 @@ from repro.core.treep import TreePNetwork
 from repro.obs import ObsHub, TraceReader
 from repro.storage import AntiEntropy, QuorumConfig, ReplicatedStore
 
-__version__ = "1.22.0"
+__version__ = "1.23.0"
 
 __all__ = [
     "AntiEntropy",

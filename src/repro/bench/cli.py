@@ -5,7 +5,7 @@
   — execute scenarios through the Cluster-facade-backed runners, print
   each rendered figure/table, write one ``bench_<name>.json``
   :class:`~repro.bench.result.BenchResult` per scenario.  Exit 1 if any
-  scenario check fails (``--no-checks`` downgrades that to a report).
+  scenario check fails.
 * ``report`` — the scenario catalogue as markdown, for the docs.
 
 Two result directories are compared by ``python tools/diff_envelopes.py
@@ -61,19 +61,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help=f"result directory (default: {DEFAULT_OUT})")
     run_p.add_argument("--no-write", action="store_true",
                        help="do not write result files")
-    run_p.add_argument("--no-checks", action="store_true",
-                       help="report failed checks without failing the run")
     run_p.add_argument("--quiet", action="store_true",
                        help="suppress the rendered figures/tables")
     run_p.add_argument("--trace-out", default=None, metavar="DIR",
                        help="record an observability trace per scenario to "
                             "DIR/trace_<name>.npz (query with "
                             "`python -m repro.obs summary`)")
-    run_p.add_argument("--slo", default=None, metavar="FILE",
-                       help="evaluate this SLO spec (.toml/.json) against "
-                            "every scenario's recorded spans; exit 1 and "
-                            "name the violated rules when any objective "
-                            "breaks")
 
     sub.add_parser("report", help="render the scenario catalogue as markdown")
     return parser
@@ -125,11 +118,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 + "\nname the scenarios explicitly to use these overrides")
     out_dir = None if args.no_write else args.out
     failed_scenarios: List[str] = []
-    slo_violated: List[str] = []
     for name in names:
         result = run_scenario(name, seed=args.seed, smoke=args.smoke,
                               overrides=overrides or None, out_dir=out_dir,
-                              trace_out=args.trace_out, slo=args.slo)
+                              trace_out=args.trace_out)
         failed = result.failed_checks()
         status = "ok" if not failed else f"{len(failed)} CHECK(S) FAILED"
         suffix = ".smoke.json" if args.smoke else ".json"
@@ -140,16 +132,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"  trace: {result.obs['trace_file']} "
                   f"({result.obs['runs']} run(s), {result.obs['spans']} "
                   f"spans, {result.obs['events']} events)")
-        if result.slo:
-            if result.slo["passed"]:
-                print(f"  slo: {result.slo['rules']} objective(s) met "
-                      f"({result.slo['spec']})")
-            else:
-                for v in result.slo["violations"]:
-                    print(f"  SLO VIOLATION [{v['run']}] rule={v['rule']} "
-                          f"observed={v['observed']:.6g} limit={v['limit']:g}"
-                          + (f" ({v['detail']})" if v.get("detail") else ""))
-                slo_violated.append(name)
         if not args.quiet and result.rendered:
             print(result.rendered)
             print()
@@ -157,15 +139,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"  FAILED {check['name']}: {check.get('detail', '')}")
         if failed:
             failed_scenarios.append(name)
-    exit_code = 0
     if failed_scenarios:
         print(f"\nchecks failed in: {', '.join(failed_scenarios)}")
-        if not args.no_checks:
-            exit_code = 1
-    if slo_violated:
-        print(f"\nSLO violations in: {', '.join(slo_violated)}")
-        exit_code = 1
-    return exit_code
+        return 1
+    return 0
 
 
 def _cmd_report() -> int:

@@ -48,10 +48,6 @@ class BenchResult:
     #: run count, span/event totals, per-category span counts.  Optional —
     #: absent from untraced envelopes, so the golden never carries it.
     obs: Dict[str, Any] = field(default_factory=dict)
-    #: SLO evaluation report (``--slo`` runs only): the serialised
-    #: :class:`~repro.obs.slo.SloReport` — spec source, per-run rule
-    #: results, pass/fail verdict.  Optional — absent without ``--slo``.
-    slo: Dict[str, Any] = field(default_factory=dict)
 
     # --------------------------------------------------------- construction
     @classmethod
@@ -86,8 +82,6 @@ class BenchResult:
         }
         if self.obs:
             out["obs"] = self.obs
-        if self.slo:
-            out["slo"] = self.slo
         return out
 
     @classmethod
@@ -95,7 +89,6 @@ class BenchResult:
         validate_result_dict(data)
         kwargs = {k: data[k] for k in REQUIRED_FIELDS}
         kwargs["obs"] = dict(data.get("obs", {}))
-        kwargs["slo"] = dict(data.get("slo", {}))
         return cls(**kwargs)
 
     def to_json(self) -> str:
@@ -147,6 +140,4 @@ def validate_result_dict(data: Mapping[str, Any]) -> None:
         raise ValueError("BenchResult.params must be an object")
     if "obs" in data and not isinstance(data["obs"], dict):
         raise ValueError("BenchResult.obs must be an object when present")
-    if "slo" in data and not isinstance(data["slo"], dict):
-        raise ValueError("BenchResult.slo must be an object when present")
 

@@ -20,8 +20,7 @@ from repro.bench.scenario import registry
 def run_scenario(name: str, *, seed: Optional[int] = None, smoke: bool = False,
                  overrides: Optional[Mapping[str, Any]] = None,
                  out_dir: Optional[str] = None,
-                 trace_out: Optional[str] = None,
-                 slo: Optional[str] = None) -> BenchResult:
+                 trace_out: Optional[str] = None) -> BenchResult:
     """Execute scenario *name* and return its envelope.
 
     When *out_dir* is given the envelope is also written there as
@@ -38,29 +37,16 @@ def run_scenario(name: str, *, seed: Optional[int] = None, smoke: bool = False,
     optional ``obs`` field records the trace path and totals.  The
     scenario's deterministic metrics are unaffected — instrumentation
     draws no randomness and schedules no events.
-
-    When *slo* names a spec file (TOML/JSON, see :mod:`repro.obs.slo`)
-    the scenario also runs under capture (no store is written unless
-    *trace_out* asks for one), each run's hub is judged post-run by the
-    exact evaluator (:func:`repro.obs.slo.evaluate_hub`), and the report
-    lands in the envelope's optional ``slo`` field — absent without
-    ``--slo``.  Judging only reads the recorded spans, so the trace
-    written with ``--slo`` is the trace written without it.
     """
     scenario = registry.get(name)
     effective_seed = scenario.seed if seed is None else seed
     params = scenario.effective_params(smoke=smoke, overrides=overrides)
-    slo_spec = None
-    if slo is not None:
-        from repro.obs.slo import load_slo
-        slo_spec = load_slo(slo)  # fail fast, before the run burns time
-    if trace_out is None and slo_spec is None:
+    if trace_out is None:
         t0 = time.perf_counter()
         output = scenario.execute(seed=effective_seed, smoke=smoke,
                                   overrides=overrides)
         wall = time.perf_counter() - t0
         obs_info = {}
-        slo_info = {}
     else:
         from repro.obs.runtime import capture
 
@@ -69,33 +55,21 @@ def run_scenario(name: str, *, seed: Optional[int] = None, smoke: bool = False,
             output = scenario.execute(seed=effective_seed, smoke=smoke,
                                       overrides=overrides)
             wall = time.perf_counter() - t0
-        obs_info = {}
-        if trace_out is not None:
-            suffix = ".smoke.npz" if smoke else ".npz"
-            trace_file = os.path.join(trace_out, f"trace_{name}{suffix}")
-            cap.write(trace_file, meta_extra={
-                "scenario": name, "seed": effective_seed, "smoke": smoke})
-            obs_info = {
-                "trace_file": trace_file,
-                "runs": len(cap.hubs),
-                "spans": cap.span_count(),
-                "events": cap.event_count(),
-                "categories": cap.category_counts(),
-            }
-        slo_info = {}
-        if slo_spec is not None:
-            from repro.obs.slo import SloReport, evaluate_hub
-
-            report = SloReport(source=slo_spec.source, runs={
-                run: evaluate_hub(slo_spec, hub)
-                for run, hub in cap.runs().items()})
-            slo_info = report.to_dict()
-            slo_info["spec_file"] = slo
+        suffix = ".smoke.npz" if smoke else ".npz"
+        trace_file = os.path.join(trace_out, f"trace_{name}{suffix}")
+        cap.write(trace_file, meta_extra={
+            "scenario": name, "seed": effective_seed, "smoke": smoke})
+        obs_info = {
+            "trace_file": trace_file,
+            "runs": len(cap.hubs),
+            "spans": cap.span_count(),
+            "events": cap.event_count(),
+            "categories": cap.category_counts(),
+        }
     result = BenchResult.from_output(
         scenario, output, seed=effective_seed, smoke=smoke, params=params,
         wall_time_s=wall)
     result.obs = obs_info
-    result.slo = slo_info
     if out_dir is not None:
         result.write(out_dir)
     return result

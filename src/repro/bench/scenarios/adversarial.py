@@ -5,11 +5,10 @@ Each scenario composes :class:`~repro.sim.conditions.NetworkConditions`
 onto an otherwise-standard cluster and asserts a *survival invariant* as
 a Check: no acknowledged quorum write unreadable after a partition
 heals, 100% job completion despite whole-rack losses, p999 lookup
-latency bounded under stragglers (gated through an inline
-:mod:`repro.obs.slo` spec), lookups resolving through Gilbert-Elliott
-loss bursts.  Every condition draws from a dedicated RNG stream
-(``adv-*``), so the pre-existing scenarios stay bit-identical at a fixed
-seed with this module loaded.
+latency bounded under stragglers, lookups resolving through
+Gilbert-Elliott loss bursts.  Every condition draws from a dedicated RNG
+stream (``adv-*``), so the pre-existing scenarios stay bit-identical at
+a fixed seed with this module loaded.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from repro.compute.job import ComputeConfig
 from repro.core.config import TreePConfig
 from repro.core.treep import TreePNetwork
 from repro.obs.hub import STATUS_OPEN, ObsHub
-from repro.obs.slo import evaluate_hub, parse_slo
 from repro.sim.conditions import GilbertElliott, NetworkConditions
 from repro.storage import QuorumConfig
 from repro.viz.ascii import table
@@ -39,8 +37,8 @@ from repro.workloads.jobs import JobWorkload
 
 
 def _ensure_hub(net: TreePNetwork) -> ObsHub:
-    """The ambient hub when a capture is active (``--trace-out``/``--slo``
-    runs), else a locally installed one — so scenario checks can read span
+    """The ambient hub when a capture is active (``--trace-out`` runs),
+    else a locally installed one — so scenario checks can read span
     metrics in both modes without double-recording."""
     hub = net.obs
     if hub is None:
@@ -53,7 +51,7 @@ def _ensure_hub(net: TreePNetwork) -> ObsHub:
 
 def _span_durations(hub: ObsHub, category: str) -> np.ndarray:
     """Durations of one category's closed spans (empty if none) — the
-    rows :func:`~repro.obs.slo.evaluate_hub` judges."""
+    rows every span-latency quantile is taken over."""
     spans = hub.export_streams()["spans"]
     mask = ((spans["cat"] == hub.strings.get_code(category))
             & (spans["status"] != STATUS_OPEN))
@@ -256,15 +254,6 @@ def _straggler_tail(params, seed, smoke):
     h_p50, h_p999 = np.percentile(h_dur, [50, 99.9])
     s_p50, s_p999 = np.percentile(s_dur, [50, 99.9])
 
-    # The p999 bound, enforced through the SLO layer itself: an inline
-    # spec evaluated against the straggler run's hub.
-    spec = parse_slo(
-        {"slo": {"lookup": {"p999": params["p999_ceiling"],
-                            "min_samples": 20}}},
-        source="adv_straggler_tail inline spec")
-    slo_results = evaluate_hub(spec, slow_hub)
-    slo_ok = bool(slo_results) and all(r.ok for r in slo_results)
-
     metrics = {
         "healthy_p50_virtual_s": h_p50,
         "healthy_p999_virtual_s": h_p999,
@@ -284,10 +273,9 @@ def _straggler_tail(params, seed, smoke):
         title=f"lookup tail under stragglers (n={n})",
     )
     checks = [
-        Check("p999_bounded_slo", slo_ok,
-              f"straggler p999 {s_p999:.3f}s within the "
-              f"{params['p999_ceiling']:g}s SLO "
-              f"({len(slo_results)} rule(s) evaluated)"),
+        Check("p999_bounded_slo", bool(s_p999 <= params["p999_ceiling"]),
+              f"straggler p999 {s_p999:.3f}s <= ceiling "
+              f"{params['p999_ceiling']:g}s"),
         Check("stragglers_stretch_tail", s_p999 > h_p999,
               f"p999 {s_p999:.3f}s > healthy {h_p999:.3f}s"),
         Check("stragglers_do_not_break_routing", s_found == h_found,
@@ -510,8 +498,8 @@ registry.register(Scenario(
 
 registry.register(Scenario(
     name="adv_straggler_tail", group="adversarial",
-    description=("slow-node injection: p999 lookup latency bounded (SLO-"
-                 "evaluated), routing results untouched"),
+    description=("slow-node injection: p999 lookup latency bounded, "
+                 "routing results untouched"),
     runner=_straggler_tail,
     params={"n": 256, "lookups": 400, "straggler_fraction": 0.10,
             "slow_factor": 8.0, "p999_ceiling": 4.0},

@@ -198,8 +198,7 @@ class Cluster:
 
         Records into its own :class:`~repro.obs.hub.ObsHub` (or *hub* when
         given); read it back via :attr:`obs`, or write a trace store with
-        ``cluster.observability.write(path)``; judge it against an SLO spec
-        with ``evaluate_hub(load_slo(path), cluster.obs)``.  Instrumentation
+        ``cluster.observability.write(path)``.  Instrumentation
         draws no randomness and schedules no events, so enabling it never
         changes a seeded run's outcome.
         """

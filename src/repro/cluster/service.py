@@ -90,7 +90,7 @@ class Service:
     def detach(self) -> None:
         """Tear this service down: unregister every handler it installed,
         cancel every periodic task it registered, drop its churn callbacks.
-        Idempotent (matching the old facades' ``close``)."""
+        Idempotent."""
         if self._ctx is not None:
             self._ctx.state.detach(self)
 

@@ -441,13 +441,6 @@ class JobScheduler(Service):
         return self.ctx.every(interval, callback, node=ident,
                               jitter=jitter, label=label)
 
-    def close(self) -> None:
-        """Tear the service down: registry-owned cleanup of every agent's
-        handlers and timers; dependencies this facade spawned for itself
-        (its own store/directory) are detached with it, an injected store
-        stays attached (its lifecycle belongs to the caller)."""
-        self.detach()
-
     def random_origin(self) -> int:
         """A seeded random live peer (matchmaking entry-point diversity)."""
         if self._alive[0] != self.net.liveness_key:

@@ -5,7 +5,7 @@ folds of :mod:`~repro.metrics.stats`.  Span latency quantiles are
 computed exactly from recorded spans in :mod:`repro.obs`, subsystem
 counters are plain attributes of their owners, and result shapes live
 next to their producers (``SchedulingStats`` in :mod:`repro.compute.job`,
-``DurabilityTracker`` in :mod:`repro.storage.antientropy`).
+``SweepReport`` in :mod:`repro.storage.antientropy`).
 """
 
 from repro.metrics.series import Series

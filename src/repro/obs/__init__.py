@@ -1,11 +1,11 @@
 """Unified observability: span tracing and the columnar trace store.
 
-One recording path (the hub, into the store) and one judging path (the
-exact SLO evaluator over recorded spans).  Latency quantiles have one
+One recording path (the hub, into the store) and its readers (the
+queries, the causal analytics, the CLI).  Latency quantiles have one
 definition: ``np.percentile`` over closed-span durations.
 
-Layer contract: this package *owns observability* — span tracing, the
-columnar trace store and the SLO evaluator.  Its imports are declared by
+Layer contract: this package *owns observability* — span tracing and the
+columnar trace store.  Its imports are declared by
 ``[package.obs]`` in ``repro/lint/layers.toml`` and checked by
 ``python -m repro.lint`` (RPR201).  The two modules with their own
 ``[overrides]`` entry there are not imported here:
@@ -20,8 +20,6 @@ Typical entry points:
 * ``python -m repro.bench run <scenario> --trace-out DIR`` — ambient capture
   around a bench scenario; writes ``trace_<scenario>.npz``.
 * ``python -m repro.obs summary <file.npz>`` — query a written store.
-* ``evaluate_hub(load_slo(path), cluster.obs)`` / ``python -m repro.obs
-  slo`` — judge a run against an SLO spec (:mod:`~repro.obs.slo`).
 * ``python -m repro.obs critpath`` — self-time attribution and critical
   paths over the recorded parent links (:mod:`~repro.obs.critpath`).
 """
@@ -33,8 +31,6 @@ from repro.obs.hub import (EVENT_SCHEMA, SPAN_SCHEMA, STATUS_FAIL,
                            STATUS_NAMES, STATUS_OK, STATUS_OPEN,
                            STATUS_TIMEOUT, ObsHub)
 from repro.obs.runtime import TraceCapture, ambient_hub, capture
-from repro.obs.slo import (RuleResult, SloReport, SloRule, SloSpec,
-                           evaluate_hub, evaluate_store, load_slo, parse_slo)
 from repro.obs.store import SCHEMA, StreamView, TraceReader, write_store
 
 __all__ = [
@@ -55,15 +51,6 @@ __all__ = [
     "TraceCapture",
     "capture",
     "ambient_hub",
-    # SLO tier
-    "SloRule",
-    "SloSpec",
-    "RuleResult",
-    "SloReport",
-    "load_slo",
-    "parse_slo",
-    "evaluate_hub",
-    "evaluate_store",
     # causal analytics
     "SpanTree",
     "build_forest",

@@ -9,8 +9,6 @@
 * ``timeline FILE [--run R] [--category C] [--limit N]`` — chronological
   span-end/event listing.
 * ``slowest FILE [--run R] [--category C] [--limit N]`` — longest spans.
-* ``slo FILE --spec SPEC [--run R]`` — evaluate a TOML/JSON SLO spec
-  against the stored spans; exits 1 on any violation.
 * ``critpath FILE [--run R] [--category C] [--limit N]`` — per-category
   self-time attribution and the critical path of the longest root spans.
 * ``export FILE --stream spans|events [--run R] [--format jsonl|csv]``
@@ -79,12 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(slow_p)
     slow_p.add_argument("--category", default=None)
     slow_p.add_argument("--limit", type=int, default=10)
-
-    slo_p = sub.add_parser("slo", help="evaluate an SLO spec against the "
-                           "stored spans (exit 1 on violation)")
-    common(slo_p)
-    slo_p.add_argument("--spec", required=True,
-                       help="SLO spec (.toml or .json)")
 
     crit_p = sub.add_parser("critpath", help="critical-path + self-time "
                             "attribution from parent links")
@@ -199,31 +191,6 @@ def _cmd_slowest(reader: TraceReader, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_slo(reader: TraceReader, args: argparse.Namespace) -> int:
-    from repro.obs.slo import evaluate_store, load_slo
-
-    spec = load_slo(args.spec)
-    report = evaluate_store(spec, reader, run=args.run)
-    for run in sorted(report.runs):
-        results = report.runs[run]
-        print(_table(
-            ["rule", "observed", "limit", "samples", "status", "detail"],
-            [[r.name, f"{r.observed:.6g}", f"{r.rule.limit:g}", r.samples,
-              "ok" if r.ok else "VIOLATED", r.detail or "-"]
-             for r in results],
-            title=f"run {run}: {len(spec)} objective(s) from {spec.source}"))
-        print()
-    violations = report.violations()
-    if violations:
-        for run, res in violations:
-            print(f"SLO VIOLATION [{run}] {res.name}: observed "
-                  f"{res.observed:.6g} > limit {res.rule.limit:g}"
-                  + (f" ({res.detail})" if res.detail else ""))
-        return 1
-    print("all objectives met")
-    return 0
-
-
 def _cmd_critpath(reader: TraceReader, args: argparse.Namespace) -> int:
     from repro.obs.critpath import (build_forest, critical_path,
                                     self_time_by_category, span_attribution)
@@ -281,7 +248,6 @@ _COMMANDS = {
     "runs": _cmd_runs,
     "timeline": _cmd_timeline,
     "slowest": _cmd_slowest,
-    "slo": _cmd_slo,
     "critpath": _cmd_critpath,
     "export": _cmd_export,
 }

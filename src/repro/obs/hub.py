@@ -19,7 +19,7 @@ Spans are explicit begin/end records with parent links.  Request-scoped
 spans (lookups by rid, jobs by job id) are *keyed*: the hub owns the
 ``key -> open span`` map so call sites carry no span ids around.  The
 hub only records: latency quantiles are computed exactly from the span
-rows by their readers (:mod:`repro.obs.slo`, :mod:`repro.obs.query`).
+rows by their readers (:mod:`repro.obs.query`, the scenario checks).
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Everything here operates on :class:`~repro.obs.store.StreamView` column
 arrays with vectorised NumPy over the trace store's exact row data:
 latency quantiles are ``np.percentile`` over closed-span durations, the
-same definition the SLO evaluator (:mod:`repro.obs.slo`) judges by.
+same definition the bench scenario checks use.
 """
 
 from __future__ import annotations

@@ -35,9 +35,6 @@ class Observability(Service):
     hub:
         An externally owned hub to record into (e.g. shared with a test's
         assertions); one is created when omitted.
-
-    To gate a run on an SLO spec, judge the hub after it:
-    ``evaluate_hub(load_slo(path), cluster.obs)`` (:mod:`repro.obs.slo`).
     """
 
     name = "observability"

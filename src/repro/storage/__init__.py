@@ -24,8 +24,6 @@ repair, and anti-entropy convergence.  Its imports are declared by
 
 from repro.storage.antientropy import (
     AntiEntropy,
-    DurabilityTracker,
-    ReplicationSample,
     SweepReport,
 )
 from repro.storage.quorum import (
@@ -44,13 +42,11 @@ from repro.storage.store import KVStore, VersionedValue, hash_key
 
 __all__ = [
     "AntiEntropy",
-    "DurabilityTracker",
     "KVStore",
     "Level0Placement",
     "PlacementStrategy",
     "QuorumConfig",
     "ReplicatedStore",
-    "ReplicationSample",
     "StorageAgent",
     "StoreResult",
     "SuccessorPlacement",

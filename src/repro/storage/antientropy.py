@@ -20,85 +20,22 @@ repair happens with protocol messages.  Rejoined nodes holding stale
 versions are overwritten the same way (the sweep pushes to any target whose
 stamp is dominated), complementing per-read repair.
 
-Each sweep also records one :class:`ReplicationSample` into the task's
-:class:`DurabilityTracker` — min/mean replication factor over time, keys
-lost, under-replicated count — as :class:`~repro.metrics.series.Series`,
-the shapes the figure pipeline uses.
+Each sweep appends one :class:`SweepReport` to :attr:`AntiEntropy.reports`
+— keys catalogued, under-replicated, repairs sent, tracked keys lost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.cluster.service import Service, ServiceContext, ServiceError
 from repro.core.messages import StoreReplicate
-from repro.metrics.series import Series
 from repro.storage.quorum import REPAIR_RID, ReplicatedStore
 from repro.storage.store import VersionedValue
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import PeriodicTimer
-
-
-@dataclass(frozen=True)
-class ReplicationSample:
-    """Replication health of the whole store at one instant."""
-
-    time: float
-    keys: int
-    min_rf: int
-    mean_rf: float
-    under_replicated: int
-    lost: int
-
-
-@dataclass
-class DurabilityTracker:
-    """Accumulates replication-health samples into labelled series."""
-
-    n_target: int
-    min_rf: Series = field(default_factory=lambda: Series("min replication factor"))
-    mean_rf: Series = field(default_factory=lambda: Series("mean replication factor"))
-    under_replicated: Series = field(default_factory=lambda: Series("under-replicated keys"))
-    lost: Series = field(default_factory=lambda: Series("lost keys"))
-    samples: List[ReplicationSample] = field(default_factory=list)
-
-    def record(
-        self, time: float, rf_by_key: Dict[int, int], lost: int = 0
-    ) -> ReplicationSample:
-        """Fold one snapshot of per-key live replica counts into the series.
-
-        *rf_by_key* maps key id → live replicas; keys at zero may instead be
-        passed via *lost* when the caller has already separated them out.
-        """
-        counts = list(rf_by_key.values())
-        zero = sum(1 for c in counts if c == 0)
-        present = [c for c in counts if c > 0]
-        sample = ReplicationSample(
-            time=time,
-            keys=len(counts),
-            min_rf=min(present) if present else 0,
-            mean_rf=sum(present) / len(present) if present else 0.0,
-            under_replicated=sum(1 for c in present if c < self.n_target),
-            lost=lost + zero,
-        )
-        self.samples.append(sample)
-        self.min_rf.add(time, sample.min_rf)
-        self.mean_rf.add(time, sample.mean_rf)
-        self.under_replicated.add(time, sample.under_replicated)
-        self.lost.add(time, sample.lost)
-        return sample
-
-    @property
-    def always_durable(self) -> bool:
-        """True when no sample ever observed a lost key."""
-        return all(s.lost == 0 for s in self.samples)
-
-    def latest(self) -> ReplicationSample:
-        if not self.samples:
-            raise ValueError("no samples recorded")
-        return self.samples[-1]
 
 
 @dataclass(frozen=True)
@@ -129,26 +66,18 @@ class AntiEntropy(Service):
 
     name = "anti-entropy"
 
-    def __init__(
-        self,
-        *,
-        interval: float = 30.0,
-        tracker: Optional[DurabilityTracker] = None,
-    ) -> None:
+    def __init__(self, *, interval: float = 30.0) -> None:
         super().__init__()
         if interval <= 0:
             raise ValueError(f"interval must be > 0, got {interval}")
         self.store: Optional[ReplicatedStore] = None
         self.interval = interval
-        self.tracker = tracker
         self.reports: List[SweepReport] = []
         self._timer: Optional["PeriodicTimer"] = None
 
     # ------------------------------------------------------------ lifecycle
     def on_attach(self, ctx: ServiceContext) -> None:
         self.store = ctx.require("storage")  # type: ignore[assignment]
-        if self.tracker is None:
-            self.tracker = DurabilityTracker(n_target=self.store.quorum.n)
 
     def on_detach(self) -> None:
         self.stop()
@@ -236,12 +165,10 @@ class AntiEntropy(Service):
                     repairs += 1
 
         lost = sum(1 for k in store.tracked_keys if k not in catalog)
-        rf_by_key = {k: len(catalog.get(k, ())) for k in store.tracked_keys}
         report = SweepReport(time=net.sim.now, keys=len(catalog),
                              under_replicated=under, repairs_sent=repairs,
                              lost=lost)
         self.reports.append(report)
-        self.tracker.record(net.sim.now, rf_by_key)
         hub = net.obs
         if hub is not None:
             hub.sweep(-1, report.time, net.sim.now, len(catalog), repairs)

@@ -467,12 +467,6 @@ class ReplicatedStore(Service):
         for agent in self.agents.values():
             agent.coordinators.clear()
 
-    def close(self) -> None:
-        """Tear the service down: the registry unregisters every agent's
-        handlers (on current *and* rebuilt nodes — the pre-1.3 facade left
-        them behind) and stops covering newly created nodes."""
-        self.detach()
-
     def key_id(self, key: str) -> int:
         return hash_key(key, self.net.config.space.extent)
 

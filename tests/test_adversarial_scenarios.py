@@ -17,7 +17,9 @@ import repro.bench.scenarios  # noqa: F401  (populates the registry)
 from repro.bench import registry
 from repro.cluster import Cluster
 from repro.core.config import TreePConfig
-from repro.obs import capture, evaluate_hub, parse_slo
+from repro.bench.cli import main as bench_cli
+from repro.bench.runner import run_scenario
+from repro.obs import STATUS_OPEN, capture
 from repro.sim.conditions import NetworkConditions
 from repro.storage import QuorumConfig
 from repro.workloads.adversarial import (
@@ -227,22 +229,43 @@ def test_straggler_tail_amplifies_but_keeps_results():
     assert m["lookup_success_rate"] == 1.0
 
 
-def test_straggler_p999_is_the_value_the_slo_judged():
+def _lookup_p999(hub):
+    """``np.percentile`` over a hub's closed ``lookup`` span durations."""
+    spans = hub.export_streams()["spans"]
+    mask = ((spans["cat"] == hub.strings.get_code("lookup"))
+            & (spans["status"] != STATUS_OPEN))
+    return float(np.percentile((spans["t1"] - spans["t0"])[mask], 99.9))
+
+
+def test_straggler_p999_check_reads_the_recorded_spans():
     """The reported p999s, the check details and the ``p999_bounded_slo``
     verdict read one statistic: the exact quantile of the recorded spans."""
     with capture() as cap:
-        out = registry.get("adv_straggler_tail").execute(smoke=True)
+        scenario = registry.get("adv_straggler_tail")
+        out = scenario.execute(smoke=True)
     healthy_hub, slow_hub = cap.hubs
-    spec = parse_slo({"slo": {"lookup": {"p999": 4.0, "min_samples": 20}}})
-    (healthy,) = evaluate_hub(spec, healthy_hub)
-    (slow,) = evaluate_hub(spec, slow_hub)
-    assert out.metrics["straggler_p999_virtual_s"] == slow.observed
-    assert out.metrics["healthy_p999_virtual_s"] == healthy.observed
-    details = {c.name: c.detail for c in out.checks}
-    assert details["p999_bounded_slo"].startswith(
-        f"straggler p999 {slow.observed:.3f}s ")
-    assert details["stragglers_stretch_tail"] == (
-        f"p999 {slow.observed:.3f}s > healthy {healthy.observed:.3f}s")
+    healthy, slow = _lookup_p999(healthy_hub), _lookup_p999(slow_hub)
+    ceiling = scenario.effective_params(smoke=True)["p999_ceiling"]
+    assert out.metrics["straggler_p999_virtual_s"] == slow
+    assert out.metrics["healthy_p999_virtual_s"] == healthy
+    checks = {c.name: c for c in out.checks}
+    assert checks["p999_bounded_slo"].detail == (
+        f"straggler p999 {slow:.3f}s <= ceiling {ceiling:g}s")
+    assert slow <= ceiling and checks["p999_bounded_slo"].passed is True
+    assert checks["stragglers_stretch_tail"].detail == (
+        f"p999 {slow:.3f}s > healthy {healthy:.3f}s")
+
+
+def test_straggler_ceiling_below_observed_p999_fails_the_run(capsys):
+    observed = run_scenario("adv_straggler_tail", smoke=True).metrics[
+        "straggler_p999_virtual_s"]
+    ceiling = round(observed / 2, 3)
+    result = run_scenario("adv_straggler_tail", smoke=True,
+                          overrides={"p999_ceiling": ceiling})
+    assert [c["name"] for c in result.failed_checks()] == ["p999_bounded_slo"]
+    assert bench_cli(["run", "adv_straggler_tail", "--smoke", "--no-write",
+                      "--quiet", "--set", f"p999_ceiling={ceiling}"]) == 1
+    assert "FAILED p999_bounded_slo" in capsys.readouterr().out
 
 
 def test_rack_failure_full_completion():

@@ -208,7 +208,7 @@ def test_coordinator_hints_do_not_outlive_the_process():
 def test_detach_sweeps_handlers_everywhere_and_spares_other_services():
     cluster = make_cluster().add_service(ProbeService()).with_storage()
     store = cluster.storage
-    store.close()
+    store.detach()
     assert not store.attached
     for node in cluster.net.nodes.values():
         types = node.handler_types()
@@ -223,7 +223,7 @@ def test_rebuilt_node_has_no_stale_handlers():
     """The pre-1.3 leak: a closed facade kept wiring every future node."""
     cluster = make_cluster().with_storage()
     store = cluster.storage
-    store.close()
+    store.detach()
     new_id = max(cluster.ids) + 1
     cluster.join_node(new_id)
     rebuilt = cluster.net.nodes[new_id]
@@ -267,7 +267,7 @@ def test_with_compute_owns_dependency_chain():
     assert cluster.compute.store is cluster.storage
     assert cluster.compute.directory is cluster.directory
     # Detaching compute takes the dependencies it spawned with it.
-    cluster.compute.close()
+    cluster.compute.detach()
     assert [s.name for s in cluster.services] == []
 
 
@@ -277,7 +277,7 @@ def test_with_compute_reuses_existing_storage():
                .with_compute())
     assert cluster.compute.store is cluster.storage
     assert cluster.storage.quorum.n == 3
-    cluster.compute.close()
+    cluster.compute.detach()
     # An explicitly attached storage service is NOT owned by compute.
     assert cluster.storage.attached
 
@@ -405,7 +405,7 @@ def test_detach_cascade_spares_shared_dependencies():
     cluster = make_cluster().with_compute()  # spawns storage + discovery
     store = cluster.storage
     cluster.add_service(AntiEntropy(interval=5.0))  # requires 'storage'
-    cluster.compute.close()
+    cluster.compute.detach()
     assert store.attached, "shared dependency must survive its spawner"
     assert cluster.storage is store
     assert store.put("k", 1).ok
@@ -434,7 +434,7 @@ def test_replacement_refused_while_dependents_attached():
         cluster.with_storage(QuorumConfig(n=3, w=2, r=2))
     assert cluster.storage is first and first.attached  # untouched
     # Detaching the dependents makes the replacement legal again.
-    cluster.compute.close()
+    cluster.compute.detach()
     cluster.anti_entropy.detach()
     cluster.with_storage(QuorumConfig(n=3, w=2, r=2))
     assert cluster.storage is not first

@@ -470,7 +470,7 @@ def test_close_stops_all_timers():
     net, grid = make_grid()
     grid.submit(JobSpec(job_id=1, work=5.0))
     assert grid.run_until_done(timeout=120.0)
-    grid.close()
+    grid.detach()
     assert net.sim.drain() >= 0  # terminates: no timer re-arms itself
 
 

@@ -278,9 +278,9 @@ def test_close_detaches_node_hook():
     net.build(32)
     store = Cluster(net=net).with_storage(QuorumConfig(n=2, w=1, r=1)).storage
     before = len(net.node_hooks)
-    store.close()
+    store.detach()
     assert len(net.node_hooks) == before - 1
-    store.close()  # idempotent
+    store.detach()  # idempotent
     new_id = max(net.ids) + 1
     net.join_new_node(new_id)
     assert new_id not in store.agents  # no longer covering new nodes

@@ -52,8 +52,8 @@ def _keyed(value: Any) -> Any:
 def differing_fields(old: Any, new: Any, path: str = "") -> List[str]:
     """``name: old -> new`` for every leaf whose value differs between two
     envelopes: ``metrics.<name>``, ``checks.<name>`` (verdict and detail)
-    and any other field.  A section held by one side only (an ``obs`` or
-    ``slo`` sidecar) is named, never dumped."""
+    and any other field.  A section held by one side only (an ``obs``
+    sidecar) is named, never dumped."""
     old, new = _keyed(old), _keyed(new)
     if old == new:
         return []
