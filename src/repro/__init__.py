@@ -57,7 +57,7 @@ from repro.core.treep import TreePNetwork
 from repro.obs import ObsHub, TraceReader
 from repro.storage import AntiEntropy, QuorumConfig, ReplicatedStore
 
-__version__ = "1.23.0"
+__version__ = "1.24.0"
 
 __all__ = [
     "AntiEntropy",

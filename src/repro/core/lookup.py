@@ -162,8 +162,8 @@ def _radii(extent: int, height: int) -> Tuple[float, ...]:
     return radii
 
 
-def _ordered_triples(t: RoutingTable) -> List[Tuple[int, int, Entry]]:
-    """Fig. 3's full candidate order as ``(ident, max_level, entry)`` triples.
+def _ordered_pairs(t: RoutingTable) -> List[Tuple[int, int]]:
+    """Fig. 3's full candidate order as ``(ident, max_level)`` pairs.
 
     The order (children, neighbour-children, buses top-down, parents,
     superiors, level-0; each group sorted by id; first occurrence wins) is
@@ -188,14 +188,14 @@ def _ordered_triples(t: RoutingTable) -> List[Tuple[int, int, Entry]]:
             if i not in seen:
                 seen.add(i)
                 ordered.append(i)
-    return [(e.ident, e.max_level, e)
+    return [(e.ident, e.max_level)
             for e in map(t.get, ordered) if e is not None]
 
 
-def _level_zero_triples(t: RoutingTable) -> List[Tuple[int, int, Entry]]:
+def _level_zero_pairs(t: RoutingTable) -> List[Tuple[int, int]]:
     """``Search_Level_Zero()`` candidates, in id order."""
     ids = set(t.level0) | set(t.children) | set(t.neighbour_children)
-    return [(e.ident, e.max_level, e)
+    return [(e.ident, e.max_level)
             for e in map(t.get, sorted(ids)) if e is not None]
 
 
@@ -208,10 +208,10 @@ def _level_zero_triples(t: RoutingTable) -> List[Tuple[int, int, Entry]]:
 #: "8–10" this comment used to claim.  *In situ* a threshold of 40 bought
 #: nothing: on the parent it moved ``lookup_steady``'s ``ops_per_s`` by less
 #: than pair noise, and with one view per table it cost 6–10 % ``ops_per_s``
-#: and 3.3 MiB (3/3 pairs) — triples are the heavier form to keep, and the
-#: tables a lookup spends its hops in are leaf-sized or far larger.  The
-#: value also decides which form a view is kept in (:class:`CandidateView`),
-#: so it is not a knob to tune casually.
+#: and 3.3 MiB (3/3 pairs) — the per-candidate list (then of triples) is
+#: the heavier form to keep, and the tables a lookup spends its hops in are
+#: leaf-sized or far larger.  The value also decides which form a view is
+#: kept in (:class:`CandidateView`), so it is not a knob to tune casually.
 _NP_MIN_CANDIDATES = 8
 
 #: The vectorised path requires ids (and id differences) to be exact in
@@ -226,10 +226,12 @@ _INF = float("inf")
 
 class CandidateView(NamedTuple):
     """The greedy router's derived view of one routing table, in exactly
-    one of two forms: *scalar* (``triples`` set, every later field
+    one of two forms: *scalar* (``pairs`` set, every later field
     ``None``) below :data:`_NP_MIN_CANDIDATES` candidates or beyond
-    :data:`_NP_MAX_EXTENT`, *vectorised* (``triples`` ``None``) otherwise —
-    a table's content is never held in both.
+    :data:`_NP_MAX_EXTENT`, *vectorised* (``pairs`` ``None``) otherwise —
+    a table's content is never held in both, and neither form holds an
+    :class:`~repro.core.routing_table.Entry`: the router needs only each
+    candidate's id and level.
 
     Valid while ``(version, height)`` match the table and the node: the
     radius column depends on the node's current height estimate.  The
@@ -242,10 +244,9 @@ class CandidateView(NamedTuple):
 
     version: int
     height: int
-    triples: Optional[List[Tuple[int, int, Entry]]]
+    pairs: Optional[List[Tuple[int, int]]]  # (id, max_level), candidate order
     ids: Optional[np.ndarray] = None       # int64, candidate order
     radius: Optional[np.ndarray] = None    # float64 tessellation radius per candidate
-    entries: Optional[List[Entry]] = None
     ibuf: Optional[np.ndarray] = None      # scratch, shared — see _scratch
     fbuf: Optional[np.ndarray] = None
 
@@ -269,26 +270,25 @@ def _scratch(count: int) -> Tuple[np.ndarray, np.ndarray]:
 
 def _candidate_view(view: NodeView, l0: bool) -> CandidateView:
     """(Re)build and store the table's view for one variant (``l0``:
-    ``Search_Level_Zero``); the triples are a temporary of the vectorised
+    ``Search_Level_Zero``); the pairs are a temporary of the vectorised
     form.  This is the "avoid per-hop list rebuilds" half of the 10k-node
     hot-path work: at scale, interior nodes are visited by thousands of
     lookups between table changes."""
     t = view.table
     height = view.height
     extent = view.config.space.extent
-    triples = _level_zero_triples(t) if l0 else _ordered_triples(t)
-    count = len(triples)
+    pairs = _level_zero_pairs(t) if l0 else _ordered_pairs(t)
+    count = len(pairs)
     if count < _NP_MIN_CANDIDATES or extent > _NP_MAX_EXTENT:
-        built = CandidateView(t.version, height, triples)
+        built = CandidateView(t.version, height, pairs)
     else:
         radii = _radii(extent, height)
-        ids = np.fromiter((i for i, _, _ in triples), dtype=np.int64, count=count)
+        ids = np.fromiter((i for i, _ in pairs), dtype=np.int64, count=count)
         radius = np.fromiter(
             (0.0 if lvl <= 0 else radii[lvl if lvl <= height else height]
-             for _, lvl, _ in triples),
+             for _, lvl in pairs),
             dtype=np.float64, count=count)
-        built = CandidateView(t.version, height, None, ids, radius,
-                              [e for _, _, e in triples], *_scratch(count))
+        built = CandidateView(t.version, height, None, ids, radius, *_scratch(count))
     if l0:
         t._view_l0 = built
     else:
@@ -376,7 +376,7 @@ def _route_greedy(view: NodeView, req: LookupRequest, euclid: bool) -> Decision:
     exclude: Optional[frozenset[int]] = None
 
     target = req.target
-    best: Optional[Entry] = None
+    best: Optional[int] = None
     best_d = float("inf")
     # Inlined ``_metric``: |a - b| minus the cached tessellation radius.
     # Exact ints compare exactly against the float radii, so every
@@ -390,8 +390,8 @@ def _route_greedy(view: NodeView, req: LookupRequest, euclid: bool) -> Decision:
     cv = t._view_l0 if from_level1_parent else t._view_full
     if cv is None or cv[0] != t._epochs.version or cv[1] != height:
         cv = _candidate_view(view, from_level1_parent)
-    _, _, triples, ids, radius_col, np_entries, ibuf, fbuf = cv
-    if triples is None:
+    _, _, pairs, ids, radius_col, ibuf, fbuf = cv
+    if pairs is None:
         # Vectorised argmin over the view's candidate columns — the ufunc
         # pipeline computes the identical metric values (see CandidateView)
         # with constant Python-side cost.  In disruption mode the metric is
@@ -414,15 +414,15 @@ def _route_greedy(view: NodeView, req: LookupRequest, euclid: bool) -> Decision:
             d = fbuf.item(j)  # plain Python float, no ndarray scalar box
             if d == _INF:
                 break
-            winner = np_entries[j]
-            if path and winner.ident in path:
+            winner = ids.item(j)
+            if path and winner in path:
                 fbuf[j] = _INF
                 continue
             best, best_d = winner, d
             break
     else:
         exclude = frozenset(req.path + (view.ident,))
-        for ident, lvl, e in triples:
+        for ident, lvl in pairs:
             if ident in exclude:
                 continue
             d = ident - target if ident >= target else target - ident
@@ -430,7 +430,7 @@ def _route_greedy(view: NodeView, req: LookupRequest, euclid: bool) -> Decision:
                 radius = radii[lvl if lvl <= height else height]
                 d = 0.0 if d <= radius else d - radius
             if d < best_d:
-                best, best_d = e, d
+                best, best_d = ident, d
     own = view.ident
     d_here = own - target if own >= target else target - own
     if radii is not None:
@@ -442,14 +442,14 @@ def _route_greedy(view: NodeView, req: LookupRequest, euclid: bool) -> Decision:
     if best is not None:
         # Fig. 3's forwarding cascade.
         if from_level1_parent:
-            return Decision.forward(best.ident)
+            return Decision.forward(best)
         if halving_criterion(best_d, d_here):
-            return Decision.forward(best.ident)
+            return Decision.forward(best)
         if view.max_level == 0:
-            return Decision.forward(best.ident)
+            return Decision.forward(best)
         if req.from_parent_level == view.max_level + 1:
             # Query descending from our own parent: keep descending.
-            return Decision.forward(best.ident)
+            return Decision.forward(best)
         if exclude is None:
             exclude = frozenset(req.path + (view.ident,))
         esc = _escalate(view, req, exclude, euclid, d_here)

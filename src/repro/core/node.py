@@ -17,8 +17,8 @@ the timeout marks it failed.  The experiment harness reads the resulting
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.capacity import NodeCapacity
@@ -48,8 +48,12 @@ from repro.core.messages import (
     PromoteGrant,
     Splice,
 )
-from repro.core.routing_table import RoutingTable
+from repro.core.routing_table import EmptyMap, RoutingTable
 from repro.sim.network import Datagram, Process
+
+
+#: Every node's handler map until its first :meth:`TreePNode.register_handler`.
+_NO_HANDLERS = EmptyMap()
 
 
 @dataclass(slots=True)
@@ -100,9 +104,8 @@ class TreePNode(Process):
             if config.nc_mode == "fixed"
             else capacity.max_children(config.nc_floor, config.nc_ceiling)
         )
-        self.elections = ElectionManager(ident, capacity, config)
-        self.demotions = DemotionManager(ident, capacity, config)
-        self._req_counter = itertools.count(1)
+        #: Lookups issued so far; the next request id's low bits.
+        self._req_counter = 0
         self.pending: Dict[int, PendingLookup] = {}
         #: Per-request hop observation hook a harness may install
         #: (measurement only, never read by routing).
@@ -115,8 +118,20 @@ class TreePNode(Process):
         #: Service-registered datagram handlers, keyed by payload type.
         #: Consulted before the built-in ``_on_<Type>`` methods, so layered
         #: services (DHT, replicated storage, …) extend the protocol without
-        #: monkey-patching the class.
-        self.handlers: Dict[type, Callable[[int, Any], None]] = {}
+        #: monkey-patching the class.  The shared empty default until the
+        #: first :meth:`register_handler` gives the node its own dict.
+        self.handlers: Dict[type, Callable[[int, Any], None]] = _NO_HANDLERS
+
+    # The countdown protocols' state, built on first use: a converged run
+    # that never elects or demotes never allocates it.  Both are pure
+    # functions of (ident, capacity, config), none of which is reassigned.
+    @cached_property
+    def elections(self) -> ElectionManager:
+        return ElectionManager(self.ident, self.capacity, self.config)
+
+    @cached_property
+    def demotions(self) -> DemotionManager:
+        return DemotionManager(self.ident, self.capacity, self.config)
 
     # ------------------------------------------------------------- handlers
     def register_handler(
@@ -137,6 +152,8 @@ class TreePNode(Process):
             raise ValueError(
                 f"node {self.ident} already has a handler for {msg_type.__name__}"
             )
+        if self.handlers is _NO_HANDLERS:
+            self.handlers = {}
         self.handlers[msg_type] = handler
 
     def unregister_handler(
@@ -216,7 +233,8 @@ class TreePNode(Process):
     ) -> PendingLookup:
         """Start resolving *target* from this node."""
         algo = LookupAlgorithm.parse(algo if isinstance(algo, str) else algo.value)
-        rid = (self.ident << 20) | next(self._req_counter)
+        self._req_counter += 1
+        rid = (self.ident << 20) | self._req_counter
         pend = PendingLookup(
             request_id=rid,
             target=target,

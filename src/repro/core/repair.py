@@ -133,7 +133,7 @@ def relink_node(node: "TreePNode", policy: RepairPolicy = FULL_POLICY) -> None:
         for lvl in range(1, node.max_level + 1):
             l, r = _nearest_sides(
                 (e.ident for e in t.candidates() if e.max_level >= lvl), ident)
-            t.level_tables[lvl] = {i for i in (l, r) if i is not None}
+            t.set_level(lvl, {i for i in (l, r) if i is not None})
 
     if policy.adopt_parents:
         want_level = node.max_level + 1
@@ -261,7 +261,7 @@ def gossip_round(net: "TreePNetwork", policy: RepairPolicy = FULL_POLICY) -> Non
                     t.import_role(p_children.get(lvl, ()), now, pmeta, fresh_nc)
             if fresh_level:
                 any_bus_exchange = True
-                t.level_tables[lvl] = fresh_level
+                t.set_level(lvl, fresh_level)
         if policy.refresh_neighbour_children and any_bus_exchange:
             t.neighbour_children = fresh_nc
 

@@ -23,6 +23,11 @@ every level the node belongs to live in :attr:`RoutingTable.parents`.)
 
 One shared :class:`Entry` store backs all tables so a keep-alive from a peer
 refreshes every role it appears under at once.
+
+A table allocates only the roles it holds: every unwritten role set is the
+one shared, immutable :data:`_NO_ROLE` and an unwritten ``level_tables`` the
+shared :data:`_NO_LEVELS`, until the first write through a table method (or
+a rebinding) installs the table's own container.
 """
 
 from __future__ import annotations
@@ -136,6 +141,51 @@ class _RoleSet(set):
     def __ixor__(self, other):
         self._epochs.version += 1
         return set.__ixor__(self, other)
+
+
+class _EmptyRole(frozenset):
+    """The type of :data:`_NO_ROLE`: an empty role set that cannot be written.
+
+    Reads (``in``, ``len``, iteration, set algebra) are frozenset's own;
+    ``add`` and every other mutator raise ``AttributeError``, so a write
+    that bypasses the table's install step fails instead of landing in
+    state every table shares.  ``discard`` stays: on an empty set it is
+    always the no-op it would be on a private one.
+    """
+
+    __slots__ = ()
+
+    def discard(self, item: int) -> None:
+        pass
+
+
+#: Every unwritten role set of every table.
+_NO_ROLE = _EmptyRole()
+
+
+class EmptyMap(dict):
+    """An empty ``dict`` that cannot be written: the shared default of a
+    per-owner map its owner installs on first write (``level_tables`` here,
+    a node's service handlers).  Reads are dict's own, at dict's speed, and
+    ``pop`` with a default is a no-op; any write raises ``TypeError``, so
+    one that bypasses the owner cannot land in state every owner shares."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a shared empty default is read-only; "
+                        "write through the owner that installs its own map")
+
+    __setitem__ = __delitem__ = __ior__ = setdefault = update = clear = popitem = _read_only
+
+    def pop(self, key: Any, *default):
+        if default:
+            return default[0]
+        raise KeyError(key)
+
+
+#: Every unwritten ``level_tables`` of every table.
+_NO_LEVELS = EmptyMap()
 
 
 class _LevelTables(dict):
@@ -255,21 +305,24 @@ class RoutingTable:
         #: built at — owned by :func:`repro.core.lookup._candidate_view`.
         self._view_full = None
         self._view_l0 = None
-        #: level-0 neighbours (table 1).
-        self.level0: Set[int] = _RoleSet(epochs)
-        #: indirect level-0 knowledge — neighbours of neighbours, the
-        #: replication that lets a node relink when a direct link dies.
-        self.level0_indirect: Set[int] = _RoleSet(epochs)
-        #: per-level bus neighbourhood (table 2): level -> ids.
-        self.level_tables: Dict[int, Set[int]] = _LevelTables(epochs)
-        #: own children (table 3, first half).
-        self.children: Set[int] = _RoleSet(epochs)
-        #: children of direct bus neighbours (table 3, second half).
-        self.neighbour_children: Set[int] = _RoleSet(epochs)
         #: parent at each level this node belongs to (tables 4 + per-level).
         self.parents: Dict[int, int] = _ParentMap(epochs)
+        # The lazy roles start as the shared sentinels, stored past
+        # ``__setattr__`` (which would count a rebinding).
+        unwritten = object.__setattr__
+        #: level-0 neighbours (table 1).
+        unwritten(self, "level0", _NO_ROLE)
+        #: indirect level-0 knowledge — neighbours of neighbours, the
+        #: replication that lets a node relink when a direct link dies.
+        unwritten(self, "level0_indirect", _NO_ROLE)
+        #: per-level bus neighbourhood (table 2): level -> ids.
+        unwritten(self, "level_tables", _NO_LEVELS)
+        #: own children (table 3, first half).
+        unwritten(self, "children", _NO_ROLE)
+        #: children of direct bus neighbours (table 3, second half).
+        unwritten(self, "neighbour_children", _NO_ROLE)
         #: ancestors + parent's direct neighbours (table 5).
-        self.superiors: Set[int] = _RoleSet(epochs)
+        unwritten(self, "superiors", _NO_ROLE)
 
     @property
     def version(self) -> int:
@@ -302,18 +355,35 @@ class RoutingTable:
     def __setattr__(self, name: str, value: Any) -> None:
         if name in RoutingTable._WRAPPED_ROLES and not isinstance(value, _RoleSet):
             self._epochs.version += 1
-            value = _RoleSet(self._epochs, value)
+            value = _RoleSet(self._epochs, value) or _NO_ROLE
         elif name == "level_tables" and not isinstance(value, _LevelTables):
             wrapped = _LevelTables(self._epochs)
             wrapped.update(value)
             self._epochs.version += 1
-            value = wrapped
+            value = wrapped or _NO_LEVELS
         elif name == "parents" and not isinstance(value, _ParentMap):
             wrapped = _ParentMap(self._epochs)
             dict.update(wrapped, value)
             self._epochs.version += 1
             value = wrapped
         object.__setattr__(self, name, value)
+
+    def _own(self, role: str) -> _RoleSet:
+        """The table's own container for *role*, installed on its first
+        write; the installation itself bumps nothing."""
+        own = getattr(self, role)
+        if own is _NO_ROLE:
+            own = _RoleSet(self._epochs)
+            object.__setattr__(self, role, own)
+        return own
+
+    def _own_levels(self) -> _LevelTables:
+        """:meth:`_own` for ``level_tables``."""
+        levels = self.level_tables
+        if levels is _NO_LEVELS:
+            levels = _LevelTables(self._epochs)
+            object.__setattr__(self, "level_tables", levels)
+        return levels
 
     # ----------------------------------------------------------- entry CRUD
     def upsert(
@@ -403,12 +473,12 @@ class RoutingTable:
     def add_level0(self, ident: int, now: float, max_level: Optional[int] = None,
                    score: Optional[float] = None, nc: Optional[int] = None) -> None:
         self.upsert(ident, now, max_level, score, nc)
-        self.level0.add(ident)
+        self._own("level0").add(ident)
 
     def add_level0_indirect(self, ident: int, now: float, max_level: Optional[int] = None,
                             score: Optional[float] = None, nc: Optional[int] = None) -> None:
         self.upsert(ident, now, max_level, score, nc)
-        self.level0_indirect.add(ident)
+        self._own("level0_indirect").add(ident)
 
     def add_level(self, level: int, ident: int, now: float,
                   max_level: Optional[int] = None, score: Optional[float] = None,
@@ -416,17 +486,24 @@ class RoutingTable:
         if level <= 0:
             raise ValueError("use add_level0 for level 0")
         self.upsert(ident, now, max_level, score, nc)
-        self.level_tables.setdefault(level, set()).add(ident)
+        self._own_levels().setdefault(level).add(ident)
+
+    def set_level(self, level: int, ids: Iterable[int]) -> None:
+        """Install *ids* as the whole level-*level* bus (a repair rebuild),
+        replacing whatever the table held there."""
+        if level <= 0:
+            raise ValueError("use the level0 role for level 0")
+        self._own_levels()[level] = ids
 
     def add_child(self, ident: int, now: float, max_level: Optional[int] = None,
                   score: Optional[float] = None, nc: Optional[int] = None) -> None:
         self.upsert(ident, now, max_level, score, nc)
-        self.children.add(ident)
+        self._own("children").add(ident)
 
     def add_neighbour_child(self, ident: int, now: float, max_level: Optional[int] = None,
                             score: Optional[float] = None, nc: Optional[int] = None) -> None:
         self.upsert(ident, now, max_level, score, nc)
-        self.neighbour_children.add(ident)
+        self._own("neighbour_children").add(ident)
 
     def set_parent(self, level: int, ident: int, now: float,
                    max_level: Optional[int] = None, score: Optional[float] = None,
@@ -440,7 +517,7 @@ class RoutingTable:
     def add_superior(self, ident: int, now: float, max_level: Optional[int] = None,
                      score: Optional[float] = None, nc: Optional[int] = None) -> None:
         self.upsert(ident, now, max_level, score, nc)
-        self.superiors.add(ident)
+        self._own("superiors").add(ident)
 
     # --------------------------------------------------------------- expiry
     def expire(self, now: float, entry_ttl: float) -> List[int]:

@@ -293,12 +293,12 @@ def assert_one_form_per_variant(table):
     for cv in (table._view_full, table._view_l0):
         if cv is None:
             continue
-        if cv.triples is None:
-            assert len(cv.ids) == len(cv.radius) == len(cv.entries) == len(cv.fbuf)
+        if cv.pairs is None:
+            assert len(cv.ids) == len(cv.radius) == len(cv.fbuf)
             assert len(cv.ids) >= lookup._NP_MIN_CANDIDATES
         else:
-            assert (cv.ids, cv.radius, cv.entries, cv.ibuf, cv.fbuf) == (None,) * 5
-            assert len(cv.triples) < lookup._NP_MIN_CANDIDATES
+            assert (cv.ids, cv.radius, cv.ibuf, cv.fbuf) == (None,) * 4
+            assert len(cv.pairs) < lookup._NP_MIN_CANDIDATES
 
 
 @given(peers=st.lists(_PEERS, max_size=40), bump=_PEERS,

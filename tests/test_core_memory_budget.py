@@ -9,11 +9,17 @@ by N.  Figures (CPython 3.11.7, NumPy 2.4, this file run as a script)::
                      built B/node    lookups +B/node
     parent 02803cf   5 535 / 5 257   1 625 / 1 771      (N = 2 000 / 10 000)
     PR 22            5 383 / 5 112     767 /   756
+    v1.24.0          4 401 / 4 123     654 /   628
 
-The built drop is the ``RoutingTable`` instance ``__dict__`` and the two
-un-slotted per-node managers; the lookup drop is the greedy router keeping
-one derived view per table variant instead of a triples list *and* a NumPy
-payload with private scratch arrays inside a per-table ``cache`` dict.  The
+The first built drop is the ``RoutingTable`` instance ``__dict__`` and the
+two un-slotted per-node managers; the first lookup drop is the greedy router
+keeping one derived view per table variant instead of a triples list *and*
+a NumPy payload with private scratch arrays inside a per-table ``cache``
+dict.  The v1.24.0 built drop is allocation on first write: unwritten role
+sets and ``level_tables`` are shared sentinels, and a node builds its
+election and demotion managers and its handler dict only when it uses them;
+its lookup drop is views that keep ``(id, level)`` pairs or NumPy columns
+but no list of :class:`~repro.core.routing_table.Entry` references.  The
 budgets are the N = 2 000 figures + 5 %.  Allocation sizes are interpreter-
 specific, hence the same 3.11-only gate as the golden diff in
 ``tests/test_sim_scale.py``.
@@ -29,6 +35,7 @@ command; a 64-node build + step first pays the one-off imports and caches,
                      after repair B/live node    unreachable
     parent 9e8b36e   5 374 / 5 408               0 / 0      (N = 2 000 / 5 000)
     PR 23            5 373 / 5 409               0 / 0
+    v1.24.0          4 543 / 4 580               0 / 0
 """
 
 import gc
@@ -40,11 +47,12 @@ import pytest
 
 from repro import Cluster
 from repro.core.repair import apply_failure_step
+from repro.core.routing_table import _NO_LEVELS, _NO_ROLE, Entry
 
 NODES = 2000
-BUILT_BYTES_PER_NODE = 5383 * 1.05
-LOOKUP_BYTES_PER_NODE = 767 * 1.05
-REPAIRED_BYTES_PER_LIVE_NODE = 5373 * 1.05
+BUILT_BYTES_PER_NODE = 4401 * 1.05
+LOOKUP_BYTES_PER_NODE = 654 * 1.05
+REPAIRED_BYTES_PER_LIVE_NODE = 4543 * 1.05
 
 
 def measure(n):
@@ -103,8 +111,9 @@ def test_per_node_bytes_stay_within_budget():
     assert built <= BUILT_BYTES_PER_NODE, f"{built:.0f} B/node after build"
     assert lookups <= LOOKUP_BYTES_PER_NODE, f"+{lookups:.0f} B/node after lookups"
 
-    # One structure per variant: a view is the triples list or the NumPy
-    # columns, never both — and nothing else hangs derived state on a table.
+    # One structure per variant: a view is the pairs list or the NumPy
+    # columns, never both, and no view holds an Entry — and nothing else
+    # hangs derived state on a table.
     visited = 0
     for node in cluster.net.nodes.values():
         table = node.table
@@ -113,9 +122,34 @@ def test_per_node_bytes_stay_within_budget():
             if view is None:
                 continue
             visited += 1
-            assert (view.triples is None) != (view.ids is None)
-            assert (view.entries is None) == (view.ids is None)
+            assert (view.pairs is None) != (view.ids is None)
+            held = view.pairs or ()
+            assert not any(isinstance(x, Entry) for pair in held for x in pair)
+            assert not any(isinstance(x, Entry) for x in view)
     assert visited > NODES // 2
+
+
+_ROLES = ("level0", "level0_indirect", "children", "neighbour_children",
+          "superiors")
+
+
+def test_a_built_overlay_allocates_only_the_state_it_holds():
+    """The exact, interpreter-independent half of the budget: it counts
+    objects, not bytes.  After a build every empty role set and every empty
+    ``level_tables`` is the one shared sentinel, and no node has built the
+    election or demotion manager it has not used."""
+    net = Cluster(seed=9).build(NODES).net
+    shared = 0
+    for node in net.nodes.values():
+        table = node.table
+        for role in _ROLES:
+            ids = getattr(table, role)
+            assert ids or ids is _NO_ROLE, (node.ident, role)
+            shared += ids is _NO_ROLE
+        assert table.level_tables or table.level_tables is _NO_LEVELS
+        assert all(table.level_tables.values())
+        assert "elections" not in vars(node) and "demotions" not in vars(node)
+    assert shared > NODES  # every level0_indirect at least
 
 
 @_ONLY_311

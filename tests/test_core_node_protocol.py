@@ -226,6 +226,85 @@ class TestDemotionProtocol:
         assert node.max_level == 2  # §VI variant: stays in the upper layer
 
 
+class _EventLog:
+    """A stand-in obs hub that records the protocol events with their time."""
+
+    def __init__(self):
+        self.log = []
+
+    def event(self, name, ident, now, **fields):
+        self.log.append((name, ident, now, fields.get("value")))
+
+
+class TestManagersOnDemand:
+    """A node builds its election and demotion managers on first use; a run
+    on nodes whose managers were never touched must match one on nodes whose
+    managers were built up front: same countdowns, same outcome."""
+
+    @staticmethod
+    def _election(touch_first):
+        cfg = TreePConfig.paper_case1(election_base=1.0)
+        sim = Simulator()
+        net = Network(sim, latency=ConstantLatency(0.01))
+        events = _EventLog()
+        caps = [NodeCapacity(cpu=4), NodeCapacity(cpu=16, memory_gb=32),
+                NodeCapacity(cpu=8), NodeCapacity(cpu=2)]
+        nodes = []
+        for i, cap in enumerate(caps):
+            node = TreePNode(1000 * (i + 1), cap, cfg)
+            node.obs = events
+            net.register(node)
+            nodes.append(node)
+        for node in nodes:
+            assert "elections" not in vars(node)
+            if touch_first:
+                assert node.elections.active == {}
+            for other in nodes:
+                if other is not node:
+                    node.table.add_level0(other.ident, 0.0)
+        nodes[0].trigger_election(0)
+        sim.run(until=30.0)
+        return (events.log,
+                [(n.max_level, n.table.level1_parent(), sorted(n.table.children),
+                  {lvl: (e.winner, e.resolved, e.participants)
+                   for lvl, e in n.elections.active.items()}) for n in nodes])
+
+    @staticmethod
+    def _demotion(touch_first):
+        cfg = TreePConfig.paper_case1(demotion_base=1.0)
+        sim = Simulator()
+        net = Network(sim, latency=ConstantLatency(0.01))
+        events = _EventLog()
+        parent = TreePNode(5000, NodeCapacity(cpu=8), cfg)
+        child = TreePNode(4000, NodeCapacity(), cfg)
+        for node in (parent, child):
+            node.obs = events
+            net.register(node)
+        assert "demotions" not in vars(parent)
+        if touch_first:
+            assert parent.demotions.pending == {}
+        parent.max_level = 1
+        parent.children_by_level[1] = [4000]
+        parent.table.add_child(4000, 0.0)
+        child.table.set_parent(1, 5000, 0.0)
+        parent.check_demotion()
+        sim.run(until=60.0)
+        return events.log, parent.max_level, child.table.level1_parent(), parent.demotions.pending
+
+    def test_an_election_on_untouched_managers_matches_one_on_built_ones(self):
+        lazy, eager = self._election(False), self._election(True)
+        assert lazy == eager
+        won = [e for e in lazy[0] if e[0] == "election.won"]
+        assert [(ident, level) for _, ident, _, level in won] == [(2000, 1.0)]
+
+    def test_a_demotion_on_an_untouched_manager_matches_one_on_a_built_one(self):
+        lazy, eager = self._demotion(False), self._demotion(True)
+        assert lazy == eager
+        (name, ident, at, level), = lazy[0]
+        assert (name, ident, level) == ("election.demoted", 5000, 1.0) and at > 0
+        assert lazy[1:3] == (0, None)
+
+
 class TestPromotionOnOverflow:
     def test_overfull_parent_promotes_best_child(self):
         """A parent receiving more ChildReports than nc splits its cell by
@@ -338,6 +417,16 @@ class TestHandlerRegistry:
         with pytest.raises(ValueError):
             a.register_handler(Hello, lambda src, msg: None)
         a.register_handler(Hello, lambda src, msg: None, replace=True)  # ok
+
+    def test_the_first_registration_gives_the_node_its_own_handler_map(self):
+        sim, net, (a, b, _) = tiny_net()
+        assert a.handlers is b.handlers and not a.handlers  # the shared default
+        with pytest.raises(TypeError):
+            a.handlers[Hello] = print
+        a.unregister_handler(Hello)         # no-op removal keeps working
+        a.register_handler(Hello, print)
+        assert a.handlers == {Hello: print} and not b.handlers
+        assert a.handler_types() == {Hello} and b.handler_types() == set()
 
     def test_unregister_restores_builtin(self):
         sim, net, (a, b, _) = tiny_net()

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.routing_table import Entry, RoutingTable
+from repro.core.routing_table import _NO_LEVELS, _NO_ROLE, Entry, RoutingTable
 
 
 @pytest.fixture()
@@ -303,31 +303,73 @@ def test_epochs_are_read_only_and_the_table_has_no_instance_dict(table):
 
 
 def _role_pairs(t):
-    return {("level0", i) for i in t.level0} | {("child", i) for i in t.children}
+    pairs = {(role, i) for role in _ROLE_SETS for i in getattr(t, role)}
+    return pairs | {(f"bus{lvl}", i) for lvl, ids in t.level_tables.items() for i in ids}
 
 
-@given(ops=st.lists(_MUTATIONS, max_size=80))
-@settings(max_examples=150, deadline=None)
+_ADDERS = {
+    "level0": RoutingTable.add_level0,
+    "level0_indirect": RoutingTable.add_level0_indirect,
+    "children": RoutingTable.add_child,
+    "neighbour_children": RoutingTable.add_neighbour_child,
+    "superiors": RoutingTable.add_superior,
+}
+_LAZY = _ROLE_SETS + ("level_tables",)
+_VERSION_MUTATIONS = st.one_of(
+    _MUTATIONS,
+    st.tuples(st.just("add_role"), st.integers(0, 40), st.sampled_from(_ROLE_SETS)),
+    st.tuples(st.just("add_level"), st.integers(0, 40), st.integers(1, 2)),
+    st.tuples(st.just("set_level"), st.integers(0, 40), st.integers(1, 2)),
+    st.tuples(st.just("rebind_empty"), st.just(0), st.sampled_from(_LAZY)),
+)
+
+
+@given(ops=st.lists(_VERSION_MUTATIONS, max_size=80))
+@settings(max_examples=200, deadline=None)
 def test_property_version_counts_effective_role_and_level_changes(ops):
-    """Under the membership test's op stream every mutator is an
-    *effective-only* one, so ``version`` moves by exactly the number of
-    (role, id) memberships that appeared or vanished, parent slots whose
-    holder changed and peers whose level changed — and ``membership`` by at least one iff the
-    known ids did.  Recorded against the parent's ``__setattr__``-routed
-    counters before they became plain stores."""
+    """From all-empty roles, every effective-only mutator moves ``version``
+    by exactly the number of (role, id) memberships that appeared or
+    vanished, parent slots whose holder changed and peers whose level
+    changed (plus one when ``add_level`` opens a bus); a whole-role write —
+    ``set_level`` or rebinding a role to an empty set — moves it by exactly
+    one.  ``membership`` moves by at least one iff the known ids did.
+    Recorded against the parent's ``__setattr__``-routed counters before
+    they became plain stores, and kept through allocation on first write:
+    a role is the shared sentinel until its first write and again after a
+    rebinding to empty, and installing its container bumps nothing."""
     t = RoutingTable(owner=999)
+    written = set()
     now = 0.0
     for op, ident, arg in ops:
         now += 1.0
         roles, version, epoch = _role_pairs(t), t.version, t.membership
         parents = dict(t.parents)
         levels = {i: e.max_level for i, e in t._entries.items()}
+        buses = set(t.level_tables)
+        whole = 0
         if op == "upsert":
             t.upsert(ident, now, max_level=arg)
         elif op == "add_level0":
             t.add_level0(ident, now)
+            written.add("level0")
         elif op == "add_child":
             t.add_child(ident, now)
+            written.add("children")
+        elif op == "add_role":
+            _ADDERS[arg](t, ident, now)
+            written.add(arg)
+        elif op == "add_level":
+            t.add_level(arg, ident, now)
+            written.add("level_tables")
+            whole = arg not in buses
+        elif op == "set_level":
+            t.set_level(arg, {ident})
+            written.add("level_tables")
+            whole = 1
+        elif op == "rebind_empty":
+            setattr(t, arg, set() if arg != "level_tables" else {})
+            written.discard(arg)
+            whole = 1
         elif op == "set_parent":
             t.set_parent(arg, ident, now)
         elif op == "touch":
@@ -347,9 +389,59 @@ def test_property_version_counts_effective_role_and_level_changes(ops):
                          if e.max_level != levels.get(i, 0))
         reparented = sum(1 for lvl in parents.keys() | t.parents.keys()
                          if parents.get(lvl) != t.parents.get(lvl))
-        assert t.version - version == (
-            len(roles ^ _role_pairs(t)) + reparented + relevelled), (op, ident, arg)
+        if op in ("set_level", "rebind_empty"):
+            assert t.version - version == 1, (op, ident, arg)
+        else:
+            assert t.version - version == (
+                len(roles ^ _role_pairs(t)) + reparented + relevelled + whole), (
+                    op, ident, arg)
         assert (t.membership > epoch) == (set(levels) != set(t._entries))
+        for role in _ROLE_SETS:
+            assert (getattr(t, role) is _NO_ROLE) == (role not in written), (op, role)
+        assert (t.level_tables is _NO_LEVELS) == ("level_tables" not in written)
+
+
+# ------------------------------------------------- allocation on first write
+
+def test_unwritten_roles_are_the_shared_sentinels_and_written_ones_are_private():
+    a, b = RoutingTable(owner=1), RoutingTable(owner=2)
+    for t in (a, b):
+        assert all(getattr(t, role) is _NO_ROLE for role in _ROLE_SETS)
+        assert t.level_tables is _NO_LEVELS
+        assert t.version == 0
+    for adder in _ADDERS.values():
+        adder(a, 5, 0.0)
+        adder(b, 5, 0.0)
+    a.add_level(1, 5, 0.0)
+    b.add_level(1, 5, 0.0)
+    assert a.version == b.version == 7      # 5 roles + a new bus + its member
+    for role in _LAZY:
+        mine, theirs = getattr(a, role), getattr(b, role)
+        assert mine == theirs and mine is not theirs
+        assert mine is not _NO_ROLE and mine is not _NO_LEVELS
+    assert a.level_tables[1] is not b.level_tables[1]
+    a.level0.add(6)                         # a private write stays private
+    assert 6 not in b.level0 and not _NO_ROLE
+
+
+def test_writing_into_a_sentinel_raises_and_noop_reads_still_work():
+    t = RoutingTable(owner=1)
+    with pytest.raises(AttributeError):
+        t.children.add(5)
+    with pytest.raises(AttributeError):
+        t.superiors.update({5})
+    with pytest.raises(TypeError):
+        t.level_tables[1] = {5}
+    with pytest.raises(TypeError):
+        t.level_tables.setdefault(1)
+    assert not _NO_ROLE and not _NO_LEVELS  # nothing landed in shared state
+    t.children.discard(5)                   # no-op removals keep working
+    assert t.level_tables.pop(1, None) is None
+    t.forget(5)
+    assert t.version == 0 and t.children is _NO_ROLE
+    assert t.active_connections() == set() and t.roles_of(5) == set()
+    t.add_child(5, 0.0)
+    assert t.children == {5} and t.version == 1
 
 
 _IDS = st.integers(0, 40)  # the owner (7) included
