@@ -388,7 +388,7 @@ def _route_greedy(view: NodeView, req: LookupRequest, euclid: bool) -> Decision:
     radii = None if euclid else _radii(space.extent, height)
     t = view.table
     cv = t._view_l0 if from_level1_parent else t._view_full
-    if cv is None or cv[0] != t._epochs.version or cv[1] != height:
+    if cv is None or cv[0] != t._version or cv[1] != height:
         cv = _candidate_view(view, from_level1_parent)
     _, _, pairs, ids, radius_col, ibuf, fbuf = cv
     if pairs is None:

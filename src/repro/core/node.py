@@ -367,9 +367,9 @@ class TreePNode(Process):
         # Keep the two level-0 connections + joiner; drop the link the
         # joiner replaced (it is now reachable through the joiner).
         if msg.left == self.ident and msg.right is not None:
-            self.table.level0.discard(msg.right)
+            self.table.unlink("level0", msg.right)
         elif msg.right == self.ident and msg.left is not None:
-            self.table.level0.discard(msg.left)
+            self.table.unlink("level0", msg.left)
         self.send(msg.joiner, Hello(self.max_level, self.score, self.nc))
 
     # ----------------------------------------------------------------- join
@@ -445,7 +445,7 @@ class TreePNode(Process):
                     best, best_score = k, e.score
             if best is not None:
                 kids.remove(best)
-                self.table.children.discard(best)
+                self.table.unlink("children", best)
                 self.send(best, PromoteGrant(child=best, to_level=level))
 
     def _on_PromoteGrant(self, src: int, msg: PromoteGrant) -> None:
@@ -458,7 +458,7 @@ class TreePNode(Process):
         # The old parent becomes a same-level bus neighbour; our new parent
         # is whatever covers us one level further up (learned via the
         # superior list / next ParentAnnounce).
-        old_parent = self.table.parents.pop(msg.to_level, None)
+        old_parent = self.table.drop_parent(msg.to_level)
         if old_parent is not None:
             self.table.add_level(msg.to_level, old_parent, now,
                                  max_level=msg.to_level)
@@ -552,7 +552,7 @@ class TreePNode(Process):
         for c in self.children_by_level.pop(level, []):
             self.send(c, msg)
         self.max_level = level - 1
-        self.table.level_tables.pop(level, None)
+        self.table.drop_level(level)
         obs = self.obs
         if obs is not None:
             obs.event("election.demoted", self.ident, self.sim.now,
@@ -561,9 +561,9 @@ class TreePNode(Process):
     def _on_Demote(self, src: int, msg: Demote) -> None:
         now = self.sim.now
         if self.table.parents.get(msg.level) == msg.node:
-            del self.table.parents[msg.level]
-        self.table.level_tables.get(msg.level, set()).discard(msg.node)
-        self.table.children.discard(msg.node)
+            self.table.drop_parent(msg.level)
+        self.table.unlink_level(msg.level, msg.node)
+        self.table.unlink("children", msg.node)
         # Orphaned with enough neighbours → §III.b election trigger.
         if msg.level == self.max_level + 1 and len(self.table.level0) >= 2:
             self.trigger_election(self.max_level)

@@ -119,7 +119,7 @@ def relink_node(node: "TreePNode", policy: RepairPolicy = FULL_POLICY) -> None:
 
     if policy.relink_level0:
         left, right = _nearest_sides(t.all_known(), ident)
-        t.level0 = {i for i in (left, right) if i is not None}
+        t.set_role("level0", {i for i in (left, right) if i is not None})
         # Keep the paper's minimum-two-connections rule at bus endpoints.
         if len(t.level0) < 2:
             same_side = sorted(
@@ -127,7 +127,7 @@ def relink_node(node: "TreePNode", policy: RepairPolicy = FULL_POLICY) -> None:
                 key=lambda i: abs(i - ident),
             )
             for i in same_side[: 2 - len(t.level0)]:
-                t.level0.add(i)
+                t.link("level0", i)
 
     if policy.relink_buses:
         for lvl in range(1, node.max_level + 1):
@@ -234,7 +234,7 @@ def gossip_round(net: "TreePNetwork", policy: RepairPolicy = FULL_POLICY) -> Non
             t.upsert(peer, now, *pme)
             t.import_role(p_level0, now, pmeta, new_indirect)
         if new_indirect:
-            t.level0_indirect = new_indirect - t.level0
+            t.set_role("level0_indirect", new_indirect - t.level0)
 
         # Bus exchanges per level.  Each level table is *rebuilt* as direct
         # links + one-hop indirect (the peers' own links): like the other
@@ -263,7 +263,7 @@ def gossip_round(net: "TreePNetwork", policy: RepairPolicy = FULL_POLICY) -> Non
                 any_bus_exchange = True
                 t.set_level(lvl, fresh_level)
         if policy.refresh_neighbour_children and any_bus_exchange:
-            t.neighbour_children = fresh_nc
+            t.set_role("neighbour_children", fresh_nc)
 
         # Parent exchange: ancestors + parent's bus links -> superiors.
         p = my_parents.get(node.max_level + 1)
@@ -273,7 +273,7 @@ def gossip_round(net: "TreePNetwork", policy: RepairPolicy = FULL_POLICY) -> Non
             new_sup: set[int] = set()
             for group in (p_parents.values(), p_superiors, p_buses.get(pme[0], ())):
                 t.import_role(group, now, pmeta, new_sup)
-            t.superiors = new_sup
+            t.set_role("superiors", new_sup)
 
         t.trim_to_roles()
 

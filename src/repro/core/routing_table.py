@@ -24,10 +24,11 @@ every level the node belongs to live in :attr:`RoutingTable.parents`.)
 One shared :class:`Entry` store backs all tables so a keep-alive from a peer
 refreshes every role it appears under at once.
 
-A table allocates only the roles it holds: every unwritten role set is the
-one shared, immutable :data:`_NO_ROLE` and an unwritten ``level_tables`` the
-shared :data:`_NO_LEVELS`, until the first write through a table method (or
-a rebinding) installs the table's own container.
+The table's methods are the only writers of role state; everything else
+reads the plain containers.  A table allocates only the roles it holds:
+every unwritten role set is the one shared, immutable :data:`_NO_ROLE` and
+an unwritten ``level_tables`` the shared :data:`_NO_LEVELS`, until the first
+write through a table method installs the table's own container.
 """
 
 from __future__ import annotations
@@ -54,113 +55,10 @@ class Entry:
         return (self.ident, self.max_level, self.score, self.nc, self.last_seen)
 
 
-class _Epochs:
-    """One table's two change counters, shared by the table and its role
-    containers so that a bump is a plain slot store — not a trip through
-    ``RoutingTable.__setattr__``, whose job is guarding role *rebinding*.
-    """
-
-    __slots__ = ("version", "membership")
-
-    def __init__(self) -> None:
-        self.version = 0
-        self.membership = 0
-
-
-class _RoleSet(set):
-    """A ``set`` that bumps its owning table's :attr:`RoutingTable.version`
-    on every *effective* mutation.
-
-    The role sets are mutated directly all over the protocol engine
-    (``table.level0.discard(...)``, ``table.children.discard(...)`` …), so
-    versioning must live in the container rather than in ``RoutingTable``
-    methods — otherwise any direct mutation would silently invalidate the
-    candidate views the router keeps per version (see
-    :func:`repro.core.lookup._candidate_view`).
-    """
-
-    __slots__ = ("_epochs",)
-
-    def __init__(self, epochs: _Epochs, iterable: Iterable[int] = ()) -> None:
-        super().__init__(iterable)
-        self._epochs = epochs
-
-    # -- effective mutations bump; no-op mutations don't --------------------
-    def add(self, item: int) -> None:
-        if item not in self:
-            self._epochs.version += 1
-            set.add(self, item)
-
-    def discard(self, item: int) -> None:
-        if item in self:
-            self._epochs.version += 1
-            set.discard(self, item)
-
-    def remove(self, item: int) -> None:
-        self._epochs.version += 1
-        set.remove(self, item)
-
-    def pop(self) -> int:
-        self._epochs.version += 1
-        return set.pop(self)
-
-    def clear(self) -> None:
-        if self:
-            self._epochs.version += 1
-        set.clear(self)
-
-    # -- bulk mutations bump unconditionally (over-invalidation is safe) ----
-    def update(self, *others) -> None:
-        self._epochs.version += 1
-        set.update(self, *others)
-
-    def __ior__(self, other):
-        self._epochs.version += 1
-        return set.__ior__(self, other)
-
-    def difference_update(self, *others) -> None:
-        self._epochs.version += 1
-        set.difference_update(self, *others)
-
-    def __isub__(self, other):
-        self._epochs.version += 1
-        return set.__isub__(self, other)
-
-    def intersection_update(self, *others) -> None:
-        self._epochs.version += 1
-        set.intersection_update(self, *others)
-
-    def __iand__(self, other):
-        self._epochs.version += 1
-        return set.__iand__(self, other)
-
-    def symmetric_difference_update(self, other) -> None:
-        self._epochs.version += 1
-        set.symmetric_difference_update(self, other)
-
-    def __ixor__(self, other):
-        self._epochs.version += 1
-        return set.__ixor__(self, other)
-
-
-class _EmptyRole(frozenset):
-    """The type of :data:`_NO_ROLE`: an empty role set that cannot be written.
-
-    Reads (``in``, ``len``, iteration, set algebra) are frozenset's own;
-    ``add`` and every other mutator raise ``AttributeError``, so a write
-    that bypasses the table's install step fails instead of landing in
-    state every table shares.  ``discard`` stays: on an empty set it is
-    always the no-op it would be on a private one.
-    """
-
-    __slots__ = ()
-
-    def discard(self, item: int) -> None:
-        pass
-
-
-#: Every unwritten role set of every table.
-_NO_ROLE = _EmptyRole()
+#: Every unwritten role set of every table: reads are frozenset's own, and a
+#: write that bypasses the table (``t.children.add(x)``) raises
+#: ``AttributeError`` instead of landing in state every table shares.
+_NO_ROLE = frozenset()
 
 
 class EmptyMap(dict):
@@ -188,93 +86,6 @@ class EmptyMap(dict):
 _NO_LEVELS = EmptyMap()
 
 
-class _LevelTables(dict):
-    """``level -> _RoleSet`` mapping that keeps assignments versioned.
-
-    The repair policies install whole fresh buses at once
-    (``table.level_tables[lvl] = {...}``); wrapping the assigned set keeps
-    later in-place mutations versioned too.
-    """
-
-    __slots__ = ("_epochs",)
-
-    def __init__(self, epochs: _Epochs) -> None:
-        super().__init__()
-        self._epochs = epochs
-
-    def __setitem__(self, level: int, ids: Iterable[int]) -> None:
-        self._epochs.version += 1
-        dict.__setitem__(self, level, _RoleSet(self._epochs, ids))
-
-    def setdefault(self, level: int, default: Iterable[int] = ()) -> "_RoleSet":
-        got = dict.get(self, level)
-        if got is None:
-            got = _RoleSet(self._epochs, default)
-            self._epochs.version += 1
-            dict.__setitem__(self, level, got)
-        return got
-
-    def __delitem__(self, level: int) -> None:
-        if level in self:
-            self._epochs.version += 1
-        dict.__delitem__(self, level)
-
-    def pop(self, level: int, *default):
-        if level in self:
-            self._epochs.version += 1
-        return dict.pop(self, level, *default)
-
-    def clear(self) -> None:
-        if self:
-            self._epochs.version += 1
-        dict.clear(self)
-
-    def update(self, *args, **kwargs) -> None:
-        for mapping in (*args, kwargs):
-            items = mapping.items() if hasattr(mapping, "items") else mapping
-            for level, ids in items:
-                self[level] = ids
-
-
-class _ParentMap(dict):
-    """``level -> parent id`` mapping with versioned writes."""
-
-    __slots__ = ("_epochs",)
-
-    def __init__(self, epochs: _Epochs) -> None:
-        super().__init__()
-        self._epochs = epochs
-
-    def __setitem__(self, level: int, ident: int) -> None:
-        if dict.get(self, level) != ident:
-            self._epochs.version += 1
-        dict.__setitem__(self, level, ident)
-
-    def __delitem__(self, level: int) -> None:
-        if level in self:
-            self._epochs.version += 1
-        dict.__delitem__(self, level)
-
-    def pop(self, level: int, *default):
-        if level in self:
-            self._epochs.version += 1
-        return dict.pop(self, level, *default)
-
-    def clear(self) -> None:
-        if self:
-            self._epochs.version += 1
-        dict.clear(self)
-
-    def update(self, *args, **kwargs) -> None:
-        self._epochs.version += 1
-        dict.update(self, *args, **kwargs)
-
-    def setdefault(self, level: int, default: int = None):  # pragma: no cover
-        if level not in self:
-            self._epochs.version += 1
-        return dict.setdefault(self, level, default)
-
-
 class RoutingTable:
     """All routing state of one TreeP node.
 
@@ -282,15 +93,19 @@ class RoutingTable:
     `expire` is the only method that removes entries besides explicit
     `forget`.
 
-    Two change counters for two kinds of derived view: :attr:`version` moves
-    when a *role* set or a peer's level changes (the router's candidate
+    The table's methods are the only writers of its role state (the role
+    sets, ``level_tables`` and ``parents`` are plain containers, read
+    directly), so they alone keep the two change counters, one for each
+    kind of derived view: :attr:`version` moves on every effective role or
+    parent change and when a peer's level changes (the router's candidate
     views key on it), not when a role-less entry comes or goes;
     :attr:`membership` moves exactly when the set of known ids does
     (:meth:`sorted_ids` keys on it), whatever their roles.
     """
 
     __slots__ = (
-        "owner", "_entries", "_epochs", "_sorted_ids", "_view_full", "_view_l0",
+        "owner", "_entries", "_version", "_membership", "_sorted_ids",
+        "_view_full", "_view_l0",
         "level0", "level0_indirect", "level_tables", "children",
         "neighbour_children", "parents", "superiors",
     )
@@ -298,7 +113,8 @@ class RoutingTable:
     def __init__(self, owner: int) -> None:
         self.owner = owner
         self._entries: Dict[int, Entry] = {}
-        epochs = self._epochs = _Epochs()
+        self._version = 0
+        self._membership = 0
         self._sorted_ids: Tuple[int, Sequence[int]] = (-1, ())
         #: The router's candidate view of this table, one per variant (whole
         #: table / ``Search_Level_Zero``), stamped with the version it was
@@ -306,84 +122,42 @@ class RoutingTable:
         self._view_full = None
         self._view_l0 = None
         #: parent at each level this node belongs to (tables 4 + per-level).
-        self.parents: Dict[int, int] = _ParentMap(epochs)
-        # The lazy roles start as the shared sentinels, stored past
-        # ``__setattr__`` (which would count a rebinding).
-        unwritten = object.__setattr__
+        self.parents: Dict[int, int] = {}
         #: level-0 neighbours (table 1).
-        unwritten(self, "level0", _NO_ROLE)
+        self.level0: Set[int] = _NO_ROLE
         #: indirect level-0 knowledge — neighbours of neighbours, the
         #: replication that lets a node relink when a direct link dies.
-        unwritten(self, "level0_indirect", _NO_ROLE)
+        self.level0_indirect: Set[int] = _NO_ROLE
         #: per-level bus neighbourhood (table 2): level -> ids.
-        unwritten(self, "level_tables", _NO_LEVELS)
+        self.level_tables: Dict[int, Set[int]] = _NO_LEVELS
         #: own children (table 3, first half).
-        unwritten(self, "children", _NO_ROLE)
+        self.children: Set[int] = _NO_ROLE
         #: children of direct bus neighbours (table 3, second half).
-        unwritten(self, "neighbour_children", _NO_ROLE)
+        self.neighbour_children: Set[int] = _NO_ROLE
         #: ancestors + parent's direct neighbours (table 5).
-        unwritten(self, "superiors", _NO_ROLE)
+        self.superiors: Set[int] = _NO_ROLE
 
     @property
     def version(self) -> int:
         """Role-membership version (bumps on any add/remove in any table):
         any two reads that agree saw the same role sets and peer levels."""
-        return self._epochs.version
+        return self._version
 
     @property
     def membership(self) -> int:
         """Membership epoch: moves exactly when the set of known ids does."""
-        return self._epochs.membership
+        return self._membership
 
     def sorted_ids(self) -> Sequence[int]:
         """Every known id, ascending — the table as the 1-D space sees it.
         Memoised per :attr:`membership` epoch and rebuilt lazily (tables
         nobody key-routes through never pay); callers must not mutate it."""
         epoch, ids = self._sorted_ids
-        membership = self._epochs.membership
+        membership = self._membership
         if epoch != membership:
             ids = sorted(self._entries)
             self._sorted_ids = (membership, ids)
         return ids
-
-    #: Role attributes whose rebinding must stay versioned (the repair
-    #: policies rebuild whole roles by assignment: ``t.superiors = fresh``).
-    _WRAPPED_ROLES = frozenset((
-        "level0", "level0_indirect", "children", "neighbour_children",
-        "superiors"))
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        if name in RoutingTable._WRAPPED_ROLES and not isinstance(value, _RoleSet):
-            self._epochs.version += 1
-            value = _RoleSet(self._epochs, value) or _NO_ROLE
-        elif name == "level_tables" and not isinstance(value, _LevelTables):
-            wrapped = _LevelTables(self._epochs)
-            wrapped.update(value)
-            self._epochs.version += 1
-            value = wrapped or _NO_LEVELS
-        elif name == "parents" and not isinstance(value, _ParentMap):
-            wrapped = _ParentMap(self._epochs)
-            dict.update(wrapped, value)
-            self._epochs.version += 1
-            value = wrapped
-        object.__setattr__(self, name, value)
-
-    def _own(self, role: str) -> _RoleSet:
-        """The table's own container for *role*, installed on its first
-        write; the installation itself bumps nothing."""
-        own = getattr(self, role)
-        if own is _NO_ROLE:
-            own = _RoleSet(self._epochs)
-            object.__setattr__(self, role, own)
-        return own
-
-    def _own_levels(self) -> _LevelTables:
-        """:meth:`_own` for ``level_tables``."""
-        levels = self.level_tables
-        if levels is _NO_LEVELS:
-            levels = _LevelTables(self._epochs)
-            object.__setattr__(self, "level_tables", levels)
-        return levels
 
     # ----------------------------------------------------------- entry CRUD
     def upsert(
@@ -401,13 +175,13 @@ class RoutingTable:
         if e is None:
             e = Entry(ident=ident, last_seen=now)
             self._entries[ident] = e
-            self._epochs.membership += 1
+            self._membership += 1
         e.touch(now)
         if max_level is not None and max_level != e.max_level:
             # The router's candidate views key on the version and memoise
             # each peer's level — a level change via gossip/keep-alive
             # metadata must invalidate them exactly like a role change.
-            self._epochs.version += 1
+            self._version += 1
             e.max_level = max_level
         if score is not None:
             e.score = score
@@ -421,20 +195,20 @@ class RoutingTable:
         ``role.add(i)`` for every id but the owner, in iteration order.
         *meta* is the sender's :meth:`peer_meta`; *role* a fresh set the
         caller installs wholesale (the set it replaces is never touched)."""
-        entries, epochs, owner = self._entries, self._epochs, self.owner
+        entries, owner = self._entries, self.owner
         for i in ids:
             if i == owner:
                 continue
             e = entries.get(i)
             if e is None:
                 e = entries[i] = Entry(i, last_seen=now)
-                epochs.membership += 1
+                self._membership += 1
             elif now > e.last_seen:
                 e.last_seen = now
             m = meta.get(i)
             if m is not None:
                 if m[0] != e.max_level:
-                    epochs.version += 1  # as in upsert: views memoise levels
+                    self._version += 1  # as in upsert: views memoise levels
                 e.max_level, e.score, e.nc = m
             role.add(i)
 
@@ -458,27 +232,54 @@ class RoutingTable:
     def forget(self, ident: int) -> None:
         """Drop *ident* from every table (e.g. a detected-dead peer)."""
         if self._entries.pop(ident, None) is not None:
-            self._epochs.membership += 1
-        self.level0.discard(ident)
-        self.level0_indirect.discard(ident)
-        for ids in self.level_tables.values():
-            ids.discard(ident)
-        self.children.discard(ident)
-        self.neighbour_children.discard(ident)
-        self.superiors.discard(ident)
+            self._membership += 1
+        for ids in (self.level0, self.level0_indirect, self.children,
+                    self.neighbour_children, self.superiors,
+                    *self.level_tables.values()):
+            if ident in ids:
+                ids.discard(ident)
+                self._version += 1
         for lvl in [l for l, p in self.parents.items() if p == ident]:
-            del self.parents[lvl]
+            self.drop_parent(lvl)
 
     # ------------------------------------------------------------ role sets
+    # The only writers of role state: each makes the version bump its write
+    # calls for, so a read of ``version`` is a read of every role at once.
+
+    def link(self, role: str, ident: int) -> None:
+        """Add *ident* to the *role* set, installing the table's own set on
+        the role's first write (the installation itself bumps nothing)."""
+        ids = getattr(self, role)
+        if ident not in ids:
+            if type(ids) is frozenset:  # unwritten (or a deep copy of it)
+                ids = set()
+                setattr(self, role, ids)
+            ids.add(ident)
+            self._version += 1
+
+    def unlink(self, role: str, ident: int) -> None:
+        """Remove *ident* from the *role* set, if it is there."""
+        ids = getattr(self, role)
+        if ident in ids:
+            ids.discard(ident)
+            self._version += 1
+
+    def set_role(self, role: str, ids: Iterable[int]) -> None:
+        """Install *ids* as the whole *role* set (a repair rebuild), replacing
+        whatever the table held there: one bump, whatever changed; an empty
+        result leaves the role unwritten again."""
+        self._version += 1
+        setattr(self, role, set(ids) or _NO_ROLE)
+
     def add_level0(self, ident: int, now: float, max_level: Optional[int] = None,
                    score: Optional[float] = None, nc: Optional[int] = None) -> None:
         self.upsert(ident, now, max_level, score, nc)
-        self._own("level0").add(ident)
+        self.link("level0", ident)
 
     def add_level0_indirect(self, ident: int, now: float, max_level: Optional[int] = None,
                             score: Optional[float] = None, nc: Optional[int] = None) -> None:
         self.upsert(ident, now, max_level, score, nc)
-        self._own("level0_indirect").add(ident)
+        self.link("level0_indirect", ident)
 
     def add_level(self, level: int, ident: int, now: float,
                   max_level: Optional[int] = None, score: Optional[float] = None,
@@ -486,24 +287,46 @@ class RoutingTable:
         if level <= 0:
             raise ValueError("use add_level0 for level 0")
         self.upsert(ident, now, max_level, score, nc)
-        self._own_levels().setdefault(level).add(ident)
+        if level not in self.level_tables:
+            self.set_level(level, ())  # opening a bus is a write of its own
+        bus = self.level_tables[level]
+        if ident not in bus:
+            bus.add(ident)
+            self._version += 1
 
     def set_level(self, level: int, ids: Iterable[int]) -> None:
         """Install *ids* as the whole level-*level* bus (a repair rebuild),
-        replacing whatever the table held there."""
+        replacing whatever the table held there: one bump."""
         if level <= 0:
             raise ValueError("use the level0 role for level 0")
-        self._own_levels()[level] = ids
+        levels = self.level_tables
+        if type(levels) is EmptyMap:  # unwritten (or a deep copy of it)
+            levels = self.level_tables = {}
+        levels[level] = set(ids)
+        self._version += 1
+
+    def unlink_level(self, level: int, ident: int) -> None:
+        """Remove *ident* from the level-*level* bus, if it is there."""
+        bus = self.level_tables.get(level)
+        if bus is not None and ident in bus:
+            bus.discard(ident)
+            self._version += 1
+
+    def drop_level(self, level: int) -> None:
+        """Leave the level-*level* bus: one bump if the table held it."""
+        if level in self.level_tables:
+            del self.level_tables[level]
+            self._version += 1
 
     def add_child(self, ident: int, now: float, max_level: Optional[int] = None,
                   score: Optional[float] = None, nc: Optional[int] = None) -> None:
         self.upsert(ident, now, max_level, score, nc)
-        self._own("children").add(ident)
+        self.link("children", ident)
 
     def add_neighbour_child(self, ident: int, now: float, max_level: Optional[int] = None,
                             score: Optional[float] = None, nc: Optional[int] = None) -> None:
         self.upsert(ident, now, max_level, score, nc)
-        self._own("neighbour_children").add(ident)
+        self.link("neighbour_children", ident)
 
     def set_parent(self, level: int, ident: int, now: float,
                    max_level: Optional[int] = None, score: Optional[float] = None,
@@ -512,12 +335,21 @@ class RoutingTable:
         if level <= 0:
             raise ValueError("parents exist at level >= 1")
         self.upsert(ident, now, max_level, score, nc)
-        self.parents[level] = ident
+        if self.parents.get(level) != ident:
+            self.parents[level] = ident
+            self._version += 1
+
+    def drop_parent(self, level: int) -> Optional[int]:
+        """Forget the level-*level* parent; return it (``None`` if unset)."""
+        old = self.parents.pop(level, None)
+        if old is not None:
+            self._version += 1
+        return old
 
     def add_superior(self, ident: int, now: float, max_level: Optional[int] = None,
                      score: Optional[float] = None, nc: Optional[int] = None) -> None:
         self.upsert(ident, now, max_level, score, nc)
-        self._own("superiors").add(ident)
+        self.link("superiors", ident)
 
     # --------------------------------------------------------------- expiry
     def expire(self, now: float, entry_ttl: float) -> List[int]:
@@ -599,7 +431,7 @@ class RoutingTable:
         for i in drop:
             del self._entries[i]
         if drop:
-            self._epochs.membership += 1
+            self._membership += 1
         return len(drop)
 
     # ---------------------------------------------------------------- delta

@@ -10,6 +10,7 @@ by N.  Figures (CPython 3.11.7, NumPy 2.4, this file run as a script)::
     parent 02803cf   5 535 / 5 257   1 625 / 1 771      (N = 2 000 / 10 000)
     PR 22            5 383 / 5 112     767 /   756
     v1.24.0          4 401 / 4 123     654 /   628
+    v1.25.0          4 322 / 4 048     654 /   628
 
 The first built drop is the ``RoutingTable`` instance ``__dict__`` and the
 two un-slotted per-node managers; the first lookup drop is the greedy router
@@ -20,6 +21,8 @@ sets and ``level_tables`` are shared sentinels, and a node builds its
 election and demotion managers and its handler dict only when it uses them;
 its lookup drop is views that keep ``(id, level)`` pairs or NumPy columns
 but no list of :class:`~repro.core.routing_table.Entry` references.  The
+v1.25.0 drop is plain ``set``/``dict`` role containers: the table's methods
+make every version bump, so no container carries a counter slot.  The
 budgets are the N = 2 000 figures + 5 %.  Allocation sizes are interpreter-
 specific, hence the same 3.11-only gate as the golden diff in
 ``tests/test_sim_scale.py``.
@@ -36,6 +39,7 @@ command; a 64-node build + step first pays the one-off imports and caches,
     parent 9e8b36e   5 374 / 5 408               0 / 0      (N = 2 000 / 5 000)
     PR 23            5 373 / 5 409               0 / 0
     v1.24.0          4 543 / 4 580               0 / 0
+    v1.25.0          4 461 / 4 492               0 / 0
 """
 
 import gc
@@ -50,9 +54,9 @@ from repro.core.repair import apply_failure_step
 from repro.core.routing_table import _NO_LEVELS, _NO_ROLE, Entry
 
 NODES = 2000
-BUILT_BYTES_PER_NODE = 4401 * 1.05
+BUILT_BYTES_PER_NODE = 4322 * 1.05
 LOOKUP_BYTES_PER_NODE = 654 * 1.05
-REPAIRED_BYTES_PER_LIVE_NODE = 4543 * 1.05
+REPAIRED_BYTES_PER_LIVE_NODE = 4461 * 1.05
 
 
 def measure(n):

@@ -1,5 +1,7 @@
 """Unit + property tests for the six-table routing state."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -229,8 +231,8 @@ def test_property_membership_epoch_moves_iff_known_ids_change(ops):
         elif op == "merge_delta":
             t.merge_delta([(ident, arg, 1.0, 4, now), (999, 0, 1.0, 4, now)], now)
         elif op == "discard_role":
-            t.level0.discard(ident)
-            t.children.discard(ident)
+            t.unlink("level0", ident)
+            t.unlink("children", ident)
         changed = set(t._entries) != before_ids
         assert (t.membership != before_epoch) == changed, (op, ident, arg)
         assert list(t.sorted_ids()) == sorted(t._entries)
@@ -249,9 +251,9 @@ def test_role_less_upsert_and_trim_move_the_epoch_but_not_the_version(table):
     assert list(table.sorted_ids()) == [7]
 
 
-# ------------------------------------------------- epochs record (PR 22)
-# The two counters live on a record the role containers bump directly;
-# ``RoutingTable.__setattr__`` only guards role *rebinding*.
+# ------------------------------------------------- one writer for role state
+# The role containers are plain sets and dicts; the table's methods are their
+# only writers and make every version bump.
 
 _ROLE_SETS = ("level0", "level0_indirect", "children", "neighbour_children",
               "superiors")
@@ -259,38 +261,53 @@ _ROLE_SETS = ("level0", "level0_indirect", "children", "neighbour_children",
 
 @pytest.mark.parametrize("role", _ROLE_SETS)
 def test_rebinding_a_role_set_bumps_version_once_and_wraps(table, role):
+    """``set_role`` rebinds a whole role with one bump, into a set the table
+    owns; later writes through the table stay versioned, no-ops stay free,
+    and rebinding to empty leaves the role the shared sentinel again."""
     table.add_level0(1, 0.0)
     before = table.version
-    setattr(table, role, {5, 6})
+    given = {5, 6}
+    table.set_role(role, given)
     assert table.version == before + 1
     rebound = getattr(table, role)
-    assert rebound == {5, 6} and type(rebound) is not set
-    rebound.add(7)                          # the wrapped value stays versioned
+    assert rebound == {5, 6} and rebound is not given
+    given.add(9)                            # the caller's set stays the caller's
+    assert 9 not in rebound
+    table.link(role, 7)
     assert table.version == before + 2
-    rebound.add(7)                          # ... and no-ops stay free
+    table.link(role, 7)                     # no-ops stay free
+    table.unlink(role, 8)
     assert table.version == before + 2
-    setattr(table, role, rebound)           # re-assigning the wrapper itself
-    assert table.version == before + 2
+    table.unlink(role, 7)
+    assert table.version == before + 3 and getattr(table, role) == {5, 6}
+    table.set_role(role, ())
+    assert table.version == before + 4 and getattr(table, role) is _NO_ROLE
 
 
 def test_rebinding_level_tables_and_parents_stays_versioned(table):
     before = table.version
-    table.level_tables = {}
-    assert table.version == before + 1
-    table.level_tables = {2: {8, 9}}        # one bump per installed bus + one
-    assert table.version == before + 3
-    table.level_tables[2].discard(8)
+    table.set_level(2, {8, 9})              # one bump per installed bus
+    assert table.version == before + 1 and table.level_tables == {2: {8, 9}}
+    table.unlink_level(2, 8)
+    assert table.version == before + 2
+    table.unlink_level(2, 8)                # no-ops stay free
+    table.unlink_level(5, 9)
+    assert table.version == before + 2
+    table.set_level(3, {4})
+    table.drop_level(3)
+    assert table.version == before + 4 and table.level_tables == {2: {9}}
+    table.drop_level(3)
     assert table.version == before + 4
-    table.level_tables[3] = {4}
-    assert table.version == before + 5 and type(table.level_tables[3]) is not set
 
     before = table.version
-    table.parents = {1: 50}
+    table.set_parent(1, 50, 0.0)
     assert table.version == before + 1 and table.level1_parent() == 50
-    table.parents[1] = 50                   # same parent: no bump
+    table.set_parent(1, 50, 0.0)            # same parent: no bump
     assert table.version == before + 1
-    table.parents[1] = 51
+    table.set_parent(1, 51, 0.0)
     assert table.version == before + 2
+    assert table.drop_parent(1) == 51 and table.version == before + 3
+    assert table.drop_parent(1) is None and table.version == before + 3
 
 
 def test_epochs_are_read_only_and_the_table_has_no_instance_dict(table):
@@ -318,9 +335,15 @@ _LAZY = _ROLE_SETS + ("level_tables",)
 _VERSION_MUTATIONS = st.one_of(
     _MUTATIONS,
     st.tuples(st.just("add_role"), st.integers(0, 40), st.sampled_from(_ROLE_SETS)),
+    st.tuples(st.just("link"), st.integers(0, 40), st.sampled_from(_ROLE_SETS)),
+    st.tuples(st.just("unlink"), st.integers(0, 40), st.sampled_from(_ROLE_SETS)),
+    st.tuples(st.just("set_role"), st.integers(0, 40), st.sampled_from(_ROLE_SETS)),
+    st.tuples(st.just("clear_role"), st.just(0), st.sampled_from(_ROLE_SETS)),
     st.tuples(st.just("add_level"), st.integers(0, 40), st.integers(1, 2)),
     st.tuples(st.just("set_level"), st.integers(0, 40), st.integers(1, 2)),
-    st.tuples(st.just("rebind_empty"), st.just(0), st.sampled_from(_LAZY)),
+    st.tuples(st.just("unlink_level"), st.integers(0, 40), st.integers(1, 2)),
+    st.tuples(st.just("drop_level"), st.just(0), st.integers(1, 2)),
+    st.tuples(st.just("drop_parent"), st.just(0), st.integers(1, 3)),
 )
 
 
@@ -331,12 +354,12 @@ def test_property_version_counts_effective_role_and_level_changes(ops):
     by exactly the number of (role, id) memberships that appeared or
     vanished, parent slots whose holder changed and peers whose level
     changed (plus one when ``add_level`` opens a bus); a whole-role write —
-    ``set_level`` or rebinding a role to an empty set — moves it by exactly
-    one.  ``membership`` moves by at least one iff the known ids did.
-    Recorded against the parent's ``__setattr__``-routed counters before
-    they became plain stores, and kept through allocation on first write:
-    a role is the shared sentinel until its first write and again after a
-    rebinding to empty, and installing its container bumps nothing."""
+    ``set_role``, ``set_level``, or ``drop_level`` of a bus the table held —
+    moves it by exactly one.  ``membership`` moves by at least one iff the
+    known ids did.  Recorded against the self-counting containers the table
+    methods replaced, and kept through allocation on first write: a role is
+    the shared sentinel until its first write and again after a rebinding
+    to empty, and installing its container bumps nothing."""
     t = RoutingTable(owner=999)
     written = set()
     now = 0.0
@@ -358,6 +381,19 @@ def test_property_version_counts_effective_role_and_level_changes(ops):
         elif op == "add_role":
             _ADDERS[arg](t, ident, now)
             written.add(arg)
+        elif op == "link":
+            t.link(arg, ident)
+            written.add(arg)
+        elif op == "unlink":
+            t.unlink(arg, ident)
+        elif op == "set_role":
+            t.set_role(arg, {ident})
+            written.add(arg)
+            whole = 1
+        elif op == "clear_role":
+            t.set_role(arg, ())
+            written.discard(arg)
+            whole = 1
         elif op == "add_level":
             t.add_level(arg, ident, now)
             written.add("level_tables")
@@ -366,10 +402,13 @@ def test_property_version_counts_effective_role_and_level_changes(ops):
             t.set_level(arg, {ident})
             written.add("level_tables")
             whole = 1
-        elif op == "rebind_empty":
-            setattr(t, arg, set() if arg != "level_tables" else {})
-            written.discard(arg)
-            whole = 1
+        elif op == "unlink_level":
+            t.unlink_level(arg, ident)
+        elif op == "drop_level":
+            t.drop_level(arg)
+            whole = int(arg in buses)
+        elif op == "drop_parent":
+            t.drop_parent(arg)
         elif op == "set_parent":
             t.set_parent(arg, ident, now)
         elif op == "touch":
@@ -383,14 +422,14 @@ def test_property_version_counts_effective_role_and_level_changes(ops):
         elif op == "merge_delta":
             t.merge_delta([(ident, arg, 1.0, 4, now), (999, 0, 1.0, 4, now)], now)
         elif op == "discard_role":
-            t.level0.discard(ident)
-            t.children.discard(ident)
+            t.unlink("level0", ident)
+            t.unlink("children", ident)
         relevelled = sum(1 for i, e in t._entries.items()
                          if e.max_level != levels.get(i, 0))
         reparented = sum(1 for lvl in parents.keys() | t.parents.keys()
                          if parents.get(lvl) != t.parents.get(lvl))
-        if op in ("set_level", "rebind_empty"):
-            assert t.version - version == 1, (op, ident, arg)
+        if op in ("set_role", "clear_role", "set_level", "drop_level"):
+            assert t.version - version == whole, (op, ident, arg)
         else:
             assert t.version - version == (
                 len(roles ^ _role_pairs(t)) + reparented + relevelled + whole), (
@@ -430,18 +469,47 @@ def test_writing_into_a_sentinel_raises_and_noop_reads_still_work():
         t.children.add(5)
     with pytest.raises(AttributeError):
         t.superiors.update({5})
+    with pytest.raises(AttributeError):
+        t.children.discard(5)               # even a no-op goes through the table
     with pytest.raises(TypeError):
         t.level_tables[1] = {5}
     with pytest.raises(TypeError):
         t.level_tables.setdefault(1)
     assert not _NO_ROLE and not _NO_LEVELS  # nothing landed in shared state
-    t.children.discard(5)                   # no-op removals keep working
+    t.unlink("children", 5)                 # no-op removals keep working
+    t.unlink_level(1, 5)
+    t.drop_level(1)
+    assert t.drop_parent(1) is None
     assert t.level_tables.pop(1, None) is None
     t.forget(5)
-    assert t.version == 0 and t.children is _NO_ROLE
+    assert t.version == 0 and t.children is _NO_ROLE and t.level_tables is _NO_LEVELS
     assert t.active_connections() == set() and t.roles_of(5) == set()
     t.add_child(5, 0.0)
     assert t.children == {5} and t.version == 1
+
+
+def test_a_deep_copy_is_faithful_and_independent(table):
+    table.add_level0(2, 0.0)
+    table.add_child(3, 0.0)
+    table.add_level(1, 4, 0.0, max_level=1)  # relevel + new bus + member
+    twin = copy.deepcopy(table)
+    for role in _LAZY + ("parents",):
+        assert getattr(twin, role) == getattr(table, role), role
+    assert (twin.version, twin.membership) == (table.version, table.membership) == (5, 3)
+    assert ([e.as_tuple() for e in twin._entries.values()]
+            == [e.as_tuple() for e in table._entries.values()])
+    # Every kind of write lands in the copy only, unwritten roles included.
+    twin.add_level0(5, 1.0)
+    twin.add_level(1, 6, 1.0)
+    twin.set_level(2, {7})
+    twin.add_superior(8, 1.0)
+    twin.set_parent(1, 9, 1.0)
+    twin.unlink("children", 3)
+    assert twin.superiors == {8} and twin.level_tables == {1: {4, 6}, 2: {7}}
+    assert table.level0 == {2} and table.children == {3}
+    assert table.level_tables == {1: {4}} and table.superiors is _NO_ROLE
+    assert table.parents == {} and not table.knows(5)
+    assert (table.version, table.membership) == (5, 3)
 
 
 _IDS = st.integers(0, 40)  # the owner (7) included
@@ -462,7 +530,7 @@ def test_property_import_role_equals_the_upsert_and_add_loop(stored, stream, met
     same ``version`` and ``membership``, same role-set iteration order —
     whether an id is new or known, has metadata or not, changes level or
     not, and whether *now* is older or newer than the stored ``last_seen``.
-    (Two tables built alike, since ``deepcopy`` drops the role sets.)"""
+    (Two tables built alike, so the role sets share their history.)"""
     tables = []
     for _ in range(2):
         t = RoutingTable(owner=7)
