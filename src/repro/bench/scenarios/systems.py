@@ -162,10 +162,7 @@ def _size_rows(n: int, seed: int, case: str) -> List[_SizeRow]:
         members = by_class.get(key, [])
         if not members:
             continue
-        ca = float(np.mean([
-            sum(len(k) for k in net.nodes[i].children_by_level.values())
-            for i in members
-        ]))
+        ca = float(np.mean([len(net.nodes[i].table.children) for i in members]))
         da = 2.0
         li, indirect = 2.0, 2.0
         if key == "level-0 only":

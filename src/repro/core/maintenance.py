@@ -90,8 +90,8 @@ class MaintenanceManager:
         now = node.sim.now
         expired = node.table.expire(now, node.config.entry_ttl)
         self.stats.entries_expired += len(expired)
-        for level, kids in list(node.children_by_level.items()):
-            node.children_by_level[level] = [k for k in kids if k not in expired]
+        for peer in expired:  # a re-learnt peer gets a first-contact delta
+            self._last_sync.pop(peer, None)
 
         for peer in node.table.active_connections():
             since = self._last_sync.get(peer, -1.0)

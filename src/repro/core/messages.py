@@ -15,7 +15,7 @@ metadata, ~16 bytes on the wire.
 Message families:
 
 * **Bootstrap / join** — :class:`Hello`, :class:`HelloAck`, :class:`JoinRequest`,
-  :class:`JoinRedirect`, :class:`JoinAccept`.
+  :class:`JoinAccept`.
 * **Maintenance** — :class:`KeepAlive`, :class:`KeepAliveAck`,
   :class:`ChildReport` (child → parent heartbeat; §III.a "if they do not
   report regularly they will simply be deleted").
@@ -82,16 +82,6 @@ class JoinRequest:
     nc: int
 
     wire_size: ClassVar[int] = _HEADER_BYTES + 12
-
-
-@dataclass(frozen=True, slots=True)
-class JoinRedirect:
-    """Forwarded join: *closer* is nearer the joiner's ID."""
-
-    joiner: int
-    closer: int
-
-    wire_size: ClassVar[int] = _HEADER_BYTES + 8
 
 
 @dataclass(frozen=True, slots=True)

@@ -37,7 +37,6 @@ from repro.core.messages import (
     Hello,
     HelloAck,
     JoinAccept,
-    JoinRedirect,
     JoinRequest,
     KeepAlive,
     KeepAliveAck,
@@ -97,8 +96,6 @@ class TreePNode(Process):
         self.max_level = 0
         #: Node-local estimate of the hierarchy height ``h``.
         self.height = 1
-        #: Children per level this node parents: level -> sorted ids.
-        self.children_by_level: Dict[int, List[int]] = {}
         self.nc = (
             config.nc_fixed
             if config.nc_mode == "fixed"
@@ -187,7 +184,7 @@ class TreePNode(Process):
         return {"max_level": self.max_level, "score": self.score, "nc": self.nc}
 
     def child_count(self, level: int) -> int:
-        return len(self.children_by_level.get(level, ()))
+        return len(self.table.level_children.get(level, ()))
 
     # ------------------------------------------------------------ dispatch
     #: payload type -> bound-to-class ``_on_<Type>`` method (or None),
@@ -406,10 +403,6 @@ class TreePNode(Process):
         """Ask *bootstrap* to place this node on level 0."""
         self.send(bootstrap, JoinRequest(joiner=self.ident, score=self.score, nc=self.nc))
 
-    def _on_JoinRedirect(self, src: int, msg: JoinRedirect) -> None:
-        if msg.joiner == self.ident:
-            self.send(msg.closer, JoinRequest(joiner=self.ident, score=self.score, nc=self.nc))
-
     def _on_JoinAccept(self, src: int, msg: JoinAccept) -> None:
         now = self.sim.now
         for n in (msg.left, msg.right):
@@ -426,27 +419,17 @@ class TreePNode(Process):
         level = msg.max_level + 1
         if level > self.max_level:
             return  # we are no longer a parent at that level
-        self.table.add_child(src, now, score=msg.score, max_level=msg.max_level)
-        kids = self.children_by_level.setdefault(level, [])
-        if src not in kids:
-            kids.append(src)
-            kids.sort()
+        self.table.add_child(level, src, now, score=msg.score, max_level=msg.max_level)
         self.send(src, ParentAnnounce(level=level, parent=self.ident,
                                       superiors=self._superior_chain()))
         # Cell overflow (§III.a): a parent holds at most nc children; split
         # the cell B-tree-style by promoting the best-scoring child to our
-        # own level.
+        # own level (the lowest id among equals).  Every child has an entry.
+        kids = self.table.level_children[level]
         if len(kids) > self.nc:
-            best: Optional[int] = None
-            best_score = -1.0
-            for k in kids:
-                e = self.table.get(k)
-                if e is not None and e.score > best_score:
-                    best, best_score = k, e.score
-            if best is not None:
-                kids.remove(best)
-                self.table.unlink("children", best)
-                self.send(best, PromoteGrant(child=best, to_level=level))
+            best = max(kids, key=lambda k: (self.table.get(k).score, -k))
+            self.table.unlink_child(best)
+            self.send(best, PromoteGrant(child=best, to_level=level))
 
     def _on_PromoteGrant(self, src: int, msg: PromoteGrant) -> None:
         """Our parent split its over-full cell: we ascend to its level."""
@@ -549,7 +532,7 @@ class TreePNode(Process):
         msg = Demote(node=self.ident, level=level)
         for n in self.table.neighbours_at(level):
             self.send(n, msg)
-        for c in self.children_by_level.pop(level, []):
+        for c in self.table.drop_children(level):
             self.send(c, msg)
         self.max_level = level - 1
         self.table.drop_level(level)
@@ -559,11 +542,10 @@ class TreePNode(Process):
                       value=float(level))
 
     def _on_Demote(self, src: int, msg: Demote) -> None:
-        now = self.sim.now
         if self.table.parents.get(msg.level) == msg.node:
             self.table.drop_parent(msg.level)
         self.table.unlink_level(msg.level, msg.node)
-        self.table.unlink("children", msg.node)
+        self.table.unlink_child(msg.node)
         # Orphaned with enough neighbours → §III.b election trigger.
         if msg.level == self.max_level + 1 and len(self.table.level0) >= 2:
             self.trigger_election(self.max_level)

@@ -144,13 +144,6 @@ def relink_node(node: "TreePNode", policy: RepairPolicy = FULL_POLICY) -> None:
                 t.set_parent(want_level, new_parent, node.sim.now)
 
 
-def _prune_children(node: "TreePNode") -> None:
-    """Drop children no longer present in the table (expired)."""
-    t = node.table
-    for lvl, kids in list(node.children_by_level.items()):
-        node.children_by_level[lvl] = [k for k in kids if t.get(k) is not None]
-
-
 # --------------------------------------------------------------------------
 # converged-mode primitives (harness use)
 # --------------------------------------------------------------------------
@@ -178,7 +171,6 @@ def purge_dead(net: "TreePNetwork", newly_dead: Optional[Iterable[int]] = None) 
             for d in hits:
                 node.table.forget(d)
             removed += len(hits)
-            _prune_children(node)
     return removed
 
 
@@ -206,13 +198,13 @@ def gossip_round(net: "TreePNetwork", policy: RepairPolicy = FULL_POLICY) -> Non
         if not net.network.is_up(ident):
             continue
         t = node.table
-        # ``parents`` / ``children_by_level`` are never mutated by a round,
+        # ``parents`` / ``level_children`` are never mutated by a round,
         # so they are shared; the sets are, and a copy may iterate in another
         # order than a set that has seen discards — the digests pin the copy's.
         snapshot[ident] = (
             set(t.level0),
             {lvl: set(ids) for lvl, ids in t.level_tables.items()},
-            node.children_by_level,
+            t.level_children,
             t.parents,
             set(t.superiors),
             (node.max_level, node.score, node.nc),
@@ -291,12 +283,8 @@ def _sync_children(net: "TreePNetwork") -> None:
         parent = net.nodes.get(p)
         if parent is None or parent.max_level < lvl:
             continue
-        parent.table.add_child(ident, now, max_level=node.max_level,
+        parent.table.add_child(lvl, ident, now, max_level=node.max_level,
                                score=node.score, nc=node.nc)
-        kids = parent.children_by_level.setdefault(lvl, [])
-        if ident not in kids:
-            kids.append(ident)
-            kids.sort()
 
 
 # --------------------------------------------------------------------------

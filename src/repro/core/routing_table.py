@@ -27,12 +27,13 @@ refreshes every role it appears under at once.
 The table's methods are the only writers of role state; everything else
 reads the plain containers.  A table allocates only the roles it holds:
 every unwritten role set is the one shared, immutable :data:`_NO_ROLE` and
-an unwritten ``level_tables`` the shared :data:`_NO_LEVELS`, until the first
+every unwritten per-level map the shared :data:`_NO_LEVELS`, until the first
 write through a table method installs the table's own container.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -63,9 +64,9 @@ _NO_ROLE = frozenset()
 
 class EmptyMap(dict):
     """An empty ``dict`` that cannot be written: the shared default of a
-    per-owner map its owner installs on first write (``level_tables`` here,
-    a node's service handlers).  Reads are dict's own, at dict's speed, and
-    ``pop`` with a default is a no-op; any write raises ``TypeError``, so
+    per-owner map its owner installs on first write (a table's per-level
+    maps, a node's service handlers).  Reads are dict's own, at dict's speed,
+    and ``pop`` with a default is a no-op; any write raises ``TypeError``, so
     one that bypasses the owner cannot land in state every owner shares."""
 
     __slots__ = ()
@@ -82,7 +83,7 @@ class EmptyMap(dict):
         raise KeyError(key)
 
 
-#: Every unwritten ``level_tables`` of every table.
+#: Every unwritten ``level_tables`` and ``level_children`` of every table.
 _NO_LEVELS = EmptyMap()
 
 
@@ -94,11 +95,12 @@ class RoutingTable:
     `forget`.
 
     The table's methods are the only writers of its role state (the role
-    sets, ``level_tables`` and ``parents`` are plain containers, read
-    directly), so they alone keep the two change counters, one for each
-    kind of derived view: :attr:`version` moves on every effective role or
-    parent change and when a peer's level changes (the router's candidate
-    views key on it), not when a role-less entry comes or goes;
+    sets, ``level_tables``, ``level_children`` and ``parents`` are plain
+    containers, read directly), so they alone keep the two change counters,
+    one for each kind of derived view: :attr:`version` moves on every
+    effective role or parent change and when a peer's level changes (the
+    router's candidate views key on it), not when a role-less entry comes or
+    goes, nor when only ``level_children`` does;
     :attr:`membership` moves exactly when the set of known ids does
     (:meth:`sorted_ids` keys on it), whatever their roles.
     """
@@ -106,8 +108,8 @@ class RoutingTable:
     __slots__ = (
         "owner", "_entries", "_version", "_membership", "_sorted_ids",
         "_view_full", "_view_l0",
-        "level0", "level0_indirect", "level_tables", "children",
-        "neighbour_children", "parents", "superiors",
+        "level0", "level0_indirect", "level_tables", "level_children",
+        "children", "neighbour_children", "parents", "superiors",
     )
 
     def __init__(self, owner: int) -> None:
@@ -130,7 +132,10 @@ class RoutingTable:
         self.level0_indirect: Set[int] = _NO_ROLE
         #: per-level bus neighbourhood (table 2): level -> ids.
         self.level_tables: Dict[int, Set[int]] = _NO_LEVELS
-        #: own children (table 3, first half).
+        #: own children per level this node parents (table 3, first half):
+        #: level -> ascending ids.  A level stays listed while childless.
+        self.level_children: Dict[int, List[int]] = _NO_LEVELS
+        #: every id of ``level_children``, as one set: the router's read.
         self.children: Set[int] = _NO_ROLE
         #: children of direct bus neighbours (table 3, second half).
         self.neighbour_children: Set[int] = _NO_ROLE
@@ -233,12 +238,13 @@ class RoutingTable:
         """Drop *ident* from every table (e.g. a detected-dead peer)."""
         if self._entries.pop(ident, None) is not None:
             self._membership += 1
-        for ids in (self.level0, self.level0_indirect, self.children,
+        for ids in (self.level0, self.level0_indirect,
                     self.neighbour_children, self.superiors,
                     *self.level_tables.values()):
             if ident in ids:
                 ids.discard(ident)
                 self._version += 1
+        self.unlink_child(ident)
         for lvl in [l for l, p in self.parents.items() if p == ident]:
             self.drop_parent(lvl)
 
@@ -318,10 +324,40 @@ class RoutingTable:
             del self.level_tables[level]
             self._version += 1
 
-    def add_child(self, ident: int, now: float, max_level: Optional[int] = None,
-                  score: Optional[float] = None, nc: Optional[int] = None) -> None:
+    def open_children(self, level: int) -> None:
+        """List level *level* as one this node parents, even while it has
+        no children (the build opens every level the node holds)."""
+        levels = self.level_children
+        if type(levels) is EmptyMap:  # unwritten (or a deep copy of it)
+            levels = self.level_children = {}
+        levels.setdefault(level, [])
+
+    def add_child(self, level: int, ident: int, now: float,
+                  max_level: Optional[int] = None, score: Optional[float] = None,
+                  nc: Optional[int] = None) -> None:
+        """Record *ident* as an own child at level *level*."""
         self.upsert(ident, now, max_level, score, nc)
+        self.open_children(level)
+        kids = self.level_children[level]
+        if ident not in kids:
+            insort(kids, ident)
         self.link("children", ident)
+
+    def unlink_child(self, ident: int) -> None:
+        """Drop *ident* from the children at every level."""
+        for kids in self.level_children.values():
+            if ident in kids:
+                kids.remove(ident)
+        self.unlink("children", ident)
+
+    def drop_children(self, level: int) -> List[int]:
+        """Stop parenting at level *level*; return its children, ascending.
+        A child that no other level lists leaves ``children`` too."""
+        kids = self.level_children.pop(level, [])
+        for k in kids:
+            if not any(k in others for others in self.level_children.values()):
+                self.unlink("children", k)
+        return kids
 
     def add_neighbour_child(self, ident: int, now: float, max_level: Optional[int] = None,
                             score: Optional[float] = None, nc: Optional[int] = None) -> None:

@@ -276,10 +276,9 @@ class TreePNetwork:
 
             # Table 3: own children + children of direct bus neighbours.
             for lvl in range(1, node.max_level + 1):
-                kids = layout.children.get((ident, lvl), [])
-                node.children_by_level[lvl] = list(kids)
-                for k in kids:
-                    t.add_child(k, now, *meta[k])
+                t.open_children(lvl)
+                for k in layout.children.get((ident, lvl), []):
+                    t.add_child(lvl, k, now, *meta[k])
                 bus = layout.levels[lvl]
                 for nb in bus_neighbours(bus, ident):
                     if nb is not None:

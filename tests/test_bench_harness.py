@@ -171,14 +171,14 @@ def test_cli_run_writes_envelope_and_exits_zero(tmp_path, capsys):
     assert "[core] ok" in capsys.readouterr().out
 
 
-def _diff_envelopes(old, new):
+def _diff_envelopes(*paths):
     """Run ``tools/diff_envelopes.py OLD NEW`` as CI does: stdlib-only, so
     without ``PYTHONPATH``."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     return subprocess.run(
         [sys.executable, os.path.join(root, "tools", "diff_envelopes.py"),
-         str(old), str(new)], capture_output=True, text=True, env=env)
+         *map(str, paths)], capture_output=True, text=True, env=env)
 
 
 def test_cli_run_seed_is_the_multi_seed_path(tmp_path):
@@ -273,3 +273,26 @@ def test_diff_envelopes_tool_names_the_moved_metric(tmp_path):
     assert (f"checks.{check['name']}: ok ({detail}) -> "
             f"ok ({detail} (moved))") in proc.stdout
     assert "0/1 envelopes identical" in proc.stdout
+
+
+def test_diff_envelopes_tool_takes_two_files_or_exits_with_usage(tmp_path):
+    """Two envelope files diff as one pair, whatever their names; any other
+    argument shape exits 2 with the usage line."""
+    old, new = tmp_path / "old", tmp_path / "new"
+    result = run_scenario("core", smoke=True, out_dir=str(old))
+    result.write(str(new))
+    name = "bench_core.smoke.json"
+    proc = _diff_envelopes(old / name, new / name)
+    assert proc.returncode == 0 and "1/1 envelopes identical" in proc.stdout
+    was = result.metrics["lookup_success_rate"]
+    result.metrics["lookup_success_rate"] = was - 0.5
+    result.write(str(new))
+    moved = tmp_path / "moved.json"
+    (new / name).rename(moved)
+    proc = _diff_envelopes(old / name, moved)
+    assert proc.returncode == 1
+    assert f"metrics.lookup_success_rate: {was} -> {was - 0.5}" in proc.stdout
+    for args in ((old, moved), (moved, old), (old / name, tmp_path / "absent"),
+                 (old,), (old, new, new)):
+        proc = _diff_envelopes(*args)
+        assert proc.returncode == 2 and proc.stderr.startswith("usage:"), args

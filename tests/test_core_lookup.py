@@ -118,8 +118,8 @@ def test_greedy_escalates_through_superiors():
 def test_greedy_descends_via_closest_child_at_root():
     """Root (D=0 to everything) must descend instead of failing."""
     v = View(32768, max_level=6, height=6, extent=2**16)
-    v.table.add_child(10000, 0.0, max_level=5)
-    v.table.add_child(50000, 0.0, max_level=5)
+    v.table.add_child(6, 10000, 0.0, max_level=5)
+    v.table.add_child(6, 50000, 0.0, max_level=5)
     d = route(v, req(60000))
     assert d.kind is DecisionKind.FORWARD
     assert d.next_hop == 50000  # the child nearer the target
@@ -128,7 +128,7 @@ def test_greedy_descends_via_closest_child_at_root():
 def test_greedy_descent_from_parent_continues():
     """A request arriving from our own parent keeps descending."""
     v = View(100, max_level=1, height=4, extent=2**16)
-    v.table.add_child(120, 0.0, max_level=0)
+    v.table.add_child(1, 120, 0.0, max_level=0)
     d = route(v, req(121, from_parent_level=2))
     assert d.kind is DecisionKind.FORWARD and d.next_hop == 120
 
@@ -259,7 +259,7 @@ _OWNER = 30000
 _PEER_IDS = st.integers(0, 2**16 - 1).filter(lambda i: i != _OWNER)
 _ROLE_ADDERS = {
     "level0": lambda t, i, lvl: t.add_level0(i, 0.0, max_level=lvl),
-    "child": lambda t, i, lvl: t.add_child(i, 0.0, max_level=lvl),
+    "child": lambda t, i, lvl: t.add_child(lvl + 1, i, 0.0, max_level=lvl),
     "neighbour_child": lambda t, i, lvl: t.add_neighbour_child(i, 0.0, max_level=lvl),
     "superior": lambda t, i, lvl: t.add_superior(i, 0.0, max_level=lvl),
     "bus1": lambda t, i, lvl: t.add_level(1, i, 0.0, max_level=lvl),

@@ -11,6 +11,7 @@ by N.  Figures (CPython 3.11.7, NumPy 2.4, this file run as a script)::
     PR 22            5 383 / 5 112     767 /   756
     v1.24.0          4 401 / 4 123     654 /   628
     v1.25.0          4 322 / 4 048     654 /   628
+    v1.26.0          4 281 / 4 006     654 /   628
 
 The first built drop is the ``RoutingTable`` instance ``__dict__`` and the
 two un-slotted per-node managers; the first lookup drop is the greedy router
@@ -23,9 +24,11 @@ its lookup drop is views that keep ``(id, level)`` pairs or NumPy columns
 but no list of :class:`~repro.core.routing_table.Entry` references.  The
 v1.25.0 drop is plain ``set``/``dict`` role containers: the table's methods
 make every version bump, so no container carries a counter slot.  The
-budgets are the N = 2 000 figures + 5 %.  Allocation sizes are interpreter-
-specific, hence the same 3.11-only gate as the golden diff in
-``tests/test_sim_scale.py``.
+v1.26.0 drop is one store for child state: the per-level child lists moved
+from a dict on every node into the table, where a node that parents
+nothing holds the shared empty map.  The budgets are the N = 2 000
+figures + 5 %.  Allocation sizes are interpreter-specific, hence the same
+3.11-only gate as the golden diff in ``tests/test_sim_scale.py``.
 
 A third figure keeps converged-mode repair honest: everything traced since
 before the build, per *live* node, after one 6 % crash burst and
@@ -40,6 +43,7 @@ command; a 64-node build + step first pays the one-off imports and caches,
     PR 23            5 373 / 5 409               0 / 0
     v1.24.0          4 543 / 4 580               0 / 0
     v1.25.0          4 461 / 4 492               0 / 0
+    v1.26.0          4 409 / 4 445               0 / 0
 """
 
 import gc
@@ -54,9 +58,9 @@ from repro.core.repair import apply_failure_step
 from repro.core.routing_table import _NO_LEVELS, _NO_ROLE, Entry
 
 NODES = 2000
-BUILT_BYTES_PER_NODE = 4322 * 1.05
+BUILT_BYTES_PER_NODE = 4281 * 1.05
 LOOKUP_BYTES_PER_NODE = 654 * 1.05
-REPAIRED_BYTES_PER_LIVE_NODE = 4461 * 1.05
+REPAIRED_BYTES_PER_LIVE_NODE = 4409 * 1.05
 
 
 def measure(n):
@@ -140,8 +144,9 @@ _ROLES = ("level0", "level0_indirect", "children", "neighbour_children",
 def test_a_built_overlay_allocates_only_the_state_it_holds():
     """The exact, interpreter-independent half of the budget: it counts
     objects, not bytes.  After a build every empty role set and every empty
-    ``level_tables`` is the one shared sentinel, and no node has built the
-    election or demotion manager it has not used."""
+    ``level_tables`` is the one shared sentinel, so is the child map of
+    every node that parents nothing, and no node has built the election or
+    demotion manager it has not used."""
     net = Cluster(seed=9).build(NODES).net
     shared = 0
     for node in net.nodes.values():
@@ -152,6 +157,7 @@ def test_a_built_overlay_allocates_only_the_state_it_holds():
             shared += ids is _NO_ROLE
         assert table.level_tables or table.level_tables is _NO_LEVELS
         assert all(table.level_tables.values())
+        assert (table.level_children is _NO_LEVELS) == (node.max_level == 0)
         assert "elections" not in vars(node) and "demotions" not in vars(node)
     assert shared > NODES  # every level0_indirect at least
 

@@ -11,7 +11,6 @@ from repro.core.messages import (
     Hello,
     HelloAck,
     JoinAccept,
-    JoinRedirect,
     JoinRequest,
     KeepAlive,
     KeepAliveAck,
@@ -46,7 +45,7 @@ def _assert_frozen_and_slotted(m):
 def test_all_messages_frozen():
     msgs = [
         Hello(0, 1.0, 4), HelloAck(0, 1.0, 4),
-        JoinRequest(1, 1.0, 4), JoinRedirect(1, 2), JoinAccept(1, 2, 3),
+        JoinRequest(1, 1.0, 4), JoinAccept(1, 2, 3),
         Splice(1, 2, 3), KeepAlive(), KeepAliveAck(), ChildReport(1, 1.0, 0),
         ElectionStart(0, 1), ParentClaim(1, 2, 1.0), ParentAnnounce(1, 2),
         PromoteGrant(1, 2), Demote(1, 2),

@@ -188,8 +188,7 @@ class TestDemotionProtocol:
         net.register(parent)
         net.register(child)
         parent.max_level = 1
-        parent.children_by_level[1] = [4000]
-        parent.table.add_child(4000, 0.0)
+        parent.table.add_child(1, 4000, 0.0)
         child.table.set_parent(1, 5000, 0.0)
         parent.check_demotion()
         sim.run(until=60.0)
@@ -203,14 +202,45 @@ class TestDemotionProtocol:
         parent = TreePNode(5000, NodeCapacity(), cfg)
         net.register(parent)
         parent.max_level = 1
-        parent.children_by_level[1] = [4000]
-        parent.table.add_child(4000, 0.0)
+        parent.table.add_child(1, 4000, 0.0)
         parent.check_demotion()
         # A second child reports before the countdown fires.
         sim.schedule(0.1, lambda: parent._on_ChildReport(
             3000, __import__("repro.core.messages", fromlist=["ChildReport"]).ChildReport(3000, 1.0, 0)))
         sim.run(until=60.0)
         assert parent.max_level == 1
+
+    def test_abdicated_level_leaves_no_child_links(self):
+        """Giving up level L unlinks its children: none stays in
+        ``table.children`` or among the maintained connections."""
+        cfg = TreePConfig.paper_case1(demotion_base=1.0)
+        sim = Simulator()
+        net = Network(sim, latency=ConstantLatency(0.01))
+        parent = TreePNode(5000, NodeCapacity(), cfg)
+        child = TreePNode(4000, NodeCapacity(), cfg)
+        net.register(parent)
+        net.register(child)
+        parent.max_level = 1
+        parent.table.add_child(1, 4000, 0.0)
+        parent._demotion_expired(1)
+        assert parent.max_level == 0
+        assert 4000 not in parent.table.children
+        assert 4000 not in parent.table.active_connections()
+        assert parent.child_count(1) == 0
+
+    def test_demote_from_a_child_drops_it_from_the_count(self):
+        """A child that gives up its top level is no longer our child at
+        the level above it: ``child_count`` falls with ``children``."""
+        from repro.core.messages import Demote
+
+        sim, net, (parent, *_) = tiny_net()
+        parent.max_level = 2
+        parent.table.add_child(2, 2000, 0.0, max_level=1)
+        parent.table.add_child(2, 3000, 0.0, max_level=1)
+        parent._on_Demote(2000, Demote(node=2000, level=1))
+        assert parent.child_count(2) == 1
+        assert parent.table.level_children[2] == [3000]
+        assert parent.table.children == {3000}
 
     def test_keep_upper_policy_retains_level(self):
         cfg = TreePConfig.paper_case1(demotion_policy="keep-upper",
@@ -220,7 +250,7 @@ class TestDemotionProtocol:
         node = TreePNode(5000, NodeCapacity(), cfg)
         net.register(node)
         node.max_level = 2
-        node.children_by_level[2] = []
+        node.table.open_children(2)
         node.check_demotion()
         sim.run(until=60.0)
         assert node.max_level == 2  # §VI variant: stays in the upper layer
@@ -284,8 +314,7 @@ class TestManagersOnDemand:
         if touch_first:
             assert parent.demotions.pending == {}
         parent.max_level = 1
-        parent.children_by_level[1] = [4000]
-        parent.table.add_child(4000, 0.0)
+        parent.table.add_child(1, 4000, 0.0)
         child.table.set_parent(1, 5000, 0.0)
         parent.check_demotion()
         sim.run(until=60.0)
@@ -330,7 +359,7 @@ class TestPromotionOnOverflow:
         strongest = kids[2]
         assert strongest.max_level == 1
         # ...and removed from the parent's children, restoring nc.
-        assert len(parent.children_by_level[1]) <= 2
+        assert parent.child_count(1) <= 2
         assert strongest.ident not in parent.table.children
         # The old parent is now a bus neighbour at the new level.
         assert parent.ident in strongest.table.neighbours_at(1)
@@ -381,6 +410,50 @@ class TestMaintenanceProtocol:
         for i, node in net.nodes.items():
             if i != victim:
                 assert not node.table.knows(victim), f"{i} still knows the dead node"
+
+    def test_expired_peer_leaves_no_sync_point(self):
+        """A peer that expires takes its delta sync point with it, so the
+        keep-alive state stays bounded by the table and a re-learnt peer
+        gets a full first-contact delta (§III.d)."""
+        net = TreePNetwork(
+            config=TreePConfig.paper_case1(keepalive_interval=1.0, entry_ttl=3.0),
+            seed=2,
+        )
+        net.build(16)
+        victim = net.ids[5]
+        linked = [n for n in net.nodes.values()
+                  if victim in n.table.active_connections()]
+        assert linked
+        net.start_maintenance()
+        net.sim.run_for(1.5)
+        net.network.set_down(victim)
+        assert any(victim in n.maintenance._last_sync for n in linked)
+        net.sim.run_for(15.0)
+        net.stop_maintenance()
+        for i, node in net.nodes.items():
+            if i != victim:
+                assert not node.table.knows(victim)
+                assert victim not in node.maintenance._last_sync, i
+
+    def test_child_links_follow_the_levels_still_parented_after_churn(self):
+        """Maintenance before and after a 30 % crash: children expire,
+        demote and are given up with their level, and through all of it a
+        survivor's ``children`` are exactly the children listed at the
+        levels it still parents."""
+        net = TreePNetwork(config=TreePConfig.paper_case1(), seed=1)
+        net.build(128)
+        net.start_maintenance()
+        net.sim.run_for(5.0)
+        net.fail_nodes([int(v) for v in np.random.default_rng(1).choice(
+            net.ids, 38, replace=False)])
+        net.sim.run_for(100.0)
+        net.stop_maintenance()
+        for i, node in net.nodes.items():
+            if net.network.is_up(i):
+                levels = node.table.level_children
+                assert all(lvl <= node.max_level for lvl in levels), i
+                assert node.table.children == {
+                    k for kids in levels.values() for k in kids}, i
 
     def test_maintenance_traffic_counted(self):
         net = TreePNetwork(

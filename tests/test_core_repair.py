@@ -38,7 +38,7 @@ def kill(net, count, rng_seed=0):
 
 def table_state(net):
     """Every node's routing state, order-sensitive: entries in dict order,
-    each role set in iteration order, ``parents``, ``children_by_level``."""
+    each role set in iteration order, ``parents``, ``level_children``."""
     out = []
     for ident, node in net.nodes.items():
         t = node.table
@@ -49,7 +49,7 @@ def table_state(net):
             [(lvl, list(ids)) for lvl, ids in t.level_tables.items()],
             list(t.children), list(t.neighbour_children), list(t.superiors),
             list(t.parents.items()),
-            [(lvl, list(kids)) for lvl, kids in node.children_by_level.items()],
+            [(lvl, list(kids)) for lvl, kids in t.level_children.items()],
         ))
     return out
 
@@ -90,7 +90,7 @@ class TestPurge:
         purge_dead(net)
         for i, node in net.nodes.items():
             if net.network.is_up(i):
-                for kids in node.children_by_level.values():
+                for kids in node.table.level_children.values():
                     assert victims.isdisjoint(kids)
 
     def test_purge_noop_without_dead(self):
@@ -106,7 +106,7 @@ def mentions(net, ident):
     out |= t.neighbour_children | t.superiors | set(t.parents.values())
     for ids in t.level_tables.values():
         out |= ids
-    for kids in node.children_by_level.values():
+    for kids in t.level_children.values():
         out.update(kids)
     return out
 
@@ -357,8 +357,8 @@ PINNED_BURST_DIGESTS = {
 #: The same digest **plus** ``sum(table.version)`` at benchmark size (seed 9;
 #: five bursts of 300 on N = 5 000 under the paper policy, four of 120 on
 #: N = 2 000 under the other two) — recorded on the commit before
-#: ``gossip_round`` imported role sets in bulk and shared ``parents`` /
-#: ``children_by_level`` with its snapshot.  The version sum pins what the
+#: ``gossip_round`` imported role sets in bulk and shared ``parents`` and
+#: the per-level children with its snapshot.  The version sum pins what the
 #: digest cannot see: how many times each table told its views to rebuild.
 PINNED_LARGE_BURSTS = {
     "paper": (("c8d759d8c3ec3ad4", 162619), ("a81461dcca54d8d4", 209087),

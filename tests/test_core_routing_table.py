@@ -39,7 +39,7 @@ def test_roles_tracked(table):
     table.add_level0(1, 0.0)
     table.add_level0_indirect(2, 0.0)
     table.add_level(1, 3, 0.0)
-    table.add_child(4, 0.0)
+    table.add_child(1, 4, 0.0)
     table.add_neighbour_child(5, 0.0)
     table.set_parent(1, 6, 0.0)
     table.add_superior(7, 0.0)
@@ -73,7 +73,7 @@ def test_set_parent_level_validation(table):
 def test_forget_removes_everywhere(table):
     table.add_level0(5, 0.0)
     table.add_level(2, 5, 0.0)
-    table.add_child(5, 0.0)
+    table.add_child(1, 5, 0.0)
     table.set_parent(3, 5, 0.0)
     table.add_superior(5, 0.0)
     table.forget(5)
@@ -108,11 +108,34 @@ def test_active_connections_excludes_replicated(table):
     table.add_level0(1, 0.0)
     table.add_level(1, 2, 0.0)
     table.set_parent(2, 3, 0.0)
-    table.add_child(4, 0.0)
+    table.add_child(1, 4, 0.0)
     table.add_superior(5, 0.0)            # replicated knowledge
     table.add_neighbour_child(6, 0.0)     # replicated knowledge
     table.add_level0_indirect(7, 0.0)     # replicated knowledge
     assert table.active_connections() == {1, 2, 3, 4}
+
+
+def test_children_are_one_store_read_per_level_and_as_a_set(table):
+    """``level_children`` lists each level's own children ascending, a
+    childless level included; ``children`` is their union, and only it
+    moves the version."""
+    table.open_children(2)
+    for ident in (30, 10, 20):
+        table.add_child(1, ident, 0.0)
+    table.add_child(1, 10, 1.0)
+    assert table.level_children == {2: [], 1: [10, 20, 30]}
+    assert table.children == {10, 20, 30} and table.version == 3
+    table.add_child(2, 40, 0.0)
+    table.add_child(2, 30, 0.0)             # listed at two levels
+    table.unlink_child(20)
+    assert table.level_children == {2: [30, 40], 1: [10, 30]}
+    assert table.children == {10, 30, 40} and table.version == 5
+    assert table.drop_children(1) == [10, 30]
+    assert table.level_children == {2: [30, 40]}
+    assert table.children == {30, 40} and table.version == 6
+    table.forget(40)
+    assert table.level_children == {2: [30]} and table.children == {30}
+    assert 40 not in table.active_connections()
 
 
 def test_trim_to_roles(table):
@@ -176,7 +199,7 @@ def test_property_size_equals_distinct_known(ops):
             t.add_level(1, ident, 0.0)
             known.add(ident)
         elif op == "child":
-            t.add_child(ident, 0.0)
+            t.add_child(1, ident, 0.0)
             known.add(ident)
         elif op == "superior":
             t.add_superior(ident, 0.0)
@@ -217,7 +240,7 @@ def test_property_membership_epoch_moves_iff_known_ids_change(ops):
         elif op == "add_level0":
             t.add_level0(ident, now)
         elif op == "add_child":
-            t.add_child(ident, now)
+            t.add_child(1, ident, now)
         elif op == "set_parent":
             t.set_parent(arg, ident, now)
         elif op == "touch":
@@ -327,11 +350,11 @@ def _role_pairs(t):
 _ADDERS = {
     "level0": RoutingTable.add_level0,
     "level0_indirect": RoutingTable.add_level0_indirect,
-    "children": RoutingTable.add_child,
+    "children": lambda t, ident, now: t.add_child(1, ident, now),
     "neighbour_children": RoutingTable.add_neighbour_child,
     "superiors": RoutingTable.add_superior,
 }
-_LAZY = _ROLE_SETS + ("level_tables",)
+_LAZY = _ROLE_SETS + ("level_tables", "level_children")
 _VERSION_MUTATIONS = st.one_of(
     _MUTATIONS,
     st.tuples(st.just("add_role"), st.integers(0, 40), st.sampled_from(_ROLE_SETS)),
@@ -344,6 +367,9 @@ _VERSION_MUTATIONS = st.one_of(
     st.tuples(st.just("unlink_level"), st.integers(0, 40), st.integers(1, 2)),
     st.tuples(st.just("drop_level"), st.just(0), st.integers(1, 2)),
     st.tuples(st.just("drop_parent"), st.just(0), st.integers(1, 3)),
+    st.tuples(st.just("add_child_at"), st.integers(0, 40), st.integers(1, 2)),
+    st.tuples(st.just("unlink_child"), st.integers(0, 40), st.just(0)),
+    st.tuples(st.just("drop_children"), st.just(0), st.integers(1, 2)),
 )
 
 
@@ -353,7 +379,8 @@ def test_property_version_counts_effective_role_and_level_changes(ops):
     """From all-empty roles, every effective-only mutator moves ``version``
     by exactly the number of (role, id) memberships that appeared or
     vanished, parent slots whose holder changed and peers whose level
-    changed (plus one when ``add_level`` opens a bus); a whole-role write —
+    changed (plus one when ``add_level`` opens a bus; the per-level child
+    lists move it only through ``children``); a whole-role write —
     ``set_role``, ``set_level``, or ``drop_level`` of a bus the table held —
     moves it by exactly one.  ``membership`` moves by at least one iff the
     known ids did.  Recorded against the self-counting containers the table
@@ -376,11 +403,18 @@ def test_property_version_counts_effective_role_and_level_changes(ops):
             t.add_level0(ident, now)
             written.add("level0")
         elif op == "add_child":
-            t.add_child(ident, now)
-            written.add("children")
+            t.add_child(1, ident, now)
+            written.update(("children", "level_children"))
+        elif op == "add_child_at":
+            t.add_child(arg, ident, now)
+            written.update(("children", "level_children"))
+        elif op == "unlink_child":
+            t.unlink_child(ident)
+        elif op == "drop_children":
+            t.drop_children(arg)
         elif op == "add_role":
             _ADDERS[arg](t, ident, now)
-            written.add(arg)
+            written.update((arg, "level_children") if arg == "children" else (arg,))
         elif op == "link":
             t.link(arg, ident)
             written.add(arg)
@@ -438,6 +472,7 @@ def test_property_version_counts_effective_role_and_level_changes(ops):
         for role in _ROLE_SETS:
             assert (getattr(t, role) is _NO_ROLE) == (role not in written), (op, role)
         assert (t.level_tables is _NO_LEVELS) == ("level_tables" not in written)
+        assert (t.level_children is _NO_LEVELS) == ("level_children" not in written)
 
 
 # ------------------------------------------------- allocation on first write
@@ -482,15 +517,18 @@ def test_writing_into_a_sentinel_raises_and_noop_reads_still_work():
     assert t.drop_parent(1) is None
     assert t.level_tables.pop(1, None) is None
     t.forget(5)
+    t.unlink_child(5)
+    assert t.drop_children(1) == []
     assert t.version == 0 and t.children is _NO_ROLE and t.level_tables is _NO_LEVELS
+    assert t.level_children is _NO_LEVELS  # a node that parents nothing
     assert t.active_connections() == set() and t.roles_of(5) == set()
-    t.add_child(5, 0.0)
+    t.add_child(1, 5, 0.0)
     assert t.children == {5} and t.version == 1
 
 
 def test_a_deep_copy_is_faithful_and_independent(table):
     table.add_level0(2, 0.0)
-    table.add_child(3, 0.0)
+    table.add_child(1, 3, 0.0)
     table.add_level(1, 4, 0.0, max_level=1)  # relevel + new bus + member
     twin = copy.deepcopy(table)
     for role in _LAZY + ("parents",):
@@ -504,9 +542,11 @@ def test_a_deep_copy_is_faithful_and_independent(table):
     twin.set_level(2, {7})
     twin.add_superior(8, 1.0)
     twin.set_parent(1, 9, 1.0)
-    twin.unlink("children", 3)
+    twin.unlink_child(3)
     assert twin.superiors == {8} and twin.level_tables == {1: {4, 6}, 2: {7}}
+    assert twin.level_children == {1: []} and twin.children == set()
     assert table.level0 == {2} and table.children == {3}
+    assert table.level_children == {1: [3]}
     assert table.level_tables == {1: {4}} and table.superiors is _NO_ROLE
     assert table.parents == {} and not table.knows(5)
     assert (table.version, table.membership) == (5, 3)

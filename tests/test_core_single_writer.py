@@ -5,7 +5,9 @@ The router caches a candidate view per table keyed on
 own methods bump it.  So outside ``core/routing_table.py`` no code may assign
 or augment-assign a table's role containers, assign or ``del`` an item of
 them, or call a ``set``/``dict`` mutator on them: such a write would leave a
-cached view stale.  Reads stay free.
+cached view stale.  Nor may it write ``children`` through the generic
+``link``/``unlink``/``set_role``: the child methods keep the flat set and the
+per-level lists one store.  Reads stay free.
 
 The check is syntactic.  A *table* is ``<anything>.table``, ``RoutingTable(...)``,
 a name bound to either in the same module, or a parameter annotated
@@ -24,7 +26,10 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 OWNER = SRC / "core" / "routing_table.py"
 
 ROLES = frozenset(("level0", "level0_indirect", "children", "neighbour_children",
-                   "superiors", "parents", "level_tables"))
+                   "superiors", "parents", "level_tables", "level_children"))
+#: The table's generic role writers; ``children`` has its own methods, which
+#: keep it and ``level_children`` in step.
+GENERIC_WRITERS = frozenset(("link", "unlink", "set_role"))
 MUTATORS = frozenset((
     "add", "discard", "remove", "pop", "clear", "update", "difference_update",
     "intersection_update", "symmetric_difference_update", "setdefault", "popitem"))
@@ -95,6 +100,13 @@ def role_writes(source: str) -> list[tuple[int, str]]:
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
               and node.func.attr in MUTATORS):
             written = [node.func.value]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in GENERIC_WRITERS and node.args
+              and isinstance(node.args[0], ast.Constant)
+              and node.args[0].value == "children"
+              and _is_table(node.func.value, tables)):
+            found.append((node.lineno, "children"))
+            continue
         else:
             continue
         for target in written:
@@ -138,6 +150,27 @@ def test_the_guard_flags_every_former_direct_write(source):
     assert role_writes(source)
 
 
+#: The writes ``core/treep.py``, ``core/node.py`` (2), ``core/repair.py`` (2)
+#: and ``core/maintenance.py`` made to the node's own per-level child lists
+#: before the table held them, aimed at the table's map; and the two generic
+#: ``children`` writes ``core/node.py`` made beside them.
+_CHILD_LIST_WRITES = [
+    "node.table.level_children[lvl] = list(kids)",
+    "kids = self.table.level_children.setdefault(level, [])",
+    "for c in self.table.level_children.pop(level, []):\n    self.send(c, msg)",
+    "t = node.table\nt.level_children[lvl] = [k for k in kids if t.get(k) is not None]",
+    "kids = parent.table.level_children.setdefault(lvl, [])",
+    "node.table.level_children[level] = [k for k in kids if k not in expired]",
+    'self.table.unlink("children", best)',
+    'self.table.unlink("children", msg.node)',
+]
+
+
+@pytest.mark.parametrize("source", _CHILD_LIST_WRITES)
+def test_the_guard_flags_every_former_child_list_write(source):
+    assert role_writes(source)
+
+
 @pytest.mark.parametrize("source", [
     "def f(t: RoutingTable):\n    t.parents[1] = 5",
     "table = RoutingTable(3)\ntable.children |= {4}",
@@ -162,5 +195,8 @@ def test_the_guard_leaves_reads_and_other_childrens_alone():
         "peers = sorted((table.level0 | table.children) - {1})",
         "p = node.table.parents.get(lvl)",
         "kids = [i for i in node.table.children if i not in exclude]",
+        "n = len(node.table.level_children.get(level, ()))",
+        'self.table.unlink("level0", msg.right)',
+        'span.link("children", 3)',
     ))
     assert role_writes(source) == []

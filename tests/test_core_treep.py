@@ -76,7 +76,7 @@ class TestTableInstallation:
     def test_children_match_layout(self, net):
         for (p, lvl), kids in net.layout.children.items():
             node = net.nodes[p]
-            assert node.children_by_level.get(lvl, []) == kids
+            assert node.table.level_children.get(lvl, []) == kids
             for k in kids:
                 assert k in node.table.children
 
@@ -194,7 +194,7 @@ def built_state(net):
     """Everything ``build_from`` leaves on the nodes, order-sensitive:
     ``_entries`` in dict order with every field, each role set in
     iteration order, ``level_tables``/``parents`` in insertion order,
-    ``children_by_level``, ``height``/``max_level``."""
+    ``level_children``, ``height``/``max_level``."""
     out = []
     for ident, node in net.nodes.items():
         t = node.table
@@ -205,7 +205,7 @@ def built_state(net):
             [(lvl, list(ids)) for lvl, ids in t.level_tables.items()],
             list(t.children), list(t.neighbour_children), list(t.superiors),
             list(t.parents.items()),
-            [(lvl, list(kids)) for lvl, kids in node.children_by_level.items()],
+            [(lvl, list(kids)) for lvl, kids in t.level_children.items()],
         ))
     return out
 

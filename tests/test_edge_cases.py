@@ -8,7 +8,7 @@ from repro.core.capacity import NodeCapacity
 from repro.core.config import TreePConfig as Cfg
 from repro.core.ids import IdSpace
 from repro.core.lookup import DecisionKind, route
-from repro.core.messages import JoinRedirect, KeepAliveAck, LookupRequest, Splice
+from repro.core.messages import KeepAliveAck, LookupRequest, Splice
 from repro.core.node import TreePNode
 from repro.core.routing_table import RoutingTable
 from repro.sim.engine import Simulator
@@ -71,20 +71,6 @@ class TestTinyNetworks:
 
 
 class TestJoinEdgeCases:
-    def test_join_redirect_handler_resends(self):
-        cfg = TreePConfig.paper_case1()
-        sim = Simulator()
-        netw = Network(sim, latency=ConstantLatency(0.01))
-        joiner = TreePNode(5000, NodeCapacity(), cfg)
-        other = TreePNode(9000, NodeCapacity(), cfg)
-        netw.register(joiner)
-        netw.register(other)
-        joiner._on_JoinRedirect(123, JoinRedirect(joiner=5000, closer=9000))
-        sim.run()
-        # The redirect resent a JoinRequest to the closer node, which
-        # placed the joiner adjacent to itself.
-        assert 5000 in other.table.level0
-
     def test_join_at_extreme_id(self):
         net = TreePNetwork(seed=6)
         net.build(32)

@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
-"""Identity check between two directories of bench envelopes.
+"""Identity check between two directories of bench envelopes, or two files.
 
 Usage::
 
     python tools/diff_envelopes.py OLD_DIR NEW_DIR
+    python tools/diff_envelopes.py OLD.json NEW.json
 
 A ``repro.bench`` envelope is a pure function of (scenario, seed, params,
 smoke), so two runs of the same tree must write the same JSON.  This
-compares every ``bench_*.json`` the two directories hold and prints, per
-file that differs, each metric, check or other field that moved as
-``name: old -> new``.  A file present on one side only counts as a
-difference.  Exit code 1 when anything differs, 0 when every pair is
-identical.  Stdlib only — no ``PYTHONPATH`` needed.
+compares every ``bench_*.json`` the two directories hold (or the two files
+given, as one pair whatever their names) and prints, per file that differs,
+each metric, check or other field that moved as ``name: old -> new``.  A
+file present on one side only counts as a difference.  Exit code 1 when
+anything differs, 0 when every pair is identical, 2 with the usage line
+for any other argument shape.  Stdlib only — no ``PYTHONPATH`` needed.
 
 Two uses in CI: the golden gate (a fresh full + smoke run against the
 committed ``benchmarks/out/``) and the ``PYTHONHASHSEED`` gate — the
@@ -28,14 +30,20 @@ import sys
 from typing import Any, Dict, List
 
 
+USAGE = ("usage: python tools/diff_envelopes.py OLD_DIR NEW_DIR\n"
+         "       python tools/diff_envelopes.py OLD.json NEW.json")
+
+
+def _read(path: str) -> Dict[str, Any]:
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def load_envelopes(directory: str) -> Dict[str, Dict[str, Any]]:
     """``{file name: parsed JSON}`` of every envelope in *directory*."""
-    envelopes = {}
-    for name in sorted(os.listdir(directory)):
-        if name.startswith("bench_") and name.endswith(".json"):
-            with open(os.path.join(directory, name)) as fh:
-                envelopes[name] = json.load(fh)
-    return envelopes
+    return {name: _read(os.path.join(directory, name))
+            for name in sorted(os.listdir(directory))
+            if name.startswith("bench_") and name.endswith(".json")}
 
 
 def _keyed(value: Any) -> Any:
@@ -69,11 +77,14 @@ def differing_fields(old: Any, new: Any, path: str = "") -> List[str]:
 
 
 def main(argv: List[str]) -> int:
-    if len(argv) != 2:
-        print("usage: python tools/diff_envelopes.py OLD_DIR NEW_DIR",
-              file=sys.stderr)
+    if len(argv) == 2 and all(map(os.path.isdir, argv)):
+        old, new = load_envelopes(argv[0]), load_envelopes(argv[1])
+    elif len(argv) == 2 and all(map(os.path.isfile, argv)):
+        name = os.path.basename(argv[1])
+        old, new = {name: _read(argv[0])}, {name: _read(argv[1])}
+    else:
+        print(USAGE, file=sys.stderr)
         return 2
-    old, new = load_envelopes(argv[0]), load_envelopes(argv[1])
     differing = 0
     for name in sorted(set(old) | set(new)):
         if name not in old or name not in new:
