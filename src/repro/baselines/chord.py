@@ -258,12 +258,9 @@ class ChordNetwork:
     # -------------------------------------------------------------- lookups
     def run_lookup_batch(self, pairs: Iterable[Tuple[int, int]]) -> List[LookupResult]:
         pending = [self.nodes[o].issue_lookup(t) for o, t in pairs]
-        self.sim.drain()
-        out = []
-        for p in pending:
-            assert p.result is not None
-            out.append(p.result)
-        return out
+        self.sim.run()
+        assert all(p.result is not None for p in pending)
+        return [p.result for p in pending]
 
     def alive_ids(self) -> List[int]:
         return [i for i in self.ids if self.network.is_up(i)]

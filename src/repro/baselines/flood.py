@@ -179,12 +179,9 @@ class FloodNetwork:
     ) -> List[LookupResult]:
         t = ttl if ttl is not None else self.default_ttl
         pending = [self.nodes[o].issue_lookup(tgt, t) for o, tgt in pairs]
-        self.sim.drain()
-        out = []
-        for p in pending:
-            assert p.result is not None
-            out.append(p.result)
-        return out
+        self.sim.run()
+        assert all(p.result is not None for p in pending)
+        return [p.result for p in pending]
 
     def alive_ids(self) -> List[int]:
         return [i for i in self.ids if self.network.is_up(i)]

@@ -418,7 +418,7 @@ def _storage(params, seed, smoke):
     cluster.fail_nodes(victims, heal=True)
     net.network.reset_stats()
     report = ae.sweep()
-    net.sim.drain()
+    net.sim.run()
     min_rf_after_sweep = min(store.replication_factors().values())
 
     # -- durability under 30% burst churn ---------------------------------

@@ -33,7 +33,7 @@ from repro.core.maintenance import MaintenanceManager
 from repro.core.node import PendingLookup, TreePNode
 from repro.core.tessellation import bus_neighbours, cell_owner
 from repro.obs.runtime import ambient_hub
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.latency import LatencyModel, UniformLatency
 from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
@@ -323,24 +323,17 @@ class TreePNetwork:
         empties, or *timeout* virtual seconds pass; True when it landed.
 
         The one blocking-client pump: a synchronous call is the async call
-        with ``on_done=slot.append`` plus this.  A plain ``drain()`` would
-        never return while any periodic timer (keep-alives, anti-entropy)
-        keeps re-arming itself; the deadline bounds a black-holed request
-        instead.  On success the sim runs *settle* further virtual seconds
-        so the request's trailing datagrams (extra replicas, read repair)
-        land; on timeout the caller drops its completion callback, so a
-        straggler result finds none and is discarded.
+        with ``on_done=slot.append`` plus this.  It stops at its own reply,
+        so it returns while periodic timers (keep-alives, anti-entropy)
+        stay armed; the deadline bounds a black-holed request.  On success
+        the sim runs *settle* further virtual seconds so the request's
+        trailing datagrams (extra replicas, read repair) land; on timeout
+        the caller drops its completion callback, so a straggler result
+        finds none and is discarded.
         """
         sim = self.sim
         deadline = sim.now + timeout
-        while not slot and sim.now < deadline:
-            if sim.max_events is not None and sim.events_processed >= sim.max_events:
-                raise SimulationError(
-                    f"client pump exceeded max_events={sim.max_events}; "
-                    "runaway same-time event cycle?"
-                )
-            if not sim.step():
-                break
+        sim.run(done=lambda: bool(slot) or sim.now >= deadline)
         if not slot:
             return False
         sim.run(until=sim.now + settle)
@@ -364,34 +357,33 @@ class TreePNetwork:
         target: int,
         algo: LookupAlgorithm | str = LookupAlgorithm.GREEDY,
     ) -> LookupResult:
-        """Issue one lookup and step the simulation to its own resolution.
-
-        Stops at the lookup's reply or timeout rather than draining the
-        queue, so it returns with periodic timers (keep-alives, services)
-        armed.
-        """
-        pend = self.lookup(origin, target, algo)
-        sim = self.sim
-        # The lookup's timeout event guarantees a result lands; stepping
-        # can only stop early if the queue empties first.
-        while pend.result is None and sim.step():
-            pass
-        assert pend.result is not None, "lookup left unresolved by an empty queue"
-        return pend.result
+        """Issue one lookup and wait for its result: a batch of one."""
+        return self.run_lookup_batch([(origin, target)], algo)[0]
 
     def run_lookup_batch(
         self,
         pairs: Iterable[Tuple[int, int]],
         algo: LookupAlgorithm | str = LookupAlgorithm.GREEDY,
     ) -> List[LookupResult]:
-        """Issue many lookups, drain, and return their results in order."""
+        """Issue many lookups and return their results in order.
+
+        Runs the sim until the last lookup has its result, not until the
+        queue empties, so it returns with periodic timers (keep-alives,
+        services) still armed.  Each lookup's timeout event guarantees a
+        result lands.
+        """
         pending = [self.lookup(o, t, algo) for o, t in pairs]
-        self.sim.drain()
-        out = []
-        for p in pending:
-            assert p.result is not None, "drain left a lookup unresolved"
-            out.append(p.result)
-        return out
+        waiting = 0  # every lookup before this index has its result
+
+        def all_resolved() -> bool:
+            nonlocal waiting
+            while waiting < len(pending) and pending[waiting].result is not None:
+                waiting += 1
+            return waiting == len(pending)
+
+        self.sim.run(done=all_resolved)
+        assert all_resolved(), "an empty queue left a lookup unresolved"
+        return [p.result for p in pending]
 
     # ------------------------------------------------------------ failures
     def fail_nodes(self, idents: Iterable[int]) -> None:

@@ -22,6 +22,11 @@ class SimulationError(RuntimeError):
 class Simulator:
     """Single-threaded discrete-event simulator.
 
+    :meth:`run` is the one event loop and :attr:`max_events` its one
+    budget: a blocking call waits by running it with a ``done`` predicate
+    (a client pump, a lookup batch) or an ``until`` time, so it returns
+    while periodic timers stay armed.
+
     Parameters
     ----------
     start_time:
@@ -34,6 +39,7 @@ class Simulator:
     >>> fired = []
     >>> _ = sim.schedule(5.0, lambda: fired.append(sim.now))
     >>> sim.run()
+    1
     >>> fired
     [5.0]
     """
@@ -46,9 +52,9 @@ class Simulator:
         self._now = float(start_time)
         self._running = False
         self._event_count = 0
-        #: Safety valve: ``run`` raises after this many events (protects
-        #: against accidental infinite keep-alive loops in tests).
-        self.max_events: Optional[int] = None
+        #: The event budget of one :meth:`run` call: it raises rather than
+        #: fire more (protects against runaway keep-alive loops).
+        self.max_events: int = 10_000_000
         self._event_hook: Optional[Callable[[Event], None]] = None
 
     # ------------------------------------------------------------------ time
@@ -98,7 +104,7 @@ class Simulator:
         The observability layer uses this to count event labels and —
         opt-in — record the raw event stream.  The hook fires after the
         clock advances and before the callback runs.  It must not schedule
-        events or draw RNG; the hot loops pay one cached ``is not None``
+        events or draw RNG; the run loop pays one cached ``is not None``
         check per event when no hook is installed.
         """
         self._event_hook = hook
@@ -120,64 +126,68 @@ class Simulator:
         ev.fire()
         return True
 
-    def run(self, until: Optional[float] = None) -> None:
-        """Run until the queue empties or the clock passes *until*.
+    def run(
+        self,
+        until: Optional[float] = None,
+        done: Optional[Callable[[], bool]] = None,
+    ) -> int:
+        """Fire events until the queue empties, the clock would pass *until*,
+        or ``done()`` turns true; returns the number of events fired.
 
-        When *until* is given, the clock is advanced to exactly *until* even
-        if the last event fires earlier, so periodic processes observe a
-        consistent end time.
+        The one event loop: every blocking wait in the repo is a call to
+        it.  *done* is checked before each event, so the run stops before
+        the first event after it turns true.  With *until*, the clock is
+        advanced to exactly *until* (unless *done* stopped the run) even if
+        the last event fires earlier, so periodic processes observe a
+        consistent end time.  :attr:`max_events` bounds each call, so a
+        protocol bug (two nodes ping-ponging updates forever, a runaway
+        timer) fails loudly.  The loop inlines :meth:`step` — one
+        bound-method call per event is measurable across the million-event
+        runs of the scale benches.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
+        queue = self._queue
+        hook = self._event_hook
+        budget = self.max_events
+        fired = 0
         try:
-            while True:
-                if self.max_events is not None and self._event_count >= self.max_events:
+            while done is None or not done():
+                if until is None:
+                    ev = queue.pop()
+                    if ev is None:
+                        break
+                else:
+                    nxt = queue.peek_time()
+                    if nxt is None or nxt > until:
+                        break
+                    ev = queue.pop()
+                if fired >= budget:
                     raise SimulationError(
-                        f"exceeded max_events={self.max_events}; "
-                        "runaway periodic process?"
+                        f"exceeded max_events={budget}; runaway periodic process?"
                     )
-                nxt = self._queue.peek_time()
-                if nxt is None:
-                    break
-                if until is not None and nxt > until:
-                    break
-                self.step()
+                if ev.time < self._now:
+                    raise SimulationError(
+                        f"event {ev.label!r} scheduled at {ev.time} < now {self._now}"
+                    )
+                self._now = ev.time
+                self._event_count += 1
+                if hook is not None:
+                    hook(ev)
+                ev.fire()
+                fired += 1
+            else:
+                return fired  # done() stopped the run: the clock stays put
         finally:
             self._running = False
         if until is not None and self._now < until:
             self._now = until
+        return fired
 
-    def run_for(self, duration: float) -> None:
+    def run_for(self, duration: float) -> int:
         """Run for *duration* virtual time units from now."""
-        self.run(until=self._now + duration)
-
-    def drain(self, max_events: int = 10_000_000) -> int:
-        """Run until idle, returning the number of events fired.
-
-        Unlike :meth:`run`, enforces a hard event budget so protocol bugs
-        (e.g. two nodes ping-ponging updates forever) fail loudly.  The
-        loop inlines :meth:`step` — one bound-method call per event is
-        measurable across the million-event drains of the scale benches.
-        """
-        fired = 0
-        queue = self._queue
-        hook = self._event_hook
-        while fired < max_events:
-            ev = queue.pop()
-            if ev is None:
-                return fired
-            if ev.time < self._now:
-                raise SimulationError(
-                    f"event {ev.label!r} scheduled at {ev.time} < now {self._now}"
-                )
-            self._now = ev.time
-            self._event_count += 1
-            if hook is not None:
-                hook(ev)
-            ev.fire()
-            fired += 1
-        raise SimulationError(f"drain exceeded {max_events} events")
+        return self.run(until=self._now + duration)
 
     # ---------------------------------------------------------------- timers
     def every(

@@ -182,7 +182,7 @@ class AntiEntropy(Service):
         """Sweep-and-settle until a pass sends no repairs; returns passes run.
 
         Each pass's replication datagrams are delivered (the sim runs for a
-        bounded :attr:`SETTLE` window — a plain ``drain()`` would never
+        bounded :attr:`SETTLE` window — a run to an empty queue would never
         return while this task's own periodic timer or the overlay's
         keep-alives keep re-arming) before the next detection, so
         convergence normally takes one repairing pass plus one clean

@@ -87,7 +87,7 @@ class TestFloodNetwork:
 
     def test_lookup_to_self(self, net):
         res = net.nodes[net.ids[0]].issue_lookup(net.ids[0])
-        net.sim.drain()
+        net.sim.run()
         assert res.result.found and res.result.hops == 0
 
     def test_failures_shrink_coverage(self):

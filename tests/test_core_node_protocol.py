@@ -68,7 +68,7 @@ class TestLookupProtocol:
     def test_replies_come_back_to_origin(self, fresh_net):
         ids = fresh_net.ids
         pend = fresh_net.lookup(ids[3], ids[40], "NG")
-        fresh_net.sim.drain()
+        fresh_net.sim.run()
         assert pend.result is not None
         assert pend.result.origin == ids[3]
         assert pend.result.target == ids[40]
@@ -77,7 +77,7 @@ class TestLookupProtocol:
         got = []
         node = fresh_net.nodes[fresh_net.ids[0]]
         node.issue_lookup(fresh_net.ids[10], "G", on_done=got.append)
-        fresh_net.sim.drain()
+        fresh_net.sim.run()
         assert len(got) == 1 and got[0].found
 
     def test_results_accumulate(self, fresh_net):
@@ -85,7 +85,7 @@ class TestLookupProtocol:
         log of them."""
         node = fresh_net.nodes[fresh_net.ids[0]]
         pending = [node.issue_lookup(t, "G") for t in fresh_net.ids[1:5]]
-        fresh_net.sim.drain()
+        fresh_net.sim.run()
         assert all(p.result is not None for p in pending)
         assert not node.pending and not hasattr(node, "results")
 
@@ -104,7 +104,7 @@ class TestJoinProtocol:
         newcomer = (sorted_ids[10] + sorted_ids[11]) // 2
         assert newcomer not in net.nodes
         node = net.join_new_node(newcomer, via=sorted_ids[0])
-        net.sim.drain()
+        net.sim.run()
         # The joiner ends up linked to its ID-space neighbours.
         links = node.table.level0
         assert links, "joiner got no level-0 links"
@@ -119,7 +119,7 @@ class TestJoinProtocol:
         sorted_ids = sorted(net.ids)
         newcomer = (sorted_ids[3] + sorted_ids[4]) // 2
         node = net.join_new_node(newcomer)
-        net.sim.drain()
+        net.sim.run()
         assert node.table.level1_parent() is not None
 
     def test_duplicate_join_rejected(self):

@@ -141,8 +141,8 @@ class TestLookups:
         assert hops and max(hops) >= 1
 
     def test_lookup_sync_resolves_with_timers_armed(self, fresh_net):
-        """Stepped to its own resolution: keep-alive timers re-arm forever,
-        so a drain-based lookup_sync would run to drain's event cap."""
+        """Run to its own resolution: keep-alive timers re-arm forever, so
+        a lookup_sync that ran the queue empty would hit the event budget."""
         fresh_net.start_maintenance()
         before = fresh_net.sim.events_processed
         r = fresh_net.lookup_sync(fresh_net.ids[0], fresh_net.ids[40])
@@ -165,6 +165,40 @@ class TestLookups:
         assert [sizes(o) for o in objs] == before
         assert all(n.hop_observer is None and not n.pending
                    for n in fresh_net.nodes.values())
+
+
+def test_lookup_batch_returns_beside_armed_keepalives():
+    """A batch stops at its last result, so lookups run while the overlay
+    maintains itself: the keep-alives re-arm forever, and a batch that ran
+    the queue empty would trip the simulator's event budget instead."""
+    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=5)
+    net.build(128)
+    net.start_maintenance()
+    rng = np.random.default_rng(3)
+    pairs = [tuple(int(x) for x in rng.choice(net.ids, 2, replace=False))
+             for _ in range(100)]
+    results = net.run_lookup_batch(pairs, "G")
+    assert [(r.origin, r.target) for r in results] == pairs
+    assert all(r.found and not r.timed_out for r in results)
+    assert net.sim.pending > 0  # the keep-alives are still armed
+    net.stop_maintenance()
+
+
+def test_a_blocking_wait_inside_an_event_is_rejected():
+    """The pump and the lookup batch wait through ``Simulator.run``, so
+    calling one from inside an event callback hits its reentrancy guard."""
+    from repro.sim.engine import SimulationError
+
+    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=5)
+    net.build(64)
+    a, b = net.ids[0], net.ids[-1]
+    for wait in (lambda: net.pump([], timeout=1.0),
+                 lambda: net.run_lookup_batch([(a, b)]),
+                 lambda: net.lookup_sync(a, b)):
+        net.sim.call_soon(wait)
+        with pytest.raises(SimulationError, match="simulator is not reentrant"):
+            net.sim.run()
+    assert net.lookup_sync(a, b).found  # the guard was released each time
 
 
 class TestFailureHelpers:

@@ -76,7 +76,7 @@ class TestJoinEdgeCases:
         net.build(32)
         lowest = 1 if 1 not in net.nodes else 2
         node = net.join_new_node(lowest)
-        net.sim.drain()
+        net.sim.run()
         assert node.table.level0  # placed at the left end of the line
 
     def test_splice_updates_displaced_neighbour(self):

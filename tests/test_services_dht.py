@@ -121,4 +121,3 @@ def test_client_ops_return_while_maintenance_runs():
         assert dht.get("timered").value == 1
     finally:
         net.stop_maintenance()
-        net.sim.max_events = None

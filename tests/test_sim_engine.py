@@ -82,25 +82,62 @@ def test_step_returns_false_when_empty():
     assert Simulator().step() is False
 
 
-def test_drain_returns_event_count():
+def test_run_returns_event_count():
     sim = Simulator()
     for i in range(5):
         sim.schedule(float(i), lambda: None)
-    assert sim.drain() == 5
+    assert sim.run() == 5
+
+
+def test_run_done_stops_before_the_first_event_after_it_turns_true():
+    sim = Simulator()
+    fired = []
+    for t in (1.0, 2.0, 3.0, 4.0):
+        sim.schedule(t, lambda t=t: fired.append(t))
+    assert sim.run(done=lambda: True) == 0  # true at entry: nothing fires
+    calls = []
+
+    def done():
+        calls.append(sim.now)
+        return len(fired) == 2
+
+    assert sim.run(done=done) == 2
+    assert fired == [1.0, 2.0] and sim.now == 2.0 and sim.pending == 2
+    assert calls == [0.0, 1.0, 2.0]  # checked once before each event
+
+
+def test_run_until_with_done_advances_clock_unless_done_stopped_it():
+    sim = Simulator()
+    fired = []
+    sim.schedule(1.0, lambda: fired.append(1))
+    sim.schedule(8.0, lambda: fired.append(8))
+    assert sim.run(until=5.0, done=lambda: False) == 1
+    assert sim.now == 5.0  # horizon reached: clock moved to *until*
+    assert sim.run(until=20.0, done=lambda: bool(fired[1:])) == 1
+    assert fired == [1, 8] and sim.now == 8.0  # done stopped it: clock stays
 
 
 def test_drain_enforces_budget():
-    sim = Simulator()
+    """Running the queue dry -- ``run()`` with no horizon, or until a
+    ``done`` predicate that never turns true -- trips the budget on a
+    re-arming timer instead of looping forever."""
+    for kwargs in ({}, {"done": lambda: False}):
+        sim = Simulator()
+        sim.max_events = 100
 
-    def rearm():
+        def rearm(sim=sim):
+            sim.schedule(1.0, rearm)
+
         sim.schedule(1.0, rearm)
-
-    sim.schedule(1.0, rearm)
-    with pytest.raises(SimulationError, match="drain exceeded"):
-        sim.drain(max_events=100)
+        with pytest.raises(SimulationError, match="exceeded max_events=100"):
+            sim.run(**kwargs)
+        assert sim.events_processed == 100
 
 
 def test_max_events_guard():
+    """``max_events`` bounds each call: a re-arming timer may fire ten
+    events a call for as many calls as it likes, and trips the budget in
+    the call that would fire an eleventh."""
     sim = Simulator()
     sim.max_events = 10
 
@@ -108,7 +145,10 @@ def test_max_events_guard():
         sim.schedule(1.0, rearm)
 
     sim.schedule(1.0, rearm)
-    with pytest.raises(SimulationError, match="max_events"):
+    for _ in range(5):
+        assert sim.run(until=sim.now + 10.0) == 10
+    assert sim.events_processed == 50
+    with pytest.raises(SimulationError, match="exceeded max_events=10"):
         sim.run()
 
 
@@ -231,7 +271,7 @@ class _Record(Event):
         self.sink.append((self.label, self.time, self.seq))
 
 
-def test_schedule_event_fires_the_record_itself_from_step_and_drain():
+def test_schedule_event_fires_the_record_itself_from_step_and_run():
     sim = Simulator()
     out = []
     sim.schedule(1.0, lambda: out.append("cb"))
@@ -240,7 +280,7 @@ def test_schedule_event_fires_the_record_itself_from_step_and_drain():
     assert sim.pending == 3 and first.seq == 1 and first.time == 1.0
     assert sim.step() and sim.step()          # step() path
     assert out == ["cb", ("a", 1.0, 1)]
-    assert sim.drain() == 1                   # drain() path
+    assert sim.run() == 1                     # run() loop
     assert out[-1] == ("b", 2.0, 2) and sim.now == 2.0
 
 

@@ -256,13 +256,13 @@ def test_greedy_lookups_work_beyond_float64_exact_extent():
 
 # ------------------------------------------------------------- engine sanity
 
-def test_drain_inline_loop_matches_step_semantics():
+def test_run_inline_loop_matches_step_semantics():
     sim = Simulator()
     fired = []
     sim.schedule(1.0, lambda: fired.append(1))
     sim.schedule(0.5, lambda: fired.append(0))
     ev = sim.schedule(2.0, lambda: fired.append(2))
     ev.cancel()
-    assert sim.drain() == 2
+    assert sim.run() == 2
     assert fired == [0, 1]
     assert sim.now == 1.0

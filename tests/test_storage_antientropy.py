@@ -47,7 +47,7 @@ def test_relocates_replicas_onto_new_closer_nodes(loaded):
         if ident not in net.nodes:
             net.join_new_node(ident)
             joiners.append(ident)
-    net.sim.drain()
+    net.sim.run()
     assert joiners, "test needs at least one joiner adjacent to the key"
     ae.converge()
     holders = store.replica_map()[key_id]
@@ -65,7 +65,7 @@ def test_detects_and_repairs_under_replication(loaded):
     assert store.live_replica_count(key_id) == 2
     report = ae.sweep()
     assert report.under_replicated >= 1 and report.repairs_sent >= 1
-    net.sim.drain()
+    net.sim.run()
     assert store.live_replica_count(key_id) == 3
     assert ae.sweep().clean
 

@@ -64,7 +64,7 @@ def churned():
         ae.sweep()  # records the post-burst dip before repair lands
         min_rf_seen = min(min_rf_seen,
                           min(store.replication_factors().values()))
-        net.sim.drain()
+        net.sim.run()
         ae.converge()
     return net, store, ae, keys, schedule, min_rf_seen
 

@@ -118,7 +118,7 @@ def grown_net():
     for ident in (anchor + 1, 3, space.extent - 2):
         if ident not in net.nodes:
             net.join_new_node(ident)
-    net.sim.drain()
+    net.sim.run()
     assert net.ids != sorted(net.ids)
     return net
 

@@ -113,7 +113,7 @@ def test_stale_replica_repaired_on_read(store_net):
     store.agents[victim].store._data[key_id] = VersionedValue("stale", 0, -1)
     g = store.get("repair-me")
     assert g.found and g.value == "fresh"
-    net.sim.drain()  # let the repair replicate land
+    net.sim.run()  # let the repair replicate land
     repaired = store.agents[victim].store.get(key_id)
     assert repaired.value == "fresh" and repaired.version == g.version
 
@@ -139,7 +139,7 @@ def test_stale_replica_repaired_when_it_replies_last(store_net):
     t0 = net.sim.now
     g = store.get("repair-late")
     assert g.found and g.value == "fresh"
-    net.sim.drain()
+    net.sim.run()
     repaired = store.agents[victim].store.get(key_id)
     assert repaired.value == "fresh" and repaired.version == g.version
     assert not any(a._reads for a in store.agents.values())
@@ -221,7 +221,6 @@ def test_client_ops_return_while_periodic_antientropy_runs():
         assert g.found and g.value == 1
     finally:
         ae.stop()
-        net.sim.max_events = None
 
 
 def test_acknowledged_write_survives_version_restart():
@@ -268,7 +267,7 @@ def test_later_write_dominates_regressed_replica():
     store.agents[coordinator].store._data[key_id] = VersionedValue("a", 0, -1)
     r = store.put("bump", "b", via=coordinator)
     assert r.ok
-    net.sim.drain()
+    net.sim.run()
     for h in store.replica_map()[key_id]:
         assert store.agents[h].store.get(key_id).value == "b"
 
@@ -312,11 +311,8 @@ def test_pump_honours_max_events():
 
     net.sim.call_soon(perpetual)
     net.sim.max_events = 10_000
-    try:
-        with pytest.raises(SimulationError):
-            net.pump([], timeout=30.0)
-    finally:
-        net.sim.max_events = None
+    with pytest.raises(SimulationError, match="max_events=10000"):
+        net.pump([], timeout=30.0)
 
 
 def test_live_origin_rejects_down_via():
@@ -370,7 +366,7 @@ def test_equal_stamp_replicate_counts_as_ack():
     seen = []
     store.agents[c].callbacks[rid] = seen.append
     net.nodes[c].send(x, StoreReplicate(rid, c, key_id, "v", 3, 9, 7.0))
-    net.sim.drain()
+    net.sim.run()
     assert seen[0].ok  # the equal-stamp ack completed the W=2 quorum
 
 
