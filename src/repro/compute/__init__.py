@@ -17,6 +17,7 @@ substrate:
   node-resident scheduler (aggregate-walking matchmaker, heartbeat
   failure detector, checkpointed re-execution, DAG ordering), and
   :class:`JobScheduler`, the client facade with scheduler failover.
+* :mod:`repro.compute.messages` — the ``Job*`` datagram types.
 
 Everything is message-level protocol traffic (``Job*`` datagrams through
 the simulated fabric); checkpoints ride the replicated storage subsystem's

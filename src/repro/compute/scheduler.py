@@ -3,9 +3,9 @@
 :class:`SchedulerCore` is the node-resident half: it lives on exactly one
 peer (attached to that node's :class:`~repro.compute.worker.ComputeAgent`)
 and speaks only protocol messages — submissions arrive as routed
-:class:`~repro.core.messages.JobSubmit` datagrams, placements leave as
-:class:`~repro.core.messages.JobDispatch`, liveness comes back as
-:class:`~repro.core.messages.JobHeartbeat`.  Matchmaking walks the
+:class:`~repro.compute.messages.JobSubmit` datagrams, placements leave as
+:class:`~repro.compute.messages.JobDispatch`, liveness comes back as
+:class:`~repro.compute.messages.JobHeartbeat`.  Matchmaking walks the
 hierarchy's capability aggregates (:class:`~repro.services.discovery.ResourceDirectory`)
 and picks the admitted candidate with the most *remaining* headroom under
 the scheduler's own assignment book — the discovery + load-balancing combo
@@ -14,7 +14,7 @@ the paper positions TreeP under DGET for.
 :class:`JobScheduler` is the synchronous-ish client facade (the compute
 analogue of :class:`~repro.storage.quorum.ReplicatedStore`): it attaches a
 :class:`~repro.compute.worker.ComputeAgent` to every node, injects
-submissions at any live peer, collects :class:`~repro.core.messages.JobReport`
+submissions at any live peer, collects :class:`~repro.compute.messages.JobReport`
 outcomes, and drives the simulator in bounded windows.  It also owns
 **scheduler failover**: when churn kills the scheduler peer,
 :meth:`JobScheduler.ensure_scheduler` promotes the best surviving peer and
@@ -38,8 +38,7 @@ from repro.compute.job import (
     JobState,
     SchedulingStats,
 )
-from repro.compute.worker import ComputeAgent
-from repro.core.messages import (
+from repro.compute.messages import (
     JobAccepted,
     JobAck,
     JobComplete,
@@ -50,6 +49,7 @@ from repro.core.messages import (
     JobReport,
     JobSubmit,
 )
+from repro.compute.worker import ComputeAgent
 from repro.services.discovery import Constraint, ResourceDirectory
 from repro.storage.quorum import QuorumConfig, ReplicatedStore
 
@@ -593,7 +593,7 @@ class JobScheduler(Service):
         """Fold terminal records the origin never heard about into results.
 
         The driver-side converged view (mirroring the storage subsystem's
-        split): a :class:`~repro.core.messages.JobReport` to an origin that
+        split): a :class:`~repro.compute.messages.JobReport` to an origin that
         died after submitting would otherwise strand a finished job.
         """
         core = self.scheduler_core()

@@ -19,7 +19,7 @@ therefore shows up as *concurrency* — a 16-core peer runs sixteen
 unit-demand jobs at once where a laptop runs one — which keeps progress
 linear in time and checkpoints exact.  Jobs beyond the free capacity are
 queued; queues drain on completion, and while one is non-empty its worker
-advertises it (:class:`~repro.core.messages.JobStealOffer`, on enqueue and
+advertises it (:class:`~repro.compute.messages.JobStealOffer`, on enqueue and
 every ``steal_interval``) to its cell, whose idle members answer with a
 steal request.  A worker with no queue sends no stealing traffic at all.
 
@@ -41,8 +41,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.compute.job import checkpoint_key
-from repro.core.lookup import greedy_key_next_hop
-from repro.core.messages import (
+from repro.compute.messages import (
     JobAccepted,
     JobAck,
     JobComplete,
@@ -56,6 +55,7 @@ from repro.core.messages import (
     JobStealRequest,
     JobSubmit,
 )
+from repro.core.lookup import greedy_key_next_hop
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.compute.scheduler import JobScheduler, SchedulerCore

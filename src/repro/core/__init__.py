@@ -8,7 +8,7 @@ The overlay is built from the bottom up:
 * :mod:`repro.core.tessellation` — 1-D Voronoi cells over level buses.
 * :mod:`repro.core.distance` — the tessellation-aware metric ``D(a, b)``.
 * :mod:`repro.core.routing_table` — the six per-node tables with timestamps.
-* :mod:`repro.core.messages` — every datagram type of the protocol.
+* :mod:`repro.core.messages` — the overlay's datagram types.
 * :mod:`repro.core.node` — the per-node protocol engine.
 * :mod:`repro.core.hierarchy` — elections, promotion, demotion.
 * :mod:`repro.core.maintenance` — keep-alives and delta synchronisation.

@@ -22,10 +22,10 @@ Two ways to run the healing between failure bursts:
   healing mechanisms the maintenance window is long enough to complete.
   The experiment harness uses this so sweeps over thousands of nodes stay
   fast; an integration test asserts protocol mode converges to an
-  equivalent table state on small networks.  It and :func:`converge`
-  expire the peers named in *newly_failed* (``()`` = nobody new died,
-  heal only); ``None``, the default, scans for every down peer.  A step
-  makes no cyclic garbage and runs with the cyclic collector paused.
+  equivalent table state on small networks.  A step expires the peers
+  named in *newly_failed* (``()`` = nobody new died, heal only; ``None``,
+  the default, scans for every down peer), makes no cyclic garbage and
+  runs with the cyclic collector paused.
 
 The paper's sweep deliberately stresses the overlay: failures accumulate
 with no repopulation and *no new promotions* — the surviving hierarchy only
@@ -338,17 +338,3 @@ def apply_failure_step(
                 relink_node(node, policy)
         if policy.adopt_parents:
             _sync_children(net)
-
-
-def converge(
-    net: "TreePNetwork",
-    gossip_rounds: int = 2,
-    newly_failed: Optional[Iterable[int]] = None,
-    policy: Optional[RepairPolicy] = None,
-) -> None:
-    """Full healing to the maintenance fixed point (everything enabled);
-    *newly_failed* as for :func:`apply_failure_step`."""
-    pol = policy if policy is not None else RepairPolicy(
-        adopt_parents=True, gossip_rounds=gossip_rounds
-    )
-    apply_failure_step(net, newly_failed, pol)

@@ -436,16 +436,16 @@ class TreePNetwork:
         capacity: Optional[NodeCapacity] = None,
         via: Optional[int] = None,
     ) -> TreePNode:
-        """Protocol-driven join of a brand-new peer through *via*."""
+        """Protocol-driven join of a brand-new peer through *via* — or,
+        by default, the first live peer; :meth:`live_origin` picks (and
+        rejects) the bootstrap before any state is written."""
         if ident in self.nodes:
             raise ValueError(f"id {ident} already in the network")
         self.config.space.validate(ident)
+        bootstrap = self.live_origin(via).ident
         self.capacities[ident] = capacity if capacity is not None else NodeCapacity()
         self.ids.append(ident)
         node = self._create_node(ident)
-        bootstrap = via if via is not None else next(
-            i for i in self.ids if i != ident and self.network.is_up(i)
-        )
         node.join_via(bootstrap)
         return node
 

@@ -94,10 +94,6 @@ class Simulator:
             )
         return self._queue.push(time, callback, label=label)
 
-    def call_soon(self, callback: Callback, label: str = "") -> Event:
-        """Schedule *callback* at the current time (after pending same-time events)."""
-        return self._queue.push(self._now, callback, label=label)
-
     def set_event_hook(self, hook: Optional[Callable[[Event], None]]) -> None:
         """Install (or clear, with ``None``) the per-event observer.
 
@@ -110,22 +106,6 @@ class Simulator:
         self._event_hook = hook
 
     # ------------------------------------------------------------------- run
-    def step(self) -> bool:
-        """Fire the next event.  Returns ``False`` when the queue is empty."""
-        ev = self._queue.pop()
-        if ev is None:
-            return False
-        if ev.time < self._now:
-            raise SimulationError(
-                f"event {ev.label!r} scheduled at {ev.time} < now {self._now}"
-            )
-        self._now = ev.time
-        self._event_count += 1
-        if self._event_hook is not None:
-            self._event_hook(ev)
-        ev.fire()
-        return True
-
     def run(
         self,
         until: Optional[float] = None,
@@ -141,9 +121,9 @@ class Simulator:
         the last event fires earlier, so periodic processes observe a
         consistent end time.  :attr:`max_events` bounds each call, so a
         protocol bug (two nodes ping-ponging updates forever, a runaway
-        timer) fails loudly.  The loop inlines :meth:`step` — one
-        bound-method call per event is measurable across the million-event
-        runs of the scale benches.
+        timer) fails loudly.  The loop body is inline, with the queue and
+        hook cached in locals — one bound-method call per event is
+        measurable across the million-event runs of the scale benches.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")

@@ -14,6 +14,7 @@ storage subsystem rather than a demo:
   :class:`ReplicatedStore` is the client facade.
 * :mod:`repro.storage.antientropy` — periodic churn-driven
   re-replication registered with the simulator.
+* :mod:`repro.storage.messages` — the ``Store*`` datagram types.
 
 Layer contract: this package *owns the durability of key/value data* —
 replica placement, quorum semantics (N/W/R), write stamps and read

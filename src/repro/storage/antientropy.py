@@ -10,7 +10,7 @@ the keep-alive loops in :mod:`repro.core.maintenance`) that
 3. compares the live holder set against the placement strategy's ideal
    (:meth:`~repro.storage.replication.PlacementStrategy.repair_targets`), and
 4. pushes the freshest copy to targets that lack it — as real
-   :class:`~repro.core.messages.StoreReplicate` datagrams through the
+   :class:`~repro.storage.messages.StoreReplicate` datagrams through the
    fabric, so re-replication traffic shows up in the network counters the
    benches read.
 
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.cluster.service import Service, ServiceContext, ServiceError
-from repro.core.messages import StoreReplicate
+from repro.storage.messages import StoreReplicate
 from repro.storage.quorum import REPAIR_RID, ReplicatedStore
 from repro.storage.store import VersionedValue
 

@@ -2,8 +2,8 @@
 
 The write/read path is Dynamo-shaped, grafted onto TreeP routing:
 
-1. A client injects a :class:`~repro.core.messages.StorePut` /
-   :class:`~repro.core.messages.StoreGet` at any live node; the request is
+1. A client injects a :class:`~repro.storage.messages.StorePut` /
+   :class:`~repro.storage.messages.StoreGet` at any live node; the request is
    routed greedily towards the key (``greedy_key_next_hop``) until it
    reaches the **responsible node** — the live peer locally closest to the
    key in the ID space.  A node that has been answered for a key before
@@ -13,7 +13,7 @@ The write/read path is Dynamo-shaped, grafted onto TreeP routing:
 2. The responsible node **coordinates**: it picks the replica set from its
    placement strategy, stamps writes with the per-key version counter
    (last-write-wins, writer id as tie-break), fans out
-   :class:`~repro.core.messages.StoreReplicate` / ``StoreRead`` datagrams,
+   :class:`~repro.storage.messages.StoreReplicate` / ``StoreRead`` datagrams,
    and answers the client once **W** acks / **R** replies are in (or its
    timeout fires — the *sloppy* part: the best effort achieved is
    reported, never rolled back).
@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, 
 
 from repro.cluster.service import Handler, Service, ServiceContext
 from repro.core.lookup import greedy_key_next_hop
-from repro.core.messages import (
+from repro.storage.messages import (
     StoreAck,
     StoreGet,
     StoreGetResult,
@@ -528,7 +528,7 @@ class ReplicatedStore(Service):
 
         For protocol code running *inside* the sim (timers, handlers): the
         write proceeds as real datagram traffic and *on_done*, when given,
-        is invoked with the :class:`~repro.core.messages.StorePutResult`
+        is invoked with the :class:`~repro.storage.messages.StorePutResult`
         when the coordinator answers; without it the write is
         fire-and-forget (nothing is registered, the result is discarded).
         Returns the request id.  Unlike :meth:`put`, the key is not added
@@ -545,7 +545,7 @@ class ReplicatedStore(Service):
     ) -> int:
         """Issue a quorum read without pumping the simulator (see
         :meth:`put_async`); *on_done* receives the
-        :class:`~repro.core.messages.StoreGetResult`."""
+        :class:`~repro.storage.messages.StoreGetResult`."""
         return self._issue("get", self.key_id(key), None, via, on_done)[0]
 
     # --------------------------------------------------------- blocking API

@@ -31,8 +31,9 @@ from repro import (
     ServiceError,
     TreePConfig,
 )
-from repro.core.messages import JobSubmit, StoreGet, StorePut
+from repro.compute.messages import JobSubmit
 from repro.services import ResourceDirectory
+from repro.storage.messages import StoreGet, StorePut
 
 
 def make_cluster(n=64, seed=11):

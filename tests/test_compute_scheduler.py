@@ -16,7 +16,7 @@ from repro import (
     TreePNetwork,
 )
 from repro.compute.job import JobState, checkpoint_key
-from repro.core.messages import JobDispatch
+from repro.compute.messages import JobDispatch
 from repro.core.repair import FULL_POLICY, apply_failure_step
 from repro.services.discovery import Constraint
 

@@ -81,7 +81,7 @@ def test_lookup_request_defaults():
 
 
 def test_storage_messages_frozen_and_sized():
-    from repro.core.messages import (
+    from repro.storage.messages import (
         StoreAck,
         StoreGet,
         StoreGetResult,
@@ -103,7 +103,7 @@ def test_storage_messages_frozen_and_sized():
 
 
 def test_compute_messages_frozen_and_sized():
-    from repro.core.messages import (
+    from repro.compute.messages import (
         JobAccepted,
         JobAck,
         JobComplete,
@@ -128,7 +128,7 @@ def test_compute_messages_frozen_and_sized():
 
 
 def test_job_submit_size_scales_with_deps():
-    from repro.core.messages import JobSubmit
+    from repro.compute.messages import JobSubmit
 
     bare = JobSubmit(1, 2, 3, 4)
     dag = JobSubmit(1, 2, 3, 4, deps=(10, 11, 12))
@@ -137,7 +137,7 @@ def test_job_submit_size_scales_with_deps():
 
 def test_put_ack_distinct_from_get_reply():
     """The PUT-ack/GET-reply conflation fix: separate types, separate fields."""
-    from repro.core.messages import StoreGetResult, StorePutResult
+    from repro.storage.messages import StoreGetResult, StorePutResult
 
     ack = StorePutResult(1, 2, True, replicas=(3, 4))
     hit = StoreGetResult(1, 2, True, value=(3, 4))
@@ -146,7 +146,7 @@ def test_put_ack_distinct_from_get_reply():
 
 
 def test_storage_message_sizes_scale():
-    from repro.core.messages import StoreGet, StorePutResult
+    from repro.storage.messages import StoreGet, StorePutResult
 
     assert StoreGet(1, 2, 3, path=(1, 2)).wire_size == \
         StoreGet(1, 2, 3).wire_size + 16
@@ -157,7 +157,8 @@ def test_storage_message_sizes_scale():
 def test_wire_size_is_not_a_constructor_argument():
     """``wire_size`` is class-level: it cannot be passed positionally or by
     keyword (so no 999-byte Hello), and it is not part of ``repr``/``==``."""
-    from repro.core.messages import JobAck, StorePut
+    from repro.compute.messages import JobAck
+    from repro.storage.messages import StorePut
 
     one_per_family = [
         (Hello, (0, 1.0, 4)),            # bootstrap / join

@@ -128,6 +128,29 @@ class TestJoinProtocol:
         with pytest.raises(ValueError):
             net.join_new_node(net.ids[0])
 
+    def test_join_without_a_live_bootstrap_raises_and_writes_nothing(self):
+        """A down *via*, or no live peer at all, is refused before the
+        joiner is registered: the node would otherwise sit in ``ids`` and
+        ``nodes`` with empty tables, never having joined."""
+        net = TreePNetwork(config=TreePConfig.paper_case1(), seed=5)
+        net.build(32)
+        sorted_ids = sorted(net.ids)
+        newcomer = (sorted_ids[10] + sorted_ids[11]) // 2
+        down = sorted_ids[0]
+        net.fail_nodes([down])
+
+        def state():
+            return list(net.ids), set(net.nodes), set(net.capacities)
+
+        before = state()
+        with pytest.raises(ValueError, match="down"):
+            net.join_new_node(newcomer, via=down)
+        assert state() == before
+        net.fail_nodes(net.alive_ids())
+        with pytest.raises(RuntimeError, match="no live node"):
+            net.join_new_node(newcomer)
+        assert state() == before
+
 
 class TestElectionProtocol:
     def test_orphan_group_elects_parent(self):

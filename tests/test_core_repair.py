@@ -15,7 +15,6 @@ from repro.core.repair import (
     PAPER_POLICY,
     PURGE_ONLY_POLICY,
     apply_failure_step,
-    converge,
     gossip_round,
     purge_dead,
     relink_node,
@@ -254,15 +253,15 @@ class TestApplyFailureStep:
         # But the weakest policy must not beat the strongest.
         assert rates["purge"] <= rates["full"] + 4
 
-    def test_converge_wrapper(self):
+    def test_full_policy_forgets_every_victim(self):
         net = built()
         victims = kill(net, 10)
-        converge(net, newly_failed=victims)
+        apply_failure_step(net, victims, FULL_POLICY)
         for i, node in net.nodes.items():
             if net.network.is_up(i):
                 assert set(victims).isdisjoint(node.table.all_known())
 
-    @pytest.mark.parametrize("heal", [converge, apply_failure_step])
+    @pytest.mark.parametrize("heal", [apply_failure_step])
     def test_no_victim_list_means_scan_for_every_dead_peer(self, heal):
         """``None`` (the default) is a full scan, as in ``purge_dead``."""
         scanned, told = built(n=200), built(n=200)

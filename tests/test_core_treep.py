@@ -195,7 +195,7 @@ def test_a_blocking_wait_inside_an_event_is_rejected():
     for wait in (lambda: net.pump([], timeout=1.0),
                  lambda: net.run_lookup_batch([(a, b)]),
                  lambda: net.lookup_sync(a, b)):
-        net.sim.call_soon(wait)
+        net.sim.schedule(0.0, wait)
         with pytest.raises(SimulationError, match="simulator is not reentrant"):
             net.sim.run()
     assert net.lookup_sync(a, b).found  # the guard was released each time

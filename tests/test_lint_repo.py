@@ -6,7 +6,9 @@ failing.
 
 from __future__ import annotations
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -152,6 +154,36 @@ class TestIssueInvariantsPinned:
             p.parent.name for p in SRC.glob("repro/*/__init__.py")
         }
         assert on_disk <= set(layer_map.packages)
+
+    def test_every_overlay_message_has_a_node_handler(self):
+        from repro.core.node import TreePNode
+
+        tree = ast.parse((SRC / "repro" / "core" / "messages.py").read_text())
+        classes = [n.name for n in tree.body if isinstance(n, ast.ClassDef)]
+        assert classes
+        assert [c for c in classes if not hasattr(TreePNode, f"_on_{c}")] == []
+
+    def test_core_holds_no_service_wire_format(self):
+        service_name = re.compile(r"(Store|Job)[A-Z]")
+        found = []
+        for path in sorted((SRC / "repro" / "core").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ClassDef):
+                    names = [node.name]
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [a.asname or a.name for a in node.names]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno}: {name}"
+                          for name in names if service_name.match(name)]
+        assert found == []
+
+    def test_every_messages_module_is_slotted(self, layer_map):
+        on_disk = {
+            p.relative_to(SRC).as_posix() for p in SRC.glob("repro/*/messages.py")
+        }
+        assert len(on_disk) >= 3
+        assert on_disk <= layer_map.scopes["slots"]
 
 
 class TestDocsCoverRules:

@@ -56,10 +56,10 @@ def test_schedule_at_past_rejected():
         sim.schedule_at(0.5, lambda: None)
 
 
-def test_call_soon_runs_at_current_time():
+def test_zero_delay_schedule_runs_at_current_time():
     sim = Simulator()
     times = []
-    sim.schedule(2.0, lambda: sim.call_soon(lambda: times.append(sim.now)))
+    sim.schedule(2.0, lambda: sim.schedule(0.0, lambda: times.append(sim.now)))
     sim.run()
     assert times == [2.0]
 
@@ -78,8 +78,9 @@ def test_events_cascade():
     assert sim.now == 2.0
 
 
-def test_step_returns_false_when_empty():
-    assert Simulator().step() is False
+def test_run_on_an_empty_queue_fires_nothing():
+    sim = Simulator()
+    assert sim.run() == 0 and sim.now == 0.0
 
 
 def test_run_returns_event_count():
@@ -271,16 +272,16 @@ class _Record(Event):
         self.sink.append((self.label, self.time, self.seq))
 
 
-def test_schedule_event_fires_the_record_itself_from_step_and_run():
+def test_schedule_event_fires_the_record_itself_from_run():
     sim = Simulator()
     out = []
     sim.schedule(1.0, lambda: out.append("cb"))
     first = sim.schedule_event(1.0, _Record(out, "a"))
     sim.schedule_event(2.0, _Record(out, "b"))
     assert sim.pending == 3 and first.seq == 1 and first.time == 1.0
-    assert sim.step() and sim.step()          # step() path
+    assert sim.run(until=1.0) == 2            # bounded by until
     assert out == ["cb", ("a", 1.0, 1)]
-    assert sim.run() == 1                     # run() loop
+    assert sim.run() == 1                     # run to an empty queue
     assert out[-1] == ("b", 2.0, 2) and sim.now == 2.0
 
 

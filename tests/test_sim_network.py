@@ -269,7 +269,7 @@ def test_pending_counts_datagrams_in_flight_and_clear_drops_them():
     assert all(type(ev).__name__ in ("Datagram", "Event")
                for _, _, ev in sim._queue._heap)
     sim._queue.clear()
-    assert sim.pending == 0 and not sim.step()
+    assert sim.pending == 0 and sim.run() == 0
     timer.cancel()  # detached by clear(): must not corrupt the live count
     assert sim.pending == 0 and b.inbox == []
 

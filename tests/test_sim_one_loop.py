@@ -6,7 +6,8 @@ blocking call (a client pump, a lookup batch) waits by running it with a
 ``done`` predicate or an ``until`` time.  So outside ``sim/engine.py`` no
 code may fire events from a loop of its own — a ``.step()`` call in a
 ``for``/``while`` or a comprehension — or reach for the deleted
-``drain``.
+``drain``.  ``Simulator`` has no ``step`` either, nor ``call_soon``
+(``schedule(0.0, cb)`` pushes the same ``(now, seq)``).
 
 The check is syntactic: ``drain`` is any name or attribute spelt so.
 """
@@ -58,8 +59,9 @@ def test_only_the_engine_runs_an_event_loop():
 
 
 def test_the_simulator_has_no_drain():
-    assert not hasattr(Simulator, "drain")
-    assert not hasattr(Simulator(), "drain")
+    for name in ("drain", "step", "call_soon"):
+        assert not hasattr(Simulator, name), name
+        assert not hasattr(Simulator(), name), name
 
 
 #: The waits ``core/treep.py``, ``baselines/`` and ``bench/scenarios`` ran

@@ -307,9 +307,9 @@ def test_pump_honours_max_events():
     net.build(8)
 
     def perpetual():
-        net.sim.call_soon(perpetual)  # same-time cycle: clock never advances
+        net.sim.schedule(0.0, perpetual)  # same-time cycle: clock never advances
 
-    net.sim.call_soon(perpetual)
+    net.sim.schedule(0.0, perpetual)
     net.sim.max_events = 10_000
     with pytest.raises(SimulationError, match="max_events=10000"):
         net.pump([], timeout=30.0)
@@ -349,7 +349,7 @@ def test_equal_stamp_replicate_counts_as_ack():
     """A replica that already holds the exact incoming stamp (a repair of
     the same write raced the fanout) must ack success, not rejection —
     otherwise the write spuriously times out with every copy in place."""
-    from repro.core.messages import StoreReplicate
+    from repro.storage.messages import StoreReplicate
     from repro.storage.quorum import _PendingWrite
 
     net = TreePNetwork(config=TreePConfig.paper_case1(), seed=9)
@@ -404,7 +404,7 @@ def test_blocking_ops_leave_no_completion_state(store_net):
     successful put, a successful get and a client-side timeout (coordinator
     killed mid-op), and a result arriving after the timeout is dropped
     without error.  (Fire-and-forget is the test above.)"""
-    from repro.core.messages import StorePutResult
+    from repro.storage.messages import StorePutResult
 
     net, store = store_net
 
