@@ -11,7 +11,7 @@ Public surface:
 * :class:`~repro.cluster.Service` — the lifecycle protocol every subsystem
   implements (attach/detach, churn callbacks, declarative handler
   registration, auto-cancelled periodic tasks); subclass it to plug new
-  services into the same registry.
+  services into the same service plane.
 * :class:`~repro.core.treep.TreePNetwork` — build and drive a TreeP overlay.
 * :class:`~repro.core.config.TreePConfig` — all tunables; presets for the
   paper's two experimental cases.

@@ -36,19 +36,6 @@ from repro.workloads.adversarial import (
 from repro.workloads.jobs import JobWorkload
 
 
-def _ensure_hub(net: TreePNetwork) -> ObsHub:
-    """The ambient hub when a capture is active (``--trace-out`` runs),
-    else a locally installed one — so scenario checks can read span
-    metrics in both modes without double-recording."""
-    hub = net.obs
-    if hub is None:
-        hub = ObsHub()
-        net.obs = hub
-        for node in net.nodes.values():
-            node.obs = hub
-    return hub
-
-
 def _span_durations(hub: ObsHub, category: str) -> np.ndarray:
     """Durations of one category's closed spans (empty if none) — the
     rows every span-latency quantile is taken over."""
@@ -74,7 +61,7 @@ def _partition_quorum(params, seed, smoke):
     cluster = (Cluster(config=TreePConfig.paper_case1(), seed=seed)
                .build(n).with_storage(quorum, anti_entropy=10.0))
     net, store, ae = cluster.net, cluster.storage, cluster.anti_entropy
-    hub = _ensure_hub(net)
+    hub = cluster.with_observability(hub=net.obs).obs
 
     preload_ok = sum(store.put(f"adv/{i:04d}", {"i": i}).ok
                      for i in range(n_keys))
@@ -166,7 +153,7 @@ def _rack_failure_jobs(params, seed, smoke):
                .with_compute(ComputeConfig(
                    checkpoint_interval=params["checkpoint_interval"])))
     net, grid = cluster.net, cluster.compute
-    hub = _ensure_hub(net)
+    hub = cluster.with_observability(hub=net.obs).obs
 
     wl = JobWorkload(rng=net.rng.get("adv-rack-jobs"), arrival_rate=1.0,
                      work_mean=120.0, work_sigma=0.4,
@@ -234,7 +221,7 @@ def _straggler_tail(params, seed, smoke):
     def one_run(inject: bool):
         net = TreePNetwork(config=TreePConfig.paper_case1(), seed=seed)
         net.build(n)
-        hub = _ensure_hub(net)
+        hub = Cluster(net=net).with_observability(hub=net.obs).obs
         cond = NetworkConditions(net.network)
         wrapped = None
         if inject:
@@ -296,7 +283,7 @@ def _loss_burst_lookup(params, seed, smoke):
     n, lookups = params["n"], params["lookups"]
     net = TreePNetwork(config=TreePConfig.paper_case1(), seed=seed)
     net.build(n)
-    hub = _ensure_hub(net)
+    hub = Cluster(net=net).with_observability(hub=net.obs).obs
     cond = NetworkConditions(net.network)
     ge = GilbertElliott(net.rng.get("adv-loss-burst"),
                         loss_bad=params["loss_bad"],
@@ -356,7 +343,7 @@ def _heal_convergence(params, seed, smoke):
     cluster = (Cluster(config=TreePConfig.paper_case1(), seed=seed)
                .build(n).with_storage(quorum, anti_entropy=10.0))
     net, store, ae = cluster.net, cluster.storage, cluster.anti_entropy
-    _ensure_hub(net)
+    cluster.with_observability(hub=net.obs)
 
     preload_ok = sum(store.put(f"adv/{i:04d}", {"i": i}).ok
                      for i in range(n_keys))

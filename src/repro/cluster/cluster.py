@@ -17,20 +17,19 @@ build, service construction order, cross-service dependencies
     cluster.compute.run_until_done(timeout=300.0)
     cluster.shutdown()
 
-``with_compute`` pulls in storage and discovery automatically when absent;
+``with_compute`` attaches storage and discovery first when absent;
 ``shutdown`` (or the context-manager exit) detaches everything in reverse
-dependency order through the service registry, so no handler or periodic
-task outlives the facade.  New subsystems plug in through
-:meth:`Cluster.add_service` with any :class:`~repro.cluster.service.Service`
-implementation — no core changes needed.
+attach order, so no handler or periodic task outlives the facade.  New
+subsystems plug in through :meth:`Cluster.add_service` with any
+:class:`~repro.cluster.service.Service` implementation — no core changes
+needed.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Tuple
 
-from repro.cluster.registry import ClusterState
-from repro.cluster.service import Service, ServiceError
+from repro.cluster.service import ClusterState, Service, ServiceError
 from repro.core.config import TreePConfig
 from repro.core.treep import TreePNetwork
 
@@ -124,8 +123,7 @@ class Cluster:
     @property
     def services(self) -> Tuple[Service, ...]:
         """Attached services in attach (dependency) order."""
-        state = self.state
-        return tuple(state.services[name] for name in state.order)
+        return tuple(self.state.services.values())
 
     def service(self, name: str) -> Optional[Service]:
         return self.state.services.get(name)
@@ -172,21 +170,31 @@ class Cluster:
             self.state.attach(AntiEntropy(interval=anti_entropy))
         return self
 
-    def with_compute(
-        self,
-        config: Optional["ComputeConfig"] = None,
-        quorum: Optional["QuorumConfig"] = None,
-    ) -> "Cluster":
+    def with_compute(self, config: Optional["ComputeConfig"] = None) -> "Cluster":
         """Attach grid job execution.
 
         Owns the dependency chain: a missing storage service (checkpoints)
-        or discovery service (matchmaking aggregates) is created and
-        attached first; *quorum* only shapes a storage service created here.
+        or discovery service (matchmaking aggregates) is attached first with
+        its defaults — call :meth:`with_storage` beforehand to choose the
+        quorum.  If the scheduler's attach raises, the services attached
+        here are detached again.
         """
         from repro.compute.scheduler import JobScheduler
 
         self._require_built("with_compute")
-        self.state.attach(JobScheduler(config=config, quorum=quorum))
+        state = self.state
+        added = []
+        try:
+            for name, attach in (("storage", self.with_storage),
+                                 ("discovery", self.with_discovery)):
+                if name not in state.services:
+                    attach()
+                    added.append(state.services[name])
+            state.attach(JobScheduler(config=config))
+        except Exception:
+            for svc in reversed(added):
+                svc.detach()
+            raise
         return self
 
     def with_observability(
@@ -269,7 +277,7 @@ class Cluster:
         return self.net.join_new_node(ident, capacity=capacity, via=via)
 
     def fail_nodes(self, idents: Iterable[int], heal: bool = False) -> None:
-        """Crash-stop peers; churn callbacks fire through the registry.
+        """Crash-stop peers; every service's churn callbacks fire.
 
         ``heal=True`` additionally runs one converged table-repair pass
         (:func:`~repro.core.repair.apply_failure_step`), the usual
@@ -293,7 +301,7 @@ class Cluster:
 
     # -------------------------------------------------------------- shutdown
     def shutdown(self) -> None:
-        """Detach every service (reverse dependency order) and stop the
+        """Detach every service (reverse attach order) and stop the
         overlay's keep-alive loops.  Idempotent."""
         self.state.detach_all()
         self.net.stop_maintenance()

@@ -21,13 +21,18 @@ Lifecycle
     churn             on_node_join(node)      exactly once per protocol join
                       on_node_leave(ident)    exactly once per crash-stop
                       on_node_revive(node)    exactly once per revival
-    detach            on_detach()             after registry-owned cleanup
+    detach            on_detach()             after the context's cleanup
 
-The registry (see :mod:`repro.cluster.registry`) records every handler and
-periodic task per ``(service, node)``; departures cancel the node's tasks
+Each context records, per node, the handlers it installed
+(:attr:`ServiceContext.handlers`) and the periodic tasks it armed
+(:attr:`ServiceContext.node_timers`); departures cancel the node's tasks
 and unregister its handlers, revivals re-install them, and
 :meth:`Service.detach` sweeps everything — the handler/hook leak the old
 facades had is structurally impossible.
+
+:class:`ClusterState` is the one-per-network service plane: the attached
+services in attach order, and the network's only subscriber to node
+creation and liveness, relaying each event to the services in that order.
 
 Construction goes through :class:`~repro.cluster.cluster.Cluster`
 (``Cluster(...).build(n).with_storage(...)``); service constructors take
@@ -36,18 +41,17 @@ configuration only.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional
 
 from repro.sim.engine import PeriodicTimer, TimerGroup
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.cluster.registry import ClusterState
     from repro.core.config import TreePConfig
     from repro.core.node import TreePNode
     from repro.core.treep import TreePNetwork
     from repro.sim.engine import Simulator
 
-__all__ = ["Service", "ServiceContext", "ServiceError"]
+__all__ = ["ClusterState", "Service", "ServiceContext", "ServiceError"]
 
 #: Handler signature services declare: ``handler(src, payload)``.
 Handler = Callable[[int, Any], None]
@@ -60,15 +64,14 @@ class ServiceError(RuntimeError):
 class Service:
     """Base class of the service lifecycle protocol.
 
-    Subclasses set :attr:`name` (the registry key — attaching a second
-    service with the same name cleanly replaces the first) and override any
-    of the lifecycle hooks below.  All wiring goes through the
-    :class:`ServiceContext` received in :meth:`on_attach`, never directly
-    through ``node.register_handler`` / ``sim.every`` — that is what makes
-    teardown automatic.
+    Subclasses set :attr:`name` (the key the service plane files it under —
+    one attached service per name) and override any of the lifecycle hooks
+    below.  All wiring goes through the :class:`ServiceContext` received in
+    :meth:`on_attach`, never directly through ``node.register_handler`` /
+    ``sim.every`` — that is what makes teardown automatic.
     """
 
-    #: Registry key; subclasses must override.
+    #: Service-plane key; subclasses must override.
     name: str = ""
 
     def __init__(self) -> None:
@@ -104,7 +107,7 @@ class Service:
         (role election, initial aggregate computation, …)."""
 
     def on_detach(self) -> None:
-        """Runs after the registry removed this service's handlers/tasks."""
+        """Runs after the context removed this service's handlers/tasks."""
 
     def setup_node(self, node: "TreePNode") -> None:
         """Create per-node state (stores, agents).  Called for every node
@@ -112,7 +115,7 @@ class Service:
 
     def node_handlers(self, node: "TreePNode") -> Mapping[type, Handler]:
         """Declarative typed-message handler registration: the mapping is
-        installed on *node* through the registry (after :meth:`setup_node`),
+        installed on *node* by the context (after :meth:`setup_node`),
         re-installed on revival, and unregistered on departure/detach."""
         return {}
 
@@ -120,7 +123,7 @@ class Service:
         """Churn callback: a brand-new peer joined (post :meth:`setup_node`)."""
 
     def on_node_leave(self, ident: int) -> None:
-        """Churn callback: a live peer crash-stopped.  The registry has
+        """Churn callback: a live peer crash-stopped.  The context has
         already cancelled the node's periodic tasks and unregistered this
         service's handlers from it."""
 
@@ -133,20 +136,20 @@ class Service:
 class ServiceContext:
     """What a service sees of the network: mediated, bookkept wiring.
 
-    One context per attached service; created by
-    :meth:`~repro.cluster.registry.ClusterState.attach`.
+    One context per attached service; created by :meth:`ClusterState.attach`.
     """
 
     def __init__(self, net: "TreePNetwork", service: Service, state: "ClusterState") -> None:
         self.net = net
         self.service = service
         self.state = state
-        #: Service-wide periodic tasks (node-scoped ones live in the
-        #: per-node registries); cancelled wholesale at detach.
+        #: Service-wide periodic tasks; cancelled wholesale at detach.
         self.timers = TimerGroup()
-        #: Services spawned by :meth:`require` factories on behalf of this
-        #: service; detached with it (dependency ownership).
-        self.spawned: list[Service] = []
+        #: node id -> periodic tasks armed with ``every(node=...)``;
+        #: cancelled when that node departs, and at detach.
+        self.node_timers: Dict[int, TimerGroup] = {}
+        #: node id -> the handler mapping installed on that node.
+        self.handlers: Dict[int, Dict[type, Handler]] = {}
 
     # ------------------------------------------------------------ shortcuts
     @property
@@ -158,30 +161,15 @@ class ServiceContext:
         return self.net.config
 
     # ---------------------------------------------------------- composition
-    def require(
-        self,
-        name: str,
-        factory: Optional[Callable[[], Service]] = None,
-    ) -> Service:
-        """Resolve the attached service *name* (cross-service dependency).
-
-        With a *factory*, a missing dependency is constructed, attached to
-        the same network, recorded as owned by this service (detached with
-        it), and returned; without one, a missing dependency raises.
-        """
+    def require(self, name: str) -> Service:
+        """The attached service *name* (cross-service dependency); raises
+        when it is not attached."""
         svc = self.state.services.get(name)
         if svc is None:
-            if factory is None:
-                raise ServiceError(
-                    f"service {self.service.name!r} requires {name!r}, which "
-                    f"is not attached; add it to the Cluster first"
-                )
-            svc = factory()
-            self.state.attach(svc)
-            self.spawned.append(svc)
-        # Record the edge either way: replacing a service some attached
-        # dependent still points at is refused by the registry.
-        self.state.add_dependency(self.service.name, name)
+            raise ServiceError(
+                f"service {self.service.name!r} requires {name!r}, which "
+                f"is not attached; add it to the Cluster first"
+            )
         return svc
 
     # -------------------------------------------------------- periodic tasks
@@ -197,46 +185,144 @@ class ServiceContext:
         """Register a periodic task with automatic cancellation.
 
         Service-scoped by default (cancelled at detach); with ``node=ident``
-        the task is filed in that node's registry and additionally cancelled
-        when the node departs.
+        the task is filed under that node in :attr:`node_timers` and
+        additionally cancelled when the node departs.
         """
         timer = self.net.sim.every(
             interval, callback, jitter=jitter,
             label=label or f"{self.service.name}-task",
         )
-        if node is None:
-            self.timers.add(timer)
-        else:
-            self.state.registry_for_ident(node).add_timer(self.service.name, timer)
-        return timer
+        if node is not None:
+            return self.node_timers.setdefault(node, TimerGroup()).add(timer)
+        return self.timers.add(timer)
 
-    # ------------------------------------------------- registry-driven wiring
-    def install_node(self, node: "TreePNode") -> None:
-        """Per-node setup + declarative handler installation (attach/join)."""
-        self.service.setup_node(node)
-        mapping = dict(self.service.node_handlers(node))
-        if mapping:
-            self.state.registry_for(node).install_handlers(self.service.name, mapping)
+    # --------------------------------------------------------- node wiring
+    def install_handlers(self, node: "TreePNode") -> None:
+        """Register the service's handler mapping on *node*, replacing what
+        this service installed there before.
 
-    def reinstall_handlers(self, node: "TreePNode") -> None:
-        """Re-register this service's handlers on a revived node."""
+        A message type already claimed on the node by another service is
+        refused — silently stealing it would black-hole that service's
+        traffic.
+        """
+        self.uninstall_handlers(node.ident)
         mapping = dict(self.service.node_handlers(node))
+        for msg_type in mapping:
+            if msg_type in node.handlers:
+                raise ServiceError(
+                    f"service {self.service.name!r} claims {msg_type.__name__} "
+                    f"on node {node.ident}, already handled by another service"
+                )
+        for msg_type, handler in mapping.items():
+            node.register_handler(msg_type, handler)
         if mapping:
-            self.state.registry_for(node).install_handlers(self.service.name, mapping)
+            self.handlers[node.ident] = mapping
+
+    def uninstall_handlers(self, ident: int) -> None:
+        node = self.net.nodes[ident]
+        for msg_type in self.handlers.pop(ident, ()):
+            node.unregister_handler(msg_type)
+
+    def teardown_node(self, ident: int) -> None:
+        """Cancel the node's periodic tasks and unregister its handlers."""
+        group = self.node_timers.pop(ident, None)
+        if group is not None:
+            group.stop_all()
+        self.uninstall_handlers(ident)
+
+    def teardown(self) -> None:
+        """Sweep every handler and periodic task this service installed."""
+        for ident in [*self.node_timers, *self.handlers]:
+            self.teardown_node(ident)
+        self.timers.stop_all()
+
+
+class ClusterState:
+    """Per-network service plane: the attached services, in attach order.
+
+    Created on first use and cached on the network, so every
+    :class:`~repro.cluster.cluster.Cluster` wrapping the same network shares
+    it.  It is the network's one subscriber to node creation and liveness:
+    one dispatcher each on ``net.node_hooks`` and the fabric's
+    ``down_hooks`` / ``up_hooks`` relays every event to the services in
+    attach order.
+    """
+
+    def __init__(self, net: "TreePNetwork") -> None:
+        self.net = net
+        #: name -> service, in attach order (detach-all runs in reverse:
+        #: compute before storage).
+        self.services: Dict[str, Service] = {}
+        net.node_hooks.append(self._on_join)
+        net.network.down_hooks.append(self._on_leave)
+        net.network.up_hooks.append(self._on_revive)
+
+    @classmethod
+    def of(cls, net: "TreePNetwork") -> "ClusterState":
+        """The network's service plane, created on first use."""
+        state = getattr(net, "_cluster_state", None)
+        if state is None:
+            state = cls(net)
+            net._cluster_state = state
+        return state
+
+    # --------------------------------------------------------------- attach
+    def attach(self, service: Service) -> Service:
+        """Attach *service*: service-wide setup, then per-node wiring.
+
+        One service per name: attaching under a name already attached
+        raises, as does attaching a service that is attached elsewhere.
+        """
+        if not service.name:
+            raise ServiceError(f"{type(service).__name__} has no service name")
+        if service.attached or service.name in self.services:
+            raise ServiceError(f"service {service.name!r} is already attached")
+        ctx = ServiceContext(self.net, service, self)
+        service._ctx = ctx
+        try:
+            service.on_attach(ctx)
+            for node in list(self.net.nodes.values()):
+                service.setup_node(node)
+                ctx.install_handlers(node)
+            service.on_ready(ctx)
+        except Exception:
+            ctx.teardown()
+            service._ctx = None
+            raise
+        self.services[service.name] = service
+        return service
+
+    # --------------------------------------------------------------- detach
+    def detach(self, service: Service) -> None:
+        """Sweep *service*'s handlers and tasks, then run its
+        ``on_detach`` (idempotent)."""
+        ctx = service._ctx
+        if ctx is None or ctx.state is not self:
+            return
+        ctx.teardown()
+        del self.services[service.name]
+        service._ctx = None
+        service.on_detach()
+
+    def detach_all(self) -> None:
+        """Detach every service, newest first (reverse attach order)."""
+        for svc in reversed(list(self.services.values())):
+            self.detach(svc)
 
     # --------------------------------------------------------- churn relays
     def _on_join(self, node: "TreePNode") -> None:
-        self.install_node(node)
-        self.service.on_node_join(node)
+        for svc in list(self.services.values()):
+            svc.setup_node(node)
+            svc.ctx.install_handlers(node)
+            svc.on_node_join(node)
 
     def _on_leave(self, ident: int) -> None:
-        registry = self.state.registries.get(ident)
-        if registry is not None:
-            registry.teardown_service(self.service.name)
-        self.service.on_node_leave(ident)
+        for svc in list(self.services.values()):
+            svc.ctx.teardown_node(ident)
+            svc.on_node_leave(ident)
 
     def _on_revive(self, ident: int) -> None:
-        node = self.net.nodes.get(ident)
-        if node is not None:
-            self.reinstall_handlers(node)
-            self.service.on_node_revive(node)
+        node = self.net.nodes[ident]
+        for svc in list(self.services.values()):
+            svc.ctx.install_handlers(node)
+            svc.on_node_revive(node)

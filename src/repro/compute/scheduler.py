@@ -51,7 +51,7 @@ from repro.compute.messages import (
 )
 from repro.compute.worker import ComputeAgent
 from repro.services.discovery import Constraint, ResourceDirectory
-from repro.storage.quorum import QuorumConfig, ReplicatedStore
+from repro.storage.quorum import ReplicatedStore
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.treep import TreePNetwork
@@ -80,7 +80,7 @@ class SchedulerCore:
         #: finished stages nor wait forever on failed ones).
         self.completed: Set[int] = set(completed or ())
         self.failed: Set[int] = set(failed or ())
-        # Node-scoped periodic task: cancelled by the registry if the
+        # Node-scoped periodic task: cancelled by the service context if the
         # scheduler host departs (failover then re-creates the core, or a
         # revival re-arms it via restart_monitor).
         self._timer = self._arm_monitor()
@@ -93,7 +93,7 @@ class SchedulerCore:
 
     def restart_monitor(self) -> None:
         """Re-arm the monitor after the host process came back up (the
-        registry cancelled the node-scoped timer at departure)."""
+        service context cancelled the node-scoped timer at departure)."""
         if not self._timer.running:
             self._timer = self._arm_monitor()
 
@@ -343,24 +343,18 @@ class JobScheduler(Service):
     True
 
     As a :class:`~repro.cluster.service.Service` the facade resolves its
-    dependencies at attach time: a missing storage service (checkpoints) or
-    discovery service (matchmaking aggregates) is created and attached
-    first, and dependencies it spawned are detached with it.
+    dependencies at attach time: the storage service (checkpoints) and the
+    discovery service (matchmaking aggregates) must already be attached —
+    :meth:`~repro.cluster.cluster.Cluster.with_compute` attaches them first.
     """
 
     name = "compute"
 
-    def __init__(
-        self,
-        *,
-        config: Optional[ComputeConfig] = None,
-        quorum: Optional[QuorumConfig] = None,
-    ) -> None:
+    def __init__(self, *, config: Optional[ComputeConfig] = None) -> None:
         super().__init__()
         self.net: Optional["TreePNetwork"] = None
         self.config = config if config is not None else ComputeConfig()
         self.store: Optional[ReplicatedStore] = None
-        self._quorum = quorum
         self.directory: Optional[ResourceDirectory] = None
         self._rng = None
         #: ``(net.liveness_key, net.alive_ids())`` memo of :meth:`random_origin`.
@@ -386,13 +380,8 @@ class JobScheduler(Service):
             raise RuntimeError("network must be built first")
         self.net = ctx.net
         self._rng = ctx.net.rng.get("compute-scheduler")
-        quorum = self._quorum
-        self.store = ctx.require(
-            "storage", factory=lambda: ReplicatedStore(quorum=quorum)
-        )  # type: ignore[assignment]
-        self.directory = ctx.require(
-            "discovery", factory=ResourceDirectory
-        )  # type: ignore[assignment]
+        self.store = ctx.require("storage")  # type: ignore[assignment]
+        self.directory = ctx.require("discovery")  # type: ignore[assignment]
 
     def setup_node(self, node) -> None:
         self.agents[node.ident] = ComputeAgent(node, self)
@@ -404,8 +393,8 @@ class JobScheduler(Service):
         self.activate_scheduler()
 
     def on_node_leave(self, ident: int) -> None:
-        # Crash-stop: the registry already cancelled the node's periodic
-        # tasks; wipe the in-memory worker state (a restarted process has
+        # Crash-stop: the node's periodic tasks are already cancelled;
+        # wipe the in-memory worker state (a restarted process has
         # no memory) and cancel its one-shot completion events.
         agent = self.agents.get(ident)
         if agent is not None:
@@ -416,7 +405,7 @@ class JobScheduler(Service):
         if agent.scheduler is not None:
             # The scheduler host came back before anyone called
             # ensure_scheduler: its job table is intact (same process), but
-            # the registry cancelled its monitor at departure — re-arm it
+            # its monitor was cancelled at departure — re-arm it
             # or heartbeat-loss detection stays dead for the rest of the run.
             agent.scheduler.restart_monitor()
 

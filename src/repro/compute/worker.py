@@ -1,7 +1,7 @@
 """The per-node compute agent: execution, checkpointing, work stealing.
 
 One :class:`ComputeAgent` is attached to every node by the compute
-service's per-node registry — its :meth:`ComputeAgent.handlers` mapping is
+service's context — its :meth:`ComputeAgent.handlers` mapping is
 installed, torn down on departure and re-installed on revival (the same
 pattern as the storage subsystem's :class:`~repro.storage.quorum.StorageAgent`),
 and its timers are node-scoped periodic tasks cancelled automatically with
@@ -114,7 +114,7 @@ class ComputeAgent:
         self._steal_timer = None
 
     def handlers(self) -> Dict[type, object]:
-        """Declarative handler mapping installed by the service registry."""
+        """Declarative handler mapping installed by the service context."""
         return {
             JobSubmit: self.handle_submit,
             JobAck: self._on_ack,

@@ -132,20 +132,16 @@ class TreePNode(Process):
 
     # ------------------------------------------------------------- handlers
     def register_handler(
-        self,
-        msg_type: type,
-        handler: Callable[[int, Any], None],
-        replace: bool = False,
+        self, msg_type: type, handler: Callable[[int, Any], None]
     ) -> None:
         """Route datagrams whose payload is a *msg_type* to *handler*.
 
         ``handler(src, payload)`` is invoked exactly like a built-in
         ``_on_<Type>`` method.  Registered handlers take precedence over the
         built-ins, letting a service override core behaviour per node.  A
-        second registration for the same type raises unless ``replace=True``
-        (re-instantiating a service facade replaces its predecessor).
+        second registration for the same type raises.
         """
-        if not replace and msg_type in self.handlers:
+        if msg_type in self.handlers:
             raise ValueError(
                 f"node {self.ident} already has a handler for {msg_type.__name__}"
             )
@@ -153,25 +149,13 @@ class TreePNode(Process):
             self.handlers = {}
         self.handlers[msg_type] = handler
 
-    def unregister_handler(
-        self,
-        msg_type: type,
-        handler: Optional[Callable[[int, Any], None]] = None,
-    ) -> None:
-        """Remove the service handler for *msg_type* (no-op when absent).
-
-        When *handler* is given, the registration is only removed if it is
-        still that exact callable — a service tearing itself down must not
-        evict the successor that already replaced it (the registry-owned
-        cleanup in :mod:`repro.cluster` relies on this).
-        """
-        if handler is not None and self.handlers.get(msg_type) is not handler:
-            return
+    def unregister_handler(self, msg_type: type) -> None:
+        """Remove the service handler for *msg_type* (no-op when absent)."""
         self.handlers.pop(msg_type, None)
 
     def handler_types(self) -> Set[type]:
         """Message types currently claimed by service handlers (diagnostics
-        and the service-registry leak regression tests)."""
+        and the service-plane leak regression tests)."""
         return set(self.handlers)
 
     # ------------------------------------------------------------- identity

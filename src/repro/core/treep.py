@@ -98,59 +98,9 @@ class TreePNetwork:
         self.layout: Optional[HierarchyLayout] = None
         self._maintenance: List[MaintenanceManager] = []
         #: Callbacks invoked for every node the network creates (at build and
-        #: on protocol joins); services use this to attach per-node state and
-        #: register datagram handlers without monkey-patching TreePNode.
+        #: on protocol joins); the service plane (:mod:`repro.cluster`)
+        #: subscribes here to wire per-node state and datagram handlers.
         self.node_hooks: List[Callable[[TreePNode], None]] = []
-
-    def add_node_hook(
-        self, hook: Callable[[TreePNode], None], retroactive: bool = True
-    ) -> None:
-        """Register *hook* to run on every current and future node.
-
-        With ``retroactive`` (the default) the hook also runs immediately on
-        every node that already exists, so a service can attach at any time.
-        """
-        self.node_hooks.append(hook)
-        if retroactive:
-            for node in self.nodes.values():
-                hook(node)
-
-    def remove_node_hook(self, hook: Callable[[TreePNode], None]) -> None:
-        """Detach *hook* from future node creations (no-op when absent).
-
-        Services call this when shut down so a discarded instance stops
-        attaching per-node state to every node that joins later.
-        """
-        try:
-            self.node_hooks.remove(hook)
-        except ValueError:
-            pass
-
-    # ------------------------------------------------------ lifecycle hooks
-    def add_leave_hook(self, hook: Callable[[int], None]) -> None:
-        """Run *hook(ident)* whenever a live peer crash-stops.
-
-        Thin wrapper over the fabric's liveness transition hooks, so the
-        callback fires exactly once per departure regardless of the driver
-        (:meth:`fail_nodes`, a failure schedule, or a direct ``set_down``).
-        """
-        self.network.down_hooks.append(hook)
-
-    def remove_leave_hook(self, hook: Callable[[int], None]) -> None:
-        try:
-            self.network.down_hooks.remove(hook)
-        except ValueError:
-            pass
-
-    def add_revive_hook(self, hook: Callable[[int], None]) -> None:
-        """Run *hook(ident)* whenever a down peer is revived (``set_up``)."""
-        self.network.up_hooks.append(hook)
-
-    def remove_revive_hook(self, hook: Callable[[int], None]) -> None:
-        try:
-            self.network.up_hooks.remove(hook)
-        except ValueError:
-            pass
 
     # ------------------------------------------------------------ building
     def build(

@@ -2,14 +2,14 @@
 
 The reproduction's correctness rests on invariants the test suite can only
 spot-check: fixed-seed determinism, RNG/schedule-neutral observability,
-registry-owned handler/timer cleanup, ``__slots__`` on hot-path records
+context-owned handler/timer cleanup, ``__slots__`` on hot-path records
 and the package layering.  This package turns each of those into a
 machine-checked rule with a stable code:
 
 ========  ==============================================================
 RPR1xx    determinism — no wall clock / global or unseeded RNG / set order
 RPR2xx    layering — every import edge vs ``layers.toml``
-RPR3xx    lifecycle — paired handler/timer cleanup outside the registry
+RPR3xx    lifecycle — paired handler/timer cleanup outside ServiceContext
 RPR4xx    perf/obs hygiene — ``__slots__`` records, nil-guarded obs
 ========  ==============================================================
 

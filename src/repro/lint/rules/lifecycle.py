@@ -1,8 +1,8 @@
 """RPR3xx — lifecycle hygiene.
 
-PR 3 made handler/timer leaks *structurally* impossible for code that goes
-through the Service registry (``ServiceContext.every`` /
-``node_handlers``): the registry sweeps everything on detach and node
+Handler/timer leaks are *structurally* impossible for code that goes
+through the service context (``ServiceContext.every`` /
+``node_handlers``): the context sweeps everything on detach and node
 departure.  Code that wires raw ``node.register_handler`` or ``sim.every``
 outside that path re-acquires the leak risk — RPR301 demands the class
 own the matching ``unregister_handler`` / ``stop``.
@@ -45,14 +45,14 @@ def _attr_calls(tree: ast.AST, attr: str) -> List[ast.Call]:
 @rule(
     "RPR301",
     "paired-lifecycle-cleanup",
-    "raw register_handler/sim.every outside the registry path needs a paired "
+    "raw register_handler/sim.every outside the service context needs a paired "
     "unregister/stop in the same class",
 )
 def check_lifecycle_pairing(
     ctx: FileContext, project: ProjectContext
 ) -> Iterator[Violation]:
     if ctx.relpath.removeprefix("src/") in project.layers.scopes["lifecycle"]:
-        return  # the registry path itself owns cleanup by construction
+        return  # the service context itself owns cleanup by construction
     for klass in ast.walk(ctx.tree):
         if not isinstance(klass, ast.ClassDef):
             continue
@@ -66,14 +66,14 @@ def check_lifecycle_pairing(
                     "RPR301",
                     call,
                     f"class {klass.name} calls register_handler outside the "
-                    f"Service registry path without a paired "
-                    f"unregister_handler; route through node_handlers()/"
-                    f"ServiceRegistry or unregister in teardown",
+                    f"service context without a paired unregister_handler; "
+                    f"declare it in Service.node_handlers() or unregister "
+                    f"in teardown",
                 )
         for call in _attr_calls(klass, "every"):
             chain = _receiver_chain(call.func)
             if "ctx" in chain[:-1]:
-                continue  # ServiceContext.every: registry-owned auto-cancel
+                continue  # ServiceContext.every: cancelled by the context
             if not has_stop:
                 yield ctx.violation(
                     "RPR301",

@@ -8,7 +8,7 @@ scheduled at the same time always fire in scheduling order.
 Cancellation is *lazy* (O(1)): a cancelled event is only marked, and the
 pop path discards it when it surfaces.  To keep the heap bounded under
 heavy timer churn (services arming and cancelling ``ctx.every`` tasks far
-faster than their periods elapse — see ``cluster/registry.py``), the queue
+faster than their periods elapse — see ``cluster/service.py``), the queue
 **compacts** itself whenever tombstones outnumber live events: dead
 entries are filtered out and the heap is rebuilt in O(live).  Because
 every entry carries a unique ``(time, seq)`` key, compaction can never

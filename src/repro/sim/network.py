@@ -166,10 +166,11 @@ class Network:  # repro-lint: disable=RPR401 one instance per simulation; slotti
         self.delivery_hook: Optional[Callable[[Datagram], None]] = None
         #: Liveness transition hooks, fired exactly once per transition
         #: (``set_down`` on an up process / ``set_up`` on a down one) with
-        #: the affected address.  The service layer (:mod:`repro.cluster`)
-        #: uses these to run churn callbacks and registry-owned cleanup no
-        #: matter which driver crashed the node (``TreePNetwork.fail_nodes``,
-        #: a :class:`~repro.sim.failures.FailureSchedule`, or a direct call).
+        #: the affected address.  The service plane (:mod:`repro.cluster`)
+        #: subscribes one dispatcher to each, so churn callbacks and per-node
+        #: cleanup run no matter which driver crashed the node
+        #: (``TreePNetwork.fail_nodes``, a
+        #: :class:`~repro.sim.failures.FailureSchedule`, or a direct call).
         self.down_hooks: list[Callable[[int], None]] = []
         self.up_hooks: list[Callable[[int], None]] = []
         #: Every datagram's ``callback``, bound once (a fresh bound method

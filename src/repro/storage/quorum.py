@@ -24,8 +24,8 @@ The write/read path is Dynamo-shaped, grafted onto TreeP routing:
 is the synchronous client the examples, benches and tests drive, and it
 implements the :class:`~repro.cluster.service.Service` lifecycle protocol —
 each node's agent handlers are declared via
-:meth:`ReplicatedStore.node_handlers` and installed/removed by the per-node
-service registry (no monkey-patching, no leak on teardown).
+:meth:`ReplicatedStore.node_handlers` and installed/removed by the
+service's context (no monkey-patching, no leak on teardown).
 
 Construct through :meth:`repro.cluster.Cluster.with_storage`.
 """
@@ -192,7 +192,7 @@ class StorageAgent:
         self.coordinators: Dict[int, int] = {}
 
     def handlers(self) -> Dict[type, Callable[[int, Any], None]]:
-        """Declarative handler mapping; the owning service's registry
+        """Declarative handler mapping; the owning service's context
         installs it on the node (and removes it again on teardown)."""
         return {
             StorePut: self.handle_put,

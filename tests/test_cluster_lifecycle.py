@@ -1,5 +1,5 @@
 """Service lifecycle under churn: the `Cluster` facade, the `Service`
-protocol and the per-node registry's owned cleanup.
+protocol and the cleanup each `ServiceContext` owns.
 
 Covers the 1.3.0 redesign invariants:
 
@@ -10,7 +10,9 @@ Covers the 1.3.0 redesign invariants:
 * a torn-down facade leaves no handlers behind, on existing *or* rebuilt
   nodes (the pre-1.3 leak);
 * `Cluster` owns construction order and the compute → storage → overlay
-  dependency chain, and shutdown detaches in reverse order.
+  dependency chain, and shutdown detaches in reverse order;
+* one service per name, and the service plane is the network's one
+  subscriber to node creation and liveness.
 """
 
 from __future__ import annotations
@@ -38,6 +40,11 @@ from repro.storage.messages import StoreGet, StorePut
 
 def make_cluster(n=64, seed=11):
     return Cluster(config=TreePConfig.paper_case1(), seed=seed).build(n)
+
+
+def node_timers(service, ident):
+    """How many node-scoped periodic tasks *service* has running on *ident*."""
+    return len(service.ctx.node_timers.get(ident, ()))
 
 
 class ProbePing:
@@ -134,13 +141,12 @@ def test_callbacks_fire_exactly_once_per_event_under_30pct_churn():
     cluster.shutdown()
 
 
-# ------------------------------------------------------- registry cleanup
+# -------------------------------------------------------- context cleanup
 def test_leave_unregisters_handlers_and_cancels_node_tasks():
     cluster = (make_cluster()
                .with_storage(QuorumConfig(n=3, w=2, r=2))
                .with_compute(ComputeConfig()))
-    state = cluster.state
-    grid = cluster.compute
+    grid, store = cluster.compute, cluster.storage
     # An idle worker owns no timer at all; give the victim a running job so
     # it holds node-scoped tasks (heartbeat + checkpoint loops) to cancel.
     grid.submit(JobSpec(job_id=1, work=200.0))
@@ -151,12 +157,12 @@ def test_leave_unregisters_handlers_and_cancels_node_tasks():
     node = cluster.net.nodes[victim]
     assert StorePut in node.handler_types()
     assert JobSubmit in node.handler_types()
-    assert state.registry_for(node).active_timers("compute") >= 2
+    assert node_timers(grid, victim) >= 2
 
     cluster.fail_nodes([victim])
     assert node.handler_types() == set(), "departure must sweep all handlers"
-    assert state.registry_for(node).active_timers("compute") == 0
-    assert state.registry_for(node).active_timers("storage") == 0
+    assert node_timers(grid, victim) == 0
+    assert node_timers(store, victim) == 0
     assert not grid.agents[victim].running, "a crash wipes in-memory jobs"
 
     cluster.revive_nodes([victim])
@@ -164,7 +170,7 @@ def test_leave_unregisters_handlers_and_cancels_node_tasks():
     assert JobSubmit in node.handler_types()
     # A restarted process has no memory and nothing queued: no timer comes
     # back until the scheduler hands it work again.
-    assert state.registry_for(node).active_timers("compute") == 0
+    assert node_timers(grid, victim) == 0
     cluster.shutdown()
 
 
@@ -225,6 +231,7 @@ def test_rebuilt_node_has_no_stale_handlers():
     cluster = make_cluster().with_storage()
     store = cluster.storage
     store.detach()
+    store.detach()  # idempotent
     new_id = max(cluster.ids) + 1
     cluster.join_node(new_id)
     rebuilt = cluster.net.nodes[new_id]
@@ -232,16 +239,17 @@ def test_rebuilt_node_has_no_stale_handlers():
     assert new_id not in store.agents  # no longer covering new nodes
 
 
-def test_same_name_service_replaces_predecessor():
+def test_second_same_name_attach_is_refused():
+    """One service per name: a second ``with_storage`` raises and leaves
+    the first store attached and serving."""
     cluster = make_cluster().with_storage(QuorumConfig(n=2, w=1, r=1))
     first = cluster.storage
-    hooks_before = len(cluster.net.node_hooks)
-    cluster.with_storage(QuorumConfig(n=3, w=2, r=2))
-    second = cluster.storage
-    assert second is not first
-    assert not first.attached and second.attached
-    assert len(cluster.net.node_hooks) == hooks_before  # no hook leak
-    assert second.put("k", 1).ok
+    with pytest.raises(ServiceError, match="already attached"):
+        cluster.with_storage(QuorumConfig(n=3, w=2, r=2))
+    assert cluster.storage is first and first.attached
+    assert first.quorum.n == 2
+    assert first.put("k", 1).ok
+    cluster.shutdown()
 
 
 def test_periodic_tasks_cancelled_on_shutdown():
@@ -252,12 +260,13 @@ def test_periodic_tasks_cancelled_on_shutdown():
     grid = cluster.compute
     grid.submit(JobSpec(job_id=1, cpu_demand=1.0, work=5.0))
     assert grid.run_until_done(timeout=120.0)
-    state = cluster.state
+    timers = [timer for svc in cluster.services
+              for group in (svc.ctx.timers, *svc.ctx.node_timers.values())
+              for timer in group.active()]
+    assert timers
     cluster.shutdown()
     assert not ae.running, "shutdown must cancel the anti-entropy sweep"
-    for registry in state.registries.values():
-        for svc in registry.services():
-            assert registry.active_timers(svc) == 0
+    assert not any(timer.running for timer in timers)
 
 
 # ------------------------------------------------- construction & ordering
@@ -267,9 +276,10 @@ def test_with_compute_owns_dependency_chain():
     assert names == ["storage", "discovery", "compute"]
     assert cluster.compute.store is cluster.storage
     assert cluster.compute.directory is cluster.directory
-    # Detaching compute takes the dependencies it spawned with it.
+    # Compute owns neither: detaching it leaves both attached.
     cluster.compute.detach()
-    assert [s.name for s in cluster.services] == []
+    assert [s.name for s in cluster.services] == ["storage", "discovery"]
+    assert cluster.storage.put("k", 1).ok
 
 
 def test_with_compute_reuses_existing_storage():
@@ -372,7 +382,7 @@ def test_scheduler_monitor_survives_host_fail_and_revive():
 
 def test_failed_attach_rolls_back_spawned_dependencies():
     """Regression: with_compute dying mid-attach must not leave the
-    storage/discovery services it spawned wired to the network."""
+    storage/discovery services it attached wired to the network."""
     cluster = make_cluster(n=16)
     cluster.fail_nodes(list(cluster.ids))  # no live host for the scheduler
     with pytest.raises(RuntimeError):
@@ -383,9 +393,8 @@ def test_failed_attach_rolls_back_spawned_dependencies():
 
 
 def test_anti_entropy_without_storage_raises():
-    """Dependencies resolve through ``ctx.require`` only: anti-entropy has
-    no factory for its store, so attaching it first fails loudly and
-    leaves nothing wired."""
+    """``ctx.require`` only looks a dependency up: attaching anti-entropy
+    before its store fails loudly and leaves nothing wired."""
 
     cluster = make_cluster()
     with pytest.raises(ServiceError, match="requires 'storage'"):
@@ -401,9 +410,9 @@ def test_anti_entropy_without_storage_raises():
 
 def test_detach_cascade_spares_shared_dependencies():
     """Regression: compute detaching must not tear down the storage service
-    it spawned while anti-entropy (another attached service) depends on it."""
+    attached for it while anti-entropy (another attached service) uses it."""
 
-    cluster = make_cluster().with_compute()  # spawns storage + discovery
+    cluster = make_cluster().with_compute()  # attaches storage + discovery
     store = cluster.storage
     cluster.add_service(AntiEntropy(interval=5.0))  # requires 'storage'
     cluster.compute.detach()
@@ -423,24 +432,20 @@ def test_unattached_anti_entropy_fails_loud():
         ae.sweep()
 
 
-def test_replacement_refused_while_dependents_attached():
-    """Regression: replacing the storage service while anti-entropy/compute
-    still hold the attached instance would leave them driving a detached
-    store (handlers gone, every repair/checkpoint silently failing)."""
-    cluster = (make_cluster()
-               .with_storage(QuorumConfig(n=2, w=1, r=1), anti_entropy=10.0)
-               .with_compute())
-    first = cluster.storage
-    with pytest.raises(ServiceError, match="depend"):
-        cluster.with_storage(QuorumConfig(n=3, w=2, r=2))
-    assert cluster.storage is first and first.attached  # untouched
-    # Detaching the dependents makes the replacement legal again.
-    cluster.compute.detach()
-    cluster.anti_entropy.detach()
-    cluster.with_storage(QuorumConfig(n=3, w=2, r=2))
-    assert cluster.storage is not first
-    assert cluster.storage.put("k", 1).ok
+def test_service_plane_is_the_one_network_subscriber():
+    """One dispatcher each on node creation, crash and revival, however
+    many services come and go."""
+    cluster = make_cluster().with_compute()  # storage, discovery, compute
+    net = cluster.net
+
+    def subscribers():
+        return (len(net.node_hooks), len(net.network.down_hooks),
+                len(net.network.up_hooks))
+
+    assert subscribers() == (1, 1, 1)
     cluster.shutdown()
+    assert cluster.services == ()
+    assert subscribers() == (1, 1, 1)
 
 
 def test_conflicting_handler_claims_are_refused():

@@ -439,7 +439,7 @@ def test_idle_grid_is_silent():
     assert not _steal_datagrams(cluster.net)
     sched = cluster.compute.scheduler_ident
     for ident, node in cluster.net.nodes.items():
-        timers = cluster.state.registry_for(node).active_timers("compute")
+        timers = len(cluster.compute.ctx.node_timers.get(ident, ()))
         assert timers == (1 if ident == sched else 0)
     cluster.shutdown()
 

@@ -512,7 +512,8 @@ class TestHandlerRegistry:
         a.register_handler(Hello, lambda src, msg: None)
         with pytest.raises(ValueError):
             a.register_handler(Hello, lambda src, msg: None)
-        a.register_handler(Hello, lambda src, msg: None, replace=True)  # ok
+        a.unregister_handler(Hello)
+        a.register_handler(Hello, lambda src, msg: None)  # free again: ok
 
     def test_the_first_registration_gives_the_node_its_own_handler_map(self):
         sim, net, (a, b, _) = tiny_net()
@@ -533,11 +534,13 @@ class TestHandlerRegistry:
         sim.run()
         assert b.table.knows(a.ident)  # built-in _on_Hello ran again
 
-    def test_node_hooks_cover_built_and_joined_nodes(self, fresh_net):
+    def test_node_hooks_cover_built_and_joined_nodes(self):
+        net = TreePNetwork(config=TreePConfig.paper_case1(), seed=7)
         seen = []
-        fresh_net.add_node_hook(lambda node: seen.append(node.ident))
-        assert sorted(seen) == sorted(fresh_net.ids)  # retroactive
-        new_id = max(fresh_net.ids) + 1
-        if new_id < fresh_net.config.space.extent:
-            fresh_net.join_new_node(new_id)
+        net.node_hooks.append(lambda node: seen.append(node.ident))
+        net.build(64)
+        assert seen == net.ids
+        new_id = max(net.ids) + 1
+        if new_id < net.config.space.extent:
+            net.join_new_node(new_id)
             assert seen[-1] == new_id

@@ -106,6 +106,13 @@ def test_status_mapping():
     assert statuses == [STATUS_OK, STATUS_FAIL, STATUS_TIMEOUT]
 
 
+def test_status_constants_still_cover_the_spec():
+    # written stores and the query summary's ok/fail/timeout accounting
+    # key off these exact codes; a renumbering must not silently invert
+    # that accounting or misread a written store
+    assert (STATUS_OPEN, STATUS_OK, STATUS_FAIL, STATUS_TIMEOUT) == (0, 1, 2, 3)
+
+
 # ------------------------------------------------------------------ gating
 def test_category_gating_spans_and_events():
     hub = ObsHub(categories=["lookup"])

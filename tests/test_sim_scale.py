@@ -112,7 +112,7 @@ def test_heap_stays_bounded_under_schedule_cancel_churn():
 
 
 def test_heap_stays_bounded_under_ctx_every_timer_churn():
-    """`ctx.every` churn from the service registry (cluster/registry.py):
+    """`ctx.every` churn from the service context (cluster/service.py):
     a service arming and stopping node-scoped periodic tasks far faster
     than their periods elapse leaves cancelled events in the heap; the
     queue must keep its physical size within a constant factor of live."""

@@ -272,19 +272,6 @@ def test_later_write_dominates_regressed_replica():
         assert store.agents[h].store.get(key_id).value == "b"
 
 
-def test_close_detaches_node_hook():
-    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=9)
-    net.build(32)
-    store = Cluster(net=net).with_storage(QuorumConfig(n=2, w=1, r=1)).storage
-    before = len(net.node_hooks)
-    store.detach()
-    assert len(net.node_hooks) == before - 1
-    store.detach()  # idempotent
-    new_id = max(net.ids) + 1
-    net.join_new_node(new_id)
-    assert new_id not in store.agents  # no longer covering new nodes
-
-
 def test_write_finishes_immediately_when_targets_below_w():
     """A coordinator that cannot name w targets must not idle out the full
     quorum timeout waiting for acks that can never arrive."""
