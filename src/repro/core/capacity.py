@@ -11,10 +11,15 @@ shapes reported by the P2P measurement studies the paper cites).
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import List
+from typing import Iterable, List
 
 import numpy as np
+
+#: The five resources the score combines, in the order it reads them.
+_RESOURCES = ("cpu", "memory_gb", "bandwidth_mbps", "storage_gb", "uptime_hours")
 
 
 @dataclass(frozen=True)
@@ -35,10 +40,10 @@ class NodeCapacity:
     net_load: float = 0.0
 
     def __post_init__(self) -> None:
-        if min(self.cpu, self.memory_gb, self.bandwidth_mbps, self.storage_gb) <= 0:
-            raise ValueError("cpu, memory, bandwidth and storage must be > 0")
-        if self.uptime_hours <= 0:
-            raise ValueError("uptime_hours must be > 0")
+        for name in _RESOURCES:
+            v = getattr(self, name)
+            if not 0.0 < v < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and > 0, got {v}")
         for name in ("cpu_load", "net_load"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -57,32 +62,16 @@ class NodeCapacity:
     def score(self) -> float:
         """Scalar capacity in ``(0, +inf)``; higher is better.
 
-        Geometric mean of log-scaled resources, discounted by current load.
-        The geometric mean keeps any single huge resource from dominating
-        (a fat pipe on a loaded CPU should not win every election).
+        Geometric mean of log-scaled resources, discounted by current load
+        (see :func:`fill_scores`, the one evaluation of the formula).
         Computed once per instance: the fields are frozen, and ``replace()``
         / ``with_load()`` build a new instance that computes its own.
         """
         try:
             return self._score  # type: ignore[attr-defined]
         except AttributeError:
-            pass
-        resources = np.array(
-            [
-                np.log1p(self.cpu),
-                np.log1p(self.memory_gb),
-                np.log1p(self.bandwidth_mbps),
-                np.log1p(self.storage_gb),
-                np.log1p(self.uptime_hours),
-            ]
-        )
-        gmean = float(np.exp(np.mean(np.log(resources + 1e-9))))
-        load_penalty = (1.0 - 0.5 * self.cpu_load) * (1.0 - 0.5 * self.net_load)
-        # Not via ``self.__dict__``: that would materialise a dict per
-        # instance (+64 B each); this keeps CPython's inline attribute storage.
-        score = gmean * load_penalty
-        object.__setattr__(self, "_score", score)
-        return score
+            fill_scores((self,))
+            return self._score  # type: ignore[attr-defined]
 
     def with_load(self, cpu_load: float | None = None, net_load: float | None = None) -> "NodeCapacity":
         """Copy with updated load figures."""
@@ -126,6 +115,37 @@ class NodeCapacity:
         return base * jitter * (1.0 + self.score())
 
 
+def fill_scores(capacities: Iterable[NodeCapacity]) -> None:
+    """Memoise :meth:`NodeCapacity.score` on every capacity lacking it, with
+    one ``(k, 5)`` NumPy evaluation: the geometric mean of the log-scaled
+    resources, times the load penalty.  The geometric mean keeps any single
+    huge resource from dominating (a fat pipe on a loaded CPU should not win
+    every election).  Each row's result is bit-identical whatever *k* is.
+    """
+    todo = [c for c in capacities if not hasattr(c, "_score")]
+    if not todo:
+        return
+    resources = np.log1p(np.array(
+        [(c.cpu, c.memory_gb, c.bandwidth_mbps, c.storage_gb, c.uptime_hours) for c in todo],
+        dtype=np.float64,
+    ))
+    gmean = np.exp(np.mean(np.log(resources + 1e-9), axis=1))
+    for c, g in zip(todo, gmean.tolist()):
+        load_penalty = (1.0 - 0.5 * c.cpu_load) * (1.0 - 0.5 * c.net_load)
+        # Not via ``c.__dict__``: that would materialise a dict per
+        # instance (+64 B each); this keeps CPython's inline attribute storage.
+        object.__setattr__(c, "_score", g * load_penalty)
+
+
+#: ``CapacityDistribution``'s CPU classes and the normalised cdf NumPy's
+#: ``Generator.choice(_CPU, p=_CPU_P)`` looks one ``random()`` draw up in.
+_CPU = (1.0, 2.0, 4.0, 8.0, 16.0)
+_CPU_P = (0.35, 0.3, 0.2, 0.1, 0.05)
+_CPU_CDF = (np.cumsum(_CPU_P) / np.cumsum(_CPU_P)[-1]).tolist()
+_LOG_10 = np.log(10.0)
+_LOG_100 = np.log(100.0)
+
+
 class CapacityDistribution:
     """Sampler of heterogeneous capability vectors.
 
@@ -144,10 +164,12 @@ class CapacityDistribution:
 
     def sample(self) -> NodeCapacity:
         r = self.rng
-        cpu = float(r.choice([1, 2, 4, 8, 16], p=[0.35, 0.3, 0.2, 0.1, 0.05]))
+        # ``r.choice(_CPU, p=_CPU_P)``'s own draw and lookup, without its
+        # per-call validation of ``p``: the same one double, the same class.
+        cpu = _CPU[bisect_right(_CPU_CDF, r.random())]
         memory = float(2.0 ** r.uniform(0, 6))
-        bandwidth = float(np.exp(r.normal(np.log(10.0), 1.0)))
-        storage = float(np.exp(r.normal(np.log(100.0), 0.8)))
+        bandwidth = float(np.exp(r.normal(_LOG_10, 1.0)))
+        storage = float(np.exp(r.normal(_LOG_100, 0.8)))
         uptime = float((r.pareto(1.5) + 1.0) * 2.0)
         cpu_load = float(r.beta(2, 5))
         net_load = float(r.beta(2, 5))

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.capacity import NodeCapacity
+from repro.core.capacity import NodeCapacity, fill_scores
 from repro.core.config import TreePConfig
 from repro.core.tessellation import cell_owner, children_of
 
@@ -193,6 +193,7 @@ def build_layout(
     for i in ids:
         config.space.validate(i)
 
+    fill_scores(capacities[i] for i in ids)
     scores = {i: capacities[i].score() for i in ids}
     nc_of = {i: _effective_nc(config, capacities[i]) for i in ids}
 

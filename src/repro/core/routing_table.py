@@ -387,6 +387,77 @@ class RoutingTable:
         self.upsert(ident, now, max_level, score, nc)
         self.link("superiors", ident)
 
+    def install(self, now: float, meta: Dict[int, Tuple[int, float, int]],
+                level0: Sequence[int], buses: Sequence[Sequence[int]],
+                own_children: Sequence[Sequence[int]],
+                neighbour_children: Sequence[Sequence[int]],
+                parent: Optional[int], superiors: Sequence[int]) -> None:
+        """Write a node's whole build plan onto a table nothing has written.
+
+        ``buses[j - 1]``, ``own_children[j - 1]`` and
+        ``neighbour_children[j - 1]`` belong to level ``j``, for every level
+        ``1..len(buses)`` the node holds; *parent* sits one level above.
+        The result is exactly what these calls, in this order, each with
+        ``now, *meta[id]``, would leave: ``add_level0`` for each of
+        *level0*; ``add_level(j, ·)`` for each of every ``buses[j - 1]``;
+        per level ``j``, ``open_children(j)``, ``add_child(j, ·)`` for each
+        own child and ``add_neighbour_child`` for each neighbour child;
+        ``set_parent(len(buses) + 1, parent)``; ``add_superior`` for each
+        of *superiors* — the same entries in the same order, every role set
+        in the same iteration order, and the same ``version`` and
+        ``membership``.
+        """
+        if self._membership or self._version:
+            raise RuntimeError("install writes only a table nothing has written")
+        order = list(level0)
+        for ids in buses:
+            order += ids
+        for own, nbc in zip(own_children, neighbour_children):
+            order += own
+            order += nbc
+        if parent is not None:
+            order.append(parent)
+        order += superiors
+        known = dict.fromkeys(order)  # first appearance: the upserts' order
+        if self.owner in known:
+            raise ValueError("a node never stores itself in its routing table")
+        entries = self._entries
+        version = 0
+        for i in known:
+            level, score, nc = meta[i]
+            entries[i] = Entry(i, level, score, nc, now)
+            if level:  # upsert's level change from a new entry's 0
+                version += 1
+        # ``set(ids)`` adds in list order, so each set iterates as the
+        # one-by-one ``link`` calls would have left it.
+        if level0:
+            self.level0 = ids = set(level0)
+            version += len(ids)
+        tables = {}
+        for level, bus in enumerate(buses, 1):
+            if bus:  # add_level opens a bus on its first id only
+                tables[level] = ids = set(bus)
+                version += 1 + len(ids)
+        if tables:
+            self.level_tables = tables
+        if buses:
+            self.level_children = {level: sorted(set(own))
+                                   for level, own in enumerate(own_children, 1)}
+        for role, lists in (("children", own_children),
+                            ("neighbour_children", neighbour_children)):
+            ids = {i for ids in lists for i in ids}
+            if ids:
+                setattr(self, role, ids)
+                version += len(ids)
+        if parent is not None:
+            self.parents[len(buses) + 1] = parent
+            version += 1
+        if superiors:
+            self.superiors = ids = set(superiors)
+            version += len(ids)
+        self._version = version
+        self._membership = len(entries)
+
     # --------------------------------------------------------------- expiry
     def expire(self, now: float, entry_ttl: float) -> List[int]:
         """Delete entries not refreshed within *entry_ttl*; return their ids."""

@@ -31,7 +31,7 @@ from repro.core.ids import AssignStrategy, assign_ids
 from repro.core.lookup import LookupAlgorithm, LookupResult
 from repro.core.maintenance import MaintenanceManager
 from repro.core.node import PendingLookup, TreePNode
-from repro.core.tessellation import bus_neighbours, cell_owner
+from repro.core.tessellation import cell_owner
 from repro.obs.runtime import ambient_hub
 from repro.sim.engine import Simulator
 from repro.sim.latency import LatencyModel, UniformLatency
@@ -168,88 +168,80 @@ class TreePNetwork:
 
     # ------------------------------------------------------- table install
     def _install_tables(self, layout: HierarchyLayout) -> None:
-        """Populate the six §III.c tables on every node from the layout."""
+        """Populate the six §III.c tables on every node from the layout:
+        each node's plan as ordered id lists, written by one
+        :meth:`~repro.core.routing_table.RoutingTable.install` call."""
         now = self.sim.now
         space = self.config.space
         h = layout.height
-        level_sets = [set(b) for b in layout.levels]
+        levels, children = layout.levels, layout.children
+        # Every bus member's position on its bus, for its neighbours there.
+        index = [{i: k for k, i in enumerate(bus)} for bus in levels]
+        bus0, last0 = levels[0], len(levels[0]) - 1
 
-        # The add_* calls' trailing (max_level, score, nc), built once per peer.
+        # Every entry's (max_level, score, nc), built once per peer.
         scores, nc = layout.scores, layout.nc
-        meta = {i: (lvl, scores[i], nc[i]) for i, lvl in layout.max_level.items()}
-
+        max_level = layout.max_level
+        meta = {i: (lvl, scores[i], nc[i]) for i, lvl in max_level.items()}
         for ident, node in self.nodes.items():
-            node.max_level = layout.max_level[ident]
+            top = node.max_level = max_level[ident]
             node.height = h
-            t = node.table
 
-            # Table 1: level-0 neighbours (min two connections).
-            left, right = bus_neighbours(layout.levels[0], ident)
-            for n in (left, right):
-                if n is not None:
-                    t.add_level0(n, now, *meta[n])
-            # Endpoints get a second-hop link so everyone keeps degree >= 2.
-            if left is None and right is not None:
-                _, rr = bus_neighbours(layout.levels[0], right)
-                if rr is not None:
-                    t.add_level0(rr, now, *meta[rr])
-            if right is None and left is not None:
-                ll, _ = bus_neighbours(layout.levels[0], left)
-                if ll is not None:
-                    t.add_level0(ll, now, *meta[ll])
+            # Table 1: level-0 neighbours (min two connections).  Endpoints
+            # get a second-hop link so everyone keeps degree >= 2.
+            k = index[0][ident]
+            left = bus0[k - 1] if k > 0 else None
+            right = bus0[k + 1] if k < last0 else None
+            level0 = [n for n in (left, right) if n is not None]
+            if left is None and k + 2 <= last0:
+                level0.append(bus0[k + 2])
+            if right is None and k >= 2:
+                level0.append(bus0[k - 2])
 
-            # Table 2: per-level bus neighbourhood, direct + indirect.
-            for lvl in range(1, node.max_level + 1):
-                bus = layout.levels[lvl]
-                l1, r1 = bus_neighbours(bus, ident)
-                for n in (l1, r1):
-                    if n is not None:
-                        t.add_level(lvl, n, now, *meta[n])
-                if l1 is not None:
-                    l2, _ = bus_neighbours(bus, l1)
-                    if l2 is not None:
-                        t.add_level(lvl, l2, now, *meta[l2])
-                if r1 is not None:
-                    _, r2 = bus_neighbours(bus, r1)
-                    if r2 is not None:
-                        t.add_level(lvl, r2, now, *meta[r2])
+            # Tables 2 and 3, per level held: bus neighbourhood (direct +
+            # indirect), own children, children of direct bus neighbours.
+            buses: List[List[int]] = []
+            own: List[List[int]] = []
+            theirs: List[List[int]] = []
+            for lvl in range(1, top + 1):
+                bus = levels[lvl]
+                k = index[lvl][ident]
+                l1 = bus[k - 1] if k > 0 else None
+                r1 = bus[k + 1] if k + 1 < len(bus) else None
+                ids = [n for n in (l1, r1) if n is not None]
+                if l1 is not None and k >= 2:
+                    ids.append(bus[k - 2])
+                if r1 is not None and k + 2 < len(bus):
+                    ids.append(bus[k + 2])
                 # "parents of level i of its direct neighbours at level 0"
                 for n0 in (left, right):
                     if n0 is not None:
                         p = cell_owner(space, bus, n0)
                         if p != ident:
-                            t.add_level(lvl, p, now, *meta[p])
+                            ids.append(p)
                 # "direct neighbours of level 0 that belong to the same level i"
-                for n0 in (left, right):
-                    if n0 is not None and n0 in level_sets[lvl]:
-                        t.add_level(lvl, n0, now, *meta[n0])
-
-            # Table 3: own children + children of direct bus neighbours.
-            for lvl in range(1, node.max_level + 1):
-                t.open_children(lvl)
-                for k in layout.children.get((ident, lvl), []):
-                    t.add_child(lvl, k, now, *meta[k])
-                bus = layout.levels[lvl]
-                for nb in bus_neighbours(bus, ident):
-                    if nb is not None:
-                        for k in layout.children.get((nb, lvl), []):
-                            t.add_neighbour_child(k, now, *meta[k])
+                ids += [n0 for n0 in (left, right)
+                        if n0 is not None and n0 in index[lvl]]
+                buses.append(ids)
+                own.append(children.get((ident, lvl), []))
+                theirs.append([c for nb in (l1, r1) if nb is not None
+                               for c in children.get((nb, lvl), ())])
 
             # Tables 4/6: parents. A node at max level m has its real parent
-            # at level m+1; below that it covers itself.
+            # at level m+1 (a bus it is not on); below that it covers itself.
             p = layout.parent.get(ident)
-            if p is not None and p != ident:
-                t.set_parent(node.max_level + 1, p, now, *meta[p])
 
             # Table 5: superior-node list — ancestors + parent's neighbours.
-            for anc in layout.ancestors(ident):
-                if anc != ident:
-                    t.add_superior(anc, now, *meta[anc])
-            if p is not None and p != ident and layout.max_level.get(p, 0) > 0:
-                pbus = layout.levels[layout.max_level[p]]
-                for pn in bus_neighbours(pbus, p):
+            superiors = layout.ancestors(ident)
+            if p is not None:
+                pbus = levels[max_level[p]]
+                k = index[max_level[p]][p]
+                for pn in (pbus[k - 1] if k > 0 else None,
+                           pbus[k + 1] if k + 1 < len(pbus) else None):
                     if pn is not None and pn != ident:
-                        t.add_superior(pn, now, *meta[pn])
+                        superiors.append(pn)
+
+            node.table.install(now, meta, level0, buses, own, theirs, p, superiors)
 
     def live_origin(self, via: Optional[int] = None) -> TreePNode:
         """The node client requests should enter through.

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.capacity import CapacityDistribution, NodeCapacity
+from repro.core.capacity import CapacityDistribution, NodeCapacity, fill_scores
+from repro.workloads.capacities import grid_cluster_mix
 
 
 def test_defaults_valid():
@@ -23,6 +24,14 @@ def test_validation_rejects_nonpositive_resources():
         NodeCapacity(bandwidth_mbps=-1)
     with pytest.raises(ValueError):
         NodeCapacity(uptime_hours=0)
+
+
+@pytest.mark.parametrize("field", ["cpu", "memory_gb", "bandwidth_mbps",
+                                   "storage_gb", "uptime_hours"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_validation_rejects_non_finite_resources(field, value):
+    with pytest.raises(ValueError, match=field):
+        NodeCapacity(**{field: value})
 
 
 def test_validation_rejects_bad_loads():
@@ -91,6 +100,40 @@ class TestScoreMemo:
             c.cpu = 8  # type: ignore[misc]
 
 
+def assert_batch_is_the_formula(caps):
+    """One batch scores every capacity as the formula does, bit for bit, and
+    as a batch of one (``score()`` on an unscored copy) does."""
+    fill_scores(caps)
+    assert [c.score() for c in caps] == [reference_score(c) for c in caps]
+    singles = [dataclasses.replace(c) for c in caps]  # fresh, unscored
+    assert [c.score() for c in singles] == [c.score() for c in caps]
+
+
+class TestBatchedScore:
+    def test_distribution_draws(self):
+        assert_batch_is_the_formula(
+            CapacityDistribution(np.random.default_rng(11)).sample_many(50_000))
+
+    def test_grid_cluster_mix(self):
+        assert_batch_is_the_formula(grid_cluster_mix(20_000, np.random.default_rng(12)))
+
+    @given(st.lists(st.tuples(*[st.floats(-20, 20)] * 5, st.floats(0, 1), st.floats(0, 1)),
+                    min_size=1, max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_resources_over_forty_orders_of_magnitude(self, rows):
+        assert_batch_is_the_formula([
+            NodeCapacity(*(float(np.exp(x)) for x in logs), cpu_load=l1, net_load=l2)
+            for *logs, l1, l2 in rows
+        ])
+
+    def test_fills_only_the_unscored(self):
+        scored, fresh = NodeCapacity(cpu=4), NodeCapacity(cpu=8)
+        memo = scored.score()
+        fill_scores([scored, fresh, fresh])
+        assert scored.score() is memo
+        assert fresh.score() == reference_score(fresh)
+
+
 class TestMaxChildren:
     def test_bounds_respected(self):
         weak = NodeCapacity(cpu=1, memory_gb=0.5, bandwidth_mbps=1,
@@ -155,6 +198,29 @@ class TestDistribution:
         dist = CapacityDistribution(np.random.default_rng(0))
         with pytest.raises(ValueError):
             dist.sample_many(0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024, 99_991])
+    def test_stream_matches_the_reference_draws(self, seed):
+        """Same capacities, and the generator left in the same state, so
+        every later draw on it is untouched."""
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert CapacityDistribution(ours).sample_many(3000) == [
+            reference_sample(ref) for _ in range(3000)]
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def reference_sample(r):
+    """``CapacityDistribution.sample``'s draw sequence, the CPU class via
+    ``Generator.choice`` with ``p=``."""
+    return NodeCapacity(
+        cpu=float(r.choice([1, 2, 4, 8, 16], p=[0.35, 0.3, 0.2, 0.1, 0.05])),
+        memory_gb=float(2.0 ** r.uniform(0, 6)),
+        bandwidth_mbps=float(np.exp(r.normal(np.log(10.0), 1.0))),
+        storage_gb=float(np.exp(r.normal(np.log(100.0), 0.8))),
+        uptime_hours=float((r.pareto(1.5) + 1.0) * 2.0),
+        cpu_load=float(r.beta(2, 5)),
+        net_load=float(r.beta(2, 5)),
+    )
 
 
 @given(

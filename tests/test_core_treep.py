@@ -9,6 +9,8 @@ import pytest
 from repro import TreePConfig, TreePNetwork
 from repro.core.capacity import NodeCapacity
 from repro.core.ids import IdSpace
+from repro.core.routing_table import RoutingTable
+from repro.core.tessellation import bus_neighbours, cell_owner
 
 
 def test_build_returns_valid_layout():
@@ -244,25 +246,134 @@ def built_state(net):
     return out
 
 
-#: n -> (sha256 of :func:`built_state`, sum of every table's ``version``)
-#: for ``TreePNetwork(paper_case1, seed=9).build(n)`` — recorded on commit
-#: 02803cf, before ``_install_tables`` passed its metadata positionally and
-#: the counters moved off ``__setattr__``.  The post-churn digests of
-#: tests/test_core_repair.py start after the first burst; this pins the
-#: installation itself.
+#: (config, n) -> (sha256 of :func:`built_state`, sum of every table's
+#: ``version``) for ``TreePNetwork(config(), seed=9).build(n)``.  The
+#: ``paper_case1`` rows were recorded on commit 02803cf, before
+#: ``_install_tables`` passed its metadata positionally and the counters
+#: moved off ``__setattr__``; the ``paper_case2`` row (variable ``nc``) on
+#: commit 068b617, before the build wrote each table in one ``install``
+#: call.  The post-churn digests of tests/test_core_repair.py start after
+#: the first burst; this pins the installation itself.
 PINNED_BUILDS = {
-    2000: ("2b0be4a16b141201", 41960),
-    5000: ("e9b9d540cbb51351", 110956),
+    ("paper_case1", 2000): ("2b0be4a16b141201", 41960),
+    ("paper_case1", 5000): ("e9b9d540cbb51351", 110956),
+    ("paper_case2", 2000): ("f78eea2ef298561a", 39243),
 }
 
 
-@pytest.mark.parametrize("n", sorted(PINNED_BUILDS))
-def test_built_overlay_reproduces_recorded_state(n):
-    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=9)
+@pytest.mark.parametrize("case, n", [
+    pytest.param(case, n, id=str(n) if case == "paper_case1" else f"{case}-{n}")
+    for case, n in PINNED_BUILDS
+])
+def test_built_overlay_reproduces_recorded_state(case, n):
+    net = TreePNetwork(config=getattr(TreePConfig, case)(), seed=9)
     net.build(n)
     digest = hashlib.sha256(repr(built_state(net)).encode()).hexdigest()[:16]
     versions = sum(node.table.version for node in net.nodes.values())
-    assert (digest, versions) == PINNED_BUILDS[n]
+    assert (digest, versions) == PINNED_BUILDS[case, n]
+
+
+def install_per_peer(net, layout):
+    """The build's table install as one ``add_*`` call per peer and role —
+    the reference ``RoutingTable.install`` must reproduce exactly."""
+    now = net.sim.now
+    space = net.config.space
+    h = layout.height
+    level_sets = [set(b) for b in layout.levels]
+    scores, nc = layout.scores, layout.nc
+    meta = {i: (lvl, scores[i], nc[i]) for i, lvl in layout.max_level.items()}
+
+    for ident, node in net.nodes.items():
+        node.max_level = layout.max_level[ident]
+        node.height = h
+        t = node.table
+
+        left, right = bus_neighbours(layout.levels[0], ident)
+        for n in (left, right):
+            if n is not None:
+                t.add_level0(n, now, *meta[n])
+        if left is None and right is not None:
+            _, rr = bus_neighbours(layout.levels[0], right)
+            if rr is not None:
+                t.add_level0(rr, now, *meta[rr])
+        if right is None and left is not None:
+            ll, _ = bus_neighbours(layout.levels[0], left)
+            if ll is not None:
+                t.add_level0(ll, now, *meta[ll])
+
+        for lvl in range(1, node.max_level + 1):
+            bus = layout.levels[lvl]
+            l1, r1 = bus_neighbours(bus, ident)
+            for n in (l1, r1):
+                if n is not None:
+                    t.add_level(lvl, n, now, *meta[n])
+            if l1 is not None:
+                l2, _ = bus_neighbours(bus, l1)
+                if l2 is not None:
+                    t.add_level(lvl, l2, now, *meta[l2])
+            if r1 is not None:
+                _, r2 = bus_neighbours(bus, r1)
+                if r2 is not None:
+                    t.add_level(lvl, r2, now, *meta[r2])
+            for n0 in (left, right):
+                if n0 is not None:
+                    p = cell_owner(space, bus, n0)
+                    if p != ident:
+                        t.add_level(lvl, p, now, *meta[p])
+            for n0 in (left, right):
+                if n0 is not None and n0 in level_sets[lvl]:
+                    t.add_level(lvl, n0, now, *meta[n0])
+
+        for lvl in range(1, node.max_level + 1):
+            t.open_children(lvl)
+            for k in layout.children.get((ident, lvl), []):
+                t.add_child(lvl, k, now, *meta[k])
+            bus = layout.levels[lvl]
+            for nb in bus_neighbours(bus, ident):
+                if nb is not None:
+                    for k in layout.children.get((nb, lvl), []):
+                        t.add_neighbour_child(k, now, *meta[k])
+
+        p = layout.parent.get(ident)
+        if p is not None and p != ident:
+            t.set_parent(node.max_level + 1, p, now, *meta[p])
+
+        for anc in layout.ancestors(ident):
+            if anc != ident:
+                t.add_superior(anc, now, *meta[anc])
+        if p is not None and p != ident and layout.max_level.get(p, 0) > 0:
+            pbus = layout.levels[layout.max_level[p]]
+            for pn in bus_neighbours(pbus, p):
+                if pn is not None and pn != ident:
+                    t.add_superior(pn, now, *meta[pn])
+
+
+@pytest.mark.parametrize("case", ["paper_case1", "paper_case2"])
+@pytest.mark.parametrize("strategy", ["random", "hash"])
+@pytest.mark.parametrize("n", [2, 3, 17, 300, 2000])
+def test_bulk_install_equals_the_per_peer_install(case, strategy, n, monkeypatch):
+    """Bus endpoints (n = 2, 3), single-level trees and variable ``nc``:
+    entries, every role set's iteration order and both counters agree."""
+    def build():
+        net = TreePNetwork(config=getattr(TreePConfig, case)(), seed=5)
+        net.build(n, strategy=strategy)
+        tables = [node.table for node in net.nodes.values()]
+        return (built_state(net), sum(t.version for t in tables),
+                sum(t.membership for t in tables))
+
+    bulk = build()
+    monkeypatch.setattr(TreePNetwork, "_install_tables", install_per_peer)
+    assert bulk == build()
+
+
+def test_install_refuses_a_written_table_and_the_owner():
+    t = RoutingTable(owner=5)
+    meta = {i: (0, 1.0, 4) for i in range(10)}
+    with pytest.raises(ValueError, match="itself"):
+        t.install(0.0, meta, [4, 5], [], [], [], None, [])
+    t.add_level0(4, 0.0)
+    with pytest.raises(RuntimeError, match="nothing has written"):
+        t.install(0.0, meta, [6], [], [], [], None, [])
 
 
 @pytest.mark.parametrize("enabled", [True, False])
