@@ -36,8 +36,6 @@ from dataclasses import dataclass
 from math import inf
 from typing import Iterator, List, NamedTuple, Optional, Protocol, Tuple
 
-import numpy as np
-
 from repro.core.config import TreePConfig
 from repro.core.distance import halving_criterion, treep_distance
 from repro.core.messages import LookupRequest
@@ -115,6 +113,9 @@ class Decision(NamedTuple):
 #: Preallocated terminal decisions — they carry no per-request payload.
 _NOT_FOUND = Decision(DecisionKind.NOT_FOUND)
 _DISCARD = Decision(DecisionKind.DISCARD)
+#: The kinds a routing step builds its decisions from, positionally.
+_FOUND = DecisionKind.FOUND
+_FORWARD = DecisionKind.FORWARD
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,96 +200,46 @@ def _level_zero_pairs(t: RoutingTable) -> List[Tuple[int, int]]:
             for e in map(t.get, sorted(ids)) if e is not None]
 
 
-#: From this many candidates up a table is scanned by the NumPy pipeline
-#: instead of the Python argmin loop.  Two measurements (CPython 3.11.7,
-#: NumPy 2.4), neither a reason to move it.  *In isolation* the ufunc
-#: pipeline is flat at 2.3–2.6 µs while the scalar scan costs 0.9–1.5 /
-#: 1.2–2.2 / 2.4–4.2 / 5.5–9.9 µs at 8 / 12 / 24 / 56 candidates (all at
-#: level 0 – two thirds above it), a crossover of ≈ 12–24 rather than the
-#: "8–10" this comment used to claim.  *In situ* a threshold of 40 bought
-#: nothing: on the parent it moved ``lookup_steady``'s ``ops_per_s`` by less
-#: than pair noise, and with one view per table it cost 6–10 % ``ops_per_s``
-#: and 3.3 MiB (3/3 pairs) — the per-candidate list (then of triples) is
-#: the heavier form to keep, and the tables a lookup spends its hops in are
-#: leaf-sized or far larger.  The value also decides which form a view is
-#: kept in (:class:`CandidateView`), so it is not a knob to tune casually.
-_NP_MIN_CANDIDATES = 8
-
-#: The vectorised path requires ids (and id differences) to be exact in
-#: int64/float64; beyond 2**53 the float pipeline would round where the
-#: scalar loop (arbitrary-precision ints) stays exact, and past 2**63
-#: ``np.fromiter(dtype=int64)`` overflows outright.  Larger extents are a
-#: supported config knob, so they keep the scalar loop.
-_NP_MAX_EXTENT = 2 ** 53
-
-_INF = float("inf")
-
-
 class CandidateView(NamedTuple):
-    """The greedy router's derived view of one routing table, in exactly
-    one of two forms: *scalar* (``pairs`` set, every later field
-    ``None``) below :data:`_NP_MIN_CANDIDATES` candidates or beyond
-    :data:`_NP_MAX_EXTENT`, *vectorised* (``pairs`` ``None``) otherwise —
-    a table's content is never held in both, and neither form holds an
-    :class:`~repro.core.routing_table.Entry`: the router needs only each
-    candidate's id and level.
+    """The greedy router's derived view of one routing table variant
+    (whole table / ``Search_Level_Zero``), valid while ``(version,
+    height)`` match the table and the node: the radii depend on the node's
+    current height estimate.
 
-    Valid while ``(version, height)`` match the table and the node: the
-    radius column depends on the node's current height estimate.  The
-    float pipeline reproduces the scalar metric exactly: ids are < 2**53 so
-    the int64→float64 conversions are exact, ``|id - target| - radius`` is
-    the same IEEE subtraction, and the 0-clamp equals the ``d <= radius →
-    0`` branch.  ``argmin`` returns the *first* minimum, matching the scan
-    loop's strict ``<`` tie-break.
+    It holds what the two greedy metrics read and nothing else — no
+    :class:`~repro.core.routing_table.Entry` and no per-candidate level:
+
+    * the *cell owners* (candidates above level 0) in Fig. 3 order, each
+      with its tessellation radius ``L / 2**(h - lvl)`` from
+      :func:`_radii` — the only candidates ``D`` can score 0;
+    * every candidate id, ascending — the order of the Euclidean metric.
+
+    Everything is a Python int or float, so every comparison the router
+    makes against it is exact at any extent.
     """
 
     version: int
     height: int
-    pairs: Optional[List[Tuple[int, int]]]  # (id, max_level), candidate order
-    ids: Optional[np.ndarray] = None       # int64, candidate order
-    radius: Optional[np.ndarray] = None    # float64 tessellation radius per candidate
-    ibuf: Optional[np.ndarray] = None      # scratch, shared — see _scratch
-    fbuf: Optional[np.ndarray] = None
-
-
-#: ``candidate count -> (int64, float64)`` scratch pair for the vectorised
-#: argmin, shared by every view of that size in the process.  Safe because
-#: the simulator is single-threaded and :func:`_route_greedy` fully rewrites
-#: both buffers before reading them and is done with them before it returns
-#: (``_escalate``/``_closest_child`` never touch them).  Counts are table
-#: sizes, so the memo stays a few dozen entries.
-_SCRATCH: dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _scratch(count: int) -> Tuple[np.ndarray, np.ndarray]:
-    pair = _SCRATCH.get(count)
-    if pair is None:
-        pair = _SCRATCH[count] = (np.empty(count, dtype=np.int64),
-                                  np.empty(count, dtype=np.float64))
-    return pair
+    cell_ids: Tuple[int, ...]       # cell owners, Fig. 3 order
+    cell_radii: Tuple[float, ...]   # their radii, same order
+    ids: Tuple[int, ...]            # every candidate, ascending
 
 
 def _candidate_view(view: NodeView, l0: bool) -> CandidateView:
     """(Re)build and store the table's view for one variant (``l0``:
-    ``Search_Level_Zero``); the pairs are a temporary of the vectorised
-    form.  This is the "avoid per-hop list rebuilds" half of the 10k-node
-    hot-path work: at scale, interior nodes are visited by thousands of
-    lookups between table changes."""
+    ``Search_Level_Zero``).  At scale, interior nodes are visited by
+    thousands of lookups between table changes, so a hop only reads it."""
     t = view.table
     height = view.height
-    extent = view.config.space.extent
+    radii = _radii(view.config.space.extent, height)
     pairs = _level_zero_pairs(t) if l0 else _ordered_pairs(t)
-    count = len(pairs)
-    if count < _NP_MIN_CANDIDATES or extent > _NP_MAX_EXTENT:
-        built = CandidateView(t.version, height, pairs)
-    else:
-        radii = _radii(extent, height)
-        ids = np.fromiter((i for i, _ in pairs), dtype=np.int64, count=count)
-        radius = np.fromiter(
-            (0.0 if lvl <= 0 else radii[lvl if lvl <= height else height]
-             for _, lvl in pairs),
-            dtype=np.float64, count=count)
-        built = CandidateView(t.version, height, None, ids, radius, *_scratch(count))
+    cells = [(i, lvl) for i, lvl in pairs if lvl > 0]
+    built = CandidateView(
+        t.version, height,
+        tuple(i for i, _ in cells),
+        tuple(radii[lvl if lvl <= height else height] for _, lvl in cells),
+        tuple(sorted(i for i, _ in pairs)),
+    )
     if l0:
         t._view_l0 = built
     else:
@@ -351,9 +302,9 @@ def route(view: NodeView, req: LookupRequest) -> Decision:
 
     # "IF target X is in the routing table THEN transmit back the result".
     if req.target == view.ident:
-        return Decision.found(view.ident)
+        return Decision(_FOUND, None, view.ident)
     if req.target in view.table._entries:  # inlined RoutingTable.knows
-        return Decision.found(req.target)
+        return Decision(_FOUND, None, req.target)
 
     # Disruption mode: beyond the hierarchy height, fall back to Euclidean.
     euclid = cfg.euclidean_fallback and req.ttl > view.height
@@ -368,109 +319,112 @@ def route(view: NodeView, req: LookupRequest) -> Decision:
                              with_fallback=algo is LookupAlgorithm.NON_GREEDY_FALLBACK)
 
 
-def _route_greedy(view: NodeView, req: LookupRequest, euclid: bool) -> Decision:
-    space = view.config.space
-    from_level1_parent = req.from_parent_level == 1 and view.max_level == 0
-    # Materialised lazily — the vectorised argmin works straight off
-    # ``req.path``.
-    exclude: Optional[frozenset[int]] = None
-
-    target = req.target
-    best: Optional[int] = None
-    best_d = float("inf")
-    # Inlined ``_metric``: |a - b| minus the cached tessellation radius.
-    # Exact ints compare exactly against the float radii, so every
-    # comparison — and therefore every Decision — is what ``_metric``
-    # would give; only the per-candidate function calls and float boxing
-    # are gone.  This loop is the single hottest code path of a 10k-node
-    # run.
+def _scan(view: NodeView, l0: bool, path: Tuple[int, ...], target: int,
+          euclid: bool) -> Tuple[Optional[int], float]:
+    """Fig. 3's argmin as written: the first minimum of the metric over
+    every candidate off *path*, in Fig. 3 order, enumerated afresh.  The
+    greedy hop's fallback when its shortcut cannot decide."""
+    t = view.table
     height = view.height
-    radii = None if euclid else _radii(space.extent, height)
+    radii = None if euclid else _radii(view.config.space.extent, height)
+    best: Optional[int] = None
+    best_d = inf
+    for ident, lvl in (_level_zero_pairs(t) if l0 else _ordered_pairs(t)):
+        if ident in path:
+            continue
+        # Inlined ``_metric``: exact ints compare exactly against the float
+        # radii, so every comparison is what ``_metric`` would give.
+        d = ident - target if ident >= target else target - ident
+        if radii is not None and lvl > 0:
+            radius = radii[lvl if lvl <= height else height]
+            d = 0.0 if d <= radius else d - radius
+        if d < best_d:
+            best, best_d = ident, d
+    return best, best_d
+
+
+def _route_greedy(view: NodeView, req: LookupRequest, euclid: bool) -> Decision:
+    from_level1_parent = req.from_parent_level == 1 and view.max_level == 0
+    target = req.target
+    # A table never stores its owner, so of ``path + (own id,)`` only the
+    # path can hold a candidate.
+    path = req.path
+    height = view.height
     t = view.table
     cv = t._view_l0 if from_level1_parent else t._view_full
     if cv is None or cv[0] != t._version or cv[1] != height:
         cv = _candidate_view(view, from_level1_parent)
-    _, _, pairs, ids, radius_col, ibuf, fbuf = cv
-    if pairs is None:
-        # Vectorised argmin over the view's candidate columns — the ufunc
-        # pipeline computes the identical metric values (see CandidateView)
-        # with constant Python-side cost.  In disruption mode the metric is
-        # the plain |id - target|, exact in float64 below _NP_MAX_EXTENT.
-        np.subtract(ids, target, out=ibuf)
-        np.absolute(ibuf, out=ibuf)
-        if euclid:
-            np.copyto(fbuf, ibuf)
+    # Fig. 3's argmin, picked without scoring every candidate.  This is the
+    # single hottest code path of a 10k-node run.
+    if euclid:
+        # |id - x|: the nearest candidate off the path on each side of x.
+        # An exact tie goes to the scan, where Fig. 3 order decides.
+        ids = cv[4]
+        hi = bisect_left(ids, target)
+        lo = hi - 1
+        while lo >= 0 and ids[lo] in path:
+            lo -= 1
+        n = len(ids)
+        while hi < n and ids[hi] in path:
+            hi += 1
+        d_lo = target - ids[lo] if lo >= 0 else inf
+        d_hi = ids[hi] - target if hi < n else inf
+        if d_lo < d_hi:
+            best, best_d = ids[lo], d_lo
+        elif d_hi < d_lo:
+            best, best_d = ids[hi], d_hi
+        elif lo < 0:
+            best, best_d = None, inf  # no candidate off the path
         else:
-            np.subtract(ibuf, radius_col, out=fbuf)
-            np.maximum(fbuf, 0.0, out=fbuf)
-        # Optimistic exclusion: an already-visited candidate rarely
-        # wins the argmin, so re-run it only on a collision instead of
-        # masking every path element up front (each NumPy scalar store
-        # costs more than a whole argmin at these sizes).  Yields the
-        # first non-excluded minimum — exactly the scan loop's pick.
-        path = req.path
-        while True:
-            j = int(fbuf.argmin())
-            d = fbuf.item(j)  # plain Python float, no ndarray scalar box
-            if d == _INF:
-                break
-            winner = ids.item(j)
-            if path and winner in path:
-                fbuf[j] = _INF
-                continue
-            best, best_d = winner, d
-            break
+            best, best_d = _scan(view, from_level1_parent, path, target, euclid)
     else:
-        exclude = frozenset(req.path + (view.ident,))
-        for ident, lvl in pairs:
-            if ident in exclude:
-                continue
-            d = ident - target if ident >= target else target - ident
-            if radii is not None and lvl > 0:
-                radius = radii[lvl if lvl <= height else height]
-                d = 0.0 if d <= radius else d - radius
-            if d < best_d:
-                best, best_d = ident, d
+        # D(n, x) is 0 exactly when a cell owner's radius covers x, and a
+        # level-0 candidate never scores 0 (a known target is FOUND above),
+        # so the first minimum in Fig. 3 order is the first covering owner
+        # off the path.  Only when there is none is D computed for all.
+        for ident, radius in zip(cv[2], cv[3]):
+            if ((ident - target if ident >= target else target - ident) <= radius
+                    and ident not in path):
+                best, best_d = ident, 0.0
+                break
+        else:
+            best, best_d = _scan(view, from_level1_parent, path, target, euclid)
     own = view.ident
     d_here = own - target if own >= target else target - own
-    if radii is not None:
+    if not euclid:
         lvl = view.max_level
         if lvl > 0:
-            radius = radii[lvl if lvl <= height else height]
+            radius = _radii(view.config.space.extent, height)[
+                lvl if lvl <= height else height]
             d_here = 0.0 if d_here <= radius else d_here - radius
 
     if best is not None:
         # Fig. 3's forwarding cascade.
-        if from_level1_parent:
-            return Decision.forward(best)
-        if halving_criterion(best_d, d_here):
-            return Decision.forward(best)
-        if view.max_level == 0:
-            return Decision.forward(best)
-        if req.from_parent_level == view.max_level + 1:
-            # Query descending from our own parent: keep descending.
-            return Decision.forward(best)
-        if exclude is None:
-            exclude = frozenset(req.path + (view.ident,))
+        if (from_level1_parent
+                or halving_criterion(best_d, d_here)
+                or view.max_level == 0
+                # Query descending from our own parent: keep descending.
+                or req.from_parent_level == view.max_level + 1):
+            return Decision(_FORWARD, best)
+        exclude = frozenset(path + (view.ident,))
         esc = _escalate(view, req, exclude, euclid, d_here)
         if esc is not None:
-            return Decision.forward(esc)
-        child = _closest_child(view, req.target, exclude)
+            return Decision(_FORWARD, esc)
+        child = _closest_child(view, target, exclude)
         if child is not None:
-            return Decision.forward(child)
+            return Decision(_FORWARD, child)
         return _NOT_FOUND
 
     # No candidate at all (every known peer already visited).
     if from_level1_parent:
         return _NOT_FOUND
-    if exclude is None:
-        exclude = frozenset(req.path + (view.ident,))
-    child = _closest_child(view, req.target, exclude)
+    exclude = frozenset(path + (view.ident,))
+    child = _closest_child(view, target, exclude)
     if child is not None:
-        return Decision.forward(child)
+        return Decision(_FORWARD, child)
     esc = _escalate(view, req, exclude, euclid, d_here)
     if esc is not None:
-        return Decision.forward(esc)
+        return Decision(_FORWARD, esc)
     return _NOT_FOUND
 
 

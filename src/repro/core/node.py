@@ -287,14 +287,10 @@ class TreePNode(Process):
                     # We are the next hop's parent: it sees the request as
                     # "coming from the parent of level (its max level + 1)".
                     from_parent_level = entry.max_level + 1
-            fwd = LookupRequest(
-                request_id=req.request_id, origin=req.origin, target=req.target,
-                algo=req.algo, ttl=req.ttl + 1,
-                from_parent_level=from_parent_level,
-                alternates=decision.alternates,
-                path=req.path + (self.ident,),
-            )
-            self.send(nxt, fwd)
+            rid, origin, target, algo, ttl, _, _, path = req
+            self.send(nxt, LookupRequest(
+                rid, origin, target, algo, ttl + 1, from_parent_level,
+                decision.alternates, path + (self.ident,)))
             return
         if decision.kind is DecisionKind.NOT_FOUND:
             reply = LookupReply(

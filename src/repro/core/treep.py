@@ -289,9 +289,15 @@ class TreePNetwork:
         algo: LookupAlgorithm | str = LookupAlgorithm.GREEDY,
     ) -> PendingLookup:
         """Issue an asynchronous lookup; run the sim to complete it."""
+        self._check_lookup(origin, target)
+        return self.nodes[origin].issue_lookup(target, algo)
+
+    def _check_lookup(self, origin: int, target: int) -> None:
+        """Reject a lookup no walk could serve: an unknown origin
+        (``KeyError``) or a target outside the ID space (``ValueError``)."""
         if origin not in self.nodes:
             raise KeyError(f"unknown origin {origin}")
-        return self.nodes[origin].issue_lookup(target, algo)
+        self.config.space.validate(target)
 
     def lookup_sync(
         self,
@@ -312,9 +318,13 @@ class TreePNetwork:
         Runs the sim until the last lookup has its result, not until the
         queue empties, so it returns with periodic timers (keep-alives,
         services) still armed.  Each lookup's timeout event guarantees a
-        result lands.
+        result lands.  Every pair is checked as :meth:`lookup` checks it
+        before the first is issued, so a bad pair issues none.
         """
-        pending = [self.lookup(o, t, algo) for o, t in pairs]
+        pairs = list(pairs)
+        for o, t in pairs:
+            self._check_lookup(o, t)
+        pending = [self.nodes[o].issue_lookup(t, algo) for o, t in pairs]
         waiting = 0  # every lookup before this index has its result
 
         def all_resolved() -> bool:

@@ -1,15 +1,13 @@
 """Unit tests for the G / NG / NGSA routers (pure decision logic)."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import TreePNetwork
-from repro.core import lookup
 from repro.core.config import TreePConfig
+from repro.core.distance import cell_radius
 from repro.core.ids import IdSpace
 from repro.core.lookup import (
     Decision,
@@ -254,7 +252,7 @@ def test_targeted_candidate_order_matches_reference_on_churned_overlay():
     assert compared > 1000
 
 
-# ------------------------------------- one derived view per table (PR 22)
+# ------------------------------------------ the router is exactly the metric
 _OWNER = 30000
 _PEER_IDS = st.integers(0, 2**16 - 1).filter(lambda i: i != _OWNER)
 _ROLE_ADDERS = {
@@ -267,11 +265,6 @@ _ROLE_ADDERS = {
     "parent": lambda t, i, lvl: t.set_parent(1 + lvl % 2, i, 0.0, max_level=lvl),
 }
 _PEERS = st.tuples(st.sampled_from(sorted(_ROLE_ADDERS)), _PEER_IDS, st.integers(0, 4))
-#: (target, ttl, from_parent_level, how many known peers are already on the
-#: path): ttl beyond the height switches to the Euclidean metric, and
-#: from_parent_level 1 at a leaf selects the ``Search_Level_Zero`` variant.
-_REQUESTS = st.tuples(st.integers(0, 2**16 - 1), st.integers(0, 12),
-                      st.integers(0, 3), st.integers(0, 4))
 
 
 def fresh_view(peers, max_level, height):
@@ -283,84 +276,88 @@ def fresh_view(peers, max_level, height):
     return v
 
 
-def request_for(view, spec):
-    target, ttl, from_parent_level, visited = spec
-    return req(target, ttl=ttl, from_parent_level=from_parent_level,
-               path=view.table.all_known()[:visited])
+def covering(view, x, candidates):
+    """The *candidates* whose cell covers *x* (``D == 0``), in their order."""
+    t, space = view.table, view.config.space
+    return [i for i in candidates if t.get(i).max_level > 0
+            and abs(i - x) <= cell_radius(space, view.height, t.get(i).max_level)]
 
 
-def assert_one_form_per_variant(table):
-    for cv in (table._view_full, table._view_l0):
-        if cv is None:
-            continue
-        if cv.pairs is None:
-            assert len(cv.ids) == len(cv.radius) == len(cv.fbuf)
-            assert len(cv.ids) >= lookup._NP_MIN_CANDIDATES
-        else:
-            assert (cv.ids, cv.radius, cv.ibuf, cv.fbuf) == (None,) * 4
-            assert len(cv.pairs) < lookup._NP_MIN_CANDIDATES
+@st.composite
+def greedy_requests(draw, view, fig3_order):
+    """A G request at *view* aimed where the exact pick can go wrong: a
+    target anywhere, exactly on a cell owner's edge (``|x - id| == r``, still
+    covered), one past it, or halfway between two neighbouring candidates
+    (an exact Euclidean tie); a path holding the first covering owners in
+    Fig. 3 order, up to all of them; a TTL that may pass the height; and
+    ``from_parent_level`` 1, which at a leaf selects ``Search_Level_Zero``."""
+    t, extent = view.table, view.config.space.extent
+    known = sorted(t.all_known())
+    kind = draw(st.sampled_from(("anywhere", "edge", "past_edge", "midpoint")))
+    x = draw(st.integers(0, extent - 1))
+    ttl = draw(st.integers(0, 2 * view.height + 1))
+    gaps = [(a + b) // 2 for a, b in zip(known, known[1:]) if (b - a) % 2 == 0]
+    owners = [i for i in known if t.get(i).max_level > 0]
+    if kind == "midpoint" and gaps:
+        x = draw(st.sampled_from(gaps))
+        ttl = view.height + 1           # the tie is one of the Euclidean metric
+    elif kind in ("edge", "past_edge") and owners:
+        ident = draw(st.sampled_from(owners))
+        reach = int(cell_radius(view.config.space, view.height, t.get(ident).max_level))
+        reach += kind == "past_edge"
+        sides = [e for e in (ident - reach, ident + reach) if 0 <= e < extent]
+        if sides:
+            x = draw(st.sampled_from(sides))
+    from_parent_level = draw(st.integers(0, 3))
+    level_zero = from_parent_level == 1 and view.max_level == 0
+    cover = covering(view, x, fig3_order(t, level_zero))
+    path = cover[:draw(st.integers(0, len(cover)))] + known[:draw(st.integers(0, 4))]
+    return req(x, ttl=ttl, from_parent_level=from_parent_level, path=path)
 
 
 @given(peers=st.lists(_PEERS, max_size=40), bump=_PEERS,
-       requests=st.lists(_REQUESTS, min_size=1, max_size=6),
-       max_level=st.integers(0, 2), height=st.integers(1, 5))
-@settings(max_examples=200, deadline=None)
+       max_level=st.integers(0, 2), height=st.integers(1, 5), data=st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
 def test_property_warm_views_route_like_a_fresh_table(
-        peers, bump, requests, max_level, height):
+        greedy_reference, fig3_order, peers, bump, max_level, height, data):
     """``route()`` through a table's kept views — cold, warm, and rebuilt
-    after a version bump — equals ``route()`` on a fresh table with the same
-    content, for both variants; and the vectorised form agrees with the
-    scalar scan (threshold patched above any table size)."""
+    after a version bump — is the literal Fig. 3 argmin of
+    ``reference_greedy`` (conftest), for both variants and both metrics."""
     warm = fresh_view(peers, max_level, height)
-    for round_ in range(2):                 # second round hits the views
-        for spec in requests:
-            r = request_for(warm, spec)
-            assert route(warm, r) == route(fresh_view(peers, max_level, height), r)
-        assert_one_form_per_variant(warm.table)
+    requests = data.draw(st.lists(greedy_requests(warm, fig3_order), min_size=1, max_size=6))
+    for _ in range(2):                      # the second round hits the views
+        for r in requests:
+            want = greedy_reference(warm, r)
+            assert route(warm, r) == want
+            assert route(fresh_view(peers, max_level, height), r) == want
     stamps = (warm.table._view_full, warm.table._view_l0)
 
     _ROLE_ADDERS[bump[0]](warm.table, bump[1], bump[2])
-    bumped = peers + [bump]
-    for spec in requests:
-        r = request_for(warm, spec)
-        assert route(warm, r) == route(fresh_view(bumped, max_level, height), r)
-    assert_one_form_per_variant(warm.table)
+    requests += data.draw(st.lists(greedy_requests(warm, fig3_order), max_size=4))
+    for r in requests:
+        assert route(warm, r) == greedy_reference(warm, r)
     for old, new in zip(stamps, (warm.table._view_full, warm.table._view_l0)):
         if new is not None and old is not None and new is not old:
             assert new.version > old.version    # rebuilt, not patched
 
-    with mock.patch.object(lookup, "_NP_MIN_CANDIDATES", 10**9):
-        for spec in requests:
-            r = request_for(warm, spec)
-            scalar = fresh_view(bumped, max_level, height)
-            assert route(warm, r) == route(scalar, r)
-            for cv in (scalar.table._view_full, scalar.table._view_l0):
-                assert cv is None or cv.ids is None
 
+def test_every_greedy_hop_at_scale_is_the_reference(every_greedy_hop_checked):
+    """Every G decision of 2 000 lookups on a built N = 2 000 overlay, and
+    of 2 000 more after a PAPER_POLICY repair step, equals the reference
+    (and so does each hop's request with its TTL past the height)."""
+    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=7)
+    net.build(2000)
+    rng = np.random.default_rng(5)
 
-@given(n=st.integers(8, 24), data=st.data(),
-       requests=st.lists(_REQUESTS, min_size=2, max_size=8))
-@settings(max_examples=100, deadline=None)
-def test_property_tables_sharing_scratch_buffers_do_not_interfere(n, data, requests):
-    """Views with equal candidate counts share one scratch pair
-    process-wide; routing through two such tables alternately gives what
-    the scalar scan gives on each."""
-    def table_of_n():
-        ids = data.draw(st.lists(_PEER_IDS, min_size=n, max_size=n, unique=True))
-        roles = data.draw(st.lists(
-            st.tuples(st.sampled_from(["level0", "child", "superior", "bus1"]),
-                      st.integers(0, 4)), min_size=n, max_size=n))
-        return [(role, i, lvl) for i, (role, lvl) in zip(ids, roles)]
+    def lookups():
+        alive = net.alive_ids()
+        pairs = [(int(a), int(b)) for a, b in rng.choice(alive, size=(2000, 2))]
+        with every_greedy_hop_checked() as hops:
+            net.run_lookup_batch(pairs, "G")
+        assert hops[0] > 4 * len(pairs)
 
-    specs = (table_of_n(), table_of_n())
-    views = [fresh_view(peers, 1, 4) for peers in specs]
-    for k, spec in enumerate(requests):
-        which = k % 2
-        r = request_for(views[which], spec)
-        got = route(views[which], r)
-        with mock.patch.object(lookup, "_NP_MIN_CANDIDATES", 10**9):
-            assert got == route(fresh_view(specs[which], 1, 4), r)
-    a, b = (v.table._view_full for v in views)
-    if a is not None and b is not None:
-        assert a.fbuf is b.fbuf and a.ibuf is b.ibuf
-        assert a.ids is not b.ids
+    lookups()
+    victims = [int(v) for v in rng.choice(net.ids, 200, replace=False)]
+    net.fail_nodes(victims)
+    apply_failure_step(net, victims, PAPER_POLICY)
+    lookups()

@@ -12,6 +12,7 @@ by N.  Figures (CPython 3.11.7, NumPy 2.4, this file run as a script)::
     v1.24.0          4 401 / 4 123     654 /   628
     v1.25.0          4 322 / 4 048     654 /   628
     v1.26.0          4 281 / 4 006     654 /   628
+    one-form view    4 252 / 3 979     545 /   543
 
 The first built drop is the ``RoutingTable`` instance ``__dict__`` and the
 two un-slotted per-node managers; the first lookup drop is the greedy router
@@ -26,8 +27,10 @@ v1.25.0 drop is plain ``set``/``dict`` role containers: the table's methods
 make every version bump, so no container carries a counter slot.  The
 v1.26.0 drop is one store for child state: the per-level child lists moved
 from a dict on every node into the table, where a node that parents
-nothing holds the shared empty map.  The budgets are the N = 2 000
-figures + 5 %.  Allocation sizes are interpreter-specific, hence the same
+nothing holds the shared empty map.  The one-form-view lookup drop is
+the greedy router's view as three flat tuples of plain numbers — the cell
+owners, their radii and every candidate id — with no ``(id, level)`` pairs
+and no NumPy columns.  The budgets are the N = 2 000 figures + 5 %.  Allocation sizes are interpreter-specific, hence the same
 3.11-only gate as the golden diff in ``tests/test_sim_scale.py``.
 
 A third figure keeps converged-mode repair honest: everything traced since
@@ -55,11 +58,11 @@ import pytest
 
 from repro import Cluster
 from repro.core.repair import apply_failure_step
-from repro.core.routing_table import _NO_LEVELS, _NO_ROLE, Entry
+from repro.core.routing_table import _NO_LEVELS, _NO_ROLE
 
 NODES = 2000
 BUILT_BYTES_PER_NODE = 4281 * 1.05
-LOOKUP_BYTES_PER_NODE = 654 * 1.05
+LOOKUP_BYTES_PER_NODE = 545 * 1.05
 REPAIRED_BYTES_PER_LIVE_NODE = 4409 * 1.05
 
 
@@ -119,9 +122,10 @@ def test_per_node_bytes_stay_within_budget():
     assert built <= BUILT_BYTES_PER_NODE, f"{built:.0f} B/node after build"
     assert lookups <= LOOKUP_BYTES_PER_NODE, f"+{lookups:.0f} B/node after lookups"
 
-    # One structure per variant: a view is the pairs list or the NumPy
-    # columns, never both, and no view holds an Entry — and nothing else
-    # hangs derived state on a table.
+    # One flat form per variant: a view holds two ints and three flat
+    # tuples of plain numbers — the cell owners, their radii and every
+    # candidate id — so no Entry and no per-candidate pair — and nothing
+    # else hangs derived state on a table.
     visited = 0
     for node in cluster.net.nodes.values():
         table = node.table
@@ -130,10 +134,11 @@ def test_per_node_bytes_stay_within_budget():
             if view is None:
                 continue
             visited += 1
-            assert (view.pairs is None) != (view.ids is None)
-            held = view.pairs or ()
-            assert not any(isinstance(x, Entry) for pair in held for x in pair)
-            assert not any(isinstance(x, Entry) for x in view)
+            version, height, *columns = view
+            assert type(version) is int and type(height) is int
+            assert [type(c) for c in columns] == [tuple] * 3
+            assert all(type(x) in (int, float) for c in columns for x in c)
+            assert len(view.cell_ids) == len(view.cell_radii) <= len(view.ids)
     assert visited > NODES // 2
 
 

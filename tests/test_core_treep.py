@@ -128,6 +128,24 @@ class TestLookups:
         with pytest.raises(KeyError):
             small_net.lookup(123456789, small_net.ids[0])
 
+    @pytest.mark.parametrize("target", [-5, 2**32, 2**40, 2**64])
+    def test_batch_checks_every_pair_before_issuing_any(self, small_net, target):
+        """A target outside ``[0, L)`` is rejected like ``join_new_node``
+        rejects an id, and a bad last pair issues nothing: no lookup is
+        left pending and no timeout armed."""
+        net = small_net
+        good = [(net.ids[0], net.ids[i]) for i in range(1, 4)]
+        queued = net.sim.pending
+        with pytest.raises(ValueError, match="outside"):
+            net.run_lookup_batch(good + [(net.ids[1], target)], "G")
+        with pytest.raises(ValueError, match="outside"):
+            net.lookup_sync(net.ids[0], target)
+        with pytest.raises(KeyError):
+            net.run_lookup_batch(good + [(123456789, net.ids[2])], "G")
+        assert net.sim.pending == queued
+        assert not any(node.pending for node in net.nodes.values())
+        assert all(r.found for r in net.run_lookup_batch(good, "G"))
+
     def test_batch_order_preserved(self, small_net):
         pairs = [(small_net.ids[0], small_net.ids[i]) for i in range(1, 6)]
         results = small_net.run_lookup_batch(pairs, "G")
