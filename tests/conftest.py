@@ -97,6 +97,8 @@ def reference_greedy(view, req):
         return Decision(DecisionKind.FORWARD, best)
     if best is None and level_zero:
         return Decision(DecisionKind.NOT_FOUND)
+    # Fig. 3's fallbacks: escalate before descending when a candidate was
+    # found but not taken, descend before escalating when there was none.
     moves = [lambda: _escalate(view, req, exclude, euclid, d_here),
              lambda: _closest_child(view, x, exclude)]
     for move in moves if best is not None else moves[::-1]:
