@@ -26,9 +26,9 @@ Entry points:
 
 Another seed is one ``run NAME --seed S --out DIR`` away.
 
-Scenario definitions live in :mod:`repro.bench.scenarios`; importing
-that package (done by the CLI, or explicitly with ``import
-repro.bench.scenarios``) populates :data:`registry`.
+Scenario definitions live in :mod:`repro.bench.scenarios`, which
+registers every scenario on import; :data:`registry` imports it on its
+first read, so ``run_scenario`` works whatever was imported before.
 """
 
 from repro.bench.result import SCHEMA, BenchResult

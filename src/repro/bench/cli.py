@@ -19,7 +19,6 @@ import argparse
 import sys
 from typing import Any, Dict, List, Optional
 
-import repro.bench.scenarios  # noqa: F401  (populates the registry)
 from repro.bench.report import scenario_table
 from repro.bench.runner import run_scenario
 from repro.bench.scenario import GROUPS, registry

@@ -150,7 +150,11 @@ class Scenario:
 
 
 class ScenarioRegistry:
-    """Name → :class:`Scenario`, with a decorator-style ``register``."""
+    """Name → :class:`Scenario`, with a decorator-style ``register``.
+
+    Every read loads the catalogue first (:mod:`repro.bench.scenarios`
+    registers itself on import), so a lookup never depends on what some
+    other code happened to import before it."""
 
     def __init__(self) -> None:
         self._scenarios: Dict[str, Scenario] = {}
@@ -161,19 +165,24 @@ class ScenarioRegistry:
         self._scenarios[scenario.name] = scenario
         return scenario
 
+    def _catalogue(self) -> Dict[str, Scenario]:
+        import repro.bench.scenarios  # noqa: F401  (registers on first import)
+
+        return self._scenarios
+
     def get(self, name: str) -> Scenario:
         try:
-            return self._scenarios[name]
+            return self._catalogue()[name]
         except KeyError:
             raise KeyError(
                 f"unknown scenario {name!r}; known: {self.names()}") from None
 
     def names(self) -> List[str]:
-        return sorted(self._scenarios)
+        return sorted(self._catalogue())
 
     def all(self) -> List[Scenario]:
         """Catalogue order: by group, then name."""
-        return sorted(self._scenarios.values(),
+        return sorted(self._catalogue().values(),
                       key=lambda s: (GROUPS.index(s.group), s.name))
 
     def by_group(self, group: str) -> List[Scenario]:
@@ -182,11 +191,12 @@ class ScenarioRegistry:
         return [s for s in self.all() if s.group == group]
 
     def __len__(self) -> int:
-        return len(self._scenarios)
+        return len(self._catalogue())
 
     def __contains__(self, name: str) -> bool:
-        return name in self._scenarios
+        return name in self._catalogue()
 
 
-#: The process-wide registry (populated by importing repro.bench.scenarios).
+#: The process-wide registry (filled by importing repro.bench.scenarios,
+#: which its first read does).
 registry = ScenarioRegistry()

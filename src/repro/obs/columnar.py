@@ -1,16 +1,16 @@
 """Chunked typed-NumPy column buffers — the in-memory half of the trace store.
 
 A :class:`StreamBuffer` holds one event stream as parallel typed columns.
-Appends land in preallocated fixed-size NumPy chunks (no per-event Python
-object survives the append, unlike a ``list[dataclass]`` trace), and
-:meth:`columns` concatenates the chunks into the contiguous arrays the
-on-disk store writes.  A :class:`StringTable` interns the small set of
-category names into integer codes so string columns stay fixed-width ints.
+An append extends a flat list of plain Python scalars (no per-row object
+for the cyclic collector to track); every ``STAGE_ROWS`` rows one slice
+assignment per column moves them into preallocated fixed-size NumPy chunks,
+which :meth:`column_parts` hands out one by one.  A :class:`StringTable`
+interns category names into integer codes so string columns stay ints.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -19,6 +19,10 @@ __all__ = ["StringTable", "StreamBuffer"]
 #: Rows per preallocated chunk: memory grows in ``CHUNK_ROWS``-row steps,
 #: and a full chunk is retired to a list and never touched again.
 CHUNK_ROWS = 4096
+
+#: Rows staged as Python scalars before they move into the current chunk
+#: (a divisor of ``CHUNK_ROWS``, so a full stage never straddles chunks).
+STAGE_ROWS = 256
 
 #: (column name, numpy dtype string) pairs; the schema of one stream.
 ColumnSchema = Sequence[Tuple[str, str]]
@@ -66,60 +70,71 @@ class StreamBuffer:
         column, in schema order.
     """
 
-    __slots__ = ("schema", "names", "_chunks", "_cur", "_fill", "rows")
+    __slots__ = ("schema", "names", "_width", "_stage", "_limit", "_chunks", "_fill")
 
     def __init__(self, schema: ColumnSchema) -> None:
         self.schema = tuple((str(n), str(d)) for n, d in schema)
         if not self.schema:
             raise ValueError("a stream needs at least one column")
         self.names = tuple(n for n, _ in self.schema)
+        self._width = len(self.schema)
+        self._stage: List[Any] = []   # staged rows, row-major
+        self._limit = self._width * STAGE_ROWS
         self._chunks: List[Dict[str, np.ndarray]] = []
-        self._cur: Dict[str, np.ndarray] | None = None
-        self._fill = 0
-        self.rows = 0
-
-    def _new_chunk(self) -> Dict[str, np.ndarray]:
-        if self._cur is not None:
-            self._chunks.append(self._cur)
-        self._cur = {name: np.empty(CHUNK_ROWS, dtype=dtype)
-                     for name, dtype in self.schema}
-        self._fill = 0
-        return self._cur
+        self._fill = CHUNK_ROWS       # rows in the last chunk ("full" if none)
 
     def append(self, *values) -> None:
         """Append one row; *values* in schema order."""
-        cur = self._cur
-        if cur is None or self._fill == CHUNK_ROWS:
-            cur = self._new_chunk()
-        i = self._fill
-        for name, value in zip(self.names, values):
-            cur[name][i] = value
-        self._fill = i + 1
-        self.rows += 1
+        if len(values) != self._width:
+            raise ValueError(f"a row has {self._width} values, got {len(values)}")
+        stage = self._stage
+        stage.extend(values)
+        if len(stage) == self._limit:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Move the staged rows into the last chunk, one slice assignment
+        per column, opening a new chunk when the last one is full."""
+        stage, width = self._stage, self._width
+        n = len(stage) // width
+        if not n:
+            return
+        if self._fill == CHUNK_ROWS:
+            self._chunks.append({name: np.empty(CHUNK_ROWS, dtype=dtype)
+                                 for name, dtype in self.schema})
+            self._fill = 0
+        chunk, i = self._chunks[-1], self._fill
+        for j, name in enumerate(self.names):
+            chunk[name][i:i + n] = stage[j::width]
+        stage.clear()
+        self._fill = i + n
+        # After an early flush (column_parts) the next stage ends with the chunk.
+        self._limit = width * min(STAGE_ROWS, CHUNK_ROWS - self._fill or CHUNK_ROWS)
+
+    @property
+    def rows(self) -> int:
+        """Rows appended so far, staged ones included."""
+        staged = len(self._stage) // self._width
+        return CHUNK_ROWS * (len(self._chunks) - 1) + self._fill + staged
 
     def __len__(self) -> int:
         return self.rows
 
-    def columns(self) -> Dict[str, np.ndarray]:
-        """Contiguous per-column arrays over every appended row."""
-        out: Dict[str, np.ndarray] = {}
-        for name, dtype in self.schema:
-            parts = [c[name] for c in self._chunks]
-            if self._cur is not None and self._fill:
-                parts.append(self._cur[name][:self._fill])
-            if parts:
-                out[name] = np.concatenate(parts) if len(parts) > 1 else parts[0].copy()
-            else:
-                out[name] = np.empty(0, dtype=dtype)
-        return out
-
-    def column(self, name: str) -> np.ndarray:
+    def column_parts(self, name: str) -> List[np.ndarray]:
+        """Column *name* as per-chunk arrays in row order, after flushing
+        the stage.  The arrays are views into the buffer, not copies."""
         if name not in self.names:
             raise KeyError(f"no column {name!r} (have {self.names})")
-        return self.columns()[name]
+        self._flush()
+        parts = [chunk[name] for chunk in self._chunks]
+        if parts:
+            parts[-1] = parts[-1][:self._fill]
+        return parts
 
-    def clear(self) -> None:
-        self._chunks.clear()
-        self._cur = None
-        self._fill = 0
-        self.rows = 0
+    def column(self, name: str) -> np.ndarray:
+        parts = self.column_parts(name)
+        return np.concatenate(parts) if parts else np.empty(0, dict(self.schema)[name])
+
+    def columns(self) -> Dict[str, np.ndarray]:
+        """Contiguous per-column arrays over every appended row."""
+        return {name: self.column(name) for name in self.names}

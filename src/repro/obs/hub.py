@@ -65,8 +65,8 @@ class ObsHub:
     Parameters
     ----------
     categories:
-        When given, only these span/event categories record (unknown
-        categories cost one set lookup and record nothing).  ``None``
+        When given, only these span/event categories record (a gated-off
+        category costs one dict read and records nothing).  ``None``
         enables every category **except** the opt-in firehose
         ``sim.event`` stream (per-simulator-event rows; its per-label
         *counts* are always kept — they are one dict add).
@@ -77,9 +77,9 @@ class ObsHub:
         self.strings = StringTable()
         self.spans = StreamBuffer(SPAN_SCHEMA)
         self.events = StreamBuffer(EVENT_SCHEMA)
-        #: category name -> recorded span+event rows (the in-memory totals
-        #: ``python -m repro.obs summary`` must reproduce from the store).
-        self.counts: Dict[str, int] = {}
+        #: category -> its string code, or -1 when gated off; resolved on
+        #: the first record, so codes intern in first-recorded order.
+        self._codes: Dict[str, int] = {}
         #: simulator event label -> fired count (fed by the engine hook).
         self.sim_event_counts: Dict[str, int] = {}
         self._open: Dict[int, Tuple[int, int, float, int]] = {}  # id -> (cat, node, t0, parent)
@@ -88,16 +88,23 @@ class ObsHub:
         self._record_sim_events = (self.categories is not None
                                    and "sim.event" in self.categories)
 
+    def _resolve(self, category: str) -> int:
+        enabled = self.categories is None or category in self.categories
+        self._codes[category] = code = self.strings.code(category) if enabled else -1
+        return code
+
     # ------------------------------------------------------------- spans
     def begin(self, category: str, node: int, t: float, parent: int = 0) -> int:
         """Open a span; returns its id, or 0 when the category is disabled
         (``end(0, ...)`` is a no-op, so call sites never re-check)."""
-        if self.categories is not None and category not in self.categories:
+        code = self._codes.get(category)
+        if code is None:
+            code = self._resolve(category)
+        if code < 0:
             return 0
         sid = self._next_id
         self._next_id = sid + 1
-        self._open[sid] = (self.strings.code(category), node, t, parent)
-        self.counts[category] = self.counts.get(category, 0) + 1
+        self._open[sid] = (code, node, t, parent)
         return sid
 
     def end(self, span_id: int, t: float, status: int = STATUS_OK,
@@ -148,10 +155,11 @@ class ObsHub:
     def event(self, category: str, node: int, t: float, rid: int = 0,
               value: float = 0.0) -> None:
         """Record one instantaneous event row."""
-        if self.categories is not None and category not in self.categories:
-            return
-        self.events.append(self.strings.code(category), node, t, rid, value)
-        self.counts[category] = self.counts.get(category, 0) + 1
+        code = self._codes.get(category)
+        if code is None:
+            code = self._resolve(category)
+        if code >= 0:
+            self.events.append(code, node, t, rid, value)
 
     # ---------------------------------------------- domain-specific helpers
     # Encapsulated here so call sites in core/storage/compute stay one
@@ -219,8 +227,7 @@ class ObsHub:
         counts = self.sim_event_counts
         counts[label] = counts.get(label, 0) + 1
         if self._record_sim_events:
-            self.events.append(self.strings.code("sim.event"), -1, ev.time, 0, 0.0)
-            self.counts["sim.event"] = self.counts.get("sim.event", 0) + 1
+            self.event("sim.event", -1, ev.time)
 
     # ------------------------------------------------------------- export
     def open_span_count(self) -> int:
@@ -229,8 +236,7 @@ class ObsHub:
     def finalize(self) -> None:
         """Flush still-open spans (crashed workers, timed-out-but-pending
         requests at run end) into the stream with ``STATUS_OPEN`` and
-        ``t1 = t0`` — their begin was already counted, so per-category
-        counts match row counts exactly.  Idempotent."""
+        ``t1 = t0``.  Idempotent."""
         for sid in sorted(self._open):
             cat, node, t0, parent = self._open[sid]
             self.spans.append(sid, parent, cat, node, t0, t0, STATUS_OPEN,
@@ -244,5 +250,11 @@ class ObsHub:
         return {"spans": self.spans.columns(), "events": self.events.columns()}
 
     def category_counts(self) -> Dict[str, int]:
-        """Recorded rows per category (the summary ground truth)."""
-        return dict(self.counts)
+        """Recorded rows per category (the summary ground truth): the
+        ``cat`` columns plus the still-open spans, in interning order."""
+        total = np.zeros(len(self.strings), dtype=np.int64)
+        for part in self.spans.column_parts("cat") + self.events.column_parts("cat"):
+            total += np.bincount(part, minlength=len(total))
+        for code, _node, _t0, _parent in self._open.values():
+            total[code] += 1
+        return {s: int(n) for s, n in zip(self.strings.strings, total) if n}

@@ -11,7 +11,9 @@ N produces one run per network).  Layout inside the ``.npz``:
   :data:`~repro.obs.hub.SPAN_SCHEMA` / :data:`~repro.obs.hub.EVENT_SCHEMA`).
 
 Each hub interned category names independently, so the writer remaps every
-``cat`` column onto one global string table (a vectorised ``take``).  The
+``cat`` column onto one global string table (a vectorised ``take``), and
+streams every column chunk by chunk: the entries are byte for byte what
+``np.savez_compressed`` writes, without a copy of the hubs' buffers.  The
 reader (:class:`TraceReader`) exposes an iterate/filter query API over
 lazily-loaded column views — no row objects are materialised until a
 caller actually iterates.
@@ -21,7 +23,8 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Iterator, List, Mapping, Optional
+import zipfile
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional
 
 import numpy as np
 
@@ -36,6 +39,18 @@ SCHEMA = "repro.obs/1"
 _STREAM_SCHEMAS = {"spans": SPAN_SCHEMA, "events": EVENT_SCHEMA}
 
 
+def _write_npy(zf: zipfile.ZipFile, name: str, dtype: str, rows: int,
+               parts: Iterable[np.ndarray]) -> None:
+    """One ``{name}.npy`` entry: the header ``np.save`` writes for a
+    ``(rows,)`` array of *dtype*, then each part's bytes in order."""
+    with zf.open(f"{name}.npy", "w", force_zip64=True) as fid:
+        np.lib.format.write_array_header_1_0(fid, {
+            "descr": np.lib.format.dtype_to_descr(np.dtype(dtype)),
+            "fortran_order": False, "shape": (rows,)})
+        for part in parts:
+            fid.write(part)
+
+
 def write_store(path: str, runs: Mapping[str, ObsHub],
                 meta_extra: Optional[Mapping[str, Any]] = None) -> str:
     """Write *runs* (``{run name: hub}``) to *path*; returns the path.
@@ -45,43 +60,41 @@ def write_store(path: str, runs: Mapping[str, ObsHub],
     compressed npz.  ``meta_extra`` (e.g. the scenario name and seed) is
     embedded under ``"extra"`` in the metadata blob.
     """
-    strings = StringTable()
-    arrays: Dict[str, np.ndarray] = {}
-    meta_runs: Dict[str, Any] = {}
-    for run, hub in runs.items():
+    for run in runs:
         if "/" in run:
             raise ValueError(f"run name {run!r} must not contain '/'")
-        hub.finalize()
-        # hub-local code -> global code, vectorised over the cat columns.
-        remap = np.array([strings.code(s) for s in hub.strings.strings]
-                         or [0], dtype=np.uint16)
-        streams = hub.export_streams()
-        stream_meta: Dict[str, int] = {}
-        for stream, columns in streams.items():
-            for name, arr in columns.items():
-                if name == "cat" and len(arr):
-                    arr = remap[arr]
-                arrays[f"{run}/{stream}/{name}"] = arr
-            stream_meta[stream] = int(len(next(iter(columns.values()))))
-        meta_runs[run] = {
-            "streams": stream_meta,
-            "counts": hub.category_counts(),
-            "sim_events": dict(hub.sim_event_counts),
+    strings = StringTable()
+    meta_runs: Dict[str, Any] = {}
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED,
+                         allowZip64=True) as zf:
+        for run, hub in runs.items():
+            hub.finalize()
+            # hub-local code -> global code, applied chunk by chunk.
+            remap = np.array([strings.code(s) for s in hub.strings.strings]
+                             or [0], dtype=np.uint16)
+            for stream, schema in _STREAM_SCHEMAS.items():
+                buf = getattr(hub, stream)
+                for name, dtype in schema:
+                    parts = buf.column_parts(name)
+                    if name == "cat":
+                        parts = (remap[part] for part in parts)
+                    _write_npy(zf, f"{run}/{stream}/{name}", dtype, buf.rows, parts)
+            meta_runs[run] = {
+                "streams": {s: getattr(hub, s).rows for s in _STREAM_SCHEMAS},
+                "counts": hub.category_counts(),
+                "sim_events": dict(hub.sim_event_counts),
+            }
+        meta = {
+            "schema": SCHEMA,
+            "strings": strings.strings,
+            "runs": meta_runs,
+            "columns": {s: [list(c) for c in cols]
+                        for s, cols in _STREAM_SCHEMAS.items()},
+            "extra": dict(meta_extra) if meta_extra else {},
         }
-    meta = {
-        "schema": SCHEMA,
-        "strings": strings.strings,
-        "runs": meta_runs,
-        "columns": {s: [list(c) for c in cols]
-                    for s, cols in _STREAM_SCHEMAS.items()},
-        "extra": dict(meta_extra) if meta_extra else {},
-    }
-    arrays["__meta__"] = np.frombuffer(
-        json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "wb") as fh:
-        np.savez_compressed(fh, **arrays)
+        blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+        _write_npy(zf, "__meta__", "u1", len(blob), [blob])
     return path
 
 

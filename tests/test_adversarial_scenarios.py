@@ -13,7 +13,6 @@ enforced twice (scenario Check + pytest).
 import numpy as np
 import pytest
 
-import repro.bench.scenarios  # noqa: F401  (populates the registry)
 from repro.bench import registry
 from repro.cluster import Cluster
 from repro.core.config import TreePConfig

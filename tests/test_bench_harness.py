@@ -14,7 +14,6 @@ import sys
 
 import pytest
 
-import repro.bench.scenarios  # noqa: F401  (populates the registry)
 from repro.bench import (
     SCHEMA,
     BenchResult,
@@ -48,6 +47,22 @@ EXPECTED_SCENARIOS = {
 def test_registry_lists_all_legacy_scenarios():
     assert set(registry.names()) == EXPECTED_SCENARIOS
     assert len(registry) == 28
+
+
+def test_run_scenario_loads_the_catalogue_in_a_fresh_interpreter():
+    """``run_scenario`` must not depend on someone having imported
+    ``repro.bench.scenarios`` first: in a fresh interpreter that imports
+    only the runner, the registry's first read loads the catalogue."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys\n"
+            "from repro.bench.runner import run_scenario\n"
+            "assert 'repro.bench.scenarios' not in sys.modules\n"
+            "print(run_scenario('storage', smoke=True).scenario)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["storage"]
 
 
 def test_every_scenario_declares_a_metrics_schema():

@@ -8,7 +8,6 @@ fast.  The benches run the full-size versions.
 import numpy as np
 import pytest
 
-import repro.bench.scenarios  # noqa: F401  (populates the registry)
 from repro.bench.runner import run_scenario
 from repro.bench.sweep import SweepConfig, run_failure_sweep
 

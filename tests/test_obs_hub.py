@@ -4,7 +4,7 @@ category gating, and the counts == rows invariant."""
 import numpy as np
 import pytest
 
-from repro.obs.columnar import CHUNK_ROWS, StreamBuffer, StringTable
+from repro.obs.columnar import CHUNK_ROWS, STAGE_ROWS, StreamBuffer, StringTable
 from repro.obs.hub import (STATUS_FAIL, STATUS_OK, STATUS_OPEN,
                            STATUS_TIMEOUT, ObsHub)
 
@@ -21,9 +21,54 @@ def test_stream_buffer_chunk_boundaries():
     assert cols["a"].dtype == np.dtype("i8")
 
 
+@pytest.mark.parametrize("n", [0, 1, STAGE_ROWS - 1, STAGE_ROWS, CHUNK_ROWS,
+                               2 * CHUNK_ROWS + 3])
+def test_stream_buffer_stage_and_chunk_boundaries(n):
+    buf = StreamBuffer((("a", "i8"), ("b", "f8"), ("c", "u2")))
+    for i in range(n):
+        buf.append(i, i / 4, i % 7)
+    assert buf.rows == len(buf) == n
+    parts = buf.column_parts("a")
+    assert [len(p) for p in parts[:-1]] == [CHUNK_ROWS] * (len(parts) - 1)
+    assert sum(len(p) for p in parts) == n
+    cols = buf.columns()
+    np.testing.assert_array_equal(cols["a"], np.arange(n))
+    np.testing.assert_array_equal(cols["b"], np.arange(n) / 4)
+    np.testing.assert_array_equal(cols["c"], np.arange(n) % 7)
+    assert [cols[k].dtype.str for k in "abc"] == ["<i8", "<f8", "<u2"]
+    np.testing.assert_array_equal(buf.column("b"), cols["b"])
+
+
+def test_stream_buffer_reads_between_appends():
+    # A read flushes a partial stage, so later stages start mid-chunk and
+    # must still stop at the chunk's end.
+    buf = StreamBuffer((("a", "i8"),))
+    expected = []
+    for step in (100, 1, CHUNK_ROWS - 1, 3 * STAGE_ROWS + 7, CHUNK_ROWS):
+        for _ in range(step):
+            buf.append(len(expected))
+            expected.append(len(expected))
+        assert buf.rows == len(expected)
+        np.testing.assert_array_equal(buf.column("a"), expected)
+    assert all(len(p) <= CHUNK_ROWS for p in buf.column_parts("a"))
+
+
+def test_stream_buffer_append_checks_arity():
+    buf = StreamBuffer((("a", "i8"), ("b", "f8")))
+    with pytest.raises(ValueError, match="2 values, got 1"):
+        buf.append(1)
+    with pytest.raises(ValueError, match="2 values, got 3"):
+        buf.append(2, 3.0, 99)
+    buf.append(4, 5.0)
+    assert buf.rows == 1
+    assert list(buf.column("a")) == [4] and list(buf.column("b")) == [5.0]
+
+
 def test_stream_buffer_validation():
     with pytest.raises(ValueError):
         StreamBuffer(())
+    with pytest.raises(KeyError):
+        StreamBuffer((("a", "i8"),)).column_parts("b")
 
 
 def test_string_table_interning():
@@ -81,7 +126,7 @@ def test_keyed_begin_idempotent():
     hub = ObsHub()
     hub.lookup_begin(42, 1, 0.0)
     hub.lookup_begin(42, 9, 5.0)  # duplicate (e.g. a resubmission)
-    assert hub.counts["lookup"] == 1
+    assert hub.category_counts()["lookup"] == 1
     hub.lookup_end(42, 6.0, found=True, hops=2)
     cols = hub.spans.columns()
     assert hub.spans.rows == 1
@@ -91,7 +136,7 @@ def test_keyed_begin_idempotent():
 def test_end_keyed_unknown_is_noop():
     hub = ObsHub()
     hub.lookup_end(123, 1.0, found=True, hops=1)
-    assert hub.spans.rows == 0 and hub.counts == {}
+    assert hub.spans.rows == 0 and hub.category_counts() == {}
 
 
 def test_status_mapping():
@@ -121,7 +166,7 @@ def test_category_gating_spans_and_events():
     sid = hub.begin("lookup", 1, 0.0)
     assert sid != 0
     hub.end(sid, 1.0)
-    assert hub.counts == {"lookup": 1}
+    assert hub.category_counts() == {"lookup": 1}
     assert hub.events.rows == 0
 
 
@@ -138,7 +183,7 @@ def test_sim_event_rows_are_opt_in():
     opted = ObsHub(categories=["sim.event"])
     opted.on_sim_event(Ev())
     assert opted.events.rows == 1
-    assert opted.counts == {"sim.event": 1}
+    assert opted.category_counts() == {"sim.event": 1}
 
 
 # -------------------------------------------------------- counts invariant

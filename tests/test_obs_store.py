@@ -1,12 +1,14 @@
 """Trace-store roundtrip tests: chunk boundaries, empty runs, multi-run
 string remapping, and the filter/query API."""
 
+import hashlib
 import json
+import zipfile
 
 import numpy as np
 import pytest
 
-from repro.obs.columnar import CHUNK_ROWS
+from repro.obs.columnar import CHUNK_ROWS, STAGE_ROWS
 from repro.obs.hub import STATUS_OK, STATUS_TIMEOUT, ObsHub
 from repro.obs.store import SCHEMA, TraceReader, write_store
 
@@ -193,3 +195,77 @@ def test_sim_event_counts_roundtrip(tmp_path):
     with TraceReader(path) as reader:
         assert reader.sim_event_counts() == {
             "dgram:LookupRequest": 3, "keepalive": 1}
+
+
+# ------------------------------------------------------------ pinned bytes
+#: Entry order and sha256 of every uncompressed ``.npy`` entry of
+#: :func:`_pinned_run`'s store, recorded with the whole-column writer
+#: (``np.savez_compressed``) that the chunk-streaming writer replaced.
+PINNED_ENTRIES = [
+    ("run-000/spans/id.npy",
+     "bfd143d8c4f58dc6934853dc915897fd3f42a63feaf7c12084f5ef97549356d8"),
+    ("run-000/spans/parent.npy",
+     "ba9089cf19d2d35c910505a6f794222711591c9c3185dffb1da419a7508e4a3a"),
+    ("run-000/spans/cat.npy",
+     "6b36756fa2572d68f018d1cf62ff993216cbef41a1a340742585c8b74f8b1dc5"),
+    ("run-000/spans/node.npy",
+     "14f645e830e790790213ea9f3873d399c3ba1b9813cd731fccaf51970498b45b"),
+    ("run-000/spans/t0.npy",
+     "e4dd8fd9375954231143c127995e9a734b1a776a74118a08ab45f8ef56acc501"),
+    ("run-000/spans/t1.npy",
+     "84e2f9ebe7b61628054451f75c8dcb08cad3366a9f62bae7609785929f8ad6a0"),
+    ("run-000/spans/status.npy",
+     "a5cc851e5bb9a6950552d249c683d40ef1d16bb440cfb08c5c946f130fc69dfa"),
+    ("run-000/spans/v0.npy",
+     "9bf2b87df4db0eb73e7df457d0d665fb5d20ae787948b125990499166365dc5d"),
+    ("run-000/spans/v1.npy",
+     "84ed2a5ad9d1f82ee41e014afc5faedaa04e38e3990f2a74d4a8c4dd790be8c5"),
+    ("run-000/events/cat.npy",
+     "5d697a7e4c1b3ed7e7e1feca9f0289cb5163df06c9997e523d67f1e483bae4f7"),
+    ("run-000/events/node.npy",
+     "606cad42a1f6760c0f04cb74aa51ed43dbbfcec8337ce661bff000cf30a55161"),
+    ("run-000/events/t.npy",
+     "3e9a36458c3272eb455089e6c2e62b8038b0eb55a14062dae3bf0e87f0a8f4dc"),
+    ("run-000/events/rid.npy",
+     "0931214657101b416a03341410c097e13120a5e1a701e47dd718138453fd21f0"),
+    ("run-000/events/value.npy",
+     "98cfd6dddc8e02b27875b59ca7928ae81c0841d4eb67b405bf7d950bc3296ce1"),
+    ("__meta__.npy",
+     "49e5b696e3bae48b67d3e61c7ffe3c0379c2304cf2676236f89c40ee02fc2adf"),
+]
+
+
+def _pinned_run(path):
+    """Lookups, storage ops and one compute job on 64 nodes: more than
+    ``CHUNK_ROWS`` event rows, and a partly filled stage in both streams."""
+    from repro.cluster import Cluster
+    from repro.compute.job import JobSpec
+
+    c = Cluster(seed=4242).build(64).with_observability().with_compute()
+    ids = c.ids
+    c.net.run_lookup_batch(
+        [(ids[i % 64], ids[(7 * i + 3) % 64]) for i in range(2600)], "G")
+    for i in range(6):
+        c.storage.put(f"k{i}", {"v": i})
+    for i in range(6):
+        c.storage.get(f"k{i}")
+    c.compute.submit(JobSpec(job_id=1, cpu_demand=1.0, work=4.0))
+    c.compute.run_until_done(timeout=200.0)
+    hub = c.obs
+    assert hub.events.rows > CHUNK_ROWS
+    assert hub.events.rows % STAGE_ROWS and hub.spans.rows % STAGE_ROWS
+    c.observability.write(path)
+    return hub
+
+
+def test_store_bytes_pinned(tmp_path):
+    path = str(tmp_path / "pinned.npz")
+    hub = _pinned_run(path)
+    with zipfile.ZipFile(path) as zf:
+        got = [(name, hashlib.sha256(zf.read(name)).hexdigest())
+               for name in zf.namelist()]
+    assert got == PINNED_ENTRIES
+    with TraceReader(path) as reader:
+        assert reader.category_counts() == hub.category_counts()
+        assert reader.run_meta("run-000")["streams"] == {
+            "spans": hub.spans.rows, "events": hub.events.rows}

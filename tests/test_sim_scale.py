@@ -27,7 +27,6 @@ import sys
 import numpy as np
 import pytest
 
-import repro.bench.scenarios  # noqa: F401  (populates the registry)
 from repro.bench import registry, run_scenario
 from repro.core.config import TreePConfig
 from repro.core.repair import PAPER_POLICY, apply_failure_step
