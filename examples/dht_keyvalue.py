@@ -4,12 +4,14 @@
 Stores a few hundred key/value pairs on the overlay, kills a third of the
 network, heals, and shows that replication on the level-0 links keeps most
 values retrievable — the overlay's own maintenance doubles as the DHT's.
+An anti-entropy pass then refills the copies the crashes took, onto the
+survivors' level-0 links.
 
 The DHT is the replicated store at its simplest setting: k copies on the
 responsible node and its level-0 neighbours, one ack completes a write,
 the first answer completes a read (``QuorumConfig(n=k, w=1, r=1)``,
 ``placement="level0"``).  ``replicated_store.py`` turns the same dials up
-to quorums and anti-entropy.
+to quorums.
 
 Run:  python examples/dht_keyvalue.py
 """
@@ -24,7 +26,8 @@ from repro import Cluster, QuorumConfig, TreePConfig
 def main() -> None:
     cluster = (Cluster(config=TreePConfig.paper_case1(), seed=11)
                .build(n=256)
-               .with_storage(QuorumConfig(n=3, w=1, r=1), placement="level0"))
+               .with_storage(QuorumConfig(n=3, w=1, r=1), placement="level0",
+                             anti_entropy=30.0))
     net, dht = cluster.net, cluster.storage
 
     # Store 200 job records.
@@ -57,6 +60,12 @@ def main() -> None:
     print(f"after 33% of nodes crashed: {hits}/200 GETs still hit "
           f"(3-way level-0 replication)")
 
+    # Re-replicate: every surviving key back onto its ideal live holders
+    # (the responsible node and its level-0 neighbours).
+    passes = cluster.anti_entropy.converge()
+    first = cluster.anti_entropy.reports[0]
+    print(f"anti-entropy: {first.repairs_sent} copies re-placed for "
+          f"{first.keys} surviving keys, clean after {passes} passes")
 
 if __name__ == "__main__":
     main()

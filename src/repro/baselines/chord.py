@@ -243,18 +243,6 @@ class ChordNetwork:
         if live:
             self._install_tables(live)
 
-    def purge_only(self) -> None:
-        """Weaker repair: drop dead pointers without recomputing fingers."""
-        up = self.network.is_up
-        for i in self.ids:
-            if not up(i):
-                continue
-            node = self.nodes[i]
-            node.fingers = [f for f in node.fingers if up(f)]
-            node.successors = [s for s in node.successors if up(s)]
-            if node.predecessor is not None and not up(node.predecessor):
-                node.predecessor = None
-
     # -------------------------------------------------------------- lookups
     def run_lookup_batch(self, pairs: Iterable[Tuple[int, int]]) -> List[LookupResult]:
         pending = [self.nodes[o].issue_lookup(t) for o, t in pairs]

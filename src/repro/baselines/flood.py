@@ -185,6 +185,3 @@ class FloodNetwork:
 
     def alive_ids(self) -> List[int]:
         return [i for i in self.ids if self.network.is_up(i)]
-
-    def messages_sent(self) -> int:
-        return self.network.stats.sent

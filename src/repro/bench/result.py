@@ -23,7 +23,8 @@ from repro.bench.scenario import Scenario, ScenarioOutput
 #: Envelope schema identifier; bump on breaking field changes.
 SCHEMA = "repro.bench/2"
 
-#: Fields every envelope must carry (validation + forward-compat contract).
+#: Fields every envelope carries (``to_dict``); ``obs`` is the one optional
+#: field.
 REQUIRED_FIELDS = (
     "schema", "scenario", "group", "seed", "smoke", "params", "metrics",
     "checks",
@@ -70,26 +71,10 @@ class BenchResult:
 
     # -------------------------------------------------------- serialisation
     def to_dict(self) -> Dict[str, Any]:
-        out = {
-            "schema": self.schema,
-            "scenario": self.scenario,
-            "group": self.group,
-            "seed": self.seed,
-            "smoke": self.smoke,
-            "params": self.params,
-            "metrics": self.metrics,
-            "checks": self.checks,
-        }
+        out = {name: getattr(self, name) for name in REQUIRED_FIELDS}
         if self.obs:
             out["obs"] = self.obs
         return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "BenchResult":
-        validate_result_dict(data)
-        kwargs = {k: data[k] for k in REQUIRED_FIELDS}
-        kwargs["obs"] = dict(data.get("obs", {}))
-        return cls(**kwargs)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -107,37 +92,7 @@ class BenchResult:
             fh.write(self.to_json() + "\n")
         return path
 
-    @classmethod
-    def read(cls, path: str) -> "BenchResult":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
     # -------------------------------------------------------------- queries
     def failed_checks(self) -> List[Dict[str, Any]]:
         return [c for c in self.checks if not c.get("passed")]
-
-
-def validate_result_dict(data: Mapping[str, Any]) -> None:
-    """Schema-validate one envelope dict; raise ``ValueError`` on violation."""
-    missing = [k for k in REQUIRED_FIELDS if k not in data]
-    if missing:
-        raise ValueError(f"BenchResult missing fields: {missing}")
-    if data["schema"] != SCHEMA:
-        raise ValueError(
-            f"unsupported BenchResult schema {data['schema']!r} "
-            f"(expected {SCHEMA!r})")
-    if not isinstance(data["metrics"], dict) or not data["metrics"]:
-        raise ValueError("BenchResult.metrics must be a non-empty object")
-    for key, value in data["metrics"].items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValueError(f"metric {key!r} is not numeric: {value!r}")
-    if not isinstance(data["checks"], list):
-        raise ValueError("BenchResult.checks must be a list")
-    for check in data["checks"]:
-        if not isinstance(check, dict) or "name" not in check or "passed" not in check:
-            raise ValueError(f"malformed check entry: {check!r}")
-    if not isinstance(data["params"], dict):
-        raise ValueError("BenchResult.params must be an object")
-    if "obs" in data and not isinstance(data["obs"], dict):
-        raise ValueError("BenchResult.obs must be an object when present")
 

@@ -66,9 +66,6 @@ class ScenarioOutput:
     checks: List[Check] = field(default_factory=list)
     rendered: str = ""
 
-    def failed_checks(self) -> List[Check]:
-        return [c for c in self.checks if not c.passed]
-
 
 #: Runner signature: ``runner(params, seed, smoke) -> ScenarioOutput``.
 Runner = Callable[[Mapping[str, Any], int, bool], ScenarioOutput]
@@ -192,9 +189,6 @@ class ScenarioRegistry:
 
     def __len__(self) -> int:
         return len(self._catalogue())
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._catalogue()
 
 
 #: The process-wide registry (filled by importing repro.bench.scenarios,

@@ -311,7 +311,3 @@ class Cluster:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.shutdown()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        names = ", ".join(s.name for s in self.services) or "no services"
-        return f"Cluster(n={len(self.net.nodes)}, {names})"

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.services.discovery import Constraint
 
@@ -230,28 +230,6 @@ class SchedulingStats:
     def mean_placement_hops(self) -> float:
         """Average tree-edge traversals per matchmaking decision."""
         return self.placement_hops / self.placements if self.placements else 0.0
-
-    def to_dict(self) -> Dict[str, float]:
-        """JSON-serialisable snapshot (benchmark artifact format)."""
-        return {
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "failed": self.failed,
-            "completion_rate": self.completion_rate,
-            "makespan": self.makespan,
-            "useful_work": self.useful_work,
-            "executed_work": self.executed_work,
-            "wasted_work": self.wasted_work,
-            "goodput": self.goodput,
-            "reexecutions": self.reexecutions,
-            "checkpoints_written": self.checkpoints_written,
-            "steals": self.steals,
-            "steal_reassignments": self.steal_reassignments,
-            "leases_expired": self.leases_expired,
-            "mean_placement_hops": self.mean_placement_hops,
-            "failovers": self.failovers,
-            "mean_turnaround": self.mean_turnaround,
-        }
 
     def summary_rows(self) -> List[List[str]]:
         """Rows for :func:`repro.viz.ascii.table`."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, List
 
 import numpy as np
@@ -64,22 +64,14 @@ class NodeCapacity:
 
         Geometric mean of log-scaled resources, discounted by current load
         (see :func:`fill_scores`, the one evaluation of the formula).
-        Computed once per instance: the fields are frozen, and ``replace()``
-        / ``with_load()`` build a new instance that computes its own.
+        Computed once per instance: the fields are frozen, and
+        ``dataclasses.replace()`` builds a new instance that computes its own.
         """
         try:
             return self._score  # type: ignore[attr-defined]
         except AttributeError:
             fill_scores((self,))
             return self._score  # type: ignore[attr-defined]
-
-    def with_load(self, cpu_load: float | None = None, net_load: float | None = None) -> "NodeCapacity":
-        """Copy with updated load figures."""
-        return replace(
-            self,
-            cpu_load=self.cpu_load if cpu_load is None else cpu_load,
-            net_load=self.net_load if net_load is None else net_load,
-        )
 
     # ------------------------------------------------- protocol quantities
     def max_children(self, floor: int = 2, ceiling: int = 8, pivot: float = 2.2) -> int:

@@ -100,7 +100,3 @@ class TreePConfig:
     def paper_case2(**overrides: object) -> "TreePConfig":
         """Case 2 (§IV.b): capacity-derived variable ``nc``."""
         return replace(TreePConfig(nc_mode="variable"), **overrides)  # type: ignore[arg-type]
-
-    def with_(self, **overrides: object) -> "TreePConfig":
-        """Functional update, for ablations."""
-        return replace(self, **overrides)  # type: ignore[arg-type]

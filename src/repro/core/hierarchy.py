@@ -65,9 +65,6 @@ class HierarchyLayout:
         """Number of levels above 0 — the paper's ``h``."""
         return len(self.levels) - 1
 
-    def bus(self, level: int) -> List[int]:
-        return self.levels[level]
-
     def ancestors(self, ident: int) -> List[int]:
         """The superior chain of *ident* (Figure 2), nearest first."""
         out: List[int] = []

@@ -94,20 +94,8 @@ class Decision(NamedTuple):
     alternates: Tuple[int, ...] = ()
 
     @staticmethod
-    def found(resolved: int) -> "Decision":
-        return Decision(DecisionKind.FOUND, resolved=resolved)
-
-    @staticmethod
     def forward(next_hop: int, alternates: Tuple[int, ...] = ()) -> "Decision":
         return Decision(DecisionKind.FORWARD, next_hop=next_hop, alternates=alternates)
-
-    @staticmethod
-    def not_found() -> "Decision":
-        return Decision(DecisionKind.NOT_FOUND)
-
-    @staticmethod
-    def discard() -> "Decision":
-        return Decision(DecisionKind.DISCARD)
 
 
 #: Preallocated terminal decisions — they carry no per-request payload.

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.capacity import NodeCapacity
 from repro.core.config import TreePConfig
@@ -153,32 +153,19 @@ class TreePNode(Process):
         """Remove the service handler for *msg_type* (no-op when absent)."""
         self.handlers.pop(msg_type, None)
 
-    def handler_types(self) -> Set[type]:
-        """Message types currently claimed by service handlers (diagnostics
-        and the service-plane leak regression tests)."""
-        return set(self.handlers)
-
     # ------------------------------------------------------------- identity
     @property
     def score(self) -> float:
         return self.capacity.score()
 
-    def meta(self) -> Dict[str, float]:
-        """Metadata advertised in Hello/KeepAlive exchanges."""
-        return {"max_level": self.max_level, "score": self.score, "nc": self.nc}
-
     def child_count(self, level: int) -> int:
         return len(self.table.level_children.get(level, ()))
 
     # ------------------------------------------------------------ dispatch
-    #: payload type -> bound-to-class ``_on_<Type>`` method (or None),
-    #: built lazily per class — ``__init_subclass__`` gives every subclass
-    #: its own dict so an overriding ``_on_<Type>`` is re-resolved there.
+    #: payload type -> ``TreePNode._on_<Type>`` method (or None), built
+    #: lazily.  One dict for the class: a subclass overriding an
+    #: ``_on_<Type>`` would need a dict of its own.
     _builtin_dispatch: Dict[type, Optional[Callable]] = {}
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        cls._builtin_dispatch = {}
 
     def on_datagram(self, dgram: Datagram) -> None:
         """Dispatch *dgram* by payload type: service handlers first, then

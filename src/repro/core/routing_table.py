@@ -225,10 +225,6 @@ class RoutingTable:
     def get(self, ident: int) -> Optional[Entry]:
         return self._entries.get(ident)
 
-    def knows(self, ident: int) -> bool:
-        """§III.f Fig. 3: "target X is in the routing table"."""
-        return ident in self._entries
-
     def touch(self, ident: int, now: float) -> None:
         e = self._entries.get(ident)
         if e is not None:
@@ -499,26 +495,6 @@ class RoutingTable:
         out |= set(self.parents.values())
         out |= self.children
         return out
-
-    def roles_of(self, ident: int) -> Set[str]:
-        """Role tags *ident* currently holds in this table (diagnostics)."""
-        roles: Set[str] = set()
-        if ident in self.level0:
-            roles.add("level0")
-        if ident in self.level0_indirect:
-            roles.add("level0-indirect")
-        for lvl, ids in self.level_tables.items():
-            if ident in ids:
-                roles.add(f"level{lvl}")
-        if ident in self.children:
-            roles.add("child")
-        if ident in self.neighbour_children:
-            roles.add("neighbour-child")
-        if ident in self.parents.values():
-            roles.add("parent")
-        if ident in self.superiors:
-            roles.add("superior")
-        return roles
 
     def trim_to_roles(self) -> int:
         """Expire every entry that no longer backs any table role.

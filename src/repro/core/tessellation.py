@@ -28,12 +28,6 @@ class Cell:
     lo: int
     hi: int
 
-    def __contains__(self, ident: int) -> bool:
-        return self.lo <= ident < self.hi
-
-    def width(self) -> int:
-        return self.hi - self.lo
-
 
 def cells_of_bus(space: IdSpace, bus: Sequence[int]) -> List[Cell]:
     """Tessellate the space among the sorted IDs of *bus*.

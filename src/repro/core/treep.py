@@ -30,7 +30,7 @@ from repro.core.hierarchy import HierarchyLayout, build_layout
 from repro.core.ids import AssignStrategy, assign_ids
 from repro.core.lookup import LookupAlgorithm, LookupResult
 from repro.core.maintenance import MaintenanceManager
-from repro.core.node import PendingLookup, TreePNode
+from repro.core.node import TreePNode
 from repro.core.tessellation import cell_owner
 from repro.obs.runtime import ambient_hub
 from repro.sim.engine import Simulator
@@ -282,16 +282,6 @@ class TreePNetwork:
         return True
 
     # ------------------------------------------------------------- lookups
-    def lookup(
-        self,
-        origin: int,
-        target: int,
-        algo: LookupAlgorithm | str = LookupAlgorithm.GREEDY,
-    ) -> PendingLookup:
-        """Issue an asynchronous lookup; run the sim to complete it."""
-        self._check_lookup(origin, target)
-        return self.nodes[origin].issue_lookup(target, algo)
-
     def _check_lookup(self, origin: int, target: int) -> None:
         """Reject a lookup no walk could serve: an unknown origin
         (``KeyError``) or a target outside the ID space (``ValueError``)."""
@@ -407,9 +397,3 @@ class TreePNetwork:
 
     def active_connection_counts(self) -> Dict[int, int]:
         return {i: len(n.table.active_connections()) for i, n in self.nodes.items()}
-
-    @property
-    def height(self) -> int:
-        if self.layout is None:
-            raise RuntimeError("network not built")
-        return self.layout.height

@@ -35,13 +35,6 @@ class Series:
     def __len__(self) -> int:
         return len(self.points)
 
-    def y_at(self, x: float, tol: float = 1e-9) -> float:
-        """Exact-x lookup (raises if absent)."""
-        for px, py in self.points:
-            if abs(px - x) <= tol:
-                return py
-        raise KeyError(f"no point at x={x}")
-
     def interp(self, x: float) -> float:
         """Linear interpolation inside the x-range."""
         xs, ys = self.xs(), self.ys()
@@ -51,11 +44,3 @@ class Series:
 
     def max_y(self) -> float:
         return float(np.max(self.ys()))
-
-    def mean_y(self) -> float:
-        return float(np.mean(self.ys()))
-
-    def monotone_increasing(self, slack: float = 0.0) -> bool:
-        """True when y never drops by more than *slack* between points."""
-        ys = self.ys()
-        return bool(np.all(np.diff(ys) >= -slack))

@@ -34,10 +34,6 @@ class LookupBatchStats:
     failed_hops_max: int
     failed_hops_min: int
 
-    @property
-    def success_rate(self) -> float:
-        return 1.0 - self.failure_rate
-
 
 def summarize_batch(
     results: Sequence[LookupResult],

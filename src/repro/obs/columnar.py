@@ -46,18 +46,12 @@ class StringTable:
             self.strings.append(s)
         return code
 
-    def lookup(self, code: int) -> str:
-        return self.strings[code]
-
     def get_code(self, s: str) -> int:
         """The existing code for *s*, or -1 (never interns)."""
         return self._codes.get(s, -1)
 
     def __len__(self) -> int:
         return len(self.strings)
-
-    def __contains__(self, s: str) -> bool:
-        return s in self._codes
 
 
 class StreamBuffer:

@@ -68,9 +68,6 @@ class SpanTree:
     #: category-filtered parent): promoted to roots, counted here.
     orphans: int = 0
 
-    def roots_of(self, category: str) -> List[Span]:
-        return [s for s in self.roots if s.category == category]
-
 
 def build_forest(spans: StreamView) -> SpanTree:
     """Rebuild the span forest of *spans* from the stored parent links."""
@@ -204,7 +201,8 @@ def span_attribution(tree: SpanTree,
     inside them; child time spilling outside the parent window shows up
     in ``child_overflow`` instead of silently inflating coverage.
     """
-    roots = tree.roots if category is None else tree.roots_of(category)
+    roots = (tree.roots if category is None
+             else [s for s in tree.roots if s.category == category])
     out: List[Dict[str, Any]] = []
     for root in roots:
         duration = root.duration

@@ -159,9 +159,6 @@ class StreamView:
             row["category"] = self._strings[row.pop("cat")]
             yield row
 
-    def rows(self) -> List[Dict[str, Any]]:
-        return list(self)
-
 
 class TraceReader:
     """Query API over one written trace store.
@@ -201,12 +198,6 @@ class TraceReader:
         columns = {name: self._npz[f"{run}/{stream}/{name}"]
                    for name, _ in _STREAM_SCHEMAS[stream]}
         return StreamView(columns, self.strings, run, stream)
-
-    def spans(self, run: str, **filters) -> StreamView:
-        return self.stream(run, "spans").filter(**filters)
-
-    def events(self, run: str, **filters) -> StreamView:
-        return self.stream(run, "events").filter(**filters)
 
     def category_counts(self, run: Optional[str] = None) -> Dict[str, int]:
         """Recorded per-category counts (from metadata), one run or all."""

@@ -159,10 +159,6 @@ class ResourceDirectory(Service):
         self._stale = False
         self._liveness_key = net.liveness_key
 
-    def aggregate_of(self, parent: int, level: int) -> Optional[Aggregate]:
-        self._sync()
-        return self._agg.get((parent, level))
-
     # ---------------------------------------------------------------- query
     def query(
         self,

@@ -77,11 +77,6 @@ class StragglerLatency(LatencyModel):
             return delay * self.factor
         return delay
 
-    def expected(self) -> float:
-        # Timeout sizing keeps the healthy expectation: stragglers are a
-        # condition the protocol must absorb, not one it may budget for.
-        return self.base.expected()
-
 
 class GilbertElliott:
     """Two-state (good/bad) Markov burst-loss model, one chain per link.
@@ -260,13 +255,6 @@ class NetworkConditions:
         for hook in list(self.heal_hooks):
             hook(partition)
         return True
-
-    def heal_all(self) -> int:
-        """Heal every active partition; returns how many healed."""
-        healed = 0
-        for partition in list(self._active):
-            healed += bool(self.heal(partition))
-        return healed
 
     def active(self) -> Tuple[Partition, ...]:
         return tuple(self._active)

@@ -62,15 +62,6 @@ class Event:
     label: str = ""
     _queue: Optional["EventQueue"] = field(default=None, repr=False)
 
-    def __lt__(self, other: "Event") -> bool:
-        # API-level ordering by (time, seq), kept for callers sorting
-        # event collections.  NOT the heap hot path: EventQueue compares
-        # (time, seq, Event) tuples, which never reach this method.
-        t, o = self.time, other.time
-        if t != o:
-            return t < o
-        return self.seq < other.seq
-
     def fire(self) -> None:
         """Run the event (the kernel calls this once, when it pops)."""
         self.callback()
@@ -110,9 +101,6 @@ class EventQueue:
 
     def __len__(self) -> int:
         return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0
 
     @property
     def heap_size(self) -> int:
@@ -161,13 +149,6 @@ class EventQueue:
         while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
         return heap[0][0] if heap else None
-
-    def clear(self) -> None:
-        """Drop every pending event."""
-        for _, _, ev in self._heap:
-            ev._queue = None  # detach so late cancels cannot corrupt _live
-        self._heap.clear()
-        self._live = 0
 
     # ------------------------------------------------------------ internals
     def _note_cancel(self) -> None:

@@ -20,15 +20,6 @@ class LatencyModel(abc.ABC):
     def sample(self, src: int, dst: int) -> float:
         """Latency for one datagram from *src* to *dst*; must be > 0."""
 
-    @abc.abstractmethod
-    def expected(self) -> float:
-        """Mean latency — used to size protocol timeouts.
-
-        Abstract on purpose: timeout sizing calls this for *every* model,
-        so a subclass without it would fail at runtime mid-experiment
-        rather than at construction.
-        """
-
 
 class ConstantLatency(LatencyModel):
     """Every datagram takes exactly *value* seconds.
@@ -43,12 +34,6 @@ class ConstantLatency(LatencyModel):
 
     def sample(self, src: int, dst: int) -> float:
         return self.value
-
-    def expected(self) -> float:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"ConstantLatency({self.value})"
 
 
 class UniformLatency(LatencyModel):
@@ -82,9 +67,3 @@ class UniformLatency(LatencyModel):
             i = 0
         self._next = i + 1
         return block[i]
-
-    def expected(self) -> float:
-        return 0.5 * (self.low + self.high)
-
-    def __repr__(self) -> str:
-        return f"UniformLatency([{self.low}, {self.high}])"

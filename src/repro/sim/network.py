@@ -186,22 +186,8 @@ class Network:  # repro-lint: disable=RPR401 one instance per simulation; slotti
         self._down.discard(proc.address)
         proc.attach(self)
 
-    def unregister(self, address: int) -> None:
-        """Remove a process entirely (it also stops being 'down')."""
-        self._procs.pop(address, None)
-        self._down.discard(address)
-
     def processes(self) -> list[Process]:
         return list(self._procs.values())
-
-    def get(self, address: int) -> Optional[Process]:
-        return self._procs.get(address)
-
-    def __contains__(self, address: int) -> bool:
-        return address in self._procs
-
-    def __len__(self) -> int:
-        return len(self._procs)
 
     # -------------------------------------------------------------- up/down
     def set_down(self, address: int) -> None:
@@ -221,12 +207,6 @@ class Network:  # repro-lint: disable=RPR401 one instance per simulation; slotti
 
     def is_up(self, address: int) -> bool:
         return address in self._procs and address not in self._down
-
-    def up_addresses(self) -> list[int]:
-        return [a for a in self._procs if a not in self._down]
-
-    def down_count(self) -> int:
-        return len(self._down)
 
     # ------------------------------------------------------------------ I/O
     def send(self, src: int, dst: int, payload: Any) -> None:
@@ -261,18 +241,15 @@ class Network:  # repro-lint: disable=RPR401 one instance per simulation; slotti
             Datagram(self._arrive, label, src, dst, payload, sim.now, size))
 
     def _deliver(self, dgram: Datagram) -> None:
-        # Destination may have died or left while the packet was in flight.
-        proc = self._procs.get(dgram.dst)
-        if proc is None:
-            self.stats.dropped_unknown += 1
-            return
+        # Destination may have died while the packet was in flight (send
+        # checked it is registered, and nothing unregisters a process).
         if dgram.dst in self._down:
             self.stats.dropped_down += 1
             return
         self.stats.delivered += 1
         if self.delivery_hook is not None:
             self.delivery_hook(dgram)
-        proc.on_datagram(dgram)
+        self._procs[dgram.dst].on_datagram(dgram)
 
     # ------------------------------------------------------------ accounting
     def reset_stats(self) -> None:

@@ -55,14 +55,3 @@ class RngRegistry:
             gen = np.random.default_rng(ss)
             self._streams[name] = gen
         return gen
-
-    def spawn(self, name: str) -> "RngRegistry":
-        """Derive a child registry (e.g. one per node) with isolated streams."""
-        child_seed = int(
-            np.random.SeedSequence([self.seed, _name_entropy(name)]).generate_state(1)[0]
-        )
-        return RngRegistry(child_seed)
-
-    def streams(self) -> list[str]:
-        """Names of streams created so far (diagnostics)."""
-        return sorted(self._streams)

@@ -48,11 +48,6 @@ class SweepReport:
     repairs_sent: int
     lost: int
 
-    @property
-    def clean(self) -> bool:
-        """Nothing to do: every key fully replicated, nothing lost."""
-        return self.repairs_sent == 0 and self.lost == 0
-
 
 class AntiEntropy(Service):
     """Periodic re-replication maintenance for a :class:`ReplicatedStore`.

@@ -103,16 +103,6 @@ class QuorumConfig:
         if self.read_fallback < 0:
             raise ValueError(f"read_fallback must be >= 0, got {self.read_fallback}")
 
-    @property
-    def overlap(self) -> int:
-        """Guaranteed intersection size of any write and read quorum."""
-        return self.w + self.r - self.n
-
-    @property
-    def strict(self) -> bool:
-        """True when every read quorum intersects every write quorum."""
-        return self.overlap >= 1
-
 
 @dataclass
 class StoreResult:
@@ -625,7 +615,7 @@ class ReplicatedStore(Service):
         up = self.net.network.is_up
         return sum(
             1 for ident, agent in self.agents.items()
-            if up(ident) and key_id in agent.store
+            if up(ident) and agent.store.get(key_id) is not None
         )
 
     def replication_factors(self) -> Dict[int, int]:

@@ -87,13 +87,6 @@ class KVStore:
             return True
         return False
 
-    def drop(self, key_id: int) -> bool:
-        """Remove a key outright (ownership handed off); True when present."""
-        return self._data.pop(key_id, None) is not None
-
-    def clear(self) -> None:
-        self._data.clear()
-
     # -------------------------------------------------------------- queries
     def get(self, key_id: int) -> Optional[VersionedValue]:
         return self._data.get(key_id)
@@ -112,12 +105,3 @@ class KVStore:
 
     def items(self) -> Iterator[Tuple[int, VersionedValue]]:
         return iter(self._data.items())
-
-    def __contains__(self, key_id: int) -> bool:
-        return key_id in self._data
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"KVStore(owner={self.owner}, keys={len(self._data)})"

@@ -3,7 +3,7 @@
 The propagation physics (how a cut blocks datagrams, how a straggler
 slows a link) lives in :mod:`repro.sim.conditions`; this module makes the
 *topology* decisions — which overlay subtree counts as a rack, which
-address sets end up on each side of a cut, who runs slow — from nothing
+subtree a partition cuts off, who runs slow — from nothing
 but a ``topology_snapshot()`` mapping (``{node: parent, root: -1}``) and
 a dedicated RNG stream.  Like :mod:`repro.workloads.churn` it is purely
 declarative (no sim import): plans are values a driver replays onto a
@@ -20,13 +20,11 @@ import numpy as np
 from repro.workloads.churn import ChurnEvent, ChurnSchedule
 
 __all__ = [
-    "PartitionPlan",
     "RackFailurePlan",
     "StragglerPlan",
     "children_map",
     "subtree_members",
     "subtree_in_span",
-    "subtree_partition_plan",
     "rack_failure_plan",
     "straggler_plan",
 ]
@@ -97,19 +95,15 @@ def subtree_in_span(
 class RackFailurePlan:
     """Correlated kill-set: whole subtrees instead of a random sample.
 
-    ``racks`` are disjoint subtree member tuples in kill order;
-    :attr:`victims` flattens them.  ``fraction`` is the *achieved* kill
-    fraction over the snapshot population (the plan stops adding racks
-    once the target is met, so it can overshoot by at most one rack).
+    ``racks`` are disjoint subtree member tuples in kill order.
+    ``fraction`` is the *achieved* kill fraction over the snapshot
+    population (the plan stops adding racks once the target is met, so
+    it can overshoot by at most one rack).
     """
 
     racks: Tuple[Tuple[int, ...], ...]
     population: int
     fraction: float
-
-    @property
-    def victims(self) -> Tuple[int, ...]:
-        return tuple(n for rack in self.racks for n in rack)
 
     def as_schedule(self, start: float, spacing: float) -> ChurnSchedule:
         """One leave event per victim, racks staggered ``spacing`` apart
@@ -199,41 +193,3 @@ def straggler_plan(
              if count else np.empty(0, dtype=int))
     return StragglerPlan(victims=tuple(sorted(pool[i] for i in picks)),
                          factor=float(factor))
-
-
-@dataclass(frozen=True)
-class PartitionPlan:
-    """A timed cut between two address sets, ready for
-    ``NetworkConditions.schedule`` (or a manual cut/heal pair)."""
-
-    a: Tuple[int, ...]
-    b: Tuple[int, ...]
-    start: float
-    duration: float
-    bidirectional: bool = True
-    name: str = ""
-
-    @property
-    def heal_time(self) -> float:
-        return self.start + self.duration
-
-
-def subtree_partition_plan(
-    topology: Mapping[int, int],
-    root: int,
-    start: float,
-    duration: float,
-    *,
-    bidirectional: bool = True,
-    name: str = "",
-) -> PartitionPlan:
-    """Cut the subtree under *root* off from the rest of the overlay —
-    the canonical rack-uplink failure."""
-    inside = subtree_members(topology, root)
-    inside_set = set(inside)
-    outside = sorted(n for n in topology if n not in inside_set)
-    if not outside:
-        raise ValueError(f"subtree at {root} spans the whole topology")
-    return PartitionPlan(a=tuple(inside), b=tuple(outside), start=start,
-                         duration=duration, bidirectional=bidirectional,
-                         name=name or f"subtree-{root}")

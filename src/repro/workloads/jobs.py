@@ -1,12 +1,11 @@
 """Grid job traffic: arrival processes, mixed demands, DAG batches.
 
-:class:`JobWorkload` draws :class:`~repro.compute.job.JobSpec` streams the
-way :class:`~repro.workloads.storage.StorageWorkload` draws PUT/GET
-streams: a Poisson arrival process over jobs with discrete CPU-demand
-classes and log-normal work sizes, an optional fraction carrying
-minimum-capability constraints, plus layered DAG batches (every job in
-layer *i* depends on every job in layer *i-1* — the fan-out/fan-in shape
-of a staged grid computation).
+:class:`JobWorkload` draws :class:`~repro.compute.job.JobSpec` streams:
+a Poisson arrival process over jobs with discrete CPU-demand classes and
+log-normal work sizes, an optional fraction carrying minimum-capability
+constraints, plus layered DAG batches (every job in layer *i* depends on
+every job in layer *i-1* — the fan-out/fan-in shape of a staged grid
+computation).
 """
 
 from __future__ import annotations

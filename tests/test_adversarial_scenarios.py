@@ -22,13 +22,11 @@ from repro.obs import STATUS_OPEN, capture
 from repro.sim.conditions import NetworkConditions
 from repro.storage import QuorumConfig
 from repro.workloads.adversarial import (
-    PartitionPlan,
     children_map,
     rack_failure_plan,
     straggler_plan,
     subtree_in_span,
     subtree_members,
-    subtree_partition_plan,
 )
 
 #          0
@@ -97,13 +95,12 @@ class TestRackFailurePlan:
             plan = rack_failure_plan(TOPOLOGY, np.random.default_rng(seed),
                                      0.4)
             assert plan.fraction >= 0.4
-            assert plan.victims == tuple(
-                n for rack in plan.racks for n in rack)
-            assert len(set(plan.victims)) == len(plan.victims)
+            victims = [n for rack in plan.racks for n in rack]
+            assert len(set(victims)) == len(victims)
 
     def test_fraction_one_kills_everyone(self):
         plan = rack_failure_plan(TOPOLOGY, np.random.default_rng(2), 1.0)
-        assert sorted(plan.victims) == sorted(TOPOLOGY)
+        assert sorted(n for rack in plan.racks for n in rack) == sorted(TOPOLOGY)
         assert plan.fraction == 1.0
 
     def test_max_rack_span_caps_single_subtree(self):
@@ -168,26 +165,6 @@ class TestStragglerPlan:
             straggler_plan(range(5), rng, 0.5, 0.9)
 
 
-class TestPartitionPlanHelpers:
-    def test_subtree_partition_plan_splits_exactly(self):
-        plan = subtree_partition_plan(TOPOLOGY, 1, start=5.0, duration=10.0,
-                                      bidirectional=False)
-        assert plan.a == (1, 3, 4, 7, 8)
-        assert plan.b == (0, 2, 5, 6)
-        assert plan.heal_time == 15.0
-        assert not plan.bidirectional
-        assert plan.name == "subtree-1"
-
-    def test_whole_topology_subtree_rejected(self):
-        with pytest.raises(ValueError):
-            subtree_partition_plan(TOPOLOGY, 0, start=0.0, duration=1.0)
-
-    def test_plan_is_a_value(self):
-        p1 = PartitionPlan(a=(1,), b=(2,), start=0.0, duration=1.0)
-        p2 = PartitionPlan(a=(1,), b=(2,), start=0.0, duration=1.0)
-        assert p1 == p2
-
-
 # --------------------------------------------------------- scenario group
 
 def test_adversarial_group_registered():
@@ -199,7 +176,7 @@ def test_adversarial_group_registered():
 @pytest.mark.parametrize("name", ADV_SCENARIOS)
 def test_scenario_survival_checks_pass_at_smoke(name):
     output = registry.get(name).execute(smoke=True)
-    failed = output.failed_checks()
+    failed = [c for c in output.checks if not c.passed]
     assert not failed, [f"{c.name}: {c.detail}" for c in failed]
     assert output.rendered
 

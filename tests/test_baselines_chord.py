@@ -89,21 +89,6 @@ def test_failures_with_repair():
     assert sum(r.found for r in res) == 40  # converged stabilisation: all resolve
 
 
-def test_failures_purge_only_degrades():
-    net = ChordNetwork(seed=8)
-    net.build(128)
-    rng = np.random.default_rng(2)
-    victims = [int(v) for v in rng.choice(net.ids, 64, replace=False)]
-    net.fail_nodes(victims)
-    net.purge_only()
-    alive = net.alive_ids()
-    pairs = [tuple(int(x) for x in rng.choice(alive, 2, replace=False))
-             for _ in range(40)]
-    res = net.run_lookup_batch(pairs)
-    found = sum(r.found for r in res)
-    assert found < 40  # without stabilisation the ring degrades
-
-
 def test_lookup_timeout_counts_failed():
     net = ChordNetwork(seed=8)
     net.build(32)

@@ -67,21 +67,21 @@ class TestFloodNetwork:
         assert sum(r.found for r in res) < 15  # only direct neighbours reachable
 
     def test_message_cost_explodes(self, net):
-        before = net.messages_sent()
+        before = net.network.stats.sent
         rng = np.random.default_rng(2)
         o, t = (int(x) for x in rng.choice(net.ids, 2, replace=False))
         net.run_lookup_batch([(o, t)])
-        cost = net.messages_sent() - before
+        cost = net.network.stats.sent - before
         assert cost > 50  # two orders of magnitude above TreeP's ~7
 
     def test_duplicate_suppression(self, net):
         """Each node forwards a given request at most once: cost is bounded
         by edges, not by paths."""
-        before = net.messages_sent()
+        before = net.network.stats.sent
         rng = np.random.default_rng(3)
         o, t = (int(x) for x in rng.choice(net.ids, 2, replace=False))
         net.run_lookup_batch([(o, t)])
-        cost = net.messages_sent() - before
+        cost = net.network.stats.sent - before
         edges = sum(len(n.neighbours) for n in net.nodes.values())
         assert cost <= edges + 10
 

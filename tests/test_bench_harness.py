@@ -16,7 +16,6 @@ import pytest
 
 from repro.bench import (
     SCHEMA,
-    BenchResult,
     Metric,
     Scenario,
     ScenarioOutput,
@@ -24,7 +23,7 @@ from repro.bench import (
     run_scenario,
 )
 from repro.bench.cli import main
-from repro.bench.result import validate_result_dict
+from repro.bench.result import REQUIRED_FIELDS
 
 #: Every legacy bench_*.py as a registered scenario, plus the PR-5
 #: ``scale`` group (10k-node sweeps — see docs/performance.md) and the
@@ -122,8 +121,11 @@ def test_smoke_scenario_roundtrips_through_benchresult_json(tmp_path):
     assert path.exists()
 
     raw = json.loads(path.read_text())
-    validate_result_dict(raw)  # schema-valid envelope
+    assert set(REQUIRED_FIELDS) <= set(raw)
     assert raw["schema"] == SCHEMA
+    assert raw["metrics"] and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool)
+        for v in raw["metrics"].values())
     assert raw["scenario"] == "core"
     assert raw["smoke"] is True
     assert raw["params"]["n"] == 256
@@ -132,41 +134,23 @@ def test_smoke_scenario_roundtrips_through_benchresult_json(tmp_path):
                         "params", "metrics", "checks"}
     assert result.wall_time_s > 0  # the CLI's progress line, not serialised
 
-    loaded = BenchResult.read(str(path))
-    assert loaded.to_dict() == result.to_dict()
-    assert loaded.metrics == result.metrics
-    assert all(c["passed"] for c in loaded.checks)
-
-
-def test_validate_rejects_malformed_envelopes():
-    result = run_scenario("core", smoke=True)
-    good = result.to_dict()
-    for mutate in (
-        lambda d: d.pop("seed"),
-        lambda d: d.update(schema="repro.bench/999"),
-        lambda d: d.update(metrics={}),
-        lambda d: d.update(metrics={"x": "fast"}),
-        lambda d: d.update(checks=[{"nope": 1}]),
-    ):
-        bad = json.loads(json.dumps(good))
-        mutate(bad)
-        with pytest.raises(ValueError):
-            validate_result_dict(bad)
+    assert raw == result.to_dict()
+    assert all(c["passed"] for c in raw["checks"])
 
 
 def test_v1_envelope_is_refused_by_schema(tmp_path):
     """A pre-golden ``repro.bench/1`` file (it carried clock readings and
-    a commit stamp) is rejected outright rather than half-read."""
-    v1 = run_scenario("core", smoke=True).to_dict()
+    a commit stamp) never passes the golden gate: the comparer names the
+    schema field."""
+    result = run_scenario("core", smoke=True)
+    v1 = result.to_dict()
     v1["schema"] = "repro.bench/1"
-    with pytest.raises(ValueError, match="unsupported BenchResult schema "
-                                         "'repro.bench/1'"):
-        validate_result_dict(v1)
-    path = tmp_path / "bench_core.json"
-    path.write_text(json.dumps(v1))
-    with pytest.raises(ValueError, match="unsupported BenchResult schema "
-                                         "'repro.bench/1'"):
-        BenchResult.read(str(path))
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(json.dumps(v1))
+    new.write_text(result.to_json())
+    proc = _diff_envelopes(old, new)
+    assert proc.returncode == 1
+    assert "schema: repro.bench/1 -> repro.bench/2" in proc.stdout
 
 
 # ---------------------------------------------------------------------- CLI

@@ -155,19 +155,19 @@ def test_leave_unregisters_handlers_and_cancels_node_tasks():
     assert victim is not None and victim != grid.scheduler_ident
     assert 1 in grid.agents[victim].running
     node = cluster.net.nodes[victim]
-    assert StorePut in node.handler_types()
-    assert JobSubmit in node.handler_types()
+    assert StorePut in node.handlers
+    assert JobSubmit in node.handlers
     assert node_timers(grid, victim) >= 2
 
     cluster.fail_nodes([victim])
-    assert node.handler_types() == set(), "departure must sweep all handlers"
+    assert set(node.handlers) == set(), "departure must sweep all handlers"
     assert node_timers(grid, victim) == 0
     assert node_timers(store, victim) == 0
     assert not grid.agents[victim].running, "a crash wipes in-memory jobs"
 
     cluster.revive_nodes([victim])
-    assert StorePut in node.handler_types(), "revival must re-install handlers"
-    assert JobSubmit in node.handler_types()
+    assert StorePut in node.handlers, "revival must re-install handlers"
+    assert JobSubmit in node.handlers
     # A restarted process has no memory and nothing queued: no timer comes
     # back until the scheduler hands it work again.
     assert node_timers(grid, victim) == 0
@@ -218,12 +218,12 @@ def test_detach_sweeps_handlers_everywhere_and_spares_other_services():
     store.detach()
     assert not store.attached
     for node in cluster.net.nodes.values():
-        types = node.handler_types()
+        types = set(node.handlers)
         assert StorePut not in types and StoreGet not in types
         assert ProbePing in types  # the other service is untouched
     cluster.shutdown()
     for node in cluster.net.nodes.values():
-        assert node.handler_types() == set()
+        assert set(node.handlers) == set()
 
 
 def test_rebuilt_node_has_no_stale_handlers():
@@ -235,7 +235,7 @@ def test_rebuilt_node_has_no_stale_handlers():
     new_id = max(cluster.ids) + 1
     cluster.join_node(new_id)
     rebuilt = cluster.net.nodes[new_id]
-    assert rebuilt.handler_types() == set()
+    assert set(rebuilt.handlers) == set()
     assert new_id not in store.agents  # no longer covering new nodes
 
 
@@ -389,7 +389,7 @@ def test_failed_attach_rolls_back_spawned_dependencies():
         cluster.with_compute()
     assert [s.name for s in cluster.services] == []
     for node in cluster.net.nodes.values():
-        assert node.handler_types() == set()
+        assert set(node.handlers) == set()
 
 
 def test_anti_entropy_without_storage_raises():

@@ -53,13 +53,6 @@ def test_load_reduces_score():
     assert busy.score() < idle.score()
 
 
-def test_with_load_copies():
-    c = NodeCapacity(cpu=4)
-    c2 = c.with_load(cpu_load=0.5)
-    assert c.cpu_load == 0.0 and c2.cpu_load == 0.5
-    assert c2.cpu == 4
-
-
 def reference_score(c):
     """The scoring formula, evaluated afresh (what ``score()`` memoises)."""
     resources = np.array([np.log1p(c.cpu), np.log1p(c.memory_gb),
@@ -79,7 +72,7 @@ class TestScoreMemo:
     def test_copies_score_for_themselves(self):
         c = NodeCapacity(cpu=4)
         base = c.score()
-        for copy in (c.with_load(cpu_load=0.5),
+        for copy in (dataclasses.replace(c, cpu_load=0.5),
                      dataclasses.replace(c, bandwidth_mbps=500.0)):
             assert copy.score() == reference_score(copy) != base
         assert c.score() == base

@@ -15,12 +15,6 @@ def test_case2_is_variable():
     assert TreePConfig.paper_case2().nc_mode == "variable"
 
 
-def test_with_overrides():
-    c = TreePConfig.paper_case1().with_(nc_fixed=6)
-    assert c.nc_fixed == 6
-    assert c.nc_mode == "fixed"
-
-
 def test_preset_overrides():
     c = TreePConfig.paper_case1(ttl_max=100)
     assert c.ttl_max == 100

@@ -1,5 +1,7 @@
 """Unit tests for the G / NG / NGSA routers (pure decision logic)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,7 +191,7 @@ def test_euclidean_fallback_activates_beyond_height():
 
 def test_fallback_disabled_by_config():
     v = View(0, max_level=1, height=3, extent=2**16)
-    v.config = v.config.with_(euclidean_fallback=False)
+    v.config = dataclasses.replace(v.config, euclidean_fallback=False)
     v.table.add_level(1, 60000, 0.0, max_level=3)
     v.table.add_level0(3000, 0.0, max_level=0)
     d = route(v, req(4000, ttl=10))
@@ -197,10 +199,7 @@ def test_fallback_disabled_by_config():
 
 
 def test_decision_constructors():
-    assert Decision.found(5).resolved == 5
     assert Decision.forward(7).next_hop == 7
-    assert Decision.not_found().kind is DecisionKind.NOT_FOUND
-    assert Decision.discard().kind is DecisionKind.DISCARD
 
 
 def reference_full_candidates(view, exclude, target):

@@ -57,7 +57,7 @@ def known_dead(net):
     """Brute-force count of (live table, down peer) entries."""
     up = net.network.is_up
     down = [i for i in net.ids if not up(i)]
-    return sum(node.table.knows(d)
+    return sum(node.table.get(d) is not None
                for i, node in net.nodes.items() if up(i) for d in down)
 
 
@@ -69,7 +69,7 @@ class TestPurge:
         for i, node in net.nodes.items():
             if net.network.is_up(i):
                 for v in victims:
-                    assert not node.table.knows(v)
+                    assert node.table.get(v) is None
 
     def test_purge_incremental_equals_full(self):
         net1, net2 = built(), built()

@@ -9,6 +9,17 @@ from hypothesis import strategies as st
 from repro.core.routing_table import _NO_LEVELS, _NO_ROLE, Entry, RoutingTable
 
 
+def roles_of(table, ident):
+    """Role tags *ident* holds in *table*."""
+    roles = {f"level{lvl}" for lvl, ids in table.level_tables.items() if ident in ids}
+    for tag, ids in (("level0", table.level0), ("level0-indirect", table.level0_indirect),
+                     ("child", table.children), ("neighbour-child", table.neighbour_children),
+                     ("parent", table.parents.values()), ("superior", table.superiors)):
+        if ident in ids:
+            roles.add(tag)
+    return roles
+
+
 @pytest.fixture()
 def table():
     return RoutingTable(owner=1000)
@@ -43,20 +54,20 @@ def test_roles_tracked(table):
     table.add_neighbour_child(5, 0.0)
     table.set_parent(1, 6, 0.0)
     table.add_superior(7, 0.0)
-    assert table.roles_of(1) == {"level0"}
-    assert table.roles_of(2) == {"level0-indirect"}
-    assert table.roles_of(3) == {"level1"}
-    assert table.roles_of(4) == {"child"}
-    assert table.roles_of(5) == {"neighbour-child"}
-    assert table.roles_of(6) == {"parent"}
-    assert table.roles_of(7) == {"superior"}
+    assert roles_of(table, 1) == {"level0"}
+    assert roles_of(table, 2) == {"level0-indirect"}
+    assert roles_of(table, 3) == {"level1"}
+    assert roles_of(table, 4) == {"child"}
+    assert roles_of(table, 5) == {"neighbour-child"}
+    assert roles_of(table, 6) == {"parent"}
+    assert roles_of(table, 7) == {"superior"}
 
 
 def test_multiple_roles_one_entry(table):
     table.add_level0(9, 1.0)
     table.add_superior(9, 2.0)
     assert table.size() == 1
-    assert table.roles_of(9) == {"level0", "superior"}
+    assert roles_of(table, 9) == {"level0", "superior"}
     assert table.get(9).last_seen == 2.0
 
 
@@ -77,8 +88,8 @@ def test_forget_removes_everywhere(table):
     table.set_parent(3, 5, 0.0)
     table.add_superior(5, 0.0)
     table.forget(5)
-    assert not table.knows(5)
-    assert table.roles_of(5) == set()
+    assert table.get(5) is None
+    assert roles_of(table, 5) == set()
     assert table.parents == {}
 
 
@@ -87,7 +98,7 @@ def test_expire_drops_stale(table):
     table.add_level0(2, now=10.0)
     stale = table.expire(now=15.0, entry_ttl=10.0)
     assert stale == [1]
-    assert table.knows(2) and not table.knows(1)
+    assert table.get(2) is not None and table.get(1) is None
 
 
 def test_level1_parent(table):
@@ -144,7 +155,7 @@ def test_trim_to_roles(table):
     assert table.size() == 2
     dropped = table.trim_to_roles()
     assert dropped == 1
-    assert table.knows(1) and not table.knows(99)
+    assert table.get(1) is not None and table.get(99) is None
 
 
 def test_delta_since(table):
@@ -521,7 +532,7 @@ def test_writing_into_a_sentinel_raises_and_noop_reads_still_work():
     assert t.drop_children(1) == []
     assert t.version == 0 and t.children is _NO_ROLE and t.level_tables is _NO_LEVELS
     assert t.level_children is _NO_LEVELS  # a node that parents nothing
-    assert t.active_connections() == set() and t.roles_of(5) == set()
+    assert t.active_connections() == set() and roles_of(t, 5) == set()
     t.add_child(1, 5, 0.0)
     assert t.children == {5} and t.version == 1
 
@@ -548,7 +559,7 @@ def test_a_deep_copy_is_faithful_and_independent(table):
     assert table.level0 == {2} and table.children == {3}
     assert table.level_children == {1: [3]}
     assert table.level_tables == {1: {4}} and table.superiors is _NO_ROLE
-    assert table.parents == {} and not table.knows(5)
+    assert table.parents == {} and table.get(5) is None
     assert (table.version, table.membership) == (5, 3)
 
 

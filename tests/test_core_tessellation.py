@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.core.ids import IdSpace
 from repro.core.tessellation import (
-    Cell,
     bus_neighbours,
     cell_owner,
     cells_of_bus,
@@ -20,7 +19,7 @@ def test_single_node_owns_everything():
     cells = cells_of_bus(SPACE, [500])
     assert len(cells) == 1
     assert cells[0].lo == 0 and cells[0].hi == 1000
-    assert 0 in cells[0] and 999 in cells[0]
+    assert cells[0].lo <= 0 and 999 < cells[0].hi
 
 
 def test_cells_partition_space():
@@ -31,10 +30,16 @@ def test_cells_partition_space():
         assert left.hi == right.lo
 
 
+def test_cell_width():
+    cells = cells_of_bus(SPACE, [100, 300, 800])
+    assert [c.hi - c.lo for c in cells] == [201, 350, 449]
+    assert sum(c.hi - c.lo for c in cells) == SPACE.extent
+
+
 def test_boundaries_at_midpoints():
     cells = cells_of_bus(SPACE, [100, 300])
     assert cells[0].hi == 201  # midpoint 200 belongs to the left cell
-    assert 200 in cells[0] and 201 in cells[1]
+    assert cells[0].lo <= 200 < cells[0].hi and cells[1].lo <= 201 < cells[1].hi
 
 
 def test_unsorted_bus_rejected():
@@ -57,7 +62,7 @@ def test_cell_owner_matches_cells():
     cells = cells_of_bus(SPACE, bus)
     for ident in range(0, 1000, 7):
         owner = cell_owner(SPACE, bus, ident)
-        containing = next(c for c in cells if ident in c)
+        containing = next(c for c in cells if c.lo <= ident < c.hi)
         assert owner == containing.owner
 
 
@@ -101,10 +106,6 @@ def test_children_of_requires_sorted_lower():
         children_of(SPACE, [100], [5, 3])
 
 
-def test_cell_width():
-    assert Cell(owner=5, lo=10, hi=30).width() == 20
-
-
 @st.composite
 def bus_strategy(draw):
     n = draw(st.integers(1, 30))
@@ -123,7 +124,7 @@ def test_property_cells_partition_exactly(bus):
         assert a.hi == b.lo
     # Each owner is inside its own cell.
     for c in cells:
-        assert c.owner in c
+        assert c.lo <= c.owner < c.hi
 
 
 @given(bus=bus_strategy(), ident=st.integers(0, 999))

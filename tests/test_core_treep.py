@@ -18,7 +18,7 @@ def test_build_returns_valid_layout():
     layout = net.build(64)
     layout.validate(net.config)
     assert len(net.nodes) == 64
-    assert net.height == layout.height
+    assert net.layout is layout
 
 
 def test_build_twice_rejected():
@@ -91,7 +91,7 @@ class TestTableInstallation:
             )
 
     def test_bus_links_on_own_levels(self, net):
-        for lvl in range(1, net.height):
+        for lvl in range(1, net.layout.height):
             bus = net.layout.levels[lvl]
             for idx, i in enumerate(bus):
                 node = net.nodes[i]
@@ -116,7 +116,7 @@ class TestTableInstallation:
 
     def test_height_estimates_installed(self, net):
         for node in net.nodes.values():
-            assert node.height == net.height
+            assert node.height == net.layout.height
 
 
 class TestLookups:
@@ -126,7 +126,7 @@ class TestLookups:
 
     def test_unknown_origin_raises(self, small_net):
         with pytest.raises(KeyError):
-            small_net.lookup(123456789, small_net.ids[0])
+            small_net.lookup_sync(123456789, small_net.ids[0])
 
     @pytest.mark.parametrize("target", [-5, 2**32, 2**40, 2**64])
     def test_batch_checks_every_pair_before_issuing_any(self, small_net, target):

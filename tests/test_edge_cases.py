@@ -106,7 +106,7 @@ class TestKeepAliveAck:
         node = TreePNode(1000, NodeCapacity(), cfg)
         netw.register(node)
         node._on_KeepAliveAck(2000, KeepAliveAck(entries=((3000, 1, 2.0, 4, 1.0),)))
-        assert node.table.knows(3000)
+        assert node.table.get(3000) is not None
         assert node.table.get(3000).max_level == 1
 
 

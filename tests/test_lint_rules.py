@@ -202,6 +202,13 @@ class TestRPR201:
         assert codes(report) == ["RPR201"]
         assert "may not import `storage`" in report.violations[0].message
 
+    def test_forbidden_relative_edge_flagged(self, tmp_path):
+        report = run_lint(tmp_path, {
+            "src/repro/core/bad.py": "from ..storage import store\n",
+        })
+        assert codes(report) == ["RPR201"]
+        assert "(module repro.storage)" in report.violations[0].message
+
     def test_lazy_only_package_at_module_scope_flagged(self, tmp_path):
         report = run_lint(tmp_path, {
             "src/repro/cluster/eager.py": "from repro.storage import store\n",

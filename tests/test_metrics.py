@@ -23,28 +23,17 @@ class TestSeries:
         with pytest.raises(ValueError):
             s.add(1.0, 1.0)
 
-    def test_y_at_and_interp(self):
+    def test_interp(self):
         s = Series("t")
         s.add(0.0, 0.0)
         s.add(10.0, 100.0)
-        assert s.y_at(10.0) == 100.0
         assert s.interp(5.0) == 50.0
-        with pytest.raises(KeyError):
-            s.y_at(3.0)
 
     def test_aggregates(self):
         s = Series("t")
         for x, y in [(0, 1), (1, 5), (2, 3)]:
             s.add(x, y)
         assert s.max_y() == 5.0
-        assert s.mean_y() == 3.0
-
-    def test_monotone_check(self):
-        s = Series("t")
-        for x, y in [(0, 1), (1, 2), (2, 1.9)]:
-            s.add(x, y)
-        assert not s.monotone_increasing()
-        assert s.monotone_increasing(slack=0.2)
 
     def test_empty_interp_raises(self):
         with pytest.raises(ValueError):
@@ -91,7 +80,6 @@ class TestSummarizeBatch:
         s = summarize_batch(results)
         assert s.issued == 3 and s.found == 2 and s.failed == 1
         assert s.failure_rate == pytest.approx(1 / 3)
-        assert s.success_rate == pytest.approx(2 / 3)
         assert s.hops_mean == 4.0
         assert s.failed_hops_max == 7
 

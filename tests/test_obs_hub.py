@@ -76,9 +76,9 @@ def test_string_table_interning():
     assert st.code("x") == 0
     assert st.code("y") == 1
     assert st.code("x") == 0  # stable
-    assert st.lookup(1) == "y"
+    assert st.strings[1] == "y"
     assert st.get_code("missing") == -1
-    assert "x" in st and len(st) == 2
+    assert st.get_code("x") == 0 and len(st) == 2
 
 
 # -------------------------------------------------------------------- spans
@@ -200,12 +200,12 @@ def test_finalize_flushes_open_spans_and_counts_match_rows():
     cols = hub.spans.columns()
     span_rows = {}
     for idx in range(hub.spans.rows):
-        name = hub.strings.lookup(int(cols["cat"][idx]))
+        name = hub.strings.strings[int(cols["cat"][idx])]
         span_rows[name] = span_rows.get(name, 0) + 1
     event_rows = {}
     ecols = hub.events.columns()
     for idx in range(hub.events.rows):
-        name = hub.strings.lookup(int(ecols["cat"][idx]))
+        name = hub.strings.strings[int(ecols["cat"][idx])]
         event_rows[name] = event_rows.get(name, 0) + 1
     total = dict(span_rows)
     for k, v in event_rows.items():

@@ -87,8 +87,8 @@ def test_reader_filters_compose(tmp_path):
         assert len(chained) == 3  # i in {7, 8, 9}
         assert set(chained.column("node").tolist()) == {2}
         assert (chained.column("status") == STATUS_TIMEOUT).all()
-        # kwargs form composes identically
-        assert len(reader.spans("run-000", category="storage.put", node=2,
+        # one call with every filter composes identically
+        assert len(spans.filter(category="storage.put", node=2,
                                 min_time=5.0, max_time=9.0,
                                 status=STATUS_TIMEOUT)) == 3
         # unknown category yields empty, never raises

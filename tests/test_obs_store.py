@@ -91,7 +91,7 @@ def test_open_spans_survive_roundtrip(tmp_path):
     with TraceReader(path) as reader:
         spans = reader.stream("run-000", "spans")
         assert len(spans) == 1
-        row = spans.rows()[0]
+        row = next(iter(spans))
         assert row["t0"] == row["t1"] == 2.0
         assert row["category"] == "lookup"
 
@@ -114,7 +114,7 @@ def test_filter_api(tmp_path):
         # Filters compose (view-of-view).
         sub = spans.filter(category="lookup").filter(status=STATUS_OK)
         assert all(r["status"] == STATUS_OK for r in sub)
-        events = reader.events("run-000", category="lookup.hop", node=4)
+        events = reader.stream("run-000", "events").filter(category="lookup.hop", node=4)
         assert len(events) == 2  # node 4 appears as hop 0 of rid 4, hop 1 of rid 3
 
 
@@ -137,7 +137,7 @@ def test_run_meta_roundtrip(tmp_path):
         meta = reader.run_meta("run-000")
         assert meta["streams"] == {"spans": 4, "events": 8}
         assert meta["counts"] == {"lookup": 4, "lookup.hop": 8}
-        assert len(reader.spans("run-000", category="lookup")) == 4
+        assert len(reader.stream("run-000", "spans").filter(category="lookup")) == 4
         assert reader.meta["extra"] == {"scenario": "unit"}
         with pytest.raises(KeyError):
             reader.run_meta("nope")

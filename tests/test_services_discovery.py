@@ -71,7 +71,7 @@ def test_impossible_constraint_empty(grid):
 def test_hops_logarithmic(grid):
     net, directory = grid
     res = directory.query(Constraint(min_cpu=16), max_results=2)
-    assert res.hops <= 6 * (net.height + 1)
+    assert res.hops <= 6 * (net.layout.height + 1)
 
 
 def test_query_from_any_origin(grid):
@@ -95,11 +95,3 @@ def test_refresh_after_failures(grid):
     assert set(after).isdisjoint(before)
     for m in after:
         assert net.network.is_up(m)
-
-
-def test_aggregate_of_accessor(grid):
-    net, directory = grid
-    layout = net.layout
-    p = layout.levels[1][0]
-    agg = directory.aggregate_of(p, 1)
-    assert agg is not None and agg.max_cpu >= net.capacities[p].cpu * 0 + 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import EventQueue
 
 
 def test_push_pop_orders_by_time():
@@ -70,23 +70,8 @@ def test_nan_time_rejected():
         q.push(float("nan"), lambda: None)
 
 
-def test_clear_empties_queue():
-    q = EventQueue()
-    q.push(1.0, lambda: None)
-    q.clear()
-    assert not q
-    assert q.pop() is None
-
-
 def test_bool_reflects_liveness():
     q = EventQueue()
     assert not q
     q.push(1.0, lambda: None)
     assert q
-
-
-def test_event_ordering_dataclass():
-    a = Event(time=1.0, seq=0, callback=lambda: None)
-    b = Event(time=1.0, seq=1, callback=lambda: None)
-    c = Event(time=0.5, seq=2, callback=lambda: None)
-    assert c < a < b

@@ -38,20 +38,6 @@ def test_isolation_between_streams():
     assert float(r1.get("signal").random()) == float(r2.get("signal").random())
 
 
-def test_spawn_children_deterministic():
-    a = RngRegistry(9).spawn("node-1")
-    b = RngRegistry(9).spawn("node-1")
-    assert a.seed == b.seed
-    assert RngRegistry(9).spawn("node-2").seed != a.seed
-
-
-def test_streams_listing():
-    r = RngRegistry(0)
-    r.get("b")
-    r.get("a")
-    assert r.streams() == ["a", "b"]
-
-
 def test_non_int_seed_rejected():
     with pytest.raises(TypeError):
         RngRegistry("abc")  # type: ignore[arg-type]

@@ -17,7 +17,6 @@ def test_apply_and_get():
     assert s.apply(10, "a", version=1, writer=1)
     vv = s.get(10)
     assert vv == VersionedValue("a", 1, 1)
-    assert 10 in s and len(s) == 1
     assert s.keys() == [10]
 
 
@@ -49,16 +48,6 @@ def test_version_counters_per_key():
     s.apply(20, "c", version=s.next_version(20), writer=1)
     assert s.version_of(10) == 2
     assert s.version_of(20) == 1
-
-
-def test_drop_and_clear():
-    s = KVStore(owner=1)
-    s.apply(10, "a", version=1)
-    assert s.drop(10)
-    assert not s.drop(10)
-    s.apply(11, "b", version=1)
-    s.clear()
-    assert len(s) == 0
 
 
 def test_dominates():

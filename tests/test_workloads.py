@@ -91,54 +91,3 @@ class TestCapacityMixes:
     def test_grid_mix_validation(self):
         with pytest.raises(ValueError):
             grid_cluster_mix(10, np.random.default_rng(0), server_fraction=1.5)
-
-
-# ----------------------------------------------------------------- storage
-class TestStorageWorkload:
-    def test_ops_shapes_and_determinism(self):
-        import numpy as np
-        from repro.workloads import StorageWorkload
-
-        wl = StorageWorkload(rng=np.random.default_rng(3), keyspace=8,
-                             read_fraction=0.5)
-        ops = wl.ops(50)
-        assert len(ops) == 50
-        assert {o.kind for o in ops} <= {"put", "get"}
-        assert all(o.key.startswith("k/") for o in ops)
-        wl2 = StorageWorkload(rng=np.random.default_rng(3), keyspace=8,
-                              read_fraction=0.5)
-        assert wl2.ops(50) == ops
-
-    def test_seed_ops_cover_keyspace(self):
-        import numpy as np
-        from repro.workloads import StorageWorkload
-
-        wl = StorageWorkload(rng=np.random.default_rng(0), keyspace=5)
-        seeds = wl.seed_ops()
-        assert [o.key for o in seeds] == wl.keys()
-        assert all(o.kind == "put" for o in seeds)
-
-    def test_zipf_mode_skews_keys(self):
-        import numpy as np
-        from repro.workloads import StorageWorkload
-
-        wl = StorageWorkload(rng=np.random.default_rng(1), keyspace=32,
-                             key_mode="zipf", zipf_s=1.4, read_fraction=1.0)
-        ops = wl.ops(400)
-        from collections import Counter
-        counts = Counter(o.key for o in ops)
-        top = counts.most_common(1)[0][1]
-        assert top > 400 / 32 * 3  # the hot key is well above uniform share
-
-    def test_validation(self):
-        import numpy as np
-        import pytest
-        from repro.workloads import StorageWorkload
-
-        with pytest.raises(ValueError):
-            StorageWorkload(rng=np.random.default_rng(0), keyspace=0)
-        with pytest.raises(ValueError):
-            StorageWorkload(rng=np.random.default_rng(0), read_fraction=1.5)
-        wl = StorageWorkload(rng=np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            wl.ops(0)
