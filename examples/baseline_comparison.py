@@ -62,7 +62,7 @@ def main() -> None:
     rows.append(("Chord", res, res_f, msgs))
 
     # --- Flooding --------------------------------------------------------
-    flood = FloodNetwork(seed=1, degree=4, default_ttl=7)
+    flood = FloodNetwork(seed=1)
     flood.build(N)
     m0 = flood.network.stats.sent
     res = flood.run_lookup_batch(fresh_pairs(rng, flood.ids, LOOKUPS))

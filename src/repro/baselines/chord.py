@@ -3,10 +3,10 @@
 The structured-DHT baseline the paper's related work measures itself
 against.  Implemented faithfully at the routing level:
 
-* IDs on a ring of size ``2**m``; node responsible for a key = its
-  **successor** on the ring.
+* IDs on a ring of size ``2**M_BITS`` (32 bits, TreeP's ID space); node
+  responsible for a key = its **successor** on the ring.
 * Finger table: entry ``i`` points at ``successor(n + 2**i)``.
-* Successor list of length ``r`` for failure tolerance.
+* Successor list of length ``SUCC_COUNT`` (4) for failure tolerance.
 * Greedy message-driven lookup: forward to the closest *preceding* finger;
   terminal when the key falls between predecessor and self.
 
@@ -24,11 +24,18 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 
+from repro.core.config import LOOKUP_TIMEOUT
 from repro.core.lookup import LookupResult, LookupAlgorithm
 from repro.sim.engine import Simulator
-from repro.sim.latency import LatencyModel, UniformLatency
+from repro.sim.latency import UniformLatency
 from repro.sim.network import Datagram, Network, Process
 from repro.sim.rng import RngRegistry
+
+#: Ring bits: the 2**32 ring every run uses, TreeP's default ID space.
+M_BITS = 32
+RING = 1 << M_BITS
+#: Successor-list length each node keeps for failure tolerance.
+SUCC_COUNT = 4
 
 
 @dataclass(frozen=True)
@@ -62,18 +69,14 @@ class ChordPending:
 class ChordNode(Process):
     """One Chord peer: fingers, successor list, greedy routing."""
 
-    def __init__(self, ident: int, m_bits: int, succ_count: int = 4) -> None:
+    def __init__(self, ident: int) -> None:
         super().__init__(ident)
         self.ident = ident
-        self.m_bits = m_bits
-        self.ring = 1 << m_bits
         self.fingers: List[int] = []
         self.successors: List[int] = []
         self.predecessor: Optional[int] = None
-        self.succ_count = succ_count
         self.pending: Dict[int, ChordPending] = {}
         self._rid = itertools.count(1)
-        self.lookup_timeout = 30.0
 
     # -------------------------------------------------------------- helpers
     def _in_range(self, x: int, a: int, b: int) -> bool:
@@ -91,10 +94,10 @@ class ChordNode(Process):
     def closest_preceding(self, key: int) -> Optional[int]:
         """Closest live-believed finger strictly preceding *key*."""
         for f in reversed(self.fingers):
-            if f != self.ident and self._in_range(f, self.ident, (key - 1) % self.ring):
+            if f != self.ident and self._in_range(f, self.ident, (key - 1) % RING):
                 return f
         for s in self.successors:
-            if s != self.ident and self._in_range(s, self.ident, (key - 1) % self.ring):
+            if s != self.ident and self._in_range(s, self.ident, (key - 1) % RING):
                 return s
         return self.successors[0] if self.successors else None
 
@@ -104,7 +107,7 @@ class ChordNode(Process):
         pend = ChordPending(request_id=rid, target=target)
         self.pending[rid] = pend
         pend.timeout_event = self.sim.schedule(
-            self.lookup_timeout, lambda: self._timeout(rid), label=f"chord-to:{rid}"
+            LOOKUP_TIMEOUT, lambda: self._timeout(rid), label=f"chord-to:{rid}"
         )
         self._handle(ChordLookup(rid, self.ident, target, 0))
         return pend
@@ -162,27 +165,10 @@ class ChordNode(Process):
 class ChordNetwork:
     """A complete simulated Chord deployment (builder + failure harness)."""
 
-    def __init__(
-        self,
-        m_bits: int = 32,
-        seed: int = 0,
-        succ_count: int = 4,
-        latency: Optional[LatencyModel] = None,
-        loss: float = 0.0,
-    ) -> None:
-        if not 4 <= m_bits <= 62:
-            raise ValueError(f"m_bits must be in [4, 62], got {m_bits}")
-        self.m_bits = m_bits
-        self.ring = 1 << m_bits
-        self.succ_count = succ_count
+    def __init__(self, seed: int = 0) -> None:
         self.rng = RngRegistry(seed)
         self.sim = Simulator()
-        self.network = Network(
-            self.sim,
-            latency=latency if latency is not None else UniformLatency(self.rng.get("latency")),
-            loss=loss,
-            rng=self.rng.get("loss"),
-        )
+        self.network = Network(self.sim, latency=UniformLatency(self.rng.get("latency")))
         self.nodes: Dict[int, ChordNode] = {}
         self.ids: List[int] = []
 
@@ -193,7 +179,7 @@ class ChordNetwork:
         rng = self.rng.get("ids")
         seen: set[int] = set()
         while len(seen) < n:
-            for v in rng.integers(0, self.ring, size=n - len(seen) + 8):
+            for v in rng.integers(0, RING, size=n - len(seen) + 8):
                 iv = int(v)
                 if iv not in seen:
                     seen.add(iv)
@@ -201,7 +187,7 @@ class ChordNetwork:
                         break
         self.ids = sorted(seen)
         for i in self.ids:
-            node = ChordNode(i, self.m_bits, self.succ_count)
+            node = ChordNode(i)
             self.network.register(node)
             self.nodes[i] = node
         self._install_tables(self.ids)
@@ -218,10 +204,10 @@ class ChordNetwork:
             node = self.nodes[i]
             pos = bisect_left(members, i)
             node.predecessor = members[(pos - 1) % n]
-            node.successors = [members[(pos + k + 1) % n] for k in range(min(self.succ_count, n - 1))]
+            node.successors = [members[(pos + k + 1) % n] for k in range(min(SUCC_COUNT, n - 1))]
             fingers = []
-            for b in range(self.m_bits):
-                f = self._successor_of(members, (i + (1 << b)) % self.ring)
+            for b in range(M_BITS):
+                f = self._successor_of(members, (i + (1 << b)) % RING)
                 if f != i and (not fingers or fingers[-1] != f):
                     fingers.append(f)
             node.fingers = sorted(set(fingers))

@@ -19,11 +19,17 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.baselines.random_graph import random_overlay
+from repro.core.config import LOOKUP_TIMEOUT
 from repro.core.lookup import LookupAlgorithm, LookupResult
 from repro.sim.engine import Simulator
-from repro.sim.latency import LatencyModel, UniformLatency
+from repro.sim.latency import UniformLatency
 from repro.sim.network import Datagram, Network, Process
 from repro.sim.rng import RngRegistry
+
+#: Random-overlay degree every peer gets at build.
+DEGREE = 4
+#: Flood horizon of a lookup that names no TTL (Gnutella's customary 7).
+DEFAULT_TTL = 7
 
 
 @dataclass(frozen=True)
@@ -64,14 +70,13 @@ class FloodNode(Process):
         self.seen: Set[int] = set()
         self.pending: Dict[int, FloodPending] = {}
         self._rid = itertools.count(1)
-        self.lookup_timeout = 30.0
 
-    def issue_lookup(self, target: int, ttl: int = 7) -> FloodPending:
+    def issue_lookup(self, target: int, ttl: int = DEFAULT_TTL) -> FloodPending:
         rid = (self.ident << 20) | next(self._rid)
         pend = FloodPending(request_id=rid, target=target)
         self.pending[rid] = pend
         pend.timeout_event = self.sim.schedule(
-            self.lookup_timeout, lambda: self._timeout(rid), label=f"flood-to:{rid}"
+            LOOKUP_TIMEOUT, lambda: self._timeout(rid), label=f"flood-to:{rid}"
         )
         self.seen.add(rid)
         if target == self.ident:
@@ -124,24 +129,10 @@ class FloodNode(Process):
 class FloodNetwork:
     """A complete unstructured deployment with the shared failure harness."""
 
-    def __init__(
-        self,
-        seed: int = 0,
-        degree: int = 4,
-        default_ttl: int = 7,
-        latency: Optional[LatencyModel] = None,
-        loss: float = 0.0,
-    ) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.rng = RngRegistry(seed)
         self.sim = Simulator()
-        self.network = Network(
-            self.sim,
-            latency=latency if latency is not None else UniformLatency(self.rng.get("latency")),
-            loss=loss,
-            rng=self.rng.get("loss"),
-        )
-        self.degree = degree
-        self.default_ttl = default_ttl
+        self.network = Network(self.sim, latency=UniformLatency(self.rng.get("latency")))
         self.nodes: Dict[int, FloodNode] = {}
         self.ids: List[int] = []
 
@@ -156,7 +147,7 @@ class FloodNetwork:
                 if len(seen) == n:
                     break
         self.ids = sorted(seen)
-        adj = random_overlay(self.ids, self.rng.get("topology"), degree=self.degree)
+        adj = random_overlay(self.ids, self.rng.get("topology"), degree=DEGREE)
         for i in self.ids:
             node = FloodNode(i)
             node.neighbours = adj[i]
@@ -177,7 +168,7 @@ class FloodNetwork:
     def run_lookup_batch(
         self, pairs: Iterable[Tuple[int, int]], ttl: Optional[int] = None
     ) -> List[LookupResult]:
-        t = ttl if ttl is not None else self.default_ttl
+        t = ttl if ttl is not None else DEFAULT_TTL
         pending = [self.nodes[o].issue_lookup(tgt, t) for o, tgt in pairs]
         self.sim.run()
         assert all(p.result is not None for p in pending)

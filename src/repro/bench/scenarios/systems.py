@@ -327,7 +327,7 @@ def _baselines(params, seed, smoke):
         lookup_pairs(rng, chord.alive_ids(), lookups))
     rows.append(("Chord", healthy, failed, msgs))
 
-    flood = FloodNetwork(seed=seed, degree=4, default_ttl=7)
+    flood = FloodNetwork(seed=seed)
     flood.build(n)
     m0 = flood.network.stats.sent
     healthy = flood.run_lookup_batch(

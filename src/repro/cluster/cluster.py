@@ -43,7 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.ids import AssignStrategy
     from repro.core.node import TreePNode
     from repro.services.discovery import ResourceDirectory
-    from repro.sim.latency import LatencyModel
     from repro.storage.antientropy import AntiEntropy
     from repro.storage.quorum import QuorumConfig, ReplicatedStore
 
@@ -64,23 +63,18 @@ class Cluster:
         config: Optional[TreePConfig] = None,
         seed: int = 0,
         *,
-        latency: Optional["LatencyModel"] = None,
-        loss: float = 0.0,
         net: Optional[TreePNetwork] = None,
     ) -> None:
         if net is not None:
-            if (config is not None or seed != 0 or latency is not None
-                    or loss != 0.0):
+            if config is not None or seed != 0:
                 raise ValueError(
-                    "Cluster(net=...) wraps an existing network: config, "
-                    "seed, latency and loss are that network's own and "
-                    "cannot be overridden here"
+                    "Cluster(net=...) wraps an existing network: config "
+                    "and seed are that network's own and cannot be "
+                    "overridden here"
                 )
             self.net = net
         else:
-            self.net = TreePNetwork(
-                config=config, seed=seed, latency=latency, loss=loss
-            )
+            self.net = TreePNetwork(config=config, seed=seed)
 
     # ------------------------------------------------------------- building
     @property
@@ -158,8 +152,10 @@ class Cluster:
         """Attach the replicated quorum store.
 
         ``anti_entropy=interval`` additionally attaches the re-replication
-        service (drive it with ``cluster.anti_entropy.converge()`` after
-        churn, or arm the periodic sweep with ``.start()``).
+        service.  Nothing arms its periodic sweep: drive it with
+        ``cluster.anti_entropy.converge()`` after churn.  *interval* only
+        paces the timer ``.start()`` would arm, which no scenario, example
+        or perf workload calls (arming it is ROADMAP item 5).
         """
         from repro.storage.antientropy import AntiEntropy
         from repro.storage.quorum import ReplicatedStore

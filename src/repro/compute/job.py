@@ -22,27 +22,35 @@ from typing import List, Optional, Set, Tuple
 
 from repro.services.discovery import Constraint
 
+#: The scheduler declares a worker dead for a job after this many seconds
+#: without a heartbeat (a couple of heartbeat intervals plus latency).
+HEARTBEAT_TIMEOUT = 12.0
+#: Seconds a resuming worker waits for its checkpoint read before it
+#: starts the job from zero anyway.
+CHECKPOINT_READ_TIMEOUT = 8.0
+#: Candidate pool the matchmaker asks the resource directory for per
+#: placement.
+MAX_RESULTS = 8
+
 
 @dataclass(frozen=True)
 class ComputeConfig:
     """Tunables of the job-execution subsystem.
 
+    Fixed rather than tunable: :data:`HEARTBEAT_TIMEOUT`,
+    :data:`CHECKPOINT_READ_TIMEOUT` and :data:`MAX_RESULTS`.
+
     Attributes
     ----------
     heartbeat_interval:
-        Seconds between a worker's per-job progress heartbeats.
-    heartbeat_timeout:
-        Scheduler declares a worker dead for a job after this long without
-        a heartbeat (must exceed a couple of intervals plus latency).
+        Seconds between a worker's per-job progress heartbeats; must stay
+        below :data:`HEARTBEAT_TIMEOUT`.
     monitor_interval:
         Cadence of the scheduler's failure-detection / retry sweep.
     checkpoint_interval:
         Seconds between a worker's quorum-stored progress checkpoints;
         ``None`` disables checkpointing (the restart-from-scratch
         ablation — re-executions then restart from zero).
-    checkpoint_read_timeout:
-        How long a resuming worker waits for the checkpoint read before
-        starting from zero anyway.
     steal_interval:
         Cadence at which a *loaded* worker re-advertises its queue to its
         cell (idle workers send nothing); ``None`` disables work stealing.
@@ -51,38 +59,34 @@ class ComputeConfig:
         heartbeats have gone unacknowledged this long — fencing that
         bounds duplicate execution when a scheduler dies or a job is
         re-placed away from a live-but-partitioned worker.
-    max_results:
-        Candidate pool size the matchmaker requests from the resource
-        directory per placement.
     max_attempts:
         A job is FAILED after this many dispatch attempts.
     """
 
     heartbeat_interval: float = 5.0
-    heartbeat_timeout: float = 12.0
     monitor_interval: float = 4.0
     checkpoint_interval: Optional[float] = 10.0
-    checkpoint_read_timeout: float = 8.0
     steal_interval: Optional[float] = 6.0
     lease_timeout: float = 15.0
-    max_results: int = 8
     max_attempts: int = 64
 
     def __post_init__(self) -> None:
-        for name in ("heartbeat_interval", "heartbeat_timeout",
-                     "monitor_interval", "checkpoint_read_timeout"):
-            if getattr(self, name) <= 0:
+        # Every check is written ``not value > bound`` so NaN fails it.
+        for name in ("heartbeat_interval", "monitor_interval"):
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
-        if self.checkpoint_interval is not None and self.checkpoint_interval <= 0:
+        if self.checkpoint_interval is not None and not self.checkpoint_interval > 0:
             raise ValueError("checkpoint_interval must be > 0 or None")
-        if self.steal_interval is not None and self.steal_interval <= 0:
+        if self.steal_interval is not None and not self.steal_interval > 0:
             raise ValueError("steal_interval must be > 0 or None")
-        if self.heartbeat_timeout <= self.heartbeat_interval:
-            raise ValueError("heartbeat_timeout must exceed heartbeat_interval")
-        if self.lease_timeout <= self.heartbeat_interval:
+        if not HEARTBEAT_TIMEOUT > self.heartbeat_interval:
+            raise ValueError(
+                f"heartbeat_interval must be below the {HEARTBEAT_TIMEOUT} s "
+                "heartbeat timeout")
+        if not self.lease_timeout > self.heartbeat_interval:
             raise ValueError("lease_timeout must exceed heartbeat_interval")
-        if self.max_results < 1 or self.max_attempts < 1:
-            raise ValueError("max_results and max_attempts must be >= 1")
+        if not self.max_attempts >= 1:
+            raise ValueError("max_attempts must be >= 1")
 
     @property
     def checkpointing(self) -> bool:

@@ -31,6 +31,8 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Set
 
 from repro.cluster.service import Handler, Service, ServiceContext
 from repro.compute.job import (
+    HEARTBEAT_TIMEOUT,
+    MAX_RESULTS,
     ComputeConfig,
     JobRecord,
     JobResult,
@@ -165,7 +167,7 @@ class SchedulerCore:
         # smooths any local saturation).
         res = self.service.directory.query(
             rec.constraint, origin=self.service.random_origin(),
-            max_results=self.service.config.max_results,
+            max_results=MAX_RESULTS,
         )
         rec.placement_hops += res.hops
         rec.placements += 1
@@ -290,10 +292,9 @@ class SchedulerCore:
             self._timer.stop()
             return
         now = self.node.sim.now
-        timeout = self.service.config.heartbeat_timeout
         for rec in list(self.records.values()):
             if rec.state is JobState.RUNNING:
-                if now - rec.last_heard > timeout:
+                if now - rec.last_heard > HEARTBEAT_TIMEOUT:
                     # Missed heartbeats: declare the worker dead for this
                     # job and re-place, resuming from the last checkpoint.
                     old = rec.worker

@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.compute.job import checkpoint_key
+from repro.compute.job import CHECKPOINT_READ_TIMEOUT, checkpoint_key
 from repro.compute.messages import (
     JobAccepted,
     JobAck,
@@ -237,7 +237,7 @@ class ComputeAgent:
                 on_done=lambda res: self._on_checkpoint(held.job_id, attempt, res),
             )
             held.load_timeout = self.node.sim.schedule(
-                self.service.config.checkpoint_read_timeout,
+                CHECKPOINT_READ_TIMEOUT,
                 lambda: self._checkpoint_timeout(held.job_id, attempt),
                 label=f"ckpt-read:{held.job_id}",
             )

@@ -21,6 +21,14 @@ import numpy as np
 #: The five resources the score combines, in the order it reads them.
 _RESOURCES = ("cpu", "memory_gb", "bandwidth_mbps", "storage_gb", "uptime_hours")
 
+#: Variable-``nc`` bounds (paper case 2): the fewest and most children a
+#: parent accepts, and the score that earns the midpoint between them.
+NC_FLOOR = 2
+NC_CEILING = 8
+NC_PIVOT = 2.2
+#: Base of the promotion-election countdown (§III.b), in seconds.
+ELECTION_BASE = 1.0
+
 
 @dataclass(frozen=True)
 class NodeCapacity:
@@ -74,37 +82,27 @@ class NodeCapacity:
             return self._score  # type: ignore[attr-defined]
 
     # ------------------------------------------------- protocol quantities
-    def max_children(self, floor: int = 2, ceiling: int = 8, pivot: float = 2.2) -> int:
+    def max_children(self) -> int:
         """Variable-``nc``: children this node can parent (paper case 2).
 
-        Maps the score onto ``[floor, ceiling]`` with *pivot* the score that
-        earns the midpoint.  Monotone in the score.
+        Maps the score onto ``[NC_FLOOR, NC_CEILING]`` with ``NC_PIVOT`` the
+        score that earns the midpoint.  Monotone in the score.
         """
-        if floor < 2:
-            raise ValueError("a parent must support at least 2 children")
-        if ceiling < floor:
-            raise ValueError(f"ceiling {ceiling} < floor {floor}")
         s = self.score()
-        frac = s / (s + pivot)  # in (0, 1), 0.5 at s == pivot
-        return int(round(floor + frac * (ceiling - floor)))
+        frac = s / (s + NC_PIVOT)  # in (0, 1), 0.5 at s == NC_PIVOT
+        return int(round(NC_FLOOR + frac * (NC_CEILING - NC_FLOOR)))
 
-    def promotion_countdown(self, base: float = 1.0, rng: np.random.Generator | None = None) -> float:
-        """Election countdown: *higher* capacity → *shorter* countdown (§III.b).
+    def promotion_countdown(self) -> float:
+        """Election countdown: *higher* capacity → *shorter* countdown (§III.b)."""
+        return ELECTION_BASE / (1.0 + self.score())
 
-        A small random jitter (up to 10%) breaks exact-score ties without
-        materially changing the ordering.
-        """
-        jitter = 1.0 + (0.1 * float(rng.random()) if rng is not None else 0.0)
-        return base * jitter / (1.0 + self.score())
-
-    def demotion_countdown(self, base: float = 1.0, rng: np.random.Generator | None = None) -> float:
+    def demotion_countdown(self, base: float = 1.0) -> float:
         """Under-filled-parent countdown: *higher* capacity → *longer* wait.
 
         Powerful parents linger, giving the system time to route new
         children to them before they abdicate (§III.b).
         """
-        jitter = 1.0 + (0.1 * float(rng.random()) if rng is not None else 0.0)
-        return base * jitter * (1.0 + self.score())
+        return base * (1.0 + self.score())
 
 
 def fill_scores(capacities: Iterable[NodeCapacity]) -> None:

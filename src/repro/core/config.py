@@ -2,6 +2,9 @@
 
 Collected in one frozen dataclass so experiments can describe a whole
 configuration declaratively and ablations can vary exactly one field.
+A value no experiment varies is a module constant instead: the lookup
+timeout here, the variable-``nc`` bounds and the election base in
+:mod:`repro.core.capacity`.
 """
 
 from __future__ import annotations
@@ -14,13 +17,20 @@ from repro.core.ids import IdSpace
 NcMode = Literal["fixed", "variable"]
 DemotionPolicy = Literal["strict", "keep-upper"]
 
+#: Origin-side seconds after which an unanswered lookup counts failed.  It
+#: costs virtual time only: a black-holed request waits it out.
+LOOKUP_TIMEOUT = 30.0
+
 
 @dataclass(frozen=True)
 class TreePConfig:
     """Everything tunable about a TreeP overlay.
 
     Not tunable: each node maintains a minimum of two level-0 connections
-    (the paper's constant; build and relinking hard-code it).
+    (the paper's constant; build and relinking hard-code it); the
+    variable-``nc`` bounds ``[2, 8]`` and the election countdown base
+    (:mod:`repro.core.capacity`); the lookup timeout
+    (:data:`LOOKUP_TIMEOUT`).
 
     Attributes
     ----------
@@ -29,11 +39,9 @@ class TreePConfig:
     nc_mode:
         ``fixed`` — every parent accepts at most :attr:`nc_fixed` children
         (paper case 1). ``variable`` — per-node capacity-derived maximum
-        (paper case 2).
+        in ``[2, 8]`` (paper case 2).
     nc_fixed:
         The fixed maximum-children value (paper uses 4).
-    nc_floor / nc_ceiling:
-        Bounds for the variable mode.
     max_height:
         Safety bound on hierarchy height (levels above 0).
     ttl_max:
@@ -44,8 +52,6 @@ class TreePConfig:
         Routing-table entry staleness bound; entries older than this are
         expired lazily (paper §III.c: timestamped entries, deleted on
         expiry).
-    election_base:
-        Base countdown duration for promotion elections (§III.b).
     demotion_base:
         Base countdown for under-filled parents.
     demotion_policy:
@@ -55,39 +61,28 @@ class TreePConfig:
     euclidean_fallback:
         When a request's TTL exceeds the hierarchy height, route on plain
         Euclidean distance (§III.f); disabling this is an ablation.
-    lookup_timeout:
-        Origin-side timeout after which an unanswered lookup counts failed.
     """
 
     space: IdSpace = field(default_factory=IdSpace)
     nc_mode: NcMode = "fixed"
     nc_fixed: int = 4
-    nc_floor: int = 2
-    nc_ceiling: int = 8
     max_height: int = 12
     ttl_max: int = 255
     keepalive_interval: float = 5.0
     entry_ttl: float = 30.0
-    election_base: float = 1.0
     demotion_base: float = 5.0
     demotion_policy: DemotionPolicy = "strict"
     euclidean_fallback: bool = True
-    lookup_timeout: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.nc_fixed < 2:
+        if not self.nc_fixed >= 2:
             raise ValueError(f"nc_fixed must be >= 2, got {self.nc_fixed}")
-        if not 2 <= self.nc_floor <= self.nc_ceiling:
-            raise ValueError(
-                f"need 2 <= nc_floor <= nc_ceiling, got {self.nc_floor}, {self.nc_ceiling}"
-            )
-        if self.max_height < 1:
+        if not self.max_height >= 1:
             raise ValueError(f"max_height must be >= 1, got {self.max_height}")
         if not 1 <= self.ttl_max <= 255:
             raise ValueError(f"ttl_max must be in [1, 255], got {self.ttl_max}")
-        for name in ("keepalive_interval", "entry_ttl", "election_base",
-                     "demotion_base", "lookup_timeout"):
-            if getattr(self, name) <= 0:
+        for name in ("keepalive_interval", "entry_ttl", "demotion_base"):
+            if not getattr(self, name) > 0:  # NaN fails too
                 raise ValueError(f"{name} must be > 0")
 
     # Convenience constructors for the paper's two experimental cases.

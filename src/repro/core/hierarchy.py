@@ -104,7 +104,7 @@ class HierarchyLayout:
 def _effective_nc(config: TreePConfig, cap: NodeCapacity) -> int:
     if config.nc_mode == "fixed":
         return config.nc_fixed
-    return cap.max_children(floor=config.nc_floor, ceiling=config.nc_ceiling)
+    return cap.max_children()
 
 
 def _seed_parents(
@@ -277,7 +277,7 @@ class ElectionManager:
         if level in self.active and not self.active[level].resolved:
             return -1.0  # already participating
         self.active[level] = Election(level=level, participants=list(participants))
-        return self.capacity.promotion_countdown(base=self.config.election_base)
+        return self.capacity.promotion_countdown()
 
     def on_claim(self, level: int, winner: int) -> None:
         """Another node claimed parenthood first."""

@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.capacity import NodeCapacity
-from repro.core.config import TreePConfig
+from repro.core.config import LOOKUP_TIMEOUT, TreePConfig
 from repro.core.hierarchy import DemotionManager, ElectionManager
 from repro.core.lookup import (
     DecisionKind,
@@ -99,7 +99,7 @@ class TreePNode(Process):
         self.nc = (
             config.nc_fixed
             if config.nc_mode == "fixed"
-            else capacity.max_children(config.nc_floor, config.nc_ceiling)
+            else capacity.max_children()
         )
         #: Lookups issued so far; the next request id's low bits.
         self._req_counter = 0
@@ -215,7 +215,7 @@ class TreePNode(Process):
         if obs is not None:
             obs.lookup_begin(rid, self.ident, self.sim.now)
         pend.timeout_event = self.sim.schedule(
-            self.config.lookup_timeout,
+            LOOKUP_TIMEOUT,
             lambda: self._lookup_timeout(rid),
             label=f"lookup-timeout:{rid}",
         )

@@ -51,27 +51,23 @@ class RepairPolicy:
 
     Attributes
     ----------
-    relink_level0:
+    relink:
         Survivors re-establish level-0 left/right links to the nearest peer
-        they still know (uses the indirect-neighbour replication).
-    relink_buses:
-        Same lateral relinking on every level bus.
+        they still know (uses the indirect-neighbour replication), and the
+        same lateral links on every level bus.
     adopt_parents:
         Orphans re-attach to the nearest surviving peer one level up.  The
         paper's stress sweep leaves this to the (disabled) promotion
         machinery, so the default paper policy turns it off.
-    refresh_neighbour_children:
-        Bus neighbours re-exchange children lists, letting an uncle route
-        down into an orphaned cell.
     gossip_rounds:
         How many §III.d exchange rounds fit in the window (spreads
-        indirect-neighbour knowledge one hop per round).
+        indirect-neighbour knowledge one hop per round; every round also
+        re-exchanges bus neighbours' children lists, letting an uncle
+        route down into an orphaned cell).
     """
 
-    relink_level0: bool = True
-    relink_buses: bool = True
+    relink: bool = True
     adopt_parents: bool = False
-    refresh_neighbour_children: bool = True
     gossip_rounds: int = 1
 
 
@@ -82,13 +78,7 @@ PAPER_POLICY = RepairPolicy()
 FULL_POLICY = RepairPolicy(adopt_parents=True, gossip_rounds=2)
 
 #: Nothing but entry expiry — lower bound for ablations.
-PURGE_ONLY_POLICY = RepairPolicy(
-    relink_level0=False,
-    relink_buses=False,
-    adopt_parents=False,
-    refresh_neighbour_children=False,
-    gossip_rounds=0,
-)
+PURGE_ONLY_POLICY = RepairPolicy(relink=False, gossip_rounds=0)
 
 
 # --------------------------------------------------------------------------
@@ -117,7 +107,7 @@ def relink_node(node: "TreePNode", policy: RepairPolicy = FULL_POLICY) -> None:
     t = node.table
     ident = node.ident
 
-    if policy.relink_level0:
+    if policy.relink:
         left, right = _nearest_sides(t.all_known(), ident)
         t.set_role("level0", {i for i in (left, right) if i is not None})
         # Keep the paper's minimum-two-connections rule at bus endpoints.
@@ -129,7 +119,6 @@ def relink_node(node: "TreePNode", policy: RepairPolicy = FULL_POLICY) -> None:
             for i in same_side[: 2 - len(t.level0)]:
                 t.link("level0", i)
 
-    if policy.relink_buses:
         for lvl in range(1, node.max_level + 1):
             l, r = _nearest_sides(
                 (e.ident for e in t.candidates() if e.max_level >= lvl), ident)
@@ -174,7 +163,7 @@ def purge_dead(net: "TreePNetwork", newly_dead: Optional[Iterable[int]] = None) 
     return removed
 
 
-def gossip_round(net: "TreePNetwork", policy: RepairPolicy = FULL_POLICY) -> None:
+def gossip_round(net: "TreePNetwork") -> None:
     """One §III.d exchange round along surviving maintained links.
 
     Each live node imports, into the matching table role:
@@ -182,8 +171,7 @@ def gossip_round(net: "TreePNetwork", policy: RepairPolicy = FULL_POLICY) -> Non
     * from its level-0 links: the peers' own level-0 links (indirect
       neighbour knowledge);
     * from its bus links at level ``i``: the peers' bus links (indirect
-      same-level) and — when the policy allows — the peers' children
-      (the neighbour-children table);
+      same-level) and the peers' children (the neighbour-children table);
     * from its parent (when one survives): the parent's ancestors and bus
       links (the superior-node list of Figure 2).
 
@@ -249,12 +237,11 @@ def gossip_round(net: "TreePNetwork", policy: RepairPolicy = FULL_POLICY) -> Non
                 t.upsert(peer, now, *pme)
                 fresh_level.add(peer)
                 t.import_role(p_buses.get(lvl, ()), now, pmeta, fresh_level)
-                if policy.refresh_neighbour_children:
-                    t.import_role(p_children.get(lvl, ()), now, pmeta, fresh_nc)
+                t.import_role(p_children.get(lvl, ()), now, pmeta, fresh_nc)
             if fresh_level:
                 any_bus_exchange = True
                 t.set_level(lvl, fresh_level)
-        if policy.refresh_neighbour_children and any_bus_exchange:
+        if any_bus_exchange:
             t.set_role("neighbour_children", fresh_nc)
 
         # Parent exchange: ancestors + parent's bus links -> superiors.
@@ -333,7 +320,7 @@ def apply_failure_step(
         for node in live_nodes:
             relink_node(node, policy)
         for _ in range(max(0, policy.gossip_rounds)):
-            gossip_round(net, policy)
+            gossip_round(net)
             for node in live_nodes:
                 relink_node(node, policy)
         if policy.adopt_parents:

@@ -34,7 +34,7 @@ from repro.core.node import TreePNode
 from repro.core.tessellation import cell_owner
 from repro.obs.runtime import ambient_hub
 from repro.sim.engine import Simulator
-from repro.sim.latency import LatencyModel, UniformLatency
+from repro.sim.latency import UniformLatency
 from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
 
@@ -63,28 +63,17 @@ class TreePNetwork:
         Overlay configuration; defaults to the paper's case 1.
     seed:
         Root seed for every random substream.
-    latency:
-        Datagram latency model; defaults to ``UniformLatency(5..50 ms)``.
-    loss:
-        Independent datagram loss probability.
+
+    Datagrams take ``UniformLatency(5..50 ms)`` from the ``"latency"``
+    stream; random loss is a predicate installed on ``network.loss_model``
+    (:meth:`~repro.sim.conditions.NetworkConditions.set_loss_model`).
     """
 
-    def __init__(
-        self,
-        config: Optional[TreePConfig] = None,
-        seed: int = 0,
-        latency: Optional[LatencyModel] = None,
-        loss: float = 0.0,
-    ) -> None:
+    def __init__(self, config: Optional[TreePConfig] = None, seed: int = 0) -> None:
         self.config = config if config is not None else TreePConfig.paper_case1()
         self.rng = RngRegistry(seed)
         self.sim = Simulator()
-        self.network = Network(
-            self.sim,
-            latency=latency if latency is not None else UniformLatency(self.rng.get("latency")),
-            loss=loss,
-            rng=self.rng.get("loss"),
-        )
+        self.network = Network(self.sim, latency=UniformLatency(self.rng.get("latency")))
         #: Observability hub (``None`` unless an ambient capture is active
         #: or an ``Observability`` service sets it); instrumentation sites
         #: guard every record behind one ``is not None`` check.

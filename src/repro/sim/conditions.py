@@ -1,7 +1,7 @@
 """Adversarial network conditions: loss bursts, partitions, stragglers.
 
-The seed network models an *ideal* fabric: one latency distribution for
-every pair and independent per-datagram loss.  Real overlays — the
+The bare network models an *ideal* fabric: one latency distribution for
+every pair and no loss.  Real overlays — the
 Grid-5000 deployments the paper evaluates on — fail in correlated ways:
 losses arrive in bursts on specific links, whole address sets get cut
 off and later reconnected, and individual machines run slow without

@@ -245,7 +245,7 @@ class PeriodicTimer:
         jitter: Callable[[], float] | None = None,
         label: str = "",
     ) -> None:
-        if interval <= 0:
+        if not interval > 0:  # NaN fails too
             raise SimulationError(f"periodic interval must be > 0, got {interval}")
         self._sim = sim
         self.interval = interval

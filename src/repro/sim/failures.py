@@ -61,7 +61,9 @@ class FailureSchedule:
         self.population: List[int] = list(population)
         self.step_fraction = step_fraction
         self.stop_fraction = stop_fraction
-        self._order = list(rng.permutation(self.population))
+        # ``tolist`` hands back Python ints: NumPy scalars would compare
+        # with float radii in float64, inexactly past 2**53.
+        self._order: List[int] = rng.permutation(self.population).tolist()
 
     def steps(self) -> Iterator[FailureStep]:
         """Yield successive failure steps.

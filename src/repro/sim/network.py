@@ -2,9 +2,10 @@
 
 Semantics (deliberately matching what a UDP overlay sees):
 
-* **Unreliable** — datagrams are dropped with probability ``loss`` and
-  silently when the destination is down or unknown.  No acknowledgements;
-  protocols that need liveness use keep-alives, exactly as TreeP does.
+* **Unreliable** — datagrams are dropped silently when the destination is
+  down or unknown, and whenever the installed ``loss_model`` predicate says
+  so (random loss has that one path).  No acknowledgements; protocols that
+  need liveness use keep-alives, exactly as TreeP does.
 * **Unordered between pairs only via latency** — each datagram samples its
   own latency, so two messages to the same peer may arrive out of order.
 * **No connections** — any process can send to any address it knows.
@@ -17,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Set
-
-import numpy as np
 
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
@@ -126,26 +125,11 @@ class Network:  # repro-lint: disable=RPR401 one instance per simulation; slotti
         The event kernel datagrams are scheduled on.
     latency:
         Per-datagram latency model (default: 10 ms constant).
-    loss:
-        Independent per-datagram drop probability in ``[0, 1)``.
-    rng:
-        Generator used *only* for loss decisions (timing noise lives in the
-        latency model's own stream).
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        latency: Optional[LatencyModel] = None,
-        loss: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        if not 0.0 <= loss < 1.0:
-            raise ValueError(f"loss must be in [0, 1), got {loss}")
+    def __init__(self, sim: Simulator, latency: Optional[LatencyModel] = None) -> None:
         self.sim = sim
         self.latency = latency if latency is not None else ConstantLatency(0.01)
-        self.loss = float(loss)
-        self.rng = rng if rng is not None else np.random.default_rng(0)
         self._procs: Dict[int, Process] = {}
         self._down: Set[int] = set()
         #: Monotonic count of liveness transitions (registrations, crashes,
@@ -157,10 +141,11 @@ class Network:  # repro-lint: disable=RPR401 one instance per simulation; slotti
         #: Optional predicate; return True to block delivery (partitions).
         self.partition_filter: Optional[Callable[[int, int], bool]] = None
         #: Optional per-link loss predicate (return True to drop, counted
-        #: as ``dropped_loss``) — the seam burst-loss models plug into
-        #: (:class:`~repro.sim.conditions.GilbertElliott`).  Evaluated
-        #: after the scalar ``loss`` draw so installing one never shifts
-        #: the scalar stream.
+        #: as ``dropped_loss``): the one way a datagram is lost at random.
+        #: Install it through
+        #: :meth:`~repro.sim.conditions.NetworkConditions.set_loss_model`
+        #: (a :class:`~repro.sim.conditions.GilbertElliott` chain, or any
+        #: predicate drawing from its own stream).
         self.loss_model: Optional[Callable[[int, int], bool]] = None
         #: Optional hook observing every delivered datagram (tracing).
         self.delivery_hook: Optional[Callable[[Datagram], None]] = None
@@ -227,9 +212,6 @@ class Network:  # repro-lint: disable=RPR401 one instance per simulation; slotti
             return
         if self.partition_filter is not None and self.partition_filter(src, dst):
             stats.dropped_partition += 1
-            return
-        if self.loss > 0.0 and self.rng.random() < self.loss:
-            stats.dropped_loss += 1
             return
         if self.loss_model is not None and self.loss_model(src, dst):
             stats.dropped_loss += 1

@@ -2,8 +2,7 @@
 
 Node departures shrink replica sets silently — the quorum path only ever
 touches keys that are read or written.  The :class:`AntiEntropy` task closes
-the gap: a periodic sweep (registered with the simulator's timer wheel, like
-the keep-alive loops in :mod:`repro.core.maintenance`) that
+the gap: a sweep that
 
 1. catalogues every key held by a **live** node,
 2. resolves the freshest ``(version, writer)`` copy per key,
@@ -22,6 +21,12 @@ stamp is dominated), complementing per-read repair.
 
 Each sweep appends one :class:`SweepReport` to :attr:`AntiEntropy.reports`
 — keys catalogued, under-replicated, repairs sent, tracked keys lost.
+
+Drivers run sweeps with :meth:`AntiEntropy.converge` after churn.  Nothing
+arms the periodic sweep: :meth:`AntiEntropy.start` would register one on the
+simulator (like the keep-alive loops in :mod:`repro.core.maintenance`),
+paced by ``interval``, but no scenario, example or perf workload calls it
+(arming it is ROADMAP item 5).
 """
 
 from __future__ import annotations
@@ -50,12 +55,14 @@ class SweepReport:
 
 
 class AntiEntropy(Service):
-    """Periodic re-replication maintenance for a :class:`ReplicatedStore`.
+    """Re-replication maintenance for a :class:`ReplicatedStore`.
 
-    As a :class:`~repro.cluster.service.Service` the sweep timer registers
-    through the service context, so detaching the service (or shutting a
-    :class:`~repro.cluster.Cluster` down) cancels it even when the caller
-    forgot :meth:`stop`.  Construct through
+    Run it with :meth:`converge` (or one :meth:`sweep`); *interval* only
+    paces the periodic timer :meth:`start` arms, and nothing calls
+    :meth:`start` today.  As a :class:`~repro.cluster.service.Service`
+    that timer registers through the service context, so detaching the
+    service (or shutting a :class:`~repro.cluster.Cluster` down) cancels it
+    even when the caller forgot :meth:`stop`.  Construct through
     ``Cluster.with_storage(anti_entropy=interval)``.
     """
 
@@ -63,7 +70,7 @@ class AntiEntropy(Service):
 
     def __init__(self, *, interval: float = 30.0) -> None:
         super().__init__()
-        if interval <= 0:
+        if not interval > 0:  # NaN fails too
             raise ValueError(f"interval must be > 0, got {interval}")
         self.store: Optional[ReplicatedStore] = None
         self.interval = interval

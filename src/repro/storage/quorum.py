@@ -58,6 +58,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Request id used by repair/anti-entropy replication no coordinator waits on.
 REPAIR_RID = 0
 
+#: Virtual seconds a coordinator waits for replica acks/replies before it
+#: answers with the best effort achieved (the *sloppy* part).
+QUORUM_TIMEOUT = 5.0
+
 #: Virtual seconds a client op runs past its reply so the request's trailing
 #: datagrams land (a few times the default per-hop latency ceiling).
 _SETTLE = 0.2
@@ -81,7 +85,6 @@ class QuorumConfig:
     n: int = 3
     w: int = 2
     r: int = 2
-    timeout: float = 5.0
     #: Extra non-improving read hops allowed when a coordinator's replicas
     #: all miss (greedy local minimum after churn); 0 disables the fallback.
     #: The dial trades churn availability against miss cost: a GET of a key
@@ -98,8 +101,6 @@ class QuorumConfig:
             raise ValueError(f"need 1 <= w <= n, got w={self.w}, n={self.n}")
         if not 1 <= self.r <= self.n:
             raise ValueError(f"need 1 <= r <= n, got r={self.r}, n={self.n}")
-        if self.timeout <= 0:
-            raise ValueError(f"timeout must be > 0, got {self.timeout}")
         if self.read_fallback < 0:
             raise ValueError(f"read_fallback must be >= 0, got {self.read_fallback}")
 
@@ -230,7 +231,7 @@ class StorageAgent:
             return
         self._writes[msg.request_id] = pend
         pend.timeout_event = self.node.sim.schedule(
-            self.quorum.timeout,
+            QUORUM_TIMEOUT,
             lambda: self._write_timeout(msg.request_id),
             label=f"store-put-timeout:{msg.request_id}",
         )
@@ -300,7 +301,7 @@ class StorageAgent:
                 return
         self._reads[msg.request_id] = pend
         pend.timeout_event = self.node.sim.schedule(
-            self.quorum.timeout,
+            QUORUM_TIMEOUT,
             lambda: self._read_timeout(msg.request_id),
             label=f"store-get-timeout:{msg.request_id}",
         )
@@ -462,13 +463,13 @@ class ReplicatedStore(Service):
 
     def _put_deadline(self) -> float:
         """One coordination (plus routing slack)."""
-        return 4 * self.quorum.timeout
+        return 4 * QUORUM_TIMEOUT
 
     def _get_deadline(self) -> float:
         """Reads must outlive the worst sloppy-fallback chain: every
         fallback hop can burn a full read timeout on dead targets, and a
         genuine late result must not be dropped with its callback."""
-        return (self.quorum.read_fallback + 2) * self.quorum.timeout
+        return (self.quorum.read_fallback + 2) * QUORUM_TIMEOUT
 
     # ------------------------------------------------------------ async API
     def _issue(self, op: str, key_id: int, value: Any, via: Optional[int],

@@ -1,39 +1,29 @@
 """Lookup traffic generation.
 
 The paper's batches are uniform random (origin, target) pairs over the
-surviving population.  Real P2P request streams are skewed, so a Zipf mode
-is provided for the service-layer examples and ablations.
+surviving population.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Literal, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
-
-PairMode = Literal["uniform", "zipf-targets"]
 
 
 @dataclass
 class LookupWorkload:
-    """Generator of (origin, target) pairs over a node population.
+    """Generator of uniform (origin, target) pairs over a node population:
+    both endpoints uniform and distinct (the paper's setup).
 
     Parameters
     ----------
     rng:
         Randomness source (use a dedicated substream).
-    mode:
-        ``uniform`` — both endpoints uniform, distinct (the paper's setup).
-        ``zipf-targets`` — origins uniform, targets Zipf-ranked so a few
-        nodes are hot (service workloads).
-    zipf_s:
-        Zipf exponent for the skewed mode.
     """
 
     rng: np.random.Generator
-    mode: PairMode = "uniform"
-    zipf_s: float = 1.2
 
     def pairs(self, population: Sequence[int], count: int) -> List[Tuple[int, int]]:
         """Draw *count* (origin, target) pairs with origin != target."""
@@ -45,30 +35,11 @@ class LookupWorkload:
 
         out: List[Tuple[int, int]] = []
         n = len(pop)
-        if self.mode == "uniform":
-            while len(out) < count:
-                idx = self.rng.integers(0, n, size=2 * (count - len(out)) + 4)
-                for a, b in zip(idx[::2], idx[1::2]):
-                    if a != b:
-                        out.append((pop[int(a)], pop[int(b)]))
-                        if len(out) == count:
-                            break
-            return out
-
-        if self.mode == "zipf-targets":
-            ranks = np.arange(1, n + 1, dtype=float)
-            weights = ranks ** (-self.zipf_s)
-            weights /= weights.sum()
-            # Stable hot set: rank order is the population order (callers
-            # shuffle if they want a different hot set).
-            targets = self.rng.choice(n, size=count, p=weights)
-            origins = self.rng.integers(0, n, size=count)
-            for o, t in zip(origins, targets):
-                o = int(o)
-                t = int(t)
-                if o == t:
-                    o = (o + 1) % n
-                out.append((pop[o], pop[t]))
-            return out
-
-        raise ValueError(f"unknown mode {self.mode!r}")
+        while len(out) < count:
+            idx = self.rng.integers(0, n, size=2 * (count - len(out)) + 4)
+            for a, b in zip(idx[::2], idx[1::2]):
+                if a != b:
+                    out.append((pop[int(a)], pop[int(b)]))
+                    if len(out) == count:
+                        break
+        return out

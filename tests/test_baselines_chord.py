@@ -25,11 +25,6 @@ def test_build_twice_rejected():
         net.build(8)
 
 
-def test_m_bits_validation():
-    with pytest.raises(ValueError):
-        ChordNetwork(m_bits=2)
-
-
 def test_ring_structure(chord):
     """Successor/predecessor pointers form the sorted ring."""
     ids = chord.ids
@@ -64,12 +59,12 @@ def test_lookup_logarithmic_hops(chord):
 
 
 def test_owns_semantics():
-    node = ChordNode(100, m_bits=8)
+    node = ChordNode(100)
     node.predecessor = 50
     assert node.owns(75) and node.owns(100)
     assert not node.owns(50) and not node.owns(101)
     # Wraparound segment.
-    node2 = ChordNode(10, m_bits=8)
+    node2 = ChordNode(10)
     node2.predecessor = 200
     assert node2.owns(250) and node2.owns(5)
     assert not node2.owns(100)

@@ -46,7 +46,7 @@ class TestRandomOverlay:
 class TestFloodNetwork:
     @pytest.fixture(scope="class")
     def net(self):
-        net = FloodNetwork(seed=4, degree=4, default_ttl=7)
+        net = FloodNetwork(seed=4)
         net.build(128)
         return net
 
@@ -58,7 +58,7 @@ class TestFloodNetwork:
         assert sum(r.found for r in res) >= 22  # TTL 7 covers ~4^7 >> n
 
     def test_small_ttl_misses_far_targets(self):
-        net = FloodNetwork(seed=5, degree=3, default_ttl=1)
+        net = FloodNetwork(seed=5)
         net.build(128)
         rng = np.random.default_rng(1)
         pairs = [tuple(int(x) for x in rng.choice(net.ids, 2, replace=False))
@@ -91,7 +91,7 @@ class TestFloodNetwork:
         assert res.result.found and res.result.hops == 0
 
     def test_failures_shrink_coverage(self):
-        net = FloodNetwork(seed=6, degree=4, default_ttl=5)
+        net = FloodNetwork(seed=6)
         net.build(128)
         rng = np.random.default_rng(4)
         victims = [int(v) for v in rng.choice(net.ids, 64, replace=False)]
@@ -100,7 +100,7 @@ class TestFloodNetwork:
         alive = net.alive_ids()
         pairs = [tuple(int(x) for x in rng.choice(alive, 2, replace=False))
                  for _ in range(30)]
-        res = net.run_lookup_batch(pairs)
+        res = net.run_lookup_batch(pairs, ttl=5)
         assert sum(r.found for r in res) < 30
 
     def test_build_twice_rejected(self):

@@ -19,6 +19,7 @@ from repro.compute.job import JobState, checkpoint_key
 from repro.compute.messages import JobDispatch
 from repro.core.repair import FULL_POLICY, apply_failure_step
 from repro.services.discovery import Constraint
+from repro.sim.conditions import NetworkConditions
 
 
 def make_grid(n=48, seed=7, **cfg_kwargs):
@@ -456,7 +457,10 @@ def test_stealing_disabled_still_completes():
 def test_lossy_network_still_completes_every_job():
     """Datagram loss drops submissions, dispatches and heartbeats; the
     client retry + monitor re-place machinery must still land every job."""
-    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=7, loss=0.15)
+    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=7)
+    loss_rng = net.rng.get("loss")
+    NetworkConditions(net.network).set_loss_model(
+        lambda src, dst: loss_rng.random() < 0.15)
     net.build(48)
     grid = Cluster(net=net).with_compute(ComputeConfig()).compute
     for i in range(6):

@@ -26,7 +26,7 @@ def test_compute_config_validation():
     with pytest.raises(ValueError):
         ComputeConfig(heartbeat_interval=0)
     with pytest.raises(ValueError):
-        ComputeConfig(heartbeat_timeout=1.0, heartbeat_interval=5.0)
+        ComputeConfig(heartbeat_interval=12.0)  # not below HEARTBEAT_TIMEOUT
     with pytest.raises(ValueError):
         ComputeConfig(checkpoint_interval=0)
     with pytest.raises(ValueError):
@@ -35,6 +35,12 @@ def test_compute_config_validation():
         ComputeConfig(lease_timeout=1.0)
     with pytest.raises(ValueError):
         ComputeConfig(max_attempts=0)
+    # ``nan <= 0`` is False: each check must still reject NaN.
+    nan = float("nan")
+    for name in ("heartbeat_interval", "monitor_interval", "checkpoint_interval",
+                 "steal_interval", "lease_timeout", "max_attempts"):
+        with pytest.raises(ValueError):
+            ComputeConfig(**{name: nan})
     assert not ComputeConfig(checkpoint_interval=None).checkpointing
     assert not ComputeConfig(steal_interval=None).stealing
     assert ComputeConfig().checkpointing and ComputeConfig().stealing

@@ -30,17 +30,18 @@ def test_frozen():
     "kwargs",
     [
         dict(nc_fixed=1),
-        dict(nc_floor=1),
-        dict(nc_floor=6, nc_ceiling=4),
         dict(max_height=0),
-        dict(nc_ceiling=1),
         dict(ttl_max=0),
         dict(ttl_max=300),
         dict(keepalive_interval=0),
         dict(entry_ttl=-1),
-        dict(election_base=0),
         dict(demotion_base=0),
-        dict(lookup_timeout=0),
+        # ``nan <= 0`` is False: each check must still reject NaN.
+        dict(nc_fixed=float("nan")),
+        dict(max_height=float("nan")),
+        dict(keepalive_interval=float("nan")),
+        dict(entry_ttl=float("nan")),
+        dict(demotion_base=float("nan")),
     ],
 )
 def test_validation(kwargs):

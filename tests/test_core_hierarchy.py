@@ -54,7 +54,7 @@ class TestBuildLayout:
         cfg = TreePConfig.paper_case2()
         layout = build_layout(ids, caps, cfg)
         for (p, lvl), kids in layout.children.items():
-            assert len(kids) <= caps[p].max_children(cfg.nc_floor, cfg.nc_ceiling)
+            assert len(kids) <= caps[p].max_children()
 
     def test_variable_nc_flatter_hierarchy(self):
         """Capacity-derived nc (up to 8 children) gives a flatter tree."""

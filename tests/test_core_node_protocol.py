@@ -53,7 +53,7 @@ class TestLookupProtocol:
 
     def test_lookup_timeout_on_black_hole(self):
         """Forwarding into a dead node (stale entry) times out."""
-        net = TreePNetwork(config=TreePConfig.paper_case1(lookup_timeout=5.0), seed=3)
+        net = TreePNetwork(config=TreePConfig.paper_case1(), seed=3)
         net.build(32)
         origin = net.ids[0]
         # Kill everything except the origin but leave tables stale.
@@ -155,7 +155,7 @@ class TestJoinProtocol:
 class TestElectionProtocol:
     def test_orphan_group_elects_parent(self):
         """Three orphan level-0 nodes elect the strongest as parent."""
-        cfg = TreePConfig.paper_case1(election_base=1.0)
+        cfg = TreePConfig.paper_case1()
         sim = Simulator()
         net = Network(sim, latency=ConstantLatency(0.01))
         caps = [NodeCapacity(cpu=1), NodeCapacity(cpu=32, memory_gb=64),
@@ -296,7 +296,7 @@ class TestManagersOnDemand:
 
     @staticmethod
     def _election(touch_first):
-        cfg = TreePConfig.paper_case1(election_base=1.0)
+        cfg = TreePConfig.paper_case1()
         sim = Simulator()
         net = Network(sim, latency=ConstantLatency(0.01))
         events = _EventLog()

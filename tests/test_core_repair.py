@@ -190,7 +190,7 @@ class TestRelink:
 class TestGossip:
     def test_gossip_spreads_indirect_neighbours(self):
         net = built()
-        gossip_round(net, PAPER_POLICY)
+        gossip_round(net)
         sorted_ids = sorted(net.ids)
         mid = sorted_ids[30]
         node = net.nodes[mid]
@@ -201,7 +201,7 @@ class TestGossip:
         net = built(n=128)
         sizes_before = [net.nodes[i].table.size() for i in net.ids]
         for _ in range(5):
-            gossip_round(net, FULL_POLICY)
+            gossip_round(net)
         sizes_after = [net.nodes[i].table.size() for i in net.ids]
         # Bounded: repeated gossip cannot blow tables up indefinitely.
         assert np.mean(sizes_after) < np.mean(sizes_before) * 4
@@ -212,7 +212,7 @@ class TestGossip:
         victims = set(kill(net, 10))
         purge_dead(net)
         for _ in range(3):
-            gossip_round(net, PAPER_POLICY)
+            gossip_round(net)
         for i, node in net.nodes.items():
             if net.network.is_up(i):
                 assert victims.isdisjoint(node.table.all_known())
@@ -290,9 +290,9 @@ class TestCollectorPause:
         (gc.enable if enabled else gc.disable)()
         during = []
 
-        def spying_gossip(net, policy):
+        def spying_gossip(net):
             during.append(gc.isenabled())
-            gossip_round(net, policy)
+            gossip_round(net)
 
         monkeypatch.setattr("repro.core.repair.gossip_round", spying_gossip)
         apply_failure_step(net, victims)
@@ -306,7 +306,7 @@ class TestCollectorPause:
         victims = kill(net, 6)
         (gc.enable if enabled else gc.disable)()
 
-        def failing_gossip(net, policy):
+        def failing_gossip(net):
             raise RuntimeError("boom")
 
         monkeypatch.setattr("repro.core.repair.gossip_round", failing_gossip)
@@ -432,8 +432,7 @@ class TestPinnedSemantics:
 
 class TestRepairPolicy:
     def test_paper_policy_values(self):
-        assert PAPER_POLICY.relink_level0
-        assert PAPER_POLICY.relink_buses
+        assert PAPER_POLICY.relink
         assert not PAPER_POLICY.adopt_parents
         assert PAPER_POLICY.gossip_rounds == 1
 

@@ -11,6 +11,7 @@ from repro.core.capacity import NodeCapacity
 from repro.core.ids import IdSpace
 from repro.core.routing_table import RoutingTable
 from repro.core.tessellation import bus_neighbours, cell_owner
+from repro.sim.conditions import NetworkConditions
 
 
 def test_build_returns_valid_layout():
@@ -231,8 +232,10 @@ class TestFailureHelpers:
 
 def test_loss_still_converges():
     """Lookups succeed (or time out cleanly) under 5% datagram loss."""
-    net = TreePNetwork(config=TreePConfig.paper_case1(lookup_timeout=10.0),
-                       seed=11, loss=0.05)
+    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=11)
+    loss_rng = net.rng.get("loss")
+    NetworkConditions(net.network).set_loss_model(
+        lambda src, dst: loss_rng.random() < 0.05)
     net.build(64)
     rng = np.random.default_rng(0)
     results = []

@@ -234,6 +234,8 @@ class TestPeriodicTimer:
     def test_zero_interval_rejected(self):
         with pytest.raises(SimulationError, match="interval"):
             PeriodicTimer(Simulator(), 0.0, lambda: None)
+        with pytest.raises(SimulationError, match="interval"):
+            PeriodicTimer(Simulator(), float("nan"), lambda: None)
 
     def test_start_is_idempotent(self):
         sim = Simulator()

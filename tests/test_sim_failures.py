@@ -3,6 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import TreePConfig, TreePNetwork
+from repro.bench.sweep import fail_until
+from repro.core.ids import IdSpace
+from repro.core.lookup import _radii, route
+from repro.core.messages import LookupRequest
 from repro.sim.engine import Simulator
 from repro.sim.failures import FailureSchedule
 from repro.sim.latency import ConstantLatency
@@ -157,3 +162,33 @@ class TestFailureScheduleProperties:
         assert net.liveness_epoch == epoch
         # ...and the liveness hook saw one down transition per victim
         assert sorted(downs) == sorted(step.newly_failed)
+
+
+# ------------------------------------------------ ids stay Python ints
+
+def test_every_yielded_id_is_a_python_int():
+    sched = FailureSchedule(list(range(100)), np.random.default_rng(0))
+    for step in sched.steps():
+        assert all(type(i) is int for i in step.newly_failed + step.surviving)
+
+
+def test_a_survivor_target_routes_like_its_int_twin_at_extent_2_60():
+    """A NumPy id would compare its distances with the float radii in
+    float64, inexactly past 2**53: targets one past a surviving cell
+    owner's radius must get the decision their ``int`` twins get."""
+    net = TreePNetwork(
+        config=TreePConfig.paper_case1(space=IdSpace(extent=2**60)), seed=3)
+    net.build(256)
+    survivors = fail_until(net, 0.3)
+    assert all(type(i) is int for i in survivors)
+    height = net.layout.height
+    radii = _radii(2**60, height)
+    owners = [s for s in survivors if net.nodes[s].max_level > 0]
+    assert owners
+    for owner in owners:
+        target = owner + int(radii[min(net.nodes[owner].max_level, height)]) + 1
+        for at in survivors:
+            req = LookupRequest(request_id=1, origin=at, target=target,
+                                algo="G", ttl=0, path=())
+            twin = req._replace(target=int(target))
+            assert route(net.nodes[at], req) == route(net.nodes[at], twin)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.sim.conditions import NetworkConditions
 from repro.sim.engine import Simulator
 from repro.sim.latency import ConstantLatency
 from repro.sim.network import Datagram, Network, Process
@@ -19,10 +20,9 @@ class Echo(Process):
         self.inbox.append((dgram.src, dgram.payload))
 
 
-def make_net(loss=0.0):
+def make_net():
     sim = Simulator()
-    net = Network(sim, latency=ConstantLatency(0.01), loss=loss,
-                  rng=np.random.default_rng(0))
+    net = Network(sim, latency=ConstantLatency(0.01))
     return sim, net
 
 
@@ -114,7 +114,9 @@ def test_set_up_restores_delivery():
 
 
 def test_loss_drops_fraction():
-    sim, net = make_net(loss=0.5)
+    sim, net = make_net()
+    rng = np.random.default_rng(0)
+    NetworkConditions(net).set_loss_model(lambda src, dst: rng.random() < 0.5)
     a, b = Echo(1), Echo(2)
     net.register(a)
     net.register(b)
@@ -123,14 +125,6 @@ def test_loss_drops_fraction():
     sim.run()
     assert 120 <= len(b.inbox) <= 280  # ~200 expected
     assert net.stats.dropped_loss == 400 - len(b.inbox)
-
-
-def test_invalid_loss_rejected():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Network(sim, loss=1.0)
-    with pytest.raises(ValueError):
-        Network(sim, loss=-0.1)
 
 
 def test_partition_filter_blocks():

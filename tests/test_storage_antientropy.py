@@ -126,6 +126,8 @@ def test_interval_validation(loaded):
     net, store, _ = loaded
     with pytest.raises(ValueError):
         AntiEntropy(interval=0)
+    with pytest.raises(ValueError):
+        AntiEntropy(interval=float("nan"))
 
 
 def test_lost_key_reported(loaded):

@@ -6,6 +6,7 @@ import pytest
 
 from repro import Cluster, TreePConfig, TreePNetwork
 from repro.storage import QuorumConfig
+from repro.storage.quorum import QUORUM_TIMEOUT
 from repro.storage.store import VersionedValue
 
 
@@ -31,8 +32,6 @@ def test_quorum_validation():
         QuorumConfig(n=3, w=4)
     with pytest.raises(ValueError):
         QuorumConfig(n=3, r=0)
-    with pytest.raises(ValueError):
-        QuorumConfig(timeout=0)
     with pytest.raises(ValueError):
         QuorumConfig(read_fallback=-1)
 
@@ -141,7 +140,7 @@ def test_stale_replica_repaired_when_it_replies_last(store_net):
     repaired = store.agents[victim].store.get(key_id)
     assert repaired.value == "fresh" and repaired.version == g.version
     assert not any(a._reads for a in store.agents.values())
-    assert net.sim.now - t0 < store.quorum.timeout  # timeout was cancelled
+    assert net.sim.now - t0 < QUORUM_TIMEOUT  # timeout was cancelled
 
 
 def test_unanswered_replica_releases_the_read_at_timeout(store_net):
@@ -157,7 +156,7 @@ def test_unanswered_replica_releases_the_read_at_timeout(store_net):
     net.sim.run_for(1.0)
     assert len(seen) == 1 and seen[0].found  # R=2 of the 2 live holders
     assert store.agents[coordinator]._reads  # still owed the third reply
-    net.sim.run_for(store.quorum.timeout)
+    net.sim.run_for(QUORUM_TIMEOUT)
     assert len(seen) == 1
     assert not any(a._reads for a in store.agents.values())
 
@@ -275,7 +274,7 @@ def test_write_finishes_immediately_when_targets_below_w():
     quorum timeout waiting for acks that can never arrive."""
     net = TreePNetwork(config=TreePConfig.paper_case1(), seed=9)
     net.build(2)  # placement can name at most 2 targets
-    store = Cluster(net=net).with_storage(QuorumConfig(n=4, w=4, r=1, timeout=5.0)).storage
+    store = Cluster(net=net).with_storage(QuorumConfig(n=4, w=4, r=1)).storage
     t0 = net.sim.now
     r = store.put("thin", 1)
     assert not r.ok  # w=4 unattainable with 2 nodes...
@@ -564,9 +563,9 @@ def test_hinted_coordinator_crash_costs_async_clients_one_op(store_net):
     apply_failure_step(net, [dead], FULL_POLICY)
     seen = []
     store.get_async(key, via=origin, on_done=seen.append)
-    net.sim.run_for(2 * store.quorum.timeout)
+    net.sim.run_for(2 * QUORUM_TIMEOUT)
     assert not seen and key_id not in hints  # that one op is lost
     store.get_async(key, via=origin, on_done=seen.append)
-    net.sim.run_for(2 * store.quorum.timeout)
+    net.sim.run_for(2 * QUORUM_TIMEOUT)
     assert len(seen) == 1 and seen[0].found and seen[0].value == value
     assert seen[0].hops >= 2 and hints[key_id] != dead

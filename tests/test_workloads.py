@@ -20,25 +20,12 @@ class TestLookupWorkload:
         b = LookupWorkload(rng=np.random.default_rng(7)).pairs(list(range(50)), 20)
         assert a == b
 
-    def test_zipf_targets_skewed(self):
-        w = LookupWorkload(rng=np.random.default_rng(0), mode="zipf-targets")
-        pairs = w.pairs(list(range(100)), 2000)
-        targets = [t for _, t in pairs]
-        counts = np.bincount(targets, minlength=100)
-        # Hot head: top-10 targets take a disproportionate share.
-        assert counts[np.argsort(counts)[-10:]].sum() > 0.35 * len(targets)
-
     def test_validation(self):
         w = LookupWorkload(rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
             w.pairs([1], 5)
         with pytest.raises(ValueError):
             w.pairs([1, 2], 0)
-
-    def test_unknown_mode(self):
-        w = LookupWorkload(rng=np.random.default_rng(0), mode="bogus")  # type: ignore[arg-type]
-        with pytest.raises(ValueError):
-            w.pairs([1, 2], 1)
 
 
 class TestChurnSchedule:
