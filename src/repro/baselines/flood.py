@@ -165,11 +165,8 @@ class FloodNetwork:
             if up(i):
                 self.nodes[i].neighbours = [n for n in self.nodes[i].neighbours if up(n)]
 
-    def run_lookup_batch(
-        self, pairs: Iterable[Tuple[int, int]], ttl: Optional[int] = None
-    ) -> List[LookupResult]:
-        t = ttl if ttl is not None else DEFAULT_TTL
-        pending = [self.nodes[o].issue_lookup(tgt, t) for o, tgt in pairs]
+    def run_lookup_batch(self, pairs: Iterable[Tuple[int, int]]) -> List[LookupResult]:
+        pending = [self.nodes[o].issue_lookup(tgt) for o, tgt in pairs]
         self.sim.run()
         assert all(p.result is not None for p in pending)
         return [p.result for p in pending]

@@ -111,13 +111,13 @@ class JobSpec:
     submit_at: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.cpu_demand <= 0:
+        if not self.cpu_demand > 0:
             raise ValueError(f"cpu_demand must be > 0, got {self.cpu_demand}")
-        if self.work <= 0:
+        if not self.work > 0:
             raise ValueError(f"work must be > 0, got {self.work}")
         if self.job_id in self.deps:
             raise ValueError(f"job {self.job_id} depends on itself")
-        if self.submit_at < 0:
+        if not self.submit_at >= 0:
             raise ValueError(f"submit_at must be >= 0, got {self.submit_at}")
 
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
+from repro.core.routing_table import Preimages
 from repro.core.treep import paused_collector
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -97,7 +98,7 @@ def _nearest_sides(ids: Iterable[int], around: int) -> tuple[Optional[int], Opti
     return left, right
 
 
-def relink_node(node: "TreePNode", policy: RepairPolicy = FULL_POLICY) -> None:
+def relink_node(node: "TreePNode", policy: RepairPolicy) -> None:
     """Recompute the node's maintained links from surviving knowledge.
 
     Strictly node-local: candidates are the entries still present in the
@@ -179,25 +180,36 @@ def gossip_round(net: "TreePNetwork") -> None:
     within the §III.e bounds instead of accumulating gossip forever.
     """
     now = net.sim.now
-    # Snapshot first so information moves one hop per round, matching one
-    # keep-alive exchange, not transitively within a round.
+    # Information moves one hop per round, matching one keep-alive exchange,
+    # not transitively within a round, so every peer is read as the round
+    # found it — in place, not copied.  A round installs a new role set
+    # (``set_role`` / ``set_level``) instead of writing one, so holding a set
+    # is holding the pre-round set; ``level_tables`` is the dict ``set_level``
+    # writes, hence the shallow copy; ``parents`` and ``level_children`` a
+    # round never writes.  A held set is iterated through a copy made as it
+    # is read, which iterates as a copy made up front would: a copy of a set
+    # that has seen discards may iterate in another order than the set, that
+    # order decides the order new entries are inserted in, and the digests
+    # pin the copy's.
     snapshot: dict[int, tuple] = {}
     for ident, node in net.nodes.items():
         if not net.network.is_up(ident):
             continue
         t = node.table
-        # ``parents`` / ``level_children`` are never mutated by a round,
-        # so they are shared; the sets are, and a copy may iterate in another
-        # order than a set that has seen discards — the digests pin the copy's.
         snapshot[ident] = (
-            set(t.level0),
-            {lvl: set(ids) for lvl, ids in t.level_tables.items()},
+            t.level0,
+            dict(t.level_tables),
             t.level_children,
             t.parents,
-            set(t.superiors),
+            t.superiors,
             (node.max_level, node.score, node.nc),
-            t.peer_meta(),
+            t,
         )
+    # A peer's metadata is read from its own entries.  None leaves a table
+    # before the trim pass after the loop, a role names only ids its table
+    # holds entries for, and ``before`` keeps the pre-round value of any
+    # metadata the round changes.
+    before: Preimages = {}
 
     for ident, snap in snapshot.items():
         node = net.nodes[ident]
@@ -206,13 +218,14 @@ def gossip_round(net: "TreePNetwork") -> None:
 
         # Level-0 exchange: refresh the link, learn the peer's links.
         new_indirect: set[int] = set()
-        for peer in my_level0:
+        links = set(my_level0)
+        for peer in links:
             ps = snapshot.get(peer)
             if ps is None:
                 continue
-            p_level0, _, _, _, _, pme, pmeta = ps
-            t.upsert(peer, now, *pme)
-            t.import_role(p_level0, now, pmeta, new_indirect)
+            p_level0, _, _, _, _, pme, pt = ps
+            t.refresh(peer, now, pme, before)
+            t.import_role(set(p_level0), now, pt, new_indirect, before)
         if new_indirect:
             t.set_role("level0_indirect", new_indirect - t.level0)
 
@@ -233,11 +246,11 @@ def gossip_round(net: "TreePNetwork") -> None:
                 ps = snapshot.get(peer)
                 if ps is None:
                     continue
-                _, p_buses, p_children, _, _, pme, pmeta = ps
-                t.upsert(peer, now, *pme)
+                _, p_buses, p_children, _, _, pme, pt = ps
+                t.refresh(peer, now, pme, before)
                 fresh_level.add(peer)
-                t.import_role(p_buses.get(lvl, ()), now, pmeta, fresh_level)
-                t.import_role(p_children.get(lvl, ()), now, pmeta, fresh_nc)
+                t.import_role(set(p_buses.get(lvl, ())), now, pt, fresh_level, before)
+                t.import_role(p_children.get(lvl, ()), now, pt, fresh_nc, before)
             if fresh_level:
                 any_bus_exchange = True
                 t.set_level(lvl, fresh_level)
@@ -248,13 +261,17 @@ def gossip_round(net: "TreePNetwork") -> None:
         p = my_parents.get(node.max_level + 1)
         ps = snapshot.get(p) if p is not None else None
         if ps is not None:
-            _, p_buses, _, p_parents, p_superiors, pme, pmeta = ps
+            _, p_buses, _, p_parents, p_superiors, pme, pt = ps
             new_sup: set[int] = set()
-            for group in (p_parents.values(), p_superiors, p_buses.get(pme[0], ())):
-                t.import_role(group, now, pmeta, new_sup)
+            for group in (p_parents.values(), set(p_superiors),
+                          set(p_buses.get(pme[0], ()))):
+                t.import_role(group, now, pt, new_sup, before)
             t.set_role("superiors", new_sup)
 
-        t.trim_to_roles()
+    # A table's trim depends only on its own final roles, so trimming after
+    # the loop leaves what trimming each node after its exchange would.
+    for ident in snapshot:
+        net.nodes[ident].table.trim_to_roles()
 
 
 def _sync_children(net: "TreePNetwork") -> None:
@@ -292,12 +309,12 @@ def _symmetrize_links(net: "TreePNetwork") -> None:
         if not up(ident):
             continue
         meta = (node.max_level, node.score, node.nc)
-        for peer in list(node.table.level0):
+        for peer in node.table.level0:
             pn = net.nodes.get(peer)
             if pn is not None and up(peer):
                 pn.table.add_level0_indirect(ident, now, *meta)
         for lvl, ids in node.table.level_tables.items():
-            for peer in list(ids):
+            for peer in ids:
                 pn = net.nodes.get(peer)
                 if pn is not None and up(peer) and pn.max_level >= lvl:
                     pn.table.add_level(lvl, ident, now, *meta)

@@ -35,7 +35,8 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Any, Dict, Iterable, KeysView, List, Optional, Sequence, Set,
+                    Tuple, ValuesView)
 
 
 @dataclass(slots=True)
@@ -85,6 +86,12 @@ class EmptyMap(dict):
 
 #: Every unwritten ``level_tables`` and ``level_children`` of every table.
 _NO_LEVELS = EmptyMap()
+
+#: What a gossip round overwrote, as the round found it: table owner ->
+#: ``{id: (max_level, score, nc)}`` for each entry whose metadata the round
+#: changed, recorded at the first change — so a peer that reads the table in
+#: place later in the round still reads its pre-round metadata.
+Preimages = Dict[int, Dict[int, Tuple[int, float, int]]]
 
 
 class RoutingTable:
@@ -194,33 +201,60 @@ class RoutingTable:
             e.nc = nc
         return e
 
-    def import_role(self, ids: Iterable[int], now: float,
-                    meta: Dict[int, Tuple[int, float, int]], role: Set[int]) -> None:
-        """Bulk gossip import: ``upsert(i, now, *meta.get(i, ()))`` then
-        ``role.add(i)`` for every id but the owner, in iteration order.
-        *meta* is the sender's :meth:`peer_meta`; *role* a fresh set the
-        caller installs wholesale (the set it replaces is never touched)."""
+    def import_role(self, ids: Iterable[int], now: float, sender: RoutingTable,
+                    role: Set[int], before: Preimages) -> None:
+        """Bulk gossip import: ``upsert(i, now, *m)`` then ``role.add(i)``
+        for every id but the owner, in iteration order.  *m* is the
+        *sender*'s metadata for *i* as the round found it: its pre-image in
+        the round's :data:`Preimages` *before* if the round changed it, else
+        the sender's entry, read in place, else none.  (A role names only
+        ids its table holds entries for, so an entry the sender gained
+        during the round is never asked for.)  *role* is a fresh set the
+        caller installs wholesale (the set it replaces is never touched).
+        The first change this call makes to an entry the table already held
+        is recorded in *before* for the readers after it."""
         entries, owner = self._entries, self.owner
+        sent, held = sender._entries, before.get(sender.owner)
+        mine = before.get(owner)
         for i in ids:
             if i == owner:
                 continue
+            s = sent.get(i)
+            if held is not None and i in held:
+                level, score, nc = held[i]
+            elif s is not None:
+                level, score, nc = s.max_level, s.score, s.nc
+            else:
+                level = None
             e = entries.get(i)
             if e is None:
                 e = entries[i] = Entry(i, last_seen=now)
                 self._membership += 1
-            elif now > e.last_seen:
-                e.last_seen = now
-            m = meta.get(i)
-            if m is not None:
-                if m[0] != e.max_level:
+            else:
+                if now > e.last_seen:
+                    e.last_seen = now
+                if level is not None and (level != e.max_level or score != e.score
+                                          or nc != e.nc):
+                    if mine is None:
+                        mine = before[owner] = {}
+                    mine.setdefault(i, (e.max_level, e.score, e.nc))
+            if level is not None:
+                if level != e.max_level:
                     self._version += 1  # as in upsert: views memoise levels
-                e.max_level, e.score, e.nc = m
+                e.max_level, e.score, e.nc = level, score, nc
             role.add(i)
 
-    def peer_meta(self) -> Dict[int, Tuple[int, float, int]]:
-        """``{id: (max_level, score, nc)}`` for every entry, in entry order —
-        what a gossip exchange tells the receiver about the peers it names."""
-        return {i: (e.max_level, e.score, e.nc) for i, e in self._entries.items()}
+    def refresh(self, ident: int, now: float, meta: Tuple[int, float, int],
+                before: Preimages) -> None:
+        """``upsert(ident, now, *meta)`` inside a gossip round: a change to
+        the metadata of an entry the table held first records the old value
+        in the round's :data:`Preimages` *before*, as :meth:`import_role` does."""
+        e = self._entries.get(ident)
+        if e is not None:
+            old = (e.max_level, e.score, e.nc)
+            if old != meta:
+                before.setdefault(self.owner, {}).setdefault(ident, old)
+        self.upsert(ident, now, *meta)
 
     def get(self, ident: int) -> Optional[Entry]:
         return self._entries.get(ident)
@@ -466,12 +500,15 @@ class RoutingTable:
     def level1_parent(self) -> Optional[int]:
         return self.parents.get(1)
 
-    def all_known(self) -> List[int]:
-        return list(self._entries)
+    def all_known(self) -> KeysView[int]:
+        """Every known id, in entry order: a read-only view of the table,
+        not a copy, so do not write the table while iterating it."""
+        return self._entries.keys()
 
-    def candidates(self) -> List[Entry]:
-        """Every peer usable as a next hop, deduplicated."""
-        return list(self._entries.values())
+    def candidates(self) -> ValuesView[Entry]:
+        """Every peer usable as a next hop, deduplicated, in entry order: a
+        read-only view, as :meth:`all_known`."""
+        return self._entries.values()
 
     def neighbours_at(self, level: int) -> Set[int]:
         if level == 0:

@@ -271,7 +271,7 @@ class NetworkConditions:
         and hooks still fire exactly once per transition.  Returns the
         partition and both events (cancel them to abort the schedule).
         """
-        if duration <= 0:
+        if not duration > 0:
             raise ValueError(f"duration must be > 0, got {duration}")
         partition = self.partition(a, b, bidirectional=bidirectional,
                                    name=name)

@@ -28,7 +28,7 @@ class ConstantLatency(LatencyModel):
     """
 
     def __init__(self, value: float = 0.01) -> None:
-        if value <= 0:
+        if not value > 0:
             raise ValueError(f"latency must be > 0, got {value}")
         self.value = float(value)
 

@@ -53,9 +53,9 @@ class ChurnSchedule:
         Nodes start up; leave after Exp(mean_uptime); rejoin after
         Exp(mean_downtime); repeat.  The classic P2P churn model.
         """
-        if duration <= 0:
+        if not duration > 0:
             raise ValueError("duration must be > 0")
-        if mean_uptime <= 0 or mean_downtime <= 0:
+        if not (mean_uptime > 0 and mean_downtime > 0):
             raise ValueError("mean_uptime and mean_downtime must be > 0")
         events: List[ChurnEvent] = []
         for node in population:
@@ -69,7 +69,7 @@ class ChurnSchedule:
 
     def churn_rate(self, duration: float) -> float:
         """Leave events per node-second (a scalar intensity measure)."""
-        if duration <= 0:
+        if not duration > 0:
             raise ValueError("duration must be > 0")
         leaves = sum(1 for e in self.events if e.kind == "leave")
         nodes = len({e.node for e in self.events}) or 1

@@ -55,15 +55,15 @@ class JobWorkload:
                                     repr=False)
 
     def __post_init__(self) -> None:
-        if self.arrival_rate <= 0:
+        if not self.arrival_rate > 0:
             raise ValueError(f"arrival_rate must be > 0, got {self.arrival_rate}")
         if len(self.demand_classes) != len(self.demand_weights):
             raise ValueError("demand_classes and demand_weights must align")
-        if any(d <= 0 for d in self.demand_classes):
+        if not all(d > 0 for d in self.demand_classes):
             raise ValueError("demand classes must be > 0")
         if not 0.0 <= self.constrained_fraction <= 1.0:
             raise ValueError("constrained_fraction must be in [0, 1]")
-        if self.work_mean <= 0:
+        if not self.work_mean > 0:
             raise ValueError(f"work_mean must be > 0, got {self.work_mean}")
 
     # ------------------------------------------------------------- sampling

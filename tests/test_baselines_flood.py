@@ -63,8 +63,9 @@ class TestFloodNetwork:
         rng = np.random.default_rng(1)
         pairs = [tuple(int(x) for x in rng.choice(net.ids, 2, replace=False))
                  for _ in range(30)]
-        res = net.run_lookup_batch(pairs, ttl=1)
-        assert sum(r.found for r in res) < 15  # only direct neighbours reachable
+        pending = [net.nodes[o].issue_lookup(t, 1) for o, t in pairs]
+        net.sim.run()
+        assert sum(p.result.found for p in pending) < 15  # only direct neighbours reachable
 
     def test_message_cost_explodes(self, net):
         before = net.network.stats.sent
@@ -100,8 +101,9 @@ class TestFloodNetwork:
         alive = net.alive_ids()
         pairs = [tuple(int(x) for x in rng.choice(alive, 2, replace=False))
                  for _ in range(30)]
-        res = net.run_lookup_batch(pairs, ttl=5)
-        assert sum(r.found for r in res) < 30
+        pending = [net.nodes[o].issue_lookup(t, 5) for o, t in pairs]
+        net.sim.run()
+        assert sum(p.result.found for p in pending) < 30
 
     def test_build_twice_rejected(self):
         net = FloodNetwork(seed=1)

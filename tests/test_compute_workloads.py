@@ -20,6 +20,10 @@ def test_job_spec_validation():
         JobSpec(job_id=1, deps=(1,))
     with pytest.raises(ValueError):
         JobSpec(job_id=1, submit_at=-1.0)
+    # ``nan <= 0`` and ``nan < 0`` are False: each check must still reject NaN.
+    for name in ("cpu_demand", "work", "submit_at"):
+        with pytest.raises(ValueError):
+            JobSpec(job_id=1, **{name: float("nan")})
 
 
 def test_compute_config_validation():
@@ -62,6 +66,11 @@ def test_workload_validation():
         JobWorkload(rng=rng, constrained_fraction=1.5)
     with pytest.raises(ValueError):
         JobWorkload(rng=rng, work_mean=0)
+    nan = float("nan")
+    for bad in ({"arrival_rate": nan}, {"work_mean": nan},
+                {"demand_classes": (1.0, nan), "demand_weights": (0.5, 0.5)}):
+        with pytest.raises(ValueError):
+            JobWorkload(rng=rng, **bad)
     with pytest.raises(ValueError):
         JobWorkload(rng=rng).jobs(0)
     with pytest.raises(ValueError):

@@ -239,7 +239,7 @@ def test_targeted_candidate_order_matches_reference_on_churned_overlay():
     compared = 0
     for ident in alive:
         node = net.nodes[ident]
-        known = node.table.all_known()
+        known = list(node.table.all_known())
         for target in (int(x) for x in rng.choice(alive, 3)):
             visited = rng.choice(known, min(3, len(known)), replace=False)
             exclude = frozenset(int(v) for v in visited) | {ident}

@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import TreePConfig, TreePNetwork
+from repro.core import repair
 from repro.core.repair import (
     FULL_POLICY,
     PAPER_POLICY,
     PURGE_ONLY_POLICY,
+    _nearest_sides,
     apply_failure_step,
     gossip_round,
     purge_dead,
@@ -216,6 +218,144 @@ class TestGossip:
         for i, node in net.nodes.items():
             if net.network.is_up(i):
                 assert victims.isdisjoint(node.table.all_known())
+
+
+def eager_gossip_round(net):
+    """The round as it was before it read its peers in place: a copy of
+    every live node's role sets and of its entries' metadata first, then
+    one ``upsert`` + ``add`` per imported id, each node trimmed right after
+    its own exchange — the reference :func:`gossip_round` must reproduce."""
+    now = net.sim.now
+    snapshot = {}
+    for ident, node in net.nodes.items():
+        if not net.network.is_up(ident):
+            continue
+        t = node.table
+        snapshot[ident] = (
+            set(t.level0),
+            {lvl: set(ids) for lvl, ids in t.level_tables.items()},
+            t.level_children,
+            t.parents,
+            set(t.superiors),
+            (node.max_level, node.score, node.nc),
+            {e.ident: (e.max_level, e.score, e.nc) for e in t.candidates()},
+        )
+
+    def import_role(t, ids, meta, role):
+        for i in ids:
+            if i != t.owner:
+                t.upsert(i, now, *meta.get(i, ()))
+                role.add(i)
+
+    for ident, snap in snapshot.items():
+        node = net.nodes[ident]
+        t = node.table
+        my_level0, my_buses, _, my_parents, _, _, _ = snap
+        new_indirect = set()
+        for peer in my_level0:
+            ps = snapshot.get(peer)
+            if ps is None:
+                continue
+            p_level0, _, _, _, _, pme, pmeta = ps
+            t.upsert(peer, now, *pme)
+            import_role(t, p_level0, pmeta, new_indirect)
+        if new_indirect:
+            t.set_role("level0_indirect", new_indirect - t.level0)
+        fresh_nc = set()
+        any_bus_exchange = False
+        for lvl, bus_entries in my_buses.items():
+            l, r = _nearest_sides(bus_entries, ident)
+            fresh_level = set()
+            for peer in {i for i in (l, r) if i is not None}:
+                ps = snapshot.get(peer)
+                if ps is None:
+                    continue
+                _, p_buses, p_children, _, _, pme, pmeta = ps
+                t.upsert(peer, now, *pme)
+                fresh_level.add(peer)
+                import_role(t, p_buses.get(lvl, ()), pmeta, fresh_level)
+                import_role(t, p_children.get(lvl, ()), pmeta, fresh_nc)
+            if fresh_level:
+                any_bus_exchange = True
+                t.set_level(lvl, fresh_level)
+        if any_bus_exchange:
+            t.set_role("neighbour_children", fresh_nc)
+        p = my_parents.get(node.max_level + 1)
+        ps = snapshot.get(p) if p is not None else None
+        if ps is not None:
+            _, p_buses, _, p_parents, p_superiors, pme, pmeta = ps
+            new_sup = set()
+            for group in (p_parents.values(), p_superiors, p_buses.get(pme[0], ())):
+                import_role(t, group, pmeta, new_sup)
+            t.set_role("superiors", new_sup)
+        t.trim_to_roles()
+
+
+def full_state(net):
+    """:func:`table_state` plus every table's ``version`` and ``membership``."""
+    counters = [(n.table.version, n.table.membership) for n in net.nodes.values()]
+    return table_state(net), counters
+
+
+def disagree(net, rng, share=0.3):
+    """Make tables disagree about their peers: in about *share* of the live
+    tables, give a third of the entries another ``max_level`` and ``score``
+    (through ``upsert``, keeping ``last_seen``), so a round carries values
+    that differ from what its receivers hold."""
+    for ident in net.alive_ids():
+        if rng.random() >= share:
+            continue
+        t = net.nodes[ident].table
+        for e in list(t.candidates()):
+            if rng.random() < 1 / 3:
+                t.upsert(e.ident, e.last_seen, max_level=(e.max_level + 1) % 3,
+                         score=e.score * 2.0 + 0.25)
+
+
+class TestInPlaceRoundEqualsTheEagerRound:
+    """Differential oracle: the in-place round against the copying round
+    it replaced, table for table — entries with every field in dict order,
+    every role set as a list, ``level_tables``, ``version``, ``membership``."""
+
+    @pytest.mark.parametrize("policy", [PAPER_POLICY, FULL_POLICY, PURGE_ONLY_POLICY],
+                             ids=["paper", "full", "purge_only"])
+    @pytest.mark.parametrize("n,seed,seeded_disagreement", [
+        (300, 9, False), (300, 11, True), (120, 3, True)])
+    def test_bursts_with_steps_and_extra_rounds(self, monkeypatch, policy, n, seed,
+                                                seeded_disagreement):
+        nets = [built(n=n, seed=seed), built(n=n, seed=seed)]
+        order = [int(v) for v in np.random.default_rng(seed).permutation(nets[0].ids)]
+        size = n // 10
+        rounds = 0
+        for burst in range(3):
+            step = order[burst * size:(burst + 1) * size]
+            for net, round_ in zip(nets, (gossip_round, eager_gossip_round)):
+                net.fail_nodes(step)
+                if seeded_disagreement:
+                    disagree(net, np.random.default_rng(seed + burst))
+                with monkeypatch.context() as m:
+                    m.setattr(repair, "gossip_round", round_)
+                    apply_failure_step(net, step, policy)
+                if seeded_disagreement:
+                    disagree(net, np.random.default_rng(seed + 10 + burst))
+                round_(net)  # a round after any policy, purge-only included
+            assert full_state(nets[0]) == full_state(nets[1])
+            rounds += 1 + policy.gossip_rounds
+        assert rounds >= 3
+
+    def test_a_peer_read_after_its_own_exchange_gives_its_pre_round_metadata(self):
+        """A chain where the receiver processed first overwrites the value a
+        later reader must still see: node B holds stale metadata for C and
+        is processed before A, which imports C's entry from B."""
+        nets = [built(n=64, seed=5), built(n=64, seed=5)]
+        for net, round_ in zip(nets, (gossip_round, eager_gossip_round)):
+            ids = net.alive_ids()
+            for ident in ids:  # every table disagrees with every other
+                t = net.nodes[ident].table
+                for e in list(t.candidates()):
+                    t.upsert(e.ident, e.last_seen, score=float(ident % 7 + e.ident % 5))
+            round_(net)
+        assert full_state(nets[0]) == full_state(nets[1])
 
 
 class TestApplyFailureStep:

@@ -571,17 +571,25 @@ _META = st.tuples(st.integers(0, 3), st.sampled_from([0.5, 1.0, 2.5]), st.intege
     stored=st.lists(st.tuples(_IDS, _META, st.integers(0, 20)), max_size=25),
     stream=st.lists(_IDS, max_size=40),
     meta=st.dictionaries(_IDS, _META, max_size=25),
+    held=st.dictionaries(_IDS, _META, max_size=5),
     now=st.integers(0, 20),
     preset=st.lists(_IDS, max_size=5),
 )
 @settings(max_examples=200, deadline=None)
-def test_property_import_role_equals_the_upsert_and_add_loop(stored, stream, meta, now, preset):
-    """``import_role`` is the per-id ``upsert(i, now, *meta.get(i, ()))`` +
-    ``role.add(i)`` loop it replaced: same entries (order and every field),
-    same ``version`` and ``membership``, same role-set iteration order —
-    whether an id is new or known, has metadata or not, changes level or
-    not, and whether *now* is older or newer than the stored ``last_seen``.
-    (Two tables built alike, so the role sets share their history.)"""
+def test_property_import_role_equals_the_upsert_and_add_loop(stored, stream, meta, held,
+                                                             now, preset):
+    """``import_role`` from a sender is the per-id ``upsert(i, now, *m)`` +
+    ``role.add(i)`` loop, *m* the sender's pre-round metadata for *i* — its
+    recorded pre-image if the round changed it, else its entry, else none:
+    same entries (order and every field), same ``version`` and
+    ``membership``, same role-set iteration order — whether an id is new or
+    known, has metadata or not, changes level or not, and whether *now* is
+    older or newer than the stored ``last_seen``.  (Two tables built alike,
+    so the role sets share their history.)  The first change to each entry
+    the receiver held is recorded as its pre-image, and nothing else is."""
+    sender = RoutingTable(owner=41)
+    for ident, m in meta.items():
+        sender.upsert(ident, 0.0, *m)
     tables = []
     for _ in range(2):
         t = RoutingTable(owner=7)
@@ -591,22 +599,34 @@ def test_property_import_role_equals_the_upsert_and_add_loop(stored, stream, met
         tables.append(t)
     loop, bulk = tables
     loop_role, bulk_role = set(preset), set(preset)
+    sent = {**meta, **held}
+    found = {i: (e.max_level, e.score, e.nc) for i, e in bulk._entries.items()}
 
     for i in stream:
         if i != loop.owner:
-            loop.upsert(i, float(now), *meta.get(i, ()))
+            loop.upsert(i, float(now), *sent.get(i, ()))
             loop_role.add(i)
-    bulk.import_role(stream, float(now), meta, bulk_role)
+    before = {41: dict(held)} if held else {}
+    bulk.import_role(stream, float(now), sender, bulk_role, before)
 
     assert ([e.as_tuple() for e in bulk._entries.values()]
             == [e.as_tuple() for e in loop._entries.values()])
     assert (bulk.version, bulk.membership) == (loop.version, loop.membership)
     assert list(bulk_role) == list(loop_role)
     assert list(bulk.superiors) == list(loop.superiors)
+    changed = {i: found[i] for i in stream if i in found and i in sent and sent[i] != found[i]}
+    assert before.get(7, {}) == changed
+    assert before.get(41, {}) == held
 
 
-def test_peer_meta_lists_every_entry_in_entry_order():
+def test_refresh_is_upsert_recording_the_first_change():
     t = RoutingTable(owner=1)
     t.add_level0(5, 0.0, max_level=2, score=1.5, nc=3)
-    t.upsert(2, 0.0)
-    assert list(t.peer_meta().items()) == [(5, (2, 1.5, 3)), (2, (0, 1.0, 4))]
+    before = {}
+    t.refresh(5, 1.0, (2, 1.5, 3), before)   # no change: nothing recorded
+    t.refresh(6, 1.0, (1, 1.0, 4), before)   # a new entry has no pre-image
+    assert before == {}
+    t.refresh(5, 2.0, (3, 1.5, 3), before)
+    t.refresh(5, 3.0, (4, 0.5, 3), before)   # the first change wins
+    assert before == {1: {5: (2, 1.5, 3)}}
+    assert t.get(5).as_tuple() == (5, 4, 0.5, 3, 3.0)

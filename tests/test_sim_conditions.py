@@ -168,6 +168,8 @@ class TestNetworkConditions:
         cond = NetworkConditions(net)
         with pytest.raises(ValueError):
             cond.schedule(1.0, 0.0, {0})
+        with pytest.raises(ValueError):
+            cond.schedule(1.0, float("nan"), {0})
 
     def test_composes_with_preexisting_filter(self):
         sim, net = make_net()

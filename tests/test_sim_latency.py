@@ -14,6 +14,8 @@ def test_constant_returns_value():
 def test_constant_rejects_nonpositive():
     with pytest.raises(ValueError):
         ConstantLatency(0.0)
+    with pytest.raises(ValueError):
+        ConstantLatency(float("nan"))
 
 
 def test_uniform_within_bounds():

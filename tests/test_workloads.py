@@ -62,6 +62,12 @@ class TestChurnSchedule:
             ChurnSchedule.sampled([1], rng, duration=0.0)
         with pytest.raises(ValueError):
             ChurnSchedule([]).churn_rate(0.0)
+        nan = float("nan")
+        for bad in ({"duration": nan}, {"mean_uptime": nan}, {"mean_downtime": nan}):
+            with pytest.raises(ValueError):
+                ChurnSchedule.sampled([1], rng, **{"duration": 10.0, **bad})
+        with pytest.raises(ValueError):
+            ChurnSchedule([]).churn_rate(nan)
 
 
 class TestCapacityMixes:
