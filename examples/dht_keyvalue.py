@@ -50,7 +50,7 @@ def main() -> None:
     victims = [int(v) for v in rng.choice(net.ids, len(net.ids) // 3, replace=False)]
     cluster.fail_nodes(victims, heal=True)
 
-    alive = cluster.alive_ids()
+    alive = net.alive_ids()
     hits = 0
     for i, k in enumerate(keys):
         # (index, not builtin hash(k): str hashes are salted per process,

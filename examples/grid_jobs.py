@@ -39,7 +39,7 @@ def main() -> None:
           f"{'stolen':>7} {'failover':>9}")
     killed = 0
     while killed < total:
-        cluster.run_for(15.0)
+        net.sim.run_for(15.0)
         step = order[killed:killed + min(burst, total - killed)]
         killed += len(step)
         cluster.fail_nodes(step, heal=True)    # churn callbacks + healing

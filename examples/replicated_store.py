@@ -49,7 +49,7 @@ def main() -> None:
         cluster.fail_nodes(step, heal=True)  # churn callbacks + table healing
         ae.converge()                        # re-replication
         repairs = sum(r.repairs_sent for r in ae.reports)
-        alive = cluster.alive_ids()
+        alive = net.alive_ids()
         readable = sum(
             store.get(k, via=alive[i % len(alive)]).found
             for i, k in enumerate(keys)

@@ -24,7 +24,7 @@ from repro.compute.job import ComputeConfig
 from repro.core.config import TreePConfig
 from repro.core.treep import TreePNetwork
 from repro.obs.hub import STATUS_OPEN, ObsHub
-from repro.sim.conditions import GilbertElliott, NetworkConditions
+from repro.sim.conditions import GilbertElliott, NetworkConditions, StragglerLatency
 from repro.storage import QuorumConfig
 from repro.viz.ascii import table
 from repro.workloads.adversarial import (
@@ -43,14 +43,6 @@ def _span_durations(hub: ObsHub, category: str) -> np.ndarray:
     mask = ((spans["cat"] == hub.strings.get_code(category))
             & (spans["status"] != STATUS_OPEN))
     return (spans["t1"] - spans["t0"])[mask]
-
-
-def _hook_counters(cond: NetworkConditions) -> dict:
-    counts = {"cut": 0, "heal": 0}
-    cond.cut_hooks.append(lambda p: counts.__setitem__("cut", counts["cut"] + 1))
-    cond.heal_hooks.append(
-        lambda p: counts.__setitem__("heal", counts["heal"] + 1))
-    return counts
 
 
 # ------------------------------------------------- partition-heal durability
@@ -72,7 +64,6 @@ def _partition_quorum(params, seed, smoke):
     root = subtree_in_span(topology, net.rng.get("adv-partition"), 0.10, 0.45)
     inside = subtree_members(topology, root)
     cond = NetworkConditions(net.network)
-    counts = _hook_counters(cond)
     part = cond.partition(inside, bidirectional=False, name="uplink")
     cond.cut(part)
 
@@ -88,6 +79,7 @@ def _partition_quorum(params, seed, smoke):
     cond.heal(part)
     again = cond.heal(part)  # exactly-once: second heal is a no-op
     ae.converge()
+    counts = {"cut": cond.cuts, "heal": cond.heals}
 
     vantages = (inside_s[0], outside_s[0])
     readable = sum(all(store.get(k, via=v).found for v in vantages)
@@ -222,12 +214,12 @@ def _straggler_tail(params, seed, smoke):
         net = TreePNetwork(config=TreePConfig.paper_case1(), seed=seed)
         net.build(n)
         hub = Cluster(net=net).with_observability(hub=net.obs).obs
-        cond = NetworkConditions(net.network)
         wrapped = None
         if inject:
             plan = straggler_plan(net.ids, net.rng.get("adv-stragglers"),
                                   fraction, factor)
-            wrapped = cond.set_stragglers(plan.victim_set, plan.factor)
+            wrapped = net.network.latency = StragglerLatency(
+                net.network.latency, plan.victim_set, plan.factor)
         results = net.run_lookup_batch(
             lookup_pairs(np.random.default_rng(0), net.ids, lookups), "G")
         return hub, wrapped, results
@@ -284,12 +276,9 @@ def _loss_burst_lookup(params, seed, smoke):
     net = TreePNetwork(config=TreePConfig.paper_case1(), seed=seed)
     net.build(n)
     hub = Cluster(net=net).with_observability(hub=net.obs).obs
-    cond = NetworkConditions(net.network)
-    ge = GilbertElliott(net.rng.get("adv-loss-burst"),
-                        loss_bad=params["loss_bad"],
-                        p_enter_bad=params["p_enter_bad"],
-                        p_exit_bad=params["p_exit_bad"])
-    cond.set_loss_model(ge)
+    ge = net.network.loss_model = GilbertElliott(
+        net.rng.get("adv-loss-burst"), loss_bad=params["loss_bad"],
+        p_enter_bad=params["p_enter_bad"], p_exit_bad=params["p_exit_bad"])
 
     results = net.run_lookup_batch(
         lookup_pairs(np.random.default_rng(0), net.ids, lookups), "G")
@@ -352,7 +341,6 @@ def _heal_convergence(params, seed, smoke):
     root = subtree_in_span(topology, net.rng.get("adv-heal"), 0.15, 0.45)
     inside = subtree_members(topology, root)
     cond = NetworkConditions(net.network)
-    counts = _hook_counters(cond)
 
     start = net.sim.now + 1.0
     part, _cut_ev, _heal_ev = cond.schedule(start, duration, inside,
@@ -383,6 +371,7 @@ def _heal_convergence(params, seed, smoke):
     blocked = cond.blocked_total()
     healed = not cond.active()
     manual_noop = not cond.heal(part)  # already healed by the schedule
+    counts = {"cut": cond.cuts, "heal": cond.heals}
 
     sweeps = ae.converge()
     readable = sum(all(store.get(k, via=v).found
@@ -394,7 +383,7 @@ def _heal_convergence(params, seed, smoke):
     pairs = [(inside_s[i % len(inside_s)], outside_s[i % len(outside_s)])
              for i in range(params["crosscut_lookups"] // 2)]
     pairs += [(b, a) for a, b in pairs]
-    cross_found = sum(cluster.lookup_sync(o, t).found for o, t in pairs)
+    cross_found = sum(net.lookup_sync(o, t).found for o, t in pairs)
 
     metrics = {
         "writes_acked_fraction": len(acked) / writes,

@@ -27,7 +27,7 @@ needed.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
 
 from repro.cluster.service import ClusterState, Service, ServiceError
 from repro.core.config import TreePConfig
@@ -41,7 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.capacity import NodeCapacity
     from repro.core.hierarchy import HierarchyLayout
     from repro.core.ids import AssignStrategy
-    from repro.core.node import TreePNode
     from repro.services.discovery import ResourceDirectory
     from repro.storage.antientropy import AntiEntropy
     from repro.storage.quorum import QuorumConfig, ReplicatedStore
@@ -89,13 +88,6 @@ class Cluster:
     ) -> "Cluster":
         """Create *n* peers in steady state; returns ``self`` (fluent)."""
         self.net.build(n, strategy=strategy, capacities=capacities)
-        return self
-
-    def build_from(
-        self, ids: Sequence[int], capacities: Dict[int, "NodeCapacity"]
-    ) -> "Cluster":
-        """Build from explicit IDs/capacities (deterministic tests)."""
-        self.net.build_from(ids, capacities)
         return self
 
     @property
@@ -189,7 +181,7 @@ class Cluster:
             state.attach(JobScheduler(config=config))
         except Exception:
             for svc in reversed(added):
-                svc.detach()
+                state.detach(svc)
             raise
         return self
 
@@ -239,39 +231,6 @@ class Cluster:
         return self.observability.hub
 
     # ------------------------------------------------------- overlay driving
-    @property
-    def sim(self):
-        return self.net.sim
-
-    @property
-    def config(self) -> TreePConfig:
-        return self.net.config
-
-    @property
-    def ids(self):
-        return self.net.ids
-
-    def alive_ids(self):
-        return self.net.alive_ids()
-
-    def run_for(self, duration: float) -> None:
-        self.net.sim.run_for(duration)
-
-    def lookup_sync(self, origin: int, target: int, algo="G"):
-        """Resolve one lookup, stepping the sim only until it completes
-        (see :meth:`TreePNetwork.lookup_sync`) — safe with any combination
-        of services attached."""
-        return self.net.lookup_sync(origin, target, algo)
-
-    def join_node(
-        self,
-        ident: int,
-        capacity: Optional["NodeCapacity"] = None,
-        via: Optional[int] = None,
-    ) -> "TreePNode":
-        """Protocol-driven join; every service's ``on_node_join`` fires."""
-        return self.net.join_new_node(ident, capacity=capacity, via=via)
-
     def fail_nodes(self, idents: Iterable[int], heal: bool = False) -> None:
         """Crash-stop peers; every service's churn callbacks fire.
 
@@ -285,15 +244,6 @@ class Cluster:
             from repro.core.repair import FULL_POLICY, apply_failure_step
 
             apply_failure_step(self.net, idents, FULL_POLICY)
-
-    def revive_nodes(self, idents: Iterable[int]) -> None:
-        self.net.revive_nodes(idents)
-
-    def start_maintenance(self) -> None:
-        self.net.start_maintenance()
-
-    def stop_maintenance(self) -> None:
-        self.net.stop_maintenance()
 
     # -------------------------------------------------------------- shutdown
     def shutdown(self) -> None:

@@ -27,8 +27,8 @@ Each context records, per node, the handlers it installed
 (:attr:`ServiceContext.handlers`) and the periodic tasks it armed
 (:attr:`ServiceContext.node_timers`); departures cancel the node's tasks
 and unregister its handlers, revivals re-install them, and
-:meth:`Service.detach` sweeps everything — the handler/hook leak the old
-facades had is structurally impossible.
+:meth:`ClusterState.detach` sweeps everything — the handler/hook leak the
+old facades had is structurally impossible.
 
 :class:`ClusterState` is the one-per-network service plane: the attached
 services in attach order, and the network's only subscriber to node
@@ -46,10 +46,8 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional
 from repro.sim.engine import PeriodicTimer, TimerGroup
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.config import TreePConfig
     from repro.core.node import TreePNode
     from repro.core.treep import TreePNetwork
-    from repro.sim.engine import Simulator
 
 __all__ = ["ClusterState", "Service", "ServiceContext", "ServiceError"]
 
@@ -90,13 +88,6 @@ class Service:
             )
         return self._ctx
 
-    def detach(self) -> None:
-        """Tear this service down: unregister every handler it installed,
-        cancel every periodic task it registered, drop its churn callbacks.
-        Idempotent."""
-        if self._ctx is not None:
-            self._ctx.state.detach(self)
-
     # --------------------------------------------------- overridable hooks
     def on_attach(self, ctx: "ServiceContext") -> None:
         """Service-wide setup; runs before any per-node wiring.  Resolve
@@ -128,9 +119,12 @@ class Service:
         service's handlers from it."""
 
     def on_node_revive(self, node: "TreePNode") -> None:
-        """Churn callback: a crash-stopped peer came back (same process,
-        per-node state intact).  Handlers are already re-installed; re-arm
-        any node-scoped periodic tasks here."""
+        """Churn callback: a crash-stopped peer came back (same process).
+        Its routing table is as the crash left it, or expired if
+        maintenance ran while it was down (a down node's keep-alive timer
+        keeps ticking); the service's per-node state is what
+        :meth:`on_node_leave` left.  Handlers are already re-installed;
+        re-arm any node-scoped periodic tasks here."""
 
 
 class ServiceContext:
@@ -150,15 +144,6 @@ class ServiceContext:
         self.node_timers: Dict[int, TimerGroup] = {}
         #: node id -> the handler mapping installed on that node.
         self.handlers: Dict[int, Dict[type, Handler]] = {}
-
-    # ------------------------------------------------------------ shortcuts
-    @property
-    def sim(self) -> "Simulator":
-        return self.net.sim
-
-    @property
-    def config(self) -> "TreePConfig":
-        return self.net.config
 
     # ---------------------------------------------------------- composition
     def require(self, name: str) -> Service:

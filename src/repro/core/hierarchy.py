@@ -80,26 +80,6 @@ class HierarchyLayout:
         counts = [len(v) for v in self.children.values()]
         return float(np.mean(counts)) if counts else 0.0
 
-    def validate(self, config: TreePConfig) -> None:
-        """Assert every structural invariant; raises ``AssertionError``."""
-        space = config.space
-        for j, bus in enumerate(self.levels):
-            assert bus == sorted(bus), f"level {j} bus not sorted"
-            assert len(set(bus)) == len(bus), f"level {j} bus has duplicates"
-        for j in range(1, len(self.levels)):
-            upper, lower = set(self.levels[j]), set(self.levels[j - 1])
-            assert upper <= lower, f"level {j} not a subset of level {j-1}"
-        for (p, j), kids in self.children.items():
-            assert p in self.levels[j], f"parent {p} not on bus {j}"
-            limit = self.nc[p]
-            assert len(kids) <= limit, (
-                f"parent {p} at level {j} has {len(kids)} children > nc={limit}"
-            )
-            for k in kids:
-                assert cell_owner(space, self.levels[j], k) == p, (
-                    f"child {k} not in cell of {p} at level {j}"
-                )
-
 
 def _effective_nc(config: TreePConfig, cap: NodeCapacity) -> int:
     if config.nc_mode == "fixed":
@@ -232,13 +212,6 @@ def build_layout(
         nc=nc_of,
         scores=scores,
     )
-
-
-def theoretical_height(n: int, c: float) -> float:
-    """§III.e: ``h = log_c((n + 1) / 2)`` for average children *c*."""
-    if n < 1 or c <= 1:
-        raise ValueError("need n >= 1 and c > 1")
-    return float(np.log((n + 1) / 2.0) / np.log(c))
 
 
 # --------------------------------------------------------------------------

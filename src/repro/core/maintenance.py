@@ -19,6 +19,7 @@ refreshed since that peer last heard from us), and runs lazy expiry.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict
 
@@ -26,6 +27,11 @@ from repro.core.messages import ChildReport, KeepAlive, KeepAliveAck
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.node import TreePNode
+
+#: Keep-alive periods are jittered by up to this fraction of the interval
+#: to de-synchronise the population (synchronised bursts both overstate
+#: instantaneous load and under-exercise the protocol).
+JITTER_FRACTION = 0.1
 
 
 @dataclass
@@ -46,15 +52,10 @@ class MaintenanceManager:
     ----------
     node:
         Owning protocol engine.
-    jitter_fraction:
-        Keep-alive periods are jittered by up to this fraction to
-        de-synchronise the population (avoids synchronized bursts, which
-        both overstate instantaneous load and under-exercise the protocol).
     """
 
-    def __init__(self, node: "TreePNode", jitter_fraction: float = 0.1) -> None:
+    def __init__(self, node: "TreePNode") -> None:
         self.node = node
-        self.jitter_fraction = jitter_fraction
         self.stats = MaintenanceStats()
         #: Last time we shipped a delta to each peer.
         self._last_sync: Dict[int, float] = {}
@@ -68,14 +69,9 @@ class MaintenanceManager:
             return
         node = self.node
         interval = node.config.keepalive_interval
-        rng = None
-        jitter = None
-        if self.jitter_fraction > 0:
-            import random
-
-            # Deterministic per-node phase, independent of global RNG state.
-            rng = random.Random(node.ident)
-            jitter = lambda: (rng.random() - 0.5) * 2 * self.jitter_fraction * interval
+        # Deterministic per-node phase, independent of global RNG state.
+        rng = random.Random(node.ident)
+        jitter = lambda: (rng.random() - 0.5) * 2 * JITTER_FRACTION * interval
         self._timer = node.sim.every(interval, self.tick, jitter=jitter,
                                      label=f"keepalive:{node.ident}")
 

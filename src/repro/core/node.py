@@ -327,7 +327,7 @@ class TreePNode(Process):
     def _on_Splice(self, src: int, msg: Splice) -> None:
         """A join displaced one of our level-0 links: adopt the joiner."""
         now = self.sim.now
-        self.table.add_level0(msg.joiner, now)
+        self.table.add("level0", msg.joiner, now)
         # Keep the two level-0 connections + joiner; drop the link the
         # joiner replaced (it is now reachable through the joiner).
         if msg.left == self.ident and msg.right is not None:
@@ -359,7 +359,7 @@ class TreePNode(Process):
             left, right = lo, self.ident
         else:
             left, right = self.ident, hi
-        self.table.add_level0(joiner, now, score=msg.score, nc=msg.nc)
+        self.table.add("level0", joiner, now, score=msg.score, nc=msg.nc)
         parent = self.table.level1_parent() if self.max_level == 0 else self.ident
         self.send(joiner, JoinAccept(left=left, right=right, parent=parent))
         other = left if right == self.ident else right
@@ -374,7 +374,7 @@ class TreePNode(Process):
         now = self.sim.now
         for n in (msg.left, msg.right):
             if n is not None and n != self.ident:
-                self.table.add_level0(n, now)
+                self.table.add("level0", n, now)
                 self.send(n, Hello(self.max_level, self.score, self.nc))
         if msg.parent is not None and msg.parent != self.ident:
             self.table.set_parent(1, msg.parent, now)
@@ -429,7 +429,7 @@ class TreePNode(Process):
         self.table.set_parent(msg.level, msg.parent, now, max_level=msg.level)
         for s in msg.superiors:
             if s != self.ident:
-                self.table.add_superior(s, now)
+                self.table.add("superiors", s, now)
         # Height estimate: the deepest superior chain we have seen.
         self.height = max(self.height, msg.level + len(msg.superiors))
 

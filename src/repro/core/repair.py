@@ -312,7 +312,7 @@ def _symmetrize_links(net: "TreePNetwork") -> None:
         for peer in node.table.level0:
             pn = net.nodes.get(peer)
             if pn is not None and up(peer):
-                pn.table.add_level0_indirect(ident, now, *meta)
+                pn.table.add("level0_indirect", ident, now, *meta)
         for lvl, ids in node.table.level_tables.items():
             for peer in ids:
                 pn = net.nodes.get(peer)

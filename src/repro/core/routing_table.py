@@ -108,8 +108,8 @@ class RoutingTable:
     effective role or parent change and when a peer's level changes (the
     router's candidate views key on it), not when a role-less entry comes or
     goes, nor when only ``level_children`` does;
-    :attr:`membership` moves exactly when the set of known ids does
-    (:meth:`sorted_ids` keys on it), whatever their roles.
+    the membership epoch ``_membership`` moves exactly when the set of
+    known ids does (:meth:`sorted_ids` keys on it), whatever their roles.
     """
 
     __slots__ = (
@@ -155,14 +155,9 @@ class RoutingTable:
         any two reads that agree saw the same role sets and peer levels."""
         return self._version
 
-    @property
-    def membership(self) -> int:
-        """Membership epoch: moves exactly when the set of known ids does."""
-        return self._membership
-
     def sorted_ids(self) -> Sequence[int]:
         """Every known id, ascending — the table as the 1-D space sees it.
-        Memoised per :attr:`membership` epoch and rebuilt lazily (tables
+        Memoised per membership epoch and rebuilt lazily (tables
         nobody key-routes through never pay); callers must not mutate it."""
         epoch, ids = self._sorted_ids
         membership = self._membership
@@ -307,21 +302,20 @@ class RoutingTable:
         self._version += 1
         setattr(self, role, set(ids) or _NO_ROLE)
 
-    def add_level0(self, ident: int, now: float, max_level: Optional[int] = None,
-                   score: Optional[float] = None, nc: Optional[int] = None) -> None:
+    def add(self, role: str, ident: int, now: float,
+            max_level: Optional[int] = None, score: Optional[float] = None,
+            nc: Optional[int] = None) -> None:
+        """Create or refresh *ident*'s entry and add it to the *role* set
+        (``level0``, ``level0_indirect``, ``neighbour_children`` or
+        ``superiors``)."""
         self.upsert(ident, now, max_level, score, nc)
-        self.link("level0", ident)
-
-    def add_level0_indirect(self, ident: int, now: float, max_level: Optional[int] = None,
-                            score: Optional[float] = None, nc: Optional[int] = None) -> None:
-        self.upsert(ident, now, max_level, score, nc)
-        self.link("level0_indirect", ident)
+        self.link(role, ident)
 
     def add_level(self, level: int, ident: int, now: float,
                   max_level: Optional[int] = None, score: Optional[float] = None,
                   nc: Optional[int] = None) -> None:
         if level <= 0:
-            raise ValueError("use add_level0 for level 0")
+            raise ValueError("use add('level0', ...) for level 0")
         self.upsert(ident, now, max_level, score, nc)
         if level not in self.level_tables:
             self.set_level(level, ())  # opening a bus is a write of its own
@@ -389,11 +383,6 @@ class RoutingTable:
                 self.unlink("children", k)
         return kids
 
-    def add_neighbour_child(self, ident: int, now: float, max_level: Optional[int] = None,
-                            score: Optional[float] = None, nc: Optional[int] = None) -> None:
-        self.upsert(ident, now, max_level, score, nc)
-        self.link("neighbour_children", ident)
-
     def set_parent(self, level: int, ident: int, now: float,
                    max_level: Optional[int] = None, score: Optional[float] = None,
                    nc: Optional[int] = None) -> None:
@@ -412,11 +401,6 @@ class RoutingTable:
             self._version += 1
         return old
 
-    def add_superior(self, ident: int, now: float, max_level: Optional[int] = None,
-                     score: Optional[float] = None, nc: Optional[int] = None) -> None:
-        self.upsert(ident, now, max_level, score, nc)
-        self.link("superiors", ident)
-
     def install(self, now: float, meta: Dict[int, Tuple[int, float, int]],
                 level0: Sequence[int], buses: Sequence[Sequence[int]],
                 own_children: Sequence[Sequence[int]],
@@ -428,14 +412,14 @@ class RoutingTable:
         ``neighbour_children[j - 1]`` belong to level ``j``, for every level
         ``1..len(buses)`` the node holds; *parent* sits one level above.
         The result is exactly what these calls, in this order, each with
-        ``now, *meta[id]``, would leave: ``add_level0`` for each of
+        ``now, *meta[id]``, would leave: ``add("level0", ·)`` for each of
         *level0*; ``add_level(j, ·)`` for each of every ``buses[j - 1]``;
         per level ``j``, ``open_children(j)``, ``add_child(j, ·)`` for each
-        own child and ``add_neighbour_child`` for each neighbour child;
-        ``set_parent(len(buses) + 1, parent)``; ``add_superior`` for each
-        of *superiors* — the same entries in the same order, every role set
-        in the same iteration order, and the same ``version`` and
-        ``membership``.
+        own child and ``add("neighbour_children", ·)`` for each neighbour
+        child; ``set_parent(len(buses) + 1, parent)``; ``add("superiors",
+        ·)`` for each of *superiors* — the same entries in the same order,
+        every role set in the same iteration order, and the same
+        ``version`` and membership epoch.
         """
         if self._membership or self._version:
             raise RuntimeError("install writes only a table nothing has written")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.core.ids import IdSpace
 
@@ -71,16 +71,6 @@ def cell_owner(space: IdSpace, bus: Sequence[int], ident: int) -> int:
     left, right = bus[idx - 1], bus[idx]
     # Left cell is [.., midpoint]; midpoint+1 starts the right cell.
     return left if ident <= space.midpoint(left, right) else right
-
-
-def bus_neighbours(bus: Sequence[int], ident: int) -> tuple[Optional[int], Optional[int]]:
-    """Left and right bus neighbours of *ident* (``None`` at endpoints)."""
-    idx = bisect.bisect_left(bus, ident)
-    if idx >= len(bus) or bus[idx] != ident:
-        raise ValueError(f"{ident} not on the bus")
-    left = bus[idx - 1] if idx > 0 else None
-    right = bus[idx + 1] if idx < len(bus) - 1 else None
-    return left, right
 
 
 def children_of(space: IdSpace, bus: Sequence[int], lower_level: Sequence[int]) -> dict[int, List[int]]:

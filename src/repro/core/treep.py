@@ -65,8 +65,8 @@ class TreePNetwork:
         Root seed for every random substream.
 
     Datagrams take ``UniformLatency(5..50 ms)`` from the ``"latency"``
-    stream; random loss is a predicate installed on ``network.loss_model``
-    (:meth:`~repro.sim.conditions.NetworkConditions.set_loss_model`).
+    stream; random loss is a predicate assigned to ``network.loss_model``
+    (e.g. a :class:`~repro.sim.conditions.GilbertElliott` chain).
     """
 
     def __init__(self, config: Optional[TreePConfig] = None, seed: int = 0) -> None:
@@ -328,11 +328,14 @@ class TreePNetwork:
             self.network.set_down(i)
 
     def revive_nodes(self, idents: Iterable[int]) -> None:
-        """Bring crash-stopped peers back up (same process, state intact).
+        """Bring crash-stopped peers back up (same process).
 
         The inverse of :meth:`fail_nodes`; attached services re-install
         their datagram handlers and re-arm node-scoped periodic tasks via
-        their ``on_node_revive`` callbacks.
+        their ``on_node_revive`` callbacks.  A revived node's routing table
+        is as the crash left it — expired, if maintenance ran meanwhile,
+        because a down node's keep-alive timer keeps ticking — and nothing
+        re-bootstraps it.
         """
         for i in idents:
             self.network.set_up(i)
@@ -349,7 +352,7 @@ class TreePNetwork:
 
     # --------------------------------------------------------- maintenance
     def start_maintenance(self) -> None:
-        """Arm keep-alive loops on every live node."""
+        """Arm keep-alive loops on every node, down ones included."""
         for node in self.nodes.values():
             mm = node.maintenance or MaintenanceManager(node)
             mm.start()

@@ -19,7 +19,7 @@ the paper's evaluation uses):
 
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, EventQueue
-from repro.sim.latency import ConstantLatency, LatencyModel, UniformLatency
+from repro.sim.latency import LatencyModel, UniformLatency
 from repro.sim.network import Datagram, Network, Process
 from repro.sim.rng import RngRegistry
 from repro.sim.failures import FailureSchedule
@@ -31,7 +31,6 @@ from repro.sim.conditions import (
 )
 
 __all__ = [
-    "ConstantLatency",
     "Datagram",
     "Event",
     "EventQueue",

@@ -6,33 +6,29 @@ Grid-5000 deployments the paper evaluates on — fail in correlated ways:
 losses arrive in bursts on specific links, whole address sets get cut
 off and later reconnected, and individual machines run slow without
 being down.  This module supplies each of those as a pluggable model
-composing with the existing seams
-(:class:`~repro.sim.latency.LatencyModel`, ``Network.partition_filter``,
-``Network.loss_model``) so the default fabric — and therefore every
+for one of the fabric's seams (:class:`~repro.sim.latency.LatencyModel`,
+``Network.partition_filter``, ``Network.loss_model``) so the default fabric — and therefore every
 pre-existing scenario — is bit-identical until a condition is explicitly
 installed.
 
 Split of responsibilities (the SPE topology/propagation split):
 
 * *Propagation* models live here and answer per-datagram questions —
-  :class:`GilbertElliott` (two-state burst loss) and
-  :class:`StragglerLatency` (victim slowdown).
+  :class:`GilbertElliott` (two-state burst loss, assigned to
+  ``network.loss_model``) and :class:`StragglerLatency` (victim slowdown,
+  wrapping ``network.latency``).
 * *Topology* decisions — which subtree is a rack, who becomes a victim —
   live in :mod:`repro.workloads.adversarial`, which never imports sim.
-* :class:`NetworkConditions` is the composition root: it owns the
-  network's ``partition_filter``/``loss_model``/``latency`` slots for the
-  duration of an experiment and restores them on :meth:`detach`.
-
-Partitions are first-class values with exactly-once :attr:`cut_hooks` /
-:attr:`heal_hooks` mirroring ``Network.down_hooks/up_hooks``: cutting an
-already-active partition (or healing an inactive one) is a no-op, so a
-scheduled heal racing a manual one fires observers exactly once.
+* :class:`NetworkConditions` owns the network's ``partition_filter``:
+  partitions are first-class values.  Cutting an already-active
+  partition (or healing an inactive one) is a no-op, so a scheduled heal
+  racing a manual one counts once in its ``cuts`` / ``heals``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -175,39 +171,25 @@ class Partition:
 
 
 class NetworkConditions:
-    """Composition root for adversarial conditions on one network.
+    """The partitions of one network.
 
-    Construction takes ownership of the network's ``partition_filter``
-    (composing with any pre-existing filter, which keeps blocking
-    underneath), and offers the ``loss_model`` / ``latency`` seams via
-    :meth:`set_loss_model` / :meth:`set_stragglers`.  :meth:`detach`
-    restores every seam it touched.
-
-    Cut/heal observers register on :attr:`cut_hooks` / :attr:`heal_hooks`
-    (``Callable[[Partition], None]``); both fire exactly once per
-    transition no matter how many times :meth:`cut`/:meth:`heal` are
-    called or how schedules overlap — the mirror of
-    ``Network.down_hooks/up_hooks`` for connectivity instead of liveness.
+    Construction takes the network's ``partition_filter``, which nothing
+    else may hold: a second owner raises.  :attr:`cuts` / :attr:`heals`
+    count transitions, exactly once each no matter how many times
+    :meth:`cut`/:meth:`heal` are called or how schedules overlap.
     """
 
     def __init__(self, network: Network) -> None:
+        if network.partition_filter is not None:
+            raise ValueError("the network's partition_filter is already owned")
         self.network = network
         self.sim: Simulator = network.sim
-        self._prev_filter = network.partition_filter
-        self._prev_loss_model = network.loss_model
-        # Bound-method access creates a fresh object each time; keep the
-        # installed one so detach() can recognise (and only then undo) it.
-        self._installed_filter = self._filter
-        network.partition_filter = self._installed_filter
+        network.partition_filter = self._filter
         self._active: Dict[Partition, None] = {}  # insertion-ordered set
-        self.cut_hooks: List[Callable[[Partition], None]] = []
-        self.heal_hooks: List[Callable[[Partition], None]] = []
         self.cuts = 0
         self.heals = 0
         #: Datagrams blocked per partition name (per-condition accounting).
         self.blocked: Dict[str, int] = {}
-        self._base_latency: Optional[LatencyModel] = None
-        self._detached = False
 
     # ----------------------------------------------------------- partitions
     def partition(self, a: Iterable[int], b: Optional[Iterable[int]] = None,
@@ -233,27 +215,21 @@ class NetworkConditions:
                          name=name)
 
     def cut(self, partition: Partition) -> bool:
-        """Activate *partition*.  Returns False (and fires nothing) if it
+        """Activate *partition*.  Returns False (and counts nothing) if it
         is already active."""
-        self._check_attached()
         if partition in self._active:
             return False
         self._active[partition] = None
         self.cuts += 1
-        for hook in list(self.cut_hooks):
-            hook(partition)
         return True
 
     def heal(self, partition: Partition) -> bool:
-        """Deactivate *partition*.  Returns False (and fires nothing) if
+        """Deactivate *partition*.  Returns False (and counts nothing) if
         it is not active."""
-        self._check_attached()
         if partition not in self._active:
             return False
         del self._active[partition]
         self.heals += 1
-        for hook in list(self.heal_hooks):
-            hook(partition)
         return True
 
     def active(self) -> Tuple[Partition, ...]:
@@ -268,7 +244,7 @@ class NetworkConditions:
 
         Both events route through :meth:`cut`/:meth:`heal`, so a manual
         heal before the scheduled one leaves the scheduled event a no-op
-        and hooks still fire exactly once per transition.  Returns the
+        and each transition still counts once.  Returns the
         partition and both events (cancel them to abort the schedule).
         """
         if not duration > 0:
@@ -289,56 +265,7 @@ class NetworkConditions:
                 self.blocked[partition.name] = (
                     self.blocked.get(partition.name, 0) + 1)
                 return True
-        prev = self._prev_filter
-        return prev is not None and prev(src, dst)
+        return False
 
     def blocked_total(self) -> int:
         return sum(self.blocked.values())
-
-    # ------------------------------------------------------------ loss seam
-    def set_loss_model(self, model: Callable[[int, int], bool]) -> None:
-        """Install a per-link loss predicate (e.g. :class:`GilbertElliott`)
-        on the network's ``loss_model`` seam."""
-        self._check_attached()
-        self.network.loss_model = model
-
-    def clear_loss_model(self) -> None:
-        self.network.loss_model = self._prev_loss_model
-
-    # ------------------------------------------------------- straggler seam
-    def set_stragglers(self, victims: Iterable[int], factor: float
-                       ) -> StragglerLatency:
-        """Wrap the network's latency model so links touching *victims*
-        run ``factor`` times slower.  Re-calling replaces the victim set
-        (the original base model is kept, not re-wrapped)."""
-        self._check_attached()
-        base = self.network.latency
-        if isinstance(base, StragglerLatency):
-            base = base.base
-        if self._base_latency is None:
-            self._base_latency = base
-        wrapped = StragglerLatency(base, victims, factor)
-        self.network.latency = wrapped
-        return wrapped
-
-    def clear_stragglers(self) -> None:
-        if self._base_latency is not None:
-            self.network.latency = self._base_latency
-            self._base_latency = None
-
-    # ------------------------------------------------------------ lifecycle
-    def detach(self) -> None:
-        """Restore every seam this instance took over.  Active partitions
-        stop blocking (the filter is uninstalled) but hook counters and
-        accounting survive for post-run assertions."""
-        if self._detached:
-            return
-        if self.network.partition_filter is self._installed_filter:
-            self.network.partition_filter = self._prev_filter
-        self.clear_loss_model()
-        self.clear_stragglers()
-        self._detached = True
-
-    def _check_attached(self) -> None:
-        if self._detached:
-            raise RuntimeError("NetworkConditions is detached")

@@ -220,12 +220,6 @@ class TimerGroup:
         self._timers.clear()
         return stopped
 
-    def active(self) -> list["PeriodicTimer"]:
-        return [t for t in self._timers if t.running]
-
-    def __len__(self) -> int:
-        return len(self.active())
-
 
 class PeriodicTimer:
     """Re-arming timer owned by a :class:`Simulator`.

@@ -102,13 +102,6 @@ class EventQueue:
     def __len__(self) -> int:
         return self._live
 
-    @property
-    def heap_size(self) -> int:
-        """Physical heap length, tombstones included (observability: the
-        bounded-heap regression tests assert ``heap_size`` stays within a
-        constant factor of ``len(queue)``)."""
-        return len(self._heap)
-
     def push(self, time: float, callback: Callback, label: str = "") -> Event:
         """Schedule *callback* at absolute simulated *time*."""
         return self.push_event(Event(time, 0, callback, label=label))
@@ -154,7 +147,7 @@ class EventQueue:
     def _note_cancel(self) -> None:
         """Account one cancellation; compact when tombstones dominate.
 
-        Keeps ``heap_size <= max(2 * live, _COMPACT_MIN)`` at all times, so
+        Keeps ``len(_heap) <= max(2 * live, _COMPACT_MIN)`` at all times, so
         a service that arms and cancels timers in a tight loop cannot grow
         the heap without bound while the cancelled firing times are still
         far in the virtual future.  Compaction rebuilds the heap from the

@@ -17,6 +17,14 @@ import numpy as np
 from repro.sim.network import Network
 
 
+#: Fraction of the initial population disconnected per step (paper: 5%).
+STEP_FRACTION = 0.05
+
+#: The sweep ends when the surviving fraction would drop below this
+#: (paper: 5% of the initial topology remains).
+STOP_FRACTION = 0.05
+
+
 @dataclass(frozen=True)
 class FailureStep:
     """One step of the paper's sweep."""
@@ -33,12 +41,8 @@ class FailureSchedule:
     Parameters
     ----------
     population:
-        Addresses present at steady state; fractions are of this set.
-    step_fraction:
-        Fraction of the initial population disconnected per step (paper: 5%).
-    stop_fraction:
-        Sweep ends when the surviving fraction would drop below this
-        (paper: 5% of the initial topology remains).
+        Addresses present at steady state; :data:`STEP_FRACTION` and
+        :data:`STOP_FRACTION` are fractions of this set.
     rng:
         Source of the kill order; the whole permutation is drawn up front so
         the set of nodes failed by step *k* is independent of how results
@@ -49,18 +53,10 @@ class FailureSchedule:
         self,
         population: Sequence[int],
         rng: np.random.Generator,
-        step_fraction: float = 0.05,
-        stop_fraction: float = 0.05,
     ) -> None:
         if not population:
             raise ValueError("population must be non-empty")
-        if not 0 < step_fraction < 1:
-            raise ValueError(f"step_fraction must be in (0,1), got {step_fraction}")
-        if not 0 <= stop_fraction < 1:
-            raise ValueError(f"stop_fraction must be in [0,1), got {stop_fraction}")
         self.population: List[int] = list(population)
-        self.step_fraction = step_fraction
-        self.stop_fraction = stop_fraction
         # ``tolist`` hands back Python ints: NumPy scalars would compare
         # with float radii in float64, inexactly past 2**53.
         self._order: List[int] = rng.permutation(self.population).tolist()
@@ -68,13 +64,13 @@ class FailureSchedule:
     def steps(self) -> Iterator[FailureStep]:
         """Yield successive failure steps.
 
-        Step *k* (1-based) has killed ``k * step_fraction`` of the initial
+        Step *k* (1-based) has killed ``k * STEP_FRACTION`` of the initial
         population in total.  The final step leaves at least
-        ``stop_fraction`` of the population alive.
+        ``STOP_FRACTION`` of the population alive.
         """
         n = len(self.population)
-        per_step = max(1, int(round(self.step_fraction * n)))
-        max_killed = int(np.floor((1.0 - self.stop_fraction) * n))
+        per_step = max(1, int(round(STEP_FRACTION * n)))
+        max_killed = int(np.floor((1.0 - STOP_FRACTION) * n))
         killed = 0
         step_index = 0
         while killed < max_killed:

@@ -21,21 +21,6 @@ class LatencyModel(abc.ABC):
         """Latency for one datagram from *src* to *dst*; must be > 0."""
 
 
-class ConstantLatency(LatencyModel):
-    """Every datagram takes exactly *value* seconds.
-
-    Useful in unit tests where deterministic arrival order matters.
-    """
-
-    def __init__(self, value: float = 0.01) -> None:
-        if not value > 0:
-            raise ValueError(f"latency must be > 0, got {value}")
-        self.value = float(value)
-
-    def sample(self, src: int, dst: int) -> float:
-        return self.value
-
-
 class UniformLatency(LatencyModel):
     """Latency uniform in ``[low, high]`` — a crude WAN model.
 

@@ -21,7 +21,7 @@ from typing import Any, Callable, Dict, Optional, Set
 
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
-from repro.sim.latency import ConstantLatency, LatencyModel
+from repro.sim.latency import LatencyModel
 
 
 class Datagram(Event):
@@ -124,12 +124,12 @@ class Network:  # repro-lint: disable=RPR401 one instance per simulation; slotti
     sim:
         The event kernel datagrams are scheduled on.
     latency:
-        Per-datagram latency model (default: 10 ms constant).
+        Per-datagram latency model.
     """
 
-    def __init__(self, sim: Simulator, latency: Optional[LatencyModel] = None) -> None:
+    def __init__(self, sim: Simulator, latency: LatencyModel) -> None:
         self.sim = sim
-        self.latency = latency if latency is not None else ConstantLatency(0.01)
+        self.latency = latency
         self._procs: Dict[int, Process] = {}
         self._down: Set[int] = set()
         #: Monotonic count of liveness transitions (registrations, crashes,
@@ -139,13 +139,12 @@ class Network:  # repro-lint: disable=RPR401 one instance per simulation; slotti
         self.liveness_epoch: int = 0
         self.stats = NetworkStats()
         #: Optional predicate; return True to block delivery (partitions).
+        #: Its one owner is :class:`~repro.sim.conditions.NetworkConditions`.
         self.partition_filter: Optional[Callable[[int, int], bool]] = None
         #: Optional per-link loss predicate (return True to drop, counted
-        #: as ``dropped_loss``): the one way a datagram is lost at random.
-        #: Install it through
-        #: :meth:`~repro.sim.conditions.NetworkConditions.set_loss_model`
-        #: (a :class:`~repro.sim.conditions.GilbertElliott` chain, or any
-        #: predicate drawing from its own stream).
+        #: as ``dropped_loss``): the one way a datagram is lost at random —
+        #: a :class:`~repro.sim.conditions.GilbertElliott` chain, or any
+        #: predicate drawing from its own stream.
         self.loss_model: Optional[Callable[[int, int], bool]] = None
         #: Optional hook observing every delivered datagram (tracing).
         self.delivery_hook: Optional[Callable[[Datagram], None]] = None

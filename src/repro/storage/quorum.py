@@ -66,6 +66,12 @@ QUORUM_TIMEOUT = 5.0
 #: datagrams land (a few times the default per-hop latency ceiling).
 _SETTLE = 0.2
 
+#: Extra non-improving read hops allowed when a coordinator's replicas all
+#: miss (greedy local minimum after churn).  A GET of a key that exists
+#: nowhere cannot be told from a stalled walk, so it explores up to this
+#: many extra coordinators before reporting the miss.
+READ_FALLBACK = 16
+
 #: Completion callbacks remembered per agent (oldest dropped).
 _CALLBACK_CAP = 4096
 
@@ -85,14 +91,6 @@ class QuorumConfig:
     n: int = 3
     w: int = 2
     r: int = 2
-    #: Extra non-improving read hops allowed when a coordinator's replicas
-    #: all miss (greedy local minimum after churn); 0 disables the fallback.
-    #: The dial trades churn availability against miss cost: a GET of a key
-    #: that exists nowhere cannot be distinguished from a stalled walk, so
-    #: it explores up to this many extra coordinators before reporting the
-    #: miss.  Workloads dominated by reads of nonexistent keys should lower
-    #: it (or disable it on healthy networks).
-    read_fallback: int = 16
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -101,8 +99,6 @@ class QuorumConfig:
             raise ValueError(f"need 1 <= w <= n, got w={self.w}, n={self.n}")
         if not 1 <= self.r <= self.n:
             raise ValueError(f"need 1 <= r <= n, got r={self.r}, n={self.n}")
-        if self.read_fallback < 0:
-            raise ValueError(f"read_fallback must be >= 0, got {self.read_fallback}")
 
 
 @dataclass
@@ -355,7 +351,7 @@ class StorageAgent:
         the closest *unvisited* candidate (an NGSA-style non-improving hop —
         after churn the greedy walk can stall at a local minimum that never
         heard of the key's true neighbourhood).  True when forwarded."""
-        if pend.fallbacks >= self.quorum.read_fallback:
+        if pend.fallbacks >= READ_FALLBACK:
             return False
         exclude = frozenset(pend.path) | {self.node.ident}
         best = greedy_key_next_hop(self.node, pend.key_id, exclude,
@@ -449,10 +445,16 @@ class ReplicatedStore(Service):
     def on_node_leave(self, ident: int) -> None:
         """A crashed process forgets what it learnt and what it was waiting
         for (its store is disk): results addressed to it are never
-        delivered, so a completion left registered would stay for good."""
+        delivered, so a completion left registered would stay for good,
+        and a quorum it was coordinating must not answer from the dead
+        when its timeout fires."""
         agent = self.agents[ident]
         agent.coordinators.clear()
         agent.callbacks.clear()
+        for pending in (agent._writes, agent._reads):
+            for pend in pending.values():
+                pend.timeout_event.cancel()  # type: ignore[attr-defined]
+            pending.clear()
 
     def on_detach(self) -> None:
         for agent in self.agents.values():
@@ -469,7 +471,7 @@ class ReplicatedStore(Service):
         """Reads must outlive the worst sloppy-fallback chain: every
         fallback hop can burn a full read timeout on dead targets, and a
         genuine late result must not be dropped with its callback."""
-        return (self.quorum.read_fallback + 2) * QUORUM_TIMEOUT
+        return (READ_FALLBACK + 2) * QUORUM_TIMEOUT
 
     # ------------------------------------------------------------ async API
     def _issue(self, op: str, key_id: int, value: Any, via: Optional[int],
@@ -611,13 +613,6 @@ class ReplicatedStore(Service):
         for holders in out.values():
             holders.sort()
         return out
-
-    def live_replica_count(self, key_id: int) -> int:
-        up = self.net.network.is_up
-        return sum(
-            1 for ident, agent in self.agents.items()
-            if up(ident) and agent.store.get(key_id) is not None
-        )
 
     def replication_factors(self) -> Dict[int, int]:
         """Live replica count for every tracked key (0 == lost)."""

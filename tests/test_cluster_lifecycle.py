@@ -21,6 +21,7 @@ from collections import Counter
 
 import pytest
 
+from reference import live_timers
 from repro import (
     AntiEntropy,
     Cluster,
@@ -44,7 +45,7 @@ def make_cluster(n=64, seed=11):
 
 def node_timers(service, ident):
     """How many node-scoped periodic tasks *service* has running on *ident*."""
-    return len(service.ctx.node_timers.get(ident, ()))
+    return len(live_timers(service.ctx.node_timers.get(ident)))
 
 
 class ProbePing:
@@ -113,16 +114,16 @@ def test_callbacks_fire_exactly_once_per_event_under_30pct_churn():
         step = order[len(killed):len(killed) + min(burst, total - len(killed))]
         cluster.fail_nodes(step, heal=True)
         killed.extend(step)
-        cluster.run_for(5.0)
+        cluster.net.sim.run_for(5.0)
         # Revive every other burst's first victim; join one brand-new peer.
         if len(revived) < len(killed) // (2 * burst) + 1:
             back = step[0]
-            cluster.revive_nodes([back])
+            cluster.net.revive_nodes([back])
             revived.append(back)
-        cluster.join_node(next_id)
+        cluster.net.join_new_node(next_id)
         joined.append(next_id)
         next_id += 1
-        cluster.run_for(5.0)
+        cluster.net.sim.run_for(5.0)
 
     leave_events = Counter(killed)
     revive_events = Counter(revived)
@@ -150,7 +151,7 @@ def test_leave_unregisters_handlers_and_cancels_node_tasks():
     # An idle worker owns no timer at all; give the victim a running job so
     # it holds node-scoped tasks (heartbeat + checkpoint loops) to cancel.
     grid.submit(JobSpec(job_id=1, work=200.0))
-    cluster.run_for(5.0)
+    cluster.net.sim.run_for(5.0)
     victim = grid.scheduler_core().records[1].worker
     assert victim is not None and victim != grid.scheduler_ident
     assert 1 in grid.agents[victim].running
@@ -165,7 +166,7 @@ def test_leave_unregisters_handlers_and_cancels_node_tasks():
     assert node_timers(store, victim) == 0
     assert not grid.agents[victim].running, "a crash wipes in-memory jobs"
 
-    cluster.revive_nodes([victim])
+    cluster.net.revive_nodes([victim])
     assert StorePut in node.handlers, "revival must re-install handlers"
     assert JobSubmit in node.handlers
     # A restarted process has no memory and nothing queued: no timer comes
@@ -180,7 +181,7 @@ def test_coordinator_hints_do_not_outlive_the_process():
     and swept everywhere at shutdown (the store itself is disk and stays)."""
     cluster = make_cluster().with_storage(QuorumConfig(n=3, w=2, r=2))
     store = cluster.storage
-    a, b = cluster.ids[0], cluster.ids[1]
+    a, b = cluster.net.ids[0], cluster.net.ids[1]
     for via in (a, b):
         assert store.put("hinted", via, via=via).ok
     key_id = store.key_id("hinted")
@@ -190,7 +191,7 @@ def test_coordinator_hints_do_not_outlive_the_process():
     cluster.fail_nodes([b])
     assert not store.agents[b].coordinators
     assert key_id in store.agents[a].coordinators  # only the crashed node's
-    cluster.revive_nodes([b])
+    cluster.net.revive_nodes([b])
     assert not store.agents[b].coordinators
     assert store.get("hinted", via=b).value == b  # routes, then re-learns
     assert key_id in store.agents[b].coordinators
@@ -202,9 +203,9 @@ def test_coordinator_hints_do_not_outlive_the_process():
     assert len(store.agents[a].callbacks) == 1
     cluster.fail_nodes([a], heal=True)
     assert not store.agents[a].callbacks
-    cluster.run_for(60.0)
-    cluster.revive_nodes([a])
-    cluster.run_for(60.0)
+    cluster.net.sim.run_for(60.0)
+    cluster.net.revive_nodes([a])
+    cluster.net.sim.run_for(60.0)
     assert not store.agents[a].callbacks
 
     cluster.shutdown()
@@ -215,7 +216,7 @@ def test_coordinator_hints_do_not_outlive_the_process():
 def test_detach_sweeps_handlers_everywhere_and_spares_other_services():
     cluster = make_cluster().add_service(ProbeService()).with_storage()
     store = cluster.storage
-    store.detach()
+    cluster.state.detach(store)
     assert not store.attached
     for node in cluster.net.nodes.values():
         types = set(node.handlers)
@@ -230,10 +231,10 @@ def test_rebuilt_node_has_no_stale_handlers():
     """The pre-1.3 leak: a closed facade kept wiring every future node."""
     cluster = make_cluster().with_storage()
     store = cluster.storage
-    store.detach()
-    store.detach()  # idempotent
-    new_id = max(cluster.ids) + 1
-    cluster.join_node(new_id)
+    cluster.state.detach(store)
+    cluster.state.detach(store)  # idempotent
+    new_id = max(cluster.net.ids) + 1
+    cluster.net.join_new_node(new_id)
     rebuilt = cluster.net.nodes[new_id]
     assert set(rebuilt.handlers) == set()
     assert new_id not in store.agents  # no longer covering new nodes
@@ -262,7 +263,7 @@ def test_periodic_tasks_cancelled_on_shutdown():
     assert grid.run_until_done(timeout=120.0)
     timers = [timer for svc in cluster.services
               for group in (svc.ctx.timers, *svc.ctx.node_timers.values())
-              for timer in group.active()]
+              for timer in live_timers(group)]
     assert timers
     cluster.shutdown()
     assert not ae.running, "shutdown must cancel the anti-entropy sweep"
@@ -277,7 +278,7 @@ def test_with_compute_owns_dependency_chain():
     assert cluster.compute.store is cluster.storage
     assert cluster.compute.directory is cluster.directory
     # Compute owns neither: detaching it leaves both attached.
-    cluster.compute.detach()
+    cluster.state.detach(cluster.compute)
     assert [s.name for s in cluster.services] == ["storage", "discovery"]
     assert cluster.storage.put("k", 1).ok
 
@@ -288,7 +289,7 @@ def test_with_compute_reuses_existing_storage():
                .with_compute())
     assert cluster.compute.store is cluster.storage
     assert cluster.storage.quorum.n == 3
-    cluster.compute.detach()
+    cluster.state.detach(cluster.compute)
     # An explicitly attached storage service is NOT owned by compute.
     assert cluster.storage.attached
 
@@ -365,12 +366,12 @@ def test_scheduler_monitor_survives_host_fail_and_revive():
     host = grid.scheduler_ident
     cluster.fail_nodes([host])
     assert not grid.scheduler_core()._timer.running
-    cluster.revive_nodes([host])
+    cluster.net.revive_nodes([host])
     assert not grid.ensure_scheduler()  # same process, table intact: no failover
     assert grid.scheduler_core()._timer.running, "monitor must be re-armed"
     # End-to-end: a worker killed mid-job is still detected and re-placed.
     grid.submit(JobSpec(job_id=1, cpu_demand=1.0, work=30.0))
-    cluster.run_for(10.0)
+    cluster.net.sim.run_for(10.0)
     core = grid.scheduler_core()
     worker = core.records[1].worker
     if worker is not None and worker != host:
@@ -384,7 +385,7 @@ def test_failed_attach_rolls_back_spawned_dependencies():
     """Regression: with_compute dying mid-attach must not leave the
     storage/discovery services it attached wired to the network."""
     cluster = make_cluster(n=16)
-    cluster.fail_nodes(list(cluster.ids))  # no live host for the scheduler
+    cluster.fail_nodes(list(cluster.net.ids))  # no live host for the scheduler
     with pytest.raises(RuntimeError):
         cluster.with_compute()
     assert [s.name for s in cluster.services] == []
@@ -415,7 +416,7 @@ def test_detach_cascade_spares_shared_dependencies():
     cluster = make_cluster().with_compute()  # attaches storage + discovery
     store = cluster.storage
     cluster.add_service(AntiEntropy(interval=5.0))  # requires 'storage'
-    cluster.compute.detach()
+    cluster.state.detach(cluster.compute)
     assert store.attached, "shared dependency must survive its spawner"
     assert cluster.storage is store
     assert store.put("k", 1).ok
@@ -487,7 +488,7 @@ def test_storage_survives_churn_driven_through_cluster():
         assert store.put(k, k.upper()).ok
 
     rng = cluster.net.rng.get("cluster-churn")
-    order = [int(v) for v in rng.permutation(cluster.ids)]
+    order = [int(v) for v in rng.permutation(cluster.net.ids)]
     total, burst = int(0.30 * 96), 6
     killed = 0
     while killed < total:
@@ -496,7 +497,7 @@ def test_storage_survives_churn_driven_through_cluster():
         cluster.fail_nodes(step, heal=True)
         ae.converge()
 
-    alive = cluster.alive_ids()
+    alive = cluster.net.alive_ids()
     readable = sum(store.get(k, via=alive[i % len(alive)]).found
                    for i, k in enumerate(keys))
     assert readable == len(keys)

@@ -7,6 +7,7 @@ from typing import Dict, NamedTuple, Tuple
 
 import pytest
 
+from reference import live_timers
 from repro import (
     Cluster,
     ComputeConfig,
@@ -19,7 +20,6 @@ from repro.compute.job import JobState, checkpoint_key
 from repro.compute.messages import JobDispatch
 from repro.core.repair import FULL_POLICY, apply_failure_step
 from repro.services.discovery import Constraint
-from repro.sim.conditions import NetworkConditions
 
 
 def make_grid(n=48, seed=7, **cfg_kwargs):
@@ -436,11 +436,11 @@ def test_idle_grid_is_silent():
     """No job, no compute traffic: only the scheduler's monitor ticks."""
     cluster = (Cluster(config=TreePConfig.paper_case1(), seed=7).build(200)
                .with_storage().with_compute(ComputeConfig()))
-    cluster.run_for(120.0)
+    cluster.net.sim.run_for(120.0)
     assert not _steal_datagrams(cluster.net)
     sched = cluster.compute.scheduler_ident
     for ident, node in cluster.net.nodes.items():
-        timers = len(cluster.compute.ctx.node_timers.get(ident, ()))
+        timers = len(live_timers(cluster.compute.ctx.node_timers.get(ident)))
         assert timers == (1 if ident == sched else 0)
     cluster.shutdown()
 
@@ -459,8 +459,7 @@ def test_lossy_network_still_completes_every_job():
     client retry + monitor re-place machinery must still land every job."""
     net = TreePNetwork(config=TreePConfig.paper_case1(), seed=7)
     loss_rng = net.rng.get("loss")
-    NetworkConditions(net.network).set_loss_model(
-        lambda src, dst: loss_rng.random() < 0.15)
+    net.network.loss_model = lambda src, dst: loss_rng.random() < 0.15
     net.build(48)
     grid = Cluster(net=net).with_compute(ComputeConfig()).compute
     for i in range(6):
@@ -474,7 +473,7 @@ def test_close_stops_all_timers():
     net, grid = make_grid()
     grid.submit(JobSpec(job_id=1, work=5.0))
     assert grid.run_until_done(timeout=120.0)
-    grid.detach()
+    Cluster(net=net).state.detach(grid)
     assert net.sim.run() >= 0  # terminates: no timer re-arms itself
 
 

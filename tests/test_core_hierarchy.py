@@ -5,14 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import theoretical_height, validate
 from repro.core.capacity import CapacityDistribution, NodeCapacity
 from repro.core.config import TreePConfig
-from repro.core.hierarchy import (
-    DemotionManager,
-    ElectionManager,
-    build_layout,
-    theoretical_height,
-)
+from repro.core.hierarchy import DemotionManager, ElectionManager, build_layout
 from repro.core.ids import IdSpace, assign_ids
 
 
@@ -31,7 +27,7 @@ class TestBuildLayout:
     def test_small_network(self):
         ids, caps = make_population(16)
         layout = build_layout(ids, caps, TreePConfig.paper_case1())
-        layout.validate(TreePConfig.paper_case1())
+        validate(layout, TreePConfig.paper_case1())
         assert layout.height >= 1
         assert sorted(ids) == layout.levels[0]
 
@@ -211,7 +207,7 @@ def test_property_layout_invariants(n, seed, case):
     ids, caps = make_population(n, seed=seed)
     cfg = TreePConfig.paper_case1() if case == "case1" else TreePConfig.paper_case2()
     layout = build_layout(ids, caps, cfg)
-    layout.validate(cfg)
+    validate(layout, cfg)
     # Subset chain and coverage.
     for lvl in range(1, layout.height + 1):
         assert set(layout.levels[lvl]) <= set(layout.levels[lvl - 1])

@@ -119,7 +119,7 @@ def test_equidistant_pair_resolves_by_insertion_order():
 _STEPS = st.lists(
     st.tuples(
         st.sampled_from(["upsert_roleless", "forget", "trim_to_roles", "expire",
-                         "merge_delta", "add_level0"]),
+                         "merge_delta", "add_l0"]),
         IDS,
     ),
     min_size=1, max_size=12,
@@ -135,7 +135,7 @@ def test_next_hop_never_sees_a_stale_sorted_view(ids, steps, keys):
     table = RoutingTable(owner=OWNER)
     for n, ident in enumerate(ids):
         if n % 2:
-            table.add_level0(ident, 0.0)   # role-backed: survives a trim
+            table.add("level0", ident, 0.0)   # role-backed: survives a trim
         else:
             table.upsert(ident, 0.0)
     now = 0.0
@@ -153,6 +153,6 @@ def test_next_hop_never_sees_a_stale_sorted_view(ids, steps, keys):
             table.expire(now, entry_ttl=15.0)
         elif op == "merge_delta":
             table.merge_delta([(ident, 0, 1.0, 4, now), (ident + 1, 1, 1.0, 4, now)], now)
-        elif op == "add_level0":
-            table.add_level0(ident, now)
+        elif op == "add_l0":
+            table.add("level0", ident, now)
         _assert_equivalent(table, keys + [ident])

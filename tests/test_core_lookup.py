@@ -59,7 +59,7 @@ def test_self_target_found():
 
 def test_known_target_found():
     v = View(100)
-    v.table.add_level0(200, 0.0)
+    v.table.add("level0", 200, 0.0)
     d = route(v, req(200))
     assert d.kind is DecisionKind.FOUND and d.resolved == 200
 
@@ -72,14 +72,14 @@ def test_ttl_exceeded_discards():
 
 def test_ttl_at_cap_not_discarded():
     v = View(100)
-    v.table.add_level0(999, 0.0)
+    v.table.add("level0", 999, 0.0)
     assert route(v, req(999, ttl=255)).kind is DecisionKind.FOUND
 
 
 def test_level0_forwards_to_best():
     v = View(100)
-    v.table.add_level0(110, 0.0)
-    v.table.add_level0(90, 0.0)
+    v.table.add("level0", 110, 0.0)
+    v.table.add("level0", 90, 0.0)
     d = route(v, req(500))
     assert d.kind is DecisionKind.FORWARD and d.next_hop == 110
 
@@ -92,7 +92,7 @@ def test_no_candidates_not_found():
 
 def test_visited_nodes_excluded():
     v = View(100)
-    v.table.add_level0(110, 0.0)
+    v.table.add("level0", 110, 0.0)
     d = route(v, req(500, path=(110,)))
     assert d.kind is DecisionKind.NOT_FOUND
 
@@ -100,7 +100,7 @@ def test_visited_nodes_excluded():
 def test_greedy_prefers_high_level_jump():
     """A level-3 entry with D=0 beats a slightly-closer level-0 entry."""
     v = View(0, max_level=1, height=4, extent=2**16)
-    v.table.add_level0(100, 0.0, max_level=0)
+    v.table.add("level0", 100, 0.0, max_level=0)
     v.table.add_level(1, 30000, 0.0, max_level=3)  # radius 2^16/2 covers target
     d = route(v, req(60000))
     assert d.kind is DecisionKind.FORWARD and d.next_hop == 30000
@@ -110,7 +110,7 @@ def test_greedy_escalates_through_superiors():
     """Level > 0 node with no halving candidate forwards to a superior."""
     v = View(0, max_level=1, height=6, extent=2**16)
     v.table.add_level(1, 10, 0.0, max_level=1)     # tiny step, no halving
-    v.table.add_superior(500, 0.0, max_level=4)    # big-radius superior
+    v.table.add("superiors", 500, 0.0, max_level=4)    # big-radius superior
     d = route(v, req(60000))
     assert d.kind is DecisionKind.FORWARD and d.next_hop == 500
 
@@ -135,8 +135,8 @@ def test_greedy_descent_from_parent_continues():
 
 def test_ng_takes_first_improving():
     v = View(1000, extent=2**16)
-    v.table.add_level0(1100, 0.0)
-    v.table.add_level0(900, 0.0)
+    v.table.add("level0", 1100, 0.0)
+    v.table.add("level0", 900, 0.0)
     d = route(v, req(5000, algo="NG"))
     assert d.kind is DecisionKind.FORWARD and d.next_hop == 1100
     assert d.alternates == ()
@@ -144,7 +144,7 @@ def test_ng_takes_first_improving():
 
 def test_ng_dead_end_not_found():
     v = View(1000, extent=2**16)
-    v.table.add_level0(900, 0.0)  # moves away from target
+    v.table.add("level0", 900, 0.0)  # moves away from target
     d = route(v, req(5000, algo="NG", path=()))
     # 900 is farther from 5000 than 1000 -> no improving candidate.
     assert d.kind is DecisionKind.NOT_FOUND
@@ -152,9 +152,9 @@ def test_ng_dead_end_not_found():
 
 def test_ngsa_collects_alternates():
     v = View(1000, extent=2**16)
-    v.table.add_level0(1100, 0.0)
-    v.table.add_level0(1200, 0.0)
-    v.table.add_level0(2000, 0.0)
+    v.table.add("level0", 1100, 0.0)
+    v.table.add("level0", 1200, 0.0)
+    v.table.add("level0", 2000, 0.0)
     d = route(v, req(5000, algo="NGSA"))
     assert d.kind is DecisionKind.FORWARD
     assert d.next_hop == 2000  # candidates scanned by distance to target
@@ -163,7 +163,7 @@ def test_ngsa_collects_alternates():
 
 def test_ngsa_dead_end_uses_alternates():
     v = View(1000, extent=2**16)
-    v.table.add_level0(900, 0.0)  # no improvement
+    v.table.add("level0", 900, 0.0)  # no improvement
     d = route(v, req(5000, algo="NGSA", alternates=(4000, 3000)))
     assert d.kind is DecisionKind.FORWARD
     assert d.next_hop == 4000  # nearest alternate to the target
@@ -181,7 +181,7 @@ def test_euclidean_fallback_activates_beyond_height():
     loses its D=0 advantage."""
     v = View(0, max_level=1, height=3, extent=2**16)
     v.table.add_level(1, 60000, 0.0, max_level=3)  # D=0 to most things
-    v.table.add_level0(3000, 0.0, max_level=0)
+    v.table.add("level0", 3000, 0.0, max_level=0)
     target = 4000
     d_normal = route(v, req(target, ttl=1))
     assert d_normal.next_hop == 60000  # tessellation metric: D=0 wins
@@ -193,7 +193,7 @@ def test_fallback_disabled_by_config():
     v = View(0, max_level=1, height=3, extent=2**16)
     v.config = dataclasses.replace(v.config, euclidean_fallback=False)
     v.table.add_level(1, 60000, 0.0, max_level=3)
-    v.table.add_level0(3000, 0.0, max_level=0)
+    v.table.add("level0", 3000, 0.0, max_level=0)
     d = route(v, req(4000, ttl=10))
     assert d.next_hop == 60000  # still the tessellation metric
 
@@ -255,10 +255,10 @@ def test_targeted_candidate_order_matches_reference_on_churned_overlay():
 _OWNER = 30000
 _PEER_IDS = st.integers(0, 2**16 - 1).filter(lambda i: i != _OWNER)
 _ROLE_ADDERS = {
-    "level0": lambda t, i, lvl: t.add_level0(i, 0.0, max_level=lvl),
+    "level0": lambda t, i, lvl: t.add("level0", i, 0.0, max_level=lvl),
     "child": lambda t, i, lvl: t.add_child(lvl + 1, i, 0.0, max_level=lvl),
-    "neighbour_child": lambda t, i, lvl: t.add_neighbour_child(i, 0.0, max_level=lvl),
-    "superior": lambda t, i, lvl: t.add_superior(i, 0.0, max_level=lvl),
+    "neighbour_child": lambda t, i, lvl: t.add("neighbour_children", i, 0.0, max_level=lvl),
+    "superior": lambda t, i, lvl: t.add("superiors", i, 0.0, max_level=lvl),
     "bus1": lambda t, i, lvl: t.add_level(1, i, 0.0, max_level=lvl),
     "bus2": lambda t, i, lvl: t.add_level(2, i, 0.0, max_level=lvl),
     "parent": lambda t, i, lvl: t.set_parent(1 + lvl % 2, i, 0.0, max_level=lvl),

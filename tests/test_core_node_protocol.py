@@ -4,12 +4,12 @@ as real datagrams on small networks."""
 import numpy as np
 import pytest
 
+from reference import ConstantLatency
 from repro import TreePConfig, TreePNetwork
 from repro.core.capacity import NodeCapacity
 from repro.core.messages import Hello
 from repro.core.node import TreePNode
 from repro.sim.engine import Simulator
-from repro.sim.latency import ConstantLatency
 from repro.sim.network import Network
 
 
@@ -168,12 +168,12 @@ class TestElectionProtocol:
         now = 0.0
         # Wire a line: a-b-c with mutual level-0 knowledge.
         a, b, c = nodes
-        a.table.add_level0(b.ident, now)
-        b.table.add_level0(a.ident, now)
-        b.table.add_level0(c.ident, now)
-        c.table.add_level0(b.ident, now)
-        a.table.add_level0(c.ident, now)
-        c.table.add_level0(a.ident, now)
+        a.table.add("level0", b.ident, now)
+        b.table.add("level0", a.ident, now)
+        b.table.add("level0", c.ident, now)
+        c.table.add("level0", b.ident, now)
+        a.table.add("level0", c.ident, now)
+        c.table.add("level0", a.ident, now)
         b.trigger_election(0)
         sim.run(until=30.0)
         # The strongest (b) won and the others adopted it.
@@ -186,8 +186,8 @@ class TestElectionProtocol:
 
     def test_no_election_with_existing_parent(self):
         sim, net, (a, b, c) = tiny_net()
-        a.table.add_level0(b.ident, 0.0)
-        a.table.add_level0(c.ident, 0.0)
+        a.table.add("level0", b.ident, 0.0)
+        a.table.add("level0", c.ident, 0.0)
         a.table.set_parent(1, b.ident, 0.0)
         a.trigger_election(0)
         sim.run(until=10.0)
@@ -195,7 +195,7 @@ class TestElectionProtocol:
 
     def test_no_election_below_min_degree(self):
         sim, net, (a, b, _) = tiny_net()
-        a.table.add_level0(b.ident, 0.0)
+        a.table.add("level0", b.ident, 0.0)
         a.trigger_election(0)
         sim.run(until=10.0)
         assert a.max_level == 0
@@ -314,7 +314,7 @@ class TestManagersOnDemand:
                 assert node.elections.active == {}
             for other in nodes:
                 if other is not node:
-                    node.table.add_level0(other.ident, 0.0)
+                    node.table.add("level0", other.ident, 0.0)
         nodes[0].trigger_election(0)
         sim.run(until=30.0)
         return (events.log,

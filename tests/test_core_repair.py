@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import membership
 from repro import TreePConfig, TreePNetwork
 from repro.core import repair
 from repro.core.repair import (
@@ -293,7 +294,7 @@ def eager_gossip_round(net):
 
 def full_state(net):
     """:func:`table_state` plus every table's ``version`` and ``membership``."""
-    counters = [(n.table.version, n.table.membership) for n in net.nodes.values()]
+    counters = [(n.table.version, membership(n.table)) for n in net.nodes.values()]
     return table_state(net), counters
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import membership
 from repro.core.routing_table import _NO_LEVELS, _NO_ROLE, Entry, RoutingTable
 
 
@@ -47,13 +48,13 @@ def test_touch_never_regresses(table):
 
 
 def test_roles_tracked(table):
-    table.add_level0(1, 0.0)
-    table.add_level0_indirect(2, 0.0)
+    table.add("level0", 1, 0.0)
+    table.add("level0_indirect", 2, 0.0)
     table.add_level(1, 3, 0.0)
     table.add_child(1, 4, 0.0)
-    table.add_neighbour_child(5, 0.0)
+    table.add("neighbour_children", 5, 0.0)
     table.set_parent(1, 6, 0.0)
-    table.add_superior(7, 0.0)
+    table.add("superiors", 7, 0.0)
     assert roles_of(table, 1) == {"level0"}
     assert roles_of(table, 2) == {"level0-indirect"}
     assert roles_of(table, 3) == {"level1"}
@@ -64,8 +65,8 @@ def test_roles_tracked(table):
 
 
 def test_multiple_roles_one_entry(table):
-    table.add_level0(9, 1.0)
-    table.add_superior(9, 2.0)
+    table.add("level0", 9, 1.0)
+    table.add("superiors", 9, 2.0)
     assert table.size() == 1
     assert roles_of(table, 9) == {"level0", "superior"}
     assert table.get(9).last_seen == 2.0
@@ -82,11 +83,11 @@ def test_set_parent_level_validation(table):
 
 
 def test_forget_removes_everywhere(table):
-    table.add_level0(5, 0.0)
+    table.add("level0", 5, 0.0)
     table.add_level(2, 5, 0.0)
     table.add_child(1, 5, 0.0)
     table.set_parent(3, 5, 0.0)
-    table.add_superior(5, 0.0)
+    table.add("superiors", 5, 0.0)
     table.forget(5)
     assert table.get(5) is None
     assert roles_of(table, 5) == set()
@@ -94,8 +95,8 @@ def test_forget_removes_everywhere(table):
 
 
 def test_expire_drops_stale(table):
-    table.add_level0(1, now=0.0)
-    table.add_level0(2, now=10.0)
+    table.add("level0", 1, now=0.0)
+    table.add("level0", 2, now=10.0)
     stale = table.expire(now=15.0, entry_ttl=10.0)
     assert stale == [1]
     assert table.get(2) is not None and table.get(1) is None
@@ -108,7 +109,7 @@ def test_level1_parent(table):
 
 
 def test_neighbours_at(table):
-    table.add_level0(1, 0.0)
+    table.add("level0", 1, 0.0)
     table.add_level(2, 5, 0.0)
     assert table.neighbours_at(0) == {1}
     assert table.neighbours_at(2) == {5}
@@ -116,13 +117,13 @@ def test_neighbours_at(table):
 
 
 def test_active_connections_excludes_replicated(table):
-    table.add_level0(1, 0.0)
+    table.add("level0", 1, 0.0)
     table.add_level(1, 2, 0.0)
     table.set_parent(2, 3, 0.0)
     table.add_child(1, 4, 0.0)
-    table.add_superior(5, 0.0)            # replicated knowledge
-    table.add_neighbour_child(6, 0.0)     # replicated knowledge
-    table.add_level0_indirect(7, 0.0)     # replicated knowledge
+    table.add("superiors", 5, 0.0)            # replicated knowledge
+    table.add("neighbour_children", 6, 0.0)     # replicated knowledge
+    table.add("level0_indirect", 7, 0.0)     # replicated knowledge
     assert table.active_connections() == {1, 2, 3, 4}
 
 
@@ -150,7 +151,7 @@ def test_children_are_one_store_read_per_level_and_as_a_set(table):
 
 
 def test_trim_to_roles(table):
-    table.add_level0(1, 0.0)
+    table.add("level0", 1, 0.0)
     table.upsert(99, 0.0)  # metadata with no role
     assert table.size() == 2
     dropped = table.trim_to_roles()
@@ -159,8 +160,8 @@ def test_trim_to_roles(table):
 
 
 def test_delta_since(table):
-    table.add_level0(1, now=1.0)
-    table.add_level0(2, now=5.0)
+    table.add("level0", 1, now=1.0)
+    table.add("level0", 2, now=5.0)
     delta = table.delta_since(2.0)
     assert [t[0] for t in delta] == [2]
     assert len(table.delta_since(0.0)) == 2
@@ -204,7 +205,7 @@ def test_property_size_equals_distinct_known(ops):
             t.forget(ident)
             known.discard(ident)
         elif op == "level0":
-            t.add_level0(ident, 0.0)
+            t.add("level0", ident, 0.0)
             known.add(ident)
         elif op == "level":
             t.add_level(1, ident, 0.0)
@@ -213,7 +214,7 @@ def test_property_size_equals_distinct_known(ops):
             t.add_child(1, ident, 0.0)
             known.add(ident)
         elif op == "superior":
-            t.add_superior(ident, 0.0)
+            t.add("superiors", ident, 0.0)
             known.add(ident)
     assert t.size() == len(known)
     assert set(t.all_known()) == known
@@ -222,7 +223,7 @@ def test_property_size_equals_distinct_known(ops):
 
 _MUTATIONS = st.one_of(
     st.tuples(st.just("upsert"), st.integers(0, 40), st.integers(0, 3)),
-    st.tuples(st.just("add_level0"), st.integers(0, 40), st.just(0)),
+    st.tuples(st.just("add_l0"), st.integers(0, 40), st.just(0)),
     st.tuples(st.just("add_child"), st.integers(0, 40), st.just(0)),
     st.tuples(st.just("set_parent"), st.integers(0, 40), st.integers(1, 3)),
     st.tuples(st.just("touch"), st.integers(0, 40), st.just(0)),
@@ -244,12 +245,12 @@ def test_property_membership_epoch_moves_iff_known_ids_change(ops):
     now = 0.0
     for op, ident, arg in ops:
         now += 1.0
-        before_ids, before_epoch = set(t._entries), t.membership
+        before_ids, before_epoch = set(t._entries), membership(t)
         before_view = t.sorted_ids()
         if op == "upsert":
             t.upsert(ident, now, max_level=arg)
-        elif op == "add_level0":
-            t.add_level0(ident, now)
+        elif op == "add_l0":
+            t.add("level0", ident, now)
         elif op == "add_child":
             t.add_child(1, ident, now)
         elif op == "set_parent":
@@ -268,20 +269,20 @@ def test_property_membership_epoch_moves_iff_known_ids_change(ops):
             t.unlink("level0", ident)
             t.unlink("children", ident)
         changed = set(t._entries) != before_ids
-        assert (t.membership != before_epoch) == changed, (op, ident, arg)
+        assert (membership(t) != before_epoch) == changed, (op, ident, arg)
         assert list(t.sorted_ids()) == sorted(t._entries)
         if not changed:
             assert t.sorted_ids() is before_view  # memo hit, no re-sort
 
 
 def test_role_less_upsert_and_trim_move_the_epoch_but_not_the_version(table):
-    table.add_level0(7, 0.0)
-    version, epoch = table.version, table.membership
+    table.add("level0", 7, 0.0)
+    version, epoch = table.version, membership(table)
     table.upsert(8, 0.0)                    # gossip-learnt, no role
-    assert table.version == version and table.membership == epoch + 1
+    assert table.version == version and membership(table) == epoch + 1
     assert list(table.sorted_ids()) == [7, 8]
     assert table.trim_to_roles() == 1       # drops 8 again
-    assert table.version == version and table.membership == epoch + 2
+    assert table.version == version and membership(table) == epoch + 2
     assert list(table.sorted_ids()) == [7]
 
 
@@ -298,7 +299,7 @@ def test_rebinding_a_role_set_bumps_version_once_and_wraps(table, role):
     """``set_role`` rebinds a whole role with one bump, into a set the table
     owns; later writes through the table stay versioned, no-ops stay free,
     and rebinding to empty leaves the role the shared sentinel again."""
-    table.add_level0(1, 0.0)
+    table.add("level0", 1, 0.0)
     before = table.version
     given = {5, 6}
     table.set_role(role, given)
@@ -359,11 +360,11 @@ def _role_pairs(t):
 
 
 _ADDERS = {
-    "level0": RoutingTable.add_level0,
-    "level0_indirect": RoutingTable.add_level0_indirect,
+    "level0": lambda t, ident, now: t.add("level0", ident, now),
+    "level0_indirect": lambda t, ident, now: t.add("level0_indirect", ident, now),
     "children": lambda t, ident, now: t.add_child(1, ident, now),
-    "neighbour_children": RoutingTable.add_neighbour_child,
-    "superiors": RoutingTable.add_superior,
+    "neighbour_children": lambda t, ident, now: t.add("neighbour_children", ident, now),
+    "superiors": lambda t, ident, now: t.add("superiors", ident, now),
 }
 _LAZY = _ROLE_SETS + ("level_tables", "level_children")
 _VERSION_MUTATIONS = st.one_of(
@@ -403,15 +404,15 @@ def test_property_version_counts_effective_role_and_level_changes(ops):
     now = 0.0
     for op, ident, arg in ops:
         now += 1.0
-        roles, version, epoch = _role_pairs(t), t.version, t.membership
+        roles, version, epoch = _role_pairs(t), t.version, membership(t)
         parents = dict(t.parents)
         levels = {i: e.max_level for i, e in t._entries.items()}
         buses = set(t.level_tables)
         whole = 0
         if op == "upsert":
             t.upsert(ident, now, max_level=arg)
-        elif op == "add_level0":
-            t.add_level0(ident, now)
+        elif op == "add_l0":
+            t.add("level0", ident, now)
             written.add("level0")
         elif op == "add_child":
             t.add_child(1, ident, now)
@@ -479,7 +480,7 @@ def test_property_version_counts_effective_role_and_level_changes(ops):
             assert t.version - version == (
                 len(roles ^ _role_pairs(t)) + reparented + relevelled + whole), (
                     op, ident, arg)
-        assert (t.membership > epoch) == (set(levels) != set(t._entries))
+        assert (membership(t) > epoch) == (set(levels) != set(t._entries))
         for role in _ROLE_SETS:
             assert (getattr(t, role) is _NO_ROLE) == (role not in written), (op, role)
         assert (t.level_tables is _NO_LEVELS) == ("level_tables" not in written)
@@ -538,20 +539,20 @@ def test_writing_into_a_sentinel_raises_and_noop_reads_still_work():
 
 
 def test_a_deep_copy_is_faithful_and_independent(table):
-    table.add_level0(2, 0.0)
+    table.add("level0", 2, 0.0)
     table.add_child(1, 3, 0.0)
     table.add_level(1, 4, 0.0, max_level=1)  # relevel + new bus + member
     twin = copy.deepcopy(table)
     for role in _LAZY + ("parents",):
         assert getattr(twin, role) == getattr(table, role), role
-    assert (twin.version, twin.membership) == (table.version, table.membership) == (5, 3)
+    assert (twin.version, membership(twin)) == (table.version, membership(table)) == (5, 3)
     assert ([e.as_tuple() for e in twin._entries.values()]
             == [e.as_tuple() for e in table._entries.values()])
     # Every kind of write lands in the copy only, unwritten roles included.
-    twin.add_level0(5, 1.0)
+    twin.add("level0", 5, 1.0)
     twin.add_level(1, 6, 1.0)
     twin.set_level(2, {7})
-    twin.add_superior(8, 1.0)
+    twin.add("superiors", 8, 1.0)
     twin.set_parent(1, 9, 1.0)
     twin.unlink_child(3)
     assert twin.superiors == {8} and twin.level_tables == {1: {4, 6}, 2: {7}}
@@ -560,7 +561,7 @@ def test_a_deep_copy_is_faithful_and_independent(table):
     assert table.level_children == {1: [3]}
     assert table.level_tables == {1: {4}} and table.superiors is _NO_ROLE
     assert table.parents == {} and table.get(5) is None
-    assert (table.version, table.membership) == (5, 3)
+    assert (table.version, membership(table)) == (5, 3)
 
 
 _IDS = st.integers(0, 40)  # the owner (7) included
@@ -595,7 +596,7 @@ def test_property_import_role_equals_the_upsert_and_add_loop(stored, stream, met
         t = RoutingTable(owner=7)
         for ident, (lvl, score, nc), seen in stored:
             if ident != 7:
-                t.add_superior(ident, float(seen), lvl, score, nc)
+                t.add("superiors", ident, float(seen), lvl, score, nc)
         tables.append(t)
     loop, bulk = tables
     loop_role, bulk_role = set(preset), set(preset)
@@ -611,7 +612,7 @@ def test_property_import_role_equals_the_upsert_and_add_loop(stored, stream, met
 
     assert ([e.as_tuple() for e in bulk._entries.values()]
             == [e.as_tuple() for e in loop._entries.values()])
-    assert (bulk.version, bulk.membership) == (loop.version, loop.membership)
+    assert (bulk.version, membership(bulk)) == (loop.version, membership(loop))
     assert list(bulk_role) == list(loop_role)
     assert list(bulk.superiors) == list(loop.superiors)
     changed = {i: found[i] for i in stream if i in found and i in sent and sent[i] != found[i]}
@@ -621,7 +622,7 @@ def test_property_import_role_equals_the_upsert_and_add_loop(stored, stream, met
 
 def test_refresh_is_upsert_recording_the_first_change():
     t = RoutingTable(owner=1)
-    t.add_level0(5, 0.0, max_level=2, score=1.5, nc=3)
+    t.add("level0", 5, 0.0, max_level=2, score=1.5, nc=3)
     before = {}
     t.refresh(5, 1.0, (2, 1.5, 3), before)   # no change: nothing recorded
     t.refresh(6, 1.0, (1, 1.0, 4), before)   # a new entry has no pre-image

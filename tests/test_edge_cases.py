@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference import ConstantLatency, validate
 from repro import TreePConfig, TreePNetwork
 from repro.core.capacity import NodeCapacity
 from repro.core.config import TreePConfig as Cfg
@@ -12,7 +13,6 @@ from repro.core.messages import KeepAliveAck, LookupRequest, Splice
 from repro.core.node import TreePNode
 from repro.core.routing_table import RoutingTable
 from repro.sim.engine import Simulator
-from repro.sim.latency import ConstantLatency
 from repro.sim.network import Network
 from repro.workloads import ChurnSchedule
 
@@ -37,15 +37,15 @@ class TestLookupFromParentBranch:
         """Fig. 3: a request from the level-1 parent restricts the search
         to the level-0 neighbourhood — level-table entries are ignored."""
         v = _View(1000, max_level=0)
-        v.table.add_level0(1100, 0.0)
-        v.table.add_superior(60000, 0.0, max_level=3)  # would win otherwise
+        v.table.add("level0", 1100, 0.0)
+        v.table.add("superiors", 60000, 0.0, max_level=3)  # would win otherwise
         d = route(v, _req(1150, from_parent_level=1))
         assert d.kind is DecisionKind.FORWARD
         assert d.next_hop == 1100  # not the superior
 
     def test_from_parent_no_candidates_not_found(self):
         v = _View(1000, max_level=0)
-        v.table.add_superior(60000, 0.0, max_level=3)
+        v.table.add("superiors", 60000, 0.0, max_level=3)
         d = route(v, _req(1150, from_parent_level=1))
         assert d.kind is DecisionKind.NOT_FOUND
 
@@ -88,8 +88,8 @@ class TestJoinEdgeCases:
         joiner = TreePNode(2000, NodeCapacity(), cfg)
         for n in (a, c, joiner):
             netw.register(n)
-        a.table.add_level0(3000, 0.0)
-        c.table.add_level0(1000, 0.0)
+        a.table.add("level0", 3000, 0.0)
+        c.table.add("level0", 1000, 0.0)
         # Joiner 2000 lands between 1000 and 3000; 3000 is told.
         c._on_Splice(1000, Splice(joiner=2000, left=1000, right=3000))
         sim.run()
@@ -165,7 +165,7 @@ class TestExtremeConfigs:
         cfg = TreePConfig.paper_case1(space=IdSpace(extent=1000))
         net = TreePNetwork(config=cfg, seed=10)
         layout = net.build(16)
-        layout.validate(cfg)
+        validate(layout, cfg)
         r = net.lookup_sync(net.ids[0], net.ids[10], "G")
         assert r.found
 

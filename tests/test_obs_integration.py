@@ -21,7 +21,7 @@ def _workload(with_obs: bool):
         c.with_observability()
     c = c.with_storage(anti_entropy=30.0).with_compute()
     outcomes = {}
-    res = [c.lookup_sync(origin=c.ids[i], target=c.ids[-1 - i])
+    res = [c.net.lookup_sync(origin=c.net.ids[i], target=c.net.ids[-1 - i])
            for i in range(5)]
     outcomes["lookups"] = [(r.found, r.hops, r.path) for r in res]
     st = c.storage
@@ -39,8 +39,8 @@ def _workload(with_obs: bool):
     outcomes["sched"] = (stats.completed, stats.failed, stats.reexecutions,
                         stats.placements, stats.placement_hops,
                         stats.failovers, stats.makespan)
-    outcomes["now"] = c.sim.now
-    outcomes["events"] = c.sim.events_processed
+    outcomes["now"] = c.net.sim.now
+    outcomes["events"] = c.net.sim.events_processed
     return c, outcomes
 
 
@@ -101,12 +101,12 @@ def test_quorum_rw_roundtrip_counts_match_exactly(tmp_path):
 def test_observability_detach_restores_silence():
     c = Cluster(seed=5).build(16).with_observability()
     hub = c.obs
-    c.lookup_sync(origin=c.ids[0], target=c.ids[5])
+    c.net.lookup_sync(origin=c.net.ids[0], target=c.net.ids[5])
     recorded = hub.category_counts().get("lookup", 0)
     assert recorded == 1
-    c.observability.detach()
+    c.state.detach(c.observability)
     assert c.net.obs is None
-    c.lookup_sync(origin=c.ids[1], target=c.ids[6])
+    c.net.lookup_sync(origin=c.net.ids[1], target=c.net.ids[6])
     assert hub.category_counts().get("lookup", 0) == recorded  # unchanged
 
 
@@ -154,7 +154,7 @@ def test_obs_cli_summary_and_export(tmp_path, capsys):
 def test_per_hop_latency_from_store(tmp_path):
     c = Cluster(seed=3).build(64).with_observability()
     for i in range(10):
-        c.lookup_sync(origin=c.ids[i], target=c.ids[-1 - i])
+        c.net.lookup_sync(origin=c.net.ids[i], target=c.net.ids[-1 - i])
     path = str(tmp_path / "hops.npz")
     c.observability.write(path)
     from repro.obs.query import per_hop_latency

@@ -26,8 +26,8 @@ def _lookups(observed):
                       seed=17).build(96)
     if observed:
         cluster.with_observability()
-    origin = cluster.ids[0]
-    results = [cluster.lookup_sync(origin, t) for t in cluster.ids[1::4]]
+    origin = cluster.net.ids[0]
+    results = [cluster.net.lookup_sync(origin, t) for t in cluster.net.ids[1::4]]
     return cluster, results
 
 
@@ -50,9 +50,9 @@ def test_unknown_payload_records_node_drop():
         """A payload type no handler claims."""
 
     cluster = Cluster(seed=3).build(16).with_observability()
-    src, dst = cluster.ids[0], cluster.ids[1]
+    src, dst = cluster.net.ids[0], cluster.net.ids[1]
     cluster.net.nodes[src].send(dst, Unrouted())
-    cluster.run_for(1.0)
+    cluster.net.sim.run_for(1.0)
     [(node, t, rid, _)] = events(cluster.obs, "node.drop")
     assert node == dst and rid == 0 and 0.0 < t <= 1.0
 
@@ -63,18 +63,18 @@ def _churn(observed):
     cluster = Cluster(config=TreePConfig.paper_case1(), seed=5).build(64)
     if observed:
         cluster.with_observability()
-    cluster.start_maintenance()
-    cluster.run_for(30.0)
-    base, extent = cluster.ids[10], cluster.config.space.extent
+    cluster.net.start_maintenance()
+    cluster.net.sim.run_for(30.0)
+    base, extent = cluster.net.ids[10], cluster.net.config.space.extent
     for d in range(1, 9):
         ident = (base + d) % extent
         if ident not in cluster.net.nodes:
-            cluster.join_node(ident, via=base)
-    cluster.fail_nodes(cluster.ids[20:28])
-    cluster.run_for(60.0)
-    cluster.stop_maintenance()
+            cluster.net.join_new_node(ident, via=base)
+    cluster.fail_nodes(cluster.net.ids[20:28])
+    cluster.net.sim.run_for(60.0)
+    cluster.net.stop_maintenance()
     levels = {i: node.max_level for i, node in cluster.net.nodes.items()}
-    return cluster, (levels, cluster.sim.now, cluster.sim.events_processed)
+    return cluster, (levels, cluster.net.sim.now, cluster.net.sim.events_processed)
 
 
 def test_election_events_under_maintenance_churn():

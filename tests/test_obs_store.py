@@ -242,7 +242,7 @@ def _pinned_run(path):
     from repro.compute.job import JobSpec
 
     c = Cluster(seed=4242).build(64).with_observability().with_compute()
-    ids = c.ids
+    ids = c.net.ids
     c.net.run_lookup_batch(
         [(ids[i % 64], ids[(7 * i + 3) % 64]) for i in range(2600)], "G")
     for i in range(6):

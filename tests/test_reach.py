@@ -92,13 +92,13 @@ def test_a_function_only_a_test_calls_is_reported(census):
 
 
 def test_an_allowlisted_function_is_not_reported(census):
-    findings = census("mod.py:only_tests  # reference: kept\n"
+    findings = census("mod.py:only_tests  # api: kept\n"
                       "mod.py:listed  # api: kept\n")
     assert findings == []
 
 
 def test_a_stale_entry_fails_when_reached_or_gone(census):
-    findings = census("mod.py:only_tests  # reference: kept\n"
+    findings = census("mod.py:only_tests  # api: kept\n"
                       "mod.py:listed  # api: kept\n"
                       "mod.py:helper  # api: now has a caller\n"
                       "mod.py:deleted  # api: no longer exists\n")
@@ -109,7 +109,7 @@ def test_a_stale_entry_fails_when_reached_or_gone(census):
 def test_a_decorated_def_is_matched_on_its_decorator_line(census):
     decorated = next(d for d in census.defs if d.qualname == "decorated")
     assert FIXTURE.splitlines()[decorated.line - 1] == "@deco"
-    findings = census("mod.py:only_tests  # reference: kept\n"
+    findings = census("mod.py:only_tests  # api: kept\n"
                       "mod.py:listed  # api: kept\n")
     assert not any("decorated" in f or "wrapper" in f for f in findings)
 
@@ -125,3 +125,10 @@ def test_an_entry_needs_a_known_kind_and_a_reason(census):
                  "mod.py:listed  # whim: kept\n", "mod.py:listed  # api:\n"):
         _, errors = census.reach.read_allowlist([line])
         assert len(errors) == 1, line
+
+
+def test_an_emptied_kind_cannot_regrow(census):
+    """Test oracles live in tests/: a ``reference`` entry is malformed."""
+    _, errors = census.reach.read_allowlist(
+        ["mod.py:only_tests  # reference: a helper only tests compare with\n"])
+    assert len(errors) == 1 and "reference" in errors[0]

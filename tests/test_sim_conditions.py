@@ -1,8 +1,8 @@
 """Chaos tests for adversarial network conditions (sim layer).
 
 Covers the three condition models and the ``NetworkConditions``
-composition root: exactly-once cut/heal hooks under overlapping
-partitions, asymmetric cut semantics, scheduled partitions through the
+owner of the partition filter: exactly-once cut/heal counts under
+overlapping partitions, asymmetric cut semantics, scheduled partitions through the
 sim engine, the ``Network.loss_model`` seam, straggler stream hygiene
 (control runs stay bit-identical), and seed-pinned digests so a refactor
 cannot silently change what any model emits at a fixed seed.
@@ -13,6 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from reference import ConstantLatency
 from repro.sim.conditions import (
     GilbertElliott,
     NetworkConditions,
@@ -20,7 +21,7 @@ from repro.sim.conditions import (
     StragglerLatency,
 )
 from repro.sim.engine import Simulator
-from repro.sim.latency import ConstantLatency, UniformLatency
+from repro.sim.latency import UniformLatency
 from repro.sim.network import Network, Process
 
 
@@ -103,20 +104,18 @@ class TestNetworkConditions:
             cond.partition({0, 1}, {1, 2})
 
     def test_hooks_exactly_once_under_overlapping_partitions(self):
+        """Each transition counts once in ``cuts`` / ``heals``."""
         sim, net = make_net()
         cond = NetworkConditions(net)
-        cut_log, heal_log = [], []
-        cond.cut_hooks.append(lambda p: cut_log.append(p.name))
-        cond.heal_hooks.append(lambda p: heal_log.append(p.name))
         p1 = cond.partition({0, 1}, {2, 3}, name="p1")
         p2 = cond.partition({0, 4}, {5, 6}, name="p2")  # overlaps p1's side a
         assert cond.cut(p1) and cond.cut(p2)
-        assert not cond.cut(p1)          # repeat cut: no-op, no hook
+        assert not cond.cut(p1)          # repeat cut: no-op, not counted
+        assert (cond.cuts, cond.heals) == (2, 0)
         assert cond.heal(p1)
-        assert not cond.heal(p1)         # repeat heal: no-op, no hook
+        assert not cond.heal(p1)         # repeat heal: no-op, not counted
+        assert (cond.cuts, cond.heals) == (2, 1)
         assert cond.heal(p2)
-        assert cut_log == ["p1", "p2"]
-        assert heal_log == ["p1", "p2"]
         assert (cond.cuts, cond.heals) == (2, 2)
 
     def test_overlapping_cuts_block_union_and_heal_independently(self):
@@ -139,9 +138,6 @@ class TestNetworkConditions:
     def test_scheduled_partition_cuts_and_heals_via_sim(self):
         sim, net = make_net()
         cond = NetworkConditions(net)
-        counts = {"cut": 0, "heal": 0}
-        cond.cut_hooks.append(lambda p: counts.__setitem__("cut", counts["cut"] + 1))
-        cond.heal_hooks.append(lambda p: counts.__setitem__("heal", counts["heal"] + 1))
         p, cut_ev, heal_ev = cond.schedule(5.0, 10.0, {0, 1})
         sim.run(until=4.0)
         assert cond.active() == ()
@@ -149,18 +145,15 @@ class TestNetworkConditions:
         assert cond.active() == (p,)
         sim.run(until=16.0)
         assert cond.active() == ()
-        assert counts == {"cut": 1, "heal": 1}
+        assert (cond.cuts, cond.heals) == (1, 1)
 
     def test_manual_heal_makes_scheduled_heal_a_noop(self):
         sim, net = make_net()
         cond = NetworkConditions(net)
-        heals = []
-        cond.heal_hooks.append(heals.append)
         p, _, _ = cond.schedule(1.0, 10.0, {0})
         sim.run(until=2.0)
         assert cond.heal(p)          # manual heal mid-window
         sim.run(until=20.0)          # scheduled heal fires -> no-op
-        assert len(heals) == 1
         assert cond.heals == 1
 
     def test_schedule_rejects_nonpositive_duration(self):
@@ -171,44 +164,23 @@ class TestNetworkConditions:
         with pytest.raises(ValueError):
             cond.schedule(1.0, float("nan"), {0})
 
-    def test_composes_with_preexisting_filter(self):
+    def test_a_second_owner_of_the_partition_filter_raises(self):
+        """One owner per seam: neither a second ``NetworkConditions`` nor
+        one over a filter installed by hand may take the filter over."""
+        sim, net = make_net()
+        cond = NetworkConditions(net)
+        installed = net.partition_filter
+        with pytest.raises(ValueError):
+            NetworkConditions(net)
+        assert net.partition_filter == installed
+        cond.cut(cond.partition({0}, {1}))
+        net.send(0, 1, "x")   # the first owner still blocks
+        sim.run(until=1.0)
+        assert len(sink(net, 1).received) == 0
         sim, net = make_net()
         net.partition_filter = lambda s, d: d == 9  # pre-existing blackhole
-        cond = NetworkConditions(net)
-        cond.cut(cond.partition({0}, {1}))
-        net.send(0, 9, "x")   # blocked by the previous filter
-        net.send(2, 9, "x")   # also blocked by the previous filter
-        net.send(2, 3, "x")   # flows
-        sim.run(until=1.0)
-        assert len(sink(net, 9).received) == 0
-        assert len(sink(net, 3).received) == 1
-
-    def test_detach_restores_every_seam(self):
-        sim, net = make_net(latency=ConstantLatency(0.01))
-        prev_filter = net.partition_filter
-        base_latency = net.latency
-        cond = NetworkConditions(net)
-        cond.cut(cond.partition({0}, {1}))
-        cond.set_loss_model(lambda s, d: True)
-        cond.set_stragglers({0}, 4.0)
-        cond.detach()
-        assert net.partition_filter is prev_filter
-        assert net.loss_model is None
-        assert net.latency is base_latency
-        net.send(0, 1, "x")  # nothing blocks, drops or slows any more
-        sim.run(until=1.0)
-        assert len(sink(net, 1).received) == 1
-        with pytest.raises(RuntimeError):
-            cond.cut(cond.partition({0}, {2}))
-        cond.detach()  # idempotent
-
-    def test_detach_leaves_foreign_filter_alone(self):
-        sim, net = make_net()
-        cond = NetworkConditions(net)
-        foreign = lambda s, d: False  # noqa: E731 - test stand-in
-        net.partition_filter = foreign
-        cond.detach()
-        assert net.partition_filter is foreign
+        with pytest.raises(ValueError):
+            NetworkConditions(net)
 
 
 # ------------------------------------------------------------- loss seam
@@ -346,24 +318,12 @@ class TestStragglerLatency:
         with pytest.raises(ValueError):
             StragglerLatency(ConstantLatency(0.01), {1}, 0.5)
 
-    def test_set_stragglers_rewrap_keeps_original_base(self):
-        sim, net = make_net(latency=ConstantLatency(0.01))
-        base = net.latency
-        cond = NetworkConditions(net)
-        cond.set_stragglers({0}, 4.0)
-        cond.set_stragglers({1}, 8.0)   # re-call replaces, not re-wraps
-        assert isinstance(net.latency, StragglerLatency)
-        assert net.latency.base is base
-        cond.clear_stragglers()
-        assert net.latency is base
-
     def test_straggler_network_run_slows_only_victim_links(self):
         def run(victims):
             sim, net = make_net(latency=ConstantLatency(0.01))
             arrivals = {}
             net.delivery_hook = lambda d: arrivals.__setitem__(d.dst, sim.now)
-            cond = NetworkConditions(net)
-            cond.set_stragglers(victims, 5.0)
+            net.latency = StragglerLatency(net.latency, victims, 5.0)
             net.send(0, 1, "x")
             net.send(2, 3, "x")
             sim.run(until=5.0)
@@ -384,10 +344,10 @@ class TestConditionDigests:
         sim, net = make_net(n=8, latency=ConstantLatency(0.05))
         cond = NetworkConditions(net)
         cond.cut(cond.partition({0, 1}, {2, 3}, name="d"))
-        cond.set_loss_model(GilbertElliott(
+        net.loss_model = GilbertElliott(
             np.random.default_rng(33), loss_bad=0.8, p_enter_bad=0.2,
-            p_exit_bad=0.2))
-        cond.set_stragglers({4}, 6.0)
+            p_exit_bad=0.2)
+        net.latency = StragglerLatency(net.latency, {4}, 6.0)
         k = 0
         for i in range(120):
             net.send(i % 8, (i * 5 + 1) % 8, k)

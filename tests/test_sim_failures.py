@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
+from reference import ConstantLatency
 from repro import TreePConfig, TreePNetwork
 from repro.bench.sweep import fail_until
 from repro.core.ids import IdSpace
 from repro.core.lookup import _radii, route
 from repro.core.messages import LookupRequest
 from repro.sim.engine import Simulator
+from repro.sim import failures
 from repro.sim.failures import FailureSchedule
-from repro.sim.latency import ConstantLatency
 from repro.sim.network import Network, Process
 
 
@@ -31,14 +32,15 @@ def test_schedule_covers_population_once():
 
 def test_step_fraction_respected():
     pop = list(range(200))
-    sched = FailureSchedule(pop, np.random.default_rng(0), step_fraction=0.05)
+    sched = FailureSchedule(pop, np.random.default_rng(0))
     steps = list(sched.steps())
     assert all(len(s.newly_failed) == 10 for s in steps[:-1])
 
 
-def test_stop_fraction_leaves_survivors():
+def test_stop_fraction_leaves_survivors(monkeypatch):
+    monkeypatch.setattr(failures, "STOP_FRACTION", 0.10)
     pop = list(range(100))
-    sched = FailureSchedule(pop, np.random.default_rng(0), stop_fraction=0.10)
+    sched = FailureSchedule(pop, np.random.default_rng(0))
     steps = list(sched.steps())
     assert len(steps[-1].surviving) >= 10
 
@@ -82,14 +84,6 @@ def test_empty_population_rejected():
         FailureSchedule([], np.random.default_rng(0))
 
 
-def test_bad_fractions_rejected():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        FailureSchedule([1, 2], rng, step_fraction=0.0)
-    with pytest.raises(ValueError):
-        FailureSchedule([1, 2], rng, stop_fraction=1.0)
-
-
 # ------------------------------------------------ property/edge coverage
 
 class TestFailureScheduleProperties:
@@ -98,8 +92,7 @@ class TestFailureScheduleProperties:
         *initial* population — fractions are over the initial set, never
         the survivors."""
         n = 80
-        sched = FailureSchedule(list(range(n)), np.random.default_rng(5),
-                                step_fraction=0.05, stop_fraction=0.05)
+        sched = FailureSchedule(list(range(n)), np.random.default_rng(5))
         per_step = max(1, int(round(0.05 * n)))
         max_killed = int(np.floor(0.95 * n))
         killed = 0
@@ -110,11 +103,12 @@ class TestFailureScheduleProperties:
                 killed / n)
             assert len(step.surviving) == n - killed
 
-    def test_population_not_divisible_by_step(self):
+    def test_population_not_divisible_by_step(self, monkeypatch):
         """A population where per-step rounding matters: the last step is
         short, fractions stay exact and monotone."""
-        sched = FailureSchedule(list(range(37)), np.random.default_rng(6),
-                                step_fraction=0.10, stop_fraction=0.10)
+        monkeypatch.setattr(failures, "STEP_FRACTION", 0.10)
+        monkeypatch.setattr(failures, "STOP_FRACTION", 0.10)
+        sched = FailureSchedule(list(range(37)), np.random.default_rng(6))
         steps = list(sched.steps())
         sizes = [len(s.newly_failed) for s in steps]
         assert sum(sizes) == int(np.floor(0.9 * 37))
@@ -123,19 +117,19 @@ class TestFailureScheduleProperties:
         fracs = [s.cumulative_failed_fraction for s in steps]
         assert fracs == sorted(set(fracs))
 
-    def test_single_node_population(self):
-        sched = FailureSchedule([7], np.random.default_rng(0),
-                                stop_fraction=0.0)
+    def test_single_node_population(self, monkeypatch):
+        monkeypatch.setattr(failures, "STOP_FRACTION", 0.0)
+        sched = FailureSchedule([7], np.random.default_rng(0))
         steps = list(sched.steps())
         assert len(steps) == 1
         assert steps[0].newly_failed == (7,)
         assert steps[0].surviving == ()
         assert steps[0].cumulative_failed_fraction == 1.0
 
-    def test_stop_fraction_zero_kills_everyone(self):
+    def test_stop_fraction_zero_kills_everyone(self, monkeypatch):
+        monkeypatch.setattr(failures, "STOP_FRACTION", 0.0)
         pop = list(range(40))
-        sched = FailureSchedule(pop, np.random.default_rng(1),
-                                stop_fraction=0.0)
+        sched = FailureSchedule(pop, np.random.default_rng(1))
         killed = [v for s in sched.steps() for v in s.newly_failed]
         assert sorted(killed) == pop
 

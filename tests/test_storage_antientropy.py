@@ -2,6 +2,7 @@
 
 import pytest
 
+from reference import live_replica_count
 from repro import Cluster, TreePConfig, TreePNetwork
 from repro.core.repair import FULL_POLICY, apply_failure_step
 from repro.storage import AntiEntropy, QuorumConfig
@@ -62,11 +63,11 @@ def test_detects_and_repairs_under_replication(loaded):
     victim = store.replica_map()[key_id][-1]
     net.fail_nodes([victim])
     apply_failure_step(net, [victim], FULL_POLICY)
-    assert store.live_replica_count(key_id) == 2
+    assert live_replica_count(store, key_id) == 2
     report = ae.sweep()
     assert report.under_replicated >= 1 and report.repairs_sent >= 1
     net.sim.run()
-    assert store.live_replica_count(key_id) == 3
+    assert live_replica_count(store, key_id) == 3
     report = ae.sweep()
     assert report.repairs_sent == 0 and report.lost == 0
 
@@ -116,7 +117,7 @@ def test_periodic_scheduling_with_simulator(loaded):
     ae.stop()
     assert not ae.running
     assert len(ae.reports) >= 3
-    assert store.live_replica_count(key_id) == 3
+    assert live_replica_count(store, key_id) == 3
     # The sweep reports recorded the dip and the recovery.
     assert ae.reports[0].under_replicated >= 1
     assert ae.reports[-1].under_replicated == 0

@@ -4,8 +4,9 @@ from itertools import combinations
 
 import pytest
 
+from reference import live_replica_count
 from repro import Cluster, TreePConfig, TreePNetwork
-from repro.storage import QuorumConfig
+from repro.storage import QuorumConfig, quorum
 from repro.storage.quorum import QUORUM_TIMEOUT
 from repro.storage.store import VersionedValue
 
@@ -32,8 +33,6 @@ def test_quorum_validation():
         QuorumConfig(n=3, w=4)
     with pytest.raises(ValueError):
         QuorumConfig(n=3, r=0)
-    with pytest.raises(ValueError):
-        QuorumConfig(read_fallback=-1)
 
 
 def test_overlap_guarantee_brute_force():
@@ -87,7 +86,7 @@ def test_replicas_land_on_n_nodes(store_net):
     net, store = store_net
     r = store.put("replicated", "v")
     assert r.ok
-    assert store.live_replica_count(r.key_id) == store.quorum.n
+    assert live_replica_count(store, r.key_id) == store.quorum.n
 
 
 def test_tracked_keys_record_acknowledged_writes(store_net):
@@ -119,7 +118,7 @@ def test_stale_replica_repaired_when_it_replies_last(store_net):
     """Read repair must not depend on reply order: the read is answered at
     the R-th found reply, and a stale replica answering *after* that is
     still repaired — without burning the read timeout once all are in."""
-    from repro.sim.latency import ConstantLatency
+    from reference import ConstantLatency
 
     net, store = store_net
     r = store.put("repair-late", "fresh")
@@ -172,6 +171,30 @@ def test_read_sees_latest_acknowledged_write_with_overlap(store_net):
 
 
 # ------------------------------------------------------- degraded operation
+def test_crashed_coordinator_answers_nothing():
+    """A crash-stopped coordinator forgets the quorums it was waiting on:
+    their timeouts must not send a result, or a fallback read, from the
+    dead node."""
+    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=3)
+    net.build(64)
+    store = Cluster(net=net).with_storage(QuorumConfig(n=3, w=3, r=2)).storage
+    r = store.put("orphan", 0)
+    assert r.ok
+    coordinator = _coordinator_of(net, store, r.key_id)
+    net.network.set_down(next(h for h in store.replica_map()[r.key_id]
+                              if h != coordinator))
+    store.put_async("orphan", 1, via=coordinator)  # W=3 cannot be met
+    store.get_async("orphan", via=coordinator)     # no reply is in yet
+    agent = store.agents[coordinator]
+    assert agent._writes and agent._reads
+    net.fail_nodes([coordinator])
+    assert not agent._writes and not agent._reads
+    by_type = net.network.stats.by_type
+    sent = {t: by_type.get(t, 0) for t in ("StorePutResult", "StoreGetResult", "StoreGet")}
+    net.sim.run_for(2 * QUORUM_TIMEOUT)
+    assert {t: by_type.get(t, 0) for t in sent} == sent
+
+
 def test_write_times_out_sloppily_when_replicas_dead():
     net = TreePNetwork(config=TreePConfig.paper_case1(), seed=9)
     net.build(32)
@@ -191,14 +214,6 @@ def test_write_times_out_sloppily_when_replicas_dead():
     assert len(r.replicas) >= 1  # ...but the achieved copies are reported
     g = store.get("seed-key", via=coordinator)
     assert g.found and g.value == 1  # sloppy: the write wasn't rolled back
-
-
-def test_read_fallback_zero_disables_exploration():
-    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=9)
-    net.build(32)
-    store = Cluster(net=net).with_storage(QuorumConfig(n=2, w=1, r=1, read_fallback=0)).storage
-    assert store.put("k", "v").ok
-    assert store.get("k").found
 
 
 def test_client_ops_return_while_periodic_antientropy_runs():
@@ -310,12 +325,14 @@ def test_live_origin_rejects_down_via():
         store.get("x", via=net.ids[3])
 
 
-def test_r1_read_waits_for_real_holders_not_self_miss():
+def test_r1_read_waits_for_real_holders_not_self_miss(monkeypatch):
     """A coordinator that doesn't hold the key must not satisfy r=1 with
-    its own instantaneous miss while the holders' replies are in flight."""
+    its own instantaneous miss while the holders' replies are in flight
+    (no read fallback, so a miss is reported rather than re-routed)."""
+    monkeypatch.setattr(quorum, "READ_FALLBACK", 0)
     net = TreePNetwork(config=TreePConfig.paper_case1(), seed=21)
     net.build(96)
-    store = Cluster(net=net).with_storage(QuorumConfig(n=3, w=2, r=1, read_fallback=0)).storage
+    store = Cluster(net=net).with_storage(QuorumConfig(n=3, w=2, r=1)).storage
     r = store.put("selfmiss", "v")
     assert r.ok
     key_id = r.key_id
