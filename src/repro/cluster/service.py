@@ -16,17 +16,21 @@ Lifecycle
 
     attach            on_attach(ctx)          service-wide setup
       └ per node      setup_node(node)        per-node state (stores, agents)
-                      node_handlers(node)     declarative handler mapping
+      └ once          handlers()              declarative handler table
       └ finally       on_ready(ctx)           runs once all nodes are wired
     churn             on_node_join(node)      exactly once per protocol join
                       on_node_leave(ident)    exactly once per crash-stop
                       on_node_revive(node)    exactly once per revival
     detach            on_detach()             after the context's cleanup
 
-Each context records, per node, the handlers it installed
-(:attr:`ServiceContext.handlers`) and the periodic tasks it armed
-(:attr:`ServiceContext.node_timers`); departures cancel the node's tasks
-and unregister its handlers, revivals re-install them, and
+Every node of a network handles a message type the same way, so a
+service's handlers are one entry per type in the network's one handler
+table (:attr:`~repro.sim.network.Network.handlers`), not a map per node:
+``(agents, fn)`` runs ``fn(agents[ident], src, payload)`` on the receiving
+node's agent.  Each context records the types it claimed
+(:attr:`ServiceContext.claimed`) and, per node, the periodic tasks it armed
+(:attr:`ServiceContext.node_timers`); departures cancel the node's tasks (a
+down node is delivered nothing, so its handlers need no removal), and
 :meth:`ClusterState.detach` sweeps everything — the handler/hook leak the
 old facades had is structurally impossible.
 
@@ -41,18 +45,16 @@ configuration only.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.sim.engine import PeriodicTimer, TimerGroup
+from repro.sim.network import Handler
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.node import TreePNode
     from repro.core.treep import TreePNetwork
 
 __all__ = ["ClusterState", "Service", "ServiceContext", "ServiceError"]
-
-#: Handler signature services declare: ``handler(src, payload)``.
-Handler = Callable[[int, Any], None]
 
 
 class ServiceError(RuntimeError):
@@ -65,8 +67,9 @@ class Service:
     Subclasses set :attr:`name` (the key the service plane files it under —
     one attached service per name) and override any of the lifecycle hooks
     below.  All wiring goes through the :class:`ServiceContext` received in
-    :meth:`on_attach`, never directly through ``node.register_handler`` /
-    ``sim.every`` — that is what makes teardown automatic.
+    :meth:`on_attach` and the :meth:`handlers` declaration, never directly
+    through ``network.handlers`` / ``sim.every`` — that is what makes
+    teardown automatic.
     """
 
     #: Service-plane key; subclasses must override.
@@ -104,10 +107,13 @@ class Service:
         """Create per-node state (stores, agents).  Called for every node
         that exists at attach time and for every node created afterwards."""
 
-    def node_handlers(self, node: "TreePNode") -> Mapping[type, Handler]:
-        """Declarative typed-message handler registration: the mapping is
-        installed on *node* by the context (after :meth:`setup_node`),
-        re-installed on revival, and unregistered on departure/detach."""
+    def handlers(self) -> Mapping[type, Handler]:
+        """Declarative typed-message handlers, read once per attach:
+        ``{payload type: (agents, fn)}``, where *agents* maps every node id
+        to the object :meth:`setup_node` made for it and a datagram of that
+        type runs ``fn(agents[ident], src, payload)`` on the receiving node.
+        They take precedence over the overlay's built-in handlers until the
+        service is detached."""
         return {}
 
     def on_node_join(self, node: "TreePNode") -> None:
@@ -115,16 +121,16 @@ class Service:
 
     def on_node_leave(self, ident: int) -> None:
         """Churn callback: a live peer crash-stopped.  The context has
-        already cancelled the node's periodic tasks and unregistered this
-        service's handlers from it."""
+        already cancelled the node's periodic tasks; the fabric delivers
+        the node nothing until it is revived."""
 
     def on_node_revive(self, node: "TreePNode") -> None:
         """Churn callback: a crash-stopped peer came back (same process).
-        Its routing table is as the crash left it, or expired if
-        maintenance ran while it was down (a down node's keep-alive timer
-        keeps ticking); the service's per-node state is what
-        :meth:`on_node_leave` left.  Handlers are already re-installed;
-        re-arm any node-scoped periodic tasks here."""
+        Its routing table is as the crash left it (its keep-alive loop
+        stopped at the crash and restarts now if maintenance is running);
+        the service's per-node state is what :meth:`on_node_leave` left.
+        Its datagrams reach the service's handlers again; re-arm any
+        node-scoped periodic tasks here."""
 
 
 class ServiceContext:
@@ -142,8 +148,9 @@ class ServiceContext:
         #: node id -> periodic tasks armed with ``every(node=...)``;
         #: cancelled when that node departs, and at detach.
         self.node_timers: Dict[int, TimerGroup] = {}
-        #: node id -> the handler mapping installed on that node.
-        self.handlers: Dict[int, Dict[type, Handler]] = {}
+        #: The payload types this service holds in the network's handler
+        #: table; removed from it at detach.
+        self.claimed: Tuple[type, ...] = ()
 
     # ---------------------------------------------------------- composition
     def require(self, name: str) -> Service:
@@ -181,43 +188,35 @@ class ServiceContext:
             return self.node_timers.setdefault(node, TimerGroup()).add(timer)
         return self.timers.add(timer)
 
-    # --------------------------------------------------------- node wiring
-    def install_handlers(self, node: "TreePNode") -> None:
-        """Register the service's handler mapping on *node*, replacing what
-        this service installed there before.
-
-        A message type already claimed on the node by another service is
-        refused — silently stealing it would black-hole that service's
-        traffic.
-        """
-        self.uninstall_handlers(node.ident)
-        mapping = dict(self.service.node_handlers(node))
-        for msg_type in mapping:
-            if msg_type in node.handlers:
+    # ------------------------------------------------------------- wiring
+    def claim_handlers(self) -> None:
+        """File the service's :meth:`~Service.handlers` in the network's
+        handler table.  A type another service already claimed is refused
+        — silently stealing it would black-hole that service's traffic."""
+        table = self.net.network.handlers
+        declared = dict(self.service.handlers())
+        for msg_type in declared:
+            if msg_type in table:
                 raise ServiceError(
-                    f"service {self.service.name!r} claims {msg_type.__name__} "
-                    f"on node {node.ident}, already handled by another service"
+                    f"service {self.service.name!r} claims {msg_type.__name__}, "
+                    f"already handled by another service"
                 )
-        for msg_type, handler in mapping.items():
-            node.register_handler(msg_type, handler)
-        if mapping:
-            self.handlers[node.ident] = mapping
-
-    def uninstall_handlers(self, ident: int) -> None:
-        node = self.net.nodes[ident]
-        for msg_type in self.handlers.pop(ident, ()):
-            node.unregister_handler(msg_type)
+        table.update(declared)
+        self.claimed = tuple(declared)
 
     def teardown_node(self, ident: int) -> None:
-        """Cancel the node's periodic tasks and unregister its handlers."""
+        """Cancel the node's periodic tasks."""
         group = self.node_timers.pop(ident, None)
         if group is not None:
             group.stop_all()
-        self.uninstall_handlers(ident)
 
     def teardown(self) -> None:
         """Sweep every handler and periodic task this service installed."""
-        for ident in [*self.node_timers, *self.handlers]:
+        table = self.net.network.handlers
+        for msg_type in self.claimed:
+            del table[msg_type]
+        self.claimed = ()
+        for ident in list(self.node_timers):
             self.teardown_node(ident)
         self.timers.stop_all()
 
@@ -268,7 +267,7 @@ class ClusterState:
             service.on_attach(ctx)
             for node in list(self.net.nodes.values()):
                 service.setup_node(node)
-                ctx.install_handlers(node)
+            ctx.claim_handlers()
             service.on_ready(ctx)
         except Exception:
             ctx.teardown()
@@ -298,7 +297,6 @@ class ClusterState:
     def _on_join(self, node: "TreePNode") -> None:
         for svc in list(self.services.values()):
             svc.setup_node(node)
-            svc.ctx.install_handlers(node)
             svc.on_node_join(node)
 
     def _on_leave(self, ident: int) -> None:
@@ -309,5 +307,4 @@ class ClusterState:
     def _on_revive(self, ident: int) -> None:
         node = self.net.nodes[ident]
         for svc in list(self.services.values()):
-            svc.ctx.install_handlers(node)
             svc.on_node_revive(node)

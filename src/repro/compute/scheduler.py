@@ -49,6 +49,9 @@ from repro.compute.messages import (
     JobLease,
     JobRejected,
     JobReport,
+    JobStealGrant,
+    JobStealOffer,
+    JobStealRequest,
     JobSubmit,
 )
 from repro.compute.worker import ComputeAgent
@@ -387,8 +390,22 @@ class JobScheduler(Service):
     def setup_node(self, node) -> None:
         self.agents[node.ident] = ComputeAgent(node, self)
 
-    def node_handlers(self, node) -> Mapping[type, Handler]:
-        return self.agents[node.ident].handlers()
+    def handlers(self) -> Mapping[type, Handler]:
+        agents, on = self.agents, ComputeAgent
+        return {
+            JobSubmit: (agents, on.handle_submit),
+            JobAck: (agents, on._on_ack),
+            JobDispatch: (agents, on._on_dispatch),
+            JobAccepted: (agents, on._on_accepted),
+            JobRejected: (agents, on._on_rejected),
+            JobHeartbeat: (agents, on._on_heartbeat),
+            JobComplete: (agents, on._on_complete),
+            JobLease: (agents, on._on_lease),
+            JobReport: (agents, on._on_report),
+            JobStealOffer: (agents, on._on_steal_offer),
+            JobStealRequest: (agents, on._on_steal_request),
+            JobStealGrant: (agents, on._on_steal_grant),
+        }
 
     def on_ready(self, ctx: ServiceContext) -> None:
         self.activate_scheduler()

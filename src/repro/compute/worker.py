@@ -1,10 +1,10 @@
 """The per-node compute agent: execution, checkpointing, work stealing.
 
 One :class:`ComputeAgent` is attached to every node by the compute
-service's context — its :meth:`ComputeAgent.handlers` mapping is
-installed, torn down on departure and re-installed on revival (the same
-pattern as the storage subsystem's :class:`~repro.storage.quorum.StorageAgent`),
-and its timers are node-scoped periodic tasks cancelled automatically with
+service; its methods are the service's datagram handlers, declared once in
+:meth:`~repro.compute.scheduler.JobScheduler.handlers` (the same pattern as
+the storage subsystem's :class:`~repro.storage.quorum.StorageAgent`), and
+its timers are node-scoped periodic tasks cancelled automatically with
 the node.  Every node is a potential **worker**; at most one node at a time
 additionally carries the **scheduler** role
 (:class:`~repro.compute.scheduler.SchedulerCore`), attached to
@@ -113,32 +113,23 @@ class ComputeAgent:
         self._ckpt_timer = None
         self._steal_timer = None
 
-    def handlers(self) -> Dict[type, object]:
-        """Declarative handler mapping installed by the service context."""
-        return {
-            JobSubmit: self.handle_submit,
-            JobAck: self._on_ack,
-            JobDispatch: self._on_dispatch,
-            JobAccepted: self._to_scheduler("on_accepted"),
-            JobRejected: self._to_scheduler("on_rejected"),
-            JobHeartbeat: self._to_scheduler("on_heartbeat"),
-            JobComplete: self._to_scheduler("on_complete"),
-            JobLease: self._on_lease,
-            JobReport: self._on_report,
-            JobStealOffer: self._on_steal_offer,
-            JobStealRequest: self._on_steal_request,
-            JobStealGrant: self._on_steal_grant,
-        }
-
     # ------------------------------------------------------------- plumbing
-    def _to_scheduler(self, method: str):
-        """Adapter: deliver a scheduler-bound message to the local role."""
+    # Scheduler-bound messages go to the local role, if this node holds it.
+    def _on_accepted(self, src: int, msg: JobAccepted) -> None:
+        if self.scheduler is not None:
+            self.scheduler.on_accepted(src, msg)
 
-        def handler(src: int, msg) -> None:
-            if self.scheduler is not None:
-                getattr(self.scheduler, method)(src, msg)
+    def _on_rejected(self, src: int, msg: JobRejected) -> None:
+        if self.scheduler is not None:
+            self.scheduler.on_rejected(src, msg)
 
-        return handler
+    def _on_heartbeat(self, src: int, msg: JobHeartbeat) -> None:
+        if self.scheduler is not None:
+            self.scheduler.on_heartbeat(src, msg)
+
+    def _on_complete(self, src: int, msg: JobComplete) -> None:
+        if self.scheduler is not None:
+            self.scheduler.on_complete(src, msg)
 
     def _up(self) -> bool:
         return self.node.network.is_up(self.node.ident)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.capacity import NodeCapacity
 from repro.core.config import LOOKUP_TIMEOUT, TreePConfig
@@ -47,12 +47,8 @@ from repro.core.messages import (
     PromoteGrant,
     Splice,
 )
-from repro.core.routing_table import EmptyMap, RoutingTable
+from repro.core.routing_table import RoutingTable
 from repro.sim.network import Datagram, Process
-
-
-#: Every node's handler map until its first :meth:`TreePNode.register_handler`.
-_NO_HANDLERS = EmptyMap()
 
 
 @dataclass(slots=True)
@@ -112,12 +108,6 @@ class TreePNode(Process):
         self.obs = None
         #: The maintenance manager attaches itself here (see maintenance.py).
         self.maintenance = None
-        #: Service-registered datagram handlers, keyed by payload type.
-        #: Consulted before the built-in ``_on_<Type>`` methods, so layered
-        #: services (DHT, replicated storage, …) extend the protocol without
-        #: monkey-patching the class.  The shared empty default until the
-        #: first :meth:`register_handler` gives the node its own dict.
-        self.handlers: Dict[type, Callable[[int, Any], None]] = _NO_HANDLERS
 
     # The countdown protocols' state, built on first use: a converged run
     # that never elects or demotes never allocates it.  Both are pure
@@ -129,29 +119,6 @@ class TreePNode(Process):
     @cached_property
     def demotions(self) -> DemotionManager:
         return DemotionManager(self.ident, self.capacity, self.config)
-
-    # ------------------------------------------------------------- handlers
-    def register_handler(
-        self, msg_type: type, handler: Callable[[int, Any], None]
-    ) -> None:
-        """Route datagrams whose payload is a *msg_type* to *handler*.
-
-        ``handler(src, payload)`` is invoked exactly like a built-in
-        ``_on_<Type>`` method.  Registered handlers take precedence over the
-        built-ins, letting a service override core behaviour per node.  A
-        second registration for the same type raises.
-        """
-        if msg_type in self.handlers:
-            raise ValueError(
-                f"node {self.ident} already has a handler for {msg_type.__name__}"
-            )
-        if self.handlers is _NO_HANDLERS:
-            self.handlers = {}
-        self.handlers[msg_type] = handler
-
-    def unregister_handler(self, msg_type: type) -> None:
-        """Remove the service handler for *msg_type* (no-op when absent)."""
-        self.handlers.pop(msg_type, None)
 
     # ------------------------------------------------------------- identity
     @property
@@ -168,16 +135,19 @@ class TreePNode(Process):
     _builtin_dispatch: Dict[type, Optional[Callable]] = {}
 
     def on_datagram(self, dgram: Datagram) -> None:
-        """Dispatch *dgram* by payload type: service handlers first, then
+        """Dispatch *dgram* by payload type: the fabric's one service
+        handler table first (``fn(receivers[ident], src, payload)``, so
+        layered services extend the protocol without a per-node map), then
         the built-in ``_on_<Type>`` methods via a per-class dict built
         lazily on first sight of each payload type (the ``getattr`` with a
         per-message f-string it replaces dominated dispatch profiles at
         10k nodes)."""
         payload = dgram.payload
         ptype = type(payload)
-        registered = self.handlers.get(ptype)
-        if registered is not None:
-            registered(dgram.src, payload)
+        service = self.network.handlers.get(ptype)
+        if service is not None:
+            receivers, fn = service
+            fn(receivers[self.ident], dgram.src, payload)
             return
         cache = self._builtin_dispatch
         try:

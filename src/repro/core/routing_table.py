@@ -35,8 +35,8 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from typing import (Any, Dict, Iterable, KeysView, List, Optional, Sequence, Set,
-                    Tuple, ValuesView)
+from typing import (Dict, Iterable, KeysView, List, Optional, Sequence, Set, Tuple,
+                    ValuesView)
 
 
 @dataclass(slots=True)
@@ -66,8 +66,8 @@ _NO_ROLE = frozenset()
 class EmptyMap(dict):
     """An empty ``dict`` that cannot be written: the shared default of a
     per-owner map its owner installs on first write (a table's per-level
-    maps, a node's service handlers).  Reads are dict's own, at dict's speed,
-    and ``pop`` with a default is a no-op; any write raises ``TypeError``, so
+    maps).  Reads are dict's own, at dict's speed, and ``pop`` with a
+    default (dict's own too) is a no-op; any write raises ``TypeError``, so
     one that bypasses the owner cannot land in state every owner shares."""
 
     __slots__ = ()
@@ -77,11 +77,6 @@ class EmptyMap(dict):
                         "write through the owner that installs its own map")
 
     __setitem__ = __delitem__ = __ior__ = setdefault = update = clear = popitem = _read_only
-
-    def pop(self, key: Any, *default):
-        if default:
-            return default[0]
-        raise KeyError(key)
 
 
 #: Every unwritten ``level_tables`` and ``level_children`` of every table.

@@ -85,10 +85,13 @@ class TreePNetwork:
         self.ids: List[int] = []
         self.capacities: Dict[int, NodeCapacity] = {}
         self.layout: Optional[HierarchyLayout] = None
-        self._maintenance: List[MaintenanceManager] = []
+        #: Whether keep-alive loops run (between start_ and stop_maintenance).
+        self._maintaining = False
+        self.network.down_hooks.append(self._sync_keepalive)
+        self.network.up_hooks.append(self._sync_keepalive)
         #: Callbacks invoked for every node the network creates (at build and
         #: on protocol joins); the service plane (:mod:`repro.cluster`)
-        #: subscribes here to wire per-node state and datagram handlers.
+        #: subscribes here to set up per-node service state.
         self.node_hooks: List[Callable[[TreePNode], None]] = []
 
     # ------------------------------------------------------------ building
@@ -320,9 +323,12 @@ class TreePNetwork:
     def fail_nodes(self, idents: Iterable[int]) -> None:
         """Crash-stop the given peers (no repair — the paper's stress test).
 
-        Attached services (see :mod:`repro.cluster`) observe each departure
-        through the fabric's liveness hooks: their node-scoped periodic
+        The overlay and the attached services (see :mod:`repro.cluster`)
+        observe each departure through the fabric's liveness hooks: the
+        node's keep-alive loop stops, the services' node-scoped periodic
         tasks are cancelled and their ``on_node_leave`` callbacks run.
+        The node's pending lookups and election/demotion countdowns are
+        not stopped.
         """
         for i in idents:
             self.network.set_down(i)
@@ -330,12 +336,11 @@ class TreePNetwork:
     def revive_nodes(self, idents: Iterable[int]) -> None:
         """Bring crash-stopped peers back up (same process).
 
-        The inverse of :meth:`fail_nodes`; attached services re-install
-        their datagram handlers and re-arm node-scoped periodic tasks via
-        their ``on_node_revive`` callbacks.  A revived node's routing table
-        is as the crash left it — expired, if maintenance ran meanwhile,
-        because a down node's keep-alive timer keeps ticking — and nothing
-        re-bootstraps it.
+        The inverse of :meth:`fail_nodes`: the fabric delivers the node its
+        datagrams again, its keep-alive loop restarts if maintenance is
+        running, and attached services re-arm node-scoped periodic tasks
+        via their ``on_node_revive`` callbacks.  A revived node's routing
+        table is as the crash left it, and nothing re-bootstraps it.
         """
         for i in idents:
             self.network.set_up(i)
@@ -352,16 +357,26 @@ class TreePNetwork:
 
     # --------------------------------------------------------- maintenance
     def start_maintenance(self) -> None:
-        """Arm keep-alive loops on every node, down ones included."""
-        for node in self.nodes.values():
-            mm = node.maintenance or MaintenanceManager(node)
-            mm.start()
-            if mm not in self._maintenance:
-                self._maintenance.append(mm)
+        """Arm keep-alive loops on every live node; until
+        :meth:`stop_maintenance` a crash stops a node's loop and a revival
+        re-arms it."""
+        self._maintaining = True
+        for ident in self.nodes:
+            self._sync_keepalive(ident)
 
     def stop_maintenance(self) -> None:
-        for mm in self._maintenance:
-            mm.stop()
+        self._maintaining = False
+        for ident in self.nodes:
+            self._sync_keepalive(ident)
+
+    def _sync_keepalive(self, ident: int) -> None:
+        """A node's keep-alive loop runs while the node is up and
+        maintenance runs (also the fabric's crash and revival hook)."""
+        node = self.nodes[ident]
+        if self._maintaining and self.network.is_up(ident):
+            (node.maintenance or MaintenanceManager(node)).start()
+        elif node.maintenance is not None:
+            node.maintenance.stop()
 
     # --------------------------------------------------------------- churn
     def join_new_node(

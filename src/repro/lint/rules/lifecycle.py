@@ -1,11 +1,11 @@
 """RPR3xx — lifecycle hygiene.
 
-Handler/timer leaks are *structurally* impossible for code that goes
-through the service context (``ServiceContext.every`` /
-``node_handlers``): the context sweeps everything on detach and node
-departure.  Code that wires raw ``node.register_handler`` or ``sim.every``
-outside that path re-acquires the leak risk — RPR301 demands the class
-own the matching ``unregister_handler`` / ``stop``.
+Timer leaks are *structurally* impossible for code that goes through the
+service context (``ServiceContext.every``): the context sweeps everything
+on detach and node departure.  Code that arms a raw ``sim.every`` outside
+that path re-acquires the leak risk — RPR301 demands the class own the
+matching ``stop``.  (Handlers have no per-node registration left to leak:
+a service declares them once, in ``Service.handlers()``.)
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ def _attr_calls(tree: ast.AST, attr: str) -> List[ast.Call]:
 @rule(
     "RPR301",
     "paired-lifecycle-cleanup",
-    "raw register_handler/sim.every outside the service context needs a paired "
-    "unregister/stop in the same class",
+    "raw sim.every outside the service context needs a paired stop in the "
+    "same class",
 )
 def check_lifecycle_pairing(
     ctx: FileContext, project: ProjectContext
@@ -56,20 +56,9 @@ def check_lifecycle_pairing(
     for klass in ast.walk(ctx.tree):
         if not isinstance(klass, ast.ClassDef):
             continue
-        has_unregister = bool(_attr_calls(klass, "unregister_handler"))
         has_stop = any(
             _attr_calls(klass, attr) for attr in _STOP_ATTRS
         )
-        for call in _attr_calls(klass, "register_handler"):
-            if not has_unregister:
-                yield ctx.violation(
-                    "RPR301",
-                    call,
-                    f"class {klass.name} calls register_handler outside the "
-                    f"service context without a paired unregister_handler; "
-                    f"declare it in Service.node_handlers() or unregister "
-                    f"in teardown",
-                )
         for call in _attr_calls(klass, "every"):
             chain = _receiver_chain(call.func)
             if "ctx" in chain[:-1]:

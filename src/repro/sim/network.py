@@ -17,7 +17,7 @@ overhead benches read to compare control traffic between configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Set
+from typing import Any, Callable, Dict, Mapping, Optional, Set, Tuple
 
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
@@ -61,6 +61,11 @@ def _type_meta(ptype: type) -> tuple:
         meta = (name, f"dgram:{name}")
         _TYPE_META[ptype] = meta
     return meta
+
+
+#: A payload type's entry in :attr:`Network.handlers`: ``(receivers, fn)``,
+#: run as ``fn(receivers[dst], src, payload)``.
+Handler = Tuple[Mapping[int, Any], Callable[[Any, int, Any], None]]
 
 
 class Process:  # repro-lint: disable=RPR401 per-node engine base, not a per-message record; subsystems attach ad-hoc attributes (obs, maintenance, service state) so it keeps a __dict__
@@ -157,6 +162,12 @@ class Network:  # repro-lint: disable=RPR401 one instance per simulation; slotti
         #: :class:`~repro.sim.failures.FailureSchedule`, or a direct call).
         self.down_hooks: list[Callable[[int], None]] = []
         self.up_hooks: list[Callable[[int], None]] = []
+        #: payload type -> ``(receivers, fn)``, one table for the whole
+        #: fabric: ``TreePNode.on_datagram`` runs ``fn(receivers[a], src,
+        #: payload)`` for a datagram of that type delivered to address *a*,
+        #: before its built-in handlers.  The service plane
+        #: (:mod:`repro.cluster`) is its one writer.
+        self.handlers: Dict[type, Handler] = {}
         #: Every datagram's ``callback``, bound once (a fresh bound method
         #: per packet would be a second allocation per datagram).
         self._arrive = self._deliver

@@ -23,9 +23,9 @@ The write/read path is Dynamo-shaped, grafted onto TreeP routing:
 :class:`StorageAgent` is the per-node server side; :class:`ReplicatedStore`
 is the synchronous client the examples, benches and tests drive, and it
 implements the :class:`~repro.cluster.service.Service` lifecycle protocol —
-each node's agent handlers are declared via
-:meth:`ReplicatedStore.node_handlers` and installed/removed by the
-service's context (no monkey-patching, no leak on teardown).
+the agents' handlers are declared once via :meth:`ReplicatedStore.handlers`
+and filed in the network's handler table by the service's context (no
+monkey-patching, no per-node wiring, no leak on teardown).
 
 Construct through :meth:`repro.cluster.Cluster.with_storage`.
 """
@@ -151,8 +151,8 @@ class _PendingRead:
 class StorageAgent:
     """Per-node storage server: the KVStore plus coordinator state.
 
-    Registered on a node through :meth:`TreePNode.register_handler`; one
-    agent per node per :class:`ReplicatedStore`.
+    One agent per node per :class:`ReplicatedStore`; its methods are the
+    store's datagram handlers (:meth:`ReplicatedStore.handlers`).
     """
 
     def __init__(
@@ -178,19 +178,16 @@ class StorageAgent:
         #: hint is used at most once before a fresh result re-teaches it.
         self.coordinators: Dict[int, int] = {}
 
-    def handlers(self) -> Dict[type, Callable[[int, Any], None]]:
-        """Declarative handler mapping; the owning service's context
-        installs it on the node (and removes it again on teardown)."""
-        return {
-            StorePut: self.handle_put,
-            StoreGet: self.handle_get,
-            StoreReplicate: self._on_replicate,
-            StoreAck: self._on_ack,
-            StoreRead: self._on_read,
-            StoreReadReply: self._on_read_reply,
-            StorePutResult: self._on_result,
-            StoreGetResult: self._on_result,
-        }
+    def forget(self) -> None:
+        """Drop what the process holds in memory (its store is disk):
+        learnt coordinators, registered completions, and every quorum it
+        is coordinating, with its timeout cancelled so it never answers."""
+        self.coordinators.clear()
+        self.callbacks.clear()
+        for pending in (self._writes, self._reads):
+            for pend in pending.values():
+                pend.timeout_event.cancel()  # type: ignore[attr-defined]
+            pending.clear()
 
     # -------------------------------------------------------------- writes
     def handle_put(self, src: int, msg: StorePut) -> None:
@@ -439,26 +436,31 @@ class ReplicatedStore(Service):
     def setup_node(self, node: "TreePNode") -> None:
         self.agents[node.ident] = StorageAgent(node, self.quorum, self.placement)
 
-    def node_handlers(self, node: "TreePNode") -> Mapping[type, Handler]:
-        return self.agents[node.ident].handlers()
+    def handlers(self) -> Mapping[type, Handler]:
+        agents, on = self.agents, StorageAgent
+        return {
+            StorePut: (agents, on.handle_put),
+            StoreGet: (agents, on.handle_get),
+            StoreReplicate: (agents, on._on_replicate),
+            StoreAck: (agents, on._on_ack),
+            StoreRead: (agents, on._on_read),
+            StoreReadReply: (agents, on._on_read_reply),
+            StorePutResult: (agents, on._on_result),
+            StoreGetResult: (agents, on._on_result),
+        }
 
     def on_node_leave(self, ident: int) -> None:
         """A crashed process forgets what it learnt and what it was waiting
-        for (its store is disk): results addressed to it are never
-        delivered, so a completion left registered would stay for good,
-        and a quorum it was coordinating must not answer from the dead
-        when its timeout fires."""
-        agent = self.agents[ident]
-        agent.coordinators.clear()
-        agent.callbacks.clear()
-        for pending in (agent._writes, agent._reads):
-            for pend in pending.values():
-                pend.timeout_event.cancel()  # type: ignore[attr-defined]
-            pending.clear()
+        for: results addressed to it are never delivered, so a completion
+        left registered would stay for good, and a quorum it was
+        coordinating must not answer from the dead when its timeout fires."""
+        self.agents[ident].forget()
 
     def on_detach(self) -> None:
+        """Nothing handles a detached store's datagrams, so no agent may
+        keep a quorum whose timeout would still send its result."""
         for agent in self.agents.values():
-            agent.coordinators.clear()
+            agent.forget()
 
     def key_id(self, key: str) -> int:
         return hash_key(key, self.net.config.space.extent)

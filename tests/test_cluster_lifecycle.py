@@ -5,10 +5,10 @@ Covers the 1.3.0 redesign invariants:
 
 * join/leave/revive callbacks fire exactly once per churn event for every
   attached service (30% churn schedule with revivals and protocol joins);
-* a departed node's handlers are unregistered and its periodic tasks
-  cancelled; a revived node gets its handlers back;
-* a torn-down facade leaves no handlers behind, on existing *or* rebuilt
-  nodes (the pre-1.3 leak);
+* a departed node's agents handle nothing and its periodic tasks are
+  cancelled; a revived node's agents handle its traffic again;
+* a torn-down facade leaves no handlers behind, for existing *or* rebuilt
+  nodes (the pre-1.3 leak): its types fall through to the built-ins;
 * `Cluster` owns construction order and the compute → storage → overlay
   dependency chain, and shutdown detaches in reverse order;
 * one service per name, and the service plane is the network's one
@@ -36,7 +36,7 @@ from repro import (
 )
 from repro.compute.messages import JobSubmit
 from repro.services import ResourceDirectory
-from repro.storage.messages import StoreGet, StorePut
+from repro.storage.messages import StoreGet, StorePut, StoreRead
 
 
 def make_cluster(n=64, seed=11):
@@ -52,9 +52,27 @@ class ProbePing:
     """A message type only :class:`ProbeService` handles."""
 
 
+class DropLog:
+    """A node's ``obs`` stand-in recording what reached ``node.drop``."""
+
+    def __init__(self) -> None:
+        self.drops = 0
+
+    def event(self, name, *args, **kwargs) -> None:
+        self.drops += name == "node.drop"
+
+
+def deliver(cluster, dst, payload):
+    """Send *payload* to *dst* from another node and run it in."""
+    src = next(i for i in cluster.net.ids if i != dst)
+    cluster.net.nodes[src].send(dst, payload)
+    cluster.net.sim.run_for(1.0)
+
+
 class ProbeService(Service):
     """Counts every lifecycle callback (the exactly-once regression) and
-    declares one handler of its own."""
+    declares one handler of its own: each node's agent is the list of
+    senders whose :class:`ProbePing` it handled."""
 
     name = "probe"
 
@@ -66,6 +84,7 @@ class ProbeService(Service):
         self.revives: Counter = Counter()
         self.ticks = 0
         self.detached = False
+        self.agents: dict[int, list[int]] = {}
 
     def on_attach(self, ctx) -> None:
         ctx.every(5.0, self._tick, label="probe-tick")
@@ -75,9 +94,10 @@ class ProbeService(Service):
 
     def setup_node(self, node) -> None:
         self.setups[node.ident] += 1
+        self.agents[node.ident] = []
 
-    def node_handlers(self, node):
-        return {ProbePing: lambda src, msg: None}
+    def handlers(self):
+        return {ProbePing: (self.agents, lambda pings, src, msg: pings.append(src))}
 
     def on_node_join(self, node) -> None:
         self.joins[node.ident] += 1
@@ -143,11 +163,12 @@ def test_callbacks_fire_exactly_once_per_event_under_30pct_churn():
 
 
 # -------------------------------------------------------- context cleanup
-def test_leave_unregisters_handlers_and_cancels_node_tasks():
+def test_a_down_node_handles_nothing_and_its_node_tasks_are_cancelled():
     cluster = (make_cluster()
                .with_storage(QuorumConfig(n=3, w=2, r=2))
                .with_compute(ComputeConfig()))
     grid, store = cluster.compute, cluster.storage
+    stats = cluster.net.network.stats
     # An idle worker owns no timer at all; give the victim a running job so
     # it holds node-scoped tasks (heartbeat + checkpoint loops) to cancel.
     grid.submit(JobSpec(job_id=1, work=200.0))
@@ -155,20 +176,24 @@ def test_leave_unregisters_handlers_and_cancels_node_tasks():
     victim = grid.scheduler_core().records[1].worker
     assert victim is not None and victim != grid.scheduler_ident
     assert 1 in grid.agents[victim].running
-    node = cluster.net.nodes[victim]
-    assert StorePut in node.handlers
-    assert JobSubmit in node.handlers
     assert node_timers(grid, victim) >= 2
+    assert {StorePut, JobSubmit} <= set(cluster.net.network.handlers)
 
+    def read_replies():
+        """StoreReadReply datagrams the victim's storage agent answers with."""
+        before = stats.by_type.get("StoreReadReply", 0)
+        deliver(cluster, victim, StoreRead(0, grid.scheduler_ident, 1))
+        return stats.by_type.get("StoreReadReply", 0) - before
+
+    assert read_replies() == 1
     cluster.fail_nodes([victim])
-    assert set(node.handlers) == set(), "departure must sweep all handlers"
+    assert read_replies() == 0, "a down node's agent must handle nothing"
     assert node_timers(grid, victim) == 0
     assert node_timers(store, victim) == 0
     assert not grid.agents[victim].running, "a crash wipes in-memory jobs"
 
     cluster.net.revive_nodes([victim])
-    assert StorePut in node.handlers, "revival must re-install handlers"
-    assert JobSubmit in node.handlers
+    assert read_replies() == 1, "a revived node's agent handles traffic again"
     # A restarted process has no memory and nothing queued: no timer comes
     # back until the scheduler hands it work again.
     assert node_timers(grid, victim) == 0
@@ -215,16 +240,24 @@ def test_coordinator_hints_do_not_outlive_the_process():
 
 def test_detach_sweeps_handlers_everywhere_and_spares_other_services():
     cluster = make_cluster().add_service(ProbeService()).with_storage()
-    store = cluster.storage
+    store, probe = cluster.storage, cluster.service("probe")
+    table = cluster.net.network.handlers
+    assert {StorePut, StoreGet, ProbePing} <= set(table)
     cluster.state.detach(store)
     assert not store.attached
-    for node in cluster.net.nodes.values():
-        types = set(node.handlers)
-        assert StorePut not in types and StoreGet not in types
-        assert ProbePing in types  # the other service is untouched
+    assert StorePut not in table and StoreGet not in table
+    # A store datagram now falls through the built-ins to node.drop...
+    target = cluster.net.ids[5]
+    node = cluster.net.nodes[target]
+    node.obs = log = DropLog()
+    deliver(cluster, target, StorePut(1, target, 7, "v", 0))
+    assert log.drops == 1
+    # ...while the other service still handles its own on every node.
+    for ident in cluster.net.ids:
+        deliver(cluster, ident, ProbePing())
+        assert len(probe.agents[ident]) == 1
     cluster.shutdown()
-    for node in cluster.net.nodes.values():
-        assert set(node.handlers) == set()
+    assert table == {}
 
 
 def test_rebuilt_node_has_no_stale_handlers():
@@ -235,9 +268,12 @@ def test_rebuilt_node_has_no_stale_handlers():
     cluster.state.detach(store)  # idempotent
     new_id = max(cluster.net.ids) + 1
     cluster.net.join_new_node(new_id)
-    rebuilt = cluster.net.nodes[new_id]
-    assert set(rebuilt.handlers) == set()
+    cluster.net.sim.run_for(5.0)
     assert new_id not in store.agents  # no longer covering new nodes
+    rebuilt = cluster.net.nodes[new_id]
+    rebuilt.obs = log = DropLog()
+    deliver(cluster, new_id, StoreGet(1, new_id, 7, 0))
+    assert log.drops == 1
 
 
 def test_second_same_name_attach_is_refused():
@@ -389,8 +425,7 @@ def test_failed_attach_rolls_back_spawned_dependencies():
     with pytest.raises(RuntimeError):
         cluster.with_compute()
     assert [s.name for s in cluster.services] == []
-    for node in cluster.net.nodes.values():
-        assert set(node.handlers) == set()
+    assert cluster.net.network.handlers == {}
 
 
 def test_anti_entropy_without_storage_raises():
@@ -435,7 +470,8 @@ def test_unattached_anti_entropy_fails_loud():
 
 def test_service_plane_is_the_one_network_subscriber():
     """One dispatcher each on node creation, crash and revival, however
-    many services come and go."""
+    many services come and go.  The fabric's crash and revival hooks also
+    hold the overlay's own, which stops and re-arms keep-alive loops."""
     cluster = make_cluster().with_compute()  # storage, discovery, compute
     net = cluster.net
 
@@ -443,10 +479,10 @@ def test_service_plane_is_the_one_network_subscriber():
         return (len(net.node_hooks), len(net.network.down_hooks),
                 len(net.network.up_hooks))
 
-    assert subscribers() == (1, 1, 1)
+    assert subscribers() == (1, 2, 2)
     cluster.shutdown()
     assert cluster.services == ()
-    assert subscribers() == (1, 1, 1)
+    assert subscribers() == (1, 2, 2)
 
 
 def test_conflicting_handler_claims_are_refused():
@@ -456,8 +492,8 @@ def test_conflicting_handler_claims_are_refused():
     class Thief(Service):
         name = "thief"
 
-        def node_handlers(self, node):
-            return {StorePut: lambda src, msg: None}
+        def handlers(self):
+            return {StorePut: ({}, lambda agent, src, msg: None)}
 
     cluster = make_cluster(n=8).with_storage()
     with pytest.raises(ServiceError, match="StorePut"):

@@ -13,6 +13,7 @@ by N.  Figures (CPython 3.11.7, NumPy 2.4, this file run as a script)::
     v1.25.0          4 322 / 4 048     654 /   628
     v1.26.0          4 281 / 4 006     654 /   628
     one-form view    4 252 / 3 979     545 /   543
+    one table        4 243 / 3 971     545 /   543
 
 The first built drop is the ``RoutingTable`` instance ``__dict__`` and the
 two un-slotted per-node managers; the first lookup drop is the greedy router
@@ -30,8 +31,11 @@ from a dict on every node into the table, where a node that parents
 nothing holds the shared empty map.  The one-form-view lookup drop is
 the greedy router's view as three flat tuples of plain numbers — the cell
 owners, their radii and every candidate id — with no ``(id, level)`` pairs
-and no NumPy columns.  The budgets are the N = 2 000 figures + 5 %.  Allocation sizes are interpreter-specific, hence the same
-3.11-only gate as the golden diff in ``tests/test_sim_scale.py``.
+and no NumPy columns.  The one-table built drop is the node's ``handlers``
+attribute, gone now that service handlers live in one table per network.
+The budgets are the N = 2 000 figures + 5 %.  Allocation sizes are
+interpreter-specific, hence the same 3.11-only gate as the golden diff in
+``tests/test_sim_scale.py``.
 
 A third figure keeps converged-mode repair honest: everything traced since
 before the build, per *live* node, after one 6 % crash burst and
@@ -48,6 +52,7 @@ command; a 64-node build + step first pays the one-off imports and caches,
     v1.25.0          4 461 / 4 492               0 / 0
     v1.26.0          4 409 / 4 445               0 / 0
     in-place gossip  4 379 / 4 416               0 / 0
+    one table        4 370 / 4 407               0 / 0
 
 A fourth figure budgets what the step holds at its peak, not only what it
 leaves: the step's tracemalloc peak above what was traced when it began,
@@ -65,16 +70,30 @@ The drop is the gossip round reading each peer in place: it holds
 references to the pre-round role sets and reads metadata from the
 sender's entries, where it used to copy every live node's role sets and
 build one ``(max_level, score, nc)`` tuple per entry.
+
+A fifth figure budgets the service plane: what attaching storage
+(``QuorumConfig(3, 2, 2)``) and compute to a built overlay allocates, per
+node (same run; a 64-node attach first pays the one-off imports)::
+
+                     storage + compute B/node    (N = 2 000)
+    parent ef4649e   4 838
+    one table        973
+
+The drop is one handler table per network: a service declares
+``{type: (agents, fn)}`` once, where every node used to get its own
+handler dict, a copy of it in the service's context, and one bound method
+or closure per type.  What remains is the per-node agents and stores.
 """
 
 import gc
 import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
-from repro import Cluster
+from repro import Cluster, ComputeConfig, JobSpec, QuorumConfig
 from repro.core.repair import apply_failure_step
 from repro.core.routing_table import _NO_LEVELS, _NO_ROLE
 
@@ -83,6 +102,7 @@ BUILT_BYTES_PER_NODE = 4281 * 1.05
 LOOKUP_BYTES_PER_NODE = 545 * 1.05
 REPAIRED_BYTES_PER_LIVE_NODE = 4409 * 1.05
 STEP_PEAK_BYTES_PER_LIVE_NODE = 1223 * 1.05
+SERVICE_BYTES_PER_NODE = 973 * 1.05
 
 
 def measure(n):
@@ -132,6 +152,26 @@ def measure_repair(n):
         tracemalloc.stop()
     live = n - len(victims)
     return after / live, peak / live, unreachable
+
+
+def with_services(cluster):
+    return cluster.with_storage(QuorumConfig(3, 2, 2)).with_compute(ComputeConfig())
+
+
+def measure_services(n):
+    """Bytes per node that attaching storage and compute allocates."""
+    with_services(Cluster(seed=9).build(64)).shutdown()  # one-off imports
+    cluster = Cluster(seed=9).build(n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with_services(cluster)
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    return after / n
 
 
 _ONLY_311 = pytest.mark.skipif(
@@ -204,6 +244,57 @@ def test_a_repair_step_leaves_no_snapshot_and_no_cyclic_garbage():
     assert unreachable == 0
 
 
+@_ONLY_311
+def test_attached_services_cost_only_their_agents():
+    attached = measure_services(NODES)
+    assert attached <= SERVICE_BYTES_PER_NODE, f"{attached:.0f} B/node attached"
+
+
+def test_no_node_holds_handler_wiring_of_its_own():
+    """The exact half of the service budget: every handler is one entry
+    of the network's table, a plain function over the service's agents
+    map, so no node or agent owns a handler dict, a bound method or a
+    closure."""
+    cluster = with_services(Cluster(seed=9).build(NODES))
+    net = cluster.net
+    table = net.network.handlers
+    assert len(table) == 8 + 12  # storage's types, then compute's
+    agent_maps = {id(cluster.storage.agents), id(cluster.compute.agents)}
+    for agents, fn in table.values():
+        assert id(agents) in agent_maps
+        assert type(fn) is types.FunctionType and fn.__closure__ is None
+    assert not any("handlers" in vars(node) for node in net.nodes.values())
+    owners = {id(o) for o in (*net.nodes.values(), *cluster.storage.agents.values(),
+                              *cluster.compute.agents.values())}
+
+    def bound_to_an_owner(o):
+        if isinstance(o, types.MethodType):
+            return id(o.__self__) in owners
+        for cell in getattr(o, "__closure__", None) or ():
+            try:
+                if id(cell.cell_contents) in owners:
+                    return True
+            except ValueError:  # an empty cell
+                pass
+        return False
+
+    gc.collect()
+    assert [o for o in gc.get_objects()
+            if isinstance(o, (types.MethodType, types.FunctionType))
+            and bound_to_an_owner(o)] == []
+
+
+def test_shutdown_leaves_no_handler_and_no_node_task():
+    cluster = with_services(Cluster(seed=9).build(64))
+    contexts = [svc.ctx for svc in cluster.services]
+    cluster.compute.submit(JobSpec(job_id=1, work=200.0))
+    cluster.net.sim.run_for(10.0)
+    assert any(ctx.node_timers for ctx in contexts)
+    cluster.shutdown()
+    assert cluster.net.network.handlers == {}
+    assert [ctx.node_timers for ctx in contexts] == [{}] * len(contexts)
+
+
 if __name__ == "__main__":
     for size in (int(a) for a in sys.argv[1:] or [NODES]):
         _, built_bytes, lookup_bytes = measure(size)
@@ -211,4 +302,5 @@ if __name__ == "__main__":
         print(f"N={size}: built {built_bytes:.0f} B/node, "
               f"lookups +{lookup_bytes:.0f} B/node, after repair "
               f"{repaired_bytes:.0f} B/live node ({left} unreachable), "
-              f"repair step peak +{peak_bytes:.0f} B/live node")
+              f"repair step peak +{peak_bytes:.0f} B/live node, storage + "
+              f"compute attached +{measure_services(size):.0f} B/node")

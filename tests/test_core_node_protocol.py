@@ -6,6 +6,8 @@ import pytest
 
 from reference import ConstantLatency
 from repro import TreePConfig, TreePNetwork
+from repro.bench.sweep import fail_until
+from repro.cluster.service import ClusterState, Service, ServiceError
 from repro.core.capacity import NodeCapacity
 from repro.core.messages import Hello
 from repro.core.node import TreePNode
@@ -478,6 +480,54 @@ class TestMaintenanceProtocol:
                 assert node.table.children == {
                     k for kids in levels.values() for k in kids}, i
 
+    def test_a_crashed_node_goes_quiet_and_a_revived_one_resumes(self):
+        """The crash probe: N = 512, seed 42, the 30 % that ``fail_until``
+        kills on a twin network crashed in one burst after 5 s of
+        maintenance.  In the 100 s that follow the down nodes send no
+        keep-alive (their loops used to tick on, 3 610 of them)."""
+        cfg = TreePConfig.paper_case1()
+        twin = TreePNetwork(config=cfg, seed=42)
+        twin.build(512)
+        survivors = set(fail_until(twin, 0.30))
+        net = TreePNetwork(config=cfg, seed=42)
+        net.build(512)
+        victims = [i for i in net.ids if i not in survivors]
+        assert len(victims) == 156
+        net.start_maintenance()
+        net.sim.run_for(5.0)
+
+        def keepalives():
+            return sum(net.nodes[v].maintenance.stats.keepalives_sent
+                       for v in victims)
+
+        before = keepalives()
+        net.fail_nodes(victims)
+        net.sim.run_for(100.0)
+        assert keepalives() == before
+        assert not any(net.nodes[v].maintenance._timer.running for v in victims)
+        # A revival while maintenance runs re-arms the node's loop...
+        back = victims[:8]
+        net.revive_nodes(back)
+        assert all(net.nodes[v].maintenance._timer.running for v in back)
+        net.stop_maintenance()
+        # ...and one after it stops does not.
+        net.revive_nodes(victims[8:16])
+        assert not any(net.nodes[v].maintenance._timer.running
+                       for v in victims[8:16])
+
+    def test_maintenance_skips_down_nodes_and_arms_them_on_revival(self):
+        net = TreePNetwork(config=TreePConfig.paper_case1(), seed=2)
+        net.build(16)
+        victim = net.ids[5]
+        net.network.set_down(victim)
+        net.start_maintenance()
+        assert net.nodes[victim].maintenance is None
+        assert all(net.nodes[i].maintenance is not None
+                   for i in net.ids if i != victim)
+        net.revive_nodes([victim])
+        assert net.nodes[victim].maintenance._timer.running
+        net.stop_maintenance()
+
     def test_maintenance_traffic_counted(self):
         net = TreePNetwork(
             config=TreePConfig.paper_case1(keepalive_interval=1.0), seed=2
@@ -495,41 +545,61 @@ class TestMaintenanceProtocol:
 
 
 class TestHandlerRegistry:
-    """The service handler-registration API (no monkey-patching)."""
+    """The fabric's one service handler table (no monkey-patching, no map
+    per node): ``net.handlers[type] = (receivers, fn)`` runs
+    ``fn(receivers[dst], src, payload)`` before the built-ins."""
 
     def test_registered_handler_receives_datagrams(self):
         sim, net, (a, b, _) = tiny_net()
         seen = []
-        b.register_handler(Hello, lambda src, msg: seen.append((src, msg)))
+        net.handlers[Hello] = ({b.ident: seen},
+                               lambda log, src, msg: log.append((src, msg)))
         a.send(b.ident, Hello(0, 1.0, 4))
         sim.run()
         assert seen and seen[0][0] == a.ident
-        # The registered handler replaced the built-in: no HelloAck came back.
+        # The table's handler replaced the built-in: no HelloAck came back.
         assert a.table.get(b.ident) is None
 
     def test_duplicate_registration_rejected(self):
-        sim, net, (a, _, _) = tiny_net()
-        a.register_handler(Hello, lambda src, msg: None)
-        with pytest.raises(ValueError):
-            a.register_handler(Hello, lambda src, msg: None)
-        a.unregister_handler(Hello)
-        a.register_handler(Hello, lambda src, msg: None)  # free again: ok
+        """A type another service holds is refused at attach, and is
+        free again once that service detaches."""
 
-    def test_the_first_registration_gives_the_node_its_own_handler_map(self):
-        sim, net, (a, b, _) = tiny_net()
-        assert a.handlers is b.handlers and not a.handlers  # the shared default
-        with pytest.raises(TypeError):
-            a.handlers[Hello] = print
-        a.unregister_handler(Hello)         # no-op removal keeps working
-        a.register_handler(Hello, print)
-        assert a.handlers == {Hello: print} and not b.handlers
-        assert set(a.handlers) == {Hello} and set(b.handlers) == set()
+        class Claim(Service):
+            def __init__(self, name):
+                super().__init__()
+                self.name, self.agents = name, {}
+
+            def setup_node(self, node):
+                self.agents[node.ident] = node
+
+            def handlers(self):
+                return {Hello: (self.agents, lambda node, src, msg: None)}
+
+        net = TreePNetwork(config=TreePConfig.paper_case1(), seed=7)
+        net.build(8)
+        state = ClusterState.of(net)
+        first = state.attach(Claim("first"))
+        with pytest.raises(ServiceError, match="Hello"):
+            state.attach(Claim("second"))
+        assert net.network.handlers[Hello][0] is first.agents
+        state.detach(first)
+        state.attach(Claim("second"))  # free again: ok
+
+    def test_every_node_reads_the_one_handler_table(self):
+        sim, net, (a, b, c) = tiny_net()
+        assert not any("handlers" in vars(node) for node in (a, b, c))
+        seen = {a.ident: [], b.ident: []}
+        net.handlers[Hello] = (seen, lambda log, src, msg: log.append(src))
+        c.send(a.ident, Hello(0, 1.0, 4))
+        c.send(b.ident, Hello(0, 1.0, 4))
+        sim.run()
+        # One entry serves every node, each on its own receiver.
+        assert seen == {a.ident: [c.ident], b.ident: [c.ident]}
 
     def test_unregister_restores_builtin(self):
         sim, net, (a, b, _) = tiny_net()
-        b.register_handler(Hello, lambda src, msg: None)
-        b.unregister_handler(Hello)
-        b.unregister_handler(Hello)  # idempotent
+        net.handlers[Hello] = ({b.ident: None}, lambda agent, src, msg: None)
+        del net.handlers[Hello]
         a.send(b.ident, Hello(a.max_level, a.score, a.nc))
         sim.run()
         assert b.table.get(a.ident) is not None  # built-in _on_Hello ran again

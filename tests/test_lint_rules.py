@@ -243,23 +243,26 @@ class TestRPR201:
 
 # ---------------------------------------------------------------- RPR301
 class TestRPR301:
-    def test_unpaired_register_handler_flagged(self, tmp_path):
+    def test_stop_in_another_class_does_not_pair(self, tmp_path):
         report = run_lint(tmp_path, {
-            "src/repro/cluster/svc.py":
-                "class Probe:\n"
-                "    def attach(self, node):\n"
-                "        node.register_handler('ping', self.on_ping)\n",
+            "src/repro/cluster/beat.py":
+                "class Beat:\n"
+                "    def start(self, sim):\n"
+                "        self.timer = sim.every(1.0, self.tick)\n"
+                "class Other:\n"
+                "    def close(self):\n"
+                "        self.timer.stop()\n",
         })
         assert codes(report) == ["RPR301"]
 
-    def test_paired_register_handler_passes(self, tmp_path):
+    def test_paired_sim_every_passes(self, tmp_path):
         report = run_lint(tmp_path, {
-            "src/repro/cluster/svc.py":
-                "class Probe:\n"
-                "    def attach(self, node):\n"
-                "        node.register_handler('ping', self.on_ping)\n"
-                "    def detach(self, node):\n"
-                "        node.unregister_handler('ping')\n",
+            "src/repro/cluster/beat.py":
+                "class Beat:\n"
+                "    def start(self, sim):\n"
+                "        self.timer = sim.every(1.0, self.tick)\n"
+                "    def close(self):\n"
+                "        self.timer.stop()\n",
         })
         assert report.clean
 
@@ -285,8 +288,8 @@ class TestRPR301:
         report = run_lint(tmp_path, {
             "src/repro/cluster/registry.py":
                 "class Registry:\n"
-                "    def attach(self, node):\n"
-                "        node.register_handler('ping', self.on_ping)\n",
+                "    def start(self, sim):\n"
+                "        self.timer = sim.every(1.0, self.tick)\n",
         })
         assert report.clean
 

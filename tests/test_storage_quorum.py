@@ -195,6 +195,31 @@ def test_crashed_coordinator_answers_nothing():
     assert {t: by_type.get(t, 0) for t in sent} == sent
 
 
+def test_detached_store_sends_nothing_after_detach():
+    """Detaching the store drops what every agent was waiting on, as a
+    crash does: no quorum timeout fires a result nothing would handle."""
+    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=3)
+    net.build(64)
+    cluster = Cluster(net=net).with_storage(QuorumConfig(n=3, w=3, r=2))
+    store = cluster.storage
+    r = store.put("orphan", 0)
+    assert r.ok
+    coordinator = _coordinator_of(net, store, r.key_id)
+    net.network.set_down(next(h for h in store.replica_map()[r.key_id]
+                              if h != coordinator))
+    store.put_async("orphan", 1, via=coordinator,
+                    on_done=lambda result: None)  # W=3 cannot be met
+    agent = store.agents[coordinator]
+    assert agent._writes and agent.callbacks
+    cluster.state.detach(store)
+    assert not agent._writes and not agent._reads and not agent.callbacks
+    by_type = net.network.stats.by_type
+    store_types = [t for t in by_type if t.startswith("Store")]
+    sent = {t: by_type[t] for t in store_types}
+    net.sim.run_for(2 * QUORUM_TIMEOUT)
+    assert {t: by_type[t] for t in by_type if t.startswith("Store")} == sent
+
+
 def test_write_times_out_sloppily_when_replicas_dead():
     net = TreePNetwork(config=TreePConfig.paper_case1(), seed=9)
     net.build(32)
