@@ -39,7 +39,7 @@ from typing import Iterator, List, NamedTuple, Optional, Protocol, Tuple
 from repro.core.config import TreePConfig
 from repro.core.distance import halving_criterion, treep_distance
 from repro.core.messages import LookupRequest
-from repro.core.routing_table import Entry, RoutingTable
+from repro.core.routing_table import RoutingTable
 
 
 class LookupAlgorithm(str, enum.Enum):
@@ -177,15 +177,13 @@ def _ordered_pairs(t: RoutingTable) -> List[Tuple[int, int]]:
             if i not in seen:
                 seen.add(i)
                 ordered.append(i)
-    return [(e.ident, e.max_level)
-            for e in map(t.get, ordered) if e is not None]
+    return t.levels(ordered)
 
 
 def _level_zero_pairs(t: RoutingTable) -> List[Tuple[int, int]]:
     """``Search_Level_Zero()`` candidates, in id order."""
     ids = set(t.level0) | set(t.children) | set(t.neighbour_children)
-    return [(e.ident, e.max_level)
-            for e in map(t.get, sorted(ids)) if e is not None]
+    return t.levels(sorted(ids))
 
 
 class CandidateView(NamedTuple):
@@ -195,7 +193,7 @@ class CandidateView(NamedTuple):
     current height estimate.
 
     It holds what the two greedy metrics read and nothing else — no
-    :class:`~repro.core.routing_table.Entry` and no per-candidate level:
+    per-candidate level or metadata:
 
     * the *cell owners* (candidates above level 0) in Fig. 3 order, each
       with its tessellation radius ``L / 2**(h - lvl)`` from
@@ -237,7 +235,7 @@ def _candidate_view(view: NodeView, l0: bool) -> CandidateView:
 
 def _full_candidates(
     view: NodeView, exclude: frozenset[int], target: int
-) -> Iterator[Entry]:
+) -> Iterator[int]:
     """``Search_level_A()``: the node's whole routing table, lazily.
 
     Deterministic order, table priority as implicit in Fig. 3: children
@@ -254,7 +252,7 @@ def _full_candidates(
     """
     t = view.table
     distance = view.config.space.distance
-    get = t.get
+    known = t._entries
     # ``(distance, id)`` is a total order, so dropping ids already taken by
     # an earlier group *before* sorting yields the same sequence as sorting
     # first and deduplicating afterwards.
@@ -269,9 +267,8 @@ def _full_candidates(
     ):
         for _, i in sorted((distance(i, target), i) for i in group if i not in seen):
             seen.add(i)
-            e = get(i)
-            if e is not None:
-                yield e
+            if i in known:
+                yield i
 
 
 # --------------------------------------------------------------------------
@@ -451,8 +448,8 @@ def _escalate(
     best_id: Optional[int] = None
     best_d = float("inf")
     for i in superiors:
-        e = t.get(i)
-        lvl = e.max_level if e is not None else 1
+        m = t.meta(i)
+        lvl = m[0] if m is not None else 1
         d = _metric(view, i, lvl, req.target, euclid)
         if halving_criterion(d, d_here) and d < best_d:
             best_id, best_d = i, d
@@ -460,8 +457,8 @@ def _escalate(
         return best_id
     # None halves the distance: highest-level superior.
     def level_of(i: int) -> int:
-        e = t.get(i)
-        return e.max_level if e is not None else 0
+        m = t.meta(i)
+        return m[0] if m is not None else 0
 
     return max(superiors, key=lambda i: (level_of(i), -view.config.space.distance(i, req.target)))
 
@@ -476,12 +473,12 @@ def _route_non_greedy(
     space = view.config.space
     d_here = float(space.distance(view.ident, req.target))
     improving: List[int] = []
-    for e in _full_candidates(view, exclude, target=req.target):
-        if float(space.distance(e.ident, req.target)) < d_here:
-            improving.append(e.ident)
+    for i in _full_candidates(view, exclude, target=req.target):
+        if float(space.distance(i, req.target)) < d_here:
+            improving.append(i)
             if not with_fallback:
                 # NG: first improving candidate ends the search.
-                return Decision.forward(e.ident)
+                return Decision.forward(i)
             if len(improving) >= 4:  # bound the per-hop payload growth
                 break
 

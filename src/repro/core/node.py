@@ -47,7 +47,7 @@ from repro.core.messages import (
     PromoteGrant,
     Splice,
 )
-from repro.core.routing_table import RoutingTable
+from repro.core.routing_table import Meta, RoutingTable
 from repro.sim.network import Datagram, Process
 
 
@@ -75,6 +75,9 @@ class TreePNode(Process):
         The peer's capability vector.
     config:
         Shared overlay configuration.
+    book:
+        The network's peer book, which the node's table reads its entries'
+        metadata from (see :class:`~repro.core.routing_table.RoutingTable`).
     """
 
     def __init__(
@@ -82,12 +85,13 @@ class TreePNode(Process):
         ident: int,
         capacity: NodeCapacity,
         config: TreePConfig,
+        book: Optional[Dict[int, Meta]] = None,
     ) -> None:
         super().__init__(ident)
         self.ident = ident
         self.capacity = capacity
         self.config = config
-        self.table = RoutingTable(ident)
+        self.table = RoutingTable(ident, book)
         #: Highest level this node occupies (0 = leaf-only).
         self.max_level = 0
         #: Node-local estimate of the hierarchy height ``h``.
@@ -238,12 +242,10 @@ class TreePNode(Process):
             nxt = decision.next_hop
             table = self.table
             from_parent_level = 0
-            if nxt in table.children:
-                entry = table._entries.get(nxt)
-                if entry is not None:
-                    # We are the next hop's parent: it sees the request as
-                    # "coming from the parent of level (its max level + 1)".
-                    from_parent_level = entry.max_level + 1
+            if nxt in table.children and nxt in table._entries:
+                # We are the next hop's parent: it sees the request as
+                # "coming from the parent of level (its max level + 1)".
+                from_parent_level = (table._meta.get(nxt) or table._book[nxt])[0] + 1
             rid, origin, target, algo, ttl, _, _, path = req
             self.send(nxt, LookupRequest(
                 rid, origin, target, algo, ttl + 1, from_parent_level,
@@ -364,7 +366,7 @@ class TreePNode(Process):
         # own level (the lowest id among equals).  Every child has an entry.
         kids = self.table.level_children[level]
         if len(kids) > self.nc:
-            best = max(kids, key=lambda k: (self.table.get(k).score, -k))
+            best = max(kids, key=lambda k: (self.table.meta(k)[1], -k))
             self.table.unlink_child(best)
             self.send(best, PromoteGrant(child=best, to_level=level))
 
@@ -424,6 +426,8 @@ class TreePNode(Process):
         self._on_ElectionStart(self.ident, msg)
 
     def _election_expired(self, level: int) -> None:
+        if not self.network.is_up(self.ident):
+            return  # a crashed node neither wins nor claims
         if not self.elections.on_countdown_expired(level):
             return
         # We won: ascend one level and claim the electorate as children.
@@ -461,6 +465,8 @@ class TreePNode(Process):
 
     def _demotion_expired(self, level: int) -> None:
         self.demotions.pending[level] = False
+        if not self.network.is_up(self.ident):
+            return  # a crashed node neither abdicates nor notifies
         if not self.demotions.should_demote(level, self.child_count(level)):
             return  # children arrived during the countdown
         if level != self.max_level:

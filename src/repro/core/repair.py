@@ -121,14 +121,13 @@ def relink_node(node: "TreePNode", policy: RepairPolicy) -> None:
                 t.link("level0", i)
 
         for lvl in range(1, node.max_level + 1):
-            l, r = _nearest_sides(
-                (e.ident for e in t.candidates() if e.max_level >= lvl), ident)
+            l, r = _nearest_sides(t.at_or_above(lvl), ident)
             t.set_level(lvl, {i for i in (l, r) if i is not None})
 
     if policy.adopt_parents:
         want_level = node.max_level + 1
         if t.parents.get(want_level) is None:
-            ups = [e.ident for e in t.candidates() if e.max_level >= want_level]
+            ups = t.at_or_above(want_level)
             if ups:
                 new_parent = min(ups, key=lambda i: abs(i - ident))
                 t.set_parent(want_level, new_parent, node.sim.now)
@@ -205,10 +204,10 @@ def gossip_round(net: "TreePNetwork") -> None:
             (node.max_level, node.score, node.nc),
             t,
         )
-    # A peer's metadata is read from its own entries.  None leaves a table
-    # before the trim pass after the loop, a role names only ids its table
-    # holds entries for, and ``before`` keeps the pre-round value of any
-    # metadata the round changes.
+    # A peer's metadata for an id is read from the peer's table.  None
+    # leaves a table before the trim pass after the loop, a role names only
+    # ids its table holds entries for, and ``before`` keeps the pre-round
+    # value of any metadata the round changes.
     before: Preimages = {}
 
     for ident, snap in snapshot.items():

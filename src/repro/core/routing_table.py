@@ -21,8 +21,12 @@ The six tables:
 (The paper counts the per-level parents as the sixth table; here parents at
 every level the node belongs to live in :attr:`RoutingTable.parents`.)
 
-One shared :class:`Entry` store backs all tables so a keep-alive from a peer
-refreshes every role it appears under at once.
+An entry is an ID and a timestamp.  A peer's metadata is a property of the
+peer, so a network keeps it once, in its **peer book** (``id -> (max_level,
+score, nc)`` as of the peer's creation, shared by every table of the
+network); a table holds only the metadata of its entries that differ from
+the book.  A keep-alive from a peer refreshes every role it appears under at
+once.
 
 The table's methods are the only writers of role state; everything else
 reads the plain containers.  A table allocates only the roles it holds:
@@ -34,27 +38,13 @@ write through a table method installs the table's own container.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
-from typing import (Dict, Iterable, KeysView, List, Optional, Sequence, Set, Tuple,
-                    ValuesView)
+from typing import Dict, Iterable, KeysView, List, Optional, Sequence, Set, Tuple
 
+#: A peer's metadata: ``(max_level, score, nc)``.
+Meta = Tuple[int, float, int]
 
-@dataclass(slots=True)
-class Entry:
-    """What a node knows about one peer."""
-
-    ident: int
-    max_level: int = 0
-    score: float = 1.0
-    nc: int = 4
-    last_seen: float = 0.0
-
-    def touch(self, now: float) -> None:
-        if now > self.last_seen:
-            self.last_seen = now
-
-    def as_tuple(self) -> Tuple[int, int, float, int, float]:
-        return (self.ident, self.max_level, self.score, self.nc, self.last_seen)
+#: The metadata of an entry created without any.
+_UNKNOWN_META: Meta = (0, 1.0, 4)
 
 
 #: Every unwritten role set of every table: reads are frozenset's own, and a
@@ -82,6 +72,11 @@ class EmptyMap(dict):
 #: Every unwritten ``level_tables`` and ``level_children`` of every table.
 _NO_LEVELS = EmptyMap()
 
+#: Every table's ``_meta`` until its first entry differs from the book, and
+#: the book of a table built without one (whose entries then all keep their
+#: own metadata).
+_NO_META = EmptyMap()
+
 #: What a gossip round overwrote, as the round found it: table owner ->
 #: ``{id: (max_level, score, nc)}`` for each entry whose metadata the round
 #: changed, recorded at the first change — so a peer that reads the table in
@@ -108,15 +103,22 @@ class RoutingTable:
     """
 
     __slots__ = (
-        "owner", "_entries", "_version", "_membership", "_sorted_ids",
+        "owner", "_entries", "_meta", "_book", "_version", "_membership", "_sorted_ids",
         "_view_full", "_view_l0",
         "level0", "level0_indirect", "level_tables", "level_children",
         "children", "neighbour_children", "parents", "superiors",
     )
 
-    def __init__(self, owner: int) -> None:
+    def __init__(self, owner: int, book: Optional[Dict[int, Meta]] = None) -> None:
         self.owner = owner
-        self._entries: Dict[int, Entry] = {}
+        #: id -> ``last_seen``, in the order the table learnt the ids.
+        self._entries: Dict[int, float] = {}
+        #: id -> metadata, for the entries whose metadata differs from the
+        #: book's: an entry's metadata is ``_meta.get(id) or _book[id]``.
+        self._meta: Dict[int, Meta] = _NO_META
+        #: The network's peer book, which the table only reads; without
+        #: one every entry keeps its own metadata in ``_meta``.
+        self._book: Dict[int, Meta] = _NO_META if book is None else book
         self._version = 0
         self._membership = 0
         self._sorted_ids: Tuple[int, Sequence[int]] = (-1, ())
@@ -162,6 +164,34 @@ class RoutingTable:
         return ids
 
     # ----------------------------------------------------------- entry CRUD
+    def meta(self, ident: int) -> Optional[Meta]:
+        """*ident*'s ``(max_level, score, nc)``, or ``None`` if unknown."""
+        if ident in self._entries:
+            return self._meta.get(ident) or self._book[ident]
+        return None
+
+    def levels(self, ids: Iterable[int]) -> List[Tuple[int, int]]:
+        """``(id, max_level)`` for each of *ids* the table knows, in order."""
+        entries, meta, book = self._entries, self._meta, self._book
+        return [(i, (meta.get(i) or book[i])[0]) for i in ids if i in entries]
+
+    def at_or_above(self, level: int) -> List[int]:
+        """Every known id whose ``max_level`` is at least *level*, in entry
+        order."""
+        meta, book = self._meta, self._book
+        return [i for i in self._entries if (meta.get(i) or book[i])[0] >= level]
+
+    def _set_meta(self, ident: int, meta: Meta) -> None:
+        """Make *meta* the metadata of *ident*'s entry: held in ``_meta``
+        only while it differs from the book's."""
+        own = self._meta
+        if meta != self._book.get(ident):
+            if type(own) is EmptyMap:  # unwritten (or a deep copy of it)
+                own = self._meta = {}
+            own[ident] = meta
+        elif ident in own:
+            del own[ident]
+
     def upsert(
         self,
         ident: int,
@@ -169,27 +199,33 @@ class RoutingTable:
         max_level: Optional[int] = None,
         score: Optional[float] = None,
         nc: Optional[int] = None,
-    ) -> Entry:
-        """Create or refresh the metadata entry for *ident*."""
+    ) -> None:
+        """Create or refresh the entry for *ident*; the metadata given
+        replaces the entry's, field by field."""
         if ident == self.owner:
             raise ValueError("a node never stores itself in its routing table")
-        e = self._entries.get(ident)
-        if e is None:
-            e = Entry(ident=ident, last_seen=now)
-            self._entries[ident] = e
+        entries = self._entries
+        seen = entries.get(ident)
+        if seen is None:
+            entries[ident] = now
             self._membership += 1
-        e.touch(now)
-        if max_level is not None and max_level != e.max_level:
+            old = _UNKNOWN_META
+        else:
+            if now > seen:
+                entries[ident] = now
+            if max_level is None and score is None and nc is None:
+                return
+            old = self._meta.get(ident) or self._book[ident]
+        new = (old[0] if max_level is None else max_level,
+               old[1] if score is None else score,
+               old[2] if nc is None else nc)
+        if new[0] != old[0]:
             # The router's candidate views key on the version and memoise
             # each peer's level — a level change via gossip/keep-alive
             # metadata must invalidate them exactly like a role change.
             self._version += 1
-            e.max_level = max_level
-        if score is not None:
-            e.score = score
-        if nc is not None:
-            e.nc = nc
-        return e
+        if seen is None or new != old:
+            self._set_meta(ident, new)
 
     def import_role(self, ids: Iterable[int], now: float, sender: RoutingTable,
                     role: Set[int], before: Preimages) -> None:
@@ -203,61 +239,61 @@ class RoutingTable:
         caller installs wholesale (the set it replaces is never touched).
         The first change this call makes to an entry the table already held
         is recorded in *before* for the readers after it."""
-        entries, owner = self._entries, self.owner
-        sent, held = sender._entries, before.get(sender.owner)
+        entries, owner, book = self._entries, self.owner, self._book
+        sent, held = sender._entries, before.get(sender.owner) or _NO_META
+        theirs = sender._meta
+        shared = sender._book is book
         mine = before.get(owner)
         for i in ids:
             if i == owner:
                 continue
-            s = sent.get(i)
-            if held is not None and i in held:
-                level, score, nc = held[i]
-            elif s is not None:
-                level, score, nc = s.max_level, s.score, s.nc
+            if (shared and i in sent and i not in held and i not in theirs
+                    and i not in self._meta):
+                # Both tables read the book's metadata for i: only the
+                # timestamp can move (and a new entry's level, from 0).
+                seen = entries.get(i)
+                if seen is None:
+                    entries[i] = now
+                    self._membership += 1
+                    if book[i][0]:
+                        self._version += 1
+                elif now > seen:
+                    entries[i] = now
+                role.add(i)
+                continue
+            if i in held:
+                m = held[i]
+            elif i in sent:
+                m = theirs.get(i) or sender._book[i]
             else:
-                level = None
-            e = entries.get(i)
-            if e is None:
-                e = entries[i] = Entry(i, last_seen=now)
-                self._membership += 1
-            else:
-                if now > e.last_seen:
-                    e.last_seen = now
-                if level is not None and (level != e.max_level or score != e.score
-                                          or nc != e.nc):
-                    if mine is None:
-                        mine = before[owner] = {}
-                    mine.setdefault(i, (e.max_level, e.score, e.nc))
-            if level is not None:
-                if level != e.max_level:
-                    self._version += 1  # as in upsert: views memoise levels
-                e.max_level, e.score, e.nc = level, score, nc
+                m = ()
+            old = self.meta(i)
+            if m and old is not None and m != old:
+                if mine is None:
+                    mine = before[owner] = {}
+                mine.setdefault(i, old)
+            self.upsert(i, now, *m)
             role.add(i)
 
-    def refresh(self, ident: int, now: float, meta: Tuple[int, float, int],
-                before: Preimages) -> None:
+    def refresh(self, ident: int, now: float, meta: Meta, before: Preimages) -> None:
         """``upsert(ident, now, *meta)`` inside a gossip round: a change to
         the metadata of an entry the table held first records the old value
         in the round's :data:`Preimages` *before*, as :meth:`import_role` does."""
-        e = self._entries.get(ident)
-        if e is not None:
-            old = (e.max_level, e.score, e.nc)
-            if old != meta:
-                before.setdefault(self.owner, {}).setdefault(ident, old)
+        old = self.meta(ident)
+        if old is not None and old != meta:
+            before.setdefault(self.owner, {}).setdefault(ident, old)
         self.upsert(ident, now, *meta)
 
-    def get(self, ident: int) -> Optional[Entry]:
-        return self._entries.get(ident)
-
     def touch(self, ident: int, now: float) -> None:
-        e = self._entries.get(ident)
-        if e is not None:
-            e.touch(now)
+        seen = self._entries.get(ident)
+        if seen is not None and now > seen:
+            self._entries[ident] = now
 
     def forget(self, ident: int) -> None:
         """Drop *ident* from every table (e.g. a detected-dead peer)."""
         if self._entries.pop(ident, None) is not None:
             self._membership += 1
+            self._meta.pop(ident, None)
         for ids in (self.level0, self.level0_indirect,
                     self.neighbour_children, self.superiors,
                     *self.level_tables.values()):
@@ -396,7 +432,7 @@ class RoutingTable:
             self._version += 1
         return old
 
-    def install(self, now: float, meta: Dict[int, Tuple[int, float, int]],
+    def install(self, now: float, meta: Dict[int, Meta],
                 level0: Sequence[int], buses: Sequence[Sequence[int]],
                 own_children: Sequence[Sequence[int]],
                 neighbour_children: Sequence[Sequence[int]],
@@ -414,7 +450,8 @@ class RoutingTable:
         child; ``set_parent(len(buses) + 1, parent)``; ``add("superiors",
         ·)`` for each of *superiors* — the same entries in the same order,
         every role set in the same iteration order, and the same
-        ``version`` and membership epoch.
+        ``version`` and membership epoch.  When *meta* is the table's book,
+        as in a network's build, no entry's metadata differs from it.
         """
         if self._membership or self._version:
             raise RuntimeError("install writes only a table nothing has written")
@@ -427,16 +464,15 @@ class RoutingTable:
         if parent is not None:
             order.append(parent)
         order += superiors
-        known = dict.fromkeys(order)  # first appearance: the upserts' order
-        if self.owner in known:
+        entries = dict.fromkeys(order, now)  # first appearance: the upserts' order
+        if self.owner in entries:
             raise ValueError("a node never stores itself in its routing table")
-        entries = self._entries
-        version = 0
-        for i in known:
-            level, score, nc = meta[i]
-            entries[i] = Entry(i, level, score, nc, now)
-            if level:  # upsert's level change from a new entry's 0
-                version += 1
+        # upsert's level change from a new entry's 0
+        version = len(entries) - [meta[i][0] for i in entries].count(0)
+        if meta is not self._book:
+            for i in entries:
+                self._set_meta(i, meta[i])
+        self._entries = entries
         # ``set(ids)`` adds in list order, so each set iterates as the
         # one-by-one ``link`` calls would have left it.
         if level0:
@@ -470,7 +506,7 @@ class RoutingTable:
     # --------------------------------------------------------------- expiry
     def expire(self, now: float, entry_ttl: float) -> List[int]:
         """Delete entries not refreshed within *entry_ttl*; return their ids."""
-        stale = [i for i, e in self._entries.items() if now - e.last_seen > entry_ttl]
+        stale = [i for i, seen in self._entries.items() if now - seen > entry_ttl]
         for ident in stale:
             self.forget(ident)
         return stale
@@ -483,11 +519,6 @@ class RoutingTable:
         """Every known id, in entry order: a read-only view of the table,
         not a copy, so do not write the table while iterating it."""
         return self._entries.keys()
-
-    def candidates(self) -> ValuesView[Entry]:
-        """Every peer usable as a next hop, deduplicated, in entry order: a
-        read-only view, as :meth:`all_known`."""
-        return self._entries.values()
 
     def neighbours_at(self, level: int) -> Set[int]:
         if level == 0:
@@ -526,9 +557,11 @@ class RoutingTable:
         keep |= self.children | self.neighbour_children
         keep |= set(self.parents.values())
         keep |= self.superiors
-        drop = [i for i in self._entries if i not in keep]
+        entries, meta = self._entries, self._meta
+        drop = [i for i in entries if i not in keep]
         for i in drop:
-            del self._entries[i]
+            del entries[i]
+            meta.pop(i, None)
         if drop:
             self._membership += 1
         return len(drop)
@@ -536,7 +569,10 @@ class RoutingTable:
     # ---------------------------------------------------------------- delta
     def delta_since(self, since: float) -> List[Tuple[int, int, float, int, float]]:
         """Entries refreshed after *since* — §III.d's out-of-date-only sync."""
-        return [e.as_tuple() for e in self._entries.values() if e.last_seen > since]
+        meta, book = self._meta.get, self._book
+        return [(i, m[0], m[1], m[2], seen)
+                for i, seen in self._entries.items() if seen > since
+                for m in (meta(i) or book[i],)]  # binds m; no inner loop
 
     def merge_delta(
         self, tuples: Iterable[Tuple[int, int, float, int, float]], now: float
@@ -547,12 +583,12 @@ class RoutingTable:
         assigned by protocol logic, not gossip.  Returns entries updated.
         """
         n = 0
+        entries, owner = self._entries, self.owner
         for ident, max_level, score, nc, last_seen in tuples:
-            if ident == self.owner:
+            if ident == owner:
                 continue
-            e = self._entries.get(ident)
-            if e is None or last_seen > e.last_seen:
-                e = self.upsert(ident, min(last_seen, now), max_level=max_level,
-                                score=score, nc=nc)
+            seen = entries.get(ident)
+            if seen is None or last_seen > seen:
+                self.upsert(ident, min(last_seen, now), max_level, score, nc)
                 n += 1
         return n

@@ -31,6 +31,7 @@ from repro.core.ids import AssignStrategy, assign_ids
 from repro.core.lookup import LookupAlgorithm, LookupResult
 from repro.core.maintenance import MaintenanceManager
 from repro.core.node import TreePNode
+from repro.core.routing_table import Meta
 from repro.core.tessellation import cell_owner
 from repro.obs.runtime import ambient_hub
 from repro.sim.engine import Simulator
@@ -84,6 +85,11 @@ class TreePNetwork:
         self.nodes: Dict[int, TreePNode] = {}
         self.ids: List[int] = []
         self.capacities: Dict[int, NodeCapacity] = {}
+        #: The peer book: every peer's ``(max_level, score, nc)`` as of its
+        #: creation, written once per peer (the build's layout, a joiner's
+        #: own) and shared by every routing table, which holds only the
+        #: metadata of its entries that differ from it.
+        self.book: Dict[int, Meta] = {}
         self.layout: Optional[HierarchyLayout] = None
         #: Whether keep-alive loops run (between start_ and stop_maintenance).
         self._maintaining = False
@@ -135,7 +141,7 @@ class TreePNetwork:
         return self.layout
 
     def _create_node(self, ident: int) -> TreePNode:
-        node = TreePNode(ident, self.capacities[ident], self.config)
+        node = TreePNode(ident, self.capacities[ident], self.config, self.book)
         self.network.register(node)
         self.nodes[ident] = node
         node.obs = self.obs
@@ -171,10 +177,12 @@ class TreePNetwork:
         index = [{i: k for k, i in enumerate(bus)} for bus in levels]
         bus0, last0 = levels[0], len(levels[0]) - 1
 
-        # Every entry's (max_level, score, nc), built once per peer.
+        # The peer book: every entry's (max_level, score, nc), once per peer.
         scores, nc = layout.scores, layout.nc
         max_level = layout.max_level
-        meta = {i: (lvl, scores[i], nc[i]) for i, lvl in max_level.items()}
+        meta = self.book
+        for i, lvl in max_level.items():
+            meta[i] = (lvl, scores[i], nc[i])
         for ident, node in self.nodes.items():
             top = node.max_level = max_level[ident]
             node.height = h
@@ -327,8 +335,9 @@ class TreePNetwork:
         observe each departure through the fabric's liveness hooks: the
         node's keep-alive loop stops, the services' node-scoped periodic
         tasks are cancelled and their ``on_node_leave`` callbacks run.
-        The node's pending lookups and election/demotion countdowns are
-        not stopped.
+        The node's election and demotion countdowns fire as no-ops; its
+        pending lookups still time out, so a batch it issued gets every
+        result.
         """
         for i in idents:
             self.network.set_down(i)
@@ -395,6 +404,8 @@ class TreePNetwork:
         self.capacities[ident] = capacity if capacity is not None else NodeCapacity()
         self.ids.append(ident)
         node = self._create_node(ident)
+        self.book[ident] = (node.max_level, node.score, node.nc)
+        self._sync_keepalive(ident)
         node.join_via(bootstrap)
         return node
 

@@ -11,6 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from reference import entry
 from repro import TreePConfig, TreePNetwork
 from repro.core import node as node_module
 from repro.core.distance import treep_distance
@@ -62,7 +63,7 @@ def fig3_candidates(table, level_zero):
                    sorted(table.level0)]
     ordered = []
     for group in groups:
-        ordered += [i for i in group if i not in ordered and table.get(i) is not None]
+        ordered += [i for i in group if i not in ordered and entry(table, i) is not None]
     return ordered
 
 
@@ -75,7 +76,7 @@ def reference_greedy(view, req):
     cfg, t, x = view.config, view.table, req.target
     if req.ttl > cfg.ttl_max:
         return Decision(DecisionKind.DISCARD)
-    if x == view.ident or t.get(x) is not None:
+    if x == view.ident or entry(t, x) is not None:
         return Decision(DecisionKind.FOUND, None, x)
     euclid = cfg.euclidean_fallback and req.ttl > view.height
     level_zero = req.from_parent_level == 1 and view.max_level == 0
@@ -88,7 +89,7 @@ def reference_greedy(view, req):
     exclude = frozenset(req.path + (view.ident,))
     best, best_d = None, inf
     for ident in fig3_candidates(t, level_zero):
-        d = metric(ident, t.get(ident).max_level)
+        d = metric(ident, entry(t, ident).max_level)
         if ident not in exclude and d < best_d:
             best, best_d = ident, d
     d_here = metric(view.ident, view.max_level)

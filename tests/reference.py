@@ -9,12 +9,14 @@ real code up to, so they live with the tests.  Import them as
 from __future__ import annotations
 
 import bisect
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.config import TreePConfig
 from repro.core.hierarchy import HierarchyLayout
+from repro.core.routing_table import _NO_META, Meta, Preimages, RoutingTable
 from repro.core.tessellation import cell_owner
 from repro.sim.latency import LatencyModel
 
@@ -95,6 +97,157 @@ def membership(table) -> int:
     """A routing table's membership epoch: it moves exactly when the set
     of known ids does."""
     return table._membership
+
+
+@dataclass(slots=True)
+class Entry:
+    """What a node knows about one peer, as one record per table entry:
+    the representation :class:`EntryTable` keeps."""
+
+    ident: int
+    max_level: int = 0
+    score: float = 1.0
+    nc: int = 4
+    last_seen: float = 0.0
+
+    def touch(self, now: float) -> None:
+        if now > self.last_seen:
+            self.last_seen = now
+
+    def as_tuple(self) -> Tuple[int, int, float, int, float]:
+        return (self.ident, self.max_level, self.score, self.nc, self.last_seen)
+
+
+def entry(table, ident: int) -> Optional[Entry]:
+    """*ident*'s entry in *table* as an :class:`Entry` (a copy: writing it
+    changes nothing), or ``None`` if the table does not know *ident*."""
+    if isinstance(table, EntryTable):
+        e = table._entries.get(ident)
+        return None if e is None else Entry(*e.as_tuple())
+    meta = table.meta(ident)
+    return None if meta is None else Entry(ident, *meta, table._entries[ident])
+
+
+def entries(table) -> List[Tuple[int, int, float, int, float]]:
+    """Every entry of *table* as ``(id, max_level, score, nc, last_seen)``,
+    in entry order."""
+    return [entry(table, i).as_tuple() for i in table.all_known()]
+
+
+class EntryTable(RoutingTable):
+    """The routing table as it was before entries became timestamps: one
+    :class:`Entry` per known peer, holding the peer's metadata, and no
+    peer book.  The role-set methods are the table's own; every method
+    that reads or writes an entry is the old code, so a test can run one
+    op sequence on both and compare every read."""
+
+    __slots__ = ()
+
+    def meta(self, ident: int) -> Optional[Meta]:
+        e = self._entries.get(ident)
+        return None if e is None else (e.max_level, e.score, e.nc)
+
+    def upsert(self, ident, now, max_level=None, score=None, nc=None) -> None:
+        if ident == self.owner:
+            raise ValueError("a node never stores itself in its routing table")
+        e = self._entries.get(ident)
+        if e is None:
+            e = Entry(ident=ident, last_seen=now)
+            self._entries[ident] = e
+            self._membership += 1
+        e.touch(now)
+        if max_level is not None and max_level != e.max_level:
+            self._version += 1
+            e.max_level = max_level
+        if score is not None:
+            e.score = score
+        if nc is not None:
+            e.nc = nc
+
+    def import_role(self, ids: Iterable[int], now: float, sender: RoutingTable,
+                    role: Set[int], before: Preimages) -> None:
+        entries, owner = self._entries, self.owner
+        held = before.get(sender.owner)
+        mine = before.get(owner)
+        for i in ids:
+            if i == owner:
+                continue
+            if held is not None and i in held:
+                level, score, nc = held[i]
+            else:
+                m = sender.meta(i)
+                level, score, nc = m if m is not None else (None, None, None)
+            e = entries.get(i)
+            if e is None:
+                e = entries[i] = Entry(i, last_seen=now)
+                self._membership += 1
+            else:
+                if now > e.last_seen:
+                    e.last_seen = now
+                if level is not None and (level != e.max_level or score != e.score
+                                          or nc != e.nc):
+                    if mine is None:
+                        mine = before[owner] = {}
+                    mine.setdefault(i, (e.max_level, e.score, e.nc))
+            if level is not None:
+                if level != e.max_level:
+                    self._version += 1
+                e.max_level, e.score, e.nc = level, score, nc
+            role.add(i)
+
+    def refresh(self, ident: int, now: float, meta: Meta, before: Preimages) -> None:
+        e = self._entries.get(ident)
+        if e is not None:
+            old = (e.max_level, e.score, e.nc)
+            if old != meta:
+                before.setdefault(self.owner, {}).setdefault(ident, old)
+        self.upsert(ident, now, *meta)
+
+    def touch(self, ident: int, now: float) -> None:
+        e = self._entries.get(ident)
+        if e is not None:
+            e.touch(now)
+
+    def install(self, now: float, meta: Dict[int, Meta], level0, buses, own_children,
+                neighbour_children, parent, superiors) -> None:
+        # The entries as the old install wrote them; the roles as the
+        # table's own install writes them, from the same plan.
+        order = list(level0)
+        for ids in buses:
+            order += ids
+        for own, nbc in zip(own_children, neighbour_children):
+            order += own + nbc
+        if parent is not None:
+            order.append(parent)
+        order += superiors
+        entries: Dict[int, Entry] = {}
+        for i in dict.fromkeys(order):
+            if i != self.owner:
+                entries[i] = Entry(i, *meta[i], now)
+        super().install(now, meta, level0, buses, own_children, neighbour_children,
+                        parent, superiors)
+        self._entries, self._meta = entries, _NO_META
+
+    def expire(self, now: float, entry_ttl: float) -> List[int]:
+        stale = [i for i, e in self._entries.items() if now - e.last_seen > entry_ttl]
+        for ident in stale:
+            self.forget(ident)
+        return stale
+
+    def delta_since(self, since: float) -> List[Tuple[int, int, float, int, float]]:
+        return [e.as_tuple() for e in self._entries.values() if e.last_seen > since]
+
+    def merge_delta(self, tuples, now: float) -> int:
+        n = 0
+        for ident, max_level, score, nc, last_seen in tuples:
+            if ident == self.owner:
+                continue
+            e = self._entries.get(ident)
+            if e is None or last_seen > e.last_seen:
+                self.upsert(ident, min(last_seen, now), max_level=max_level,
+                            score=score, nc=nc)
+                n += 1
+        return n
 
 
 def live_replica_count(store, key_id: int) -> int:

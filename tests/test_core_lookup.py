@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import entry
 from repro import TreePNetwork
 from repro.core.config import TreePConfig
 from repro.core.distance import cell_radius
@@ -225,7 +226,7 @@ def reference_full_candidates(view, exclude, target):
             if i not in seen:
                 seen.add(i)
                 ordered.append(i)
-    return [t.get(i) for i in ordered if t.get(i) is not None]
+    return [i for i in ordered if entry(t, i) is not None]
 
 
 def test_targeted_candidate_order_matches_reference_on_churned_overlay():
@@ -245,7 +246,7 @@ def test_targeted_candidate_order_matches_reference_on_churned_overlay():
             exclude = frozenset(int(v) for v in visited) | {ident}
             got = list(_full_candidates(node, exclude, target=target))
             want = reference_full_candidates(node, exclude, target)
-            assert [e.ident for e in got] == [e.ident for e in want]
+            assert got == want
             assert all(a is b for a, b in zip(got, want))
             compared += len(got)
     assert compared > 1000
@@ -278,8 +279,8 @@ def fresh_view(peers, max_level, height):
 def covering(view, x, candidates):
     """The *candidates* whose cell covers *x* (``D == 0``), in their order."""
     t, space = view.table, view.config.space
-    return [i for i in candidates if t.get(i).max_level > 0
-            and abs(i - x) <= cell_radius(space, view.height, t.get(i).max_level)]
+    return [i for i in candidates if entry(t, i).max_level > 0
+            and abs(i - x) <= cell_radius(space, view.height, entry(t, i).max_level)]
 
 
 @st.composite
@@ -296,13 +297,13 @@ def greedy_requests(draw, view, fig3_order):
     x = draw(st.integers(0, extent - 1))
     ttl = draw(st.integers(0, 2 * view.height + 1))
     gaps = [(a + b) // 2 for a, b in zip(known, known[1:]) if (b - a) % 2 == 0]
-    owners = [i for i in known if t.get(i).max_level > 0]
+    owners = [i for i in known if entry(t, i).max_level > 0]
     if kind == "midpoint" and gaps:
         x = draw(st.sampled_from(gaps))
         ttl = view.height + 1           # the tie is one of the Euclidean metric
     elif kind in ("edge", "past_edge") and owners:
         ident = draw(st.sampled_from(owners))
-        reach = int(cell_radius(view.config.space, view.height, t.get(ident).max_level))
+        reach = int(cell_radius(view.config.space, view.height, entry(t, ident).max_level))
         reach += kind == "past_edge"
         sides = [e for e in (ident - reach, ident + reach) if 0 <= e < extent]
         if sides:

@@ -14,6 +14,7 @@ by N.  Figures (CPython 3.11.7, NumPy 2.4, this file run as a script)::
     v1.26.0          4 281 / 4 006     654 /   628
     one-form view    4 252 / 3 979     545 /   543
     one table        4 243 / 3 971     545 /   543
+    one timestamp    3 615 / 3 275     545 /   543
 
 The first built drop is the ``RoutingTable`` instance ``__dict__`` and the
 two un-slotted per-node managers; the first lookup drop is the greedy router
@@ -23,7 +24,7 @@ dict.  The v1.24.0 built drop is allocation on first write: unwritten role
 sets and ``level_tables`` are shared sentinels, and a node builds its
 election and demotion managers and its handler dict only when it uses them;
 its lookup drop is views that keep ``(id, level)`` pairs or NumPy columns
-but no list of :class:`~repro.core.routing_table.Entry` references.  The
+but no list of ``Entry`` references.  The
 v1.25.0 drop is plain ``set``/``dict`` role containers: the table's methods
 make every version bump, so no container carries a counter slot.  The
 v1.26.0 drop is one store for child state: the per-level child lists moved
@@ -33,7 +34,11 @@ the greedy router's view as three flat tuples of plain numbers — the cell
 owners, their radii and every candidate id — with no ``(id, level)`` pairs
 and no NumPy columns.  The one-table built drop is the node's ``handlers``
 attribute, gone now that service handlers live in one table per network.
-The budgets are the N = 2 000 figures + 5 %.  Allocation sizes are
+The one-timestamp drop is the ``Entry`` record per table entry: an entry
+is an ``id -> last_seen`` item, and a peer's ``(max_level, score, nc)``
+lives once in the network's peer book, so no table holds metadata of its
+own while it agrees with the book.  The budgets are the N = 2 000
+figures + 5 %.  Allocation sizes are
 interpreter-specific, hence the same 3.11-only gate as the golden diff in
 ``tests/test_sim_scale.py``.
 
@@ -53,6 +58,7 @@ command; a 64-node build + step first pays the one-off imports and caches,
     v1.26.0          4 409 / 4 445               0 / 0
     in-place gossip  4 379 / 4 416               0 / 0
     one table        4 370 / 4 407               0 / 0
+    one timestamp    3 578 / 3 578               0 / 0
 
 A fourth figure budgets what the step holds at its peak, not only what it
 leaves: the step's tracemalloc peak above what was traced when it began,
@@ -65,11 +71,19 @@ step returns::
                      repair step peak +B/live node
     parent 8287a75   2 313 / 2 352              (N = 2 000 / 5 000)
     in-place gossip  1 223 / 1 251
+    one timestamp    1 094 / 1 139
 
 The drop is the gossip round reading each peer in place: it holds
 references to the pre-round role sets and reads metadata from the
 sender's entries, where it used to copy every live node's role sets and
-build one ``(max_level, score, nc)`` tuple per entry.
+build one ``(max_level, score, nc)`` tuple per entry.  The one-timestamp
+drop is the entries the round creates: a timestamp each, with no record.
+
+Two exact guards run on every interpreter: the objects the cyclic
+collector tracks after a build, per node (19.08 before entries became
+timestamps, 7.70 after, at N = 2 000; the bound is that + 5 %), and every
+table's own metadata map staying the one shared empty map through a build
+and three paper-policy repair bursts.
 
 A fifth figure budgets the service plane: what attaching storage
 (``QuorumConfig(3, 2, 2)``) and compute to a built overlay allocates, per
@@ -95,13 +109,15 @@ import pytest
 
 from repro import Cluster, ComputeConfig, JobSpec, QuorumConfig
 from repro.core.repair import apply_failure_step
-from repro.core.routing_table import _NO_LEVELS, _NO_ROLE
+from repro.core.repair import PAPER_POLICY
+from repro.core.routing_table import _NO_LEVELS, _NO_META, _NO_ROLE
 
 NODES = 2000
-BUILT_BYTES_PER_NODE = 4281 * 1.05
+BUILT_BYTES_PER_NODE = 3615 * 1.05
 LOOKUP_BYTES_PER_NODE = 545 * 1.05
-REPAIRED_BYTES_PER_LIVE_NODE = 4409 * 1.05
-STEP_PEAK_BYTES_PER_LIVE_NODE = 1223 * 1.05
+REPAIRED_BYTES_PER_LIVE_NODE = 3578 * 1.05
+STEP_PEAK_BYTES_PER_LIVE_NODE = 1094 * 1.05
+GC_OBJECTS_PER_NODE = 7.70 * 1.05
 SERVICE_BYTES_PER_NODE = 973 * 1.05
 
 
@@ -250,6 +266,42 @@ def test_attached_services_cost_only_their_agents():
     assert attached <= SERVICE_BYTES_PER_NODE, f"{attached:.0f} B/node attached"
 
 
+def gc_objects_per_node(n):
+    """Objects the cyclic collector tracks after ``Cluster(seed=9).build(n)``
+    that it did not before, per node."""
+    gc.collect()
+    before = len(gc.get_objects())
+    cluster = Cluster(seed=9).build(n)
+    gc.collect()
+    return cluster, (len(gc.get_objects()) - before) / n
+
+
+def test_a_built_overlay_hands_the_collector_few_objects():
+    """The exact half of the built budget: a table entry is a timestamp in
+    an ``id -> last_seen`` dict of ints and floats, which the collector
+    does not track, so a built node hands it only its node, table, role
+    containers and capacity — where one ``Entry`` record per entry used to
+    make up more than half of what it tracked."""
+    _, tracked = gc_objects_per_node(NODES)
+    assert tracked <= GC_OBJECTS_PER_NODE, f"{tracked:.2f} tracked objects/node"
+
+
+def test_converged_tables_keep_no_metadata_of_their_own():
+    """Every peer's metadata lives once, in the network's book: after a
+    build and after each of three paper-policy repair bursts no table holds
+    an entry whose metadata differs from it, so every ``_meta`` is still
+    the one shared empty map."""
+    net = Cluster(seed=9).build(NODES).net
+    order = [int(v) for v in np.random.default_rng(3).permutation(net.ids)]
+    assert all(node.table._meta is _NO_META for node in net.nodes.values())
+    for burst in range(3):
+        step = order[burst * 120:(burst + 1) * 120]
+        net.fail_nodes(step)
+        apply_failure_step(net, step, PAPER_POLICY)
+        assert all(node.table._meta is _NO_META for node in net.nodes.values()), burst
+        assert all(node.table._book is net.book for node in net.nodes.values())
+
+
 def test_no_node_holds_handler_wiring_of_its_own():
     """The exact half of the service budget: every handler is one entry
     of the network's table, a plain function over the service's agents
@@ -303,4 +355,5 @@ if __name__ == "__main__":
               f"lookups +{lookup_bytes:.0f} B/node, after repair "
               f"{repaired_bytes:.0f} B/live node ({left} unreachable), "
               f"repair step peak +{peak_bytes:.0f} B/live node, storage + "
-              f"compute attached +{measure_services(size):.0f} B/node")
+              f"compute attached +{measure_services(size):.0f} B/node, "
+              f"{gc_objects_per_node(size)[1]:.2f} GC-tracked objects/node built")

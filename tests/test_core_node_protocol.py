@@ -4,7 +4,7 @@ as real datagrams on small networks."""
 import numpy as np
 import pytest
 
-from reference import ConstantLatency
+from reference import ConstantLatency, entry
 from repro import TreePConfig, TreePNetwork
 from repro.bench.sweep import fail_until
 from repro.cluster.service import ClusterState, Service, ServiceError
@@ -33,8 +33,8 @@ class TestHello:
         sim, net, (a, b, _) = tiny_net()
         a.send(b.ident, Hello(a.max_level, a.score, a.nc))
         sim.run()
-        assert b.table.get(a.ident) is not None
-        assert a.table.get(b.ident) is not None  # via the ack
+        assert entry(b.table, a.ident) is not None
+        assert entry(a.table, b.ident) is not None  # via the ack
 
     def test_unknown_message_ignored(self):
         sim, net, (a, b, _) = tiny_net()
@@ -113,7 +113,7 @@ class TestJoinProtocol:
         assert any(abs(l - newcomer) < 2**28 for l in links)
         # And both sides know each other.
         for l in links:
-            assert net.nodes[l].table.get(newcomer) is not None
+            assert entry(net.nodes[l].table, newcomer) is not None
 
     def test_join_gets_parent(self):
         net = TreePNetwork(config=TreePConfig.paper_case1(), seed=5)
@@ -267,6 +267,40 @@ class TestDemotionProtocol:
         assert parent.table.level_children[2] == [3000]
         assert parent.table.children == {3000}
 
+    def test_a_crashed_parent_neither_abdicates_nor_notifies(self):
+        """A parent that crashes with its demotion countdown armed keeps its
+        level, and sends no ``Demote``: the countdown ends without effect
+        (and no longer counts as armed)."""
+        cfg = TreePConfig.paper_case1(demotion_base=1.0)
+        sim = Simulator()
+        net = Network(sim, latency=ConstantLatency(0.01))
+        parent = TreePNode(5000, NodeCapacity(), cfg)
+        child = TreePNode(4000, NodeCapacity(), cfg)
+        net.register(parent)
+        net.register(child)
+        parent.max_level = 1
+        parent.table.add_child(1, 4000, 0.0)
+        child.table.set_parent(1, 5000, 0.0)
+        parent.check_demotion()
+        assert parent.demotions.pending[1]
+        net.set_down(parent.ident)
+        sim.run(until=60.0)
+        assert parent.max_level == 1 and parent.child_count(1) == 1
+        assert child.table.level1_parent() == 5000
+        assert net.stats.by_type.get("Demote", 0) == 0
+        assert not parent.demotions.pending[1]
+
+    def test_a_crashed_candidate_never_wins_its_election(self):
+        sim, net, (a, b, c) = tiny_net()
+        for x, y in ((a, b), (a, c), (b, a), (c, a)):
+            x.table.add("level0", y.ident, 0.0)
+        a.trigger_election(0)
+        for node in (a, b, c):
+            net.set_down(node.ident)
+        sim.run(until=60.0)
+        assert (a.max_level, b.max_level, c.max_level) == (0, 0, 0)
+        assert net.stats.by_type.get("ParentClaim", 0) == 0
+
     def test_keep_upper_policy_retains_level(self):
         cfg = TreePConfig.paper_case1(demotion_policy="keep-upper",
                                       demotion_base=1.0)
@@ -418,8 +452,24 @@ class TestMaintenanceProtocol:
         now = net.sim.now
         for node in net.nodes.values():
             for peer in node.table.active_connections():
-                e = node.table.get(peer)
+                e = entry(node.table, peer)
                 assert e is not None and now - e.last_seen < 4.0
+
+    def test_a_joiner_keeps_alive_while_maintenance_runs(self):
+        """A node that joins while maintenance runs arms its keep-alive
+        loop, so its peers keep it instead of letting it expire."""
+        net = TreePNetwork(config=TreePConfig.paper_case1(), seed=4)
+        net.build(64)
+        net.start_maintenance()
+        net.sim.run_for(5.0)
+        joiner = net.join_new_node(max(net.ids) + 1)
+        net.sim.run_for(60.0)
+        net.stop_maintenance()
+        assert joiner.maintenance is not None
+        assert joiner.maintenance.stats.keepalives_sent > 0
+        holders = [i for i, node in net.nodes.items()
+                   if entry(node.table, joiner.ident) is not None]
+        assert holders
 
     def test_dead_neighbour_expires(self):
         net = TreePNetwork(
@@ -434,7 +484,7 @@ class TestMaintenanceProtocol:
         net.stop_maintenance()
         for i, node in net.nodes.items():
             if i != victim:
-                assert node.table.get(victim) is None, f"{i} still knows the dead node"
+                assert entry(node.table, victim) is None, f"{i} still knows the dead node"
 
     def test_expired_peer_leaves_no_sync_point(self):
         """A peer that expires takes its delta sync point with it, so the
@@ -457,7 +507,7 @@ class TestMaintenanceProtocol:
         net.stop_maintenance()
         for i, node in net.nodes.items():
             if i != victim:
-                assert node.table.get(victim) is None
+                assert entry(node.table, victim) is None
                 assert victim not in node.maintenance._last_sync, i
 
     def test_child_links_follow_the_levels_still_parented_after_churn(self):
@@ -558,7 +608,7 @@ class TestHandlerRegistry:
         sim.run()
         assert seen and seen[0][0] == a.ident
         # The table's handler replaced the built-in: no HelloAck came back.
-        assert a.table.get(b.ident) is None
+        assert entry(a.table, b.ident) is None
 
     def test_duplicate_registration_rejected(self):
         """A type another service holds is refused at attach, and is
@@ -602,7 +652,7 @@ class TestHandlerRegistry:
         del net.handlers[Hello]
         a.send(b.ident, Hello(a.max_level, a.score, a.nc))
         sim.run()
-        assert b.table.get(a.ident) is not None  # built-in _on_Hello ran again
+        assert entry(b.table, a.ident) is not None  # built-in _on_Hello ran again
 
     def test_node_hooks_cover_built_and_joined_nodes(self):
         net = TreePNetwork(config=TreePConfig.paper_case1(), seed=7)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import membership
+from reference import entries, entry, membership
 from repro import TreePConfig, TreePNetwork
 from repro.core import repair
 from repro.core.repair import (
@@ -46,7 +46,7 @@ def table_state(net):
         t = node.table
         out.append((
             ident,
-            [e.as_tuple() for e in t.candidates()],
+            entries(t),
             list(t.level0), list(t.level0_indirect),
             [(lvl, list(ids)) for lvl, ids in t.level_tables.items()],
             list(t.children), list(t.neighbour_children), list(t.superiors),
@@ -60,7 +60,7 @@ def known_dead(net):
     """Brute-force count of (live table, down peer) entries."""
     up = net.network.is_up
     down = [i for i in net.ids if not up(i)]
-    return sum(node.table.get(d) is not None
+    return sum(entry(node.table, d) is not None
                for i, node in net.nodes.items() if up(i) for d in down)
 
 
@@ -72,7 +72,7 @@ class TestPurge:
         for i, node in net.nodes.items():
             if net.network.is_up(i):
                 for v in victims:
-                    assert node.table.get(v) is None
+                    assert entry(node.table, v) is None
 
     def test_purge_incremental_equals_full(self):
         net1, net2 = built(), built()
@@ -239,7 +239,7 @@ def eager_gossip_round(net):
             t.parents,
             set(t.superiors),
             (node.max_level, node.score, node.nc),
-            {e.ident: (e.max_level, e.score, e.nc) for e in t.candidates()},
+            {i: t.meta(i) for i in t.all_known()},
         )
 
     def import_role(t, ids, meta, role):
@@ -307,7 +307,7 @@ def disagree(net, rng, share=0.3):
         if rng.random() >= share:
             continue
         t = net.nodes[ident].table
-        for e in list(t.candidates()):
+        for e in [entry(t, i) for i in t.all_known()]:
             if rng.random() < 1 / 3:
                 t.upsert(e.ident, e.last_seen, max_level=(e.max_level + 1) % 3,
                          score=e.score * 2.0 + 0.25)
@@ -353,7 +353,7 @@ class TestInPlaceRoundEqualsTheEagerRound:
             ids = net.alive_ids()
             for ident in ids:  # every table disagrees with every other
                 t = net.nodes[ident].table
-                for e in list(t.candidates()):
+                for e in [entry(t, i) for i in t.all_known()]:
                     t.upsert(e.ident, e.last_seen, score=float(ident % 7 + e.ident % 5))
             round_(net)
         assert full_state(nets[0]) == full_state(nets[1])

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import membership
-from repro.core.routing_table import _NO_LEVELS, _NO_ROLE, Entry, RoutingTable
+from reference import entries, entry, membership
+from repro.core.routing_table import _NO_LEVELS, _NO_ROLE, RoutingTable
 
 
 def roles_of(table, ident):
@@ -27,11 +27,11 @@ def table():
 
 
 def test_upsert_creates_and_refreshes(table):
-    e = table.upsert(5, now=1.0, max_level=2, score=3.0)
-    assert e.max_level == 2 and e.last_seen == 1.0
-    e2 = table.upsert(5, now=2.0, score=4.0)
-    assert e2 is e
-    assert e.last_seen == 2.0 and e.score == 4.0 and e.max_level == 2
+    table.upsert(5, now=1.0, max_level=2, score=3.0)
+    assert entry(table, 5).as_tuple() == (5, 2, 3.0, 4, 1.0)
+    table.upsert(5, now=2.0, score=4.0)
+    assert entry(table, 5).as_tuple() == (5, 2, 4.0, 4, 2.0)
+    assert table.size() == 1
 
 
 def test_self_entry_rejected(table):
@@ -40,11 +40,11 @@ def test_self_entry_rejected(table):
 
 
 def test_touch_never_regresses(table):
-    e = table.upsert(5, now=5.0)
+    table.upsert(5, now=5.0)
     table.touch(5, 3.0)
-    assert e.last_seen == 5.0
+    assert entry(table, 5).last_seen == 5.0
     table.touch(5, 7.0)
-    assert e.last_seen == 7.0
+    assert entry(table, 5).last_seen == 7.0
 
 
 def test_roles_tracked(table):
@@ -69,7 +69,7 @@ def test_multiple_roles_one_entry(table):
     table.add("superiors", 9, 2.0)
     assert table.size() == 1
     assert roles_of(table, 9) == {"level0", "superior"}
-    assert table.get(9).last_seen == 2.0
+    assert entry(table, 9).last_seen == 2.0
 
 
 def test_add_level_zero_rejected(table):
@@ -89,7 +89,7 @@ def test_forget_removes_everywhere(table):
     table.set_parent(3, 5, 0.0)
     table.add("superiors", 5, 0.0)
     table.forget(5)
-    assert table.get(5) is None
+    assert entry(table, 5) is None
     assert roles_of(table, 5) == set()
     assert table.parents == {}
 
@@ -99,7 +99,7 @@ def test_expire_drops_stale(table):
     table.add("level0", 2, now=10.0)
     stale = table.expire(now=15.0, entry_ttl=10.0)
     assert stale == [1]
-    assert table.get(2) is not None and table.get(1) is None
+    assert entry(table, 2) is not None and entry(table, 1) is None
 
 
 def test_level1_parent(table):
@@ -156,7 +156,7 @@ def test_trim_to_roles(table):
     assert table.size() == 2
     dropped = table.trim_to_roles()
     assert dropped == 1
-    assert table.get(1) is not None and table.get(99) is None
+    assert entry(table, 1) is not None and entry(table, 99) is None
 
 
 def test_delta_since(table):
@@ -176,13 +176,18 @@ def test_merge_delta_skips_self_and_stale(table):
         now=15.0,
     )
     assert merged == 1
-    assert table.get(5).score == 1.0
-    assert table.get(6).max_level == 1
+    assert entry(table, 5).score == 1.0
+    assert entry(table, 6).max_level == 1
 
 
 def test_entry_as_tuple_roundtrip():
-    e = Entry(ident=3, max_level=2, score=1.5, nc=4, last_seen=9.0)
-    assert e.as_tuple() == (3, 2, 1.5, 4, 9.0)
+    """An entry ships as ``(id, max_level, score, nc, last_seen)`` and a
+    table that merges the tuple holds the same entry."""
+    a, b = RoutingTable(owner=1), RoutingTable(owner=2)
+    a.upsert(3, 9.0, max_level=2, score=1.5, nc=4)
+    assert a.delta_since(0.0) == [(3, 2, 1.5, 4, 9.0)]
+    assert b.merge_delta(a.delta_since(0.0), now=10.0) == 1
+    assert entries(b) == entries(a) == [(3, 2, 1.5, 4, 9.0)]
 
 
 @given(
@@ -406,7 +411,7 @@ def test_property_version_counts_effective_role_and_level_changes(ops):
         now += 1.0
         roles, version, epoch = _role_pairs(t), t.version, membership(t)
         parents = dict(t.parents)
-        levels = {i: e.max_level for i, e in t._entries.items()}
+        levels = {i: t.meta(i)[0] for i in t.all_known()}
         buses = set(t.level_tables)
         whole = 0
         if op == "upsert":
@@ -470,8 +475,8 @@ def test_property_version_counts_effective_role_and_level_changes(ops):
         elif op == "discard_role":
             t.unlink("level0", ident)
             t.unlink("children", ident)
-        relevelled = sum(1 for i, e in t._entries.items()
-                         if e.max_level != levels.get(i, 0))
+        relevelled = sum(1 for i in t.all_known()
+                         if t.meta(i)[0] != levels.get(i, 0))
         reparented = sum(1 for lvl in parents.keys() | t.parents.keys()
                          if parents.get(lvl) != t.parents.get(lvl))
         if op in ("set_role", "clear_role", "set_level", "drop_level"):
@@ -546,8 +551,7 @@ def test_a_deep_copy_is_faithful_and_independent(table):
     for role in _LAZY + ("parents",):
         assert getattr(twin, role) == getattr(table, role), role
     assert (twin.version, membership(twin)) == (table.version, membership(table)) == (5, 3)
-    assert ([e.as_tuple() for e in twin._entries.values()]
-            == [e.as_tuple() for e in table._entries.values()])
+    assert entries(twin) == entries(table)
     # Every kind of write lands in the copy only, unwritten roles included.
     twin.add("level0", 5, 1.0)
     twin.add_level(1, 6, 1.0)
@@ -560,7 +564,7 @@ def test_a_deep_copy_is_faithful_and_independent(table):
     assert table.level0 == {2} and table.children == {3}
     assert table.level_children == {1: [3]}
     assert table.level_tables == {1: {4}} and table.superiors is _NO_ROLE
-    assert table.parents == {} and table.get(5) is None
+    assert table.parents == {} and entry(table, 5) is None
     assert (table.version, membership(table)) == (5, 3)
 
 
@@ -601,7 +605,7 @@ def test_property_import_role_equals_the_upsert_and_add_loop(stored, stream, met
     loop, bulk = tables
     loop_role, bulk_role = set(preset), set(preset)
     sent = {**meta, **held}
-    found = {i: (e.max_level, e.score, e.nc) for i, e in bulk._entries.items()}
+    found = {i: bulk.meta(i) for i in bulk.all_known()}
 
     for i in stream:
         if i != loop.owner:
@@ -610,8 +614,7 @@ def test_property_import_role_equals_the_upsert_and_add_loop(stored, stream, met
     before = {41: dict(held)} if held else {}
     bulk.import_role(stream, float(now), sender, bulk_role, before)
 
-    assert ([e.as_tuple() for e in bulk._entries.values()]
-            == [e.as_tuple() for e in loop._entries.values()])
+    assert entries(bulk) == entries(loop)
     assert (bulk.version, membership(bulk)) == (loop.version, membership(loop))
     assert list(bulk_role) == list(loop_role)
     assert list(bulk.superiors) == list(loop.superiors)
@@ -630,4 +633,168 @@ def test_refresh_is_upsert_recording_the_first_change():
     t.refresh(5, 2.0, (3, 1.5, 3), before)
     t.refresh(5, 3.0, (4, 0.5, 3), before)   # the first change wins
     assert before == {1: {5: (2, 1.5, 3)}}
-    assert t.get(5).as_tuple() == (5, 4, 0.5, 3, 3.0)
+    assert entry(t, 5).as_tuple() == (5, 4, 0.5, 3, 3.0)
+
+
+# ------------------------------------- the entry table it replaced, as oracle
+# A table keeps one timestamp per entry and only the metadata that differs
+# from its network's peer book; ``EntryTable`` keeps one ``Entry`` record per
+# entry and no book.  The same op sequence on both must read the same.
+
+_O_IDS = st.integers(0, 11)             # both owners (7 and 11) included
+_O_META = st.tuples(st.integers(0, 3), st.sampled_from([0.5, 1.0, 2.5]),
+                    st.integers(3, 5))  # the no-metadata default included
+_MAYBE = st.one_of(st.none(), st.integers(0, 3)), \
+    st.one_of(st.none(), st.sampled_from([0.5, 1.0, 2.5])), \
+    st.one_of(st.none(), st.integers(3, 5))
+_O_OPS = st.one_of(
+    st.tuples(st.just("upsert"), _O_IDS, st.tuples(*_MAYBE)),
+    st.tuples(st.just("learn"), _O_IDS, st.sampled_from(_ROLE_SETS)),
+    st.tuples(st.just("add"), _O_IDS, st.tuples(st.sampled_from(_ROLE_SETS), *_MAYBE)),
+    st.tuples(st.just("add_level"), _O_IDS, st.tuples(st.integers(1, 2), *_MAYBE)),
+    st.tuples(st.just("set_parent"), _O_IDS, st.tuples(st.integers(1, 2), *_MAYBE)),
+    st.tuples(st.just("touch"), _O_IDS, st.integers(0, 3)),
+    # A gossip round's two writers, twice as likely as the other ops.
+    *[st.tuples(st.just("import"), st.lists(_O_IDS, max_size=8),
+                st.sampled_from(_ROLE_SETS)),
+      st.tuples(st.just("refresh"), _O_IDS, st.one_of(st.none(), _O_META))] * 2,  # None: book's
+    st.tuples(st.just("new_round"), st.just(0), st.just(0)),
+    st.tuples(st.just("forget"), _O_IDS, st.just(0)),
+    st.tuples(st.just("expire"), st.just(0), st.integers(0, 12)),
+    st.tuples(st.just("trim_to_roles"), st.just(0), st.just(0)),
+    st.tuples(st.just("merge_delta"), st.lists(st.tuples(_O_IDS, _O_META, st.integers(0, 40)),
+                                               max_size=5), st.integers(-1, 30)),
+)
+
+
+def _reads(t):
+    """Every read a caller can make of a table's entries and roles."""
+    return (list(t.all_known()), entries(t), t.version, membership(t),
+            list(t.sorted_ids()), t.delta_since(0), t.delta_since(10.0),
+            _role_pairs(t), [list(getattr(t, role)) for role in _ROLE_SETS],
+            [(lvl, list(ids)) for lvl, ids in t.level_tables.items()],
+            list(t.parents.items()), list(t.level_children.items()))
+
+
+@given(book=st.dictionaries(_O_IDS, _O_META, max_size=30),
+       shared=st.booleans(), plan=st.data(),
+       ops=st.lists(st.tuples(st.integers(0, 1), _O_OPS), min_size=12, max_size=50))
+@settings(max_examples=300, deadline=None)
+def test_property_the_table_reads_as_the_entry_table_it_replaced(book, shared, plan, ops):
+    """Two pairs of tables — a receiver (owner 7) and a sender (owner 11),
+    each once as the table and once as :class:`~reference.EntryTable` —
+    run one random op sequence: an optional build ``install`` (with the
+    book or with metadata that disagrees with it) and role-less entries,
+    then ``upsert``, the
+    role adders, ``touch``, ``import_role`` from the other table and
+    ``refresh`` with a shared :data:`Preimages`, ``forget``, ``expire``,
+    ``trim_to_roles`` and ``merge_delta``.  The sender shares the
+    receiver's book or has none.  Entries are created with and without
+    metadata, equal to the book's (as a peer's own Hello carries it) and
+    not.  After every op both sides read
+    the same: ids in entry order, every entry's metadata and
+    ``last_seen``, ``version``, the membership epoch, ``sorted_ids()``,
+    ``delta_since``, every role and the pre-images; and a table's own
+    metadata holds exactly the entries that differ from the book."""
+    from reference import EntryTable
+    from repro.core.routing_table import _NO_META
+
+    new = [RoutingTable(7, book), RoutingTable(11, book if shared else None)]
+    ref = [EntryTable(7), EntryTable(11)]
+    for k, owner in enumerate((7, 11)):
+        plannable = [i for i in sorted(book) if i != owner]
+        if plannable and plan.draw(st.booleans()):
+            ids = st.lists(st.sampled_from(plannable), max_size=6)
+            top = plan.draw(st.integers(0, 2))
+            args = (plan.draw(ids), [plan.draw(ids) for _ in range(top)],
+                    [plan.draw(ids) for _ in range(top)],
+                    [plan.draw(ids) for _ in range(top)],
+                    plan.draw(st.one_of(st.none(), st.sampled_from(plannable))),
+                    plan.draw(ids))
+            meta = book if plan.draw(st.booleans()) else plan.draw(st.fixed_dictionaries(
+                {i: st.one_of(st.just(book[i]), _O_META) for i in plannable}))
+            new[k].install(0.0, meta, *args)
+            ref[k].install(0.0, meta, *args)
+        # Then entries learnt outside any role, as gossip leaves them.
+        for i, m in plan.draw(st.lists(st.tuples(_O_IDS, st.one_of(st.none(), _O_META)),
+                                       max_size=10)):
+            if i != owner:
+                for t in (new[k], ref[k]):
+                    t.upsert(i, 0.0, *(m or book.get(i, ())))
+    before_new, before_ref = {}, {}
+    for step, (k, (op, ident, arg)) in enumerate(ops, 1):
+        now = float(step)
+        results = []
+        for tables, before in ((new, before_new), (ref, before_ref)):
+            t, other = tables[k], tables[1 - k]
+            if ident == t.owner and op in ("upsert", "learn", "add", "add_level",
+                                           "set_parent", "refresh"):
+                results.append(None)
+                continue
+            if op == "upsert":
+                t.upsert(ident, now, *arg)
+            elif op == "learn":  # the peer's own metadata, as a Hello carries it
+                t.add(arg, ident, now, *book.get(ident, ()))
+            elif op == "add":
+                role, *meta = arg
+                if role == "children":
+                    t.add_child(1, ident, now, *meta)
+                else:
+                    t.add(role, ident, now, *meta)
+            elif op == "add_level":
+                t.add_level(arg[0], ident, now, *arg[1:])
+            elif op == "set_parent":
+                t.set_parent(arg[0], ident, now, *arg[1:])
+            elif op == "touch":
+                t.touch(ident, now - arg * 2.5)
+            elif op == "import":
+                fresh = set()
+                t.import_role(ident, now, other, fresh, before)
+                if fresh and arg != "children":
+                    t.set_role(arg, fresh)
+                results.append(list(fresh))
+            elif op == "refresh":
+                t.refresh(ident, now, arg or book.get(ident, (0, 1.0, 4)), before)
+            elif op == "new_round":
+                before.clear()
+            elif op == "forget":
+                t.forget(ident)
+            elif op == "expire":
+                results.append(t.expire(now, float(arg)))
+            elif op == "trim_to_roles":
+                results.append(t.trim_to_roles())
+            elif op == "merge_delta":
+                delta = [(i, *m, float(seen)) for i, m, seen in ident]
+                if arg >= 0:  # or the other table's own delta
+                    delta = other.delta_since(float(arg))
+                results.append(t.merge_delta(delta, now))
+        assert results[:len(results) // 2] == results[len(results) // 2:], (op, results)
+        for a, b in zip(new, ref):
+            assert _reads(a) == _reads(b), (step, op, a.owner)
+        assert before_new == before_ref, (step, op)
+        for t in new:
+            assert set(t._meta) <= set(t.all_known())
+            assert all(m != t._book.get(i) for i, m in t._meta.items())
+            assert (t._book is _NO_META) == (t is new[1] and not shared)
+
+
+def test_a_pre_image_wins_over_the_book_a_sender_returned_to():
+    """A sender whose metadata for an id went back to the book's during
+    the round still ships its pre-round value, to an entry that reads the
+    book and to a new one alike."""
+    from reference import EntryTable
+
+    book = {3: (1, 1.0, 4), 5: (2, 0.5, 3)}
+    new = [RoutingTable(7, book), RoutingTable(11, book)]
+    ref = [EntryTable(7), EntryTable(11)]
+    before_new, before_ref = {}, {}
+    for (receiver, sender), before in ((new, before_new), (ref, before_ref)):
+        receiver.upsert(5, 0.0, *book[5])
+        for i in (3, 5):
+            sender.upsert(i, 0.0, 2, 2.5, 5)
+            sender.refresh(i, 1.0, book[i], before)
+        receiver.import_role([3, 5], 2.0, sender, set(), before)
+    assert entries(new[0]) == entries(ref[0]) == [(5, 2, 2.5, 5, 2.0), (3, 2, 2.5, 5, 2.0)]
+    assert before_new == before_ref == {11: {3: (2, 2.5, 5), 5: (2, 2.5, 5)},
+                                        7: {5: (2, 0.5, 3)}}
+    assert new[0]._meta == {3: (2, 2.5, 5), 5: (2, 2.5, 5)} and not new[1]._meta

@@ -6,7 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from reference import bus_neighbours, membership, validate
+from reference import bus_neighbours, entries, membership, validate
 from repro import TreePConfig, TreePNetwork
 from repro.core.capacity import NodeCapacity
 from repro.core.ids import IdSpace
@@ -256,7 +256,7 @@ def built_state(net):
         t = node.table
         out.append((
             ident, node.height, node.max_level,
-            [e.as_tuple() for e in t._entries.values()],
+            entries(t),
             list(t.level0), list(t.level0_indirect),
             [(lvl, list(ids)) for lvl, ids in t.level_tables.items()],
             list(t.children), list(t.neighbour_children), list(t.superiors),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from reference import ConstantLatency, validate
+from reference import ConstantLatency, entry, validate
 from repro import TreePConfig, TreePNetwork
 from repro.core.capacity import NodeCapacity
 from repro.core.config import TreePConfig as Cfg
@@ -106,8 +106,8 @@ class TestKeepAliveAck:
         node = TreePNode(1000, NodeCapacity(), cfg)
         netw.register(node)
         node._on_KeepAliveAck(2000, KeepAliveAck(entries=((3000, 1, 2.0, 4, 1.0),)))
-        assert node.table.get(3000) is not None
-        assert node.table.get(3000).max_level == 1
+        assert entry(node.table, 3000) is not None
+        assert entry(node.table, 3000).max_level == 1
 
 
 class TestChurnWithOverlay:
@@ -133,7 +133,7 @@ class TestChurnWithOverlay:
         for i in net.alive_ids():
             node = net.nodes[i]
             for d in long_dead:
-                e = node.table.get(d)
+                e = entry(node.table, d)
                 # Any remaining entry must be fresh (the peer flapped back
                 # up recently), never stale beyond the TTL.
                 if e is not None:

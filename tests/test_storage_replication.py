@@ -41,7 +41,7 @@ def test_successor_replicas_are_closest_known(net):
     out = SuccessorPlacement().replicas(node, key_id, 4)
     space = net.config.space
     chosen = set(out) - {node.ident}
-    rest = {e.ident for e in node.table.candidates()} - chosen
+    rest = set(node.table.all_known()) - chosen
     # Every chosen peer is at least as close to the key as every unchosen one.
     worst_chosen = max(space.distance(i, key_id) for i in chosen)
     best_rest = min(space.distance(i, key_id) for i in rest)
