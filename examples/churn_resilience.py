@@ -29,7 +29,7 @@ def main() -> None:
     workload = LookupWorkload(rng=net.rng.get("example-lookups"))
 
     for step in schedule.steps():
-        schedule.apply_step(net.network, step)
+        net.fail_nodes(step.newly_failed)
         apply_failure_step(net, step.newly_failed, PAPER_POLICY)
         if len(step.surviving) < 10:
             break

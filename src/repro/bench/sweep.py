@@ -151,7 +151,7 @@ def fail_until(
     if dead_fraction > 0:
         schedule = FailureSchedule(net.ids, net.rng.get("sweep"))
         for step in schedule.steps():
-            schedule.apply_step(net.network, step)
+            net.fail_nodes(step.newly_failed)
             apply_failure_step(net, step.newly_failed, policy)
             surviving = step.surviving
             if step.cumulative_failed_fraction >= dead_fraction:
@@ -190,7 +190,7 @@ def run_failure_sweep(config: SweepConfig) -> SweepResult:
     workload = LookupWorkload(rng=net.rng.get("workload"))
 
     for step in schedule.steps():
-        schedule.apply_step(net.network, step)
+        net.fail_nodes(step.newly_failed)
         apply_failure_step(net, step.newly_failed, PAPER_POLICY)
         if len(step.surviving) < 2:
             break

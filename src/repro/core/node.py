@@ -332,7 +332,7 @@ class TreePNode(Process):
         else:
             left, right = self.ident, hi
         self.table.add("level0", joiner, now, score=msg.score, nc=msg.nc)
-        parent = self.table.level1_parent() if self.max_level == 0 else self.ident
+        parent = self.table.parents.get(1) if self.max_level == 0 else self.ident
         self.send(joiner, JoinAccept(left=left, right=right, parent=parent))
         other = left if right == self.ident else right
         if other is not None:
@@ -427,7 +427,10 @@ class TreePNode(Process):
 
     def _election_expired(self, level: int) -> None:
         if not self.network.is_up(self.ident):
-            return  # a crashed node neither wins nor claims
+            # A crashed node neither wins nor claims, and drops the
+            # election, so after a revival it can run one at this level.
+            self.elections.active.pop(level, None)
+            return
         if not self.elections.on_countdown_expired(level):
             return
         # We won: ascend one level and claim the electorate as children.

@@ -38,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from repro.core.routing_table import Preimages
 from repro.core.treep import paused_collector
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -189,7 +188,10 @@ def gossip_round(net: "TreePNetwork") -> None:
     # is read, which iterates as a copy made up front would: a copy of a set
     # that has seen discards may iterate in another order than the set, that
     # order decides the order new entries are inserted in, and the digests
-    # pin the copy's.
+    # pin the copy's.  A peer's metadata for an id is its override as the
+    # round found it, else the network's book: ``overrides()`` copies a
+    # table's overrides (none on a converged overlay, so usually nothing),
+    # because the round may write them.
     snapshot: dict[int, tuple] = {}
     for ident, node in net.nodes.items():
         if not net.network.is_up(ident):
@@ -202,13 +204,8 @@ def gossip_round(net: "TreePNetwork") -> None:
             t.parents,
             t.superiors,
             (node.max_level, node.score, node.nc),
-            t,
+            t.overrides(),
         )
-    # A peer's metadata for an id is read from the peer's table.  None
-    # leaves a table before the trim pass after the loop, a role names only
-    # ids its table holds entries for, and ``before`` keeps the pre-round
-    # value of any metadata the round changes.
-    before: Preimages = {}
 
     for ident, snap in snapshot.items():
         node = net.nodes[ident]
@@ -222,9 +219,9 @@ def gossip_round(net: "TreePNetwork") -> None:
             ps = snapshot.get(peer)
             if ps is None:
                 continue
-            p_level0, _, _, _, _, pme, pt = ps
-            t.refresh(peer, now, pme, before)
-            t.import_role(set(p_level0), now, pt, new_indirect, before)
+            p_level0, _, _, _, _, pme, theirs = ps
+            t.upsert(peer, now, *pme)
+            t.import_role(set(p_level0), now, theirs, new_indirect)
         if new_indirect:
             t.set_role("level0_indirect", new_indirect - t.level0)
 
@@ -245,11 +242,11 @@ def gossip_round(net: "TreePNetwork") -> None:
                 ps = snapshot.get(peer)
                 if ps is None:
                     continue
-                _, p_buses, p_children, _, _, pme, pt = ps
-                t.refresh(peer, now, pme, before)
+                _, p_buses, p_children, _, _, pme, theirs = ps
+                t.upsert(peer, now, *pme)
                 fresh_level.add(peer)
-                t.import_role(set(p_buses.get(lvl, ())), now, pt, fresh_level, before)
-                t.import_role(p_children.get(lvl, ()), now, pt, fresh_nc, before)
+                t.import_role(set(p_buses.get(lvl, ())), now, theirs, fresh_level)
+                t.import_role(p_children.get(lvl, ()), now, theirs, fresh_nc)
             if fresh_level:
                 any_bus_exchange = True
                 t.set_level(lvl, fresh_level)
@@ -260,11 +257,11 @@ def gossip_round(net: "TreePNetwork") -> None:
         p = my_parents.get(node.max_level + 1)
         ps = snapshot.get(p) if p is not None else None
         if ps is not None:
-            _, p_buses, _, p_parents, p_superiors, pme, pt = ps
+            _, p_buses, _, p_parents, p_superiors, pme, theirs = ps
             new_sup: set[int] = set()
             for group in (p_parents.values(), set(p_superiors),
                           set(p_buses.get(pme[0], ()))):
-                t.import_role(group, now, pt, new_sup, before)
+                t.import_role(group, now, theirs, new_sup)
             t.set_role("superiors", new_sup)
 
     # A table's trim depends only on its own final roles, so trimming after

@@ -26,7 +26,8 @@ peer, so a network keeps it once, in its **peer book** (``id -> (max_level,
 score, nc)`` as of the peer's creation, shared by every table of the
 network); a table holds only the metadata of its entries that differ from
 the book.  A keep-alive from a peer refreshes every role it appears under at
-once.
+once.  A gossip round reads a peer's metadata from the peer's
+:meth:`RoutingTable.overrides` as the round began, else from the book.
 
 The table's methods are the only writers of role state; everything else
 reads the plain containers.  A table allocates only the roles it holds:
@@ -76,12 +77,6 @@ _NO_LEVELS = EmptyMap()
 #: the book of a table built without one (whose entries then all keep their
 #: own metadata).
 _NO_META = EmptyMap()
-
-#: What a gossip round overwrote, as the round found it: table owner ->
-#: ``{id: (max_level, score, nc)}`` for each entry whose metadata the round
-#: changed, recorded at the first change — so a peer that reads the table in
-#: place later in the round still reads its pre-round metadata.
-Preimages = Dict[int, Dict[int, Tuple[int, float, int]]]
 
 
 class RoutingTable:
@@ -227,29 +222,27 @@ class RoutingTable:
         if seen is None or new != old:
             self._set_meta(ident, new)
 
-    def import_role(self, ids: Iterable[int], now: float, sender: RoutingTable,
-                    role: Set[int], before: Preimages) -> None:
+    def overrides(self) -> Dict[int, Meta]:
+        """The metadata of the entries that differ from the book, as they are
+        now: the shared read-only :data:`_NO_META` while there is none, else
+        a copy, which later writes to the table leave alone."""
+        own = self._meta
+        return dict(own) if own else _NO_META
+
+    def import_role(self, ids: Iterable[int], now: float, theirs: Dict[int, Meta],
+                    role: Set[int]) -> None:
         """Bulk gossip import: ``upsert(i, now, *m)`` then ``role.add(i)``
         for every id but the owner, in iteration order.  *m* is the
-        *sender*'s metadata for *i* as the round found it: its pre-image in
-        the round's :data:`Preimages` *before* if the round changed it, else
-        the sender's entry, read in place, else none.  (A role names only
-        ids its table holds entries for, so an entry the sender gained
-        during the round is never asked for.)  *role* is a fresh set the
-        caller installs wholesale (the set it replaces is never touched).
-        The first change this call makes to an entry the table already held
-        is recorded in *before* for the readers after it."""
+        sender's metadata for *i*: ``theirs.get(i)``, *theirs* being the
+        sender's :meth:`overrides` as the round found them, else the book
+        the sender shares, else none.  *role* is a fresh set the caller
+        installs wholesale (the set it replaces is never touched)."""
         entries, owner, book = self._entries, self.owner, self._book
-        sent, held = sender._entries, before.get(sender.owner) or _NO_META
-        theirs = sender._meta
-        shared = sender._book is book
-        mine = before.get(owner)
         for i in ids:
             if i == owner:
                 continue
-            if (shared and i in sent and i not in held and i not in theirs
-                    and i not in self._meta):
-                # Both tables read the book's metadata for i: only the
+            if i not in theirs and i not in self._meta and i in book:
+                # Both sides read the book's metadata for i: only the
                 # timestamp can move (and a new entry's level, from 0).
                 seen = entries.get(i)
                 if seen is None:
@@ -259,30 +252,9 @@ class RoutingTable:
                         self._version += 1
                 elif now > seen:
                     entries[i] = now
-                role.add(i)
-                continue
-            if i in held:
-                m = held[i]
-            elif i in sent:
-                m = theirs.get(i) or sender._book[i]
             else:
-                m = ()
-            old = self.meta(i)
-            if m and old is not None and m != old:
-                if mine is None:
-                    mine = before[owner] = {}
-                mine.setdefault(i, old)
-            self.upsert(i, now, *m)
+                self.upsert(i, now, *(theirs.get(i) or book.get(i, ())))
             role.add(i)
-
-    def refresh(self, ident: int, now: float, meta: Meta, before: Preimages) -> None:
-        """``upsert(ident, now, *meta)`` inside a gossip round: a change to
-        the metadata of an entry the table held first records the old value
-        in the round's :data:`Preimages` *before*, as :meth:`import_role` does."""
-        old = self.meta(ident)
-        if old is not None and old != meta:
-            before.setdefault(self.owner, {}).setdefault(ident, old)
-        self.upsert(ident, now, *meta)
 
     def touch(self, ident: int, now: float) -> None:
         seen = self._entries.get(ident)
@@ -432,7 +404,7 @@ class RoutingTable:
             self._version += 1
         return old
 
-    def install(self, now: float, meta: Dict[int, Meta],
+    def install(self, now: float,
                 level0: Sequence[int], buses: Sequence[Sequence[int]],
                 own_children: Sequence[Sequence[int]],
                 neighbour_children: Sequence[Sequence[int]],
@@ -442,16 +414,17 @@ class RoutingTable:
         ``buses[j - 1]``, ``own_children[j - 1]`` and
         ``neighbour_children[j - 1]`` belong to level ``j``, for every level
         ``1..len(buses)`` the node holds; *parent* sits one level above.
-        The result is exactly what these calls, in this order, each with
-        ``now, *meta[id]``, would leave: ``add("level0", ·)`` for each of
-        *level0*; ``add_level(j, ·)`` for each of every ``buses[j - 1]``;
+        Every id must be in the table's book.  The result is exactly what
+        these calls, in this order, each with ``now, *book[id]``, would
+        leave: ``add("level0", ·)`` for each of *level0*;
+        ``add_level(j, ·)`` for each of every ``buses[j - 1]``;
         per level ``j``, ``open_children(j)``, ``add_child(j, ·)`` for each
         own child and ``add("neighbour_children", ·)`` for each neighbour
         child; ``set_parent(len(buses) + 1, parent)``; ``add("superiors",
         ·)`` for each of *superiors* — the same entries in the same order,
         every role set in the same iteration order, and the same
-        ``version`` and membership epoch.  When *meta* is the table's book,
-        as in a network's build, no entry's metadata differs from it.
+        ``version`` and membership epoch, and no entry's metadata differs
+        from the book.
         """
         if self._membership or self._version:
             raise RuntimeError("install writes only a table nothing has written")
@@ -468,10 +441,8 @@ class RoutingTable:
         if self.owner in entries:
             raise ValueError("a node never stores itself in its routing table")
         # upsert's level change from a new entry's 0
-        version = len(entries) - [meta[i][0] for i in entries].count(0)
-        if meta is not self._book:
-            for i in entries:
-                self._set_meta(i, meta[i])
+        book = self._book
+        version = len(entries) - [book[i][0] for i in entries].count(0)
         self._entries = entries
         # ``set(ids)`` adds in list order, so each set iterates as the
         # one-by-one ``link`` calls would have left it.
@@ -512,9 +483,6 @@ class RoutingTable:
         return stale
 
     # -------------------------------------------------------------- queries
-    def level1_parent(self) -> Optional[int]:
-        return self.parents.get(1)
-
     def all_known(self) -> KeysView[int]:
         """Every known id, in entry order: a read-only view of the table,
         not a copy, so do not write the table while iterating it."""

@@ -180,9 +180,9 @@ class TreePNetwork:
         # The peer book: every entry's (max_level, score, nc), once per peer.
         scores, nc = layout.scores, layout.nc
         max_level = layout.max_level
-        meta = self.book
+        book = self.book
         for i, lvl in max_level.items():
-            meta[i] = (lvl, scores[i], nc[i])
+            book[i] = (lvl, scores[i], nc[i])
         for ident, node in self.nodes.items():
             top = node.max_level = max_level[ident]
             node.height = h
@@ -241,7 +241,7 @@ class TreePNetwork:
                     if pn is not None and pn != ident:
                         superiors.append(pn)
 
-            node.table.install(now, meta, level0, buses, own, theirs, p, superiors)
+            node.table.install(now, level0, buses, own, theirs, p, superiors)
 
     def live_origin(self, via: Optional[int] = None) -> TreePNode:
         """The node client requests should enter through.
@@ -335,7 +335,8 @@ class TreePNetwork:
         observe each departure through the fabric's liveness hooks: the
         node's keep-alive loop stops, the services' node-scoped periodic
         tasks are cancelled and their ``on_node_leave`` callbacks run.
-        The node's election and demotion countdowns fire as no-ops; its
+        The node's election and demotion countdowns fire without effect
+        (an election it was counting is dropped, not won); its
         pending lookups still time out, so a batch it issued gets every
         result.
         """

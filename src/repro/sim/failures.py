@@ -14,8 +14,6 @@ from typing import Iterator, List, Sequence
 
 import numpy as np
 
-from repro.sim.network import Network
-
 
 #: Fraction of the initial population disconnected per step (paper: 5%).
 STEP_FRACTION = 0.05
@@ -85,8 +83,3 @@ class FailureSchedule:
                 cumulative_failed_fraction=killed / n,
                 surviving=surviving,
             )
-
-    def apply_step(self, network: Network, step: FailureStep) -> None:
-        """Crash-stop the step's victims on *network*."""
-        for addr in step.newly_failed:
-            network.set_down(addr)

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.config import TreePConfig
 from repro.core.hierarchy import HierarchyLayout
-from repro.core.routing_table import _NO_META, Meta, Preimages, RoutingTable
+from repro.core.routing_table import _NO_META, Meta, RoutingTable
 from repro.core.tessellation import cell_owner
 from repro.sim.latency import LatencyModel
 
@@ -136,10 +136,11 @@ def entries(table) -> List[Tuple[int, int, float, int, float]]:
 
 class EntryTable(RoutingTable):
     """The routing table as it was before entries became timestamps: one
-    :class:`Entry` per known peer, holding the peer's metadata, and no
-    peer book.  The role-set methods are the table's own; every method
-    that reads or writes an entry is the old code, so a test can run one
-    op sequence on both and compare every read."""
+    :class:`Entry` per known peer, holding the peer's metadata; a book it
+    is built with is read only by ``install``.  The role-set methods are
+    the table's own; every method that reads or writes an entry is the old
+    code, so a test can run one op sequence on both and compare every
+    read."""
 
     __slots__ = ()
 
@@ -164,53 +165,38 @@ class EntryTable(RoutingTable):
         if nc is not None:
             e.nc = nc
 
-    def import_role(self, ids: Iterable[int], now: float, sender: RoutingTable,
-                    role: Set[int], before: Preimages) -> None:
+    def overrides(self) -> Dict[int, Meta]:
+        # No book to differ from: every entry's metadata, copied.
+        return {i: (e.max_level, e.score, e.nc) for i, e in self._entries.items()}
+
+    def import_role(self, ids: Iterable[int], now: float, theirs: Dict[int, Meta],
+                    role: Set[int]) -> None:
         entries, owner = self._entries, self.owner
-        held = before.get(sender.owner)
-        mine = before.get(owner)
         for i in ids:
             if i == owner:
                 continue
-            if held is not None and i in held:
-                level, score, nc = held[i]
-            else:
-                m = sender.meta(i)
-                level, score, nc = m if m is not None else (None, None, None)
+            level, score, nc = theirs.get(i) or (None, None, None)
             e = entries.get(i)
             if e is None:
                 e = entries[i] = Entry(i, last_seen=now)
                 self._membership += 1
-            else:
-                if now > e.last_seen:
-                    e.last_seen = now
-                if level is not None and (level != e.max_level or score != e.score
-                                          or nc != e.nc):
-                    if mine is None:
-                        mine = before[owner] = {}
-                    mine.setdefault(i, (e.max_level, e.score, e.nc))
+            elif now > e.last_seen:
+                e.last_seen = now
             if level is not None:
                 if level != e.max_level:
                     self._version += 1
                 e.max_level, e.score, e.nc = level, score, nc
             role.add(i)
 
-    def refresh(self, ident: int, now: float, meta: Meta, before: Preimages) -> None:
-        e = self._entries.get(ident)
-        if e is not None:
-            old = (e.max_level, e.score, e.nc)
-            if old != meta:
-                before.setdefault(self.owner, {}).setdefault(ident, old)
-        self.upsert(ident, now, *meta)
-
     def touch(self, ident: int, now: float) -> None:
         e = self._entries.get(ident)
         if e is not None:
             e.touch(now)
 
-    def install(self, now: float, meta: Dict[int, Meta], level0, buses, own_children,
+    def install(self, now: float, level0, buses, own_children,
                 neighbour_children, parent, superiors) -> None:
-        # The entries as the old install wrote them; the roles as the
+        # The entries as the old install wrote them, from the book the
+        # table was built with (the only read of it); the roles as the
         # table's own install writes them, from the same plan.
         order = list(level0)
         for ids in buses:
@@ -223,8 +209,8 @@ class EntryTable(RoutingTable):
         entries: Dict[int, Entry] = {}
         for i in dict.fromkeys(order):
             if i != self.owner:
-                entries[i] = Entry(i, *meta[i], now)
-        super().install(now, meta, level0, buses, own_children, neighbour_children,
+                entries[i] = Entry(i, *self._book[i], now)
+        super().install(now, level0, buses, own_children, neighbour_children,
                         parent, superiors)
         self._entries, self._meta = entries, _NO_META
 

@@ -122,7 +122,7 @@ class TestJoinProtocol:
         newcomer = (sorted_ids[3] + sorted_ids[4]) // 2
         node = net.join_new_node(newcomer)
         net.sim.run()
-        assert node.table.level1_parent() is not None
+        assert node.table.parents.get(1) is not None
 
     def test_duplicate_join_rejected(self):
         net = TreePNetwork(seed=5)
@@ -180,8 +180,8 @@ class TestElectionProtocol:
         sim.run(until=30.0)
         # The strongest (b) won and the others adopted it.
         assert b.max_level == 1
-        assert a.table.level1_parent() == b.ident
-        assert c.table.level1_parent() == b.ident
+        assert a.table.parents.get(1) == b.ident
+        assert c.table.parents.get(1) == b.ident
         # Parent registered its children.
         assert a.ident in b.table.children
         assert c.ident in b.table.children
@@ -218,7 +218,7 @@ class TestDemotionProtocol:
         parent.check_demotion()
         sim.run(until=60.0)
         assert parent.max_level == 0
-        assert child.table.level1_parent() is None  # child was notified
+        assert child.table.parents.get(1) is None  # child was notified
 
     def test_demotion_cancelled_by_new_children(self):
         cfg = TreePConfig.paper_case1(demotion_base=5.0)
@@ -286,7 +286,7 @@ class TestDemotionProtocol:
         net.set_down(parent.ident)
         sim.run(until=60.0)
         assert parent.max_level == 1 and parent.child_count(1) == 1
-        assert child.table.level1_parent() == 5000
+        assert child.table.parents.get(1) == 5000
         assert net.stats.by_type.get("Demote", 0) == 0
         assert not parent.demotions.pending[1]
 
@@ -300,6 +300,20 @@ class TestDemotionProtocol:
         sim.run(until=60.0)
         assert (a.max_level, b.max_level, c.max_level) == (0, 0, 0)
         assert net.stats.by_type.get("ParentClaim", 0) == 0
+
+    def test_a_revived_candidate_can_run_the_election_its_crash_abandoned(self):
+        """A node that crashes while counting down drops that election, so
+        after its revival it can start one at the same level again (it
+        used to stay unresolved, and ``start`` refused with -1)."""
+        sim, net, (a, b, c) = tiny_net()
+        for x, y in ((a, b), (a, c), (b, a), (c, a)):
+            x.table.add("level0", y.ident, 0.0)
+        a.trigger_election(0)
+        net.set_down(a.ident)
+        sim.run(until=30.0)
+        assert a.max_level == 0 and 0 not in a.elections.active
+        net.set_up(a.ident)
+        assert a.elections.start(0, [a.ident, b.ident, c.ident]) >= 0
 
     def test_keep_upper_policy_retains_level(self):
         cfg = TreePConfig.paper_case1(demotion_policy="keep-upper",
@@ -354,7 +368,7 @@ class TestManagersOnDemand:
         nodes[0].trigger_election(0)
         sim.run(until=30.0)
         return (events.log,
-                [(n.max_level, n.table.level1_parent(), sorted(n.table.children),
+                [(n.max_level, n.table.parents.get(1), sorted(n.table.children),
                   {lvl: (e.winner, e.resolved, e.participants)
                    for lvl, e in n.elections.active.items()}) for n in nodes])
 
@@ -377,7 +391,7 @@ class TestManagersOnDemand:
         child.table.set_parent(1, 5000, 0.0)
         parent.check_demotion()
         sim.run(until=60.0)
-        return events.log, parent.max_level, child.table.level1_parent(), parent.demotions.pending
+        return events.log, parent.max_level, child.table.parents.get(1), parent.demotions.pending
 
     def test_an_election_on_untouched_managers_matches_one_on_built_ones(self):
         lazy, eager = self._election(False), self._election(True)

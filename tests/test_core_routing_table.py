@@ -103,9 +103,9 @@ def test_expire_drops_stale(table):
 
 
 def test_level1_parent(table):
-    assert table.level1_parent() is None
+    assert table.parents.get(1) is None
     table.set_parent(1, 77, 0.0)
-    assert table.level1_parent() == 77
+    assert table.parents.get(1) == 77
 
 
 def test_neighbours_at(table):
@@ -341,7 +341,7 @@ def test_rebinding_level_tables_and_parents_stays_versioned(table):
 
     before = table.version
     table.set_parent(1, 50, 0.0)
-    assert table.version == before + 1 and table.level1_parent() == 50
+    assert table.version == before + 1 and table.parents.get(1) == 50
     table.set_parent(1, 50, 0.0)            # same parent: no bump
     assert table.version == before + 1
     table.set_parent(1, 51, 0.0)
@@ -577,27 +577,24 @@ _META = st.tuples(st.integers(0, 3), st.sampled_from([0.5, 1.0, 2.5]), st.intege
     stream=st.lists(_IDS, max_size=40),
     meta=st.dictionaries(_IDS, _META, max_size=25),
     held=st.dictionaries(_IDS, _META, max_size=5),
+    book=st.one_of(st.none(), st.dictionaries(_IDS, _META, max_size=25)),
     now=st.integers(0, 20),
     preset=st.lists(_IDS, max_size=5),
 )
 @settings(max_examples=200, deadline=None)
 def test_property_import_role_equals_the_upsert_and_add_loop(stored, stream, meta, held,
-                                                             now, preset):
-    """``import_role`` from a sender is the per-id ``upsert(i, now, *m)`` +
-    ``role.add(i)`` loop, *m* the sender's pre-round metadata for *i* — its
-    recorded pre-image if the round changed it, else its entry, else none:
-    same entries (order and every field), same ``version`` and
-    ``membership``, same role-set iteration order — whether an id is new or
-    known, has metadata or not, changes level or not, and whether *now* is
-    older or newer than the stored ``last_seen``.  (Two tables built alike,
-    so the role sets share their history.)  The first change to each entry
-    the receiver held is recorded as its pre-image, and nothing else is."""
-    sender = RoutingTable(owner=41)
-    for ident, m in meta.items():
-        sender.upsert(ident, 0.0, *m)
+                                                             book, now, preset):
+    """``import_role`` from a sender's round-start map is the per-id
+    ``upsert(i, now, *m)`` + ``role.add(i)`` loop, *m* the map's metadata
+    for *i*, else the book's, else none: same entries (order and every
+    field), same ``version`` and ``membership``, same role-set iteration
+    order — whether an id is new or known, has metadata or not, changes
+    level or not, whether the receiver has a book, and whether *now* is
+    older or newer than the stored ``last_seen``.  (Two tables built
+    alike, so the role sets share their history.)"""
     tables = []
     for _ in range(2):
-        t = RoutingTable(owner=7)
+        t = RoutingTable(owner=7, book=book)
         for ident, (lvl, score, nc), seen in stored:
             if ident != 7:
                 t.add("superiors", ident, float(seen), lvl, score, nc)
@@ -605,41 +602,25 @@ def test_property_import_role_equals_the_upsert_and_add_loop(stored, stream, met
     loop, bulk = tables
     loop_role, bulk_role = set(preset), set(preset)
     sent = {**meta, **held}
-    found = {i: bulk.meta(i) for i in bulk.all_known()}
 
     for i in stream:
         if i != loop.owner:
-            loop.upsert(i, float(now), *sent.get(i, ()))
+            loop.upsert(i, float(now), *(sent.get(i) or (book or {}).get(i, ())))
             loop_role.add(i)
-    before = {41: dict(held)} if held else {}
-    bulk.import_role(stream, float(now), sender, bulk_role, before)
+    bulk.import_role(stream, float(now), sent, bulk_role)
 
     assert entries(bulk) == entries(loop)
     assert (bulk.version, membership(bulk)) == (loop.version, membership(loop))
     assert list(bulk_role) == list(loop_role)
     assert list(bulk.superiors) == list(loop.superiors)
-    changed = {i: found[i] for i in stream if i in found and i in sent and sent[i] != found[i]}
-    assert before.get(7, {}) == changed
-    assert before.get(41, {}) == held
-
-
-def test_refresh_is_upsert_recording_the_first_change():
-    t = RoutingTable(owner=1)
-    t.add("level0", 5, 0.0, max_level=2, score=1.5, nc=3)
-    before = {}
-    t.refresh(5, 1.0, (2, 1.5, 3), before)   # no change: nothing recorded
-    t.refresh(6, 1.0, (1, 1.0, 4), before)   # a new entry has no pre-image
-    assert before == {}
-    t.refresh(5, 2.0, (3, 1.5, 3), before)
-    t.refresh(5, 3.0, (4, 0.5, 3), before)   # the first change wins
-    assert before == {1: {5: (2, 1.5, 3)}}
-    assert entry(t, 5).as_tuple() == (5, 4, 0.5, 3, 3.0)
+    assert bulk._meta == loop._meta
 
 
 # ------------------------------------- the entry table it replaced, as oracle
 # A table keeps one timestamp per entry and only the metadata that differs
 # from its network's peer book; ``EntryTable`` keeps one ``Entry`` record per
-# entry and no book.  The same op sequence on both must read the same.
+# entry and reads a book only to install.  The same op sequence on both must
+# read the same.
 
 _O_IDS = st.integers(0, 11)             # both owners (7 and 11) included
 _O_META = st.tuples(st.integers(0, 3), st.sampled_from([0.5, 1.0, 2.5]),
@@ -654,10 +635,9 @@ _O_OPS = st.one_of(
     st.tuples(st.just("add_level"), _O_IDS, st.tuples(st.integers(1, 2), *_MAYBE)),
     st.tuples(st.just("set_parent"), _O_IDS, st.tuples(st.integers(1, 2), *_MAYBE)),
     st.tuples(st.just("touch"), _O_IDS, st.integers(0, 3)),
-    # A gossip round's two writers, twice as likely as the other ops.
+    # A gossip round's bulk writer, three times as likely as the other ops.
     *[st.tuples(st.just("import"), st.lists(_O_IDS, max_size=8),
-                st.sampled_from(_ROLE_SETS)),
-      st.tuples(st.just("refresh"), _O_IDS, st.one_of(st.none(), _O_META))] * 2,  # None: book's
+                st.sampled_from(_ROLE_SETS))] * 3,
     st.tuples(st.just("new_round"), st.just(0), st.just(0)),
     st.tuples(st.just("forget"), _O_IDS, st.just(0)),
     st.tuples(st.just("expire"), st.just(0), st.integers(0, 12)),
@@ -677,32 +657,32 @@ def _reads(t):
 
 
 @given(book=st.dictionaries(_O_IDS, _O_META, max_size=30),
-       shared=st.booleans(), plan=st.data(),
+       booked=st.booleans(), plan=st.data(),
        ops=st.lists(st.tuples(st.integers(0, 1), _O_OPS), min_size=12, max_size=50))
 @settings(max_examples=300, deadline=None)
-def test_property_the_table_reads_as_the_entry_table_it_replaced(book, shared, plan, ops):
+def test_property_the_table_reads_as_the_entry_table_it_replaced(book, booked, plan, ops):
     """Two pairs of tables — a receiver (owner 7) and a sender (owner 11),
     each once as the table and once as :class:`~reference.EntryTable` —
-    run one random op sequence: an optional build ``install`` (with the
-    book or with metadata that disagrees with it) and role-less entries,
-    then ``upsert``, the
-    role adders, ``touch``, ``import_role`` from the other table and
-    ``refresh`` with a shared :data:`Preimages`, ``forget``, ``expire``,
-    ``trim_to_roles`` and ``merge_delta``.  The sender shares the
-    receiver's book or has none.  Entries are created with and without
-    metadata, equal to the book's (as a peer's own Hello carries it) and
-    not.  After every op both sides read
-    the same: ids in entry order, every entry's metadata and
-    ``last_seen``, ``version``, the membership epoch, ``sorted_ids()``,
-    ``delta_since``, every role and the pre-images; and a table's own
-    metadata holds exactly the entries that differ from the book."""
+    run one random op sequence: an optional build ``install`` from the
+    book and role-less entries, then ``upsert``, the role adders,
+    ``touch``, ``import_role`` from the other table's round-start
+    ``overrides()`` (``new_round`` takes them anew), ``forget``,
+    ``expire``, ``trim_to_roles`` and ``merge_delta``.  Both tables share
+    the book, as a network's do, or neither has one.  Entries are created
+    with and without metadata, equal to the book's (as a peer's own Hello
+    carries it) and not.  After every op both sides read the same: ids in
+    entry order, every entry's metadata and ``last_seen``, ``version``,
+    the membership epoch, ``sorted_ids()``, ``delta_since`` and every
+    role; and a table's own metadata holds exactly the entries that
+    differ from the book."""
     from reference import EntryTable
     from repro.core.routing_table import _NO_META
 
-    new = [RoutingTable(7, book), RoutingTable(11, book if shared else None)]
-    ref = [EntryTable(7), EntryTable(11)]
+    shared = book if booked else None
+    new = [RoutingTable(7, shared), RoutingTable(11, shared)]
+    ref = [EntryTable(7, shared), EntryTable(11, shared)]
     for k, owner in enumerate((7, 11)):
-        plannable = [i for i in sorted(book) if i != owner]
+        plannable = [i for i in sorted(new[k]._book) if i != owner]
         if plannable and plan.draw(st.booleans()):
             ids = st.lists(st.sampled_from(plannable), max_size=6)
             top = plan.draw(st.integers(0, 2))
@@ -711,24 +691,28 @@ def test_property_the_table_reads_as_the_entry_table_it_replaced(book, shared, p
                     [plan.draw(ids) for _ in range(top)],
                     plan.draw(st.one_of(st.none(), st.sampled_from(plannable))),
                     plan.draw(ids))
-            meta = book if plan.draw(st.booleans()) else plan.draw(st.fixed_dictionaries(
-                {i: st.one_of(st.just(book[i]), _O_META) for i in plannable}))
-            new[k].install(0.0, meta, *args)
-            ref[k].install(0.0, meta, *args)
+            new[k].install(0.0, *args)
+            ref[k].install(0.0, *args)
         # Then entries learnt outside any role, as gossip leaves them.
         for i, m in plan.draw(st.lists(st.tuples(_O_IDS, st.one_of(st.none(), _O_META)),
                                        max_size=10)):
             if i != owner:
                 for t in (new[k], ref[k]):
                     t.upsert(i, 0.0, *(m or book.get(i, ())))
-    before_new, before_ref = {}, {}
+
+    def round_start(tables):
+        """What a gossip round reads of each table: its overrides and the
+        ids its roles may name, as the round found them."""
+        return [(t.overrides(), set(t.all_known())) for t in tables]
+
+    rounds = [round_start(new), round_start(ref)]
     for step, (k, (op, ident, arg)) in enumerate(ops, 1):
         now = float(step)
         results = []
-        for tables, before in ((new, before_new), (ref, before_ref)):
+        for side, tables in enumerate((new, ref)):
             t, other = tables[k], tables[1 - k]
             if ident == t.owner and op in ("upsert", "learn", "add", "add_level",
-                                           "set_parent", "refresh"):
+                                           "set_parent"):
                 results.append(None)
                 continue
             if op == "upsert":
@@ -747,16 +731,15 @@ def test_property_the_table_reads_as_the_entry_table_it_replaced(book, shared, p
                 t.set_parent(arg[0], ident, now, *arg[1:])
             elif op == "touch":
                 t.touch(ident, now - arg * 2.5)
-            elif op == "import":
+            elif op == "import":  # ids the sender knew as the round began
+                theirs, known = rounds[side][1 - k]
                 fresh = set()
-                t.import_role(ident, now, other, fresh, before)
+                t.import_role([i for i in ident if i in known], now, theirs, fresh)
                 if fresh and arg != "children":
                     t.set_role(arg, fresh)
                 results.append(list(fresh))
-            elif op == "refresh":
-                t.refresh(ident, now, arg or book.get(ident, (0, 1.0, 4)), before)
             elif op == "new_round":
-                before.clear()
+                rounds[side] = round_start(tables)
             elif op == "forget":
                 t.forget(ident)
             elif op == "expire":
@@ -771,30 +754,32 @@ def test_property_the_table_reads_as_the_entry_table_it_replaced(book, shared, p
         assert results[:len(results) // 2] == results[len(results) // 2:], (op, results)
         for a, b in zip(new, ref):
             assert _reads(a) == _reads(b), (step, op, a.owner)
-        assert before_new == before_ref, (step, op)
         for t in new:
             assert set(t._meta) <= set(t.all_known())
             assert all(m != t._book.get(i) for i, m in t._meta.items())
-            assert (t._book is _NO_META) == (t is new[1] and not shared)
+            assert (t._book is _NO_META) == (not booked)
 
 
-def test_a_pre_image_wins_over_the_book_a_sender_returned_to():
+def test_a_round_start_override_wins_over_the_book_a_sender_returned_to():
     """A sender whose metadata for an id went back to the book's during
-    the round still ships its pre-round value, to an entry that reads the
-    book and to a new one alike."""
+    the round still ships the value it had when the round began, to an
+    entry that reads the book and to a new one alike: ``overrides()`` is a
+    copy, and a table with no override left returns the shared empty map."""
     from reference import EntryTable
+    from repro.core.routing_table import _NO_META
 
     book = {3: (1, 1.0, 4), 5: (2, 0.5, 3)}
     new = [RoutingTable(7, book), RoutingTable(11, book)]
-    ref = [EntryTable(7), EntryTable(11)]
-    before_new, before_ref = {}, {}
-    for (receiver, sender), before in ((new, before_new), (ref, before_ref)):
+    ref = [EntryTable(7, book), EntryTable(11, book)]
+    for receiver, sender in (new, ref):
         receiver.upsert(5, 0.0, *book[5])
         for i in (3, 5):
             sender.upsert(i, 0.0, 2, 2.5, 5)
-            sender.refresh(i, 1.0, book[i], before)
-        receiver.import_role([3, 5], 2.0, sender, set(), before)
+        theirs = sender.overrides()           # the round begins
+        for i in (3, 5):
+            sender.upsert(i, 1.0, *book[i])   # back to the book mid-round
+        receiver.import_role([3, 5], 2.0, theirs, set())
+        assert theirs == {3: (2, 2.5, 5), 5: (2, 2.5, 5)}
     assert entries(new[0]) == entries(ref[0]) == [(5, 2, 2.5, 5, 2.0), (3, 2, 2.5, 5, 2.0)]
-    assert before_new == before_ref == {11: {3: (2, 2.5, 5), 5: (2, 2.5, 5)},
-                                        7: {5: (2, 0.5, 3)}}
     assert new[0]._meta == {3: (2, 2.5, 5), 5: (2, 2.5, 5)} and not new[1]._meta
+    assert new[1].overrides() is _NO_META

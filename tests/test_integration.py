@@ -84,7 +84,7 @@ class TestEndToEndSweep:
         workload = LookupWorkload(rng=net.rng.get("wl"))
         prev_alive = len(net.ids)
         for step in schedule.steps():
-            schedule.apply_step(net.network, step)
+            net.fail_nodes(step.newly_failed)
             apply_failure_step(net, step.newly_failed, PAPER_POLICY)
             alive = net.alive_ids()
             assert len(alive) == len(step.surviving)

@@ -68,13 +68,16 @@ def test_deterministic_given_rng_seed():
 
 
 def test_apply_step_sets_down():
+    """A step is applied by crashing its victims (``set_down``, what
+    ``TreePNetwork.fail_nodes`` does per victim)."""
     sim = Simulator()
     net = Network(sim, latency=ConstantLatency(0.01))
     for i in range(20):
         net.register(Dummy(i))
     sched = FailureSchedule(list(range(20)), np.random.default_rng(0))
     step = next(iter(sched.steps()))
-    sched.apply_step(net, step)
+    for v in step.newly_failed:
+        net.set_down(v)
     for v in step.newly_failed:
         assert not net.is_up(v)
 
@@ -150,9 +153,11 @@ class TestFailureScheduleProperties:
         step = next(iter(sched.steps()))
         downs = []
         net.down_hooks.append(downs.append)
-        sched.apply_step(net, step)
+        for v in step.newly_failed:
+            net.set_down(v)
         epoch = net.liveness_epoch
-        sched.apply_step(net, step)  # re-applying changes nothing
+        for v in step.newly_failed:
+            net.set_down(v)  # re-applying changes nothing
         assert net.liveness_epoch == epoch
         # ...and the liveness hook saw one down transition per victim
         assert sorted(downs) == sorted(step.newly_failed)
