@@ -53,7 +53,7 @@ def _partition_quorum(params, seed, smoke):
     cluster = (Cluster(config=TreePConfig.paper_case1(), seed=seed)
                .build(n).with_storage(quorum, anti_entropy=10.0))
     net, store, ae = cluster.net, cluster.storage, cluster.anti_entropy
-    hub = cluster.with_observability(hub=net.obs).obs
+    hub = cluster.with_observability().obs
 
     preload_ok = sum(store.put(f"adv/{i:04d}", {"i": i}).ok
                      for i in range(n_keys))
@@ -145,7 +145,7 @@ def _rack_failure_jobs(params, seed, smoke):
                .with_compute(ComputeConfig(
                    checkpoint_interval=params["checkpoint_interval"])))
     net, grid = cluster.net, cluster.compute
-    hub = cluster.with_observability(hub=net.obs).obs
+    hub = cluster.with_observability().obs
 
     wl = JobWorkload(rng=net.rng.get("adv-rack-jobs"), arrival_rate=1.0,
                      work_mean=120.0, work_sigma=0.4,
@@ -213,7 +213,7 @@ def _straggler_tail(params, seed, smoke):
     def one_run(inject: bool):
         net = TreePNetwork(config=TreePConfig.paper_case1(), seed=seed)
         net.build(n)
-        hub = Cluster(net=net).with_observability(hub=net.obs).obs
+        hub = Cluster(net=net).with_observability().obs
         wrapped = None
         if inject:
             plan = straggler_plan(net.ids, net.rng.get("adv-stragglers"),
@@ -275,7 +275,7 @@ def _loss_burst_lookup(params, seed, smoke):
     n, lookups = params["n"], params["lookups"]
     net = TreePNetwork(config=TreePConfig.paper_case1(), seed=seed)
     net.build(n)
-    hub = Cluster(net=net).with_observability(hub=net.obs).obs
+    hub = Cluster(net=net).with_observability().obs
     ge = net.network.loss_model = GilbertElliott(
         net.rng.get("adv-loss-burst"), loss_bad=params["loss_bad"],
         p_enter_bad=params["p_enter_bad"], p_exit_bad=params["p_exit_bad"])
@@ -332,7 +332,7 @@ def _heal_convergence(params, seed, smoke):
     cluster = (Cluster(config=TreePConfig.paper_case1(), seed=seed)
                .build(n).with_storage(quorum, anti_entropy=10.0))
     net, store, ae = cluster.net, cluster.storage, cluster.anti_entropy
-    cluster.with_observability(hub=net.obs)
+    cluster.with_observability()
 
     preload_ok = sum(store.put(f"adv/{i:04d}", {"i": i}).ok
                      for i in range(n_keys))

@@ -5,9 +5,10 @@
   shutdown.
 * :class:`~repro.cluster.service.Service` — the lifecycle contract every
   subsystem (discovery, storage, anti-entropy, compute, observability)
-  implements: attach/detach, ``on_node_join`` / ``on_node_leave`` /
-  ``on_node_revive`` churn callbacks, declarative typed-message handler
-  registration, and periodic tasks with automatic cancellation.
+  implements: attach/detach, per-node ``setup_node`` (at attach and per
+  join), ``on_node_leave`` / ``on_node_revive`` churn callbacks,
+  declarative typed-message handler registration, and periodic tasks
+  with automatic cancellation.
 * :class:`~repro.cluster.service.ServiceContext` — one per attached
   service; it records the handlers and node-scoped timers the service
   installed on each node and sweeps them on departure and detach.

@@ -185,23 +185,20 @@ class Cluster:
             raise
         return self
 
-    def with_observability(
-        self,
-        categories: Optional[Iterable[str]] = None,
-        hub: Optional["ObsHub"] = None,
-    ) -> "Cluster":
+    def with_observability(self) -> "Cluster":
         """Attach the observability layer (span and event tracing).
 
-        Records into its own :class:`~repro.obs.hub.ObsHub` (or *hub* when
-        given); read it back via :attr:`obs`, or write a trace store with
-        ``cluster.observability.write(path)``.  Instrumentation
-        draws no randomness and schedules no events, so enabling it never
-        changes a seeded run's outcome.
+        Records into the network's hub when an ambient capture
+        (``--trace-out``) gave it one, else into a new
+        :class:`~repro.obs.hub.ObsHub`; read it back via :attr:`obs`, or
+        write a trace store with ``cluster.observability.write(path)``.
+        Instrumentation draws no randomness and schedules no events, so
+        enabling it never changes a seeded run's outcome.
         """
         from repro.obs.service import Observability
 
         self._require_built("with_observability")
-        self.state.attach(Observability(categories=categories, hub=hub))
+        self.state.attach(Observability())
         return self
 
     # ------------------------------------------------------ typed accessors

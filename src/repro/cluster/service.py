@@ -18,7 +18,7 @@ Lifecycle
       └ per node      setup_node(node)        per-node state (stores, agents)
       └ once          handlers()              declarative handler table
       └ finally       on_ready(ctx)           runs once all nodes are wired
-    churn             on_node_join(node)      exactly once per protocol join
+    churn             setup_node(node)        exactly once per protocol join
                       on_node_leave(ident)    exactly once per crash-stop
                       on_node_revive(node)    exactly once per revival
     detach            on_detach()             after the context's cleanup
@@ -115,9 +115,6 @@ class Service:
         They take precedence over the overlay's built-in handlers until the
         service is detached."""
         return {}
-
-    def on_node_join(self, node: "TreePNode") -> None:
-        """Churn callback: a brand-new peer joined (post :meth:`setup_node`)."""
 
     def on_node_leave(self, ident: int) -> None:
         """Churn callback: a live peer crash-stopped.  The context has
@@ -297,7 +294,6 @@ class ClusterState:
     def _on_join(self, node: "TreePNode") -> None:
         for svc in list(self.services.values()):
             svc.setup_node(node)
-            svc.on_node_join(node)
 
     def _on_leave(self, ident: int) -> None:
         for svc in list(self.services.values()):

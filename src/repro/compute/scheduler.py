@@ -26,6 +26,7 @@ checkpoint, not from zero.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Set
 
@@ -60,6 +61,10 @@ from repro.storage.quorum import ReplicatedStore
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.treep import TreePNetwork
+
+#: Virtual seconds :meth:`JobScheduler.run_until_done` runs between two
+#: harvests of the finished jobs.
+RUN_STEP = 10.0
 
 
 class SchedulerCore:
@@ -555,9 +560,7 @@ class JobScheduler(Service):
         )
         self.agents[origin.ident].handle_submit(origin.ident, msg)
 
-    def schedule_submissions(
-        self, specs: List[JobSpec], via_pool: Optional[List[int]] = None
-    ) -> None:
+    def schedule_submissions(self, specs: List[JobSpec]) -> None:
         """Arrange each spec's submission at absolute virtual time
         ``spec.submit_at`` (arrivals already in the past fire immediately).
 
@@ -568,11 +571,10 @@ class JobScheduler(Service):
             if spec.job_id in self.expected:
                 raise ValueError(f"job {spec.job_id} already scheduled")
             self.expected[spec.job_id] = spec
-        for i, spec in enumerate(specs):
-            via = via_pool[i % len(via_pool)] if via_pool else None
+        for spec in specs:
             self.net.sim.schedule_at(
                 max(self.net.sim.now, spec.submit_at),
-                lambda s=spec, v=via: self._send_submit(s, via=v),
+                lambda s=spec: self._send_submit(s),
                 label=f"job-submit:{spec.job_id}",
             )
 
@@ -641,9 +643,13 @@ class JobScheduler(Service):
             if now - crec.last_sent > self.SUBMIT_RETRY:
                 self._send_submit(crec.spec, resume=crec.resume)
 
-    def run_until_done(self, timeout: float, step: float = 10.0) -> bool:
-        """Run the sim in *step* windows until every expected job has a
-        terminal result or *timeout* virtual seconds pass."""
+    def run_until_done(self, timeout: float) -> bool:
+        """Run the sim in :data:`RUN_STEP` windows until every expected job
+        has a terminal result or *timeout* virtual seconds pass.  A
+        *timeout* that is negative or not finite raises ``ValueError``
+        before anything runs."""
+        if not (math.isfinite(timeout) and timeout >= 0):
+            raise ValueError(f"timeout must be finite and >= 0, got {timeout!r}")
         sim = self.net.sim
         deadline = sim.now + timeout
         while True:
@@ -653,7 +659,7 @@ class JobScheduler(Service):
             if sim.now >= deadline:
                 return False
             self._retry_unacked()
-            sim.run(until=min(deadline, sim.now + step))
+            sim.run(until=min(deadline, sim.now + RUN_STEP))
 
     # -------------------------------------------------------------- metrics
     def stats(self) -> SchedulingStats:

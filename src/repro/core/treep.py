@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
-
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple)
 
 from repro.core.capacity import CapacityDistribution, NodeCapacity
 from repro.core.config import TreePConfig
@@ -38,6 +38,15 @@ from repro.sim.engine import Simulator
 from repro.sim.latency import UniformLatency
 from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.runtime import ObsHub
+
+
+#: Virtual seconds a blocking client op runs past its reply so the
+#: request's trailing datagrams (extra replicas, read repair) land — a few
+#: times the default per-hop latency ceiling.
+SETTLE = 0.2
 
 
 @contextmanager
@@ -75,14 +84,13 @@ class TreePNetwork:
         self.rng = RngRegistry(seed)
         self.sim = Simulator()
         self.network = Network(self.sim, latency=UniformLatency(self.rng.get("latency")))
-        #: Observability hub (``None`` unless an ambient capture is active
-        #: or an ``Observability`` service sets it); instrumentation sites
-        #: guard every record behind one ``is not None`` check.
-        self.obs = ambient_hub()
-        obs = self.obs
-        if obs is not None:
-            self.sim.set_event_hook(obs.on_sim_event)
         self.nodes: Dict[int, TreePNode] = {}
+        #: Observability hub (``None`` unless an ambient capture is active
+        #: or an ``Observability`` service is attached); instrumentation
+        #: sites guard every record behind one ``is not None`` check.
+        #: :meth:`set_obs` is its one writer.
+        self.obs: Optional["ObsHub"] = None
+        self.set_obs(ambient_hub())
         self.ids: List[int] = []
         self.capacities: Dict[int, NodeCapacity] = {}
         #: The peer book: every peer's ``(max_level, score, nc)`` as of its
@@ -148,6 +156,15 @@ class TreePNetwork:
         for hook in self.node_hooks:
             hook(node)
         return node
+
+    def set_obs(self, hub: Optional["ObsHub"]) -> None:
+        """Record into *hub* from now on, or into nothing with ``None``:
+        the one writer of ``net.obs``, every ``node.obs`` and the engine's
+        event hook (a node created later copies ``net.obs``)."""
+        self.obs = hub
+        for node in self.nodes.values():
+            node.obs = hub
+        self.sim.set_event_hook(hub.on_sim_event if hub is not None else None)
 
     def topology_snapshot(self) -> Dict[int, int]:
         """The current tree overlay as ``{node: parent}`` (parent ``-1``
@@ -260,7 +277,7 @@ class TreePNetwork:
                 return self.nodes[i]
         raise RuntimeError("no live node to issue the request from")
 
-    def pump(self, slot: List, timeout: float, settle: float = 0.2) -> bool:
+    def pump(self, slot: List, timeout: float) -> bool:
         """Run the sim until something lands in *slot*, the event queue
         empties, or *timeout* virtual seconds pass; True when it landed.
 
@@ -268,17 +285,17 @@ class TreePNetwork:
         with ``on_done=slot.append`` plus this.  It stops at its own reply,
         so it returns while periodic timers (keep-alives, anti-entropy)
         stay armed; the deadline bounds a black-holed request.  On success
-        the sim runs *settle* further virtual seconds so the request's
-        trailing datagrams (extra replicas, read repair) land; on timeout
-        the caller drops its completion callback, so a straggler result
-        finds none and is discarded.
+        the sim runs :data:`SETTLE` further virtual seconds so the
+        request's trailing datagrams land; on timeout the caller drops its
+        completion callback, so a straggler result finds none and is
+        discarded.
         """
         sim = self.sim
         deadline = sim.now + timeout
         sim.run(done=lambda: bool(slot) or sim.now >= deadline)
         if not slot:
             return False
-        sim.run(until=sim.now + settle)
+        sim.run(until=sim.now + SETTLE)
         return True
 
     # ------------------------------------------------------------- lookups

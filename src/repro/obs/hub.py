@@ -24,7 +24,7 @@ rows by their readers (:mod:`repro.obs.query`, the scenario checks).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Tuple
 
 import numpy as np
 
@@ -62,46 +62,34 @@ EVENT_SCHEMA = (
 class ObsHub:
     """Span/event recorder for one network.
 
-    Parameters
-    ----------
-    categories:
-        When given, only these span/event categories record (a gated-off
-        category costs one dict read and records nothing).  ``None``
-        enables every category **except** the opt-in firehose
-        ``sim.event`` stream (per-simulator-event rows; its per-label
-        *counts* are always kept — they are one dict add).
+    Every category records; a reader narrows a trace at query time
+    (``python -m repro.obs … --category``).  Simulator events are only
+    counted per label (:meth:`on_sim_event`), never recorded as rows.
     """
 
-    def __init__(self, categories: Optional[Iterable[str]] = None) -> None:
-        self.categories = frozenset(categories) if categories is not None else None
+    def __init__(self) -> None:
         self.strings = StringTable()
         self.spans = StreamBuffer(SPAN_SCHEMA)
         self.events = StreamBuffer(EVENT_SCHEMA)
-        #: category -> its string code, or -1 when gated off; resolved on
-        #: the first record, so codes intern in first-recorded order.
+        #: category -> its string code, interned on the first record, so
+        #: codes follow first-recorded order.
         self._codes: Dict[str, int] = {}
         #: simulator event label -> fired count (fed by the engine hook).
         self.sim_event_counts: Dict[str, int] = {}
         self._open: Dict[int, Tuple[int, int, float, int]] = {}  # id -> (cat, node, t0, parent)
         self._keyed: Dict[Tuple[str, Any], int] = {}             # (category, key) -> id
         self._next_id = 1
-        self._record_sim_events = (self.categories is not None
-                                   and "sim.event" in self.categories)
 
     def _resolve(self, category: str) -> int:
-        enabled = self.categories is None or category in self.categories
-        self._codes[category] = code = self.strings.code(category) if enabled else -1
+        self._codes[category] = code = self.strings.code(category)
         return code
 
     # ------------------------------------------------------------- spans
     def begin(self, category: str, node: int, t: float, parent: int = 0) -> int:
-        """Open a span; returns its id, or 0 when the category is disabled
-        (``end(0, ...)`` is a no-op, so call sites never re-check)."""
+        """Open a span; returns its id."""
         code = self._codes.get(category)
         if code is None:
             code = self._resolve(category)
-        if code < 0:
-            return 0
         sid = self._next_id
         self._next_id = sid + 1
         self._open[sid] = (code, node, t, parent)
@@ -110,8 +98,6 @@ class ObsHub:
     def end(self, span_id: int, t: float, status: int = STATUS_OK,
             v0: float = 0.0, v1: float = 0.0) -> None:
         """Close span *span_id*, appending its row to the columnar stream."""
-        if span_id == 0:
-            return
         opened = self._open.pop(span_id, None)
         if opened is None:
             return  # already ended (double-end is a call-site race, not fatal)
@@ -127,9 +113,7 @@ class ObsHub:
         sid = self._keyed.get(mkey)
         if sid is not None:
             return sid
-        sid = self.begin(category, node, t, parent=parent)
-        if sid:
-            self._keyed[mkey] = sid
+        self._keyed[mkey] = sid = self.begin(category, node, t, parent=parent)
         return sid
 
     def keyed_id(self, category: str, key: Any) -> int:
@@ -158,8 +142,7 @@ class ObsHub:
         code = self._codes.get(category)
         if code is None:
             code = self._resolve(category)
-        if code >= 0:
-            self.events.append(code, node, t, rid, value)
+        self.events.append(code, node, t, rid, value)
 
     # ---------------------------------------------- domain-specific helpers
     # Encapsulated here so call sites in core/storage/compute stay one
@@ -219,15 +202,12 @@ class ObsHub:
 
     # ------------------------------------------------------ engine wiring
     def on_sim_event(self, ev: "Event") -> None:
-        """Per-simulator-event hook (installed via
-        :meth:`~repro.sim.engine.Simulator.set_event_hook` when tracing is
-        on).  Always counts by label; appends a row to the events stream
-        only when the opt-in ``sim.event`` category was requested."""
+        """Per-simulator-event hook, installed by
+        :meth:`~repro.core.treep.TreePNetwork.set_obs` while the hub
+        records; counts events by label."""
         label = ev.label
         counts = self.sim_event_counts
         counts[label] = counts.get(label, 0) + 1
-        if self._record_sim_events:
-            self.event("sim.event", -1, ev.time)
 
     # ------------------------------------------------------------- export
     def open_span_count(self) -> int:

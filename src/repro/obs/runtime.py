@@ -10,9 +10,9 @@ store.  With no capture active (the default, including every test and
 every untraced bench run) :func:`ambient_hub` is a single module-global
 ``None`` check at network construction — zero per-event cost.
 
-The explicit path — ``Cluster(...).with_observability(...)`` — does not go
-through this module at all; it attaches an
-:class:`~repro.obs.service.Observability` service carrying its own hub.
+The explicit path — ``Cluster(...).with_observability()`` — attaches an
+:class:`~repro.obs.service.Observability` service, which adopts the
+network's ambient hub when it has one, so a network is one run either way.
 """
 
 from __future__ import annotations
@@ -35,12 +35,11 @@ class TraceCapture:
     bench runner reports in a traced envelope's ``obs`` field; anything
     finer is read from the written store."""
 
-    def __init__(self, categories=None) -> None:
-        self.categories = categories
+    def __init__(self) -> None:
         self.hubs: List[ObsHub] = []
 
     def new_hub(self) -> ObsHub:
-        hub = ObsHub(categories=self.categories)
+        hub = ObsHub()
         self.hubs.append(hub)
         return hub
 
@@ -70,12 +69,12 @@ class TraceCapture:
 
 
 @contextmanager
-def capture(categories=None) -> Iterator[TraceCapture]:
+def capture() -> Iterator[TraceCapture]:
     """Activate an ambient capture for the ``with`` body (re-entrant: an
     inner capture shadows, then restores, the outer one)."""
     global _ACTIVE
     prev = _ACTIVE
-    cap = TraceCapture(categories=categories)
+    cap = TraceCapture()
     _ACTIVE = cap
     try:
         yield cap

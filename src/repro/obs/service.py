@@ -1,10 +1,12 @@
 """`Observability` — the hub as an attachable cluster service.
 
-``Cluster(...).build(n).with_observability(...)`` attaches this service;
-it owns (or is handed) one :class:`~repro.obs.hub.ObsHub`, publishes it
-at ``net.obs`` / ``node.obs`` (the plain attributes every instrumentation
-site checks) and installs the simulator event hook.  The hub records
-spans and events only; subsystems keep their own counters.
+``Cluster(...).build(n).with_observability()`` attaches this service.
+It records into the network's hub when an ambient capture
+(:mod:`repro.obs.runtime`) gave the network one, else into a new
+:class:`~repro.obs.hub.ObsHub`, and publishes it through
+:meth:`~repro.core.treep.TreePNetwork.set_obs` — the one writer of
+``net.obs``, every ``node.obs`` and the simulator event hook.  The hub
+records spans and events only; subsystems keep their own counters.
 
 Detach (or ``cluster.shutdown()``) reverses all of it: the hub keeps its
 recorded data for post-run queries, but the network records nothing more.
@@ -12,58 +14,43 @@ recorded data for post-run queries, but the network records nothing more.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.cluster.service import Service, ServiceContext
 from repro.obs.hub import ObsHub
 from repro.obs.store import write_store
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.node import TreePNode
+    from repro.core.treep import TreePNetwork
 
 __all__ = ["Observability"]
 
 
 class Observability(Service):
-    """Span/event tracing for one cluster.
-
-    Parameters
-    ----------
-    categories:
-        Span/event categories to record (``None`` = all except the opt-in
-        ``sim.event`` firehose; see :class:`ObsHub`).
-    hub:
-        An externally owned hub to record into (e.g. shared with a test's
-        assertions); one is created when omitted.
-    """
+    """Span/event tracing for one cluster: :attr:`hub` is the network's
+    one hub from attach on, and keeps its data after detach."""
 
     name = "observability"
 
-    def __init__(self, categories: Optional[Iterable[str]] = None,
-                 hub: Optional[ObsHub] = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.hub = hub if hub is not None else ObsHub(categories=categories)
+        self.hub: Optional[ObsHub] = None
+        self._net: Optional["TreePNetwork"] = None
 
     # ------------------------------------------------------------ lifecycle
     def on_attach(self, ctx: ServiceContext) -> None:
-        self._net = ctx.net
-        ctx.net.obs = self.hub
-        ctx.net.sim.set_event_hook(self.hub.on_sim_event)
-
-    def setup_node(self, node: "TreePNode") -> None:
-        node.obs = self.hub
+        net = self._net = ctx.net
+        hub = net.obs
+        if hub is None:
+            hub = ObsHub()
+        self.hub = hub
+        net.set_obs(hub)
 
     def on_detach(self) -> None:
-        net = getattr(self, "_net", None)
-        if net is None:
-            return
-        if net.obs is self.hub:
-            net.obs = None
-        net.sim.set_event_hook(None)
-        for node in net.nodes.values():
-            if getattr(node, "obs", None) is self.hub:
-                node.obs = None
-        self._net = None
+        net = self._net
+        if net is not None:
+            net.set_obs(None)
+            self._net = None
 
     # -------------------------------------------------------------- export
     def write(self, path: str, run: str = "run-000") -> str:

@@ -13,9 +13,10 @@ network.  Aggregates are (re)computed bottom-up from the hierarchy layout —
 the steady-state equivalent of parents folding their children's
 ChildReports; :meth:`refresh` replays it after churn.  As a
 :class:`~repro.cluster.service.Service` the directory also *watches* churn:
-join/leave/revive callbacks mark the aggregates stale and the next query
-resyncs them, so `Cluster`-driven churn no longer needs manual refresh
-calls (explicit :meth:`refresh` still works and is still exact).
+the network's liveness key changes on every join, crash and revival, and
+the next query resyncs the aggregates when it moved, so churn needs no
+manual refresh calls (explicit :meth:`refresh` still works and is still
+exact).
 
 Construct through :meth:`repro.cluster.Cluster.with_discovery` (or let
 ``with_compute`` pull it in).
@@ -24,14 +25,11 @@ Construct through :meth:`repro.cluster.Cluster.with_discovery` (or let
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.service import Service, ServiceContext
 from repro.core.capacity import NodeCapacity
 from repro.core.treep import TreePNetwork
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.node import TreePNode
 
 
 @dataclass(frozen=True)
@@ -105,7 +103,6 @@ class ResourceDirectory(Service):
         super().__init__()
         self.net: Optional[TreePNetwork] = None
         self._agg: Dict[Tuple[int, int], Aggregate] = {}
-        self._stale = True
         self._liveness_key: Tuple[int, int] = (-1, -1)
 
     # ------------------------------------------------------------ lifecycle
@@ -115,21 +112,12 @@ class ResourceDirectory(Service):
         self.net = ctx.net
         self.refresh()
 
-    def on_node_join(self, node: "TreePNode") -> None:
-        self._stale = True
-
-    def on_node_leave(self, ident: int) -> None:
-        self._stale = True
-
-    def on_node_revive(self, node: "TreePNode") -> None:
-        self._stale = True
-
     def _sync(self) -> None:
         """Lazily resync aggregates when churn happened since the last
-        (re)computation — detected via the explicit churn callbacks or the
-        fabric's liveness epoch (covers direct ``set_down``/``set_up``)."""
+        (re)computation: the network's liveness key changes on every join,
+        crash and revival, whoever drove it."""
         assert self.net is not None
-        if self._stale or self.net.liveness_key != self._liveness_key:
+        if self.net.liveness_key != self._liveness_key:
             self.refresh()
 
     # ------------------------------------------------------------ aggregates
@@ -156,7 +144,6 @@ class ResourceDirectory(Service):
                         if sub is not None:
                             agg.fold_aggregate(sub)
                 self._agg[(p, lvl)] = agg
-        self._stale = False
         self._liveness_key = net.liveness_key
 
     # ---------------------------------------------------------------- query

@@ -97,11 +97,13 @@ class Simulator:
     def set_event_hook(self, hook: Optional[Callable[[Event], None]]) -> None:
         """Install (or clear, with ``None``) the per-event observer.
 
-        The observability layer uses this to count event labels and —
-        opt-in — record the raw event stream.  The hook fires after the
-        clock advances and before the callback runs.  It must not schedule
-        events or draw RNG; the run loop pays one cached ``is not None``
-        check per event when no hook is installed.
+        The one way to watch a run event by event: the observability layer
+        counts event labels through it, and a datagram arrives as its
+        :class:`~repro.sim.network.Datagram` record.  The hook fires after
+        the clock advances and before the callback runs — for a datagram,
+        before delivery re-checks that its destination is up.  It must not
+        schedule events or draw RNG; the run loop pays one cached
+        ``is not None`` check per event when no hook is installed.
         """
         self._event_hook = hook
 

@@ -151,8 +151,6 @@ class Network:  # repro-lint: disable=RPR401 one instance per simulation; slotti
         #: a :class:`~repro.sim.conditions.GilbertElliott` chain, or any
         #: predicate drawing from its own stream.
         self.loss_model: Optional[Callable[[int, int], bool]] = None
-        #: Optional hook observing every delivered datagram (tracing).
-        self.delivery_hook: Optional[Callable[[Datagram], None]] = None
         #: Liveness transition hooks, fired exactly once per transition
         #: (``set_down`` on an up process / ``set_up`` on a down one) with
         #: the affected address.  The service plane (:mod:`repro.cluster`)
@@ -239,8 +237,6 @@ class Network:  # repro-lint: disable=RPR401 one instance per simulation; slotti
             self.stats.dropped_down += 1
             return
         self.stats.delivered += 1
-        if self.delivery_hook is not None:
-            self.delivery_hook(dgram)
         self._procs[dgram.dst].on_datagram(dgram)
 
     # ------------------------------------------------------------ accounting

@@ -62,10 +62,6 @@ REPAIR_RID = 0
 #: answers with the best effort achieved (the *sloppy* part).
 QUORUM_TIMEOUT = 5.0
 
-#: Virtual seconds a client op runs past its reply so the request's trailing
-#: datagrams land (a few times the default per-hop latency ceiling).
-_SETTLE = 0.2
-
 #: Extra non-improving read hops allowed when a coordinator's replicas all
 #: miss (greedy local minimum after churn).  A GET of a key that exists
 #: nowhere cannot be told from a stalled walk, so it explores up to this
@@ -557,12 +553,12 @@ class ReplicatedStore(Service):
         if hub is not None:
             hub.storage_begin(op, rid, agent.node.ident, net.sim.now)
         attempt = rid
-        if (not net.pump(slot, deadline, _SETTLE) and hinted
+        if (not net.pump(slot, deadline) and hinted
                 and net.network.is_up(agent.node.ident)):
             agent.callbacks.pop(attempt, None)
             attempt, agent, _ = self._issue(op, key_id, value, via,
                                             slot.append)
-            net.pump(slot, deadline, _SETTLE)
+            net.pump(slot, deadline)
         if not slot:
             agent.callbacks.pop(attempt, None)  # a late result is dropped
         reply = slot[0] if slot else None

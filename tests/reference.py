@@ -19,6 +19,7 @@ from repro.core.hierarchy import HierarchyLayout
 from repro.core.routing_table import _NO_META, Meta, RoutingTable
 from repro.core.tessellation import cell_owner
 from repro.sim.latency import LatencyModel
+from repro.sim.network import Datagram, Network
 
 
 # ------------------------------------------------------------- hierarchy
@@ -75,6 +76,17 @@ class ConstantLatency(LatencyModel):
 
     def sample(self, src: int, dst: int) -> float:
         return self.value
+
+
+def on_delivery(network: Network, fn) -> None:
+    """Call ``fn(dgram)`` for every datagram *network* delivers, through
+    the engine's event hook: a :class:`Datagram` whose destination is up
+    when it fires is exactly one that ``Network._deliver`` hands over."""
+    def hook(ev) -> None:
+        if isinstance(ev, Datagram) and network.is_up(ev.dst):
+            fn(ev)
+
+    network.sim.set_event_hook(hook)
 
 
 def heap_size(queue) -> int:

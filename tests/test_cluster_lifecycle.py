@@ -3,7 +3,7 @@ protocol and the cleanup each `ServiceContext` owns.
 
 Covers the 1.3.0 redesign invariants:
 
-* join/leave/revive callbacks fire exactly once per churn event for every
+* setup/leave/revive callbacks fire exactly once per churn event for every
   attached service (30% churn schedule with revivals and protocol joins);
 * a departed node's agents handle nothing and its periodic tasks are
   cancelled; a revived node's agents handle its traffic again;
@@ -79,7 +79,6 @@ class ProbeService(Service):
     def __init__(self) -> None:
         super().__init__()
         self.setups: Counter = Counter()
-        self.joins: Counter = Counter()
         self.leaves: Counter = Counter()
         self.revives: Counter = Counter()
         self.ticks = 0
@@ -98,9 +97,6 @@ class ProbeService(Service):
 
     def handlers(self):
         return {ProbePing: (self.agents, lambda pings, src, msg: pings.append(src))}
-
-    def on_node_join(self, node) -> None:
-        self.joins[node.ident] += 1
 
     def on_node_leave(self, ident) -> None:
         self.leaves[ident] += 1
@@ -147,10 +143,8 @@ def test_callbacks_fire_exactly_once_per_event_under_30pct_churn():
 
     leave_events = Counter(killed)
     revive_events = Counter(revived)
-    join_events = Counter(joined)
     assert probe.leaves == leave_events, "leave callbacks must fire exactly once"
     assert probe.revives == revive_events, "revive callbacks must fire exactly once"
-    assert probe.joins == join_events, "join callbacks must fire exactly once"
     # Setup ran once per pre-existing node at attach plus once per join.
     assert sum(probe.setups.values()) == 96 + len(joined)
     assert max(probe.setups.values()) == 1

@@ -484,6 +484,17 @@ def test_duplicate_submit_rejected():
         grid.submit(JobSpec(job_id=1, work=5.0))
 
 
+@pytest.mark.parametrize("timeout", [float("nan"), float("inf"), -1.0])
+def test_run_until_done_rejects_a_timeout_that_cannot_bound_the_run(timeout):
+    net, grid = make_grid()
+    grid.submit(JobSpec(job_id=1, work=5000.0))
+    net.sim.max_events = 10_000  # a run that ignores the timeout fails fast
+    now = net.sim.now
+    with pytest.raises(ValueError, match="timeout"):
+        grid.run_until_done(timeout=timeout)
+    assert net.sim.now == now
+
+
 def test_scheduled_submissions_fire_at_arrival_times():
     net, grid = make_grid()
     specs = [JobSpec(job_id=i + 1, work=4.0, submit_at=5.0 * i)

@@ -1,5 +1,5 @@
 """Unit tests for the span/event hub: ordering, parents, keyed spans,
-category gating, and the counts == rows invariant."""
+simulator-event counts, and the counts == rows invariant."""
 
 import numpy as np
 import pytest
@@ -158,32 +158,16 @@ def test_status_constants_still_cover_the_spec():
     assert (STATUS_OPEN, STATUS_OK, STATUS_FAIL, STATUS_TIMEOUT) == (0, 1, 2, 3)
 
 
-# ------------------------------------------------------------------ gating
-def test_category_gating_spans_and_events():
-    hub = ObsHub(categories=["lookup"])
-    assert hub.begin("storage.put", 1, 0.0) == 0
-    hub.event("lookup.hop", 1, 0.0, rid=1, value=0)  # not enabled
-    sid = hub.begin("lookup", 1, 0.0)
-    assert sid != 0
-    hub.end(sid, 1.0)
-    assert hub.category_counts() == {"lookup": 1}
-    assert hub.events.rows == 0
-
-
-def test_sim_event_rows_are_opt_in():
+# ------------------------------------------------------------ sim events
+def test_sim_events_are_counted_not_recorded():
     class Ev:
         label = "dgram:X"
         time = 1.0
 
-    default = ObsHub()
-    default.on_sim_event(Ev())
-    assert default.sim_event_counts == {"dgram:X": 1}
-    assert default.events.rows == 0  # counts always, rows only on opt-in
-
-    opted = ObsHub(categories=["sim.event"])
-    opted.on_sim_event(Ev())
-    assert opted.events.rows == 1
-    assert opted.category_counts() == {"sim.event": 1}
+    hub = ObsHub()
+    hub.on_sim_event(Ev())
+    assert hub.sim_event_counts == {"dgram:X": 1}
+    assert hub.events.rows == 0  # counts always, never a row
 
 
 # -------------------------------------------------------- counts invariant

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Cluster, TreePConfig, TreePNetwork
+from repro.core.capacity import NodeCapacity
 from repro.services.discovery import Aggregate, Constraint
 from repro.workloads import grid_cluster_mix
 
@@ -95,3 +96,30 @@ def test_refresh_after_failures(grid):
     assert set(after).isdisjoint(before)
     for m in after:
         assert net.network.is_up(m)
+
+
+def test_churn_resyncs_without_an_explicit_refresh():
+    """The network's liveness key is the directory's one churn signal:
+    after a direct crash, a revival and a protocol join, each query
+    answers what it answers after an explicit refresh()."""
+    net = TreePNetwork(config=TreePConfig.paper_case2(), seed=14)
+    rng = np.random.default_rng(14)
+    net.build(128, capacities=grid_cluster_mix(128, rng, server_fraction=0.2))
+    directory = Cluster(net=net).with_discovery().directory
+    c = Constraint(min_cpu=16)
+    origin = net.ids[0]
+    before = directory.query(c, origin=origin, max_results=32)
+    victim = next(m for m in before.matches if m != origin)
+
+    def unrefreshed_then_refreshed():
+        res = directory.query(c, origin=origin, max_results=32)
+        directory.refresh()
+        assert directory.query(c, origin=origin, max_results=32) == res
+        return res
+
+    net.network.set_down(victim)
+    assert victim not in unrefreshed_then_refreshed().matches
+    net.network.set_up(victim)
+    assert unrefreshed_then_refreshed() == before
+    net.join_new_node(max(net.ids) + 1, capacity=NodeCapacity(cpu=32))
+    assert unrefreshed_then_refreshed() == before

@@ -13,7 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from reference import ConstantLatency
+from reference import ConstantLatency, on_delivery
 from repro.sim.conditions import (
     GilbertElliott,
     NetworkConditions,
@@ -322,7 +322,7 @@ class TestStragglerLatency:
         def run(victims):
             sim, net = make_net(latency=ConstantLatency(0.01))
             arrivals = {}
-            net.delivery_hook = lambda d: arrivals.__setitem__(d.dst, sim.now)
+            on_delivery(net, lambda d: arrivals.__setitem__(d.dst, sim.now))
             net.latency = StragglerLatency(net.latency, victims, 5.0)
             net.send(0, 1, "x")
             net.send(2, 3, "x")

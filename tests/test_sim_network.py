@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from reference import ConstantLatency, heap_size
+from reference import ConstantLatency, heap_size, on_delivery
 from repro.sim.engine import Simulator
 from repro.sim.network import Datagram, Network, Process
 
@@ -164,13 +164,13 @@ def test_wire_size_accounting():
     assert net.stats.bytes_sent == 100
 
 
-def test_delivery_hook_observes():
+def test_event_hook_observes_deliveries():
     sim, net = make_net()
     a, b = Echo(1), Echo(2)
     net.register(a)
     net.register(b)
     seen = []
-    net.delivery_hook = lambda d: seen.append(d.payload)
+    on_delivery(net, lambda d: seen.append(d.payload))
     a.send(2, "observed")
     sim.run()
     assert seen == ["observed"]
@@ -260,18 +260,18 @@ def test_compaction_keeps_datagrams_in_flight():
 
 
 def test_hooks_observe_the_datagram_record():
-    """``delivery_hook`` and the engine's event hook see one and the same
-    object, with the packet fields and the event fields both readable."""
+    """The engine's event hook sees the delivered datagram as the event
+    record itself, with the packet fields and the event fields both
+    readable."""
     sim, net, a, b = _pair()
-    delivered, events = [], []
-    net.delivery_hook = delivered.append
+    events = []
     sim.set_event_hook(events.append)
     sim.schedule(0.004, lambda: None, label="tick")
     sim.run_for(0.002)
     a.send(2, ("payload", 7))
     sim.run()
     assert [ev.label for ev in events] == ["tick", "dgram:tuple"]
-    (dgram,) = delivered
+    (dgram,) = [ev for ev in events if isinstance(ev, Datagram)]
     assert dgram is events[1] and isinstance(dgram, Datagram)
     assert (dgram.src, dgram.dst, dgram.payload) == (1, 2, ("payload", 7))
     assert dgram.send_time == pytest.approx(0.002)
@@ -285,7 +285,7 @@ def test_datagrams_and_timers_interleave_in_schedule_order():
     events fire in the order they were scheduled."""
     sim, net, a, b = _pair()
     order = []
-    net.delivery_hook = lambda d: order.append(d.payload)
+    on_delivery(net, lambda d: order.append(d.payload))
     a.send(2, "d1")
     sim.schedule(0.01, lambda: order.append("t1"))
     a.send(2, "d2")

@@ -27,7 +27,7 @@ import sys
 import numpy as np
 import pytest
 
-from reference import heap_size
+from reference import heap_size, on_delivery
 from repro.bench import registry, run_scenario
 from repro.core.config import TreePConfig
 from repro.core.repair import PAPER_POLICY, apply_failure_step
@@ -169,7 +169,7 @@ def trace_digest(n=128, seed=7, lookups=60):
             f"{net.sim.now:.9f}|{dgram.src}|{dgram.dst}|"
             f"{type(dgram.payload).__name__}".encode())
 
-    net.network.delivery_hook = observe
+    on_delivery(net.network, observe)
     rng = np.random.default_rng(3)
     pairs = [tuple(int(x) for x in rng.choice(net.ids, 2, replace=False))
              for _ in range(lookups)]
