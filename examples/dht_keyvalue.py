@@ -2,16 +2,15 @@
 """DHT on TreeP: the "easily modified to provide DHT functionality" claim.
 
 Stores a few hundred key/value pairs on the overlay, kills a third of the
-network, heals, and shows that replication on the level-0 links keeps most
-values retrievable — the overlay's own maintenance doubles as the DHT's.
-An anti-entropy pass then refills the copies the crashes took, onto the
-survivors' level-0 links.
+network, heals, and shows that replication on the peers closest to each
+key keeps most values retrievable — the overlay's own maintenance doubles
+as the DHT's.  An anti-entropy pass then refills the copies the crashes
+took, onto the surviving peers closest to each key.
 
 The DHT is the replicated store at its simplest setting: k copies on the
-responsible node and its level-0 neighbours, one ack completes a write,
-the first answer completes a read (``QuorumConfig(n=k, w=1, r=1)``,
-``placement="level0"``).  ``replicated_store.py`` turns the same dials up
-to quorums.
+k peers closest to the key, one ack completes a write, the first answer
+completes a read (``QuorumConfig(n=k, w=1, r=1)``).  ``replicated_store.py``
+turns the same dials up to quorums.
 
 Run:  python examples/dht_keyvalue.py
 """
@@ -26,8 +25,7 @@ from repro import Cluster, QuorumConfig, TreePConfig
 def main() -> None:
     cluster = (Cluster(config=TreePConfig.paper_case1(), seed=11)
                .build(n=256)
-               .with_storage(QuorumConfig(n=3, w=1, r=1), placement="level0",
-                             anti_entropy=30.0))
+               .with_storage(QuorumConfig(n=3, w=1, r=1), anti_entropy=30.0))
     net, dht = cluster.net, cluster.storage
 
     # Store 200 job records.
@@ -58,10 +56,10 @@ def main() -> None:
         if dht.get(k, via=alive[i % len(alive)]).found:
             hits += 1
     print(f"after 33% of nodes crashed: {hits}/200 GETs still hit "
-          f"(3-way level-0 replication)")
+          f"(3-way replication on the closest peers)")
 
     # Re-replicate: every surviving key back onto its ideal live holders
-    # (the responsible node and its level-0 neighbours).
+    # (the live peers closest to it).
     passes = cluster.anti_entropy.converge()
     first = cluster.anti_entropy.reports[0]
     print(f"anti-entropy: {first.repairs_sent} copies re-placed for "

@@ -138,7 +138,6 @@ class Cluster:
     def with_storage(
         self,
         quorum: Optional["QuorumConfig"] = None,
-        placement: str = "successor",
         anti_entropy: Optional[float] = None,
     ) -> "Cluster":
         """Attach the replicated quorum store.
@@ -153,7 +152,7 @@ class Cluster:
         from repro.storage.quorum import ReplicatedStore
 
         self._require_built("with_storage")
-        self.state.attach(ReplicatedStore(quorum=quorum, placement=placement))
+        self.state.attach(ReplicatedStore(quorum=quorum))
         if anti_entropy is not None:
             self.state.attach(AntiEntropy(interval=anti_entropy))
         return self

@@ -9,8 +9,8 @@ dependencies on other job ids.
 
 :class:`JobRecord` is the scheduler-side life-cycle state;
 :class:`JobResult` the client-visible outcome; :class:`ComputeConfig` the
-subsystem's tunables (heartbeat cadence, checkpoint interval, work-stealing
-dial); :class:`SchedulingStats` the run-level outcome
+subsystem's one tunable (the checkpoint interval; the other cadences are
+module constants); :class:`SchedulingStats` the run-level outcome
 :meth:`~repro.compute.scheduler.JobScheduler.stats` scrapes.
 """
 
@@ -22,9 +22,25 @@ from typing import List, Optional, Set, Tuple
 
 from repro.services.discovery import Constraint
 
+#: Seconds between a worker's per-job progress heartbeats; below
+#: :data:`HEARTBEAT_TIMEOUT`, so one lost heartbeat is not a death.
+HEARTBEAT_INTERVAL = 5.0
 #: The scheduler declares a worker dead for a job after this many seconds
 #: without a heartbeat (a couple of heartbeat intervals plus latency).
 HEARTBEAT_TIMEOUT = 12.0
+#: Cadence of the scheduler's failure-detection / retry sweep.
+MONITOR_INTERVAL = 4.0
+#: Cadence at which a *loaded* worker re-advertises its queue to its cell
+#: (idle workers send nothing).
+STEAL_INTERVAL = 6.0
+#: A worker abandons a held job (after a final checkpoint) when its
+#: heartbeats have gone unacknowledged this long — fencing that bounds
+#: duplicate execution when a scheduler dies or a job is re-placed away
+#: from a live-but-partitioned worker.  Above :data:`HEARTBEAT_INTERVAL`.
+LEASE_TIMEOUT = 15.0
+#: A job is FAILED after this many dispatch attempts (or this many
+#: monitor rounds without a candidate).
+MAX_ATTEMPTS = 64
 #: Seconds a resuming worker waits for its checkpoint read before it
 #: starts the job from zero anyway.
 CHECKPOINT_READ_TIMEOUT = 8.0
@@ -35,66 +51,32 @@ MAX_RESULTS = 8
 
 @dataclass(frozen=True)
 class ComputeConfig:
-    """Tunables of the job-execution subsystem.
+    """The one tunable of the job-execution subsystem.
 
-    Fixed rather than tunable: :data:`HEARTBEAT_TIMEOUT`,
-    :data:`CHECKPOINT_READ_TIMEOUT` and :data:`MAX_RESULTS`.
+    Every other cadence and bound is a module constant
+    (:data:`HEARTBEAT_INTERVAL`, :data:`HEARTBEAT_TIMEOUT`,
+    :data:`MONITOR_INTERVAL`, :data:`STEAL_INTERVAL`,
+    :data:`LEASE_TIMEOUT`, :data:`MAX_ATTEMPTS`,
+    :data:`CHECKPOINT_READ_TIMEOUT`, :data:`MAX_RESULTS`).
 
     Attributes
     ----------
-    heartbeat_interval:
-        Seconds between a worker's per-job progress heartbeats; must stay
-        below :data:`HEARTBEAT_TIMEOUT`.
-    monitor_interval:
-        Cadence of the scheduler's failure-detection / retry sweep.
     checkpoint_interval:
         Seconds between a worker's quorum-stored progress checkpoints;
         ``None`` disables checkpointing (the restart-from-scratch
         ablation — re-executions then restart from zero).
-    steal_interval:
-        Cadence at which a *loaded* worker re-advertises its queue to its
-        cell (idle workers send nothing); ``None`` disables work stealing.
-    lease_timeout:
-        A worker abandons a held job (after a final checkpoint) when its
-        heartbeats have gone unacknowledged this long — fencing that
-        bounds duplicate execution when a scheduler dies or a job is
-        re-placed away from a live-but-partitioned worker.
-    max_attempts:
-        A job is FAILED after this many dispatch attempts.
     """
 
-    heartbeat_interval: float = 5.0
-    monitor_interval: float = 4.0
     checkpoint_interval: Optional[float] = 10.0
-    steal_interval: Optional[float] = 6.0
-    lease_timeout: float = 15.0
-    max_attempts: int = 64
 
     def __post_init__(self) -> None:
-        # Every check is written ``not value > bound`` so NaN fails it.
-        for name in ("heartbeat_interval", "monitor_interval"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+        # Written ``not value > 0`` so NaN fails it.
         if self.checkpoint_interval is not None and not self.checkpoint_interval > 0:
             raise ValueError("checkpoint_interval must be > 0 or None")
-        if self.steal_interval is not None and not self.steal_interval > 0:
-            raise ValueError("steal_interval must be > 0 or None")
-        if not HEARTBEAT_TIMEOUT > self.heartbeat_interval:
-            raise ValueError(
-                f"heartbeat_interval must be below the {HEARTBEAT_TIMEOUT} s "
-                "heartbeat timeout")
-        if not self.lease_timeout > self.heartbeat_interval:
-            raise ValueError("lease_timeout must exceed heartbeat_interval")
-        if not self.max_attempts >= 1:
-            raise ValueError("max_attempts must be >= 1")
 
     @property
     def checkpointing(self) -> bool:
         return self.checkpoint_interval is not None
-
-    @property
-    def stealing(self) -> bool:
-        return self.steal_interval is not None
 
 
 @dataclass(frozen=True)

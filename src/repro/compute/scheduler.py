@@ -33,7 +33,9 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Set
 from repro.cluster.service import Handler, Service, ServiceContext
 from repro.compute.job import (
     HEARTBEAT_TIMEOUT,
+    MAX_ATTEMPTS,
     MAX_RESULTS,
+    MONITOR_INTERVAL,
     ComputeConfig,
     JobRecord,
     JobResult,
@@ -97,7 +99,7 @@ class SchedulerCore:
 
     def _arm_monitor(self):
         return self.service.node_timer(
-            self.node.ident, self.service.config.monitor_interval,
+            self.node.ident, MONITOR_INTERVAL,
             self._monitor_tick, label=f"sched-monitor:{self.node.ident}",
         )
 
@@ -165,7 +167,7 @@ class SchedulerCore:
 
     # ------------------------------------------------------------ placement
     def _dispatch(self, rec: JobRecord, exclude: frozenset = frozenset()) -> None:
-        if rec.attempt >= self.service.config.max_attempts:
+        if rec.attempt >= MAX_ATTEMPTS:
             self._fail(rec)
             return
         # Matchmake from a random live entry point: the directory walk
@@ -184,7 +186,7 @@ class SchedulerCore:
         candidates = [c for c in res.matches if self._up(c) and c not in exclude]
         if not candidates:
             rec.no_candidate_rounds += 1
-            if rec.no_candidate_rounds >= self.service.config.max_attempts:
+            if rec.no_candidate_rounds >= MAX_ATTEMPTS:
                 self._fail(rec)  # persistently unplaceable constraint
             else:
                 rec.state = JobState.PENDING

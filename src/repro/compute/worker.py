@@ -20,15 +20,16 @@ unit-demand jobs at once where a laptop runs one — which keeps progress
 linear in time and checkpoints exact.  Jobs beyond the free capacity are
 queued; queues drain on completion, and while one is non-empty its worker
 advertises it (:class:`~repro.compute.messages.JobStealOffer`, on enqueue and
-every ``steal_interval``) to its cell, whose idle members answer with a
-steal request.  A worker with no queue sends no stealing traffic at all.
+every :data:`~repro.compute.job.STEAL_INTERVAL`) to its cell, whose idle
+members answer with a steal request.  A worker with no queue sends no
+stealing traffic at all.
 
 Fault tolerance
 ---------------
 While a job runs the worker (a) heartbeats its progress to the scheduler
-every ``heartbeat_interval`` and (b) writes a progress checkpoint into the
-replicated store (a real quorum write issued from this node) every
-``checkpoint_interval``.  A crashed worker simply goes silent: its timers
+every :data:`~repro.compute.job.HEARTBEAT_INTERVAL` and (b) writes a
+progress checkpoint into the replicated store (a real quorum write issued
+from this node) every ``checkpoint_interval``.  A crashed worker simply goes silent: its timers
 fire into a dead node and wipe the in-memory job state (a restarted process
 has no memory).  When the scheduler re-places the job, the new worker reads
 the last checkpoint back (a quorum read) and resumes from there instead of
@@ -40,7 +41,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.compute.job import CHECKPOINT_READ_TIMEOUT, checkpoint_key
+from repro.compute.job import (
+    CHECKPOINT_READ_TIMEOUT,
+    HEARTBEAT_INTERVAL,
+    LEASE_TIMEOUT,
+    STEAL_INTERVAL,
+    checkpoint_key,
+)
 from repro.compute.messages import (
     JobAccepted,
     JobAck,
@@ -324,7 +331,7 @@ class ComputeAgent:
         me = self.node.ident
         if self._hb_timer is None or not self._hb_timer.running:
             self._hb_timer = self.service.node_timer(
-                me, cfg.heartbeat_interval, self._heartbeat_tick,
+                me, HEARTBEAT_INTERVAL, self._heartbeat_tick,
                 label=f"job-hb:{me}")
         if cfg.checkpointing and (self._ckpt_timer is None or not self._ckpt_timer.running):
             self._ckpt_timer = self.service.node_timer(
@@ -367,9 +374,8 @@ class ComputeAgent:
         attempt inherits our progress, then drop the run — bounding
         duplicate execution to one lease window.
         """
-        timeout = self.service.config.lease_timeout
         expired = [h for h in list(self.running.values()) + self.queue
-                   if now - h.last_lease > timeout]
+                   if now - h.last_lease > LEASE_TIMEOUT]
         for held in expired:
             self.leases_expired += 1
             if held.state == "running":
@@ -424,14 +430,13 @@ class ComputeAgent:
     # -------------------------------------------------------- work stealing
     def _enqueue(self, held: HeldJob) -> None:
         """Queue *held*; a worker not already advertising offers its queue
-        now and every ``steal_interval`` until a tick finds it empty."""
+        now and every :data:`~repro.compute.job.STEAL_INTERVAL` until a
+        tick finds it empty."""
         self.queue.append(held)
         self._ensure_timers()
-        if not self.service.config.stealing:
-            return
         if self._steal_timer is None or not self._steal_timer.running:
             self._steal_timer = self.service.node_timer(
-                self.node.ident, self.service.config.steal_interval,
+                self.node.ident, STEAL_INTERVAL,
                 self._offer_tick, label=f"steal:{self.node.ident}")
             self._offer_tick()
 

@@ -288,8 +288,11 @@ class TreePNetwork:
         the sim runs :data:`SETTLE` further virtual seconds so the
         request's trailing datagrams land; on timeout the caller drops its
         completion callback, so a straggler result finds none and is
-        discarded.
+        discarded.  A NaN or negative *timeout* raises ``ValueError``
+        before anything runs.
         """
+        if not timeout >= 0:  # NaN fails too
+            raise ValueError(f"timeout must be >= 0, got {timeout}")
         sim = self.sim
         deadline = sim.now + timeout
         sim.run(done=lambda: bool(slot) or sim.now >= deadline)

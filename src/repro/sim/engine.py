@@ -126,7 +126,11 @@ class Simulator:
         timer) fails loudly.  The loop body is inline, with the queue and
         hook cached in locals — one bound-method call per event is
         measurable across the million-event runs of the scale benches.
+        An *until* that is NaN or earlier than :attr:`now` raises
+        ``ValueError`` before anything fires.
         """
+        if until is not None and not until >= self._now:  # NaN fails too
+            raise ValueError(f"until must be a time >= now ({self._now}), got {until}")
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True

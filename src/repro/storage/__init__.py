@@ -6,9 +6,8 @@ storage subsystem rather than a demo:
 
 * :mod:`repro.storage.store` — per-node versioned :class:`KVStore`
   partitions with last-write-wins conflict resolution.
-* :mod:`repro.storage.replication` — pluggable replica placement
-  (level-0 neighbours, ID-space successors) with node-local and
-  converged-view answers.
+* :mod:`repro.storage.replication` — replica placement (the N ids
+  closest to the key) with node-local and converged-view answers.
 * :mod:`repro.storage.quorum` — sloppy-quorum PUT/GET (configurable
   N/W/R), per-key version counters, read repair;
   :class:`ReplicatedStore` is the client facade.
@@ -33,26 +32,16 @@ from repro.storage.quorum import (
     StorageAgent,
     StoreResult,
 )
-from repro.storage.replication import (
-    Level0Placement,
-    PlacementStrategy,
-    SuccessorPlacement,
-    make_placement,
-)
 from repro.storage.store import KVStore, VersionedValue, hash_key
 
 __all__ = [
     "AntiEntropy",
     "KVStore",
-    "Level0Placement",
-    "PlacementStrategy",
     "QuorumConfig",
     "ReplicatedStore",
     "StorageAgent",
     "StoreResult",
-    "SuccessorPlacement",
     "SweepReport",
     "VersionedValue",
     "hash_key",
-    "make_placement",
 ]

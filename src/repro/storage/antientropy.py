@@ -6,8 +6,8 @@ the gap: a sweep that
 
 1. catalogues every key held by a **live** node,
 2. resolves the freshest ``(version, writer)`` copy per key,
-3. compares the live holder set against the placement strategy's ideal
-   (:meth:`~repro.storage.replication.PlacementStrategy.repair_targets`), and
+3. compares the live holder set against the placement ideal
+   (:func:`~repro.storage.replication.repair_targets`), and
 4. pushes the freshest copy to targets that lack it — as real
    :class:`~repro.storage.messages.StoreReplicate` datagrams through the
    fabric, so re-replication traffic shows up in the network counters the
@@ -37,10 +37,17 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from repro.cluster.service import Service, ServiceContext, ServiceError
 from repro.storage.messages import StoreReplicate
 from repro.storage.quorum import REPAIR_RID, ReplicatedStore
+from repro.storage.replication import repair_targets
 from repro.storage.store import VersionedValue
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import PeriodicTimer
+
+#: Virtual seconds one converge pass runs to deliver its repairs — a
+#: generous multiple of the default per-hop latency ceiling.
+SETTLE = 1.0
+#: Passes :meth:`AntiEntropy.converge` runs at most.
+MAX_SWEEPS = 8
 
 
 @dataclass(frozen=True)
@@ -149,7 +156,7 @@ class AntiEntropy(Service):
             # grows (joins closer to the key), so routed reads keep landing
             # on holders.  Old copies are left in place (conservative:
             # extra durability over strict ownership hand-off).
-            targets = store.placement.repair_targets(net, key_id, n, live)
+            targets = repair_targets(live, key_id, n)
             rep = StoreReplicate(REPAIR_RID, source, key_id,
                                  freshest.value, freshest.version,
                                  freshest.writer, freshest.timestamp)
@@ -176,23 +183,19 @@ class AntiEntropy(Service):
             hub.sweep(-1, report.time, net.sim.now, len(catalog), repairs)
         return report
 
-    #: Virtual seconds one converge pass runs to deliver its repairs — a
-    #: generous multiple of the default per-hop latency ceiling.
-    SETTLE = 1.0
-
-    def converge(self, max_sweeps: int = 8) -> int:
+    def converge(self) -> int:
         """Sweep-and-settle until a pass sends no repairs; returns passes run.
 
         Each pass's replication datagrams are delivered (the sim runs for a
-        bounded :attr:`SETTLE` window — a run to an empty queue would never
+        bounded :data:`SETTLE` window — a run to an empty queue would never
         return while this task's own periodic timer or the overlay's
         keep-alives keep re-arming) before the next detection, so
         convergence normally takes one repairing pass plus one clean
-        confirmation pass.
+        confirmation pass; it gives up after :data:`MAX_SWEEPS` passes.
         """
-        for i in range(1, max_sweeps + 1):
+        for i in range(1, MAX_SWEEPS + 1):
             report = self.sweep()
-            self.store.net.sim.run_for(self.SETTLE)
+            self.store.net.sim.run_for(SETTLE)
             if report.repairs_sent == 0:
                 return i
-        return max_sweeps
+        return MAX_SWEEPS

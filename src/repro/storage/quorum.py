@@ -10,9 +10,10 @@ The write/read path is Dynamo-shaped, grafted onto TreeP routing:
    skips the walk: it remembers which peer answered and sends its next
    request for that key there directly (see
    :attr:`StorageAgent.coordinators`).
-2. The responsible node **coordinates**: it picks the replica set from its
-   placement strategy, stamps writes with the per-key version counter
-   (last-write-wins, writer id as tie-break), fans out
+2. The responsible node **coordinates**: it picks the replica set — itself
+   plus the ids in its table closest to the key
+   (:func:`~repro.storage.replication.replicas`) — stamps writes with the
+   per-key version counter (last-write-wins, writer id as tie-break), fans out
    :class:`~repro.storage.messages.StoreReplicate` / ``StoreRead`` datagrams,
    and answers the client once **W** acks / **R** replies are in (or its
    timeout fires — the *sloppy* part: the best effort achieved is
@@ -48,7 +49,7 @@ from repro.storage.messages import (
     StoreReadReply,
     StoreReplicate,
 )
-from repro.storage.replication import PlacementStrategy, make_placement
+from repro.storage.replication import replicas
 from repro.storage.store import KVStore, VersionedValue, hash_key
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -151,12 +152,9 @@ class StorageAgent:
     store's datagram handlers (:meth:`ReplicatedStore.handlers`).
     """
 
-    def __init__(
-        self, node: "TreePNode", quorum: QuorumConfig, placement: PlacementStrategy
-    ) -> None:
+    def __init__(self, node: "TreePNode", quorum: QuorumConfig) -> None:
         self.node = node
         self.quorum = quorum
-        self.placement = placement
         self.store = KVStore(node.ident)
         self._writes: Dict[int, _PendingWrite] = {}
         self._reads: Dict[int, _PendingRead] = {}
@@ -202,7 +200,7 @@ class StorageAgent:
         now = self.node.sim.now
         self.store.apply(msg.key_id, msg.value, version,
                          writer=self.node.ident, timestamp=now)
-        targets = tuple(self.placement.replicas(self.node, msg.key_id, self.quorum.n))
+        targets = tuple(replicas(self.node, msg.key_id, self.quorum.n))
         pend = _PendingWrite(
             request_id=msg.request_id, origin=msg.origin, key_id=msg.key_id,
             version=version, targets=targets,
@@ -274,7 +272,7 @@ class StorageAgent:
                                          msg.ttl + 1, msg.fallbacks,
                                          msg.path + (self.node.ident,)))
             return
-        targets = tuple(self.placement.replicas(self.node, msg.key_id, self.quorum.n))
+        targets = tuple(replicas(self.node, msg.key_id, self.quorum.n))
         pend = _PendingRead(
             request_id=msg.request_id, origin=msg.origin, key_id=msg.key_id,
             targets=targets, replies={self.node.ident: self.store.get(msg.key_id)},
@@ -410,16 +408,10 @@ class ReplicatedStore(Service):
 
     name = "storage"
 
-    def __init__(
-        self,
-        *,
-        quorum: Optional[QuorumConfig] = None,
-        placement: PlacementStrategy | str = "successor",
-    ) -> None:
+    def __init__(self, *, quorum: Optional[QuorumConfig] = None) -> None:
         super().__init__()
         self.net: Optional["TreePNetwork"] = None
         self.quorum = quorum if quorum is not None else QuorumConfig()
-        self.placement = make_placement(placement)
         self.agents: Dict[int, StorageAgent] = {}
         self._rid = itertools.count(1)
         #: key ids successfully written at least once (durability baseline).
@@ -430,7 +422,7 @@ class ReplicatedStore(Service):
         self.net = ctx.net
 
     def setup_node(self, node: "TreePNode") -> None:
-        self.agents[node.ident] = StorageAgent(node, self.quorum, self.placement)
+        self.agents[node.ident] = StorageAgent(node, self.quorum)
 
     def handlers(self) -> Mapping[type, Handler]:
         agents, on = self.agents, StorageAgent

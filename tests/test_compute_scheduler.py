@@ -199,8 +199,14 @@ def test_down_candidates_are_never_chosen():
     assert_placement_rule(net, placements)  # every worker was up when chosen
 
 
-def test_unsatisfiable_constraint_fails_cleanly():
-    net, grid = make_grid(max_attempts=3, monitor_interval=2.0)
+def few_fast_attempts(monkeypatch):
+    monkeypatch.setattr("repro.compute.scheduler.MAX_ATTEMPTS", 3)
+    monkeypatch.setattr("repro.compute.scheduler.MONITOR_INTERVAL", 2.0)
+
+
+def test_unsatisfiable_constraint_fails_cleanly(monkeypatch):
+    few_fast_attempts(monkeypatch)
+    net, grid = make_grid()
     grid.submit(JobSpec(job_id=1, work=5.0,
                         constraint=Constraint(min_cpu=10_000.0)))
     assert grid.run_until_done(timeout=300.0)
@@ -223,8 +229,9 @@ def test_dag_ordering_enforced():
     assert r3.completed_at >= r2.completed_at + 4.0 - 1.0
 
 
-def test_failed_dependency_cascades_to_dependents():
-    net, grid = make_grid(max_attempts=3, monitor_interval=2.0)
+def test_failed_dependency_cascades_to_dependents(monkeypatch):
+    few_fast_attempts(monkeypatch)
+    net, grid = make_grid()
     grid.submit(JobSpec(job_id=1, work=5.0,
                         constraint=Constraint(min_cpu=10_000.0)))
     grid.submit(JobSpec(job_id=2, work=5.0, deps=(1,)))
@@ -366,11 +373,11 @@ def test_ensure_scheduler_is_noop_while_alive():
     assert grid.stats().failovers == 0
 
 
-def test_orphaned_attempt_fences_itself_off():
+def test_orphaned_attempt_fences_itself_off(monkeypatch):
     """A worker whose scheduler died abandons the run once its lease
     lapses (after a final checkpoint) instead of computing forever."""
-    net, grid = make_grid(n=64, seed=5, checkpoint_interval=5.0,
-                          lease_timeout=12.0)
+    monkeypatch.setattr("repro.compute.worker.LEASE_TIMEOUT", 12.0)
+    net, grid = make_grid(n=64, seed=5, checkpoint_interval=5.0)
     for i in range(4):
         grid.submit(JobSpec(job_id=i + 1, cpu_demand=1.0, work=500.0))
     net.sim.run_for(10.0)
@@ -411,8 +418,9 @@ def _steal_datagrams(net):
             if k.startswith("JobSteal")}
 
 
-def test_work_stealing_drains_saturated_queues():
-    net, grid = make_grid(n=64, seed=5, steal_interval=4.0)
+def test_work_stealing_drains_saturated_queues(monkeypatch):
+    monkeypatch.setattr("repro.compute.worker.STEAL_INTERVAL", 4.0)
+    net, grid = make_grid(n=64, seed=5)
     # Oversubscribe the grid so placement must queue jobs on busy peers.
     for i in range(40):
         grid.submit(JobSpec(job_id=i + 1, cpu_demand=2.0, work=60.0))
@@ -443,15 +451,6 @@ def test_idle_grid_is_silent():
         timers = len(live_timers(cluster.compute.ctx.node_timers.get(ident)))
         assert timers == (1 if ident == sched else 0)
     cluster.shutdown()
-
-
-def test_stealing_disabled_still_completes():
-    net, grid = make_grid(n=64, seed=5, steal_interval=None)
-    for i in range(10):
-        grid.submit(JobSpec(job_id=i + 1, cpu_demand=1.0, work=30.0))
-    assert grid.run_until_done(timeout=1500.0)
-    assert all(r.ok for r in grid.results.values())
-    assert grid.stats().steals == 0
 
 
 def test_lossy_network_still_completes_every_job():

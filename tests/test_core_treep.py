@@ -222,6 +222,18 @@ def test_a_blocking_wait_inside_an_event_is_rejected():
     assert net.lookup_sync(a, b).found  # the guard was released each time
 
 
+@pytest.mark.parametrize("timeout", [float("nan"), -1.0])
+def test_pump_rejects_a_bound_it_could_never_reach(timeout):
+    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=5)
+    net.build(16)
+    net.start_maintenance()  # periodic timers a NaN deadline never stops
+    fired = net.sim.events_processed
+    with pytest.raises(ValueError, match="timeout"):
+        net.pump([], timeout)
+    assert net.sim.events_processed == fired
+    net.stop_maintenance()
+
+
 class TestFailureHelpers:
     def test_fail_nodes_and_alive_ids(self, fresh_net):
         victims = fresh_net.ids[:5]

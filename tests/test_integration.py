@@ -118,9 +118,9 @@ class TestServicesUnderStress:
 
         net = TreePNetwork(config=TreePConfig.paper_case1(), seed=31)
         net.build(96)
-        # The paper's DHT: k level-0 copies, first answer wins.
+        # The paper's DHT: k copies closest to the key, first answer wins.
         dht = Cluster(net=net).with_storage(
-            QuorumConfig(n=3, w=1, r=1), placement="level0").storage
+            QuorumConfig(n=3, w=1, r=1)).storage
         for i in range(20):
             assert dht.put(f"key{i}", i).ok
         rng = np.random.default_rng(3)

@@ -1,7 +1,7 @@
 """The paper's DHT (§I: "easily modified to provide DHT functionality"):
-keys hashed into the ID space, stored on the responsible node and its
-level-0 neighbours, first answer wins — which is the replicated store at
-``QuorumConfig(n=k, w=1, r=1)`` with ``placement="level0"``."""
+keys hashed into the ID space, stored on the k peers closest to the key,
+first answer wins — which is the replicated store at
+``QuorumConfig(n=k, w=1, r=1)``."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from repro.storage.store import hash_key
 
 def dht_store(net, replicas):
     return Cluster(net=net).with_storage(
-        QuorumConfig(n=replicas, w=1, r=1), placement="level0").storage
+        QuorumConfig(n=replicas, w=1, r=1)).storage
 
 
 @pytest.fixture(scope="module")

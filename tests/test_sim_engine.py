@@ -42,6 +42,28 @@ def test_run_for_advances_relative():
     assert sim.now == 5.0
 
 
+def test_nan_until_fires_nothing():
+    """``nxt > nan`` is always False: a NaN bound would never stop a run
+    with a periodic timer armed, so it is refused before anything fires."""
+    sim = Simulator()
+    sim.max_events = 1000
+    sim.every(1.0, lambda: None)
+    with pytest.raises(ValueError, match="until"):
+        sim.run_for(float("nan"))
+    assert sim.events_processed == 0 and sim.now == 0.0
+
+
+def test_until_in_the_past_raises():
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    with pytest.raises(ValueError, match="until"):
+        sim.run(until=-5.0)
+    with pytest.raises(ValueError, match="until"):
+        sim.run_for(-5)
+    assert sim.events_processed == 0 and sim.pending == 1
+    assert sim.run(until=sim.now) == 0  # now itself is a valid bound
+
+
 def test_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError, match="negative delay"):

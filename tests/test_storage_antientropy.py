@@ -6,6 +6,7 @@ from reference import live_replica_count
 from repro import Cluster, TreePConfig, TreePNetwork
 from repro.core.repair import FULL_POLICY, apply_failure_step
 from repro.storage import AntiEntropy, QuorumConfig
+from repro.storage.replication import repair_targets
 from repro.storage.store import VersionedValue
 
 
@@ -155,7 +156,7 @@ def test_stale_copy_outside_target_set_reconciled(loaded):
          if a.store.get(key_id) is not None),
         key=VersionedValue.stamp,
     )
-    targets = store.placement.repair_targets(net, key_id, store.quorum.n)
+    targets = repair_targets(sorted(net.alive_ids()), key_id, store.quorum.n)
     far = max((i for i in net.alive_ids() if i not in targets),
               key=lambda i: net.config.space.distance(i, key_id))
     store.agents[far].store._data[key_id] = VersionedValue("STALE", 99, -1, 0.0)
@@ -163,11 +164,7 @@ def test_stale_copy_outside_target_set_reconciled(loaded):
     assert store.agents[far].store.get(key_id).value == fresh.value
 
 
-@pytest.mark.parametrize("placement,keys,under,repairs,lost,mean_rf,digest", [
-    ("successor", 197, 87, 136, 3, 2.451776649746193, "25865e23df0dee63"),
-    ("level0", 192, 84, 101, 8, 2.4895833333333335, "0a48126c94b89f1f"),
-])
-def test_one_sweep_is_pinned(placement, keys, under, repairs, lost, mean_rf, digest):
+def test_one_sweep_is_pinned():
     """N=500, 200 keys, 20 % crashed, one ``sweep()``: the repairs sent (each
     ``(source, target, key)``, in order) and the live replica counts the
     sweep saw are those of the commit before ``repair_targets`` stopped sorting the
@@ -177,8 +174,7 @@ def test_one_sweep_is_pinned(placement, keys, under, repairs, lost, mean_rf, dig
     import numpy as np
 
     cluster = Cluster(config=TreePConfig.paper_case1(), seed=33).build(500)
-    cluster.with_storage(QuorumConfig(n=3, w=2, r=2), placement=placement,
-                         anti_entropy=10.0)
+    cluster.with_storage(QuorumConfig(n=3, w=2, r=2), anti_entropy=10.0)
     net, store, ae = cluster.net, cluster.storage, cluster.anti_entropy
     for i in range(200):
         assert store.put(f"pin/{i:03d}", i).ok
@@ -197,12 +193,12 @@ def test_one_sweep_is_pinned(placement, keys, under, repairs, lost, mean_rf, dig
     net.network.send = real_send
 
     assert (report.keys, report.under_replicated, report.repairs_sent,
-            report.lost) == (keys, under, repairs, lost)
+            report.lost) == (197, 87, 136, 3)
     rfs = list(store.replication_factors().values())  # repairs not delivered
     present = [rf for rf in rfs if rf > 0]
     assert (len(rfs), min(present), sum(present) / len(present),
             sum(rf < 3 for rf in present), rfs.count(0)) == (
-                200, 1, mean_rf, under, lost)
-    assert len(sent) == repairs
+                200, 1, 2.451776649746193, 87, 3)
+    assert len(sent) == 136
     assert {kind for _, _, kind, _ in sent} == {"StoreReplicate"}
-    assert hashlib.sha256(repr(sent).encode()).hexdigest()[:16] == digest
+    assert hashlib.sha256(repr(sent).encode()).hexdigest()[:16] == "25865e23df0dee63"

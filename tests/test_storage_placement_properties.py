@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro import TreePConfig, TreePNetwork
 from repro.core.routing_table import RoutingTable
-from repro.storage.replication import Level0Placement, SuccessorPlacement
+from repro.storage.replication import repair_targets, replicas
 
 EXTENT = 1 << 10
 
@@ -21,26 +21,8 @@ def by_distance(pool, key_id):
     return sorted(pool, key=lambda i: (abs(i - key_id), i))
 
 
-def pad(out, pool, key_id, n):
-    for ident in by_distance(pool, key_id):
-        if len(out) >= n:
-            break
-        if ident not in out:
-            out.append(ident)
-    return out
-
-
 def ref_successor_targets(live, key_id, n):
     return by_distance(live, key_id)[:max(n, 0)]
-
-
-def ref_level0_targets(live, level0_of, key_id, n):
-    if not live:
-        return []
-    out = [by_distance(live, key_id)[0]]
-    pad(out, [i for i in level0_of(out[0]) if i in set(live)], key_id, n)
-    pad(out, live, key_id, n)
-    return out[:n]
 
 
 def keys_around(ids):
@@ -53,40 +35,23 @@ def keys_around(ids):
     return st.one_of(st.sampled_from(fixed), st.integers(0, EXTENT - 1))
 
 
-class _StubNet:
-    """The three things ``repair_targets`` reads from a ``TreePNetwork``."""
-
-    def __init__(self, ids, down, level0):
-        self.alive_ids = lambda: [i for i in ids if i not in down]  # arrival order
-        self.network = SimpleNamespace(is_up=lambda i: i not in down)
-        self.nodes = {i: SimpleNamespace(table=SimpleNamespace(level0=level0[i]))
-                      for i in ids}
-
-
 @st.composite
 def populations(draw):
     ids = draw(st.lists(st.integers(0, EXTENT - 1), unique=True,
                         min_size=1, max_size=40))
     down = set(draw(st.lists(st.sampled_from(ids), unique=True, max_size=len(ids))))
-    level0 = {i: set(draw(st.lists(st.sampled_from(ids), unique=True, max_size=4)))
-              - {i} for i in ids}
     key_id = draw(keys_around(ids))
     n = draw(st.integers(0, len(ids) + 3))  # up to larger than the pool
-    return ids, down, level0, key_id, n
+    return ids, down, key_id, n
 
 
-@given(populations(), st.booleans())
+@given(populations())
 @settings(max_examples=300, deadline=None)
-def test_repair_targets_equal_the_population_sort(pop, hoisted):
-    ids, down, level0, key_id, n = pop
-    net = _StubNet(ids, down, level0)
+def test_repair_targets_equal_the_population_sort(pop):
+    ids, down, key_id, n = pop
     live = [i for i in ids if i not in down]
-    arg = sorted(live) if hoisted else None  # the sweep's hoisted list, or none
-
-    assert SuccessorPlacement().repair_targets(net, key_id, n, arg) == \
+    assert repair_targets(sorted(live), key_id, n) == \
         ref_successor_targets(live, key_id, n)
-    assert Level0Placement().repair_targets(net, key_id, n, arg) == \
-        ref_level0_targets(live, level0.__getitem__, key_id, n)
 
 
 @given(ids=st.lists(st.integers(0, EXTENT - 1), unique=True, min_size=0, max_size=30),
@@ -101,11 +66,11 @@ def test_successor_replicas_equal_the_table_sort(ids, owner, data):
     key_id = data.draw(keys_around(ids + [owner]))
     n = data.draw(st.integers(0, len(ids) + 3))
     want = ([owner] + by_distance(ids, key_id))[:n]
-    assert SuccessorPlacement().replicas(node, key_id, n) == want
+    assert replicas(node, key_id, n) == want
     if ids:  # and again after the table changed under the memo
         table.forget(ids[0])
         want = ([owner] + by_distance(ids[1:], key_id))[:n]
-        assert SuccessorPlacement().replicas(node, key_id, n) == want
+        assert replicas(node, key_id, n) == want
 
 
 @pytest.fixture(scope="module")
@@ -134,11 +99,7 @@ def test_repair_targets_on_a_real_overlay_with_unsorted_ids(grown_net, crashed):
         keys = live[:6] + [0, s[0] - 1, s[-1] + 1, (s[3] + s[4]) // 2, 12345]
         for key_id in keys:
             for n in (1, 3, len(live) + 2):
-                for arg in (None, s):
-                    assert SuccessorPlacement().repair_targets(net, key_id, n, arg) \
-                        == ref_successor_targets(live, key_id, n)
-                    assert Level0Placement().repair_targets(net, key_id, n, arg) \
-                        == ref_level0_targets(
-                            live, lambda i: net.nodes[i].table.level0, key_id, n)
+                assert repair_targets(s, key_id, n) \
+                    == ref_successor_targets(live, key_id, n)
     finally:
         net.revive_nodes(dead)

@@ -1,13 +1,9 @@
-"""Placement strategy tests: node-local and converged-view answers."""
+"""Replica placement: node-local and converged-view answers."""
 
 import pytest
 
 from repro import TreePConfig, TreePNetwork
-from repro.storage.replication import (
-    Level0Placement,
-    SuccessorPlacement,
-    make_placement,
-)
+from repro.storage.replication import repair_targets, replicas
 
 
 @pytest.fixture(scope="module")
@@ -17,20 +13,10 @@ def net():
     return n
 
 
-def test_make_placement_resolves_names():
-    assert isinstance(make_placement("level0"), Level0Placement)
-    assert isinstance(make_placement("successor"), SuccessorPlacement)
-    strat = SuccessorPlacement()
-    assert make_placement(strat) is strat
-    with pytest.raises(ValueError):
-        make_placement("nope")
-
-
-@pytest.mark.parametrize("strategy", [Level0Placement(), SuccessorPlacement()])
-def test_replicas_distinct_and_lead_with_self(net, strategy):
+def test_replicas_distinct_and_lead_with_self(net):
     node = net.nodes[net.ids[len(net.ids) // 2]]
     key_id = 12345
-    out = strategy.replicas(node, key_id, 3)
+    out = replicas(node, key_id, 3)
     assert out[0] == node.ident
     assert len(out) == len(set(out)) == 3
 
@@ -38,7 +24,7 @@ def test_replicas_distinct_and_lead_with_self(net, strategy):
 def test_successor_replicas_are_closest_known(net):
     node = net.nodes[net.ids[10]]
     key_id = node.ident + 5  # a key in the node's own neighbourhood
-    out = SuccessorPlacement().replicas(node, key_id, 4)
+    out = replicas(node, key_id, 4)
     space = net.config.space
     chosen = set(out) - {node.ident}
     rest = set(node.table.all_known()) - chosen
@@ -53,20 +39,14 @@ def test_repair_targets_all_live(net):
     dead = net.ids[:8]
     net.fail_nodes(dead)
     try:
-        for strategy in (Level0Placement(), SuccessorPlacement()):
-            out = strategy.repair_targets(net, 999, 3)
-            assert len(out) == len(set(out)) == 3
-            assert all(net.network.is_up(i) for i in out)
-        # Successor targets are exactly the closest live ids.
-        live = [i for i in net.ids if net.network.is_up(i)]
+        live = sorted(net.alive_ids())
+        out = repair_targets(live, 999, 3)
+        assert len(out) == len(set(out)) == 3
+        assert all(net.network.is_up(i) for i in out)
+        # The targets are exactly the closest live ids.
         expect = sorted(live, key=lambda i: (space.distance(i, 999), i))[:3]
-        assert SuccessorPlacement().repair_targets(net, 999, 3) == expect
+        assert out == expect
     finally:
         for i in dead:
             net.network.set_up(i)
 
-
-def test_level0_replicas_prefer_bus_neighbours(net):
-    node = net.nodes[net.ids[30]]
-    out = Level0Placement().replicas(node, 42, 3)
-    assert set(out[1:]) <= node.table.level0 | node.table.level0_indirect

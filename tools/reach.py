@@ -17,6 +17,10 @@ points are:
   subcommands CI runs on its store;
 * ``repro.bench list`` and ``repro.bench report``;
 * ``repro.lint src``;
+* two calls that must fail, each for its error path: ``repro.bench run``
+  with an unknown scenario name (the known-name list) and ``repro.lint``
+  over a file with a forbidden relative import (RPR201); either one
+  fails the census if its error does not occur;
 * the examples in ``examples/``, each through ``runpy``;
 * the five ``benchmarks/perf`` workloads at smoke size, one round each
   untraced and traced (a traced round's ``cProfile`` replaces this
@@ -45,6 +49,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import importlib
+import io
 import os
 import runpy
 import sys
@@ -238,6 +243,36 @@ def _bench_groups(tmp: str) -> int:
                for g in GROUPS)
 
 
+def _bench_unknown_name() -> object:
+    """``repro.bench run`` with a name no scenario has: 0 when it fails
+    with the known-name list, a failure line otherwise, so this entry
+    point cannot silently stop taking its error path."""
+    try:
+        code = _main("repro.bench.cli")(["run", "no-such-scenario", "--no-write"])
+    except KeyError as exc:
+        if "known: [" in str(exc):
+            return 0
+        code = f"KeyError: {exc}"
+    return f"expected the known-name list, got {code!r}"
+
+
+def _lint_relative_import(tmp: str) -> object:
+    """``repro.lint`` over a ``repro/core`` file that imports storage by a
+    relative import: 0 when it exits 1 with the RPR201 naming the resolved
+    module, a failure line otherwise."""
+    root = os.path.join(tmp, "lint-relative")
+    bad = os.path.join(root, "src", "repro", "core", "bad.py")
+    os.makedirs(os.path.dirname(bad))
+    with open(bad, "w", encoding="utf-8") as fh:
+        fh.write("from ..storage import store\n")
+    out = io.StringIO()
+    code = _main("repro.lint.cli")([bad, "--project-root", root], stream=out)
+    text = out.getvalue()
+    if code == 1 and "RPR201" in text and "(module repro.storage)" in text:
+        return 0
+    return f"expected an RPR201 on the relative import, got {code!r}: {text!r}"
+
+
 def entry_points(tmp: str) -> List[Tuple[str, Callable[[], object]]]:
     """The non-test ways into the package, as ``(label, call)`` pairs."""
     trace = os.path.join(tmp, "trace_storage.smoke.npz")
@@ -259,6 +294,8 @@ def entry_points(tmp: str) -> List[Tuple[str, Callable[[], object]]]:
         ("bench list", lambda: _main("repro.bench.cli")(["list"])),
         ("bench report", lambda: _main("repro.bench.cli")(["report"])),
         ("lint src", lambda: _main("repro.lint.cli")(["src"])),
+        ("bench run <unknown name>", _bench_unknown_name),
+        ("lint a forbidden relative import", lambda: _lint_relative_import(tmp)),
     ]
     examples = os.path.join(ROOT, "examples")
     points += [(f"examples/{name}",
