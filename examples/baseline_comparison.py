@@ -18,60 +18,35 @@ import numpy as np
 from repro import TreePConfig, TreePNetwork
 from repro.baselines import ChordNetwork, FloodNetwork
 from repro.core.repair import PAPER_POLICY, apply_failure_step
+from repro.workloads.lookups import lookup_pairs
 
 N = 512
 LOOKUPS = 200
 DEAD_FRACTION = 0.30
 
 
-def fresh_pairs(rng, population, count):
-    pairs = []
-    pop = list(population)
-    while len(pairs) < count:
-        o, t = (int(x) for x in rng.choice(pop, 2, replace=False))
-        pairs.append((o, t))
-    return pairs
-
-
 def main() -> None:
     rng = np.random.default_rng(123)
-    rows = []
-
-    # --- TreeP -----------------------------------------------------------
     treep = TreePNetwork(config=TreePConfig.paper_case1(), seed=1)
-    treep.build(N)
-    m0 = treep.network.stats.sent
-    res = treep.run_lookup_batch(fresh_pairs(rng, treep.ids, LOOKUPS), "G")
-    msgs = (treep.network.stats.sent - m0) / LOOKUPS
-    victims = [int(v) for v in rng.choice(treep.ids, int(DEAD_FRACTION * N), replace=False)]
-    treep.fail_nodes(victims)
-    apply_failure_step(treep, victims, PAPER_POLICY)
-    res_f = treep.run_lookup_batch(fresh_pairs(rng, treep.alive_ids(), LOOKUPS), "G")
-    rows.append(("TreeP (G)", res, res_f, msgs))
-
-    # --- Chord -----------------------------------------------------------
-    chord = ChordNetwork(seed=1)
-    chord.build(N)
-    m0 = chord.network.stats.sent
-    res = chord.run_lookup_batch(fresh_pairs(rng, chord.ids, LOOKUPS))
-    msgs = (chord.network.stats.sent - m0) / LOOKUPS
-    victims = [int(v) for v in rng.choice(chord.ids, int(DEAD_FRACTION * N), replace=False)]
-    chord.fail_nodes(victims)
-    chord.repair_step()
-    res_f = chord.run_lookup_batch(fresh_pairs(rng, chord.alive_ids(), LOOKUPS))
-    rows.append(("Chord", res, res_f, msgs))
-
-    # --- Flooding --------------------------------------------------------
-    flood = FloodNetwork(seed=1)
-    flood.build(N)
-    m0 = flood.network.stats.sent
-    res = flood.run_lookup_batch(fresh_pairs(rng, flood.ids, LOOKUPS))
-    msgs = (flood.network.stats.sent - m0) / LOOKUPS
-    victims = [int(v) for v in rng.choice(flood.ids, int(DEAD_FRACTION * N), replace=False)]
-    flood.fail_nodes(victims)
-    flood.repair_step()
-    res_f = flood.run_lookup_batch(fresh_pairs(rng, flood.alive_ids(), LOOKUPS))
-    rows.append(("Flooding", res, res_f, msgs))
+    chord, flood = ChordNetwork(seed=1), FloodNetwork(seed=1)
+    rows = []
+    # Each overlay: build, a healthy batch, crash 30% of it, let it heal
+    # its own way, and a second batch among the survivors.
+    for name, net, heal in (
+        ("TreeP (G)", treep,
+         lambda victims: apply_failure_step(treep, victims, PAPER_POLICY)),
+        ("Chord", chord, lambda victims: chord.repair_step()),
+        ("Flooding", flood, lambda victims: flood.repair_step()),
+    ):
+        net.build(N)
+        m0 = net.network.stats.sent
+        res = net.run_lookup_batch(lookup_pairs(rng, net.ids, LOOKUPS))
+        msgs = (net.network.stats.sent - m0) / LOOKUPS
+        victims = [int(v) for v in rng.choice(net.ids, int(DEAD_FRACTION * N), replace=False)]
+        net.fail_nodes(victims)
+        heal(victims)
+        res_f = net.run_lookup_batch(lookup_pairs(rng, net.alive_ids(), LOOKUPS))
+        rows.append((name, res, res_f, msgs))
 
     # --- report ----------------------------------------------------------
     print(f"{'overlay':<12} {'success%':>9} {'hops':>6} {'msgs/lookup':>12} "

@@ -18,22 +18,18 @@ through the survivors, mirroring :mod:`repro.core.repair`.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import List, Optional
 
-
-from repro.core.config import LOOKUP_TIMEOUT
-from repro.core.lookup import LookupResult, LookupAlgorithm
-from repro.sim.engine import Simulator
-from repro.sim.latency import UniformLatency
-from repro.sim.network import Datagram, Network, Process
-from repro.sim.rng import RngRegistry
+from repro.baselines.harness import ID_SPACE, BaselineNetwork
+from repro.core.lookup import LookupAlgorithm
+from repro.core.node import LookupClient, PendingLookup
+from repro.sim.network import Datagram
 
 #: Ring bits: the 2**32 ring every run uses, TreeP's default ID space.
 M_BITS = 32
-RING = 1 << M_BITS
+RING = ID_SPACE
 #: Successor-list length each node keeps for failure tolerance.
 SUCC_COUNT = 4
 
@@ -58,25 +54,14 @@ class ChordReply:
     wire_size: int = 40
 
 
-@dataclass
-class ChordPending:
-    request_id: int
-    target: int
-    timeout_event: object = None
-    result: Optional[LookupResult] = None
-
-
-class ChordNode(Process):
+class ChordNode(LookupClient):
     """One Chord peer: fingers, successor list, greedy routing."""
 
     def __init__(self, ident: int) -> None:
         super().__init__(ident)
-        self.ident = ident
         self.fingers: List[int] = []
         self.successors: List[int] = []
         self.predecessor: Optional[int] = None
-        self.pending: Dict[int, ChordPending] = {}
-        self._rid = itertools.count(1)
 
     # -------------------------------------------------------------- helpers
     def _in_range(self, x: int, a: int, b: int) -> bool:
@@ -102,30 +87,17 @@ class ChordNode(Process):
         return self.successors[0] if self.successors else None
 
     # --------------------------------------------------------------- lookup
-    def issue_lookup(self, target: int) -> ChordPending:
-        rid = (self.ident << 20) | next(self._rid)
-        pend = ChordPending(request_id=rid, target=target)
-        self.pending[rid] = pend
-        pend.timeout_event = self.sim.schedule(
-            LOOKUP_TIMEOUT, lambda: self._timeout(rid), label=f"chord-to:{rid}"
-        )
-        self._handle(ChordLookup(rid, self.ident, target, 0))
+    def issue_lookup(self, target: int) -> PendingLookup:
+        pend = self._open_lookup(target, LookupAlgorithm.GREEDY)
+        self._handle(ChordLookup(pend.request_id, self.ident, target, 0))
         return pend
-
-    def _timeout(self, rid: int) -> None:
-        pend = self.pending.pop(rid, None)
-        if pend is None:
-            return
-        pend.result = LookupResult(
-            request_id=rid, origin=self.ident, target=pend.target,
-            algo=LookupAlgorithm.GREEDY, found=False, hops=0, timed_out=True)
 
     def on_datagram(self, dgram: Datagram) -> None:
         payload = dgram.payload
         if isinstance(payload, ChordLookup):
             self._handle(payload)
         elif isinstance(payload, ChordReply):
-            self._on_reply(payload)
+            self._close_lookup(payload.request_id, payload.found, payload.hops)
 
     def _handle(self, msg: ChordLookup) -> None:
         if msg.hops > 255:
@@ -134,62 +106,29 @@ class ChordNode(Process):
             # Node-lookup semantics: the lookup succeeded iff we *are* the
             # target (or hold it as an immediate successor); being merely
             # responsible for a vanished ID is a miss.
-            found = msg.target == self.ident or msg.target in self.successors
-            reply = ChordReply(msg.request_id, msg.target, found, msg.hops)
-            if msg.origin == self.ident:
-                self._on_reply(reply)
-            else:
-                self.send(msg.origin, reply)
+            self._answer(msg, msg.target == self.ident or msg.target in self.successors)
             return
         nxt = self.closest_preceding(msg.target)
         if nxt is None or nxt == self.ident:
-            reply = ChordReply(msg.request_id, msg.target, False, msg.hops)
-            if msg.origin == self.ident:
-                self._on_reply(reply)
-            else:
-                self.send(msg.origin, reply)
+            self._answer(msg, False)
             return
         self.send(nxt, ChordLookup(msg.request_id, msg.origin, msg.target, msg.hops + 1))
 
-    def _on_reply(self, reply: ChordReply) -> None:
-        pend = self.pending.pop(reply.request_id, None)
-        if pend is None:
-            return
-        if pend.timeout_event is not None:
-            pend.timeout_event.cancel()  # type: ignore[attr-defined]
-        pend.result = LookupResult(
-            request_id=reply.request_id, origin=self.ident, target=pend.target,
-            algo=LookupAlgorithm.GREEDY, found=reply.found, hops=reply.hops)
+    def _answer(self, msg: ChordLookup, found: bool) -> None:
+        if msg.origin == self.ident:
+            self._close_lookup(msg.request_id, found, msg.hops)
+        else:
+            self.send(msg.origin, ChordReply(msg.request_id, msg.target, found, msg.hops))
 
 
-class ChordNetwork:
+class ChordNetwork(BaselineNetwork):
     """A complete simulated Chord deployment (builder + failure harness)."""
 
-    def __init__(self, seed: int = 0) -> None:
-        self.rng = RngRegistry(seed)
-        self.sim = Simulator()
-        self.network = Network(self.sim, latency=UniformLatency(self.rng.get("latency")))
-        self.nodes: Dict[int, ChordNode] = {}
-        self.ids: List[int] = []
+    node_type = ChordNode
 
     # ------------------------------------------------------------- building
     def build(self, n: int) -> None:
-        if self.nodes:
-            raise RuntimeError("network already built")
-        rng = self.rng.get("ids")
-        seen: set[int] = set()
-        while len(seen) < n:
-            for v in rng.integers(0, RING, size=n - len(seen) + 8):
-                iv = int(v)
-                if iv not in seen:
-                    seen.add(iv)
-                    if len(seen) == n:
-                        break
-        self.ids = sorted(seen)
-        for i in self.ids:
-            node = ChordNode(i)
-            self.network.register(node)
-            self.nodes[i] = node
+        super().build(n)
         self._install_tables(self.ids)
 
     def _successor_of(self, sorted_ids: List[int], key: int) -> int:
@@ -213,10 +152,6 @@ class ChordNetwork:
             node.fingers = sorted(set(fingers))
 
     # ------------------------------------------------------------- failures
-    def fail_nodes(self, idents: Iterable[int]) -> None:
-        for i in idents:
-            self.network.set_down(i)
-
     def repair_step(self) -> None:
         """Purge dead pointers and re-stabilise among survivors.
 
@@ -225,16 +160,7 @@ class ChordNetwork:
         so the baseline gets the same converged-maintenance treatment as
         TreeP's :func:`repro.core.repair.apply_failure_step`.
         """
-        live = [i for i in self.ids if self.network.is_up(i)]
+        live = self.alive_ids()
         if live:
             self._install_tables(live)
 
-    # -------------------------------------------------------------- lookups
-    def run_lookup_batch(self, pairs: Iterable[Tuple[int, int]]) -> List[LookupResult]:
-        pending = [self.nodes[o].issue_lookup(t) for o, t in pairs]
-        self.sim.run()
-        assert all(p.result is not None for p in pending)
-        return [p.result for p in pending]
-
-    def alive_ids(self) -> List[int]:
-        return [i for i in self.ids if self.network.is_up(i)]

@@ -18,7 +18,7 @@ from typing import List
 import numpy as np
 
 from repro.bench.scenario import Check, Metric, Scenario, ScenarioOutput, registry
-from repro.bench.scenarios.systems import lookup_pairs, play_leave_bursts
+from repro.bench.scenarios.systems import play_leave_bursts
 from repro.cluster import Cluster
 from repro.compute.job import ComputeConfig
 from repro.core.config import TreePConfig
@@ -34,6 +34,7 @@ from repro.workloads.adversarial import (
     subtree_members,
 )
 from repro.workloads.jobs import JobWorkload
+from repro.workloads.lookups import lookup_pairs
 
 
 def _span_durations(hub: ObsHub, category: str) -> np.ndarray:

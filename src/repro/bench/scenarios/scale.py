@@ -25,7 +25,6 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.bench.scenario import Check, Metric, Scenario, ScenarioOutput, registry
-from repro.bench.scenarios.systems import lookup_pairs
 from repro.cluster import Cluster
 from repro.core.config import TreePConfig
 from repro.core.repair import PAPER_POLICY, apply_failure_step
@@ -33,6 +32,7 @@ from repro.core.treep import TreePNetwork
 from repro.storage import QuorumConfig
 from repro.viz.ascii import table
 from repro.workloads.jobs import JobWorkload
+from repro.workloads.lookups import lookup_pairs
 
 
 def _mmm(sizes: Tuple[int, ...]) -> Tuple[int, int, int]:

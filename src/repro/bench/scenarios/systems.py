@@ -6,8 +6,7 @@ Chord vs flooding), ``storage`` (quorum acks, anti-entropy cost,
 durability under 30% churn) and ``compute`` (scheduling under burst
 churn, checkpointing vs restart).
 
-Two pieces of plumbing the ``scale_*`` and ``adv_*`` families share live
-here, once: :func:`lookup_pairs` (the per-pair origin/target draw) and
+One piece of plumbing the ``adv_*`` family shares lives here, once:
 :func:`play_leave_bursts` (timed crash bursts against a storage + compute
 cluster).
 """
@@ -15,7 +14,7 @@ cluster).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple
 
 import numpy as np
 
@@ -31,18 +30,10 @@ from repro.storage import QuorumConfig
 from repro.viz.ascii import table
 from repro.workloads.churn import ChurnEvent, ChurnSchedule
 from repro.workloads.jobs import JobWorkload
-from repro.workloads.lookups import LookupWorkload
+from repro.workloads.lookups import LookupWorkload, lookup_pairs
 
 
 # ----------------------------------------------------------------- plumbing
-
-def lookup_pairs(rng, population, count) -> List[Tuple[int, int]]:
-    """*count* (origin, target) pairs of distinct ids, one
-    ``rng.choice(population, 2, replace=False)`` draw per pair."""
-    pop = list(population)
-    return [tuple(int(x) for x in rng.choice(pop, 2, replace=False))
-            for _ in range(count)]
-
 
 def play_leave_bursts(cluster, events) -> None:
     """Play time-sorted leave *events* against a cluster running storage
@@ -301,44 +292,24 @@ def _baselines(params, seed, smoke):
     # one; the resilience floor only reaches 70% at n >= 1024.
     survive_floor = 45.0 if smoke else 70.0
     rng = np.random.default_rng(seed)
-    rows = []
-
     treep = TreePNetwork(config=TreePConfig.paper_case1(), seed=seed)
-    treep.build(n)
-    m0 = treep.network.stats.sent
-    healthy = treep.run_lookup_batch(lookup_pairs(rng, treep.ids, lookups), "G")
-    msgs = (treep.network.stats.sent - m0) / lookups
-    victims = [int(v) for v in rng.choice(treep.ids, int(0.3 * n), replace=False)]
-    treep.fail_nodes(victims)
-    apply_failure_step(treep, victims, PAPER_POLICY)
-    failed = treep.run_lookup_batch(
-        lookup_pairs(rng, treep.alive_ids(), lookups), "G")
-    rows.append(("TreeP (G)", healthy, failed, msgs))
-
-    chord = ChordNetwork(seed=seed)
-    chord.build(n)
-    m0 = chord.network.stats.sent
-    healthy = chord.run_lookup_batch(lookup_pairs(rng, chord.ids, lookups))
-    msgs = (chord.network.stats.sent - m0) / lookups
-    victims = [int(v) for v in rng.choice(chord.ids, int(0.3 * n), replace=False)]
-    chord.fail_nodes(victims)
-    chord.repair_step()
-    failed = chord.run_lookup_batch(
-        lookup_pairs(rng, chord.alive_ids(), lookups))
-    rows.append(("Chord", healthy, failed, msgs))
-
-    flood = FloodNetwork(seed=seed)
-    flood.build(n)
-    m0 = flood.network.stats.sent
-    healthy = flood.run_lookup_batch(
-        lookup_pairs(rng, flood.ids, flood_lookups))
-    msgs = (flood.network.stats.sent - m0) / flood_lookups
-    victims = [int(v) for v in rng.choice(flood.ids, int(0.3 * n), replace=False)]
-    flood.fail_nodes(victims)
-    flood.repair_step()
-    failed = flood.run_lookup_batch(
-        lookup_pairs(rng, flood.alive_ids(), flood_lookups))
-    rows.append(("Flooding", healthy, failed, msgs))
+    chord, flood = ChordNetwork(seed=seed), FloodNetwork(seed=seed)
+    rows = []
+    for name, net, count, heal in (
+        ("TreeP (G)", treep, lookups,
+         lambda victims: apply_failure_step(treep, victims, PAPER_POLICY)),
+        ("Chord", chord, lookups, lambda victims: chord.repair_step()),
+        ("Flooding", flood, flood_lookups, lambda victims: flood.repair_step()),
+    ):
+        net.build(n)
+        m0 = net.network.stats.sent
+        healthy = net.run_lookup_batch(lookup_pairs(rng, net.ids, count))
+        msgs = (net.network.stats.sent - m0) / count
+        victims = [int(v) for v in rng.choice(net.ids, int(0.3 * n), replace=False)]
+        net.fail_nodes(victims)
+        heal(victims)
+        failed = net.run_lookup_batch(lookup_pairs(rng, net.alive_ids(), count))
+        rows.append((name, healthy, failed, msgs))
 
     out: Dict[str, Dict[str, float]] = {}
     for name, healthy_batch, failed_batch, msg_rate in rows:

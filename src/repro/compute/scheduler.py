@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Set
 
 from repro.cluster.service import Handler, Service, ServiceContext
 from repro.compute.job import (
@@ -98,9 +98,9 @@ class SchedulerCore:
         self._timer = self._arm_monitor()
 
     def _arm_monitor(self):
-        return self.service.node_timer(
-            self.node.ident, MONITOR_INTERVAL,
-            self._monitor_tick, label=f"sched-monitor:{self.node.ident}",
+        return self.service.ctx.every(
+            MONITOR_INTERVAL, self._monitor_tick, node=self.node.ident,
+            label=f"sched-monitor:{self.node.ident}",
         )
 
     def restart_monitor(self) -> None:
@@ -440,20 +440,6 @@ class JobScheduler(Service):
                 agent.scheduler.stop()
                 agent.scheduler = None
             agent.shutdown()
-
-    def node_timer(
-        self,
-        ident: int,
-        interval: float,
-        callback: Callable[[], None],
-        *,
-        jitter=None,
-        label: str = "",
-    ):
-        """Register a node-scoped periodic task through the service context
-        (shared by :class:`ComputeAgent` and :class:`SchedulerCore`)."""
-        return self.ctx.every(interval, callback, node=ident,
-                              jitter=jitter, label=label)
 
     def random_origin(self) -> int:
         """A seeded random live peer (matchmaking entry-point diversity)."""

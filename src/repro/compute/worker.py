@@ -330,12 +330,12 @@ class ComputeAgent:
         cfg = self.service.config
         me = self.node.ident
         if self._hb_timer is None or not self._hb_timer.running:
-            self._hb_timer = self.service.node_timer(
-                me, HEARTBEAT_INTERVAL, self._heartbeat_tick,
+            self._hb_timer = self.service.ctx.every(
+                HEARTBEAT_INTERVAL, self._heartbeat_tick, node=me,
                 label=f"job-hb:{me}")
         if cfg.checkpointing and (self._ckpt_timer is None or not self._ckpt_timer.running):
-            self._ckpt_timer = self.service.node_timer(
-                me, cfg.checkpoint_interval, self._checkpoint_tick,
+            self._ckpt_timer = self.service.ctx.every(
+                cfg.checkpoint_interval, self._checkpoint_tick, node=me,
                 label=f"job-ckpt:{me}")
 
     def _stop_job_timers(self) -> None:
@@ -435,9 +435,9 @@ class ComputeAgent:
         self.queue.append(held)
         self._ensure_timers()
         if self._steal_timer is None or not self._steal_timer.running:
-            self._steal_timer = self.service.node_timer(
-                self.node.ident, STEAL_INTERVAL,
-                self._offer_tick, label=f"steal:{self.node.ident}")
+            self._steal_timer = self.service.ctx.every(
+                STEAL_INTERVAL, self._offer_tick, node=self.node.ident,
+                label=f"steal:{self.node.ident}")
             self._offer_tick()
 
     def _offer_tick(self) -> None:

@@ -9,9 +9,11 @@ datagram, every decision is node-local.  The node composes:
 * the countdown protocols (:class:`~repro.core.hierarchy.ElectionManager`,
   :class:`~repro.core.hierarchy.DemotionManager`).
 
-Lookup life-cycle (origin side): :meth:`issue_lookup` registers a
-:class:`PendingLookup` with a timeout; a :class:`LookupReply` resolves it,
-the timeout marks it failed.  The experiment harness reads the resulting
+Lookup life-cycle (origin side), one for every overlay's node
+(:class:`LookupClient`, which the Chord and flooding nodes of
+:mod:`repro.baselines` share): issuing a lookup registers a
+:class:`PendingLookup` with a timeout; the first reply resolves it, the
+timeout marks it failed.  The experiment harness reads the resulting
 :class:`~repro.core.lookup.LookupResult` objects.
 """
 
@@ -58,13 +60,74 @@ class PendingLookup:
     request_id: int
     target: int
     algo: LookupAlgorithm
-    issued_at: float
     timeout_event: object = None
     result: Optional[LookupResult] = None
     on_done: Optional[Callable[[LookupResult], None]] = None
 
 
-class TreePNode(Process):
+class LookupClient(Process):
+    """The origin side of a lookup, whatever the overlay routes it with.
+
+    :meth:`_open_lookup` registers a :class:`PendingLookup` under a fresh
+    request id and arms its :data:`~repro.core.config.LOOKUP_TIMEOUT`
+    before the first datagram goes out; :meth:`_close_lookup` resolves it
+    once, on the first reply or on the timeout, and ignores whatever
+    arrives after (a late reply, a flood's duplicate hit).
+    """
+
+    def __init__(self, ident: int) -> None:
+        super().__init__(ident)
+        self.ident = ident
+        #: Lookups issued so far; the next request id's low bits.
+        self._req_counter = 0
+        self.pending: Dict[int, PendingLookup] = {}
+        #: Observability hub (see :mod:`repro.obs`); ``None`` keeps every
+        #: instrumentation site to a single attribute check.
+        self.obs = None
+
+    def _open_lookup(
+        self,
+        target: int,
+        algo: LookupAlgorithm,
+        on_done: Optional[Callable[[LookupResult], None]] = None,
+    ) -> PendingLookup:
+        self._req_counter += 1
+        rid = (self.ident << 20) | self._req_counter
+        pend = PendingLookup(rid, target, algo, on_done=on_done)
+        self.pending[rid] = pend
+        obs = self.obs
+        if obs is not None:
+            obs.lookup_begin(rid, self.ident, self.sim.now)
+        pend.timeout_event = self.sim.schedule(
+            LOOKUP_TIMEOUT,
+            lambda: self._close_lookup(rid, False, 0, timed_out=True),
+            label=f"lookup-timeout:{rid}",
+        )
+        return pend
+
+    def _close_lookup(
+        self,
+        rid: int,
+        found: bool,
+        hops: int,
+        path: Tuple[int, ...] = (),
+        timed_out: bool = False,
+    ) -> None:
+        pend = self.pending.pop(rid, None)
+        if pend is None:
+            return  # already closed
+        pend.timeout_event.cancel()  # type: ignore[attr-defined]
+        res = pend.result = LookupResult(
+            rid, self.ident, pend.target, pend.algo, found, hops, timed_out,
+            path)
+        obs = self.obs
+        if obs is not None:
+            obs.lookup_end(rid, self.sim.now, found, hops, timed_out)
+        if pend.on_done is not None:
+            pend.on_done(res)
+
+
+class TreePNode(LookupClient):
     """One TreeP peer.
 
     Parameters
@@ -88,7 +151,6 @@ class TreePNode(Process):
         book: Optional[Dict[int, Meta]] = None,
     ) -> None:
         super().__init__(ident)
-        self.ident = ident
         self.capacity = capacity
         self.config = config
         self.table = RoutingTable(ident, book)
@@ -101,15 +163,9 @@ class TreePNode(Process):
             if config.nc_mode == "fixed"
             else capacity.max_children()
         )
-        #: Lookups issued so far; the next request id's low bits.
-        self._req_counter = 0
-        self.pending: Dict[int, PendingLookup] = {}
         #: Per-request hop observation hook a harness may install
         #: (measurement only, never read by routing).
         self.hop_observer: Optional[Callable[[LookupRequest], None]] = None
-        #: Observability hub (see :mod:`repro.obs`); ``None`` keeps every
-        #: instrumentation site to a single attribute check.
-        self.obs = None
         #: The maintenance manager attaches itself here (see maintenance.py).
         self.maintenance = None
 
@@ -175,46 +231,12 @@ class TreePNode(Process):
     ) -> PendingLookup:
         """Start resolving *target* from this node."""
         algo = LookupAlgorithm.parse(algo if isinstance(algo, str) else algo.value)
-        self._req_counter += 1
-        rid = (self.ident << 20) | self._req_counter
-        pend = PendingLookup(
-            request_id=rid,
-            target=target,
-            algo=algo,
-            issued_at=self.sim.now,
-            on_done=on_done,
-        )
-        self.pending[rid] = pend
-        obs = self.obs
-        if obs is not None:
-            obs.lookup_begin(rid, self.ident, self.sim.now)
-        pend.timeout_event = self.sim.schedule(
-            LOOKUP_TIMEOUT,
-            lambda: self._lookup_timeout(rid),
-            label=f"lookup-timeout:{rid}",
-        )
-        req = LookupRequest(
-            request_id=rid, origin=self.ident, target=target, algo=algo.value,
-            ttl=0, path=(),
-        )
-        self._route_and_act(req)
+        pend = self._open_lookup(target, algo, on_done)
+        self._route_and_act(LookupRequest(
+            request_id=pend.request_id, origin=self.ident, target=target,
+            algo=algo.value, ttl=0, path=(),
+        ))
         return pend
-
-    def _lookup_timeout(self, rid: int) -> None:
-        pend = self.pending.pop(rid, None)
-        if pend is None:
-            return
-        res = LookupResult(
-            request_id=rid, origin=self.ident, target=pend.target,
-            algo=pend.algo, found=False, hops=0, timed_out=True,
-        )
-        pend.result = res
-        obs = self.obs
-        if obs is not None:
-            obs.lookup_end(rid, self.sim.now, found=False, hops=0,
-                           timed_out=True)
-        if pend.on_done is not None:
-            pend.on_done(res)
 
     def _on_LookupRequest(self, src: int, req: LookupRequest) -> None:
         if self.hop_observer is not None:
@@ -268,23 +290,8 @@ class TreePNode(Process):
                       rid=req.request_id, value=float(req.ttl))
 
     def _on_LookupReply(self, src: int, reply: LookupReply) -> None:
-        pend = self.pending.pop(reply.request_id, None)
-        if pend is None:
-            return  # late duplicate after timeout
-        if pend.timeout_event is not None:
-            pend.timeout_event.cancel()  # type: ignore[attr-defined]
-        res = LookupResult(
-            request_id=reply.request_id, origin=self.ident, target=reply.target,
-            algo=pend.algo, found=reply.found, hops=reply.hops,
-            timed_out=False, path=reply.path,
-        )
-        pend.result = res
-        obs = self.obs
-        if obs is not None:
-            obs.lookup_end(reply.request_id, self.sim.now, reply.found,
-                           reply.hops)
-        if pend.on_done is not None:
-            pend.on_done(res)
+        self._close_lookup(reply.request_id, reply.found, reply.hops,
+                           reply.path)
 
     # ------------------------------------------------------- hello / splice
     def _on_Hello(self, src: int, msg: Hello) -> None:

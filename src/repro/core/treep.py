@@ -278,24 +278,24 @@ class TreePNetwork:
         raise RuntimeError("no live node to issue the request from")
 
     def pump(self, slot: List, timeout: float) -> bool:
-        """Run the sim until something lands in *slot*, the event queue
-        empties, or *timeout* virtual seconds pass; True when it landed.
+        """Run the sim until something lands in *slot* or *timeout* virtual
+        seconds pass; True when it landed.
 
         The one blocking-client pump: a synchronous call is the async call
         with ``on_done=slot.append`` plus this.  It stops at its own reply,
         so it returns while periodic timers (keep-alives, anti-entropy)
-        stay armed; the deadline bounds a black-holed request.  On success
-        the sim runs :data:`SETTLE` further virtual seconds so the
-        request's trailing datagrams land; on timeout the caller drops its
-        completion callback, so a straggler result finds none and is
-        discarded.  A NaN or negative *timeout* raises ``ValueError``
-        before anything runs.
+        stay armed; the deadline bounds a black-holed request: no event
+        past it fires, and a queue that empties first still leaves the
+        clock at the deadline.  On success the sim runs :data:`SETTLE`
+        further virtual seconds so the request's trailing datagrams land;
+        on timeout the caller drops its completion callback, so a
+        straggler result finds none and is discarded.  A NaN or negative
+        *timeout* raises ``ValueError`` before anything runs.
         """
         if not timeout >= 0:  # NaN fails too
             raise ValueError(f"timeout must be >= 0, got {timeout}")
         sim = self.sim
-        deadline = sim.now + timeout
-        sim.run(done=lambda: bool(slot) or sim.now >= deadline)
+        sim.run(until=sim.now + timeout, done=lambda: bool(slot))
         if not slot:
             return False
         sim.run(until=sim.now + SETTLE)

@@ -1,7 +1,9 @@
 """Lookup traffic generation.
 
 The paper's batches are uniform random (origin, target) pairs over the
-surviving population.
+surviving population: :func:`lookup_pairs` draws them one pair at a time
+(the benchmark scenarios' and examples' draw), :class:`LookupWorkload` in
+vectorised blocks.
 """
 
 from __future__ import annotations
@@ -10,6 +12,14 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
+
+
+def lookup_pairs(rng, population, count) -> List[Tuple[int, int]]:
+    """*count* (origin, target) pairs of distinct ids, one
+    ``rng.choice(population, 2, replace=False)`` draw per pair."""
+    pop = list(population)
+    return [tuple(int(x) for x in rng.choice(pop, 2, replace=False))
+            for _ in range(count)]
 
 
 @dataclass

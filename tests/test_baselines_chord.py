@@ -1,9 +1,13 @@
-"""Unit tests for the Chord baseline."""
+"""Unit tests for the Chord baseline, and for the origin-side lookup
+lifecycle it shares with TreeP and flooding."""
 
 import numpy as np
 import pytest
 
 from repro.baselines.chord import ChordNetwork, ChordNode
+from repro.baselines.flood import FloodNetwork
+from repro.core.config import LOOKUP_TIMEOUT
+from repro.core.treep import TreePNetwork
 
 
 @pytest.fixture(scope="module")
@@ -84,13 +88,19 @@ def test_failures_with_repair():
     assert sum(r.found for r in res) == 40  # converged stabilisation: all resolve
 
 
-def test_lookup_timeout_counts_failed():
-    net = ChordNetwork(seed=8)
+@pytest.mark.parametrize("overlay", [TreePNetwork, ChordNetwork, FloodNetwork],
+                         ids=lambda overlay: overlay.__name__)
+def test_lookup_timeout_counts_failed(overlay):
+    """Every overlay's origin closes a black-holed lookup once, at its
+    timeout: stale pointers into a dead network, no reply ever comes."""
+    net = overlay(seed=8)
     net.build(32)
     origin = net.ids[0]
-    for i in net.ids[1:]:
-        net.network.set_down(i)
-    # Stale pointers, dead ring: the lookup black-holes and times out.
-    target = net.ids[10]
-    res = net.run_lookup_batch([(origin, target)])[0]
-    assert not res.found
+    net.fail_nodes(net.ids[1:])
+    t0 = net.sim.now
+    results = net.run_lookup_batch([(origin, net.ids[10])])
+    assert len(results) == 1
+    res = results[0]
+    assert (res.found, res.timed_out, res.hops) == (False, True, 0)
+    assert net.sim.now == t0 + LOOKUP_TIMEOUT
+    assert net.nodes[origin].pending == {}

@@ -222,6 +222,19 @@ def test_a_blocking_wait_inside_an_event_is_rejected():
     assert net.lookup_sync(a, b).found  # the guard was released each time
 
 
+def test_pump_stops_at_its_deadline():
+    """A pump that times out fires no event past its deadline and leaves
+    the clock there, however far off the next queued event lies."""
+    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=5)
+    net.build(16)
+    t0 = net.sim.now
+    fired = []
+    net.sim.schedule(50.0, lambda: fired.append(net.sim.now))
+    assert net.pump([], timeout=1.0) is False
+    assert net.sim.now == t0 + 1.0
+    assert fired == []
+
+
 @pytest.mark.parametrize("timeout", [float("nan"), -1.0])
 def test_pump_rejects_a_bound_it_could_never_reach(timeout):
     net = TreePNetwork(config=TreePConfig.paper_case1(), seed=5)
