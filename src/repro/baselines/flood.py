@@ -9,7 +9,10 @@ exponential in the TTL and plummeting coverage under failures.
 Message-driven on the shared substrate: each node forwards an unseen query
 to all neighbours except the sender, TTL decrementing per hop; the target
 answers the origin directly.  Duplicate suppression by request id, exactly
-as in Gnutella 0.4.
+as in Gnutella 0.4, over a time-bounded table: two generations of ids,
+rotated every :data:`~repro.core.config.LOOKUP_TIMEOUT`, so an id is kept
+at least as long as its query can live, and the table holds about two
+timeouts' worth of ids however long the run.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from typing import List, Set
 
 from repro.baselines.harness import BaselineNetwork
 from repro.baselines.random_graph import random_overlay
+from repro.core.config import LOOKUP_TIMEOUT
 from repro.core.lookup import LookupAlgorithm
 from repro.core.node import LookupClient, PendingLookup
 from repro.sim.network import Datagram
@@ -55,12 +59,24 @@ class FloodNode(LookupClient):
     def __init__(self, ident: int) -> None:
         super().__init__(ident)
         self.neighbours: List[int] = []
+        #: Request ids seen in the current generation, and in the one before.
         self.seen: Set[int] = set()
+        self._seen_before: Set[int] = set()
+        self._generation_start = 0.0
+
+    def _remember(self, rid: int) -> None:
+        """Remember *rid* in the current generation, opening a new one
+        when this one is a :data:`LOOKUP_TIMEOUT` old."""
+        now = self.sim.now
+        if now - self._generation_start >= LOOKUP_TIMEOUT:
+            self._seen_before, self.seen = self.seen, set()
+            self._generation_start = now
+        self.seen.add(rid)
 
     def issue_lookup(self, target: int, ttl: int = DEFAULT_TTL) -> PendingLookup:
         pend = self._open_lookup(target, LookupAlgorithm.GREEDY)
         rid = pend.request_id
-        self.seen.add(rid)
+        self._remember(rid)
         if target == self.ident:
             self._close_lookup(rid, True, 0)
         else:
@@ -77,9 +93,9 @@ class FloodNode(LookupClient):
             self._close_lookup(payload.request_id, True, payload.hops)
 
     def _on_query(self, src: int, q: FloodQuery) -> None:
-        if q.request_id in self.seen:
+        if q.request_id in self.seen or q.request_id in self._seen_before:
             return
-        self.seen.add(q.request_id)
+        self._remember(q.request_id)
         if q.target == self.ident:
             self.send(q.origin, FloodHit(q.request_id, q.target, q.hops))
             return

@@ -47,6 +47,10 @@ CHECKPOINT_READ_TIMEOUT = 8.0
 #: Candidate pool the matchmaker asks the resource directory for per
 #: placement.
 MAX_RESULTS = 8
+#: Seconds an un-acknowledged submission waits before the client re-sends
+#: it (the submit datagram is fire-and-forget UDP; a relay dying with it
+#: in flight must not strand the job).
+SUBMIT_RETRY = 12.0
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,8 @@ class ComputeConfig:
     (:data:`HEARTBEAT_INTERVAL`, :data:`HEARTBEAT_TIMEOUT`,
     :data:`MONITOR_INTERVAL`, :data:`STEAL_INTERVAL`,
     :data:`LEASE_TIMEOUT`, :data:`MAX_ATTEMPTS`,
-    :data:`CHECKPOINT_READ_TIMEOUT`, :data:`MAX_RESULTS`).
+    :data:`CHECKPOINT_READ_TIMEOUT`, :data:`MAX_RESULTS`,
+    :data:`SUBMIT_RETRY`).
 
     Attributes
     ----------
@@ -117,25 +122,18 @@ class JobState(str, Enum):
 class JobRecord:
     """One job's state in the scheduler's table."""
 
-    job_id: int
+    spec: JobSpec
     origin: int
     request_id: int
-    cpu_demand: float
-    work: float
-    constraint: Constraint
     deps_remaining: Set[int]
     state: JobState = JobState.PENDING
     worker: Optional[int] = None
     attempt: int = 0
     resume: bool = False
     last_heard: float = 0.0
-    progress: float = 0.0
     submitted_at: float = 0.0
     completed_at: Optional[float] = None
-    executed: float = 0.0
     reexecutions: int = 0
-    placement_hops: int = 0
-    placements: int = 0
     #: Consecutive matchmaking rounds that found no admitting live peer.
     no_candidate_rounds: int = 0
 

@@ -8,14 +8,19 @@
 :class:`JobStealRequest` / :class:`JobStealGrant` (sibling work stealing).
 
 Each is a frozen ``slots=True`` dataclass with a ``wire_size`` in the
-overlay's convention (:mod:`repro.core.messages`).
+overlay's convention (:mod:`repro.core.messages`).  A message that hands a
+job on (submit, dispatch, steal grant) carries the submitter's
+:class:`~repro.compute.job.JobSpec` itself, so the whole constraint reaches
+both the matchmaker and a victim's steal check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Tuple
+from typing import ClassVar
 
+from repro.compute.job import JobSpec
+from repro.core.capacity import NodeCapacity
 from repro.core.messages import HEADER_BYTES
 
 
@@ -23,29 +28,22 @@ from repro.core.messages import HEADER_BYTES
 class JobSubmit:
     """Submitter → scheduler: routed greedily towards the scheduler's ID.
 
-    Carries the job's demand vector: ``cpu_demand`` in CPU-share units, ``work`` in virtual seconds
-    of unit-rate compute, plus the minimum-capability constraint the
-    matchmaker must honour.  ``deps`` lists job ids that must complete
-    first (DAG edges); ``resume`` marks a failover re-submission whose
+    Carries the job's :class:`~repro.compute.job.JobSpec` (demand, work,
+    the constraint the matchmaker must honour, DAG ``deps``, each dep
+    costing 8 wire bytes); ``resume`` marks a failover re-submission whose
     execution should restart from the last checkpoint.
     """
 
     request_id: int
     origin: int
-    job_id: int
+    spec: JobSpec
     scheduler: int
-    cpu_demand: float = 1.0
-    work: float = 10.0
-    min_cpu: float = 0.0
-    min_memory_gb: float = 0.0
-    min_bandwidth_mbps: float = 0.0
-    deps: Tuple[int, ...] = ()
     resume: bool = False
     ttl: int = 0
 
     @property
     def wire_size(self) -> int:
-        return HEADER_BYTES + 48 + 8 * len(self.deps)
+        return HEADER_BYTES + 48 + 8 * len(self.spec.deps)
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,18 +64,13 @@ class JobDispatch:
     """Scheduler → worker: run this job (attempt *attempt*).
 
     ``resume`` asks the worker to restart from the job's last quorum-stored
-    checkpoint instead of from zero; the constraint triple rides along so a
-    queued copy can later be steal-matched against a thief's capabilities.
+    checkpoint instead of from zero; the spec rides along so a queued copy
+    can later be steal-matched against a thief's capabilities.
     """
 
-    job_id: int
+    spec: JobSpec
     scheduler: int
     attempt: int
-    cpu_demand: float = 1.0
-    work: float = 10.0
-    min_cpu: float = 0.0
-    min_memory_gb: float = 0.0
-    min_bandwidth_mbps: float = 0.0
     resume: bool = False
 
     wire_size: ClassVar[int] = HEADER_BYTES + 48
@@ -181,15 +174,13 @@ class JobStealOffer:
 class JobStealRequest:
     """Idle worker → the victim whose :class:`JobStealOffer` it can fit.
 
-    Carries the thief's static capabilities so the victim can check a
-    queued job's constraint before granting it away.
+    Carries the thief's capabilities so the victim can check a queued
+    job's constraint before granting it away.
     """
 
     thief: int
     free_cpu: float
-    cpu: float = 1.0
-    memory_gb: float = 1.0
-    bandwidth_mbps: float = 10.0
+    capacity: NodeCapacity
 
     wire_size: ClassVar[int] = HEADER_BYTES + 24
 
@@ -198,19 +189,14 @@ class JobStealRequest:
 class JobStealGrant:
     """Loaded worker → thief: hand over one queued job.
 
-    Carries the constraint triple so the job stays steal-matchable if the
-    thief in turn queues it.
+    Carries the spec so the job stays steal-matchable if the thief in
+    turn queues it.
     """
 
-    job_id: int
+    spec: JobSpec
     victim: int
     scheduler: int
     attempt: int
-    cpu_demand: float = 1.0
-    work: float = 10.0
-    min_cpu: float = 0.0
-    min_memory_gb: float = 0.0
-    min_bandwidth_mbps: float = 0.0
     resume: bool = False
 
     wire_size: ClassVar[int] = HEADER_BYTES + 48

@@ -36,6 +36,7 @@ from repro.compute.job import (
     MAX_ATTEMPTS,
     MAX_RESULTS,
     MONITOR_INTERVAL,
+    SUBMIT_RETRY,
     ComputeConfig,
     JobRecord,
     JobResult,
@@ -58,7 +59,7 @@ from repro.compute.messages import (
     JobSubmit,
 )
 from repro.compute.worker import ComputeAgent
-from repro.services.discovery import Constraint, ResourceDirectory
+from repro.services.discovery import ResourceDirectory
 from repro.storage.quorum import ReplicatedStore
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -123,36 +124,31 @@ class SchedulerCore:
     def _release(self, rec: JobRecord, worker: Optional[int] = None) -> None:
         w = worker if worker is not None else rec.worker
         if w is not None:
-            self.assigned[w] = max(0.0, self.assigned.get(w, 0.0) - rec.cpu_demand)
+            self.assigned[w] = max(0.0, self.assigned.get(w, 0.0) - rec.spec.cpu_demand)
         if worker is None:
             rec.worker = None
 
     # ----------------------------------------------------------- submission
     def on_submit(self, src: int, msg: JobSubmit) -> None:
         now = self.node.sim.now
-        existing = self.records.get(msg.job_id)
-        if existing is not None or msg.job_id in self.completed:
-            self.node.send(msg.origin, JobAck(
-                msg.request_id, msg.job_id, self.node.ident, hops=msg.ttl))
+        spec = msg.spec
+        ack = JobAck(msg.request_id, spec.job_id, self.node.ident, hops=msg.ttl)
+        if spec.job_id in self.records or spec.job_id in self.completed:
+            self.node.send(msg.origin, ack)
             return
         rec = JobRecord(
-            job_id=msg.job_id, origin=msg.origin, request_id=msg.request_id,
-            cpu_demand=msg.cpu_demand, work=msg.work,
-            constraint=Constraint(min_cpu=msg.min_cpu,
-                                  min_memory_gb=msg.min_memory_gb,
-                                  min_bandwidth_mbps=msg.min_bandwidth_mbps),
-            deps_remaining={d for d in msg.deps if d not in self.completed},
+            spec=spec, origin=msg.origin, request_id=msg.request_id,
+            deps_remaining={d for d in spec.deps if d not in self.completed},
             resume=msg.resume, submitted_at=now, last_heard=now,
         )
-        self.records[msg.job_id] = rec
-        self.node.send(msg.origin, JobAck(
-            msg.request_id, msg.job_id, self.node.ident, hops=msg.ttl))
-        if self._any_dep_failed(msg.deps):
+        self.records[spec.job_id] = rec
+        self.node.send(msg.origin, ack)
+        if self._any_dep_failed(spec.deps):
             self._fail(rec)  # a dead dependency can never be satisfied
         elif rec.deps_remaining:
             rec.state = JobState.WAITING
             for d in rec.deps_remaining:
-                self.dependents.setdefault(d, set()).add(msg.job_id)
+                self.dependents.setdefault(d, set()).add(spec.job_id)
         else:
             self._dispatch(rec)
 
@@ -176,11 +172,9 @@ class SchedulerCore:
         # draining the root's first cells (sibling work stealing then
         # smooths any local saturation).
         res = self.service.directory.query(
-            rec.constraint, origin=self.service.random_origin(),
+            rec.spec.constraint, origin=self.service.random_origin(),
             max_results=MAX_RESULTS,
         )
-        rec.placement_hops += res.hops
-        rec.placements += 1
         self.service.placement_hops += res.hops
         self.service.placements += 1
         candidates = [c for c in res.matches if self._up(c) and c not in exclude]
@@ -193,7 +187,7 @@ class SchedulerCore:
                 rec.worker = None
             return  # otherwise the monitor sweep retries
         rec.no_candidate_rounds = 0
-        with_room = [c for c in candidates if self._free(c) >= rec.cpu_demand]
+        with_room = [c for c in candidates if self._free(c) >= rec.spec.cpu_demand]
         if with_room:
             worker = max(with_room, key=lambda c: (self._free(c), c))
         else:
@@ -207,14 +201,10 @@ class SchedulerCore:
         rec.last_heard = self.node.sim.now
         obs = self.node.obs
         if obs is not None:
-            obs.job_place(rec.job_id, worker, self.node.sim.now, rec.attempt)
-        self.assigned[worker] = self.assigned.get(worker, 0.0) + rec.cpu_demand
-        c = rec.constraint
+            obs.job_place(rec.spec.job_id, worker, self.node.sim.now, rec.attempt)
+        self.assigned[worker] = self.assigned.get(worker, 0.0) + rec.spec.cpu_demand
         self.node.send(worker, JobDispatch(
-            rec.job_id, self.node.ident, rec.attempt,
-            cpu_demand=rec.cpu_demand, work=rec.work,
-            min_cpu=c.min_cpu, min_memory_gb=c.min_memory_gb,
-            min_bandwidth_mbps=c.min_bandwidth_mbps,
+            rec.spec, self.node.ident, rec.attempt,
             # Only an attempt that ran can have checkpointed: a re-dispatch
             # after JobRejected must not send the next worker on a quorum
             # read (and its whole sloppy fallback) for a key nobody wrote.
@@ -224,13 +214,14 @@ class SchedulerCore:
     def _fail(self, rec: JobRecord) -> None:
         rec.state = JobState.FAILED
         rec.completed_at = self.node.sim.now
-        self.failed.add(rec.job_id)
+        job_id = rec.spec.job_id
+        self.failed.add(job_id)
         self._release(rec)
         self.node.send(rec.origin, JobReport(
-            rec.request_id, rec.job_id, ok=False,
+            rec.request_id, job_id, ok=False,
             worker=-1, attempts=max(1, rec.attempt)))
         # A failed dependency can never satisfy its dependents: cascade.
-        for dep_id in sorted(self.dependents.pop(rec.job_id, ())):
+        for dep_id in sorted(self.dependents.pop(job_id, ())):
             drec = self.records.get(dep_id)
             if drec is not None and drec.state is JobState.WAITING:
                 self._fail(drec)
@@ -256,7 +247,6 @@ class SchedulerCore:
         if rec is None or rec.terminal or msg.attempt != rec.attempt:
             return  # no lease ack: a stale attempt will fence itself off
         rec.last_heard = self.node.sim.now
-        rec.progress = max(rec.progress, msg.progress)
         self.node.send(msg.worker, JobLease(msg.job_id, msg.attempt))
         if msg.worker != rec.worker:
             # Work stealing: the attempt moved to a sibling — move the
@@ -264,7 +254,7 @@ class SchedulerCore:
             self._release(rec, rec.worker)
             rec.worker = msg.worker
             self.assigned[msg.worker] = (
-                self.assigned.get(msg.worker, 0.0) + rec.cpu_demand)
+                self.assigned.get(msg.worker, 0.0) + rec.spec.cpu_demand)
             self.service.steal_reassignments += 1
 
     def on_complete(self, src: int, msg: JobComplete) -> None:
@@ -278,12 +268,11 @@ class SchedulerCore:
             return
         rec.state = JobState.DONE
         rec.completed_at = self.node.sim.now
-        rec.executed += msg.executed
         self._release(rec, msg.worker)
         rec.worker = msg.worker  # the peer that actually finished it
         self.completed.add(msg.job_id)
         self.node.send(rec.origin, JobReport(
-            rec.request_id, rec.job_id, ok=True,
+            rec.request_id, msg.job_id, ok=True,
             worker=msg.worker, attempts=max(1, rec.attempt)))
         self._unblock(msg.job_id)
 
@@ -507,11 +496,6 @@ class JobScheduler(Service):
         return True
 
     # ----------------------------------------------------------- submission
-    #: Seconds an un-acknowledged submission waits before being re-sent
-    #: (the submit datagram is fire-and-forget UDP; a relay dying with it
-    #: in flight must not strand the job).
-    SUBMIT_RETRY = 12.0
-
     def submit(self, spec: JobSpec, via: Optional[int] = None) -> int:
         """Submit one job through a live entry point; returns the job id."""
         if spec.job_id in self.expected:
@@ -538,14 +522,8 @@ class JobScheduler(Service):
             # Keyed + idempotent: retries and failover resubmissions extend
             # the same job span.
             hub.job_begin(spec.job_id, origin.ident, self.net.sim.now)
-        c = spec.constraint
-        msg = JobSubmit(
-            rid, origin.ident, spec.job_id, self.scheduler_ident,
-            cpu_demand=spec.cpu_demand, work=spec.work,
-            min_cpu=c.min_cpu, min_memory_gb=c.min_memory_gb,
-            min_bandwidth_mbps=c.min_bandwidth_mbps,
-            deps=spec.deps, resume=resume,
-        )
+        msg = JobSubmit(rid, origin.ident, spec, self.scheduler_ident,
+                        resume=resume)
         self.agents[origin.ident].handle_submit(origin.ident, msg)
 
     def schedule_submissions(self, specs: List[JobSpec]) -> None:
@@ -597,11 +575,11 @@ class JobScheduler(Service):
         if core is None:
             return
         hub = self.net.obs
-        for rec in core.records.values():
-            if rec.terminal and rec.job_id not in self.results:
-                crec = self.client.get(rec.job_id)
-                self.results[rec.job_id] = JobResult(
-                    job_id=rec.job_id, ok=rec.state is JobState.DONE,
+        for job_id, rec in core.records.items():
+            if rec.terminal and job_id not in self.results:
+                crec = self.client.get(job_id)
+                self.results[job_id] = JobResult(
+                    job_id=job_id, ok=rec.state is JobState.DONE,
                     worker=rec.worker if rec.worker is not None else -1,
                     attempts=max(1, rec.attempt),
                     submitted_at=(crec.submitted_at if crec is not None
@@ -611,7 +589,7 @@ class JobScheduler(Service):
                                   else self.net.sim.now),
                 )
                 if hub is not None:
-                    hub.job_end(rec.job_id, self.net.sim.now,
+                    hub.job_end(job_id, self.net.sim.now,
                                 rec.state is JobState.DONE,
                                 max(1, rec.attempt))
 
@@ -628,7 +606,7 @@ class JobScheduler(Service):
         for job_id, crec in list(self.client.items()):
             if job_id in self.results or crec.acked:
                 continue
-            if now - crec.last_sent > self.SUBMIT_RETRY:
+            if now - crec.last_sent > SUBMIT_RETRY:
                 self._send_submit(crec.spec, resume=crec.resume)
 
     def run_until_done(self, timeout: float) -> bool:

@@ -39,13 +39,14 @@ from zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Type, Union
 
 from repro.compute.job import (
     CHECKPOINT_READ_TIMEOUT,
     HEARTBEAT_INTERVAL,
     LEASE_TIMEOUT,
     STEAL_INTERVAL,
+    JobSpec,
     checkpoint_key,
 )
 from repro.compute.messages import (
@@ -73,15 +74,10 @@ if TYPE_CHECKING:  # pragma: no cover
 class HeldJob:
     """One job held by a worker (loading a checkpoint, running, or queued)."""
 
-    job_id: int
-    cpu_demand: float
-    work: float
+    spec: JobSpec
     attempt: int
     scheduler: int
     resume: bool
-    min_cpu: float = 0.0
-    min_memory_gb: float = 0.0
-    min_bandwidth_mbps: float = 0.0
     state: str = "queued"  # queued | loading | running
     resume_from: float = 0.0
     start_time: float = 0.0
@@ -93,8 +89,14 @@ class HeldJob:
 
     def progress(self, now: float) -> float:
         if self.state == "running":
-            return min(self.work, self.resume_from + (now - self.start_time))
+            return min(self.spec.work, self.resume_from + (now - self.start_time))
         return self.resume_from
+
+    def cancel(self) -> None:
+        """Cancel the job's completion and checkpoint-read events."""
+        for event in (self.done_event, self.load_timeout):
+            if event is not None:
+                event.cancel()  # type: ignore[attr-defined]
 
 
 class ComputeAgent:
@@ -156,7 +158,7 @@ class ComputeAgent:
         return self.node.capacity.effective_cpu
 
     def free_cpu(self) -> float:
-        used = sum(h.cpu_demand for h in self.running.values())
+        used = sum(h.spec.cpu_demand for h in self.running.values())
         return self.effective_cpu() - used
 
     # ------------------------------------------------------ submit routing
@@ -185,11 +187,17 @@ class ComputeAgent:
     def _on_report(self, src: int, msg: JobReport) -> None:
         self.service._deposit(self.node.ident, msg)
 
+    def _held(self, job_id: int) -> Optional[HeldJob]:
+        """The running or queued copy of *job_id*, if this worker holds one."""
+        held = self.running.get(job_id)
+        if held is None:
+            held = next((h for h in self.queue if h.spec.job_id == job_id), None)
+        return held
+
     # ------------------------------------------------------------ dispatch
     def _on_dispatch(self, src: int, msg: JobDispatch) -> None:
-        held = self.running.get(msg.job_id)
-        if held is None:
-            held = next((h for h in self.queue if h.job_id == msg.job_id), None)
+        job_id = msg.spec.job_id
+        held = self._held(job_id)
         if held is not None:
             # Already holding this job (failover re-dispatch landed on the
             # worker still running it): adopt the new scheduler/attempt so
@@ -198,23 +206,28 @@ class ComputeAgent:
             held.attempt = msg.attempt
             held.last_lease = self.node.sim.now
             self.node.send(msg.scheduler, JobAccepted(
-                msg.job_id, self.node.ident, msg.attempt,
+                job_id, self.node.ident, msg.attempt,
                 queued=held.state == "queued"))
             return
-        if msg.cpu_demand > self.effective_cpu():
+        if msg.spec.cpu_demand > self.effective_cpu():
             self.node.send(msg.scheduler, JobRejected(
-                msg.job_id, self.node.ident, msg.attempt))
+                job_id, self.node.ident, msg.attempt))
             return
-        held = HeldJob(
-            job_id=msg.job_id, cpu_demand=msg.cpu_demand, work=msg.work,
-            attempt=msg.attempt, scheduler=msg.scheduler, resume=msg.resume,
-            min_cpu=msg.min_cpu, min_memory_gb=msg.min_memory_gb,
-            min_bandwidth_mbps=msg.min_bandwidth_mbps,
-            last_lease=self.node.sim.now,
-        )
-        queued = self.free_cpu() < held.cpu_demand
-        self.node.send(msg.scheduler, JobAccepted(
-            msg.job_id, self.node.ident, msg.attempt, queued=queued))
+        self._take(msg, JobAccepted)
+
+    def _take(
+        self,
+        msg: Union[JobDispatch, JobStealGrant],
+        notice: Type[Union[JobAccepted, JobHeartbeat]],
+    ) -> None:
+        """Hold the job *msg* hands over: tell its scheduler (a *notice*
+        saying whether it queued), then run it or queue it."""
+        spec = msg.spec
+        queued = self.free_cpu() < spec.cpu_demand
+        self.node.send(msg.scheduler, notice(
+            spec.job_id, self.node.ident, msg.attempt, queued=queued))
+        held = HeldJob(spec, msg.attempt, msg.scheduler, msg.resume,
+                       last_lease=self.node.sim.now)
         if queued:
             self._enqueue(held)
         else:
@@ -224,56 +237,53 @@ class ComputeAgent:
     def _start(self, held: HeldJob) -> None:
         """Admit *held* into the running set (loading a checkpoint first
         when this is a resumed attempt and checkpointing is on)."""
-        self.running[held.job_id] = held
+        job_id = held.spec.job_id
+        self.running[job_id] = held
         self._ensure_timers()
         if held.resume and self.service.config.checkpointing:
             held.state = "loading"
-            me = self.node.ident
             attempt = held.attempt
             self.service.store.get_async(
-                checkpoint_key(held.job_id), via=me,
-                on_done=lambda res: self._on_checkpoint(held.job_id, attempt, res),
+                checkpoint_key(job_id), via=self.node.ident,
+                on_done=lambda res: self._on_checkpoint(job_id, attempt, res),
             )
             held.load_timeout = self.node.sim.schedule(
                 CHECKPOINT_READ_TIMEOUT,
-                lambda: self._checkpoint_timeout(held.job_id, attempt),
-                label=f"ckpt-read:{held.job_id}",
+                lambda: self._on_checkpoint(job_id, attempt, None),
+                label=f"ckpt-read:{job_id}",
             )
         else:
             self._begin(held, 0.0)
 
     def _on_checkpoint(self, job_id: int, attempt: int, result) -> None:
+        """Resume from the checkpoint read's *result*; ``None`` (the read
+        stalled past :data:`~repro.compute.job.CHECKPOINT_READ_TIMEOUT`)
+        restarts from zero."""
         held = self.running.get(job_id)
         if held is None or held.attempt != attempt or held.state != "loading":
             return
-        if held.load_timeout is not None:
-            held.load_timeout.cancel()  # type: ignore[attr-defined]
-            held.load_timeout = None
+        held.load_timeout.cancel()  # type: ignore[attr-defined]
         progress = 0.0
         if getattr(result, "found", False) and isinstance(result.value, dict):
             progress = float(result.value.get("progress", 0.0))
         self._begin(held, progress)
 
-    def _checkpoint_timeout(self, job_id: int, attempt: int) -> None:
-        held = self.running.get(job_id)
-        if held is not None and held.attempt == attempt and held.state == "loading":
-            self._begin(held, 0.0)  # the read stalled: restart from zero
-
     def _begin(self, held: HeldJob, resume_from: float) -> None:
         now = self.node.sim.now
         held.state = "running"
-        held.resume_from = min(max(0.0, resume_from), held.work)
+        job_id, work = held.spec.job_id, held.spec.work
+        held.resume_from = min(max(0.0, resume_from), work)
         held.start_time = now
         held.last_accrual = now
         held.executed_attempt = 0.0
-        remaining = max(held.work - held.resume_from, 1e-9)
+        remaining = max(work - held.resume_from, 1e-9)
         attempt = held.attempt
         obs = self.node.obs
         if obs is not None:
-            obs.job_execute_begin(held.job_id, attempt, self.node.ident, now)
+            obs.job_execute_begin(job_id, attempt, self.node.ident, now)
         held.done_event = self.node.sim.schedule(
-            remaining, lambda: self._complete(held.job_id, attempt),
-            label=f"job-done:{held.job_id}",
+            remaining, lambda: self._complete(job_id, attempt),
+            label=f"job-done:{job_id}",
         )
 
     def _accrue(self, held: HeldJob, now: float) -> None:
@@ -308,7 +318,7 @@ class ComputeAgent:
         i = 0
         while i < len(self.queue):
             held = self.queue[i]
-            if held.cpu_demand <= self.free_cpu():
+            if held.spec.cpu_demand <= self.free_cpu():
                 self.queue.pop(i)
                 self._start(held)
             else:
@@ -317,10 +327,7 @@ class ComputeAgent:
     def _crash_cleanup(self) -> None:
         """The process died: wipe in-memory job state, go silent."""
         for held in self.running.values():
-            if held.done_event is not None:
-                held.done_event.cancel()  # type: ignore[attr-defined]
-            if held.load_timeout is not None:
-                held.load_timeout.cancel()  # type: ignore[attr-defined]
+            held.cancel()
         self.running.clear()
         self.queue.clear()
         self._stop_job_timers()
@@ -351,18 +358,16 @@ class ComputeAgent:
         for held in list(self.running.values()):
             self._accrue(held, now)
             self.node.send(held.scheduler, JobHeartbeat(
-                held.job_id, self.node.ident, held.attempt,
+                held.spec.job_id, self.node.ident, held.attempt,
                 progress=held.progress(now)))
         for held in self.queue:
             self.node.send(held.scheduler, JobHeartbeat(
-                held.job_id, self.node.ident, held.attempt,
+                held.spec.job_id, self.node.ident, held.attempt,
                 progress=held.resume_from, queued=True))
         self._expire_leases(now)
 
     def _on_lease(self, src: int, msg: JobLease) -> None:
-        held = self.running.get(msg.job_id)
-        if held is None:
-            held = next((h for h in self.queue if h.job_id == msg.job_id), None)
+        held = self._held(msg.job_id)
         if held is not None and held.attempt == msg.attempt:
             held.last_lease = self.node.sim.now
 
@@ -381,23 +386,9 @@ class ComputeAgent:
             if held.state == "running":
                 self._accrue(held, now)
                 if self.service.config.checkpointing:
-                    progress = held.progress(now)
-                    if progress > held.resume_from:
-                        self.service.store.put_async(
-                            checkpoint_key(held.job_id),
-                            {"progress": progress, "attempt": held.attempt},
-                            via=self.node.ident,
-                        )
-                        self.checkpoints_written += 1
-                        obs = self.node.obs
-                        if obs is not None:
-                            obs.job_checkpoint(held.job_id, self.node.ident,
-                                               now, progress)
-            if held.done_event is not None:
-                held.done_event.cancel()  # type: ignore[attr-defined]
-            if held.load_timeout is not None:
-                held.load_timeout.cancel()  # type: ignore[attr-defined]
-            self.running.pop(held.job_id, None)
+                    self._checkpoint(held, now)
+            held.cancel()
+            self.running.pop(held.spec.job_id, None)
             if held in self.queue:
                 self.queue.remove(held)
         if expired:
@@ -411,21 +402,25 @@ class ComputeAgent:
             return
         now = self.node.sim.now
         for held in self.running.values():
-            if held.state != "running":
-                continue
-            progress = held.progress(now)
-            if progress <= held.resume_from:
-                continue  # nothing new since the resume point
-            self.service.store.put_async(
-                checkpoint_key(held.job_id),
-                {"progress": progress, "attempt": held.attempt},
-                via=self.node.ident,
-            )
-            self.checkpoints_written += 1
-            obs = self.node.obs
-            if obs is not None:
-                obs.job_checkpoint(held.job_id, self.node.ident, now,
-                                   progress)
+            if held.state == "running":
+                self._checkpoint(held, now)
+
+    def _checkpoint(self, held: HeldJob, now: float) -> None:
+        """Quorum-store *held*'s progress, unless nothing is new since its
+        resume point."""
+        progress = held.progress(now)
+        if progress <= held.resume_from:
+            return
+        job_id = held.spec.job_id
+        self.service.store.put_async(
+            checkpoint_key(job_id),
+            {"progress": progress, "attempt": held.attempt},
+            via=self.node.ident,
+        )
+        self.checkpoints_written += 1
+        obs = self.node.obs
+        if obs is not None:
+            obs.job_checkpoint(job_id, self.node.ident, now, progress)
 
     # -------------------------------------------------------- work stealing
     def _enqueue(self, held: HeldJob) -> None:
@@ -447,7 +442,7 @@ class ComputeAgent:
             self._steal_timer.stop()
         else:
             offer = JobStealOffer(self.node.ident,
-                                  min(h.cpu_demand for h in self.queue))
+                                  min(h.spec.cpu_demand for h in self.queue))
             # The cell seen from the loaded side: level-0 siblings plus our
             # children — exactly the peers that count us among their own
             # level-0 siblings and parents.
@@ -459,46 +454,23 @@ class ComputeAgent:
         free = self.free_cpu()
         if self.queue or free < msg.cpu_demand:
             return  # loaded ourselves, or no room for even the smallest job
-        cap = self.node.capacity
         self.node.send(msg.victim, JobStealRequest(
-            self.node.ident, free, cap.cpu, cap.memory_gb, cap.bandwidth_mbps))
+            self.node.ident, free, self.node.capacity))
 
     def _on_steal_request(self, src: int, msg: JobStealRequest) -> None:
-        if not self.queue:
-            return
         for i, held in enumerate(self.queue):
-            if held.cpu_demand > msg.free_cpu:
-                continue
-            if (msg.cpu < held.min_cpu or msg.memory_gb < held.min_memory_gb
-                    or msg.bandwidth_mbps < held.min_bandwidth_mbps):
-                continue
-            self.queue.pop(i)
-            self.node.send(msg.thief, JobStealGrant(
-                held.job_id, self.node.ident, held.scheduler, held.attempt,
-                cpu_demand=held.cpu_demand, work=held.work,
-                min_cpu=held.min_cpu, min_memory_gb=held.min_memory_gb,
-                min_bandwidth_mbps=held.min_bandwidth_mbps,
-                resume=held.resume))
-            return
+            spec = held.spec
+            if spec.cpu_demand <= msg.free_cpu and spec.constraint.admits(msg.capacity):
+                self.queue.pop(i)
+                self.node.send(msg.thief, JobStealGrant(
+                    spec, self.node.ident, held.scheduler, held.attempt,
+                    resume=held.resume))
+                return
 
     def _on_steal_grant(self, src: int, msg: JobStealGrant) -> None:
-        if msg.job_id in self.running or any(
-                h.job_id == msg.job_id for h in self.queue):
+        if self._held(msg.spec.job_id) is not None:
             return
-        held = HeldJob(
-            job_id=msg.job_id, cpu_demand=msg.cpu_demand, work=msg.work,
-            attempt=msg.attempt, scheduler=msg.scheduler, resume=msg.resume,
-            min_cpu=msg.min_cpu, min_memory_gb=msg.min_memory_gb,
-            min_bandwidth_mbps=msg.min_bandwidth_mbps,
-            last_lease=self.node.sim.now,
-        )
         self.steals_done += 1
-        # Tell the scheduler immediately so the job is re-owned before the
-        # victim's silence could be mistaken for a failure.
-        self.node.send(msg.scheduler, JobHeartbeat(
-            held.job_id, self.node.ident, held.attempt,
-            progress=0.0, queued=self.free_cpu() < held.cpu_demand))
-        if self.free_cpu() < held.cpu_demand:
-            self._enqueue(held)
-        else:
-            self._start(held)
+        # A heartbeat tells the scheduler at once, so the job is re-owned
+        # before the victim's silence could be mistaken for a failure.
+        self._take(msg, JobHeartbeat)

@@ -82,6 +82,8 @@ class HierarchyLayout:
 
 
 def _effective_nc(config: TreePConfig, cap: NodeCapacity) -> int:
+    """A parent's children bound: ``nc_fixed``, or in variable mode what
+    its capacity affords (the builder and every live node read this)."""
     if config.nc_mode == "fixed":
         return config.nc_fixed
     return cap.max_children()

@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.capacity import NodeCapacity
 from repro.core.config import LOOKUP_TIMEOUT, TreePConfig
-from repro.core.hierarchy import DemotionManager, ElectionManager
+from repro.core.hierarchy import DemotionManager, ElectionManager, _effective_nc
 from repro.core.lookup import (
     DecisionKind,
     LookupAlgorithm,
@@ -158,11 +158,7 @@ class TreePNode(LookupClient):
         self.max_level = 0
         #: Node-local estimate of the hierarchy height ``h``.
         self.height = 1
-        self.nc = (
-            config.nc_fixed
-            if config.nc_mode == "fixed"
-            else capacity.max_children()
-        )
+        self.nc = _effective_nc(config, capacity)
         #: Per-request hop observation hook a harness may install
         #: (measurement only, never read by routing).
         self.hop_observer: Optional[Callable[[LookupRequest], None]] = None

@@ -5,6 +5,7 @@ import pytest
 
 from repro.baselines.flood import FloodNetwork
 from repro.baselines.random_graph import random_overlay
+from repro.workloads.lookups import lookup_pairs
 
 
 class TestRandomOverlay:
@@ -110,3 +111,24 @@ class TestFloodNetwork:
         net.build(8)
         with pytest.raises(RuntimeError):
             net.build(8)
+
+    def test_duplicate_table_is_time_bounded(self):
+        """A node forgets a request id two generations
+        (``LOOKUP_TIMEOUT`` each) after it saw it, so the table holds about
+        two batches' worth however many batches run."""
+        net = FloodNetwork(seed=1)
+        net.build(512)
+        rng = np.random.default_rng(0)
+
+        def remembered():
+            return [rid for n in net.nodes.values()
+                    for rid in (*n.seen, *n._seen_before)]
+
+        first = [r.request_id
+                 for r in net.run_lookup_batch(lookup_pairs(rng, net.ids, 200))]
+        after_one = len(remembered())
+        for _ in range(2):
+            net.run_lookup_batch(lookup_pairs(rng, net.ids, 200))
+        left = remembered()
+        assert not set(first) & set(left)
+        assert len(left) < 2.1 * after_one  # without expiry: 3x

@@ -16,8 +16,9 @@ from repro import (
     TreePConfig,
     TreePNetwork,
 )
-from repro.compute.job import JobState, checkpoint_key
-from repro.compute.messages import JobDispatch
+from repro.compute.job import CHECKPOINT_READ_TIMEOUT, JobState, checkpoint_key
+from repro.compute.messages import JobDispatch, JobStealGrant, JobStealRequest
+from repro.compute.worker import HeldJob
 from repro.core.repair import FULL_POLICY, apply_failure_step
 from repro.services.discovery import Constraint
 
@@ -78,6 +79,18 @@ def test_constraint_matchmaking_respects_capabilities():
     assert c.admits(net.capacities[worker])
 
 
+def test_placement_honours_min_storage():
+    """The whole constraint reaches the matchmaker, disk size included."""
+    cluster = Cluster(seed=7).build(64).with_compute()
+    grid, caps = cluster.compute, cluster.net.capacities
+    disks = sorted({cap.storage_gb for cap in caps.values()}, reverse=True)
+    c = Constraint(min_storage_gb=disks[2])
+    for i in range(20):
+        grid.submit(JobSpec(job_id=i + 1, work=5.0, constraint=c))
+    assert grid.run_until_done(timeout=600.0)
+    assert all(r.ok and c.admits(caps[r.worker]) for r in grid.results.values())
+
+
 # ---------------------------------------------------------- placement rule
 def make_mixed_grid(n=48, seed=7):
     """Unloaded peers of 2, 4 or 8 cores: every job of <= 2 CPUs is
@@ -117,7 +130,7 @@ def record_placements(net, grid, stale=()):
     def recording_send(dst, payload):
         if isinstance(payload, JobDispatch):
             live, free = last.pop()
-            placements.append(Placement(payload.cpu_demand, live, free, dst))
+            placements.append(Placement(payload.spec.cpu_demand, live, free, dst))
         send(dst, payload)
 
     grid.directory.query = recording_query
@@ -297,6 +310,27 @@ def test_checkpoint_resume_after_worker_death():
     assert grid.stats().executed_work < 80.0 + resumed_from + 1.0
 
 
+def test_a_stalled_checkpoint_read_restarts_from_zero(monkeypatch):
+    """A resumed attempt whose checkpoint read never answers starts from
+    zero once ``CHECKPOINT_READ_TIMEOUT`` passes."""
+    net, grid = make_grid(checkpoint_interval=4.0)
+    grid.store.put(checkpoint_key(1), {"progress": 6.0, "attempt": 1})
+    monkeypatch.setattr(grid.store, "get_async", lambda *args, **kwargs: 0)
+    sched = grid.scheduler_ident
+    worker = next(a for i, a in grid.agents.items()
+                  if i != sched and a.free_cpu() >= 1.0)
+    start = net.sim.now
+    worker._on_dispatch(sched, JobDispatch(JobSpec(job_id=1, work=10.0), sched, 1,
+                                           resume=True))
+    held = worker.running[1]
+    net.sim.run_for(CHECKPOINT_READ_TIMEOUT - 0.01)
+    assert held.state == "loading"
+    net.sim.run_for(0.01)
+    assert held.state == "running" and held.resume_from == 0.0
+    assert held.start_time == pytest.approx(start + CHECKPOINT_READ_TIMEOUT)
+    assert held.done_event.time == pytest.approx(held.start_time + 10.0)
+
+
 def test_rejected_dispatch_is_not_a_resume():
     """An attempt the worker refused never ran, so it never checkpointed:
     the re-dispatch must not send the next worker on a quorum read (and
@@ -438,6 +472,29 @@ def test_work_stealing_drains_saturated_queues(monkeypatch):
     for agent in grid.agents.values():
         assert not agent.queue
         assert agent._steal_timer is None or not agent._steal_timer.running
+
+
+@pytest.mark.parametrize("constraint, refused, admitted", [
+    (Constraint(min_storage_gb=100.0),
+     NodeCapacity(storage_gb=50.0), NodeCapacity(storage_gb=200.0)),
+    (Constraint(max_cpu_load=0.5),
+     NodeCapacity(cpu_load=0.8), NodeCapacity(cpu_load=0.2)),
+], ids=["min_storage_gb", "max_cpu_load"])
+def test_victim_refuses_a_steal_the_constraint_forbids(
+        monkeypatch, constraint, refused, admitted):
+    net, grid = make_grid()
+    victim = grid.agents[net.ids[0]]
+    thief = net.ids[1]
+    victim.queue.append(HeldJob(JobSpec(job_id=1, constraint=constraint),
+                                1, grid.scheduler_ident, False))
+    sent = []
+    monkeypatch.setattr(victim.node, "send",
+                        lambda dst, payload: sent.append((dst, payload)))
+    victim._on_steal_request(thief, JobStealRequest(thief, 4.0, refused))
+    assert not sent and len(victim.queue) == 1
+    victim._on_steal_request(thief, JobStealRequest(thief, 4.0, admitted))
+    assert [(dst, type(p)) for dst, p in sent] == [(thief, JobStealGrant)]
+    assert sent[0][1].spec.constraint == constraint and not victim.queue
 
 
 def test_idle_grid_is_silent():

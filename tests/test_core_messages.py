@@ -103,6 +103,7 @@ def test_storage_messages_frozen_and_sized():
 
 
 def test_compute_messages_frozen_and_sized():
+    from repro.compute.job import JobSpec
     from repro.compute.messages import (
         JobAccepted,
         JobAck,
@@ -117,21 +118,24 @@ def test_compute_messages_frozen_and_sized():
         JobStealRequest,
         JobSubmit,
     )
+    from repro.core.capacity import NodeCapacity
 
-    for m in [JobSubmit(1, 2, 3, 4), JobAck(1, 3, 4), JobReport(1, 3, True),
-              JobDispatch(3, 4, 1), JobAccepted(3, 5, 1),
+    spec = JobSpec(job_id=3)
+    for m in [JobSubmit(1, 2, spec, 4), JobAck(1, 3, 4), JobReport(1, 3, True),
+              JobDispatch(spec, 4, 1), JobAccepted(3, 5, 1),
               JobRejected(3, 5, 1), JobHeartbeat(3, 5, 1, 2.5),
               JobComplete(3, 5, 1, 10.0), JobLease(3, 1),
-              JobStealOffer(5, 2.0), JobStealRequest(5, 2.0),
-              JobStealGrant(3, 5, 4, 1)]:
+              JobStealOffer(5, 2.0), JobStealRequest(5, 2.0, NodeCapacity()),
+              JobStealGrant(spec, 5, 4, 1)]:
         _assert_frozen_and_slotted(m)
 
 
 def test_job_submit_size_scales_with_deps():
+    from repro.compute.job import JobSpec
     from repro.compute.messages import JobSubmit
 
-    bare = JobSubmit(1, 2, 3, 4)
-    dag = JobSubmit(1, 2, 3, 4, deps=(10, 11, 12))
+    bare = JobSubmit(1, 2, JobSpec(job_id=3), 4)
+    dag = JobSubmit(1, 2, JobSpec(job_id=3, deps=(10, 11, 12)), 4)
     assert dag.wire_size == bare.wire_size + 3 * 8
 
 
