@@ -198,7 +198,9 @@ class CandidateView(NamedTuple):
     * the *cell owners* (candidates above level 0) in Fig. 3 order, each
       with its tessellation radius ``L / 2**(h - lvl)`` from
       :func:`_radii` — the only candidates ``D`` can score 0;
-    * every candidate id, ascending — the order of the Euclidean metric.
+    * every candidate id, ascending — the order of the Euclidean metric,
+      ``None`` until the first Euclidean-fallback hop at the node (most
+      nodes never take one).
 
     Everything is a Python int or float, so every comparison the router
     makes against it is exact at any extent.
@@ -208,7 +210,7 @@ class CandidateView(NamedTuple):
     height: int
     cell_ids: Tuple[int, ...]       # cell owners, Fig. 3 order
     cell_radii: Tuple[float, ...]   # their radii, same order
-    ids: Tuple[int, ...]            # every candidate, ascending
+    ids: Optional[Tuple[int, ...]]  # every candidate, ascending
 
 
 def _candidate_view(view: NodeView, l0: bool) -> CandidateView:
@@ -224,13 +226,34 @@ def _candidate_view(view: NodeView, l0: bool) -> CandidateView:
         t.version, height,
         tuple(i for i, _ in cells),
         tuple(radii[lvl if lvl <= height else height] for _, lvl in cells),
-        tuple(sorted(i for i, _ in pairs)),
+        None,
     )
     if l0:
         t._view_l0 = built
     else:
         t._view_full = built
     return built
+
+
+def _candidate_ids(view: NodeView, l0: bool, cv: CandidateView) -> Tuple[int, ...]:
+    """Fill in the ``ids`` of the table's current view *cv* for one variant:
+    every candidate id, ascending — the ids of :func:`_level_zero_pairs` /
+    :func:`_ordered_pairs`, read from the same roles (the version still
+    matches) as one union, without their per-group order."""
+    t = view.table
+    if l0:
+        ids = set(t.level0).union(t.children, t.neighbour_children)
+    else:
+        ids = set(t.parents.values()).union(t.children, t.neighbour_children,
+                                            t.superiors, t.level0,
+                                            *t.level_tables.values())
+    known = t._entries
+    ids = tuple(sorted(i for i in ids if i in known))
+    if l0:
+        t._view_l0 = cv._replace(ids=ids)
+    else:
+        t._view_full = cv._replace(ids=ids)
+    return ids
 
 
 def _full_candidates(
@@ -345,6 +368,8 @@ def _route_greedy(view: NodeView, req: LookupRequest, euclid: bool) -> Decision:
         # |id - x|: the nearest candidate off the path on each side of x.
         # An exact tie goes to the scan, where Fig. 3 order decides.
         ids = cv[4]
+        if ids is None:
+            ids = _candidate_ids(view, from_level1_parent, cv)
         hi = bisect_left(ids, target)
         lo = hi - 1
         while lo >= 0 and ids[lo] in path:

@@ -49,7 +49,7 @@ from repro.core.messages import (
     PromoteGrant,
     Splice,
 )
-from repro.core.routing_table import Meta, RoutingTable
+from repro.core.routing_table import Meta, RoutingTable, SharedMap
 from repro.sim.network import Datagram, Process
 
 
@@ -65,6 +65,10 @@ class PendingLookup:
     on_done: Optional[Callable[[LookupResult], None]] = None
 
 
+#: The ``pending`` map of every node with no lookup in flight.
+_NO_LOOKUPS: Dict[int, PendingLookup] = SharedMap()
+
+
 class LookupClient(Process):
     """The origin side of a lookup, whatever the overlay routes it with.
 
@@ -72,7 +76,8 @@ class LookupClient(Process):
     request id and arms its :data:`~repro.core.config.LOOKUP_TIMEOUT`
     before the first datagram goes out; :meth:`_close_lookup` resolves it
     once, on the first reply or on the timeout, and ignores whatever
-    arrives after (a late reply, a flood's duplicate hit).
+    arrives after (a late reply, a flood's duplicate hit).  A node with no
+    lookup in flight holds the shared :data:`_NO_LOOKUPS` as ``pending``.
     """
 
     def __init__(self, ident: int) -> None:
@@ -80,7 +85,7 @@ class LookupClient(Process):
         self.ident = ident
         #: Lookups issued so far; the next request id's low bits.
         self._req_counter = 0
-        self.pending: Dict[int, PendingLookup] = {}
+        self.pending: Dict[int, PendingLookup] = _NO_LOOKUPS
         #: Observability hub (see :mod:`repro.obs`); ``None`` keeps every
         #: instrumentation site to a single attribute check.
         self.obs = None
@@ -94,7 +99,10 @@ class LookupClient(Process):
         self._req_counter += 1
         rid = (self.ident << 20) | self._req_counter
         pend = PendingLookup(rid, target, algo, on_done=on_done)
-        self.pending[rid] = pend
+        pending = self.pending
+        if type(pending) is not dict:
+            pending = self.pending = {}
+        pending[rid] = pend
         obs = self.obs
         if obs is not None:
             obs.lookup_begin(rid, self.ident, self.sim.now)
@@ -113,9 +121,12 @@ class LookupClient(Process):
         path: Tuple[int, ...] = (),
         timed_out: bool = False,
     ) -> None:
-        pend = self.pending.pop(rid, None)
+        pending = self.pending
+        pend = pending.pop(rid, None)
         if pend is None:
             return  # already closed
+        if not pending:
+            self.pending = _NO_LOOKUPS
         pend.timeout_event.cancel()  # type: ignore[attr-defined]
         res = pend.result = LookupResult(
             rid, self.ident, pend.target, pend.algo, found, hops, timed_out,

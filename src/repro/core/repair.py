@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
+from repro.core.routing_table import SharedIds
 from repro.core.treep import paused_collector
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -191,8 +192,12 @@ def gossip_round(net: "TreePNetwork") -> None:
     # pin the copy's.  A peer's metadata for an id is its override as the
     # round found it, else the network's book: ``overrides()`` copies a
     # table's overrides (none on a converged overlay, so usually nothing),
-    # because the round may write them.
+    # because the round may write them.  Siblings read one parent snapshot,
+    # so they import one superior list in one order, which the round
+    # installs as one shared set per parent: ``SharedIds(new_sup)`` iterates
+    # as the ``set(new_sup)`` copy each sibling used to get.
     snapshot: dict[int, tuple] = {}
+    shared_superiors: dict[int, SharedIds] = {}
     for ident, node in net.nodes.items():
         if not net.network.is_up(ident):
             continue
@@ -258,11 +263,16 @@ def gossip_round(net: "TreePNetwork") -> None:
         ps = snapshot.get(p) if p is not None else None
         if ps is not None:
             _, p_buses, _, p_parents, p_superiors, pme, theirs = ps
+            adds = [*p_parents.values(), *set(p_superiors), *set(p_buses.get(pme[0], ()))]
             new_sup: set[int] = set()
-            for group in (p_parents.values(), set(p_superiors),
-                          set(p_buses.get(pme[0], ()))):
-                t.import_role(group, now, theirs, new_sup)
-            t.set_role("superiors", new_sup)
+            t.import_role(adds, now, theirs, new_sup)
+            if ident in adds:  # a list that names the node: its own set
+                t.set_role("superiors", new_sup)
+            else:  # every sibling's list: the first one's, shared
+                shared = shared_superiors.get(p)
+                if shared is None:
+                    shared = shared_superiors[p] = SharedIds(new_sup)
+                t.set_role("superiors", shared)
 
     # A table's trim depends only on its own final roles, so trimming after
     # the loop leaves what trimming each node after its exchange would.

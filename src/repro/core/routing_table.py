@@ -33,13 +33,17 @@ The table's methods are the only writers of role state; everything else
 reads the plain containers.  A table allocates only the roles it holds:
 every unwritten role set is the one shared, immutable :data:`_NO_ROLE` and
 every unwritten per-level map the shared :data:`_NO_LEVELS`, until the first
-write through a table method installs the table's own container.
+write through a table method installs the table's own container.  Equal
+role state is one object too: siblings hold one superior list (table 5)
+and one ``parents`` map, shared read-only (:class:`SharedIds`,
+:class:`SharedMap`) from the build and from a repair's gossip round, and a
+table copies a shared container only on its own first write to it.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from typing import Dict, Iterable, KeysView, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, KeysView, List, Mapping, Optional, Sequence, Set, Tuple
 
 #: A peer's metadata: ``(max_level, score, nc)``.
 Meta = Tuple[int, float, int]
@@ -48,35 +52,85 @@ Meta = Tuple[int, float, int]
 _UNKNOWN_META: Meta = (0, 1.0, 4)
 
 
+class SharedIds(frozenset):
+    """A role set several tables hold at once, read-only: the superior list
+    siblings share.  It iterates as ``set(ids)`` would, for the *ids* it
+    was made from, and :meth:`thaw` gives a table that writes the role its
+    own set, which iterates, then and after the same writes, exactly as
+    that unshared ``set(ids)`` would have.
+
+    ``set(ids)`` adds a sequence's ids one by one but copies a set's table
+    in one pass, and the two lay their ids out differently, so a plain
+    ``set(shared)`` of one made from a sequence would not iterate as the
+    table's own set used to: one made from a sequence keeps it in
+    :attr:`adds` and thaws as ``set(adds)``; one made from a set (a gossip
+    round's) thaws as ``set(self)``, a slot-for-slot copy of a copy.  A
+    write that bypasses the table (``t.superiors.add(x)``) raises
+    ``AttributeError``."""
+
+    __slots__ = ("adds",)
+
+    def __new__(cls, ids: Iterable[int] = ()) -> "SharedIds":
+        adds = None if isinstance(ids, (set, frozenset)) else tuple(ids)
+        self = super().__new__(cls, ids if adds is None else adds)
+        #: The sequence the set was made from, or ``None`` if from a set.
+        self.adds = adds
+        return self
+
+    def thaw(self) -> Set[int]:
+        """A plain set equal to this one that iterates as it does."""
+        adds = self.adds
+        return set(self if adds is None else adds)
+
+    def __reduce__(self):
+        adds = self.adds
+        return SharedIds, (set(self) if adds is None else adds,)
+
+
 #: Every unwritten role set of every table: reads are frozenset's own, and a
 #: write that bypasses the table (``t.children.add(x)``) raises
 #: ``AttributeError`` instead of landing in state every table shares.
-_NO_ROLE = frozenset()
+_NO_ROLE = SharedIds()
 
 
-class EmptyMap(dict):
-    """An empty ``dict`` that cannot be written: the shared default of a
-    per-owner map its owner installs on first write (a table's per-level
-    maps).  Reads are dict's own, at dict's speed, and ``pop`` with a
-    default (dict's own too) is a no-op; any write raises ``TypeError``, so
-    one that bypasses the owner cannot land in state every owner shares."""
+class SharedMap(dict):
+    """A ``dict`` several owners hold at once that none may write: a shared
+    empty default its owner replaces on first write (a table's per-level
+    maps and overrides, a node's pending lookups), or the ``parents`` map
+    siblings share.  Reads are dict's own, at dict's speed, and ``pop`` of
+    an absent key is dict's own too (a no-op with a default); any write
+    raises ``TypeError``, so one that bypasses the owner cannot land in
+    state other owners share."""
 
     __slots__ = ()
 
     def _read_only(self, *args, **kwargs):
-        raise TypeError("a shared empty default is read-only; "
-                        "write through the owner that installs its own map")
+        raise TypeError("a shared map is read-only; "
+                        "write through the owner, which copies it first")
 
     __setitem__ = __delitem__ = __ior__ = setdefault = update = clear = popitem = _read_only
 
+    def pop(self, key, *default):
+        if key in self:
+            self._read_only()
+        return dict.pop(self, key, *default)
 
-#: Every unwritten ``level_tables`` and ``level_children`` of every table.
-_NO_LEVELS = EmptyMap()
+    def thaw(self) -> Dict:
+        """A plain dict equal to this one, in the same order."""
+        return dict(self)
+
+    def __reduce__(self):
+        return SharedMap, (dict(self),)
+
+
+#: Every unwritten ``level_tables``, ``level_children`` and ``parents`` of
+#: every table.
+_NO_LEVELS = SharedMap()
 
 #: Every table's ``_meta`` until its first entry differs from the book, and
 #: the book of a table built without one (whose entries then all keep their
 #: own metadata).
-_NO_META = EmptyMap()
+_NO_META = SharedMap()
 
 
 class RoutingTable:
@@ -123,7 +177,7 @@ class RoutingTable:
         self._view_full = None
         self._view_l0 = None
         #: parent at each level this node belongs to (tables 4 + per-level).
-        self.parents: Dict[int, int] = {}
+        self.parents: Dict[int, int] = _NO_LEVELS
         #: level-0 neighbours (table 1).
         self.level0: Set[int] = _NO_ROLE
         #: indirect level-0 knowledge — neighbours of neighbours, the
@@ -181,7 +235,7 @@ class RoutingTable:
         only while it differs from the book's."""
         own = self._meta
         if meta != self._book.get(ident):
-            if type(own) is EmptyMap:  # unwritten (or a deep copy of it)
+            if type(own) is SharedMap:  # unwritten (or a deep copy of it)
                 own = self._meta = {}
             own[ident] = meta
         elif ident in own:
@@ -265,10 +319,13 @@ class RoutingTable:
         """Drop *ident* from every table (e.g. a detected-dead peer)."""
         if self._entries.pop(ident, None) is not None:
             self._membership += 1
-            self._meta.pop(ident, None)
-        for ids in (self.level0, self.level0_indirect,
-                    self.neighbour_children, self.superiors,
-                    *self.level_tables.values()):
+            meta = self._meta
+            if ident in meta:
+                del meta[ident]
+        for role in ("level0", "level0_indirect", "neighbour_children", "superiors"):
+            if ident in getattr(self, role):
+                self.unlink(role, ident)
+        for ids in self.level_tables.values():
             if ident in ids:
                 ids.discard(ident)
                 self._version += 1
@@ -280,14 +337,22 @@ class RoutingTable:
     # The only writers of role state: each makes the version bump its write
     # calls for, so a read of ``version`` is a read of every role at once.
 
+    def _own(self, role: str):
+        """The table's own *role* container (a role set or ``parents``): an
+        unwritten or shared one is thawed into the table's own first (the
+        thaw itself bumps nothing)."""
+        ids = getattr(self, role)
+        if type(ids) is SharedIds or type(ids) is SharedMap:
+            ids = ids.thaw()
+            setattr(self, role, ids)
+        return ids
+
     def link(self, role: str, ident: int) -> None:
-        """Add *ident* to the *role* set, installing the table's own set on
-        the role's first write (the installation itself bumps nothing)."""
+        """Add *ident* to the *role* set."""
         ids = getattr(self, role)
         if ident not in ids:
-            if type(ids) is frozenset:  # unwritten (or a deep copy of it)
-                ids = set()
-                setattr(self, role, ids)
+            if type(ids) is not set:
+                ids = self._own(role)
             ids.add(ident)
             self._version += 1
 
@@ -295,15 +360,21 @@ class RoutingTable:
         """Remove *ident* from the *role* set, if it is there."""
         ids = getattr(self, role)
         if ident in ids:
+            if type(ids) is not set:
+                ids = self._own(role)
             ids.discard(ident)
             self._version += 1
 
     def set_role(self, role: str, ids: Iterable[int]) -> None:
         """Install *ids* as the whole *role* set (a repair rebuild), replacing
-        whatever the table held there: one bump, whatever changed; an empty
-        result leaves the role unwritten again."""
+        whatever the table held there: one bump, whatever changed.  A
+        :class:`SharedIds` is installed as it is, shared; anything else as
+        the table's own ``set(ids)``.  An empty result leaves the role
+        unwritten again."""
         self._version += 1
-        setattr(self, role, set(ids) or _NO_ROLE)
+        if type(ids) is not SharedIds:
+            ids = set(ids)
+        setattr(self, role, ids or _NO_ROLE)
 
     def add(self, role: str, ident: int, now: float,
             max_level: Optional[int] = None, score: Optional[float] = None,
@@ -333,7 +404,7 @@ class RoutingTable:
         if level <= 0:
             raise ValueError("use the level0 role for level 0")
         levels = self.level_tables
-        if type(levels) is EmptyMap:  # unwritten (or a deep copy of it)
+        if type(levels) is SharedMap:  # unwritten (or a deep copy of it)
             levels = self.level_tables = {}
         levels[level] = set(ids)
         self._version += 1
@@ -355,7 +426,7 @@ class RoutingTable:
         """List level *level* as one this node parents, even while it has
         no children (the build opens every level the node holds)."""
         levels = self.level_children
-        if type(levels) is EmptyMap:  # unwritten (or a deep copy of it)
+        if type(levels) is SharedMap:  # unwritten (or a deep copy of it)
             levels = self.level_children = {}
         levels.setdefault(level, [])
 
@@ -394,49 +465,57 @@ class RoutingTable:
             raise ValueError("parents exist at level >= 1")
         self.upsert(ident, now, max_level, score, nc)
         if self.parents.get(level) != ident:
-            self.parents[level] = ident
+            self._own("parents")[level] = ident
             self._version += 1
 
     def drop_parent(self, level: int) -> Optional[int]:
         """Forget the level-*level* parent; return it (``None`` if unset)."""
-        old = self.parents.pop(level, None)
-        if old is not None:
-            self._version += 1
-        return old
+        if level not in self.parents:
+            return None
+        self._version += 1
+        return self._own("parents").pop(level)
 
     def install(self, now: float,
                 level0: Sequence[int], buses: Sequence[Sequence[int]],
                 own_children: Sequence[Sequence[int]],
                 neighbour_children: Sequence[Sequence[int]],
-                parent: Optional[int], superiors: Sequence[int]) -> None:
+                parents: Mapping[int, int], superiors: Sequence[int]) -> None:
         """Write a node's whole build plan onto a table nothing has written.
 
         ``buses[j - 1]``, ``own_children[j - 1]`` and
         ``neighbour_children[j - 1]`` belong to level ``j``, for every level
-        ``1..len(buses)`` the node holds; *parent* sits one level above.
-        Every id must be in the table's book.  The result is exactly what
-        these calls, in this order, each with ``now, *book[id]``, would
-        leave: ``add("level0", ·)`` for each of *level0*;
-        ``add_level(j, ·)`` for each of every ``buses[j - 1]``;
+        ``1..len(buses)`` the node holds; *parents* maps a level to the
+        parent there.  Every id must be in the table's book.  The result
+        is exactly what these calls, in this order, each with ``now,
+        *book[id]``, would leave: ``add("level0", ·)`` for each of
+        *level0*; ``add_level(j, ·)`` for each of every ``buses[j - 1]``;
         per level ``j``, ``open_children(j)``, ``add_child(j, ·)`` for each
         own child and ``add("neighbour_children", ·)`` for each neighbour
-        child; ``set_parent(len(buses) + 1, parent)``; ``add("superiors",
-        ·)`` for each of *superiors* — the same entries in the same order,
-        every role set in the same iteration order, and the same
-        ``version`` and membership epoch, and no entry's metadata differs
-        from the book.
+        child; ``set_parent(level, parent)`` for each of *parents*;
+        ``add("superiors", ·)`` for each of *superiors* — the same entries
+        in the same order, every role set in the same iteration order, and
+        the same ``version`` and membership epoch, and no entry's metadata
+        differs from the book.
+
+        *parents* and *superiors* are installed shared and read-only: as
+        they are when they already are a :class:`SharedMap` and a
+        :class:`SharedIds` made from a sequence (the build hands all
+        siblings one of each), else as one made from them.
         """
         if self._membership or self._version:
             raise RuntimeError("install writes only a table nothing has written")
+        if type(parents) is not SharedMap:
+            parents = SharedMap(parents)
+        if type(superiors) is not SharedIds:
+            superiors = SharedIds(superiors)
         order = list(level0)
         for ids in buses:
             order += ids
         for own, nbc in zip(own_children, neighbour_children):
             order += own
             order += nbc
-        if parent is not None:
-            order.append(parent)
-        order += superiors
+        order += parents.values()
+        order += superiors.adds
         entries = dict.fromkeys(order, now)  # first appearance: the upserts' order
         if self.owner in entries:
             raise ValueError("a node never stores itself in its routing table")
@@ -465,12 +544,12 @@ class RoutingTable:
             if ids:
                 setattr(self, role, ids)
                 version += len(ids)
-        if parent is not None:
-            self.parents[len(buses) + 1] = parent
-            version += 1
+        if parents:
+            self.parents = parents
+            version += len(parents)
         if superiors:
-            self.superiors = ids = set(superiors)
-            version += len(ids)
+            self.superiors = superiors
+            version += len(superiors)
         self._version = version
         self._membership = len(entries)
 
@@ -529,7 +608,8 @@ class RoutingTable:
         drop = [i for i in entries if i not in keep]
         for i in drop:
             del entries[i]
-            meta.pop(i, None)
+            if i in meta:
+                del meta[i]
         if drop:
             self._membership += 1
         return len(drop)

@@ -31,7 +31,7 @@ from repro.core.ids import AssignStrategy, assign_ids
 from repro.core.lookup import LookupAlgorithm, LookupResult
 from repro.core.maintenance import MaintenanceManager
 from repro.core.node import TreePNode
-from repro.core.routing_table import Meta
+from repro.core.routing_table import Meta, SharedIds, SharedMap
 from repro.core.tessellation import cell_owner
 from repro.obs.runtime import ambient_hub
 from repro.sim.engine import Simulator
@@ -185,7 +185,9 @@ class TreePNetwork:
     def _install_tables(self, layout: HierarchyLayout) -> None:
         """Populate the six §III.c tables on every node from the layout:
         each node's plan as ordered id lists, written by one
-        :meth:`~repro.core.routing_table.RoutingTable.install` call."""
+        :meth:`~repro.core.routing_table.RoutingTable.install` call.  Equal
+        superior lists (by install sequence) and equal ``parents`` maps are
+        one shared object: every child of one parent holds the same."""
         now = self.sim.now
         space = self.config.space
         h = layout.height
@@ -200,6 +202,8 @@ class TreePNetwork:
         book = self.book
         for i, lvl in max_level.items():
             book[i] = (lvl, scores[i], nc[i])
+        shared_superiors: Dict[tuple, SharedIds] = {}
+        shared_parents: Dict[tuple, SharedMap] = {}
         for ident, node in self.nodes.items():
             top = node.max_level = max_level[ident]
             node.height = h
@@ -247,6 +251,10 @@ class TreePNetwork:
             # Tables 4/6: parents. A node at max level m has its real parent
             # at level m+1 (a bus it is not on); below that it covers itself.
             p = layout.parent.get(ident)
+            key = () if p is None else ((top + 1, p),)
+            parents = shared_parents.get(key)
+            if parents is None:
+                parents = shared_parents[key] = SharedMap(key)
 
             # Table 5: superior-node list — ancestors + parent's neighbours.
             superiors = layout.ancestors(ident)
@@ -258,7 +266,12 @@ class TreePNetwork:
                     if pn is not None and pn != ident:
                         superiors.append(pn)
 
-            node.table.install(now, level0, buses, own, theirs, p, superiors)
+            key = tuple(superiors)
+            superiors = shared_superiors.get(key)
+            if superiors is None:
+                superiors = shared_superiors[key] = SharedIds(key)
+
+            node.table.install(now, level0, buses, own, theirs, parents, superiors)
 
     def live_origin(self, via: Optional[int] = None) -> TreePNode:
         """The node client requests should enter through.

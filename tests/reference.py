@@ -206,7 +206,7 @@ class EntryTable(RoutingTable):
             e.touch(now)
 
     def install(self, now: float, level0, buses, own_children,
-                neighbour_children, parent, superiors) -> None:
+                neighbour_children, parents, superiors) -> None:
         # The entries as the old install wrote them, from the book the
         # table was built with (the only read of it); the roles as the
         # table's own install writes them, from the same plan.
@@ -215,15 +215,14 @@ class EntryTable(RoutingTable):
             order += ids
         for own, nbc in zip(own_children, neighbour_children):
             order += own + nbc
-        if parent is not None:
-            order.append(parent)
+        order += parents.values()
         order += superiors
         entries: Dict[int, Entry] = {}
         for i in dict.fromkeys(order):
             if i != self.owner:
                 entries[i] = Entry(i, *self._book[i], now)
         super().install(now, level0, buses, own_children, neighbour_children,
-                        parent, superiors)
+                        parents, superiors)
         self._entries, self._meta = entries, _NO_META
 
     def expire(self, now: float, entry_ttl: float) -> List[int]:

@@ -338,7 +338,10 @@ def test_property_warm_views_route_like_a_fresh_table(
         assert route(warm, r) == greedy_reference(warm, r)
     for old, new in zip(stamps, (warm.table._view_full, warm.table._view_l0)):
         if new is not None and old is not None and new is not old:
-            assert new.version > old.version    # rebuilt, not patched
+            # Rebuilt, not patched, after the bump.  The one same-version
+            # replacement is a first Euclidean hop filling in the ids.
+            assert (new.version > old.version
+                    or old.ids is None and new._replace(ids=None) == old)
 
 
 def test_every_greedy_hop_at_scale_is_the_reference(every_greedy_hop_checked):

@@ -15,6 +15,7 @@ by N.  Figures (CPython 3.11.7, NumPy 2.4, this file run as a script)::
     one-form view    4 252 / 3 979     545 /   543
     one table        4 243 / 3 971     545 /   543
     one timestamp    3 615 / 3 275     545 /   543
+    shared roles     2 991 / 2 608     368 /   351
 
 The first built drop is the ``RoutingTable`` instance ``__dict__`` and the
 two un-slotted per-node managers; the first lookup drop is the greedy router
@@ -37,7 +38,12 @@ attribute, gone now that service handlers live in one table per network.
 The one-timestamp drop is the ``Entry`` record per table entry: an entry
 is an ``id -> last_seen`` item, and a peer's ``(max_level, score, nc)``
 lives once in the network's peer book, so no table holds metadata of its
-own while it agrees with the book.  The budgets are the N = 2 000
+own while it agrees with the book.  The shared-roles drop is equal role
+state held once: the build hands every child of one parent one superior
+list and one ``parents`` map (a table thaws its own copy on its first
+write), a node with no lookup in flight holds the shared empty ``pending``
+map, and the router builds a view's ascending-id column only on the first
+Euclidean-fallback hop at the node.  The budgets are the N = 2 000
 figures + 5 %.  Allocation sizes are
 interpreter-specific, hence the same 3.11-only gate as the golden diff in
 ``tests/test_sim_scale.py``.
@@ -59,6 +65,7 @@ command; a 64-node build + step first pays the one-off imports and caches,
     in-place gossip  4 379 / 4 416               0 / 0
     one table        4 370 / 4 407               0 / 0
     one timestamp    3 578 / 3 578               0 / 0
+    shared roles     3 093 / 3 067               0 / 0
 
 A fourth figure budgets what the step holds at its peak, not only what it
 leaves: the step's tracemalloc peak above what was traced when it began,
@@ -72,18 +79,33 @@ step returns::
     parent 8287a75   2 313 / 2 352              (N = 2 000 / 5 000)
     in-place gossip  1 223 / 1 251
     one timestamp    1 094 / 1 139
+    shared roles       956 / 1 133
 
 The drop is the gossip round reading each peer in place: it holds
 references to the pre-round role sets and reads metadata from the
 sender's entries, where it used to copy every live node's role sets and
 build one ``(max_level, score, nc)`` tuple per entry.  The one-timestamp
 drop is the entries the round creates: a timestamp each, with no record.
+The shared-roles drop is the round installing one superior list per
+parent it read, where each node used to get its own copy.  It is smaller
+at N = 5 000: a ``forget`` of a dead superior thaws a copy of a shared
+list inside the step, which the round then replaces.
 
-Two exact guards run on every interpreter: the objects the cyclic
-collector tracks after a build, per node (19.08 before entries became
-timestamps, 7.70 after, at N = 2 000; the bound is that + 5 %), and every
-table's own metadata map staying the one shared empty map through a build
-and three paper-policy repair bursts.
+Exact guards run on every interpreter: the objects the cyclic collector
+tracks after a build, per node (19.08 before entries became timestamps,
+7.70 after, 7.07 with shared roles, at N = 2 000, where this script
+read 7.39 at the parent; the bound is that + 5 %); every table's own metadata map staying the one shared empty map
+through a build and three paper-policy repair bursts; the siblings of
+each parent holding one superior-list object after a build and after a
+paper-policy step; and every node's ``pending`` being the shared empty
+map once a lookup batch is done.  The script also prints the distinct
+``superiors`` and ``parents`` objects per 1 000 live nodes, built and
+after the repair step, so a change that un-shares them shows by name::
+
+                     superiors / parents objects per 1 000 nodes
+                     built           after repair    (N = 2 000)
+    parent e84896e   1 000 / 1 000   991 / 1 000
+    shared roles       282 / 390     338 / 443
 
 A fifth figure budgets the service plane: what attaching storage
 (``QuorumConfig(3, 2, 2)``) and compute to a built overlay allocates, per
@@ -109,15 +131,16 @@ import pytest
 
 from repro import Cluster, ComputeConfig, JobSpec, QuorumConfig
 from repro.core.repair import apply_failure_step
+from repro.core.node import _NO_LOOKUPS
 from repro.core.repair import PAPER_POLICY
 from repro.core.routing_table import _NO_LEVELS, _NO_META, _NO_ROLE
 
 NODES = 2000
-BUILT_BYTES_PER_NODE = 3615 * 1.05
-LOOKUP_BYTES_PER_NODE = 545 * 1.05
-REPAIRED_BYTES_PER_LIVE_NODE = 3578 * 1.05
-STEP_PEAK_BYTES_PER_LIVE_NODE = 1094 * 1.05
-GC_OBJECTS_PER_NODE = 7.70 * 1.05
+BUILT_BYTES_PER_NODE = 2991 * 1.05
+LOOKUP_BYTES_PER_NODE = 368 * 1.05
+REPAIRED_BYTES_PER_LIVE_NODE = 3093 * 1.05
+STEP_PEAK_BYTES_PER_LIVE_NODE = 956 * 1.05
+GC_OBJECTS_PER_NODE = 7.07 * 1.05
 SERVICE_BYTES_PER_NODE = 973 * 1.05
 
 
@@ -204,8 +227,9 @@ def test_per_node_bytes_stay_within_budget():
 
     # One flat form per variant: a view holds two ints and three flat
     # tuples of plain numbers — the cell owners, their radii and every
-    # candidate id — so no Entry and no per-candidate pair — and nothing
-    # else hangs derived state on a table.
+    # candidate id (``None`` until a Euclidean-fallback hop asks) — so no
+    # Entry and no per-candidate pair — and nothing else hangs derived
+    # state on a table.
     visited = 0
     for node in cluster.net.nodes.values():
         table = node.table
@@ -215,10 +239,13 @@ def test_per_node_bytes_stay_within_budget():
                 continue
             visited += 1
             version, height, *columns = view
+            if view.ids is None:
+                columns.pop()
             assert type(version) is int and type(height) is int
-            assert [type(c) for c in columns] == [tuple] * 3
+            assert [type(c) for c in columns] == [tuple] * len(columns)
             assert all(type(x) in (int, float) for c in columns for x in c)
-            assert len(view.cell_ids) == len(view.cell_radii) <= len(view.ids)
+            assert len(view.cell_ids) == len(view.cell_radii)
+            assert view.ids is None or len(view.cell_ids) <= len(view.ids)
     assert visited > NODES // 2
 
 
@@ -302,6 +329,56 @@ def test_converged_tables_keep_no_metadata_of_their_own():
         assert all(node.table._book is net.book for node in net.nodes.values())
 
 
+def sibling_superiors(net):
+    """``(level, parent) -> {id of each child's superiors}`` over the live
+    nodes whose parent is live."""
+    up = net.network.is_up
+    groups = {}
+    for ident, node in net.nodes.items():
+        level = node.max_level + 1
+        parent = node.table.parents.get(level)
+        if up(ident) and parent is not None and up(parent):
+            groups.setdefault((level, parent), set()).add(id(node.table.superiors))
+    return groups
+
+
+def shared_objects_per_1000(net):
+    """Distinct ``superiors`` and ``parents`` objects per 1 000 live nodes."""
+    tables = [node.table for ident, node in net.nodes.items() if net.network.is_up(ident)]
+    return tuple(1000 * len({id(getattr(t, role)) for t in tables}) / len(tables)
+                 for role in ("superiors", "parents"))
+
+
+def test_siblings_share_one_superior_list_through_build_and_repair():
+    """The exact half of the shared-roles drop: after a build, and after
+    a paper-policy step, every child of one live parent holds the one
+    superior-list object of its siblings (a repair step installs one per
+    sibling group instead of a copy per node), and after the build every
+    child of one parent at one level holds one ``parents`` map."""
+    net = Cluster(seed=9).build(NODES).net
+    groups = sibling_superiors(net)
+    assert len(groups) > NODES // 10
+    assert all(len(objects) == 1 for objects in groups.values())
+    # One parents map per (level, parent), and the root's empty default;
+    # children of one parent at two levels share their superiors too.
+    superiors, parents = shared_objects_per_1000(net)
+    assert parents == 1000 * (len(groups) + 1) / NODES and superiors <= parents
+    victims = [int(v) for v in np.random.default_rng(9).choice(
+        net.ids, int(0.06 * NODES), replace=False)]
+    net.fail_nodes(victims)
+    apply_failure_step(net, victims, PAPER_POLICY)
+    groups = sibling_superiors(net)
+    assert all(len(objects) == 1 for objects in groups.values())
+
+
+def test_no_node_keeps_a_pending_map_once_its_lookups_are_done():
+    net = Cluster(seed=9).build(256).net
+    picks = np.random.default_rng(9).integers(0, 256, size=(300, 2))
+    results = net.run_lookup_batch(
+        [(net.ids[a], net.ids[b]) for a, b in picks if a != b], "G")
+    assert results and all(node.pending is _NO_LOOKUPS for node in net.nodes.values())
+
+
 def test_no_node_holds_handler_wiring_of_its_own():
     """The exact half of the service budget: every handler is one entry
     of the network's table, a plain function over the service's agents
@@ -351,9 +428,19 @@ if __name__ == "__main__":
     for size in (int(a) for a in sys.argv[1:] or [NODES]):
         _, built_bytes, lookup_bytes = measure(size)
         repaired_bytes, peak_bytes, left = measure_repair(size)
+        net = Cluster(seed=9).build(size).net
+        built_shared = shared_objects_per_1000(net)
+        victims = [int(v) for v in np.random.default_rng(9).choice(
+            net.ids, int(0.06 * size), replace=False)]
+        net.fail_nodes(victims)
+        apply_failure_step(net, victims)
+        repaired_shared = shared_objects_per_1000(net)
         print(f"N={size}: built {built_bytes:.0f} B/node, "
               f"lookups +{lookup_bytes:.0f} B/node, after repair "
               f"{repaired_bytes:.0f} B/live node ({left} unreachable), "
               f"repair step peak +{peak_bytes:.0f} B/live node, storage + "
               f"compute attached +{measure_services(size):.0f} B/node, "
-              f"{gc_objects_per_node(size)[1]:.2f} GC-tracked objects/node built")
+              f"{gc_objects_per_node(size)[1]:.2f} GC-tracked objects/node built, "
+              "superiors / parents objects per 1 000 nodes "
+              f"{built_shared[0]:.0f} / {built_shared[1]:.0f} built, "
+              f"{repaired_shared[0]:.0f} / {repaired_shared[1]:.0f} after repair")

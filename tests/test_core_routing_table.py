@@ -1,13 +1,15 @@
 """Unit + property tests for the six-table routing state."""
 
 import copy
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import entries, entry, membership
-from repro.core.routing_table import _NO_LEVELS, _NO_ROLE, RoutingTable
+from repro.core.routing_table import (_NO_LEVELS, _NO_ROLE, RoutingTable, SharedIds,
+                                      SharedMap)
 
 
 def roles_of(table, ident):
@@ -568,6 +570,67 @@ def test_a_deep_copy_is_faithful_and_independent(table):
     assert (table.version, membership(table)) == (5, 3)
 
 
+def _siblings():
+    """Two tables from one install plan, as the build leaves siblings: one
+    superior list and one ``parents`` map between them."""
+    book = {i: (i % 3, 1.0, 4) for i in range(40)}
+    parents = SharedMap({1: 30})
+    superiors = SharedIds([30, 12, 33, 17, 21, 36, 9])
+    a, b = RoutingTable(1, book), RoutingTable(2, book)
+    a.install(0.0, [3, 4], [], [], [], parents, superiors)
+    b.install(0.0, [5, 6], [], [], [], parents, superiors)
+    assert a.superiors is b.superiors is superiors
+    assert a.parents is b.parents is parents
+    return a, b
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy,
+                                   lambda o: pickle.loads(pickle.dumps(o))])
+def test_shared_role_state_survives_a_deep_copy_and_pickle(clone):
+    """Siblings copied together still share one superior list and one
+    ``parents`` map, each equal to the original and iterating as it does,
+    read-only, and thawed on a write exactly as the original would be;
+    a write to one copy reaches neither the other copy nor the originals."""
+    a, b = _siblings()
+    a2, b2 = clone([a, b])
+    assert a2.superiors is b2.superiors and a2.superiors is not a.superiors
+    assert a2.parents is b2.parents and a2.parents is not a.parents
+    for x, y in ((a, a2), (b, b2)):
+        assert list(y.superiors) == list(x.superiors)
+        assert list(y.parents.items()) == list(x.parents.items())
+        assert entries(y) == entries(x) and y.version == x.version
+    assert type(a2.superiors) is SharedIds and type(a2.parents) is SharedMap
+    with pytest.raises(TypeError, match="read-only"):
+        a2.parents[2] = 5
+    a.unlink("superiors", 17)
+    a2.unlink("superiors", 17)
+    assert list(a2.superiors) == list(a.superiors)
+    a2.set_parent(2, 33, 1.0)
+    assert b2.parents == b.parents == {1: 30} and 17 in b2.superiors
+    # The shared empty defaults, and a non-empty shared map, copy too.
+    for shared in (_NO_ROLE, _NO_LEVELS, SharedMap({2: 7})):
+        twin = clone(shared)
+        assert twin == shared and type(twin) is type(shared)
+    assert clone(_NO_ROLE).thaw() == set()
+
+
+def test_a_write_to_a_sibling_thaws_its_own_copy_in_install_order():
+    """A table's first write to a shared role thaws its own copy: ``set``
+    of the install sequence, not of the shared set, so it iterates, then
+    and after every write, as the unshared set the table used to hold."""
+    a, b = _siblings()
+    shared, seq = a.superiors, [30, 12, 33, 17, 21, 36, 9]
+    unshared = set(seq)
+    a.unlink("superiors", 21)
+    unshared.discard(21)
+    assert type(a.superiors) is set and list(a.superiors) == list(unshared)
+    assert b.superiors is shared and 21 in shared
+    # A gossip round's shared set was made from a set and thaws as its copy.
+    made = set(seq)
+    gossiped = SharedIds(made)
+    assert gossiped.adds is None and list(gossiped.thaw()) == list(set(made))
+
+
 _IDS = st.integers(0, 40)  # the owner (7) included
 _META = st.tuples(st.integers(0, 3), st.sampled_from([0.5, 1.0, 2.5]), st.integers(2, 6))
 
@@ -689,7 +752,8 @@ def test_property_the_table_reads_as_the_entry_table_it_replaced(book, booked, p
             args = (plan.draw(ids), [plan.draw(ids) for _ in range(top)],
                     [plan.draw(ids) for _ in range(top)],
                     [plan.draw(ids) for _ in range(top)],
-                    plan.draw(st.one_of(st.none(), st.sampled_from(plannable))),
+                    plan.draw(st.one_of(st.just({}), st.builds(
+                        lambda p: {top + 1: p}, st.sampled_from(plannable)))),
                     plan.draw(ids))
             new[k].install(0.0, *args)
             ref[k].install(0.0, *args)
@@ -758,6 +822,89 @@ def test_property_the_table_reads_as_the_entry_table_it_replaced(book, booked, p
             assert set(t._meta) <= set(t.all_known())
             assert all(m != t._book.get(i) for i, m in t._meta.items())
             assert (t._book is _NO_META) == (not booked)
+
+
+_S_IDS = st.integers(0, 11).filter(lambda i: i not in (7, 11))  # never an owner
+_S_OPS = st.one_of(
+    st.tuples(st.just("add"), _S_IDS, st.just(0)),
+    st.tuples(st.just("unlink"), _S_IDS, st.just(0)),
+    st.tuples(st.just("forget"), _S_IDS, st.just(0)),
+    st.tuples(st.just("set_parent"), _S_IDS, st.integers(1, 2)),
+    st.tuples(st.just("drop_parent"), st.just(0), st.integers(1, 2)),
+    st.tuples(st.just("touch"), _S_IDS, st.just(0)),
+    st.tuples(st.just("expire"), st.just(0), st.integers(0, 6)),
+    st.tuples(st.just("gossip"), st.lists(_S_IDS, max_size=8), st.just(0)),
+)
+
+
+@given(seq=st.lists(_S_IDS, max_size=10), parent=st.one_of(st.none(), _S_IDS),
+       ops=st.lists(_S_OPS, min_size=1, max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_property_a_write_to_shared_roles_lands_in_the_writer_only(seq, parent, ops):
+    """Two tables installed from one plan share one superior list and one
+    ``parents`` map; random writes to one of them (the role adders and
+    removers, ``forget``, ``expire``, parent changes, a gossip round's
+    shared ``set_role``) never change a read of the other.  Every read of
+    the writer matches :class:`~reference.EntryTable` under the same
+    writes, and its superiors and parents iterate exactly as the unshared
+    ``set(seq)`` and ``dict`` would under them: a gossip round's
+    ``set_role`` as ``set(set(ids))``, the copy it used to install."""
+    from reference import EntryTable
+
+    book = {i: (i % 3, 1.0, 4) for i in range(12)}
+    superiors = SharedIds(seq)
+    parents = SharedMap({} if parent is None else {2: parent})
+    a, b, ref = RoutingTable(7, book), RoutingTable(11, book), EntryTable(7, book)
+    for t in (a, b):
+        t.install(0.0, [3, 4], [], [], [], parents, superiors)
+    ref.install(0.0, [3, 4], [], [], [], dict(parents), list(seq))
+    untouched = _reads(b)
+    model_sup, model_par = set(seq), dict(parents)
+    for step, (op, ident, arg) in enumerate(ops, 1):
+        now = float(step)
+        gossiped = SharedIds(set(ident)) if op == "gossip" else None
+        gone = []
+        for t in (a, ref):
+            if op == "add":
+                t.add("superiors", ident, now)
+            elif op == "unlink":
+                t.unlink("superiors", ident)
+            elif op == "forget":
+                t.forget(ident)
+            elif op == "set_parent":
+                t.set_parent(arg, ident, now)
+            elif op == "drop_parent":
+                t.drop_parent(arg)
+            elif op == "touch":
+                t.touch(ident, now)
+            elif op == "expire":
+                gone.append(t.expire(now, float(arg)))
+            else:
+                for i in ident:
+                    t.upsert(i, now, *book[i])
+                t.set_role("superiors", gossiped)
+        if op == "add":
+            model_sup.add(ident)
+        elif op == "unlink":
+            model_sup.discard(ident)
+        elif op in ("forget", "expire"):
+            if op == "expire":
+                assert gone[0] == gone[1]
+            for i in gone[0] if op == "expire" else [ident]:
+                model_sup.discard(i)
+                for lvl in [lvl for lvl, p in model_par.items() if p == i]:
+                    del model_par[lvl]
+        elif op == "set_parent":
+            model_par[arg] = ident
+        elif op == "drop_parent":
+            model_par.pop(arg, None)
+        elif op == "gossip":
+            model_sup = set(set(ident))
+        assert _reads(a) == _reads(ref), (step, op)
+        assert _reads(b) == untouched, (step, op)
+        assert b.superiors is (superiors or _NO_ROLE) and b.parents is (parents or _NO_LEVELS)
+        assert list(a.superiors) == list(model_sup), (step, op)
+        assert list(a.parents.items()) == list(model_par.items()), (step, op)
 
 
 def test_a_round_start_override_wins_over_the_book_a_sender_returned_to():

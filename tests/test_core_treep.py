@@ -414,10 +414,10 @@ def test_bulk_install_equals_the_per_peer_install(case, strategy, n, monkeypatch
 def test_install_refuses_a_written_table_and_the_owner():
     t = RoutingTable(owner=5, book={i: (0, 1.0, 4) for i in range(10)})
     with pytest.raises(ValueError, match="itself"):
-        t.install(0.0, [4, 5], [], [], [], None, [])
+        t.install(0.0, [4, 5], [], [], [], {}, [])
     t.add("level0", 4, 0.0)
     with pytest.raises(RuntimeError, match="nothing has written"):
-        t.install(0.0, [6], [], [], [], None, [])
+        t.install(0.0, [6], [], [], [], {}, [])
 
 
 @pytest.mark.parametrize("enabled", [True, False])
