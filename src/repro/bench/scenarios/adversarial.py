@@ -75,7 +75,7 @@ def _partition_quorum(params, seed, smoke):
         via = side[(i // 2) % len(side)]
         if store.put(f"part/{i:04d}", {"w": i}, via=via).ok:
             acked.append(f"part/{i:04d}")
-    blocked = cond.blocked_total()
+    blocked = net.network.stats.dropped_partition
 
     cond.heal(part)
     again = cond.heal(part)  # exactly-once: second heal is a no-op
@@ -369,7 +369,7 @@ def _heal_convergence(params, seed, smoke):
     net.sim.run(until=start + duration + 0.5)
     resolved = len(outcomes)
     acked = sorted(k for k, ok in outcomes.items() if ok)
-    blocked = cond.blocked_total()
+    blocked = net.network.stats.dropped_partition
     healed = not cond.active()
     manual_noop = not cond.heal(part)  # already healed by the schedule
     counts = {"cut": cond.cuts, "heal": cond.heals}

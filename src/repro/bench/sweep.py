@@ -74,7 +74,6 @@ class SweepResult:
 
     config: SweepConfig
     height: int
-    initial_n: int
     records: List[StepRecord] = field(default_factory=list)
 
     # ------------------------------------------------------- series views
@@ -110,8 +109,7 @@ class SweepResult:
         for r in self.records:
             row = list(r.per_algo[algo].hops_percent[:width])
             rows.append(row + [0.0] * (width - len(row)))
-        return HopSurface(algo=algo, failed_percent=fracs, max_hops=max_hops,
-                          percent_rows=rows)
+        return HopSurface(algo=algo, failed_percent=fracs, percent_rows=rows)
 
 
 @dataclass
@@ -120,7 +118,6 @@ class HopSurface:
 
     algo: str
     failed_percent: List[float]
-    max_hops: int
     percent_rows: List[List[float]]  # indexed [step][hops]
 
     def as_array(self) -> np.ndarray:
@@ -171,7 +168,7 @@ def run_failure_sweep(config: SweepConfig) -> SweepResult:
     cluster = Cluster(config=config.treep_config(), seed=config.seed).build(config.n)
     net = cluster.net
     layout = cluster.layout
-    result = SweepResult(config=config, height=layout.height, initial_n=config.n)
+    result = SweepResult(config=config, height=layout.height)
 
     # Figure E needs the hops travelled by lookups that died by
     # black-holing into a failed node — no reply ever reports them, so

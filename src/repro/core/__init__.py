@@ -9,9 +9,9 @@ The overlay is built from the bottom up:
 * :mod:`repro.core.distance` — the tessellation-aware metric ``D(a, b)``.
 * :mod:`repro.core.routing_table` — the six per-node tables with timestamps.
 * :mod:`repro.core.messages` — the overlay's datagram types.
-* :mod:`repro.core.node` — the per-node protocol engine.
-* :mod:`repro.core.hierarchy` — elections, promotion, demotion.
-* :mod:`repro.core.maintenance` — keep-alives and delta synchronisation.
+* :mod:`repro.core.node` — the per-node protocol engine: joins,
+  keep-alives with delta synchronisation, elections, promotion, demotion.
+* :mod:`repro.core.hierarchy` — the steady-state hierarchy builder.
 * :mod:`repro.core.lookup` — the G / NG / NGSA routing algorithms.
 * :mod:`repro.core.treep` — :class:`~repro.core.treep.TreePNetwork`, the
   public orchestration API.

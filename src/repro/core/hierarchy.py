@@ -1,17 +1,14 @@
-"""Hierarchy construction and maintenance.
+"""Steady-state hierarchy construction.
 
-Two halves:
-
-* :func:`build_layout` — deterministic *steady-state* construction of the
-  full TreeP hierarchy from a node population.  The paper evaluates TreeP
-  "when the system reaches its steady state"; this builder produces exactly
-  such a state (every level a sorted bus, every cell within its parent's
-  ``nc`` bound, parents the highest-capacity members of their cells — the
-  fixed point the countdown elections converge to).  Experiments start here
-  and then stress the topology.
-* :class:`ElectionManager` / :class:`DemotionManager` — the *dynamic*
-  countdown protocols of §III.b used by the live protocol engine
-  (:mod:`repro.core.node`) when nodes join, leave or fail.
+:func:`build_layout` is the deterministic construction of the full TreeP
+hierarchy from a node population.  The paper evaluates TreeP "when the
+system reaches its steady state"; this builder produces exactly such a
+state (every level a sorted bus, every cell within its parent's ``nc``
+bound, parents the highest-capacity members of their cells — the fixed
+point the countdown elections converge to).  Experiments start here and
+then stress the topology; the *dynamic* countdown protocols of §III.b run
+in the live protocol engine (:class:`~repro.core.node.TreePNode`) when
+nodes join, leave or fail.
 
 The builder enforces the tessellation invariant (children are exactly the
 nodes inside the parent's 1-D Voronoi cell) by iterated refinement: seed
@@ -21,7 +18,7 @@ promoting their best child until every cell respects ``nc``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -214,84 +211,3 @@ def build_layout(
         nc=nc_of,
         scores=scores,
     )
-
-
-# --------------------------------------------------------------------------
-# dynamic countdown protocols (§III.b)
-# --------------------------------------------------------------------------
-
-@dataclass(slots=True)
-class Election:
-    """State of one running parent election on a level-0 neighbourhood."""
-
-    level: int
-    participants: List[int] = field(default_factory=list)
-    winner: Optional[int] = None
-    resolved: bool = False
-
-
-class ElectionManager:
-    """Per-node election bookkeeping.
-
-    The owning node participates in at most one election per level at a
-    time.  ``countdown`` is computed from the node's capacity (shorter for
-    stronger nodes); the protocol engine schedules the expiry event and
-    calls :meth:`on_countdown_expired`.
-    """
-
-    __slots__ = ("ident", "capacity", "config", "active")
-
-    def __init__(self, ident: int, capacity: NodeCapacity, config: TreePConfig) -> None:
-        self.ident = ident
-        self.capacity = capacity
-        self.config = config
-        self.active: Dict[int, Election] = {}
-
-    def start(self, level: int, participants: Sequence[int]) -> float:
-        """Join/trigger an election; returns this node's countdown."""
-        if level in self.active and not self.active[level].resolved:
-            return -1.0  # already participating
-        self.active[level] = Election(level=level, participants=list(participants))
-        return self.capacity.promotion_countdown()
-
-    def on_claim(self, level: int, winner: int) -> None:
-        """Another node claimed parenthood first."""
-        e = self.active.get(level)
-        if e is not None and not e.resolved:
-            e.winner = winner
-            e.resolved = True
-
-    def on_countdown_expired(self, level: int) -> bool:
-        """Returns True when this node wins (nobody claimed earlier)."""
-        e = self.active.get(level)
-        if e is None or e.resolved:
-            return False
-        e.winner = self.ident
-        e.resolved = True
-        return True
-
-
-class DemotionManager:
-    """Countdown of an under-filled parent (§III.b).
-
-    Higher capacity → *longer* countdown; on expiry with still < 2 children
-    the node abdicates, unless the ``keep-upper`` future-work policy applies.
-    """
-
-    __slots__ = ("ident", "capacity", "config", "pending")
-
-    def __init__(self, ident: int, capacity: NodeCapacity, config: TreePConfig) -> None:
-        self.ident = ident
-        self.capacity = capacity
-        self.config = config
-        self.pending: Dict[int, bool] = {}
-
-    def countdown(self) -> float:
-        return self.capacity.demotion_countdown(base=self.config.demotion_base)
-
-    def should_demote(self, level: int, child_count: int) -> bool:
-        if child_count >= 2:
-            return False
-        if self.config.demotion_policy == "keep-upper" and level > 1:
-            return False
-        return True

@@ -5,9 +5,17 @@ datagram, every decision is node-local.  The node composes:
 
 * its :class:`~repro.core.routing_table.RoutingTable`,
 * the pure router (:func:`repro.core.lookup.route`),
-* the maintenance loop (:class:`repro.core.maintenance.MaintenanceManager`),
-* the countdown protocols (:class:`~repro.core.hierarchy.ElectionManager`,
-  :class:`~repro.core.hierarchy.DemotionManager`).
+* its keep-alive loop with delta piggybacking (§III.d): the peers on an
+  active connection exchange only the entries refreshed since the other
+  last heard from them, a child reports to its parent (which never probes
+  it), and every entry expires unless refreshed,
+* the countdown protocols of §III.b: elections (a stronger node counts
+  down faster, and the first to expire unclaimed becomes the parent) and
+  the demotion of an under-filled parent (a stronger one waits longer).
+
+A converged node never runs these protocols, so it holds none of their
+state: each piece is a class-level default the node's first write
+replaces.
 
 Lookup life-cycle (origin side), one for every overlay's node
 (:class:`LookupClient`, which the Chord and flooding nodes of
@@ -19,13 +27,13 @@ timeout marks it failed.  The experiment harness reads the resulting
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.capacity import NodeCapacity
 from repro.core.config import LOOKUP_TIMEOUT, TreePConfig
-from repro.core.hierarchy import DemotionManager, ElectionManager, _effective_nc
+from repro.core.hierarchy import _effective_nc
 from repro.core.lookup import (
     DecisionKind,
     LookupAlgorithm,
@@ -50,6 +58,7 @@ from repro.core.messages import (
     Splice,
 )
 from repro.core.routing_table import Meta, RoutingTable, SharedMap
+from repro.sim.engine import PeriodicTimer
 from repro.sim.network import Datagram, Process
 
 
@@ -67,6 +76,14 @@ class PendingLookup:
 
 #: The ``pending`` map of every node with no lookup in flight.
 _NO_LOOKUPS: Dict[int, PendingLookup] = SharedMap()
+
+#: The ``elections`` map of every node with no election open.
+_NO_ELECTIONS: Dict[int, List[int]] = SharedMap()
+
+#: Keep-alive periods are jittered by up to this fraction of the interval
+#: to de-synchronise the population (synchronised bursts both overstate
+#: instantaneous load and under-exercise the protocol).
+JITTER_FRACTION = 0.1
 
 
 class LookupClient(Process):
@@ -173,19 +190,17 @@ class TreePNode(LookupClient):
         #: Per-request hop observation hook a harness may install
         #: (measurement only, never read by routing).
         self.hop_observer: Optional[Callable[[LookupRequest], None]] = None
-        #: The maintenance manager attaches itself here (see maintenance.py).
-        self.maintenance = None
 
-    # The countdown protocols' state, built on first use: a converged run
-    # that never elects or demotes never allocates it.  Both are pure
-    # functions of (ident, capacity, config), none of which is reassigned.
-    @cached_property
-    def elections(self) -> ElectionManager:
-        return ElectionManager(self.ident, self.capacity, self.config)
-
-    @cached_property
-    def demotions(self) -> DemotionManager:
-        return DemotionManager(self.ident, self.capacity, self.config)
+    #: The keep-alive loop, ``None`` until keep-alives first start: the
+    #: timer and, per peer, the time we last shipped it a delta.  One
+    #: attribute, not two: in CPython 3.11 the second attribute a node
+    #: gains past its constructor's turns its inline values into a dict
+    #: of its own (+832 B).
+    _keepalive: Optional[Tuple[PeriodicTimer, Dict[int, float]]] = None
+    #: Open elections: level → participants, until won or claimed.
+    elections: Dict[int, List[int]] = _NO_ELECTIONS
+    #: Levels whose demotion countdown is armed.
+    demoting: FrozenSet[int] | Set[int] = frozenset()
 
     # ------------------------------------------------------------- identity
     @property
@@ -420,12 +435,16 @@ class TreePNode(LookupClient):
         self.height = max(self.height, msg.level + len(msg.superiors))
 
     def _on_ElectionStart(self, src: int, msg: ElectionStart) -> None:
-        participants = sorted(self.table.neighbours_at(msg.level) | {self.ident, src})
-        delay = self.elections.start(msg.level, participants)
-        if delay < 0:
-            return
-        self.sim.schedule(delay, lambda: self._election_expired(msg.level),
-                          label=f"election:{self.ident}:{msg.level}")
+        level = msg.level
+        elections = self.elections
+        if level in elections:
+            return  # already participating
+        if type(elections) is not dict:
+            elections = self.elections = {}
+        elections[level] = sorted(self.table.neighbours_at(level) | {self.ident, src})
+        self.sim.schedule(self.capacity.promotion_countdown(),
+                          lambda: self._election_expired(level),
+                          label=f"election:{self.ident}:{level}")
 
     def trigger_election(self, level: int = 0) -> None:
         """§III.b: degree >= 2 and no parent → start an election."""
@@ -440,20 +459,18 @@ class TreePNode(LookupClient):
         self._on_ElectionStart(self.ident, msg)
 
     def _election_expired(self, level: int) -> None:
-        if not self.network.is_up(self.ident):
-            # A crashed node neither wins nor claims, and drops the
-            # election, so after a revival it can run one at this level.
-            self.elections.active.pop(level, None)
-            return
-        if not self.elections.on_countdown_expired(level):
+        # The countdown closes the election: a claim that beat it closed
+        # it already, and a crashed node drops it without winning (so after
+        # a revival it can run one at this level again).
+        participants = self.elections.pop(level, None)
+        if participants is None or not self.network.is_up(self.ident):
             return
         # We won: ascend one level and claim the electorate as children.
         new_level = level + 1
         self.max_level = max(self.max_level, new_level)
         self.height = max(self.height, new_level)
-        e = self.elections.active[level]
         claim = ParentClaim(level=new_level, winner=self.ident, score=self.score)
-        for p in e.participants:
+        for p in participants:
             if p != self.ident:
                 self.send(p, claim)
         obs = self.obs
@@ -462,29 +479,38 @@ class TreePNode(LookupClient):
                       value=float(new_level))
 
     def _on_ParentClaim(self, src: int, msg: ParentClaim) -> None:
-        self.elections.on_claim(msg.level - 1, msg.winner)
+        if msg.level - 1 in self.elections:  # another node won first
+            del self.elections[msg.level - 1]
         now = self.sim.now
         self.table.set_parent(msg.level, msg.winner, now,
                               max_level=msg.level, score=msg.score)
         self.send(msg.winner, ChildReport(self.ident, self.score, self.max_level))
 
+    def _underfilled(self, level: int) -> bool:
+        """A parent of fewer than two children abdicates (§III.b), unless
+        the ``keep-upper`` future-work policy keeps it above level 1."""
+        if self.child_count(level) >= 2:
+            return False
+        return level == 1 or self.config.demotion_policy != "keep-upper"
+
     def check_demotion(self) -> None:
         """Arm the under-filled-parent countdown when applicable (§III.b)."""
         for level in range(1, self.max_level + 1):
-            if self.demotions.should_demote(level, self.child_count(level)):
-                if not self.demotions.pending.get(level):
-                    self.demotions.pending[level] = True
-                    self.sim.schedule(
-                        self.demotions.countdown(),
-                        lambda lvl=level: self._demotion_expired(lvl),
-                        label=f"demotion:{self.ident}:{level}",
-                    )
+            if self._underfilled(level) and level not in self.demoting:
+                if type(self.demoting) is not set:
+                    self.demoting = set()
+                self.demoting.add(level)
+                self.sim.schedule(
+                    self.capacity.demotion_countdown(base=self.config.demotion_base),
+                    lambda lvl=level: self._demotion_expired(lvl),
+                    label=f"demotion:{self.ident}:{level}",
+                )
 
     def _demotion_expired(self, level: int) -> None:
-        self.demotions.pending[level] = False
+        self.demoting.discard(level)
         if not self.network.is_up(self.ident):
             return  # a crashed node neither abdicates nor notifies
-        if not self.demotions.should_demote(level, self.child_count(level)):
+        if not self._underfilled(level):
             return  # children arrived during the countdown
         if level != self.max_level:
             return  # only the top membership can be abdicated
@@ -511,12 +537,55 @@ class TreePNode(LookupClient):
             self.trigger_election(self.max_level)
 
     # ---------------------------------------------------------- maintenance
+    def start_keepalive(self) -> None:
+        """Arm the periodic keep-alive timer, with a deterministic per-node
+        phase independent of the global RNG state."""
+        if self._keepalive is None:
+            last_sync = {}
+        else:
+            timer, last_sync = self._keepalive
+            if timer.running:
+                return
+        interval = self.config.keepalive_interval
+        rng = random.Random(self.ident)
+        jitter = lambda: (rng.random() - 0.5) * 2 * JITTER_FRACTION * interval
+        self._keepalive = (self.sim.every(interval, self._keepalive_tick,
+                                          jitter=jitter,
+                                          label=f"keepalive:{self.ident}"),
+                           last_sync)
+
+    def stop_keepalive(self) -> None:
+        if self._keepalive is not None:
+            self._keepalive[0].stop()
+
+    def _keepalive_tick(self) -> None:
+        """One maintenance round: expiry, keep-alives, child report."""
+        table = self.table
+        now = self.sim.now
+        last_sync = self._keepalive[1]
+        for peer in table.expire(now, self.config.entry_ttl):
+            last_sync.pop(peer, None)  # a re-learnt peer gets a full delta
+        for peer in table.active_connections():
+            since = last_sync.get(peer, -1.0)
+            self.send(peer, KeepAlive(entries=tuple(table.delta_since(since)),
+                                      since=since))
+            last_sync[peer] = now
+        # Children report to their parent; silent children get expired.
+        parent = table.parents.get(self.max_level + 1)
+        if parent is not None:
+            self.send(parent, ChildReport(self.ident, self.score, self.max_level))
+        self.check_demotion()
+
     def _on_KeepAlive(self, src: int, msg: KeepAlive) -> None:
         now = self.sim.now
         self.table.touch(src, now)
         self.table.merge_delta(msg.entries, now)
-        if self.maintenance is not None:
-            self.maintenance.on_keepalive(src, msg)
+        if self._keepalive is not None:
+            # Reply with our delta since the peer's recorded sync point.
+            last_sync = self._keepalive[1]
+            since = last_sync.get(src, -1.0)
+            self.send(src, KeepAliveAck(entries=tuple(self.table.delta_since(since))))
+            last_sync[src] = now
 
     def _on_KeepAliveAck(self, src: int, msg: KeepAliveAck) -> None:
         now = self.sim.now

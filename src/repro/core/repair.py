@@ -13,9 +13,10 @@ rising as the topology disintegrates).
 
 Two ways to run the healing between failure bursts:
 
-* **Protocol mode** — :class:`~repro.core.maintenance.MaintenanceManager`
-  expires entries as keep-alives stop arriving and calls
-  :func:`relink_node`; gossip happens through the delta exchange.
+* **Protocol mode** — each :class:`~repro.core.node.TreePNode`'s
+  keep-alive loop expires entries as keep-alives stop arriving; gossip
+  happens through the delta exchange.  Nothing there calls
+  :func:`relink_node` yet (ROADMAP item 1(b)), so only expiry heals.
   Message-accurate but needs many simulated seconds per step.
 * **Converged mode** — :func:`apply_failure_step` applies the *fixed point*
   of that process directly, under a :class:`RepairPolicy` that says which

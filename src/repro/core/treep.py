@@ -29,7 +29,6 @@ from repro.core.config import TreePConfig
 from repro.core.hierarchy import HierarchyLayout, build_layout
 from repro.core.ids import AssignStrategy, assign_ids
 from repro.core.lookup import LookupAlgorithm, LookupResult
-from repro.core.maintenance import MaintenanceManager
 from repro.core.node import TreePNode
 from repro.core.routing_table import Meta, SharedIds, SharedMap
 from repro.core.tessellation import cell_owner
@@ -417,9 +416,9 @@ class TreePNetwork:
         maintenance runs (also the fabric's crash and revival hook)."""
         node = self.nodes[ident]
         if self._maintaining and self.network.is_up(ident):
-            (node.maintenance or MaintenanceManager(node)).start()
-        elif node.maintenance is not None:
-            node.maintenance.stop()
+            node.start_keepalive()
+        else:
+            node.stop_keepalive()
 
     # --------------------------------------------------------------- churn
     def join_new_node(

@@ -65,7 +65,6 @@ class Suppression:
     line: int
     codes: frozenset
     justification: str
-    used: bool = False
 
 
 def parse_suppressions(source: str) -> Dict[int, Suppression]:
@@ -226,7 +225,6 @@ class LintEngine:
         for v in sorted(raw, key=Violation.sort_key):
             sup = ctx.suppressions.get(v.line)
             if sup is not None and v.code in sup.codes:
-                sup.used = True
                 if sup.justification:
                     report.suppressed += 1
                     continue

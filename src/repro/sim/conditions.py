@@ -188,8 +188,6 @@ class NetworkConditions:
         self._active: Dict[Partition, None] = {}  # insertion-ordered set
         self.cuts = 0
         self.heals = 0
-        #: Datagrams blocked per partition name (per-condition accounting).
-        self.blocked: Dict[str, int] = {}
 
     # ----------------------------------------------------------- partitions
     def partition(self, a: Iterable[int], b: Optional[Iterable[int]] = None,
@@ -260,12 +258,6 @@ class NetworkConditions:
         return partition, cut_ev, heal_ev
 
     def _filter(self, src: int, dst: int) -> bool:
-        for partition in self._active:
-            if partition.blocks(src, dst):
-                self.blocked[partition.name] = (
-                    self.blocked.get(partition.name, 0) + 1)
-                return True
-        return False
-
-    def blocked_total(self) -> int:
-        return sum(self.blocked.values())
+        """Whether an active partition blocks *src* → *dst* (the fabric
+        counts the drop, as ``stats.dropped_partition``)."""
+        return any(partition.blocks(src, dst) for partition in self._active)

@@ -27,7 +27,6 @@ STOP_FRACTION = 0.05
 class FailureStep:
     """One step of the paper's sweep."""
 
-    step_index: int
     newly_failed: tuple[int, ...]
     cumulative_failed_fraction: float
     surviving: tuple[int, ...]
@@ -70,15 +69,12 @@ class FailureSchedule:
         per_step = max(1, int(round(STEP_FRACTION * n)))
         max_killed = int(np.floor((1.0 - STOP_FRACTION) * n))
         killed = 0
-        step_index = 0
         while killed < max_killed:
             take = min(per_step, max_killed - killed)
             newly = tuple(self._order[killed : killed + take])
             killed += take
-            step_index += 1
             surviving = tuple(self._order[killed:])
             yield FailureStep(
-                step_index=step_index,
                 newly_failed=newly,
                 cumulative_failed_fraction=killed / n,
                 surviving=surviving,

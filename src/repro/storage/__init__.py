@@ -11,8 +11,9 @@ storage subsystem rather than a demo:
 * :mod:`repro.storage.quorum` — sloppy-quorum PUT/GET (configurable
   N/W/R), per-key version counters, read repair;
   :class:`ReplicatedStore` is the client facade.
-* :mod:`repro.storage.antientropy` — periodic churn-driven
-  re-replication registered with the simulator.
+* :mod:`repro.storage.antientropy` — churn-driven re-replication
+  sweeps, run by :meth:`~repro.storage.antientropy.AntiEntropy.converge`
+  (nothing arms the periodic sweep; ROADMAP item 5).
 * :mod:`repro.storage.messages` — the ``Store*`` datagram types.
 
 Layer contract: this package *owns the durability of key/value data* —

@@ -24,8 +24,8 @@ Each sweep appends one :class:`SweepReport` to :attr:`AntiEntropy.reports`
 
 Drivers run sweeps with :meth:`AntiEntropy.converge` after churn.  Nothing
 arms the periodic sweep: :meth:`AntiEntropy.start` would register one on the
-simulator (like the keep-alive loops in :mod:`repro.core.maintenance`),
-paced by ``interval``, but no scenario, example or perf workload calls it
+simulator (like a node's keep-alive loop, :meth:`TreePNode.start_keepalive
+<repro.core.node.TreePNode.start_keepalive>`), paced by ``interval``, but no scenario, example or perf workload calls it
 (arming it is ROADMAP item 5).
 """
 

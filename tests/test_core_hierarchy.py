@@ -1,15 +1,20 @@
-"""Unit + property tests for hierarchy construction and countdowns."""
+"""Unit + property tests for hierarchy construction, and for the §III.b
+countdowns a node runs on top of it."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import theoretical_height, validate
+from reference import ConstantLatency, theoretical_height, validate
 from repro.core.capacity import CapacityDistribution, NodeCapacity
 from repro.core.config import TreePConfig
-from repro.core.hierarchy import DemotionManager, ElectionManager, build_layout
+from repro.core.hierarchy import build_layout
 from repro.core.ids import IdSpace, assign_ids
+from repro.core.messages import ElectionStart, ParentClaim
+from repro.core.node import TreePNode
+from repro.sim.engine import Simulator
+from repro.sim.network import Network
 
 
 def make_population(n, seed=0, homogeneous=False):
@@ -141,63 +146,6 @@ def test_theoretical_height_formula():
         theoretical_height(10, 1)
 
 
-class TestElectionManager:
-    def _mgr(self, score_boost=0.0):
-        cap = NodeCapacity(cpu=1 + score_boost)
-        return ElectionManager(1, cap, TreePConfig.paper_case1())
-
-    def test_start_returns_countdown(self):
-        m = self._mgr()
-        delay = m.start(0, [1, 2, 3])
-        assert delay > 0
-
-    def test_double_start_rejected(self):
-        m = self._mgr()
-        m.start(0, [1, 2])
-        assert m.start(0, [1, 2]) == -1.0
-
-    def test_win_when_unclaimed(self):
-        m = self._mgr()
-        m.start(0, [1, 2])
-        assert m.on_countdown_expired(0) is True
-        assert m.active[0].winner == 1
-
-    def test_lose_when_claimed_first(self):
-        m = self._mgr()
-        m.start(0, [1, 2])
-        m.on_claim(0, 2)
-        assert m.on_countdown_expired(0) is False
-        assert m.active[0].winner == 2
-
-    def test_stronger_node_shorter_countdown(self):
-        weak = ElectionManager(1, NodeCapacity(cpu=1), TreePConfig.paper_case1())
-        strong = ElectionManager(2, NodeCapacity(cpu=32, memory_gb=64,
-                                                 bandwidth_mbps=1000),
-                                 TreePConfig.paper_case1())
-        assert strong.start(0, []) < weak.start(0, [])
-
-
-class TestDemotionManager:
-    def _mgr(self, policy="strict"):
-        return DemotionManager(1, NodeCapacity(),
-                               TreePConfig.paper_case1(demotion_policy=policy))
-
-    def test_demote_when_underfilled(self):
-        m = self._mgr()
-        assert m.should_demote(1, 1)
-        assert m.should_demote(2, 0)
-
-    def test_no_demote_with_two_children(self):
-        assert not self._mgr().should_demote(1, 2)
-
-    def test_keep_upper_policy(self):
-        m = self._mgr(policy="keep-upper")
-        assert m.should_demote(1, 0)       # level 1 still demotes
-        assert not m.should_demote(2, 0)   # upper levels keep status (§VI)
-
-    def test_countdown_positive(self):
-        assert self._mgr().countdown() > 0
-
 
 @given(n=st.integers(4, 128), seed=st.integers(0, 1000),
        case=st.sampled_from(["case1", "case2"]))
@@ -211,3 +159,129 @@ def test_property_layout_invariants(n, seed, case):
     # Subset chain and coverage.
     for lvl in range(1, layout.height + 1):
         assert set(layout.levels[lvl]) <= set(layout.levels[lvl - 1])
+
+
+def countdown_net(capacities, linked=True, **cfg_overrides):
+    """Standalone nodes 1000, 2000, … with *capacities* (every pair linked
+    on level 0 when *linked*), on a fabric whose event labels are recorded
+    with their time."""
+    cfg = TreePConfig.paper_case1(**cfg_overrides)
+    sim = Simulator()
+    net = Network(sim, latency=ConstantLatency(0.01))
+    nodes = [TreePNode(1000 * (i + 1), cap, cfg) for i, cap in enumerate(capacities)]
+    for node in nodes:
+        net.register(node)
+    for x in nodes:
+        for y in nodes:
+            if linked and x is not y:
+                x.table.add("level0", y.ident, 0.0)
+    fired = []
+    sim.set_event_hook(lambda ev: fired.append((ev.label, sim.now)))
+    return sim, net, nodes, fired
+
+
+class TestElectionManager:
+    """The election countdown of one node: one per open level, won by the
+    first expiry nobody claimed before."""
+
+    @staticmethod
+    def _start(node, src):
+        node._on_ElectionStart(src.ident, ElectionStart(level=0, initiator=src.ident))
+
+    def test_start_returns_countdown(self):
+        sim, net, (a, b, c), fired = countdown_net([NodeCapacity()] * 3)
+        self._start(a, b)
+        assert a.elections == {0: [a.ident, b.ident, c.ident]}
+        sim.run(until=60.0)
+        assert (f"election:{a.ident}:0", a.capacity.promotion_countdown()) in fired
+
+    def test_double_start_rejected(self):
+        sim, net, (a, b, c), fired = countdown_net([NodeCapacity()] * 3)
+        self._start(a, b)
+        electorate = a.elections[0]
+        self._start(a, c)
+        assert a.elections == {0: electorate}
+        sim.run(until=60.0)
+        assert [label for label, _ in fired].count(f"election:{a.ident}:0") == 1
+
+    def test_win_when_unclaimed(self):
+        sim, net, (a, b, c), _ = countdown_net([NodeCapacity()] * 3)
+        self._start(a, b)
+        sim.run(until=60.0)
+        assert a.max_level == 1 and a.elections == {}
+        assert net.stats.by_type["ParentClaim"] == 2
+        assert b.table.parents.get(1) == c.table.parents.get(1) == a.ident
+
+    def test_lose_when_claimed_first(self):
+        sim, net, (a, b, c), _ = countdown_net([NodeCapacity()] * 3)
+        self._start(a, b)
+        a._on_ParentClaim(b.ident, ParentClaim(level=1, winner=b.ident,
+                                               score=b.score))
+        assert a.elections == {}
+        sim.run(until=60.0)
+        assert a.max_level == 0 and a.table.parents.get(1) == b.ident
+        assert net.stats.by_type.get("ParentClaim", 0) == 0
+
+    def test_stronger_node_shorter_countdown(self):
+        sim, net, nodes, _ = countdown_net([
+            NodeCapacity(cpu=4), NodeCapacity(cpu=16, memory_gb=32),
+            NodeCapacity(cpu=8), NodeCapacity(cpu=2)])
+        nodes[0].trigger_election(0)
+        sim.run(until=30.0)
+        assert [n.max_level for n in nodes] == [0, 1, 0, 0]
+        assert all(n.table.parents.get(1) == 2000 for n in nodes if n.ident != 2000)
+        assert all(n.elections == {} for n in nodes)
+
+
+class TestDemotionManager:
+    """The demotion countdown of one parent: at the top level it parents
+    fewer than two children at, it abdicates after
+    ``demotion_countdown(demotion_base)``, unless the ``keep-upper`` policy
+    keeps it above level 1."""
+
+    @staticmethod
+    def _parent(policy, level, kids):
+        """Node 1000 at *level*, parenting *kids* children there and two at
+        every level below; returns it with the times its levels fired."""
+        sim, net, (node, *others), fired = countdown_net(
+            [NodeCapacity()] * 5, linked=False, demotion_policy=policy,
+            demotion_base=1.0)
+        node.max_level = level
+        pool = iter(others)
+        for lvl in range(1, level + 1):
+            node.table.open_children(lvl)
+            for _ in range(kids if lvl == level else 2):
+                node.table.add_child(lvl, next(pool).ident, 0.0,
+                                     max_level=lvl - 1)
+        node.check_demotion()
+        armed = set(node.demoting)
+        sim.run(until=60.0)
+        assert not node.demoting
+        return node, armed, fired
+
+    def _abdicates(self, policy, level, kids):
+        node, armed, _ = self._parent(policy, level, kids)
+        assert node.max_level in (level - 1, level)
+        assert armed == ({level} if node.max_level < level else set())
+        return node.max_level < level
+
+    def test_demote_when_underfilled(self):
+        for level in (1, 2):
+            for kids in (0, 1):
+                assert self._abdicates("strict", level, kids)
+
+    def test_no_demote_with_two_children(self):
+        for policy in ("strict", "keep-upper"):
+            for level in (1, 2):
+                assert not self._abdicates(policy, level, 2)
+
+    def test_keep_upper_policy(self):
+        for kids in (0, 1):
+            assert self._abdicates("keep-upper", 1, kids)       # level 1 still demotes
+            assert not self._abdicates("keep-upper", 2, kids)   # upper levels keep status (§VI)
+
+    def test_countdown_positive(self):
+        node, _, fired = self._parent("strict", 1, 0)
+        countdown = node.capacity.demotion_countdown(base=1.0)
+        assert countdown > 0
+        assert (f"demotion:{node.ident}:1", countdown) in fired

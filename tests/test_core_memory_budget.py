@@ -257,8 +257,8 @@ def test_a_built_overlay_allocates_only_the_state_it_holds():
     """The exact, interpreter-independent half of the budget: it counts
     objects, not bytes.  After a build every empty role set and every empty
     ``level_tables`` is the one shared sentinel, so is the child map of
-    every node that parents nothing, and no node has built the election or
-    demotion manager it has not used."""
+    every node that parents nothing, and no node holds keep-alive, election
+    or demotion state."""
     net = Cluster(seed=9).build(NODES).net
     shared = 0
     for node in net.nodes.values():
@@ -270,7 +270,7 @@ def test_a_built_overlay_allocates_only_the_state_it_holds():
         assert table.level_tables or table.level_tables is _NO_LEVELS
         assert all(table.level_tables.values())
         assert (table.level_children is _NO_LEVELS) == (node.max_level == 0)
-        assert "elections" not in vars(node) and "demotions" not in vars(node)
+        assert not {"_keepalive", "elections", "demoting"} & vars(node).keys()
     assert shared > NODES  # every level0_indirect at least
 
 

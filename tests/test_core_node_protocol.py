@@ -11,6 +11,7 @@ from repro.cluster.service import ClusterState, Service, ServiceError
 from repro.core.capacity import NodeCapacity
 from repro.core.messages import Hello
 from repro.core.node import TreePNode
+from repro.obs import ObsHub
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 
@@ -26,6 +27,16 @@ def tiny_net(n=3, **cfg_overrides):
         net.register(node)
         nodes.append(node)
     return sim, net, nodes
+
+
+def keepalive_running(node):
+    return node._keepalive is not None and node._keepalive[0].running
+
+
+def keepalive_ticks(hub, idents):
+    """How often the keep-alive loops of *idents* ticked while *hub* was
+    attached (the per-node ``keepalive:<id>`` event-label counts)."""
+    return sum(hub.sim_event_counts.get(f"keepalive:{i}", 0) for i in idents)
 
 
 class TestHello:
@@ -247,6 +258,7 @@ class TestDemotionProtocol:
         net.register(child)
         parent.max_level = 1
         parent.table.add_child(1, 4000, 0.0)
+        parent.check_demotion()
         parent._demotion_expired(1)
         assert parent.max_level == 0
         assert 4000 not in parent.table.children
@@ -282,13 +294,13 @@ class TestDemotionProtocol:
         parent.table.add_child(1, 4000, 0.0)
         child.table.set_parent(1, 5000, 0.0)
         parent.check_demotion()
-        assert parent.demotions.pending[1]
+        assert parent.demoting == {1}
         net.set_down(parent.ident)
         sim.run(until=60.0)
         assert parent.max_level == 1 and parent.child_count(1) == 1
         assert child.table.parents.get(1) == 5000
         assert net.stats.by_type.get("Demote", 0) == 0
-        assert not parent.demotions.pending[1]
+        assert parent.demoting == set()
 
     def test_a_crashed_candidate_never_wins_its_election(self):
         sim, net, (a, b, c) = tiny_net()
@@ -311,9 +323,10 @@ class TestDemotionProtocol:
         a.trigger_election(0)
         net.set_down(a.ident)
         sim.run(until=30.0)
-        assert a.max_level == 0 and 0 not in a.elections.active
+        assert a.max_level == 0 and 0 not in a.elections
         net.set_up(a.ident)
-        assert a.elections.start(0, [a.ident, b.ident, c.ident]) >= 0
+        a.trigger_election(0)
+        assert a.elections == {0: [a.ident, b.ident, c.ident]}
 
     def test_keep_upper_policy_retains_level(self):
         cfg = TreePConfig.paper_case1(demotion_policy="keep-upper",
@@ -329,82 +342,19 @@ class TestDemotionProtocol:
         assert node.max_level == 2  # §VI variant: stays in the upper layer
 
 
-class _EventLog:
-    """A stand-in obs hub that records the protocol events with their time."""
-
-    def __init__(self):
-        self.log = []
-
-    def event(self, name, ident, now, **fields):
-        self.log.append((name, ident, now, fields.get("value")))
-
-
-class TestManagersOnDemand:
-    """A node builds its election and demotion managers on first use; a run
-    on nodes whose managers were never touched must match one on nodes whose
-    managers were built up front: same countdowns, same outcome."""
-
-    @staticmethod
-    def _election(touch_first):
-        cfg = TreePConfig.paper_case1()
-        sim = Simulator()
-        net = Network(sim, latency=ConstantLatency(0.01))
-        events = _EventLog()
-        caps = [NodeCapacity(cpu=4), NodeCapacity(cpu=16, memory_gb=32),
-                NodeCapacity(cpu=8), NodeCapacity(cpu=2)]
-        nodes = []
-        for i, cap in enumerate(caps):
-            node = TreePNode(1000 * (i + 1), cap, cfg)
-            node.obs = events
-            net.register(node)
-            nodes.append(node)
-        for node in nodes:
-            assert "elections" not in vars(node)
-            if touch_first:
-                assert node.elections.active == {}
-            for other in nodes:
-                if other is not node:
-                    node.table.add("level0", other.ident, 0.0)
-        nodes[0].trigger_election(0)
-        sim.run(until=30.0)
-        return (events.log,
-                [(n.max_level, n.table.parents.get(1), sorted(n.table.children),
-                  {lvl: (e.winner, e.resolved, e.participants)
-                   for lvl, e in n.elections.active.items()}) for n in nodes])
-
-    @staticmethod
-    def _demotion(touch_first):
-        cfg = TreePConfig.paper_case1(demotion_base=1.0)
-        sim = Simulator()
-        net = Network(sim, latency=ConstantLatency(0.01))
-        events = _EventLog()
-        parent = TreePNode(5000, NodeCapacity(cpu=8), cfg)
-        child = TreePNode(4000, NodeCapacity(), cfg)
-        for node in (parent, child):
-            node.obs = events
-            net.register(node)
-        assert "demotions" not in vars(parent)
-        if touch_first:
-            assert parent.demotions.pending == {}
-        parent.max_level = 1
-        parent.table.add_child(1, 4000, 0.0)
-        child.table.set_parent(1, 5000, 0.0)
-        parent.check_demotion()
-        sim.run(until=60.0)
-        return events.log, parent.max_level, child.table.parents.get(1), parent.demotions.pending
-
-    def test_an_election_on_untouched_managers_matches_one_on_built_ones(self):
-        lazy, eager = self._election(False), self._election(True)
-        assert lazy == eager
-        won = [e for e in lazy[0] if e[0] == "election.won"]
-        assert [(ident, level) for _, ident, _, level in won] == [(2000, 1.0)]
-
-    def test_a_demotion_on_an_untouched_manager_matches_one_on_a_built_one(self):
-        lazy, eager = self._demotion(False), self._demotion(True)
-        assert lazy == eager
-        (name, ident, at, level), = lazy[0]
-        assert (name, ident, level) == ("election.demoted", 5000, 1.0) and at > 0
-        assert lazy[1:3] == (0, None)
+class TestProtocolStateOnDemand:
+    def test_a_converged_run_holds_no_protocol_state(self):
+        """A build and a lookup batch run no keep-alive, election or
+        demotion, so no node holds any of their state: each is still the
+        class-level default."""
+        net = TreePNetwork(config=TreePConfig.paper_case1(), seed=5)
+        net.build(128)
+        rng = np.random.default_rng(5)
+        pairs = [tuple(int(x) for x in rng.choice(net.ids, 2, replace=False))
+                 for _ in range(64)]
+        assert all(r.found for r in net.run_lookup_batch(pairs))
+        for node in net.nodes.values():
+            assert not {"_keepalive", "elections", "demoting"} & vars(node).keys()
 
 
 class TestPromotionOnOverflow:
@@ -474,13 +424,14 @@ class TestMaintenanceProtocol:
         loop, so its peers keep it instead of letting it expire."""
         net = TreePNetwork(config=TreePConfig.paper_case1(), seed=4)
         net.build(64)
+        hub = ObsHub()
+        net.set_obs(hub)
         net.start_maintenance()
         net.sim.run_for(5.0)
         joiner = net.join_new_node(max(net.ids) + 1)
         net.sim.run_for(60.0)
         net.stop_maintenance()
-        assert joiner.maintenance is not None
-        assert joiner.maintenance.stats.keepalives_sent > 0
+        assert keepalive_ticks(hub, [joiner.ident]) > 0
         holders = [i for i, node in net.nodes.items()
                    if entry(node.table, joiner.ident) is not None]
         assert holders
@@ -516,13 +467,13 @@ class TestMaintenanceProtocol:
         net.start_maintenance()
         net.sim.run_for(1.5)
         net.network.set_down(victim)
-        assert any(victim in n.maintenance._last_sync for n in linked)
+        assert any(victim in n._keepalive[1] for n in linked)
         net.sim.run_for(15.0)
         net.stop_maintenance()
         for i, node in net.nodes.items():
             if i != victim:
                 assert entry(node.table, victim) is None
-                assert victim not in node.maintenance._last_sync, i
+                assert victim not in node._keepalive[1], i
 
     def test_child_links_follow_the_levels_still_parented_after_churn(self):
         """Maintenance before and after a 30 % crash: children expire,
@@ -557,27 +508,24 @@ class TestMaintenanceProtocol:
         net.build(512)
         victims = [i for i in net.ids if i not in survivors]
         assert len(victims) == 156
+        hub = ObsHub()
+        net.set_obs(hub)
         net.start_maintenance()
         net.sim.run_for(5.0)
-
-        def keepalives():
-            return sum(net.nodes[v].maintenance.stats.keepalives_sent
-                       for v in victims)
-
-        before = keepalives()
+        before = keepalive_ticks(hub, victims)
+        assert before > 0
         net.fail_nodes(victims)
         net.sim.run_for(100.0)
-        assert keepalives() == before
-        assert not any(net.nodes[v].maintenance._timer.running for v in victims)
+        assert keepalive_ticks(hub, victims) == before
+        assert not any(keepalive_running(net.nodes[v]) for v in victims)
         # A revival while maintenance runs re-arms the node's loop...
         back = victims[:8]
         net.revive_nodes(back)
-        assert all(net.nodes[v].maintenance._timer.running for v in back)
+        assert all(keepalive_running(net.nodes[v]) for v in back)
         net.stop_maintenance()
         # ...and one after it stops does not.
         net.revive_nodes(victims[8:16])
-        assert not any(net.nodes[v].maintenance._timer.running
-                       for v in victims[8:16])
+        assert not any(keepalive_running(net.nodes[v]) for v in victims[8:16])
 
     def test_maintenance_skips_down_nodes_and_arms_them_on_revival(self):
         net = TreePNetwork(config=TreePConfig.paper_case1(), seed=2)
@@ -585,11 +533,11 @@ class TestMaintenanceProtocol:
         victim = net.ids[5]
         net.network.set_down(victim)
         net.start_maintenance()
-        assert net.nodes[victim].maintenance is None
-        assert all(net.nodes[i].maintenance is not None
+        assert net.nodes[victim]._keepalive is None
+        assert all(keepalive_running(net.nodes[i])
                    for i in net.ids if i != victim)
         net.revive_nodes([victim])
-        assert net.nodes[victim].maintenance._timer.running
+        assert keepalive_running(net.nodes[victim])
         net.stop_maintenance()
 
     def test_maintenance_traffic_counted(self):
@@ -598,14 +546,15 @@ class TestMaintenanceProtocol:
         )
         net.build(16)
         net.network.reset_stats()
+        hub = ObsHub()
+        net.set_obs(hub)
         net.start_maintenance()
         net.sim.run_for(5.0)
         net.stop_maintenance()
         stats = net.network.stats
         assert stats.by_type.get("KeepAlive", 0) > 0
         assert stats.by_type.get("KeepAliveAck", 0) > 0
-        mm = net.nodes[net.ids[0]].maintenance
-        assert mm is not None and mm.stats.keepalives_sent > 0
+        assert keepalive_ticks(hub, [net.ids[0]]) > 0
 
 
 class TestHandlerRegistry:

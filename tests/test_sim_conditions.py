@@ -66,7 +66,7 @@ class TestPartition:
 
 
 class TestNetworkConditions:
-    def test_cut_blocks_and_accounts_per_name(self):
+    def test_cut_blocks_both_ways_and_counts_each_drop(self):
         sim, net = make_net()
         cond = NetworkConditions(net)
         p = cond.partition({0, 1}, {2, 3}, name="rack-a")
@@ -75,8 +75,6 @@ class TestNetworkConditions:
         net.send(2, 0, "x")   # blocked b->a (bidirectional)
         net.send(0, 1, "x")   # intra-side, flows
         sim.run(until=1.0)
-        assert cond.blocked == {"rack-a": 2}
-        assert cond.blocked_total() == 2
         assert net.stats.dropped_partition == 2
         assert len(sink(net, 1).received) == 1
 
@@ -133,7 +131,7 @@ class TestNetworkConditions:
         sim.run(until=1.0)
         assert len(sink(net, 1).received) == 1
         assert len(sink(net, 2).received) == 0
-        assert cond.blocked == {"p1": 1, "p2": 2}
+        assert net.stats.dropped_partition == 3
 
     def test_scheduled_partition_cuts_and_heals_via_sim(self):
         sim, net = make_net()
