@@ -29,9 +29,10 @@ Fault tolerance
 While a job runs the worker (a) heartbeats its progress to the scheduler
 every :data:`~repro.compute.job.HEARTBEAT_INTERVAL` and (b) writes a
 progress checkpoint into the replicated store (a real quorum write issued
-from this node) every ``checkpoint_interval``.  A crashed worker simply goes silent: its timers
-fire into a dead node and wipe the in-memory job state (a restarted process
-has no memory).  When the scheduler re-places the job, the new worker reads
+from this node) every ``checkpoint_interval``.  A crashed worker simply goes silent: the
+crash cancels its timers and job completions and wipes its in-memory job
+state (a restarted process has no memory), so no tick runs on a down
+node.  When the scheduler re-places the job, the new worker reads
 the last checkpoint back (a quorum read) and resumes from there instead of
 from zero.
 """
@@ -39,7 +40,7 @@ from zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Type, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Type, Union
 
 from repro.compute.job import (
     CHECKPOINT_READ_TIMEOUT,
@@ -64,10 +65,14 @@ from repro.compute.messages import (
     JobSubmit,
 )
 from repro.core.lookup import greedy_key_next_hop
+from repro.core.routing_table import SharedMap
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.compute.scheduler import JobScheduler, SchedulerCore
     from repro.core.node import TreePNode
+
+#: The ``running`` map of every worker that runs nothing.
+_NO_JOBS: Dict = SharedMap()
 
 
 @dataclass
@@ -100,15 +105,25 @@ class HeldJob:
 
 
 class ComputeAgent:
-    """Worker half of the grid subsystem, one per node."""
+    """Worker half of the grid subsystem, one per node.
+
+    A worker that holds no job holds no container for one: ``running`` is
+    the shared read-only :data:`_NO_JOBS` and ``queue`` the empty tuple
+    until a job arrives, and each goes back to its shared empty when it
+    empties.
+    """
+
+    __slots__ = ("node", "service", "scheduler", "running", "queue",
+                 "executed_work", "checkpoints_written", "steals_done",
+                 "leases_expired", "_hb_timer", "_ckpt_timer", "_steal_timer")
 
     def __init__(self, node: "TreePNode", service: "JobScheduler") -> None:
         self.node = node
         self.service = service
         #: Scheduler role, populated on at most one node by the facade.
         self.scheduler: Optional["SchedulerCore"] = None
-        self.running: Dict[int, HeldJob] = {}
-        self.queue: List[HeldJob] = []
+        self.running: Dict[int, HeldJob] = _NO_JOBS
+        self.queue: Union[List[HeldJob], Tuple[()]] = ()
         # ---- ground-truth accounting the metrics scraper reads ----
         #: Virtual compute seconds actually executed on this node (accrued
         #: at heartbeat ticks and at completion; the sub-interval between a
@@ -139,9 +154,6 @@ class ComputeAgent:
     def _on_complete(self, src: int, msg: JobComplete) -> None:
         if self.scheduler is not None:
             self.scheduler.on_complete(src, msg)
-
-    def _up(self) -> bool:
-        return self.node.network.is_up(self.node.ident)
 
     def close(self) -> None:
         """Stop this agent's timers (facade shutdown)."""
@@ -238,6 +250,8 @@ class ComputeAgent:
         """Admit *held* into the running set (loading a checkpoint first
         when this is a resumed attempt and checkpointing is on)."""
         job_id = held.spec.job_id
+        if type(self.running) is not dict:
+            self.running = {}
         self.running[job_id] = held
         self._ensure_timers()
         if held.resume and self.service.config.checkpointing:
@@ -298,9 +312,6 @@ class ComputeAgent:
         held = self.running.get(job_id)
         if held is None or held.attempt != attempt or held.state != "running":
             return
-        if not self._up():
-            self._crash_cleanup()
-            return
         now = self.node.sim.now
         self._accrue(held, now)
         del self.running[job_id]
@@ -323,13 +334,22 @@ class ComputeAgent:
                 self._start(held)
             else:
                 i += 1
+        self._shed()
+
+    def _shed(self) -> None:
+        """Hand an emptied ``running`` or ``queue`` back to its shared
+        empty."""
+        if not self.running:
+            self.running = _NO_JOBS
+        if not self.queue:
+            self.queue = ()
 
     def _crash_cleanup(self) -> None:
         """The process died: wipe in-memory job state, go silent."""
         for held in self.running.values():
             held.cancel()
-        self.running.clear()
-        self.queue.clear()
+        self.running = _NO_JOBS
+        self.queue = ()
         self._stop_job_timers()
 
     # --------------------------------------------------------------- timers
@@ -351,9 +371,6 @@ class ComputeAgent:
                 t.stop()
 
     def _heartbeat_tick(self) -> None:
-        if not self._up():
-            self._crash_cleanup()
-            return
         now = self.node.sim.now
         for held in list(self.running.values()):
             self._accrue(held, now)
@@ -379,7 +396,7 @@ class ComputeAgent:
         attempt inherits our progress, then drop the run — bounding
         duplicate execution to one lease window.
         """
-        expired = [h for h in list(self.running.values()) + self.queue
+        expired = [h for h in (*self.running.values(), *self.queue)
                    if now - h.last_lease > LEASE_TIMEOUT]
         for held in expired:
             self.leases_expired += 1
@@ -397,9 +414,6 @@ class ComputeAgent:
                 self._stop_job_timers()
 
     def _checkpoint_tick(self) -> None:
-        if not self._up():
-            self._crash_cleanup()
-            return
         now = self.node.sim.now
         for held in self.running.values():
             if held.state == "running":
@@ -427,6 +441,8 @@ class ComputeAgent:
         """Queue *held*; a worker not already advertising offers its queue
         now and every :data:`~repro.compute.job.STEAL_INTERVAL` until a
         tick finds it empty."""
+        if type(self.queue) is not list:
+            self.queue = []
         self.queue.append(held)
         self._ensure_timers()
         if self._steal_timer is None or not self._steal_timer.running:
@@ -436,19 +452,17 @@ class ComputeAgent:
             self._offer_tick()
 
     def _offer_tick(self) -> None:
-        if not self._up():
-            self._crash_cleanup()
-        elif not self.queue:
+        if not self.queue:
             self._steal_timer.stop()
-        else:
-            offer = JobStealOffer(self.node.ident,
-                                  min(h.spec.cpu_demand for h in self.queue))
-            # The cell seen from the loaded side: level-0 siblings plus our
-            # children — exactly the peers that count us among their own
-            # level-0 siblings and parents.
-            table = self.node.table
-            for peer in sorted((table.level0 | table.children) - {self.node.ident}):
-                self.node.send(peer, offer)
+            return
+        offer = JobStealOffer(self.node.ident,
+                              min(h.spec.cpu_demand for h in self.queue))
+        # The cell seen from the loaded side: level-0 siblings plus our
+        # children — exactly the peers that count us among their own
+        # level-0 siblings and parents.
+        table = self.node.table
+        for peer in sorted((table.level0 | table.children) - {self.node.ident}):
+            self.node.send(peer, offer)
 
     def _on_steal_offer(self, src: int, msg: JobStealOffer) -> None:
         free = self.free_cpu()
@@ -462,6 +476,7 @@ class ComputeAgent:
             spec = held.spec
             if spec.cpu_demand <= msg.free_cpu and spec.constraint.admits(msg.capacity):
                 self.queue.pop(i)
+                self._shed()
                 self.node.send(msg.thief, JobStealGrant(
                     spec, self.node.ident, held.scheduler, held.attempt,
                     resume=held.resume))

@@ -14,8 +14,7 @@ datagram, every decision is node-local.  The node composes:
   the demotion of an under-filled parent (a stronger one waits longer).
 
 A converged node never runs these protocols, so it holds none of their
-state: each piece is a class-level default the node's first write
-replaces.
+state: it is one :class:`ProtocolState` the node makes on its first use.
 
 Lookup life-cycle (origin side), one for every overlay's node
 (:class:`LookupClient`, which the Chord and flooding nodes of
@@ -79,6 +78,30 @@ _NO_LOOKUPS: Dict[int, PendingLookup] = SharedMap()
 
 #: The ``elections`` map of every node with no election open.
 _NO_ELECTIONS: Dict[int, List[int]] = SharedMap()
+
+#: The ``demoting`` set of every node with no demotion countdown armed.
+_NO_DEMOTIONS: FrozenSet[int] = frozenset()
+
+
+class ProtocolState:
+    """What a node running the §III.b/§III.d protocols holds: the
+    keep-alive timer (``None`` until keep-alives first start) and, per peer,
+    the time we last shipped it a delta; the open elections (level →
+    participants, until won or claimed); the levels whose demotion
+    countdown is armed.  An empty map or set is the shared empty one.
+
+    One attribute of the node, not four: on CPython 3.11 the second
+    attribute a node gains past its constructor's turns its inline values
+    into a dict of its own (+832 B).
+    """
+
+    __slots__ = ("timer", "last_sync", "elections", "demoting")
+
+    def __init__(self) -> None:
+        self.timer: Optional[PeriodicTimer] = None
+        self.last_sync: Dict[int, float] = {}
+        self.elections: Dict[int, List[int]] = _NO_ELECTIONS
+        self.demoting: FrozenSet[int] | Set[int] = _NO_DEMOTIONS
 
 #: Keep-alive periods are jittered by up to this fraction of the interval
 #: to de-synchronise the population (synchronised bursts both overstate
@@ -191,16 +214,27 @@ class TreePNode(LookupClient):
         #: (measurement only, never read by routing).
         self.hop_observer: Optional[Callable[[LookupRequest], None]] = None
 
-    #: The keep-alive loop, ``None`` until keep-alives first start: the
-    #: timer and, per peer, the time we last shipped it a delta.  One
-    #: attribute, not two: in CPython 3.11 the second attribute a node
-    #: gains past its constructor's turns its inline values into a dict
-    #: of its own (+832 B).
-    _keepalive: Optional[Tuple[PeriodicTimer, Dict[int, float]]] = None
-    #: Open elections: level → participants, until won or claimed.
-    elections: Dict[int, List[int]] = _NO_ELECTIONS
-    #: Levels whose demotion countdown is armed.
-    demoting: FrozenSet[int] | Set[int] = frozenset()
+    #: Keep-alive, election and demotion state, ``None`` until the node
+    #: first runs one of them.
+    _protocol: Optional[ProtocolState] = None
+
+    def _protocol_state(self) -> ProtocolState:
+        p = self._protocol
+        if p is None:
+            p = self._protocol = ProtocolState()
+        return p
+
+    @property
+    def elections(self) -> Dict[int, List[int]]:
+        """Open elections: level → participants (read-only)."""
+        p = self._protocol
+        return _NO_ELECTIONS if p is None else p.elections
+
+    @property
+    def demoting(self) -> FrozenSet[int] | Set[int]:
+        """Levels whose demotion countdown is armed (read-only)."""
+        p = self._protocol
+        return _NO_DEMOTIONS if p is None else p.demoting
 
     # ------------------------------------------------------------- identity
     @property
@@ -436,11 +470,12 @@ class TreePNode(LookupClient):
 
     def _on_ElectionStart(self, src: int, msg: ElectionStart) -> None:
         level = msg.level
-        elections = self.elections
+        p = self._protocol_state()
+        elections = p.elections
         if level in elections:
             return  # already participating
         if type(elections) is not dict:
-            elections = self.elections = {}
+            elections = p.elections = {}
         elections[level] = sorted(self.table.neighbours_at(level) | {self.ident, src})
         self.sim.schedule(self.capacity.promotion_countdown(),
                           lambda: self._election_expired(level),
@@ -462,7 +497,10 @@ class TreePNode(LookupClient):
         # The countdown closes the election: a claim that beat it closed
         # it already, and a crashed node drops it without winning (so after
         # a revival it can run one at this level again).
-        participants = self.elections.pop(level, None)
+        p = self._protocol
+        participants = p.elections.pop(level, None)
+        if not p.elections:
+            p.elections = _NO_ELECTIONS
         if participants is None or not self.network.is_up(self.ident):
             return
         # We won: ascend one level and claim the electorate as children.
@@ -480,7 +518,10 @@ class TreePNode(LookupClient):
 
     def _on_ParentClaim(self, src: int, msg: ParentClaim) -> None:
         if msg.level - 1 in self.elections:  # another node won first
-            del self.elections[msg.level - 1]
+            p = self._protocol
+            del p.elections[msg.level - 1]
+            if not p.elections:
+                p.elections = _NO_ELECTIONS
         now = self.sim.now
         self.table.set_parent(msg.level, msg.winner, now,
                               max_level=msg.level, score=msg.score)
@@ -497,9 +538,10 @@ class TreePNode(LookupClient):
         """Arm the under-filled-parent countdown when applicable (§III.b)."""
         for level in range(1, self.max_level + 1):
             if self._underfilled(level) and level not in self.demoting:
-                if type(self.demoting) is not set:
-                    self.demoting = set()
-                self.demoting.add(level)
+                p = self._protocol_state()
+                if type(p.demoting) is not set:
+                    p.demoting = set()
+                p.demoting.add(level)
                 self.sim.schedule(
                     self.capacity.demotion_countdown(base=self.config.demotion_base),
                     lambda lvl=level: self._demotion_expired(lvl),
@@ -507,7 +549,10 @@ class TreePNode(LookupClient):
                 )
 
     def _demotion_expired(self, level: int) -> None:
-        self.demoting.discard(level)
+        p = self._protocol
+        p.demoting.discard(level)
+        if not p.demoting:
+            p.demoting = _NO_DEMOTIONS
         if not self.network.is_up(self.ident):
             return  # a crashed node neither abdicates nor notifies
         if not self._underfilled(level):
@@ -540,29 +585,25 @@ class TreePNode(LookupClient):
     def start_keepalive(self) -> None:
         """Arm the periodic keep-alive timer, with a deterministic per-node
         phase independent of the global RNG state."""
-        if self._keepalive is None:
-            last_sync = {}
-        else:
-            timer, last_sync = self._keepalive
-            if timer.running:
-                return
+        p = self._protocol_state()
+        if p.timer is not None and p.timer.running:
+            return
         interval = self.config.keepalive_interval
         rng = random.Random(self.ident)
         jitter = lambda: (rng.random() - 0.5) * 2 * JITTER_FRACTION * interval
-        self._keepalive = (self.sim.every(interval, self._keepalive_tick,
-                                          jitter=jitter,
-                                          label=f"keepalive:{self.ident}"),
-                           last_sync)
+        p.timer = self.sim.every(interval, self._keepalive_tick, jitter=jitter,
+                                 label=f"keepalive:{self.ident}")
 
     def stop_keepalive(self) -> None:
-        if self._keepalive is not None:
-            self._keepalive[0].stop()
+        p = self._protocol
+        if p is not None and p.timer is not None:
+            p.timer.stop()
 
     def _keepalive_tick(self) -> None:
         """One maintenance round: expiry, keep-alives, child report."""
         table = self.table
         now = self.sim.now
-        last_sync = self._keepalive[1]
+        last_sync = self._protocol.last_sync
         for peer in table.expire(now, self.config.entry_ttl):
             last_sync.pop(peer, None)  # a re-learnt peer gets a full delta
         for peer in table.active_connections():
@@ -580,9 +621,10 @@ class TreePNode(LookupClient):
         now = self.sim.now
         self.table.touch(src, now)
         self.table.merge_delta(msg.entries, now)
-        if self._keepalive is not None:
+        p = self._protocol
+        if p is not None and p.timer is not None:
             # Reply with our delta since the peer's recorded sync point.
-            last_sync = self._keepalive[1]
+            last_sync = p.last_sync
             since = last_sync.get(src, -1.0)
             self.send(src, KeepAliveAck(entries=tuple(self.table.delta_since(since))))
             last_sync[src] = now

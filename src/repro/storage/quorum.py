@@ -39,6 +39,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, 
 
 from repro.cluster.service import Handler, Service, ServiceContext
 from repro.core.lookup import greedy_key_next_hop
+from repro.core.routing_table import SharedMap
 from repro.storage.messages import (
     StoreAck,
     StoreGet,
@@ -74,6 +75,9 @@ _CALLBACK_CAP = 4096
 
 #: Coordinator hints remembered per agent (oldest dropped).
 _HINT_CAP = 4096
+
+#: Every agent map nothing has written, and every emptied quorum map.
+_NO_STATE: Dict = SharedMap()
 
 
 @dataclass(frozen=True)
@@ -149,15 +153,22 @@ class StorageAgent:
     """Per-node storage server: the KVStore plus coordinator state.
 
     One agent per node per :class:`ReplicatedStore`; its methods are the
-    store's datagram handlers (:meth:`ReplicatedStore.handlers`).
+    store's datagram handlers (:meth:`ReplicatedStore.handlers`).  Each map
+    is the shared read-only :data:`_NO_STATE` until its first write, and
+    the quorums a node coordinates (``_writes``, ``_reads``) hand it back
+    when they empty: most peers never originate a request, and a
+    coordinator holds its quorums only while they are open.
     """
+
+    __slots__ = ("node", "quorum", "store", "_writes", "_reads",
+                 "callbacks", "coordinators")
 
     def __init__(self, node: "TreePNode", quorum: QuorumConfig) -> None:
         self.node = node
         self.quorum = quorum
         self.store = KVStore(node.ident)
-        self._writes: Dict[int, _PendingWrite] = {}
-        self._reads: Dict[int, _PendingRead] = {}
+        self._writes: Dict[int, _PendingWrite] = _NO_STATE
+        self._reads: Dict[int, _PendingRead] = _NO_STATE
         #: The one completion map: ``callbacks[rid]`` is invoked (once)
         #: with the :class:`StorePutResult` / :class:`StoreGetResult` of a
         #: request this node originated.  In-sim clients (the compute
@@ -165,23 +176,21 @@ class StorageAgent:
         #: blocking client registers a slot and pumps the simulator.  A
         #: result whose rid has no callback (fire-and-forget, or the
         #: client timed out and dropped it) is discarded.
-        self.callbacks: Dict[int, Callable[[Any], None]] = {}
+        self.callbacks: Dict[int, Callable[[Any], None]] = _NO_STATE
         #: ``key id -> node that last coordinated it for us``: learnt from
         #: the ``src`` of every result this node receives, popped by the
         #: next request for that key (:meth:`ReplicatedStore._issue`), so a
         #: hint is used at most once before a fresh result re-teaches it.
-        self.coordinators: Dict[int, int] = {}
+        self.coordinators: Dict[int, int] = _NO_STATE
 
     def forget(self) -> None:
         """Drop what the process holds in memory (its store is disk):
         learnt coordinators, registered completions, and every quorum it
         is coordinating, with its timeout cancelled so it never answers."""
-        self.coordinators.clear()
-        self.callbacks.clear()
         for pending in (self._writes, self._reads):
             for pend in pending.values():
                 pend.timeout_event.cancel()  # type: ignore[attr-defined]
-            pending.clear()
+        self._writes = self._reads = self.callbacks = self.coordinators = _NO_STATE
 
     # -------------------------------------------------------------- writes
     def handle_put(self, src: int, msg: StorePut) -> None:
@@ -216,6 +225,8 @@ class StorageAgent:
         if len(pend.acks) >= min(self.quorum.w, len(targets)):
             self._finish_write(pend)
             return
+        if type(self._writes) is not dict:
+            self._writes = {}
         self._writes[msg.request_id] = pend
         pend.timeout_event = self.node.sim.schedule(
             QUORUM_TIMEOUT,
@@ -246,6 +257,8 @@ class StorageAgent:
         pend.acks.add(msg.holder)
         if len(pend.acks) >= min(self.quorum.w, len(pend.targets)):
             del self._writes[msg.request_id]
+            if not self._writes:
+                self._writes = _NO_STATE
             if pend.timeout_event is not None:
                 pend.timeout_event.cancel()  # type: ignore[attr-defined]
             self._finish_write(pend)
@@ -253,6 +266,8 @@ class StorageAgent:
     def _write_timeout(self, rid: int) -> None:
         pend = self._writes.pop(rid, None)
         if pend is not None:
+            if not self._writes:
+                self._writes = _NO_STATE
             self._finish_write(pend)  # sloppy: report what was achieved
 
     def _finish_write(self, pend: _PendingWrite) -> None:
@@ -286,6 +301,8 @@ class StorageAgent:
             self._finish_read(pend)
             if len(pend.replies) >= len(targets):
                 return
+        if type(self._reads) is not dict:
+            self._reads = {}
         self._reads[msg.request_id] = pend
         pend.timeout_event = self.node.sim.schedule(
             QUORUM_TIMEOUT,
@@ -321,6 +338,8 @@ class StorageAgent:
             return
         if len(pend.replies) >= len(pend.targets):
             del self._reads[msg.request_id]
+            if not self._reads:
+                self._reads = _NO_STATE
             if pend.timeout_event is not None:
                 pend.timeout_event.cancel()  # type: ignore[attr-defined]
 
@@ -334,6 +353,8 @@ class StorageAgent:
 
     def _read_timeout(self, rid: int) -> None:
         pend = self._reads.pop(rid, None)
+        if not self._reads:
+            self._reads = _NO_STATE
         if pend is not None and pend.winner is None:
             self._finish_read(pend)  # sloppy: answer from the replies we got
 
@@ -386,6 +407,8 @@ class StorageAgent:
     # ----------------------------------------------------------- client side
     def _on_result(self, src: int, msg) -> None:
         hints = self.coordinators
+        if type(hints) is not dict:
+            hints = self.coordinators = {}
         hints[msg.key_id] = src
         if len(hints) > _HINT_CAP:
             del hints[next(iter(hints))]
@@ -480,6 +503,8 @@ class ReplicatedStore(Service):
         rid = next(self._rid)  # facade-unique; safe across origins
         if on_done is not None:
             callbacks = agent.callbacks
+            if type(callbacks) is not dict:
+                callbacks = agent.callbacks = {}
             callbacks[rid] = on_done
             # A result that never arrives (its coordinator died) must not
             # pin its closure forever: oldest registrations are dropped.

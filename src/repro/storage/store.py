@@ -27,6 +27,11 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.core.routing_table import SharedMap
+
+#: The partition of every node that holds no key yet.
+_NO_DATA: Dict = SharedMap()
+
 
 def hash_key(key: str, extent: int) -> int:
     """Map an application key onto the overlay ID space (SHA-256)."""
@@ -53,7 +58,8 @@ class VersionedValue:
 
 
 class KVStore:
-    """The versioned key/value partition held by one node.
+    """The versioned key/value partition held by one node: the shared
+    read-only :data:`_NO_DATA` until it adopts its first copy.
 
     >>> s = KVStore(owner=7)
     >>> s.apply(42, "a", version=1, writer=7)
@@ -68,7 +74,7 @@ class KVStore:
 
     def __init__(self, owner: int) -> None:
         self.owner = owner
-        self._data: Dict[int, VersionedValue] = {}
+        self._data: Dict[int, VersionedValue] = _NO_DATA
 
     # ------------------------------------------------------------- mutation
     def apply(
@@ -83,6 +89,8 @@ class KVStore:
         incoming = VersionedValue(value=value, version=version, writer=writer,
                                   timestamp=timestamp)
         if incoming.dominates(self._data.get(key_id)):
+            if type(self._data) is not dict:
+                self._data = {}
             self._data[key_id] = incoming
             return True
         return False

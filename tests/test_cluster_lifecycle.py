@@ -17,6 +17,8 @@ Covers the 1.3.0 redesign invariants:
 
 from __future__ import annotations
 
+import copy
+import pickle
 from collections import Counter
 
 import pytest
@@ -35,6 +37,7 @@ from repro import (
     TreePConfig,
 )
 from repro.compute.messages import JobSubmit
+from repro.core.routing_table import SharedMap
 from repro.services import ResourceDirectory
 from repro.storage.messages import StoreGet, StorePut, StoreRead
 
@@ -192,6 +195,39 @@ def test_a_down_node_handles_nothing_and_its_node_tasks_are_cancelled():
     # back until the scheduler hands it work again.
     assert node_timers(grid, victim) == 0
     cluster.shutdown()
+
+
+def unwritten_state(cluster):
+    """``(storage maps, stores, running maps, queues)``: one set of object
+    ids each, over every storage and compute agent."""
+    storage = cluster.storage.agents.values()
+    return ({id(m) for a in storage
+             for m in (a._writes, a._reads, a.callbacks, a.coordinators)},
+            {id(a.store._data) for a in storage},
+            {id(a.running) for a in cluster.compute.agents.values()},
+            {id(a.queue) for a in cluster.compute.agents.values()})
+
+
+@pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+def test_a_fresh_cluster_copies_whole_with_its_shared_empties(how):
+    """A freshly built cluster with storage and compute round-trips through
+    ``copy.deepcopy`` and ``pickle``.  In the copy, every agent container
+    nothing has written is still one shared read-only object, not one per
+    agent, and the copy stores and reads on its own."""
+    cluster = (make_cluster().with_storage(QuorumConfig(n=3, w=2, r=2))
+               .with_compute(ComputeConfig()))
+    twin = (copy.deepcopy(cluster) if how == "deepcopy"
+            else pickle.loads(pickle.dumps(cluster)))
+    assert twin.net.ids == cluster.net.ids and twin.net is not cluster.net
+    for c in (cluster, twin):
+        assert [len(ids) for ids in unwritten_state(c)] == [1, 1, 1, 1]
+        agent = next(iter(c.storage.agents.values()))
+        worker = next(iter(c.compute.agents.values()))
+        assert type(agent._writes) is type(agent.store._data) is SharedMap
+        assert type(worker.running) is SharedMap and worker.queue == ()
+    assert twin.storage.put("copied", 1).ok
+    assert twin.storage.get("copied").value == 1
+    assert [len(ids) for ids in unwritten_state(cluster)] == [1, 1, 1, 1]
 
 
 def test_coordinator_hints_do_not_outlive_the_process():

@@ -485,8 +485,8 @@ def test_victim_refuses_a_steal_the_constraint_forbids(
     net, grid = make_grid()
     victim = grid.agents[net.ids[0]]
     thief = net.ids[1]
-    victim.queue.append(HeldJob(JobSpec(job_id=1, constraint=constraint),
-                                1, grid.scheduler_ident, False))
+    victim._enqueue(HeldJob(JobSpec(job_id=1, constraint=constraint),
+                            1, grid.scheduler_ident, False))
     sent = []
     monkeypatch.setattr(victim.node, "send",
                         lambda dst, payload: sent.append((dst, payload)))
@@ -571,3 +571,39 @@ def test_checkpoints_are_quorum_stored():
     res = grid.store.get(checkpoint_key(1))
     assert res.found and res.value["progress"] > 0.0
     assert grid.run_until_done(timeout=300.0)
+
+
+def test_no_worker_tick_or_completion_runs_on_a_down_node(monkeypatch):
+    """A crash stops a worker before anything else runs: the fabric's
+    down hook cancels the node's periodic tasks, and the scheduler's
+    ``on_node_leave`` stops the worker's timers and cancels each held
+    job's completion event.  So the heartbeat, checkpoint and steal-offer
+    ticks and the job completion carry no liveness check of their own,
+    and each runs only on a live node, through crashes of workers holding
+    running and queued jobs and their revival."""
+    from repro.compute.worker import ComputeAgent
+
+    calls = []
+    for name in ("_heartbeat_tick", "_checkpoint_tick", "_offer_tick", "_complete"):
+        def spy(self, *args, _fn=getattr(ComputeAgent, name), _name=name):
+            calls.append((_name, self.node.network.is_up(self.node.ident)))
+            return _fn(self, *args)
+        monkeypatch.setattr(ComputeAgent, name, spy)
+    monkeypatch.setattr("repro.compute.worker.STEAL_INTERVAL", 4.0)
+    net, grid = make_grid(n=64, seed=5)
+    for i in range(40):
+        grid.submit(JobSpec(job_id=i + 1, cpu_demand=2.0, work=60.0))
+    net.sim.run_for(20.0)
+    holders = [i for i, a in grid.agents.items()
+               if (a.running or a.queue) and i != grid.scheduler_ident]
+    queued = [i for i in holders if grid.agents[i].queue]
+    assert queued and len(holders) > len(queued)
+    victims = list(dict.fromkeys(holders[:len(holders) // 3] + queued[:1]))
+    kill(net, grid, victims)
+    net.sim.run_for(30.0)
+    net.revive_nodes(victims[:2])
+    grid.directory.refresh()
+    assert grid.run_until_done(timeout=2000.0)
+    assert {name for name, _ in calls} == {
+        "_heartbeat_tick", "_checkpoint_tick", "_offer_tick", "_complete"}
+    assert all(up for _, up in calls)

@@ -114,11 +114,21 @@ node (same run; a 64-node attach first pays the one-off imports)::
                      storage + compute B/node    (N = 2 000)
     parent ef4649e   4 838
     one table        973
+    service state    429
 
-The drop is one handler table per network: a service declares
+The first drop is one handler table per network: a service declares
 ``{type: (agents, fn)}`` once, where every node used to get its own
 handler dict, a copy of it in the service's context, and one bound method
-or closure per type.  What remains is the per-node agents and stores.
+or closure per type.  The service-state drop is allocation on first
+write in the agents and stores that remained: a storage agent's quorum,
+completion and hint maps, its store's partition, and a worker's running
+map and queue are shared empties until written (the quorums, the running
+map and the queue are handed back when they empty), and both agent
+classes are slotted.  Its exact half runs everywhere: after a closed
+loop of quorum operations and a job batch, only the agents that
+originated a request hold completion and hint maps, only key holders
+hold a partition, and every quorum map, running map and queue is the
+shared empty again.
 """
 
 import gc
@@ -129,11 +139,14 @@ import types
 import numpy as np
 import pytest
 
-from repro import Cluster, ComputeConfig, JobSpec, QuorumConfig
+from repro import Cluster, ComputeConfig, JobSpec, QuorumConfig, ReplicatedStore
+from repro.compute.worker import _NO_JOBS
 from repro.core.repair import apply_failure_step
 from repro.core.node import _NO_LOOKUPS
 from repro.core.repair import PAPER_POLICY
 from repro.core.routing_table import _NO_LEVELS, _NO_META, _NO_ROLE
+from repro.storage.quorum import QUORUM_TIMEOUT, _NO_STATE
+from repro.storage.store import _NO_DATA
 
 NODES = 2000
 BUILT_BYTES_PER_NODE = 2991 * 1.05
@@ -141,7 +154,7 @@ LOOKUP_BYTES_PER_NODE = 368 * 1.05
 REPAIRED_BYTES_PER_LIVE_NODE = 3093 * 1.05
 STEP_PEAK_BYTES_PER_LIVE_NODE = 956 * 1.05
 GC_OBJECTS_PER_NODE = 7.07 * 1.05
-SERVICE_BYTES_PER_NODE = 973 * 1.05
+SERVICE_BYTES_PER_NODE = 429 * 1.05
 
 
 def measure(n):
@@ -270,7 +283,7 @@ def test_a_built_overlay_allocates_only_the_state_it_holds():
         assert table.level_tables or table.level_tables is _NO_LEVELS
         assert all(table.level_tables.values())
         assert (table.level_children is _NO_LEVELS) == (node.max_level == 0)
-        assert not {"_keepalive", "elections", "demoting"} & vars(node).keys()
+        assert "_protocol" not in vars(node)
     assert shared > NODES  # every level0_indirect at least
 
 
@@ -411,6 +424,46 @@ def test_no_node_holds_handler_wiring_of_its_own():
     assert [o for o in gc.get_objects()
             if isinstance(o, (types.MethodType, types.FunctionType))
             and bound_to_an_owner(o)] == []
+
+
+def test_service_state_is_held_only_where_it_is_used(monkeypatch):
+    """The exact half of the agents' budget: after a closed loop of
+    quorum puts and gets and a job batch on 200 peers, every quorum map
+    (``_writes``, ``_reads``) and every worker's ``running`` is the shared
+    empty map again and every ``queue`` the empty tuple; only the agents
+    that originated a request hold ``callbacks`` and ``coordinators`` of
+    their own, and only the peers holding a key hold a partition."""
+    origins = set()
+    issue = ReplicatedStore._issue
+
+    def recording_issue(self, *args):
+        rid, agent, hinted = issue(self, *args)
+        origins.add(agent.node.ident)
+        return rid, agent, hinted
+
+    monkeypatch.setattr(ReplicatedStore, "_issue", recording_issue)
+    cluster = with_services(Cluster(seed=9).build(200))
+    store, grid = cluster.storage, cluster.compute
+    ids = cluster.net.ids
+    for i in range(24):
+        via = ids[i % 3]
+        assert store.put(f"loop/{i % 8}", i, via=via).ok
+        assert store.get(f"loop/{(i + 3) % 8}", via=via).found == (i >= 5)
+    for job_id in range(1, 7):
+        grid.submit(JobSpec(job_id=job_id, work=25.0))
+    assert grid.run_until_done(timeout=500.0)
+    cluster.net.sim.run_for(2 * QUORUM_TIMEOUT)  # late replies and acks land
+
+    agents = store.agents.values()
+    assert all(a._writes is a._reads is _NO_STATE for a in agents)
+    assert all(w.running is _NO_JOBS and w.queue == () for w in grid.agents.values())
+    for role in ("callbacks", "coordinators"):
+        own = {a.node.ident for a in agents if getattr(a, role) is not _NO_STATE}
+        assert own and own <= origins, role
+    assert set(ids[:3]) < origins < set(ids)  # the clients and some workers
+    holders = [(a.store._data is not _NO_DATA, bool(a.store.keys())) for a in agents]
+    assert all(own == held for own, held in holders)
+    assert 0 < sum(own for own, _ in holders) < len(holders)
 
 
 def test_shutdown_leaves_no_handler_and_no_node_task():

@@ -30,7 +30,8 @@ def tiny_net(n=3, **cfg_overrides):
 
 
 def keepalive_running(node):
-    return node._keepalive is not None and node._keepalive[0].running
+    p = node._protocol
+    return p is not None and p.timer is not None and p.timer.running
 
 
 def keepalive_ticks(hub, idents):
@@ -345,8 +346,8 @@ class TestDemotionProtocol:
 class TestProtocolStateOnDemand:
     def test_a_converged_run_holds_no_protocol_state(self):
         """A build and a lookup batch run no keep-alive, election or
-        demotion, so no node holds any of their state: each is still the
-        class-level default."""
+        demotion, so no node holds any of their state: its
+        ``_protocol`` is still the class-level ``None``."""
         net = TreePNetwork(config=TreePConfig.paper_case1(), seed=5)
         net.build(128)
         rng = np.random.default_rng(5)
@@ -354,7 +355,7 @@ class TestProtocolStateOnDemand:
                  for _ in range(64)]
         assert all(r.found for r in net.run_lookup_batch(pairs))
         for node in net.nodes.values():
-            assert not {"_keepalive", "elections", "demoting"} & vars(node).keys()
+            assert "_protocol" not in vars(node)
 
 
 class TestPromotionOnOverflow:
@@ -467,13 +468,13 @@ class TestMaintenanceProtocol:
         net.start_maintenance()
         net.sim.run_for(1.5)
         net.network.set_down(victim)
-        assert any(victim in n._keepalive[1] for n in linked)
+        assert any(victim in n._protocol.last_sync for n in linked)
         net.sim.run_for(15.0)
         net.stop_maintenance()
         for i, node in net.nodes.items():
             if i != victim:
                 assert entry(node.table, victim) is None
-                assert victim not in node._keepalive[1], i
+                assert victim not in node._protocol.last_sync, i
 
     def test_child_links_follow_the_levels_still_parented_after_churn(self):
         """Maintenance before and after a 30 % crash: children expire,
@@ -533,7 +534,7 @@ class TestMaintenanceProtocol:
         victim = net.ids[5]
         net.network.set_down(victim)
         net.start_maintenance()
-        assert net.nodes[victim]._keepalive is None
+        assert net.nodes[victim]._protocol is None
         assert all(keepalive_running(net.nodes[i])
                    for i in net.ids if i != victim)
         net.revive_nodes([victim])

@@ -159,7 +159,7 @@ def test_stale_copy_outside_target_set_reconciled(loaded):
     targets = repair_targets(sorted(net.alive_ids()), key_id, store.quorum.n)
     far = max((i for i in net.alive_ids() if i not in targets),
               key=lambda i: net.config.space.distance(i, key_id))
-    store.agents[far].store._data[key_id] = VersionedValue("STALE", 99, -1, 0.0)
+    assert store.agents[far].store.apply(key_id, "STALE", 99, -1, 0.0)
     ae.converge()
     assert store.agents[far].store.get(key_id).value == fresh.value
 

@@ -147,10 +147,10 @@ def test_stale_coordinator_hints_survive_30_percent_churn():
     store = Cluster(net=net).with_storage(QuorumConfig(n=3, w=2, r=2)).storage
     ae = Cluster(net=net).add_service(AntiEntropy(interval=10.0)).anti_entropy
     writer = net.ids[0]
-    hints = store.agents[writer].coordinators
     keys = [f"key/{i:03d}" for i in range(N_KEYS)]
     for k in keys:
         assert store.put(k, f"value-{k}", via=writer).ok
+    hints = store.agents[writer].coordinators  # made by the first result
     assert len(hints) == N_KEYS
 
     rng = net.rng.get("hint-churn-test")

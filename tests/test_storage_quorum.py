@@ -386,11 +386,13 @@ def test_equal_stamp_replicate_counts_as_ack():
     # The replica already holds the exact stamp the fanout will carry.
     store.agents[x].store.apply(key_id, "v", 3, writer=9, timestamp=7.0)
     rid = 999_001
-    store.agents[c]._writes[rid] = _PendingWrite(
+    # The coordinator's maps are the shared empty until written: give the
+    # agent its own, as its first write would.
+    store.agents[c]._writes = {rid: _PendingWrite(
         request_id=rid, origin=c, key_id=key_id, version=3,
-        targets=(c, x), acks={c}, hops=0)
+        targets=(c, x), acks={c}, hops=0)}
     seen = []
-    store.agents[c].callbacks[rid] = seen.append
+    store.agents[c].callbacks = {rid: seen.append}
     net.nodes[c].send(x, StoreReplicate(rid, c, key_id, "v", 3, 9, 7.0))
     net.sim.run()
     assert seen[0].ok  # the equal-stamp ack completed the W=2 quorum
@@ -482,8 +484,8 @@ def test_hint_learnt_from_result_src_and_consumed_on_use(store_net):
     reports one hop; its result teaches the hint again."""
     net, store = store_net
     origin = net.live_origin().ident
-    hints = store.agents[origin].coordinators
     key, value = _far_key(store, origin)
+    hints = store.agents[origin].coordinators  # made by the first result
     key_id = store.key_id(key)
     coordinator = _coordinator_of(net, store, key_id)
     assert hints[key_id] == coordinator
@@ -550,8 +552,8 @@ def test_hinted_node_no_longer_closest_forwards_and_hint_is_corrected(store_net)
     value is right, and the result re-points the hint."""
     net, store = store_net
     origin = net.live_origin().ident
-    hints = store.agents[origin].coordinators
     key, value = _far_key(store, origin)
+    hints = store.agents[origin].coordinators  # made by the first result
     key_id = store.key_id(key)
     old = hints[key_id]
     new_id = key_id + 1 if key_id + 1 not in net.nodes else key_id - 1
@@ -571,9 +573,9 @@ def test_hinted_coordinator_crash_blocking_ops_reissue(store_net):
 
     net, store = store_net
     origin = net.live_origin().ident
-    hints = store.agents[origin].coordinators
     for op in ("get", "put"):
         key, value = _far_key(store, origin, prefix=f"crash-{op}")
+        hints = store.agents[origin].coordinators  # made by the first result
         key_id = store.key_id(key)
         dead = hints[key_id]
         net.fail_nodes([dead])
@@ -597,8 +599,8 @@ def test_hinted_coordinator_crash_costs_async_clients_one_op(store_net):
 
     net, store = store_net
     origin = net.live_origin().ident
-    hints = store.agents[origin].coordinators
     key, value = _far_key(store, origin)
+    hints = store.agents[origin].coordinators  # made by the first result
     key_id = store.key_id(key)
     dead = hints[key_id]
     net.fail_nodes([dead])
