@@ -168,7 +168,6 @@ class ServiceContext:
         callback: Callable[[], None],
         *,
         node: Optional[int] = None,
-        jitter: Optional[Callable[[], float]] = None,
         label: str = "",
     ) -> PeriodicTimer:
         """Register a periodic task with automatic cancellation.
@@ -178,9 +177,7 @@ class ServiceContext:
         additionally cancelled when the node departs.
         """
         timer = self.net.sim.every(
-            interval, callback, jitter=jitter,
-            label=label or f"{self.service.name}-task",
-        )
+            interval, callback, label=label or f"{self.service.name}-task")
         if node is not None:
             return self.node_timers.setdefault(node, TimerGroup()).add(timer)
         return self.timers.add(timer)

@@ -25,9 +25,9 @@ checkpoint, not from zero.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Set
 
 from repro.cluster.service import Handler, Service, ServiceContext
@@ -360,7 +360,8 @@ class JobScheduler(Service):
         #: ``(net.liveness_key, net.alive_ids())`` memo of :meth:`random_origin`.
         self._alive: tuple = (None, [])
         self.agents: Dict[int, ComputeAgent] = {}
-        self._rid = itertools.count(1)
+        #: Submissions sent so far; the last request id.
+        self._rid = 0
         #: Every job this client has (or will have) submitted: id -> spec.
         self.expected: Dict[int, JobSpec] = {}
         self.client: Dict[int, _ClientJob] = {}
@@ -509,7 +510,8 @@ class JobScheduler(Service):
     ) -> None:
         origin = self.net.live_origin(
             via if via is not None and self.net.network.is_up(via) else None)
-        rid = next(self._rid)
+        self._rid += 1
+        rid = self._rid
         self.client[spec.job_id] = _ClientJob(
             spec=spec, origin=origin.ident, request_id=rid,
             submitted_at=(self.client[spec.job_id].submitted_at
@@ -540,7 +542,7 @@ class JobScheduler(Service):
         for spec in specs:
             self.net.sim.schedule_at(
                 max(self.net.sim.now, spec.submit_at),
-                lambda s=spec: self._send_submit(s),
+                partial(self._send_submit, spec),
                 label=f"job-submit:{spec.job_id}",
             )
 

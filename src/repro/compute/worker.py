@@ -40,6 +40,7 @@ from zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Type, Union
 
 from repro.compute.job import (
@@ -259,11 +260,11 @@ class ComputeAgent:
             attempt = held.attempt
             self.service.store.get_async(
                 checkpoint_key(job_id), via=self.node.ident,
-                on_done=lambda res: self._on_checkpoint(job_id, attempt, res),
+                on_done=partial(self._on_checkpoint, job_id, attempt),
             )
             held.load_timeout = self.node.sim.schedule(
                 CHECKPOINT_READ_TIMEOUT,
-                lambda: self._on_checkpoint(job_id, attempt, None),
+                partial(self._on_checkpoint, job_id, attempt, None),
                 label=f"ckpt-read:{job_id}",
             )
         else:
@@ -296,7 +297,7 @@ class ComputeAgent:
         if obs is not None:
             obs.job_execute_begin(job_id, attempt, self.node.ident, now)
         held.done_event = self.node.sim.schedule(
-            remaining, lambda: self._complete(job_id, attempt),
+            remaining, partial(self._complete, job_id, attempt),
             label=f"job-done:{job_id}",
         )
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.capacity import NodeCapacity
@@ -109,6 +110,11 @@ class ProtocolState:
 JITTER_FRACTION = 0.1
 
 
+def _keepalive_jitter(rng: random.Random, interval: float) -> float:
+    """One period's offset, drawn from the node's own ``Random(ident)``."""
+    return (rng.random() - 0.5) * 2 * JITTER_FRACTION * interval
+
+
 class LookupClient(Process):
     """The origin side of a lookup, whatever the overlay routes it with.
 
@@ -148,7 +154,9 @@ class LookupClient(Process):
             obs.lookup_begin(rid, self.ident, self.sim.now)
         pend.timeout_event = self.sim.schedule(
             LOOKUP_TIMEOUT,
-            lambda: self._close_lookup(rid, False, 0, timed_out=True),
+            # Not found, 0 hops, no path, timed out: positional, since a
+            # keyword would give every lookup's partial a dict of its own.
+            partial(self._close_lookup, rid, False, 0, (), True),
             label=f"lookup-timeout:{rid}",
         )
         return pend
@@ -478,7 +486,7 @@ class TreePNode(LookupClient):
             elections = p.elections = {}
         elections[level] = sorted(self.table.neighbours_at(level) | {self.ident, src})
         self.sim.schedule(self.capacity.promotion_countdown(),
-                          lambda: self._election_expired(level),
+                          partial(self._election_expired, level),
                           label=f"election:{self.ident}:{level}")
 
     def trigger_election(self, level: int = 0) -> None:
@@ -544,7 +552,7 @@ class TreePNode(LookupClient):
                 p.demoting.add(level)
                 self.sim.schedule(
                     self.capacity.demotion_countdown(base=self.config.demotion_base),
-                    lambda lvl=level: self._demotion_expired(lvl),
+                    partial(self._demotion_expired, level),
                     label=f"demotion:{self.ident}:{level}",
                 )
 
@@ -589,8 +597,7 @@ class TreePNode(LookupClient):
         if p.timer is not None and p.timer.running:
             return
         interval = self.config.keepalive_interval
-        rng = random.Random(self.ident)
-        jitter = lambda: (rng.random() - 0.5) * 2 * JITTER_FRACTION * interval
+        jitter = partial(_keepalive_jitter, random.Random(self.ident), interval)
         p.timer = self.sim.every(interval, self._keepalive_tick, jitter=jitter,
                                  label=f"keepalive:{self.ident}")
 

@@ -1,7 +1,8 @@
 """The rule registry: stable ``RPRxxx`` codes -> checker functions.
 
 Code families
-  RPR1xx  determinism (wall clock, global or unseeded RNG, set-order decisions)
+  RPR1xx  determinism (wall clock, global or unseeded RNG, set-order decisions,
+          closures stored in simulation state)
   RPR2xx  layering (import edges vs the layer map)
   RPR3xx  lifecycle hygiene (handler/timer pairing)
   RPR4xx  performance / observability hygiene (__slots__, nil-guarded obs)

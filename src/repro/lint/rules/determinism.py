@@ -3,12 +3,14 @@
 The committed golden rests on bit-identical metrics at a fixed seed
 (see ``docs/benchmarks.md``): one wall-clock read or global-RNG draw in a
 simulation package and every "identical run" comparison silently rots.
+A run is also a value: ``copy.deepcopy`` or ``pickle`` forks it, which
+holds only while no closure sits in its state (RPR103).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 from repro.lint.engine import FileContext, ProjectContext, Violation
 from repro.lint.rules import rule
@@ -176,3 +178,79 @@ def check_set_iteration(
                 "iteration over a set expression (hash-order, varies with "
                 "PYTHONHASHSEED); wrap in sorted(...) to pin the order",
             )
+
+
+#: The calls that queue a callback, and the keyword names it may go by.
+_SCHEDULERS = frozenset({"schedule", "schedule_at", "every"})
+_SCHEDULER_KEYWORDS = frozenset({"callback", "jitter"})
+
+
+def _stored_callables(call: ast.Call) -> Iterator[ast.AST]:
+    """What *call* keeps to call later: a scheduler's callback (second
+    positional, or ``callback=``) and ``jitter=``, and any ``on_done=``;
+    for a ``partial(fn, ...)`` among them, its *fn*."""
+    stored = [kw.value for kw in call.keywords if kw.arg == "on_done"]
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr in _SCHEDULERS:
+        stored += call.args[1:2]
+        stored += [kw.value for kw in call.keywords
+                   if kw.arg in _SCHEDULER_KEYWORDS]
+    for arg in stored:
+        while (isinstance(arg, ast.Call) and arg.args
+               and _dotted(arg.func, {}).rsplit(".", 1)[-1] == "partial"):
+            arg = arg.args[0]
+        yield arg
+
+
+def _local_closures(fn: ast.AST) -> Set[str]:
+    """The names *fn* binds to a nested ``def`` or to a ``lambda``."""
+    names: Set[str] = set()
+    for node in ast.walk(fn):
+        if node is not fn and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Lambda):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+@rule(
+    "RPR103",
+    "no-stored-closures",
+    "no lambda or nested def queued as a callback or stored as on_done in "
+    "simulation packages",
+)
+def check_stored_closures(
+    ctx: FileContext, project: ProjectContext
+) -> Iterator[Violation]:
+    """A closure captures the objects it names when it is made, so a
+    ``copy.deepcopy`` of the run still calls the original's and ``pickle``
+    refuses it; a bound method or a ``functools.partial`` of one goes
+    with its instance."""
+    if ctx.package not in project.layers.scopes["determinism"]:
+        return
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found: Dict[int, Tuple[ast.AST, str]] = {}
+    for scope in ast.walk(ctx.tree):
+        if not isinstance(scope, (ast.Module, *defs)):
+            continue
+        # A name a function binds to a def or a lambda is a closure; one
+        # bound at module scope is a plain function.
+        nested = () if isinstance(scope, ast.Module) else _local_closures(scope)
+        for call in ast.walk(scope):
+            if not isinstance(call, ast.Call):
+                continue
+            for arg in _stored_callables(call):
+                if isinstance(arg, ast.Lambda):
+                    found[id(arg)] = (arg, "a lambda")
+                elif isinstance(arg, ast.Name) and arg.id in nested:
+                    found[id(arg)] = (arg, f"the closure `{arg.id}`")
+    for arg, what in sorted(found.values(),
+                            key=lambda p: (p[0].lineno, p[0].col_offset)):
+        yield ctx.violation(
+            "RPR103",
+            arg,
+            f"{what} stored as a simulation callback captures the objects "
+            f"it names, so a copy of the run would call the original's and "
+            f"pickle refuses it; store a bound method or a functools.partial "
+            f"of one",
+        )

@@ -28,6 +28,7 @@ Split of responsibilities (the SPE topology/propagation split):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 import numpy as np
@@ -251,9 +252,9 @@ class NetworkConditions:
                                    name=name)
         tag = partition.name
         cut_ev = self.sim.schedule_at(
-            start, lambda: self.cut(partition), label=f"conditions:cut:{tag}")
+            start, partial(self.cut, partition), label=f"conditions:cut:{tag}")
         heal_ev = self.sim.schedule_at(
-            start + duration, lambda: self.heal(partition),
+            start + duration, partial(self.heal, partition),
             label=f"conditions:heal:{tag}")
         return partition, cut_ev, heal_ev
 

@@ -23,8 +23,11 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-#: Type of an event callback.  Callbacks receive no arguments; bind state via
-#: closures or ``functools.partial`` — or subclass :class:`Event`.
+#: Type of an event callback.  Callbacks receive no arguments; bind state as
+#: a bound method or a ``functools.partial`` of one — or subclass
+#: :class:`Event`.  A closure would capture the objects it names, so a
+#: ``copy.deepcopy`` of the simulation would still call the original's,
+#: and ``pickle`` refuses it.
 Callback = Callable[[], None]
 
 #: Compaction never bothers with heaps smaller than this (the rebuild

@@ -68,7 +68,7 @@ def _type_meta(ptype: type) -> tuple:
 Handler = Tuple[Mapping[int, Any], Callable[[Any, int, Any], None]]
 
 
-class Process:  # repro-lint: disable=RPR401 per-node engine base, not a per-message record; subsystems attach ad-hoc attributes (obs, maintenance, service state) so it keeps a __dict__
+class Process:  # repro-lint: disable=RPR401 per-node engine base, not a per-message record; subclasses attach ad-hoc attributes (obs, protocol state) so it keeps a __dict__
     """Base class for anything that receives datagrams.
 
     Subclasses implement :meth:`on_datagram`.  Registration with the network

@@ -33,8 +33,8 @@ Construct through :meth:`repro.cluster.Cluster.with_storage`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.cluster.service import Handler, Service, ServiceContext
@@ -230,7 +230,7 @@ class StorageAgent:
         self._writes[msg.request_id] = pend
         pend.timeout_event = self.node.sim.schedule(
             QUORUM_TIMEOUT,
-            lambda: self._write_timeout(msg.request_id),
+            partial(self._write_timeout, msg.request_id),
             label=f"store-put-timeout:{msg.request_id}",
         )
 
@@ -306,7 +306,7 @@ class StorageAgent:
         self._reads[msg.request_id] = pend
         pend.timeout_event = self.node.sim.schedule(
             QUORUM_TIMEOUT,
-            lambda: self._read_timeout(msg.request_id),
+            partial(self._read_timeout, msg.request_id),
             label=f"store-get-timeout:{msg.request_id}",
         )
 
@@ -436,7 +436,8 @@ class ReplicatedStore(Service):
         self.net: Optional["TreePNetwork"] = None
         self.quorum = quorum if quorum is not None else QuorumConfig()
         self.agents: Dict[int, StorageAgent] = {}
-        self._rid = itertools.count(1)
+        #: Requests issued so far; the last request id.
+        self._rid = 0
         #: key ids successfully written at least once (durability baseline).
         self.tracked_keys: Dict[int, str] = {}
 
@@ -500,7 +501,8 @@ class ReplicatedStore(Service):
         """
         node = self.net.live_origin(via)
         agent = self.agents[node.ident]
-        rid = next(self._rid)  # facade-unique; safe across origins
+        self._rid += 1
+        rid = self._rid  # facade-unique; safe across origins
         if on_done is not None:
             callbacks = agent.callbacks
             if type(callbacks) is not dict:

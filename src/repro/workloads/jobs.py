@@ -10,7 +10,6 @@ computation).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -51,8 +50,8 @@ class JobWorkload:
         Constraint(min_memory_gb=4.0),
         Constraint(min_cpu=2.0, min_bandwidth_mbps=20.0),
     )
-    _ids: "itertools.count" = field(default_factory=lambda: itertools.count(1),
-                                    repr=False)
+    #: Jobs drawn so far; the last job id.
+    _drawn: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.arrival_rate > 0:
@@ -89,8 +88,9 @@ class JobWorkload:
         out: List[JobSpec] = []
         for _ in range(count):
             t += float(self.rng.exponential(1.0 / self.arrival_rate))
+            self._drawn += 1
             out.append(JobSpec(
-                job_id=next(self._ids),
+                job_id=self._drawn,
                 cpu_demand=self._demand(),
                 work=self._work(),
                 constraint=self._constraint(),
@@ -115,7 +115,8 @@ class JobWorkload:
         out: List[JobSpec] = []
         prev: Tuple[int, ...] = ()
         for width in layers:
-            ids = [next(self._ids) for _ in range(width)]
+            ids = range(self._drawn + 1, self._drawn + width + 1)
+            self._drawn += width
             for jid in ids:
                 out.append(JobSpec(
                     job_id=jid,

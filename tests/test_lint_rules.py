@@ -193,6 +193,39 @@ class TestRPR102:
         assert report.clean
 
 
+# ---------------------------------------------------------------- RPR103
+class TestRPR103:
+    def test_closures_stored_as_callbacks_flagged(self, tmp_path):
+        report = run_lint(tmp_path, {
+            "src/repro/core/timers.py":
+                "def arm(sim, node, store, rid):\n"
+                "    sim.schedule(1.0, lambda: node.expire(rid))\n"
+                "    def done(res):\n"
+                "        node.finish(rid, res)\n"
+                "    store.get_async('k', on_done=done)\n"
+                "    jitter = lambda: 0.1\n"
+                "    sim.every(5.0, node.tick, jitter=jitter)\n",
+        })
+        assert codes(report) == ["RPR103"] * 3
+        assert [v.line for v in report.violations] == [2, 5, 7]
+
+    def test_bound_methods_and_partials_pass(self, tmp_path):
+        report = run_lint(tmp_path, {
+            "src/repro/core/timers.py":
+                "from functools import partial\n\n\n"
+                "def _jitter(rng):\n    return rng.random()\n\n\n"
+                "def arm(sim, node, store, rid, rng):\n"
+                "    sim.schedule(1.0, partial(node.expire, rid))\n"
+                "    store.get_async('k', on_done=partial(node.finish, rid))\n"
+                "    sim.every(5.0, node.tick, jitter=partial(_jitter, rng))\n"
+                "    return max(node.peers, key=lambda p: p.score)\n",
+            "src/repro/bench/driver.py":
+                "def run(store):\n"
+                "    store.put_async('k', 1, on_done=lambda res: None)\n",
+        })
+        assert report.clean
+
+
 # ---------------------------------------------------------------- RPR201
 class TestRPR201:
     def test_forbidden_edge_flagged(self, tmp_path):
@@ -459,5 +492,6 @@ class TestCli:
         assert main(["--list-rules"], stream=out) == 0
         listed = [line.split()[0] for line in out.getvalue().splitlines()]
         assert listed == [
-            "RPR101", "RPR102", "RPR201", "RPR301", "RPR401", "RPR402",
+            "RPR101", "RPR102", "RPR103", "RPR201", "RPR301", "RPR401",
+            "RPR402",
         ]

@@ -450,7 +450,7 @@ def test_blocking_ops_leave_no_completion_state(store_net):
     # The request is in flight towards the coordinator when it dies, so no
     # result ever comes back and the client times out.
     net.sim.schedule(1e-6, lambda: net.network.set_down(coordinator))
-    before = next(store._rid)
+    before = store._rid
     assert not store.put("leak/k", 2, via=origin).ok
     assert idle()
     late = StorePutResult(before + 1, r.key_id, True, 2, (coordinator,), 1)

@@ -21,6 +21,8 @@ points are:
   with an unknown scenario name (the known-name list) and ``repro.lint``
   over a file with a forbidden relative import (RPR201); either one
   fails the census if its error does not occur;
+* a smoke ``Cluster`` with jobs mid-run, forked by ``copy.deepcopy`` and
+  by a ``pickle`` round trip, each fork run to the original's results;
 * the examples in ``examples/``, each through ``runpy``;
 * the five ``benchmarks/perf`` workloads at smoke size, one round each
   untraced and traced (a traced round's ``cProfile`` replaces this
@@ -48,9 +50,11 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import copy
 import importlib
 import io
 import os
+import pickle
 import runpy
 import sys
 import tempfile
@@ -273,6 +277,25 @@ def _lint_relative_import(tmp: str) -> object:
     return f"expected an RPR201 on the relative import, got {code!r}: {text!r}"
 
 
+def _fork_cluster() -> object:
+    """Fork a smoke cluster with jobs mid-run, by ``copy.deepcopy`` and by
+    a ``pickle`` round trip (docs/api.md), and run all three on: 0 when
+    each fork finishes the jobs as the original does, a failure line
+    otherwise."""
+    from repro import Cluster, JobSpec
+
+    cluster = Cluster(seed=7).build(64).with_compute()
+    for job_id in range(1, 6):
+        cluster.compute.submit(JobSpec(job_id=job_id, cpu_demand=1.0, work=30.0))
+    cluster.net.sim.run_for(12.0)
+    runs = [cluster, copy.deepcopy(cluster), pickle.loads(pickle.dumps(cluster))]
+    results = [(run.compute.run_until_done(120.0), run.compute.results)
+               for run in runs]
+    if results[0][0] and results.count(results[0]) == len(results):
+        return 0
+    return f"a fork finished otherwise than its original: {results!r}"
+
+
 def entry_points(tmp: str) -> List[Tuple[str, Callable[[], object]]]:
     """The non-test ways into the package, as ``(label, call)`` pairs."""
     trace = os.path.join(tmp, "trace_storage.smoke.npz")
@@ -296,6 +319,7 @@ def entry_points(tmp: str) -> List[Tuple[str, Callable[[], object]]]:
         ("lint src", lambda: _main("repro.lint.cli")(["src"])),
         ("bench run <unknown name>", _bench_unknown_name),
         ("lint a forbidden relative import", lambda: _lint_relative_import(tmp)),
+        ("fork a cluster mid-run", _fork_cluster),
     ]
     examples = os.path.join(ROOT, "examples")
     points += [(f"examples/{name}",
