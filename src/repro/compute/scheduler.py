@@ -287,9 +287,9 @@ class SchedulerCore:
 
     # ------------------------------------------------------------- monitor
     def _monitor_tick(self) -> None:
-        if self.agent.scheduler is not self or not self._up(self.node.ident):
-            self._timer.stop()
-            return
+        # Runs only while this core holds the role on a live host: a
+        # crash cancels the node-scoped timer, and both role changes
+        # (failover, detach) stop() the core first.
         now = self.node.sim.now
         for rec in list(self.records.values()):
             if rec.state is JobState.RUNNING:

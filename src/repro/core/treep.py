@@ -20,7 +20,9 @@ that state.
 from __future__ import annotations
 
 import gc
+import operator
 from contextlib import contextmanager
+from functools import partial
 from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List,
                     Optional, Sequence, Tuple)
 
@@ -46,6 +48,11 @@ if TYPE_CHECKING:  # pragma: no cover
 #: request's trailing datagrams (extra replicas, read repair) land — a few
 #: times the default per-hop latency ceiling.
 SETTLE = 0.2
+
+
+def _landed(waiting: List[None], result: LookupResult) -> None:
+    """A batch lookup's ``on_done``: one fewer still open."""
+    waiting.pop()
 
 
 @contextmanager
@@ -307,7 +314,7 @@ class TreePNetwork:
         if not timeout >= 0:  # NaN fails too
             raise ValueError(f"timeout must be >= 0, got {timeout}")
         sim = self.sim
-        sim.run(until=sim.now + timeout, done=lambda: bool(slot))
+        sim.run(until=sim.now + timeout, done=slot.__len__)
         if not slot:
             return False
         sim.run(until=sim.now + SETTLE)
@@ -346,17 +353,11 @@ class TreePNetwork:
         pairs = list(pairs)
         for o, t in pairs:
             self._check_lookup(o, t)
-        pending = [self.nodes[o].issue_lookup(t, algo) for o, t in pairs]
-        waiting = 0  # every lookup before this index has its result
-
-        def all_resolved() -> bool:
-            nonlocal waiting
-            while waiting < len(pending) and pending[waiting].result is not None:
-                waiting += 1
-            return waiting == len(pending)
-
-        self.sim.run(done=all_resolved)
-        assert all_resolved(), "an empty queue left a lookup unresolved"
+        waiting = [None] * len(pairs)  # one entry per lookup still open
+        landed = partial(_landed, waiting)
+        pending = [self.nodes[o].issue_lookup(t, algo, landed) for o, t in pairs]
+        self.sim.run(done=partial(operator.not_, waiting))
+        assert not waiting, "an empty queue left a lookup unresolved"
         return [p.result for p in pending]
 
     # ------------------------------------------------------------ failures

@@ -3,13 +3,15 @@
 :class:`Simulator` owns the virtual clock and the event queue.  Protocol code
 never sleeps or spins; it schedules callbacks at future virtual times.  The
 kernel is deliberately tiny — the hot loop does one heap pop and one callback
-per event, with no allocation beyond the event records themselves (see the
-hpc-parallel guidance: keep the inner loop allocation-light, profile before
-doing anything cleverer).
+per event, with no allocation beyond the event records themselves, and a
+datagram is its own event record (:class:`~repro.sim.network.Datagram`), so
+its callback is its delivery.
 """
 
 from __future__ import annotations
 
+import math
+from heapq import heappop, heappush
 from typing import Callable, Optional
 
 from repro.sim.events import Callback, Event, EventQueue
@@ -76,15 +78,9 @@ class Simulator:
     # -------------------------------------------------------------- schedule
     def schedule(self, delay: float, callback: Callback, label: str = "") -> Event:
         """Schedule *callback* to fire ``delay`` time units from now."""
-        return self.schedule_event(delay, Event(0.0, 0, callback, label=label))
-
-    def schedule_event(self, delay: float, ev: Event) -> Event:
-        """Schedule the ready-made record *ev* (see
-        :meth:`EventQueue.push_event`) to fire ``delay`` time units from now."""
         if delay < 0:
-            raise SimulationError(f"negative delay {delay!r} for event {ev.label!r}")
-        ev.time = self._now + delay
-        return self._queue.push_event(ev)
+            raise SimulationError(f"negative delay {delay!r} for event {label!r}")
+        return self._queue.push(self._now + delay, callback, label)
 
     def schedule_at(self, time: float, callback: Callback, label: str = "") -> Event:
         """Schedule *callback* at absolute virtual *time* (>= now)."""
@@ -92,7 +88,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event {label!r} at {time} before now={self._now}"
             )
-        return self._queue.push(time, callback, label=label)
+        return self._queue.push(time, callback, label)
 
     def set_event_hook(self, hook: Optional[Callable[[Event], None]]) -> None:
         """Install (or clear, with ``None``) the per-event observer.
@@ -118,16 +114,22 @@ class Simulator:
 
         The one event loop: every blocking wait in the repo is a call to
         it.  *done* is checked before each event, so the run stops before
-        the first event after it turns true.  With *until*, the clock is
-        advanced to exactly *until* (unless *done* stopped the run) even if
-        the last event fires earlier, so periodic processes observe a
-        consistent end time.  :attr:`max_events` bounds each call, so a
-        protocol bug (two nodes ping-ponging updates forever, a runaway
-        timer) fails loudly.  The loop body is inline, with the queue and
-        hook cached in locals — one bound-method call per event is
-        measurable across the million-event runs of the scale benches.
-        An *until* that is NaN or earlier than :attr:`now` raises
-        ``ValueError`` before anything fires.
+        the first event after it turns true; a waiter passes a C callable
+        (``slot.__len__``) so the check runs no Python.  With *until*, the
+        clock is advanced to exactly *until* (unless *done* stopped the
+        run) even if the last event fires earlier, so periodic processes
+        observe a consistent end time.  :attr:`max_events` bounds each
+        call, so a protocol bug (two nodes ping-ponging updates forever, a
+        runaway timer) fails loudly; the event that would exceed it stays
+        queued, so a later call fires it.  An *until* that is NaN or
+        earlier than :attr:`now` raises ``ValueError`` before anything
+        fires.
+
+        The loop pops the heap itself: one ``heappop`` and one
+        ``ev.fire()`` per event, tombstones discarded as they surface, and
+        an event past *until* or over the budget pushed back unchanged (its
+        ``(time, seq)`` key is unique, so the heap pops in the same order).
+        :attr:`events_processed` is brought up to date as the call returns.
         """
         if until is not None and not until >= self._now:  # NaN fails too
             raise ValueError(f"until must be a time >= now ({self._now}), got {until}")
@@ -135,39 +137,47 @@ class Simulator:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         queue = self._queue
+        heap = queue._heap  # compaction rewrites this list in place
         hook = self._event_hook
         budget = self.max_events
+        stop = math.inf if until is None else until
+        now = self._now
         fired = 0
         try:
             while done is None or not done():
-                if until is None:
-                    ev = queue.pop()
-                    if ev is None:
+                while heap:
+                    entry = heappop(heap)
+                    ev = entry[2]
+                    if not ev.cancelled:
                         break
                 else:
-                    nxt = queue.peek_time()
-                    if nxt is None or nxt > until:
-                        break
-                    ev = queue.pop()
+                    break  # nothing left to fire
+                time = entry[0]
+                if time > stop:
+                    heappush(heap, entry)
+                    break
                 if fired >= budget:
+                    heappush(heap, entry)
                     raise SimulationError(
                         f"exceeded max_events={budget}; runaway periodic process?"
                     )
-                if ev.time < self._now:
+                if time < now:
                     raise SimulationError(
-                        f"event {ev.label!r} scheduled at {ev.time} < now {self._now}"
+                        f"event {ev.label!r} scheduled at {time} < now {now}"
                     )
-                self._now = ev.time
-                self._event_count += 1
+                queue._live -= 1
+                ev._queue = None  # fired: a late cancel() must not touch _live
+                self._now = now = time
+                fired += 1
                 if hook is not None:
                     hook(ev)
                 ev.fire()
-                fired += 1
             else:
                 return fired  # done() stopped the run: the clock stays put
         finally:
+            self._event_count += fired
             self._running = False
-        if until is not None and self._now < until:
+        if until is not None and now < until:
             self._now = until
         return fired
 

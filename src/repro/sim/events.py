@@ -6,7 +6,7 @@ sequence number, which makes every run fully deterministic: two events
 scheduled at the same time always fire in scheduling order.
 
 Cancellation is *lazy* (O(1)): a cancelled event is only marked, and the
-pop path discards it when it surfaces.  To keep the heap bounded under
+run loop discards it when it surfaces.  To keep the heap bounded under
 heavy timer churn (services arming and cancelling ``ctx.every`` tasks far
 faster than their periods elapse — see ``cluster/service.py``), the queue
 **compacts** itself whenever tombstones outnumber live events: dead
@@ -46,7 +46,8 @@ class Event:
     seq:
         Tie-breaker; assigned by the queue, increases monotonically.
     callback:
-        Zero-argument callable invoked when the event fires.
+        Zero-argument callable invoked when the event fires (unset on a
+        :class:`~repro.sim.network.Datagram`, which delivers itself).
     cancelled:
         Cancelled events stay in the heap (bounded by compaction) and are
         skipped when popped (lazy deletion — O(1) cancel).
@@ -55,12 +56,12 @@ class Event:
 
     A subclass is the record of something that *is* its own event (a
     :class:`~repro.sim.network.Datagram` in flight): it overrides
-    :meth:`fire` and enters the queue through :meth:`EventQueue.push_event`.
+    :meth:`fire`, and its sender pushes it onto the queue's heap.
     """
 
     time: float
     seq: int
-    callback: Callable[..., None]
+    callback: Callable[..., None] = field(repr=False)
     cancelled: bool = False
     label: str = ""
     _queue: Optional["EventQueue"] = field(default=None, repr=False)
@@ -78,7 +79,7 @@ class Event:
 
 
 class EventQueue:
-    """Binary-heap event queue with lazy, compacting cancellation.
+    """Binary-heap event store with lazy, compacting cancellation.
 
     Heap entries are plain ``(time, seq, Event)`` tuples rather than the
     :class:`Event` records themselves: tuple comparison runs entirely in C
@@ -86,13 +87,19 @@ class EventQueue:
     large run never call back into the interpreter.  The unique ``seq``
     guarantees the third element is never compared.
 
+    The queue only stores: :meth:`Simulator.run
+    <repro.sim.engine.Simulator.run>` pops ``_heap`` itself (one
+    ``heappop`` per event, ``_live`` decremented as the event fires), and
+    :meth:`Network.send <repro.sim.network.Network.send>` pushes its
+    datagram itself, each in its own frame.
+
     >>> q = EventQueue()
     >>> e = q.push(1.0, lambda: None, label="hello")
-    >>> q.peek_time()
-    1.0
+    >>> len(q)
+    1
     >>> e.cancel()
-    >>> q.pop() is None
-    True
+    >>> len(q)
+    0
     """
 
     __slots__ = ("_heap", "_next_seq", "_live")
@@ -107,44 +114,14 @@ class EventQueue:
 
     def push(self, time: float, callback: Callback, label: str = "") -> Event:
         """Schedule *callback* at absolute simulated *time*."""
-        return self.push_event(Event(time, 0, callback, label=label))
-
-    def push_event(self, ev: Event) -> Event:
-        """Schedule the ready-made record *ev* at its own ``ev.time`` — an
-        :class:`Event` subclass carrying its own state (a datagram) is one
-        object in flight, not record + bound callback + event."""
-        time = ev.time
         if time != time:  # NaN guard: a NaN timestamp would corrupt the heap
             raise ValueError("event time must not be NaN")
-        ev.seq = seq = self._next_seq
+        seq = self._next_seq
         self._next_seq = seq + 1
-        ev._queue = self
+        ev = Event(time, seq, callback, False, label, self)
         heapq.heappush(self._heap, (time, seq, ev))
         self._live += 1
         return ev
-
-    def pop(self) -> Optional[Event]:
-        """Pop the earliest live event, or ``None`` if the heap is empty.
-
-        Cancelled events are discarded transparently; a single ``pop`` may
-        discard many cancelled entries but returns at most one live event.
-        """
-        heap = self._heap
-        while heap:
-            ev = heapq.heappop(heap)[2]
-            if ev.cancelled:
-                continue
-            self._live -= 1
-            ev._queue = None  # fired: a late cancel() must not touch _live
-            return ev
-        return None
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the earliest live event, or ``None`` when empty."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
 
     # ------------------------------------------------------------ internals
     def _note_cancel(self) -> None:
@@ -154,12 +131,13 @@ class EventQueue:
         a service that arms and cancels timers in a tight loop cannot grow
         the heap without bound while the cancelled firing times are still
         far in the virtual future.  Compaction rebuilds the heap from the
-        live entries in O(live); the unique ``(time, seq)`` keys mean the
-        rebuilt heap pops in exactly the same order, so results are
-        bit-identical with or without it.
+        live entries in O(live), in place, so the run loop's local
+        reference to the list stays the heap; the unique ``(time, seq)``
+        keys mean the rebuilt heap pops in exactly the same order, so
+        results are bit-identical with or without it.
         """
         self._live -= 1
         heap = self._heap
         if len(heap) > _COMPACT_MIN and len(heap) - self._live > self._live:
-            self._heap = [item for item in heap if not item[2].cancelled]
-            heapq.heapify(self._heap)
+            heap[:] = [item for item in heap if not item[2].cancelled]
+            heapq.heapify(heap)

@@ -17,27 +17,31 @@ overhead benches read to compare control traffic between configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappush
 from typing import Any, Callable, Dict, Mapping, Optional, Set, Tuple
 
-from repro.sim.engine import Simulator
-from repro.sim.events import Event
+from repro.sim.engine import SimulationError, Simulator
+from repro.sim.events import Event, EventQueue
 from repro.sim.latency import LatencyModel
 
 
 class Datagram(Event):
     """One simulated UDP packet — and the event record of its own delivery:
-    ``time`` is its arrival, ``label`` its ``dgram:<Type>`` tag, and firing
-    it calls ``callback`` (the fabric's delivery routine) with the datagram,
-    so a packet in flight is one object on the simulator's heap."""
+    ``time`` is its arrival and ``label`` its ``dgram:<Type>`` tag, and
+    firing it delivers it through ``network``, so a packet in flight is one
+    object on the simulator's heap and its delivery one call."""
 
-    __slots__ = ("src", "dst", "payload", "send_time", "size")
+    __slots__ = ("network", "src", "dst", "payload", "send_time", "size")
 
-    def __init__(self, deliver: Callable[["Datagram"], None], label: str,
-                 src: int, dst: int, payload: Any, send_time: float,
-                 size: int = 0) -> None:
-        self.callback = deliver
+    def __init__(self, time: float, seq: int, label: str, queue: "EventQueue",
+                 network: "Network", src: int, dst: int, payload: Any,
+                 send_time: float, size: int = 0) -> None:
+        self.time = time
+        self.seq = seq
         self.cancelled = False
         self.label = label
+        self._queue = queue
+        self.network = network
         self.src = src
         self.dst = dst
         self.payload = payload
@@ -45,7 +49,16 @@ class Datagram(Event):
         self.size = size  # approximate wire size in bytes, for overhead accounting
 
     def fire(self) -> None:
-        self.callback(self)
+        """Hand the packet to its destination, unless that died while the
+        packet was in flight (send checked it is registered, and nothing
+        unregisters a process)."""
+        network = self.network
+        dst = self.dst
+        if dst in network._down:
+            network.stats.dropped_down += 1
+            return
+        network.stats.delivered += 1
+        network._procs[dst].on_datagram(self)
 
 
 #: type -> (type name, event label) — computed once per payload type so the
@@ -166,9 +179,8 @@ class Network:  # repro-lint: disable=RPR401 one instance per simulation; slotti
         #: before its built-in handlers.  The service plane
         #: (:mod:`repro.cluster`) is its one writer.
         self.handlers: Dict[type, Handler] = {}
-        #: Every datagram's ``callback``, bound once (a fresh bound method
-        #: per packet would be a second allocation per datagram).
-        self._arrive = self._deliver
+        #: The simulator's event queue, which :meth:`send` pushes onto.
+        self._queue = sim._queue
 
     # ---------------------------------------------------------- membership
     def register(self, proc: Process) -> None:
@@ -203,10 +215,19 @@ class Network:  # repro-lint: disable=RPR401 one instance per simulation; slotti
 
     # ------------------------------------------------------------------ I/O
     def send(self, src: int, dst: int, payload: Any) -> None:
-        """Inject one datagram.  A down *src* cannot send."""
+        """Inject one datagram.  A down *src* cannot send.
+
+        One frame from payload to heap: the latency draw, the record and
+        the push onto the simulator's queue (the same ``(time, seq)`` key
+        :meth:`Simulator.schedule <repro.sim.engine.Simulator.schedule>`
+        would give it, and its negative-delay and NaN guards)."""
         stats = self.stats
         stats.sent += 1
-        tname, label = _type_meta(type(payload))
+        ptype = type(payload)
+        meta = _TYPE_META.get(ptype)
+        if meta is None:
+            meta = _type_meta(ptype)
+        tname, label = meta
         by_type = stats.by_type
         by_type[tname] = by_type.get(tname, 0) + 1
         size = getattr(payload, "wire_size", 64)
@@ -225,19 +246,19 @@ class Network:  # repro-lint: disable=RPR401 one instance per simulation; slotti
             stats.dropped_loss += 1
             return
 
-        sim = self.sim
-        sim.schedule_event(
-            self.latency.sample(src, dst),
-            Datagram(self._arrive, label, src, dst, payload, sim.now, size))
-
-    def _deliver(self, dgram: Datagram) -> None:
-        # Destination may have died while the packet was in flight (send
-        # checked it is registered, and nothing unregisters a process).
-        if dgram.dst in self._down:
-            self.stats.dropped_down += 1
-            return
-        self.stats.delivered += 1
-        self._procs[dgram.dst].on_datagram(dgram)
+        delay = self.latency.sample(src, dst)
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay!r} for event {label!r}")
+        now = self.sim._now
+        time = now + delay
+        if time != time:  # NaN guard: a NaN timestamp would corrupt the heap
+            raise ValueError("event time must not be NaN")
+        queue = self._queue
+        seq = queue._next_seq
+        queue._next_seq = seq + 1
+        heappush(queue._heap, (time, seq, Datagram(
+            time, seq, label, queue, self, src, dst, payload, now, size)))
+        queue._live += 1
 
     # ------------------------------------------------------------ accounting
     def reset_stats(self) -> None:

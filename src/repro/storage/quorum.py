@@ -121,7 +121,7 @@ class StoreResult:
         return self.ok
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingWrite:
     request_id: int
     origin: int
@@ -133,7 +133,7 @@ class _PendingWrite:
     timeout_event: object = None
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingRead:
     request_id: int
     origin: int
@@ -280,19 +280,17 @@ class StorageAgent:
     def handle_get(self, src: int, msg: StoreGet) -> None:
         if msg.ttl > self.node.config.ttl_max:
             return
-        exclude = frozenset(msg.path) | {self.node.ident}
-        nxt = greedy_key_next_hop(self.node, msg.key_id, exclude)
+        path = msg.path + (self.node.ident,)
+        nxt = greedy_key_next_hop(self.node, msg.key_id, frozenset(path))
         if nxt is not None:
             self.node.send(nxt, StoreGet(msg.request_id, msg.origin, msg.key_id,
-                                         msg.ttl + 1, msg.fallbacks,
-                                         msg.path + (self.node.ident,)))
+                                         msg.ttl + 1, msg.fallbacks, path))
             return
         targets = tuple(replicas(self.node, msg.key_id, self.quorum.n))
         pend = _PendingRead(
             request_id=msg.request_id, origin=msg.origin, key_id=msg.key_id,
             targets=targets, replies={self.node.ident: self.store.get(msg.key_id)},
-            hops=msg.ttl, fallbacks=msg.fallbacks,
-            path=msg.path + (self.node.ident,),
+            hops=msg.ttl, fallbacks=msg.fallbacks, path=path,
         )
         for t in targets:
             if t != self.node.ident:
@@ -348,7 +346,10 @@ class StorageAgent:
         every target (a quick self-miss at a coordinator that merely hasn't
         received its copy yet must not out-race the real holders' replies).
         """
-        found = sum(1 for vv in pend.replies.values() if vv is not None)
+        found = 0
+        for vv in pend.replies.values():
+            if vv is not None:
+                found += 1
         return found >= self.quorum.r or len(pend.replies) >= len(pend.targets)
 
     def _read_timeout(self, rid: int) -> None:
@@ -365,8 +366,8 @@ class StorageAgent:
         heard of the key's true neighbourhood).  True when forwarded."""
         if pend.fallbacks >= READ_FALLBACK:
             return False
-        exclude = frozenset(pend.path) | {self.node.ident}
-        best = greedy_key_next_hop(self.node, pend.key_id, exclude,
+        # The path already ends at this coordinator (handle_get).
+        best = greedy_key_next_hop(self.node, pend.key_id, frozenset(pend.path),
                                    improving_only=False)
         if best is None:
             return False

@@ -85,15 +85,16 @@ class KVStore:
         writer: int = -1,
         timestamp: float = 0.0,
     ) -> bool:
-        """Merge a copy last-write-wins; returns True when it was adopted."""
-        incoming = VersionedValue(value=value, version=version, writer=writer,
-                                  timestamp=timestamp)
-        if incoming.dominates(self._data.get(key_id)):
-            if type(self._data) is not dict:
-                self._data = {}
-            self._data[key_id] = incoming
-            return True
-        return False
+        """Merge a copy last-write-wins; returns True when it was adopted.
+        The stamps are compared before a losing copy costs a record."""
+        held = self._data.get(key_id)
+        if held is not None and not ((timestamp, version, writer)
+                                     > (held.timestamp, held.version, held.writer)):
+            return False
+        if type(self._data) is not dict:
+            self._data = {}
+        self._data[key_id] = VersionedValue(value, version, writer, timestamp)
+        return True
 
     # -------------------------------------------------------------- queries
     def get(self, key_id: int) -> Optional[VersionedValue]:

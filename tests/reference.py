@@ -9,6 +9,7 @@ real code up to, so they live with the tests.  Import them as
 from __future__ import annotations
 
 import bisect
+import heapq
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -81,12 +82,87 @@ class ConstantLatency(LatencyModel):
 def on_delivery(network: Network, fn) -> None:
     """Call ``fn(dgram)`` for every datagram *network* delivers, through
     the engine's event hook: a :class:`Datagram` whose destination is up
-    when it fires is exactly one that ``Network._deliver`` hands over."""
+    when it fires is exactly one that reaches its destination's
+    ``on_datagram``."""
     def hook(ev) -> None:
         if isinstance(ev, Datagram) and network.is_up(ev.dst):
             fn(ev)
 
     network.sim.set_event_hook(hook)
+
+
+def _peek_time(queue) -> Optional[float]:
+    """Time of the earliest live event, or ``None`` when empty (the
+    queue's ``peek_time`` before the run loop popped the heap itself)."""
+    heap = queue._heap
+    while heap and heap[0][2].cancelled:
+        heapq.heappop(heap)
+    return heap[0][0] if heap else None
+
+
+def _pop(queue):
+    """Pop the earliest live event, or ``None`` (the queue's old ``pop``)."""
+    heap = queue._heap
+    while heap:
+        ev = heapq.heappop(heap)[2]
+        if ev.cancelled:
+            continue
+        queue._live -= 1
+        ev._queue = None
+        return ev
+    return None
+
+
+def _deliver(dgram: Datagram) -> None:
+    """The fabric's old delivery routine, which a datagram's callback was."""
+    network = dgram.network
+    if dgram.dst in network._down:
+        network.stats.dropped_down += 1
+        return
+    network.stats.delivered += 1
+    network._procs[dgram.dst].on_datagram(dgram)
+
+
+def reference_run(sim, until: Optional[float] = None, done=None) -> int:
+    """``Simulator.run`` as the peek/pop loop it was: the time of the next
+    live event peeked, the event popped through a method, the clock and
+    event count advanced per event, and a datagram handed to the fabric's
+    delivery routine.  The one difference: the budget is checked before
+    the pop, so a tripped budget loses no event.  The differential oracle
+    for the inline loop (``tests/test_sim_one_loop.py``)."""
+    from repro.sim.engine import SimulationError
+
+    if until is not None and not until >= sim._now:
+        raise ValueError(f"until must be a time >= now ({sim._now}), got {until}")
+    if sim._running:
+        raise SimulationError("simulator is not reentrant")
+    sim._running = True
+    queue, hook, budget, fired = sim._queue, sim._event_hook, sim.max_events, 0
+    try:
+        while done is None or not done():
+            nxt = _peek_time(queue)
+            if nxt is None or (until is not None and nxt > until):
+                break
+            if fired >= budget:
+                raise SimulationError(
+                    f"exceeded max_events={budget}; runaway periodic process?")
+            ev = _pop(queue)
+            sim._now = ev.time
+            sim._event_count += 1
+            if hook is not None:
+                hook(ev)
+            if isinstance(ev, Datagram):
+                _deliver(ev)
+            else:
+                ev.fire()
+            fired += 1
+        else:
+            return fired
+    finally:
+        sim._running = False
+    if until is not None and sim._now < until:
+        sim._now = until
+    return fired
 
 
 def heap_size(queue) -> int:

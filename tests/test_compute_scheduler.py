@@ -607,3 +607,48 @@ def test_no_worker_tick_or_completion_runs_on_a_down_node(monkeypatch):
     assert {name for name, _ in calls} == {
         "_heartbeat_tick", "_checkpoint_tick", "_offer_tick", "_complete"}
     assert all(up for _, up in calls)
+
+
+def test_the_monitor_ticks_only_on_the_live_role_holder(monkeypatch):
+    """Every monitor tick finds its core holding the scheduler role on a
+    live host, so the tick carries no check of its own: a crash of the
+    host cancels the node-scoped timer, a revival re-arms it, and both
+    role changes (failover to another peer, detach) stop the old core
+    before replacing it."""
+    from repro.compute.scheduler import SchedulerCore
+
+    ticks = []
+
+    def spy(self, _fn=SchedulerCore._monitor_tick):
+        ticks.append((self.node.ident, self.agent.scheduler is self,
+                      self.node.network.is_up(self.node.ident)))
+        return _fn(self)
+
+    monkeypatch.setattr(SchedulerCore, "_monitor_tick", spy)
+    net = TreePNetwork(config=TreePConfig.paper_case1(), seed=5)
+    net.build(64)
+    cluster = Cluster(net=net).with_compute(ComputeConfig(checkpoint_interval=5.0))
+    grid = cluster.compute
+    for i in range(8):
+        grid.submit(JobSpec(job_id=i + 1, cpu_demand=1.0, work=60.0))
+    net.sim.run_for(20.0)
+    first = grid.scheduler_ident
+    kill(net, grid, [first])
+    net.sim.run_for(20.0)               # host down: its monitor is silent
+    net.revive_nodes([first])           # ... and re-armed on revival
+    net.sim.run_for(20.0)
+    kill(net, grid, [first])
+    assert grid.ensure_scheduler()      # failover away from the dead host
+    second = grid.scheduler_ident
+    net.revive_nodes([first])           # the old core holds no role now
+    net.sim.run_for(20.0)
+    third = grid.activate_scheduler(    # a role change between live peers
+        next(i for i in net.ids if i not in (first, second)
+             and net.network.is_up(i)))
+    net.sim.run_for(20.0)
+    cluster.state.detach(grid)          # detach stops the last core
+    seen = len(ticks)
+    net.sim.run_for(20.0)
+    assert len(ticks) == seen
+    assert {host for host, _, _ in ticks} == {first, second, third}
+    assert all(holds and up for _, holds, up in ticks)

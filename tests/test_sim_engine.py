@@ -1,9 +1,11 @@
 """Unit tests for the discrete-event kernel."""
 
+from functools import partial
+
 import pytest
 
 from repro.sim.engine import PeriodicTimer, SimulationError, Simulator
-from repro.sim.events import Event
+from repro.sim.network import Network, Process
 
 
 def test_clock_starts_at_zero():
@@ -66,8 +68,11 @@ def test_until_in_the_past_raises():
 
 def test_negative_delay_rejected():
     sim = Simulator()
-    with pytest.raises(SimulationError, match="negative delay"):
-        sim.schedule(-1.0, lambda: None)
+    with pytest.raises(SimulationError, match="negative delay.*'rec'"):
+        sim.schedule(-1.0, lambda: None, label="rec")
+    with pytest.raises(ValueError, match="NaN"):
+        sim.schedule(float("nan"), lambda: None, label="rec")
+    assert sim.pending == 0
 
 
 def test_schedule_at_past_rejected():
@@ -283,46 +288,67 @@ def test_not_reentrant():
     assert err and "reentrant" in err[0]
 
 
-class _Record(Event):
-    """An event that is its own state: fires by appending itself."""
+class _Latencies:
+    """Hands out the given latencies in order, one per datagram."""
 
-    __slots__ = ("sink",)
+    def __init__(self, *values):
+        self.values = list(values)
 
-    def __init__(self, sink, label="rec"):
-        super().__init__(0.0, 0, None, False, label)
-        self.sink = sink
-
-    def fire(self):
-        self.sink.append((self.label, self.time, self.seq))
+    def sample(self, src, dst):
+        return self.values.pop(0)
 
 
-def test_schedule_event_fires_the_record_itself_from_run():
+class _Sink(Process):
+    """Records each datagram it receives as (label, time, seq)."""
+
+    def __init__(self, address, out):
+        super().__init__(address)
+        self.out = out
+
+    def on_datagram(self, dgram):
+        self.out.append((dgram.label, dgram.time, dgram.seq))
+
+
+def test_a_datagram_is_the_record_run_fires():
+    """A datagram is pushed as its own event record (no callback bound to
+    it): it takes the next seq, and ``run`` fires it in (time, seq) order
+    like any timer, bounded by *until*."""
     sim = Simulator()
+    net = Network(sim, _Latencies(1.0, 2.0))
     out = []
+    src, dst = _Sink(1, out), _Sink(2, out)
+    net.register(src)
+    net.register(dst)
     sim.schedule(1.0, lambda: out.append("cb"))
-    first = sim.schedule_event(1.0, _Record(out, "a"))
-    sim.schedule_event(2.0, _Record(out, "b"))
-    assert sim.pending == 3 and first.seq == 1 and first.time == 1.0
+    src.send(2, "a")
+    src.send(2, "b")
+    assert sim.pending == 3
     assert sim.run(until=1.0) == 2            # bounded by until
-    assert out == ["cb", ("a", 1.0, 1)]
+    assert out == ["cb", ("dgram:str", 1.0, 1)]
     assert sim.run() == 1                     # run to an empty queue
-    assert out[-1] == ("b", 2.0, 2) and sim.now == 2.0
-
-
-def test_schedule_event_keeps_the_guards():
-    sim = Simulator()
-    with pytest.raises(SimulationError, match="negative delay.*'rec'"):
-        sim.schedule_event(-1.0, _Record([]))
-    with pytest.raises(ValueError, match="NaN"):
-        sim.schedule_event(float("nan"), _Record([]))
-    assert sim.pending == 0
+    assert out[-1] == ("dgram:str", 2.0, 2) and sim.now == 2.0
 
 
 def test_scheduled_record_can_be_cancelled():
     sim = Simulator()
     out = []
-    rec = sim.schedule_event(1.0, _Record(out))
+    rec = sim.schedule(1.0, lambda: out.append("rec"))
     rec.cancel()
     assert sim.pending == 0
     sim.run()
     assert out == []
+
+
+def test_a_tripped_budget_keeps_the_next_event():
+    """The event that would exceed ``max_events`` stays queued: a second
+    run fires it, so no event is lost to the budget."""
+    sim = Simulator()
+    fired = []
+    for i in range(5):
+        sim.schedule(float(i + 1), partial(fired.append, i))
+    sim.max_events = 3
+    with pytest.raises(SimulationError, match="exceeded max_events=3"):
+        sim.run()
+    assert fired == [0, 1, 2] and sim.pending == 2 and sim.now == 3.0
+    assert sim.run() == 2
+    assert fired == [0, 1, 2, 3, 4] and sim.pending == 0

@@ -1,67 +1,67 @@
-"""Unit tests for the event queue."""
+"""Unit tests for the event queue, driven through the simulator that pops it."""
+
+from functools import partial
 
 import pytest
 
+from repro.sim.engine import Simulator
 from repro.sim.events import EventQueue
 
 
 def test_push_pop_orders_by_time():
-    q = EventQueue()
+    sim = Simulator()
     fired = []
-    q.push(3.0, lambda: fired.append(3))
-    q.push(1.0, lambda: fired.append(1))
-    q.push(2.0, lambda: fired.append(2))
-    while (ev := q.pop()) is not None:
-        ev.callback()
+    sim.schedule_at(3.0, lambda: fired.append(3))
+    sim.schedule_at(1.0, lambda: fired.append(1))
+    sim.schedule_at(2.0, lambda: fired.append(2))
+    sim.run()
     assert fired == [1, 2, 3]
 
 
 def test_same_time_fifo_order():
-    q = EventQueue()
+    sim = Simulator()
     fired = []
     for i in range(10):
-        q.push(5.0, lambda i=i: fired.append(i))
-    while (ev := q.pop()) is not None:
-        ev.callback()
+        sim.schedule_at(5.0, partial(fired.append, i))
+    sim.run()
     assert fired == list(range(10))
 
 
 def test_len_counts_live_events():
-    q = EventQueue()
-    e1 = q.push(1.0, lambda: None)
-    q.push(2.0, lambda: None)
-    assert len(q) == 2
+    sim = Simulator()
+    fired = []
+    e1 = sim.schedule_at(1.0, lambda: fired.append(1.0))
+    sim.schedule_at(2.0, lambda: fired.append(sim.now))
+    assert sim.pending == 2
     e1.cancel()
-    # Lazy deletion: logical length drops immediately on pop of cancelled.
-    assert q.pop().time == 2.0
-    assert len(q) == 0
+    # Lazy deletion: the live count drops at cancel, the tombstone at pop.
+    assert sim.pending == 1
+    assert sim.run() == 1 and fired == [2.0]
+    assert sim.pending == 0
 
 
 def test_cancelled_event_skipped():
-    q = EventQueue()
-    e = q.push(1.0, lambda: None)
+    """A cancelled event never fires, and the run goes on to the next live
+    one: it stops at the horizon before that, and fires it at its time."""
+    sim = Simulator()
+    fired = []
+    e = sim.schedule_at(1.0, lambda: fired.append(1.0))
     e.cancel()
-    assert q.pop() is None
+    assert sim.run() == 0 and fired == [] and sim.now == 0.0
+    e1 = sim.schedule_at(1.0, lambda: fired.append(1.0))
+    sim.schedule_at(2.0, lambda: fired.append(sim.now))
+    e1.cancel()
+    assert sim.run(until=1.5) == 0 and sim.now == 1.5
+    assert sim.run(until=2.0) == 1 and fired == [2.0] and sim.now == 2.0
 
 
 def test_cancel_is_idempotent():
-    q = EventQueue()
-    e = q.push(1.0, lambda: None)
+    sim = Simulator()
+    e = sim.schedule_at(1.0, lambda: None)
     e.cancel()
     e.cancel()
-    assert q.pop() is None
-
-
-def test_peek_time_skips_cancelled():
-    q = EventQueue()
-    e1 = q.push(1.0, lambda: None)
-    q.push(2.0, lambda: None)
-    e1.cancel()
-    assert q.peek_time() == 2.0
-
-
-def test_peek_time_empty_returns_none():
-    assert EventQueue().peek_time() is None
+    assert sim.pending == 0
+    assert sim.run() == 0
 
 
 def test_nan_time_rejected():

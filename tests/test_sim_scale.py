@@ -23,6 +23,7 @@ import hashlib
 import json
 import os
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -39,61 +40,57 @@ from repro.sim.events import EventQueue
 # ------------------------------------------------------------ queue ordering
 
 def test_ordering_and_liveness_under_100k_mixed_ops():
-    """100k schedule/cancel ops: pops come out in exact (time, seq) order."""
+    """100k schedule/cancel/fire ops: events fire in exact (time, seq)
+    order and the live count stays exact throughout."""
     rng = np.random.default_rng(12345)
-    q = EventQueue()
-    fired = []
-    live = {}  # seq -> time, for events not yet cancelled
+    sim = Simulator()
+    fired = []  # op numbers, in firing order
+    key = {}  # op -> (time, seq)
+    live = {}  # seq -> time, for events not yet cancelled or fired
     events = {}
-    pool = []  # seqs ever pushed; may contain stale entries (O(1) pick)
+    pool = []  # ops ever scheduled; may contain stale entries (O(1) pick)
     for op in range(100_000):
         roll = rng.random()
         if roll < 0.6 or not events:
-            t = float(rng.uniform(0, 1000))
-            ev = q.push(t, lambda: None, label=f"op{op}")
-            events[ev.seq] = ev
-            live[ev.seq] = t
-            pool.append(ev.seq)
+            ev = sim.schedule(float(rng.uniform(0, 1000)),
+                              partial(fired.append, op), label=f"op{op}")
+            events[op] = ev
+            key[op] = (ev.time, ev.seq)
+            live[ev.seq] = ev.time
+            pool.append(op)
         elif roll < 0.9:
             # cancel a random pending event (idempotent on repeats)
-            seq = pool[int(rng.integers(len(pool)))]
-            if seq in events:
-                events[seq].cancel()
-                events[seq].cancel()  # idempotent
-                live.pop(seq, None)
-                del events[seq]
+            victim = pool[int(rng.integers(len(pool)))]
+            if victim in events:
+                events[victim].cancel()
+                events[victim].cancel()  # idempotent
+                live.pop(key[victim][1], None)
+                del events[victim]
         else:
-            ev = q.pop()
-            if ev is not None:
-                fired.append((ev.time, ev.seq))
-                live.pop(ev.seq, None)
-                events.pop(ev.seq, None)
-        assert len(q) == len(live)
-    while True:
-        ev = q.pop()
-        if ev is None:
-            break
-        fired.append((ev.time, ev.seq))
-        live.pop(ev.seq, None)
-    assert not live
-    # Each drain segment pops in sorted (time, seq) order; since pushes are
-    # interleaved we check the global invariant pairwise per pop run: any
-    # later pop must not precede an earlier one that was poppable then.
-    # The strong end-to-end check: the final full drain is totally sorted.
-    tail = fired[-1000:]
+            before = len(fired)
+            sim.run(done=lambda: len(fired) > before)  # fire at most one
+            if len(fired) > before:
+                live.pop(key[fired[-1]][1], None)
+                events.pop(fired[-1], None)
+        assert sim.pending == len(live)
+    sim.run()
+    for op in fired:
+        live.pop(key[op][1], None)
+    assert not live and sim.pending == 0
+    # Every event is scheduled at or after the clock, so the whole firing
+    # sequence is totally sorted by (time, seq).
+    order = [key[op] for op in fired]
+    assert order == sorted(order)
+    tail = order[-1000:]
     assert tail == sorted(tail)
 
 
 def test_same_time_events_fire_in_scheduling_order():
-    q = EventQueue()
+    sim = Simulator()
     order = []
     for i in range(50):
-        q.push(1.0, lambda i=i: order.append(i))
-    while True:
-        ev = q.pop()
-        if ev is None:
-            break
-        ev.callback()
+        sim.schedule_at(1.0, partial(order.append, i))
+    sim.run()
     assert order == list(range(50))
 
 
