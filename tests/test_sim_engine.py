@@ -68,6 +68,14 @@ def test_until_in_the_past_raises():
 
 def test_negative_delay_rejected():
     sim = Simulator()
+    with pytest.raises(SimulationError, match="negative delay"):
+        sim.schedule(-1.0, lambda: None)
+
+
+def test_schedule_keeps_the_guards():
+    """A negative delay names the event's label, a NaN delay is refused,
+    and neither leaves anything queued."""
+    sim = Simulator()
     with pytest.raises(SimulationError, match="negative delay.*'rec'"):
         sim.schedule(-1.0, lambda: None, label="rec")
     with pytest.raises(ValueError, match="NaN"):

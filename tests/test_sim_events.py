@@ -41,18 +41,32 @@ def test_len_counts_live_events():
 
 
 def test_cancelled_event_skipped():
-    """A cancelled event never fires, and the run goes on to the next live
-    one: it stops at the horizon before that, and fires it at its time."""
     sim = Simulator()
     fired = []
     e = sim.schedule_at(1.0, lambda: fired.append(1.0))
     e.cancel()
-    assert sim.run() == 0 and fired == [] and sim.now == 0.0
+    assert sim.run() == 0 and fired == []
+
+
+def test_run_skips_a_cancelled_event_to_the_next_live_time():
+    """Past a cancelled event the next live time is the one after it: the
+    run stops at a horizon before that, and fires it at its time."""
+    sim = Simulator()
+    fired = []
     e1 = sim.schedule_at(1.0, lambda: fired.append(1.0))
     sim.schedule_at(2.0, lambda: fired.append(sim.now))
     e1.cancel()
     assert sim.run(until=1.5) == 0 and sim.now == 1.5
     assert sim.run(until=2.0) == 1 and fired == [2.0] and sim.now == 2.0
+
+
+def test_an_empty_queue_has_no_next_event():
+    """A fresh queue and one that holds only a tombstone are both empty:
+    nothing is pending, and a run fires nothing and leaves the clock."""
+    sim = Simulator()
+    assert sim.pending == 0 and sim.run() == 0 and sim.now == 0.0
+    sim.schedule_at(1.0, lambda: None).cancel()
+    assert sim.pending == 0 and sim.run() == 0 and sim.now == 0.0
 
 
 def test_cancel_is_idempotent():
