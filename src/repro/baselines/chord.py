@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro.baselines.harness import ID_SPACE, BaselineNetwork
 from repro.core.lookup import LookupAlgorithm
 from repro.core.node import LookupClient, PendingLookup
-from repro.sim.network import Datagram
+from repro.sim.network import Handler
 
 #: Ring bits: the 2**32 ring every run uses, TreeP's default ID space.
 M_BITS = 32
@@ -87,19 +87,20 @@ class ChordNode(LookupClient):
         return self.successors[0] if self.successors else None
 
     # --------------------------------------------------------------- lookup
+    @classmethod
+    def handlers(cls, nodes: Mapping[int, "ChordNode"]) -> Dict[type, Handler]:
+        """Chord's entries in the fabric's handler table."""
+        return {ChordLookup: (nodes, cls._on_ChordLookup), ChordReply: (nodes, cls._on_ChordReply)}
+
     def issue_lookup(self, target: int) -> PendingLookup:
         pend = self._open_lookup(target, LookupAlgorithm.GREEDY)
-        self._handle(ChordLookup(pend.request_id, self.ident, target, 0))
+        self._on_ChordLookup(self.ident, ChordLookup(pend.request_id, self.ident, target, 0))
         return pend
 
-    def on_datagram(self, dgram: Datagram) -> None:
-        payload = dgram.payload
-        if isinstance(payload, ChordLookup):
-            self._handle(payload)
-        elif isinstance(payload, ChordReply):
-            self._close_lookup(payload.request_id, payload.found, payload.hops)
+    def _on_ChordReply(self, src: int, reply: ChordReply) -> None:
+        self._close_lookup(reply.request_id, reply.found, reply.hops)
 
-    def _handle(self, msg: ChordLookup) -> None:
+    def _on_ChordLookup(self, src: int, msg: ChordLookup) -> None:
         if msg.hops > 255:
             return
         if msg.target == self.ident or self.owns(msg.target):

@@ -18,14 +18,14 @@ timeouts' worth of ids however long the run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Set
+from typing import Dict, List, Mapping, Set
 
 from repro.baselines.harness import BaselineNetwork
 from repro.baselines.random_graph import random_overlay
 from repro.core.config import LOOKUP_TIMEOUT
 from repro.core.lookup import LookupAlgorithm
 from repro.core.node import LookupClient, PendingLookup
-from repro.sim.network import Datagram
+from repro.sim.network import Handler
 
 #: Random-overlay degree every peer gets at build.
 DEGREE = 4
@@ -64,6 +64,11 @@ class FloodNode(LookupClient):
         self._seen_before: Set[int] = set()
         self._generation_start = 0.0
 
+    @classmethod
+    def handlers(cls, nodes: Mapping[int, "FloodNode"]) -> Dict[type, Handler]:
+        """Flooding's entries in the fabric's handler table."""
+        return {FloodQuery: (nodes, cls._on_FloodQuery), FloodHit: (nodes, cls._on_FloodHit)}
+
     def _remember(self, rid: int) -> None:
         """Remember *rid* in the current generation, opening a new one
         when this one is a :data:`LOOKUP_TIMEOUT` old."""
@@ -84,15 +89,11 @@ class FloodNode(LookupClient):
                 self.send(n, FloodQuery(rid, self.ident, target, ttl, 1))
         return pend
 
-    def on_datagram(self, dgram: Datagram) -> None:
-        payload = dgram.payload
-        if isinstance(payload, FloodQuery):
-            self._on_query(dgram.src, payload)
-        elif isinstance(payload, FloodHit):
-            # The first hit wins; the pending record ignores duplicates.
-            self._close_lookup(payload.request_id, True, payload.hops)
+    def _on_FloodHit(self, src: int, hit: FloodHit) -> None:
+        # The first hit wins; the pending record ignores duplicates.
+        self._close_lookup(hit.request_id, True, hit.hops)
 
-    def _on_query(self, src: int, q: FloodQuery) -> None:
+    def _on_FloodQuery(self, src: int, q: FloodQuery) -> None:
         if q.request_id in self.seen or q.request_id in self._seen_before:
             return
         self._remember(q.request_id)

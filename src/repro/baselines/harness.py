@@ -32,6 +32,7 @@ class BaselineNetwork:
         self.sim = Simulator()
         self.network = Network(self.sim, latency=UniformLatency(self.rng.get("latency")))
         self.nodes: Dict[int, LookupClient] = {}
+        self.network.handlers.update(self.node_type.handlers(self.nodes))
         self.ids: List[int] = []
 
     def build(self, n: int) -> None:

@@ -17,14 +17,16 @@ Both experimental cases are supported:
 from __future__ import annotations
 
 import functools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Literal, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Literal, Sequence, Tuple
 
 import numpy as np
 
 from repro.cluster import Cluster
 from repro.core.config import TreePConfig
 from repro.core.messages import LookupRequest
+from repro.core.node import TreePNode
 from repro.core.repair import PAPER_POLICY, RepairPolicy, apply_failure_step
 from repro.core.treep import TreePNetwork
 from repro.metrics.series import Series
@@ -156,6 +158,29 @@ def fail_until(
     return surviving
 
 
+def _observe_hop(max_ttl: Dict[int, int], handle: Callable[..., None],
+                 node: TreePNode, src: int, req: LookupRequest) -> None:
+    """Note how far *req* got, then hand it to the overlay's handler."""
+    if req.ttl > max_ttl.get(req.request_id, 0):
+        max_ttl[req.request_id] = req.ttl
+    handle(node, src, req)
+
+
+@contextmanager
+def observed_hops(net: TreePNetwork) -> Iterator[Dict[int, int]]:
+    """Yield a map, filled for the length of the block, of the furthest
+    hop (``ttl``) each lookup request reached: the handler table's
+    ``LookupRequest`` entry is wrapped, and restored on the way out."""
+    table = net.network.handlers
+    entry = receivers, handle = table[LookupRequest]
+    max_ttl: Dict[int, int] = {}
+    table[LookupRequest] = (receivers, functools.partial(_observe_hop, max_ttl, handle))
+    try:
+        yield max_ttl
+    finally:
+        table[LookupRequest] = entry
+
+
 @functools.lru_cache(maxsize=None)
 def run_failure_sweep(config: SweepConfig) -> SweepResult:
     """Execute one full sweep (the engine behind Figures A-I).
@@ -170,40 +195,27 @@ def run_failure_sweep(config: SweepConfig) -> SweepResult:
     layout = cluster.layout
     result = SweepResult(config=config, height=layout.height)
 
-    # Figure E needs the hops travelled by lookups that died by
-    # black-holing into a failed node — no reply ever reports them, so
-    # the sweep watches every hop through the nodes' harness seam.
-    max_ttl: Dict[int, int] = {}
-
-    def observe(req: LookupRequest) -> None:
-        if req.ttl > max_ttl.get(req.request_id, 0):
-            max_ttl[req.request_id] = req.ttl
-
-    for node in net.nodes.values():
-        node.hop_observer = observe
-
     rng = net.rng.get("sweep")
     schedule = FailureSchedule(net.ids, rng)
     workload = LookupWorkload(rng=net.rng.get("workload"))
 
-    for step in schedule.steps():
-        net.fail_nodes(step.newly_failed)
-        apply_failure_step(net, step.newly_failed, PAPER_POLICY)
-        if len(step.surviving) < 2:
-            break
-        per_algo: Dict[str, LookupBatchStats] = {}
-        for algo in ALGORITHMS:
-            pairs = workload.pairs(step.surviving, config.lookups_per_step)
-            results = net.run_lookup_batch(pairs, algo)
-            per_algo[algo] = summarize_batch(results, failed_hop_counts=[
-                max_ttl.get(r.request_id, 0) if r.timed_out else r.hops
-                for r in results if not r.found])
-            max_ttl.clear()
-        result.records.append(
-            StepRecord(
-                failed_fraction=step.cumulative_failed_fraction,
-                surviving=len(step.surviving),
-                per_algo=per_algo,
-            )
-        )
+    # Figure E needs the hops travelled by lookups that died by
+    # black-holing into a failed node: no reply ever reports them, so
+    # the sweep watches every hop.
+    with observed_hops(net) as max_ttl:
+        for step in schedule.steps():
+            net.fail_nodes(step.newly_failed)
+            apply_failure_step(net, step.newly_failed, PAPER_POLICY)
+            if len(step.surviving) < 2:
+                break
+            per_algo: Dict[str, LookupBatchStats] = {}
+            for algo in ALGORITHMS:
+                pairs = workload.pairs(step.surviving, config.lookups_per_step)
+                results = net.run_lookup_batch(pairs, algo)
+                per_algo[algo] = summarize_batch(results, failed_hop_counts=[
+                    max_ttl.get(r.request_id, 0) if r.timed_out else r.hops
+                    for r in results if not r.found])
+                max_ttl.clear()
+            result.records.append(StepRecord(
+                step.cumulative_failed_fraction, len(step.surviving), per_algo))
     return result

@@ -112,8 +112,7 @@ class Service:
         ``{payload type: (agents, fn)}``, where *agents* maps every node id
         to the object :meth:`setup_node` made for it and a datagram of that
         type runs ``fn(agents[ident], src, payload)`` on the receiving node.
-        They take precedence over the overlay's built-in handlers until the
-        service is detached."""
+        A type the table already holds (the overlay's too) is refused."""
         return {}
 
     def on_node_leave(self, ident: int) -> None:
@@ -185,15 +184,15 @@ class ServiceContext:
     # ------------------------------------------------------------- wiring
     def claim_handlers(self) -> None:
         """File the service's :meth:`~Service.handlers` in the network's
-        handler table.  A type another service already claimed is refused
-        — silently stealing it would black-hole that service's traffic."""
+        handler table.  A type the table already holds (the overlay's too)
+        is refused: silently stealing it would black-hole its traffic."""
         table = self.net.network.handlers
         declared = dict(self.service.handlers())
         for msg_type in declared:
             if msg_type in table:
                 raise ServiceError(
                     f"service {self.service.name!r} claims {msg_type.__name__}, "
-                    f"already handled by another service"
+                    f"already in the network's handler table"
                 )
         table.update(declared)
         self.claimed = tuple(declared)

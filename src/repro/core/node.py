@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from repro.core.capacity import NodeCapacity
 from repro.core.config import LOOKUP_TIMEOUT, TreePConfig
@@ -59,7 +59,7 @@ from repro.core.messages import (
 )
 from repro.core.routing_table import Meta, RoutingTable, SharedMap
 from repro.sim.engine import PeriodicTimer
-from repro.sim.network import Datagram, Process
+from repro.sim.network import Datagram, Handler, Process
 
 
 @dataclass(slots=True)
@@ -128,7 +128,6 @@ class LookupClient(Process):
 
     def __init__(self, ident: int) -> None:
         super().__init__(ident)
-        self.ident = ident
         #: Lookups issued so far; the next request id's low bits.
         self._req_counter = 0
         self.pending: Dict[int, PendingLookup] = _NO_LOOKUPS
@@ -218,9 +217,6 @@ class TreePNode(LookupClient):
         #: Node-local estimate of the hierarchy height ``h``.
         self.height = 1
         self.nc = _effective_nc(config, capacity)
-        #: Per-request hop observation hook a harness may install
-        #: (measurement only, never read by routing).
-        self.hop_observer: Optional[Callable[[LookupRequest], None]] = None
 
     #: Keep-alive, election and demotion state, ``None`` until the node
     #: first runs one of them.
@@ -253,38 +249,35 @@ class TreePNode(LookupClient):
         return len(self.table.level_children.get(level, ()))
 
     # ------------------------------------------------------------ dispatch
-    #: payload type -> ``TreePNode._on_<Type>`` method (or None), built
-    #: lazily.  One dict for the class: a subclass overriding an
-    #: ``_on_<Type>`` would need a dict of its own.
-    _builtin_dispatch: Dict[type, Optional[Callable]] = {}
+    @classmethod
+    def handlers(cls, nodes: Mapping[int, "TreePNode"]) -> Dict[type, Handler]:
+        """The overlay's entries in :attr:`Network.handlers
+        <repro.sim.network.Network.handlers>`: each message of
+        :mod:`repro.core.messages` runs its ``_on_<Type>`` on ``nodes[dst]``."""
+        return {
+            LookupRequest: (nodes, cls._on_LookupRequest),
+            LookupReply: (nodes, cls._on_LookupReply),
+            Hello: (nodes, cls._on_Hello),
+            HelloAck: (nodes, cls._on_HelloAck),
+            Splice: (nodes, cls._on_Splice),
+            JoinRequest: (nodes, cls._on_JoinRequest),
+            JoinAccept: (nodes, cls._on_JoinAccept),
+            ChildReport: (nodes, cls._on_ChildReport),
+            PromoteGrant: (nodes, cls._on_PromoteGrant),
+            ParentAnnounce: (nodes, cls._on_ParentAnnounce),
+            ElectionStart: (nodes, cls._on_ElectionStart),
+            ParentClaim: (nodes, cls._on_ParentClaim),
+            Demote: (nodes, cls._on_Demote),
+            KeepAlive: (nodes, cls._on_KeepAlive),
+            KeepAliveAck: (nodes, cls._on_KeepAliveAck),
+        }
 
     def on_datagram(self, dgram: Datagram) -> None:
-        """Dispatch *dgram* by payload type: the fabric's one service
-        handler table first (``fn(receivers[ident], src, payload)``, so
-        layered services extend the protocol without a per-node map), then
-        the built-in ``_on_<Type>`` methods via a per-class dict built
-        lazily on first sight of each payload type (the ``getattr`` with a
-        per-message f-string it replaces dominated dispatch profiles at
-        10k nodes)."""
-        payload = dgram.payload
-        ptype = type(payload)
-        service = self.network.handlers.get(ptype)
-        if service is not None:
-            receivers, fn = service
-            fn(receivers[self.ident], dgram.src, payload)
-            return
-        cache = self._builtin_dispatch
-        try:
-            handler = cache[ptype]
-        except KeyError:
-            cls = type(self)
-            handler = cache[ptype] = getattr(cls, f"_on_{ptype.__name__}", None)
-        if handler is None:
-            obs = self.obs
-            if obs is not None:
-                obs.event("node.drop", self.ident, self.sim.now)
-            return
-        handler(self, dgram.src, payload)
+        """A datagram of a type with no handler table entry (a detached
+        service's, say): dropped, and recorded as ``node.drop``."""
+        obs = self.obs
+        if obs is not None:
+            obs.event("node.drop", self.ident, self.sim.now)
 
     # -------------------------------------------------------------- lookups
     def issue_lookup(
@@ -303,8 +296,6 @@ class TreePNode(LookupClient):
         return pend
 
     def _on_LookupRequest(self, src: int, req: LookupRequest) -> None:
-        if self.hop_observer is not None:
-            self.hop_observer(req)
         obs = self.obs
         if obs is not None:
             obs.lookup_hop(req.request_id, src, self.sim.now, req.ttl)

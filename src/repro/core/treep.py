@@ -91,6 +91,7 @@ class TreePNetwork:
         self.sim = Simulator()
         self.network = Network(self.sim, latency=UniformLatency(self.rng.get("latency")))
         self.nodes: Dict[int, TreePNode] = {}
+        self.network.handlers.update(TreePNode.handlers(self.nodes))
         #: Observability hub (``None`` unless an ambient capture is active
         #: or an ``Observability`` service is attached); instrumentation
         #: sites guard every record behind one ``is not None`` check.

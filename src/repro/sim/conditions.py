@@ -201,7 +201,7 @@ class NetworkConditions:
         """
         side_a = frozenset(int(x) for x in a)
         if b is None:
-            everyone = frozenset(p.address for p in self.network.processes())
+            everyone = frozenset(p.ident for p in self.network.processes())
             side_b = everyone - side_a
         else:
             side_b = frozenset(int(x) for x in b)

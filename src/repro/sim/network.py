@@ -49,31 +49,28 @@ class Datagram(Event):
         self.size = size  # approximate wire size in bytes, for overhead accounting
 
     def fire(self) -> None:
-        """Hand the packet to its destination, unless that died while the
-        packet was in flight (send checked it is registered, and nothing
-        unregisters a process)."""
+        """Call its payload type's entry in :attr:`Network.handlers` (or,
+        for a type with none, the destination's :meth:`~Process.on_datagram`),
+        unless the destination died while the packet was in flight."""
         network = self.network
         dst = self.dst
         if dst in network._down:
             network.stats.dropped_down += 1
             return
         network.stats.delivered += 1
-        network._procs[dst].on_datagram(self)
+        payload = self.payload
+        entry = network.handlers.get(type(payload))
+        if entry is None:
+            network._procs[dst].on_datagram(self)
+            return
+        receivers, fn = entry
+        fn(receivers[dst], self.src, payload)
 
 
 #: type -> (type name, event label) — computed once per payload type so the
 #: per-datagram path never re-derives ``type(payload).__name__`` or
 #: re-formats the scheduling label (both showed up in 10k-node profiles).
 _TYPE_META: Dict[type, tuple] = {}
-
-
-def _type_meta(ptype: type) -> tuple:
-    meta = _TYPE_META.get(ptype)
-    if meta is None:
-        name = ptype.__name__
-        meta = (name, f"dgram:{name}")
-        _TYPE_META[ptype] = meta
-    return meta
 
 
 #: A payload type's entry in :attr:`Network.handlers`: ``(receivers, fn)``,
@@ -84,18 +81,14 @@ Handler = Tuple[Mapping[int, Any], Callable[[Any, int, Any], None]]
 class Process:  # repro-lint: disable=RPR401 per-node engine base, not a per-message record; subclasses attach ad-hoc attributes (obs, protocol state) so it keeps a __dict__
     """Base class for anything that receives datagrams.
 
-    Subclasses implement :meth:`on_datagram`.  Registration with the network
-    assigns the address; the address is the node's overlay ID in all the
-    overlays built here (TreeP, Chord, flood).
+    A datagram finds its handler in :attr:`Network.handlers`;
+    :meth:`on_datagram` gets only those of a type with no entry there.
+    ``ident`` is the address, and the overlay ID in every overlay here.
     """
 
-    def __init__(self, address: int) -> None:
-        self.address = int(address)
+    def __init__(self, ident: int) -> None:
+        self.ident = int(ident)
         self.network: Optional["Network"] = None
-
-    # -- wiring -----------------------------------------------------------
-    def attach(self, network: "Network") -> None:
-        self.network = network
 
     @property
     def sim(self) -> Simulator:
@@ -106,10 +99,10 @@ class Process:  # repro-lint: disable=RPR401 per-node engine base, not a per-mes
     def send(self, dst: int, payload: Any) -> None:
         """Fire-and-forget datagram to *dst*."""
         assert self.network is not None, "process not attached to a network"
-        self.network.send(self.address, dst, payload)
+        self.network.send(self.ident, dst, payload)
 
-    def on_datagram(self, dgram: Datagram) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def on_datagram(self, dgram: Datagram) -> None:
+        """A datagram of a type with no handler table entry: dropped."""
 
 
 @dataclass(slots=True)
@@ -173,23 +166,22 @@ class Network:  # repro-lint: disable=RPR401 one instance per simulation; slotti
         #: :class:`~repro.sim.failures.FailureSchedule`, or a direct call).
         self.down_hooks: list[Callable[[int], None]] = []
         self.up_hooks: list[Callable[[int], None]] = []
-        #: payload type -> ``(receivers, fn)``, one table for the whole
-        #: fabric: ``TreePNode.on_datagram`` runs ``fn(receivers[a], src,
-        #: payload)`` for a datagram of that type delivered to address *a*,
-        #: before its built-in handlers.  The service plane
-        #: (:mod:`repro.cluster`) is its one writer.
+        #: payload type -> ``(receivers, fn)``, the one way a datagram finds
+        #: its handler: one of that type delivered to *a* runs
+        #: ``fn(receivers[a], src, payload)``.  The overlay files its types
+        #: when built, the service plane (:mod:`repro.cluster`) its services'.
         self.handlers: Dict[type, Handler] = {}
         #: The simulator's event queue, which :meth:`send` pushes onto.
         self._queue = sim._queue
 
     # ---------------------------------------------------------- membership
     def register(self, proc: Process) -> None:
-        """Add *proc* to the fabric; its address must be unique."""
-        if proc.address in self._procs:
-            raise ValueError(f"address {proc.address} already registered")
-        self._procs[proc.address] = proc
-        self._down.discard(proc.address)
-        proc.attach(self)
+        """Add *proc* to the fabric; its ``ident`` must be unique."""
+        if proc.ident in self._procs:
+            raise ValueError(f"address {proc.ident} already registered")
+        self._procs[proc.ident] = proc
+        self._down.discard(proc.ident)
+        proc.network = self
 
     def processes(self) -> list[Process]:
         return list(self._procs.values())
@@ -226,7 +218,8 @@ class Network:  # repro-lint: disable=RPR401 one instance per simulation; slotti
         ptype = type(payload)
         meta = _TYPE_META.get(ptype)
         if meta is None:
-            meta = _type_meta(ptype)
+            name = ptype.__name__
+            meta = _TYPE_META[ptype] = (name, f"dgram:{name}")
         tname, label = meta
         by_type = stats.by_type
         by_type[tname] = by_type.get(tname, 0) + 1

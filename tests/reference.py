@@ -82,8 +82,7 @@ class ConstantLatency(LatencyModel):
 def on_delivery(network: Network, fn) -> None:
     """Call ``fn(dgram)`` for every datagram *network* delivers, through
     the engine's event hook: a :class:`Datagram` whose destination is up
-    when it fires is exactly one that reaches its destination's
-    ``on_datagram``."""
+    when it fires is exactly one that reaches its handler."""
     def hook(ev) -> None:
         if isinstance(ev, Datagram) and network.is_up(ev.dst):
             fn(ev)
@@ -114,13 +113,20 @@ def _pop(queue):
 
 
 def _deliver(dgram: Datagram) -> None:
-    """The fabric's old delivery routine, which a datagram's callback was."""
+    """The fabric's old delivery routine, which a datagram's callback was,
+    under the one-table contract: the payload type's entry in
+    ``network.handlers``, else the destination's ``on_datagram``."""
     network = dgram.network
     if dgram.dst in network._down:
         network.stats.dropped_down += 1
         return
     network.stats.delivered += 1
-    network._procs[dgram.dst].on_datagram(dgram)
+    entry = network.handlers.get(type(dgram.payload))
+    if entry is None:
+        network._procs[dgram.dst].on_datagram(dgram)
+    else:
+        receivers, fn = entry
+        fn(receivers[dgram.dst], dgram.src, dgram.payload)
 
 
 def reference_run(sim, until: Optional[float] = None, done=None) -> int:

@@ -37,6 +37,7 @@ from repro import (
     TreePConfig,
 )
 from repro.compute.messages import JobSubmit
+from repro.core.node import TreePNode
 from repro.core.routing_table import SharedMap
 from repro.services import ResourceDirectory
 from repro.storage.messages import StoreGet, StorePut, StoreRead
@@ -276,7 +277,7 @@ def test_detach_sweeps_handlers_everywhere_and_spares_other_services():
     cluster.state.detach(store)
     assert not store.attached
     assert StorePut not in table and StoreGet not in table
-    # A store datagram now falls through the built-ins to node.drop...
+    # A store datagram now has no entry and goes to node.drop...
     target = cluster.net.ids[5]
     node = cluster.net.nodes[target]
     node.obs = log = DropLog()
@@ -287,7 +288,7 @@ def test_detach_sweeps_handlers_everywhere_and_spares_other_services():
         deliver(cluster, ident, ProbePing())
         assert len(probe.agents[ident]) == 1
     cluster.shutdown()
-    assert table == {}
+    assert table == TreePNode.handlers(cluster.net.nodes)  # the overlay's own
 
 
 def test_rebuilt_node_has_no_stale_handlers():
@@ -455,7 +456,7 @@ def test_failed_attach_rolls_back_spawned_dependencies():
     with pytest.raises(RuntimeError):
         cluster.with_compute()
     assert [s.name for s in cluster.services] == []
-    assert cluster.net.network.handlers == {}
+    assert cluster.net.network.handlers == TreePNode.handlers(cluster.net.nodes)
 
 
 def test_anti_entropy_without_storage_raises():

@@ -171,6 +171,7 @@ def countdown_net(capacities, linked=True, **cfg_overrides):
     nodes = [TreePNode(1000 * (i + 1), cap, cfg) for i, cap in enumerate(capacities)]
     for node in nodes:
         net.register(node)
+    net.handlers.update(TreePNode.handlers({node.ident: node for node in nodes}))
     for x in nodes:
         for y in nodes:
             if linked and x is not y:

@@ -16,6 +16,7 @@ by N.  Figures (CPython 3.11.7, NumPy 2.4, this file run as a script)::
     one table        4 243 / 3 971     545 /   543
     one timestamp    3 615 / 3 275     545 /   543
     shared roles     2 991 / 2 608     368 /   351
+    one id           2 958 / 2 576     368 /   351
 
 The first built drop is the ``RoutingTable`` instance ``__dict__`` and the
 two un-slotted per-node managers; the first lookup drop is the greedy router
@@ -43,7 +44,10 @@ state held once: the build hands every child of one parent one superior
 list and one ``parents`` map (a table thaws its own copy on its first
 write), a node with no lookup in flight holds the shared empty ``pending``
 map, and the router builds a view's ascending-id column only on the first
-Euclidean-fallback hop at the node.  The budgets are the N = 2 000
+Euclidean-fallback hop at the node.  The one-id drop is two attributes
+per node: its id held once (``ident``, no ``address`` beside it), and no
+``hop_observer`` (a harness wraps the handler table's ``LookupRequest``
+entry instead).  The budgets are the N = 2 000
 figures + 5 %.  Allocation sizes are
 interpreter-specific, hence the same 3.11-only gate as the golden diff in
 ``tests/test_sim_scale.py``.
@@ -66,6 +70,7 @@ command; a 64-node build + step first pays the one-off imports and caches,
     one table        4 370 / 4 407               0 / 0
     one timestamp    3 578 / 3 578               0 / 0
     shared roles     3 093 / 3 067               0 / 0
+    one id           3 060 / 3 034               0 / 0
 
 A fourth figure budgets what the step holds at its peak, not only what it
 leaves: the step's tracemalloc peak above what was traced when it began,
@@ -142,16 +147,16 @@ import pytest
 from repro import Cluster, ComputeConfig, JobSpec, QuorumConfig, ReplicatedStore
 from repro.compute.worker import _NO_JOBS
 from repro.core.repair import apply_failure_step
-from repro.core.node import _NO_LOOKUPS
+from repro.core.node import _NO_LOOKUPS, TreePNode
 from repro.core.repair import PAPER_POLICY
 from repro.core.routing_table import _NO_LEVELS, _NO_META, _NO_ROLE
 from repro.storage.quorum import QUORUM_TIMEOUT, _NO_STATE
 from repro.storage.store import _NO_DATA
 
 NODES = 2000
-BUILT_BYTES_PER_NODE = 2991 * 1.05
+BUILT_BYTES_PER_NODE = 2958 * 1.05
 LOOKUP_BYTES_PER_NODE = 368 * 1.05
-REPAIRED_BYTES_PER_LIVE_NODE = 3093 * 1.05
+REPAIRED_BYTES_PER_LIVE_NODE = 3060 * 1.05
 STEP_PEAK_BYTES_PER_LIVE_NODE = 956 * 1.05
 GC_OBJECTS_PER_NODE = 7.07 * 1.05
 SERVICE_BYTES_PER_NODE = 429 * 1.05
@@ -394,14 +399,14 @@ def test_no_node_keeps_a_pending_map_once_its_lookups_are_done():
 
 def test_no_node_holds_handler_wiring_of_its_own():
     """The exact half of the service budget: every handler is one entry
-    of the network's table, a plain function over the service's agents
-    map, so no node or agent owns a handler dict, a bound method or a
-    closure."""
+    of the network's table, a plain function over the overlay's nodes map
+    or a service's agents map, so no node or agent owns a handler dict, a
+    bound method or a closure."""
     cluster = with_services(Cluster(seed=9).build(NODES))
     net = cluster.net
     table = net.network.handlers
-    assert len(table) == 8 + 12  # storage's types, then compute's
-    agent_maps = {id(cluster.storage.agents), id(cluster.compute.agents)}
+    assert len(table) == 15 + 8 + 12  # the overlay's types, storage's, compute's
+    agent_maps = {id(net.nodes), id(cluster.storage.agents), id(cluster.compute.agents)}
     for agents, fn in table.values():
         assert id(agents) in agent_maps
         assert type(fn) is types.FunctionType and fn.__closure__ is None
@@ -473,7 +478,7 @@ def test_shutdown_leaves_no_handler_and_no_node_task():
     cluster.net.sim.run_for(10.0)
     assert any(ctx.node_timers for ctx in contexts)
     cluster.shutdown()
-    assert cluster.net.network.handlers == {}
+    assert cluster.net.network.handlers == TreePNode.handlers(cluster.net.nodes)
     assert [ctx.node_timers for ctx in contexts] == [{}] * len(contexts)
 
 

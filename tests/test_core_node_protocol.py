@@ -1,11 +1,13 @@
 """Protocol-level tests: joins, elections, demotion, keep-alives, lookups
 as real datagrams on small networks."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from reference import ConstantLatency, entry
-from repro import TreePConfig, TreePNetwork
+from repro import Cluster, JobSpec, TreePConfig, TreePNetwork
 from repro.bench.sweep import fail_until
 from repro.cluster.service import ClusterState, Service, ServiceError
 from repro.core.capacity import NodeCapacity
@@ -21,11 +23,10 @@ def tiny_net(n=3, **cfg_overrides):
     cfg = TreePConfig.paper_case1(**cfg_overrides)
     sim = Simulator()
     net = Network(sim, latency=ConstantLatency(0.01))
-    nodes = []
-    for i in range(n):
-        node = TreePNode(1000 * (i + 1), NodeCapacity(), cfg)
+    nodes = [TreePNode(1000 * (i + 1), NodeCapacity(), cfg) for i in range(n)]
+    for node in nodes:
         net.register(node)
-        nodes.append(node)
+    net.handlers.update(TreePNode.handlers({node.ident: node for node in nodes}))
     return sim, net, nodes
 
 
@@ -179,6 +180,7 @@ class TestElectionProtocol:
             node = TreePNode(1000 * (i + 1), cap, cfg)
             net.register(node)
             nodes.append(node)
+        net.handlers.update(TreePNode.handlers({node.ident: node for node in nodes}))
         now = 0.0
         # Wire a line: a-b-c with mutual level-0 knowledge.
         a, b, c = nodes
@@ -224,6 +226,7 @@ class TestDemotionProtocol:
         child = TreePNode(4000, NodeCapacity(), cfg)
         net.register(parent)
         net.register(child)
+        net.handlers.update(TreePNode.handlers({5000: parent, 4000: child}))
         parent.max_level = 1
         parent.table.add_child(1, 4000, 0.0)
         child.table.set_parent(1, 5000, 0.0)
@@ -238,6 +241,7 @@ class TestDemotionProtocol:
         net = Network(sim, latency=ConstantLatency(0.01))
         parent = TreePNode(5000, NodeCapacity(), cfg)
         net.register(parent)
+        net.handlers.update(TreePNode.handlers({5000: parent}))
         parent.max_level = 1
         parent.table.add_child(1, 4000, 0.0)
         parent.check_demotion()
@@ -257,6 +261,7 @@ class TestDemotionProtocol:
         child = TreePNode(4000, NodeCapacity(), cfg)
         net.register(parent)
         net.register(child)
+        net.handlers.update(TreePNode.handlers({5000: parent, 4000: child}))
         parent.max_level = 1
         parent.table.add_child(1, 4000, 0.0)
         parent.check_demotion()
@@ -291,6 +296,7 @@ class TestDemotionProtocol:
         child = TreePNode(4000, NodeCapacity(), cfg)
         net.register(parent)
         net.register(child)
+        net.handlers.update(TreePNode.handlers({5000: parent, 4000: child}))
         parent.max_level = 1
         parent.table.add_child(1, 4000, 0.0)
         child.table.set_parent(1, 5000, 0.0)
@@ -336,6 +342,7 @@ class TestDemotionProtocol:
         net = Network(sim, latency=ConstantLatency(0.01))
         node = TreePNode(5000, NodeCapacity(), cfg)
         net.register(node)
+        net.handlers.update(TreePNode.handlers({5000: node}))
         node.max_level = 2
         node.table.open_children(2)
         node.check_demotion()
@@ -375,6 +382,8 @@ class TestPromotionOnOverflow:
             child = TreePNode(10_000 * (i + 1), NodeCapacity(cpu=cpu), cfg)
             net.register(child)
             kids.append(child)
+        net.handlers.update(TreePNode.handlers(
+            {node.ident: node for node in (parent, *kids)}))
         for child in kids:
             child.table.set_parent(1, parent.ident, 0.0)
             child.send(parent.ident, ChildReport(child.ident, child.score, 0))
@@ -396,6 +405,7 @@ class TestPromotionOnOverflow:
         net = Network(sim, latency=ConstantLatency(0.01))
         node = TreePNode(1000, NodeCapacity(), cfg)
         net.register(node)
+        net.handlers.update(TreePNode.handlers({1000: node}))
         node.max_level = 2
         node._on_PromoteGrant(99, PromoteGrant(child=1000, to_level=1))
         assert node.max_level == 2  # downgrade attempts are ignored
@@ -558,20 +568,26 @@ class TestMaintenanceProtocol:
         assert keepalive_ticks(hub, [net.ids[0]]) > 0
 
 
+@dataclass(frozen=True)
+class Ping:
+    """A payload type of the tests' own, which the overlay does not handle."""
+
+
 class TestHandlerRegistry:
-    """The fabric's one service handler table (no monkey-patching, no map
-    per node): ``net.handlers[type] = (receivers, fn)`` runs
-    ``fn(receivers[dst], src, payload)`` before the built-ins."""
+    """The fabric's one handler table (no monkey-patching, no map per
+    node): ``net.handlers[type] = (receivers, fn)`` runs
+    ``fn(receivers[dst], src, payload)``; the overlay's own types are
+    entries of the same table, and a type with no entry is dropped."""
 
     def test_registered_handler_receives_datagrams(self):
         sim, net, (a, b, _) = tiny_net()
         seen = []
-        net.handlers[Hello] = ({b.ident: seen},
-                               lambda log, src, msg: log.append((src, msg)))
-        a.send(b.ident, Hello(0, 1.0, 4))
+        net.handlers[Ping] = ({b.ident: seen},
+                              lambda log, src, msg: log.append((src, msg)))
+        a.send(b.ident, Ping())
         sim.run()
         assert seen and seen[0][0] == a.ident
-        # The table's handler replaced the built-in: no HelloAck came back.
+        # Only the table's handler ran: no overlay message came back.
         assert entry(a.table, b.ident) is None
 
     def test_duplicate_registration_rejected(self):
@@ -579,44 +595,100 @@ class TestHandlerRegistry:
         free again once that service detaches."""
 
         class Claim(Service):
-            def __init__(self, name):
+            def __init__(self, name, msg_type=Ping):
                 super().__init__()
-                self.name, self.agents = name, {}
+                self.name, self.agents, self.msg_type = name, {}, msg_type
 
             def setup_node(self, node):
                 self.agents[node.ident] = node
 
             def handlers(self):
-                return {Hello: (self.agents, lambda node, src, msg: None)}
+                return {self.msg_type: (self.agents, lambda node, src, msg: None)}
 
         net = TreePNetwork(config=TreePConfig.paper_case1(), seed=7)
         net.build(8)
         state = ClusterState.of(net)
         first = state.attach(Claim("first"))
-        with pytest.raises(ServiceError, match="Hello"):
+        with pytest.raises(ServiceError, match="Ping"):
             state.attach(Claim("second"))
-        assert net.network.handlers[Hello][0] is first.agents
+        assert net.network.handlers[Ping][0] is first.agents
         state.detach(first)
         state.attach(Claim("second"))  # free again: ok
+
+    def test_a_service_cannot_claim_an_overlay_type(self):
+        """The overlay's types are entries of the same table, so a service
+        that claims one is refused like any other claim of a held type,
+        and the overlay keeps handling it."""
+
+        class Thief(Service):
+            name = "thief"
+
+            def handlers(self):
+                return {Hello: ({}, lambda agent, src, msg: None)}
+
+        net = TreePNetwork(config=TreePConfig.paper_case1(), seed=7)
+        net.build(8)
+        state = ClusterState.of(net)
+        with pytest.raises(ServiceError, match="Hello"):
+            state.attach(Thief())
+        assert state.services == {}
+        assert net.network.handlers[Hello] == (net.nodes, TreePNode._on_Hello)
+        a, b = (net.nodes[i] for i in net.ids[:2])
+        b.table.forget(a.ident)
+        a.send(b.ident, Hello(a.max_level, a.score, a.nc))
+        net.sim.run()
+        assert entry(b.table, a.ident) is not None  # _on_Hello ran
 
     def test_every_node_reads_the_one_handler_table(self):
         sim, net, (a, b, c) = tiny_net()
         assert not any("handlers" in vars(node) for node in (a, b, c))
         seen = {a.ident: [], b.ident: []}
-        net.handlers[Hello] = (seen, lambda log, src, msg: log.append(src))
-        c.send(a.ident, Hello(0, 1.0, 4))
-        c.send(b.ident, Hello(0, 1.0, 4))
+        net.handlers[Ping] = (seen, lambda log, src, msg: log.append(src))
+        c.send(a.ident, Ping())
+        c.send(b.ident, Ping())
         sim.run()
         # One entry serves every node, each on its own receiver.
         assert seen == {a.ident: [c.ident], b.ident: [c.ident]}
 
     def test_unregister_restores_builtin(self):
+        """An entry written over the overlay's and then put back: the
+        overlay's own handler runs again."""
         sim, net, (a, b, _) = tiny_net()
+        builtin = net.handlers[Hello]
         net.handlers[Hello] = ({b.ident: None}, lambda agent, src, msg: None)
-        del net.handlers[Hello]
+        net.handlers[Hello] = builtin
         a.send(b.ident, Hello(a.max_level, a.score, a.nc))
         sim.run()
         assert entry(b.table, a.ident) is not None  # built-in _on_Hello ran again
+
+    def test_a_running_cluster_drops_no_datagram_for_want_of_a_handler(self):
+        """Every datagram a cluster with every service sends, under
+        maintenance, lookups, quorum operations and jobs, finds an entry in
+        the handler table: none reaches the ``node.drop`` fallback."""
+        cluster = Cluster(seed=7).build(128).with_compute()
+        net = cluster.net
+        hub = ObsHub()
+        net.set_obs(hub)
+        net.start_maintenance()
+        net.sim.run_for(30.0)
+        rng = np.random.default_rng(7)
+        pairs = [tuple(int(x) for x in rng.choice(net.ids, 2, replace=False))
+                 for _ in range(50)]
+        assert all(r.found for r in net.run_lookup_batch(pairs))
+        for i in range(20):
+            assert cluster.storage.put(f"k{i % 5}", i).ok
+            assert cluster.storage.get(f"k{(i + 2) % 5}").found == (i >= 3)
+        for job_id in range(1, 5):
+            cluster.compute.submit(JobSpec(job_id=job_id, work=10.0))
+        assert cluster.compute.run_until_done(timeout=300.0)
+        net.stop_maintenance()
+        handled = {t.__name__ for t in net.network.handlers}
+        fired = {label.removeprefix("dgram:") for label in hub.sim_event_counts
+                 if label.startswith("dgram:")}
+        assert {"KeepAlive", "LookupRequest", "StorePut", "JobSubmit"} <= fired
+        assert fired <= handled
+        assert hub.category_counts().get("node.drop", 0) == 0
+        cluster.shutdown()
 
     def test_node_hooks_cover_built_and_joined_nodes(self):
         net = TreePNetwork(config=TreePConfig.paper_case1(), seed=7)

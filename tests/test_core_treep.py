@@ -8,8 +8,11 @@ import pytest
 
 from reference import bus_neighbours, entries, membership, validate
 from repro import TreePConfig, TreePNetwork
+from repro.bench.sweep import observed_hops
 from repro.core.capacity import NodeCapacity
 from repro.core.ids import IdSpace
+from repro.core.messages import LookupRequest
+from repro.core.node import TreePNode
 from repro.core.routing_table import RoutingTable
 from repro.core.tessellation import cell_owner
 
@@ -155,11 +158,13 @@ class TestLookups:
     def test_hop_trails_recorded(self, fresh_net):
         known = set(fresh_net.nodes[fresh_net.ids[0]].table.all_known())
         target = next(i for i in fresh_net.ids[1:] if i not in known)
-        hops = []
-        for node in fresh_net.nodes.values():
-            node.hop_observer = lambda req: hops.append(req.ttl)
-        fresh_net.lookup_sync(fresh_net.ids[0], target, "G")
-        assert hops and max(hops) >= 1
+        table = fresh_net.network.handlers
+        builtin = table[LookupRequest]
+        with observed_hops(fresh_net) as max_ttl:
+            assert table[LookupRequest] != builtin
+            fresh_net.lookup_sync(fresh_net.ids[0], target, "G")
+        assert max_ttl and max(max_ttl.values()) >= 1
+        assert table[LookupRequest] == builtin
 
     def test_lookup_sync_resolves_with_timers_armed(self, fresh_net):
         """Run to its own resolution: keep-alive timers re-arm forever, so
@@ -184,8 +189,9 @@ class TestLookups:
         pairs = [(ids[i], ids[-1 - i]) for i in range(30)]
         assert all(r.found for r in fresh_net.run_lookup_batch(pairs, "G"))
         assert [sizes(o) for o in objs] == before
-        assert all(n.hop_observer is None and not n.pending
-                   for n in fresh_net.nodes.values())
+        assert fresh_net.network.handlers[LookupRequest] == (
+            fresh_net.nodes, TreePNode._on_LookupRequest)
+        assert not any(n.pending for n in fresh_net.nodes.values())
 
 
 def test_lookup_batch_returns_beside_armed_keepalives():

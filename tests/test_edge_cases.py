@@ -88,6 +88,7 @@ class TestJoinEdgeCases:
         joiner = TreePNode(2000, NodeCapacity(), cfg)
         for n in (a, c, joiner):
             netw.register(n)
+        netw.handlers.update(TreePNode.handlers({n.ident: n for n in (a, c, joiner)}))
         a.table.add("level0", 3000, 0.0)
         c.table.add("level0", 1000, 0.0)
         # Joiner 2000 lands between 1000 and 3000; 3000 is told.
@@ -105,6 +106,7 @@ class TestKeepAliveAck:
         netw = Network(sim, latency=ConstantLatency(0.01))
         node = TreePNode(1000, NodeCapacity(), cfg)
         netw.register(node)
+        netw.handlers.update(TreePNode.handlers({1000: node}))
         node._on_KeepAliveAck(2000, KeepAliveAck(entries=((3000, 1, 2.0, 4, 1.0),)))
         assert entry(node.table, 3000) is not None
         assert entry(node.table, 3000).max_level == 1

@@ -26,16 +26,16 @@ from repro.sim.network import Network, Process
 
 
 class Sink(Process):
-    def __init__(self, address):
-        super().__init__(address)
+    def __init__(self, ident):
+        super().__init__(ident)
         self.received = []
 
     def on_datagram(self, dgram):
         self.received.append(dgram)
 
 
-def sink(net, address):
-    return next(p for p in net.processes() if p.address == address)
+def sink(net, ident):
+    return next(p for p in net.processes() if p.ident == ident)
 
 
 def make_net(n=10, latency=None):

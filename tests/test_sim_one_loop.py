@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import ast
 import copy
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -109,8 +110,11 @@ ADDRESSES = (1, 2, 3, 4)
 UNKNOWN = 9  # never registered: a send there is dropped as unknown
 
 _ACTION = st.one_of(
+    # The last field picks the payload type: an ``_Echo``, which has a
+    # table entry, or a bare ``int``, which goes to ``on_datagram``.
     st.tuples(st.just("send"), st.sampled_from(ADDRESSES),
-              st.sampled_from(ADDRESSES + (UNKNOWN,)), st.integers(0, 3)),
+              st.sampled_from(ADDRESSES + (UNKNOWN,)), st.integers(0, 3),
+              st.booleans()),
     st.tuples(st.just("cancel"), st.integers(0, 200)),
     st.tuples(st.just("burst"), st.integers(40, 160)),
     st.tuples(st.just("down"), st.sampled_from(ADDRESSES)),
@@ -145,12 +149,23 @@ class _Script:
         return self.values[self.i % len(self.values)]
 
 
+@dataclass(frozen=True)
+class _Echo:
+    hops: int
+
+
 class _Node(Process):
-    """Echoes a datagram back while its hop budget lasts."""
+    """Echoes a datagram back while its hop budget lasts: an ``_Echo``
+    through its entry in the handler table, an ``int`` (a type with no
+    entry) through ``on_datagram``."""
 
     def on_datagram(self, dgram):
         if dgram.payload:
-            self.network.send(self.address, dgram.src, dgram.payload - 1)
+            self.send(dgram.src, dgram.payload - 1)
+
+    def _on_Echo(self, src, msg):
+        if msg.hops:
+            self.send(src, _Echo(msg.hops - 1))
 
 
 class _World:
@@ -162,8 +177,10 @@ class _World:
         self.sim = Simulator()
         self.sim.max_events = plan["budget"]
         self.net = Network(self.sim, _Script(plan["latencies"]))
-        for a in ADDRESSES:
-            self.net.register(_Node(a))
+        nodes = {a: _Node(a) for a in ADDRESSES}
+        self.net.handlers[_Echo] = (nodes, _Node._on_Echo)
+        for node in nodes.values():
+            self.net.register(node)
         for a in sorted(plan["down"]):
             self.net.set_down(a)
         self.fired = []
@@ -186,7 +203,8 @@ class _World:
             self.fired.append((self.sim.now, None, action[0]))
         kind = action[0]
         if kind == "send":
-            self.net.send(action[1], action[2], action[3])
+            _, src, dst, hops, typed = action
+            self.net.send(src, dst, _Echo(hops) if typed else hops)
         elif kind == "cancel":
             self.events[action[1] % len(self.events)].cancel()
         elif kind == "burst":
@@ -233,10 +251,13 @@ def test_the_inline_loop_fires_what_the_peek_pop_loop_fired(plan):
 
 
 def test_the_drawn_schedules_reach_every_branch():
-    """The plans above do compact mid-run, trip the budget and drop
-    datagrams to down and unknown destinations (one fixed plan each)."""
-    plan = {"timers": [(1.0, ("burst", 120), (0.5, ("send", 1, 2, 2))),
-                       (1.2, ("send", 1, UNKNOWN, 0), None),
+    """The plans above do compact mid-run, trip the budget, drop
+    datagrams to down and unknown destinations and deliver through both
+    a table entry and ``on_datagram`` (one fixed plan each)."""
+    plan = {"timers": [(1.0, ("burst", 120), (0.5, ("send", 1, 2, 2, True))),
+                       (1.0, ("send", 3, 4, 1, True), None),
+                       (1.0, ("send", 4, 3, 1, False), None),
+                       (1.2, ("send", 1, UNKNOWN, 0, False), None),
                        (1.1, ("down", 2), None)] + [(2.0, ("noop",), None)] * 30,
             "latencies": [0.3], "down": set(), "budget": 10, "hook": True,
             "runs": [("until", 1.3), ("all",), ("all",), ("all",), ("all",)]}
@@ -247,6 +268,9 @@ def test_the_drawn_schedules_reach_every_branch():
     runs = world.drive(plan["runs"], Simulator.run)
     stats = runs[-1][2]
     assert stats.dropped_unknown == 1 and stats.dropped_down == 1
+    # 3 -> 4 and 4 -> 3 were delivered, each through its branch, and
+    # answered; 1 -> 2 (down) and 1 -> UNKNOWN were not.
+    assert stats.by_type == {"_Echo": 3, "int": 3}
     assert any("exceeded max_events=10" in str(r[0]) for r in runs)
     assert max(heaps) < 120 + 30  # the burst's tombstones were compacted away
     assert runs[-1][3] == 0 and runs[-1][4] == len(runs[-1][1])
