@@ -98,6 +98,11 @@ class Decision(NamedTuple):
         return Decision(DecisionKind.FORWARD, next_hop=next_hop, alternates=alternates)
 
 
+#: ``tuple.__new__``: a per-hop record built from its whole field tuple, as
+#: ``_tuple_new(Decision, (kind, next_hop, resolved, alternates))``, is the
+#: record its class would build, without the generated ``__new__``'s frame.
+_tuple_new = tuple.__new__
+
 #: Preallocated terminal decisions — they carry no per-request payload.
 _NOT_FOUND = Decision(DecisionKind.NOT_FOUND)
 _DISCARD = Decision(DecisionKind.DISCARD)
@@ -168,7 +173,7 @@ def _ordered_pairs(t: RoutingTable) -> List[Tuple[int, int]]:
     for group in (
         sorted(t.children),
         sorted(t.neighbour_children),
-        *(sorted(t.level_tables.get(l, ())) for l in sorted(t.level_tables, reverse=True)),
+        *[sorted(t.level_tables.get(l, ())) for l in sorted(t.level_tables, reverse=True)],
         sorted(set(t.parents.values())),
         sorted(t.superiors),
         sorted(t.level0),
@@ -222,10 +227,12 @@ def _candidate_view(view: NodeView, l0: bool) -> CandidateView:
     radii = _radii(view.config.space.extent, height)
     pairs = _level_zero_pairs(t) if l0 else _ordered_pairs(t)
     cells = [(i, lvl) for i, lvl in pairs if lvl > 0]
+    # List comprehensions, not generators: one frame each, not one resume
+    # per cell.
     built = CandidateView(
         t.version, height,
-        tuple(i for i, _ in cells),
-        tuple(radii[lvl if lvl <= height else height] for _, lvl in cells),
+        tuple([i for i, _ in cells]),
+        tuple([radii[lvl if lvl <= height else height] for _, lvl in cells]),
         None,
     )
     if l0:
@@ -248,7 +255,7 @@ def _candidate_ids(view: NodeView, l0: bool, cv: CandidateView) -> Tuple[int, ..
                                             t.superiors, t.level0,
                                             *t.level_tables.values())
     known = t._entries
-    ids = tuple(sorted(i for i in ids if i in known))
+    ids = tuple(sorted([i for i in ids if i in known]))
     if l0:
         t._view_l0 = cv._replace(ids=ids)
     else:
@@ -310,9 +317,9 @@ def route(view: NodeView, req: LookupRequest) -> Decision:
 
     # "IF target X is in the routing table THEN transmit back the result".
     if req.target == view.ident:
-        return Decision(_FOUND, None, view.ident)
+        return _tuple_new(Decision, (_FOUND, None, view.ident, ()))
     if req.target in view.table._entries:  # inlined RoutingTable.knows
-        return Decision(_FOUND, None, req.target)
+        return _tuple_new(Decision, (_FOUND, None, req.target, ()))
 
     # Disruption mode: beyond the hierarchy height, fall back to Euclidean.
     euclid = cfg.euclidean_fallback and req.ttl > view.height
@@ -404,25 +411,28 @@ def _route_greedy(view: NodeView, req: LookupRequest, euclid: bool) -> Decision:
     if not euclid:
         lvl = view.max_level
         if lvl > 0:
-            radius = _radii(view.config.space.extent, height)[
-                lvl if lvl <= height else height]
+            # The view's height's radii are memoised: building the view
+            # filled them, unless it was built in another process.
+            extent = view.config.space.extent
+            radii = _RADII_CACHE.get((extent, height)) or _radii(extent, height)
+            radius = radii[lvl if lvl <= height else height]
             d_here = 0.0 if d_here <= radius else d_here - radius
 
     if best is not None:
         # Fig. 3's forwarding cascade.
         if (from_level1_parent
-                or halving_criterion(best_d, d_here)
+                or best_d <= 0.5 * d_here  # the halving criterion, inlined
                 or view.max_level == 0
                 # Query descending from our own parent: keep descending.
                 or req.from_parent_level == view.max_level + 1):
-            return Decision(_FORWARD, best)
+            return _tuple_new(Decision, (_FORWARD, best, None, ()))
         exclude = frozenset(path + (view.ident,))
         esc = _escalate(view, req, exclude, euclid, d_here)
         if esc is not None:
-            return Decision(_FORWARD, esc)
+            return _tuple_new(Decision, (_FORWARD, esc, None, ()))
         child = _closest_child(view, target, exclude)
         if child is not None:
-            return Decision(_FORWARD, child)
+            return _tuple_new(Decision, (_FORWARD, child, None, ()))
         return _NOT_FOUND
 
     # No candidate at all (every known peer already visited).
@@ -431,10 +441,10 @@ def _route_greedy(view: NodeView, req: LookupRequest, euclid: bool) -> Decision:
     exclude = frozenset(path + (view.ident,))
     child = _closest_child(view, target, exclude)
     if child is not None:
-        return Decision(_FORWARD, child)
+        return _tuple_new(Decision, (_FORWARD, child, None, ()))
     esc = _escalate(view, req, exclude, euclid, d_here)
     if esc is not None:
-        return Decision(_FORWARD, esc)
+        return _tuple_new(Decision, (_FORWARD, esc, None, ()))
     return _NOT_FOUND
 
 

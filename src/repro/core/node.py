@@ -38,6 +38,7 @@ from repro.core.lookup import (
     DecisionKind,
     LookupAlgorithm,
     LookupResult,
+    _tuple_new,
     route,
 )
 from repro.core.messages import (
@@ -324,9 +325,9 @@ class TreePNode(LookupClient):
                 # "coming from the parent of level (its max level + 1)".
                 from_parent_level = (table._meta.get(nxt) or table._book[nxt])[0] + 1
             rid, origin, target, algo, ttl, _, _, path = req
-            self.send(nxt, LookupRequest(
+            self.send(nxt, _tuple_new(LookupRequest, (
                 rid, origin, target, algo, ttl + 1, from_parent_level,
-                decision.alternates, path + (self.ident,)))
+                decision.alternates, path + (self.ident,))))
             return
         if decision.kind is DecisionKind.NOT_FOUND:
             reply = LookupReply(

@@ -36,6 +36,7 @@ flip individual knobs (e.g. parent re-adoption) to quantify each mechanism.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
@@ -87,43 +88,56 @@ PURGE_ONLY_POLICY = RepairPolicy(relink=False, gossip_rounds=0)
 # node-local relinking (used by both modes)
 # --------------------------------------------------------------------------
 
-def _nearest_sides(ids: Iterable[int], around: int) -> tuple[Optional[int], Optional[int]]:
-    """Nearest known ID strictly below and strictly above *around*."""
-    left: Optional[int] = None
-    right: Optional[int] = None
-    for i in ids:
-        if i < around and (left is None or i > left):
-            left = i
-        elif i > around and (right is None or i < right):
-            right = i
-    return left, right
-
-
 def relink_node(node: "TreePNode", policy: RepairPolicy) -> None:
     """Recompute the node's maintained links from surviving knowledge.
 
     Strictly node-local: candidates are the entries still present in the
     node's own routing table (dead peers were expired by the keep-alive
     TTL before this runs).
+
+    One walk over the table's ids, sorted once: level 0's nearest known
+    peer on each side sits either side of the node's own id, and a bus
+    level's is the first peer outward whose ``max_level`` reaches it.  A
+    peer at level ``L`` is the nearest for every level up to ``L`` not
+    filled by a nearer one, so walking outward on each side until the
+    node's top level is filled links every bus at once.
     """
     t = node.table
     ident = node.ident
 
     if policy.relink:
-        left, right = _nearest_sides(t.all_known(), ident)
-        t.set_role("level0", {i for i in (left, right) if i is not None})
-        # Keep the paper's minimum-two-connections rule at bus endpoints.
-        if len(t.level0) < 2:
-            same_side = sorted(
-                (i for i in t.all_known() if i not in t.level0),
-                key=lambda i: abs(i - ident),
-            )
-            for i in same_side[: 2 - len(t.level0)]:
-                t.link("level0", i)
+        ids = sorted(t._entries)
+        n = len(ids)
+        hi = bisect_left(ids, ident)  # ids[:hi] below the node, ids[hi:] above
+        if 0 < hi < n:
+            t.set_role("level0", (ids[hi - 1], ids[hi]))
+        elif n:
+            # A bus endpoint: keep the paper's minimum-two-connections rule
+            # with the two nearest peers on the one side there is.
+            t.set_role("level0", (ids[hi - 1] if hi else ids[0],))
+            if n > 1:
+                t.link("level0", ids[hi - 2] if hi else ids[1])
+        else:
+            t.set_role("level0", ())
 
-        for lvl in range(1, node.max_level + 1):
-            l, r = _nearest_sides(t.at_or_above(lvl), ident)
-            t.set_level(lvl, {i for i in (l, r) if i is not None})
+        top = node.max_level
+        if top:
+            meta, book = t._meta, t._book
+            # nearest peer per level on each side, nearest first; [0] unused
+            lefts, rights = [None] * (top + 1), [None] * (top + 1)
+            for outward, nearest in ((reversed(ids[:hi]), lefts), (ids[hi:], rights)):
+                need = 1
+                for i in outward:
+                    lvl = (meta.get(i) or book[i])[0]
+                    if lvl >= need:
+                        if lvl >= top:
+                            nearest[need:] = [i] * (top + 1 - need)
+                            break
+                        nearest[need:lvl + 1] = [i] * (lvl + 1 - need)
+                        need = lvl + 1
+            for lvl, l, r in zip(range(1, top + 1), lefts[1:], rights[1:]):
+                t.set_level(lvl, (l, r) if l is not None and r is not None
+                            else [i for i in (l, r) if i is not None])
 
     if policy.adopt_parents:
         want_level = node.max_level + 1
@@ -180,12 +194,14 @@ def gossip_round(net: "TreePNetwork") -> None:
     within the §III.e bounds instead of accumulating gossip forever.
     """
     now = net.sim.now
+    book = net.book
     # Information moves one hop per round, matching one keep-alive exchange,
     # not transitively within a round, so every peer is read as the round
     # found it — in place, not copied.  A round installs a new role set
     # (``set_role`` / ``set_level``) instead of writing one, so holding a set
     # is holding the pre-round set; ``level_tables`` is the dict ``set_level``
-    # writes, hence the shallow copy; ``parents`` and ``level_children`` a
+    # writes, hence the shallow copy (not of the shared empty map most nodes
+    # hold, which nothing writes); ``parents`` and ``level_children`` a
     # round never writes.  A held set is iterated through a copy made as it
     # is read, which iterates as a copy made up front would: a copy of a set
     # that has seen discards may iterate in another order than the set, that
@@ -193,31 +209,36 @@ def gossip_round(net: "TreePNetwork") -> None:
     # pin the copy's.  A peer's metadata for an id is its override as the
     # round found it, else the network's book: ``overrides()`` copies a
     # table's overrides (none on a converged overlay, so usually nothing),
-    # because the round may write them.  Siblings read one parent snapshot,
-    # so they import one superior list in one order, which the round
-    # installs as one shared set per parent: ``SharedIds(new_sup)`` iterates
-    # as the ``set(new_sup)`` copy each sibling used to get.
+    # because the round may write them.  A peer's metadata for itself is
+    # read once, and held as ``None`` when it is the book's, so refreshing
+    # the peer's entry moves only a timestamp.  Siblings read one parent
+    # snapshot, so they import one superior list in one order, which the
+    # round installs as one shared set per parent: ``SharedIds(new_sup)``
+    # iterates as the ``set(new_sup)`` copy each sibling used to get.
     snapshot: dict[int, tuple] = {}
+    superior_lists: dict[int, list] = {}
     shared_superiors: dict[int, SharedIds] = {}
+    down = net.network._down  # every node is registered: up == not down
     for ident, node in net.nodes.items():
-        if not net.network.is_up(ident):
+        if ident in down:
             continue
         t = node.table
+        levels = t.level_tables
+        # ``capacity.score()``: the ``score`` property's value, one frame less
+        mine = (node.max_level, node.capacity.score(), node.nc)
         snapshot[ident] = (
+            t,
             t.level0,
-            dict(t.level_tables),
+            dict(levels) if levels else levels,
             t.level_children,
             t.parents,
             t.superiors,
-            (node.max_level, node.score, node.nc),
+            mine[0],
+            None if mine == book.get(ident) else mine,
             t.overrides(),
         )
 
-    for ident, snap in snapshot.items():
-        node = net.nodes[ident]
-        t = node.table
-        my_level0, my_buses, _, my_parents, _, _, _ = snap
-
+    for ident, (t, my_level0, my_buses, _, my_parents, _, my_level, _, _) in snapshot.items():
         # Level-0 exchange: refresh the link, learn the peer's links.
         new_indirect: set[int] = set()
         links = set(my_level0)
@@ -225,8 +246,8 @@ def gossip_round(net: "TreePNetwork") -> None:
             ps = snapshot.get(peer)
             if ps is None:
                 continue
-            p_level0, _, _, _, _, pme, theirs = ps
-            t.upsert(peer, now, *pme)
+            _, p_level0, _, _, _, _, _, p_meta, theirs = ps
+            t.refresh(peer, now, p_meta)
             t.import_role(set(p_level0), now, theirs, new_indirect)
         if new_indirect:
             t.set_role("level0_indirect", new_indirect - t.level0)
@@ -241,15 +262,19 @@ def gossip_round(net: "TreePNetwork") -> None:
             # Exchange only on *maintained* connections: the nearest bus
             # neighbour on each side.  Everything else in the level table
             # is indirect knowledge, not an active edge (§III.a).
-            l, r = _nearest_sides(bus_entries, ident)
-            bus_links = {i for i in (l, r) if i is not None}
+            bus = sorted(bus_entries)
+            k = bisect_left(bus, ident)  # bus[:k] below the node, bus[k:] above
+            if 0 < k < len(bus):
+                bus_links = {bus[k - 1], bus[k]}
+            else:  # one side, or none
+                bus_links = bus[k - 1:k] if k else bus[:1]
             fresh_level: set[int] = set()
             for peer in bus_links:
                 ps = snapshot.get(peer)
                 if ps is None:
                     continue
-                _, p_buses, p_children, _, _, pme, theirs = ps
-                t.upsert(peer, now, *pme)
+                _, _, p_buses, p_children, _, _, _, p_meta, theirs = ps
+                t.refresh(peer, now, p_meta)
                 fresh_level.add(peer)
                 t.import_role(set(p_buses.get(lvl, ())), now, theirs, fresh_level)
                 t.import_role(p_children.get(lvl, ()), now, theirs, fresh_nc)
@@ -260,11 +285,14 @@ def gossip_round(net: "TreePNetwork") -> None:
             t.set_role("neighbour_children", fresh_nc)
 
         # Parent exchange: ancestors + parent's bus links -> superiors.
-        p = my_parents.get(node.max_level + 1)
+        p = my_parents.get(my_level + 1)
         ps = snapshot.get(p) if p is not None else None
         if ps is not None:
-            _, p_buses, _, p_parents, p_superiors, pme, theirs = ps
-            adds = [*p_parents.values(), *set(p_superiors), *set(p_buses.get(pme[0], ()))]
+            _, _, p_buses, _, p_parents, p_superiors, p_level, _, theirs = ps
+            adds = superior_lists.get(p)
+            if adds is None:  # read once per parent, for every sibling
+                adds = superior_lists[p] = [*p_parents.values(), *set(p_superiors),
+                                            *set(p_buses.get(p_level, ()))]
             new_sup: set[int] = set()
             t.import_role(adds, now, theirs, new_sup)
             if ident in adds:  # a list that names the node: its own set
@@ -275,10 +303,10 @@ def gossip_round(net: "TreePNetwork") -> None:
                     shared = shared_superiors[p] = SharedIds(new_sup)
                 t.set_role("superiors", shared)
 
-    # A table's trim depends only on its own final roles, so trimming after
-    # the loop leaves what trimming each node after its exchange would.
-    for ident in snapshot:
-        net.nodes[ident].table.trim_to_roles()
+        # The round writes no other table, and no peer reads this one's
+        # entries, only its held roles and overrides: its roles are final,
+        # so trim it now, while it is still in cache.
+        t.trim_to_roles()
 
 
 def _sync_children(net: "TreePNetwork") -> None:
@@ -308,23 +336,35 @@ def _symmetrize_links(net: "TreePNetwork") -> None:
     Adopting a link starts with a Hello handshake (§III.d first contact),
     so the adopted peer always learns the adopter: if A linked B at level
     0, B gains A's entry and — both being each other's nearest known —
-    links back on its next relink pass.
+    links back on its next relink pass.  The fabric's down set is read
+    once for the sweep, and each node's metadata once.
     """
     now = net.sim.now
-    up = net.network.is_up
-    for ident, node in net.nodes.items():
-        if not up(ident):
+    nodes, book = net.nodes, net.book
+    down = net.network._down  # every node is registered: up == not down
+    for ident, node in nodes.items():
+        if ident in down:
             continue
-        meta = (node.max_level, node.score, node.nc)
-        for peer in node.table.level0:
-            pn = net.nodes.get(peer)
-            if pn is not None and up(peer):
-                pn.table.add("level0_indirect", ident, now, *meta)
-        for lvl, ids in node.table.level_tables.items():
+        t = node.table
+        # ``capacity.score()``: the ``score`` property's value, one frame less
+        mine = (node.max_level, node.capacity.score(), node.nc)
+        if mine == book.get(ident):
+            mine = None  # the book's: a known entry moves only its timestamp
+        for peer in t.level0:
+            if peer not in down:
+                pn = nodes.get(peer)
+                if pn is not None:
+                    pt = pn.table
+                    pt.refresh(ident, now, mine)
+                    pt.link("level0_indirect", ident)
+        for lvl, ids in t.level_tables.items():
             for peer in ids:
-                pn = net.nodes.get(peer)
-                if pn is not None and up(peer) and pn.max_level >= lvl:
-                    pn.table.add_level(lvl, ident, now, *meta)
+                if peer not in down:
+                    pn = nodes.get(peer)
+                    if pn is not None and pn.max_level >= lvl:
+                        pt = pn.table
+                        pt.refresh(ident, now, mine)
+                        pt.add_level(lvl, ident, now)  # the entry is fresh
 
 
 def apply_failure_step(
@@ -333,11 +373,15 @@ def apply_failure_step(
     policy: RepairPolicy = PAPER_POLICY,
 ) -> None:
     """One step of the paper's sweep: expire *newly_failed* (``None`` =
-    every down peer, as :func:`purge_dead` reads it), heal per *policy*."""
+    every down peer, as :func:`purge_dead` reads it), heal per *policy*.
+
+    The sweeps run in a fixed order — purge, relink, symmetrize, relink,
+    then each gossip round and a relink after it — over the nodes the
+    fabric's down set leaves live, read once per sweep."""
     with paused_collector():
         purge_dead(net, newly_failed)
-        up = net.network.is_up
-        live_nodes = [n for i, n in net.nodes.items() if up(i)]
+        down = net.network._down
+        live_nodes = [n for i, n in net.nodes.items() if i not in down]
         for node in live_nodes:
             relink_node(node, policy)
         _symmetrize_links(net)

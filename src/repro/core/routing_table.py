@@ -276,6 +276,19 @@ class RoutingTable:
         if seen is None or new != old:
             self._set_meta(ident, new)
 
+    def refresh(self, ident: int, now: float, meta: Optional[Meta] = None) -> None:
+        """Refresh *ident*'s entry from *ident* itself, which gives its own
+        metadata *meta*, ``None`` standing for the book's: the same as
+        ``upsert(ident, now, *(meta or book[ident]))``.  A known entry that
+        holds the book's metadata on both sides moves only its timestamp."""
+        entries = self._entries
+        seen = entries.get(ident)
+        if meta is None and seen is not None and ident not in self._meta:
+            if now > seen:
+                entries[ident] = now
+        else:
+            self.upsert(ident, now, *(meta or self._book[ident]))
+
     def overrides(self) -> Dict[int, Meta]:
         """The metadata of the entries that differ from the book, as they are
         now: the shared read-only :data:`_NO_META` while there is none, else
@@ -291,23 +304,28 @@ class RoutingTable:
         sender's :meth:`overrides` as the round found them, else the book
         the sender shares, else none.  *role* is a fresh set the caller
         installs wholesale (the set it replaces is never touched)."""
-        entries, owner, book = self._entries, self.owner, self._book
+        entries, owner, book, meta = self._entries, self.owner, self._book, self._meta
         for i in ids:
             if i == owner:
                 continue
-            if i not in theirs and i not in self._meta and i in book:
-                # Both sides read the book's metadata for i: only the
-                # timestamp can move (and a new entry's level, from 0).
-                seen = entries.get(i)
-                if seen is None:
-                    entries[i] = now
-                    self._membership += 1
-                    if book[i][0]:
-                        self._version += 1
-                elif now > seen:
-                    entries[i] = now
-            else:
+            seen = entries.get(i)
+            if i in theirs or i in meta:
                 self.upsert(i, now, *(theirs.get(i) or book.get(i, ())))
+                meta = self._meta  # the upsert may have given the table its own
+            elif seen is not None:
+                # Both sides read the book's metadata for i (a known entry
+                # with no override of its own reads the book): only the
+                # timestamp can move.
+                if now > seen:
+                    entries[i] = now
+            elif i in book:  # a new entry, at the book's level (from 0)
+                entries[i] = now
+                self._membership += 1
+                if book[i][0]:
+                    self._version += 1
+            else:
+                self.upsert(i, now)
+                meta = self._meta
             role.add(i)
 
     def touch(self, ident: int, now: float) -> None:
@@ -322,16 +340,23 @@ class RoutingTable:
             meta = self._meta
             if ident in meta:
                 del meta[ident]
-        for role in ("level0", "level0_indirect", "neighbour_children", "superiors"):
-            if ident in getattr(self, role):
-                self.unlink(role, ident)
+        if ident in self.level0:
+            self.unlink("level0", ident)
+        if ident in self.level0_indirect:
+            self.unlink("level0_indirect", ident)
+        if ident in self.neighbour_children:
+            self.unlink("neighbour_children", ident)
+        if ident in self.superiors:
+            self.unlink("superiors", ident)
         for ids in self.level_tables.values():
             if ident in ids:
                 ids.discard(ident)
                 self._version += 1
-        self.unlink_child(ident)
-        for lvl in [l for l, p in self.parents.items() if p == ident]:
-            self.drop_parent(lvl)
+        if ident in self.children:  # the union of every level's children
+            self.unlink_child(ident)
+        if ident in self.parents.values():
+            for lvl in [l for l, p in self.parents.items() if p == ident]:
+                self.drop_parent(lvl)
 
     # ------------------------------------------------------------ role sets
     # The only writers of role state: each makes the version bump its write
@@ -598,14 +623,11 @@ class RoutingTable:
         paper's formulas instead of accumulating gossip indefinitely.
         Returns the number of entries dropped.
         """
-        keep: Set[int] = set(self.level0) | self.level0_indirect
-        for ids in self.level_tables.values():
-            keep |= ids
-        keep |= self.children | self.neighbour_children
-        keep |= set(self.parents.values())
-        keep |= self.superiors
         entries, meta = self._entries, self._meta
-        drop = [i for i in entries if i not in keep]
+        # A set: deleting its ids in any order leaves the same dict.
+        drop = set(entries).difference(
+            self.level0, self.level0_indirect, self.children, self.neighbour_children,
+            self.superiors, self.parents.values(), *self.level_tables.values())
         for i in drop:
             del entries[i]
             if i in meta:

@@ -259,6 +259,9 @@ class EntryTable(RoutingTable):
         if nc is not None:
             e.nc = nc
 
+    def refresh(self, ident, now, meta=None) -> None:
+        self.upsert(ident, now, *(meta or self._book[ident]))
+
     def overrides(self) -> Dict[int, Meta]:
         # No book to differ from: every entry's metadata, copied.
         return {i: (e.max_level, e.score, e.nc) for i, e in self._entries.items()}
@@ -327,6 +330,54 @@ class EntryTable(RoutingTable):
                             score=score, nc=nc)
                 n += 1
         return n
+
+
+# ---------------------------------------------------------------- repair
+
+def nearest_sides(ids: Iterable[int], around: int) -> Tuple[Optional[int], Optional[int]]:
+    """Nearest of *ids* strictly below and strictly above *around*."""
+    left: Optional[int] = None
+    right: Optional[int] = None
+    for i in ids:
+        if i < around and (left is None or i > left):
+            left = i
+        elif i > around and (right is None or i < right):
+            right = i
+    return left, right
+
+
+def relink_node(node, policy) -> None:
+    """The converged relink as it was before it became one sorted walk:
+    one full scan of the table for level 0's nearest sides, one more per
+    bus level over the peers at or above it, the endpoint's second link
+    from a sort by distance.  :func:`repro.core.repair.relink_node` must
+    leave every table as this does."""
+    t = node.table
+    ident = node.ident
+
+    if policy.relink:
+        left, right = nearest_sides(t.all_known(), ident)
+        t.set_role("level0", {i for i in (left, right) if i is not None})
+        # Keep the paper's minimum-two-connections rule at bus endpoints.
+        if len(t.level0) < 2:
+            same_side = sorted(
+                (i for i in t.all_known() if i not in t.level0),
+                key=lambda i: abs(i - ident),
+            )
+            for i in same_side[: 2 - len(t.level0)]:
+                t.link("level0", i)
+
+        for lvl in range(1, node.max_level + 1):
+            l, r = nearest_sides(t.at_or_above(lvl), ident)
+            t.set_level(lvl, {i for i in (l, r) if i is not None})
+
+    if policy.adopt_parents:
+        want_level = node.max_level + 1
+        if t.parents.get(want_level) is None:
+            ups = t.at_or_above(want_level)
+            if ups:
+                new_parent = min(ups, key=lambda i: abs(i - ident))
+                t.set_parent(want_level, new_parent, node.sim.now)
 
 
 def live_replica_count(store, key_id: int) -> int:

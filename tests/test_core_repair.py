@@ -3,25 +3,27 @@
 import gc
 import hashlib
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import entries, entry, membership
+import reference
+from reference import entries, entry, membership, nearest_sides
 from repro import TreePConfig, TreePNetwork
 from repro.core import repair
 from repro.core.repair import (
     FULL_POLICY,
     PAPER_POLICY,
     PURGE_ONLY_POLICY,
-    _nearest_sides,
     apply_failure_step,
     gossip_round,
     purge_dead,
     relink_node,
 )
+from repro.core.routing_table import RoutingTable
 from repro.core.treep import paused_collector
 
 
@@ -190,6 +192,70 @@ class TestRelink:
             assert net.network.is_up(new_parent)
 
 
+_R_META = st.tuples(st.integers(0, 4), st.sampled_from([0.5, 1.0, 2.5]), st.integers(3, 5))
+
+
+@st.composite
+def relink_tables(draw):
+    """A node and a recipe for its table: ids on both sides of the owner or
+    on one (an endpoint), few or none; each id's metadata from the book,
+    from an override of a booked id, or from an override of an id the
+    book lacks; roles written before the relink (level-0 links, buses in
+    any level order, some ids discarded again)."""
+    owner = draw(st.integers(0, 60))
+    ids = draw(st.lists(st.integers(0, 60).filter(lambda i: i != owner),
+                        max_size=14, unique=True))
+    book = {i: draw(_R_META) for i in ids if draw(st.booleans())}
+    book[owner] = (0, 1.0, 4)
+    metas = [book[i] if i in book and draw(st.booleans()) else draw(_R_META) for i in ids]
+    known = st.sampled_from(ids) if ids else st.nothing()
+    before = draw(st.lists(st.tuples(st.integers(0, 4), st.lists(known, max_size=4)),
+                           max_size=4)) if ids else []
+    dropped = draw(st.lists(known, max_size=3)) if ids else []
+    return owner, draw(st.integers(0, 4)), book, list(zip(ids, metas)), before, dropped
+
+
+def _node_from(recipe):
+    owner, top, book, plan, before, dropped = recipe
+    t = RoutingTable(owner, book)
+    for i, meta in plan:
+        t.upsert(i, 0.0, *meta)
+    for lvl, ids in before:
+        if lvl:
+            t.set_level(lvl, ids)
+        else:
+            t.set_role("level0", ids)
+    for i in dropped:
+        t.unlink("level0", i)
+        for lvl in list(t.level_tables):
+            t.unlink_level(lvl, i)
+    return SimpleNamespace(ident=owner, max_level=top, table=t, sim=SimpleNamespace(now=1.0))
+
+
+class TestRelinkMatchesTheFullScans:
+    """The one-walk relink against the one it replaced
+    (:func:`reference.relink_node`): one scan per level over the whole
+    table.  Both must leave every role set iterating in the same order,
+    the buses in the same dict order, and the same ``version`` and
+    membership epoch."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(recipe=relink_tables(), policy=st.sampled_from([PAPER_POLICY, FULL_POLICY]))
+    def test_same_links_in_the_same_order(self, recipe, policy):
+        new, old = _node_from(recipe), _node_from(recipe)
+        got, want = new.table, old.table
+        for _ in range(2):  # the second pass replaces the links the first wrote
+            relink_node(new, policy)
+            reference.relink_node(old, policy)
+            assert list(got.level0) == list(want.level0)
+            assert type(got.level0) is type(want.level0)
+            assert [(lvl, list(ids)) for lvl, ids in got.level_tables.items()] == \
+                [(lvl, list(ids)) for lvl, ids in want.level_tables.items()]
+            assert list(got.parents.items()) == list(want.parents.items())
+            assert (got.version, membership(got)) == (want.version, membership(want))
+            assert entries(got) == entries(want)
+
+
 class TestGossip:
     def test_gossip_spreads_indirect_neighbours(self):
         net = built()
@@ -265,7 +331,7 @@ def eager_gossip_round(net):
         fresh_nc = set()
         any_bus_exchange = False
         for lvl, bus_entries in my_buses.items():
-            l, r = _nearest_sides(bus_entries, ident)
+            l, r = nearest_sides(bus_entries, ident)
             fresh_level = set()
             for peer in {i for i in (l, r) if i is not None}:
                 ps = snapshot.get(peer)

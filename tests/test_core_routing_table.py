@@ -698,6 +698,8 @@ _O_OPS = st.one_of(
     st.tuples(st.just("add_level"), _O_IDS, st.tuples(st.integers(1, 2), *_MAYBE)),
     st.tuples(st.just("set_parent"), _O_IDS, st.tuples(st.integers(1, 2), *_MAYBE)),
     st.tuples(st.just("touch"), _O_IDS, st.integers(0, 3)),
+    # A peer's own metadata, or None for the book's, as a repair reads it.
+    st.tuples(st.just("refresh"), _O_IDS, st.one_of(st.none(), _O_META)),
     # A gossip round's bulk writer, three times as likely as the other ops.
     *[st.tuples(st.just("import"), st.lists(_O_IDS, max_size=8),
                 st.sampled_from(_ROLE_SETS))] * 3,
@@ -728,7 +730,7 @@ def test_property_the_table_reads_as_the_entry_table_it_replaced(book, booked, p
     each once as the table and once as :class:`~reference.EntryTable` —
     run one random op sequence: an optional build ``install`` from the
     book and role-less entries, then ``upsert``, the role adders,
-    ``touch``, ``import_role`` from the other table's round-start
+    ``touch``, ``refresh``, ``import_role`` from the other table's round-start
     ``overrides()`` (``new_round`` takes them anew), ``forget``,
     ``expire``, ``trim_to_roles`` and ``merge_delta``.  Both tables share
     the book, as a network's do, or neither has one.  Entries are created
@@ -776,7 +778,7 @@ def test_property_the_table_reads_as_the_entry_table_it_replaced(book, booked, p
         for side, tables in enumerate((new, ref)):
             t, other = tables[k], tables[1 - k]
             if ident == t.owner and op in ("upsert", "learn", "add", "add_level",
-                                           "set_parent"):
+                                           "set_parent", "refresh"):
                 results.append(None)
                 continue
             if op == "upsert":
@@ -795,6 +797,9 @@ def test_property_the_table_reads_as_the_entry_table_it_replaced(book, booked, p
                 t.set_parent(arg[0], ident, now, *arg[1:])
             elif op == "touch":
                 t.touch(ident, now - arg * 2.5)
+            elif op == "refresh":
+                if arg is not None or ident in t._book:
+                    t.refresh(ident, now, arg)
             elif op == "import":  # ids the sender knew as the round began
                 theirs, known = rounds[side][1 - k]
                 fresh = set()

@@ -1,6 +1,6 @@
 """The cost meter's counts are pinned like a golden.
 
-``tools/cost.py`` counts the Python and C calls of two fixed inputs per
+``tools/cost.py`` counts the Python and C calls of three fixed inputs per
 layer; ``benchmarks/cost/<input>.json`` holds them for CPython 3.11.  A
 fresh run must reproduce every file byte for byte, under two
 ``PYTHONHASHSEED`` values: counts, unlike wall time, do not vary, so a
@@ -10,6 +10,8 @@ change that moves them re-pins them in the same diff
 
 from __future__ import annotations
 
+import importlib.util
+import io
 import os
 import subprocess
 import sys
@@ -20,9 +22,10 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PINNED = ROOT / "benchmarks" / "cost"
 
-pytestmark = pytest.mark.skipif(
+_ONLY_311 = pytest.mark.skipif(
     sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
     reason="call counts are pinned for CPython 3.11")
+NAMES = ["greedy_lookups", "quorum_mix", "repair_bursts"]
 
 
 @pytest.fixture(scope="module", params=["0", "1"], ids=lambda s: f"hashseed{s}")
@@ -34,13 +37,43 @@ def fresh(request, tmp_path_factory) -> Path:
     return out
 
 
+@_ONLY_311
 def test_pinned_inputs_are_the_meters_inputs(fresh):
     assert sorted(p.name for p in fresh.iterdir()) == \
         sorted(p.name for p in PINNED.glob("*.json")) == \
-        ["greedy_lookups.json", "quorum_mix.json"]
+        [f"{name}.json" for name in NAMES]
 
 
-@pytest.mark.parametrize("name", ["quorum_mix", "greedy_lookups"])
+@_ONLY_311
+@pytest.mark.parametrize("name", NAMES)
 def test_counts_match_the_pinned_file(fresh, name):
     pinned = (PINNED / f"{name}.json").read_text()
     assert (fresh / f"{name}.json").read_text() == pinned
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: ``| head`` after its last line."""
+
+    def write(self, text):
+        raise BrokenPipeError
+
+
+def test_out_writes_every_file_before_it_prints(monkeypatch, tmp_path):
+    """A reader that closes the pipe at the first line cannot leave some
+    pins rewritten and others stale: every input is measured and every
+    file written before anything is printed."""
+    spec = importlib.util.spec_from_file_location("cost", ROOT / "tools" / "cost.py")
+    cost = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cost)
+
+    def measure(name):
+        calls = {"total": 1, "per_op": 1.0, "by_layer": {"bench": 1}}
+        return ({"input": name, "ops": 1, "outcome": {},
+                 "python_calls": calls, "c_calls": {**calls, "by_callee": {"len": 1}}},
+                [(1, "bench stub")])
+
+    monkeypatch.setattr(cost, "measure", measure)
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    with pytest.raises(BrokenPipeError):
+        cost.main(["--out", str(tmp_path)])
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"{name}.json" for name in NAMES]

@@ -6,7 +6,7 @@ Usage::
     python tools/cost.py              # print each input's table
     python tools/cost.py --out DIR    # and write DIR/<input>.json
 
-Runs two fixed inputs, each in a fresh build, and counts the work of its
+Runs three fixed inputs, each in a fresh build, and counts the work of its
 measured phase under ``sys.setprofile``:
 
 * **Python calls** -- every Python frame entered (a generator's resume
@@ -24,15 +24,21 @@ The inputs:
 * ``greedy_lookups`` -- 1 200 greedy lookups on
   ``TreePNetwork(seed=7).build(2000)``, the pairs drawn by
   ``lookup_pairs(default_rng(3), ids, 1200)``, in one
-  ``run_lookup_batch``.
+  ``run_lookup_batch``;
+* ``repair_bursts`` -- 4 bursts of 120 crashes on
+  ``TreePNetwork(seed=7).build(2000)``, in
+  ``default_rng(3).permutation(ids)`` order, each burst ``fail_nodes``
+  then ``apply_failure_step(net, burst, PAPER_POLICY)``.
 
 Counts are a function of the tree and the interpreter's minor version
 only: the same at any ``PYTHONHASHSEED`` and on every run, while wall
 time on a shared box swings by tens of percent.  ``benchmarks/cost/``
 pins them for CPython 3.11, and tier-1 and CI diff a fresh run against
 them exactly, so a change that moves the work re-pins them with
-``--out benchmarks/cost`` in the same diff.  Stdlib only; the inputs
-need NumPy, as the package does.
+``--out benchmarks/cost`` in the same diff.  With ``--out`` every input is
+measured and every file written before anything is printed, so a reader
+that closes the pipe early (``| head``) cannot leave half the pins
+rewritten.  Stdlib only; the inputs need NumPy, as the package does.
 """
 
 from __future__ import annotations
@@ -95,6 +101,30 @@ def greedy_lookups() -> Tuple[int, Callable[[], dict]]:
     return len(pairs), _with_kernel_counts(net, phase)
 
 
+def repair_bursts() -> Tuple[int, Callable[[], dict]]:
+    """4 crash bursts of 120, each repaired under the paper's policy;
+    returns ``(crashes, measured phase)``."""
+    import numpy as np
+
+    from repro import TreePNetwork
+    from repro.core.repair import PAPER_POLICY, apply_failure_step
+
+    net = TreePNetwork(seed=7)
+    net.build(2000)
+    order = np.random.default_rng(3).permutation(net.ids).tolist()
+    bursts = [order[b * 120:(b + 1) * 120] for b in range(4)]
+
+    def phase() -> dict:
+        for burst in bursts:
+            net.fail_nodes(burst)
+            apply_failure_step(net, burst, PAPER_POLICY)
+        tables = [n.table for n in net.nodes.values()]
+        return {"entries": sum([len(t._entries) for t in tables]),
+                "version": sum([t._version for t in tables])}
+
+    return sum(map(len, bursts)), _with_kernel_counts(net, phase)
+
+
 def _with_kernel_counts(net, phase: Callable[[], dict]) -> Callable[[], dict]:
     """*phase*, reporting the events it fired and the datagrams it sent."""
     def measured() -> dict:
@@ -110,6 +140,7 @@ def _with_kernel_counts(net, phase: Callable[[], dict]) -> Callable[[], dict]:
 INPUTS: Dict[str, Callable[[], Tuple[int, Callable[[], dict]]]] = {
     "quorum_mix": quorum_mix,
     "greedy_lookups": greedy_lookups,
+    "repair_bursts": repair_bursts,
 }
 
 
@@ -209,13 +240,13 @@ def main(argv: List[str]) -> int:
     out = argv[1] if argv else None
     if out is not None:
         os.makedirs(out, exist_ok=True)
-    for name in INPUTS:
-        record, functions = measure(name)
-        print(render(record, functions))
-        if out is not None:
-            with open(os.path.join(out, f"{name}.json"), "w") as fh:
+    measured = [measure(name) for name in INPUTS]
+    if out is not None:
+        for record, _ in measured:
+            with open(os.path.join(out, f"{record['input']}.json"), "w") as fh:
                 json.dump(record, fh, indent=1)
                 fh.write("\n")
+    print("\n".join(render(record, functions) for record, functions in measured))
     return 0
 
 
